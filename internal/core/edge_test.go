@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -198,4 +199,166 @@ func TestViewChangeWithUnknownLeaver(t *testing.T) {
 		}
 	}
 	h.verify()
+}
+
+// TestStopWithoutStart is the regression for Stop blocking forever on an
+// engine that New built but nothing started (Node.host's late error paths):
+// only the loop closed doneC, and there was no loop.
+func TestStopWithoutStart(t *testing.T) {
+	net := transport.NewMemNetwork()
+	ep, err := net.Endpoint("solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	det := fd.NewManual()
+	defer det.Stop()
+	eng, err := New(Config{
+		Self: "solo", Endpoint: ep, Detector: det,
+		InitialView: View{ID: 1, Members: ident.NewPIDs("solo")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		eng.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop on a never-started engine did not return")
+	}
+	if eng.rootCtx.Err() == nil {
+		t.Error("root context not cancelled")
+	}
+	if err := eng.Start(); !errors.Is(err, ErrStopped) {
+		t.Errorf("Start after Stop: %v, want ErrStopped", err)
+	}
+	if _, err := eng.Deliver(context.Background()); !errors.Is(err, ErrStopped) {
+		t.Errorf("Deliver after Stop: %v, want ErrStopped", err)
+	}
+}
+
+// TestCancelledCallsConsumeNothing cancels a Deliver and a Multicast while
+// the loop holds them (both are batches of one on the shared request path)
+// and checks that the engine neither hands the abandoned calls anything nor
+// loses what they were waiting for.
+func TestCancelledCallsConsumeNothing(t *testing.T) {
+	net := transport.NewMemNetwork()
+	ep, err := net.Endpoint("solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	det := fd.NewManual()
+	defer det.Stop()
+	eng, err := New(Config{
+		Self: "solo", Endpoint: ep, Detector: det,
+		InitialView:  View{ID: 1, Members: ident.NewPIDs("solo")},
+		ToDeliverCap: 1, // the second multicast parks until the first is delivered
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+	live, done := context.WithTimeout(context.Background(), 10*time.Second)
+	defer done()
+
+	// A Deliver waiting on the empty queue, then cancelled.
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	if _, err := eng.Deliver(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Deliver: %v, want context.Canceled", err)
+	}
+
+	if _, err := eng.Multicast(live, obsolete.Msg{Sender: "solo", Seq: 1}, []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	// A Multicast parked behind the full queue, then cancelled.
+	ctx, cancel = context.WithCancel(context.Background())
+	errC := make(chan error, 1)
+	go func() {
+		_, err := eng.Multicast(ctx, obsolete.Msg{Sender: "solo", Seq: 2}, []byte("lost"))
+		errC <- err
+	}()
+	waitCond(t, "the second multicast to park", func() bool { return eng.Stats().Parked == 1 })
+	cancel()
+	if err := <-errC; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Multicast: %v, want context.Canceled", err)
+	}
+
+	// The abandoned Deliver must not have swallowed message 1, and the
+	// abandoned Multicast must not have committed sequence number 2.
+	d, err := eng.Deliver(live)
+	if err != nil || d.Kind != DeliverData || string(d.Payload) != "one" {
+		t.Fatalf("deliver = %+v, %v; want message 1", d, err)
+	}
+	if _, err := eng.Multicast(live, obsolete.Msg{Sender: "solo", Seq: 2}, []byte("two")); err != nil {
+		t.Fatalf("reusing the cancelled sequence number: %v", err)
+	}
+	d, err = eng.Deliver(live)
+	if err != nil || string(d.Payload) != "two" {
+		t.Fatalf("deliver = %+v, %v; want message 2", d, err)
+	}
+}
+
+// TestStagePrunedAtInstall admits and evicts a series of distinct peers
+// while multicasting: the per-peer staging map must not keep a key for
+// every PID it ever sent to.
+func TestStagePrunedAtInstall(t *testing.T) {
+	net := transport.NewMemNetwork()
+	start := func(p ident.PID, cfg Config) *Engine {
+		ep, err := net.Endpoint(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det := fd.NewManual()
+		cfg.Self, cfg.Endpoint, cfg.Detector = p, ep, det
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			eng.Stop()
+			det.Stop()
+			ep.Close()
+		})
+		return eng
+	}
+	founder := start("p0", Config{InitialView: View{ID: 1, Members: ident.NewPIDs("p0")}})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	var seq ident.Seq
+	const peers = 4
+	for i := 1; i <= peers; i++ {
+		p := ident.PID(fmt.Sprintf("j%d", i))
+		joiner := start(p, Config{Join: &JoinSpec{Contacts: ident.NewPIDs("p0")}})
+		waitCond(t, fmt.Sprintf("%s admitted", p), func() bool {
+			return founder.View().Includes(p) && joiner.View().Includes(p)
+		})
+		for k := 0; k < 3; k++ {
+			seq++
+			if _, err := founder.Multicast(ctx, obsolete.Msg{Sender: "p0", Seq: seq}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := founder.RequestViewChange(p); err != nil {
+			t.Fatal(err)
+		}
+		waitCond(t, fmt.Sprintf("%s evicted", p), func() bool { return !founder.View().Includes(p) })
+		joiner.Stop()
+	}
+	founder.Stop() // the loop has exited: its state is safe to read
+	if n, members := len(founder.stage), len(founder.cv.Members); n > members {
+		t.Fatalf("stage keeps %d per-peer entries for a view of %d member(s)", n, members)
+	}
 }

@@ -35,9 +35,12 @@ type Engine struct {
 	once    sync.Once
 
 	// Snapshot mirrors (written by the loop under mu, read by the facade).
+	// started (also under mu) records that Start launched the loop, so Stop
+	// knows whether there is one to wait for.
 	mu       sync.Mutex
 	curView  View
 	curStats Stats
+	started  bool
 
 	// ---- state below is owned exclusively by the run loop ----
 
@@ -127,7 +130,11 @@ type Engine struct {
 
 	deliverWaiters []*request
 	multicastQ     []*request
-	deferredCtl    []transport.Envelope // control traffic for future views
+	// replies are the answers this loop turn produced. syncSnapshots sends
+	// them once the facade snapshots reflect the turn, so a call that has
+	// returned always finds its own effect in Stats and View.
+	replies     []*request
+	deferredCtl []transport.Envelope // control traffic for future views
 
 	// purgeScratch is the reusable buffer PurgeForInto fills on the
 	// multicast/arrival hot path, so releasing credits for purged entries
@@ -162,72 +169,48 @@ type request struct {
 	kind reqKind
 	ctx  context.Context
 
-	meta    obsolete.Msg // single multicast
-	payload []byte
-	batch   []OutMsg   // batched multicast (nil for a single; meta/payload unused)
-	done    int        // committed prefix of batch (mid-batch park progress)
-	join    ident.PIDs // view change
-	leave   ident.PIDs
-	dst     []Delivery // batched deliver destination (nil for a single)
+	batch []OutMsg   // multicast: the messages to commit (one[:] for Multicast)
+	done  int        // committed prefix of batch (mid-batch park progress)
+	join  ident.PIDs // view change
+	leave ident.PIDs
+	dst   []Delivery // deliver: destination the loop fills (oneD[:] for Deliver)
+
+	// one and oneD back the length-1 batches of the single-message calls,
+	// so Multicast and Deliver allocate nothing beyond the pooled request.
+	one  [1]OutMsg
+	oneD [1]Delivery
 
 	// parkedAt stamps a multicast entering the parked queue, so the flow
 	// control stall it suffered can be observed at commit (parkDur). Zero
 	// when the engine has no park histogram or the request never parked.
 	parkedAt time.Time
 
-	errC chan error    // view change / deliver failure reply
-	mcC  chan mcResult // multicast reply
-	delC chan Delivery // deliver reply
-	nC   chan int      // batched deliver reply (count filled into dst)
+	res  result // the loop's one reply, sent on resC once the turn ends
+	resC chan result
 }
 
-// batchLen is the number of messages this multicast request carries.
-func (req *request) batchLen() int {
-	if req.batch == nil {
-		return 1
-	}
-	return len(req.batch)
-}
-
-// msgAt returns message i of the request.
-func (req *request) msgAt(i int) (obsolete.Msg, []byte) {
-	if req.batch == nil {
-		return req.meta, req.payload
-	}
-	return req.batch[i].Meta, req.batch[i].Payload
-}
-
-// curSeq is the sequence number of the next message to commit (events).
-func (req *request) curSeq() ident.Seq {
-	if req.batch == nil {
-		return req.meta.Seq
-	}
-	if req.done < len(req.batch) {
-		return req.batch[req.done].Meta.Seq
-	}
-	return 0
-}
-
-// mcResult reports the outcome of a multicast: the view in which the
-// message was sent, or an error.
-type mcResult struct {
+// result is the loop's reply to a request: the view the last message of a
+// multicast was sent in, the number of deliveries filled into dst, or an
+// error.
+type result struct {
 	view ident.ViewRef
+	n    int
 	err  error
 }
 
-// requestPool recycles request structs and their reply channels across
-// Multicast/Deliver/RequestViewChange calls. The loop sends exactly one
-// reply per request, so a request whose reply has been consumed can be
-// reused safely; requests abandoned on ctx cancellation or engine stop are
-// left to the garbage collector because a late reply may still arrive on
-// their channels.
+// reply queues res as the answer to req (see Engine.replies).
+func (e *Engine) reply(req *request, res result) {
+	req.res = res
+	e.replies = append(e.replies, req)
+}
+
+// requestPool recycles request structs across Multicast/Deliver/
+// RequestViewChange calls. The loop sends exactly one reply per request, so
+// a request whose reply has been consumed can be reused safely; requests
+// abandoned on ctx cancellation or engine stop are left to the garbage
+// collector because a late reply may still arrive on their channel.
 var requestPool = sync.Pool{New: func() any {
-	return &request{
-		mcC:  make(chan mcResult, 1),
-		delC: make(chan Delivery, 1),
-		errC: make(chan error, 1),
-		nC:   make(chan int, 1),
-	}
+	return &request{resC: make(chan result, 1)}
 }}
 
 func getRequest(kind reqKind, ctx context.Context) *request {
@@ -238,15 +221,8 @@ func getRequest(kind reqKind, ctx context.Context) *request {
 }
 
 func putRequest(req *request) {
-	req.ctx = nil
-	req.meta = obsolete.Msg{}
-	req.payload = nil
-	req.batch = nil
-	req.done = 0
-	req.join = nil
-	req.leave = nil
-	req.dst = nil
-	req.parkedAt = time.Time{}
+	resC := req.resC
+	*req = request{resC: resC} // drop every borrowed payload and slice
 	requestPool.Put(req)
 }
 
@@ -299,8 +275,17 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // Start launches the consensus service and the protocol loop. A joining
-// engine also starts asking its contacts for admission.
+// engine also starts asking its contacts for admission. Start after Stop
+// fails with ErrStopped.
 func (e *Engine) Start() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	select {
+	case <-e.stopC:
+		return ErrStopped
+	default:
+	}
+	e.started = true
 	e.cons.Start()
 	if e.cfg.StabilityInterval > 0 {
 		e.stabTick = e.clock.NewTicker(e.cfg.StabilityInterval)
@@ -319,11 +304,18 @@ func (e *Engine) Start() error {
 
 // Stop terminates the engine. Parked Multicast and Deliver calls return
 // ErrStopped. Stop does not close the endpoint or the detector; the caller
-// owns those.
+// owns those. An engine that was never started stops too: its root context
+// is cancelled and Stop returns at once.
 func (e *Engine) Stop() {
 	e.once.Do(func() {
 		e.cancel()
+		e.mu.Lock()
 		close(e.stopC)
+		started := e.started
+		e.mu.Unlock()
+		if !started {
+			close(e.doneC) // no loop will
+		}
 		<-e.doneC
 		e.cons.Stop()
 	})
@@ -355,21 +347,10 @@ func (e *Engine) Stats() Stats {
 // message was multicast in.
 func (e *Engine) Multicast(ctx context.Context, meta obsolete.Msg, payload []byte) (ident.ViewRef, error) {
 	req := getRequest(reqMulticast, ctx)
-	req.meta = meta
-	req.payload = payload
-	if err := e.submit(ctx, req); err != nil {
-		putRequest(req) // never reached the loop
-		return ident.ViewRef{}, err
-	}
-	select {
-	case res := <-req.mcC:
-		putRequest(req)
-		return res.view, res.err
-	case <-ctx.Done():
-		return ident.ViewRef{}, ctx.Err()
-	case <-e.doneC:
-		return ident.ViewRef{}, ErrStopped
-	}
+	req.one[0] = OutMsg{Meta: meta, Payload: payload}
+	req.batch = req.one[:]
+	res := e.do(ctx, req)
+	return res.view, res.err
 }
 
 // MulticastBatch submits a run of data messages in one request round-trip
@@ -388,26 +369,12 @@ func (e *Engine) Multicast(ctx context.Context, meta obsolete.Msg, payload []byt
 // message and everything after it were not.
 func (e *Engine) MulticastBatch(ctx context.Context, msgs []OutMsg) (ident.ViewRef, error) {
 	if len(msgs) == 0 {
-		e.mu.Lock()
-		v := e.curView.Ref()
-		e.mu.Unlock()
-		return v, nil
+		return e.View().Ref(), nil
 	}
 	req := getRequest(reqMulticast, ctx)
 	req.batch = msgs
-	if err := e.submit(ctx, req); err != nil {
-		putRequest(req) // never reached the loop
-		return ident.ViewRef{}, err
-	}
-	select {
-	case res := <-req.mcC:
-		putRequest(req)
-		return res.view, res.err
-	case <-ctx.Done():
-		return ident.ViewRef{}, ctx.Err()
-	case <-e.doneC:
-		return ident.ViewRef{}, ErrStopped
-	}
+	res := e.do(ctx, req)
+	return res.view, res.err
 }
 
 // Deliver returns the next item of the delivery queue (transition t1),
@@ -416,22 +383,14 @@ func (e *Engine) MulticastBatch(ctx context.Context, msgs []OutMsg) (ident.ViewR
 // processed are kept in the protocol buffers", where they stay purgeable.
 func (e *Engine) Deliver(ctx context.Context) (Delivery, error) {
 	req := getRequest(reqDeliver, ctx)
-	if err := e.submit(ctx, req); err != nil {
-		putRequest(req)
-		return Delivery{}, err
+	req.dst = req.oneD[:]
+	res, reusable := e.roundTrip(ctx, req)
+	if !reusable {
+		return Delivery{}, res.err
 	}
-	select {
-	case d := <-req.delC:
-		putRequest(req)
-		return d, nil
-	case err := <-req.errC:
-		putRequest(req)
-		return Delivery{}, err
-	case <-ctx.Done():
-		return Delivery{}, ctx.Err()
-	case <-e.doneC:
-		return Delivery{}, ErrStopped
-	}
+	d := req.oneD[0] // zero unless the loop filled it
+	putRequest(req)
+	return d, res.err
 }
 
 // DeliverBatch fills dst with as many immediately available deliveries as
@@ -450,22 +409,8 @@ func (e *Engine) DeliverBatch(ctx context.Context, dst []Delivery) (int, error) 
 	}
 	req := getRequest(reqDeliver, ctx)
 	req.dst = dst
-	if err := e.submit(ctx, req); err != nil {
-		putRequest(req)
-		return 0, err
-	}
-	select {
-	case n := <-req.nC:
-		putRequest(req)
-		return n, nil
-	case err := <-req.errC:
-		putRequest(req)
-		return 0, err
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	case <-e.doneC:
-		return 0, ErrStopped
-	}
+	res := e.do(ctx, req)
+	return res.n, res.err
 }
 
 // RequestViewChange triggers the view change protocol (transition t4),
@@ -485,28 +430,39 @@ func (e *Engine) RequestMembershipChange(join, leave ident.PIDs) error {
 	req := getRequest(reqViewChange, context.Background())
 	req.join = join.Clone()
 	req.leave = leave.Clone()
-	if err := e.submit(context.Background(), req); err != nil {
-		putRequest(req)
-		return err
+	return e.do(context.Background(), req).err
+}
+
+// roundTrip submits req to the protocol loop and waits for its one reply.
+// It reports whether req may be recycled: a request that was answered (or
+// never reached the loop) may; one abandoned on ctx or stop may not, since
+// a late reply — and, for a deliver, late writes into dst — can still land
+// on it.
+func (e *Engine) roundTrip(ctx context.Context, req *request) (res result, reusable bool) {
+	select {
+	case e.reqC <- req:
+	case <-ctx.Done():
+		return result{err: ctx.Err()}, true
+	case <-e.doneC:
+		return result{err: ErrStopped}, true
 	}
 	select {
-	case err := <-req.errC:
-		putRequest(req)
-		return err
+	case res = <-req.resC:
+		return res, true
+	case <-ctx.Done():
+		return result{err: ctx.Err()}, false
 	case <-e.doneC:
-		return ErrStopped
+		return result{err: ErrStopped}, false
 	}
 }
 
-func (e *Engine) submit(ctx context.Context, req *request) error {
-	select {
-	case e.reqC <- req:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-e.doneC:
-		return ErrStopped
+// do is roundTrip for the calls that read nothing back out of the request.
+func (e *Engine) do(ctx context.Context, req *request) result {
+	res, reusable := e.roundTrip(ctx, req)
+	if reusable {
+		putRequest(req)
 	}
+	return res
 }
 
 // reqDrainCap bounds the greedy request drain per loop iteration, so a
@@ -672,15 +628,8 @@ func (e *Engine) failJoin() {
 		e.joinTimer = nil
 	}
 	e.joining = false
-	e.joinFailed = true
-	for _, w := range e.deliverWaiters {
-		w.errC <- ErrJoinTimeout
-	}
-	e.deliverWaiters = nil
-	for _, m := range e.multicastQ {
-		m.mcC <- mcResult{err: ErrJoinTimeout}
-	}
-	e.multicastQ = nil
+	e.joinFailed = true // terminal: the retries fail what is parked
+	e.serveDeliveries()
 }
 
 // send is the engine's best-effort transmit: in the crash-stop model a
@@ -693,7 +642,8 @@ func (e *Engine) send(p ident.PID, ch transport.Channel, msg any) {
 	}
 }
 
-// syncSnapshots mirrors loop-owned state into the facade-visible copies.
+// syncSnapshots mirrors loop-owned state into the facade-visible copies,
+// then releases the turn's replies.
 func (e *Engine) syncSnapshots() {
 	e.stats.View = e.cv.ID
 	e.stats.Epoch = e.cv.Epoch
@@ -702,7 +652,9 @@ func (e *Engine) syncSnapshots() {
 	e.stats.HistoryLen = e.delivered.Len()
 	e.stats.Parked = len(e.multicastQ)
 	e.stats.LastSent = e.lastSent
-	if st := e.toDeliver.Stats(); st.MaxLen > e.stats.ToDeliverMax {
+	st := e.toDeliver.Stats()
+	e.stats.PurgedToDeliver = st.Purged
+	if st.MaxLen > e.stats.ToDeliverMax {
 		e.stats.ToDeliverMax = st.MaxLen
 	}
 	e.m.view.Set(int64(e.cv.ID))
@@ -722,18 +674,19 @@ func (e *Engine) syncSnapshots() {
 	}
 	e.curStats = e.stats
 	e.mu.Unlock()
+	for i, req := range e.replies {
+		req.resC <- req.res // buffered, one reply per request: never blocks
+		e.replies[i] = nil
+	}
+	e.replies = e.replies[:0]
 }
 
 // shutdown fails every parked request.
 func (e *Engine) shutdown() {
-	for _, w := range e.deliverWaiters {
-		w.errC <- ErrStopped
+	for _, req := range append(e.deliverWaiters, e.multicastQ...) {
+		e.reply(req, result{err: ErrStopped})
 	}
-	e.deliverWaiters = nil
-	for _, m := range e.multicastQ {
-		m.mcC <- mcResult{err: ErrStopped}
-	}
-	e.multicastQ = nil
+	e.deliverWaiters, e.multicastQ = nil, nil
 	e.syncSnapshots()
 }
 
@@ -746,6 +699,6 @@ func (e *Engine) onRequest(req *request) {
 		e.deliverWaiters = append(e.deliverWaiters, req)
 		e.serveDeliveries()
 	case reqViewChange:
-		req.errC <- e.triggerViewChange(req.join, req.leave)
+		e.reply(req, result{err: e.triggerViewChange(req.join, req.leave)})
 	}
 }

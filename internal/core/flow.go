@@ -145,7 +145,7 @@ func (e *Engine) drainOutgoing(p ident.PID) {
 		if !ok {
 			break
 		}
-		if it.View != uint64(e.cv.ID) || it.Epoch != uint64(e.cv.Epoch) {
+		if !e.inView(&it) {
 			out.PopHead() // stale: the view changed while it waited
 			continue
 		}
@@ -153,17 +153,7 @@ func (e *Engine) drainOutgoing(p ident.PID) {
 			break // out of credits: the head stays parked
 		}
 		out.PopHead()
-		run = append(run, DataMsg{
-			View: ident.ViewID(it.View), Epoch: ident.Epoch(it.Epoch), Meta: it.Meta, Payload: it.Payload,
-		})
+		run = append(run, msgOf(&it))
 	}
-	switch len(run) {
-	case 0:
-	case 1:
-		e.send(p, transport.Data, run[0])
-	default:
-		// The slice is handed to the transport (fault injection may
-		// duplicate the envelope), so ownership transfers with the send.
-		e.send(p, transport.Data, &DataBatchMsg{Msgs: run})
-	}
+	e.sendData(p, run) // ownership of run transfers with the send
 }

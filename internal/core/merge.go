@@ -43,7 +43,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/ident"
 	"repro/internal/obsolete"
 	"repro/internal/queue"
@@ -137,16 +136,10 @@ func (e *Engine) onProbe(from ident.PID, m ProbeMsg) {
 // our own lineage does not include us, so the eviction decided while we
 // were unreachable and its decide flood never found us.
 func (e *Engine) retireExpelled(ref ident.ViewRef, members ident.PIDs) {
-	e.expelled = true
-	e.blocked = false
-	e.blockStart = time.Time{}
-	e.m.blockedG.Set(0)
+	e.expelled = true // terminal: serveDeliveries' retry fails what is parked
+	e.unblock()
 	clear(e.pendingNext)
 	e.ev.Expelled(uint64(ref.ID))
-	for _, m := range e.multicastQ {
-		m.mcC <- mcResult{err: ErrExpelled}
-	}
-	e.multicastQ = nil
 	e.toDeliver.ForceAppend(queue.Item{
 		Kind: queue.Control, View: uint64(ref.ID), Epoch: uint64(ref.Epoch),
 		Ctl: View{Epoch: ref.Epoch, ID: ref.ID, Members: members.Clone()},
@@ -263,7 +256,8 @@ func (e *Engine) startMerge(a, b mergeSide) {
 	}
 	ref := mergeRefFor(a.ref, b.ref)
 	union := a.members.Union(b.members)
-	now := e.clock.Now()
+	e.block()
+	now := e.blockStart
 	e.merge = &mergeState{
 		ref:      ref,
 		sides:    [2]mergeSide{a, b},
@@ -272,19 +266,10 @@ func (e *Engine) startMerge(a, b mergeSide) {
 		started:  now,
 		deadline: now.Add(e.cfg.Heal.MergeTimeout),
 	}
-	e.blocked = true
-	e.blockStart = now
-	e.m.blockedG.Set(1)
 	e.ev.MergeStarted(ref.String(), a.ref.String(), b.ref.String(), len(union))
-	// Unaccepted arrivals: covered by their senders' contributions.
-	e.pendingHead = nil
-	e.pendingRest = e.pendingRest[:0]
-	e.pendingPos = 0
 	// Extend the heartbeat fanout across the union: the propose condition
 	// below needs suspicion to develop for far-side members that died.
-	if pd, ok := e.cfg.Detector.(interface{ SetPeers(ident.PIDs) }); ok {
-		pd.SetPeers(union)
-	}
+	e.setPeers(union)
 	// Flood the announcement (everyone re-floods once, so the handshake
 	// survives the initiator crashing mid-broadcast), then contribute.
 	// Per-link FIFO guarantees every peer sees our announcement before
@@ -298,7 +283,10 @@ func (e *Engine) startMerge(a, b mergeSide) {
 			e.send(p, transport.Ctl, ann)
 		}
 	}
-	contrib := MergePredMsg{Merge: ref, Msgs: e.localPred(true), Recv: e.recvSnapshot()}
+	// Unlike an ordinary flush the contribution keeps stable messages: the
+	// far side was never counted by this view's stable frontier, so for it
+	// "stable" proves nothing.
+	contrib := MergePredMsg{Merge: ref, Msgs: e.held(e.inView), Recv: e.recvSnapshot()}
 	for _, p := range union {
 		e.send(p, transport.Ctl, contrib) // including self: loopback keeps one code path
 	}
@@ -358,7 +346,7 @@ func (e *Engine) onMergePred(from ident.PID, m MergePredMsg) {
 	} else if e.merge.contrib[from] == nil {
 		c := m
 		e.merge.contrib[from] = &c
-		size := uint64(mergePredBytes(m))
+		size := uint64(wireSize(m))
 		e.merge.bytesIn += size
 		e.stats.MergeBytesRecv += size
 	}
@@ -410,38 +398,15 @@ func (e *Engine) checkMergePropose() {
 		}
 	}
 	next := View{Epoch: mg.ref.Epoch, ID: mg.ref.ID, Members: members}
-	val := consensusValue{Next: next, Pred: mergeFlush(e.rel, combined), Recv: recv}
+	// The union view's flush: deduplicated (the map key), deterministically
+	// ordered, and repurged so covers across contributions collapse — at
+	// most the sum of both sides' O(window) backlogs.
+	val := consensusValue{Next: next, Pred: repurge(e.rel, sortedPred(combined)), Recv: recv}
 	e.propose(val, mg.union)
 }
 
-// mergeFlush turns the combined contribution set into the union view's
-// flush: deduplicated (the map key), deterministically ordered, and
-// purged once more through the obsolescence relation so covers across
-// contributions collapse. Purging never relates across view tags, so one
-// side's backlog cannot purge the other's — each side stays O(window) and
-// the flush is at most the sum of both.
-func mergeFlush(rel obsolete.Relation, combined map[obsolete.MsgID]DataMsg) []DataMsg {
-	msgs := sortedPred(combined)
-	snap := queue.New(rel, 0)
-	for _, dm := range msgs {
-		_, _ = snap.AppendPurge(queue.Item{
-			Kind: queue.Data, View: uint64(dm.View), Epoch: uint64(dm.Epoch),
-			Meta: dm.Meta, Payload: dm.Payload,
-		})
-	}
-	out := make([]DataMsg, 0, snap.Len())
-	snap.EachRef(func(it *queue.Item) bool {
-		out = append(out, DataMsg{
-			View: ident.ViewID(it.View), Epoch: ident.Epoch(it.Epoch),
-			Meta: it.Meta, Payload: it.Payload,
-		})
-		return true
-	})
-	return out
-}
-
-// finishMerge records the completed merge; install() has already adopted
-// the flush, the frontiers and the union view.
+// finishMerge records the completed merge; install has already adopted the
+// flush and the combined frontiers.
 func (e *Engine) finishMerge(val consensusValue) {
 	mg := e.merge
 	e.stats.Merges++
@@ -461,9 +426,7 @@ func (e *Engine) abortMerge(reason string) {
 	mg := e.merge
 	e.merge = nil
 	delete(e.pendingNext, mg.ref)
-	e.blocked = false
-	e.blockStart = time.Time{}
-	e.m.blockedG.Set(0)
+	e.unblock()
 	e.stats.MergeAborts++
 	e.m.mergeAborts.Inc()
 	e.ev.MergeAborted(mg.ref.String(), reason)
@@ -472,19 +435,7 @@ func (e *Engine) abortMerge(reason string) {
 			e.former[p] = struct{}{}
 		}
 	}
-	if pd, ok := e.cfg.Detector.(interface{ SetPeers(ident.PIDs) }); ok {
-		pd.SetPeers(e.cv.Members)
-	}
+	e.setPeers(e.cv.Members)
 	e.serveDeliveries()
 	e.retryParked()
-}
-
-// mergePredBytes is the wire size of one merge contribution — what the
-// merge benchmarks compare between semantic and reliable configurations.
-func mergePredBytes(m MergePredMsg) int {
-	b, err := codec.Marshal(nil, m)
-	if err != nil {
-		return 0
-	}
-	return len(b)
 }

@@ -206,15 +206,11 @@ func (n *Node) host(id ident.GroupID, gc GroupConfig, join *JoinSpec) (*Group, e
 		return nil, fmt.Errorf("core: group id %d is reserved for node-scoped traffic", id)
 	}
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil, fmt.Errorf("core: node closed")
-	}
-	if _, dup := n.groups[id]; dup {
-		n.mu.Unlock()
-		return nil, fmt.Errorf("core: group %d already hosted", id)
-	}
+	err := n.hostableLocked(id)
 	n.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 
 	// Inboxes must exist before the first peer envelope can arrive for
 	// the group (engine.New registers too; this keeps the window closed
@@ -246,15 +242,11 @@ func (n *Node) host(id ident.GroupID, gc GroupConfig, join *JoinSpec) (*Group, e
 	grp := &Group{Engine: eng, node: n, id: id, tap: tap}
 
 	n.mu.Lock()
-	if n.closed {
+	if err := n.hostableLocked(id); err != nil { // closed or hosted meanwhile
 		n.mu.Unlock()
+		eng.Stop() // never started: this releases its root context
 		tap.Stop()
-		return nil, fmt.Errorf("core: node closed")
-	}
-	if _, dup := n.groups[id]; dup {
-		n.mu.Unlock()
-		tap.Stop()
-		return nil, fmt.Errorf("core: group %d already hosted", id)
+		return nil, err
 	}
 	n.groups[id] = grp
 	// A joiner monitors its contacts until the first installed view
@@ -272,6 +264,18 @@ func (n *Node) host(id ident.GroupID, gc GroupConfig, join *JoinSpec) (*Group, e
 		return nil, err
 	}
 	return grp, nil
+}
+
+// hostableLocked reports why group id cannot be hosted now, if it cannot.
+// Callers hold n.mu.
+func (n *Node) hostableLocked(id ident.GroupID) error {
+	if n.closed {
+		return fmt.Errorf("core: node closed")
+	}
+	if _, dup := n.groups[id]; dup {
+		return fmt.Errorf("core: group %d already hosted", id)
+	}
+	return nil
 }
 
 // Join hosts group id by joining it while it runs: instead of agreeing an

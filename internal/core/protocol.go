@@ -59,24 +59,24 @@ func (e *Engine) onMulticastReq(req *request) {
 // re-enters retryParked, and interleaving another request into this
 // half-committed transaction would trip its sequence precheck.
 func (e *Engine) advance(req *request) bool {
-	n := req.batchLen()
+	n := len(req.batch)
 	for req.done < n {
-		meta, payload := req.msgAt(req.done)
-		if err := e.multicastPrecheck(meta); err != nil {
+		m := &req.batch[req.done]
+		if err := e.multicastPrecheck(m.Meta); err != nil {
 			// Fail the message and the rest of the batch; the committed
 			// prefix stands (documented in MulticastBatch).
 			e.flushStage()
-			req.mcC <- mcResult{err: err}
+			e.reply(req, result{err: err})
 			return true
 		}
 		// Park while the group is blocked or buffers lack room; install,
 		// credit arrivals and deliveries retry the queue head.
-		if e.blocked || !e.canCommit(meta, payload) {
+		if e.blocked || !e.canCommit(m.Meta, m.Payload) {
 			e.flushStage()
 			return false
 		}
 		e.stageHint = n - req.done
-		e.commitOne(meta, payload)
+		e.commitOne(m.Meta, m.Payload)
 		req.done++
 	}
 	e.flushStage()
@@ -87,7 +87,7 @@ func (e *Engine) advance(req *request) bool {
 		e.ev.FlowUnblocked(uint64(e.lastSent), stalled)
 		req.parkedAt = time.Time{}
 	}
-	req.mcC <- mcResult{view: e.cv.Ref()}
+	e.reply(req, result{view: e.cv.Ref()})
 	return true
 }
 
@@ -98,17 +98,28 @@ func (e *Engine) park(req *request) {
 	e.m.parks.Inc()
 	if req.parkedAt.IsZero() && (e.m.parkDur != nil || e.ev != nil) {
 		req.parkedAt = e.clock.Now()
-		e.ev.FlowBlocked(uint64(req.curSeq()))
+		e.ev.FlowBlocked(uint64(req.batch[req.done].Meta.Seq))
 	}
 	e.multicastQ = append(e.multicastQ, req)
 }
 
-func (e *Engine) multicastPrecheck(meta obsolete.Msg) error {
-	if e.joinFailed {
+// terminalErr is what every call fails with once this engine can make no
+// further progress — its join was abandoned or it was expelled — and nil
+// while it can. Parked requests need no failing by hand: the retry that
+// follows the transition runs them into this error.
+func (e *Engine) terminalErr() error {
+	switch {
+	case e.joinFailed:
 		return ErrJoinTimeout
-	}
-	if e.expelled {
+	case e.expelled:
 		return ErrExpelled
+	}
+	return nil
+}
+
+func (e *Engine) multicastPrecheck(meta obsolete.Msg) error {
+	if err := e.terminalErr(); err != nil {
+		return err
 	}
 	if !e.cv.Includes(e.cfg.Self) {
 		return ErrNotMember
@@ -148,13 +159,7 @@ func fullAfterPurge(q *queue.Queue, it queue.Item) bool {
 
 func (e *Engine) dataItem(meta obsolete.Msg, payload []byte) queue.Item {
 	meta.Sender = e.cfg.Self
-	return queue.Item{
-		Kind:    queue.Data,
-		View:    uint64(e.cv.ID),
-		Epoch:   uint64(e.cv.Epoch),
-		Meta:    meta,
-		Payload: payload,
-	}
+	return itemOf(DataMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Meta: meta, Payload: payload})
 }
 
 // commitOne commits a single message of the transaction advance drives:
@@ -162,7 +167,7 @@ func (e *Engine) dataItem(meta obsolete.Msg, payload []byte) queue.Item {
 // every queue is guaranteed by canCommit.
 func (e *Engine) commitOne(meta obsolete.Msg, payload []byte) {
 	it := e.dataItem(meta, payload)
-	dm := DataMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Meta: it.Meta, Payload: it.Payload}
+	dm := msgOf(&it)
 	if e.m.deliverLatency != nil {
 		it.At = e.clock.Now()
 	}
@@ -178,7 +183,6 @@ func (e *Engine) commitOne(meta obsolete.Msg, payload []byte) {
 	}
 	e.stats.Multicast++
 	e.m.multicast.Inc()
-	e.stats.PurgedToDeliver = e.toDeliver.Stats().Purged
 	e.serveDeliveries()
 }
 
@@ -197,32 +201,35 @@ func (e *Engine) stageData(p ident.PID, dm DataMsg) {
 		return
 	}
 	out := e.flow.pending(p)
-	it := queue.Item{Kind: queue.Data, View: uint64(dm.View), Epoch: uint64(dm.Epoch), Meta: dm.Meta, Payload: dm.Payload}
+	it := itemOf(dm)
 	n := uint64(out.PurgeForN(it))
 	e.stats.PurgedOutgoing += n
 	e.m.purgedOutgoing.Add(n)
 	out.ForceAppend(it) // room guaranteed by canCommit
 }
 
-// flushStage transmits every staged per-peer run: a single message goes
-// out as a plain DataMsg, a longer run as one DataBatchMsg envelope. The
-// staged slices are handed to the transport (the decode side aliases
-// nothing, and fault injection may duplicate the envelope), so each flush
-// hands off ownership and the next transaction starts slices afresh.
+// flushStage transmits every staged per-peer run. The staged slices are
+// handed to the transport (the decode side aliases nothing, and fault
+// injection may duplicate the envelope), so each flush hands off ownership
+// and the next transaction starts slices afresh.
 func (e *Engine) flushStage() {
-	if len(e.stage) == 0 {
-		return
-	}
 	for p, msgs := range e.stage {
-		switch len(msgs) {
-		case 0:
-		case 1:
+		if len(msgs) > 0 {
 			e.stage[p] = nil
-			e.send(p, transport.Data, msgs[0])
-		default:
-			e.stage[p] = nil
-			e.send(p, transport.Data, &DataBatchMsg{Msgs: msgs})
+			e.sendData(p, msgs)
 		}
+	}
+}
+
+// sendData transmits a run of data messages to p: a single message goes
+// out as a plain DataMsg, a longer run as one DataBatchMsg envelope.
+func (e *Engine) sendData(p ident.PID, run []DataMsg) {
+	switch len(run) {
+	case 0:
+	case 1:
+		e.send(p, transport.Data, run[0])
+	default:
+		e.send(p, transport.Data, &DataBatchMsg{Msgs: run})
 	}
 }
 
@@ -302,7 +309,7 @@ func (e *Engine) processData(dm DataMsg) bool {
 		e.flow.freed(dm.Meta.Sender, e)
 		return true
 	}
-	it := queue.Item{Kind: queue.Data, View: uint64(dm.View), Epoch: uint64(dm.Epoch), Meta: dm.Meta, Payload: dm.Payload}
+	it := itemOf(dm)
 	e.purgeToDeliver(it)
 	if e.toDeliver.Full() {
 		// Keep the arrival in the one reserved stall slot; the data inbox
@@ -319,7 +326,6 @@ func (e *Engine) acceptData(it queue.Item) {
 	}
 	e.recvMax[it.Meta.Sender] = it.Meta.Seq
 	e.toDeliver.ForceAppend(it)
-	e.stats.PurgedToDeliver = e.toDeliver.Stats().Purged
 	e.serveDeliveries()
 	e.retryParked()
 }
@@ -347,8 +353,7 @@ func (e *Engine) retryPending() {
 				e.m.dropStale.Inc()
 				continue
 			}
-			it := queue.Item{Kind: queue.Data, View: uint64(dm.View), Epoch: uint64(dm.Epoch), Meta: dm.Meta, Payload: dm.Payload}
-			e.acceptData(it)
+			e.acceptData(itemOf(dm))
 			continue
 		}
 		if e.pendingPos < len(e.pendingRest) {
@@ -383,7 +388,7 @@ func (e *Engine) purgeToDeliver(it queue.Item) {
 	purged := e.toDeliver.PurgeForInto(it, e.purgeScratch[:0])
 	for i := range purged {
 		p := &purged[i]
-		if p.Meta.Sender != e.cfg.Self && p.View == uint64(e.cv.ID) && p.Epoch == uint64(e.cv.Epoch) && !e.seededAtJoin(p.Meta) {
+		if p.Meta.Sender != e.cfg.Self && e.inView(p) && !e.seededAtJoin(p.Meta) {
 			e.flow.freed(p.Meta.Sender, e)
 		}
 		purged[i] = queue.Item{} // release payload references
@@ -402,9 +407,9 @@ func (e *Engine) seededAtJoin(m obsolete.Msg) bool {
 // ---- t1: deliver ---------------------------------------------------------
 
 // serveDeliveries hands queue heads to waiting Deliver and DeliverBatch
-// calls. A batch waiter takes as many heads as its buffer holds in one
-// wake-up; like Deliver it never completes empty — it waits for the first
-// item (or a terminal error) instead.
+// calls. A waiter takes as many heads as its buffer holds in one wake-up
+// (Deliver's holds one); it never completes empty — it waits for the first
+// item, or for the terminal error that says none will come.
 func (e *Engine) serveDeliveries() {
 	for len(e.deliverWaiters) > 0 {
 		w := e.deliverWaiters[0]
@@ -412,49 +417,23 @@ func (e *Engine) serveDeliveries() {
 			e.deliverWaiters = e.deliverWaiters[1:]
 			continue
 		}
-		if w.dst != nil {
-			n := 0
-			for n < len(w.dst) {
-				it, ok := e.toDeliver.PopHead()
-				if !ok {
-					break
-				}
-				w.dst[n] = e.deliverItem(it)
-				n++
+		n := 0
+		for n < len(w.dst) {
+			it, ok := e.toDeliver.PopHead()
+			if !ok {
+				break
 			}
-			if n == 0 {
-				if e.joinFailed {
-					e.deliverWaiters = e.deliverWaiters[1:]
-					w.errC <- ErrJoinTimeout
-					continue
-				}
-				if e.expelled {
-					e.deliverWaiters = e.deliverWaiters[1:]
-					w.errC <- ErrExpelled
-					continue
-				}
+			w.dst[n] = e.deliverItem(it)
+			n++
+		}
+		res := result{n: n}
+		if n == 0 {
+			if res.err = e.terminalErr(); res.err == nil {
 				return
 			}
-			e.deliverWaiters = e.deliverWaiters[1:]
-			w.nC <- n
-			continue
-		}
-		it, ok := e.toDeliver.PopHead()
-		if !ok {
-			if e.joinFailed {
-				e.deliverWaiters = e.deliverWaiters[1:]
-				w.errC <- ErrJoinTimeout
-				continue
-			}
-			if e.expelled {
-				e.deliverWaiters = e.deliverWaiters[1:]
-				w.errC <- ErrExpelled
-				continue
-			}
-			return
 		}
 		e.deliverWaiters = e.deliverWaiters[1:]
-		w.delC <- e.deliverItem(it)
+		e.reply(w, res)
 	}
 	// Space freed by pops lets pending arrivals and parked multicasts in.
 	e.retryPending()
@@ -476,7 +455,7 @@ func (e *Engine) deliverItem(it queue.Item) Delivery {
 		if !it.At.IsZero() {
 			e.m.deliverLatency.ObserveDuration(e.clock.Since(it.At))
 		}
-		if it.View == uint64(e.cv.ID) && it.Epoch == uint64(e.cv.Epoch) {
+		if e.inView(&it) {
 			// Keep it in the per-view history for pred sets; purge the
 			// history with the same relation so it holds live items only.
 			e.delivered.PurgeForN(it)
@@ -522,11 +501,8 @@ func (e *Engine) retryParked() {
 // ---- t4: trigger view change ---------------------------------------------
 
 func (e *Engine) triggerViewChange(join, leave ident.PIDs) error {
-	if e.joinFailed {
-		return ErrJoinTimeout
-	}
-	if e.expelled {
-		return ErrExpelled
+	if err := e.terminalErr(); err != nil {
+		return err
 	}
 	if e.joining {
 		return ErrJoining
@@ -692,19 +668,18 @@ func (e *Engine) onInit(from ident.PID, m InitMsg) {
 			e.send(p, transport.Ctl, m)
 		}
 	}
-	e.blocked = true
-	e.blockStart = e.clock.Now()
-	e.m.blockedG.Set(1)
-	// Unaccepted arrivals: covered by their senders' pred sets.
-	e.pendingHead = nil
-	e.pendingRest = e.pendingRest[:0]
-	e.pendingPos = 0
+	e.block()
 	e.leave = ident.NewPIDs(m.Leave...).Intersect(e.cv.Members)
 	// Current members need no admission and a process asked to leave is
 	// not admitted by the same change.
 	e.join = ident.NewPIDs(m.Join...).Without(e.cv.Members).Without(e.leave)
 
-	pred := PredMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Msgs: e.localPred(false)}
+	// The local pred sequence: what we accepted to deliver in this view.
+	// Messages known stable (received by every member) are left out — the
+	// SVS obligations for them hold everywhere without flushing.
+	pred := PredMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Msgs: e.held(func(it *queue.Item) bool {
+		return e.inView(it) && !e.isStable(it.Meta.Sender, it.Meta.Seq)
+	})}
 	for _, p := range e.cv.Members {
 		e.send(p, transport.Ctl, pred)
 	}
@@ -733,25 +708,23 @@ func (e *Engine) awaitDecision(ref ident.ViewRef) {
 	}()
 }
 
-// localPred is the sequence of data messages this process has accepted to
-// deliver in the current view: delivered history then still-queued, FIFO.
-// For an ordinary view change messages known stable (received by every
-// member) are excluded — the SVS obligations for them hold everywhere
-// without flushing. A merge contribution keeps them (includeStable): the
-// far side of a healed partition was never counted by this view's stable
-// frontier, so for it "stable" proves nothing.
-func (e *Engine) localPred(includeStable bool) []DataMsg {
-	var out []DataMsg
-	collect := func(it *queue.Item) bool {
-		if it.Kind == queue.Data && it.View == uint64(e.cv.ID) && it.Epoch == uint64(e.cv.Epoch) &&
-			(includeStable || !e.isStable(it.Meta.Sender, it.Meta.Seq)) {
-			out = append(out, DataMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Meta: it.Meta, Payload: it.Payload})
-		}
-		return true
-	}
-	e.delivered.EachRef(collect)
-	e.toDeliver.EachRef(collect)
-	return out
+// block closes the data plane for a view change or a merge (t5).
+// Arrivals not yet accepted are dropped: their senders' pred sets (or merge
+// contributions) cover them.
+func (e *Engine) block() {
+	e.blocked = true
+	e.blockStart = e.clock.Now()
+	e.m.blockedG.Set(1)
+	e.pendingHead = nil
+	e.pendingRest = e.pendingRest[:0]
+	e.pendingPos = 0
+}
+
+// unblock reopens the data plane; the caller retries whatever waited.
+func (e *Engine) unblock() {
+	e.blocked = false
+	e.blockStart = time.Time{}
+	e.m.blockedG.Set(0)
 }
 
 // onPred is transition t6: accumulate pred sequences.
@@ -903,9 +876,7 @@ func (e *Engine) install(val consensusValue) {
 	if !e.blockStart.IsZero() {
 		blockedFor = e.clock.Since(e.blockStart)
 		e.m.viewChange.ObserveDuration(blockedFor)
-		e.blockStart = time.Time{}
 	}
-	e.m.blockedG.Set(0)
 	if e.ev != nil {
 		e.ev.ViewInstall(uint64(val.Next.ID), len(val.Next.Members), len(val.Pred), blockedFor)
 		e.ev.MemberChange(uint64(val.Next.ID),
@@ -913,72 +884,30 @@ func (e *Engine) install(val consensusValue) {
 			pidStrings(e.cv.Members.Without(val.Next.Members)))
 	}
 
-	// Adopt flush messages we have not seen. Messages at or below recvMax
-	// were genuinely received before (reception is FIFO per sender), so
-	// anything missing locally was purged under a justified cover chain;
-	// re-adding it would break per-sender FIFO delivery. For a merge
-	// decision the flush carries both sides' backlogs, so this same loop
-	// is what delivers the other partition's relation-surviving messages
-	// before the union-view marker.
-	added := 0
-	for _, dm := range val.Pred {
-		if dm.Meta.Seq <= e.recvMax[dm.Meta.Sender] {
-			continue
-		}
-		if dm.Meta.Sender == e.cfg.Self && dm.Meta.Seq <= e.lastSent {
-			continue
-		}
-		if e.coveredLocally(dm.Meta) {
-			continue
-		}
-		e.recvMax[dm.Meta.Sender] = dm.Meta.Seq
-		e.toDeliver.ForceAppend(queue.Item{
-			Kind: queue.Data, View: uint64(dm.View), Epoch: uint64(dm.Epoch), Meta: dm.Meta, Payload: dm.Payload,
-		})
-		added++
-	}
+	// Adopt the flush messages we have not seen; the view marker follows
+	// them into the delivery queue (enterView). For a merge decision the
+	// flush carries both sides' backlogs, so this is what delivers the
+	// other partition's relation-surviving messages before the union-view
+	// marker, and val.Recv (nil otherwise) the combined frontiers.
+	added := e.adopt(val.Pred, val.Recv)
 	e.stats.FlushAdded += uint64(added)
 	e.m.flushAdded.Add(uint64(added))
-
-	// The view marker follows the flush in the delivery queue.
-	e.toDeliver.ForceAppend(queue.Item{
-		Kind: queue.Control, View: uint64(val.Next.ID), Epoch: uint64(val.Next.Epoch), Ctl: val.Next.Clone(),
-	})
 	e.toDeliver.Purge()
-	e.stats.PurgedToDeliver = e.toDeliver.Stats().Purged
 
-	if e.merge == nil {
+	if e.merge != nil {
+		// The "newcomers" are the other side, which already holds its own
+		// state — no sponsor transfer.
+		e.finishMerge(val)
+	} else {
 		// Dynamic membership: newcomers admitted by this view get a
 		// semantic state transfer from their sponsor. This must read
-		// e.delivered and e.cv before the per-view reset below.
-		e.sendJoinStates(val.Next)
-	} else {
-		// Merge install: the "newcomers" are the other side, which already
-		// holds its own state — no sponsor transfer. Adopt the combined
-		// reception frontiers instead (after the flush loop above, which
-		// must see our own frontiers), so stale retransmissions from
-		// either side are recognised as duplicates.
-		for s, q := range val.Recv {
-			if s == e.cfg.Self {
-				if q > e.lastSent {
-					e.lastSent = q
-				}
-				continue
-			}
-			if q > e.recvMax[s] {
-				e.recvMax[s] = q
-			}
-		}
-		e.finishMerge(val)
+		// e.delivered and e.cv before enterView resets them.
+		e.sponsorJoiners(val.Next)
 	}
 
 	if !val.Next.Includes(e.cfg.Self) {
-		e.expelled = true
+		e.expelled = true // terminal: enterView's retries fail what is parked
 		e.ev.Expelled(uint64(val.Next.ID))
-		for _, m := range e.multicastQ {
-			m.mcC <- mcResult{err: ErrExpelled}
-		}
-		e.multicastQ = nil
 	}
 
 	// Remember who left: they are the processes a healing engine probes,
@@ -995,30 +924,47 @@ func (e *Engine) install(val consensusValue) {
 		}
 	}
 
-	// Reset per-view state.
-	e.delivered = queue.New(e.rel, 0)
-	e.cv = val.Next.Clone()
+	e.joinSeeded = nil
+	e.enterView(val.Next)
+}
+
+// enterView makes next the current view, whether a decision installed it or
+// a state transfer did: the view marker goes into the delivery queue behind
+// whatever the caller just adopted, everything scoped to one view starts
+// afresh, and whoever waited for the view — deliveries, parked multicasts,
+// deferred control traffic, admission requests — gets its turn.
+func (e *Engine) enterView(next View) {
+	e.toDeliver.ForceAppend(queue.Item{
+		Kind: queue.Control, View: uint64(next.ID), Epoch: uint64(next.Epoch), Ctl: next.Clone(),
+	})
+	e.cv = next.Clone()
 	e.viewDirty = true
-	e.blocked = false
+	e.unblock()
+	e.delivered = queue.New(e.rel, 0)
 	e.proposed = false
 	e.merge = nil
 	e.join = nil
 	e.leave = nil
-	e.joinSeeded = nil
-	e.globalPred = make(map[obsolete.MsgID]DataMsg)
 	e.predReceived = nil
+	clear(e.globalPred)
 	clear(e.pendingNext)
+	clear(e.stage) // empty — advance flushes before every return — but keyed by every peer ever staged to
 	e.flow.reset(e.cv.Members)
 	e.resetStabilityForView()
-
-	if pd, ok := e.cfg.Detector.(interface{ SetPeers(ident.PIDs) }); ok {
-		pd.SetPeers(e.cv.Members)
-	}
+	e.setPeers(e.cv.Members)
 
 	e.serveDeliveries()
 	e.retryParked()
 	e.replayDeferred()
 	e.serveJoins()
+}
+
+// setPeers tells a detector that tracks a peer set (the node's shared
+// heartbeat does, through groupDetector) whom this group needs monitored.
+func (e *Engine) setPeers(ps ident.PIDs) {
+	if pd, ok := e.cfg.Detector.(interface{ SetPeers(ident.PIDs) }); ok {
+		pd.SetPeers(ps)
+	}
 }
 
 // ---- dynamic membership: join handshake ------------------------------------
@@ -1044,89 +990,59 @@ func (e *Engine) serveJoins() {
 	if e.blocked || e.expelled || e.joining || len(e.pendingJoins) == 0 {
 		return
 	}
-	var admit ident.PIDs
-	var snap *StateMsg // one snapshot serves every already-member requester
-	snapSize := 0
-	for _, p := range e.pendingJoins {
-		if e.cv.Includes(p) {
-			if snap == nil {
-				st := e.buildJoinState(e.cv)
-				snap = &st
-				snapSize = stateMsgBytes(st)
-			}
-			e.sendJoinState(p, *snap, snapSize)
-		} else {
-			admit = admit.Add(p)
-		}
-	}
+	pending := e.pendingJoins
 	e.pendingJoins = nil
-	if len(admit) > 0 {
+	e.sendJoinStates(e.cv, pending.Intersect(e.cv.Members))
+	if admit := pending.Without(e.cv.Members); len(admit) > 0 {
 		_ = e.triggerViewChange(admit, nil)
 	}
 }
 
-// sendJoinStates makes the sponsor — the lowest-ordered member surviving
+// sponsorJoiners makes the sponsor — the lowest-ordered member surviving
 // from the closing view — ship the state transfer to every newcomer of
 // the view being installed. Every incumbent computes the same sponsor, so
 // exactly one transfer is sent per join unless the sponsor crashes, in
 // which case the joiner's retransmitted request reaches serveJoins at
 // another member.
-func (e *Engine) sendJoinStates(next View) {
-	joiners := next.Members.Without(e.cv.Members)
+func (e *Engine) sponsorJoiners(next View) {
+	if inc := e.cv.Members.Intersect(next.Members); len(inc) > 0 && inc[0] == e.cfg.Self {
+		e.sendJoinStates(next, next.Members.Without(e.cv.Members))
+	}
+}
+
+// sendJoinStates ships one snapshot of this member's state, labelled with
+// the view the joiners are to install, to each of them.
+func (e *Engine) sendJoinStates(next View, joiners ident.PIDs) {
 	if len(joiners) == 0 {
 		return
 	}
-	if inc := e.cv.Members.Intersect(next.Members); len(inc) == 0 || inc[0] != e.cfg.Self {
-		return
-	}
 	st := e.buildJoinState(next)
-	size := stateMsgBytes(st)
+	size := wireSize(st)
 	for _, j := range joiners {
-		e.sendJoinState(j, st, size)
+		e.send(j, transport.Ctl, st)
+		e.stats.JoinStatesSent++
+		e.stats.JoinBacklogSent += uint64(len(st.Backlog))
+		e.stats.JoinBytesSent += uint64(size)
+		e.m.joinBytesSent.Add(uint64(size))
+		e.ev.StateTransfer("sent", string(j), uint64(st.View), len(st.Backlog), size)
 	}
 }
 
 // buildJoinState snapshots this member's state for a joiner: the view,
-// the per-sender reception frontiers, and the unstable backlog — every
-// data message still held in the delivery history or the delivery queue,
-// purged once more through the obsolescence relation so cross-queue
-// covers collapse. This is the semantic state transfer: under a purging
+// the per-sender reception frontiers, and the backlog — every data message
+// still held, of whatever view, repurged so covers that straddle history
+// and queue collapse. This is the semantic state transfer: under a purging
 // relation the backlog is O(window) however long the group has run.
 func (e *Engine) buildJoinState(next View) StateMsg {
-	snap := queue.New(e.rel, 0)
-	collect := func(it *queue.Item) bool {
-		if it.Kind == queue.Data {
-			_, _ = snap.AppendPurge(*it)
-		}
-		return true
-	}
-	e.delivered.EachRef(collect)
-	e.toDeliver.EachRef(collect)
-
-	backlog := make([]DataMsg, 0, snap.Len())
-	snap.EachRef(func(it *queue.Item) bool {
-		backlog = append(backlog, DataMsg{
-			View: ident.ViewID(it.View), Epoch: ident.Epoch(it.Epoch), Meta: it.Meta, Payload: it.Payload,
-		})
-		return true
-	})
 	return StateMsg{
 		View: next.ID, Epoch: next.Epoch, Members: next.Members.Clone(),
-		Recv: e.recvSnapshot(), Backlog: backlog,
+		Recv:    e.recvSnapshot(),
+		Backlog: repurge(e.rel, e.held(func(*queue.Item) bool { return true })),
 	}
-}
-
-func (e *Engine) sendJoinState(to ident.PID, st StateMsg, size int) {
-	e.send(to, transport.Ctl, st)
-	e.stats.JoinStatesSent++
-	e.stats.JoinBacklogSent += uint64(len(st.Backlog))
-	e.stats.JoinBytesSent += uint64(size)
-	e.m.joinBytesSent.Add(uint64(size))
-	e.ev.StateTransfer("sent", string(to), uint64(st.View), len(st.Backlog), size)
 }
 
 // onJoinState installs the first view of a joining engine from the state
-// transfer: frontiers, backlog, then the view marker — the application
+// transfer: backlog, frontiers, then the view marker — the application
 // sees the inherited state first and the view notification tells it the
 // join completed. Duplicate transfers (retries, several responders) after
 // the first are ignored.
@@ -1153,24 +1069,13 @@ func (e *Engine) onJoinState(from ident.PID, m StateMsg) {
 		took = e.clock.Since(e.joinStart)
 		e.m.joinDur.ObserveDuration(took)
 	}
-	size := stateMsgBytes(m)
+	size := wireSize(m)
 	e.ev.StateTransfer("recv", string(from), uint64(m.View), len(m.Backlog), size)
 	e.ev.JoinComplete(uint64(m.View), len(m.Members), took)
+	e.stats.JoinBacklogRecv = uint64(len(m.Backlog))
+	e.stats.JoinBytesRecv = uint64(size)
+	e.m.joinBytesRecv.Add(uint64(size))
 
-	// Adopt the sponsor's reception frontiers. Our own stream's frontier
-	// continues the sequence numbering if this PID multicast in an
-	// earlier incarnation.
-	for s, q := range m.Recv {
-		if s == e.cfg.Self {
-			if q > e.lastSent {
-				e.lastSent = q
-			}
-			continue
-		}
-		if q > e.recvMax[s] {
-			e.recvMax[s] = q
-		}
-	}
 	// Backlog entries of the installed view never consumed a window slot
 	// here; remember them so their consumption grants no credits.
 	e.joinSeeded = make(map[ident.PID]ident.Seq)
@@ -1178,32 +1083,14 @@ func (e *Engine) onJoinState(from ident.PID, m StateMsg) {
 		if dm.View == m.View && dm.Epoch == m.Epoch && dm.Meta.Seq > e.joinSeeded[dm.Meta.Sender] {
 			e.joinSeeded[dm.Meta.Sender] = dm.Meta.Seq
 		}
-		e.toDeliver.ForceAppend(queue.Item{
-			Kind: queue.Data, View: uint64(dm.View), Epoch: uint64(dm.Epoch), Meta: dm.Meta, Payload: dm.Payload,
-		})
 	}
-	e.cv = View{Epoch: m.Epoch, ID: m.View, Members: members}
-	e.viewDirty = true
-	e.toDeliver.ForceAppend(queue.Item{
-		Kind: queue.Control, View: uint64(m.View), Epoch: uint64(m.Epoch), Ctl: e.cv.Clone(),
-	})
-	e.stats.JoinBacklogRecv = uint64(len(m.Backlog))
-	e.stats.JoinBytesRecv = uint64(size)
-	e.m.joinBytesRecv.Add(uint64(size))
-
-	e.flow.reset(e.cv.Members)
-	e.resetStabilityForView()
-	if pd, ok := e.cfg.Detector.(interface{ SetPeers(ident.PIDs) }); ok {
-		pd.SetPeers(e.cv.Members)
-	}
-	e.serveDeliveries()
-	e.retryParked()
-	e.replayDeferred()
+	e.adopt(m.Backlog, m.Recv)
+	e.enterView(View{Epoch: m.Epoch, ID: m.View, Members: members})
 }
 
-// stateMsgBytes is the wire size of a state transfer — what the join
-// benchmarks compare between semantic and reliable configurations.
-func stateMsgBytes(m StateMsg) int {
+// wireSize is the encoded size of a state-transfer message — what the join
+// and merge benchmarks compare between semantic and reliable configurations.
+func wireSize(m any) int {
 	b, err := codec.Marshal(nil, m)
 	if err != nil {
 		return 0

@@ -1,0 +1,101 @@
+package core
+
+// snapshot.go is the engine's one state-transfer mechanism. Figure 1 gives
+// a member a single way to hand over what it holds — the pred set of t5–t7,
+// flushed ahead of the view marker — and the three hand-overs of this
+// engine are that mechanism under different filters:
+//
+//	view-change flush   held(current view, not yet stable)         PredMsg
+//	join transfer       repurge(held(everything)) + recvSnapshot   StateMsg
+//	merge contribution  held(current view)        + recvSnapshot   MergePredMsg
+//
+// A merge proposal repurges the union of the contributions it gathered.
+// Whoever is handed a snapshot — the decided flush of an install, a
+// joiner's backlog — applies it with adopt.
+
+import (
+	"repro/internal/ident"
+	"repro/internal/obsolete"
+	"repro/internal/queue"
+)
+
+// itemOf is the queue form of a data message.
+func itemOf(dm DataMsg) queue.Item {
+	return queue.Item{Kind: queue.Data, View: uint64(dm.View), Epoch: uint64(dm.Epoch), Meta: dm.Meta, Payload: dm.Payload}
+}
+
+// msgOf is the wire form of a queued data item.
+func msgOf(it *queue.Item) DataMsg {
+	return DataMsg{View: ident.ViewID(it.View), Epoch: ident.Epoch(it.Epoch), Meta: it.Meta, Payload: it.Payload}
+}
+
+// inView reports whether it was multicast in the current view.
+func (e *Engine) inView(it *queue.Item) bool {
+	return it.View == uint64(e.cv.ID) && it.Epoch == uint64(e.cv.Epoch)
+}
+
+// held returns the data messages this process has accepted to deliver and
+// still holds — delivery history, then delivery queue, each FIFO — that
+// pass keep.
+func (e *Engine) held(keep func(*queue.Item) bool) []DataMsg {
+	var out []DataMsg
+	collect := func(it *queue.Item) bool {
+		if it.Kind == queue.Data && keep(it) {
+			out = append(out, msgOf(it))
+		}
+		return true
+	}
+	e.delivered.EachRef(collect)
+	e.toDeliver.EachRef(collect)
+	return out
+}
+
+// repurge runs msgs, in order, once more through the obsolescence relation,
+// so covers that straddle the places they were gathered from (history and
+// queue, or two members' contributions) collapse. Purging never relates
+// across view tags, so one view's backlog cannot purge another's: under a
+// purging relation the result stays O(window) per view however long the
+// group has run.
+func repurge(rel obsolete.Relation, msgs []DataMsg) []DataMsg {
+	snap := queue.New(rel, 0)
+	for _, dm := range msgs {
+		_, _ = snap.AppendPurge(itemOf(dm)) // unbounded: never full
+	}
+	out := make([]DataMsg, 0, snap.Len())
+	snap.EachRef(func(it *queue.Item) bool {
+		out = append(out, msgOf(it))
+		return true
+	})
+	return out
+}
+
+// adopt applies a snapshot and returns how many of msgs joined the
+// delivery queue. A message at or below its sender's reception frontier was
+// genuinely received before (reception is FIFO per sender), so if it is
+// missing locally it was purged under a justified cover chain; re-adding it
+// would break per-sender FIFO delivery. The same holds for our own stream
+// up to lastSent, and a message some queued or delivered m' covers is
+// dropped exactly as t3 would drop it. The frontiers of recv are adopted
+// afterwards — the filter must see our own — and only ever forwards, so
+// stale retransmissions are recognised as duplicates. Our own entry
+// continues the sequence numbering of an earlier incarnation of this PID.
+func (e *Engine) adopt(msgs []DataMsg, recv map[ident.PID]ident.Seq) int {
+	added := 0
+	for _, dm := range msgs {
+		s, seq := dm.Meta.Sender, dm.Meta.Seq
+		if seq <= e.recvMax[s] || (s == e.cfg.Self && seq <= e.lastSent) || e.coveredLocally(dm.Meta) {
+			continue
+		}
+		e.recvMax[s] = seq
+		e.toDeliver.ForceAppend(itemOf(dm))
+		added++
+	}
+	for s, q := range recv {
+		if s == e.cfg.Self {
+			e.lastSent = max(e.lastSent, q)
+		} else if q > e.recvMax[s] {
+			e.recvMax[s] = q
+		}
+	}
+	return added
+}

@@ -1,0 +1,164 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/ident"
+	"repro/internal/obsolete"
+	"repro/internal/queue"
+)
+
+// snapEngine is a hand-built, never-started engine: no goroutines, no
+// clock, just the loop-owned state the snapshot code reads and writes.
+func snapEngine(rel obsolete.Relation) *Engine {
+	return &Engine{
+		cfg:       Config{Self: "me", Relation: rel},
+		rel:       rel,
+		cv:        View{ID: 4, Members: ident.NewPIDs("a", "b", "me")},
+		toDeliver: queue.New(rel, 0),
+		delivered: queue.New(rel, 0),
+		recvMax:   make(map[ident.PID]ident.Seq),
+		stable:    make(map[ident.PID]ident.Seq),
+	}
+}
+
+// tagged is a data item of sender s tagged with item tag (0 = untagged,
+// i.e. fully reliable) in view v of the founding lineage.
+func tagged(v uint64, s ident.PID, seq ident.Seq, tag uint32) queue.Item {
+	var annot []byte
+	if tag != 0 {
+		annot = obsolete.TagAnnot(tag)
+	}
+	return queue.Item{Kind: queue.Data, View: v, Meta: obsolete.Msg{Sender: s, Seq: seq, Annot: annot}}
+}
+
+// ids renders messages as "sender:seq@view" for comparison.
+func ids(msgs []DataMsg) []string {
+	out := make([]string, len(msgs))
+	for i, dm := range msgs {
+		out[i] = fmt.Sprintf("%s:%d@%d", dm.Meta.Sender, dm.Meta.Seq, dm.View)
+	}
+	return out
+}
+
+// TestSnapshotThreeCallersOneState checks the view-change flush, the join
+// transfer and the merge contribution against the same held data: they are
+// one collection under three filters. (The state is hand-built; a live
+// engine never holds an older view's entry next to current-view history.)
+func TestSnapshotThreeCallersOneState(t *testing.T) {
+	e := snapEngine(obsolete.Tagging{})
+	e.lastSent = 7
+	e.recvMax["a"], e.recvMax["b"], e.recvMax["c"] = 8, 3, 9
+	e.stable["a"] = 5
+	for _, it := range []queue.Item{
+		tagged(4, "a", 5, 1), // stable
+		tagged(4, "a", 6, 2), // covered by a:7, which is still queued
+		tagged(4, "b", 3, 0),
+		tagged(4, "me", 6, 9), // covered by me:7
+	} {
+		e.delivered.ForceAppend(it)
+	}
+	for _, it := range []queue.Item{
+		tagged(3, "c", 9, 7), // flush-adopted from the previous view
+		{Kind: queue.Control, View: 4, Ctl: e.cv},
+		tagged(4, "a", 7, 2),
+		tagged(4, "a", 8, 3),
+		tagged(4, "me", 7, 9),
+	} {
+		e.toDeliver.ForceAppend(it)
+	}
+
+	for _, tc := range []struct {
+		name string
+		got  []DataMsg
+		want []string
+	}{
+		{
+			// What onInit disseminates: current view only, stable left out,
+			// history then queue, nothing repurged.
+			name: "view-change pred",
+			got: e.held(func(it *queue.Item) bool {
+				return e.inView(it) && !e.isStable(it.Meta.Sender, it.Meta.Seq)
+			}),
+			want: []string{"a:6@4", "b:3@4", "me:6@4", "a:7@4", "a:8@4", "me:7@4"},
+		},
+		{
+			// What startMerge contributes: the far side never counted
+			// towards this view's stable frontier, so a:5 stays.
+			name: "merge contribution",
+			got:  e.held(e.inView),
+			want: []string{"a:5@4", "a:6@4", "b:3@4", "me:6@4", "a:7@4", "a:8@4", "me:7@4"},
+		},
+		{
+			// What a joiner is sent: every view's entries, with the covers
+			// that straddle history and queue (a:6 ⊑ a:7, me:6 ⊑ me:7)
+			// collapsed.
+			name: "join backlog",
+			got:  e.buildJoinState(e.cv).Backlog,
+			want: []string{"a:5@4", "b:3@4", "c:9@3", "a:7@4", "a:8@4", "me:7@4"},
+		},
+	} {
+		if got := ids(tc.got); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s:\n got  %v\n want %v", tc.name, got, tc.want)
+		}
+	}
+	wantRecv := map[ident.PID]ident.Seq{"a": 8, "b": 3, "c": 9, "me": 7}
+	if got := e.buildJoinState(e.cv).Recv; !reflect.DeepEqual(got, wantRecv) {
+		t.Errorf("join frontiers: got %v, want %v", got, wantRecv)
+	}
+}
+
+// TestSnapshotAdopt pins the applier: which messages of a snapshot join the
+// delivery queue, and that frontiers only ever move forwards.
+func TestSnapshotAdopt(t *testing.T) {
+	// Same tag and a lower sequence number is covered, whoever sent it: a
+	// relation under which a message above its sender's frontier can still
+	// be covered locally.
+	rel := obsolete.Func{Label: "tag-any-sender", F: func(old, new obsolete.Msg) bool {
+		ot, ok1 := obsolete.TagOf(old)
+		nt, ok2 := obsolete.TagOf(new)
+		return ok1 && ok2 && ot == nt && old.Seq < new.Seq
+	}}
+	e := snapEngine(rel)
+	e.lastSent = 7
+	e.recvMax["a"], e.recvMax["b"] = 6, 3
+	e.toDeliver.ForceAppend(tagged(4, "a", 9, 4))
+
+	msg := func(s ident.PID, seq ident.Seq, tag uint32) DataMsg {
+		it := tagged(4, s, seq, tag)
+		return msgOf(&it)
+	}
+	added := e.adopt([]DataMsg{
+		msg("a", 5, 1),  // below a's frontier
+		msg("a", 6, 1),  // at a's frontier
+		msg("me", 7, 2), // our own, already sent
+		msg("b", 4, 4),  // above b's frontier, but covered by the queued a:9
+		msg("b", 5, 5),  // new
+		msg("d", 1, 0),  // new sender
+		msg("me", 8, 2), // our own stream from an earlier incarnation
+	}, map[ident.PID]ident.Seq{"a": 4, "b": 10, "me": 3, "x": 2})
+	if added != 3 {
+		t.Errorf("adopted %d messages, want 3", added)
+	}
+	var queued []DataMsg
+	e.toDeliver.EachRef(func(it *queue.Item) bool {
+		queued = append(queued, msgOf(it))
+		return true
+	})
+	if got, want := ids(queued), []string{"a:9@4", "b:5@4", "d:1@4", "me:8@4"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("delivery queue:\n got  %v\n want %v", got, want)
+	}
+	// a and me were offered lower frontiers than we hold: they stay put.
+	wantMax := map[ident.PID]ident.Seq{"a": 6, "b": 10, "d": 1, "me": 8, "x": 2}
+	if !reflect.DeepEqual(e.recvMax, wantMax) {
+		t.Errorf("reception frontiers: got %v, want %v", e.recvMax, wantMax)
+	}
+	if e.lastSent != 7 {
+		t.Errorf("lastSent moved to %d, want 7", e.lastSent)
+	}
+	if e.adopt(nil, map[ident.PID]ident.Seq{"me": 12}); e.lastSent != 12 {
+		t.Errorf("lastSent = %d after a higher own frontier, want 12", e.lastSent)
+	}
+}

@@ -35,7 +35,8 @@ type StableMsg struct {
 
 // recvSnapshot copies this process's per-sender reception frontier,
 // including its own stream: everything we multicast is trivially received
-// here. Both the stability gossip and the join state transfer ship it.
+// here. The stability gossip ships it, and so does every state transfer
+// that carries frontiers (snapshot.go).
 func (e *Engine) recvSnapshot() map[ident.PID]ident.Seq {
 	recv := make(map[ident.PID]ident.Seq, len(e.recvMax)+1)
 	for s, q := range e.recvMax {
@@ -125,10 +126,7 @@ func (e *Engine) pruneStable() {
 		if it.Kind != queue.Data || !e.isStable(it.Meta.Sender, it.Meta.Seq) {
 			return false
 		}
-		if e.cfg.Heal != nil && it.View == uint64(e.cv.ID) && it.Epoch == uint64(e.cv.Epoch) {
-			return false
-		}
-		return true
+		return e.cfg.Heal == nil || !e.inView(&it)
 	})
 	e.stats.StablePruned += uint64(removed)
 	e.m.stablePruned.Add(uint64(removed))

@@ -173,8 +173,13 @@ func init() {
 		func(_ *codec.Reader) (JoinReqMsg, error) { return JoinReqMsg{}, nil })
 	codec.Register[StateMsg](codec.TStateMsg, appendStateMsg, readStateMsg)
 	codec.Register[*DataBatchMsg](codec.TDataBatchMsg, appendDataBatchMsg, readDataBatchMsg)
-	codec.Register[ProbeMsg](codec.TProbeMsg, appendProbeMsg, readProbeMsg)
-	codec.Register[SplitMsg](codec.TSplitMsg, appendSplitMsg, readSplitMsg)
+	// ProbeMsg and SplitMsg have MergeSide's fields and share its encoding.
+	codec.Register[ProbeMsg](codec.TProbeMsg,
+		func(dst []byte, m ProbeMsg) []byte { return appendMergeSide(dst, MergeSide(m)) },
+		func(r *codec.Reader) (ProbeMsg, error) { return ProbeMsg(readMergeSide(r)), r.Err() })
+	codec.Register[SplitMsg](codec.TSplitMsg,
+		func(dst []byte, m SplitMsg) []byte { return appendMergeSide(dst, MergeSide(m)) },
+		func(r *codec.Reader) (SplitMsg, error) { return SplitMsg(readMergeSide(r)), r.Err() })
 	codec.Register[MergeMsg](codec.TMergeMsg, appendMergeMsg, readMergeMsg)
 	codec.Register[MergePredMsg](codec.TMergePredMsg, appendMergePredMsg, readMergePredMsg)
 }
@@ -327,34 +332,6 @@ func readPredMsg(r *codec.Reader) (PredMsg, error) {
 	return m, r.Err()
 }
 
-func appendProbeMsg(dst []byte, m ProbeMsg) []byte {
-	dst = codec.AppendUvarint(dst, uint64(m.View))
-	dst = codec.AppendUvarint(dst, uint64(m.Epoch))
-	return appendPIDs(dst, m.Members)
-}
-
-func readProbeMsg(r *codec.Reader) (ProbeMsg, error) {
-	var m ProbeMsg
-	m.View = ident.ViewID(r.Uvarint())
-	m.Epoch = ident.Epoch(r.Uvarint())
-	m.Members = readPIDs(r)
-	return m, r.Err()
-}
-
-func appendSplitMsg(dst []byte, m SplitMsg) []byte {
-	dst = codec.AppendUvarint(dst, uint64(m.View))
-	dst = codec.AppendUvarint(dst, uint64(m.Epoch))
-	return appendPIDs(dst, m.Members)
-}
-
-func readSplitMsg(r *codec.Reader) (SplitMsg, error) {
-	var m SplitMsg
-	m.View = ident.ViewID(r.Uvarint())
-	m.Epoch = ident.Epoch(r.Uvarint())
-	m.Members = readPIDs(r)
-	return m, r.Err()
-}
-
 func appendMergeSide(dst []byte, s MergeSide) []byte {
 	dst = codec.AppendUvarint(dst, uint64(s.View))
 	dst = codec.AppendUvarint(dst, uint64(s.Epoch))
@@ -476,10 +453,7 @@ func encodeValue(v consensusValue) ([]byte, error) {
 	dst = codec.AppendByte(dst, valueFormat)
 	dst = codec.AppendUvarint(dst, uint64(v.Next.ID))
 	dst = codec.AppendUvarint(dst, uint64(v.Next.Epoch))
-	dst = codec.AppendCount(dst, len(v.Next.Members), v.Next.Members == nil)
-	for _, p := range v.Next.Members {
-		dst = codec.AppendString(dst, string(p))
-	}
+	dst = appendPIDs(dst, v.Next.Members)
 	dst = appendDataMsgs(dst, v.Pred)
 	return appendSeqMap(dst, v.Recv), nil
 }
@@ -492,13 +466,7 @@ func decodeValue(p []byte) (consensusValue, error) {
 	var v consensusValue
 	v.Next.ID = ident.ViewID(r.Uvarint())
 	v.Next.Epoch = ident.Epoch(r.Uvarint())
-	if n, isNil := r.Count(); !isNil {
-		members := make([]ident.PID, 0, capHint(n))
-		for i := 0; i < n && r.Err() == nil; i++ {
-			members = append(members, ident.PID(r.String()))
-		}
-		v.Next.Members = ident.PIDs(members)
-	}
+	v.Next.Members = readPIDs(r)
 	v.Pred = readDataMsgs(r)
 	v.Recv = readSeqMap(r)
 	if err := r.Close(); err != nil {

@@ -1,0 +1,14 @@
+#!/bin/sh
+# core-loc.sh — print the two tracked size numbers for internal/core
+# (ROADMAP open item 3): total lines, and non-blank non-comment lines, of
+# its non-test .go files. Print only: the target lives in ROADMAP.md, and
+# each PR records before/after in CHANGES.md.
+set -eu
+
+cd "$(dirname "$0")/.."
+
+# shellcheck disable=SC2046
+set -- $(find internal/core -maxdepth 1 -name '*.go' ! -name '*_test.go' | sort)
+total=$(cat "$@" | wc -l)
+code=$(cat "$@" | grep -cvE '^[[:space:]]*(//|$)')
+echo "internal/core non-test: $# files, $total lines, $code non-blank non-comment"
