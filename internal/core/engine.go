@@ -90,6 +90,7 @@ type Engine struct {
 	delivered *queue.Queue // current-view delivery history (for pred sets)
 	recvMax   map[ident.PID]ident.Seq
 	lastSent  ident.Seq
+	coverScan bool // the relation reaches across senders (see coveredLocally)
 
 	// pendingHead is one arrival that passed every receive check (its
 	// credit is charged and its purges applied) but found the delivery
@@ -265,6 +266,7 @@ func New(cfg Config) (*Engine, error) {
 		toDeliver:   queue.New(cfg.Relation, cfg.ToDeliverCap),
 		delivered:   queue.New(cfg.Relation, 0),
 		recvMax:     make(map[ident.PID]ident.Seq),
+		coverScan:   !obsolete.CapsOf(cfg.Relation).SenderLocal,
 		globalPred:  make(map[obsolete.MsgID]DataMsg),
 		pendingNext: make(map[ident.ViewRef]bool),
 		former:      make(map[ident.PID]struct{}),

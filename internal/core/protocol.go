@@ -348,12 +348,7 @@ func (e *Engine) retryPending() {
 			}
 			dm := *e.pendingHead
 			e.pendingHead = nil
-			if dm.View != e.cv.ID || dm.Epoch != e.cv.Epoch {
-				e.stats.DroppedStale++
-				e.m.dropStale.Inc()
-				continue
-			}
-			e.acceptData(itemOf(dm))
+			e.acceptData(itemOf(dm)) // still this view: block() clears the stash
 			continue
 		}
 		if e.pendingPos < len(e.pendingRest) {
@@ -372,11 +367,14 @@ func (e *Engine) retryPending() {
 	}
 }
 
-// coveredLocally reports whether a message m with m ⊑ m' for some queued
-// or delivered m' exists. Both queues answer from their sender index when
-// the relation is sender-local, keeping the per-arrival check O(window).
+// coveredLocally reports whether some queued or delivered m' has m ⊑ m',
+// for an m above its sender's frontier. Every held message of s has seq ≤
+// recvMax[s] (≤ lastSent for our own stream): commitOne, acceptData and
+// adopt raise the frontier to whatever they insert. A sender-local cover
+// has m's sender and a seq ≥ m's, so there the frontier is the whole t3
+// test; only a relation that reaches across senders scans the queues.
 func (e *Engine) coveredLocally(m obsolete.Msg) bool {
-	return e.toDeliver.Covers(m) || e.delivered.Covers(m)
+	return e.coverScan && (e.toDeliver.Covers(m) || e.delivered.Covers(m))
 }
 
 // purgeToDeliver purges the delivery-queue entries obsoleted by it and

@@ -74,9 +74,9 @@ func repurge(rel obsolete.Relation, msgs []DataMsg) []DataMsg {
 // genuinely received before (reception is FIFO per sender), so if it is
 // missing locally it was purged under a justified cover chain; re-adding it
 // would break per-sender FIFO delivery. The same holds for our own stream
-// up to lastSent, and a message some queued or delivered m' covers is
-// dropped exactly as t3 would drop it. The frontiers of recv are adopted
-// afterwards — the filter must see our own — and only ever forwards, so
+// up to lastSent, and a message above the frontier that some held m' covers
+// is dropped as t3 drops it (coveredLocally). The frontiers of recv are
+// adopted afterwards — the filter must see our own — and only forwards, so
 // stale retransmissions are recognised as duplicates. Our own entry
 // continues the sequence numbering of an earlier incarnation of this PID.
 func (e *Engine) adopt(msgs []DataMsg, recv map[ident.PID]ident.Seq) int {

@@ -20,6 +20,7 @@ func snapEngine(rel obsolete.Relation) *Engine {
 		toDeliver: queue.New(rel, 0),
 		delivered: queue.New(rel, 0),
 		recvMax:   make(map[ident.PID]ident.Seq),
+		coverScan: !obsolete.CapsOf(rel).SenderLocal,
 		stable:    make(map[ident.PID]ident.Seq),
 	}
 }
@@ -33,6 +34,15 @@ func tagged(v uint64, s ident.PID, seq ident.Seq, tag uint32) queue.Item {
 	}
 	return queue.Item{Kind: queue.Data, View: v, Meta: obsolete.Msg{Sender: s, Seq: seq, Annot: annot}}
 }
+
+// tagAnySender covers a message by any later-numbered one with the same tag,
+// whoever sent it: a relation under which a message above its sender's
+// reception frontier can still be covered locally.
+var tagAnySender = obsolete.Func{Label: "tag-any-sender", F: func(old, new obsolete.Msg) bool {
+	ot, ok1 := obsolete.TagOf(old)
+	nt, ok2 := obsolete.TagOf(new)
+	return ok1 && ok2 && ot == nt && old.Seq < new.Seq
+}}
 
 // ids renders messages as "sender:seq@view" for comparison.
 func ids(msgs []DataMsg) []string {
@@ -113,15 +123,7 @@ func TestSnapshotThreeCallersOneState(t *testing.T) {
 // TestSnapshotAdopt pins the applier: which messages of a snapshot join the
 // delivery queue, and that frontiers only ever move forwards.
 func TestSnapshotAdopt(t *testing.T) {
-	// Same tag and a lower sequence number is covered, whoever sent it: a
-	// relation under which a message above its sender's frontier can still
-	// be covered locally.
-	rel := obsolete.Func{Label: "tag-any-sender", F: func(old, new obsolete.Msg) bool {
-		ot, ok1 := obsolete.TagOf(old)
-		nt, ok2 := obsolete.TagOf(new)
-		return ok1 && ok2 && ot == nt && old.Seq < new.Seq
-	}}
-	e := snapEngine(rel)
+	e := snapEngine(tagAnySender)
 	e.lastSent = 7
 	e.recvMax["a"], e.recvMax["b"] = 6, 3
 	e.toDeliver.ForceAppend(tagged(4, "a", 9, 4))

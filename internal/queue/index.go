@@ -27,17 +27,20 @@ type idxEnt struct {
 // ascending seq order, making this an O(1) append; out-of-order inserts
 // (possible only through direct queue use) fall back to a sorted insert.
 func (q *Queue) idxAdd(k idxKey, seq ident.Seq, pos uint64) {
-	s := q.idx[k]
-	if len(s) == 0 {
-		// First live entry of this (view, sender) stream: make sure the
-		// view is in the sender's view list. Emptied streams keep their
-		// map entry (and the view stays listed) so chained-purge
-		// workloads, where a stream oscillates between one entry and
-		// none on every message, reuse the backing arrays instead of
-		// reallocating them per message — hence the membership scan
-		// (view lists are one or two entries long) rather than assuming
-		// absence.
-		q.ensureView(k)
+	s, ok := q.idx[k]
+	if !ok {
+		// A new stream. Emptied streams keep their map entry so chained-purge
+		// workloads, where a stream oscillates between one entry and none on
+		// every message, reuse the backing array instead of reallocating it
+		// per message — but only within the view being appended to: a
+		// drained stream of another view is not appended to again, so its
+		// key goes now and the index stays O(senders + live entries) for the
+		// life of the group.
+		for old, ents := range q.idx {
+			if len(ents) == 0 && old.view != k.view {
+				delete(q.idx, old)
+			}
+		}
 	}
 	if n := len(s); n == 0 || s[n-1].seq <= seq {
 		q.idx[k] = append(s, idxEnt{seq: seq, pos: pos})
@@ -64,8 +67,8 @@ func (q *Queue) idxDrop(k idxKey, seq ident.Seq, pos uint64) {
 	case len(s) == 1: // necessarily i == 0
 		// Truncate rather than reslice so the stream keeps its full
 		// backing array: the next idxAdd reuses it instead of
-		// allocating. Emptied streams stay in the map (see idxAdd) and
-		// are garbage-collected by the next rebuildIndex.
+		// allocating. Emptied streams stay in the map until a later view
+		// starts a stream (see idxAdd).
 		s = s[:0]
 	case i == 0:
 		// PopHead always drops the stream's oldest entry: reslice instead
@@ -78,31 +81,13 @@ func (q *Queue) idxDrop(k idxKey, seq ident.Seq, pos uint64) {
 	q.idx[k] = s
 }
 
-// ensureView records k.view in k.sender's view list if it is not already
-// there. Retained empty streams keep their view listed, so registration
-// must tolerate re-adding the first entry of a stream whose view never
-// left the list.
-func (q *Queue) ensureView(k idxKey) {
-	vs := q.views[k.sender]
-	for _, v := range vs {
-		if v == k.view {
-			return
-		}
-	}
-	q.views[k.sender] = append(vs, k.view)
-}
-
 // rebuildIndex reconstructs the index from the ring after compaction has
 // reassigned positions. Map entries and their backing arrays are reused
 // across rebuilds — in the steady state a rebuild allocates nothing — and
-// streams left with no live entries are dropped afterwards, so stale
-// (view, sender) keys accumulate only between compactions.
+// streams left with no live entries are dropped afterwards.
 func (q *Queue) rebuildIndex() {
 	for k, s := range q.idx {
 		q.idx[k] = s[:0]
-	}
-	for snd, vs := range q.views {
-		q.views[snd] = vs[:0]
 	}
 	for p := q.head; p != q.tail; p++ {
 		it := q.slot(p)
@@ -113,11 +98,6 @@ func (q *Queue) rebuildIndex() {
 	for k, s := range q.idx {
 		if len(s) == 0 {
 			delete(q.idx, k)
-		}
-	}
-	for snd, vs := range q.views {
-		if len(vs) == 0 {
-			delete(q.views, snd)
 		}
 	}
 }

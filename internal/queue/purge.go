@@ -1,10 +1,6 @@
 package queue
 
-import (
-	"sort"
-
-	"repro/internal/obsolete"
-)
+import "repro/internal/obsolete"
 
 // Purge operations. Two implementations coexist:
 //
@@ -135,38 +131,15 @@ func (q *Queue) CountPurgeableFor(n Item) int {
 
 // Covers reports whether some queued data entry n satisfies m ⊑ n: m is a
 // duplicate of n or obsoleted by it (the test transition t3 applies to an
-// arriving message against this queue). Indexed queues answer from the
-// sender index — binary search plus at most window candidates per view
-// the sender has entries in — instead of scanning every entry.
+// arriving message against this queue). It scans every entry, and has no
+// indexed form because it needs none: under a sender-local relation the
+// engine's reception frontier already answers the question (core's
+// processData), so only relations that reach across senders ask here.
 //
 // Coverage is deliberately view-blind, like the engine's t3 check:
 // sequence numbers are global per sender, so a message queued under an
 // older view still covers a late duplicate.
 func (q *Queue) Covers(m obsolete.Msg) bool {
-	if q.live == 0 {
-		return false
-	}
-	if q.idx != nil {
-		for _, v := range q.views[m.Sender] {
-			s := q.idx[idxKey{view: v, sender: m.Sender}]
-			lo := sort.Search(len(s), func(i int) bool { return s[i].seq >= m.Seq })
-			for i := lo; i < len(s); i++ {
-				if q.window > 0 && uint64(s[i].seq-m.Seq) > uint64(q.window) {
-					break
-				}
-				if s[i].seq == m.Seq || q.rel.Obsoletes(m, q.slot(s[i].pos).Meta) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	if q.never {
-		// Under the empty relation only an exact duplicate covers.
-		return q.AnyRef(func(it *Item) bool {
-			return it.Kind == Data && it.Meta.Sender == m.Sender && it.Meta.Seq == m.Seq
-		})
-	}
 	return q.AnyRef(func(it *Item) bool {
 		return it.Kind == Data && obsolete.CoveredBy(q.rel, m, it.Meta)
 	})

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"time"
 
-	"repro/internal/ident"
 	"repro/internal/obsolete"
 )
 
@@ -109,11 +108,9 @@ type Queue struct {
 	// buffers instead of allocating.
 	spare []Item
 
-	// Sender index (see index.go). idx is non-nil iff rel is
-	// sender-local; views lists, per sender, the views it currently has
-	// indexed entries in (so Covers touches only that sender's streams).
+	// Sender index (see index.go). idx is non-nil iff rel is sender-local
+	// and can purge at all.
 	idx    map[idxKey][]idxEnt
-	views  map[ident.PID][]uint64
 	window int  // >0: purge candidate window in sequence numbers
 	never  bool // rel is obsolete.Empty: purging can never remove anything
 }
@@ -139,7 +136,6 @@ func New(rel obsolete.Relation, capacity int) *Queue {
 	}
 	if caps := obsolete.CapsOf(rel); caps.SenderLocal {
 		q.idx = make(map[idxKey][]idxEnt)
-		q.views = make(map[ident.PID][]uint64)
 		q.window = caps.Window
 	}
 	return q

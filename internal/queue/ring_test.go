@@ -179,3 +179,30 @@ func TestIndexConsistencyAfterCompaction(t *testing.T) {
 	}
 	checkSlotsReleased(t, q)
 }
+
+// TestIndexDropsDrainedStreamsOfOldViews pins the bound on the sender index
+// across view changes at low occupancy, where the ring never fills and so
+// compaction (and with it rebuildIndex) never runs: a stream that drained
+// under an older view must not keep its key for the life of the group.
+func TestIndexDropsDrainedStreamsOfOldViews(t *testing.T) {
+	senders := []ident.PID{"a", "b", "c"}
+	q := New(obsolete.Tagging{}, 0)
+	var seq ident.Seq
+	for view := uint64(1); view <= 1000; view++ {
+		for round := 0; round < 2; round++ {
+			for _, s := range senders {
+				seq++
+				if _, err := q.AppendPurge(dataItem(view, s, seq, uint32(seq%2))); err != nil {
+					t.Fatal(err)
+				}
+				for q.Len() > 4 {
+					q.PopHead()
+				}
+			}
+		}
+		if got := len(q.idx); got > 2*len(senders) {
+			t.Fatalf("view %d: %d streams indexed for %d live entries, want at most %d",
+				view, got, q.Len(), 2*len(senders))
+		}
+	}
+}

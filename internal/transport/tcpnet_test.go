@@ -229,6 +229,11 @@ func TestTCPNetworkStats(t *testing.T) {
 	for i := 0; i < count; i++ {
 		recvOne(t, in)
 	}
+	// The writer counts a frame after writing it, so the last receive can
+	// beat the last count: wait for it, then the rest is settled.
+	waitFor(t, "the writer to count the burst", func() bool {
+		return a.Stats().EnvelopesSent >= count
+	})
 	st := a.Stats()
 	if st.EnvelopesSent != count {
 		t.Fatalf("EnvelopesSent = %d, want %d", st.EnvelopesSent, count)

@@ -1,14 +1,16 @@
 #!/bin/sh
 # core-loc.sh — print the two tracked size numbers for internal/core
-# (ROADMAP open item 3): total lines, and non-blank non-comment lines, of
-# its non-test .go files. Print only: the target lives in ROADMAP.md, and
-# each PR records before/after in CHANGES.md.
+# (ROADMAP open item 3) and internal/queue: total lines, and non-blank
+# non-comment lines, of the package's non-test .go files. Print only: the
+# target lives in ROADMAP.md, and each PR records before/after in CHANGES.md.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-# shellcheck disable=SC2046
-set -- $(find internal/core -maxdepth 1 -name '*.go' ! -name '*_test.go' | sort)
-total=$(cat "$@" | wc -l)
-code=$(cat "$@" | grep -cvE '^[[:space:]]*(//|$)')
-echo "internal/core non-test: $# files, $total lines, $code non-blank non-comment"
+for pkg in internal/core internal/queue; do
+	# shellcheck disable=SC2046
+	set -- $(find "$pkg" -maxdepth 1 -name '*.go' ! -name '*_test.go' | sort)
+	total=$(cat "$@" | wc -l)
+	code=$(cat "$@" | grep -cvE '^[[:space:]]*(//|$)')
+	echo "$pkg non-test: $# files, $total lines, $code non-blank non-comment"
+done
