@@ -98,21 +98,17 @@ type Engine struct {
 	// pendingRest holds the raw, unprocessed remainder of a batched
 	// receive behind it (consumed from pendingPos), so per-sender FIFO
 	// survives batch arrivals; the data inbox stays gated while either is
-	// non-empty. pumpingPending breaks the serveDeliveries → retryPending
-	// → acceptData recursion: only the outermost retryPending drains.
-	pendingHead    *DataMsg
-	pendingRest    []DataMsg
-	pendingPos     int
-	pumpingPending bool
+	// non-empty.
+	pendingHead *DataMsg
+	pendingRest []DataMsg
+	pendingPos  int
 
 	// stage accumulates the per-peer sends of the multicast transaction
 	// being committed (advance); flushStage coalesces each peer's run
-	// into one DataBatchMsg envelope. stageHint sizes the first append.
-	// committing guards against retryParked interleaving another request
-	// into a half-committed batch (the seq precheck would mis-fire).
-	stage      map[ident.PID][]DataMsg
-	stageHint  int
-	committing bool
+	// into one DataBatchMsg envelope. stageBase is the sequence number of
+	// the run's first message (0: nothing staged).
+	stage     map[ident.PID][]DataMsg
+	stageBase ident.Seq
 
 	join         ident.PIDs
 	leave        ident.PIDs
@@ -358,10 +354,13 @@ func (e *Engine) Multicast(ctx context.Context, meta obsolete.Msg, payload []byt
 // MulticastBatch submits a run of data messages in one request round-trip
 // through the protocol loop: one channel operation, one wakeup and one
 // staged send flush cover the whole run, and each peer receives the run
-// as a single coalesced envelope. Semantically it is exactly equivalent
-// to calling Multicast once per message in order — every message is
-// individually flow-controlled, purge-checked and sequence-checked, and a
-// view change may land between two messages of the batch.
+// as a single coalesced envelope. Every message is individually
+// flow-controlled, purge-checked and sequence-checked, in order, exactly as
+// Multicast would, and a view change may land between two messages of the
+// batch. The one difference is in its favour: the batch is purged against
+// itself before anything of it is delivered or sent, so a message that a
+// later one of the same batch obsoletes may reach nobody — which calling
+// Multicast once per message only achieves when no one consumes in between.
 //
 // msgs (and its payload slices) are borrowed by the engine until the call
 // returns; the caller must not mutate them meanwhile and may reuse them
@@ -548,6 +547,7 @@ func (e *Engine) run() {
 		case <-joinC:
 			e.onJoinRetry()
 		}
+		e.serveDeliveries()
 		e.syncSnapshots()
 	}
 }
@@ -630,8 +630,7 @@ func (e *Engine) failJoin() {
 		e.joinTimer = nil
 	}
 	e.joining = false
-	e.joinFailed = true // terminal: the retries fail what is parked
-	e.serveDeliveries()
+	e.joinFailed = true // terminal: the turn's retries fail what is parked
 }
 
 // send is the engine's best-effort transmit: in the crash-stop model a
@@ -699,7 +698,6 @@ func (e *Engine) onRequest(req *request) {
 		e.onMulticastReq(req)
 	case reqDeliver:
 		e.deliverWaiters = append(e.deliverWaiters, req)
-		e.serveDeliveries()
 	case reqViewChange:
 		e.reply(req, result{err: e.triggerViewChange(req.join, req.leave)})
 	}

@@ -144,7 +144,6 @@ func (e *Engine) retireExpelled(ref ident.ViewRef, members ident.PIDs) {
 		Kind: queue.Control, View: uint64(ref.ID), Epoch: uint64(ref.Epoch),
 		Ctl: View{Epoch: ref.Epoch, ID: ref.ID, Members: members.Clone()},
 	})
-	e.serveDeliveries()
 }
 
 // ---- split: a reachable minority continues under a fresh lineage ------------
@@ -436,6 +435,4 @@ func (e *Engine) abortMerge(reason string) {
 		}
 	}
 	e.setPeers(e.cv.Members)
-	e.serveDeliveries()
-	e.retryParked()
 }

@@ -37,15 +37,9 @@ func (e *Engine) onMulticastReq(req *request) {
 		e.park(req)
 		return
 	}
-	e.committing = true
-	done := e.advance(req)
-	e.committing = false
-	if !done {
+	if !e.advance(req) {
 		e.park(req)
 	}
-	// Committing (and the purges it caused) may have unblocked the
-	// parked queue; the inner retries were suppressed by the guard.
-	e.retryParked()
 }
 
 // advance commits as many of req's messages as flow control and buffer
@@ -54,10 +48,6 @@ func (e *Engine) onMulticastReq(req *request) {
 // (stay) park(ed): the committed prefix is recorded in req.done, so a
 // resumed request continues exactly where it stopped — semantically the
 // batch behaves as that many individual multicasts back to back.
-//
-// Callers hold e.committing around the call: commitOne's delivery serving
-// re-enters retryParked, and interleaving another request into this
-// half-committed transaction would trip its sequence precheck.
 func (e *Engine) advance(req *request) bool {
 	n := len(req.batch)
 	for req.done < n {
@@ -75,7 +65,9 @@ func (e *Engine) advance(req *request) bool {
 			e.flushStage()
 			return false
 		}
-		e.stageHint = n - req.done
+		if e.stageBase == 0 {
+			e.stageBase = m.Meta.Seq
+		}
 		e.commitOne(m.Meta, m.Payload)
 		req.done++
 	}
@@ -150,11 +142,10 @@ func (e *Engine) canCommit(meta obsolete.Msg, payload []byte) bool {
 	return true
 }
 
+// fullAfterPurge reports whether q would still be full after it arrived and
+// purged what it obsoletes. A queue with room is never asked what that is.
 func fullAfterPurge(q *queue.Queue, it queue.Item) bool {
-	if q.Cap() == 0 {
-		return false
-	}
-	return q.Len()-q.CountPurgeableFor(it) >= q.Cap()
+	return q.Full() && q.Len()-q.CountPurgeableFor(it) >= q.Cap()
 }
 
 func (e *Engine) dataItem(meta obsolete.Msg, payload []byte) queue.Item {
@@ -183,7 +174,7 @@ func (e *Engine) commitOne(meta obsolete.Msg, payload []byte) {
 	}
 	e.stats.Multicast++
 	e.m.multicast.Inc()
-	e.serveDeliveries()
+	e.serveIfFull()
 }
 
 // stageData stages dm for transmission to p, or buffers it in the
@@ -193,11 +184,7 @@ func (e *Engine) stageData(p ident.PID, dm DataMsg) {
 		if e.stage == nil {
 			e.stage = make(map[ident.PID][]DataMsg)
 		}
-		s := e.stage[p]
-		if s == nil {
-			s = make([]DataMsg, 0, e.stageHint)
-		}
-		e.stage[p] = append(s, dm)
+		e.stage[p] = append(e.stage[p], dm)
 		return
 	}
 	out := e.flow.pending(p)
@@ -208,15 +195,57 @@ func (e *Engine) stageData(p ident.PID, dm DataMsg) {
 	out.ForceAppend(it) // room guaranteed by canCommit
 }
 
-// flushStage transmits every staged per-peer run. The staged slices are
-// handed to the transport (the decode side aliases nothing, and fault
-// injection may duplicate the envelope), so each flush hands off ownership
-// and the next transaction starts slices afresh.
+// unstage drops the staged copies of our own message seq, which a later
+// message of the open transaction has just purged from the delivery queue:
+// that later message goes to every peer too, so the copy need not be sent
+// at all. Every staged run starts at stageBase and is contiguous, so seq
+// names its slot; flushStage squeezes the emptied slots out.
+func (e *Engine) unstage(seq ident.Seq) {
+	if e.stageBase == 0 || seq < e.stageBase {
+		return
+	}
+	i := int(seq - e.stageBase)
+	for _, run := range e.stage {
+		if i < len(run) {
+			run[i] = DataMsg{}
+		}
+	}
+}
+
+// flushStage transmits every staged per-peer run, less the copies unstage
+// emptied. A dropped copy took a credit and never left: the credit comes
+// back once the run is out — not earlier, or a later message of the run
+// could overtake one that waits in the outgoing queue — and counts as an
+// outgoing purge. The stage keeps its slices; what is handed to the
+// transport is a copy sized to the survivors (the decode side aliases
+// nothing, and fault injection may duplicate the envelope, so ownership
+// goes with the send).
 func (e *Engine) flushStage() {
+	e.stageBase = 0
 	for p, msgs := range e.stage {
-		if len(msgs) > 0 {
-			e.stage[p] = nil
-			e.sendData(p, msgs)
+		if len(msgs) == 0 {
+			continue
+		}
+		live := 0
+		for i := range msgs {
+			if msgs[i].Meta.Seq != 0 {
+				live++
+			}
+		}
+		run := make([]DataMsg, 0, live)
+		for i := range msgs {
+			if msgs[i].Meta.Seq != 0 {
+				run = append(run, msgs[i])
+			}
+		}
+		clear(msgs) // release payload references
+		e.stage[p] = msgs[:0]
+		e.sendData(p, run)
+		if n := len(msgs) - live; n > 0 {
+			e.stats.PurgedOutgoing += uint64(n)
+			e.m.purgedOutgoing.Add(uint64(n))
+			e.flow.credit(p, n)
+			e.drainOutgoing(p)
 		}
 	}
 }
@@ -326,21 +355,13 @@ func (e *Engine) acceptData(it queue.Item) {
 	}
 	e.recvMax[it.Meta.Sender] = it.Meta.Seq
 	e.toDeliver.ForceAppend(it)
-	e.serveDeliveries()
-	e.retryParked()
+	e.serveIfFull()
 }
 
 // retryPending re-attempts the stashed arrivals once space frees: first
 // the processed head waiting on its stall slot, then the raw remainder of
-// the batch behind it. Only the outermost call drains (pumpingPending):
-// acceptData → serveDeliveries re-enters here, and unbounded recursion
-// would grow the stack by one frame per stashed arrival.
+// the batch behind it.
 func (e *Engine) retryPending() {
-	if e.pumpingPending {
-		return
-	}
-	e.pumpingPending = true
-	defer func() { e.pumpingPending = false }()
 	for !e.blocked && !e.expelled {
 		if e.pendingHead != nil {
 			if e.toDeliver.Full() {
@@ -386,7 +407,11 @@ func (e *Engine) purgeToDeliver(it queue.Item) {
 	purged := e.toDeliver.PurgeForInto(it, e.purgeScratch[:0])
 	for i := range purged {
 		p := &purged[i]
-		if p.Meta.Sender != e.cfg.Self && e.inView(p) && !e.seededAtJoin(p.Meta) {
+		switch {
+		case !e.inView(p):
+		case p.Meta.Sender == e.cfg.Self:
+			e.unstage(p.Meta.Seq)
+		case !e.seededAtJoin(p.Meta):
 			e.flow.freed(p.Meta.Sender, e)
 		}
 		purged[i] = queue.Item{} // release payload references
@@ -404,11 +429,38 @@ func (e *Engine) seededAtJoin(m obsolete.Msg) bool {
 
 // ---- t1: deliver ---------------------------------------------------------
 
-// serveDeliveries hands queue heads to waiting Deliver and DeliverBatch
-// calls. A waiter takes as many heads as its buffer holds in one wake-up
+// serveDeliveries ends every turn of the protocol loop: it hands the
+// delivery queue to the waiting Deliver and DeliverBatch calls, then lets
+// the stashed arrivals and parked multicasts into the room that made (and
+// into whatever else the turn changed — a view, a terminal state). Serving
+// once a turn is what makes a batch one transaction: every message of a
+// MulticastBatch or a DataBatchMsg has purged its predecessors before a
+// waiter is woken, and the waiter gets the survivors in one reply. What the
+// retries append goes to a waiter the queue could not feed before.
+func (e *Engine) serveDeliveries() {
+	for {
+		e.serveWaiters()
+		e.retryPending()
+		e.retryParked()
+		if len(e.deliverWaiters) == 0 || e.toDeliver.Len() == 0 {
+			return
+		}
+	}
+}
+
+// serveIfFull serves deliveries in mid-turn, which only a full delivery
+// queue warrants: a waiter can make the room the rest of the batch needs.
+func (e *Engine) serveIfFull() {
+	if e.toDeliver.Full() && len(e.deliverWaiters) > 0 {
+		e.serveWaiters()
+	}
+}
+
+// serveWaiters hands queue heads to waiting Deliver and DeliverBatch calls.
+// A waiter takes as many heads as its buffer holds in one wake-up
 // (Deliver's holds one); it never completes empty — it waits for the first
 // item, or for the terminal error that says none will come.
-func (e *Engine) serveDeliveries() {
+func (e *Engine) serveWaiters() {
 	for len(e.deliverWaiters) > 0 {
 		w := e.deliverWaiters[0]
 		if w.ctx != nil && w.ctx.Err() != nil {
@@ -433,9 +485,6 @@ func (e *Engine) serveDeliveries() {
 		e.deliverWaiters = e.deliverWaiters[1:]
 		e.reply(w, res)
 	}
-	// Space freed by pops lets pending arrivals and parked multicasts in.
-	e.retryPending()
-	e.retryParked()
 }
 
 func (e *Engine) deliverItem(it queue.Item) Delivery {
@@ -474,15 +523,11 @@ func (e *Engine) deliverItem(it queue.Item) Delivery {
 
 // retryParked re-attempts parked multicasts in FIFO order. The head stays
 // in place until its whole batch commits, so a half-committed transaction
-// resumes exactly where it stopped; the committing guard keeps the
-// re-entrant calls advance itself triggers from interleaving another
-// request into the open transaction.
+// resumes exactly where it stopped.
 func (e *Engine) retryParked() {
-	if e.joining || e.committing {
+	if e.joining {
 		return
 	}
-	e.committing = true
-	defer func() { e.committing = false }()
 	for len(e.multicastQ) > 0 {
 		req := e.multicastQ[0]
 		if req.ctx != nil && req.ctx.Err() != nil {
@@ -568,7 +613,6 @@ func (e *Engine) onCtl(env transport.Envelope) {
 		}
 		e.flow.credit(env.From, m.Credits)
 		e.drainOutgoing(env.From)
-		e.retryParked()
 	case StableMsg:
 		e.onStable(env.From, m)
 	case JoinReqMsg:
@@ -946,12 +990,11 @@ func (e *Engine) enterView(next View) {
 	e.predReceived = nil
 	clear(e.globalPred)
 	clear(e.pendingNext)
-	clear(e.stage) // empty — advance flushes before every return — but keyed by every peer ever staged to
+	clear(e.stage) // empty — advance flushes before every return — but keeps a slice for every peer ever staged to
 	e.flow.reset(e.cv.Members)
 	e.resetStabilityForView()
 	e.setPeers(e.cv.Members)
 
-	e.serveDeliveries()
 	e.retryParked()
 	e.replayDeferred()
 	e.serveJoins()

@@ -1,0 +1,268 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/ident"
+	"repro/internal/obsolete"
+	"repro/internal/queue"
+	"repro/internal/transport"
+)
+
+// A batch is one transaction from MulticastBatch to DeliverBatch: it is
+// purged against itself in the delivery queue and in the stage before
+// anything is delivered or sent. These tests pin the three places that
+// makes a difference.
+
+// TestBatchPurgedBeforeDelivery parks a DeliverBatch on the empty queue of
+// the sender and of a remote member, then multicasts [u1(x), u2(x), c(y)] as
+// one batch: each waiter gets one reply, [u2, c]. Served per message, the
+// waiter would take u1 alone before u2 had been looked at.
+func TestBatchPurgedBeforeDelivery(t *testing.T) {
+	c := newDiffCluster(t, obsolete.Tagging{})
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+
+	// Requests reach the loop in submission order, so a deliver request
+	// put on reqC is parked before anything submitted after it is looked
+	// at; at the remote member a multicast the loop refuses (bad sequence
+	// number) is the barrier that says the loop has been through reqC.
+	type waiter struct {
+		req *request
+		dst []Delivery
+	}
+	var waiters []waiter
+	for _, p := range []ident.PID{"p0", "p1"} {
+		w := waiter{req: getRequest(reqDeliver, ctx), dst: make([]Delivery, 8)}
+		w.req.dst = w.dst
+		c.engs[p].reqC <- w.req
+		waiters = append(waiters, w)
+	}
+	if _, err := c.engs["p1"].Multicast(ctx, obsolete.Msg{Sender: "p1", Seq: 99}, nil); !errors.Is(err, ErrBadSeq) {
+		t.Fatalf("barrier multicast: %v, want ErrBadSeq", err)
+	}
+
+	x, y := obsolete.TagAnnot(1), obsolete.TagAnnot(2)
+	batch := []OutMsg{
+		{Meta: obsolete.Msg{Sender: "p0", Seq: 1, Annot: x}, Payload: []byte("u1")},
+		{Meta: obsolete.Msg{Sender: "p0", Seq: 2, Annot: x}, Payload: []byte("u2")},
+		{Meta: obsolete.Msg{Sender: "p0", Seq: 3, Annot: y}, Payload: []byte("c")},
+	}
+	if _, err := c.engs["p0"].MulticastBatch(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range waiters {
+		var res result
+		select {
+		case res = <-w.req.resC:
+		case <-ctx.Done():
+			t.Fatalf("waiter %d never served", i)
+		}
+		var got []string
+		for _, d := range w.dst[:res.n] {
+			got = append(got, string(d.Payload))
+		}
+		if res.err != nil || fmt.Sprint(got) != "[u2 c]" {
+			t.Fatalf("waiter at p%d got %v (%v), want one reply [u2 c]", i, got, res.err)
+		}
+	}
+	c.settle()
+	// u1 never left p0: its staged copies were purged, one per peer, and no
+	// member had anything left to purge.
+	if st := c.engs["p0"].Stats(); st.PurgedOutgoing != 2 || st.PurgedToDeliver != 1 {
+		t.Fatalf("p0 purged outgoing=%d toDeliver=%d, want 2 and 1", st.PurgedOutgoing, st.PurgedToDeliver)
+	}
+	for _, p := range []ident.PID{"p1", "p2"} {
+		if st := c.engs[p].Stats(); st.PurgedToDeliver != 0 || st.DroppedCovered != 0 {
+			t.Fatalf("%s purged %d and dropped %d copies that should never have arrived", p, st.PurgedToDeliver, st.DroppedCovered)
+		}
+	}
+}
+
+// sendLog is the endpoint of a hand-built, never-started engine: it records
+// the data messages handed to Send, in order, and nothing else is called.
+type sendLog struct {
+	transport.Endpoint
+	data []DataMsg
+}
+
+func (s *sendLog) Send(_ ident.PID, _ ident.GroupID, ch transport.Channel, m any) error {
+	switch m := m.(type) {
+	case DataMsg:
+		s.data = append(s.data, m)
+	case *DataBatchMsg:
+		s.data = append(s.data, m.Msgs...)
+	}
+	return nil
+}
+
+// txnEngine is a hand-built engine "me" in a view with one peer, driven by
+// calling the loop's handlers directly.
+func txnEngine(rel obsolete.Relation, window, outCap, deliverCap int) (*Engine, *sendLog) {
+	log := &sendLog{}
+	cfg := Config{Self: "me", Endpoint: log, Relation: rel, Window: window, OutgoingCap: outCap}
+	members := ident.NewPIDs("me", "peer")
+	return &Engine{
+		cfg:       cfg,
+		rel:       rel,
+		cv:        View{ID: 1, Members: members},
+		toDeliver: queue.New(rel, deliverCap),
+		delivered: queue.New(rel, 0),
+		recvMax:   make(map[ident.PID]ident.Seq),
+		flow:      newFlowState(cfg, members),
+	}, log
+}
+
+// TestStagePurgeRefundsCredit drives more than four windows of messages
+// through a window of 4 in batches that obsolete most of themselves. A copy
+// purged in the stage gives its credit back at the flush, so after every
+// flush the credits held plus the copies in flight make up the window, the
+// peer sees the sender's stream in order and is never sent a copy that a
+// later message of the same envelope obsoletes, every copy is either sent or
+// counted in PurgedOutgoing, and no batch parks for good.
+func TestStagePurgeRefundsCredit(t *testing.T) {
+	const window, perBatch, batches = 4, 6, 8
+	e, log := txnEngine(obsolete.Tagging{}, window, window, 0)
+	rng := rand.New(rand.NewSource(3))
+	seq, inFlight := ident.Seq(0), 0
+	for b := 0; b < batches; b++ {
+		req := &request{kind: reqMulticast}
+		for i := 0; i < perBatch; i++ {
+			seq++
+			req.batch = append(req.batch, OutMsg{Meta: obsolete.Msg{Seq: seq, Annot: obsolete.TagAnnot(uint32(rng.Intn(2)))}})
+		}
+		for try := 0; ; try++ {
+			sent := len(log.data)
+			done := e.advance(req) // ends in a flush, committed or not
+			inFlight += len(log.data) - sent
+			for i, old := range log.data[sent:] {
+				for _, later := range log.data[sent+i+1:] {
+					if e.rel.Obsoletes(old.Meta, later.Meta) {
+						t.Fatalf("batch %d: sent %d together with %d, which obsoletes it", b, old.Meta.Seq, later.Meta.Seq)
+					}
+				}
+			}
+			if got := e.flow.avail["peer"] + inFlight; got != window {
+				t.Fatalf("batch %d: %d credits held + %d copies in flight = %d, want the window %d",
+					b, e.flow.avail["peer"], inFlight, got, window)
+			}
+			if done {
+				break
+			}
+			if try == perBatch {
+				t.Fatalf("batch %d parked for good at message %d", b, req.done)
+			}
+			// The peer consumes what is in flight and grants it back, as a
+			// CreditMsg would.
+			sent = len(log.data)
+			e.flow.credit("peer", inFlight)
+			inFlight = 0
+			e.drainOutgoing("peer")
+			inFlight += len(log.data) - sent
+		}
+		// The delivery queue is unbounded and nobody delivers: keep only
+		// the transaction under test in it.
+		for e.toDeliver.Len() > 0 {
+			e.toDeliver.PopHead()
+		}
+	}
+	for i := 1; i < len(log.data); i++ {
+		if log.data[i].Meta.Seq <= log.data[i-1].Meta.Seq {
+			t.Fatalf("peer was sent %d after %d", log.data[i].Meta.Seq, log.data[i-1].Meta.Seq)
+		}
+	}
+	queued := e.flow.pending("peer").Len()
+	if got := uint64(len(log.data)+queued) + e.stats.PurgedOutgoing; got != uint64(seq) {
+		t.Fatalf("%d sent + %d queued + %d purged outgoing = %d, want every one of %d copies",
+			len(log.data), queued, e.stats.PurgedOutgoing, got, seq)
+	}
+	if e.stats.PurgedOutgoing < batches {
+		t.Fatalf("PurgedOutgoing = %d: the self-obsoleting batches dropped nothing", e.stats.PurgedOutgoing)
+	}
+}
+
+// TestFullQueueServedMidTurn: deliveries are served when the turn ends,
+// except that a full delivery queue with a waiter parked on it is served on
+// the spot — so a batch larger than the queue commits, and a batched arrival
+// larger than the queue is accepted, without parking or stalling.
+func TestFullQueueServedMidTurn(t *testing.T) {
+	const capacity = 4
+	park := func(e *Engine) *request {
+		w := &request{kind: reqDeliver, dst: make([]Delivery, 2*capacity)}
+		e.deliverWaiters = append(e.deliverWaiters, w)
+		return w
+	}
+	served := func(w *request) []ident.Seq {
+		var out []ident.Seq
+		for _, d := range w.dst[:w.res.n] {
+			out = append(out, d.Meta.Seq)
+		}
+		return out
+	}
+
+	e, _ := txnEngine(obsolete.Empty{}, 0, 0, capacity)
+	w := park(e)
+	req := &request{kind: reqMulticast}
+	for s := ident.Seq(1); s <= capacity+2; s++ {
+		req.batch = append(req.batch, OutMsg{Meta: obsolete.Msg{Seq: s}})
+	}
+	if !e.advance(req) {
+		t.Fatalf("batch parked at message %d with a waiter on the full queue", req.done)
+	}
+	if got := served(w); fmt.Sprint(got) != "[1 2 3 4]" || e.toDeliver.Len() != 2 {
+		t.Fatalf("waiter got %v and %d stay queued, want [1 2 3 4] and 2", got, e.toDeliver.Len())
+	}
+
+	e, _ = txnEngine(obsolete.Empty{}, 0, 0, capacity)
+	w = park(e)
+	var run []DataMsg
+	for s := ident.Seq(1); s <= capacity+2; s++ {
+		run = append(run, DataMsg{View: 1, Meta: obsolete.Msg{Sender: "peer", Seq: s}})
+	}
+	e.onDataBatch([]transport.Envelope{{From: "peer", Msg: &DataBatchMsg{Msgs: run}}})
+	if e.pendingHead != nil || len(e.pendingRest) != 0 {
+		t.Fatal("arrivals stalled behind a full queue that had a waiter")
+	}
+	if got := served(w); fmt.Sprint(got) != "[1 2 3 4]" || e.toDeliver.Len() != 2 {
+		t.Fatalf("waiter got %v and %d stay queued, want [1 2 3 4] and 2", got, e.toDeliver.Len())
+	}
+
+	// With nobody waiting the full queue parks the batch where it stands.
+	e, _ = txnEngine(obsolete.Empty{}, 0, 0, capacity)
+	req.done = 0
+	if e.advance(req) || req.done != capacity {
+		t.Fatalf("batch committed %d of %d into a queue of %d with no waiter", req.done, len(req.batch), capacity)
+	}
+}
+
+// TestRoomyQueueNeverCounted: the capacity check asks what an arrival would
+// purge only of a queue that is full.
+func TestRoomyQueueNeverCounted(t *testing.T) {
+	asked := 0
+	rel := obsolete.Func{Label: "counting", F: func(old, new obsolete.Msg) bool {
+		asked++
+		return old.Seq+1 == new.Seq
+	}}
+	q := queue.New(rel, 3)
+	item := func(s ident.Seq) queue.Item {
+		return queue.Item{Kind: queue.Data, View: 1, Meta: obsolete.Msg{Sender: "p", Seq: s}}
+	}
+	for s := ident.Seq(1); s <= 2; s++ {
+		q.ForceAppend(item(s))
+		if fullAfterPurge(q, item(s+1)) || asked != 0 {
+			t.Fatalf("queue of %d/3 reported full or asked the relation %d times", q.Len(), asked)
+		}
+	}
+	q.ForceAppend(item(4))
+	if fullAfterPurge(q, item(5)) || asked == 0 {
+		t.Fatalf("full queue whose arrival purges one: full, or never asked (%d)", asked)
+	}
+	if !fullAfterPurge(q, item(9)) {
+		t.Fatal("full queue whose arrival purges nothing reported room")
+	}
+}

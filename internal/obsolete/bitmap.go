@@ -14,9 +14,9 @@ import "math/bits"
 //
 // Capability audit (svs-check): Bitmap is an annotation representation,
 // not a Relation — it never answers Obsoletes and therefore declares no
-// SenderLocal/Windowed capabilities of its own and never reaches the scan
-// path. The relation interpreting these bitmaps is KEnumeration (kenum.go),
-// which declares both capabilities; they are exhaustively verified by
+// SenderLocal/Windowed/Listed capabilities of its own and never reaches the
+// scan path. The relation interpreting these bitmaps is KEnumeration
+// (kenum.go), which declares all three; they are exhaustively verified by
 // internal/relcheck against the examples/kenum.yaml model in CI, alongside
 // a deliberate window-overreach counterexample (examples/unsound-window.yaml)
 // proving the checker would catch an overreaching bitmap interpretation.
@@ -115,14 +115,16 @@ func (b Bitmap) Clone() Bitmap {
 // message annotations. Trailing zero bytes are stripped so that sparse
 // bitmaps stay short on the wire.
 func (b Bitmap) Bytes() []byte {
-	out := make([]byte, 0, len(b)*8)
-	for _, w := range b {
-		for i := 0; i < 8; i++ {
-			out = append(out, byte(w>>(8*uint(i))))
-		}
+	last := len(b) - 1
+	for last >= 0 && b[last] == 0 {
+		last--
 	}
-	for len(out) > 0 && out[len(out)-1] == 0 {
-		out = out[:len(out)-1]
+	if last < 0 {
+		return []byte{}
+	}
+	out := make([]byte, last*8+(bits.Len64(b[last])+7)/8)
+	for i := range out {
+		out[i] = byte(b[i/8] >> (8 * uint(i%8)))
 	}
 	return out
 }

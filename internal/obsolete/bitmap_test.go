@@ -1,6 +1,7 @@
 package obsolete
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -116,6 +117,35 @@ func TestBitmapBytesStripsTrailingZeros(t *testing.T) {
 	b.Set(3)
 	if got := b.Bytes(); len(got) != 1 {
 		t.Fatalf("one low bit serialises to %d bytes, want 1", len(got))
+	}
+}
+
+// TestBitmapBytesAllocatesTrimmedLength pins the wire form against its
+// definition — every word little-endian, trailing zero bytes stripped — and
+// that the one allocation is no longer than what is returned.
+func TestBitmapBytesAllocatesTrimmedLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		b := NewBitmap(1 + rng.Intn(2048))
+		for n := rng.Intn(4); n > 0; n-- {
+			b.Set(rng.Intn(len(b) * 64))
+		}
+		var want []byte
+		for _, w := range b {
+			for i := 0; i < 8; i++ {
+				want = append(want, byte(w>>(8*uint(i))))
+			}
+		}
+		for len(want) > 0 && want[len(want)-1] == 0 {
+			want = want[:len(want)-1]
+		}
+		got := b.Bytes()
+		if got == nil || !bytes.Equal(got, want) {
+			t.Fatalf("Bytes() = %x, want %x", got, want)
+		}
+		if cap(got) > len(got)+7 { // the allocator may round a size class up, not by a word
+			t.Fatalf("Bytes() returned %d bytes in a %d-byte allocation", len(got), cap(got))
+		}
 	}
 }
 

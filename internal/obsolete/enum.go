@@ -43,7 +43,26 @@ func (Enumeration) Obsoletes(old, new Msg) bool {
 // the sender's own sequence stream, and deltas are strictly positive.
 func (Enumeration) SenderLocal() bool { return true }
 
-var _ SenderLocal = Enumeration{}
+// AppendObsoleted implements the Listed capability: the annotation is the
+// list. Like Obsoletes it reads up to the first malformed delta.
+func (Enumeration) AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq) []ident.Seq {
+	for p := new.Annot; len(p) > 0; {
+		d, n := binary.Uvarint(p)
+		if n <= 0 {
+			break
+		}
+		if d > 0 && d <= uint64(new.Seq) && new.Seq-ident.Seq(d) >= floor {
+			dst = append(dst, new.Seq-ident.Seq(d))
+		}
+		p = p[n:]
+	}
+	return dst
+}
+
+var (
+	_ SenderLocal = Enumeration{}
+	_ Listed      = Enumeration{}
+)
 
 // EnumAnnot builds the enumeration annotation of a message with sequence
 // number seq obsoleting the given earlier sequence numbers. The caller is

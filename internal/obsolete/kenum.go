@@ -1,7 +1,9 @@
 package obsolete
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/ident"
 )
@@ -46,14 +48,50 @@ func (r KEnumeration) Obsoletes(old, new Msg) bool {
 func (r KEnumeration) SenderLocal() bool { return true }
 
 // Window implements the Windowed capability: a k-bit bitmap cannot reach
-// further back than k predecessors, so purge candidates for an incoming
-// message with sequence number s are confined to [s-k, s) — the k-th
-// predecessor (delta exactly k, bit k-1) is still reachable.
+// further back than k predecessors, so what a message with sequence number
+// s obsoletes is confined to [s-k, s) — the k-th predecessor (delta exactly
+// k, bit k-1) is still reachable.
 func (r KEnumeration) Window() int { return r.K }
+
+// AppendObsoleted implements the Listed capability: bit i of the bitmap
+// names sequence number new.Seq-1-i, and bits at k or beyond name nothing.
+// The numbers come out descending.
+func (r KEnumeration) AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq) []ident.Seq {
+	if new.Seq <= floor || r.K <= 0 {
+		return dst
+	}
+	n := uint64(new.Seq - floor) // bits 0..n-1 name numbers at or above floor
+	if n > uint64(r.K) {
+		n = uint64(r.K)
+	}
+	p := new.Annot
+	if m := (n + 7) / 8; uint64(len(p)) > m {
+		p = p[:m]
+	}
+	for off := 0; off < len(p); off += 8 {
+		var w uint64
+		if len(p)-off >= 8 {
+			w = binary.LittleEndian.Uint64(p[off:])
+		} else {
+			for j, c := range p[off:] {
+				w |= uint64(c) << (8 * uint(j))
+			}
+		}
+		for ; w != 0; w &= w - 1 {
+			i := uint64(off*8 + bits.TrailingZeros64(w))
+			if i >= n {
+				return dst
+			}
+			dst = append(dst, new.Seq-1-ident.Seq(i))
+		}
+	}
+	return dst
+}
 
 var (
 	_ SenderLocal = KEnumeration{}
 	_ Windowed    = KEnumeration{}
+	_ Listed      = KEnumeration{}
 )
 
 // KTracker allocates sequence numbers and computes transitively closed

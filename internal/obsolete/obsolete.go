@@ -84,10 +84,29 @@ type SenderLocal interface {
 // that implements it guarantees Obsoletes(old, new) implies
 // new.Seq - old.Seq <= Window(). KEnumeration has this property by
 // construction (a k-bit bitmap cannot reach past k predecessors), which
-// bounds purge candidates to a constant-size window of the sender's
-// stream. Window() <= 0 means unbounded.
+// bounds the full purge sweep's search for a witness to a window of the
+// sender's stream. Window() <= 0 means unbounded.
 type Windowed interface {
 	Window() int
+}
+
+// Listed is an optional capability refining SenderLocal: whether old ≺ new
+// depends on old's sequence number alone — never on old's annotation — and
+// the relation can read off new's annotation every sequence number new
+// obsoletes. Enumeration (the explicit list) and KEnumeration (the set bits
+// of the bitmap) have this property; Tagging does not, since it compares the
+// two messages' tags.
+//
+// Consumers (internal/queue) look the listed sequence numbers up in the
+// sender's seq-ordered stream, so an arrival-time purge costs what the
+// annotation lists, not what the buffer holds.
+type Listed interface {
+	// AppendObsoleted appends to dst the sequence numbers s, floor ≤ s <
+	// new.Seq, such that new obsoletes the message (new.Sender, s), and
+	// returns the extended slice: s is listed exactly when
+	// Obsoletes(Msg{new.Sender, s, any annotation}, new). The order is
+	// unspecified and a number may repeat.
+	AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq) []ident.Seq
 }
 
 // Caps is the set of capabilities a Relation declares, resolved by CapsOf.
@@ -102,6 +121,9 @@ type Caps struct {
 	// undeclared. Only meaningful together with SenderLocal (Windowed
 	// refines SenderLocal; consumers ignore a window without it).
 	Window int
+	// Listed is the relation's Listed capability, nil when undeclared; like
+	// Window it only counts together with SenderLocal.
+	Listed Listed
 }
 
 // CapsOf inspects rel for the optional capability interfaces and returns
@@ -116,6 +138,7 @@ func CapsOf(rel Relation) Caps {
 				c.Window = win
 			}
 		}
+		c.Listed, _ = rel.(Listed)
 	}
 	return c
 }

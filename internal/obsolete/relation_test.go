@@ -469,3 +469,42 @@ func TestKTrackerAnnot(t *testing.T) {
 		t.Fatal("Annot(0) should be unavailable")
 	}
 }
+
+// TestListedMatchesObsoletes checks both Listed implementations against
+// their own Obsoletes over raw annotations — longer than the window, with
+// bits and deltas naming nothing, repeats, malformed tails — and every
+// floor: a sequence number is listed exactly when a message carrying it
+// would be obsoleted.
+func TestListedMatchesObsoletes(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	rels := []Relation{KEnumeration{K: 1}, KEnumeration{K: 8}, KEnumeration{K: 64}, KEnumeration{K: 70}, Enumeration{}}
+	for _, rel := range rels {
+		for trial := 0; trial < 400; trial++ {
+			n := Msg{Sender: "p", Seq: ident.Seq(rng.Intn(200)), Annot: make([]byte, rng.Intn(24))}
+			rng.Read(n.Annot)
+			if rng.Intn(3) == 0 {
+				for i := range n.Annot {
+					n.Annot[i] &= 0x11 // sparse bitmaps, short deltas
+				}
+			}
+			floor := ident.Seq(rng.Intn(int(n.Seq) + 2))
+			listed := map[ident.Seq]bool{}
+			for _, s := range rel.(Listed).AppendObsoleted(nil, n, floor) {
+				if s < floor || s >= n.Seq {
+					t.Fatalf("%s: listed %d outside [%d, %d)", rel.Name(), s, floor, n.Seq)
+				}
+				listed[s] = true
+			}
+			for s := floor; s < n.Seq+3; s++ {
+				old := Msg{Sender: "p", Seq: s, Annot: []byte{byte(s)}}
+				if want := rel.Obsoletes(old, n); listed[s] != want {
+					t.Fatalf("%s: seq %d annot %x floor %d: %d listed=%v, Obsoletes=%v",
+						rel.Name(), n.Seq, n.Annot, floor, s, listed[s], want)
+				}
+			}
+		}
+	}
+	if CapsOf(Tagging{}).Listed != nil || CapsOf(Func{F: KEnumeration{K: 8}.Obsoletes}).Listed != nil {
+		t.Fatal("Listed reported for a relation that does not declare it")
+	}
+}

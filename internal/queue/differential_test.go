@@ -1,8 +1,10 @@
 package queue
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ident"
@@ -474,5 +476,203 @@ func TestDifferentialScanMatchesIndexed(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// unlisted strips the Listed capability from a sender-local relation and
+// keeps the rest, which puts the queue on the per-sender walk.
+type unlisted struct {
+	rel    obsolete.Relation
+	window int
+}
+
+func (u unlisted) Name() string                     { return u.rel.Name() + "/walk" }
+func (u unlisted) Obsoletes(o, n obsolete.Msg) bool { return u.rel.Obsoletes(o, n) }
+func (u unlisted) SenderLocal() bool                { return true }
+func (u unlisted) Window() int                      { return u.window }
+
+// rawBitmap is a k-enumeration annotation no tracker would mint but any peer
+// may send: up to twice k bits long, empty, sparse around the window edge
+// (bits k-2 .. k+1, of which k and k+1 name nothing), or dense.
+func rawBitmap(rng *rand.Rand, k int) []byte {
+	p := make([]byte, rng.Intn(2*k/8+2))
+	set := func(i int) {
+		if i >= 0 && i/8 < len(p) {
+			p[i/8] |= 1 << (uint(i) % 8)
+		}
+	}
+	switch rng.Intn(4) {
+	case 0: // reliable: obsoletes nothing
+		return nil
+	case 1: // sparse, with the window edge
+		for _, i := range []int{0, k - 2, k - 1, k, k + 1} {
+			if rng.Intn(2) == 0 {
+				set(i)
+			}
+		}
+		for n := rng.Intn(4); n > 0; n-- {
+			set(rng.Intn(2 * k))
+		}
+	case 2: // dense closure: every predecessor, past the window too
+		for i := range p {
+			p[i] = 0xff
+		}
+	default: // about half the bits
+		rng.Read(p)
+	}
+	return p
+}
+
+// rawEnumeration is an enumeration annotation as a peer may send it:
+// unsorted deltas, repeats, zero, and deltas reaching before the stream.
+func rawEnumeration(rng *rand.Rand, seq ident.Seq) []byte {
+	var p []byte
+	for n := rng.Intn(6); n > 0; n-- {
+		d := uint64(rng.Intn(int(seq) + 3))
+		if rng.Intn(4) == 0 && len(p) > 0 {
+			d = uint64(p[0] & 0x7f) // repeat the first delta
+		}
+		p = binary.AppendUvarint(p, d)
+	}
+	return p
+}
+
+// TestDifferentialListedWalkScan holds the three arrival-purge paths — the
+// listed lookup, the per-sender walk (the same relation with Listed
+// stripped) and the scan (every capability stripped) — against the slice
+// model operation by operation: counts, the removed slice in FIFO order,
+// kept-sets and stats. The streams are what the listed lookup has to get
+// right: hundreds of set bits at once, the window edge at bit k-1 while
+// seq ≤ k, annotations longer than k bits, repeated sequence numbers, and
+// one sender's stream spread over two views.
+func TestDifferentialListedWalkScan(t *testing.T) {
+	cases := []struct {
+		name  string
+		rel   obsolete.Relation
+		k     int
+		annot func(rng *rand.Rand, seq ident.Seq) []byte
+		// quiet of every 1000 steps only append, so a backlog builds for
+		// the purges to bite into; trials × steps bound the run time.
+		quiet, trials, steps int
+	}{
+		{"k-enumeration/k=8", obsolete.KEnumeration{K: 8}, 8, nil, 500, 4, 1000},
+		{"k-enumeration/k=512", obsolete.KEnumeration{K: 512}, 512, nil, 990, 2, 7000},
+		{"enumeration", obsolete.Enumeration{}, 0, rawEnumeration, 500, 4, 1000},
+	}
+	for _, tc := range cases {
+		tc := tc
+		if tc.annot == nil {
+			tc.annot = func(rng *rand.Rand, _ ident.Seq) []byte { return rawBitmap(rng, tc.k) }
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			mostPurged := 0
+			for trial := 0; trial < tc.trials; trial++ {
+				rng := rand.New(rand.NewSource(int64(977*trial + 11)))
+				qs := []*Queue{
+					New(tc.rel, 0),
+					New(unlisted{rel: tc.rel, window: tc.k}, 0),
+					New(obsolete.Func{Label: tc.name + "/scan", F: tc.rel.Obsoletes}, 0),
+				}
+				if qs[0].listed == nil || qs[1].listed != nil || !qs[1].Indexed() || qs[2].Indexed() {
+					t.Fatal("capability detection broken")
+				}
+				m := newModel(tc.rel, 0)
+
+				senders := []ident.PID{"a", "b"}
+				last := map[ident.PID]ident.Seq{}
+				next := func() Item {
+					p := senders[rng.Intn(len(senders))]
+					if last[p] == 0 || rng.Intn(8) != 0 {
+						last[p]++ // else: the sequence number repeats
+					}
+					return Item{Kind: Data, View: uint64(1 + rng.Intn(2)),
+						Meta: obsolete.Msg{Sender: p, Seq: last[p], Annot: tc.annot(rng, last[p])}}
+				}
+
+				for step := 0; step < tc.steps; step++ {
+					op := 0
+					if rng.Intn(1000) >= tc.quiet {
+						op = 1 + rng.Intn(6)
+					}
+					switch {
+					case op == 0: // let the backlog build, unpurged
+						it := next()
+						it.Meta.Annot = nil
+						for _, q := range qs {
+							q.ForceAppend(it)
+						}
+						m.forceAppend(it)
+					case op <= 3: // the engine's pair: count, purge, append
+						it := next()
+						want := m.countPurgeableFor(it)
+						removed := m.purgeFor(it)
+						m.forceAppend(it)
+						mostPurged = max(mostPurged, len(removed))
+						for i, q := range qs {
+							if got := q.CountPurgeableFor(it); got != want {
+								t.Fatalf("trial %d step %d queue %d: CountPurgeableFor %d, model %d", trial, step, i, got, want)
+							}
+							if got := q.PurgeFor(it); fmt.Sprint(ids(got)) != fmt.Sprint(ids(removed)) {
+								t.Fatalf("trial %d step %d queue %d: PurgeFor removed %v, model %v", trial, step, i, ids(got), ids(removed))
+							}
+							q.ForceAppend(it)
+						}
+					case op == 4:
+						it := next()
+						want := len(m.purgeFor(it))
+						m.forceAppend(it)
+						for i, q := range qs {
+							if got, err := q.AppendPurge(it); got != want || err != nil {
+								t.Fatalf("trial %d step %d queue %d: AppendPurge (%d, %v), model %d", trial, step, i, got, err, want)
+							}
+						}
+					case op == 5:
+						mi, mok := m.popHead()
+						for i, q := range qs {
+							if qi, ok := q.PopHead(); ok != mok || (ok && id(qi) != id(mi)) {
+								t.Fatalf("trial %d step %d queue %d: PopHead (%+v, %v), model (%+v, %v)", trial, step, i, id(qi), ok, id(mi), mok)
+							}
+						}
+					default:
+						f := func(it Item) bool { return it.Meta.Seq%7 == 0 }
+						want := m.removeIf(f)
+						for i, q := range qs {
+							if got := q.RemoveIf(f); got != want {
+								t.Fatalf("trial %d step %d queue %d: RemoveIf %d, model %d", trial, step, i, got, want)
+							}
+						}
+					}
+					if op == 0 && step%64 != 0 {
+						continue // a plain append: checked every 64th time
+					}
+					for _, q := range qs {
+						compareState(t, step, q, m)
+					}
+					if step%50 == 0 {
+						checkHeld(t, step, qs[0])
+					}
+				}
+				checkHeld(t, tc.steps, qs[0])
+			}
+			if tc.k == 512 && mostPurged < 200 {
+				t.Fatalf("largest single purge removed %d entries: the dense bitmaps never bit", mostPurged)
+			}
+		})
+	}
+}
+
+// checkHeld recounts the per-stream filter of a listed queue from the index
+// it summarises: a count too low would hide an entry from the lookup, one
+// too high only costs a search, and neither may drift.
+func checkHeld(t *testing.T, step int, q *Queue) {
+	t.Helper()
+	for k, st := range q.idx {
+		want := make([]uint16, heldSlots)
+		for _, e := range st.ents {
+			want[e.seq%heldSlots]++
+		}
+		if !slices.Equal(st.held, want) {
+			t.Fatalf("step %d: stream %v: held counts drifted from its %d entries", step, k, len(st.ents))
+		}
 	}
 }

@@ -1,21 +1,30 @@
 package queue
 
-import "repro/internal/obsolete"
+import (
+	"slices"
+	"sort"
 
-// Purge operations. Two implementations coexist:
+	"repro/internal/obsolete"
+)
+
+// Purge operations. Three ways to find what an arriving message n makes
+// obsolete, chosen once from what the relation declares:
 //
-//   - indexed (idx != nil): candidates come from the incoming message's
-//     own (view, sender) stream, seq-bounded by the relation's window —
-//     O(window) per operation for k-enumeration, O(sender's entries)
-//     otherwise.
-//   - scan (idx == nil): the retained linear-scan reference walking every
+//   - listed (obsolete.Listed): the relation reads the obsoleted sequence
+//     numbers off n's annotation; each is checked against the stream's
+//     held counts and, if an entry may carry it, found in n's own
+//     (view, sender) stream by binary search — O(listed + matches · log
+//     stream), whatever the occupancy.
+//   - walk (obsolete.SenderLocal only, e.g. tagging): every older entry of
+//     n's own stream is tested — O(sender's entries).
+//   - scan (neither): the retained linear-scan reference walking every
 //     entry, used for arbitrary relations (obsolete.Func) and as the
-//     oracle the differential tests compare the indexed path against.
+//     oracle the differential tests compare the other two against.
 //
-// Both remove an entry m exactly when a live entry n of the same view
-// satisfies m ≺ n, examining entries in FIFO order; for per-sender
-// seq-ordered streams (the protocol invariant) the two produce identical
-// kept-sets, counts and stats.
+// All remove an entry m exactly when a live entry n of the same view
+// satisfies m ≺ n, and return the removed entries in FIFO order; for
+// per-sender seq-ordered streams (the protocol invariant) they produce
+// identical kept-sets, counts and stats.
 
 // PurgeFor removes and returns the entries obsoleted by the (just received
 // or about to be appended) message n. This is the arrival-time purge used
@@ -45,43 +54,70 @@ func (q *Queue) purgeFor(n Item, dst []Item, collect bool) ([]Item, int) {
 	if n.Kind != Data || q.live == 0 || q.never {
 		return dst, 0
 	}
-	if q.idx != nil {
-		return q.purgeForIndexed(n, dst, collect)
+	if q.idx == nil {
+		return q.purgeForScan(n, dst, collect)
 	}
-	return q.purgeForScan(n, dst, collect)
+	st := q.idx[idxKey{view: n.View, sender: n.Meta.Sender}]
+	hits := q.obsoletedBy(st, n.Meta)
+	if len(hits) == 0 {
+		return dst, 0
+	}
+	// One pass squeezes the hits out of the stream, moving the runs between
+	// them down; the emptied stream keeps its capacity for the next idxAdd
+	// (see index.go).
+	s := st.ents
+	w := hits[0]
+	for h, i := range hits {
+		ent := s[i]
+		if collect {
+			dst = append(dst, *q.slot(ent.pos))
+		}
+		q.killSlot(ent.pos)
+		st.count(ent.seq, -1)
+		end := len(s)
+		if h+1 < len(hits) {
+			end = hits[h+1]
+		}
+		w += copy(s[w:], s[i+1:end])
+	}
+	st.ents = s[:w]
+	q.stats.Purged += uint64(len(hits))
+	return dst, len(hits)
 }
 
-func (q *Queue) purgeForIndexed(n Item, dst []Item, collect bool) ([]Item, int) {
-	k := idxKey{view: n.View, sender: n.Meta.Sender}
-	s := q.idx[k]
-	lo := q.candidateFloor(s, n.Meta.Seq)
-	removed := 0
-	w := lo
-	i := lo
-	for ; i < len(s); i++ {
-		ent := s[i]
-		if ent.seq >= n.Meta.Seq {
-			break // SenderLocal guarantees old.Seq < new.Seq
-		}
-		m := q.slot(ent.pos)
-		if q.rel.Obsoletes(m.Meta, n.Meta) {
-			if collect {
-				dst = append(dst, *m)
+// obsoletedBy returns the positions in st — n's own (view, sender) stream —
+// of the entries n obsoletes, ascending. The slice is the queue's scratch:
+// valid until the next call.
+func (q *Queue) obsoletedBy(st *senderStream, n obsolete.Msg) []int {
+	hits := q.hits[:0]
+	if st == nil || len(st.ents) == 0 || st.ents[0].seq >= n.Seq {
+		return hits // SenderLocal guarantees old.Seq < new.Seq
+	}
+	s := st.ents
+	if q.listed == nil {
+		for i := 0; i < len(s) && s[i].seq < n.Seq; i++ {
+			if q.rel.Obsoletes(q.slot(s[i].pos).Meta, n) {
+				hits = append(hits, i)
 			}
-			q.killSlot(ent.pos)
-			removed++
+		}
+		q.hits = hits
+		return hits
+	}
+	q.seqs = q.listed.AppendObsoleted(q.seqs[:0], n, s[0].seq)
+	for _, seq := range q.seqs {
+		if seq >= n.Seq || st.held[seq%heldSlots] == 0 {
 			continue
 		}
-		s[w] = ent
-		w++
+		i := sort.Search(len(s), func(i int) bool { return s[i].seq >= seq })
+		for ; i < len(s) && s[i].seq == seq; i++ {
+			hits = append(hits, i) // duplicate seqs: all of them
+		}
 	}
-	if removed > 0 {
-		// s[:w] shares s's backing array, so an emptied stream keeps its
-		// capacity for the next idxAdd (see index.go).
-		q.idx[k] = append(s[:w], s[i:]...)
-		q.stats.Purged += uint64(removed)
-	}
-	return dst, removed
+	// The capability promises neither an order nor distinct numbers.
+	slices.Sort(hits)
+	hits = slices.Compact(hits)
+	q.hits = hits
+	return hits
 }
 
 func (q *Queue) purgeForScan(n Item, dst []Item, collect bool) ([]Item, int) {
@@ -110,16 +146,10 @@ func (q *Queue) CountPurgeableFor(n Item) int {
 	if n.Kind != Data || q.live == 0 || q.never {
 		return 0
 	}
-	c := 0
 	if q.idx != nil {
-		s := q.idx[idxKey{view: n.View, sender: n.Meta.Sender}]
-		for i := q.candidateFloor(s, n.Meta.Seq); i < len(s) && s[i].seq < n.Meta.Seq; i++ {
-			if q.rel.Obsoletes(q.slot(s[i].pos).Meta, n.Meta) {
-				c++
-			}
-		}
-		return c
+		return len(q.obsoletedBy(q.idx[idxKey{view: n.View, sender: n.Meta.Sender}], n.Meta))
 	}
+	c := 0
 	for p := q.head; p != q.tail; p++ {
 		m := q.slot(p)
 		if m.Kind == Data && m.View == n.View && q.rel.Obsoletes(m.Meta, n.Meta) {
@@ -175,7 +205,8 @@ func (q *Queue) Purge() int {
 // sequence numbers ahead.
 func (q *Queue) purgeSweepIndexed() int {
 	removed := 0
-	for k, s := range q.idx {
+	for _, st := range q.idx {
+		s := st.ents
 		n := len(s)
 		out := s[:0]
 		for i := 0; i < n; i++ {
@@ -193,14 +224,13 @@ func (q *Queue) purgeSweepIndexed() int {
 			}
 			if dead {
 				q.killSlot(ent.pos)
+				st.count(ent.seq, -1)
 				removed++
 				continue
 			}
 			out = append(out, ent)
 		}
-		if len(out) != n {
-			q.idx[k] = out
-		}
+		st.ents = out
 	}
 	return removed
 }

@@ -14,14 +14,16 @@
 //
 // # Sender index
 //
-// Every encoding of §4.2 relates messages of a single sender only, and
-// k-enumeration further bounds the reach to a window of k sequence
-// numbers. When the relation declares this through the capability
-// interfaces obsolete.SenderLocal / obsolete.Windowed, the queue keeps a
-// per-(view, sender) seq-ordered index of its data entries and purge
-// operations examine only the incoming message's own sender — O(window)
-// for k-enumeration instead of O(queue length). Arbitrary relations
-// (obsolete.Func) fall back to the retained linear-scan reference path.
+// Every encoding of §4.2 relates messages of a single sender only, and the
+// enumerating ones name what a message obsoletes in its annotation. When
+// the relation declares this through the capability interfaces
+// obsolete.SenderLocal / obsolete.Listed, the queue keeps a
+// per-(view, sender) seq-ordered index of its data entries and an arriving
+// message's purge examines only its own sender's stream — and, when listed,
+// only the sequence numbers its annotation names: O(set bits + matches · log
+// stream) for k-enumeration, whatever the occupancy. The full sweep bounds its
+// witness search by obsolete.Windowed. Arbitrary relations (obsolete.Func)
+// fall back to the retained linear-scan reference path.
 //
 // The indexed path reproduces the scan path exactly as long as each
 // (view, sender) stream is appended in ascending sequence-number order —
@@ -33,6 +35,7 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/ident"
 	"repro/internal/obsolete"
 )
 
@@ -110,9 +113,14 @@ type Queue struct {
 
 	// Sender index (see index.go). idx is non-nil iff rel is sender-local
 	// and can purge at all.
-	idx    map[idxKey][]idxEnt
-	window int  // >0: purge candidate window in sequence numbers
-	never  bool // rel is obsolete.Empty: purging can never remove anything
+	idx    map[idxKey]*senderStream
+	listed obsolete.Listed // non-nil: rel lists what a message obsoletes
+	window int             // >0: the full sweep's witness window in sequence numbers
+	never  bool            // rel is obsolete.Empty: purging can never remove anything
+	// seqs and hits are obsoletedBy's scratch (see purge.go), kept so the
+	// arrival-time purge allocates nothing.
+	seqs []ident.Seq
+	hits []int
 }
 
 // New returns an empty queue using rel to recognise obsolete entries.
@@ -121,8 +129,8 @@ type Queue struct {
 //
 // When rel implements obsolete.SenderLocal (all built-in encodings do),
 // the queue maintains the per-(view, sender) index and purge operations
-// run in O(sender's entries) — O(window) when rel also implements
-// obsolete.Windowed — instead of scanning the whole queue.
+// run in O(sender's entries) — O(what the annotation lists) when rel also
+// implements obsolete.Listed — instead of scanning the whole queue.
 func New(rel obsolete.Relation, capacity int) *Queue {
 	if rel == nil {
 		rel = obsolete.Empty{}
@@ -135,8 +143,8 @@ func New(rel obsolete.Relation, capacity int) *Queue {
 		return q
 	}
 	if caps := obsolete.CapsOf(rel); caps.SenderLocal {
-		q.idx = make(map[idxKey][]idxEnt)
-		q.window = caps.Window
+		q.idx = make(map[idxKey]*senderStream)
+		q.listed, q.window = caps.Listed, caps.Window
 	}
 	return q
 }

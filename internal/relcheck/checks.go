@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/check"
+	"repro/internal/ident"
 	"repro/internal/obsolete"
 	"repro/internal/queue"
 )
@@ -82,6 +83,7 @@ func Run(m *Model) *Report {
 	r.Checks = append(r.Checks, checkTransitivity(m, msgs))
 	r.Checks = append(r.Checks, checkSenderLocal(m, msgs))
 	r.Checks = append(r.Checks, checkWindowed(m, msgs))
+	r.Checks = append(r.Checks, checkListed(m, msgs))
 	r.Checks = append(r.Checks, checkConfluence(m, msgs)...)
 	return r
 }
@@ -224,16 +226,65 @@ func checkWindowed(m *Model, msgs []obsolete.Msg) CheckResult {
 	return res
 }
 
+// checkListed verifies the Listed capability: for every message of the
+// universe, the sequence numbers the relation reads off its annotation are
+// exactly those of the same-sender messages it obsoletes — one listed too
+// many and the queue purges a message nothing covers, one too few and the
+// listed lookup keeps what the scan would purge.
+func checkListed(m *Model, msgs []obsolete.Msg) CheckResult {
+	res := CheckResult{Family: "capabilities", Name: "listed"}
+	l := obsolete.CapsOf(m.Rel).Listed
+	if l == nil {
+		res.Skipped = true
+		res.Detail = "not declared"
+		return res
+	}
+	for _, b := range msgs {
+		listed := make(map[ident.Seq]bool)
+		for _, s := range l.AppendObsoleted(nil, b, 0) {
+			listed[s] = true
+		}
+		for _, a := range msgs {
+			if a.Sender != b.Sender || a.ID() == b.ID() {
+				continue // cross-sender reach is sender-local's to report
+			}
+			res.Checked++
+			if obs := m.Rel.Obsoletes(a, b); obs != listed[a.Seq] {
+				how := "lists"
+				if obs {
+					how = "omits"
+				}
+				res.Violations = append(res.Violations, Violation{
+					Family: res.Family, Check: res.Name,
+					Witness: fmt.Sprintf("%s %s %s but %s ≺ %s is %v",
+						msgStr(b), how, msgStr(a), msgStr(a), msgStr(b), obs),
+				})
+				return res
+			}
+		}
+	}
+	return res
+}
+
 // ---- Confluence (purge ⇄ deliver) ------------------------------------------
 
-// runExecution feeds arrivals through a fresh queue under rel — purging on
-// every arrival exactly like the protocol's hot path (AppendPurge) — then
-// delivers (pops) everything, returning the delivery sequence.
-func runExecution(rel obsolete.Relation, arrivals []obsolete.Msg) []obsolete.MsgID {
+// runExecution feeds arrivals through a fresh queue under rel, then delivers
+// (pops) everything, returning the delivery sequence. Every arrival purges
+// as it comes, exactly like the protocol's hot path (AppendPurge) — or, with
+// sweep, all of them wait for one full Purge, which is what a view
+// installation runs and the path that trusts a declared window.
+func runExecution(rel obsolete.Relation, arrivals []obsolete.Msg, sweep bool) []obsolete.MsgID {
 	q := queue.New(rel, 0)
 	for _, m := range arrivals {
-		// Unbounded capacity: AppendPurge cannot fail.
-		_, _ = q.AppendPurge(queue.Item{Kind: queue.Data, View: 1, Meta: m})
+		it := queue.Item{Kind: queue.Data, View: 1, Meta: m}
+		if sweep {
+			q.ForceAppend(it)
+		} else {
+			_, _ = q.AppendPurge(it) // unbounded capacity: cannot fail
+		}
+	}
+	if sweep {
+		q.Purge()
 	}
 	var out []obsolete.MsgID
 	for {
@@ -277,15 +328,18 @@ func checkConfluence(m *Model, msgs []obsolete.Msg) []CheckResult {
 	closure := check.NewClosure(scanRel, msgs)
 
 	// divergence: the indexed and scan executions deliver different
-	// sequences for this arrival order.
+	// sequences for this arrival order, purging per arrival or in one sweep.
+	diverges := func(arrivals []obsolete.Msg, sweep bool) bool {
+		return !sameIDs(runExecution(m.Rel, arrivals, sweep), runExecution(scanRel, arrivals, sweep))
+	}
 	divergence := func(arrivals []obsolete.Msg) bool {
-		return !sameIDs(runExecution(m.Rel, arrivals), runExecution(scanRel, arrivals))
+		return diverges(arrivals, false) || diverges(arrivals, true)
 	}
 	// unsafe: some message fed to the scan execution was purged without a
 	// delivered message covering it — the purge did not commute with
 	// delivery.
 	unsafeMsg := func(arrivals []obsolete.Msg) (obsolete.Msg, bool) {
-		delivered := runExecution(scanRel, arrivals)
+		delivered := runExecution(scanRel, arrivals, false)
 		set := make(map[obsolete.MsgID]bool, len(delivered))
 		for _, id := range delivered {
 			set[id] = true
@@ -301,8 +355,9 @@ func checkConfluence(m *Model, msgs []obsolete.Msg) []CheckResult {
 	visited, exhaustive := forEachInterleaving(m.Streams, m.MaxInterleavings, func(arrivals []obsolete.Msg) bool {
 		if len(idx.Violations) == 0 && divergence(arrivals) {
 			w := minimize(arrivals, divergence)
-			got := runExecution(m.Rel, w)
-			want := runExecution(scanRel, w)
+			sweep := !diverges(w, false)
+			got := runExecution(m.Rel, w, sweep)
+			want := runExecution(scanRel, w, sweep)
 			idx.Violations = append(idx.Violations, Violation{
 				Family: idx.Family, Check: "confluence",
 				Witness: fmt.Sprintf("arrivals %s deliver %s indexed vs %s scan — the declared capabilities corrupt the purge index",

@@ -55,8 +55,8 @@ func FuzzRelationLaws(f *testing.F) {
 			}
 		}
 
-		got := runExecution(rel, arrivals)
-		want := runExecution(scanRelation(rel), arrivals)
+		got := runExecution(rel, arrivals, false)
+		want := runExecution(scanRelation(rel), arrivals, false)
 		if !sameIDs(got, want) {
 			t.Fatalf("%s: indexed %s ≠ scan %s for arrivals %s",
 				name, idsStr(got), idsStr(want), msgsStr(arrivals))

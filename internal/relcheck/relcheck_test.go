@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ident"
 	"repro/internal/obsolete"
 )
 
@@ -167,6 +168,56 @@ rules:
 	}
 	if len(violationsOf(r, "confluence")) != 1 {
 		t.Fatalf("want indexed-vs-scan divergence, got %v", r.Violations())
+	}
+}
+
+// misListing is k-enumeration whose Listed capability lies about what the
+// bitmap says: it adds the direct predecessor to every list (over), or
+// drops the first number listed (under).
+type misListing struct {
+	obsolete.KEnumeration
+	over bool
+}
+
+func (r misListing) AppendObsoleted(dst []ident.Seq, n obsolete.Msg, floor ident.Seq) []ident.Seq {
+	out := r.KEnumeration.AppendObsoleted(dst, n, floor)
+	switch {
+	case r.over && n.Seq > 1 && n.Seq-1 >= floor:
+		out = append(out, n.Seq-1)
+	case !r.over && len(out) > len(dst):
+		out = out[:len(out)-1]
+	}
+	return out
+}
+
+// TestUnsoundListingDetected: the built-in lists verify (TestBuiltinsSound
+// runs the check on both enumerating encodings); one that over-lists is
+// rejected with the first message that lists a predecessor it does not
+// obsolete, and the purge index it corrupts shows as a divergence; one that
+// under-lists is rejected too.
+func TestUnsoundListingDetected(t *testing.T) {
+	m, err := Builtin("k-enumeration", Domain{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := m.Rel.(obsolete.KEnumeration)
+
+	m.Rel = misListing{KEnumeration: k, over: true}
+	r := Run(m)
+	ls := violationsOf(r, "listed")
+	// Message 1 is first and lists nothing; message 2 obsoletes 1, so the
+	// extra entry is the true one; message 3 reaches back to 1 only.
+	if want := "p1:3 lists p1:2 but p1:2 ≺ p1:3 is false"; len(ls) != 1 || ls[0].Witness != want {
+		t.Fatalf("over-listing: want witness %q, got %v", want, r.Violations())
+	}
+	if len(violationsOf(r, "confluence")) != 1 {
+		t.Fatalf("over-listing: want an indexed-vs-scan divergence, got %v", r.Violations())
+	}
+
+	m.Rel = misListing{KEnumeration: k}
+	r = Run(m)
+	if ls := violationsOf(r, "listed"); len(ls) != 1 || !strings.Contains(ls[0].Witness, " omits ") {
+		t.Fatalf("under-listing: want one omission, got %v", r.Violations())
 	}
 }
 

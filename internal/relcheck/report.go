@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/obsolete"
 )
 
 // Report rendering, nccheck-style: a banner, the universe stats, one line
@@ -33,6 +35,9 @@ func (r *Report) Format(w io.Writer, quiet bool) {
 			decl = "sender-local"
 			if r.Model.Window > 0 {
 				decl += fmt.Sprintf(" windowed(%d)", r.Model.Window)
+			}
+			if obsolete.CapsOf(r.Model.Rel).Listed != nil {
+				decl += " listed"
 			}
 		}
 		fmt.Fprintf(w, "  Declared:  %s\n", decl)
