@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -308,8 +309,9 @@ func TestCancelledCallsConsumeNothing(t *testing.T) {
 }
 
 // TestStagePrunedAtInstall admits and evicts a series of distinct peers
-// while multicasting: the per-peer staging map must not keep a key for
-// every PID it ever sent to.
+// while multicasting: of a process that left, the peer table keeps the
+// frontiers and nothing that belongs to a view — no staged run, no outgoing
+// queue, no credits.
 func TestStagePrunedAtInstall(t *testing.T) {
 	net := transport.NewMemNetwork()
 	start := func(p ident.PID, cfg Config) *Engine {
@@ -358,7 +360,12 @@ func TestStagePrunedAtInstall(t *testing.T) {
 		joiner.Stop()
 	}
 	founder.Stop() // the loop has exited: its state is safe to read
-	if n, members := len(founder.stage), len(founder.cv.Members); n > members {
-		t.Fatalf("stage keeps %d per-peer entries for a view of %d member(s)", n, members)
+	if len(founder.others) != 0 || len(founder.peers) < peers {
+		t.Fatalf("%d other members and %d records after %d peers came and went", len(founder.others), len(founder.peers), peers)
+	}
+	for id, p := range founder.peers {
+		if !reflect.DeepEqual(p.link, link{}) {
+			t.Fatalf("%s left, yet its record keeps per-view state: %+v", id, p.link)
+		}
 	}
 }

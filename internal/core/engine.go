@@ -57,11 +57,6 @@ type Engine struct {
 	// refs outside it are counted as ignored, not installed.
 	pendingNext map[ident.ViewRef]bool
 
-	// former holds processes this member once shared a view with but no
-	// longer does — the probe targets of partition healing (merge.go).
-	// Maintained only when Config.Heal is set.
-	former map[ident.PID]struct{}
-
 	// merge is the in-flight partition merge, nil when none (merge.go).
 	merge    *mergeState
 	healTick obs.Ticker
@@ -73,10 +68,7 @@ type Engine struct {
 	// joinFailed is set when JoinSpec.GiveUp expires without a transfer:
 	// the engine is dead to the application from then on (ErrJoinTimeout).
 	// pendingJoins holds admission requests received while a view change
-	// is in flight. joinSeeded records, per sender, the highest
-	// current-view sequence number adopted from a state transfer: those
-	// entries never consumed a window slot here, so their delivery or
-	// purge must not grant credits (see deliverItem).
+	// is in flight.
 	joining      bool
 	joinFailed   bool
 	joinTimer    obs.Timer
@@ -84,30 +76,34 @@ type Engine struct {
 	joinRNG      *rand.Rand
 	joinStart    time.Time // when the join handshake began (joinDur)
 	pendingJoins ident.PIDs
-	joinSeeded   map[ident.PID]ident.Seq
 
 	toDeliver *queue.Queue
 	delivered *queue.Queue // current-view delivery history (for pred sets)
-	recvMax   map[ident.PID]ident.Seq
 	lastSent  ident.Seq
 	coverScan bool // the relation reaches across senders (see coveredLocally)
 
-	// pendingHead is one arrival that passed every receive check (its
-	// credit is charged and its purges applied) but found the delivery
-	// queue full; it occupies the reserved stall slot until space frees.
-	// pendingRest holds the raw, unprocessed remainder of a batched
-	// receive behind it (consumed from pendingPos), so per-sender FIFO
-	// survives batch arrivals; the data inbox stays gated while either is
-	// non-empty.
-	pendingHead *DataMsg
+	// peers is the one table of per-process state, a record for every PID
+	// ever heard of; others lists the records of the current view's other
+	// members in cv.Members order, rebuilt by enterView (flow.go).
+	peers  map[ident.PID]*peer
+	others []*peer
+
+	// pendingHead is one arrival from pendingFrom (nil: none) that passed
+	// every receive check (its credit is charged and its purges applied)
+	// but found the delivery queue full; it occupies the reserved stall
+	// slot until space frees. pendingRest holds the raw, unprocessed
+	// remainder of a batched receive behind it (consumed from pendingPos),
+	// so per-sender FIFO survives batch arrivals; the data inbox stays
+	// gated while either is non-empty.
+	pendingFrom *peer
+	pendingHead DataMsg
 	pendingRest []DataMsg
 	pendingPos  int
 
-	// stage accumulates the per-peer sends of the multicast transaction
-	// being committed (advance); flushStage coalesces each peer's run
-	// into one DataBatchMsg envelope. stageBase is the sequence number of
-	// the run's first message (0: nothing staged).
-	stage     map[ident.PID][]DataMsg
+	// stageBase is the sequence number of the first message the open
+	// multicast transaction (advance) staged in the peers' runs, which
+	// flushStage sends as one DataBatchMsg envelope each (0: nothing
+	// staged).
 	stageBase ident.Seq
 
 	join         ident.PIDs
@@ -115,15 +111,10 @@ type Engine struct {
 	globalPred   map[obsolete.MsgID]DataMsg
 	predReceived ident.PIDs
 
-	flow *flowState
-
 	// blockStart stamps the group blocking at t5 (viewChange histogram).
 	blockStart time.Time
 
-	// Stability tracking (see stability.go).
-	recvTable map[ident.PID]map[ident.PID]ident.Seq
-	stable    map[ident.PID]ident.Seq
-	stabTick  obs.Ticker
+	stabTick obs.Ticker // stability gossip (stability.go)
 
 	deliverWaiters []*request
 	multicastQ     []*request
@@ -261,13 +252,11 @@ func New(cfg Config) (*Engine, error) {
 		joining:     cfg.Join != nil,
 		toDeliver:   queue.New(cfg.Relation, cfg.ToDeliverCap),
 		delivered:   queue.New(cfg.Relation, 0),
-		recvMax:     make(map[ident.PID]ident.Seq),
 		coverScan:   !obsolete.CapsOf(cfg.Relation).SenderLocal,
 		globalPred:  make(map[obsolete.MsgID]DataMsg),
 		pendingNext: make(map[ident.ViewRef]bool),
-		former:      make(map[ident.PID]struct{}),
-		flow:        newFlowState(cfg, initial.Members),
 	}
+	e.armPeers()
 	e.curView = e.cv.Clone()
 	return e, nil
 }
@@ -557,7 +546,7 @@ func (e *Engine) run() {
 // previous arrival waiting for queue space, or no space to begin with.
 func (e *Engine) dataGated() bool {
 	return e.blocked || e.expelled || e.joining ||
-		e.pendingHead != nil || e.pendingPos < len(e.pendingRest) ||
+		e.pendingFrom != nil || e.pendingPos < len(e.pendingRest) ||
 		e.toDeliver.Full()
 }
 

@@ -6,127 +6,173 @@ import (
 	"repro/internal/transport"
 )
 
-// flowState implements the credit window flow control that reproduces the
-// paper's buffer model in a live group: every receiver grants each sender
-// a window of Window buffer slots; a sender without credits queues in a
-// bounded per-peer outgoing queue; a full outgoing queue blocks the
-// application's multicast. Credits flow back as the receiver delivers or
-// purges — purging is what lets a slow SVS receiver keep its senders
-// unblocked (§2.3).
+// peer is everything this process keeps about one process: the paper's
+// buffer model (§2.3, §5) is a window and an outgoing buffer per receiver
+// and a reception frontier per sender, and both ends of that are one
+// record. Engine.peers holds a record for every PID ever heard of, our own
+// included (for the frontiers only); Engine.others lists the records of the
+// current view's other members, which is what the data plane walks.
+type peer struct {
+	id ident.PID
+
+	// Frontiers in the sender's one stream of sequence numbers, which runs
+	// on through views and through the PID leaving and rejoining: they only
+	// move forwards and outlive membership.
+	recvMax ident.Seq // highest number received from id (adopted ones included)
+	stable  ident.Seq // highest number known received by every member (stability.go)
+	seeded  ident.Seq // highest number adopted from our own join transfer (see freeSlot)
+
+	// former marks a process we once shared a view with and no longer do —
+	// a probe target of partition healing (merge.go). Only set with
+	// Config.Heal.
+	former bool
+
+	link
+}
+
+// link is the half of a peer that belongs to one view: the credit window in
+// both directions, and what the peer last told us. enterView zeroes it for
+// every record and arms it for the view's other members, so both sides of
+// every window return to full by convention and nothing about a departed
+// process is kept but its frontiers.
 //
-// The zero Window disables the mechanism: sends go straight to the
-// network.
-type flowState struct {
-	cfg Config
+// The credit window reproduces the paper's buffer model in a live group:
+// every receiver grants each sender a window of Config.Window buffer slots;
+// a sender without credits queues in a bounded per-peer outgoing queue; a
+// full outgoing queue blocks the application's multicast. Credits flow back
+// as the receiver delivers or purges — purging is what lets a slow SVS
+// receiver keep its senders unblocked (§2.3).
+type link struct {
+	member bool // another member of the current view
+	window int  // Config.Window for a member; 0 (also: flow control disabled) switches the arithmetic off
 
-	avail map[ident.PID]int          // credits I hold at each peer (sender side)
-	out   map[ident.PID]*queue.Queue // pending sends per peer
+	// Sender side: what we may send to the peer.
+	avail  int          // credits held
+	out    *queue.Queue // copies waiting for a credit (nil without a window)
+	staged []DataMsg    // the open multicast transaction's run (stageData, flushStage)
 
-	// Receiver-side ledger per sender. granted is the total number of
-	// credits handed out this view (the initial window included); used
-	// counts the data messages received, each of which consumed one of
-	// those credits at the sender. granted-used is therefore an upper
-	// bound on the credits the sender still holds — zero means the sender
-	// is known blocked.
-	owed    map[ident.PID]int // freed slots not yet granted
-	granted map[ident.PID]int
-	used    map[ident.PID]int
+	// Receiver-side ledger for the peer as a sender. granted is the total
+	// number of credits handed out this view (the initial window included);
+	// used counts the data messages received, each of which consumed one of
+	// those credits at the sender. granted-used is therefore an upper bound
+	// on the credits the sender still holds — zero means the sender is
+	// known blocked.
+	owed    int // freed slots not yet granted
+	granted int
+	used    int
+
+	// reported is the reception frontier per sender the peer last gossiped
+	// (StableMsg.Recv as received; our own record holds our own report).
+	reported map[ident.PID]ident.Seq
 }
 
-func newFlowState(cfg Config, members ident.PIDs) *flowState {
-	f := &flowState{cfg: cfg}
-	f.reset(members)
-	return f
+// peer returns the record of id, creating it on first mention. The data
+// plane never calls it: a sender or creditor without a record is dropped.
+func (e *Engine) peer(id ident.PID) *peer {
+	p := e.peers[id]
+	if p == nil {
+		if e.peers == nil {
+			e.peers = make(map[ident.PID]*peer)
+		}
+		p = &peer{id: id}
+		e.peers[id] = p
+	}
+	return p
 }
 
-// reset re-arms the window for a new view: both sides return to a full
-// window by convention, with empty outgoing queues. It handles shrinking
-// and growing membership alike — every peer of the new view gets a fresh
-// window and ledger, state for departed peers is dropped.
-func (f *flowState) reset(members ident.PIDs) {
-	f.avail = make(map[ident.PID]int, len(members))
-	f.out = make(map[ident.PID]*queue.Queue, len(members))
-	f.owed = make(map[ident.PID]int, len(members))
-	f.granted = make(map[ident.PID]int, len(members))
-	f.used = make(map[ident.PID]int, len(members))
-	for _, p := range members {
-		if p == f.cfg.Self {
+// peerOf returns the record of id (nil: none) given the record resolved
+// last. An envelope, the delivery queue and the history all come in runs of
+// one sender, so a walk hashes a PID once per run instead of once per
+// message.
+func (e *Engine) peerOf(id ident.PID, last *peer) *peer {
+	if last != nil && last.id == id {
+		return last
+	}
+	return e.peers[id]
+}
+
+// armPeers is enterView's share of the table: every link starts afresh,
+// and others becomes the new view's other members in view order, each with
+// a full window both ways and an empty outgoing queue. A healing engine
+// remembers who left: only someone we once shared a view with can be the
+// far side of a healed partition.
+func (e *Engine) armPeers() {
+	heal := e.cfg.Heal != nil
+	for _, p := range e.peers {
+		p.former = p.former || (heal && p.member)
+		p.link = link{}
+	}
+	e.others = e.others[:0]
+	for _, id := range e.cv.Members {
+		if id == e.cfg.Self {
 			continue
 		}
-		f.avail[p] = f.cfg.Window
-		f.out[p] = queue.New(f.cfg.Relation, f.cfg.OutgoingCap)
-		f.granted[p] = f.cfg.Window
+		p := e.peer(id)
+		p.former = false
+		p.link = link{member: true, window: e.cfg.Window, avail: e.cfg.Window, granted: e.cfg.Window}
+		if p.window > 0 {
+			p.out = queue.New(e.rel, e.cfg.OutgoingCap)
+		}
+		e.others = append(e.others, p)
 	}
 }
 
-// enabled reports whether credit flow control is active.
-func (f *flowState) enabled() bool { return f.cfg.Window > 0 }
-
 // hasCredit reports whether a message to p could be sent immediately.
-func (f *flowState) hasCredit(p ident.PID) bool {
-	return !f.enabled() || f.avail[p] > 0
-}
+func (p *peer) hasCredit() bool { return p.window == 0 || p.avail > 0 }
 
 // takeCredit consumes one credit for a send to p, reporting false when the
 // message must be queued instead.
-func (f *flowState) takeCredit(p ident.PID) bool {
-	if !f.enabled() {
-		return true
+func (p *peer) takeCredit() bool {
+	if p.window > 0 {
+		if p.avail <= 0 {
+			return false
+		}
+		p.avail--
 	}
-	if f.avail[p] <= 0 {
-		return false
-	}
-	f.avail[p]--
 	return true
 }
 
-// credit adds credits granted by peer p.
-func (f *flowState) credit(p ident.PID, n int) {
-	if !f.enabled() || n <= 0 {
-		return
+// credit adds credits granted by p.
+func (p *peer) credit(n int) {
+	if p.window > 0 && n > 0 {
+		p.avail += n
 	}
-	f.avail[p] += n
 }
 
-// pending returns the outgoing queue towards p (nil when flow control is
-// disabled).
-func (f *flowState) pending(p ident.PID) *queue.Queue {
-	if !f.enabled() {
-		return nil
+// received records one current-view data message arriving from p: it
+// consumed one of the credits this receiver granted.
+func (p *peer) received() {
+	if p.window > 0 {
+		p.used++
 	}
-	return f.out[p]
-}
-
-// received records one current-view data message arriving from sender p:
-// it consumed one of the credits this receiver granted.
-func (f *flowState) received(p ident.PID) {
-	if !f.enabled() {
-		return
-	}
-	f.used[p]++
 }
 
 // freed records that one buffer slot previously charged to sender p is
-// free again (delivered, purged, or dropped as covered), granting credits
-// in batches to bound control chatter. The batching must not strand a
-// sender: when p has consumed every credit granted so far it is known
-// blocked and cannot generate the traffic that would push owed over the
-// batch threshold, so whatever is owed is flushed immediately.
-func (f *flowState) freed(p ident.PID, e *Engine) {
-	if !f.enabled() {
-		return
+// free again (delivered, purged, or dropped as covered) and returns the
+// credits to grant now: grants go out in batches to bound control chatter.
+// The batching must not strand a sender: when p has consumed every credit
+// granted so far it is known blocked and cannot generate the traffic that
+// would push owed over the batch threshold, so whatever is owed is granted
+// immediately.
+func (p *peer) freed() int {
+	if p.window == 0 {
+		return 0
 	}
-	f.owed[p]++
-	batch := f.cfg.Window / 4
-	if batch < 1 {
-		batch = 1
+	p.owed++
+	if p.owed < max(p.window/4, 1) && p.used < p.granted {
+		return 0
 	}
-	if f.owed[p] >= batch || f.used[p] >= f.granted[p] {
-		n := f.owed[p]
-		f.owed[p] = 0
-		f.granted[p] += n
+	n := p.owed
+	p.owed = 0
+	p.granted += n
+	return n
+}
+
+// freed is peer.freed with the grant sent.
+func (e *Engine) freed(p *peer) {
+	if n := p.freed(); n > 0 {
 		e.m.creditFlushes.Inc()
-		e.send(p, transport.Ctl, CreditMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Credits: n})
+		e.send(p.id, transport.Ctl, CreditMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Credits: n})
 	}
 }
 
@@ -134,26 +180,25 @@ func (f *flowState) freed(p ident.PID, e *Engine) {
 // coalescing the whole run into one DataBatchMsg envelope. The head is
 // only popped once its send is paid for: a message must never be lost
 // between PopHead and takeCredit.
-func (e *Engine) drainOutgoing(p ident.PID) {
-	out := e.flow.pending(p)
-	if out == nil {
+func (e *Engine) drainOutgoing(p *peer) {
+	if p.out == nil {
 		return
 	}
 	var run []DataMsg
 	for {
-		it, ok := out.PeekHead()
+		it, ok := p.out.PeekHead()
 		if !ok {
 			break
 		}
 		if !e.inView(&it) {
-			out.PopHead() // stale: the view changed while it waited
+			p.out.PopHead() // stale: the view changed while it waited
 			continue
 		}
-		if !e.flow.takeCredit(p) {
+		if !p.takeCredit() {
 			break // out of credits: the head stays parked
 		}
-		out.PopHead()
+		p.out.PopHead()
 		run = append(run, msgOf(&it))
 	}
-	e.sendData(p, run) // ownership of run transfers with the send
+	e.sendData(p.id, run) // ownership of run transfers with the send
 }

@@ -27,53 +27,82 @@ func TestFlowDisabledUnboundedNeverParks(t *testing.T) {
 	h.verify()
 }
 
-func TestFlowStateCredits(t *testing.T) {
-	cfg := Config{Self: "me", Window: 4, OutgoingCap: 8, Relation: obsolete.Empty{}}
-	f := newFlowState(cfg, ident.NewPIDs("me", "peer"))
+// flowEngine is a hand-built engine "me" whose view has the one other
+// member "peer", armed with the given window.
+func flowEngine(cfg Config) (*Engine, *peer) {
+	cfg.Self, cfg.Relation = "me", obsolete.Empty{}
+	e := &Engine{cfg: cfg, rel: cfg.Relation, cv: View{ID: 3, Members: ident.NewPIDs("me", "peer")}}
+	e.armPeers()
+	return e, e.others[0]
+}
 
-	if !f.enabled() {
-		t.Fatal("window 4 should enable flow control")
+func TestPeerCredits(t *testing.T) {
+	e, p := flowEngine(Config{Window: 4, OutgoingCap: 8})
+	if p.out == nil || len(e.peers) != 1 {
+		t.Fatalf("window 4 should arm an outgoing queue for the one peer: %+v", e.peers)
 	}
 	for i := 0; i < 4; i++ {
-		if !f.hasCredit("peer") || !f.takeCredit("peer") {
+		if !p.hasCredit() || !p.takeCredit() {
 			t.Fatalf("credit %d unavailable", i)
 		}
 	}
-	if f.hasCredit("peer") || f.takeCredit("peer") {
+	if p.hasCredit() || p.takeCredit() {
 		t.Fatal("credit available past the window")
 	}
-	f.credit("peer", 2)
-	if !f.takeCredit("peer") || !f.takeCredit("peer") || f.takeCredit("peer") {
+	p.credit(2)
+	if !p.takeCredit() || !p.takeCredit() || p.takeCredit() {
 		t.Fatal("granted credits miscounted")
 	}
 	// Negative and zero grants are ignored.
-	f.credit("peer", 0)
-	f.credit("peer", -5)
-	if f.hasCredit("peer") {
+	p.credit(0)
+	p.credit(-5)
+	if p.hasCredit() {
 		t.Fatal("non-positive grant added credit")
 	}
-	// Reset re-arms the full window.
-	f.reset(ident.NewPIDs("me", "peer"))
+	// The next view re-arms the full window, on the same record.
+	e.armPeers()
+	if e.others[0] != p {
+		t.Fatal("re-arming replaced the peer's record")
+	}
 	for i := 0; i < 4; i++ {
-		if !f.takeCredit("peer") {
-			t.Fatalf("credit %d unavailable after reset", i)
+		if !p.takeCredit() {
+			t.Fatalf("credit %d unavailable after re-arming", i)
 		}
 	}
 }
 
-func TestFlowStateDisabled(t *testing.T) {
-	cfg := Config{Self: "me", Relation: obsolete.Empty{}}
-	f := newFlowState(cfg, ident.NewPIDs("me", "peer"))
-	if f.enabled() {
-		t.Fatal("window 0 must disable flow control")
+// TestPeerGrantsInBatches pins the receiver-side ledger: freed slots are
+// granted a quarter window at a time, except to a sender known to have used
+// up everything it was granted.
+func TestPeerGrantsInBatches(t *testing.T) {
+	_, p := flowEngine(Config{Window: 8})
+	for i := 0; i < 3; i++ {
+		p.received()
 	}
+	if n := p.freed(); n != 0 {
+		t.Fatalf("first freed slot granted %d at once, want batching", n)
+	}
+	if n := p.freed(); n != 2 || p.owed != 0 || p.granted != 10 {
+		t.Fatalf("second freed slot granted %d (owed %d, granted %d), want the batch of 2", n, p.owed, p.granted)
+	}
+	for p.used < p.granted {
+		p.received()
+	}
+	if n := p.freed(); n != 1 {
+		t.Fatalf("slot freed for a blocked sender granted %d, want 1 immediately", n)
+	}
+}
+
+func TestPeerCreditsDisabled(t *testing.T) {
+	_, p := flowEngine(Config{})
 	for i := 0; i < 1000; i++ {
-		if !f.takeCredit("peer") {
+		if !p.hasCredit() || !p.takeCredit() {
 			t.Fatal("disabled flow control must never refuse")
 		}
 	}
-	if f.pending("peer") != nil {
-		t.Fatal("disabled flow control must have no outgoing queues")
+	p.received()
+	if p.out != nil || p.freed() != 0 || p.used != 0 {
+		t.Fatal("disabled flow control must have no outgoing queue and keep no ledger")
 	}
 }
 
@@ -95,13 +124,8 @@ func TestDrainOutgoingNeverDropsWithoutCredit(t *testing.T) {
 	defer pep.Close()
 	inbox := pep.Inbox(0, transport.Data)
 
-	cfg := Config{Self: "me", Endpoint: ep, Window: 4, Relation: obsolete.Empty{}}
-	e := &Engine{
-		cfg:  cfg,
-		cv:   View{ID: 3, Members: ident.NewPIDs("me", "peer")},
-		flow: newFlowState(cfg, ident.NewPIDs("me", "peer")),
-	}
-	out := e.flow.pending("peer")
+	e, p := flowEngine(Config{Endpoint: ep, Window: 4})
+	out := p.out
 	// One stale leftover from view 2, then five live messages.
 	out.ForceAppend(queue.Item{Kind: queue.Data, View: 2, Meta: obsolete.Msg{Sender: "me", Seq: 90}})
 	for i := 1; i <= 5; i++ {
@@ -110,7 +134,7 @@ func TestDrainOutgoingNeverDropsWithoutCredit(t *testing.T) {
 	// Exhaust all but one credit: the drain may send exactly one message,
 	// skip the stale head for free, and must keep the rest queued.
 	for i := 0; i < 3; i++ {
-		e.flow.takeCredit("peer")
+		p.takeCredit()
 	}
 	recv := func() []ident.Seq {
 		var got []ident.Seq
@@ -133,7 +157,7 @@ func TestDrainOutgoingNeverDropsWithoutCredit(t *testing.T) {
 		}
 	}
 
-	e.drainOutgoing("peer")
+	e.drainOutgoing(p)
 	if got := recv(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("first drain sent %v, want [1]", got)
 	}
@@ -141,13 +165,13 @@ func TestDrainOutgoingNeverDropsWithoutCredit(t *testing.T) {
 		t.Fatalf("outgoing holds %d after credit exhaustion, want 4 (nothing dropped)", out.Len())
 	}
 	// Each granted credit releases exactly the next message, in order.
-	e.flow.credit("peer", 2)
-	e.drainOutgoing("peer")
+	p.credit(2)
+	e.drainOutgoing(p)
 	if got := recv(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("second drain sent %v, want [2 3]", got)
 	}
-	e.flow.credit("peer", 10)
-	e.drainOutgoing("peer")
+	p.credit(10)
+	e.drainOutgoing(p)
 	if got := recv(); len(got) != 2 || got[0] != 4 || got[1] != 5 {
 		t.Fatalf("final drain sent %v, want [4 5]", got)
 	}

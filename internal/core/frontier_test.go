@@ -46,7 +46,7 @@ func (s *frontierStream) mint(rng *rand.Rand) obsolete.Msg {
 
 // TestFrontierSubsumesCover pins what lets processData and adopt skip the
 // cover scan under sender-local relations: every held message of s has seq ≤
-// recvMax[s] (≤ lastSent for our own stream), so for an arrival above the
+// s's recvMax (≤ lastSent for our own stream), so for an arrival above the
 // frontier the paper's t3 test — here the retained scan Covers, on a twin
 // queue whose relation is wrapped in obsolete.Func and so declares nothing —
 // always answers "not covered". Seeded FIFO streams from three senders and
@@ -72,7 +72,7 @@ func TestFrontierSubsumesCover(t *testing.T) {
 				t.Fatalf("%s is sender-local: the engine must not scan for covers", tc.rel.Name())
 			}
 			e.cv.Members = ident.NewPIDs("a", "b", "c", "me")
-			e.flow = newFlowState(e.cfg, e.cv.Members)
+			e.armPeers()
 			streams := map[ident.PID]*frontierStream{}
 			for _, p := range e.cv.Members {
 				streams[p] = &frontierStream{sender: p, tags: tc.tags}
@@ -84,9 +84,9 @@ func TestFrontierSubsumesCover(t *testing.T) {
 			all := func(*queue.Item) bool { return true }
 			frontier := func(s ident.PID) ident.Seq {
 				if s == e.cfg.Self {
-					return max(e.lastSent, e.recvMax[s])
+					return max(e.lastSent, e.peer(s).recvMax)
 				}
-				return e.recvMax[s]
+				return e.peer(s).recvMax
 			}
 			fresh, refCovered := 0, 0
 			// offer checks one message against the reference, then hands it
@@ -108,7 +108,7 @@ func TestFrontierSubsumesCover(t *testing.T) {
 				in(DataMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Meta: m})
 			}
 			arrive := func(dm DataMsg) {
-				if !e.processData(dm) {
+				if !e.processData(e.peers[dm.Meta.Sender], dm) {
 					t.Fatal("unbounded delivery queue reported full")
 				}
 			}
@@ -128,11 +128,13 @@ func TestFrontierSubsumesCover(t *testing.T) {
 					}
 				case op < 7: // we multicast
 					e.commitOne(streams["me"].mint(rng), nil)
-					clear(e.stage)
+					for _, p := range e.others {
+						p.staged = p.staged[:0]
+					}
 				case op < 10: // the application consumes a few
 					for n := rng.Intn(6); n > 0; n-- {
 						if it, ok := e.toDeliver.PopHead(); ok {
-							e.deliverItem(it)
+							e.deliverItem(it, nil)
 						}
 					}
 				case op < 11: // a snapshot: each stream's next few messages, repurged, then frontiers

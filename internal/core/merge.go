@@ -14,7 +14,7 @@ package core
 //
 // When the partition heals, members discover each other again through
 // probes — tiny beacons sent to every process a member once shared a view
-// with but no longer does (Engine.former) — and drive both sub-views into
+// with but no longer does (peer.former) — and drive both sub-views into
 // a *merge*:
 //
 //	probe ───────▶ far side (different epoch detected)
@@ -89,12 +89,14 @@ func (e *Engine) onHealTick() {
 		}
 		return
 	}
-	if e.blocked || e.joining || e.expelled || len(e.former) == 0 {
+	if e.blocked || e.joining || e.expelled {
 		return
 	}
 	probe := ProbeMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Members: e.cv.Members.Clone()}
-	for p := range e.former {
-		e.send(p, transport.Ctl, probe)
+	for _, p := range e.peers {
+		if p.former {
+			e.send(p.id, transport.Ctl, probe)
+		}
 	}
 }
 
@@ -431,7 +433,7 @@ func (e *Engine) abortMerge(reason string) {
 	e.ev.MergeAborted(mg.ref.String(), reason)
 	for _, p := range mg.union {
 		if p != e.cfg.Self && !e.cv.Includes(p) {
-			e.former[p] = struct{}{}
+			e.peer(p).former = true
 		}
 	}
 	e.setPeers(e.cv.Members)

@@ -30,16 +30,17 @@ type engMetrics struct {
 	joinBytesRecv  *obs.Counter
 
 	// Previously silent (or silently-swallowed) paths, now typed.
-	dropStale       *obs.Counter // engine_dropped_total{reason=stale_view}
-	dropCovered     *obs.Counter // {reason=covered}
-	dropStaleCredit *obs.Counter // {reason=stale_credit}
-	dropDefer       *obs.Counter // {reason=defer_overflow}
-	dropBadType     *obs.Counter // {reason=bad_type}
-	dropUnknownCtl  *obs.Counter // {reason=unknown_ctl}
-	dropExpelled    *obs.Counter // {reason=expelled}
-	sendErrors      *obs.Counter
-	decisionFails   *obs.Counter
-	creditFlushes   *obs.Counter // owed-credit batches flushed to senders
+	dropStale         *obs.Counter // engine_dropped_total{reason=stale_view}
+	dropCovered       *obs.Counter // {reason=covered}
+	dropStaleCredit   *obs.Counter // {reason=stale_credit}
+	dropDefer         *obs.Counter // {reason=defer_overflow}
+	dropBadType       *obs.Counter // {reason=bad_type}
+	dropUnknownCtl    *obs.Counter // {reason=unknown_ctl}
+	dropExpelled      *obs.Counter // {reason=expelled}
+	dropUnknownSender *obs.Counter // {reason=unknown_sender}
+	sendErrors        *obs.Counter
+	decisionFails     *obs.Counter
+	creditFlushes     *obs.Counter // owed-credit batches flushed to senders
 
 	// decisionsIgnored counts consensus decisions the engine received but
 	// could not install, by reason — engine_decisions_ignored_total{reason=}.
@@ -94,16 +95,17 @@ func newEngMetrics(ob *obs.Obs) engMetrics {
 		joinBytesSent:  ob.Counter("engine_join_bytes_sent_total"),
 		joinBytesRecv:  ob.Counter("engine_join_bytes_recv_total"),
 
-		dropStale:       drop(obs.DropStaleView),
-		dropCovered:     drop(obs.DropCovered),
-		dropStaleCredit: drop(obs.DropStaleCredit),
-		dropDefer:       drop(obs.DropDeferOverflow),
-		dropBadType:     drop(obs.DropBadType),
-		dropUnknownCtl:  drop(obs.DropUnknownCtl),
-		dropExpelled:    drop(obs.DropExpelled),
-		sendErrors:      ob.Counter("engine_send_errors_total"),
-		decisionFails:   ob.Counter("engine_decision_failures_total"),
-		creditFlushes:   ob.Counter("engine_credit_flushes_total"),
+		dropStale:         drop(obs.DropStaleView),
+		dropCovered:       drop(obs.DropCovered),
+		dropStaleCredit:   drop(obs.DropStaleCredit),
+		dropDefer:         drop(obs.DropDeferOverflow),
+		dropBadType:       drop(obs.DropBadType),
+		dropUnknownCtl:    drop(obs.DropUnknownCtl),
+		dropExpelled:      drop(obs.DropExpelled),
+		dropUnknownSender: drop(obs.DropUnknownSender),
+		sendErrors:        ob.Counter("engine_send_errors_total"),
+		decisionFails:     ob.Counter("engine_decision_failures_total"),
+		creditFlushes:     ob.Counter("engine_credit_flushes_total"),
 
 		decisionsIgnored: map[string]*obs.Counter{
 			ignoreDuplicate:  ignored(ignoreDuplicate),

@@ -1,0 +1,402 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/fd"
+	"repro/internal/ident"
+	"repro/internal/obs"
+	"repro/internal/obsolete"
+	"repro/internal/transport"
+)
+
+// TestForgedSenderDropped: a process outside the view sends a current-view
+// data message in the name of a PID that is no member, and a credit grant in
+// its own. Both are dropped and counted, nothing of it is delivered, and the
+// peer table gains no record for either name.
+func TestForgedSenderDropped(t *testing.T) {
+	net := transport.NewMemNetwork()
+	view0 := View{ID: 1, Members: ident.NewPIDs("p0", "p1")}
+	reg := obs.NewRegistry()
+	engs := map[ident.PID]*Engine{}
+	for _, p := range view0.Members {
+		ep, err := net.Endpoint(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det := fd.NewManual()
+		cfg := Config{Self: p, Endpoint: ep, Detector: det, InitialView: view0, Window: 4, OutgoingCap: 4}
+		if p == "p0" {
+			cfg.Obs = obs.New(nil, reg, nil)
+		}
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs[p] = eng
+		t.Cleanup(func() {
+			eng.Stop()
+			det.Stop()
+			ep.Close()
+		})
+	}
+	victim := engs["p0"]
+	records := len(victim.peers) // not started yet: safe to read
+	for _, eng := range engs {
+		if err := eng.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evil, err := net.Endpoint("evil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer evil.Close()
+
+	forged := DataMsg{View: 1, Meta: obsolete.Msg{Sender: "ghost", Seq: 1}, Payload: []byte("forged")}
+	if err := evil.Send("p0", 0, transport.Data, forged); err != nil {
+		t.Fatal(err)
+	}
+	if err := evil.Send("p0", 0, transport.Ctl, CreditMsg{View: 1, Credits: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	const counter = "engine_dropped_total{reason=unknown_sender}"
+	waitCond(t, "both forgeries counted", func() bool { return reg.Snapshot().Counters[counter] >= 2 })
+
+	// An honest message sent afterwards is the first thing p0 delivers.
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if _, err := engs["p1"].Multicast(ctx, obsolete.Msg{Sender: "p1", Seq: 1}, []byte("honest")); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := victim.Deliver(ctx); err != nil || d.Meta.Sender != "p1" || string(d.Payload) != "honest" {
+		t.Fatalf("p0 delivered %+v (%v), want p1's message and nothing forged", d, err)
+	}
+	victim.Stop() // the loop has exited: its state is safe to read
+	if got := reg.Snapshot().Counters[counter]; got != 2 {
+		t.Errorf("%s = %d, want 2", counter, got)
+	}
+	if len(victim.peers) != records || victim.peers["ghost"] != nil || victim.peers["evil"] != nil {
+		t.Errorf("peer table grew from %d to %d records: %v", records, len(victim.peers), victim.peers)
+	}
+	if st := victim.Stats(); st.Delivered != 1 {
+		t.Errorf("p0 delivered %d messages, want 1", st.Delivered)
+	}
+}
+
+// tableProbe is a failure detector that also takes the SetPeers hook, which
+// enterView calls on the protocol loop right after it re-armed the peer
+// table: the one place a live engine's table can be read without racing it.
+type tableProbe struct {
+	*fd.Manual
+	installed func()
+}
+
+func (d *tableProbe) SetPeers(ident.PIDs) { d.installed() }
+
+// tableMember is one incarnation of a PID in TestPeerTableFollowsView: an
+// engine, its attachments, and an application that consumes everything and
+// remembers the highest number delivered per sender.
+type tableMember struct {
+	eng  *Engine
+	ep   *transport.MemEndpoint
+	det  *tableProbe
+	stop context.CancelFunc
+	done chan struct{}
+
+	mu   sync.Mutex
+	seen map[ident.PID]ident.Seq
+}
+
+func (m *tableMember) delivered(s ident.PID) ident.Seq {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.seen[s]
+}
+
+// halt stops the incarnation for good; its engine's state is safe to read
+// afterwards.
+func (m *tableMember) halt() {
+	m.stop()
+	m.eng.Stop()
+	<-m.done
+	m.det.Stop()
+	m.ep.Close()
+}
+
+// checkArmed is what must hold of e's peer table whenever a view has just
+// been entered: others is the view's other members in view order, each with
+// a fresh link — full window both ways, empty outgoing queue, nothing
+// staged, owed or reported — and every other record, our own included, holds
+// nothing that belongs to a view.
+func checkArmed(e *Engine) error {
+	var want, got []ident.PID
+	for _, id := range e.cv.Members {
+		if id != e.cfg.Self {
+			want = append(want, id)
+		}
+	}
+	for _, p := range e.others {
+		got = append(got, p.id)
+	}
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("others = %v, want %v (view %v)", got, want, e.cv.Members)
+	}
+	w := e.cfg.Window
+	for id, p := range e.peers {
+		l, fresh := p.link, link{}
+		if p.member {
+			fresh = link{member: true, window: w, avail: w, granted: w}
+			if l.out == nil || l.out.Len() != 0 || l.out.Cap() != e.cfg.OutgoingCap {
+				return fmt.Errorf("member %s: outgoing queue %v not fresh", id, l.out)
+			}
+			l.out = nil
+		}
+		if p.id != id || p.former || p.member != (id != e.cfg.Self && e.cv.Includes(id)) || !reflect.DeepEqual(l, fresh) {
+			return fmt.Errorf("record %s (id %s, former %v) entered view %v with link %+v, want %+v", id, p.id, p.former, e.cv.Members, l, fresh)
+		}
+	}
+	return nil
+}
+
+// TestPeerTableFollowsView drives a 5-PID group over memnet through a seeded
+// schedule of joins, voluntary leaves, evictions of crashed members and
+// rejoins under the same PID, with traffic in every view. At every install,
+// on the protocol loop, the table is as checkArmed says; a PID that comes
+// back continues the numbering of its earlier incarnation and its first
+// message is delivered everywhere; and once the last view has gone quiet the
+// credit ledgers of every pair add up to the window.
+func TestPeerTableFollowsView(t *testing.T) {
+	changes := 200
+	if testing.Short() {
+		changes = 40
+	}
+	const window = 8
+	rng := rand.New(rand.NewSource(18))
+	net := transport.NewMemNetwork()
+	all := ident.NewPIDs("p0", "p1", "p2", "p3", "p4")
+	live := map[ident.PID]*tableMember{}
+	lastSeq := map[ident.PID]ident.Seq{} // per PID, across its incarnations
+	installs := 0
+	var installsMu sync.Mutex
+
+	start := func(p ident.PID, cfg Config) *tableMember {
+		t.Helper()
+		ep, err := net.Endpoint(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &tableMember{ep: ep, done: make(chan struct{}), seen: map[ident.PID]ident.Seq{}}
+		m.det = &tableProbe{Manual: fd.NewManual(), installed: func() {
+			installsMu.Lock()
+			installs++
+			installsMu.Unlock()
+			if err := checkArmed(m.eng); err != nil {
+				t.Errorf("%s: %v", p, err)
+			}
+		}}
+		cfg.Self, cfg.Endpoint, cfg.Detector = p, ep, m.det
+		cfg.Relation = obsolete.Tagging{}
+		cfg.Window, cfg.OutgoingCap, cfg.ToDeliverCap = window, window, 4*window
+		cfg.StabilityInterval = 2 * time.Millisecond // so that peers have something reported
+		if m.eng, err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkArmed(m.eng); err != nil {
+			t.Fatalf("%s as built: %v", p, err)
+		}
+		if err := m.eng.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var ctx context.Context
+		ctx, m.stop = context.WithCancel(context.Background())
+		go func() {
+			defer close(m.done)
+			for {
+				d, err := m.eng.Deliver(ctx)
+				if err != nil || d.Kind == DeliverExpelled {
+					return
+				}
+				if d.Kind == DeliverData {
+					m.mu.Lock()
+					m.seen[d.Meta.Sender] = max(m.seen[d.Meta.Sender], d.Meta.Seq)
+					m.mu.Unlock()
+				}
+			}
+		}()
+		live[p] = m
+		return m
+	}
+	t.Cleanup(func() {
+		for _, m := range live {
+			m.halt()
+		}
+	})
+	members := func() ident.PIDs {
+		var ps []ident.PID
+		for p := range live {
+			ps = append(ps, p)
+		}
+		return ident.NewPIDs(ps...)
+	}
+	// settled waits until every live member is in one view of exactly the
+	// live PIDs.
+	settled := func(what string) {
+		t.Helper()
+		want := members()
+		waitCond(t, what, func() bool {
+			var ref ident.ViewRef
+			for _, m := range live {
+				v := m.eng.View()
+				if !v.Members.Equal(want) || (ref != ident.ViewRef{} && v.Ref() != ref) {
+					return false
+				}
+				ref = v.Ref()
+			}
+			return true
+		})
+	}
+	// traffic has every live member multicast a burst that obsoletes most of
+	// itself and ends in a message nothing obsoletes, then waits for those
+	// last messages to be delivered everywhere.
+	traffic := func(burst int) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		for _, p := range members() {
+			var batch []OutMsg
+			for i := 0; i <= burst; i++ {
+				lastSeq[p]++
+				meta := obsolete.Msg{Sender: p, Seq: lastSeq[p]}
+				if i < burst {
+					meta.Annot = obsolete.TagAnnot(uint32(1 + rng.Intn(2)))
+				}
+				batch = append(batch, OutMsg{Meta: meta, Payload: []byte{byte(i)}})
+			}
+			if _, err := live[p].eng.MulticastBatch(ctx, batch); err != nil {
+				t.Fatalf("%s multicasting %d..%d: %v", p, batch[0].Meta.Seq, lastSeq[p], err)
+			}
+		}
+		for _, p := range members() {
+			for q, m := range live {
+				waitCond(t, fmt.Sprintf("%s delivering %s:%d", q, p, lastSeq[p]), func() bool {
+					return m.delivered(p) == lastSeq[p]
+				})
+			}
+		}
+	}
+
+	founders := ident.NewPIDs("p0", "p1", "p2")
+	for _, p := range founders {
+		start(p, Config{InitialView: View{ID: 1, Members: founders}})
+	}
+	traffic(3)
+
+	joins, rejoins, leaves, evictions := 0, 0, 0, 0
+	for step := 0; step < changes; step++ {
+		in := members()
+		switch canJoin, canShrink := len(in) < len(all), len(in) > 2; {
+		case canJoin && (!canShrink || rng.Intn(2) == 0):
+			out := all.Without(in)
+			p := out[rng.Intn(len(out))]
+			for _, m := range live {
+				m.det.Restore(p) // an evicted incarnation was suspected
+			}
+			m := start(p, Config{Join: &JoinSpec{Contacts: in, Retry: 20 * time.Millisecond}})
+			settled(fmt.Sprintf("step %d: %s joining %v", step, p, in))
+			// The numbering of p runs on where its last incarnation stopped:
+			// the transfer carried the frontier the group kept for it.
+			if got := m.eng.Stats().LastSent; got != lastSeq[p] {
+				t.Fatalf("step %d: %s came back numbering from %d, its last message was %d", step, p, got, lastSeq[p])
+			}
+			if lastSeq[p] > 0 {
+				rejoins++
+			} else {
+				joins++
+			}
+		case rng.Intn(2) == 0:
+			// A voluntary leave: the member asks for its own removal and
+			// retires once it has been told.
+			p := in[rng.Intn(len(in))]
+			m := live[p]
+			if err := m.eng.RequestViewChange(p); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, p)
+			settled(fmt.Sprintf("step %d: %s leaving %v", step, p, in))
+			select {
+			case <-m.done: // it delivered the view that expels it
+			case <-time.After(15 * time.Second):
+				t.Fatalf("step %d: %s was never told it left", step, p)
+			}
+			m.halt()
+			leaves++
+		default:
+			// An eviction: the member crashes, the others come to suspect it
+			// and one of them asks for its removal.
+			p := in[rng.Intn(len(in))]
+			live[p].halt()
+			delete(live, p)
+			for _, m := range live {
+				m.det.Suspect(p)
+			}
+			rest := members()
+			if err := live[rest[rng.Intn(len(rest))]].eng.RequestViewChange(p); err != nil {
+				t.Fatal(err)
+			}
+			settled(fmt.Sprintf("step %d: evicting %s from %v", step, p, in))
+			evictions++
+		}
+		traffic(rng.Intn(2 * window))
+	}
+	if joins == 0 || rejoins < changes/8 || leaves < changes/8 || evictions < changes/8 {
+		t.Fatalf("vacuous schedule: %d joins, %d rejoins, %d leaves, %d evictions", joins, rejoins, leaves, evictions)
+	}
+	installsMu.Lock()
+	if installs < 2*changes {
+		t.Errorf("the table was checked at %d installs over %d changes", installs, changes)
+	}
+	installsMu.Unlock()
+
+	// Quiescence: everything multicast has been delivered everywhere. Let the
+	// last credit grants land, stop every loop, and read both ends of every
+	// window: the credits the sender holds plus the slots the receiver has
+	// freed but not yet granted make up the window (nothing is in flight),
+	// and the receiver's bound on what the sender holds is exact.
+	traffic(3 * window)
+	final := members()
+	var prev []Stats
+	waitCond(t, "the last view going quiet", func() bool {
+		cur := make([]Stats, 0, len(final))
+		for _, p := range final {
+			cur = append(cur, live[p].eng.Stats())
+		}
+		same := reflect.DeepEqual(cur, prev)
+		prev = cur
+		return same
+	})
+	engs := map[ident.PID]*Engine{}
+	for p, m := range live {
+		m.halt()
+		engs[p] = m.eng
+		delete(live, p)
+	}
+	for _, a := range final {
+		for _, b := range final {
+			if a == b {
+				continue
+			}
+			ab, ba := engs[a].peers[b], engs[b].peers[a]
+			if ab.avail+ba.owed != window || ab.out.Len() != 0 || ba.granted-ba.used != ab.avail {
+				t.Errorf("%s→%s: %d credits held + %d owed (granted %d, used %d, %d queued), want the window %d",
+					a, b, ab.avail, ba.owed, ba.granted, ba.used, ab.out.Len(), window)
+			}
+		}
+	}
+}

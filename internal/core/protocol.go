@@ -131,11 +131,8 @@ func (e *Engine) canCommit(meta obsolete.Msg, payload []byte) bool {
 	if fullAfterPurge(e.toDeliver, it) {
 		return false
 	}
-	for _, p := range e.cv.Members {
-		if p == e.cfg.Self {
-			continue
-		}
-		if out := e.flow.pending(p); out != nil && !e.flow.hasCredit(p) && fullAfterPurge(out, it) {
+	for _, p := range e.others {
+		if p.out != nil && !p.hasCredit() && fullAfterPurge(p.out, it) {
 			return false
 		}
 	}
@@ -164,12 +161,9 @@ func (e *Engine) commitOne(meta obsolete.Msg, payload []byte) {
 	}
 
 	e.lastSent = it.Meta.Seq
-	e.purgeToDeliver(it)
+	e.purgeToDeliver(it, nil)
 	e.toDeliver.ForceAppend(it) // room guaranteed by canCommit
-	for _, p := range e.cv.Members {
-		if p == e.cfg.Self {
-			continue
-		}
+	for _, p := range e.others {
 		e.stageData(p, dm)
 	}
 	e.stats.Multicast++
@@ -179,20 +173,16 @@ func (e *Engine) commitOne(meta obsolete.Msg, payload []byte) {
 
 // stageData stages dm for transmission to p, or buffers it in the
 // per-peer outgoing queue when p is out of window credits.
-func (e *Engine) stageData(p ident.PID, dm DataMsg) {
-	if e.flow.takeCredit(p) {
-		if e.stage == nil {
-			e.stage = make(map[ident.PID][]DataMsg)
-		}
-		e.stage[p] = append(e.stage[p], dm)
+func (e *Engine) stageData(p *peer, dm DataMsg) {
+	if p.takeCredit() {
+		p.staged = append(p.staged, dm)
 		return
 	}
-	out := e.flow.pending(p)
 	it := itemOf(dm)
-	n := uint64(out.PurgeForN(it))
+	n := uint64(p.out.PurgeForN(it))
 	e.stats.PurgedOutgoing += n
 	e.m.purgedOutgoing.Add(n)
-	out.ForceAppend(it) // room guaranteed by canCommit
+	p.out.ForceAppend(it) // room guaranteed by canCommit
 }
 
 // unstage drops the staged copies of our own message seq, which a later
@@ -205,9 +195,9 @@ func (e *Engine) unstage(seq ident.Seq) {
 		return
 	}
 	i := int(seq - e.stageBase)
-	for _, run := range e.stage {
-		if i < len(run) {
-			run[i] = DataMsg{}
+	for _, p := range e.others {
+		if i < len(p.staged) {
+			p.staged[i] = DataMsg{}
 		}
 	}
 }
@@ -222,7 +212,8 @@ func (e *Engine) unstage(seq ident.Seq) {
 // goes with the send).
 func (e *Engine) flushStage() {
 	e.stageBase = 0
-	for p, msgs := range e.stage {
+	for _, p := range e.others {
+		msgs := p.staged
 		if len(msgs) == 0 {
 			continue
 		}
@@ -239,12 +230,12 @@ func (e *Engine) flushStage() {
 			}
 		}
 		clear(msgs) // release payload references
-		e.stage[p] = msgs[:0]
-		e.sendData(p, run)
+		p.staged = msgs[:0]
+		e.sendData(p.id, run)
 		if n := len(msgs) - live; n > 0 {
 			e.stats.PurgedOutgoing += uint64(n)
 			e.m.purgedOutgoing.Add(uint64(n))
-			e.flow.credit(p, n)
+			p.credit(n)
 			e.drainOutgoing(p)
 		}
 	}
@@ -269,13 +260,16 @@ func (e *Engine) sendData(p ident.PID, run []DataMsg) {
 // routes go through ingestData per message, so batching never changes a
 // message's fate — only how many channel operations it shared.
 func (e *Engine) onDataBatch(envs []transport.Envelope) {
+	var from *peer // an envelope is one sender's run: resolved once
 	for i := range envs {
 		switch m := envs[i].Msg.(type) {
 		case DataMsg:
-			e.ingestData(m)
+			from = e.peerOf(m.Meta.Sender, from)
+			e.ingestData(from, m)
 		case *DataBatchMsg:
 			for j := range m.Msgs {
-				e.ingestData(m.Msgs[j])
+				from = e.peerOf(m.Msgs[j].Meta.Sender, from)
+				e.ingestData(from, m.Msgs[j])
 			}
 		default:
 			// A data-channel envelope that is not data: miscoded or
@@ -291,22 +285,22 @@ func (e *Engine) onDataBatch(envs []transport.Envelope) {
 // raw behind it, preserving per-sender FIFO. (The data inbox is gated
 // while anything is pending, so the stash is bounded by one batched
 // receive.)
-func (e *Engine) ingestData(dm DataMsg) {
-	if e.pendingHead != nil || e.pendingPos < len(e.pendingRest) {
+func (e *Engine) ingestData(from *peer, dm DataMsg) {
+	if e.pendingFrom != nil || e.pendingPos < len(e.pendingRest) {
 		e.pendingRest = append(e.pendingRest, dm)
 		return
 	}
-	if !e.processData(dm) {
-		h := dm
-		e.pendingHead = &h
+	if !e.processData(from, dm) {
+		e.pendingFrom, e.pendingHead = from, dm
 	}
 }
 
-// processData runs the t3 receive checks for one arrival. It returns
-// false only when the message passed every check (and its credit charge
-// and purges were applied) but the delivery queue is full — the caller
-// keeps it as pendingHead until space frees.
-func (e *Engine) processData(dm DataMsg) bool {
+// processData runs the t3 receive checks for one arrival from the sender
+// whose record is from (nil: it has none). It returns false only when the
+// message passed every check (and its credit charge and purges were
+// applied) but the delivery queue is full — the caller keeps it as
+// pendingHead until space frees.
+func (e *Engine) processData(from *peer, dm DataMsg) bool {
 	if e.expelled {
 		e.m.dropExpelled.Inc()
 		return true
@@ -322,38 +316,49 @@ func (e *Engine) processData(dm DataMsg) bool {
 	if dm.Meta.Sender == e.cfg.Self {
 		return true // never accept echoes of our own stream
 	}
+	if from == nil || !from.member {
+		e.dropUnknownSender(dm.Meta.Sender)
+		return true
+	}
 	// Whatever happens to it next, this arrival consumed one of the
 	// credits we granted its sender (receiver-side ledger, flow.go).
-	e.flow.received(dm.Meta.Sender)
-	if dm.Meta.Seq <= e.recvMax[dm.Meta.Sender] || e.coveredLocally(dm.Meta) {
+	from.received()
+	if dm.Meta.Seq <= from.recvMax || e.coveredLocally(dm.Meta) {
 		// Duplicate, or an m with some m' : m ⊑ m' already queued or
 		// delivered (Figure 1, t3). The slot it would have used is free.
 		// Either way the message was received: advance the reception
 		// frontier so stability tracking is not held back by it.
-		if dm.Meta.Seq > e.recvMax[dm.Meta.Sender] {
-			e.recvMax[dm.Meta.Sender] = dm.Meta.Seq
-		}
+		from.recvMax = max(from.recvMax, dm.Meta.Seq)
 		e.stats.DroppedCovered++
 		e.m.dropCovered.Inc()
-		e.flow.freed(dm.Meta.Sender, e)
+		e.freed(from)
 		return true
 	}
 	it := itemOf(dm)
-	e.purgeToDeliver(it)
+	e.purgeToDeliver(it, from)
 	if e.toDeliver.Full() {
 		// Keep the arrival in the one reserved stall slot; the data inbox
 		// stays closed until space frees, so per-sender FIFO holds.
 		return false
 	}
-	e.acceptData(it)
+	e.acceptData(from, it)
 	return true
 }
 
-func (e *Engine) acceptData(it queue.Item) {
+// dropUnknownSender discards a current-view data message or credit grant in
+// the name of id, which is no member of the view: only members multicast in
+// it and hold windows, so whatever PID a peer wrote there gets no slot, no
+// credit and no record.
+func (e *Engine) dropUnknownSender(id ident.PID) {
+	e.m.dropUnknownSender.Inc()
+	e.ev.Drop(obs.DropUnknownSender, slog.String("from", string(id)))
+}
+
+func (e *Engine) acceptData(from *peer, it queue.Item) {
 	if e.m.deliverLatency != nil {
 		it.At = e.clock.Now()
 	}
-	e.recvMax[it.Meta.Sender] = it.Meta.Seq
+	from.recvMax = it.Meta.Seq
 	e.toDeliver.ForceAppend(it)
 	e.serveIfFull()
 }
@@ -362,23 +367,25 @@ func (e *Engine) acceptData(it queue.Item) {
 // the processed head waiting on its stall slot, then the raw remainder of
 // the batch behind it.
 func (e *Engine) retryPending() {
+	var from *peer // sender of the last stashed arrival: they come in runs
 	for !e.blocked && !e.expelled {
-		if e.pendingHead != nil {
+		if e.pendingFrom != nil {
 			if e.toDeliver.Full() {
 				return
 			}
-			dm := *e.pendingHead
-			e.pendingHead = nil
-			e.acceptData(itemOf(dm)) // still this view: block() clears the stash
+			from = e.pendingFrom
+			it := itemOf(e.pendingHead)
+			e.pendingFrom, e.pendingHead = nil, DataMsg{}
+			e.acceptData(from, it) // still this view: block() clears the stash
 			continue
 		}
 		if e.pendingPos < len(e.pendingRest) {
 			dm := e.pendingRest[e.pendingPos]
 			e.pendingRest[e.pendingPos] = DataMsg{} // release payload refs
 			e.pendingPos++
-			if !e.processData(dm) {
-				h := dm
-				e.pendingHead = &h
+			from = e.peerOf(dm.Meta.Sender, from)
+			if !e.processData(from, dm) {
+				e.pendingFrom, e.pendingHead = from, dm
 			}
 			continue
 		}
@@ -390,7 +397,7 @@ func (e *Engine) retryPending() {
 
 // coveredLocally reports whether some queued or delivered m' has m ⊑ m',
 // for an m above its sender's frontier. Every held message of s has seq ≤
-// recvMax[s] (≤ lastSent for our own stream): commitOne, acceptData and
+// s's recvMax (≤ lastSent for our own stream): commitOne, acceptData and
 // adopt raise the frontier to whatever they insert. A sender-local cover
 // has m's sender and a seq ≥ m's, so there the frontier is the whole t3
 // test; only a relation that reaches across senders scans the queues.
@@ -403,7 +410,9 @@ func (e *Engine) coveredLocally(m obsolete.Msg) bool {
 // again (this is the heart of SVS's advantage — a slow receiver's window
 // refills without consuming). The purged entries pass through the
 // engine's reusable scratch slice, so the hot path allocates nothing.
-func (e *Engine) purgeToDeliver(it queue.Item) {
+// from is the record of it's sender (nil: our own message), which under a
+// sender-local relation is the sender of everything it purges.
+func (e *Engine) purgeToDeliver(it queue.Item, from *peer) {
 	purged := e.toDeliver.PurgeForInto(it, e.purgeScratch[:0])
 	for i := range purged {
 		p := &purged[i]
@@ -411,20 +420,26 @@ func (e *Engine) purgeToDeliver(it queue.Item) {
 		case !e.inView(p):
 		case p.Meta.Sender == e.cfg.Self:
 			e.unstage(p.Meta.Seq)
-		case !e.seededAtJoin(p.Meta):
-			e.flow.freed(p.Meta.Sender, e)
+		default:
+			from = e.peerOf(p.Meta.Sender, from)
+			e.freeSlot(from, p.Meta.Seq)
 		}
 		purged[i] = queue.Item{} // release payload references
 	}
 	e.purgeScratch = purged[:0]
 }
 
-// seededAtJoin reports whether a current-view entry was adopted from a
-// state transfer rather than received through the sender's flow-controlled
-// channel: consuming it frees no window slot, so no credit may be granted
-// for it (a duplicate arriving on the channel is credited separately).
-func (e *Engine) seededAtJoin(m obsolete.Msg) bool {
-	return e.joinSeeded != nil && m.Seq <= e.joinSeeded[m.Sender]
+// freeSlot gives sender from back the window slot its current-view message
+// seq held until it was delivered or purged — unless the message was adopted
+// from our join transfer rather than received through the sender's
+// flow-controlled channel: that one held no slot, so no credit may be
+// granted for it (a duplicate arriving on the channel is credited
+// separately). Our own record, like any non-member's, has no window to give
+// slots back to.
+func (e *Engine) freeSlot(from *peer, seq ident.Seq) {
+	if from != nil && seq > from.seeded {
+		e.freed(from)
+	}
 }
 
 // ---- t1: deliver ---------------------------------------------------------
@@ -461,6 +476,7 @@ func (e *Engine) serveIfFull() {
 // (Deliver's holds one); it never completes empty — it waits for the first
 // item, or for the terminal error that says none will come.
 func (e *Engine) serveWaiters() {
+	var from *peer // sender of the last head: the queue comes in runs of one
 	for len(e.deliverWaiters) > 0 {
 		w := e.deliverWaiters[0]
 		if w.ctx != nil && w.ctx.Err() != nil {
@@ -473,7 +489,7 @@ func (e *Engine) serveWaiters() {
 			if !ok {
 				break
 			}
-			w.dst[n] = e.deliverItem(it)
+			w.dst[n], from = e.deliverItem(it, from)
 			n++
 		}
 		res := result{n: n}
@@ -487,7 +503,10 @@ func (e *Engine) serveWaiters() {
 	}
 }
 
-func (e *Engine) deliverItem(it queue.Item) Delivery {
+// deliverItem turns a popped queue head into what the application sees.
+// last is the record the previous call resolved; the record of it's sender
+// comes back for the next one.
+func (e *Engine) deliverItem(it queue.Item, last *peer) (Delivery, *peer) {
 	switch it.Kind {
 	case queue.Control:
 		v := it.Ctl.(View)
@@ -495,7 +514,7 @@ func (e *Engine) deliverItem(it queue.Item) Delivery {
 		if !v.Includes(e.cfg.Self) {
 			kind = DeliverExpelled
 		}
-		return Delivery{Kind: kind, View: v.ID, Epoch: v.Epoch, NewView: v}
+		return Delivery{Kind: kind, View: v.ID, Epoch: v.Epoch, NewView: v}, last
 	default:
 		e.stats.Delivered++
 		e.m.delivered.Inc()
@@ -507,9 +526,8 @@ func (e *Engine) deliverItem(it queue.Item) Delivery {
 			// history with the same relation so it holds live items only.
 			e.delivered.PurgeForN(it)
 			e.delivered.ForceAppend(it)
-			if it.Meta.Sender != e.cfg.Self && !e.seededAtJoin(it.Meta) {
-				e.flow.freed(it.Meta.Sender, e)
-			}
+			last = e.peerOf(it.Meta.Sender, last)
+			e.freeSlot(last, it.Meta.Seq)
 		}
 		return Delivery{
 			Kind:    DeliverData,
@@ -517,7 +535,7 @@ func (e *Engine) deliverItem(it queue.Item) Delivery {
 			Epoch:   ident.Epoch(it.Epoch),
 			Meta:    it.Meta,
 			Payload: it.Payload,
-		}
+		}, last
 	}
 }
 
@@ -611,8 +629,13 @@ func (e *Engine) onCtl(env transport.Envelope) {
 				slog.Uint64("view", uint64(m.View)))
 			return
 		}
-		e.flow.credit(env.From, m.Credits)
-		e.drainOutgoing(env.From)
+		p := e.peers[env.From]
+		if p == nil || !p.member {
+			e.dropUnknownSender(env.From)
+			return
+		}
+		p.credit(m.Credits)
+		e.drainOutgoing(p)
 	case StableMsg:
 		e.onStable(env.From, m)
 	case JoinReqMsg:
@@ -719,8 +742,9 @@ func (e *Engine) onInit(from ident.PID, m InitMsg) {
 	// The local pred sequence: what we accepted to deliver in this view.
 	// Messages known stable (received by every member) are left out — the
 	// SVS obligations for them hold everywhere without flushing.
+	stable := e.stableFilter()
 	pred := PredMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Msgs: e.held(func(it *queue.Item) bool {
-		return e.inView(it) && !e.isStable(it.Meta.Sender, it.Meta.Seq)
+		return e.inView(it) && !stable(it)
 	})}
 	for _, p := range e.cv.Members {
 		e.send(p, transport.Ctl, pred)
@@ -757,7 +781,7 @@ func (e *Engine) block() {
 	e.blocked = true
 	e.blockStart = e.clock.Now()
 	e.m.blockedG.Set(1)
-	e.pendingHead = nil
+	e.pendingFrom, e.pendingHead = nil, DataMsg{}
 	e.pendingRest = e.pendingRest[:0]
 	e.pendingPos = 0
 }
@@ -952,21 +976,6 @@ func (e *Engine) install(val consensusValue) {
 		e.ev.Expelled(uint64(val.Next.ID))
 	}
 
-	// Remember who left: they are the processes a healing engine probes,
-	// since only someone we once shared a view with can be the far side of
-	// a healed partition.
-	if e.cfg.Heal != nil && !e.expelled {
-		for _, p := range e.cv.Members.Without(val.Next.Members) {
-			if p != e.cfg.Self {
-				e.former[p] = struct{}{}
-			}
-		}
-		for _, p := range val.Next.Members {
-			delete(e.former, p)
-		}
-	}
-
-	e.joinSeeded = nil
 	e.enterView(val.Next)
 }
 
@@ -990,9 +999,7 @@ func (e *Engine) enterView(next View) {
 	e.predReceived = nil
 	clear(e.globalPred)
 	clear(e.pendingNext)
-	clear(e.stage) // empty — advance flushes before every return — but keeps a slice for every peer ever staged to
-	e.flow.reset(e.cv.Members)
-	e.resetStabilityForView()
+	e.armPeers()
 	e.setPeers(e.cv.Members)
 
 	e.retryParked()
@@ -1118,11 +1125,12 @@ func (e *Engine) onJoinState(from ident.PID, m StateMsg) {
 	e.m.joinBytesRecv.Add(uint64(size))
 
 	// Backlog entries of the installed view never consumed a window slot
-	// here; remember them so their consumption grants no credits.
-	e.joinSeeded = make(map[ident.PID]ident.Seq)
+	// here; remember them so their consumption grants no credits. Whatever
+	// the sender multicasts in later views is numbered above them.
 	for _, dm := range m.Backlog {
-		if dm.View == m.View && dm.Epoch == m.Epoch && dm.Meta.Seq > e.joinSeeded[dm.Meta.Sender] {
-			e.joinSeeded[dm.Meta.Sender] = dm.Meta.Seq
+		if dm.View == m.View && dm.Epoch == m.Epoch {
+			s := e.peer(dm.Meta.Sender)
+			s.seeded = max(s.seeded, dm.Meta.Seq)
 		}
 	}
 	e.adopt(m.Backlog, m.Recv)

@@ -82,19 +82,19 @@ func repurge(rel obsolete.Relation, msgs []DataMsg) []DataMsg {
 func (e *Engine) adopt(msgs []DataMsg, recv map[ident.PID]ident.Seq) int {
 	added := 0
 	for _, dm := range msgs {
-		s, seq := dm.Meta.Sender, dm.Meta.Seq
-		if seq <= e.recvMax[s] || (s == e.cfg.Self && seq <= e.lastSent) || e.coveredLocally(dm.Meta) {
+		s, seq := e.peer(dm.Meta.Sender), dm.Meta.Seq
+		if seq <= s.recvMax || (s.id == e.cfg.Self && seq <= e.lastSent) || e.coveredLocally(dm.Meta) {
 			continue
 		}
-		e.recvMax[s] = seq
+		s.recvMax = seq
 		e.toDeliver.ForceAppend(itemOf(dm))
 		added++
 	}
-	for s, q := range recv {
-		if s == e.cfg.Self {
+	for id, q := range recv {
+		if id == e.cfg.Self {
 			e.lastSent = max(e.lastSent, q)
-		} else if q > e.recvMax[s] {
-			e.recvMax[s] = q
+		} else if s := e.peer(id); q > s.recvMax {
+			s.recvMax = q
 		}
 	}
 	return added

@@ -13,16 +13,16 @@ import (
 // snapEngine is a hand-built, never-started engine: no goroutines, no
 // clock, just the loop-owned state the snapshot code reads and writes.
 func snapEngine(rel obsolete.Relation) *Engine {
-	return &Engine{
+	e := &Engine{
 		cfg:       Config{Self: "me", Relation: rel},
 		rel:       rel,
 		cv:        View{ID: 4, Members: ident.NewPIDs("a", "b", "me")},
 		toDeliver: queue.New(rel, 0),
 		delivered: queue.New(rel, 0),
-		recvMax:   make(map[ident.PID]ident.Seq),
 		coverScan: !obsolete.CapsOf(rel).SenderLocal,
-		stable:    make(map[ident.PID]ident.Seq),
 	}
+	e.armPeers()
+	return e
 }
 
 // tagged is a data item of sender s tagged with item tag (0 = untagged,
@@ -60,8 +60,8 @@ func ids(msgs []DataMsg) []string {
 func TestSnapshotThreeCallersOneState(t *testing.T) {
 	e := snapEngine(obsolete.Tagging{})
 	e.lastSent = 7
-	e.recvMax["a"], e.recvMax["b"], e.recvMax["c"] = 8, 3, 9
-	e.stable["a"] = 5
+	e.peer("a").recvMax, e.peer("b").recvMax, e.peer("c").recvMax = 8, 3, 9
+	e.peer("a").stable = 5
 	for _, it := range []queue.Item{
 		tagged(4, "a", 5, 1), // stable
 		tagged(4, "a", 6, 2), // covered by a:7, which is still queued
@@ -90,7 +90,7 @@ func TestSnapshotThreeCallersOneState(t *testing.T) {
 			// history then queue, nothing repurged.
 			name: "view-change pred",
 			got: e.held(func(it *queue.Item) bool {
-				return e.inView(it) && !e.isStable(it.Meta.Sender, it.Meta.Seq)
+				return e.inView(it) && !e.stableFilter()(it)
 			}),
 			want: []string{"a:6@4", "b:3@4", "me:6@4", "a:7@4", "a:8@4", "me:7@4"},
 		},
@@ -125,7 +125,7 @@ func TestSnapshotThreeCallersOneState(t *testing.T) {
 func TestSnapshotAdopt(t *testing.T) {
 	e := snapEngine(tagAnySender)
 	e.lastSent = 7
-	e.recvMax["a"], e.recvMax["b"] = 6, 3
+	e.peer("a").recvMax, e.peer("b").recvMax = 6, 3
 	e.toDeliver.ForceAppend(tagged(4, "a", 9, 4))
 
 	msg := func(s ident.PID, seq ident.Seq, tag uint32) DataMsg {
@@ -154,8 +154,12 @@ func TestSnapshotAdopt(t *testing.T) {
 	}
 	// a and me were offered lower frontiers than we hold: they stay put.
 	wantMax := map[ident.PID]ident.Seq{"a": 6, "b": 10, "d": 1, "me": 8, "x": 2}
-	if !reflect.DeepEqual(e.recvMax, wantMax) {
-		t.Errorf("reception frontiers: got %v, want %v", e.recvMax, wantMax)
+	gotMax := map[ident.PID]ident.Seq{}
+	for id, p := range e.peers {
+		gotMax[id] = p.recvMax
+	}
+	if !reflect.DeepEqual(gotMax, wantMax) {
+		t.Errorf("reception frontiers: got %v, want %v", gotMax, wantMax)
 	}
 	if e.lastSent != 7 {
 		t.Errorf("lastSent moved to %d, want 7", e.lastSent)

@@ -38,9 +38,11 @@ type StableMsg struct {
 // here. The stability gossip ships it, and so does every state transfer
 // that carries frontiers (snapshot.go).
 func (e *Engine) recvSnapshot() map[ident.PID]ident.Seq {
-	recv := make(map[ident.PID]ident.Seq, len(e.recvMax)+1)
-	for s, q := range e.recvMax {
-		recv[s] = q
+	recv := make(map[ident.PID]ident.Seq, len(e.peers)+1)
+	for id, s := range e.peers {
+		if s.recvMax > 0 {
+			recv[id] = s.recvMax
+		}
 	}
 	if e.lastSent > recv[e.cfg.Self] {
 		recv[e.cfg.Self] = e.lastSent
@@ -54,56 +56,38 @@ func (e *Engine) gossipStability() {
 		return
 	}
 	m := StableMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Recv: e.recvSnapshot()}
-	for _, p := range e.cv.Members {
-		if p == e.cfg.Self {
-			e.onStable(p, m)
-			continue
-		}
-		e.send(p, transport.Ctl, m)
+	e.onStable(e.cfg.Self, m)
+	for _, p := range e.others {
+		e.send(p.id, transport.Ctl, m)
 	}
 }
 
-// onStable folds a frontier report into the stability table.
+// onStable folds a frontier report into the stability table. The report is
+// kept as received: its sender built it for this one gossip round and
+// nobody writes to it afterwards.
 func (e *Engine) onStable(from ident.PID, m StableMsg) {
 	if m.View != e.cv.ID || m.Epoch != e.cv.Epoch || !e.cv.Includes(from) {
 		return
 	}
-	if e.recvTable == nil {
-		e.recvTable = make(map[ident.PID]map[ident.PID]ident.Seq)
-	}
-	row := make(map[ident.PID]ident.Seq, len(m.Recv))
-	for s, q := range m.Recv {
-		row[s] = q
-	}
-	e.recvTable[from] = row
+	e.peer(from).reported = m.Recv
 	e.recomputeStable()
 }
 
 // recomputeStable derives the group-wide stable frontier: per sender, the
 // minimum frontier over every current member. Members that have not
-// reported yet hold everything at zero.
+// reported yet hold everything at zero. A sender without a record has sent
+// us nothing that could be pruned, and needs no frontier until it has one.
 func (e *Engine) recomputeStable() {
-	if e.stable == nil {
-		e.stable = make(map[ident.PID]ident.Seq)
-	}
-	senders := make(map[ident.PID]struct{})
-	for _, row := range e.recvTable {
-		for s := range row {
-			senders[s] = struct{}{}
-		}
-	}
-	for s := range senders {
-		min := ident.Seq(0)
-		first := true
-		for _, q := range e.cv.Members {
-			row := e.recvTable[q]
-			v := row[s] // zero when q never reported (or lacks s)
-			if first || v < min {
-				min, first = v, false
+	self := e.peer(e.cfg.Self)
+	for id, s := range e.peers {
+		min := self.reported[id] // zero when a member never reported (or lacks s)
+		for _, q := range e.others {
+			if v := q.reported[id]; v < min {
+				min = v
 			}
 		}
-		if min > e.stable[s] {
-			e.stable[s] = min
+		if min > s.stable {
+			s.stable = min
 		}
 	}
 	e.pruneStable()
@@ -119,27 +103,23 @@ func (e *Engine) recomputeStable() {
 // Relation purging still bounds the retained history at O(window); only
 // flush-adopted entries tagged with older views remain prunable.
 func (e *Engine) pruneStable() {
-	if len(e.stable) == 0 {
-		return
-	}
-	removed := e.delivered.RemoveIf(func(it queue.Item) bool {
-		if it.Kind != queue.Data || !e.isStable(it.Meta.Sender, it.Meta.Seq) {
-			return false
-		}
-		return e.cfg.Heal == nil || !e.inView(&it)
+	stable := e.stableFilter()
+	removed := e.delivered.RemoveIf(func(it *queue.Item) bool {
+		return it.Kind == queue.Data && stable(it) && (e.cfg.Heal == nil || !e.inView(it))
 	})
 	e.stats.StablePruned += uint64(removed)
 	e.m.stablePruned.Add(uint64(removed))
 }
 
-// isStable reports whether message (s, seq) is known received everywhere.
-func (e *Engine) isStable(s ident.PID, seq ident.Seq) bool {
-	return seq <= e.stable[s]
-}
-
-// resetStabilityForView clears per-view rows after a membership change;
-// the stable frontier itself is monotone and survives (sequence numbers
-// are global per sender).
-func (e *Engine) resetStabilityForView() {
-	e.recvTable = make(map[ident.PID]map[ident.PID]ident.Seq)
+// stableFilter returns the test "this data item is known received
+// everywhere" for one walk over held items. The reports it rests on are
+// per view (armPeers drops them after a membership change); the stable
+// frontier itself is monotone and survives, since sequence numbers are
+// global per sender.
+func (e *Engine) stableFilter() func(*queue.Item) bool {
+	var s *peer // held items come in runs of one sender
+	return func(it *queue.Item) bool {
+		s = e.peerOf(it.Meta.Sender, s)
+		return s != nil && it.Meta.Seq <= s.stable
+	}
 }

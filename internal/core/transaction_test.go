@@ -106,16 +106,15 @@ func (s *sendLog) Send(_ ident.PID, _ ident.GroupID, ch transport.Channel, m any
 func txnEngine(rel obsolete.Relation, window, outCap, deliverCap int) (*Engine, *sendLog) {
 	log := &sendLog{}
 	cfg := Config{Self: "me", Endpoint: log, Relation: rel, Window: window, OutgoingCap: outCap}
-	members := ident.NewPIDs("me", "peer")
-	return &Engine{
+	e := &Engine{
 		cfg:       cfg,
 		rel:       rel,
-		cv:        View{ID: 1, Members: members},
+		cv:        View{ID: 1, Members: ident.NewPIDs("me", "peer")},
 		toDeliver: queue.New(rel, deliverCap),
 		delivered: queue.New(rel, 0),
-		recvMax:   make(map[ident.PID]ident.Seq),
-		flow:      newFlowState(cfg, members),
-	}, log
+	}
+	e.armPeers()
+	return e, log
 }
 
 // TestStagePurgeRefundsCredit drives more than four windows of messages
@@ -128,6 +127,7 @@ func txnEngine(rel obsolete.Relation, window, outCap, deliverCap int) (*Engine, 
 func TestStagePurgeRefundsCredit(t *testing.T) {
 	const window, perBatch, batches = 4, 6, 8
 	e, log := txnEngine(obsolete.Tagging{}, window, window, 0)
+	peer := e.others[0]
 	rng := rand.New(rand.NewSource(3))
 	seq, inFlight := ident.Seq(0), 0
 	for b := 0; b < batches; b++ {
@@ -147,9 +147,9 @@ func TestStagePurgeRefundsCredit(t *testing.T) {
 					}
 				}
 			}
-			if got := e.flow.avail["peer"] + inFlight; got != window {
+			if got := peer.avail + inFlight; got != window {
 				t.Fatalf("batch %d: %d credits held + %d copies in flight = %d, want the window %d",
-					b, e.flow.avail["peer"], inFlight, got, window)
+					b, peer.avail, inFlight, got, window)
 			}
 			if done {
 				break
@@ -160,9 +160,9 @@ func TestStagePurgeRefundsCredit(t *testing.T) {
 			// The peer consumes what is in flight and grants it back, as a
 			// CreditMsg would.
 			sent = len(log.data)
-			e.flow.credit("peer", inFlight)
+			peer.credit(inFlight)
 			inFlight = 0
-			e.drainOutgoing("peer")
+			e.drainOutgoing(peer)
 			inFlight += len(log.data) - sent
 		}
 		// The delivery queue is unbounded and nobody delivers: keep only
@@ -176,7 +176,7 @@ func TestStagePurgeRefundsCredit(t *testing.T) {
 			t.Fatalf("peer was sent %d after %d", log.data[i].Meta.Seq, log.data[i-1].Meta.Seq)
 		}
 	}
-	queued := e.flow.pending("peer").Len()
+	queued := peer.out.Len()
 	if got := uint64(len(log.data)+queued) + e.stats.PurgedOutgoing; got != uint64(seq) {
 		t.Fatalf("%d sent + %d queued + %d purged outgoing = %d, want every one of %d copies",
 			len(log.data), queued, e.stats.PurgedOutgoing, got, seq)
@@ -225,7 +225,7 @@ func TestFullQueueServedMidTurn(t *testing.T) {
 		run = append(run, DataMsg{View: 1, Meta: obsolete.Msg{Sender: "peer", Seq: s}})
 	}
 	e.onDataBatch([]transport.Envelope{{From: "peer", Msg: &DataBatchMsg{Msgs: run}}})
-	if e.pendingHead != nil || len(e.pendingRest) != 0 {
+	if e.pendingFrom != nil || len(e.pendingRest) != 0 {
 		t.Fatal("arrivals stalled behind a full queue that had a waiter")
 	}
 	if got := served(w); fmt.Sprint(got) != "[1 2 3 4]" || e.toDeliver.Len() != 2 {

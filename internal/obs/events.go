@@ -29,6 +29,9 @@ const (
 	DropUnknownCtl DropReason = "unknown_ctl"
 	// DropExpelled: traffic arriving after this process was expelled.
 	DropExpelled DropReason = "expelled"
+	// DropUnknownSender: a current-view data message or credit grant in the
+	// name of a process that is not a member of the view.
+	DropUnknownSender DropReason = "unknown_sender"
 	// DropUnknownGroup: transport traffic for a group this node does not
 	// host (or no longer hosts).
 	DropUnknownGroup DropReason = "unknown_group"

@@ -129,11 +129,11 @@ func (m *model) popHead() (Item, bool) {
 	return it, true
 }
 
-func (m *model) removeIf(f func(Item) bool) int {
+func (m *model) removeIf(f func(*Item) bool) int {
 	kept := m.items[:0]
 	removed := 0
 	for _, it := range m.items {
-		if f(it) {
+		if f(&it) {
 			removed++
 			continue
 		}
@@ -355,7 +355,7 @@ func TestDifferentialIndexedVsReference(t *testing.T) {
 						}
 					case 9: // view-change garbage collection
 						v := uint64(1 + rng.Intn(2))
-						f := func(it Item) bool { return it.View == v && it.Meta.Seq%3 == 0 }
+						f := func(it *Item) bool { return it.View == v && it.Meta.Seq%3 == 0 }
 						if qr, mr := q.RemoveIf(f), m.removeIf(f); qr != mr {
 							t.Fatalf("trial %d step %d: RemoveIf %d vs %d", trial, step, qr, mr)
 						}
@@ -634,7 +634,7 @@ func TestDifferentialListedWalkScan(t *testing.T) {
 							}
 						}
 					default:
-						f := func(it Item) bool { return it.Meta.Seq%7 == 0 }
+						f := func(it *Item) bool { return it.Meta.Seq%7 == 0 }
 						want := m.removeIf(f)
 						for i, q := range qs {
 							if got := q.RemoveIf(f); got != want {

@@ -266,12 +266,13 @@ func (q *Queue) AnyRef(f func(*Item) bool) bool {
 
 // RemoveIf removes every entry satisfying f, returning how many were
 // removed. Unlike Purge this does not touch the purge counter; it is used
-// for view-change garbage collection.
-func (q *Queue) RemoveIf(f func(Item) bool) int {
+// for view-change garbage collection. Entries are visited by reference,
+// under the aliasing rules of EachRef.
+func (q *Queue) RemoveIf(f func(*Item) bool) int {
 	removed := 0
 	for p := q.head; p != q.tail; p++ {
 		it := q.slot(p)
-		if it.Kind == kindDead || !f(*it) {
+		if it.Kind == kindDead || !f(it) {
 			continue
 		}
 		if q.idx != nil && it.Kind == Data {

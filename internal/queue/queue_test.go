@@ -173,7 +173,7 @@ func TestRemoveIfAndSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	removed := q.RemoveIf(func(it Item) bool { return it.View == 0 })
+	removed := q.RemoveIf(func(it *Item) bool { return it.View == 0 })
 	if removed != 2 {
 		t.Fatalf("RemoveIf removed %d, want 2", removed)
 	}

@@ -78,7 +78,7 @@ func TestRingReleasesPoppedAndPurgedSlots(t *testing.T) {
 	q.Purge()
 	checkSlotsReleased(t, q)
 
-	q.RemoveIf(func(it Item) bool { return it.Meta.Seq%2 == 0 })
+	q.RemoveIf(func(it *Item) bool { return it.Meta.Seq%2 == 0 })
 	checkSlotsReleased(t, q)
 
 	for {
