@@ -440,3 +440,34 @@ func TestBatchedEquivalentToSingle(t *testing.T) {
 		}
 	}
 }
+
+// TestPayloadIsAliasedNotCopied pins the ownership rule of Multicast and
+// MulticastBatch: payload bytes are given to the group and travel without
+// a copy — over memnet the receiver delivers the very memory the sender
+// submitted. That is why a caller must never write to them again, and it
+// is what a defensive copy (one allocation per message) would break.
+func TestPayloadIsAliasedNotCopied(t *testing.T) {
+	pids := ident.NewPIDs("n0", "n1")
+	groups := createEverywhere(t, memNodes(t, pids), pids, 1, GroupConfig{})
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+
+	single, batched := []byte("single"), []byte("batched")
+	if _, err := groups["n0"].Multicast(ctx, obsolete.Msg{Sender: "n0", Seq: 1}, single); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := groups["n0"].MulticastBatch(ctx, []OutMsg{{Meta: obsolete.Msg{Sender: "n0", Seq: 2}, Payload: batched}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pids {
+		for _, want := range [][]byte{single, batched} {
+			d, err := groups[p].Deliver(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(d.Payload) != string(want) || &d.Payload[0] != &want[0] {
+				t.Errorf("%s delivered %q in memory of its own, want the submitted %q itself", p, d.Payload, want)
+			}
+		}
+	}
+}

@@ -53,7 +53,9 @@ type Delivery struct {
 }
 
 // Stats exposes the engine's counters; all values are cumulative since
-// Start except where noted.
+// Start except where noted. It is the one place the engine counts: the
+// loop bumps its own copy once per event and publishes it when a turn
+// ends, and a metrics registry reads the published copy (statsExport).
 type Stats struct {
 	// View is the identifier of the current view.
 	View ident.ViewID
@@ -71,6 +73,12 @@ type Stats struct {
 	DroppedStale    uint64 // arrivals discarded: wrong view
 	DroppedCovered  uint64 // arrivals discarded: duplicate or covered (t3)
 
+	DroppedBadType       uint64 // data-channel envelopes that were not data
+	DroppedUnknownCtl    uint64 // control envelopes of no known type
+	DroppedExpelled      uint64 // traffic reaching this engine after its expulsion
+	DroppedUnknownSender uint64 // current-view data or credits in a non-member's name
+	SendErrors           uint64 // sends the endpoint refused
+
 	CreditsStaleView   uint64 // credit grants discarded: wrong view
 	CtlDeferredDropped uint64 // future-view control envelopes dropped past the defer cap
 
@@ -82,6 +90,8 @@ type Stats struct {
 
 	FlushAdded   uint64 // messages adopted from decided flush sets
 	LastFlushLen int    // size of the last decided flush set
+
+	CreditFlushes uint64 // owed-credit batches granted back to senders
 
 	MulticastParks uint64 // times a multicast had to wait (flow control)
 	Parked         int    // multicasts currently parked on flow control
@@ -96,12 +106,19 @@ type Stats struct {
 	StablePruned uint64 // history entries reclaimed by stability tracking
 	HistoryLen   int    // current delivery-history size (flush-set bound)
 
-	// DecisionsIgnored counts consensus decisions that arrived but could
-	// not be installed — duplicates of the current view, decisions for a
-	// view this engine is no longer waiting on, or decisions landing while
-	// unblocked. With concurrent proposals (splits, merges) these are
-	// expected losers of the arbitration, not errors.
-	DecisionsIgnored uint64
+	// Blocked reports the group closed for a view change or a merge.
+	Blocked bool
+
+	// Consensus decisions that arrived but could not be installed — the
+	// duplicate report of the current view, a decision landing while
+	// unblocked, a decision for a view this engine is not waiting on. With
+	// concurrent proposals (splits, merges) these are expected losers of
+	// the arbitration, not errors. DecisionFailures are the errors: an
+	// outcome that did not decode, a stopped consensus service.
+	IgnoredDuplicate  uint64
+	IgnoredNotBlocked uint64
+	IgnoredWrongView  uint64
+	DecisionFailures  uint64
 
 	// Partition healing (Config.Heal).
 	Merges         uint64 // union views installed by a partition merge

@@ -34,13 +34,9 @@ type Engine struct {
 	cancel  context.CancelFunc
 	once    sync.Once
 
-	// Snapshot mirrors (written by the loop under mu, read by the facade).
-	// started (also under mu) records that Start launched the loop, so Stop
-	// knows whether there is one to wait for.
-	mu       sync.Mutex
-	curView  View
-	curStats Stats
-	started  bool
+	// pub is the facade's mirror of the loop's view and counters
+	// (metrics.go), written by the loop when a turn ends.
+	pub *published
 
 	// ---- state below is owned exclusively by the run loop ----
 
@@ -146,8 +142,8 @@ const (
 )
 
 // OutMsg is one message of a MulticastBatch: the tracker-minted metadata
-// and its payload. The payload slice is borrowed by the engine until the
-// call returns (see Engine.MulticastBatch).
+// and its payload. The payload bytes are given to the group, not lent to
+// the call (see Engine.MulticastBatch).
 type OutMsg struct {
 	Meta    obsolete.Msg
 	Payload []byte
@@ -257,7 +253,8 @@ func New(cfg Config) (*Engine, error) {
 		pendingNext: make(map[ident.ViewRef]bool),
 	}
 	e.armPeers()
-	e.curView = e.cv.Clone()
+	e.pub = &published{view: e.cv.Clone()}
+	e.pub.export(cfg.Obs)
 	return e, nil
 }
 
@@ -265,14 +262,14 @@ func New(cfg Config) (*Engine, error) {
 // engine also starts asking its contacts for admission. Start after Stop
 // fails with ErrStopped.
 func (e *Engine) Start() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.pub.mu.Lock()
+	defer e.pub.mu.Unlock()
 	select {
 	case <-e.stopC:
 		return ErrStopped
 	default:
 	}
-	e.started = true
+	e.pub.started = true
 	e.cons.Start()
 	if e.cfg.StabilityInterval > 0 {
 		e.stabTick = e.clock.NewTicker(e.cfg.StabilityInterval)
@@ -296,10 +293,10 @@ func (e *Engine) Start() error {
 func (e *Engine) Stop() {
 	e.once.Do(func() {
 		e.cancel()
-		e.mu.Lock()
+		e.pub.mu.Lock()
 		close(e.stopC)
-		started := e.started
-		e.mu.Unlock()
+		started := e.pub.started
+		e.pub.mu.Unlock()
 		if !started {
 			close(e.doneC) // no loop will
 		}
@@ -313,17 +310,13 @@ func (e *Engine) Self() ident.PID { return e.cfg.Self }
 
 // View returns the most recently installed view.
 func (e *Engine) View() View {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.curView.Clone()
+	e.pub.mu.Lock()
+	defer e.pub.mu.Unlock()
+	return e.pub.view.Clone()
 }
 
-// Stats returns a snapshot of the engine counters.
-func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.curStats
-}
+// Stats returns the engine counters as of the loop's last completed turn.
+func (e *Engine) Stats() Stats { return e.pub.Stats() }
 
 // Multicast submits a data message to the group (transition t2). meta must
 // come from an obsolescence tracker over this process's stream: sequence
@@ -331,7 +324,8 @@ func (e *Engine) Stats() Stats {
 // protocol exercises flow control (buffers full or view change in
 // progress) until the message is accepted, ctx is done, or the engine
 // stops. On success it returns the global identifier of the view the
-// message was multicast in.
+// message was multicast in. payload is never copied and must never be
+// written again (see MulticastBatch).
 func (e *Engine) Multicast(ctx context.Context, meta obsolete.Msg, payload []byte) (ident.ViewRef, error) {
 	req := getRequest(reqMulticast, ctx)
 	req.one[0] = OutMsg{Meta: meta, Payload: payload}
@@ -351,9 +345,16 @@ func (e *Engine) Multicast(ctx context.Context, meta obsolete.Msg, payload []byt
 // later one of the same batch obsoletes may reach nobody — which calling
 // Multicast once per message only achieves when no one consumes in between.
 //
-// msgs (and its payload slices) are borrowed by the engine until the call
-// returns; the caller must not mutate them meanwhile and may reuse them
-// freely afterwards. The call blocks until every message has committed.
+// The msgs slice is borrowed until the call returns and is the caller's
+// again afterwards. The payload bytes are not: nothing copies them, so the
+// delivery queue, the history, the per-peer outgoing queues and — over an
+// in-process transport — every peer's queues alias them until the message
+// is delivered or purged everywhere. They belong to the group from the
+// call on and must never be written again; refill a batch with fresh
+// payload memory, not by overwriting the old. The same holds for
+// Multicast's payload.
+//
+// The call blocks until every message has committed.
 // On success it returns the view the last message was sent in. On error,
 // messages preceding the failure were committed and sent; the failed
 // message and everything after it were not.
@@ -627,7 +628,7 @@ func (e *Engine) failJoin() {
 // but the failure is counted and logged instead of vanishing into `_ =`.
 func (e *Engine) send(p ident.PID, ch transport.Channel, msg any) {
 	if err := e.cfg.Endpoint.Send(p, e.cfg.Group, ch, msg); err != nil {
-		e.m.sendErrors.Inc()
+		e.stats.SendErrors++
 		e.ev.SendError(string(p), err)
 	}
 }
@@ -642,28 +643,22 @@ func (e *Engine) syncSnapshots() {
 	e.stats.HistoryLen = e.delivered.Len()
 	e.stats.Parked = len(e.multicastQ)
 	e.stats.LastSent = e.lastSent
+	e.stats.Blocked = e.blocked
 	st := e.toDeliver.Stats()
 	e.stats.PurgedToDeliver = st.Purged
 	if st.MaxLen > e.stats.ToDeliverMax {
 		e.stats.ToDeliverMax = st.MaxLen
 	}
-	e.m.view.Set(int64(e.cv.ID))
-	e.m.members.Set(int64(len(e.cv.Members)))
-	e.m.qLen.Set(int64(e.stats.ToDeliverLen))
-	e.m.qMax.Max(int64(e.stats.ToDeliverMax))
-	e.m.histLen.Set(int64(e.stats.HistoryLen))
-	e.m.purgedQ.Set(int64(e.stats.PurgedToDeliver))
-	e.m.parkedG.Set(int64(e.stats.Parked))
-	e.mu.Lock()
+	e.pub.mu.Lock()
 	if e.viewDirty {
 		// Clone only when the view actually changed: the facade keeps its
 		// own copy, and cloning per loop iteration would put a members
 		// alloc on the per-batch hot path.
-		e.curView = e.cv.Clone()
+		e.pub.view = e.cv.Clone()
 		e.viewDirty = false
 	}
-	e.curStats = e.stats
-	e.mu.Unlock()
+	e.pub.stats = e.stats
+	e.pub.mu.Unlock()
 	for i, req := range e.replies {
 		req.resC <- req.res // buffered, one reply per request: never blocks
 		e.replies[i] = nil

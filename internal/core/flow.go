@@ -171,7 +171,7 @@ func (p *peer) freed() int {
 // freed is peer.freed with the grant sent.
 func (e *Engine) freed(p *peer) {
 	if n := p.freed(); n > 0 {
-		e.m.creditFlushes.Inc()
+		e.stats.CreditFlushes++
 		e.send(p.id, transport.Ctl, CreditMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Credits: n})
 	}
 }

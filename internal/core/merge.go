@@ -411,7 +411,6 @@ func (e *Engine) checkMergePropose() {
 func (e *Engine) finishMerge(val consensusValue) {
 	mg := e.merge
 	e.stats.Merges++
-	e.m.mergesTotal.Inc()
 	took := e.clock.Since(mg.started)
 	e.m.mergeDur.ObserveDuration(took)
 	e.m.mergeBytes.Observe(float64(mg.bytesIn))
@@ -429,7 +428,6 @@ func (e *Engine) abortMerge(reason string) {
 	delete(e.pendingNext, mg.ref)
 	e.unblock()
 	e.stats.MergeAborts++
-	e.m.mergeAborts.Inc()
 	e.ev.MergeAborted(mg.ref.String(), reason)
 	for _, p := range mg.union {
 		if p != e.cfg.Self && !e.cv.Includes(p) {

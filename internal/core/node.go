@@ -144,7 +144,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		groups:     make(map[ident.GroupID]*Group),
 		groupPeers: make(map[ident.GroupID]ident.PIDs),
 	}
-	// Endpoints that can mirror their drop counters onto an obs registry
+	// Endpoints that can export their drop counters through an obs registry
 	// (both in-tree transports) get the node's bundle; transports without
 	// the hook are left alone.
 	if in, ok := cfg.Endpoint.(interface{ Instrument(*obs.Obs) }); ok {

@@ -87,7 +87,6 @@ func (e *Engine) advance(req *request) bool {
 // stall start for the park-duration histogram.
 func (e *Engine) park(req *request) {
 	e.stats.MulticastParks++
-	e.m.parks.Inc()
 	if req.parkedAt.IsZero() && (e.m.parkDur != nil || e.ev != nil) {
 		req.parkedAt = e.clock.Now()
 		e.ev.FlowBlocked(uint64(req.batch[req.done].Meta.Seq))
@@ -167,7 +166,6 @@ func (e *Engine) commitOne(meta obsolete.Msg, payload []byte) {
 		e.stageData(p, dm)
 	}
 	e.stats.Multicast++
-	e.m.multicast.Inc()
 	e.serveIfFull()
 }
 
@@ -179,9 +177,7 @@ func (e *Engine) stageData(p *peer, dm DataMsg) {
 		return
 	}
 	it := itemOf(dm)
-	n := uint64(p.out.PurgeForN(it))
-	e.stats.PurgedOutgoing += n
-	e.m.purgedOutgoing.Add(n)
+	e.stats.PurgedOutgoing += uint64(p.out.PurgeForN(it))
 	p.out.ForceAppend(it) // room guaranteed by canCommit
 }
 
@@ -234,7 +230,6 @@ func (e *Engine) flushStage() {
 		e.sendData(p.id, run)
 		if n := len(msgs) - live; n > 0 {
 			e.stats.PurgedOutgoing += uint64(n)
-			e.m.purgedOutgoing.Add(uint64(n))
 			p.credit(n)
 			e.drainOutgoing(p)
 		}
@@ -274,7 +269,7 @@ func (e *Engine) onDataBatch(envs []transport.Envelope) {
 		default:
 			// A data-channel envelope that is not data: miscoded or
 			// hostile peer. This was an entirely silent discard before.
-			e.m.dropBadType.Inc()
+			e.stats.DroppedBadType++
 			e.ev.Drop(obs.DropBadType, slog.String("from", string(envs[i].From)))
 		}
 	}
@@ -302,7 +297,7 @@ func (e *Engine) ingestData(from *peer, dm DataMsg) {
 // pendingHead until space frees.
 func (e *Engine) processData(from *peer, dm DataMsg) bool {
 	if e.expelled {
-		e.m.dropExpelled.Inc()
+		e.stats.DroppedExpelled++
 		return true
 	}
 	if dm.View != e.cv.ID || dm.Epoch != e.cv.Epoch {
@@ -310,7 +305,6 @@ func (e *Engine) processData(from *peer, dm DataMsg) bool {
 		// partition merge. Either way its pred/flush obligations are
 		// handled by view-change machinery, not the data path.
 		e.stats.DroppedStale++
-		e.m.dropStale.Inc()
 		return true
 	}
 	if dm.Meta.Sender == e.cfg.Self {
@@ -330,7 +324,6 @@ func (e *Engine) processData(from *peer, dm DataMsg) bool {
 		// frontier so stability tracking is not held back by it.
 		from.recvMax = max(from.recvMax, dm.Meta.Seq)
 		e.stats.DroppedCovered++
-		e.m.dropCovered.Inc()
 		e.freed(from)
 		return true
 	}
@@ -350,7 +343,7 @@ func (e *Engine) processData(from *peer, dm DataMsg) bool {
 // it and hold windows, so whatever PID a peer wrote there gets no slot, no
 // credit and no record.
 func (e *Engine) dropUnknownSender(id ident.PID) {
-	e.m.dropUnknownSender.Inc()
+	e.stats.DroppedUnknownSender++
 	e.ev.Drop(obs.DropUnknownSender, slog.String("from", string(id)))
 }
 
@@ -517,7 +510,6 @@ func (e *Engine) deliverItem(it queue.Item, last *peer) (Delivery, *peer) {
 		return Delivery{Kind: kind, View: v.ID, Epoch: v.Epoch, NewView: v}, last
 	default:
 		e.stats.Delivered++
-		e.m.delivered.Inc()
 		if !it.At.IsZero() {
 			e.m.deliverLatency.ObserveDuration(e.clock.Since(it.At))
 		}
@@ -604,7 +596,7 @@ func (e *Engine) onCtl(env transport.Envelope) {
 			e.declineMerge(m)
 			return
 		}
-		e.m.dropExpelled.Inc()
+		e.stats.DroppedExpelled++
 		return
 	}
 	switch m := env.Msg.(type) {
@@ -624,7 +616,6 @@ func (e *Engine) onCtl(env transport.Envelope) {
 		// stale grant would double-count the slots it stood for.
 		if m.View != e.cv.ID || m.Epoch != e.cv.Epoch {
 			e.stats.CreditsStaleView++
-			e.m.dropStaleCredit.Inc()
 			e.ev.Drop(obs.DropStaleCredit, slog.String("from", string(env.From)),
 				slog.Uint64("view", uint64(m.View)))
 			return
@@ -653,7 +644,7 @@ func (e *Engine) onCtl(env transport.Envelope) {
 	default:
 		// A control envelope of no known kind fell through every case —
 		// before, it vanished without a trace.
-		e.m.dropUnknownCtl.Inc()
+		e.stats.DroppedUnknownCtl++
 		e.ev.Drop(obs.DropUnknownCtl, slog.String("from", string(env.From)))
 	}
 }
@@ -681,7 +672,6 @@ func (e *Engine) deferFuture(env transport.Envelope, ref ident.ViewRef) bool {
 	}
 	if ref.Epoch != e.cv.Epoch && !e.blocked && !e.joining {
 		e.stats.DroppedStale++
-		e.m.dropStale.Inc()
 		e.ev.Drop(obs.DropStaleView, slog.String("from", string(env.From)),
 			slog.String("view", ref.String()))
 		return true
@@ -690,7 +680,6 @@ func (e *Engine) deferFuture(env transport.Envelope, ref ident.ViewRef) bool {
 		e.deferredCtl = append(e.deferredCtl, env)
 	} else {
 		e.stats.CtlDeferredDropped++
-		e.m.dropDefer.Inc()
 		e.ev.Drop(obs.DropDeferOverflow, slog.String("from", string(env.From)),
 			slog.Uint64("view", uint64(ref.ID)))
 	}
@@ -780,7 +769,6 @@ func (e *Engine) awaitDecision(ref ident.ViewRef) {
 func (e *Engine) block() {
 	e.blocked = true
 	e.blockStart = e.clock.Now()
-	e.m.blockedG.Set(1)
 	e.pendingFrom, e.pendingHead = nil, DataMsg{}
 	e.pendingRest = e.pendingRest[:0]
 	e.pendingPos = 0
@@ -790,7 +778,6 @@ func (e *Engine) block() {
 func (e *Engine) unblock() {
 	e.blocked = false
 	e.blockStart = time.Time{}
-	e.m.blockedG.Set(0)
 }
 
 // onPred is transition t6: accumulate pred sequences.
@@ -901,7 +888,7 @@ func (e *Engine) onDecision(dec decision) {
 		// and logged — the group will stay blocked until another decide
 		// flood reaches it, and an operator should be able to see why.
 		if !errors.Is(dec.err, context.Canceled) {
-			e.m.decisionFails.Inc()
+			e.stats.DecisionFailures++
 			e.ev.DecisionFailed(uint64(dec.forRef.ID), dec.err)
 		}
 		return
@@ -913,31 +900,20 @@ func (e *Engine) onDecision(dec decision) {
 	// Accounted, not installed: the duplicate report of the view we just
 	// installed (Await and Propose both resolve), a decision that lost a
 	// concurrent-proposal race, or a flood arriving after we moved on.
+	n, why := &e.stats.IgnoredWrongView, ignoreWrongView
 	switch {
 	case dec.forRef == e.cv.Ref():
-		e.ignoreDecision(dec.forRef, ignoreDuplicate)
+		n, why = &e.stats.IgnoredDuplicate, ignoreDuplicate
 	case !e.blocked:
-		e.ignoreDecision(dec.forRef, ignoreNotBlocked)
-	default:
-		e.ignoreDecision(dec.forRef, ignoreWrongView)
+		n, why = &e.stats.IgnoredNotBlocked, ignoreNotBlocked
 	}
-}
-
-// ignoreDecision counts and logs a consensus outcome the engine chose not
-// to act on — the paths the old machine silently `return`ed from.
-func (e *Engine) ignoreDecision(ref ident.ViewRef, reason string) {
-	e.stats.DecisionsIgnored++
-	if c := e.m.decisionsIgnored[reason]; c != nil {
-		c.Inc()
-	}
-	e.ev.DecisionIgnored(ref.String(), reason)
+	*n++
+	e.ev.DecisionIgnored(dec.forRef.String(), why)
 }
 
 func (e *Engine) install(val consensusValue) {
 	e.stats.ViewsInstalled++
 	e.stats.LastFlushLen = len(val.Pred)
-	e.m.viewsInstalled.Inc()
-	e.m.flushLast.Set(int64(len(val.Pred)))
 	var blockedFor time.Duration
 	if !e.blockStart.IsZero() {
 		blockedFor = e.clock.Since(e.blockStart)
@@ -957,7 +933,6 @@ func (e *Engine) install(val consensusValue) {
 	// marker, and val.Recv (nil otherwise) the combined frontiers.
 	added := e.adopt(val.Pred, val.Recv)
 	e.stats.FlushAdded += uint64(added)
-	e.m.flushAdded.Add(uint64(added))
 	e.toDeliver.Purge()
 
 	if e.merge != nil {
@@ -1071,7 +1046,6 @@ func (e *Engine) sendJoinStates(next View, joiners ident.PIDs) {
 		e.stats.JoinStatesSent++
 		e.stats.JoinBacklogSent += uint64(len(st.Backlog))
 		e.stats.JoinBytesSent += uint64(size)
-		e.m.joinBytesSent.Add(uint64(size))
 		e.ev.StateTransfer("sent", string(j), uint64(st.View), len(st.Backlog), size)
 	}
 }
@@ -1111,7 +1085,6 @@ func (e *Engine) onJoinState(from ident.PID, m StateMsg) {
 	}
 	e.joining = false
 	e.stats.ViewsInstalled++
-	e.m.viewsInstalled.Inc()
 	var took time.Duration
 	if !e.joinStart.IsZero() {
 		took = e.clock.Since(e.joinStart)
@@ -1122,7 +1095,6 @@ func (e *Engine) onJoinState(from ident.PID, m StateMsg) {
 	e.ev.JoinComplete(uint64(m.View), len(m.Members), took)
 	e.stats.JoinBacklogRecv = uint64(len(m.Backlog))
 	e.stats.JoinBytesRecv = uint64(size)
-	e.m.joinBytesRecv.Add(uint64(size))
 
 	// Backlog entries of the installed view never consumed a window slot
 	// here; remember them so their consumption grants no credits. Whatever

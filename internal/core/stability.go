@@ -108,7 +108,6 @@ func (e *Engine) pruneStable() {
 		return it.Kind == queue.Data && stable(it) && (e.cfg.Heal == nil || !e.inView(it))
 	})
 	e.stats.StablePruned += uint64(removed)
-	e.m.stablePruned.Add(uint64(removed))
 }
 
 // stableFilter returns the test "this data item is known received

@@ -66,19 +66,6 @@ func (g *Gauge) Add(n int64) {
 	}
 }
 
-// Max raises the gauge to n if n is larger (lock-free high-water mark).
-func (g *Gauge) Max(n int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -163,11 +150,46 @@ var CountBuckets = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 256, 
 // meant for construction time; the returned instruments are then updated
 // lock-free. Asking twice for the same name and labels returns the same
 // instrument, so independent components can share a counter.
+//
+// A component that already keeps its counts in a snapshot of its own (the
+// engine's Stats, the TCP endpoint's TCPStats) registers a source instead
+// of instruments: nothing is recorded twice, and the registry reads the
+// component's numbers when it is asked for its own.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+	sources    []func(Emit)
+}
+
+// Kind is the section of a Snapshot a sourced value lands in.
+type Kind uint8
+
+const (
+	KindCounter Kind = iota
+	KindGauge
+)
+
+// Emit reports one value from a source to the snapshot being taken.
+// Counters reported under one name and label set add up — across sources
+// and with an instrument of that key — exactly as components sharing one
+// Counter do; of several gauges under one key the last reported stands,
+// as with Gauge.Set (a negative gauge travels as uint64(int64(v))).
+type Emit func(name string, kind Kind, value uint64, labels ...Label)
+
+// AddSource registers fn to be called by every Snapshot, in registration
+// order and outside the registry lock. fn should close over the small
+// published state it reads, not over the component that publishes it: the
+// registry keeps fn, and with it everything fn references, for good (a
+// stopped component's last counts stay in the totals).
+func (r *Registry) AddSource(fn func(Emit)) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.sources = append(r.sources, fn)
 }
 
 // NewRegistry returns an empty registry.
@@ -283,8 +305,9 @@ func (h HistogramSnapshot) Mean() float64 {
 	return h.Sum / float64(h.Count)
 }
 
-// Snapshot copies every instrument. Writers are not stopped: each value
-// is read atomically, so the snapshot is per-instrument consistent.
+// Snapshot copies every instrument, then asks every source. Writers are
+// not stopped: each value is read atomically, so the snapshot is
+// per-instrument (and per-source) consistent.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   make(map[string]uint64),
@@ -295,7 +318,6 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	for k, c := range r.counters {
 		s.Counters[k] = c.Value()
 	}
@@ -304,6 +326,18 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for k, h := range r.histograms {
 		s.Histograms[k] = h.snapshot()
+	}
+	sources := r.sources // append-only: the prefix read here never changes
+	r.mu.Unlock()
+	emit := func(name string, kind Kind, value uint64, labels ...Label) {
+		if key := metricKey(name, labels); kind == KindGauge {
+			s.Gauges[key] = int64(value)
+		} else {
+			s.Counters[key] += value
+		}
+	}
+	for _, src := range sources {
+		src(emit)
 	}
 	return s
 }

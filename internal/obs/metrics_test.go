@@ -106,17 +106,6 @@ func TestObsWithDerivesLabels(t *testing.T) {
 	}
 }
 
-func TestGaugeMax(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("hwm")
-	g.Max(5)
-	g.Max(3)
-	g.Max(9)
-	if got := g.Value(); got != 9 {
-		t.Fatalf("hwm = %d, want 9", got)
-	}
-}
-
 func TestWriteJSONRoundTrips(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(2)
@@ -164,7 +153,6 @@ func TestMetricsRaceHammer(t *testing.T) {
 				}
 				c.Inc()
 				g.Add(1)
-				g.Max(int64(i))
 				h.Observe(float64(i) * 1e-6)
 			}
 		}(w)
@@ -213,4 +201,51 @@ func TestMetricsRaceHammer(t *testing.T) {
 	if bucketSum != h.Count {
 		t.Fatalf("bucket sum %d != count %d after quiescence", bucketSum, h.Count)
 	}
+}
+
+func TestSourcesAreReadAtSnapshot(t *testing.T) {
+	r := NewRegistry()
+	root := New(nil, r, nil)
+	var sent uint64 // the component's own counter; the registry only reads it
+	for _, node := range []string{"a", "b"} {
+		root.With(L("node", node)).AddSource(func(emit Emit) {
+			emit("sent_total", KindCounter, sent)
+			emit("dropped_total", KindCounter, 1, L("reason", "stale"))
+			emit("depth", KindGauge, 1)
+		})
+	}
+	// Two sources and an instrument under one unlabelled key add up; of
+	// the gauges the last registered stands.
+	root.Counter("shared_total").Add(2)
+	for _, v := range []uint64{3, 4} {
+		v := v
+		root.AddSource(func(emit Emit) {
+			emit("shared_total", KindCounter, v)
+			emit("level", KindGauge, v)
+		})
+	}
+	sent = 5
+	snap := r.Snapshot()
+	for key, want := range map[string]uint64{
+		"sent_total{node=a}": 5, "sent_total{node=b}": 5,
+		"dropped_total{node=a,reason=stale}": 1, "shared_total": 9,
+	} {
+		if got := snap.Counters[key]; got != want {
+			t.Errorf("%s = %d, want %d (counters %v)", key, got, want, snap.Counters)
+		}
+	}
+	if snap.Gauges["depth{node=b}"] != 1 || snap.Gauges["level"] != 4 {
+		t.Errorf("gauges = %v, want depth{node=b}=1 level=4", snap.Gauges)
+	}
+	sent = 6
+	if got := r.Snapshot().Counters["sent_total{node=a}"]; got != 6 {
+		t.Errorf("second snapshot read %d, want 6", got)
+	}
+
+	// No registry, no source: nothing to call, nothing to panic on.
+	var none *Obs
+	none.AddSource(func(Emit) { t.Error("a nil bundle called its source") })
+	Nop().AddSource(func(Emit) { t.Error("a bundle without a registry called its source") })
+	(*Registry)(nil).AddSource(nil)
+	_ = Nop().Registry().Snapshot()
 }

@@ -21,27 +21,16 @@ func New(clock Clock, reg *Registry, logger *slog.Logger) *Obs {
 }
 
 // Default returns a bundle with the wall clock, a fresh private registry
-// and no events — what components fall back to when handed nil, so their
-// Stats facades keep working.
+// and no events.
 func Default() *Obs {
 	return &Obs{clock: Wall{}, reg: NewRegistry()}
 }
 
 // Nop returns a bundle with the wall clock and no instrumentation at all:
 // every Counter/Gauge/Histogram it hands out is nil (recording is a nil
-// check). It exists to measure instrumentation overhead
-// (BenchmarkMulticastInstrumented) and for hot paths that must not pay
-// even the atomics.
+// check) and sources are ignored. It exists to measure instrumentation
+// overhead (BenchmarkMulticastInstrumented).
 func Nop() *Obs { return &Obs{clock: Wall{}} }
-
-// Or returns o, or Default() when o is nil — the standard fallback at
-// component construction.
-func Or(o *Obs) *Obs {
-	if o == nil {
-		return Default()
-	}
-	return o
-}
 
 // Clock returns the bundle's clock (Wall for a nil bundle).
 func (o *Obs) Clock() Clock {
@@ -107,6 +96,20 @@ func (o *Obs) Histogram(name string, bounds []float64) *Histogram {
 		return nil
 	}
 	return o.reg.Histogram(name, bounds, o.labels...)
+}
+
+// AddSource registers fn with the bundle's registry (Registry.AddSource);
+// what fn emits carries the bundle's labels ahead of its own. A bundle
+// without a registry ignores it.
+func (o *Obs) AddSource(fn func(Emit)) {
+	if o == nil || o.reg == nil {
+		return
+	}
+	o.reg.AddSource(func(emit Emit) {
+		fn(func(name string, kind Kind, value uint64, labels ...Label) {
+			emit(name, kind, value, append(o.labels[:len(o.labels):len(o.labels)], labels...)...)
+		})
+	})
 }
 
 // CounterL is Counter with extra per-call labels (e.g. a peer dimension).

@@ -18,15 +18,9 @@ type inboxSet struct {
 	closed bool
 	m      map[groupChan]*ubq
 
-	dropGroup   atomic.Uint64
-	dropChannel atomic.Uint64
-
-	// Optional obs mirrors of the two drop counters, installed by
-	// instrument. Guarded by mu because instrumentation can arrive while
-	// peers are already depositing (NewNode wires the endpoint after
-	// other nodes' heartbeats may have started sending to it).
-	dropGroupC   *obs.Counter
-	dropChannelC *obs.Counter
+	dropGroup    atomic.Uint64
+	dropChannel  atomic.Uint64
+	instrumented atomic.Bool
 }
 
 func newInboxSet() *inboxSet {
@@ -49,29 +43,35 @@ func (s *inboxSet) register(g ident.GroupID) {
 	}
 }
 
-// instrument mirrors the drop counters onto ob as
-// transport_dropped_total{reason=...}. A nil ob is a no-op rather than
-// an overwrite, so a node-level Instrument call without a bundle cannot
-// wipe counters installed at construction.
+// dropExport is the inbox set's metric catalogue: DropStats as
+// transport_dropped_total{reason=...}.
+var dropExport = []struct {
+	reason obs.DropReason
+	get    func(*DropStats) uint64
+}{
+	{obs.DropUnknownGroup, func(d *DropStats) uint64 { return d.DroppedUnknownGroup }},
+	{obs.DropUnknownChannel, func(d *DropStats) uint64 { return d.DroppedUnknownChannel }},
+}
+
+// instrument makes ob's registry read the drop counters whenever it is
+// snapshotted. The first bundle wins and a nil one does not count: an
+// endpoint instrumented at construction is not exported a second time by
+// the node-level Instrument call.
 func (s *inboxSet) instrument(ob *obs.Obs) {
-	if ob == nil {
+	if ob == nil || !s.instrumented.CompareAndSwap(false, true) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dropGroupC = ob.CounterL("transport_dropped_total", obs.L("reason", string(obs.DropUnknownGroup)))
-	s.dropChannelC = ob.CounterL("transport_dropped_total", obs.L("reason", string(obs.DropUnknownChannel)))
+	ob.AddSource(func(emit obs.Emit) {
+		d := s.drops()
+		for _, row := range dropExport {
+			emit("transport_dropped_total", obs.KindCounter, row.get(&d), obs.L("reason", string(row.reason)))
+		}
+	})
 }
 
 // dropUnknownGroup counts one envelope discarded because its group can
 // never be hosted here (used by the TCP read loop for out-of-range ids).
-func (s *inboxSet) dropUnknownGroup() {
-	s.dropGroup.Add(1)
-	s.mu.Lock()
-	c := s.dropGroupC
-	s.mu.Unlock()
-	c.Inc()
-}
+func (s *inboxSet) dropUnknownGroup() { s.dropGroup.Add(1) }
 
 // deregister removes and closes the inboxes of g; subsequent traffic for
 // g is dropped and counted.
@@ -131,6 +131,16 @@ func (s *inboxSet) lookup(g ident.GroupID, ch Channel) *ubq {
 	return q
 }
 
+// drop counts n envelopes that found no inbox: an unhosted group, or a
+// channel outside the defined range.
+func (s *inboxSet) drop(ch Channel, n int) {
+	if validChannel(ch) {
+		s.dropGroup.Add(uint64(n))
+	} else {
+		s.dropChannel.Add(uint64(n))
+	}
+}
+
 // deposit places env in the inbox for (g, ch), or drops and counts it
 // when that inbox was never registered — traffic for a group this node
 // does not host (or no longer hosts), or a channel outside the defined
@@ -139,22 +149,9 @@ func (s *inboxSet) deposit(g ident.GroupID, ch Channel, env Envelope) {
 	s.mu.Lock()
 	q, ok := s.m[groupChan{g, ch}]
 	closed := s.closed
-	var c *obs.Counter
-	if !ok {
-		if validChannel(ch) {
-			c = s.dropGroupC
-		} else {
-			c = s.dropChannelC
-		}
-	}
 	s.mu.Unlock()
 	if !ok {
-		if validChannel(ch) {
-			s.dropGroup.Add(1)
-		} else {
-			s.dropChannel.Add(1)
-		}
-		c.Inc()
+		s.drop(ch, 1)
 		return
 	}
 	if !closed {
@@ -174,22 +171,9 @@ func (s *inboxSet) depositBatch(g ident.GroupID, ch Channel, envs []Envelope) {
 	s.mu.Lock()
 	q, ok := s.m[groupChan{g, ch}]
 	closed := s.closed
-	var c *obs.Counter
-	if !ok {
-		if validChannel(ch) {
-			c = s.dropGroupC
-		} else {
-			c = s.dropChannelC
-		}
-	}
 	s.mu.Unlock()
 	if !ok {
-		if validChannel(ch) {
-			s.dropGroup.Add(uint64(len(envs)))
-		} else {
-			s.dropChannel.Add(uint64(len(envs)))
-		}
-		c.Add(uint64(len(envs)))
+		s.drop(ch, len(envs))
 		return
 	}
 	if !closed {

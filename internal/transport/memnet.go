@@ -133,9 +133,10 @@ func (e *MemEndpoint) Self() ident.PID { return e.self }
 // their (group, channel) inbox was not registered.
 func (e *MemEndpoint) Drops() DropStats { return e.boxes.drops() }
 
-// Instrument mirrors the endpoint's drop counters onto ob as
-// transport_dropped_total{reason=...}. Safe to call while traffic is
-// flowing; core.NewNode calls it with the node's obs bundle.
+// Instrument exports the endpoint's drop counters through ob as
+// transport_dropped_total{reason=...} (the first bundle wins). Safe to
+// call while traffic is flowing; core.NewNode calls it with the node's
+// obs bundle.
 func (e *MemEndpoint) Instrument(ob *obs.Obs) { e.boxes.instrument(ob) }
 
 // Register implements Endpoint: create the inboxes of every channel of g.

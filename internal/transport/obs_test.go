@@ -96,10 +96,19 @@ func TestTCPWireMetrics(t *testing.T) {
 	if h := snapA.Histograms["tcp_batch_envelopes"]; h.Count == 0 {
 		t.Fatal("no batch-size samples")
 	}
-	// The obs mirrors and the atomic Stats() must agree once drained.
+	// The registry reads Stats(): every row of the export tables is in the
+	// snapshot and says what the facade says (nothing is in flight).
 	st := a.Stats()
-	if got := regA.Snapshot().Counters["tcp_envelopes_sent_total"]; got != st.EnvelopesSent {
-		t.Fatalf("obs %d != Stats %d", got, st.EnvelopesSent)
+	for _, row := range wireExport {
+		if got, ok := snapA.Counters[row.name]; !ok || got != row.get(&st) {
+			t.Errorf("%s = %d (present %v), Stats says %d", row.name, got, ok, row.get(&st))
+		}
+	}
+	for _, row := range dropExport {
+		key := "transport_dropped_total{reason=" + string(row.reason) + "}"
+		if got, ok := snapA.Counters[key]; !ok || got != row.get(&st.Drops) {
+			t.Errorf("%s = %d (present %v), Drops says %d", key, got, ok, row.get(&st.Drops))
+		}
 	}
 
 	// An envelope for an unregistered group is dropped and counted at the

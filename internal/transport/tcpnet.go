@@ -41,12 +41,11 @@ type TCPOptions struct {
 	// frames than its peers accept gets dropped as faulty.
 	// 0 means the default of 16 MiB.
 	MaxFrame int
-	// Obs, when non-nil, mirrors the wire counters onto its metrics
-	// registry (tcp_frames_sent_total, tcp_envelopes_sent_total,
-	// tcp_bytes_sent_total, tcp_frames_recv_total,
-	// tcp_envelopes_recv_total, tcp_batch_envelopes) and the inbox drop
-	// counters as transport_dropped_total{reason=...}. The atomic
-	// counters behind Stats() keep working either way.
+	// Obs, when non-nil, makes its metrics registry read Stats() whenever
+	// it is snapshotted (wireExport: tcp_frames_sent_total and the rest,
+	// transport_dropped_total{reason=...}) and receives the two batch-size
+	// histograms (tcp_batch_envelopes, transport_rx_batch_envelopes).
+	// Frames, envelopes and drops are counted once, behind Stats().
 	Obs *obs.Obs
 }
 
@@ -115,17 +114,12 @@ type TCPNetwork struct {
 
 var _ Endpoint = (*TCPNetwork)(nil)
 
-// tcpMetrics holds the optional obs mirrors of the wire counters. The
+// tcpMetrics are the distributions the wire counters cannot carry. The
 // nil instruments of a zero value are no-ops, so the hot paths record
 // unconditionally. Resolved once at construction (TCPOptions.Obs) —
 // never mutated afterwards, because the read/write loops access the
 // fields without synchronisation.
 type tcpMetrics struct {
-	framesSent *obs.Counter
-	envsSent   *obs.Counter
-	bytesSent  *obs.Counter
-	framesRecv *obs.Counter
-	envsRecv   *obs.Counter
 	// batch samples envelopes-per-frame on the send path: the achieved
 	// write-coalescing factor as a distribution rather than a ratio.
 	batch *obs.Histogram
@@ -137,14 +131,24 @@ type tcpMetrics struct {
 
 func newTCPMetrics(ob *obs.Obs) tcpMetrics {
 	return tcpMetrics{
-		framesSent: ob.Counter("tcp_frames_sent_total"),
-		envsSent:   ob.Counter("tcp_envelopes_sent_total"),
-		bytesSent:  ob.Counter("tcp_bytes_sent_total"),
-		framesRecv: ob.Counter("tcp_frames_recv_total"),
-		envsRecv:   ob.Counter("tcp_envelopes_recv_total"),
-		batch:      ob.Histogram("tcp_batch_envelopes", obs.CountBuckets),
-		rxBatch:    ob.Histogram("transport_rx_batch_envelopes", obs.CountBuckets),
+		batch:   ob.Histogram("tcp_batch_envelopes", obs.CountBuckets),
+		rxBatch: ob.Histogram("transport_rx_batch_envelopes", obs.CountBuckets),
 	}
+}
+
+// wireExport is the TCP endpoint's metric catalogue: the counters a
+// registry reads off Stats() when it is snapshotted (README "Metric
+// catalogue"). The drop counters are exported by the inbox set, for both
+// transports (dropExport).
+var wireExport = []struct {
+	name string
+	get  func(*TCPStats) uint64
+}{
+	{"tcp_frames_sent_total", func(s *TCPStats) uint64 { return s.FramesSent }},
+	{"tcp_envelopes_sent_total", func(s *TCPStats) uint64 { return s.EnvelopesSent }},
+	{"tcp_bytes_sent_total", func(s *TCPStats) uint64 { return s.BytesSent }},
+	{"tcp_frames_recv_total", func(s *TCPStats) uint64 { return s.FramesRecv }},
+	{"tcp_envelopes_recv_total", func(s *TCPStats) uint64 { return s.EnvelopesRecv }},
 }
 
 // peerConn is one outgoing connection. Send appends the encoded envelope
@@ -209,6 +213,12 @@ func NewTCPNetworkOpts(self ident.PID, listenAddr string, peers map[ident.PID]st
 		boxes:     newInboxSet(),
 	}
 	n.m = newTCPMetrics(opts.Obs)
+	opts.Obs.AddSource(func(emit obs.Emit) {
+		st := n.Stats()
+		for _, row := range wireExport {
+			emit(row.name, obs.KindCounter, row.get(&st))
+		}
+	})
 	n.boxes.instrument(opts.Obs)
 	n.maxBody = opts.MaxFrame - len(n.fromEnc)
 	if n.maxBody <= 0 {
@@ -247,12 +257,11 @@ func (n *TCPNetwork) Conns() int {
 	return len(n.conns)
 }
 
-// Instrument mirrors the endpoint's drop counters onto ob as
-// transport_dropped_total{reason=...}. Safe to call while traffic is
-// flowing; core.NewNode calls it with the node's obs bundle. The wire
-// counters (frames, envelopes, bytes) can only be instrumented at
-// construction via TCPOptions.Obs — the read/write loops access them
-// unsynchronised.
+// Instrument exports the endpoint's drop counters through ob as
+// transport_dropped_total{reason=...}, unless TCPOptions.Obs already
+// does. Safe to call while traffic is flowing; core.NewNode calls it with
+// the node's obs bundle. The wire counters (frames, envelopes, bytes) are
+// exported through TCPOptions.Obs only.
 func (n *TCPNetwork) Instrument(ob *obs.Obs) { n.boxes.instrument(ob) }
 
 // Stats returns a snapshot of the wire counters.
@@ -383,9 +392,6 @@ func (n *TCPNetwork) writeLoop(to ident.PID, pc *peerConn) {
 			n.framesSent.Add(1)
 			n.envsSent.Add(uint64(count))
 			n.bytesSent.Add(uint64(total))
-			n.m.framesSent.Inc()
-			n.m.envsSent.Add(uint64(count))
-			n.m.bytesSent.Add(uint64(total))
 			n.m.batch.Observe(float64(count))
 		}
 
@@ -512,7 +518,6 @@ func (n *TCPNetwork) readLoop(conn net.Conn) {
 			return
 		}
 		n.framesRecv.Add(1)
-		n.m.framesRecv.Inc()
 		r.Reset(frame)
 		from := ident.PID(r.String())
 		frameEnvs := 0
@@ -528,7 +533,6 @@ func (n *TCPNetwork) readLoop(conn net.Conn) {
 				return // mis-encoded or misaligned frame: drop the peer
 			}
 			n.envsRecv.Add(1)
-			n.m.envsRecv.Inc()
 			frameEnvs++
 			if gid > math.MaxUint32 {
 				// A group id beyond GroupID's range can never be hosted;
