@@ -159,44 +159,6 @@ func BenchmarkAblationKWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPurgeSweep compares the O(n) arrival-time purge against
-// the full pairwise sweep of Figure 1's purge function.
-func BenchmarkAblationPurgeSweep(b *testing.B) {
-	const k = 32
-	rel := obsolete.KEnumeration{K: k}
-	mkItems := func() []queue.Item {
-		tr := obsolete.NewItemTracker(obsolete.NewKTracker(k))
-		items := make([]queue.Item, 0, 64)
-		for i := 0; i < 64; i++ {
-			seq, annot := tr.Update(uint32(i % 8))
-			items = append(items, queue.Item{
-				Kind: queue.Data, View: 1,
-				Meta: obsolete.Msg{Sender: "p", Seq: seq, Annot: annot},
-			})
-		}
-		return items
-	}
-	items := mkItems()
-
-	b.Run("arrival", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			q := queue.New(rel, 0)
-			for _, it := range items {
-				_, _ = q.AppendPurge(it)
-			}
-		}
-	})
-	b.Run("sweep", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			q := queue.New(rel, 0)
-			for _, it := range items {
-				_ = q.Append(it)
-			}
-			q.Purge()
-		}
-	})
-}
-
 // ---- micro-benchmarks --------------------------------------------------------
 
 func BenchmarkKEnumTrackerNext(b *testing.B) {
@@ -257,7 +219,7 @@ func purgeBenchQueue(b *testing.B, rel obsolete.Relation, n, senders, k int) (*q
 }
 
 // BenchmarkQueuePurgeFor measures the arrival-time purge pair the engine
-// runs per multicast and per arrival (CountPurgeableFor + PurgeFor) at
+// runs per multicast and per arrival (CountPurgeableFor + PurgeForInto) at
 // increasing queue lengths. indexed is the per-(view, sender) index path
 // the built-in encodings get; scan is the retained linear-scan reference,
 // forced by stripping the SenderLocal capability through obsolete.Func.

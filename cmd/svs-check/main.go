@@ -1,7 +1,7 @@
 // svs-check exhaustively verifies obsolescence relations against a finite
 // model: the strict-partial-order laws of §3.2, purge/deliver confluence
 // (indexed purge ≡ linear-scan reference over every interleaving, purges
-// covered by deliveries), and the soundness of SenderLocal/Windowed/Listed
+// covered by deliveries), and the soundness of SenderLocal/Listed
 // capability declarations. See internal/relcheck and the "Verifying your
 // relation" section of the README.
 //

@@ -86,8 +86,10 @@ type Config struct {
 	// future view and are replayed after the next install. Merge traffic
 	// raises deferred-ctl pressure (both sides' control streams cross
 	// during the handshake), so deployments using Heal may want more room.
-	// 0 means defaultMaxDeferredCtl; overflow drops the oldest entry
-	// (counted by engine_dropped_total{reason=defer_overflow}).
+	// 0 means defaultMaxDeferredCtl. A full stash keeps what it has and
+	// drops the arriving message (counted by
+	// engine_dropped_total{reason=defer_overflow}): the earliest stashed
+	// INIT is the one whose replay unblocks the peer that sent it.
 	MaxDeferredCtl int
 }
 

@@ -308,7 +308,10 @@ func TestStaleViewCreditRejected(t *testing.T) {
 
 // TestDeferredCtlOverflowCounted pins the maxDeferredCtl backstop: control
 // envelopes for future views past the cap are dropped, and the drop is
-// visible in Stats rather than silent.
+// visible in Stats rather than silent. It is the arriving envelope that goes,
+// never a stashed one: the first thing stashed here is p1's INIT for view 2
+// (p1 installed it ahead of p0 and went on), and once p0 installs view 2
+// the replay must still find it and take the group to view 3.
 func TestDeferredCtlOverflowCounted(t *testing.T) {
 	h := newGroup(t, harnessOpts{n: 2, rel: obsolete.Empty{}})
 	evil, err := h.net.Endpoint("evil")
@@ -317,8 +320,11 @@ func TestDeferredCtlOverflowCounted(t *testing.T) {
 	}
 	defer evil.Close()
 
+	if err := h.members["p1"].ep.Send("p0", 0, transport.Ctl, InitMsg{View: 2}); err != nil {
+		t.Fatal(err)
+	}
 	const extra = 7
-	for i := 0; i < defaultMaxDeferredCtl+extra; i++ {
+	for i := 1; i < defaultMaxDeferredCtl+extra; i++ {
 		if err := evil.Send("p0", 0, transport.Ctl, InitMsg{View: 99}); err != nil {
 			t.Fatal(err)
 		}
@@ -331,6 +337,13 @@ func TestDeferredCtlOverflowCounted(t *testing.T) {
 				h.members["p0"].eng.Stats().CtlDeferredDropped, extra)
 		case <-time.After(2 * time.Millisecond):
 		}
+	}
+
+	if err := h.members["p0"].eng.RequestViewChange(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range h.pids {
+		h.waitView(p, 3)
 	}
 }
 

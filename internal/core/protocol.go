@@ -176,9 +176,8 @@ func (e *Engine) stageData(p *peer, dm DataMsg) {
 		p.staged = append(p.staged, dm)
 		return
 	}
-	it := itemOf(dm)
-	e.stats.PurgedOutgoing += uint64(p.out.PurgeForN(it))
-	p.out.ForceAppend(it) // room guaranteed by canCommit
+	purged, _ := p.out.AppendPurge(itemOf(dm)) // room guaranteed by canCommit
+	e.stats.PurgedOutgoing += uint64(purged)
 }
 
 // unstage drops the staged copies of our own message seq, which a later
@@ -406,9 +405,9 @@ func (e *Engine) coveredLocally(m obsolete.Msg) bool {
 // from is the record of it's sender (nil: our own message), which under a
 // sender-local relation is the sender of everything it purges.
 func (e *Engine) purgeToDeliver(it queue.Item, from *peer) {
-	purged := e.toDeliver.PurgeForInto(it, e.purgeScratch[:0])
-	for i := range purged {
-		p := &purged[i]
+	e.purgeScratch = e.toDeliver.PurgeForInto(it, e.purgeScratch[:0])
+	for i := range e.purgeScratch {
+		p := &e.purgeScratch[i]
 		switch {
 		case !e.inView(p):
 		case p.Meta.Sender == e.cfg.Self:
@@ -417,9 +416,8 @@ func (e *Engine) purgeToDeliver(it queue.Item, from *peer) {
 			from = e.peerOf(p.Meta.Sender, from)
 			e.freeSlot(from, p.Meta.Seq)
 		}
-		purged[i] = queue.Item{} // release payload references
 	}
-	e.purgeScratch = purged[:0]
+	clear(e.purgeScratch) // release payload references
 }
 
 // freeSlot gives sender from back the window slot its current-view message
@@ -516,8 +514,7 @@ func (e *Engine) deliverItem(it queue.Item, last *peer) (Delivery, *peer) {
 		if e.inView(&it) {
 			// Keep it in the per-view history for pred sets; purge the
 			// history with the same relation so it holds live items only.
-			e.delivered.PurgeForN(it)
-			e.delivered.ForceAppend(it)
+			_, _ = e.delivered.AppendPurge(it) // unbounded: never full
 			last = e.peerOf(it.Meta.Sender, last)
 			e.freeSlot(last, it.Meta.Seq)
 		}
@@ -933,7 +930,6 @@ func (e *Engine) install(val consensusValue) {
 	// marker, and val.Recv (nil otherwise) the combined frontiers.
 	added := e.adopt(val.Pred, val.Recv)
 	e.stats.FlushAdded += uint64(added)
-	e.toDeliver.Purge()
 
 	if e.merge != nil {
 		// The "newcomers" are the other side, which already holds its own

@@ -70,8 +70,10 @@ func repurge(rel obsolete.Relation, msgs []DataMsg) []DataMsg {
 }
 
 // adopt applies a snapshot and returns how many of msgs joined the
-// delivery queue. A message at or below its sender's reception frontier was
-// genuinely received before (reception is FIFO per sender), so if it is
+// delivery queue, each purging what it obsoletes as it goes in, like every
+// other arrival — without the credit accounting: enterView re-arms every
+// window right after. A message at or below its sender's reception frontier
+// was genuinely received before (reception is FIFO per sender), so if it is
 // missing locally it was purged under a justified cover chain; re-adding it
 // would break per-sender FIFO delivery. The same holds for our own stream
 // up to lastSent, and a message above the frontier that some held m' covers
@@ -87,7 +89,10 @@ func (e *Engine) adopt(msgs []DataMsg, recv map[ident.PID]ident.Seq) int {
 			continue
 		}
 		s.recvMax = seq
-		e.toDeliver.ForceAppend(itemOf(dm))
+		it := itemOf(dm)
+		e.purgeScratch = e.toDeliver.PurgeForInto(it, e.purgeScratch[:0])
+		clear(e.purgeScratch)       // release payload references
+		e.toDeliver.ForceAppend(it) // the agreed flush is never refused
 		added++
 	}
 	for id, q := range recv {

@@ -93,21 +93,29 @@ func (e *Engine) recomputeStable() {
 	e.pruneStable()
 }
 
-// pruneStable drops stable entries from the delivery history: they will
-// never need to be flushed, so their payloads can be reclaimed.
+// pruneStable drops the stable head of the delivery history: those entries
+// will never need to be flushed, so their payloads can be reclaimed. The
+// history is appended in delivery order and stable frontiers only advance,
+// so it pops while the head is prunable and stops at the first entry that
+// is not — an unstable head holds back the stable entries of other senders
+// behind it until a later report releases it (or the next view starts a
+// new history), which costs memory for a gossip round and no flush
+// traffic: onInit's pred set filters by stableFilter whatever the history
+// still holds.
 //
 // With healing enabled the current view's entries are exempt: "received
 // by all processes" is a fact about *this view's* members, but a merge
 // contributes the view's non-obsolete backlog to the far side of a
-// healed partition — processes the stable frontier never covered.
-// Relation purging still bounds the retained history at O(window); only
-// flush-adopted entries tagged with older views remain prunable.
+// healed partition — processes the stable frontier never covered. The
+// history holds no other view's entries, so there the test of the head is
+// the whole cost and relation purging alone bounds the history at O(window).
 func (e *Engine) pruneStable() {
 	stable := e.stableFilter()
-	removed := e.delivered.RemoveIf(func(it *queue.Item) bool {
-		return it.Kind == queue.Data && stable(it) && (e.cfg.Heal == nil || !e.inView(it))
-	})
-	e.stats.StablePruned += uint64(removed)
+	prunable := func(it queue.Item, ok bool) bool { return ok && stable(&it) && (e.cfg.Heal == nil || !e.inView(&it)) }
+	for prunable(e.delivered.PeekHead()) {
+		e.delivered.PopHead()
+		e.stats.StablePruned++
+	}
 }
 
 // stableFilter returns the test "this data item is known received

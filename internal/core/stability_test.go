@@ -158,3 +158,41 @@ func TestStabilityAcrossViewChanges(t *testing.T) {
 	}
 	h.verify()
 }
+
+// TestPruneStablePrefix pins pruneStable's walk: it pops the history's head
+// while the head is stable and stops at the first entry that is not, so a
+// sender whose frontier lags holds back the stable entries queued behind its
+// oldest message — until the report that releases it, which releases them
+// too. What is pruned in the end is what a walk over the whole history
+// prunes for the same reports (9 of 9 here); only when differs.
+func TestPruneStablePrefix(t *testing.T) {
+	e := snapEngine(obsolete.Empty{})
+	for seq := ident.Seq(1); seq <= 3; seq++ {
+		for _, s := range []ident.PID{"a", "b", "me"} {
+			e.delivered.ForceAppend(tagged(uint64(e.cv.ID), s, seq, 0))
+		}
+	}
+	// report has every member gossip the same frontiers.
+	report := func(a, b, me ident.Seq) {
+		for _, from := range e.cv.Members {
+			e.onStable(from, StableMsg{View: e.cv.ID, Recv: map[ident.PID]ident.Seq{"a": a, "b": b, "me": me}})
+		}
+	}
+	check := func(when string, pruned uint64, head string) {
+		t.Helper()
+		got := "empty"
+		if it, ok := e.delivered.PeekHead(); ok {
+			got = ids([]DataMsg{msgOf(&it)})[0]
+		}
+		if e.stats.StablePruned != pruned || got != head {
+			t.Fatalf("%s: %d pruned, history head %s; want %d and %s", when, e.stats.StablePruned, got, pruned, head)
+		}
+	}
+
+	report(0, 3, 3) // somebody has yet to receive a:1
+	check("a's frontier lagging", 0, "a:1@4")
+	report(2, 3, 3)
+	check("a:1 and a:2 stable", 6, "a:3@4")
+	report(3, 3, 3)
+	check("everything stable", 9, "empty")
+}

@@ -14,12 +14,12 @@ import "math/bits"
 //
 // Capability audit (svs-check): Bitmap is an annotation representation,
 // not a Relation — it never answers Obsoletes and therefore declares no
-// SenderLocal/Windowed/Listed capabilities of its own and never reaches the
-// scan path. The relation interpreting these bitmaps is KEnumeration
-// (kenum.go), which declares all three; they are exhaustively verified by
-// internal/relcheck against the examples/kenum.yaml model in CI, alongside
-// a deliberate window-overreach counterexample (examples/unsound-window.yaml)
-// proving the checker would catch an overreaching bitmap interpretation.
+// SenderLocal/Listed capabilities of its own and never reaches the scan
+// path. The relation interpreting these bitmaps is KEnumeration (kenum.go),
+// which declares both; they are exhaustively verified by internal/relcheck
+// against the examples/kenum.yaml model in CI — an interpretation that
+// listed a bit the relation does not honour, or missed one it does, fails
+// the listed check with the offending message as witness.
 type Bitmap []uint64
 
 // NewBitmap returns a zeroed bitmap able to hold k bits.

@@ -47,12 +47,6 @@ func (r KEnumeration) Obsoletes(old, new Msg) bool {
 // predecessors only.
 func (r KEnumeration) SenderLocal() bool { return true }
 
-// Window implements the Windowed capability: a k-bit bitmap cannot reach
-// further back than k predecessors, so what a message with sequence number
-// s obsoletes is confined to [s-k, s) — the k-th predecessor (delta exactly
-// k, bit k-1) is still reachable.
-func (r KEnumeration) Window() int { return r.K }
-
 // AppendObsoleted implements the Listed capability: bit i of the bitmap
 // names sequence number new.Seq-1-i, and bits at k or beyond name nothing.
 // The numbers come out descending.
@@ -90,7 +84,6 @@ func (r KEnumeration) AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq)
 
 var (
 	_ SenderLocal = KEnumeration{}
-	_ Windowed    = KEnumeration{}
 	_ Listed      = KEnumeration{}
 )
 

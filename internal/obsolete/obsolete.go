@@ -80,16 +80,6 @@ type SenderLocal interface {
 	SenderLocal() bool
 }
 
-// Windowed is an optional capability refining SenderLocal: a relation
-// that implements it guarantees Obsoletes(old, new) implies
-// new.Seq - old.Seq <= Window(). KEnumeration has this property by
-// construction (a k-bit bitmap cannot reach past k predecessors), which
-// bounds the full purge sweep's search for a witness to a window of the
-// sender's stream. Window() <= 0 means unbounded.
-type Windowed interface {
-	Window() int
-}
-
 // Listed is an optional capability refining SenderLocal: whether old ≺ new
 // depends on old's sequence number alone — never on old's annotation — and
 // the relation can read off new's annotation every sequence number new
@@ -117,27 +107,18 @@ type Caps struct {
 	// SenderLocal reports the sender-locality guarantee of the
 	// SenderLocal interface.
 	SenderLocal bool
-	// Window is the declared purge-candidate window, 0 when unbounded or
-	// undeclared. Only meaningful together with SenderLocal (Windowed
-	// refines SenderLocal; consumers ignore a window without it).
-	Window int
-	// Listed is the relation's Listed capability, nil when undeclared; like
-	// Window it only counts together with SenderLocal.
+	// Listed is the relation's Listed capability, nil when undeclared; it
+	// only counts together with SenderLocal, which it refines.
 	Listed Listed
 }
 
 // CapsOf inspects rel for the optional capability interfaces and returns
 // what it declares. A SenderLocal implementation reporting false counts as
-// undeclared, as does a non-positive Window.
+// undeclared.
 func CapsOf(rel Relation) Caps {
 	var c Caps
 	if sl, ok := rel.(SenderLocal); ok && sl.SenderLocal() {
 		c.SenderLocal = true
-		if w, ok := rel.(Windowed); ok {
-			if win := w.Window(); win > 0 {
-				c.Window = win
-			}
-		}
 		c.Listed, _ = rel.(Listed)
 	}
 	return c

@@ -14,8 +14,10 @@ import (
 // model is the linear-scan slice reference implementation the indexed
 // ring queue is differentially tested against. It deliberately mirrors
 // the specified semantics with the most obvious code: entries in a plain
-// slice, purges as FIFO-order scans where removed entries stop serving as
-// witnesses.
+// slice, purges as FIFO-order scans. Its purge() is Figure 1's purge
+// function, the pairwise sweep — kept as the reference the arrival purge is
+// held against (TestArrivalPurgeLeavesNothingToSweep), not as something the
+// queue does.
 type model struct {
 	rel      obsolete.Relation
 	capacity int
@@ -39,11 +41,8 @@ func (m *model) forceAppend(it Item) {
 
 func (m *model) append(it Item) error {
 	if m.full() {
-		m.purge()
-		if m.full() {
-			m.stats.Rejected++
-			return ErrFull
-		}
+		m.stats.Rejected++
+		return ErrFull
 	}
 	m.forceAppend(it)
 	return nil
@@ -127,20 +126,6 @@ func (m *model) popHead() (Item, bool) {
 	m.items = m.items[1:]
 	m.stats.Popped++
 	return it, true
-}
-
-func (m *model) removeIf(f func(*Item) bool) int {
-	kept := m.items[:0]
-	removed := 0
-	for _, it := range m.items {
-		if f(&it) {
-			removed++
-			continue
-		}
-		kept = append(kept, it)
-	}
-	m.items = kept
-	return removed
 }
 
 // entryID is the comparable identity of a queue entry.
@@ -238,20 +223,20 @@ var crossSenderFunc = obsolete.Func{
 	},
 }
 
-// TestDifferentialIndexedVsReference drives identical randomized operation
-// sequences through the ring queue and the slice reference model for all
-// three §4.2 encodings plus an arbitrary cross-sender Func relation, and
-// checks kept-sets, purge counts, return values and stats stay identical
-// after every operation — and that Covers, which has only the scan, matches
-// its definition.
-func TestDifferentialIndexedVsReference(t *testing.T) {
+// encodingCase is one relation the differential tests run, with a generator
+// of its senders' streams.
+type encodingCase struct {
+	name    string
+	rel     obsolete.Relation
+	indexed bool
+	streams func(senders []ident.PID) []stream
+}
+
+// encodingCases are the three §4.2 encodings plus an arbitrary cross-sender
+// Func relation.
+func encodingCases() []encodingCase {
 	const k = 8
-	cases := []struct {
-		name    string
-		rel     obsolete.Relation
-		indexed bool
-		streams func(senders []ident.PID) []stream
-	}{
+	return []encodingCase{
 		{
 			name: "tagging", rel: obsolete.Tagging{}, indexed: true,
 			streams: func(ps []ident.PID) []stream {
@@ -293,16 +278,23 @@ func TestDifferentialIndexedVsReference(t *testing.T) {
 			},
 		},
 	}
+}
 
-	for _, tc := range cases {
+// TestDifferentialIndexedVsReference drives identical randomized operation
+// sequences through the ring queue and the slice reference model for every
+// encodingCase, and checks kept-sets, purge counts, return values and stats
+// stay identical after every operation — and that Covers, which has only the
+// scan, matches its definition.
+func TestDifferentialIndexedVsReference(t *testing.T) {
+	for _, tc := range encodingCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for trial := 0; trial < 40; trial++ {
 				rng := rand.New(rand.NewSource(int64(1000*trial + 7)))
 				capacity := []int{0, 0, 4, 8, 16}[rng.Intn(5)]
 				q := New(tc.rel, capacity)
-				if q.Indexed() != tc.indexed {
-					t.Fatalf("Indexed() = %v, want %v", q.Indexed(), tc.indexed)
+				if (q.idx != nil) != tc.indexed {
+					t.Fatalf("indexed = %v, want %v", q.idx != nil, tc.indexed)
 				}
 				m := newModel(tc.rel, capacity)
 
@@ -311,7 +303,7 @@ func TestDifferentialIndexedVsReference(t *testing.T) {
 				view := func() uint64 { return uint64(1 + rng.Intn(2)) }
 
 				for step := 0; step < 250; step++ {
-					switch op := rng.Intn(10); op {
+					switch op := rng.Intn(8); op {
 					case 0, 1, 2: // plain append of the next stream message
 						it := Item{Kind: Data, View: view(), Meta: streams[rng.Intn(len(streams))].next(rng)}
 						qe, me := q.Append(it), m.append(it)
@@ -324,10 +316,10 @@ func TestDifferentialIndexedVsReference(t *testing.T) {
 						if qc != mc {
 							t.Fatalf("trial %d step %d: CountPurgeableFor %d vs %d", trial, step, qc, mc)
 						}
-						qr := q.PurgeFor(it)
+						qr := q.PurgeForInto(it, nil)
 						mr := m.purgeFor(it)
 						if fmt.Sprint(ids(qr)) != fmt.Sprint(ids(mr)) {
-							t.Fatalf("trial %d step %d: PurgeFor removed %v vs %v", trial, step, ids(qr), ids(mr))
+							t.Fatalf("trial %d step %d: PurgeForInto removed %v vs %v", trial, step, ids(qr), ids(mr))
 						}
 						q.ForceAppend(it)
 						m.forceAppend(it)
@@ -348,16 +340,6 @@ func TestDifferentialIndexedVsReference(t *testing.T) {
 						mi, mok := m.popHead()
 						if qok != mok || (qok && id(qi) != id(mi)) {
 							t.Fatalf("trial %d step %d: PopHead (%+v,%v) vs (%+v,%v)", trial, step, id(qi), qok, id(mi), mok)
-						}
-					case 8: // full sweep
-						if qr, mr := q.Purge(), m.purge(); qr != mr {
-							t.Fatalf("trial %d step %d: Purge %d vs %d", trial, step, qr, mr)
-						}
-					case 9: // view-change garbage collection
-						v := uint64(1 + rng.Intn(2))
-						f := func(it *Item) bool { return it.View == v && it.Meta.Seq%3 == 0 }
-						if qr, mr := q.RemoveIf(f), m.removeIf(f); qr != mr {
-							t.Fatalf("trial %d step %d: RemoveIf %d vs %d", trial, step, qr, mr)
 						}
 					}
 					compareState(t, step, q, m)
@@ -395,6 +377,55 @@ func coverProbes(rng *rand.Rand, q *Queue) []obsolete.Msg {
 	return probes
 }
 
+// TestArrivalPurgeLeavesNothingToSweep is why the queue has one purge. Every
+// message arrives the way the engine lets it in — refused when something
+// held covers it (t3), else purging what it obsoletes — with each sender's
+// stream ascending, a view change and deliveries in between; after every
+// step Figure 1's purge(), the pairwise sweep of the slice model, run over a
+// copy of what is held, must find nothing to remove.
+func TestArrivalPurgeLeavesNothingToSweep(t *testing.T) {
+	for _, tc := range encodingCases() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			purged := 0
+			for trial := 0; trial < 20; trial++ {
+				rng := rand.New(rand.NewSource(int64(613*trial + 5)))
+				q, m := New(tc.rel, 0), newModel(tc.rel, 0)
+				streams := tc.streams([]ident.PID{"a", "b", "c"})
+				view := uint64(1)
+				for step := 0; step < 300; step++ {
+					switch op := rng.Intn(8); {
+					case step == 150:
+						view = 2
+					case op <= 1:
+						q.PopHead()
+						m.popHead()
+					default:
+						it := Item{Kind: Data, View: view, Meta: streams[rng.Intn(len(streams))].next(rng)}
+						if m.covers(it.Meta) {
+							continue
+						}
+						purged += len(m.purgeFor(it))
+						m.forceAppend(it)
+						if _, err := q.AppendPurge(it); err != nil {
+							t.Fatal(err)
+						}
+					}
+					compareState(t, step, q, m)
+					sweep := newModel(tc.rel, 0)
+					sweep.items = slices.Clone(m.items)
+					if n := sweep.purge(); n != 0 {
+						t.Fatalf("trial %d step %d: a sweep still finds %d obsolete entries of %d", trial, step, n, len(m.items))
+					}
+				}
+			}
+			if purged == 0 {
+				t.Fatal("nothing was ever purged: the streams never bit")
+			}
+		})
+	}
+}
+
 // TestDifferentialScanMatchesIndexed strips the capability from each
 // sender-local encoding (wrapping it in obsolete.Func) and checks the
 // retained linear-scan path agrees with the indexed path operation by
@@ -413,7 +444,7 @@ func TestDifferentialScanMatchesIndexed(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(31*trial + 3)))
 				indexed := New(rel, 8)
 				scan := New(obsolete.Func{Label: rel.Name(), F: rel.Obsoletes}, 8)
-				if !indexed.Indexed() || scan.Indexed() {
+				if indexed.idx == nil || scan.idx != nil {
 					t.Fatal("capability detection broken")
 				}
 
@@ -440,7 +471,7 @@ func TestDifferentialScanMatchesIndexed(t *testing.T) {
 				}
 
 				for step := 0; step < 200; step++ {
-					switch rng.Intn(6) {
+					switch rng.Intn(5) {
 					case 0, 1, 2:
 						it := Item{Kind: Data, View: 1, Meta: next(senders[rng.Intn(len(senders))])}
 						p1, e1 := indexed.AppendPurge(it)
@@ -455,10 +486,6 @@ func TestDifferentialScanMatchesIndexed(t *testing.T) {
 							t.Fatalf("trial %d step %d: PopHead mismatch", trial, step)
 						}
 					case 4:
-						if r1, r2 := indexed.Purge(), scan.Purge(); r1 != r2 {
-							t.Fatalf("trial %d step %d: Purge %d vs %d", trial, step, r1, r2)
-						}
-					case 5:
 						it := Item{Kind: Data, View: 1, Meta: next(senders[rng.Intn(len(senders))])}
 						if c1, c2 := indexed.CountPurgeableFor(it), scan.CountPurgeableFor(it); c1 != c2 {
 							t.Fatalf("trial %d step %d: CountPurgeableFor %d vs %d", trial, step, c1, c2)
@@ -481,15 +508,11 @@ func TestDifferentialScanMatchesIndexed(t *testing.T) {
 
 // unlisted strips the Listed capability from a sender-local relation and
 // keeps the rest, which puts the queue on the per-sender walk.
-type unlisted struct {
-	rel    obsolete.Relation
-	window int
-}
+type unlisted struct{ rel obsolete.Relation }
 
 func (u unlisted) Name() string                     { return u.rel.Name() + "/walk" }
 func (u unlisted) Obsoletes(o, n obsolete.Msg) bool { return u.rel.Obsoletes(o, n) }
 func (u unlisted) SenderLocal() bool                { return true }
-func (u unlisted) Window() int                      { return u.window }
 
 // rawBitmap is a k-enumeration annotation no tracker would mint but any peer
 // may send: up to twice k bits long, empty, sparse around the window edge
@@ -570,10 +593,10 @@ func TestDifferentialListedWalkScan(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(977*trial + 11)))
 				qs := []*Queue{
 					New(tc.rel, 0),
-					New(unlisted{rel: tc.rel, window: tc.k}, 0),
+					New(unlisted{tc.rel}, 0),
 					New(obsolete.Func{Label: tc.name + "/scan", F: tc.rel.Obsoletes}, 0),
 				}
-				if qs[0].listed == nil || qs[1].listed != nil || !qs[1].Indexed() || qs[2].Indexed() {
+				if qs[0].listed == nil || qs[1].listed != nil || qs[1].idx == nil || qs[2].idx != nil {
 					t.Fatal("capability detection broken")
 				}
 				m := newModel(tc.rel, 0)
@@ -592,7 +615,7 @@ func TestDifferentialListedWalkScan(t *testing.T) {
 				for step := 0; step < tc.steps; step++ {
 					op := 0
 					if rng.Intn(1000) >= tc.quiet {
-						op = 1 + rng.Intn(6)
+						op = 1 + rng.Intn(5)
 					}
 					switch {
 					case op == 0: // let the backlog build, unpurged
@@ -612,8 +635,8 @@ func TestDifferentialListedWalkScan(t *testing.T) {
 							if got := q.CountPurgeableFor(it); got != want {
 								t.Fatalf("trial %d step %d queue %d: CountPurgeableFor %d, model %d", trial, step, i, got, want)
 							}
-							if got := q.PurgeFor(it); fmt.Sprint(ids(got)) != fmt.Sprint(ids(removed)) {
-								t.Fatalf("trial %d step %d queue %d: PurgeFor removed %v, model %v", trial, step, i, ids(got), ids(removed))
+							if got := q.PurgeForInto(it, nil); fmt.Sprint(ids(got)) != fmt.Sprint(ids(removed)) {
+								t.Fatalf("trial %d step %d queue %d: PurgeForInto removed %v, model %v", trial, step, i, ids(got), ids(removed))
 							}
 							q.ForceAppend(it)
 						}
@@ -626,19 +649,11 @@ func TestDifferentialListedWalkScan(t *testing.T) {
 								t.Fatalf("trial %d step %d queue %d: AppendPurge (%d, %v), model %d", trial, step, i, got, err, want)
 							}
 						}
-					case op == 5:
+					default:
 						mi, mok := m.popHead()
 						for i, q := range qs {
 							if qi, ok := q.PopHead(); ok != mok || (ok && id(qi) != id(mi)) {
 								t.Fatalf("trial %d step %d queue %d: PopHead (%+v, %v), model (%+v, %v)", trial, step, i, id(qi), ok, id(mi), mok)
-							}
-						}
-					default:
-						f := func(it *Item) bool { return it.Meta.Seq%7 == 0 }
-						want := m.removeIf(f)
-						for i, q := range qs {
-							if got := q.RemoveIf(f); got != want {
-								t.Fatalf("trial %d step %d queue %d: RemoveIf %d, model %d", trial, step, i, got, want)
 							}
 						}
 					}

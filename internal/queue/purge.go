@@ -21,33 +21,18 @@ import (
 //     entry, used for arbitrary relations (obsolete.Func) and as the
 //     oracle the differential tests compare the other two against.
 //
-// All remove an entry m exactly when a live entry n of the same view
-// satisfies m ≺ n, and return the removed entries in FIFO order; for
-// per-sender seq-ordered streams (the protocol invariant) they produce
-// identical kept-sets, counts and stats.
+// All remove an entry m exactly when m is of n's view and m ≺ n, and return
+// the removed entries in FIFO order; for per-sender seq-ordered streams (the
+// protocol invariant) they produce identical kept-sets, counts and stats.
 
-// PurgeFor removes and returns the entries obsoleted by the (just received
-// or about to be appended) message n. This is the arrival-time purge used
-// on the hot path; Purge remains available for the full sweep. The removed
-// items are returned so the caller can release per-sender flow-control
-// credits. Allocation-sensitive callers should use PurgeForInto.
-func (q *Queue) PurgeFor(n Item) []Item {
-	removed, _ := q.purgeFor(n, nil, true)
-	return removed
-}
-
-// PurgeForInto is PurgeFor appending the removed entries to dst (which may
-// be a reused scratch slice) instead of allocating a fresh slice.
+// PurgeForInto removes the entries obsoleted by the (just received or about
+// to be appended) message n and appends them to dst, which may be a reused
+// scratch slice, in FIFO order: the arrival-time purge for callers that
+// release per-sender flow-control credits for what was removed. AppendPurge
+// is the form for everyone else.
 func (q *Queue) PurgeForInto(n Item, dst []Item) []Item {
 	dst, _ = q.purgeFor(n, dst, true)
 	return dst
-}
-
-// PurgeForN is PurgeFor for callers that only need the number of entries
-// removed; it does not materialise them.
-func (q *Queue) PurgeForN(n Item) int {
-	_, c := q.purgeFor(n, nil, false)
-	return c
 }
 
 func (q *Queue) purgeFor(n Item, dst []Item, collect bool) ([]Item, int) {
@@ -139,7 +124,7 @@ func (q *Queue) purgeForScan(n Item, dst []Item, collect bool) ([]Item, int) {
 	return dst, removed
 }
 
-// CountPurgeableFor reports how many entries PurgeFor(n) would remove,
+// CountPurgeableFor reports how many entries n's arrival would purge,
 // without removing them. Used for the engine's all-or-nothing capacity
 // check before committing a multicast.
 func (q *Queue) CountPurgeableFor(n Item) int {
@@ -173,91 +158,4 @@ func (q *Queue) Covers(m obsolete.Msg) bool {
 	return q.AnyRef(func(it *Item) bool {
 		return it.Kind == Data && obsolete.CoveredBy(q.rel, m, it.Meta)
 	})
-}
-
-// Purge implements the purge function of Figure 1: repeatedly remove any
-// data entry m such that another data entry m' of the same view with
-// m ≺ m' is present. It returns the number of entries removed.
-//
-// Entries are examined in FIFO order and removed as found; a removed
-// entry stops serving as a witness for later ones. This is the paper's
-// while-loop executed in ascending partial-order position: witnesses are
-// strictly greater in the order, so when each stream is queued in
-// ascending sequence order every witness is examined — still present —
-// after the entries it covers, and maximal elements are never removed,
-// the invariant the correctness argument of §3.4 rests on.
-func (q *Queue) Purge() int {
-	if q.live < 2 || q.never {
-		return 0
-	}
-	var removed int
-	if q.idx != nil {
-		removed = q.purgeSweepIndexed()
-	} else {
-		removed = q.purgeSweepScan()
-	}
-	q.stats.Purged += uint64(removed)
-	return removed
-}
-
-// purgeSweepIndexed sweeps one (view, sender) stream at a time: an entry's
-// witnesses can only be later entries of its own stream, at most window
-// sequence numbers ahead.
-func (q *Queue) purgeSweepIndexed() int {
-	removed := 0
-	for _, st := range q.idx {
-		s := st.ents
-		n := len(s)
-		out := s[:0]
-		for i := 0; i < n; i++ {
-			ent := s[i]
-			m := q.slot(ent.pos)
-			dead := false
-			for j := i + 1; j < n; j++ {
-				if q.window > 0 && uint64(s[j].seq-ent.seq) > uint64(q.window) {
-					break
-				}
-				if q.rel.Obsoletes(m.Meta, q.slot(s[j].pos).Meta) {
-					dead = true
-					break
-				}
-			}
-			if dead {
-				q.killSlot(ent.pos)
-				st.count(ent.seq, -1)
-				removed++
-				continue
-			}
-			out = append(out, ent)
-		}
-		st.ents = out
-	}
-	return removed
-}
-
-// purgeSweepScan is the reference full sweep: for each live entry, look
-// for a live witness anywhere in the queue.
-func (q *Queue) purgeSweepScan() int {
-	removed := 0
-	for p := q.head; p != q.tail; p++ {
-		m := q.slot(p)
-		if m.Kind != Data {
-			continue
-		}
-		for x := q.head; x != q.tail; x++ {
-			if x == p {
-				continue
-			}
-			n := q.slot(x)
-			if n.Kind != Data || n.View != m.View {
-				continue
-			}
-			if q.rel.Obsoletes(m.Meta, n.Meta) {
-				q.killSlot(p)
-				removed++
-				break
-			}
-		}
-	}
-	return removed
 }

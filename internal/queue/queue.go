@@ -21,13 +21,23 @@
 // per-(view, sender) seq-ordered index of its data entries and an arriving
 // message's purge examines only its own sender's stream — and, when listed,
 // only the sequence numbers its annotation names: O(set bits + matches · log
-// stream) for k-enumeration, whatever the occupancy. The full sweep bounds its
-// witness search by obsolete.Windowed. Arbitrary relations (obsolete.Func)
-// fall back to the retained linear-scan reference path.
+// stream) for k-enumeration, whatever the occupancy. Arbitrary relations
+// (obsolete.Func) fall back to the retained linear-scan reference path.
 //
 // The indexed path reproduces the scan path exactly as long as each
 // (view, sender) stream is appended in ascending sequence-number order —
 // the per-sender FIFO invariant the protocol engine maintains.
+//
+// # One purge
+//
+// A message purges what it obsoletes as it arrives (AppendPurge, or
+// PurgeForInto + ForceAppend when the caller settles flow-control credits
+// for the casualties), and that is the only purge there is. It keeps the
+// queue closed under the relation — no two entries m ≺ m' of one view —
+// because with every stream appended in ascending order an arrival is newer
+// than everything held from its sender: nothing queued obsoletes it, and
+// what it obsoletes goes as it comes in. No entry is ever left for a sweep
+// to find.
 package queue
 
 import (
@@ -78,8 +88,7 @@ type Item struct {
 	At time.Time
 }
 
-// ErrFull is returned by Append when the queue is at capacity and no
-// obsolete entry could be purged to make room.
+// ErrFull is returned by Append when the queue is at capacity.
 var ErrFull = errors.New("queue: full")
 
 // Stats accumulates the counters the evaluation section reports on.
@@ -115,7 +124,6 @@ type Queue struct {
 	// and can purge at all.
 	idx    map[idxKey]*senderStream
 	listed obsolete.Listed // non-nil: rel lists what a message obsoletes
-	window int             // >0: the full sweep's witness window in sequence numbers
 	never  bool            // rel is obsolete.Empty: purging can never remove anything
 	// seqs and hits are obsoletedBy's scratch (see purge.go), kept so the
 	// arrival-time purge allocates nothing.
@@ -125,7 +133,7 @@ type Queue struct {
 
 // New returns an empty queue using rel to recognise obsolete entries.
 // capacity 0 means unbounded; otherwise Append fails with ErrFull when the
-// queue holds capacity entries and purging frees nothing.
+// queue holds capacity entries.
 //
 // When rel implements obsolete.SenderLocal (all built-in encodings do),
 // the queue maintains the per-(view, sender) index and purge operations
@@ -144,14 +152,10 @@ func New(rel obsolete.Relation, capacity int) *Queue {
 	}
 	if caps := obsolete.CapsOf(rel); caps.SenderLocal {
 		q.idx = make(map[idxKey]*senderStream)
-		q.listed, q.window = caps.Listed, caps.Window
+		q.listed = caps.Listed
 	}
 	return q
 }
-
-// Indexed reports whether the sender-local indexed purge path is active
-// (as opposed to the linear-scan fallback for arbitrary relations).
-func (q *Queue) Indexed() bool { return q.idx != nil }
 
 // Len returns the number of queued entries.
 func (q *Queue) Len() int { return q.live }
@@ -165,16 +169,12 @@ func (q *Queue) Full() bool { return q.capacity > 0 && q.live >= q.capacity }
 // Stats returns the accumulated counters.
 func (q *Queue) Stats() Stats { return q.stats }
 
-// Append adds it to the tail. If the queue is full it first attempts a
-// full purge; if still full it returns ErrFull (the caller then exercises
-// flow control, as in §5.3).
+// Append adds it to the tail, or returns ErrFull when the queue is at
+// capacity (the caller then exercises flow control, as in §5.3).
 func (q *Queue) Append(it Item) error {
 	if q.Full() {
-		q.Purge()
-		if q.Full() {
-			q.stats.Rejected++
-			return ErrFull
-		}
+		q.stats.Rejected++
+		return ErrFull
 	}
 	q.push(it)
 	return nil
@@ -191,8 +191,8 @@ func (q *Queue) ForceAppend(it Item) {
 // AppendPurge purges the entries obsoleted by it, then appends it. The
 // purge happens even if the append then fails with ErrFull — mirroring a
 // network buffer where the arriving packet displaces obsolete ones before
-// space is assessed. Unlike PurgeFor it does not materialise the removed
-// entries, so it allocates nothing.
+// space is assessed. Unlike PurgeForInto it does not materialise the removed
+// entries.
 func (q *Queue) AppendPurge(it Item) (purged int, err error) {
 	_, purged = q.purgeFor(it, nil, false)
 	return purged, q.Append(it)
@@ -226,12 +226,6 @@ func (q *Queue) PeekHead() (Item, bool) {
 	return *q.slot(q.head), true
 }
 
-// Each calls f on every entry in FIFO order, stopping early if f returns
-// false. The entry is passed by value; use EachRef on hot paths.
-func (q *Queue) Each(f func(Item) bool) {
-	q.EachRef(func(it *Item) bool { return f(*it) })
-}
-
 // EachRef calls f on every entry in FIFO order without copying the Item,
 // stopping early if f returns false. The pointer is only valid during the
 // callback and must not be retained or written through; the callback must
@@ -248,11 +242,6 @@ func (q *Queue) EachRef(f func(*Item) bool) {
 	}
 }
 
-// Any reports whether some entry satisfies f.
-func (q *Queue) Any(f func(Item) bool) bool {
-	return q.AnyRef(func(it *Item) bool { return f(*it) })
-}
-
 // AnyRef reports whether some entry satisfies f, without copying entries.
 // The same aliasing rules as EachRef apply.
 func (q *Queue) AnyRef(f func(*Item) bool) bool {
@@ -262,26 +251,6 @@ func (q *Queue) AnyRef(f func(*Item) bool) bool {
 		return !found
 	})
 	return found
-}
-
-// RemoveIf removes every entry satisfying f, returning how many were
-// removed. Unlike Purge this does not touch the purge counter; it is used
-// for view-change garbage collection. Entries are visited by reference,
-// under the aliasing rules of EachRef.
-func (q *Queue) RemoveIf(f func(*Item) bool) int {
-	removed := 0
-	for p := q.head; p != q.tail; p++ {
-		it := q.slot(p)
-		if it.Kind == kindDead || !f(it) {
-			continue
-		}
-		if q.idx != nil && it.Kind == Data {
-			q.idxDrop(idxKey{view: it.View, sender: it.Meta.Sender}, it.Meta.Seq, p)
-		}
-		q.killSlot(p)
-		removed++
-	}
-	return removed
 }
 
 // Snapshot returns a copy of the queue contents in FIFO order. Payloads

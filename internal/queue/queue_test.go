@@ -24,7 +24,7 @@ func ctlItem(view uint64) Item {
 
 func seqs(q *Queue) []ident.Seq {
 	var out []ident.Seq
-	q.Each(func(it Item) bool {
+	q.EachRef(func(it *Item) bool {
 		out = append(out, it.Meta.Seq)
 		return true
 	})
@@ -53,14 +53,16 @@ func TestPurgeRemovesObsoleteKeepsMaximal(t *testing.T) {
 	q := New(obsolete.Tagging{}, 0)
 	// Updates to items 1,2,1,3,1 — purging should leave 2,3 and the last 1.
 	tags := []uint32{1, 2, 1, 3, 1}
+	removed := 0
 	for i, tag := range tags {
-		if err := q.Append(dataItem(1, "p", ident.Seq(i+1), tag)); err != nil {
+		n, err := q.AppendPurge(dataItem(1, "p", ident.Seq(i+1), tag))
+		if err != nil {
 			t.Fatal(err)
 		}
+		removed += n
 	}
-	removed := q.Purge()
 	if removed != 2 {
-		t.Fatalf("Purge removed %d, want 2", removed)
+		t.Fatalf("arrivals purged %d, want 2", removed)
 	}
 	got := seqs(q)
 	want := []ident.Seq{2, 4, 5}
@@ -83,11 +85,8 @@ func TestPurgeIgnoresCrossViewAndControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same item, later seq, but a different view: must not purge.
-	if err := q.Append(dataItem(2, "p", 2, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if removed := q.Purge(); removed != 0 {
-		t.Fatalf("cross-view purge removed %d entries", removed)
+	if removed, err := q.AppendPurge(dataItem(2, "p", 2, 7)); err != nil || removed != 0 {
+		t.Fatalf("cross-view arrival purged %d entries (err %v)", removed, err)
 	}
 	if q.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", q.Len())
@@ -121,24 +120,6 @@ func TestAppendFullAndPurgeToMakeRoom(t *testing.T) {
 	}
 }
 
-func TestAppendFullTriggersInternalPurge(t *testing.T) {
-	q := New(obsolete.Tagging{}, 2)
-	if err := q.Append(dataItem(1, "p", 1, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Append(dataItem(1, "p", 2, 7)); err != nil {
-		t.Fatal(err)
-	}
-	// Queue is full but holds an obsolete entry; Append purges to fit.
-	if err := q.Append(dataItem(1, "p", 3, 8)); err != nil {
-		t.Fatalf("Append should purge to make room: %v", err)
-	}
-	got := seqs(q)
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("contents %v, want [2 3]", got)
-	}
-}
-
 func TestPurgeFor(t *testing.T) {
 	q := New(obsolete.Tagging{}, 0)
 	for i, tag := range []uint32{1, 2, 1} {
@@ -150,33 +131,31 @@ func TestPurgeFor(t *testing.T) {
 	if c := q.CountPurgeableFor(dataItem(1, "p", 4, 1)); c != 2 {
 		t.Fatalf("CountPurgeableFor = %d, want 2", c)
 	}
-	removed := q.PurgeFor(dataItem(1, "p", 4, 1))
+	removed := q.PurgeForInto(dataItem(1, "p", 4, 1), nil)
 	if len(removed) != 2 {
-		t.Fatalf("PurgeFor removed %d, want 2", len(removed))
+		t.Fatalf("PurgeForInto removed %d, want 2", len(removed))
 	}
 	if removed[0].Meta.Seq != 1 || removed[1].Meta.Seq != 3 {
-		t.Fatalf("PurgeFor removed %v", removed)
+		t.Fatalf("PurgeForInto removed %v", removed)
 	}
 	got := seqs(q)
 	if len(got) != 1 || got[0] != 2 {
 		t.Fatalf("contents %v, want [2]", got)
 	}
-	if n := q.PurgeFor(ctlItem(1)); n != nil {
-		t.Fatalf("PurgeFor(control) removed %d, want 0", len(n))
+	if n := q.PurgeForInto(ctlItem(1), nil); n != nil {
+		t.Fatalf("PurgeForInto(control) removed %d, want 0", len(n))
 	}
 }
 
-func TestRemoveIfAndSnapshot(t *testing.T) {
+func TestSnapshot(t *testing.T) {
 	q := New(obsolete.Empty{}, 0)
 	for i := 1; i <= 4; i++ {
 		if err := q.Append(dataItem(uint64(i%2), "p", ident.Seq(i), uint32(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	removed := q.RemoveIf(func(it *Item) bool { return it.View == 0 })
-	if removed != 2 {
-		t.Fatalf("RemoveIf removed %d, want 2", removed)
-	}
+	q.PopHead()
+	q.PopHead()
 	snap := q.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("Snapshot len %d, want 2", len(snap))
@@ -190,15 +169,17 @@ func TestRemoveIfAndSnapshot(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	q := New(obsolete.Tagging{}, 0)
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= 2; i++ {
 		if err := q.Append(dataItem(1, "p", ident.Seq(i), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	q.Purge()
+	if _, err := q.AppendPurge(dataItem(1, "p", 3, 1)); err != nil {
+		t.Fatal(err)
+	}
 	q.PopHead()
 	st := q.Stats()
-	if st.Appended != 3 || st.Purged != 2 || st.Popped != 1 || st.MaxLen != 3 {
+	if st.Appended != 3 || st.Purged != 2 || st.Popped != 1 || st.MaxLen != 2 {
 		t.Fatalf("Stats = %+v", st)
 	}
 }
@@ -218,11 +199,11 @@ func TestAnyAndPeek(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatal("PeekHead must not remove")
 	}
-	if !q.Any(func(it Item) bool { return it.Meta.Seq == 1 }) {
-		t.Fatal("Any failed to find entry")
+	if !q.AnyRef(func(it *Item) bool { return it.Meta.Seq == 1 }) {
+		t.Fatal("AnyRef failed to find entry")
 	}
-	if q.Any(func(it Item) bool { return it.Meta.Seq == 2 }) {
-		t.Fatal("Any found phantom entry")
+	if q.AnyRef(func(it *Item) bool { return it.Meta.Seq == 2 }) {
+		t.Fatal("AnyRef found phantom entry")
 	}
 }
 
@@ -231,10 +212,7 @@ func TestNilRelationDefaultsToEmpty(t *testing.T) {
 	if err := q.Append(dataItem(1, "p", 1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Append(dataItem(1, "p", 2, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if removed := q.Purge(); removed != 0 {
+	if removed, err := q.AppendPurge(dataItem(1, "p", 2, 1)); err != nil || removed != 0 {
 		t.Fatal("nil relation must behave as Empty (plain VS)")
 	}
 }
@@ -268,11 +246,10 @@ func TestPurgePropertyMaximalSurvive(t *testing.T) {
 		}
 		q := New(rel, 0)
 		for _, it := range items {
-			if err := q.Append(it); err != nil {
+			if _, err := q.AppendPurge(it); err != nil {
 				t.Fatal(err)
 			}
 		}
-		q.Purge()
 		surv := q.Snapshot()
 
 		// Maximal elements (no later message obsoletes them) must survive.

@@ -61,7 +61,7 @@ func TestRingReleasesPoppedAndPurgedSlots(t *testing.T) {
 	}
 
 	// An update of tag 1 purges every queued tag-1 entry (middle slots).
-	removed := q.PurgeFor(payloadItem("p", 13, 1))
+	removed := q.PurgeForInto(payloadItem("p", 13, 1), nil)
 	if len(removed) == 0 {
 		t.Fatal("expected purge to remove entries")
 	}
@@ -75,11 +75,13 @@ func TestRingReleasesPoppedAndPurgedSlots(t *testing.T) {
 		checkSlotsReleased(t, q)
 	}
 
-	q.Purge()
-	checkSlotsReleased(t, q)
-
-	q.RemoveIf(func(it *Item) bool { return it.Meta.Seq%2 == 0 })
-	checkSlotsReleased(t, q)
+	// One arrival per tag purges what the plain appends left behind.
+	for i := 41; i <= 44; i++ {
+		if n, err := q.AppendPurge(payloadItem("p", ident.Seq(i), uint32(i%4))); err != nil || n == 0 {
+			t.Fatalf("AppendPurge = (%d, %v), want purges", n, err)
+		}
+		checkSlotsReleased(t, q)
+	}
 
 	for {
 		if _, ok := q.PopHead(); !ok {
@@ -174,8 +176,8 @@ func TestIndexConsistencyAfterCompaction(t *testing.T) {
 	if got := q.CountPurgeableFor(probe); got != want {
 		t.Fatalf("CountPurgeableFor = %d, scan says %d (last=%d)", got, want, last)
 	}
-	if got := len(q.PurgeFor(probe)); got != want {
-		t.Fatalf("PurgeFor removed %d, want %d", got, want)
+	if got := len(q.PurgeForInto(probe, nil)); got != want {
+		t.Fatalf("PurgeForInto removed %d, want %d", got, want)
 	}
 	checkSlotsReleased(t, q)
 }

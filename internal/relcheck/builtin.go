@@ -68,18 +68,14 @@ func Builtin(name string, d Domain) (*Model, error) {
 		m.Rel = obsolete.Tagging{}
 	case "enumeration":
 		m.Rel = obsolete.Enumeration{}
-		// The tracker truncates closure at its window even though the
-		// relation declares no Windowed capability.
-		m.TransWindow = d.K
+		m.TransWindow = d.K // the tracker truncates closure at its window
 	case "k-enumeration", "bitmap":
 		m.Rel = obsolete.KEnumeration{K: d.K}
 		m.TransWindow = d.K
 	default:
 		return nil, fmt.Errorf("relcheck: unknown built-in encoding %q (have %v)", name, BuiltinNames())
 	}
-	caps := obsolete.CapsOf(m.Rel)
-	m.SenderLocal = caps.SenderLocal
-	m.Window = caps.Window
+	m.SenderLocal = obsolete.CapsOf(m.Rel).SenderLocal
 
 	for s := 0; s < d.Senders; s++ {
 		st := Stream{Sender: senderPID(s)}

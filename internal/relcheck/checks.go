@@ -14,7 +14,7 @@ import (
 // p1→p2").
 type Violation struct {
 	Family string // laws | capabilities | confluence
-	Check  string // irreflexivity, windowed, indexed-vs-scan, ...
+	Check  string // irreflexivity, sender-local, confluence, ...
 	// Witness is the minimal counterexample, human-readable.
 	Witness string
 }
@@ -82,7 +82,6 @@ func Run(m *Model) *Report {
 	r.Checks = append(r.Checks, checkAntisymmetry(m, msgs))
 	r.Checks = append(r.Checks, checkTransitivity(m, msgs))
 	r.Checks = append(r.Checks, checkSenderLocal(m, msgs))
-	r.Checks = append(r.Checks, checkWindowed(m, msgs))
 	r.Checks = append(r.Checks, checkListed(m, msgs))
 	r.Checks = append(r.Checks, checkConfluence(m, msgs)...)
 	return r
@@ -199,33 +198,6 @@ func checkSenderLocal(m *Model, msgs []obsolete.Msg) CheckResult {
 	return res
 }
 
-func checkWindowed(m *Model, msgs []obsolete.Msg) CheckResult {
-	res := CheckResult{Family: "capabilities", Name: "windowed"}
-	if m.Window <= 0 {
-		res.Skipped = true
-		res.Detail = "not declared"
-		return res
-	}
-	res.Name = fmt.Sprintf("windowed(%d)", m.Window)
-	for _, a := range msgs {
-		for _, b := range msgs {
-			if a.Sender != b.Sender || a.Seq >= b.Seq {
-				continue // cross-sender reach is sender-local's to report
-			}
-			res.Checked++
-			if m.Rel.Obsoletes(a, b) && uint64(b.Seq-a.Seq) > uint64(m.Window) {
-				res.Violations = append(res.Violations, Violation{
-					Family: res.Family, Check: "windowed",
-					Witness: fmt.Sprintf("%s ≺ %s at distance %d exceeds window %d",
-						msgStr(a), msgStr(b), b.Seq-a.Seq, m.Window),
-				})
-				return res
-			}
-		}
-	}
-	return res
-}
-
 // checkListed verifies the Listed capability: for every message of the
 // universe, the sequence numbers the relation reads off its annotation are
 // exactly those of the same-sender messages it obsoletes — one listed too
@@ -268,23 +240,13 @@ func checkListed(m *Model, msgs []obsolete.Msg) CheckResult {
 
 // ---- Confluence (purge ⇄ deliver) ------------------------------------------
 
-// runExecution feeds arrivals through a fresh queue under rel, then delivers
-// (pops) everything, returning the delivery sequence. Every arrival purges
-// as it comes, exactly like the protocol's hot path (AppendPurge) — or, with
-// sweep, all of them wait for one full Purge, which is what a view
-// installation runs and the path that trusts a declared window.
-func runExecution(rel obsolete.Relation, arrivals []obsolete.Msg, sweep bool) []obsolete.MsgID {
+// runExecution feeds arrivals through a fresh queue under rel, every arrival
+// purging as it comes, exactly like the protocol (AppendPurge), then
+// delivers (pops) everything, returning the delivery sequence.
+func runExecution(rel obsolete.Relation, arrivals []obsolete.Msg) []obsolete.MsgID {
 	q := queue.New(rel, 0)
 	for _, m := range arrivals {
-		it := queue.Item{Kind: queue.Data, View: 1, Meta: m}
-		if sweep {
-			q.ForceAppend(it)
-		} else {
-			_, _ = q.AppendPurge(it) // unbounded capacity: cannot fail
-		}
-	}
-	if sweep {
-		q.Purge()
+		_, _ = q.AppendPurge(queue.Item{Kind: queue.Data, View: 1, Meta: m}) // unbounded capacity: cannot fail
 	}
 	var out []obsolete.MsgID
 	for {
@@ -328,18 +290,15 @@ func checkConfluence(m *Model, msgs []obsolete.Msg) []CheckResult {
 	closure := check.NewClosure(scanRel, msgs)
 
 	// divergence: the indexed and scan executions deliver different
-	// sequences for this arrival order, purging per arrival or in one sweep.
-	diverges := func(arrivals []obsolete.Msg, sweep bool) bool {
-		return !sameIDs(runExecution(m.Rel, arrivals, sweep), runExecution(scanRel, arrivals, sweep))
-	}
+	// sequences for this arrival order.
 	divergence := func(arrivals []obsolete.Msg) bool {
-		return diverges(arrivals, false) || diverges(arrivals, true)
+		return !sameIDs(runExecution(m.Rel, arrivals), runExecution(scanRel, arrivals))
 	}
 	// unsafe: some message fed to the scan execution was purged without a
 	// delivered message covering it — the purge did not commute with
 	// delivery.
 	unsafeMsg := func(arrivals []obsolete.Msg) (obsolete.Msg, bool) {
-		delivered := runExecution(scanRel, arrivals, false)
+		delivered := runExecution(scanRel, arrivals)
 		set := make(map[obsolete.MsgID]bool, len(delivered))
 		for _, id := range delivered {
 			set[id] = true
@@ -355,9 +314,8 @@ func checkConfluence(m *Model, msgs []obsolete.Msg) []CheckResult {
 	visited, exhaustive := forEachInterleaving(m.Streams, m.MaxInterleavings, func(arrivals []obsolete.Msg) bool {
 		if len(idx.Violations) == 0 && divergence(arrivals) {
 			w := minimize(arrivals, divergence)
-			sweep := !diverges(w, false)
-			got := runExecution(m.Rel, w, sweep)
-			want := runExecution(scanRel, w, sweep)
+			got := runExecution(m.Rel, w)
+			want := runExecution(scanRel, w)
 			idx.Violations = append(idx.Violations, Violation{
 				Family: idx.Family, Check: "confluence",
 				Witness: fmt.Sprintf("arrivals %s deliver %s indexed vs %s scan — the declared capabilities corrupt the purge index",

@@ -24,9 +24,9 @@ import (
 func FuzzRelationLaws(f *testing.F) {
 	// Corpus seeds mirror the witness shapes svs-check minimization
 	// produces (see examples/unsound-*.yaml): a window-edge purge pair
-	// like the "p1:1 ≺ p1:4" windowed witness, a strict cross-sender
-	// alternation like the "p1:1 ≺ p2:2" sender-local witness, and a
-	// batch-heavy single-sender run.
+	// "p1:1 ≺ p1:4", a strict cross-sender alternation like the
+	// "p1:1 ≺ p2:2" sender-local witness, and a batch-heavy single-sender
+	// run.
 	f.Add(uint8(3), uint8(4), []byte{0x00, 0x00, 0x00, 0x04}) // p1 run ending in a window-edge reach
 	f.Add(uint8(3), uint8(2), []byte{0x00, 0x01, 0x00, 0x01}) // cross-sender alternation
 	f.Add(uint8(2), uint8(4), []byte{0x06, 0x06, 0x06, 0x06}) // batch annotations back to back
@@ -55,8 +55,8 @@ func FuzzRelationLaws(f *testing.F) {
 			}
 		}
 
-		got := runExecution(rel, arrivals, false)
-		want := runExecution(scanRelation(rel), arrivals, false)
+		got := runExecution(rel, arrivals)
+		want := runExecution(scanRelation(rel), arrivals)
 		if !sameIDs(got, want) {
 			t.Fatalf("%s: indexed %s ≠ scan %s for arrivals %s",
 				name, idsStr(got), idsStr(want), msgsStr(arrivals))

@@ -4,29 +4,27 @@
 // SVS's safety guarantees (§3 of the paper) rest entirely on the
 // obsolescence relation being well-behaved — a strict partial order whose
 // purge decisions commute with delivery — and on the capability
-// declarations (obsolete.SenderLocal, obsolete.Listed, obsolete.Windowed)
-// being truthful: an unsound declaration silently corrupts the purge index
-// in internal/queue. relcheck takes a finite model of an application's
-// message space and relation — a YAML spec (ParseYAML) or a registered
-// in-process relation sampled over a bounded sender/seq/annotation domain
-// (Builtin) — and exhaustively checks three families:
+// declarations (obsolete.SenderLocal, obsolete.Listed) being truthful: an
+// unsound declaration silently corrupts the purge index in internal/queue.
+// relcheck takes a finite model of an application's message space and
+// relation — a YAML spec (ParseYAML) or a registered in-process relation
+// sampled over a bounded sender/seq/annotation domain (Builtin) — and
+// exhaustively checks three families:
 //
 //  1. Laws: the strict-partial-order laws of §3.2 — irreflexivity,
 //     antisymmetry, and transitivity where the encoding claims it
 //     (within its window for the enumeration-style encodings).
 //  2. Confluence: for every interleaving of the modelled per-sender
-//     streams (FIFO within each sender, the protocol invariant),
-//     purge-then-deliver — on every arrival, and in one full sweep —
-//     yields the same delivery sequence under the indexed purge of
-//     internal/queue as under the linear-scan reference, and every purged
-//     message is covered by a delivered one under the reflexive-transitive
-//     closure (internal/check.Closure) — purging commutes with delivery.
+//     streams (FIFO within each sender, the protocol invariant), purging
+//     on every arrival and then delivering yields the same delivery
+//     sequence under the indexed purge of internal/queue as under the
+//     linear-scan reference, and every purged message is covered by a
+//     delivered one under the reflexive-transitive closure
+//     (internal/check.Closure) — purging commutes with delivery.
 //  3. Capabilities: a declared SenderLocal relation never relates
-//     messages across senders or against sequence order, a declared
-//     Windowed(k) relation never relates messages more than k sequence
-//     numbers apart, and a Listed relation lists exactly the predecessors
-//     each message obsoletes — falsified by exhaustive counterexample
-//     search.
+//     messages across senders or against sequence order, and a Listed
+//     relation lists exactly the predecessors each message obsoletes —
+//     falsified by exhaustive counterexample search.
 //
 // Violations carry a minimal witness, printed nccheck-style
 // ("VIOLATION: sender-local: p1:1 ≺ p2:2 crosses senders p1→p2"):
@@ -60,11 +58,9 @@ type Model struct {
 	// universe, sorted by sender for deterministic enumeration.
 	Streams []Stream
 
-	// SenderLocal and Window are the capability declarations under
-	// verification; they default to what Rel itself declares
-	// (obsolete.CapsOf). Window 0 means Windowed is not declared.
+	// SenderLocal is the capability declaration under verification; it
+	// defaults to what Rel itself declares (obsolete.CapsOf).
 	SenderLocal bool
-	Window      int
 
 	// Transitive claims the relation is transitively closed — within
 	// TransWindow sequence numbers when TransWindow > 0 (enumeration-style

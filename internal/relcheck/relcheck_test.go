@@ -99,56 +99,6 @@ func violationsOf(r *Report, check string) []Violation {
 	return out
 }
 
-func TestUnsoundWindowDetected(t *testing.T) {
-	m := mustParse(t, `
-name: unsound-window
-relation: rules
-sender-local: true
-window: 2
-rules:
-  - match: stride
-    from: 3
-    reach: 4
-`)
-	r := Run(m)
-	if r.OK() {
-		t.Fatalf("unsound-window verified sound:\n%s", r.Summary())
-	}
-	ws := violationsOf(r, "windowed")
-	if len(ws) != 1 {
-		t.Fatalf("want 1 windowed violation, got %v", r.Violations())
-	}
-	// The enumeration-order-minimal witness is the first in-behaviour pair
-	// beyond the declared window: p1:1 ≺ p1:4 at distance 3.
-	if want := "p1:1 ≺ p1:4 at distance 3 exceeds window 2"; ws[0].Witness != want {
-		t.Errorf("windowed witness = %q, want %q", ws[0].Witness, want)
-	}
-	cs := violationsOf(r, "confluence")
-	if len(cs) != 1 {
-		t.Fatalf("want 1 confluence divergence, got %v", r.Violations())
-	}
-	// The minimized arrival witness must be a genuine divergence of minimal
-	// length: a single victim plus the single message whose indexed purge
-	// misses it — 2 arrivals.
-	if n := strings.Count(cs[0].Witness, ":"); n < 2 {
-		t.Errorf("confluence witness %q has no arrivals", cs[0].Witness)
-	}
-	if got := arrivalCount(cs[0].Witness); got != 2 {
-		t.Errorf("confluence witness not minimal: %d arrivals in %q", got, cs[0].Witness)
-	}
-}
-
-// arrivalCount counts the messages in the leading "[...]" arrival list of a
-// confluence witness.
-func arrivalCount(witness string) int {
-	open := strings.Index(witness, "[")
-	close := strings.Index(witness, "]")
-	if open < 0 || close < open {
-		return -1
-	}
-	return len(strings.Fields(witness[open+1 : close]))
-}
-
 func TestUnsoundCrossDetected(t *testing.T) {
 	m := mustParse(t, `
 name: unsound-cross
@@ -166,9 +116,27 @@ rules:
 	if len(sl) != 1 || !strings.Contains(sl[0].Witness, "crosses senders") {
 		t.Fatalf("want 1 crosses-senders violation, got %v", r.Violations())
 	}
-	if len(violationsOf(r, "confluence")) != 1 {
+	cs := violationsOf(r, "confluence")
+	if len(cs) != 1 {
 		t.Fatalf("want indexed-vs-scan divergence, got %v", r.Violations())
 	}
+	// The minimized arrival witness must be a genuine divergence of minimal
+	// length: a single victim plus the single message of another sender
+	// whose indexed purge misses it — 2 arrivals.
+	if got := arrivalCount(cs[0].Witness); got != 2 {
+		t.Errorf("confluence witness not minimal: %d arrivals in %q", got, cs[0].Witness)
+	}
+}
+
+// arrivalCount counts the messages in the leading "[...]" arrival list of a
+// confluence witness.
+func arrivalCount(witness string) int {
+	open := strings.Index(witness, "[")
+	close := strings.Index(witness, "]")
+	if open < 0 || close < open {
+		return -1
+	}
+	return len(strings.Fields(witness[open+1 : close]))
 }
 
 // misListing is k-enumeration whose Listed capability lies about what the
@@ -265,24 +233,37 @@ rules:
 	}
 }
 
-// TestSoundRulesModel: a windowed stride whose declaration matches its
-// behaviour verifies sound end to end. The reach spans the whole stream
+// TestSoundRulesModel: rule models whose declaration matches their
+// behaviour verify sound end to end. The first stride spans the whole stream
 // (depth 6), so the relation is genuinely transitive — a shorter stride
-// would not be (1≺2≺5 without 1≺5).
+// would not be (1≺2≺5 without 1≺5). The second is the batch-commit shape
+// that reaches 3 to 4 back and nothing nearer: no intermediate arrival
+// purges the victim, and the arrival purge, which looks at the whole
+// stream, finds it all the same.
 func TestSoundRulesModel(t *testing.T) {
-	m := mustParse(t, `
+	for _, text := range []string{`
 name: honest-stride
 relation: rules
 sender-local: true
-window: 6
 transitive: true
 rules:
   - match: stride
     reach: 6
-`)
-	r := Run(m)
-	if !r.OK() {
-		t.Fatalf("honest model unsound:\n%s", r.Summary())
+`, `
+name: batch-commit-stride
+relation: rules
+sender-local: true
+rules:
+  - match: stride
+    from: 3
+    reach: 4
+`} {
+		m := mustParse(t, text)
+		if r := Run(m); !r.OK() {
+			t.Fatalf("honest model unsound:\n%s", r.Summary())
+		} else if r.Related == 0 {
+			t.Fatalf("%s relates nothing — vacuous pass", m.Name)
+		}
 	}
 }
 
@@ -303,7 +284,7 @@ func TestParseYAMLErrors(t *testing.T) {
 		{"rule-unknown-key", "relation: rules\nrules:\n  - match: stride\n    stride: 2\n", `unknown key "stride"`},
 		{"rule-from-nonstride", "relation: rules\nrules:\n  - match: cross-sender\n    from: 2\n", "only valid for stride"},
 		{"rule-from-beyond-reach", "relation: rules\nrules:\n  - match: stride\n    reach: 2\n    from: 3\n", "positive integer ≤ reach"},
-		{"window-without-senderlocal", "relation: rules\nwindow: 2\nrules:\n  - match: stride\n", "window declared without sender-local"},
+		{"window-key-is-gone", "relation: k-enumeration\nwindow: 2\n", `unknown key "window"`},
 		{"value-missing", "relation:\n", "no value"},
 		{"not-kv", "relation: empty\njust words\n", "expected key: value"},
 	}
@@ -328,9 +309,8 @@ func TestParseYAMLDefaults(t *testing.T) {
 	}
 	// Declarations default to the relation's own capabilities.
 	caps := obsolete.CapsOf(obsolete.KEnumeration{K: DefaultDomain.K})
-	if m.SenderLocal != caps.SenderLocal || m.Window != caps.Window {
-		t.Errorf("declarations (%v,%d) differ from relation's own (%v,%d)",
-			m.SenderLocal, m.Window, caps.SenderLocal, caps.Window)
+	if m.SenderLocal != caps.SenderLocal {
+		t.Errorf("declaration %v differs from relation's own %v", m.SenderLocal, caps.SenderLocal)
 	}
 	if !m.Transitive || m.TransWindow != DefaultDomain.K {
 		t.Errorf("k-enumeration should claim transitivity within its window")
@@ -339,8 +319,8 @@ func TestParseYAMLDefaults(t *testing.T) {
 
 func TestParseYAMLOverrides(t *testing.T) {
 	// A spec may weaken a built-in's declarations to probe what-ifs.
-	m := mustParse(t, "relation: k-enumeration\nsender-local: false\nwindow: 0\ntransitive: false\n")
-	if m.SenderLocal || m.Window != 0 || m.Transitive {
+	m := mustParse(t, "relation: k-enumeration\nsender-local: false\ntransitive: false\n")
+	if m.SenderLocal || m.Transitive {
 		t.Errorf("overrides not applied: %+v", m)
 	}
 }

@@ -33,9 +33,6 @@ func (r *Report) Format(w io.Writer, quiet bool) {
 		decl := "none"
 		if r.Model.SenderLocal {
 			decl = "sender-local"
-			if r.Model.Window > 0 {
-				decl += fmt.Sprintf(" windowed(%d)", r.Model.Window)
-			}
 			if obsolete.CapsOf(r.Model.Rel).Listed != nil {
 				decl += " listed"
 			}

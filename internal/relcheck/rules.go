@@ -10,9 +10,9 @@ import (
 // Rule relations. A YAML model with `relation: rules` describes its
 // relation as the union of small rule predicates, enough to model the
 // shape of an application relation — and, deliberately, to model unsound
-// ones: a rule set whose reach exceeds the declared window, or that
-// crosses senders under a sender-local declaration, reproduces exactly the
-// failure a bad third-party relation would smuggle past the purge index.
+// ones: a rule set that crosses senders under a sender-local declaration
+// reproduces exactly the failure a bad third-party relation would smuggle
+// past the purge index.
 type rule interface {
 	// obsoletes reports old ≺ new under this rule alone.
 	obsoletes(old, new obsolete.Msg) bool
@@ -23,9 +23,7 @@ type rule interface {
 // strideRule relates same-sender messages between from and reach apart:
 // old ≺ new iff same sender and from ≤ new.Seq − old.Seq ≤ reach. A from
 // above 1 models a batch-commit shape that obsoletes only far-back
-// messages — the shape that exposes a too-small declared window in the
-// confluence check, because intermediate arrivals never purge the victim
-// incrementally.
+// messages: intermediate arrivals never purge the victim incrementally.
 type strideRule struct{ from, reach int }
 
 func (r strideRule) obsoletes(old, new obsolete.Msg) bool {
@@ -91,13 +89,9 @@ type ruleRelation struct {
 	name        string
 	rules       []rule
 	senderLocal bool
-	window      int
 }
 
-var (
-	_ obsolete.SenderLocal = (*ruleRelation)(nil)
-	_ obsolete.Windowed    = (*ruleRelation)(nil)
-)
+var _ obsolete.SenderLocal = (*ruleRelation)(nil)
 
 func (r *ruleRelation) Name() string {
 	parts := make([]string, len(r.rules))
@@ -117,7 +111,6 @@ func (r *ruleRelation) Obsoletes(old, new obsolete.Msg) bool {
 }
 
 func (r *ruleRelation) SenderLocal() bool { return r.senderLocal }
-func (r *ruleRelation) Window() int       { return r.window }
 
 // usesTags reports whether any rule reads tag annotations, so stream
 // synthesis knows to attach them.

@@ -16,11 +16,10 @@ import (
 // checker this small is better served by a strict hand-rolled reader than
 // by gating the whole tool on one.)
 //
-//	name: unsound-window        # report label
+//	name: unsound-cross         # report label
 //	relation: rules             # empty | tagging | enumeration | k-enumeration | rules
 //	k: 4                        # encoding parameter (enumeration window / k-enumeration k)
 //	sender-local: true          # declared SenderLocal capability (default: what the relation declares)
-//	window: 2                   # declared Windowed bound, 0 = undeclared (default: relation's own)
 //	transitive: false           # transitivity claim (default: true for built-ins, false for rules)
 //	senders: 2                  # domain: number of senders
 //	depth: 6                    # domain: messages per sender
@@ -129,7 +128,7 @@ func splitKV(body string, ln int) (key, val string, err error) {
 func (sp *spec) model() (*Model, error) {
 	known := map[string]bool{
 		"name": true, "relation": true, "k": true, "sender-local": true,
-		"window": true, "transitive": true, "senders": true, "depth": true,
+		"transitive": true, "senders": true, "depth": true,
 		"tags": true, "max-interleavings": true,
 	}
 	for key := range sp.fields {
@@ -194,11 +193,6 @@ func (sp *spec) model() (*Model, error) {
 			return nil, err
 		}
 	}
-	if _, ok := sp.fields["window"]; ok {
-		if m.Window, err = sp.intField("window", m.Window); err != nil {
-			return nil, err
-		}
-	}
 	if v, ok := sp.fields["transitive"]; ok {
 		if m.Transitive, err = parseBool(v, "transitive"); err != nil {
 			return nil, err
@@ -210,10 +204,6 @@ func (sp *spec) model() (*Model, error) {
 	if rr, ok := m.Rel.(*ruleRelation); ok {
 		rr.name = sp.fields["name"]
 		rr.senderLocal = m.SenderLocal
-		rr.window = m.Window
-	}
-	if m.Window > 0 && !m.SenderLocal {
-		return nil, fmt.Errorf("window declared without sender-local: Windowed refines SenderLocal (see internal/obsolete)")
 	}
 	m.Name = sp.fields["name"]
 	if m.Name == "" {

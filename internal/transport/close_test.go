@@ -330,14 +330,6 @@ func TestSendRejectsOversizedMessage(t *testing.T) {
 	}
 }
 
-// TestNewTCPNetworkRejectsUnknownCodec: an invalid codec must fail fast
-// instead of silently black-holing traffic.
-func TestNewTCPNetworkRejectsUnknownCodec(t *testing.T) {
-	if _, err := NewTCPNetworkOpts("x", "127.0.0.1:0", nil, TCPOptions{Codec: Codec(9)}); err == nil {
-		t.Fatal("unknown codec accepted")
-	}
-}
-
 // TestReadLoopDropsBogusChannel: a well-formed envelope carrying an
 // undefined channel byte is dropped and counted; it neither creates an
 // orphan inbox nothing consumes nor kills the connection the sender's

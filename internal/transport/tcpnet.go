@@ -15,25 +15,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Codec selects the wire encoding of a TCPNetwork. The legacy encoding/gob
-// fallback of the first binary-codec release has been removed; CodecBinary
-// is the only encoding, and unknown codec identifiers are rejected at
-// construction.
-type Codec uint8
-
-const (
-	// CodecBinary is the hand-rolled binary encoding of internal/codec
-	// with per-peer frame batching: the send path drains the pending
-	// queue and coalesces every waiting envelope into one length-prefixed
-	// batch frame per write syscall.
-	CodecBinary Codec = iota
-)
-
-// TCPOptions tunes a TCPNetwork beyond the defaults.
+// TCPOptions tunes a TCPNetwork beyond the defaults. The wire encoding is
+// fixed: the hand-rolled binary encoding of internal/codec with per-peer
+// frame batching — the send path drains the pending queue and coalesces
+// every waiting envelope into one length-prefixed batch frame per write
+// syscall.
 type TCPOptions struct {
-	// Codec selects the wire encoding. CodecBinary is the only supported
-	// value; anything else fails construction with a clear error.
-	Codec Codec
 	// MaxFrame bounds one batch frame in bytes: the writer chunks its
 	// coalesced batches to it, and a peer announcing a larger incoming
 	// frame is treated as faulty and its connection dropped. It must
@@ -191,9 +178,6 @@ func NewTCPNetwork(self ident.PID, listenAddr string, peers map[ident.PID]string
 
 // NewTCPNetworkOpts is NewTCPNetwork with explicit options.
 func NewTCPNetworkOpts(self ident.PID, listenAddr string, peers map[ident.PID]string, opts TCPOptions) (*TCPNetwork, error) {
-	if opts.Codec != CodecBinary {
-		return nil, fmt.Errorf("transport: unknown codec %d (the encoding/gob fallback was removed; only CodecBinary is supported)", opts.Codec)
-	}
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", listenAddr, err)
