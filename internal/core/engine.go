@@ -565,64 +565,6 @@ func (e *Engine) drainRequests() {
 	}
 }
 
-// sendJoinReq (re)transmits the admission request to every contact.
-func (e *Engine) sendJoinReq() {
-	for _, c := range e.cfg.Join.Contacts {
-		e.send(c, transport.Ctl, JoinReqMsg{})
-	}
-}
-
-// onJoinRetry fires on each backoff step: give up if the retry budget is
-// spent, otherwise retransmit and arm the next (longer) wait.
-func (e *Engine) onJoinRetry() {
-	if !e.joining {
-		e.joinTimer = nil
-		return
-	}
-	if g := e.cfg.Join.GiveUp; g > 0 && e.clock.Since(e.joinStart) >= g {
-		e.failJoin()
-		return
-	}
-	e.sendJoinReq()
-	e.joinAttempt++
-	e.joinTimer = e.clock.NewTimer(e.nextJoinDelay())
-}
-
-// nextJoinDelay computes the wait before retransmission joinAttempt:
-// min(Retry·2ⁿ, RetryMax), scaled by a uniform jitter factor in
-// [1-RetryJitter, 1+RetryJitter].
-func (e *Engine) nextJoinDelay() time.Duration {
-	js := e.cfg.Join
-	d := js.Retry
-	for i := 0; i < e.joinAttempt && d < js.RetryMax; i++ {
-		d *= 2
-	}
-	if d > js.RetryMax {
-		d = js.RetryMax
-	}
-	if js.RetryJitter > 0 && e.joinRNG != nil {
-		d = time.Duration(float64(d) * (1 + js.RetryJitter*(2*e.joinRNG.Float64()-1)))
-		if d <= 0 {
-			d = time.Millisecond
-		}
-	}
-	return d
-}
-
-// failJoin abandons the join handshake: the retry budget (JoinSpec.GiveUp)
-// expired without a state transfer. Every parked call fails with
-// ErrJoinTimeout, as does everything submitted afterwards — the engine
-// never installed a view, so there is nothing to recover; the caller
-// stops it and retries with live contacts.
-func (e *Engine) failJoin() {
-	if e.joinTimer != nil {
-		e.joinTimer.Stop()
-		e.joinTimer = nil
-	}
-	e.joining = false
-	e.joinFailed = true // terminal: the turn's retries fail what is parked
-}
-
 // send is the engine's best-effort transmit: in the crash-stop model a
 // failed send is the peer's problem (the detector will notice a dead one),
 // but the failure is counted and logged instead of vanishing into `_ =`.
