@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/ident"
+	"repro/internal/obs"
 	"repro/internal/obsolete"
 	"repro/internal/queue"
 )
@@ -219,7 +221,8 @@ func TestInstallUnderBacklogIsLinear(t *testing.T) {
 		t.Fatal("the counting wrapper lost a capability")
 	}
 	e := snapEngine(rel)
-	e.blocked = true
+	e.clock, e.rootCtx = obs.Wall{}, context.Background()
+	e.block()
 
 	rng := rand.New(rand.NewSource(20))
 	tr := obsolete.NewKTracker(k)

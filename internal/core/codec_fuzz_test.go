@@ -63,10 +63,7 @@ func TestConsensusValueZeroMemberView(t *testing.T) {
 		{Next: View{ID: 8, Members: ident.NewPIDs()}},
 		{Next: View{ID: 8}, Pred: []DataMsg{}},
 	} {
-		raw, err := encodeValue(val)
-		if err != nil {
-			t.Fatal(err)
-		}
+		raw := encodeValue(val)
 		got, err := decodeValue(raw)
 		if err != nil {
 			t.Fatal(err)
@@ -109,10 +106,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			val.Next.Members = ident.NewPIDs(ident.PID(sender), ident.PID(peer))
 			val.Pred = []DataMsg{dm}
 		}
-		raw, err := encodeValue(val)
-		if err != nil {
-			t.Fatal(err)
-		}
+		raw := encodeValue(val)
 		got, err := decodeValue(raw)
 		if err != nil {
 			t.Fatal(err)
@@ -126,7 +120,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // FuzzDecodeValueNoPanic hardens the consensus value decoder against
 // arbitrary bytes arriving from a faulty peer.
 func FuzzDecodeValueNoPanic(f *testing.F) {
-	good, _ := encodeValue(consensusValue{
+	good := encodeValue(consensusValue{
 		Next: View{ID: 2, Members: ident.NewPIDs("a", "b")},
 		Pred: []DataMsg{{View: 1, Meta: obsolete.Msg{Sender: "a", Seq: 1}}},
 	})

@@ -81,21 +81,7 @@ type Config struct {
 	// semantic state exchange. Nil disables healing: minorities block and
 	// evicted processes stay out, the pre-healing behaviour.
 	Heal *HealSpec
-
-	// MaxDeferredCtl bounds the stash of control messages that arrive for a
-	// future view and are replayed after the next install. Merge traffic
-	// raises deferred-ctl pressure (both sides' control streams cross
-	// during the handshake), so deployments using Heal may want more room.
-	// 0 means defaultMaxDeferredCtl. A full stash keeps what it has and
-	// drops the arriving message (counted by
-	// engine_dropped_total{reason=defer_overflow}): the earliest stashed
-	// INIT is the one whose replay unblocks the peer that sent it.
-	MaxDeferredCtl int
 }
-
-// defaultMaxDeferredCtl is the MaxDeferredCtl applied when the config
-// leaves it zero.
-const defaultMaxDeferredCtl = 4096
 
 // HealSpec configures partition healing (Config.Heal).
 type HealSpec struct {
@@ -204,12 +190,6 @@ func (c *Config) validate() error {
 	}
 	if c.ToDeliverCap < 0 || c.OutgoingCap < 0 || c.Window < 0 {
 		return fmt.Errorf("core: config: negative capacity")
-	}
-	if c.MaxDeferredCtl < 0 {
-		return fmt.Errorf("core: config: negative MaxDeferredCtl")
-	}
-	if c.MaxDeferredCtl == 0 {
-		c.MaxDeferredCtl = defaultMaxDeferredCtl
 	}
 	if c.Heal != nil {
 		probe := c.Heal.ProbeInterval

@@ -75,8 +75,8 @@ type Stats struct {
 
 	DroppedBadType       uint64 // data-channel envelopes that were not data
 	DroppedUnknownCtl    uint64 // control envelopes of no known type
-	DroppedExpelled      uint64 // traffic reaching this engine after its expulsion
-	DroppedUnknownSender uint64 // current-view data or credits in a non-member's name
+	DroppedExpelled      uint64 // control traffic reaching this engine after its expulsion or failed join
+	DroppedUnknownSender uint64 // data or credits from a process that is not a member, or not the process whose link it arrived on
 	SendErrors           uint64 // sends the endpoint refused
 
 	CreditsStaleView   uint64 // credit grants discarded: wrong view
@@ -109,13 +109,12 @@ type Stats struct {
 	// Blocked reports the group closed for a view change or a merge.
 	Blocked bool
 
-	// Consensus decisions that arrived but could not be installed — the
-	// duplicate report of the current view, a decision landing while
-	// unblocked, a decision for a view this engine is not waiting on. With
-	// concurrent proposals (splits, merges) these are expected losers of
-	// the arbitration, not errors. DecisionFailures are the errors: an
-	// outcome that did not decode, a stopped consensus service.
-	IgnoredDuplicate  uint64
+	// Consensus decisions that arrived but could not be installed — one
+	// landing after its change ended, one for a view the change in flight
+	// is not waiting on. With concurrent proposals (splits, merges) these
+	// are expected losers of the arbitration, not errors. DecisionFailures
+	// are the errors: an outcome that did not decode, a stopped consensus
+	// service.
 	IgnoredNotBlocked uint64
 	IgnoredWrongView  uint64
 	DecisionFailures  uint64

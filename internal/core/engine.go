@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -19,7 +18,6 @@ import (
 // shut it down with Stop.
 type Engine struct {
 	cfg   Config
-	rel   obsolete.Relation
 	cons  *consensus.Service
 	clock obs.Clock
 	ev    *obs.Events
@@ -40,37 +38,20 @@ type Engine struct {
 
 	// ---- state below is owned exclusively by the run loop ----
 
+	// The control state is three records, at most one of them set: joiner
+	// while the join handshake runs (join.go), chg while a view change or
+	// a merge is in flight (viewchange.go, merge.go), terminal once this
+	// engine can make no further progress — ErrExpelled or ErrJoinTimeout,
+	// what every call fails with from then on. None set is an open member.
 	cv       View
-	blocked  bool
-	expelled bool
-	proposed bool
+	chg      *change
+	joiner   *joiner
+	terminal error
 
-	// pendingNext is the set of candidate next views this engine is
-	// awaiting a consensus decision for. With partition healing several
-	// proposals for distinct successors can be in flight at once (the
-	// ordinary change, rotating split declarations, a merge); the first
-	// decision to arrive for a ref in this set wins, and decisions for
-	// refs outside it are counted as ignored, not installed.
-	pendingNext map[ident.ViewRef]bool
-
-	// merge is the in-flight partition merge, nil when none (merge.go).
-	merge    *mergeState
 	healTick obs.Ticker
 
-	// Join handshake state. joining is true from Start until the state
-	// transfer installs the first view; joinTimer retransmits the join
-	// request meanwhile under capped exponential backoff with jitter
-	// (joinAttempt counts retransmissions, joinRNG draws the jitter).
-	// joinFailed is set when JoinSpec.GiveUp expires without a transfer:
-	// the engine is dead to the application from then on (ErrJoinTimeout).
 	// pendingJoins holds admission requests received while a view change
-	// is in flight.
-	joining      bool
-	joinFailed   bool
-	joinTimer    obs.Timer
-	joinAttempt  int
-	joinRNG      *rand.Rand
-	joinStart    time.Time // when the join handshake began (joinDur)
+	// is in flight (join.go).
 	pendingJoins ident.PIDs
 
 	toDeliver *queue.Queue
@@ -101,14 +82,6 @@ type Engine struct {
 	// flushStage sends as one DataBatchMsg envelope each (0: nothing
 	// staged).
 	stageBase ident.Seq
-
-	join         ident.PIDs
-	leave        ident.PIDs
-	globalPred   map[obsolete.MsgID]DataMsg
-	predReceived ident.PIDs
-
-	// blockStart stamps the group blocking at t5 (viewChange histogram).
-	blockStart time.Time
 
 	stabTick obs.Ticker // stability gossip (stability.go)
 
@@ -210,7 +183,7 @@ func putRequest(req *request) {
 	requestPool.Put(req)
 }
 
-// decision carries a consensus outcome back into the loop.
+// decision carries a consensus outcome back into the loop (awaitDecision).
 type decision struct {
 	forRef ident.ViewRef
 	val    consensusValue
@@ -232,25 +205,21 @@ func New(cfg Config) (*Engine, error) {
 		initial = View{}
 	}
 	e := &Engine{
-		cfg:         cfg,
-		rel:         cfg.Relation,
-		cons:        consensus.New(cfg.Endpoint, cfg.Detector, cfg.Group, cfg.Obs),
-		clock:       cfg.Obs.Clock(),
-		ev:          cfg.Obs.Events(),
-		m:           newEngMetrics(cfg.Obs),
-		reqC:        make(chan *request, 64),
-		decC:        make(chan decision, 4),
-		stopC:       make(chan struct{}),
-		doneC:       make(chan struct{}),
-		rootCtx:     ctx,
-		cancel:      cancel,
-		cv:          initial.Clone(),
-		joining:     cfg.Join != nil,
-		toDeliver:   queue.New(cfg.Relation, cfg.ToDeliverCap),
-		delivered:   queue.New(cfg.Relation, 0),
-		coverScan:   !obsolete.CapsOf(cfg.Relation).SenderLocal,
-		globalPred:  make(map[obsolete.MsgID]DataMsg),
-		pendingNext: make(map[ident.ViewRef]bool),
+		cfg:       cfg,
+		cons:      consensus.New(cfg.Endpoint, cfg.Detector, cfg.Group, cfg.Obs),
+		clock:     cfg.Obs.Clock(),
+		ev:        cfg.Obs.Events(),
+		m:         newEngMetrics(cfg.Obs),
+		reqC:      make(chan *request, 64),
+		decC:      make(chan decision, 4),
+		stopC:     make(chan struct{}),
+		doneC:     make(chan struct{}),
+		rootCtx:   ctx,
+		cancel:    cancel,
+		cv:        initial.Clone(),
+		toDeliver: queue.New(cfg.Relation, cfg.ToDeliverCap),
+		delivered: queue.New(cfg.Relation, 0),
+		coverScan: !obsolete.CapsOf(cfg.Relation).SenderLocal,
 	}
 	e.armPeers()
 	e.pub = &published{view: e.cv.Clone()}
@@ -278,9 +247,7 @@ func (e *Engine) Start() error {
 		e.healTick = e.clock.NewTicker(e.cfg.Heal.ProbeInterval)
 	}
 	if e.cfg.Join != nil {
-		e.joinStart = e.clock.Now()
-		e.joinRNG = rand.New(rand.NewSource(e.joinStart.UnixNano()))
-		e.joinTimer = e.clock.NewTimer(e.nextJoinDelay())
+		e.startJoin()
 	}
 	go e.run()
 	return nil
@@ -479,27 +446,22 @@ func (e *Engine) run() {
 		healC = e.healTick.C()
 		defer e.healTick.Stop()
 	}
-	if e.joining {
-		defer func() {
-			if e.joinTimer != nil {
-				e.joinTimer.Stop()
-			}
-		}()
+	if e.joiner != nil {
 		e.sendJoinReq()
 	}
 
 	for {
-		// Flow control: while blocked, expelled, still joining, or holding
-		// unprocessed arrivals, leave data in the transport; senders run
-		// out of credits and stop.
+		// Flow control: while not an open member, or holding unprocessed
+		// arrivals, leave data in the transport; senders run out of
+		// credits and stop.
 		dataC := dataIn
 		if e.dataGated() {
 			dataC = nil
 		}
 		// Re-fetched every iteration: each backoff step arms a fresh timer.
 		var joinC <-chan time.Time
-		if e.joinTimer != nil {
-			joinC = e.joinTimer.C()
+		if e.joiner != nil {
+			joinC = e.joiner.timer.C()
 		}
 		select {
 		case <-e.stopC:
@@ -543,13 +505,26 @@ func (e *Engine) run() {
 }
 
 // dataGated reports whether the loop must leave data arrivals in the
-// transport: group blocked, this process expelled or still joining, a
-// previous arrival waiting for queue space, or no space to begin with.
+// transport: this engine is no open member (joining, changing views, or at
+// its end), a previous arrival waits for queue space, or there is no space
+// to begin with.
 func (e *Engine) dataGated() bool {
-	return e.blocked || e.expelled || e.joining ||
-		e.pendingFrom != nil || e.pendingPos < len(e.pendingRest) ||
+	return !e.open() || e.pendingFrom != nil || e.pendingPos < len(e.pendingRest) ||
 		e.toDeliver.Full()
 }
+
+// open reports whether this engine is a member with no change in flight —
+// none of the three control records set (see Engine).
+func (e *Engine) open() bool {
+	return e.joiner == nil && e.chg == nil && e.terminal == nil
+}
+
+// terminalErr is what every call fails with once this engine can make no
+// further progress — ErrJoinTimeout once its join was abandoned,
+// ErrExpelled once it entered a view without itself — and nil while it
+// can. Parked requests need no failing by hand: the retry that follows the
+// transition runs them into this error.
+func (e *Engine) terminalErr() error { return e.terminal }
 
 // drainRequests opportunistically serves whatever else is already sitting
 // in reqC after a request wakes the loop, so concurrent single-message
@@ -585,7 +560,7 @@ func (e *Engine) syncSnapshots() {
 	e.stats.HistoryLen = e.delivered.Len()
 	e.stats.Parked = len(e.multicastQ)
 	e.stats.LastSent = e.lastSent
-	e.stats.Blocked = e.blocked
+	e.stats.Blocked = e.chg != nil
 	st := e.toDeliver.Stats()
 	e.stats.PurgedToDeliver = st.Purged
 	if st.MaxLen > e.stats.ToDeliverMax {
@@ -608,8 +583,11 @@ func (e *Engine) syncSnapshots() {
 	e.replies = e.replies[:0]
 }
 
-// shutdown fails every parked request.
+// shutdown ends a join handshake still running and fails every parked
+// request. A change in flight needs nothing: its goroutines run under the
+// root context, which Stop has cancelled.
 func (e *Engine) shutdown() {
+	e.endJoin()
 	for _, req := range append(e.deliverWaiters, e.multicastQ...) {
 		e.reply(req, result{err: ErrStopped})
 	}

@@ -111,7 +111,7 @@ func (e *Engine) armPeers() {
 		p.former = false
 		p.link = link{member: true, window: e.cfg.Window, avail: e.cfg.Window, granted: e.cfg.Window}
 		if p.window > 0 {
-			p.out = queue.New(e.rel, e.cfg.OutgoingCap)
+			p.out = queue.New(e.cfg.Relation, e.cfg.OutgoingCap)
 		}
 		e.others = append(e.others, p)
 	}

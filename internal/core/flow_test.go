@@ -31,7 +31,7 @@ func TestFlowDisabledUnboundedNeverParks(t *testing.T) {
 // member "peer", armed with the given window.
 func flowEngine(cfg Config) (*Engine, *peer) {
 	cfg.Self, cfg.Relation = "me", obsolete.Empty{}
-	e := &Engine{cfg: cfg, rel: cfg.Relation, cv: View{ID: 3, Members: ident.NewPIDs("me", "peer")}}
+	e := &Engine{cfg: cfg, cv: View{ID: 3, Members: ident.NewPIDs("me", "peer")}}
 	e.armPeers()
 	return e, e.others[0]
 }
@@ -324,7 +324,7 @@ func TestDeferredCtlOverflowCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	const extra = 7
-	for i := 1; i < defaultMaxDeferredCtl+extra; i++ {
+	for i := 1; i < maxDeferredCtl+extra; i++ {
 		if err := evil.Send("p0", 0, transport.Ctl, InitMsg{View: 99}); err != nil {
 			t.Fatal(err)
 		}

@@ -1,13 +1,47 @@
 package core
 
+// join.go is dynamic membership: the joiner's side of the handshake (ask
+// the contacts until a state transfer installs the first view) and the
+// members' side (admit the requester by a view change, then the sponsor
+// ships it a snapshot).
+
 import (
+	"math/rand"
 	"time"
 
 	"repro/internal/codec"
 	"repro/internal/ident"
+	"repro/internal/obs"
 	"repro/internal/queue"
 	"repro/internal/transport"
 )
+
+// joiner is the join handshake of a joining engine, set from Start until
+// the state transfer installs the first view or JoinSpec.GiveUp runs out.
+// timer retransmits the request meanwhile under capped exponential backoff
+// with jitter: attempt counts the retransmissions, rng draws the jitter.
+type joiner struct {
+	start   time.Time // when the handshake began (joinDur, GiveUp)
+	timer   obs.Timer
+	attempt int
+	rng     *rand.Rand
+}
+
+// startJoin opens the handshake; the loop sends the first request.
+func (e *Engine) startJoin() {
+	j := &joiner{start: e.clock.Now()}
+	j.rng = rand.New(rand.NewSource(j.start.UnixNano()))
+	j.timer = e.clock.NewTimer(j.delay(e.cfg.Join))
+	e.joiner = j
+}
+
+// endJoin closes the handshake, if one is running.
+func (e *Engine) endJoin() {
+	if j := e.joiner; j != nil {
+		j.timer.Stop()
+		e.joiner = nil
+	}
+}
 
 // sendJoinReq (re)transmits the admission request to every contact.
 func (e *Engine) sendJoinReq() {
@@ -17,35 +51,35 @@ func (e *Engine) sendJoinReq() {
 }
 
 // onJoinRetry fires on each backoff step: give up if the retry budget is
-// spent, otherwise retransmit and arm the next (longer) wait.
+// spent, otherwise retransmit and arm the next (longer) wait. Giving up is
+// terminal: every parked call fails with ErrJoinTimeout, as does everything
+// submitted afterwards — the engine never installed a view, so there is
+// nothing to recover; the caller stops it and retries with live contacts.
 func (e *Engine) onJoinRetry() {
-	if !e.joining {
-		e.joinTimer = nil
-		return
-	}
-	if g := e.cfg.Join.GiveUp; g > 0 && e.clock.Since(e.joinStart) >= g {
-		e.failJoin()
+	j := e.joiner
+	if g := e.cfg.Join.GiveUp; g > 0 && e.clock.Since(j.start) >= g {
+		e.endJoin()
+		e.terminal = ErrJoinTimeout // the turn's retries fail what is parked
 		return
 	}
 	e.sendJoinReq()
-	e.joinAttempt++
-	e.joinTimer = e.clock.NewTimer(e.nextJoinDelay())
+	j.attempt++
+	j.timer = e.clock.NewTimer(j.delay(e.cfg.Join))
 }
 
-// nextJoinDelay computes the wait before retransmission joinAttempt:
+// delay computes the wait before retransmission attempt:
 // min(Retry·2ⁿ, RetryMax), scaled by a uniform jitter factor in
 // [1-RetryJitter, 1+RetryJitter].
-func (e *Engine) nextJoinDelay() time.Duration {
-	js := e.cfg.Join
+func (j *joiner) delay(js *JoinSpec) time.Duration {
 	d := js.Retry
-	for i := 0; i < e.joinAttempt && d < js.RetryMax; i++ {
+	for i := 0; i < j.attempt && d < js.RetryMax; i++ {
 		d *= 2
 	}
 	if d > js.RetryMax {
 		d = js.RetryMax
 	}
-	if js.RetryJitter > 0 && e.joinRNG != nil {
-		d = time.Duration(float64(d) * (1 + js.RetryJitter*(2*e.joinRNG.Float64()-1)))
+	if js.RetryJitter > 0 {
+		d = time.Duration(float64(d) * (1 + js.RetryJitter*(2*j.rng.Float64()-1)))
 		if d <= 0 {
 			d = time.Millisecond
 		}
@@ -53,27 +87,51 @@ func (e *Engine) nextJoinDelay() time.Duration {
 	return d
 }
 
-// failJoin abandons the join handshake: the retry budget (JoinSpec.GiveUp)
-// expired without a state transfer. Every parked call fails with
-// ErrJoinTimeout, as does everything submitted afterwards — the engine
-// never installed a view, so there is nothing to recover; the caller
-// stops it and retries with live contacts.
-func (e *Engine) failJoin() {
-	if e.joinTimer != nil {
-		e.joinTimer.Stop()
-		e.joinTimer = nil
+// onJoinState installs the first view of a joining engine from the state
+// transfer: backlog, frontiers, then the view marker — the application
+// sees the inherited state first and the view notification tells it the
+// join completed. Duplicate transfers (retries, several responders) after
+// the first are ignored.
+func (e *Engine) onJoinState(from ident.PID, m StateMsg) {
+	if e.joiner == nil {
+		return
 	}
-	e.joining = false
-	e.joinFailed = true // terminal: the turn's retries fail what is parked
+	members := ident.NewPIDs(m.Members...)
+	// Only a member of the view being transferred may hand it over (the
+	// sponsor, or — on the recovery path — the contact that was re-asked);
+	// a transfer from anyone else would hijack the joining engine.
+	if m.View == 0 || !members.Contains(e.cfg.Self) || !members.Contains(from) || from == e.cfg.Self {
+		return
+	}
+	took := e.clock.Since(e.joiner.start)
+	e.m.joinDur.ObserveDuration(took)
+	e.endJoin()
+	size := wireSize(m)
+	e.ev.StateTransfer("recv", string(from), uint64(m.View), len(m.Backlog), size)
+	e.ev.JoinComplete(uint64(m.View), len(m.Members), took)
+	e.stats.JoinBacklogRecv = uint64(len(m.Backlog))
+	e.stats.JoinBytesRecv = uint64(size)
+
+	// Backlog entries of the installed view never consumed a window slot
+	// here; remember them so their consumption grants no credits. Whatever
+	// the sender multicasts in later views is numbered above them.
+	for _, dm := range m.Backlog {
+		if dm.View == m.View && dm.Epoch == m.Epoch {
+			s := e.peer(dm.Meta.Sender)
+			s.seeded = max(s.seeded, dm.Meta.Seq)
+		}
+	}
+	e.adopt(m.Backlog, m.Recv)
+	e.enterView(View{Epoch: m.Epoch, ID: m.View, Members: members})
 }
 
-// ---- dynamic membership: join handshake ------------------------------------
+// ---- the members' side: admission and the sponsor's transfer ---------------
 
 // onJoinReq parks an admission request; requests arriving mid view change
 // wait for the install (the joiner retransmits anyway, but parking spares
 // it a retry period).
 func (e *Engine) onJoinReq(from ident.PID) {
-	if e.expelled || e.joining || from == e.cfg.Self {
+	if e.joiner != nil || from == e.cfg.Self {
 		return
 	}
 	e.pendingJoins = e.pendingJoins.Add(from)
@@ -87,7 +145,7 @@ func (e *Engine) onJoinReq(from ident.PID) {
 // change; if a concurrent change wins without them, their retransmitted
 // requests try again.
 func (e *Engine) serveJoins() {
-	if e.blocked || e.expelled || e.joining || len(e.pendingJoins) == 0 {
+	if !e.open() || len(e.pendingJoins) == 0 {
 		return
 	}
 	pending := e.pendingJoins
@@ -136,54 +194,8 @@ func (e *Engine) buildJoinState(next View) StateMsg {
 	return StateMsg{
 		View: next.ID, Epoch: next.Epoch, Members: next.Members.Clone(),
 		Recv:    e.recvSnapshot(),
-		Backlog: repurge(e.rel, e.held(func(*queue.Item) bool { return true })),
+		Backlog: repurge(e.cfg.Relation, e.held(func(*queue.Item) bool { return true })),
 	}
-}
-
-// onJoinState installs the first view of a joining engine from the state
-// transfer: backlog, frontiers, then the view marker — the application
-// sees the inherited state first and the view notification tells it the
-// join completed. Duplicate transfers (retries, several responders) after
-// the first are ignored.
-func (e *Engine) onJoinState(from ident.PID, m StateMsg) {
-	if !e.joining {
-		return
-	}
-	members := ident.NewPIDs(m.Members...)
-	// Only a member of the view being transferred may hand it over (the
-	// sponsor, or — on the recovery path — the contact that was re-asked);
-	// a transfer from anyone else would hijack the joining engine.
-	if m.View == 0 || !members.Contains(e.cfg.Self) || !members.Contains(from) || from == e.cfg.Self {
-		return
-	}
-	if e.joinTimer != nil {
-		e.joinTimer.Stop()
-		e.joinTimer = nil
-	}
-	e.joining = false
-	e.stats.ViewsInstalled++
-	var took time.Duration
-	if !e.joinStart.IsZero() {
-		took = e.clock.Since(e.joinStart)
-		e.m.joinDur.ObserveDuration(took)
-	}
-	size := wireSize(m)
-	e.ev.StateTransfer("recv", string(from), uint64(m.View), len(m.Backlog), size)
-	e.ev.JoinComplete(uint64(m.View), len(m.Members), took)
-	e.stats.JoinBacklogRecv = uint64(len(m.Backlog))
-	e.stats.JoinBytesRecv = uint64(size)
-
-	// Backlog entries of the installed view never consumed a window slot
-	// here; remember them so their consumption grants no credits. Whatever
-	// the sender multicasts in later views is numbered above them.
-	for _, dm := range m.Backlog {
-		if dm.View == m.View && dm.Epoch == m.Epoch {
-			s := e.peer(dm.Meta.Sender)
-			s.seeded = max(s.seeded, dm.Meta.Seq)
-		}
-	}
-	e.adopt(m.Backlog, m.Recv)
-	e.enterView(View{Epoch: m.Epoch, ID: m.View, Members: members})
 }
 
 // wireSize is the encoded size of a state-transfer message — what the join

@@ -31,21 +31,20 @@ package core
 //
 // Concurrency discipline: every handler here runs on the engine loop; the
 // state machine tolerates concurrent proposals (an ordinary change, a
-// shrinking series of split declarations, a merge) through the
-// Engine.pendingNext ledger — the first decided successor wins and every
-// other decision is counted as ignored. Races that slip through (e.g. a
-// split and an ordinary change both deciding on opposite sides of a
-// flapping partition) leave the loser on a divergent lineage, which the
-// member-with-different-epoch probe case below detects and re-merges: the
-// protocol converges by construction instead of enumerating every
-// interleaving.
+// shrinking series of split declarations, a merge) through the successors
+// the change in flight awaits (change.awaited) — the first decided one
+// wins and every other decision is counted as ignored. Races that slip
+// through (e.g. a split and an ordinary change both deciding on opposite
+// sides of a flapping partition) leave the loser on a divergent lineage,
+// which the member-with-different-epoch probe case below detects and
+// re-merges: the protocol converges by construction instead of
+// enumerating every interleaving.
 
 import (
 	"time"
 
 	"repro/internal/ident"
 	"repro/internal/obsolete"
-	"repro/internal/queue"
 	"repro/internal/transport"
 )
 
@@ -55,10 +54,11 @@ type mergeSide struct {
 	members ident.PIDs
 }
 
-// mergeState is the loop-owned state of an in-flight merge.
+// mergeState is what a change that is a merge holds beyond an ordinary one
+// (change.merge).
 type mergeState struct {
-	// ref names the union view under decision; its consensus instance is
-	// registered in Engine.pendingNext like any other candidate successor.
+	// ref names the union view under decision; the change awaits its
+	// instance like any other candidate successor.
 	ref ident.ViewRef
 	// sides are the two sub-views, normalised so sides[0].ref is the
 	// lesser — every participant derives the identical state from the
@@ -71,25 +71,28 @@ type mergeState struct {
 	// members that answered they were expelled meanwhile.
 	contrib  map[ident.PID]*MergePredMsg
 	declined ident.PIDs
-	proposed bool
-	// started/deadline drive the merge-duration histogram and the abort
-	// timeout (HealSpec.MergeTimeout).
-	started  time.Time
-	deadline time.Time
+	deadline time.Time // the abort timeout (HealSpec.MergeTimeout)
 	bytesIn  uint64
+}
+
+// merging returns the merge in flight, nil when none.
+func (e *Engine) merging() *mergeState {
+	if e.chg == nil {
+		return nil
+	}
+	return e.chg.merge
 }
 
 // onHealTick fires every HealSpec.ProbeInterval: beacon the processes we
 // lost to a partition, and time out a merge that stopped making progress.
 func (e *Engine) onHealTick() {
-	now := e.clock.Now()
-	if e.merge != nil {
-		if now.After(e.merge.deadline) {
+	if mg := e.merging(); mg != nil {
+		if e.clock.Now().After(mg.deadline) {
 			e.abortMerge("timeout")
 		}
 		return
 	}
-	if e.blocked || e.joining || e.expelled {
+	if !e.open() {
 		return
 	}
 	probe := ProbeMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Members: e.cv.Members.Clone()}
@@ -104,7 +107,7 @@ func (e *Engine) onHealTick() {
 // member (probes only target those), so the interesting cases are all
 // disagreements about who belongs where.
 func (e *Engine) onProbe(from ident.PID, m ProbeMsg) {
-	if e.cfg.Heal == nil || e.joining || e.expelled || e.merge != nil {
+	if e.cfg.Heal == nil || e.joiner != nil || e.merging() != nil {
 		return
 	}
 	ref := m.Ref()
@@ -124,28 +127,15 @@ func (e *Engine) onProbe(from ident.PID, m ProbeMsg) {
 	switch {
 	case ref.ID > e.cv.ID && !members.Contains(e.cfg.Self):
 		// Proof that a newer view of our own lineage excludes us: the
-		// group evicted us while we were cut off. Retire.
-		e.retireExpelled(ref, members)
-	case ref.ID < e.cv.ID && !e.blocked && !e.cv.Includes(from):
+		// group evicted us while we were cut off, and the decide flood
+		// never found us. Enter that view as its decision would have.
+		e.enterView(View{Epoch: ref.Epoch, ID: ref.ID, Members: members})
+	case ref.ID < e.cv.ID && e.chg == nil && !e.cv.Includes(from):
 		// The prober is the stale one; answer with our view so it can
 		// draw the same conclusion.
 		e.send(from, transport.Ctl,
 			ProbeMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Members: e.cv.Members.Clone()})
 	}
-}
-
-// retireExpelled delivers the expulsion a probe proved: a newer view of
-// our own lineage does not include us, so the eviction decided while we
-// were unreachable and its decide flood never found us.
-func (e *Engine) retireExpelled(ref ident.ViewRef, members ident.PIDs) {
-	e.expelled = true // terminal: serveDeliveries' retry fails what is parked
-	e.unblock()
-	clear(e.pendingNext)
-	e.ev.Expelled(uint64(ref.ID))
-	e.toDeliver.ForceAppend(queue.Item{
-		Kind: queue.Control, View: uint64(ref.ID), Epoch: uint64(ref.Epoch),
-		Ctl: View{Epoch: ref.Epoch, ID: ref.ID, Members: members.Clone()},
-	})
 }
 
 // ---- split: a reachable minority continues under a fresh lineage ------------
@@ -156,23 +146,24 @@ func (e *Engine) retireExpelled(ref ident.ViewRef, members ident.PIDs) {
 // under a split epoch. The lowest reachable member declares the split; if
 // it dies, growing suspicion shrinks the reachable set until a surviving
 // member finds itself lowest — a rotating proposer, with every declared
-// continuation registered in pendingNext so whichever decides first wins.
+// continuation awaited by the change so whichever decides first wins.
 func (e *Engine) checkSplit() {
-	if e.cfg.Heal == nil || e.joining {
+	if e.cfg.Heal == nil {
 		return
 	}
+	c := e.chg
 	var split ident.PIDs
-	for _, p := range e.predReceived {
+	for _, p := range c.predFrom {
 		if !e.cfg.Detector.Suspected(p) {
 			split = split.Add(p)
 		}
 	}
-	split = split.Without(e.leave)
+	split = split.Without(c.leave)
 	if len(split) == 0 || !split.Contains(e.cfg.Self) || split[0] != e.cfg.Self {
 		return
 	}
 	ref := ident.ViewRef{Epoch: SplitEpoch(e.cv.Ref(), split), ID: e.cv.ID + 1}
-	if e.pendingNext[ref] {
+	if c.awaited[ref] {
 		return // this exact continuation is already declared and pending
 	}
 	e.ev.SplitDeclared(ref.String(), len(split))
@@ -187,10 +178,8 @@ func (e *Engine) checkSplit() {
 
 // onSplit handles a split declaration from the reachable set's leader.
 func (e *Engine) onSplit(from ident.PID, m SplitMsg) {
-	if e.cfg.Heal == nil || e.joining || e.merge != nil || !e.blocked {
-		return
-	}
-	if m.Ref() != e.cv.Ref() {
+	c := e.chg
+	if e.cfg.Heal == nil || c == nil || c.merge != nil || m.Ref() != e.cv.Ref() {
 		return
 	}
 	members := ident.NewPIDs(m.Members...)
@@ -198,7 +187,7 @@ func (e *Engine) onSplit(from ident.PID, m SplitMsg) {
 		return // only the declared set's lowest member may declare
 	}
 	for _, p := range members {
-		if !e.predReceived.Contains(p) {
+		if !c.predFrom.Contains(p) {
 			// We cannot yet cover every declared member's deliveries, so
 			// we must not propose — but the declaration is legitimate, so
 			// watch the instance for the decide flood.
@@ -209,15 +198,13 @@ func (e *Engine) onSplit(from ident.PID, m SplitMsg) {
 	e.adoptSplit(members)
 }
 
-// adoptSplit registers the split continuation and proposes it: the next
-// view is the declared set, under an epoch derived from (parent ref,
-// member set) so concurrent declarations for different sets occupy
-// different consensus instances.
+// adoptSplit proposes the split continuation: the next view is the
+// declared set, under an epoch derived from (parent ref, member set) so
+// concurrent declarations for different sets occupy different consensus
+// instances.
 func (e *Engine) adoptSplit(members ident.PIDs) {
-	ref := ident.ViewRef{Epoch: SplitEpoch(e.cv.Ref(), members), ID: e.cv.ID + 1}
-	e.awaitDecision(ref)
-	next := View{Epoch: ref.Epoch, ID: ref.ID, Members: members.Clone()}
-	e.propose(consensusValue{Next: next, Pred: sortedPred(e.globalPred)}, members)
+	next := View{Epoch: SplitEpoch(e.cv.Ref(), members), ID: e.cv.ID + 1, Members: members.Clone()}
+	e.propose(consensusValue{Next: next, Pred: sortedPred(e.chg.pred)}, members)
 }
 
 // ---- merge: two sub-views reconverge into their union -----------------------
@@ -225,10 +212,7 @@ func (e *Engine) adoptSplit(members ident.PIDs) {
 // maybeStartMerge begins a merge with the remote sub-view a probe
 // revealed, if no change or merge is already in flight.
 func (e *Engine) maybeStartMerge(remote mergeSide) {
-	if e.merge != nil || e.blocked || e.joining || e.expelled {
-		return
-	}
-	if remote.ref == e.cv.Ref() {
+	if !e.open() || remote.ref == e.cv.Ref() {
 		return
 	}
 	e.startMerge(mergeSide{ref: e.cv.Ref(), members: e.cv.Members.Clone()}, remote)
@@ -257,15 +241,13 @@ func (e *Engine) startMerge(a, b mergeSide) {
 	}
 	ref := mergeRefFor(a.ref, b.ref)
 	union := a.members.Union(b.members)
-	e.block()
-	now := e.blockStart
-	e.merge = &mergeState{
+	c := e.block()
+	c.merge = &mergeState{
 		ref:      ref,
 		sides:    [2]mergeSide{a, b},
 		union:    union,
 		contrib:  make(map[ident.PID]*MergePredMsg),
-		started:  now,
-		deadline: now.Add(e.cfg.Heal.MergeTimeout),
+		deadline: c.start.Add(e.cfg.Heal.MergeTimeout),
 	}
 	e.ev.MergeStarted(ref.String(), a.ref.String(), b.ref.String(), len(union))
 	// Extend the heartbeat fanout across the union: the propose condition
@@ -297,17 +279,14 @@ func (e *Engine) startMerge(a, b mergeSide) {
 // onMerge handles a merge announcement: if it names our current view as
 // one side, adopt it and run the same handshake as the initiator.
 func (e *Engine) onMerge(from ident.PID, m MergeMsg) {
-	if e.cfg.Heal == nil || e.joining {
+	if e.cfg.Heal == nil || !e.open() {
+		// Joining, already merging (this announcement is the flood echo),
+		// or an ordinary change is mid-flight — its install or abort comes
+		// first; the far side times out and re-probes.
 		return
 	}
 	a := mergeSide{ref: m.A.Ref(), members: ident.NewPIDs(m.A.Members...)}
 	b := mergeSide{ref: m.B.Ref(), members: ident.NewPIDs(m.B.Members...)}
-	if e.merge != nil || e.blocked {
-		// Already merging (this announcement is the flood echo), or an
-		// ordinary change is mid-flight — its install or abort comes
-		// first; the far side times out and re-probes.
-		return
-	}
 	cur := e.cv.Ref()
 	if cur != a.ref && cur != b.ref {
 		return // stale announcement for a view we have moved past
@@ -339,16 +318,17 @@ func (e *Engine) declineMerge(m MergeMsg) {
 
 // onMergePred collects one member's merge contribution (or decline).
 func (e *Engine) onMergePred(from ident.PID, m MergePredMsg) {
-	if e.merge == nil || m.Merge != e.merge.ref || !e.merge.union.Contains(from) {
+	mg := e.merging()
+	if mg == nil || m.Merge != mg.ref || !mg.union.Contains(from) {
 		return // not merging, a different merge, or an outsider
 	}
 	if m.Decline {
-		e.merge.declined = e.merge.declined.Add(from)
-	} else if e.merge.contrib[from] == nil {
+		mg.declined = mg.declined.Add(from)
+	} else if mg.contrib[from] == nil {
 		c := m
-		e.merge.contrib[from] = &c
+		mg.contrib[from] = &c
 		size := uint64(wireSize(m))
-		e.merge.bytesIn += size
+		mg.bytesIn += size
 		e.stats.MergeBytesRecv += size
 	}
 	e.checkMergePropose()
@@ -362,8 +342,8 @@ func (e *Engine) onMergePred(from ident.PID, m MergePredMsg) {
 // never forms a delivery-coverage pair with those who do. The second keeps
 // a merge from installing a union view dominated by one side's wreckage.
 func (e *Engine) checkMergePropose() {
-	mg := e.merge
-	if mg == nil || mg.proposed {
+	mg := e.merging()
+	if mg == nil || e.chg.proposed {
 		return
 	}
 	for i := range mg.sides {
@@ -382,7 +362,7 @@ func (e *Engine) checkMergePropose() {
 			return
 		}
 	}
-	mg.proposed = true
+	e.chg.proposed = true
 
 	var members ident.PIDs
 	combined := make(map[obsolete.MsgID]DataMsg)
@@ -402,16 +382,16 @@ func (e *Engine) checkMergePropose() {
 	// The union view's flush: deduplicated (the map key), deterministically
 	// ordered, and repurged so covers across contributions collapse — at
 	// most the sum of both sides' O(window) backlogs.
-	val := consensusValue{Next: next, Pred: repurge(e.rel, sortedPred(combined)), Recv: recv}
+	val := consensusValue{Next: next, Pred: repurge(e.cfg.Relation, sortedPred(combined)), Recv: recv}
 	e.propose(val, mg.union)
 }
 
 // finishMerge records the completed merge; install has already adopted the
 // flush and the combined frontiers.
 func (e *Engine) finishMerge(val consensusValue) {
-	mg := e.merge
+	mg := e.chg.merge
 	e.stats.Merges++
-	took := e.clock.Since(mg.started)
+	took := e.clock.Since(e.chg.start)
 	e.m.mergeDur.ObserveDuration(took)
 	e.m.mergeBytes.Observe(float64(mg.bytesIn))
 	e.ev.MergeComplete(val.Next.Ref().String(), len(val.Next.Members), len(val.Pred), int(mg.bytesIn), took)
@@ -419,14 +399,13 @@ func (e *Engine) finishMerge(val consensusValue) {
 
 // abortMerge abandons a merge whose union decision did not arrive in
 // time — the partition re-opened mid-handshake, or a side was wedged in
-// its own view change. The engine unblocks, restores its view-scoped
-// detector fanout and puts the far side back on the probe list; a later
-// probe retries the merge on the same (deterministic) instance.
+// its own view change. The change ends (the engine unblocks), the
+// view-scoped detector fanout is restored and the far side goes back on
+// the probe list; a later probe retries the merge on the same
+// (deterministic) instance.
 func (e *Engine) abortMerge(reason string) {
-	mg := e.merge
-	e.merge = nil
-	delete(e.pendingNext, mg.ref)
-	e.unblock()
+	mg := e.chg.merge
+	e.endChange()
 	e.stats.MergeAborts++
 	e.ev.MergeAborted(mg.ref.String(), reason)
 	for _, p := range mg.union {

@@ -8,8 +8,7 @@ import (
 
 // Reasons a consensus decision is accounted as ignored (onDecision).
 const (
-	ignoreDuplicate  = "duplicate"   // the decision for the view just installed, reported twice
-	ignoreNotBlocked = "not_blocked" // a decide flood landing while unblocked
+	ignoreNotBlocked = "not_blocked" // a decision landing after its change ended
 	ignoreWrongView  = "wrong_view"  // the losing branch of concurrent proposals
 )
 
@@ -110,7 +109,6 @@ var statsExport = []struct {
 	{"engine_send_errors_total", obs.KindCounter, nil, func(s *Stats) uint64 { return s.SendErrors }},
 	{"engine_decision_failures_total", obs.KindCounter, nil, func(s *Stats) uint64 { return s.DecisionFailures }},
 	{"engine_credit_flushes_total", obs.KindCounter, nil, func(s *Stats) uint64 { return s.CreditFlushes }},
-	{"engine_decisions_ignored_total", obs.KindCounter, reason(ignoreDuplicate), func(s *Stats) uint64 { return s.IgnoredDuplicate }},
 	{"engine_decisions_ignored_total", obs.KindCounter, reason(ignoreNotBlocked), func(s *Stats) uint64 { return s.IgnoredNotBlocked }},
 	{"engine_decisions_ignored_total", obs.KindCounter, reason(ignoreWrongView), func(s *Stats) uint64 { return s.IgnoredWrongView }},
 	{"view_merge_total", obs.KindCounter, nil, func(s *Stats) uint64 { return s.Merges }},

@@ -412,7 +412,12 @@ func TestRegistryMatchesStats(t *testing.T) {
 
 	// testdata/parent_metric_keys.txt is snapshotKeys of this scenario at
 	// commit 055b88f, the parent of the change that made the registry read
-	// Stats: no metric was renamed, dropped, relabelled or changed kind.
+	// Stats: no metric was renamed, relabelled or changed kind. One key was
+	// dropped since, by the PR 21 change that made a change's awaitDecision
+	// the only path from consensus into the loop:
+	// engine_decisions_ignored_total{reason=duplicate} counted the second
+	// report of every installed decision (Propose's beside Await's), and
+	// nothing reports a decision twice any more.
 	parent, err := os.ReadFile("testdata/parent_metric_keys.txt")
 	if err != nil {
 		t.Fatal(err)

@@ -60,8 +60,9 @@ type NodeConfig struct {
 	Endpoint transport.Endpoint
 	// Detector optionally supplies the shared failure detector (already
 	// started). When nil the Node runs its own fd.Heartbeat over the
-	// endpoint, monitoring the union of all hosted groups' initial
-	// memberships, and stops it on Close.
+	// endpoint, monitoring the union of all hosted groups' current
+	// memberships (a joining group's contacts until its first view), and
+	// stops it on Close.
 	Detector fd.Detector
 	// Heartbeat tunes the node-owned heartbeat detector (ignored when
 	// Detector is set).
@@ -75,7 +76,9 @@ type NodeConfig struct {
 }
 
 // GroupConfig configures one hosted group; it is Config minus the fields
-// the Node supplies (Self, Group, Endpoint, Detector).
+// the Node supplies: Self, Group, Endpoint and Detector from the node, Obs
+// derived from NodeConfig.Obs with the group's label, and Join from
+// Node.Join / JoinWith. Every field keeps Config's meaning and default.
 type GroupConfig struct {
 	// InitialView is the agreed first view (same at every member).
 	InitialView View
@@ -92,8 +95,6 @@ type GroupConfig struct {
 	StabilityInterval time.Duration
 	// Heal enables partition healing for this group (see Config.Heal).
 	Heal *HealSpec
-	// MaxDeferredCtl bounds the future-view control stash (see Config).
-	MaxDeferredCtl int
 }
 
 // Group is one hosted group: the Engine facade (Multicast, Deliver,
@@ -108,10 +109,10 @@ type Group struct {
 
 // groupDetector is the Detector handed to one group's engine: the shared
 // detector's Tap for events and queries, plus the view-install SetPeers
-// hook (protocol.go), which reports the group's current membership back
-// to the node so the shared heartbeat tracks view changes — without it,
-// a peer evicted from every group would be monitored (and re-dialed)
-// forever.
+// hook (enterView, viewchange.go), which reports the group's current
+// membership back to the node so the shared heartbeat tracks view changes —
+// without it, a peer evicted from every group would be monitored (and
+// re-dialed) forever.
 type groupDetector struct {
 	*fd.Tap
 	node *Node
@@ -231,7 +232,6 @@ func (n *Node) host(id ident.GroupID, gc GroupConfig, join *JoinSpec) (*Group, e
 		AutoEvict:         gc.AutoEvict,
 		StabilityInterval: gc.StabilityInterval,
 		Heal:              gc.Heal,
-		MaxDeferredCtl:    gc.MaxDeferredCtl,
 		Obs:               n.obs.With(obs.L("group", fmt.Sprint(id))),
 	})
 	if err != nil {

@@ -18,13 +18,16 @@ import (
 
 // TestForgedSenderDropped: a process outside the view sends a current-view
 // data message in the name of a PID that is no member, and a credit grant in
-// its own. Both are dropped and counted, nothing of it is delivered, and the
-// peer table gains no record for either name.
+// its own; a member sends a data message in another member's name. All three
+// are dropped and counted, nothing of them is delivered, the impersonated
+// member's real stream still arrives (its frontier was never raised), and
+// the peer table gains no record for either outsider's name.
 func TestForgedSenderDropped(t *testing.T) {
 	net := transport.NewMemNetwork()
-	view0 := View{ID: 1, Members: ident.NewPIDs("p0", "p1")}
+	view0 := View{ID: 1, Members: ident.NewPIDs("p0", "p1", "p2")}
 	reg := obs.NewRegistry()
 	engs := map[ident.PID]*Engine{}
+	eps := map[ident.PID]*transport.MemEndpoint{}
 	for _, p := range view0.Members {
 		ep, err := net.Endpoint(p)
 		if err != nil {
@@ -39,7 +42,7 @@ func TestForgedSenderDropped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engs[p] = eng
+		engs[p], eps[p] = eng, ep
 		t.Cleanup(func() {
 			eng.Stop()
 			det.Stop()
@@ -66,27 +69,38 @@ func TestForgedSenderDropped(t *testing.T) {
 	if err := evil.Send("p0", 0, transport.Ctl, CreditMsg{View: 1, Credits: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	const counter = "engine_dropped_total{reason=unknown_sender}"
-	waitCond(t, "both forgeries counted", func() bool { return reg.Snapshot().Counters[counter] >= 2 })
-
-	// An honest message sent afterwards is the first thing p0 delivers.
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if _, err := engs["p1"].Multicast(ctx, obsolete.Msg{Sender: "p1", Seq: 1}, []byte("honest")); err != nil {
+	// p1 impersonates p2, far ahead of p2's real stream: accepted, it would
+	// raise p2's reception frontier past everything p2 is about to send.
+	impersonated := DataMsg{View: 1, Meta: obsolete.Msg{Sender: "p2", Seq: 100}, Payload: []byte("impersonated")}
+	if err := eps["p1"].Send("p0", 0, transport.Data, impersonated); err != nil {
 		t.Fatal(err)
 	}
-	if d, err := victim.Deliver(ctx); err != nil || d.Meta.Sender != "p1" || string(d.Payload) != "honest" {
-		t.Fatalf("p0 delivered %+v (%v), want p1's message and nothing forged", d, err)
+	const counter = "engine_dropped_total{reason=unknown_sender}"
+	waitCond(t, "all three forgeries counted", func() bool { return reg.Snapshot().Counters[counter] >= 3 })
+
+	// Honest messages sent afterwards are the first things p0 delivers.
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	want := map[ident.PID]string{"p1": "honest", "p2": "real"}
+	for p, payload := range want {
+		if _, err := engs[p].Multicast(ctx, obsolete.Msg{Sender: p, Seq: 1}, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range want {
+		if d, err := victim.Deliver(ctx); err != nil || d.Meta.Seq != 1 || want[d.Meta.Sender] != string(d.Payload) {
+			t.Fatalf("p0 delivered %+v (%v), want p1's and p2's first messages and nothing forged", d, err)
+		}
 	}
 	victim.Stop() // the loop has exited: its state is safe to read
-	if got := reg.Snapshot().Counters[counter]; got != 2 {
-		t.Errorf("%s = %d, want 2", counter, got)
+	if got := reg.Snapshot().Counters[counter]; got != 3 {
+		t.Errorf("%s = %d, want 3", counter, got)
 	}
 	if len(victim.peers) != records || victim.peers["ghost"] != nil || victim.peers["evil"] != nil {
 		t.Errorf("peer table grew from %d to %d records: %v", records, len(victim.peers), victim.peers)
 	}
-	if st := victim.Stats(); st.Delivered != 1 {
-		t.Errorf("p0 delivered %d messages, want 1", st.Delivered)
+	if st := victim.Stats(); st.Delivered != 2 || st.DroppedCovered != 0 {
+		t.Errorf("p0 delivered %d messages and dropped %d as covered, want 2 and 0", st.Delivered, st.DroppedCovered)
 	}
 }
 

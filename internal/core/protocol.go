@@ -1,5 +1,9 @@
 package core
 
+// protocol.go is Figure 1's data path: t2 multicast, t3 receive, t1
+// deliver, and purge() wherever a message waits. The view change, t4–t7,
+// is viewchange.go.
+
 import (
 	"log/slog"
 	"time"
@@ -16,11 +20,7 @@ import (
 func (e *Engine) onMulticastReq(req *request) {
 	// Park while a join is still in flight: the first view (and with it
 	// membership and flow windows) arrives with the state transfer.
-	if e.joining {
-		e.park(req)
-		return
-	}
-	if !e.advance(req) {
+	if e.joiner != nil || !e.advance(req) {
 		e.park(req)
 	}
 }
@@ -44,7 +44,7 @@ func (e *Engine) advance(req *request) bool {
 		}
 		// Park while the group is blocked or buffers lack room; install,
 		// credit arrivals and deliveries retry the queue head.
-		if e.blocked || !e.canCommit(m.Meta, m.Payload) {
+		if e.chg != nil || !e.canCommit(m.Meta, m.Payload) {
 			e.flushStage()
 			return false
 		}
@@ -75,20 +75,6 @@ func (e *Engine) park(req *request) {
 		e.ev.FlowBlocked(uint64(req.batch[req.done].Meta.Seq))
 	}
 	e.multicastQ = append(e.multicastQ, req)
-}
-
-// terminalErr is what every call fails with once this engine can make no
-// further progress — its join was abandoned or it was expelled — and nil
-// while it can. Parked requests need no failing by hand: the retry that
-// follows the transition runs them into this error.
-func (e *Engine) terminalErr() error {
-	switch {
-	case e.joinFailed:
-		return ErrJoinTimeout
-	case e.expelled:
-		return ErrExpelled
-	}
-	return nil
 }
 
 func (e *Engine) multicastPrecheck(meta obsolete.Msg) error {
@@ -237,32 +223,39 @@ func (e *Engine) sendData(p ident.PID, run []DataMsg) {
 // routes go through ingestData per message, so batching never changes a
 // message's fate — only how many channel operations it shared.
 func (e *Engine) onDataBatch(envs []transport.Envelope) {
-	var from *peer // an envelope is one sender's run: resolved once
+	var from *peer // the record of the last envelope's link
 	for i := range envs {
-		switch m := envs[i].Msg.(type) {
+		env := &envs[i]
+		switch m := env.Msg.(type) {
 		case DataMsg:
-			from = e.peerOf(m.Meta.Sender, from)
-			e.ingestData(from, m)
+			from = e.peerOf(env.From, from)
+			e.ingestData(env.From, from, m)
 		case *DataBatchMsg:
+			from = e.peerOf(env.From, from)
 			for j := range m.Msgs {
-				from = e.peerOf(m.Msgs[j].Meta.Sender, from)
-				e.ingestData(from, m.Msgs[j])
+				e.ingestData(env.From, from, m.Msgs[j])
 			}
 		default:
 			// A data-channel envelope that is not data: miscoded or
 			// hostile peer. This was an entirely silent discard before.
 			e.stats.DroppedBadType++
-			e.ev.Drop(obs.DropBadType, slog.String("from", string(envs[i].From)))
+			e.ev.Drop(obs.DropBadType, slog.String("from", string(env.From)))
 		}
 	}
 }
 
-// ingestData routes one arrival: process it now, or — when an earlier
-// arrival of this batch is already waiting for queue space — stash it
-// raw behind it, preserving per-sender FIFO. (The data inbox is gated
-// while anything is pending, so the stash is bounded by one batched
-// receive.)
-func (e *Engine) ingestData(from *peer, dm DataMsg) {
+// ingestData routes one arrival on link, the process that sent it, whose
+// record is from (nil: it has none): process it now, or — when an earlier
+// arrival of this batch is already waiting for queue space — stash it raw
+// behind it, preserving per-sender FIFO. (The data inbox is gated while
+// anything is pending, so the stash is bounded by one batched receive.) A
+// process multicasts only its own stream: a message in anyone else's name
+// is dropped before it can reach the stash or a frontier.
+func (e *Engine) ingestData(link ident.PID, from *peer, dm DataMsg) {
+	if dm.Meta.Sender != link {
+		e.dropUnknownSender(link)
+		return
+	}
 	if e.pendingFrom != nil || e.pendingPos < len(e.pendingRest) {
 		e.pendingRest = append(e.pendingRest, dm)
 		return
@@ -276,12 +269,8 @@ func (e *Engine) ingestData(from *peer, dm DataMsg) {
 // whose record is from (nil: it has none). It returns false only when the
 // message passed every check (and its credit charge and purges were
 // applied) but the delivery queue is full — the caller keeps it as
-// pendingHead until space frees.
+// pendingHead until space frees. It runs only while the data plane is open.
 func (e *Engine) processData(from *peer, dm DataMsg) bool {
-	if e.expelled {
-		e.stats.DroppedExpelled++
-		return true
-	}
 	if dm.View != e.cv.ID || dm.Epoch != e.cv.Epoch {
 		// Not this view — stale, or another lineage's traffic racing a
 		// partition merge. Either way its pred/flush obligations are
@@ -320,10 +309,11 @@ func (e *Engine) processData(from *peer, dm DataMsg) bool {
 	return true
 }
 
-// dropUnknownSender discards a current-view data message or credit grant in
-// the name of id, which is no member of the view: only members multicast in
-// it and hold windows, so whatever PID a peer wrote there gets no slot, no
-// credit and no record.
+// dropUnknownSender discards a data message or credit grant that id had no
+// right to send: one in another process's name, or a current-view one from
+// a process that is no member of the view — only members multicast in it
+// and hold windows. Whatever PID a peer wrote there gets no slot, no credit
+// and no record.
 func (e *Engine) dropUnknownSender(id ident.PID) {
 	e.stats.DroppedUnknownSender++
 	e.ev.Drop(obs.DropUnknownSender, slog.String("from", string(id)))
@@ -343,7 +333,7 @@ func (e *Engine) acceptData(from *peer, it queue.Item) {
 // the batch behind it.
 func (e *Engine) retryPending() {
 	var from *peer // sender of the last stashed arrival: they come in runs
-	for !e.blocked && !e.expelled {
+	for e.open() {
 		if e.pendingFrom != nil {
 			if e.toDeliver.Full() {
 				return
@@ -515,7 +505,7 @@ func (e *Engine) deliverItem(it queue.Item, last *peer) (Delivery, *peer) {
 // in place until its whole batch commits, so a half-committed transaction
 // resumes exactly where it stopped.
 func (e *Engine) retryParked() {
-	if e.joining {
+	if e.joiner != nil {
 		return
 	}
 	for len(e.multicastQ) > 0 {

@@ -15,7 +15,6 @@ import (
 func snapEngine(rel obsolete.Relation) *Engine {
 	e := &Engine{
 		cfg:       Config{Self: "me", Relation: rel},
-		rel:       rel,
 		cv:        View{ID: 4, Members: ident.NewPIDs("a", "b", "me")},
 		toDeliver: queue.New(rel, 0),
 		delivered: queue.New(rel, 0),

@@ -52,7 +52,7 @@ func (e *Engine) recvSnapshot() map[ident.PID]ident.Seq {
 
 // gossipStability broadcasts this process's reception frontier.
 func (e *Engine) gossipStability() {
-	if e.expelled || e.blocked {
+	if !e.open() {
 		return
 	}
 	m := StableMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Recv: e.recvSnapshot()}

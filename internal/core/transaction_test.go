@@ -108,7 +108,6 @@ func txnEngine(rel obsolete.Relation, window, outCap, deliverCap int) (*Engine, 
 	cfg := Config{Self: "me", Endpoint: log, Relation: rel, Window: window, OutgoingCap: outCap}
 	e := &Engine{
 		cfg:       cfg,
-		rel:       rel,
 		cv:        View{ID: 1, Members: ident.NewPIDs("me", "peer")},
 		toDeliver: queue.New(rel, deliverCap),
 		delivered: queue.New(rel, 0),
@@ -142,7 +141,7 @@ func TestStagePurgeRefundsCredit(t *testing.T) {
 			inFlight += len(log.data) - sent
 			for i, old := range log.data[sent:] {
 				for _, later := range log.data[sent+i+1:] {
-					if e.rel.Obsoletes(old.Meta, later.Meta) {
+					if e.cfg.Relation.Obsoletes(old.Meta, later.Meta) {
 						t.Fatalf("batch %d: sent %d together with %d, which obsoletes it", b, old.Meta.Seq, later.Meta.Seq)
 					}
 				}

@@ -1,8 +1,13 @@
 package core
 
+// viewchange.go is Figure 1's view change, t4–t7: an INIT blocks the group
+// (t5), every member gathers the others' pred sets (t6), and consensus
+// decides the next view and its flush, which each member installs (t7).
+// The change in flight is one record, the decisions enter the loop through
+// one door (awaitDecision), and every view is entered one way (enterView).
+
 import (
 	"context"
-	"errors"
 	"log/slog"
 	"sort"
 	"time"
@@ -14,6 +19,37 @@ import (
 	"repro/internal/queue"
 	"repro/internal/transport"
 )
+
+// change is the view change in flight: set by block (t5), cleared by
+// endChange alone — at an install, a probe-proven expulsion (both through
+// enterView) or an aborted merge. An ordinary change gathers pred sets; a
+// merge (merge.go) gathers contributions instead. Either may await several
+// successors at once (the ordinary next view, a shrinking series of split
+// continuations, a merge union): the first to decide installs, and every
+// goroutine the change started ends with it.
+type change struct {
+	ctx    context.Context // cancelled by endChange: ends the change's Await and Propose calls
+	cancel context.CancelFunc
+	start  time.Time // when the group blocked (viewChange histogram)
+
+	awaited  map[ident.ViewRef]bool // successors whose instance awaitDecision watches
+	proposed bool                   // the ordinary change or the merge is proposed
+
+	// The ordinary change: its join and leave sets, and the pred sets
+	// gathered so far (t6), keyed by message and by member.
+	join, leave ident.PIDs
+	pred        map[obsolete.MsgID]DataMsg
+	predFrom    ident.PIDs
+
+	merge *mergeState // the partition merge this change is; nil for an ordinary one
+}
+
+// maxDeferredCtl bounds the stash of control messages that arrive for a
+// future view and are replayed after the next install. A full stash keeps
+// what it has and drops the arriving message (counted by
+// engine_dropped_total{reason=defer_overflow}): the earliest stashed INIT
+// is the one whose replay unblocks the peer that sent it.
+const maxDeferredCtl = 4096
 
 // pidStrings renders a PID set for an event attribute.
 func pidStrings(ps ident.PIDs) []string {
@@ -33,10 +69,10 @@ func (e *Engine) triggerViewChange(join, leave ident.PIDs) error {
 	if err := e.terminalErr(); err != nil {
 		return err
 	}
-	if e.joining {
+	if e.joiner != nil {
 		return ErrJoining
 	}
-	if e.blocked {
+	if e.chg != nil {
 		// A view change is already in progress; joiners it does not admit
 		// re-request admission and are picked up by the next change.
 		return nil
@@ -51,10 +87,7 @@ func (e *Engine) triggerViewChange(join, leave ident.PIDs) error {
 // onSuspicion reacts to failure detector events: they re-evaluate the
 // propose condition and, with AutoEvict, trigger eviction view changes.
 func (e *Engine) onSuspicion(ev fd.Event) {
-	if e.expelled {
-		return
-	}
-	if ev.Suspected && e.cfg.AutoEvict && !e.blocked && !e.joining && e.cv.Includes(ev.P) {
+	if ev.Suspected && e.cfg.AutoEvict && e.open() && e.cv.Includes(ev.P) {
 		_ = e.triggerViewChange(nil, ident.NewPIDs(ev.P))
 	}
 	e.checkPropose()
@@ -64,7 +97,7 @@ func (e *Engine) onSuspicion(ev fd.Event) {
 // ---- t5/t6: ctl handling ---------------------------------------------------
 
 func (e *Engine) onCtl(env transport.Envelope) {
-	if e.expelled {
+	if e.terminalErr() != nil {
 		// An expelled-but-alive process still answers merge announcements
 		// with a decline, so a union that names it can proceed without
 		// waiting for suspicion to develop.
@@ -131,8 +164,8 @@ func (e *Engine) onCtl(env transport.Envelope) {
 // would strand it blocked (it cannot retransmit — it blocked itself at
 // t5). The decide flood guarantees we install v shortly, at which point
 // the stashed messages are replayed. The stash is bounded by
-// Config.MaxDeferredCtl as a backstop against garbage from broken peers;
-// drops past it are counted in Stats.CtlDeferredDropped.
+// maxDeferredCtl as a backstop against garbage from broken peers; drops
+// past it are counted in Stats.CtlDeferredDropped.
 //
 // Cross-lineage traffic is deferred only while an epoch-changing install
 // may be in flight (blocked on a merge decision, or joining — the state
@@ -146,13 +179,13 @@ func (e *Engine) deferFuture(env transport.Envelope, ref ident.ViewRef) bool {
 	if ref.Epoch == e.cv.Epoch && ref.ID <= e.cv.ID {
 		return false
 	}
-	if ref.Epoch != e.cv.Epoch && !e.blocked && !e.joining {
+	if ref.Epoch != e.cv.Epoch && e.open() {
 		e.stats.DroppedStale++
 		e.ev.Drop(obs.DropStaleView, slog.String("from", string(env.From)),
 			slog.String("view", ref.String()))
 		return true
 	}
-	if len(e.deferredCtl) < e.cfg.MaxDeferredCtl {
+	if len(e.deferredCtl) < maxDeferredCtl {
 		e.deferredCtl = append(e.deferredCtl, env)
 	} else {
 		e.stats.CtlDeferredDropped++
@@ -177,7 +210,7 @@ func (e *Engine) replayDeferred() {
 // onInit is transition t5: block the group, adopt the leave and join
 // sets, compute and disseminate the local pred sequence.
 func (e *Engine) onInit(from ident.PID, m InitMsg) {
-	if e.merge != nil && m.View == e.cv.ID && m.Epoch == e.cv.Epoch && e.cv.Includes(from) {
+	if e.merging() != nil && m.View == e.cv.ID && m.Epoch == e.cv.Epoch && e.cv.Includes(from) {
 		// A member started an ordinary change while we were merging. The
 		// change's quorum is reachable (the INIT got here) but its members
 		// will not answer a merge mid-change — so yield: abort the merge
@@ -185,10 +218,7 @@ func (e *Engine) onInit(from ident.PID, m InitMsg) {
 		// the change completes.
 		e.abortMerge("view_change")
 	}
-	if m.View != e.cv.ID || e.blocked || e.joining {
-		return
-	}
-	if !e.cv.Includes(from) {
+	if m.View != e.cv.ID || !e.open() || !e.cv.Includes(from) {
 		return
 	}
 	if from != e.cfg.Self {
@@ -198,11 +228,12 @@ func (e *Engine) onInit(from ident.PID, m InitMsg) {
 			e.send(p, transport.Ctl, m)
 		}
 	}
-	e.block()
-	e.leave = ident.NewPIDs(m.Leave...).Intersect(e.cv.Members)
+	c := e.block()
+	c.leave = ident.NewPIDs(m.Leave...).Intersect(e.cv.Members)
 	// Current members need no admission and a process asked to leave is
 	// not admitted by the same change.
-	e.join = ident.NewPIDs(m.Join...).Without(e.cv.Members).Without(e.leave)
+	c.join = ident.NewPIDs(m.Join...).Without(e.cv.Members).Without(c.leave)
+	c.pred = make(map[obsolete.MsgID]DataMsg)
 
 	// The local pred sequence: what we accepted to deliver in this view.
 	// Messages known stable (received by every member) are left out — the
@@ -221,50 +252,38 @@ func (e *Engine) onInit(from ident.PID, m InitMsg) {
 	e.checkPropose()
 }
 
-// awaitDecision registers ref as a legitimate successor of the current
-// blocked state and watches its consensus instance for the decide flood.
-// pendingNext is the arbitration ledger of the concurrent-proposal machine:
-// several successors may be pending at once (the ordinary next view, a
-// shrinking series of split continuations, a merge union), and onDecision
-// installs whichever instance decides first — everything else is counted
-// as ignored.
-func (e *Engine) awaitDecision(ref ident.ViewRef) {
-	if e.pendingNext[ref] {
-		return
-	}
-	e.pendingNext[ref] = true
-	go func() {
-		raw, err := e.cons.Await(e.rootCtx, viewInstance(ref))
-		e.pushDecision(ref, raw, err)
-	}()
-}
-
-// block closes the data plane for a view change or a merge (t5).
-// Arrivals not yet accepted are dropped: their senders' pred sets (or merge
-// contributions) cover them.
-func (e *Engine) block() {
-	e.blocked = true
-	e.blockStart = e.clock.Now()
+// block closes the data plane for a view change or a merge (t5) and opens
+// the change record. Arrivals not yet accepted are dropped: their senders'
+// pred sets (or merge contributions) cover them.
+func (e *Engine) block() *change {
+	ctx, cancel := context.WithCancel(e.rootCtx)
+	e.chg = &change{ctx: ctx, cancel: cancel, start: e.clock.Now(), awaited: make(map[ident.ViewRef]bool)}
 	e.pendingFrom, e.pendingHead = nil, DataMsg{}
 	e.pendingRest = e.pendingRest[:0]
 	e.pendingPos = 0
+	return e.chg
 }
 
-// unblock reopens the data plane; the caller retries whatever waited.
-func (e *Engine) unblock() {
-	e.blocked = false
-	e.blockStart = time.Time{}
+// endChange ends the change in flight, if any: the goroutines it started
+// stop and the data plane reopens; the caller retries whatever waited. It
+// is the only place a change ends.
+func (e *Engine) endChange() {
+	if c := e.chg; c != nil {
+		c.cancel()
+		e.chg = nil
+	}
 }
 
 // onPred is transition t6: accumulate pred sequences.
 func (e *Engine) onPred(from ident.PID, m PredMsg) {
-	if m.View != e.cv.ID || m.Epoch != e.cv.Epoch || !e.cv.Includes(from) {
+	c := e.chg
+	if c == nil || c.merge != nil || m.View != e.cv.ID || m.Epoch != e.cv.Epoch || !e.cv.Includes(from) {
 		return
 	}
 	for _, dm := range m.Msgs {
-		e.globalPred[dm.Meta.ID()] = dm
+		c.pred[dm.Meta.ID()] = dm
 	}
-	e.predReceived = e.predReceived.Add(from)
+	c.predFrom = c.predFrom.Add(from)
 	e.checkPropose()
 }
 
@@ -276,42 +295,63 @@ func (e *Engine) onPred(from ident.PID, m PredMsg) {
 // with healing enabled the reachable minority continues under a split epoch
 // instead of wedging (checkSplit, merge.go).
 func (e *Engine) checkPropose() {
-	if !e.blocked || e.proposed || e.expelled || e.merge != nil {
+	c := e.chg
+	if c == nil || c.proposed || c.merge != nil {
 		return
 	}
 	for _, p := range e.cv.Members {
-		if !e.cfg.Detector.Suspected(p) && !e.predReceived.Contains(p) {
+		if !e.cfg.Detector.Suspected(p) && !c.predFrom.Contains(p) {
 			return
 		}
 	}
-	if 2*len(e.predReceived) <= len(e.cv.Members) {
+	if 2*len(c.predFrom) <= len(e.cv.Members) {
 		e.checkSplit()
 		return
 	}
-	e.proposed = true
+	c.proposed = true
 
 	// Joiners are added verbatim: they have no pred set to contribute and
 	// take no part in the consensus deciding the view that admits them.
-	next := View{Epoch: e.cv.Epoch, ID: e.cv.ID + 1, Members: e.predReceived.Without(e.leave).Union(e.join)}
-	e.propose(consensusValue{Next: next, Pred: sortedPred(e.globalPred)}, e.cv.Members)
+	next := View{Epoch: e.cv.Epoch, ID: e.cv.ID + 1, Members: c.predFrom.Without(c.leave).Union(c.join)}
+	e.propose(consensusValue{Next: next, Pred: sortedPred(c.pred)}, e.cv.Members)
 }
 
-// propose encodes val and submits it to the consensus instance named by
-// the next view's ref, with the given participant set. The decision (ours
-// or a competitor's for the same instance) comes back through pushDecision.
+// propose offers val to the consensus instance of the view it names, among
+// participants, and awaits that instance. Propose's own result is dropped:
+// the outcome — ours or a competitor's — enters the loop through
+// awaitDecision like every other. The call ends with the change; the
+// consensus runner does not, so a change given up here leaves the other
+// participants' instance live.
 func (e *Engine) propose(val consensusValue, participants ident.PIDs) {
 	ref := val.Next.Ref()
-	raw, err := encodeValue(val)
-	if err != nil {
-		// Unreachable with the hand-rolled wire encoder; surface as a
-		// failed decision rather than wedging silently.
-		e.pushDecision(ref, nil, err)
+	e.awaitDecision(ref)
+	ctx, raw, members := e.chg.ctx, encodeValue(val), participants.Clone()
+	go func() { _, _ = e.cons.Propose(ctx, viewInstance(ref), members, raw) }()
+}
+
+// awaitDecision watches the consensus instance of successor ref for the
+// change in flight, once per ref: the one door through which decisions
+// enter the loop. onDecision installs whichever awaited instance decides
+// first. A watch outlived by its change delivers nothing.
+func (e *Engine) awaitDecision(ref ident.ViewRef) {
+	c := e.chg
+	if c.awaited[ref] {
 		return
 	}
-	members := participants.Clone()
+	c.awaited[ref] = true
 	go func() {
-		dec, err := e.cons.Propose(e.rootCtx, viewInstance(ref), members, raw)
-		e.pushDecision(ref, dec, err)
+		raw, err := e.cons.Await(c.ctx, viewInstance(ref))
+		if c.ctx.Err() != nil {
+			return // the change ended, or the engine stopped
+		}
+		dec := decision{forRef: ref, err: err}
+		if err == nil {
+			dec.val, dec.err = decodeValue(raw)
+		}
+		select {
+		case e.decC <- dec:
+		case <-c.ctx.Done():
+		}
 	}()
 }
 
@@ -331,56 +371,28 @@ func sortedPred(m map[obsolete.MsgID]DataMsg) []DataMsg {
 	return out
 }
 
-// pushDecision forwards a consensus outcome into the loop.
-func (e *Engine) pushDecision(ref ident.ViewRef, raw []byte, err error) {
-	var dec decision
-	dec.forRef = ref
-	if err != nil {
-		dec.err = err
-	} else if raw != nil {
-		val, derr := decodeValue(raw)
-		if derr != nil {
-			dec.err = derr
-		} else {
-			dec.val = val
-		}
-	}
-	select {
-	case e.decC <- dec:
-	case <-e.stopC:
-	}
-}
-
 // onDecision installs the agreed view (the tail of t7) — but only a
-// decision this blocked state is actually waiting on. With concurrent
-// proposals (ordinary successor, split continuations, a merge union) more
-// than one instance can decide; the first pending one wins and every
-// other outcome is counted instead of silently dropped.
+// decision the change in flight awaits. With concurrent proposals
+// (ordinary successor, split continuations, a merge union) more than one
+// instance can decide; the first awaited one wins and every other outcome
+// is counted instead of silently dropped.
 func (e *Engine) onDecision(dec decision) {
 	if dec.err != nil {
-		// A failed outcome where a view decision was expected used to be
-		// invisible. Cancellation is the engine's own shutdown; anything
-		// else (a decode failure, a stopped consensus service) is counted
-		// and logged — the group will stay blocked until another decide
-		// flood reaches it, and an operator should be able to see why.
-		if !errors.Is(dec.err, context.Canceled) {
-			e.stats.DecisionFailures++
-			e.ev.DecisionFailed(uint64(dec.forRef.ID), dec.err)
-		}
+		// A failed outcome (a decode failure, a stopped consensus service)
+		// is counted and logged: the group stays blocked until another
+		// decide flood reaches it, and an operator should see why.
+		e.stats.DecisionFailures++
+		e.ev.DecisionFailed(uint64(dec.forRef.ID), dec.err)
 		return
 	}
-	if e.blocked && e.pendingNext[dec.forRef] {
+	if e.chg != nil && e.chg.awaited[dec.forRef] {
 		e.install(dec.val)
 		return
 	}
-	// Accounted, not installed: the duplicate report of the view we just
-	// installed (Await and Propose both resolve), a decision that lost a
-	// concurrent-proposal race, or a flood arriving after we moved on.
+	// Accounted, not installed: a decision that lost a concurrent-proposal
+	// race, or one that landed after its change ended.
 	n, why := &e.stats.IgnoredWrongView, ignoreWrongView
-	switch {
-	case dec.forRef == e.cv.Ref():
-		n, why = &e.stats.IgnoredDuplicate, ignoreDuplicate
-	case !e.blocked:
+	if e.chg == nil {
 		n, why = &e.stats.IgnoredNotBlocked, ignoreNotBlocked
 	}
 	*n++
@@ -388,13 +400,9 @@ func (e *Engine) onDecision(dec decision) {
 }
 
 func (e *Engine) install(val consensusValue) {
-	e.stats.ViewsInstalled++
 	e.stats.LastFlushLen = len(val.Pred)
-	var blockedFor time.Duration
-	if !e.blockStart.IsZero() {
-		blockedFor = e.clock.Since(e.blockStart)
-		e.m.viewChange.ObserveDuration(blockedFor)
-	}
+	blockedFor := e.clock.Since(e.chg.start)
+	e.m.viewChange.ObserveDuration(blockedFor)
 	if e.ev != nil {
 		e.ev.ViewInstall(uint64(val.Next.ID), len(val.Next.Members), len(val.Pred), blockedFor)
 		e.ev.MemberChange(uint64(val.Next.ID),
@@ -410,7 +418,7 @@ func (e *Engine) install(val consensusValue) {
 	added := e.adopt(val.Pred, val.Recv)
 	e.stats.FlushAdded += uint64(added)
 
-	if e.merge != nil {
+	if e.chg.merge != nil {
 		// The "newcomers" are the other side, which already holds its own
 		// state — no sponsor transfer.
 		e.finishMerge(val)
@@ -420,35 +428,29 @@ func (e *Engine) install(val consensusValue) {
 		// e.delivered and e.cv before enterView resets them.
 		e.sponsorJoiners(val.Next)
 	}
-
-	if !val.Next.Includes(e.cfg.Self) {
-		e.expelled = true // terminal: enterView's retries fail what is parked
-		e.ev.Expelled(uint64(val.Next.ID))
-	}
-
 	e.enterView(val.Next)
 }
 
-// enterView makes next the current view, whether a decision installed it or
-// a state transfer did: the view marker goes into the delivery queue behind
-// whatever the caller just adopted, everything scoped to one view starts
-// afresh, and whoever waited for the view — deliveries, parked multicasts,
-// deferred control traffic, admission requests — gets its turn.
+// enterView makes next the current view, whether a decision installed it, a
+// state transfer did, or a probe proved it: the change in flight ends, a
+// view that excludes this process expels it, the view marker goes into the
+// delivery queue behind whatever the caller just adopted, everything scoped
+// to one view starts afresh, and whoever waited for the view — deliveries,
+// parked multicasts, deferred control traffic, admission requests — gets
+// its turn.
 func (e *Engine) enterView(next View) {
+	e.endChange()
+	e.stats.ViewsInstalled++
+	if !next.Includes(e.cfg.Self) {
+		e.terminal = ErrExpelled // the retries below fail what is parked
+		e.ev.Expelled(uint64(next.ID))
+	}
 	e.toDeliver.ForceAppend(queue.Item{
 		Kind: queue.Control, View: uint64(next.ID), Epoch: uint64(next.Epoch), Ctl: next.Clone(),
 	})
 	e.cv = next.Clone()
 	e.viewDirty = true
-	e.unblock()
-	e.delivered = queue.New(e.rel, 0)
-	e.proposed = false
-	e.merge = nil
-	e.join = nil
-	e.leave = nil
-	e.predReceived = nil
-	clear(e.globalPred)
-	clear(e.pendingNext)
+	e.delivered = queue.New(e.cfg.Relation, 0)
 	e.armPeers()
 	e.setPeers(e.cv.Members)
 

@@ -448,14 +448,14 @@ type consensusValue struct {
 // Format 2 added the lineage epoch and the merge frontier map.
 const valueFormat byte = 2
 
-func encodeValue(v consensusValue) ([]byte, error) {
+func encodeValue(v consensusValue) []byte {
 	dst := make([]byte, 0, 64+32*len(v.Pred))
 	dst = codec.AppendByte(dst, valueFormat)
 	dst = codec.AppendUvarint(dst, uint64(v.Next.ID))
 	dst = codec.AppendUvarint(dst, uint64(v.Next.Epoch))
 	dst = appendPIDs(dst, v.Next.Members)
 	dst = appendDataMsgs(dst, v.Pred)
-	return appendSeqMap(dst, v.Recv), nil
+	return appendSeqMap(dst, v.Recv)
 }
 
 func decodeValue(p []byte) (consensusValue, error) {

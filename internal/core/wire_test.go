@@ -15,10 +15,7 @@ func TestConsensusValueRoundTrip(t *testing.T) {
 			{View: 6, Meta: obsolete.Msg{Sender: "b", Seq: 9}, Payload: nil},
 		},
 	}
-	raw, err := encodeValue(val)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := encodeValue(val)
 	got, err := decodeValue(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -54,10 +51,7 @@ func TestEmptyViewValueRoundTrip(t *testing.T) {
 	// An expelling decision can carry a view the encoder's process is not
 	// in; empty pred sets and single-member views must survive encoding.
 	val := consensusValue{Next: View{ID: 2, Members: ident.NewPIDs("solo")}}
-	raw, err := encodeValue(val)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := encodeValue(val)
 	got, err := decodeValue(raw)
 	if err != nil {
 		t.Fatal(err)
