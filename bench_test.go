@@ -219,7 +219,7 @@ func purgeBenchQueue(b *testing.B, rel obsolete.Relation, n, senders, k int) (*q
 }
 
 // BenchmarkQueuePurgeFor measures the arrival-time purge pair the engine
-// runs per multicast and per arrival (CountPurgeableFor + PurgeForInto) at
+// runs per multicast and per arrival (CountPurgeableFor + PurgeFor) at
 // increasing queue lengths. indexed is the per-(view, sender) index path
 // the built-in encodings get; scan is the retained linear-scan reference,
 // forced by stripping the SenderLocal capability through obsolete.Func.
@@ -250,7 +250,9 @@ func BenchmarkQueuePurgeFor(b *testing.B) {
 		for _, sz := range sizes {
 			b.Run(mode.name+"/"+sz.name, func(b *testing.B) {
 				q, probe := purgeBenchQueue(b, mode.rel(sz.k), sz.n, sz.senders, sz.k)
-				var scratch []queue.Item
+				var victim queue.Item
+				purged := 0
+				keep := func(it *queue.Item) { victim = *it; purged++ }
 				b.ReportAllocs()
 				b.ResetTimer()
 				// Each iteration does one real purge: count, remove the
@@ -259,11 +261,12 @@ func BenchmarkQueuePurgeFor(b *testing.B) {
 				// and index maintenance both on the measured path).
 				for i := 0; i < b.N; i++ {
 					_ = q.CountPurgeableFor(probe)
-					scratch = q.PurgeForInto(probe, scratch[:0])
-					if len(scratch) != 1 {
-						b.Fatalf("purged %d entries, want 1", len(scratch))
+					purged = 0
+					q.PurgeFor(probe, keep)
+					if purged != 1 {
+						b.Fatalf("purged %d entries, want 1", purged)
 					}
-					q.ForceAppend(scratch[0])
+					q.ForceAppend(victim)
 				}
 			})
 		}
@@ -316,11 +319,13 @@ func BenchmarkQueuePopHead(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					it, ok := q.PopHead()
-					if !ok {
+					it := q.PeekHead()
+					if it == nil {
 						b.Fatal("queue drained")
 					}
-					q.ForceAppend(next(it.Meta.Sender))
+					sender := it.Meta.Sender
+					q.PopHead()
+					q.ForceAppend(next(sender))
 				}
 			})
 		}

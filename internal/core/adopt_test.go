@@ -118,11 +118,7 @@ func TestAdoptEqualsSweepModel(t *testing.T) {
 				frontier := map[ident.PID]ident.Seq{}
 				for _, p := range senders {
 					frontier[p] = ident.Seq(streams[p].have)
-					if p == e.cfg.Self {
-						e.lastSent = frontier[p]
-					} else {
-						e.peer(p).recvMax = frontier[p]
-					}
+					e.peer(p).recvMax = frontier[p]
 				}
 				for _, it := range model {
 					e.toDeliver.ForceAppend(it)

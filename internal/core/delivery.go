@@ -80,6 +80,7 @@ type Stats struct {
 	SendErrors           uint64 // sends the endpoint refused
 
 	CreditsStaleView   uint64 // credit grants discarded: wrong view
+	CreditsExcess      uint64 // credit grants clamped: they would have lifted credits past the window
 	CtlDeferredDropped uint64 // future-view control envelopes dropped past the defer cap
 
 	JoinStatesSent  uint64 // state transfers shipped to joiners (sponsor side)
@@ -98,9 +99,9 @@ type Stats struct {
 	ToDeliverLen   int    // current delivery-queue occupancy
 	ToDeliverMax   int    // high-water mark of the delivery queue
 
-	// LastSent is the highest sequence number this engine has committed
-	// for its own stream — what an external tracker must continue from
-	// after a rejoin (see obsolete.KTracker.Skip).
+	// LastSent is the frontier of this engine's own stream: the highest
+	// sequence number it committed or adopted — what an external tracker
+	// must continue from after a rejoin (see obsolete.KTracker.Skip).
 	LastSent ident.Seq
 
 	StablePruned uint64 // history entries reclaimed by stability tracking

@@ -25,9 +25,10 @@ type Engine struct {
 
 	reqC  chan *request
 	decC  chan decision
-	stopC chan struct{}
 	doneC chan struct{}
 
+	// rootCtx is cancelled by Stop (under pub.mu, so Start sees it): it ends
+	// the loop and every goroutine a view change started.
 	rootCtx context.Context
 	cancel  context.CancelFunc
 	once    sync.Once
@@ -56,32 +57,33 @@ type Engine struct {
 
 	toDeliver *queue.Queue
 	delivered *queue.Queue // current-view delivery history (for pred sets)
-	lastSent  ident.Seq
-	coverScan bool // the relation reaches across senders (see coveredLocally)
+	coverScan bool         // the relation reaches across senders (see coveredLocally)
 
 	// peers is the one table of per-process state, a record for every PID
 	// ever heard of; others lists the records of the current view's other
-	// members in cv.Members order, rebuilt by enterView (flow.go).
+	// members in cv.Members order, rebuilt by enterView (flow.go). self is
+	// our own record, whose recvMax is the frontier of our own stream: the
+	// last sequence number we committed or adopted.
 	peers  map[ident.PID]*peer
 	others []*peer
+	self   *peer
 
-	// pendingHead is one arrival from pendingFrom (nil: none) that passed
-	// every receive check (its credit is charged and its purges applied)
-	// but found the delivery queue full; it occupies the reserved stall
-	// slot until space frees. pendingRest holds the raw, unprocessed
-	// remainder of a batched receive behind it (consumed from pendingPos),
-	// so per-sender FIFO survives batch arrivals; the data inbox stays
-	// gated while either is non-empty.
-	pendingFrom *peer
+	// pendingHead is one arrival (zero Seq: none — sequence numbers start
+	// at 1) that passed every receive check (its credit is charged and its
+	// purges applied) but found the delivery queue full; it occupies the
+	// reserved stall slot until space frees. pendingRest holds the raw,
+	// unprocessed remainder of a batched receive behind it (consumed from
+	// pendingPos), so per-sender FIFO survives batch arrivals; the data
+	// inbox stays gated while either is non-empty.
 	pendingHead DataMsg
 	pendingRest []DataMsg
 	pendingPos  int
 
-	// stageBase is the sequence number of the first message the open
-	// multicast transaction (advance) staged in the peers' runs, which
-	// flushStage sends as one DataBatchMsg envelope each (0: nothing
-	// staged).
-	stageBase ident.Seq
+	// stage is the open multicast transaction's run (advance): every
+	// message it committed, in order, so it ends at our frontier. Each
+	// peer took credit for a prefix of it (link.took); flushStage hands
+	// every peer the survivors of its prefix and empties it.
+	stage []DataMsg
 
 	stabTick obs.Ticker // stability gossip (stability.go)
 
@@ -92,11 +94,6 @@ type Engine struct {
 	// returned always finds its own effect in Stats and View.
 	replies     []*request
 	deferredCtl []transport.Envelope // control traffic for future views
-
-	// purgeScratch is the reusable buffer PurgeForInto fills on the
-	// multicast/arrival hot path, so releasing credits for purged entries
-	// allocates nothing per call.
-	purgeScratch []queue.Item
 
 	// viewDirty marks the loop-owned view as newer than the facade
 	// snapshot, so syncSnapshots clones it only when it actually changed
@@ -212,7 +209,6 @@ func New(cfg Config) (*Engine, error) {
 		m:         newEngMetrics(cfg.Obs),
 		reqC:      make(chan *request, 64),
 		decC:      make(chan decision, 4),
-		stopC:     make(chan struct{}),
 		doneC:     make(chan struct{}),
 		rootCtx:   ctx,
 		cancel:    cancel,
@@ -233,10 +229,8 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Start() error {
 	e.pub.mu.Lock()
 	defer e.pub.mu.Unlock()
-	select {
-	case <-e.stopC:
+	if e.rootCtx.Err() != nil {
 		return ErrStopped
-	default:
 	}
 	e.pub.started = true
 	e.cons.Start()
@@ -259,9 +253,8 @@ func (e *Engine) Start() error {
 // is cancelled and Stop returns at once.
 func (e *Engine) Stop() {
 	e.once.Do(func() {
-		e.cancel()
 		e.pub.mu.Lock()
-		close(e.stopC)
+		e.cancel()
 		started := e.pub.started
 		e.pub.mu.Unlock()
 		if !started {
@@ -450,6 +443,7 @@ func (e *Engine) run() {
 		e.sendJoinReq()
 	}
 
+	stop := e.rootCtx.Done()
 	for {
 		// Flow control: while not an open member, or holding unprocessed
 		// arrivals, leave data in the transport; senders run out of
@@ -464,7 +458,7 @@ func (e *Engine) run() {
 			joinC = e.joiner.timer.C()
 		}
 		select {
-		case <-e.stopC:
+		case <-stop:
 			e.shutdown()
 			return
 		case envs, ok := <-dataC:
@@ -509,8 +503,13 @@ func (e *Engine) run() {
 // its end), a previous arrival waits for queue space, or there is no space
 // to begin with.
 func (e *Engine) dataGated() bool {
-	return !e.open() || e.pendingFrom != nil || e.pendingPos < len(e.pendingRest) ||
-		e.toDeliver.Full()
+	return !e.open() || e.stalled() || e.toDeliver.Full()
+}
+
+// stalled reports whether an earlier arrival waits for queue space: a
+// processed head, or the raw rest of its batch.
+func (e *Engine) stalled() bool {
+	return e.pendingHead.Meta.Seq != 0 || e.pendingPos < len(e.pendingRest)
 }
 
 // open reports whether this engine is a member with no change in flight —
@@ -559,7 +558,7 @@ func (e *Engine) syncSnapshots() {
 	e.stats.ToDeliverLen = e.toDeliver.Len()
 	e.stats.HistoryLen = e.delivered.Len()
 	e.stats.Parked = len(e.multicastQ)
-	e.stats.LastSent = e.lastSent
+	e.stats.LastSent = e.self.recvMax
 	e.stats.Blocked = e.chg != nil
 	st := e.toDeliver.Stats()
 	e.stats.PurgedToDeliver = st.Purged

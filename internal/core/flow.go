@@ -47,9 +47,9 @@ type link struct {
 	window int  // Config.Window for a member; 0 (also: flow control disabled) switches the arithmetic off
 
 	// Sender side: what we may send to the peer.
-	avail  int          // credits held
-	out    *queue.Queue // copies waiting for a credit (nil without a window)
-	staged []DataMsg    // the open multicast transaction's run (stageData, flushStage)
+	avail int          // credits held, at most window
+	out   *queue.Queue // copies waiting for a credit (nil without a window)
+	took  int          // how much of the open transaction's stage the peer took credit for (stageData, flushStage)
 
 	// Receiver-side ledger for the peer as a sender. granted is the total
 	// number of credits handed out this view (the initial window included);
@@ -95,8 +95,10 @@ func (e *Engine) peerOf(id ident.PID, last *peer) *peer {
 // and others becomes the new view's other members in view order, each with
 // a full window both ways and an empty outgoing queue. A healing engine
 // remembers who left: only someone we once shared a view with can be the
-// far side of a healed partition.
+// far side of a healed partition. Our own record is in the table too,
+// for the frontier of our own stream.
 func (e *Engine) armPeers() {
+	e.self = e.peer(e.cfg.Self)
 	heal := e.cfg.Heal != nil
 	for _, p := range e.peers {
 		p.former = p.former || (heal && p.member)
@@ -132,11 +134,19 @@ func (p *peer) takeCredit() bool {
 	return true
 }
 
-// credit adds credits granted by p.
-func (p *peer) credit(n int) {
+// credit adds credits granted by p, up to the window, and reports whether
+// the grant went past it. An honest grant never does: credits come back
+// only for slots a received message used, and flushStage refunds only what
+// the transaction took. A grant that would is a buggy or hostile peer's
+// way to make this sender overrun its buffers.
+func (p *peer) credit(n int) (excess bool) {
 	if p.window > 0 && n > 0 {
 		p.avail += n
+		if excess = p.avail > p.window; excess {
+			p.avail = p.window
+		}
 	}
+	return excess
 }
 
 // received records one current-view data message arriving from p: it
@@ -178,27 +188,29 @@ func (e *Engine) freed(p *peer) {
 
 // drainOutgoing flushes the pending queue towards p while credits last,
 // coalescing the whole run into one DataBatchMsg envelope. The head is
-// only popped once its send is paid for: a message must never be lost
-// between PopHead and takeCredit.
+// only popped once its send is paid for and it is copied into the run: a
+// message must never be lost between PeekHead and takeCredit.
 func (e *Engine) drainOutgoing(p *peer) {
 	if p.out == nil {
 		return
 	}
 	var run []DataMsg
 	for {
-		it, ok := p.out.PeekHead()
-		if !ok {
+		it := p.out.PeekHead()
+		if it == nil {
 			break
 		}
-		if !e.inView(&it) {
+		if !e.inView(it) {
 			p.out.PopHead() // stale: the view changed while it waited
 			continue
 		}
 		if !p.takeCredit() {
 			break // out of credits: the head stays parked
 		}
+		run = append(run, msgOf(it))
 		p.out.PopHead()
-		run = append(run, msgOf(&it))
 	}
-	e.sendData(p.id, run) // ownership of run transfers with the send
+	if env := dataEnvelope(run); env != nil {
+		e.send(p.id, transport.Data, env) // ownership of run transfers with the send
+	}
 }

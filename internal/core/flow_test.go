@@ -38,8 +38,8 @@ func flowEngine(cfg Config) (*Engine, *peer) {
 
 func TestPeerCredits(t *testing.T) {
 	e, p := flowEngine(Config{Window: 4, OutgoingCap: 8})
-	if p.out == nil || len(e.peers) != 1 {
-		t.Fatalf("window 4 should arm an outgoing queue for the one peer: %+v", e.peers)
+	if p.out == nil || len(e.peers) != 2 {
+		t.Fatalf("window 4 should arm an outgoing queue for the one peer, beside our own record: %+v", e.peers)
 	}
 	for i := 0; i < 4; i++ {
 		if !p.hasCredit() || !p.takeCredit() {
@@ -103,6 +103,34 @@ func TestPeerCreditsDisabled(t *testing.T) {
 	p.received()
 	if p.out != nil || p.freed() != 0 || p.used != 0 {
 		t.Fatal("disabled flow control must have no outgoing queue and keep no ledger")
+	}
+}
+
+// TestCreditGrantClampedAtWindow: a member that grants more credits than
+// the window — buggy or hostile — cannot make this sender send past it. The
+// grant lifts the credits to the window and no further, and is counted.
+func TestCreditGrantClampedAtWindow(t *testing.T) {
+	const window = 8
+	e, p := flowEngine(Config{Window: window, OutgoingCap: window})
+	grant := func(n int) {
+		e.onCtl(transport.Envelope{From: p.id, Msg: CreditMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Credits: n}})
+	}
+	for i := 0; i < 3; i++ {
+		p.takeCredit()
+	}
+	grant(1 << 30)
+	if p.avail != window || e.stats.CreditsExcess != 1 {
+		t.Fatalf("after a grant of 2^30: %d credits held, CreditsExcess %d; want the window %d and 1",
+			p.avail, e.stats.CreditsExcess, window)
+	}
+	// An honest grant gives back what was taken, and is not counted.
+	for i := 0; i < 3; i++ {
+		p.takeCredit()
+	}
+	grant(3)
+	if p.avail != window || e.stats.CreditsExcess != 1 {
+		t.Fatalf("after an honest grant: %d credits held, CreditsExcess %d; want %d and 1",
+			p.avail, e.stats.CreditsExcess, window)
 	}
 }
 

@@ -46,7 +46,7 @@ func (s *frontierStream) mint(rng *rand.Rand) obsolete.Msg {
 
 // TestFrontierSubsumesCover pins what lets processData and adopt skip the
 // cover scan under sender-local relations: every held message of s has seq ≤
-// s's recvMax (≤ lastSent for our own stream), so for an arrival above the
+// s's recvMax (our own stream's included), so for an arrival above the
 // frontier the paper's t3 test — here the retained scan Covers, on a twin
 // queue whose relation is wrapped in obsolete.Func and so declares nothing —
 // always answers "not covered". Seeded FIFO streams from three senders and
@@ -83,9 +83,6 @@ func TestFrontierSubsumesCover(t *testing.T) {
 			peers := []ident.PID{"a", "b", "c"}
 			all := func(*queue.Item) bool { return true }
 			frontier := func(s ident.PID) ident.Seq {
-				if s == e.cfg.Self {
-					return max(e.lastSent, e.peer(s).recvMax)
-				}
 				return e.peer(s).recvMax
 			}
 			fresh, refCovered := 0, 0
@@ -128,13 +125,15 @@ func TestFrontierSubsumesCover(t *testing.T) {
 					}
 				case op < 7: // we multicast
 					e.commitOne(streams["me"].mint(rng), nil)
+					e.stage = e.stage[:0]
 					for _, p := range e.others {
-						p.staged = p.staged[:0]
+						p.took = 0
 					}
 				case op < 10: // the application consumes a few
 					for n := rng.Intn(6); n > 0; n-- {
-						if it, ok := e.toDeliver.PopHead(); ok {
+						if it := e.toDeliver.PeekHead(); it != nil {
 							e.deliverItem(it, nil)
+							e.toDeliver.PopHead()
 						}
 					}
 				case op < 11: // a snapshot: each stream's next few messages, repurged, then frontiers

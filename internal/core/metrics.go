@@ -101,6 +101,7 @@ var statsExport = []struct {
 	{"engine_dropped_total", obs.KindCounter, reason(obs.DropStaleView), func(s *Stats) uint64 { return s.DroppedStale }},
 	{"engine_dropped_total", obs.KindCounter, reason(obs.DropCovered), func(s *Stats) uint64 { return s.DroppedCovered }},
 	{"engine_dropped_total", obs.KindCounter, reason(obs.DropStaleCredit), func(s *Stats) uint64 { return s.CreditsStaleView }},
+	{"engine_dropped_total", obs.KindCounter, reason(obs.DropExcessCredit), func(s *Stats) uint64 { return s.CreditsExcess }},
 	{"engine_dropped_total", obs.KindCounter, reason(obs.DropDeferOverflow), func(s *Stats) uint64 { return s.CtlDeferredDropped }},
 	{"engine_dropped_total", obs.KindCounter, reason(obs.DropBadType), func(s *Stats) uint64 { return s.DroppedBadType }},
 	{"engine_dropped_total", obs.KindCounter, reason(obs.DropUnknownCtl), func(s *Stats) uint64 { return s.DroppedUnknownCtl }},

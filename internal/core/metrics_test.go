@@ -417,7 +417,11 @@ func TestRegistryMatchesStats(t *testing.T) {
 	// the only path from consensus into the loop:
 	// engine_decisions_ignored_total{reason=duplicate} counted the second
 	// report of every installed decision (Propose's beside Await's), and
-	// nothing reports a decision twice any more.
+	// nothing reports a decision twice any more. One key was added since,
+	// by the change that clamps a peer's credits at its window:
+	// engine_dropped_total{reason=excess_credit} counts the grants that
+	// would have lifted them past it, which only a buggy or hostile member
+	// sends.
 	parent, err := os.ReadFile("testdata/parent_metric_keys.txt")
 	if err != nil {
 		t.Fatal(err)

@@ -169,8 +169,18 @@ func TestNodeObservability(t *testing.T) {
 		t.Fatalf("engine_view_change_seconds count = %d, want 1", h.Count)
 	}
 
-	// Drain deliveries: the survivors of the purge chain plus the view
-	// marker. Latency samples must appear once data is handed over.
+	// One more message, in the new view: it reaches every member over the
+	// data path, so its delivery is timed. The chain's survivor may have
+	// reached n1 only through the view change's flush, which carries no
+	// enqueue stamp.
+	seq, annot := tr.Next(tr.Seq())
+	if _, err := nodes["n0"].g.Multicast(ctx, obsolete.Msg{Sender: "n0", Seq: seq, Annot: annot}, []byte("y")); err != nil {
+		t.Fatalf("multicast %d: %v", seq, err)
+	}
+
+	// Drain deliveries: the survivors of the purge chain, the view marker
+	// and the new message. Latency samples must appear once data is handed
+	// over.
 	for _, p := range pids {
 		b := nodes[p]
 		go func() {
@@ -184,10 +194,10 @@ func TestNodeObservability(t *testing.T) {
 			return b.reg.Snapshot().Counters[key("engine_delivered_total")] >= 1
 		})
 	}
+	waitFor("delivery-latency samples at n1", func() bool {
+		return nodes["n1"].reg.Snapshot().Histograms[key("engine_deliver_latency_seconds")].Count > 0
+	})
 	snap1 := nodes["n1"].reg.Snapshot()
-	if h := snap1.Histograms[key("engine_deliver_latency_seconds")]; h.Count == 0 {
-		t.Fatal("no delivery-latency samples at n1")
-	}
 	// The heartbeat records under the same registry, unlabelled by group.
 	if snap1.Counters["fd_beats_sent_total"] == 0 {
 		t.Fatal("heartbeat sent no beats")

@@ -6,6 +6,8 @@ package core
 
 import (
 	"log/slog"
+	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/ident"
@@ -26,8 +28,8 @@ func (e *Engine) onMulticastReq(req *request) {
 }
 
 // advance commits as many of req's messages as flow control and buffer
-// room allow, staging the per-peer copies and flushing them as one
-// coalesced envelope per peer. It returns false when the request must
+// room allow, staging them and flushing the stage as one coalesced
+// envelope per peer. It returns false when the request must
 // (stay) park(ed): the committed prefix is recorded in req.done, so a
 // resumed request continues exactly where it stopped — semantically the
 // batch behaves as that many individual multicasts back to back.
@@ -48,9 +50,6 @@ func (e *Engine) advance(req *request) bool {
 			e.flushStage()
 			return false
 		}
-		if e.stageBase == 0 {
-			e.stageBase = m.Meta.Seq
-		}
 		e.commitOne(m.Meta, m.Payload)
 		req.done++
 	}
@@ -59,7 +58,7 @@ func (e *Engine) advance(req *request) bool {
 	if !req.parkedAt.IsZero() {
 		stalled := e.clock.Since(req.parkedAt)
 		e.m.parkDur.ObserveDuration(stalled)
-		e.ev.FlowUnblocked(uint64(e.lastSent), stalled)
+		e.ev.FlowUnblocked(uint64(e.self.recvMax), stalled)
 		req.parkedAt = time.Time{}
 	}
 	e.reply(req, result{view: e.cv.Ref()})
@@ -84,7 +83,7 @@ func (e *Engine) multicastPrecheck(meta obsolete.Msg) error {
 	if !e.cv.Includes(e.cfg.Self) {
 		return ErrNotMember
 	}
-	if meta.Seq != e.lastSent+1 {
+	if meta.Seq != e.self.recvMax+1 {
 		return ErrBadSeq
 	}
 	return nil
@@ -119,18 +118,19 @@ func (e *Engine) dataItem(meta obsolete.Msg, payload []byte) queue.Item {
 }
 
 // commitOne commits a single message of the transaction advance drives:
-// local append (with its purges), per-peer staging, counters. Room in
-// every queue is guaranteed by canCommit.
+// local append (with its purges), staging, counters. Room in every queue
+// is guaranteed by canCommit.
 func (e *Engine) commitOne(meta obsolete.Msg, payload []byte) {
 	it := e.dataItem(meta, payload)
-	dm := msgOf(&it)
 	if e.m.deliverLatency != nil {
 		it.At = e.clock.Now()
 	}
 
-	e.lastSent = it.Meta.Seq
-	e.purgeToDeliver(it, nil)
+	e.purgeToDeliver(it, nil)   // unstage counts back from the frontier: raise it after
 	e.toDeliver.ForceAppend(it) // room guaranteed by canCommit
+	e.self.recvMax = it.Meta.Seq
+	dm := msgOf(&it)
+	e.stage = append(e.stage, dm)
 	for _, p := range e.others {
 		e.stageData(p, dm)
 	}
@@ -138,81 +138,82 @@ func (e *Engine) commitOne(meta obsolete.Msg, payload []byte) {
 	e.serveIfFull()
 }
 
-// stageData stages dm for transmission to p, or buffers it in the
-// per-peer outgoing queue when p is out of window credits.
+// stageData lets p have the message just staged, or buffers it in p's
+// outgoing queue when p is out of window credits. No credit arrives inside
+// a transaction (only a CreditMsg on a later loop turn, or flushStage's
+// refund, which ends it), so a peer out of credits stays out: what p took
+// is a prefix of the stage.
 func (e *Engine) stageData(p *peer, dm DataMsg) {
 	if p.takeCredit() {
-		p.staged = append(p.staged, dm)
+		p.took++
 		return
 	}
 	purged, _ := p.out.AppendPurge(itemOf(dm)) // room guaranteed by canCommit
 	e.stats.PurgedOutgoing += uint64(purged)
 }
 
-// unstage drops the staged copies of our own message seq, which a later
+// unstage drops the staged copy of our own message seq, which a later
 // message of the open transaction has just purged from the delivery queue:
 // that later message goes to every peer too, so the copy need not be sent
-// at all. Every staged run starts at stageBase and is contiguous, so seq
-// names its slot; flushStage squeezes the emptied slots out.
+// at all. The stage ends at our frontier, so seq names its slot;
+// flushStage squeezes the emptied slots out.
 func (e *Engine) unstage(seq ident.Seq) {
-	if e.stageBase == 0 || seq < e.stageBase {
-		return
-	}
-	i := int(seq - e.stageBase)
-	for _, p := range e.others {
-		if i < len(p.staged) {
-			p.staged[i] = DataMsg{}
-		}
+	if i := len(e.stage) - 1 - int(e.self.recvMax) + int(seq); i >= 0 && i < len(e.stage) {
+		e.stage[i] = DataMsg{}
 	}
 }
 
-// flushStage transmits every staged per-peer run, less the copies unstage
-// emptied. A dropped copy took a credit and never left: the credit comes
-// back once the run is out — not earlier, or a later message of the run
-// could overtake one that waits in the outgoing queue — and counts as an
-// outgoing purge. The stage keeps its slices; what is handed to the
-// transport is a copy sized to the survivors (the decode side aliases
-// nothing, and fault injection may duplicate the envelope, so ownership
-// goes with the send).
+// flushStage transmits the stage, less the copies unstage emptied: every
+// peer gets the survivors of the prefix it took credit for. The stage is
+// compacted once and its survivors copied once, and every peer is handed a
+// prefix of that copy — peers in a row with equal prefixes share one
+// envelope. Receivers never write to a batch (fault injection may deliver
+// one twice), so from the send on the copy is the transport's. A dropped
+// copy took a credit and never left: the credit comes back once the run is
+// out — not earlier, or a later message of the run could overtake one that
+// waits in the outgoing queue — and counts as an outgoing purge.
 func (e *Engine) flushStage() {
-	e.stageBase = 0
+	if len(e.stage) == 0 {
+		return
+	}
+	base := e.self.recvMax + 1 - ident.Seq(len(e.stage)) // the stage ends at our frontier
+	n := 0                                               // the longest prefix a peer took
 	for _, p := range e.others {
-		msgs := p.staged
-		if len(msgs) == 0 {
-			continue
+		n = max(n, p.took)
+	}
+	run := slices.Clone(slices.DeleteFunc(e.stage[:n], func(dm DataMsg) bool { return dm.Meta.Seq == 0 }))
+	var env any // the last peer's envelope, for the next with as many survivors
+	shared := -1
+	for _, p := range e.others {
+		took := p.took
+		p.took = 0
+		k := sort.Search(len(run), func(i int) bool { return run[i].Meta.Seq >= base+ident.Seq(took) })
+		if k != shared {
+			env, shared = dataEnvelope(run[:k]), k
 		}
-		live := 0
-		for i := range msgs {
-			if msgs[i].Meta.Seq != 0 {
-				live++
-			}
+		if env != nil {
+			e.send(p.id, transport.Data, env)
 		}
-		run := make([]DataMsg, 0, live)
-		for i := range msgs {
-			if msgs[i].Meta.Seq != 0 {
-				run = append(run, msgs[i])
-			}
-		}
-		clear(msgs) // release payload references
-		p.staged = msgs[:0]
-		e.sendData(p.id, run)
-		if n := len(msgs) - live; n > 0 {
-			e.stats.PurgedOutgoing += uint64(n)
-			p.credit(n)
+		if dropped := took - k; dropped > 0 {
+			e.stats.PurgedOutgoing += uint64(dropped)
+			p.credit(dropped)
 			e.drainOutgoing(p)
 		}
 	}
+	clear(e.stage) // release payload references
+	e.stage = e.stage[:0]
 }
 
-// sendData transmits a run of data messages to p: a single message goes
-// out as a plain DataMsg, a longer run as one DataBatchMsg envelope.
-func (e *Engine) sendData(p ident.PID, run []DataMsg) {
+// dataEnvelope is what a run of data messages travels in: nothing for an
+// empty run, a plain DataMsg for one message, one DataBatchMsg otherwise.
+func dataEnvelope(run []DataMsg) any {
 	switch len(run) {
 	case 0:
+		return nil
 	case 1:
-		e.send(p, transport.Data, run[0])
+		return run[0]
 	default:
-		e.send(p, transport.Data, &DataBatchMsg{Msgs: run})
+		return &DataBatchMsg{Msgs: run}
 	}
 }
 
@@ -256,12 +257,12 @@ func (e *Engine) ingestData(link ident.PID, from *peer, dm DataMsg) {
 		e.dropUnknownSender(link)
 		return
 	}
-	if e.pendingFrom != nil || e.pendingPos < len(e.pendingRest) {
+	if e.stalled() {
 		e.pendingRest = append(e.pendingRest, dm)
 		return
 	}
 	if !e.processData(from, dm) {
-		e.pendingFrom, e.pendingHead = from, dm
+		e.pendingHead = dm
 	}
 }
 
@@ -334,13 +335,13 @@ func (e *Engine) acceptData(from *peer, it queue.Item) {
 func (e *Engine) retryPending() {
 	var from *peer // sender of the last stashed arrival: they come in runs
 	for e.open() {
-		if e.pendingFrom != nil {
+		if e.pendingHead.Meta.Seq != 0 {
 			if e.toDeliver.Full() {
 				return
 			}
-			from = e.pendingFrom
+			from = e.peerOf(e.pendingHead.Meta.Sender, from)
 			it := itemOf(e.pendingHead)
-			e.pendingFrom, e.pendingHead = nil, DataMsg{}
+			e.pendingHead = DataMsg{}
 			e.acceptData(from, it) // still this view: block() clears the stash
 			continue
 		}
@@ -350,7 +351,7 @@ func (e *Engine) retryPending() {
 			e.pendingPos++
 			from = e.peerOf(dm.Meta.Sender, from)
 			if !e.processData(from, dm) {
-				e.pendingFrom, e.pendingHead = from, dm
+				e.pendingHead = dm
 			}
 			continue
 		}
@@ -362,8 +363,8 @@ func (e *Engine) retryPending() {
 
 // coveredLocally reports whether some queued or delivered m' has m ⊑ m',
 // for an m above its sender's frontier. Every held message of s has seq ≤
-// s's recvMax (≤ lastSent for our own stream): commitOne, acceptData and
-// adopt raise the frontier to whatever they insert. A sender-local cover
+// s's recvMax, our own stream's included: commitOne, acceptData and adopt
+// raise the frontier to whatever they insert. A sender-local cover
 // has m's sender and a seq ≥ m's, so there the frontier is the whole t3
 // test; only a relation that reaches across senders scans the queues.
 func (e *Engine) coveredLocally(m obsolete.Msg) bool {
@@ -373,14 +374,12 @@ func (e *Engine) coveredLocally(m obsolete.Msg) bool {
 // purgeToDeliver purges the delivery-queue entries obsoleted by it and
 // releases flow-control credits for them: their buffer slots are free
 // again (this is the heart of SVS's advantage — a slow receiver's window
-// refills without consuming). The purged entries pass through the
-// engine's reusable scratch slice, so the hot path allocates nothing.
-// from is the record of it's sender (nil: our own message), which under a
-// sender-local relation is the sender of everything it purges.
+// refills without consuming). The queue lends each casualty to the visit
+// on its way out, so nothing is copied. from is the record of it's sender
+// (nil: our own message), which under a sender-local relation is the
+// sender of everything it purges.
 func (e *Engine) purgeToDeliver(it queue.Item, from *peer) {
-	e.purgeScratch = e.toDeliver.PurgeForInto(it, e.purgeScratch[:0])
-	for i := range e.purgeScratch {
-		p := &e.purgeScratch[i]
+	e.toDeliver.PurgeFor(it, func(p *queue.Item) {
 		switch {
 		case !e.inView(p):
 		case p.Meta.Sender == e.cfg.Self:
@@ -389,8 +388,7 @@ func (e *Engine) purgeToDeliver(it queue.Item, from *peer) {
 			from = e.peerOf(p.Meta.Sender, from)
 			e.freeSlot(from, p.Meta.Seq)
 		}
-	}
-	clear(e.purgeScratch) // release payload references
+	})
 }
 
 // freeSlot gives sender from back the window slot its current-view message
@@ -449,11 +447,12 @@ func (e *Engine) serveWaiters() {
 		}
 		n := 0
 		for n < len(w.dst) {
-			it, ok := e.toDeliver.PopHead()
-			if !ok {
+			it := e.toDeliver.PeekHead()
+			if it == nil {
 				break
 			}
 			w.dst[n], from = e.deliverItem(it, from)
+			e.toDeliver.PopHead()
 			n++
 		}
 		res := result{n: n}
@@ -467,10 +466,10 @@ func (e *Engine) serveWaiters() {
 	}
 }
 
-// deliverItem turns a popped queue head into what the application sees.
-// last is the record the previous call resolved; the record of it's sender
-// comes back for the next one.
-func (e *Engine) deliverItem(it queue.Item, last *peer) (Delivery, *peer) {
+// deliverItem turns the queue head into what the application sees, before
+// the caller pops it. last is the record the previous call resolved; the
+// record of it's sender comes back for the next one.
+func (e *Engine) deliverItem(it *queue.Item, last *peer) (Delivery, *peer) {
 	switch it.Kind {
 	case queue.Control:
 		v := it.Ctl.(View)
@@ -484,10 +483,10 @@ func (e *Engine) deliverItem(it queue.Item, last *peer) (Delivery, *peer) {
 		if !it.At.IsZero() {
 			e.m.deliverLatency.ObserveDuration(e.clock.Since(it.At))
 		}
-		if e.inView(&it) {
+		if e.inView(it) {
 			// Keep it in the per-view history for pred sets; purge the
 			// history with the same relation so it holds live items only.
-			_, _ = e.delivered.AppendPurge(it) // unbounded: never full
+			_, _ = e.delivered.AppendPurge(*it) // unbounded: never full
 			last = e.peerOf(it.Meta.Sender, last)
 			e.freeSlot(last, it.Meta.Seq)
 		}

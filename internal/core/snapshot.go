@@ -75,30 +75,28 @@ func repurge(rel obsolete.Relation, msgs []DataMsg) []DataMsg {
 // window right after. A message at or below its sender's reception frontier
 // was genuinely received before (reception is FIFO per sender), so if it is
 // missing locally it was purged under a justified cover chain; re-adding it
-// would break per-sender FIFO delivery. The same holds for our own stream
-// up to lastSent, and a message above the frontier that some held m' covers
-// is dropped as t3 drops it (coveredLocally). The frontiers of recv are
-// adopted afterwards — the filter must see our own — and only forwards, so
-// stale retransmissions are recognised as duplicates. Our own entry
-// continues the sequence numbering of an earlier incarnation of this PID.
+// would break per-sender FIFO delivery — our own stream included, whose
+// frontier is what we committed or adopted. A message above the frontier
+// that some held m' covers is dropped as t3 drops it (coveredLocally). The
+// frontiers of recv are adopted afterwards — the filter must see our own —
+// and only forwards, so stale retransmissions are recognised as
+// duplicates. Our own entry continues the sequence numbering of an earlier
+// incarnation of this PID.
 func (e *Engine) adopt(msgs []DataMsg, recv map[ident.PID]ident.Seq) int {
 	added := 0
 	for _, dm := range msgs {
 		s, seq := e.peer(dm.Meta.Sender), dm.Meta.Seq
-		if seq <= s.recvMax || (s.id == e.cfg.Self && seq <= e.lastSent) || e.coveredLocally(dm.Meta) {
+		if seq <= s.recvMax || e.coveredLocally(dm.Meta) {
 			continue
 		}
 		s.recvMax = seq
 		it := itemOf(dm)
-		e.purgeScratch = e.toDeliver.PurgeForInto(it, e.purgeScratch[:0])
-		clear(e.purgeScratch)       // release payload references
+		e.toDeliver.PurgeFor(it, nil)
 		e.toDeliver.ForceAppend(it) // the agreed flush is never refused
 		added++
 	}
 	for id, q := range recv {
-		if id == e.cfg.Self {
-			e.lastSent = max(e.lastSent, q)
-		} else if s := e.peer(id); q > s.recvMax {
+		if s := e.peer(id); q > s.recvMax {
 			s.recvMax = q
 		}
 	}

@@ -58,7 +58,7 @@ func ids(msgs []DataMsg) []string {
 // engine never holds an older view's entry next to current-view history.)
 func TestSnapshotThreeCallersOneState(t *testing.T) {
 	e := snapEngine(obsolete.Tagging{})
-	e.lastSent = 7
+	e.self.recvMax = 7
 	e.peer("a").recvMax, e.peer("b").recvMax, e.peer("c").recvMax = 8, 3, 9
 	e.peer("a").stable = 5
 	for _, it := range []queue.Item{
@@ -123,7 +123,7 @@ func TestSnapshotThreeCallersOneState(t *testing.T) {
 // delivery queue, and that frontiers only ever move forwards.
 func TestSnapshotAdopt(t *testing.T) {
 	e := snapEngine(tagAnySender)
-	e.lastSent = 7
+	e.self.recvMax = 7
 	e.peer("a").recvMax, e.peer("b").recvMax = 6, 3
 	e.toDeliver.ForceAppend(tagged(4, "a", 9, 4))
 
@@ -134,7 +134,7 @@ func TestSnapshotAdopt(t *testing.T) {
 	added := e.adopt([]DataMsg{
 		msg("a", 5, 1),  // below a's frontier
 		msg("a", 6, 1),  // at a's frontier
-		msg("me", 7, 2), // our own, already sent
+		msg("me", 7, 2), // our own, at our frontier: already sent
 		msg("b", 4, 4),  // above b's frontier, but covered by the queued a:9
 		msg("b", 5, 5),  // new
 		msg("d", 1, 0),  // new sender
@@ -151,7 +151,8 @@ func TestSnapshotAdopt(t *testing.T) {
 	if got, want := ids(queued), []string{"a:9@4", "b:5@4", "d:1@4", "me:8@4"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("delivery queue:\n got  %v\n want %v", got, want)
 	}
-	// a and me were offered lower frontiers than we hold: they stay put.
+	// a and me were offered lower frontiers than we hold: they stay put
+	// (me at the 8 it adopted, not at the 3 offered).
 	wantMax := map[ident.PID]ident.Seq{"a": 6, "b": 10, "d": 1, "me": 8, "x": 2}
 	gotMax := map[ident.PID]ident.Seq{}
 	for id, p := range e.peers {
@@ -160,10 +161,7 @@ func TestSnapshotAdopt(t *testing.T) {
 	if !reflect.DeepEqual(gotMax, wantMax) {
 		t.Errorf("reception frontiers: got %v, want %v", gotMax, wantMax)
 	}
-	if e.lastSent != 7 {
-		t.Errorf("lastSent moved to %d, want 7", e.lastSent)
-	}
-	if e.adopt(nil, map[ident.PID]ident.Seq{"me": 12}); e.lastSent != 12 {
-		t.Errorf("lastSent = %d after a higher own frontier, want 12", e.lastSent)
+	if e.adopt(nil, map[ident.PID]ident.Seq{"me": 12}); e.self.recvMax != 12 {
+		t.Errorf("own frontier = %d after a higher one was offered, want 12", e.self.recvMax)
 	}
 }

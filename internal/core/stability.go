@@ -38,14 +38,11 @@ type StableMsg struct {
 // here. The stability gossip ships it, and so does every state transfer
 // that carries frontiers (snapshot.go).
 func (e *Engine) recvSnapshot() map[ident.PID]ident.Seq {
-	recv := make(map[ident.PID]ident.Seq, len(e.peers)+1)
+	recv := make(map[ident.PID]ident.Seq, len(e.peers))
 	for id, s := range e.peers {
 		if s.recvMax > 0 {
 			recv[id] = s.recvMax
 		}
-	}
-	if e.lastSent > recv[e.cfg.Self] {
-		recv[e.cfg.Self] = e.lastSent
 	}
 	return recv
 }
@@ -78,9 +75,8 @@ func (e *Engine) onStable(from ident.PID, m StableMsg) {
 // reported yet hold everything at zero. A sender without a record has sent
 // us nothing that could be pruned, and needs no frontier until it has one.
 func (e *Engine) recomputeStable() {
-	self := e.peer(e.cfg.Self)
 	for id, s := range e.peers {
-		min := self.reported[id] // zero when a member never reported (or lacks s)
+		min := e.self.reported[id] // zero when a member never reported (or lacks s)
 		for _, q := range e.others {
 			if v := q.reported[id]; v < min {
 				min = v
@@ -111,7 +107,7 @@ func (e *Engine) recomputeStable() {
 // the whole cost and relation purging alone bounds the history at O(window).
 func (e *Engine) pruneStable() {
 	stable := e.stableFilter()
-	prunable := func(it queue.Item, ok bool) bool { return ok && stable(&it) && (e.cfg.Heal == nil || !e.inView(&it)) }
+	prunable := func(it *queue.Item) bool { return it != nil && stable(it) && (e.cfg.Heal == nil || !e.inView(it)) }
 	for prunable(e.delivered.PeekHead()) {
 		e.delivered.PopHead()
 		e.stats.StablePruned++

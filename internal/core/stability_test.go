@@ -181,8 +181,8 @@ func TestPruneStablePrefix(t *testing.T) {
 	check := func(when string, pruned uint64, head string) {
 		t.Helper()
 		got := "empty"
-		if it, ok := e.delivered.PeekHead(); ok {
-			got = ids([]DataMsg{msgOf(&it)})[0]
+		if it := e.delivered.PeekHead(); it != nil {
+			got = ids([]DataMsg{msgOf(it)})[0]
 		}
 		if e.stats.StablePruned != pruned || got != head {
 			t.Fatalf("%s: %d pruned, history head %s; want %d and %s", when, e.stats.StablePruned, got, pruned, head)

@@ -85,13 +85,23 @@ func TestBatchPurgedBeforeDelivery(t *testing.T) {
 }
 
 // sendLog is the endpoint of a hand-built, never-started engine: it records
-// the data messages handed to Send, in order, and nothing else is called.
+// the data messages handed to Send, in order, and each data envelope by
+// destination; nothing else is called. With discard set it records nothing.
 type sendLog struct {
 	transport.Endpoint
-	data []DataMsg
+	data    []DataMsg
+	envs    map[ident.PID][]any
+	discard bool
 }
 
-func (s *sendLog) Send(_ ident.PID, _ ident.GroupID, ch transport.Channel, m any) error {
+func (s *sendLog) Send(to ident.PID, _ ident.GroupID, ch transport.Channel, m any) error {
+	if s.discard || ch != transport.Data {
+		return nil
+	}
+	if s.envs == nil {
+		s.envs = make(map[ident.PID][]any)
+	}
+	s.envs[to] = append(s.envs[to], m)
 	switch m := m.(type) {
 	case DataMsg:
 		s.data = append(s.data, m)
@@ -101,14 +111,17 @@ func (s *sendLog) Send(_ ident.PID, _ ident.GroupID, ch transport.Channel, m any
 	return nil
 }
 
-// txnEngine is a hand-built engine "me" in a view with one peer, driven by
-// calling the loop's handlers directly.
-func txnEngine(rel obsolete.Relation, window, outCap, deliverCap int) (*Engine, *sendLog) {
+// txnEngine is a hand-built engine "me" in a view with the given peers
+// ("peer" if none), driven by calling the loop's handlers directly.
+func txnEngine(rel obsolete.Relation, window, outCap, deliverCap int, peers ...ident.PID) (*Engine, *sendLog) {
+	if len(peers) == 0 {
+		peers = []ident.PID{"peer"}
+	}
 	log := &sendLog{}
 	cfg := Config{Self: "me", Endpoint: log, Relation: rel, Window: window, OutgoingCap: outCap}
 	e := &Engine{
 		cfg:       cfg,
-		cv:        View{ID: 1, Members: ident.NewPIDs("me", "peer")},
+		cv:        View{ID: 1, Members: ident.NewPIDs(append([]ident.PID{"me"}, peers...)...)},
 		toDeliver: queue.New(rel, deliverCap),
 		delivered: queue.New(rel, 0),
 	}
@@ -224,7 +237,7 @@ func TestFullQueueServedMidTurn(t *testing.T) {
 		run = append(run, DataMsg{View: 1, Meta: obsolete.Msg{Sender: "peer", Seq: s}})
 	}
 	e.onDataBatch([]transport.Envelope{{From: "peer", Msg: &DataBatchMsg{Msgs: run}}})
-	if e.pendingFrom != nil || len(e.pendingRest) != 0 {
+	if e.stalled() {
 		t.Fatal("arrivals stalled behind a full queue that had a waiter")
 	}
 	if got := served(w); fmt.Sprint(got) != "[1 2 3 4]" || e.toDeliver.Len() != 2 {
@@ -263,5 +276,135 @@ func TestRoomyQueueNeverCounted(t *testing.T) {
 	}
 	if !fullAfterPurge(q, item(9)) {
 		t.Fatal("full queue whose arrival purges nothing reported room")
+	}
+}
+
+// TestOneRunPerFlush: a transaction stages one run for every peer. Four
+// members commit a 64-message batch in which every fourth message obsoletes
+// the one four before it, under a window of 64; peer c holds only 40 credits
+// (24 copies of earlier traffic still in flight), so it runs out at message
+// 40. The flush copies the survivors once: a and b are handed one envelope,
+// and c a prefix of the same backing array holding exactly the survivors
+// among the first 40. c's refund drains the head of its outgoing queue and
+// the rest waits there; every peer's credits held plus copies in flight make
+// up the window; and committing a batch allocates as much at four members as
+// at two.
+func TestOneRunPerFlush(t *testing.T) {
+	const window, batch, short = 64, 64, 40
+	e, log := txnEngine(obsolete.Tagging{}, window, window, 0, "a", "b", "c")
+	a, b, c := e.others[0], e.others[1], e.others[2]
+	c.avail = short
+	inFlight := map[*peer]int{c: window - short}
+
+	req := &request{kind: reqMulticast}
+	for s := ident.Seq(1); s <= batch; s++ {
+		tag := uint32(100 + s)
+		if s%4 == 0 {
+			tag = 1
+		}
+		req.batch = append(req.batch, OutMsg{Meta: obsolete.Msg{Sender: "me", Seq: s, Annot: obsolete.TagAnnot(tag)}})
+	}
+	if !e.advance(req) {
+		t.Fatalf("batch parked at message %d", req.done)
+	}
+	// survivors lists the messages among the first n that no later message
+	// of the batch obsoletes.
+	survivors := func(n int) []ident.Seq {
+		var out []ident.Seq
+		for i, m := range req.batch[:n] {
+			dead := false
+			for _, later := range req.batch[i+1:] {
+				dead = dead || e.cfg.Relation.Obsoletes(m.Meta, later.Meta)
+			}
+			if !dead {
+				out = append(out, m.Meta.Seq)
+			}
+		}
+		return out
+	}
+	seqs := func(envs ...any) []ident.Seq {
+		var out []ident.Seq
+		for _, env := range envs {
+			switch m := env.(type) {
+			case DataMsg:
+				out = append(out, m.Meta.Seq)
+			case *DataBatchMsg:
+				for _, dm := range m.Msgs {
+					out = append(out, dm.Meta.Seq)
+				}
+			}
+		}
+		return out
+	}
+
+	// (a) One copy of the run: the full-credit peers share one envelope, and
+	// the short peer's is a prefix of its backing array.
+	envA, envB, envC := log.envs["a"], log.envs["b"], log.envs["c"]
+	if len(envA) != 1 || len(envB) != 1 || len(envC) == 0 {
+		t.Fatalf("envelopes a/b/c = %d/%d/%d, want 1/1/at least 1", len(envA), len(envB), len(envC))
+	}
+	runA, okA := envA[0].(*DataBatchMsg)
+	runB, okB := envB[0].(*DataBatchMsg)
+	runC, okC := envC[0].(*DataBatchMsg)
+	if !okA || !okB || !okC {
+		t.Fatalf("envelopes %T %T %T, want three batches", envA[0], envB[0], envC[0])
+	}
+	if &runA.Msgs[0] != &runB.Msgs[0] || &runA.Msgs[0] != &runC.Msgs[0] {
+		t.Fatal("the peers were handed separate copies of one run")
+	}
+	if got, want := fmt.Sprint(seqs(runA)), fmt.Sprint(survivors(batch)); got != want {
+		t.Fatalf("a got %v, want the batch's survivors %v", got, want)
+	}
+
+	// (b) c got exactly the survivors among the first 40; what its refund let
+	// out next came from the head of its outgoing queue, and the rest waits
+	// there.
+	if got, want := fmt.Sprint(seqs(runC)), fmt.Sprint(survivors(short)); got != want {
+		t.Fatalf("c's run = %v, want the survivors among the first %d: %v", got, short, want)
+	}
+	toC := seqs(envC...)
+	c.out.EachRef(func(it *queue.Item) bool {
+		toC = append(toC, it.Meta.Seq)
+		return true
+	})
+	if got, want := fmt.Sprint(toC), fmt.Sprint(survivors(batch)); got != want || c.out.Len() == 0 {
+		t.Fatalf("c was sent and still queues %v (%d queued), want %v with a rest queued", got, c.out.Len(), want)
+	}
+
+	// (c) Credits held plus copies in flight make up every window.
+	for _, p := range []*peer{a, b, c} {
+		if got := p.avail + inFlight[p] + len(seqs(log.envs[p.id]...)); got != window {
+			t.Errorf("%s: %d credits held + %d copies in flight = %d, want the window %d",
+				p.id, p.avail, got-p.avail, got, window)
+		}
+	}
+	if e.stats.CreditsExcess != 0 {
+		t.Errorf("CreditsExcess = %d after an honest refund", e.stats.CreditsExcess)
+	}
+
+	// (d) A batch committed to every peer costs the same allocations at two
+	// members and at four.
+	commitAllocs := func(peers ...ident.PID) float64 {
+		e, log := txnEngine(obsolete.Empty{}, 0, 0, 0, peers...)
+		log.discard = true
+		req := &request{kind: reqMulticast, batch: make([]OutMsg, batch)}
+		seq := ident.Seq(0)
+		return testing.AllocsPerRun(20, func() {
+			for i := range req.batch {
+				seq++
+				req.batch[i].Meta = obsolete.Msg{Seq: seq}
+			}
+			req.done = 0
+			if !e.advance(req) {
+				t.Fatal("equal-credit batch parked")
+			}
+			e.replies = e.replies[:0]
+			for e.toDeliver.PeekHead() != nil {
+				e.toDeliver.PopHead()
+			}
+		})
+	}
+	if two, four := commitAllocs("a"), commitAllocs("a", "b", "c"); two != four {
+		t.Errorf("a batch commit allocates %v times at 2 members and %v at 4", two, four)
 	}
 }

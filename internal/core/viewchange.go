@@ -134,7 +134,12 @@ func (e *Engine) onCtl(env transport.Envelope) {
 			e.dropUnknownSender(env.From)
 			return
 		}
-		p.credit(m.Credits)
+		if p.credit(m.Credits) {
+			// More credits than p can owe us: keep the window, drop the rest.
+			e.stats.CreditsExcess++
+			e.ev.Drop(obs.DropExcessCredit, slog.String("from", string(env.From)),
+				slog.Int("credits", m.Credits))
+		}
 		e.drainOutgoing(p)
 	case StableMsg:
 		e.onStable(env.From, m)
@@ -258,7 +263,7 @@ func (e *Engine) onInit(from ident.PID, m InitMsg) {
 func (e *Engine) block() *change {
 	ctx, cancel := context.WithCancel(e.rootCtx)
 	e.chg = &change{ctx: ctx, cancel: cancel, start: e.clock.Now(), awaited: make(map[ident.ViewRef]bool)}
-	e.pendingFrom, e.pendingHead = nil, DataMsg{}
+	e.pendingHead = DataMsg{}
 	e.pendingRest = e.pendingRest[:0]
 	e.pendingPos = 0
 	return e.chg

@@ -20,6 +20,9 @@ const (
 	DropCovered DropReason = "covered"
 	// DropStaleCredit: a flow-control credit grant from another view.
 	DropStaleCredit DropReason = "stale_credit"
+	// DropExcessCredit: a credit grant that would lift the sender's credits
+	// past its window; the window is kept and the excess dropped.
+	DropExcessCredit DropReason = "excess_credit"
 	// DropDeferOverflow: a future-view control envelope past the defer cap.
 	DropDeferOverflow DropReason = "defer_overflow"
 	// DropBadType: an envelope whose payload is not the type its channel

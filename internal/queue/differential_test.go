@@ -316,10 +316,10 @@ func TestDifferentialIndexedVsReference(t *testing.T) {
 						if qc != mc {
 							t.Fatalf("trial %d step %d: CountPurgeableFor %d vs %d", trial, step, qc, mc)
 						}
-						qr := q.PurgeForInto(it, nil)
+						qr := purged(q, it)
 						mr := m.purgeFor(it)
 						if fmt.Sprint(ids(qr)) != fmt.Sprint(ids(mr)) {
-							t.Fatalf("trial %d step %d: PurgeForInto removed %v vs %v", trial, step, ids(qr), ids(mr))
+							t.Fatalf("trial %d step %d: PurgeFor removed %v vs %v", trial, step, ids(qr), ids(mr))
 						}
 						q.ForceAppend(it)
 						m.forceAppend(it)
@@ -336,7 +336,7 @@ func TestDifferentialIndexedVsReference(t *testing.T) {
 						q.ForceAppend(it)
 						m.forceAppend(it)
 					case 6, 7: // consume
-						qi, qok := q.PopHead()
+						qi, qok := pop(q)
 						mi, mok := m.popHead()
 						if qok != mok || (qok && id(qi) != id(mi)) {
 							t.Fatalf("trial %d step %d: PopHead (%+v,%v) vs (%+v,%v)", trial, step, id(qi), qok, id(mi), mok)
@@ -480,8 +480,8 @@ func TestDifferentialScanMatchesIndexed(t *testing.T) {
 							t.Fatalf("trial %d step %d: AppendPurge (%d,%v) vs (%d,%v)", trial, step, p1, e1, p2, e2)
 						}
 					case 3:
-						i1, ok1 := indexed.PopHead()
-						i2, ok2 := scan.PopHead()
+						i1, ok1 := pop(indexed)
+						i2, ok2 := pop(scan)
 						if ok1 != ok2 || (ok1 && id(i1) != id(i2)) {
 							t.Fatalf("trial %d step %d: PopHead mismatch", trial, step)
 						}
@@ -635,8 +635,8 @@ func TestDifferentialListedWalkScan(t *testing.T) {
 							if got := q.CountPurgeableFor(it); got != want {
 								t.Fatalf("trial %d step %d queue %d: CountPurgeableFor %d, model %d", trial, step, i, got, want)
 							}
-							if got := q.PurgeForInto(it, nil); fmt.Sprint(ids(got)) != fmt.Sprint(ids(removed)) {
-								t.Fatalf("trial %d step %d queue %d: PurgeForInto removed %v, model %v", trial, step, i, ids(got), ids(removed))
+							if got := purged(q, it); fmt.Sprint(ids(got)) != fmt.Sprint(ids(removed)) {
+								t.Fatalf("trial %d step %d queue %d: PurgeFor removed %v, model %v", trial, step, i, ids(got), ids(removed))
 							}
 							q.ForceAppend(it)
 						}
@@ -652,7 +652,7 @@ func TestDifferentialListedWalkScan(t *testing.T) {
 					default:
 						mi, mok := m.popHead()
 						for i, q := range qs {
-							if qi, ok := q.PopHead(); ok != mok || (ok && id(qi) != id(mi)) {
+							if qi, ok := pop(q); ok != mok || (ok && id(qi) != id(mi)) {
 								t.Fatalf("trial %d step %d queue %d: PopHead (%+v, %v), model (%+v, %v)", trial, step, i, id(qi), ok, id(mi), mok)
 							}
 						}

@@ -21,31 +21,32 @@ import (
 //     entry, used for arbitrary relations (obsolete.Func) and as the
 //     oracle the differential tests compare the other two against.
 //
-// All remove an entry m exactly when m is of n's view and m ≺ n, and return
+// All remove an entry m exactly when m is of n's view and m ≺ n, and visit
 // the removed entries in FIFO order; for per-sender seq-ordered streams (the
 // protocol invariant) they produce identical kept-sets, counts and stats.
 
-// PurgeForInto removes the entries obsoleted by the (just received or about
-// to be appended) message n and appends them to dst, which may be a reused
-// scratch slice, in FIFO order: the arrival-time purge for callers that
-// release per-sender flow-control credits for what was removed. AppendPurge
-// is the form for everyone else.
-func (q *Queue) PurgeForInto(n Item, dst []Item) []Item {
-	dst, _ = q.purgeFor(n, dst, true)
-	return dst
+// PurgeFor removes the entries obsoleted by the (just received or about to
+// be appended) message n, calling visit on each in FIFO order before its
+// slot is cleared: the arrival-time purge for callers that release
+// per-sender flow-control credits for what was removed. The entry is lent
+// for the call only, and visit must not touch the queue; a nil visit
+// discards. AppendPurge is the form for everyone else.
+func (q *Queue) PurgeFor(n Item, visit func(*Item)) {
+	q.purgeFor(n, visit)
 }
 
-func (q *Queue) purgeFor(n Item, dst []Item, collect bool) ([]Item, int) {
+// purgeFor is PurgeFor returning how many entries it removed.
+func (q *Queue) purgeFor(n Item, visit func(*Item)) int {
 	if n.Kind != Data || q.live == 0 || q.never {
-		return dst, 0
+		return 0
 	}
 	if q.idx == nil {
-		return q.purgeForScan(n, dst, collect)
+		return q.purgeForScan(n, visit)
 	}
 	st := q.idx[idxKey{view: n.View, sender: n.Meta.Sender}]
 	hits := q.obsoletedBy(st, n.Meta)
 	if len(hits) == 0 {
-		return dst, 0
+		return 0
 	}
 	// One pass squeezes the hits out of the stream, moving the runs between
 	// them down; the emptied stream keeps its capacity for the next idxAdd
@@ -54,8 +55,8 @@ func (q *Queue) purgeFor(n Item, dst []Item, collect bool) ([]Item, int) {
 	w := hits[0]
 	for h, i := range hits {
 		ent := s[i]
-		if collect {
-			dst = append(dst, *q.slot(ent.pos))
+		if visit != nil {
+			visit(q.slot(ent.pos))
 		}
 		q.killSlot(ent.pos)
 		st.count(ent.seq, -1)
@@ -67,7 +68,7 @@ func (q *Queue) purgeFor(n Item, dst []Item, collect bool) ([]Item, int) {
 	}
 	st.ents = s[:w]
 	q.stats.Purged += uint64(len(hits))
-	return dst, len(hits)
+	return len(hits)
 }
 
 // obsoletedBy returns the positions in st — n's own (view, sender) stream —
@@ -105,7 +106,7 @@ func (q *Queue) obsoletedBy(st *senderStream, n obsolete.Msg) []int {
 	return hits
 }
 
-func (q *Queue) purgeForScan(n Item, dst []Item, collect bool) ([]Item, int) {
+func (q *Queue) purgeForScan(n Item, visit func(*Item)) int {
 	removed := 0
 	for p := q.head; p != q.tail; p++ {
 		m := q.slot(p)
@@ -113,15 +114,15 @@ func (q *Queue) purgeForScan(n Item, dst []Item, collect bool) ([]Item, int) {
 			continue
 		}
 		if q.rel.Obsoletes(m.Meta, n.Meta) {
-			if collect {
-				dst = append(dst, *m)
+			if visit != nil {
+				visit(m)
 			}
 			q.killSlot(p)
 			removed++
 		}
 	}
 	q.stats.Purged += uint64(removed)
-	return dst, removed
+	return removed
 }
 
 // CountPurgeableFor reports how many entries n's arrival would purge,

@@ -31,8 +31,8 @@
 // # One purge
 //
 // A message purges what it obsoletes as it arrives (AppendPurge, or
-// PurgeForInto + ForceAppend when the caller settles flow-control credits
-// for the casualties), and that is the only purge there is. It keeps the
+// PurgeFor + ForceAppend when the caller settles flow-control credits for
+// the casualties), and that is the only purge there is. It keeps the
 // queue closed under the relation — no two entries m ≺ m' of one view —
 // because with every stream appended in ascending order an arrival is newer
 // than everything held from its sender: nothing queued obsoletes it, and
@@ -191,39 +191,38 @@ func (q *Queue) ForceAppend(it Item) {
 // AppendPurge purges the entries obsoleted by it, then appends it. The
 // purge happens even if the append then fails with ErrFull — mirroring a
 // network buffer where the arriving packet displaces obsolete ones before
-// space is assessed. Unlike PurgeForInto it does not materialise the removed
-// entries.
+// space is assessed.
 func (q *Queue) AppendPurge(it Item) (purged int, err error) {
-	_, purged = q.purgeFor(it, nil, false)
+	purged = q.purgeFor(it, nil)
 	return purged, q.Append(it)
 }
 
-// PopHead removes and returns the head entry in O(1); the vacated slot is
-// zeroed so the ring never pins popped payloads.
-func (q *Queue) PopHead() (Item, bool) {
-	q.skipDeadHead()
-	if q.head == q.tail {
-		return Item{}, false
+// PopHead removes the head entry, if any, in O(1); the vacated slot is
+// zeroed so the ring never pins popped payloads. Read the head through
+// PeekHead first.
+func (q *Queue) PopHead() {
+	s := q.PeekHead()
+	if s == nil {
+		return
 	}
-	s := q.slot(q.head)
-	it := *s
-	if q.idx != nil && it.Kind == Data {
-		q.idxDrop(idxKey{view: it.View, sender: it.Meta.Sender}, it.Meta.Seq, q.head)
+	if q.idx != nil && s.Kind == Data {
+		q.idxDrop(idxKey{view: s.View, sender: s.Meta.Sender}, s.Meta.Seq, q.head)
 	}
 	*s = Item{}
 	q.head++
 	q.live--
 	q.stats.Popped++
-	return it, true
 }
 
-// PeekHead returns the head entry without removing it.
-func (q *Queue) PeekHead() (Item, bool) {
+// PeekHead lends the head entry without removing it, or returns nil when
+// the queue is empty. The entry stays the queue's: the pointer is valid
+// until the queue's next mutation and must not be written through.
+func (q *Queue) PeekHead() *Item {
 	q.skipDeadHead()
 	if q.head == q.tail {
-		return Item{}, false
+		return nil
 	}
-	return *q.slot(q.head), true
+	return q.slot(q.head)
 }
 
 // EachRef calls f on every entry in FIFO order without copying the Item,

@@ -22,6 +22,25 @@ func ctlItem(view uint64) Item {
 	return Item{Kind: Control, View: view, Ctl: view}
 }
 
+// pop copies the head out and pops it: the old by-value PopHead, for tests
+// that compare what came off the head.
+func pop(q *Queue) (Item, bool) {
+	h := q.PeekHead()
+	if h == nil {
+		return Item{}, false
+	}
+	it := *h
+	q.PopHead()
+	return it, true
+}
+
+// purged runs PurgeFor and collects what it visited, in visit order.
+func purged(q *Queue, n Item) []Item {
+	var out []Item
+	q.PurgeFor(n, func(it *Item) { out = append(out, *it) })
+	return out
+}
+
 func seqs(q *Queue) []ident.Seq {
 	var out []ident.Seq
 	q.EachRef(func(it *Item) bool {
@@ -39,12 +58,12 @@ func TestFIFOOrder(t *testing.T) {
 		}
 	}
 	for i := 1; i <= 5; i++ {
-		it, ok := q.PopHead()
+		it, ok := pop(q)
 		if !ok || it.Meta.Seq != ident.Seq(i) {
 			t.Fatalf("pop %d: got %v,%v", i, it.Meta.Seq, ok)
 		}
 	}
-	if _, ok := q.PopHead(); ok {
+	if _, ok := pop(q); ok {
 		t.Fatal("pop from empty queue succeeded")
 	}
 }
@@ -131,19 +150,19 @@ func TestPurgeFor(t *testing.T) {
 	if c := q.CountPurgeableFor(dataItem(1, "p", 4, 1)); c != 2 {
 		t.Fatalf("CountPurgeableFor = %d, want 2", c)
 	}
-	removed := q.PurgeForInto(dataItem(1, "p", 4, 1), nil)
+	removed := purged(q, dataItem(1, "p", 4, 1))
 	if len(removed) != 2 {
-		t.Fatalf("PurgeForInto removed %d, want 2", len(removed))
+		t.Fatalf("PurgeFor removed %d, want 2", len(removed))
 	}
 	if removed[0].Meta.Seq != 1 || removed[1].Meta.Seq != 3 {
-		t.Fatalf("PurgeForInto removed %v", removed)
+		t.Fatalf("PurgeFor removed %v", removed)
 	}
 	got := seqs(q)
 	if len(got) != 1 || got[0] != 2 {
 		t.Fatalf("contents %v, want [2]", got)
 	}
-	if n := q.PurgeForInto(ctlItem(1), nil); n != nil {
-		t.Fatalf("PurgeForInto(control) removed %d, want 0", len(n))
+	if n := purged(q, ctlItem(1)); n != nil {
+		t.Fatalf("PurgeFor(control) removed %d, want 0", len(n))
 	}
 }
 
@@ -186,14 +205,14 @@ func TestStatsCounters(t *testing.T) {
 
 func TestAnyAndPeek(t *testing.T) {
 	q := New(obsolete.Empty{}, 0)
-	if _, ok := q.PeekHead(); ok {
+	if q.PeekHead() != nil {
 		t.Fatal("PeekHead on empty queue")
 	}
 	if err := q.Append(dataItem(1, "p", 1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	it, ok := q.PeekHead()
-	if !ok || it.Meta.Seq != 1 {
+	it := q.PeekHead()
+	if it == nil || it.Meta.Seq != 1 {
 		t.Fatal("PeekHead wrong")
 	}
 	if q.Len() != 1 {

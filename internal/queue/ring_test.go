@@ -54,14 +54,14 @@ func TestRingReleasesPoppedAndPurgedSlots(t *testing.T) {
 	checkSlotsReleased(t, q)
 
 	for i := 0; i < 3; i++ {
-		if _, ok := q.PopHead(); !ok {
+		if _, ok := pop(q); !ok {
 			t.Fatal("PopHead failed")
 		}
 		checkSlotsReleased(t, q)
 	}
 
 	// An update of tag 1 purges every queued tag-1 entry (middle slots).
-	removed := q.PurgeForInto(payloadItem("p", 13, 1), nil)
+	removed := purged(q, payloadItem("p", 13, 1))
 	if len(removed) == 0 {
 		t.Fatal("expected purge to remove entries")
 	}
@@ -84,7 +84,7 @@ func TestRingReleasesPoppedAndPurgedSlots(t *testing.T) {
 	}
 
 	for {
-		if _, ok := q.PopHead(); !ok {
+		if _, ok := pop(q); !ok {
 			break
 		}
 		checkSlotsReleased(t, q)
@@ -111,7 +111,7 @@ func TestSnapshotDoesNotAliasBytes(t *testing.T) {
 	snap[0].Payload[0] = 0x55
 	snap[0].Meta.Annot[0] ^= 0xFF
 
-	head, _ := q.PeekHead()
+	head := q.PeekHead()
 	if head.Payload[0] != 0xAA {
 		t.Fatal("Snapshot aliases live payload bytes")
 	}
@@ -176,8 +176,8 @@ func TestIndexConsistencyAfterCompaction(t *testing.T) {
 	if got := q.CountPurgeableFor(probe); got != want {
 		t.Fatalf("CountPurgeableFor = %d, scan says %d (last=%d)", got, want, last)
 	}
-	if got := len(q.PurgeForInto(probe, nil)); got != want {
-		t.Fatalf("PurgeForInto removed %d, want %d", got, want)
+	if got := len(purged(q, probe)); got != want {
+		t.Fatalf("PurgeFor removed %d, want %d", got, want)
 	}
 	checkSlotsReleased(t, q)
 }

@@ -249,13 +249,11 @@ func runExecution(rel obsolete.Relation, arrivals []obsolete.Msg) []obsolete.Msg
 		_, _ = q.AppendPurge(queue.Item{Kind: queue.Data, View: 1, Meta: m}) // unbounded capacity: cannot fail
 	}
 	var out []obsolete.MsgID
-	for {
-		it, ok := q.PopHead()
-		if !ok {
-			return out
-		}
+	for it := q.PeekHead(); it != nil; it = q.PeekHead() {
 		out = append(out, it.Meta.ID())
+		q.PopHead()
 	}
+	return out
 }
 
 // scanRelation strips rel's capability declarations so internal/queue takes

@@ -240,7 +240,8 @@ func (r *runner) serviceDone() {
 	r.busy = false
 	r.res.Delivered++
 	if !r.halted {
-		if _, ok := r.q.PopHead(); ok {
+		if r.q.PeekHead() != nil {
+			r.q.PopHead()
 			r.mark()
 			r.startService()
 		}
