@@ -218,7 +218,7 @@ func TestInstallUnderBacklogIsLinear(t *testing.T) {
 	}
 	e := snapEngine(rel)
 	e.clock, e.rootCtx = obs.Wall{}, context.Background()
-	e.block()
+	e.block(e.cv.Members)
 
 	rng := rand.New(rand.NewSource(20))
 	tr := obsolete.NewKTracker(k)
@@ -235,7 +235,7 @@ func TestInstallUnderBacklogIsLinear(t *testing.T) {
 
 	calls, listed = 0, 0
 	next := View{ID: e.cv.ID + 1, Members: e.cv.Members}
-	e.install(consensusValue{Next: next, Pred: flush})
+	e.install(StateMsg{View: next.ID, Epoch: next.Epoch, Members: next.Members, Backlog: flush})
 
 	if e.cv.ID != next.ID || e.stats.FlushAdded != flushLen {
 		t.Fatalf("install: view %d, %d flush messages adopted", e.cv.ID, e.stats.FlushAdded)

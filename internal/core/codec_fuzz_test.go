@@ -54,6 +54,7 @@ func TestCodecWireRoundTripEdgeCases(t *testing.T) {
 		&DataBatchMsg{Msgs: []DataMsg{dm, {}}},
 		JoinReqMsg{},
 		StateMsg{},
+		StateMsg{View: 2, Members: []ident.PID{"solo"}},
 		StateMsg{View: 3, Members: []ident.PID{}, Recv: map[ident.PID]ident.Seq{}, Backlog: []DataMsg{}},
 		StateMsg{View: 3, Epoch: 9, Members: []ident.PID{"a", "q"}, Recv: map[ident.PID]ident.Seq{"q": 7}, Backlog: []DataMsg{dm}},
 		ProbeMsg{},
@@ -70,26 +71,6 @@ func TestCodecWireRoundTripEdgeCases(t *testing.T) {
 	}
 	for _, m := range cases {
 		roundTrip(t, m)
-	}
-}
-
-// TestConsensusValueZeroMemberView: an encoded decision may carry a view
-// with no members at all (everyone left); the codec must not conflate it
-// with a missing view.
-func TestConsensusValueZeroMemberView(t *testing.T) {
-	for _, val := range []consensusValue{
-		{},
-		{Next: View{ID: 8, Members: ident.NewPIDs()}},
-		{Next: View{ID: 8}, Pred: []DataMsg{}},
-	} {
-		raw := encodeValue(val)
-		got, err := decodeValue(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, val) {
-			t.Fatalf("got %#v, want %#v", got, val)
-		}
 	}
 }
 
@@ -127,35 +108,24 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		roundTrip(t, SplitMsg(side))
 		roundTrip(t, MergeMsg{A: side, B: MergeSide{View: ident.ViewID(seq), Members: init.Join}})
 		roundTrip(t, MergePredMsg{Merge: side.Ref(), Decline: nils, Msgs: pred.Msgs, Recv: stable.Recv})
-
-		val := consensusValue{Next: View{ID: ident.ViewID(view)}}
-		if !nils {
-			val.Next.Members = ident.NewPIDs(ident.PID(sender), ident.PID(peer))
-			val.Pred = []DataMsg{dm}
-		}
-		raw := encodeValue(val)
-		got, err := decodeValue(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, val) {
-			t.Fatalf("consensus value mismatch:\n got %#v\nwant %#v", got, val)
-		}
 	})
 }
 
-// FuzzDecodeValueNoPanic hardens the consensus value decoder against
+// FuzzDecodeValueNoPanic hardens the decided-value door (decided) against
 // arbitrary bytes arriving from a faulty peer.
 func FuzzDecodeValueNoPanic(f *testing.F) {
-	good := encodeValue(consensusValue{
-		Next: View{ID: 2, Members: ident.NewPIDs("a", "b")},
-		Pred: []DataMsg{{View: 1, Meta: obsolete.Msg{Sender: "a", Seq: 1}}},
+	good, err := codec.Marshal(nil, StateMsg{
+		View: 2, Members: []ident.PID{"a", "b"},
+		Backlog: []DataMsg{{View: 1, Meta: obsolete.Msg{Sender: "a", Seq: 1}}},
 	})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte("not gob"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = decodeValue(data)
+		_ = decided(ident.ViewRef{ID: 2}, data, nil)
 	})
 }
 

@@ -180,10 +180,11 @@ func putRequest(req *request) {
 	requestPool.Put(req)
 }
 
-// decision carries a consensus outcome back into the loop (awaitDecision).
+// decision carries a consensus outcome back into the loop (awaitDecision):
+// the decided value, or why there is none (decided).
 type decision struct {
 	forRef ident.ViewRef
-	val    consensusValue
+	val    StateMsg
 	err    error
 }
 

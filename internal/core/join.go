@@ -96,11 +96,11 @@ func (e *Engine) onJoinState(from ident.PID, m StateMsg) {
 	if e.joiner == nil {
 		return
 	}
-	members := ident.NewPIDs(m.Members...)
+	next := m.view()
 	// Only a member of the view being transferred may hand it over (the
 	// sponsor, or — on the recovery path — the contact that was re-asked);
 	// a transfer from anyone else would hijack the joining engine.
-	if m.View == 0 || !members.Contains(e.cfg.Self) || !members.Contains(from) || from == e.cfg.Self {
+	if next.ID == 0 || !next.Includes(e.cfg.Self) || !next.Includes(from) || from == e.cfg.Self {
 		return
 	}
 	took := e.clock.Since(e.joiner.start)
@@ -122,7 +122,7 @@ func (e *Engine) onJoinState(from ident.PID, m StateMsg) {
 		}
 	}
 	e.adopt(m.Backlog, m.Recv)
-	e.enterView(View{Epoch: m.Epoch, ID: m.View, Members: members})
+	e.enterView(next)
 }
 
 // ---- the members' side: admission and the sponsor's transfer ---------------

@@ -19,15 +19,19 @@ package core
 //
 //	probe ───────▶ far side (different epoch detected)
 //	MergeMsg ────▶ union     (both sides' refs + memberships, flooded)
-//	MergePredMsg ▶ union     (each member's relation-purged backlog +
+//	MergePredMsg ▶ union     (each member's current-view backlog +
 //	                          reception frontiers — the bidirectional
 //	                          semantic state exchange, O(window) per side)
 //	consensus(union ref) ───▶ union view installs on both sides
 //
-// The union view's flush set is the deduplicated, re-purged combination of
-// every contribution, so each side delivers the other's relation-surviving
-// backlog before the union-view marker — the SVS guarantee holds across
-// the merge exactly as it does across an ordinary view change.
+// A split and a merge are the view change of viewchange.go under another
+// successor: the contributions go into the same ledger, the same quorum
+// rule (checkPropose) decides when to propose, and the union view's flush
+// is built as every flush is — the deduplicated combination of every
+// contribution, repurged once — so each side delivers the other's
+// relation-surviving backlog before the union-view marker, and the SVS
+// guarantee holds across the merge exactly as it does across an ordinary
+// view change.
 //
 // Concurrency discipline: every handler here runs on the engine loop; the
 // state machine tolerates concurrent proposals (an ordinary change, a
@@ -44,7 +48,6 @@ import (
 	"time"
 
 	"repro/internal/ident"
-	"repro/internal/obsolete"
 	"repro/internal/transport"
 )
 
@@ -55,24 +58,17 @@ type mergeSide struct {
 }
 
 // mergeState is what a change that is a merge holds beyond an ordinary one
-// (change.merge).
+// (change.merge); its contributions, declines and two sides are the
+// change's ledger.
 type mergeState struct {
 	// ref names the union view under decision; the change awaits its
 	// instance like any other candidate successor.
 	ref ident.ViewRef
-	// sides are the two sub-views, normalised so sides[0].ref is the
-	// lesser — every participant derives the identical state from the
-	// same announcement.
-	sides [2]mergeSide
 	// union is the combined membership — the consensus participant set
 	// and the audience of every merge message.
-	union ident.PIDs
-	// contrib collects each member's state contribution; declined lists
-	// members that answered they were expelled meanwhile.
-	contrib  map[ident.PID]*MergePredMsg
-	declined ident.PIDs
+	union    ident.PIDs
 	deadline time.Time // the abort timeout (HealSpec.MergeTimeout)
-	bytesIn  uint64
+	bytesIn  uint64    // the contributions' encoded size, each member's first
 }
 
 // merging returns the merge in flight, nil when none.
@@ -147,13 +143,15 @@ func (e *Engine) onProbe(from ident.PID, m ProbeMsg) {
 // it dies, growing suspicion shrinks the reachable set until a surviving
 // member finds itself lowest — a rotating proposer, with every declared
 // continuation awaited by the change so whichever decides first wins.
+// Without Config.Heal it returns at once and the minority stays blocked at
+// t5: plain SVS's wedge is that one return.
 func (e *Engine) checkSplit() {
 	if e.cfg.Heal == nil {
 		return
 	}
 	c := e.chg
 	var split ident.PIDs
-	for _, p := range c.predFrom {
+	for _, p := range c.from {
 		if !e.cfg.Detector.Suspected(p) {
 			split = split.Add(p)
 		}
@@ -187,7 +185,7 @@ func (e *Engine) onSplit(from ident.PID, m SplitMsg) {
 		return // only the declared set's lowest member may declare
 	}
 	for _, p := range members {
-		if !c.predFrom.Contains(p) {
+		if !c.from.Contains(p) {
 			// We cannot yet cover every declared member's deliveries, so
 			// we must not propose — but the declaration is legitimate, so
 			// watch the instance for the decide flood.
@@ -201,10 +199,10 @@ func (e *Engine) onSplit(from ident.PID, m SplitMsg) {
 // adoptSplit proposes the split continuation: the next view is the
 // declared set, under an epoch derived from (parent ref, member set) so
 // concurrent declarations for different sets occupy different consensus
-// instances.
+// instances, with the flush every proposal carries.
 func (e *Engine) adoptSplit(members ident.PIDs) {
-	next := View{Epoch: SplitEpoch(e.cv.Ref(), members), ID: e.cv.ID + 1, Members: members.Clone()}
-	e.propose(consensusValue{Next: next, Pred: sortedPred(e.chg.pred)}, members)
+	next := View{Epoch: SplitEpoch(e.cv.Ref(), members), ID: e.cv.ID + 1, Members: members}
+	e.propose(e.proposal(next), members)
 }
 
 // ---- merge: two sub-views reconverge into their union -----------------------
@@ -241,14 +239,8 @@ func (e *Engine) startMerge(a, b mergeSide) {
 	}
 	ref := mergeRefFor(a.ref, b.ref)
 	union := a.members.Union(b.members)
-	c := e.block()
-	c.merge = &mergeState{
-		ref:      ref,
-		sides:    [2]mergeSide{a, b},
-		union:    union,
-		contrib:  make(map[ident.PID]*MergePredMsg),
-		deadline: c.start.Add(e.cfg.Heal.MergeTimeout),
-	}
+	c := e.block(a.members, b.members)
+	c.merge = &mergeState{ref: ref, union: union, deadline: c.start.Add(e.cfg.Heal.MergeTimeout)}
 	e.ev.MergeStarted(ref.String(), a.ref.String(), b.ref.String(), len(union))
 	// Extend the heartbeat fanout across the union: the propose condition
 	// below needs suspicion to develop for far-side members that died.
@@ -322,79 +314,29 @@ func (e *Engine) onMergePred(from ident.PID, m MergePredMsg) {
 	if mg == nil || m.Merge != mg.ref || !mg.union.Contains(from) {
 		return // not merging, a different merge, or an outsider
 	}
+	c := e.chg
 	if m.Decline {
-		mg.declined = mg.declined.Add(from)
-	} else if mg.contrib[from] == nil {
-		c := m
-		mg.contrib[from] = &c
+		c.declined = c.declined.Add(from)
+		e.checkPropose()
+		return
+	}
+	if !c.from.Contains(from) {
 		size := uint64(wireSize(m))
 		mg.bytesIn += size
 		e.stats.MergeBytesRecv += size
 	}
-	e.checkMergePropose()
-}
-
-// checkMergePropose fires the union-view proposal once, per side, every
-// non-declined member has either contributed or become suspected, and the
-// contributors form a majority of the side. The first condition is the SVS
-// obligation — a proposal may only omit a member it excludes from the
-// union view, since an excluded member never installs the union and so
-// never forms a delivery-coverage pair with those who do. The second keeps
-// a merge from installing a union view dominated by one side's wreckage.
-func (e *Engine) checkMergePropose() {
-	mg := e.merging()
-	if mg == nil || e.chg.proposed {
-		return
-	}
-	for i := range mg.sides {
-		eligible := mg.sides[i].members.Without(mg.declined)
-		contributed := 0
-		for _, p := range eligible {
-			if mg.contrib[p] != nil {
-				contributed++
-				continue
-			}
-			if !e.cfg.Detector.Suspected(p) {
-				return // still waiting on a live member
-			}
-		}
-		if 2*contributed <= len(eligible) {
-			return
-		}
-	}
-	e.chg.proposed = true
-
-	var members ident.PIDs
-	combined := make(map[obsolete.MsgID]DataMsg)
-	recv := make(map[ident.PID]ident.Seq)
-	for p, c := range mg.contrib {
-		members = members.Add(p)
-		for _, dm := range c.Msgs {
-			combined[dm.Meta.ID()] = dm
-		}
-		for s, q := range c.Recv {
-			if q > recv[s] {
-				recv[s] = q
-			}
-		}
-	}
-	next := View{Epoch: mg.ref.Epoch, ID: mg.ref.ID, Members: members}
-	// The union view's flush: deduplicated (the map key), deterministically
-	// ordered, and repurged so covers across contributions collapse — at
-	// most the sum of both sides' O(window) backlogs.
-	val := consensusValue{Next: next, Pred: repurge(e.cfg.Relation, sortedPred(combined)), Recv: recv}
-	e.propose(val, mg.union)
+	e.contribute(from, m.Msgs, m.Recv)
 }
 
 // finishMerge records the completed merge; install has already adopted the
 // flush and the combined frontiers.
-func (e *Engine) finishMerge(val consensusValue) {
+func (e *Engine) finishMerge(st StateMsg) {
 	mg := e.chg.merge
 	e.stats.Merges++
 	took := e.clock.Since(e.chg.start)
 	e.m.mergeDur.ObserveDuration(took)
 	e.m.mergeBytes.Observe(float64(mg.bytesIn))
-	e.ev.MergeComplete(val.Next.Ref().String(), len(val.Next.Members), len(val.Pred), int(mg.bytesIn), took)
+	e.ev.MergeComplete(ident.ViewRef{Epoch: st.Epoch, ID: st.View}.String(), len(st.Members), len(st.Backlog), int(mg.bytesIn), took)
 }
 
 // abortMerge abandons a merge whose union decision did not arrive in

@@ -5,13 +5,15 @@ package core
 // flushed ahead of the view marker — and the three hand-overs of this
 // engine are that mechanism under different filters:
 //
-//	view-change flush   held(current view, not yet stable)         PredMsg
-//	join transfer       repurge(held(everything)) + recvSnapshot   StateMsg
+//	view-change pred    held(current view, not yet stable)         PredMsg
 //	merge contribution  held(current view)        + recvSnapshot   MergePredMsg
+//	join transfer       repurge(held(everything)) + recvSnapshot   StateMsg
 //
-// A merge proposal repurges the union of the contributions it gathered.
-// Whoever is handed a snapshot — the decided flush of an install, a
-// joiner's backlog — applies it with adopt.
+// A flush is repurged once, where it is assembled: a change's proposal
+// repurges the contributions it gathered (proposal, viewchange.go) and the
+// sponsor the backlog it ships. Either way the result is a StateMsg, and
+// whoever is handed one — the decided value of an install, a joiner's
+// transfer — applies it with adopt.
 
 import (
 	"repro/internal/ident"

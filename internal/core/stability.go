@@ -103,8 +103,10 @@ func (e *Engine) recomputeStable() {
 // by all processes" is a fact about *this view's* members, but a merge
 // contributes the view's non-obsolete backlog to the far side of a
 // healed partition — processes the stable frontier never covered. The
-// history holds no other view's entries, so there the test of the head is
-// the whole cost and relation purging alone bounds the history at O(window).
+// history holds no other view's entries (enterView starts a new one), so
+// there the test of the head is the whole cost and nothing is pruned: the
+// history keeps every delivered message the relation never obsoletes —
+// every one of them under the empty relation — until the next view.
 func (e *Engine) pruneStable() {
 	stable := e.stableFilter()
 	prunable := func(it *queue.Item) bool { return it != nil && stable(it) && (e.cfg.Heal == nil || !e.inView(it)) }

@@ -3,15 +3,20 @@ package core
 // viewchange.go is Figure 1's view change, t4–t7: an INIT blocks the group
 // (t5), every member gathers the others' pred sets (t6), and consensus
 // decides the next view and its flush, which each member installs (t7).
-// The change in flight is one record, the decisions enter the loop through
-// one door (awaitDecision), and every view is entered one way (enterView).
+// A split and a merge (merge.go) run the same step: the change in flight is
+// one record with one ledger of contributions, one quorum rule decides when
+// to propose (checkPropose), every proposal repurges its flush once, the
+// decided value is a StateMsg entering the loop through one door
+// (awaitDecision), and every view is entered one way (enterView).
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"sort"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/fd"
 	"repro/internal/ident"
 	"repro/internal/obs"
@@ -22,8 +27,8 @@ import (
 
 // change is the view change in flight: set by block (t5), cleared by
 // endChange alone — at an install, a probe-proven expulsion (both through
-// enterView) or an aborted merge. An ordinary change gathers pred sets; a
-// merge (merge.go) gathers contributions instead. Either may await several
+// enterView) or an aborted merge. An ordinary change and a merge (merge.go)
+// gather contributions into the same ledger. Either may await several
 // successors at once (the ordinary next view, a shrinking series of split
 // continuations, a merge union): the first to decide installs, and every
 // goroutine the change started ends with it.
@@ -35,11 +40,18 @@ type change struct {
 	awaited  map[ident.ViewRef]bool // successors whose instance awaitDecision watches
 	proposed bool                   // the ordinary change or the merge is proposed
 
-	// The ordinary change: its join and leave sets, and the pred sets
-	// gathered so far (t6), keyed by message and by member.
-	join, leave ident.PIDs
-	pred        map[obsolete.MsgID]DataMsg
-	predFrom    ident.PIDs
+	// The ledger (t6): the memberships the quorum is taken over — the view
+	// for an ordinary change, the two sub-views for a merge — the pred sets
+	// gathered so far keyed by message, who contributed them, the frontiers
+	// they carried (a merge contribution's), max-folded, and the members
+	// that declined to take part.
+	sides    []ident.PIDs
+	pred     map[obsolete.MsgID]DataMsg
+	from     ident.PIDs
+	recv     map[ident.PID]ident.Seq
+	declined ident.PIDs
+
+	join, leave ident.PIDs // the ordinary change's membership requests
 
 	merge *mergeState // the partition merge this change is; nil for an ordinary one
 }
@@ -91,7 +103,6 @@ func (e *Engine) onSuspicion(ev fd.Event) {
 		_ = e.triggerViewChange(nil, ident.NewPIDs(ev.P))
 	}
 	e.checkPropose()
-	e.checkMergePropose()
 }
 
 // ---- t5/t6: ctl handling ---------------------------------------------------
@@ -233,12 +244,11 @@ func (e *Engine) onInit(from ident.PID, m InitMsg) {
 			e.send(p, transport.Ctl, m)
 		}
 	}
-	c := e.block()
+	c := e.block(e.cv.Members)
 	c.leave = ident.NewPIDs(m.Leave...).Intersect(e.cv.Members)
 	// Current members need no admission and a process asked to leave is
 	// not admitted by the same change.
 	c.join = ident.NewPIDs(m.Join...).Without(e.cv.Members).Without(c.leave)
-	c.pred = make(map[obsolete.MsgID]DataMsg)
 
 	// The local pred sequence: what we accepted to deliver in this view.
 	// Messages known stable (received by every member) are left out — the
@@ -258,11 +268,15 @@ func (e *Engine) onInit(from ident.PID, m InitMsg) {
 }
 
 // block closes the data plane for a view change or a merge (t5) and opens
-// the change record. Arrivals not yet accepted are dropped: their senders'
-// pred sets (or merge contributions) cover them.
-func (e *Engine) block() *change {
+// the change record, whose quorum is taken over sides. Arrivals not yet
+// accepted are dropped: their senders' pred sets (or merge contributions)
+// cover them.
+func (e *Engine) block(sides ...ident.PIDs) *change {
 	ctx, cancel := context.WithCancel(e.rootCtx)
-	e.chg = &change{ctx: ctx, cancel: cancel, start: e.clock.Now(), awaited: make(map[ident.ViewRef]bool)}
+	e.chg = &change{
+		ctx: ctx, cancel: cancel, start: e.clock.Now(), awaited: make(map[ident.ViewRef]bool),
+		sides: sides, pred: make(map[obsolete.MsgID]DataMsg), recv: make(map[ident.PID]ident.Seq),
+	}
 	e.pendingHead = DataMsg{}
 	e.pendingRest = e.pendingRest[:0]
 	e.pendingPos = 0
@@ -285,40 +299,83 @@ func (e *Engine) onPred(from ident.PID, m PredMsg) {
 	if c == nil || c.merge != nil || m.View != e.cv.ID || m.Epoch != e.cv.Epoch || !e.cv.Includes(from) {
 		return
 	}
-	for _, dm := range m.Msgs {
+	e.contribute(from, m.Msgs, nil)
+}
+
+// contribute enters one member's contribution to the change in flight —
+// its pred set and, for a merge, its frontiers — into the ledger and
+// re-tests the quorum.
+func (e *Engine) contribute(from ident.PID, msgs []DataMsg, recv map[ident.PID]ident.Seq) {
+	c := e.chg
+	for _, dm := range msgs {
 		c.pred[dm.Meta.ID()] = dm
 	}
-	c.predFrom = c.predFrom.Add(from)
+	for s, q := range recv {
+		c.recv[s] = max(c.recv[s], q)
+	}
+	c.from = c.from.Add(from)
 	e.checkPropose()
 }
 
 // ---- t7: propose and install ----------------------------------------------
 
-// checkPropose fires the consensus proposal once every unsuspected member's
-// pred set has arrived and they form a majority. When every reachable pred
-// is in but a majority is unreachable, the ordinary change can never decide;
-// with healing enabled the reachable minority continues under a split epoch
-// instead of wedging (checkSplit, merge.go).
+// checkPropose is the one quorum rule of every change: on each side, every
+// member that has not declined has contributed or is suspected, and the
+// contributors are more than half of the side. The first half is the SVS
+// obligation — a proposal may omit only a member it excludes from the next
+// view, which never installs it and so never forms a delivery-coverage pair
+// with those who do; the second keeps a view from being decided by a
+// minority. Without a majority an ordinary change can never decide, and
+// with healing enabled the reachable minority continues under a split
+// epoch instead of wedging (checkSplit, merge.go); a merge waits. With one,
+// an ordinary change proposes the contributors less the leavers plus the
+// joiners — joiners have no pred set to contribute and take no part in the
+// consensus deciding the view that admits them — and a merge proposes its
+// contributors as the union view.
 func (e *Engine) checkPropose() {
 	c := e.chg
-	if c == nil || c.proposed || c.merge != nil {
+	if c == nil || c.proposed {
 		return
 	}
-	for _, p := range e.cv.Members {
-		if !e.cfg.Detector.Suspected(p) && !c.predFrom.Contains(p) {
+	for _, side := range c.sides {
+		eligible := side.Without(c.declined)
+		contributed := 0
+		for _, p := range eligible {
+			if c.from.Contains(p) {
+				contributed++
+			} else if !e.cfg.Detector.Suspected(p) {
+				return // still waiting on a live member
+			}
+		}
+		if 2*contributed <= len(eligible) {
+			if c.merge == nil {
+				e.checkSplit()
+			}
 			return
 		}
 	}
-	if 2*len(c.predFrom) <= len(e.cv.Members) {
-		e.checkSplit()
+	c.proposed = true
+	if mg := c.merge; mg != nil {
+		e.propose(e.proposal(View{Epoch: mg.ref.Epoch, ID: mg.ref.ID, Members: c.from}), mg.union)
 		return
 	}
-	c.proposed = true
+	next := View{Epoch: e.cv.Epoch, ID: e.cv.ID + 1, Members: c.from.Without(c.leave).Union(c.join)}
+	e.propose(e.proposal(next), e.cv.Members)
+}
 
-	// Joiners are added verbatim: they have no pred set to contribute and
-	// take no part in the consensus deciding the view that admits them.
-	next := View{Epoch: e.cv.Epoch, ID: e.cv.ID + 1, Members: c.predFrom.Without(c.leave).Union(c.join)}
-	e.propose(consensusValue{Next: next, Pred: sortedPred(c.pred)}, e.cv.Members)
+// proposal is the value a change proposes for next: the view, every pred
+// set gathered, deduplicated (the ledger's key), deterministically ordered
+// and repurged once so covers across contributions collapse, and the
+// gathered frontiers. Contributions travel unrepurged because only here is
+// every one of them seen: had a contributor collapsed a:6 ⊑ a:7 ⊑ a:8 to
+// a:8, another member's a:6 would meet a:8 here without the a:7 that links
+// them, and under KEnumeration a:8 lists only the last K numbers.
+func (e *Engine) proposal(next View) StateMsg {
+	c := e.chg
+	return StateMsg{
+		View: next.ID, Epoch: next.Epoch, Members: next.Members.Clone(),
+		Recv: c.recv, Backlog: repurge(e.cfg.Relation, sortedPred(c.pred)),
+	}
 }
 
 // propose offers val to the consensus instance of the view it names, among
@@ -327,10 +384,11 @@ func (e *Engine) checkPropose() {
 // awaitDecision like every other. The call ends with the change; the
 // consensus runner does not, so a change given up here leaves the other
 // participants' instance live.
-func (e *Engine) propose(val consensusValue, participants ident.PIDs) {
-	ref := val.Next.Ref()
+func (e *Engine) propose(val StateMsg, participants ident.PIDs) {
+	ref := ident.ViewRef{Epoch: val.Epoch, ID: val.View}
 	e.awaitDecision(ref)
-	ctx, raw, members := e.chg.ctx, encodeValue(val), participants.Clone()
+	raw, _ := codec.Marshal(nil, val) // a registered type: cannot fail
+	ctx, members := e.chg.ctx, participants.Clone()
 	go func() { _, _ = e.cons.Propose(ctx, viewInstance(ref), members, raw) }()
 }
 
@@ -349,15 +407,30 @@ func (e *Engine) awaitDecision(ref ident.ViewRef) {
 		if c.ctx.Err() != nil {
 			return // the change ended, or the engine stopped
 		}
-		dec := decision{forRef: ref, err: err}
-		if err == nil {
-			dec.val, dec.err = decodeValue(raw)
-		}
 		select {
-		case e.decC <- dec:
+		case e.decC <- decided(ref, raw, err):
 		case <-c.ctx.Done():
 		}
 	}()
+}
+
+// decided is the decision an outcome of ref's instance makes: the decided
+// value is a StateMsg, and bytes that do not decode, or decode to another
+// type, are a failed decision.
+func decided(ref ident.ViewRef, raw []byte, err error) decision {
+	dec := decision{forRef: ref, err: err}
+	if err != nil {
+		return dec
+	}
+	v, err := codec.UnmarshalBytes(raw)
+	if err != nil {
+		dec.err = fmt.Errorf("core: decode decided value: %w", err)
+	} else if st, ok := v.(StateMsg); ok {
+		dec.val = st
+	} else {
+		dec.err = fmt.Errorf("core: decided value is a %T, not a StateMsg", v)
+	}
+	return dec
 }
 
 // sortedPred flattens the accumulated global pred set deterministically:
@@ -404,36 +477,37 @@ func (e *Engine) onDecision(dec decision) {
 	e.ev.DecisionIgnored(dec.forRef.String(), why)
 }
 
-func (e *Engine) install(val consensusValue) {
-	e.stats.LastFlushLen = len(val.Pred)
+func (e *Engine) install(st StateMsg) {
+	next := st.view()
+	e.stats.LastFlushLen = len(st.Backlog)
 	blockedFor := e.clock.Since(e.chg.start)
 	e.m.viewChange.ObserveDuration(blockedFor)
 	if e.ev != nil {
-		e.ev.ViewInstall(uint64(val.Next.ID), len(val.Next.Members), len(val.Pred), blockedFor)
-		e.ev.MemberChange(uint64(val.Next.ID),
-			pidStrings(val.Next.Members.Without(e.cv.Members)),
-			pidStrings(e.cv.Members.Without(val.Next.Members)))
+		e.ev.ViewInstall(uint64(next.ID), len(next.Members), len(st.Backlog), blockedFor)
+		e.ev.MemberChange(uint64(next.ID),
+			pidStrings(next.Members.Without(e.cv.Members)),
+			pidStrings(e.cv.Members.Without(next.Members)))
 	}
 
 	// Adopt the flush messages we have not seen; the view marker follows
 	// them into the delivery queue (enterView). For a merge decision the
 	// flush carries both sides' backlogs, so this is what delivers the
 	// other partition's relation-surviving messages before the union-view
-	// marker, and val.Recv (nil otherwise) the combined frontiers.
-	added := e.adopt(val.Pred, val.Recv)
+	// marker, and st.Recv (empty otherwise) the combined frontiers.
+	added := e.adopt(st.Backlog, st.Recv)
 	e.stats.FlushAdded += uint64(added)
 
 	if e.chg.merge != nil {
 		// The "newcomers" are the other side, which already holds its own
 		// state — no sponsor transfer.
-		e.finishMerge(val)
+		e.finishMerge(st)
 	} else {
 		// Dynamic membership: newcomers admitted by this view get a
 		// semantic state transfer from their sponsor. This must read
 		// e.delivered and e.cv before enterView resets them.
-		e.sponsorJoiners(val.Next)
+		e.sponsorJoiners(next)
 	}
-	e.enterView(val.Next)
+	e.enterView(next)
 }
 
 // enterView makes next the current view, whether a decision installed it, a

@@ -4,14 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/codec"
+	"repro/internal/consensus"
 	"repro/internal/fd"
 	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/obsolete"
+	"repro/internal/queue"
 	"repro/internal/transport"
 )
 
@@ -152,5 +157,289 @@ func TestProbeExpulsionEntersView(t *testing.T) {
 	}
 	if st := straggler.Stats(); st.View != evicted.ID || st.Blocked {
 		t.Errorf("Stats: view %d, blocked %v; want view %d, unblocked", st.View, st.Blocked, evicted.ID)
+	}
+}
+
+// ctlLog is the endpoint of a hand-built engine whose change path is driven
+// by calling its handlers: it records every control and consensus message
+// handed to Send, by destination. The consensus runner a proposal starts
+// sends through it from its own goroutine.
+type ctlLog struct {
+	transport.Endpoint
+	self ident.PID
+	mu   sync.Mutex
+	sent map[ident.PID][]any
+}
+
+func (l *ctlLog) Self() ident.PID { return l.self }
+
+func (l *ctlLog) Send(to ident.PID, _ ident.GroupID, ch transport.Channel, m any) error {
+	if ch == transport.Data {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.sent == nil {
+		l.sent = make(map[ident.PID][]any)
+	}
+	l.sent[to] = append(l.sent[to], m)
+	return nil
+}
+
+// to returns what was sent to p so far.
+func (l *ctlLog) to(p ident.PID) []any {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]any(nil), l.sent[p]...)
+}
+
+// splits reports whether a SplitMsg was sent to anyone.
+func (l *ctlLog) splits() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, ms := range l.sent {
+		for _, m := range ms {
+			if _, ok := m.(SplitMsg); ok {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// proposed waits for the value the engine proposed for ref: the estimate
+// its consensus runner sends in round 0, the only message of the instance
+// that carries a value while no other participant answers.
+func (l *ctlLog) proposed(t *testing.T, ref ident.ViewRef) StateMsg {
+	t.Helper()
+	find := func() []byte {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		for _, ms := range l.sent {
+			for _, m := range ms {
+				if cm, ok := m.(consensus.Msg); ok && cm.Instance == viewInstance(ref) && cm.Value != nil {
+					return cm.Value
+				}
+			}
+		}
+		return nil
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if raw := find(); raw != nil {
+			dec := decided(ref, raw, nil)
+			if dec.err != nil {
+				t.Fatalf("proposal for %v: %v", ref, dec.err)
+			}
+			return dec.val
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("nothing proposed for %v", ref)
+		}
+	}
+}
+
+// changeEngine is a hand-built, never-started engine self in view 4 of
+// members under Tagging, with a manual detector and a consensus service
+// whose runners reach nobody but the log.
+func changeEngine(t *testing.T, self ident.PID, members ident.PIDs, heal bool) (*Engine, *ctlLog, *fd.Manual) {
+	log, det := &ctlLog{self: self}, fd.NewManual()
+	cfg := Config{Self: self, Endpoint: log, Detector: det, Relation: obsolete.Tagging{}}
+	if heal {
+		cfg.Heal = &HealSpec{MergeTimeout: time.Hour}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	e := &Engine{
+		cfg: cfg, cons: consensus.New(log, det, 0, nil), clock: obs.Wall{},
+		decC: make(chan decision, 4), rootCtx: ctx, cancel: cancel,
+		cv:        View{ID: 4, Members: members},
+		toDeliver: queue.New(cfg.Relation, 0),
+		delivered: queue.New(cfg.Relation, 0),
+	}
+	e.armPeers()
+	t.Cleanup(func() {
+		cancel()
+		e.cons.Stop()
+		det.Stop()
+	})
+	return e, log, det
+}
+
+// TestOneQuorumRule: an ordinary change, a split and a merge decide when to
+// propose by one rule — on every side, each member that has not declined
+// has contributed or is suspected, and the contributors are a majority of
+// the side. p1 runs each row: one side is an ordinary change of that view,
+// two are a merge of it with a far sub-view.
+func TestOneQuorumRule(t *testing.T) {
+	ps := ident.NewPIDs
+	five, near, far := ps("p1", "p2", "p3", "p4", "p5"), ps("p1", "p2", "p3"), ps("q1", "q2", "q3")
+	for _, tc := range []struct {
+		name                      string
+		sides                     []ident.PIDs
+		from, declined, suspected ident.PIDs
+		heal                      bool
+		want                      string // "waits", "splits" or "proposes"
+	}{
+		{name: "ordinary majority", sides: []ident.PIDs{five}, from: five, want: "proposes"},
+		{name: "ordinary, a live member outstanding", sides: []ident.PIDs{five}, from: ps("p1", "p2", "p3", "p4"), want: "waits"},
+		{name: "ordinary, suspected non-contributors skipped", sides: []ident.PIDs{five}, from: near, suspected: ps("p4", "p5"), want: "proposes"},
+		{name: "ordinary minority with Heal", sides: []ident.PIDs{five}, from: ps("p1", "p2"), suspected: ps("p3", "p4", "p5"), heal: true, want: "splits"},
+		{name: "ordinary minority without Heal", sides: []ident.PIDs{five}, from: ps("p1", "p2"), suspected: ps("p3", "p4", "p5"), want: "waits"},
+		{name: "merge majority on both sides", sides: []ident.PIDs{near, ps("q1", "q2")}, from: ps("p1", "p2", "p3", "q1", "q2"), heal: true, want: "proposes"},
+		{name: "merge side below majority", sides: []ident.PIDs{near, far}, from: ps("p1", "p2", "p3", "q1"), suspected: ps("q2", "q3"), heal: true, want: "waits"},
+		{name: "merge, a suspected non-contributor skipped", sides: []ident.PIDs{near, far}, from: ps("p1", "p2", "p3", "q1", "q2"), suspected: ps("q3"), heal: true, want: "proposes"},
+		{name: "merge, a decline shrinks a side", sides: []ident.PIDs{near, far}, from: ps("p1", "p2", "p3", "q1", "q2"), declined: ps("q3"), heal: true, want: "proposes"},
+		{name: "merge, a decline leaves a side without majority", sides: []ident.PIDs{near, far}, from: ps("p1", "p2", "p3", "q1"), declined: ps("q2"), suspected: ps("q3"), heal: true, want: "waits"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, log, det := changeEngine(t, "p1", tc.sides[0], tc.heal)
+			for _, p := range tc.suspected {
+				det.Suspect(p)
+			}
+			next := ident.ViewRef{ID: e.cv.ID + 1}
+			if len(tc.sides) == 1 {
+				e.onInit("p1", InitMsg{View: e.cv.ID})
+				for _, p := range tc.from {
+					e.onPred(p, PredMsg{View: e.cv.ID})
+				}
+				if tc.want == "splits" {
+					next.Epoch = SplitEpoch(e.cv.Ref(), tc.from)
+				}
+			} else {
+				other := mergeSide{ref: ident.ViewRef{Epoch: 9, ID: 7}, members: tc.sides[1]}
+				next = mergeRefFor(e.cv.Ref(), other.ref)
+				e.maybeStartMerge(other)
+				for _, p := range tc.declined {
+					e.onMergePred(p, MergePredMsg{Merge: next, Decline: true})
+				}
+				for _, p := range tc.from {
+					e.onMergePred(p, MergePredMsg{Merge: next})
+				}
+			}
+			got := "waits"
+			switch {
+			case e.chg.proposed:
+				got = "proposes"
+			case log.splits():
+				got = "splits"
+			}
+			if got != tc.want {
+				t.Fatalf("%s, want %s", got, tc.want)
+			}
+			if got != "waits" && !e.chg.awaited[next] {
+				t.Fatalf("%s without awaiting %v", got, next)
+			}
+		})
+	}
+}
+
+// TestMergeDeclineCountsOut: an expelled process still answers a merge
+// announcement that names it, with a decline to every other member of the
+// union, and a merging member receiving that decline proposes the union
+// without the decliner instead of waiting for its suspicion.
+func TestMergeDeclineCountsOut(t *testing.T) {
+	ps := ident.NewPIDs
+	ann := MergeMsg{
+		A: MergeSide{View: 4, Members: ps("p1", "p2")},
+		B: MergeSide{View: 7, Epoch: 9, Members: ps("q1", "q2", "q3")},
+	}
+	ref := mergeRefFor(ann.A.Ref(), ann.B.Ref())
+
+	expelled, xlog, _ := changeEngine(t, "q3", ann.B.Members, true)
+	expelled.terminal = ErrExpelled
+	expelled.onCtl(transport.Envelope{From: "q1", Msg: ann})
+	decline := MergePredMsg{Merge: ref, Decline: true}
+	for _, p := range ps("p1", "p2", "q1", "q2", "q3") {
+		want := []any{decline}
+		if p == "q3" {
+			want = nil
+		}
+		if got := xlog.to(p); !reflect.DeepEqual(got, want) {
+			t.Errorf("the expelled q3 sent %s %v, want %v", p, got, want)
+		}
+	}
+
+	e, log, _ := changeEngine(t, "p1", ann.A.Members, true)
+	e.maybeStartMerge(mergeSide{ref: ann.B.Ref(), members: ann.B.Members})
+	for _, p := range ps("p1", "p2", "q1", "q2") {
+		e.onMergePred(p, MergePredMsg{Merge: ref})
+	}
+	if e.chg.proposed {
+		t.Fatal("proposed while q3, unsuspected, had neither contributed nor declined")
+	}
+	e.onMergePred("q3", xlog.to("p1")[0].(MergePredMsg))
+	if !e.chg.proposed {
+		t.Fatal("q3's decline did not count it out")
+	}
+	if got, want := ps(log.proposed(t, ref).Members...), ps("p1", "p2", "q1", "q2"); !got.Equal(want) {
+		t.Fatalf("proposed union %v, want %v", got, want)
+	}
+}
+
+// TestDecidedFlushRepurged: a proposal repurges the flush it assembles. a
+// multicast a:6 and then a:7 with the same tag; b delivered a:6, c holds
+// a:7 (a:6 purged there), and a has crashed. Once b's and c's pred sets are
+// in, the ordinary change proposes a:7 alone — a:7 covers a:6 — and so does
+// the split a minority declares.
+func TestDecidedFlushRepurged(t *testing.T) {
+	ps := ident.NewPIDs
+	for _, tc := range []struct {
+		name               string
+		members, suspected ident.PIDs
+		heal               bool
+	}{
+		{name: "ordinary change", members: ps("a", "b", "c"), suspected: ps("a")},
+		{name: "split", members: ps("a", "b", "c", "d", "e"), suspected: ps("a", "d", "e"), heal: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, log, det := changeEngine(t, "b", tc.members, tc.heal)
+			for _, p := range tc.suspected {
+				det.Suspect(p)
+			}
+			e.delivered.ForceAppend(tagged(4, "a", 6, 2))
+			e.onInit("b", InitMsg{View: e.cv.ID})
+			for _, m := range log.to("b") {
+				if pred, ok := m.(PredMsg); ok {
+					e.onPred("b", pred)
+				}
+			}
+			a7 := tagged(4, "a", 7, 2)
+			e.onPred("c", PredMsg{View: e.cv.ID, Msgs: []DataMsg{msgOf(&a7)}})
+
+			next := ident.ViewRef{ID: e.cv.ID + 1}
+			if tc.heal {
+				next.Epoch = SplitEpoch(e.cv.Ref(), ps("b", "c"))
+			}
+			if got := ids(log.proposed(t, next).Backlog); !reflect.DeepEqual(got, []string{"a:7@4"}) {
+				t.Fatalf("proposed flush %v, want [a:7@4]", got)
+			}
+		})
+	}
+}
+
+// TestDecodeValueRejectsGarbage: the decided value is a StateMsg. A decision
+// whose bytes do not decode, or decode to another registered type, counts
+// one DecisionFailures and installs nothing; a StateMsg installs.
+func TestDecodeValueRejectsGarbage(t *testing.T) {
+	e, _, _ := changeEngine(t, "p1", ident.NewPIDs("p1", "p2"), false)
+	e.onInit("p1", InitMsg{View: e.cv.ID})
+	ref := ident.ViewRef{ID: e.cv.ID + 1}
+	credit, err := codec.Marshal(nil, CreditMsg{View: ref.ID, Credits: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, raw := range [][]byte{[]byte("garbage"), nil, credit} {
+		e.onDecision(decided(ref, raw, nil))
+		if n := e.stats.DecisionFailures; n != uint64(i+1) || e.cv.ID != 4 || e.chg == nil {
+			t.Fatalf("decision %q: %d failures, view %d, blocked %v; want %d, view 4, still blocked",
+				raw, n, e.cv.ID, e.chg != nil, i+1)
+		}
+	}
+	st, err := codec.Marshal(nil, StateMsg{View: ref.ID, Members: []ident.PID{"p1", "p2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.onDecision(decided(ref, st, nil))
+	if e.cv.Ref() != ref || e.chg != nil || e.stats.DecisionFailures != 3 {
+		t.Fatalf("a StateMsg decision left view %v, blocked %v, %d failures", e.cv.Ref(), e.chg != nil, e.stats.DecisionFailures)
 	}
 }

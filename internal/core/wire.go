@@ -60,22 +60,28 @@ type InitMsg struct {
 // fresh StateMsg.
 type JoinReqMsg struct{}
 
-// StateMsg is the semantic state transfer that completes a join: the
-// installed view, the sponsor's per-sender reception frontiers, and the
-// non-obsolete unstable backlog — the delivered history and still-queued
-// messages after purging them through the group's obsolescence relation.
-// Because purging keeps those buffers O(window) (§2.3/§4.2), the transfer
-// cost is O(window) rather than O(history).
+// StateMsg is a view with the state to adopt before installing it: the
+// view, per-sender reception frontiers, and a relation-purged backlog. It
+// is the semantic state transfer that completes a join — the sponsor's
+// delivered history and still-queued messages, purged through the group's
+// obsolescence relation, so O(window) rather than O(history) (§2.3/§4.2) —
+// and the value every view change, split and merge decides: the next view
+// and its flush.
 type StateMsg struct {
 	View    ident.ViewID
 	Epoch   ident.Epoch
 	Members []ident.PID
-	// Recv maps each sender to the highest sequence number the sponsor had
-	// received from it when the snapshot was taken; the joiner adopts it as
-	// its reception frontier so direct copies of backlog messages are
-	// recognised as duplicates.
+	// Recv maps each sender to the highest sequence number received from
+	// it — by the sponsor when it took the snapshot, or by any contributor
+	// to a merge; the installer adopts it as its reception frontier so
+	// direct copies of backlog messages are recognised as duplicates.
 	Recv    map[ident.PID]ident.Seq
 	Backlog []DataMsg
+}
+
+// view is the view m installs.
+func (m StateMsg) view() View {
+	return View{Epoch: m.Epoch, ID: m.View, Members: ident.NewPIDs(m.Members...)}
 }
 
 // PredMsg is the [PRED, v, P] message of Figure 1: the sender's sequence
@@ -429,50 +435,6 @@ func readStableMsg(r *codec.Reader) (StableMsg, error) {
 	m.Epoch = ident.Epoch(r.Uvarint())
 	m.Recv = readSeqMap(r)
 	return m, r.Err()
-}
-
-// ---- consensus value -------------------------------------------------------
-
-// consensusValue is the tuple agreed by the view-change consensus: the
-// next view (epoch + id + members), the flush set (pred-view) to deliver
-// before installing it, and — for merge decisions only — the combined
-// per-sender reception frontiers both sides advance to (nil otherwise).
-type consensusValue struct {
-	Next View
-	Pred []DataMsg
-	Recv map[ident.PID]ident.Seq
-}
-
-// valueFormat versions the consensus value encoding; bumping it rejects
-// payloads from incompatible releases instead of mis-decoding them.
-// Format 2 added the lineage epoch and the merge frontier map.
-const valueFormat byte = 2
-
-func encodeValue(v consensusValue) []byte {
-	dst := make([]byte, 0, 64+32*len(v.Pred))
-	dst = codec.AppendByte(dst, valueFormat)
-	dst = codec.AppendUvarint(dst, uint64(v.Next.ID))
-	dst = codec.AppendUvarint(dst, uint64(v.Next.Epoch))
-	dst = appendPIDs(dst, v.Next.Members)
-	dst = appendDataMsgs(dst, v.Pred)
-	return appendSeqMap(dst, v.Recv)
-}
-
-func decodeValue(p []byte) (consensusValue, error) {
-	r := codec.NewReader(p)
-	if f := r.Byte(); r.Err() == nil && f != valueFormat {
-		return consensusValue{}, fmt.Errorf("core: decode consensus value: unknown format %d", f)
-	}
-	var v consensusValue
-	v.Next.ID = ident.ViewID(r.Uvarint())
-	v.Next.Epoch = ident.Epoch(r.Uvarint())
-	v.Next.Members = readPIDs(r)
-	v.Pred = readDataMsgs(r)
-	v.Recv = readSeqMap(r)
-	if err := r.Close(); err != nil {
-		return consensusValue{}, fmt.Errorf("core: decode consensus value: %w", err)
-	}
-	return v, nil
 }
 
 // viewInstance names the consensus instance deciding the view ref. The
