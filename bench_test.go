@@ -1048,6 +1048,7 @@ func benchMergeStateTransfer(b *testing.B, semantic bool) {
 	}
 
 	net := transport.NewMemNetwork()
+	faults := transport.NewFaults(1)
 	pids := ident.NewPIDs("p0", "p1", "p2", "p3", "p4")
 	maj, min := pids[:3], pids[3:]
 	gc := core.GroupConfig{
@@ -1064,7 +1065,7 @@ func benchMergeStateTransfer(b *testing.B, semantic bool) {
 			b.Fatal(err)
 		}
 		det := fd.NewManual()
-		node, err := core.NewNode(core.NodeConfig{Self: p, Endpoint: ep, Detector: det})
+		node, err := core.NewNode(core.NodeConfig{Self: p, Endpoint: faults.Wrap(ep), Detector: det})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1131,9 +1132,9 @@ func benchMergeStateTransfer(b *testing.B, semantic bool) {
 	for i := 0; i < b.N; i++ {
 		// Partition 3|2 and let each side settle into its own view: the
 		// majority evicts, the minority splits.
+		faults.Partition(maj, min)
 		for _, a := range maj {
 			for _, z := range min {
-				net.CutBoth(a, z)
 				dets[a].Suspect(z)
 				dets[z].Suspect(a)
 			}
@@ -1154,8 +1155,8 @@ func benchMergeStateTransfer(b *testing.B, semantic bool) {
 		}
 		for _, a := range maj {
 			for _, z := range min {
-				net.Heal(a, z)
-				net.Heal(z, a)
+				faults.HealLink(a, z)
+				faults.HealLink(z, a)
 			}
 		}
 		waitUnion()

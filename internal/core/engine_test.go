@@ -18,12 +18,14 @@ import (
 
 // groupHarness wires an n-member group over an in-memory network, with a
 // shared execution recorder and an application driver per member that
-// pulls deliveries into the recorder.
+// pulls deliveries into the recorder. Every engine sends through faults,
+// which cuts and heals links; net crashes processes.
 type groupHarness struct {
-	t   *testing.T
-	net *transport.MemNetwork
-	rel obsolete.Relation
-	rec *check.Recorder
+	t      *testing.T
+	net    *transport.MemNetwork
+	faults *transport.Faults
+	rel    obsolete.Relation
+	rec    *check.Recorder
 
 	pids    ident.PIDs
 	members map[ident.PID]*gMember
@@ -64,6 +66,7 @@ func newGroup(t *testing.T, o harnessOpts) *groupHarness {
 	h := &groupHarness{
 		t:       t,
 		net:     transport.NewMemNetwork(),
+		faults:  transport.NewFaults(1),
 		rel:     o.rel,
 		rec:     check.NewRecorder(o.rel),
 		members: make(map[ident.PID]*gMember),
@@ -88,7 +91,7 @@ func newGroup(t *testing.T, o harnessOpts) *groupHarness {
 		det := fd.NewManual()
 		eng, err := New(Config{
 			Self:              p,
-			Endpoint:          ep,
+			Endpoint:          h.faults.Wrap(ep),
 			Detector:          det,
 			InitialView:       view0,
 			Relation:          o.rel,

@@ -79,11 +79,7 @@ func TestPartitionHealSplitAndMerge(t *testing.T) {
 	maj, min := h.pids[:3], h.pids[3:] // {p0,p1,p2} | {p3,p4}
 
 	// Partition the sides and let every detector see the far side fail.
-	for _, a := range maj {
-		for _, b := range min {
-			h.net.CutBoth(a, b)
-		}
-	}
+	h.faults.Partition(maj, min)
 	for _, a := range maj {
 		for _, b := range min {
 			h.members[a].det.Suspect(b)
@@ -149,8 +145,8 @@ func TestPartitionHealSplitAndMerge(t *testing.T) {
 	}
 	for _, a := range maj {
 		for _, b := range min {
-			h.net.Heal(a, b)
-			h.net.Heal(b, a)
+			h.faults.HealLink(a, b)
+			h.faults.HealLink(b, a)
 		}
 	}
 
@@ -225,7 +221,7 @@ func TestPartitionHealSingletonMerge(t *testing.T) {
 	maj, loner := h.pids[:2], h.pids[2] // {p0,p1} | p2
 
 	for _, a := range maj {
-		h.net.CutBoth(a, loner)
+		h.faults.Partition([]ident.PID{a}, []ident.PID{loner})
 		h.members[a].det.Suspect(loner)
 		h.members[loner].det.Suspect(a)
 	}
@@ -250,8 +246,8 @@ func TestPartitionHealSingletonMerge(t *testing.T) {
 		h.members[loner].det.Restore(a)
 	}
 	for _, a := range maj {
-		h.net.Heal(a, loner)
-		h.net.Heal(loner, a)
+		h.faults.HealLink(a, loner)
+		h.faults.HealLink(loner, a)
 	}
 
 	la, lb := h.lastView(maj[0]).Ref(), h.lastView(loner).Ref()

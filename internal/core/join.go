@@ -189,7 +189,9 @@ func (e *Engine) sendJoinStates(next View, joiners ident.PIDs) {
 // the per-sender reception frontiers, and the backlog — every data message
 // still held, of whatever view, repurged so covers that straddle history
 // and queue collapse. This is the semantic state transfer: under a purging
-// relation the backlog is O(window) however long the group has run.
+// relation the backlog is O(window) however long the group has run. Only
+// the relation bounds the current view's part under Config.Heal, which
+// keeps it unpruned: a relation that obsoletes little ships it whole.
 func (e *Engine) buildJoinState(next View) StateMsg {
 	return StateMsg{
 		View: next.ID, Epoch: next.Epoch, Members: next.Members.Clone(),

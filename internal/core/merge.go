@@ -21,7 +21,8 @@ package core
 //	MergeMsg ────▶ union     (both sides' refs + memberships, flooded)
 //	MergePredMsg ▶ union     (each member's current-view backlog +
 //	                          reception frontiers — the bidirectional
-//	                          semantic state exchange, O(window) per side)
+//	                          semantic state exchange: every current-view
+//	                          message the relation never obsoleted)
 //	consensus(union ref) ───▶ union view installs on both sides
 //
 // A split and a merge are the view change of viewchange.go under another

@@ -55,9 +55,10 @@ func (e *Engine) held(keep func(*queue.Item) bool) []DataMsg {
 // repurge runs msgs, in order, once more through the obsolescence relation,
 // so covers that straddle the places they were gathered from (history and
 // queue, or two members' contributions) collapse. Purging never relates
-// across view tags, so one view's backlog cannot purge another's: under a
-// purging relation the result stays O(window) per view however long the
-// group has run.
+// across view tags, so one view's backlog cannot purge another's: the
+// result is what the relation leaves of each view — O(window) per view
+// under a purging relation however long the group has run, the view's
+// whole traffic under the empty one.
 func repurge(rel obsolete.Relation, msgs []DataMsg) []DataMsg {
 	snap := queue.New(rel, 0)
 	for _, dm := range msgs {

@@ -64,9 +64,9 @@ type JoinReqMsg struct{}
 // view, per-sender reception frontiers, and a relation-purged backlog. It
 // is the semantic state transfer that completes a join — the sponsor's
 // delivered history and still-queued messages, purged through the group's
-// obsolescence relation, so O(window) rather than O(history) (§2.3/§4.2) —
-// and the value every view change, split and merge decides: the next view
-// and its flush.
+// obsolescence relation, so bounded by the relation rather than by the
+// group's age (§2.3/§4.2) — and the value every view change, split and
+// merge decides: the next view and its flush.
 type StateMsg struct {
 	View    ident.ViewID
 	Epoch   ident.Epoch
@@ -157,8 +157,12 @@ type MergeMsg struct {
 
 // MergePredMsg is one process's contribution to a merge: its local flush
 // set (the messages accepted for delivery in its current view, purged) and
-// its per-sender reception frontiers — the bidirectional analogue of PR 5's
-// StateMsg, O(window) by the same purging argument. Decline is sent by a
+// its per-sender reception frontiers — the bidirectional analogue of a
+// joiner's StateMsg. A merge runs only under Config.Heal, which prunes
+// nothing of the current view from the history (pruneStable), so a
+// contribution carries every current-view message the relation never
+// obsoleted: bounded by the relation, not by stability — under the empty
+// relation, the view's whole traffic. Decline is sent by a
 // process that cannot take part (already expelled, or mid-change) so the
 // coordinators can count it out instead of waiting for suspicion.
 type MergePredMsg struct {

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/ident"
+	"repro/internal/ubq"
 )
 
 // Fanout shares one failure detector between many consumers. A Detector's
@@ -53,7 +54,7 @@ func (f *Fanout) pump() {
 			}
 			f.mu.Lock()
 			for t := range f.taps {
-				t.n.emit(e)
+				t.ev.Push(e)
 			}
 			f.mu.Unlock()
 		}
@@ -71,18 +72,18 @@ func (f *Fanout) pump() {
 // base's channel may be delivered twice, which consumers tolerate
 // (repeated suspect events are idempotent for the protocol engine).
 func (f *Fanout) Tap() *Tap {
-	t := &Tap{f: f, n: newNotifier()}
+	t := &Tap{f: f, ev: ubq.New[Event]()}
 	f.mu.Lock()
 	closed := f.closed
 	if !closed {
 		f.taps[t] = struct{}{}
 		for _, p := range f.base.Suspects() {
-			t.n.emit(Event{P: p, Suspected: true})
+			t.ev.Push(Event{P: p, Suspected: true})
 		}
 	}
 	f.mu.Unlock()
 	if closed {
-		t.n.close()
+		t.ev.Close()
 	}
 	return t
 }
@@ -121,7 +122,7 @@ func (f *Fanout) Stop() {
 // affecting the base detector or other taps.
 type Tap struct {
 	f    *Fanout
-	n    *notifier
+	ev   *ubq.Queue[Event]
 	once sync.Once
 }
 
@@ -134,12 +135,12 @@ func (t *Tap) Suspected(p ident.PID) bool { return t.f.base.Suspected(p) }
 func (t *Tap) Suspects() ident.PIDs { return t.f.base.Suspects() }
 
 // Events implements Detector.
-func (t *Tap) Events() <-chan Event { return t.n.out }
+func (t *Tap) Events() <-chan Event { return t.ev.Out() }
 
 // Stop implements Detector: it detaches this tap only.
 func (t *Tap) Stop() {
 	t.once.Do(func() {
 		t.f.remove(t)
-		t.n.close()
+		t.ev.Close()
 	})
 }

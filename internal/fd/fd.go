@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"repro/internal/ident"
+	"repro/internal/ubq"
 )
 
 // Event reports a suspicion change.
@@ -35,89 +36,18 @@ type Detector interface {
 	Stop()
 }
 
-// notifier is an unbounded event fan-in: emits never block, the consumer
-// drains a channel.
-type notifier struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	events []Event
-	closed bool
-	out    chan Event
-	done   chan struct{}
-	wg     sync.WaitGroup
-}
-
-func newNotifier() *notifier {
-	n := &notifier{
-		out:  make(chan Event),
-		done: make(chan struct{}),
-	}
-	n.cond = sync.NewCond(&n.mu)
-	n.wg.Add(1)
-	go n.pump()
-	return n
-}
-
-func (n *notifier) emit(e Event) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return
-	}
-	n.events = append(n.events, e)
-	n.cond.Signal()
-}
-
-func (n *notifier) close() {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	n.closed = true
-	close(n.done)
-	n.cond.Signal()
-	n.mu.Unlock()
-	n.wg.Wait()
-}
-
-func (n *notifier) pump() {
-	defer n.wg.Done()
-	defer close(n.out)
-	for {
-		n.mu.Lock()
-		for len(n.events) == 0 && !n.closed {
-			n.cond.Wait()
-		}
-		if n.closed {
-			n.mu.Unlock()
-			return
-		}
-		e := n.events[0]
-		copy(n.events, n.events[1:])
-		n.events = n.events[:len(n.events)-1]
-		n.mu.Unlock()
-
-		select {
-		case n.out <- e:
-		case <-n.done:
-			return
-		}
-	}
-}
-
 // Manual is a deterministic detector driven by test code.
 type Manual struct {
 	mu   sync.Mutex
 	susp map[ident.PID]bool
-	n    *notifier
+	ev   *ubq.Queue[Event]
 }
 
 var _ Detector = (*Manual)(nil)
 
 // NewManual returns a detector suspecting nobody.
 func NewManual() *Manual {
-	return &Manual{susp: make(map[ident.PID]bool), n: newNotifier()}
+	return &Manual{susp: make(map[ident.PID]bool), ev: ubq.New[Event]()}
 }
 
 // Suspect marks p as suspected.
@@ -127,7 +57,7 @@ func (m *Manual) Suspect(p ident.PID) {
 	m.susp[p] = true
 	m.mu.Unlock()
 	if changed {
-		m.n.emit(Event{P: p, Suspected: true})
+		m.ev.Push(Event{P: p, Suspected: true})
 	}
 }
 
@@ -138,7 +68,7 @@ func (m *Manual) Restore(p ident.PID) {
 	delete(m.susp, p)
 	m.mu.Unlock()
 	if changed {
-		m.n.emit(Event{P: p, Suspected: false})
+		m.ev.Push(Event{P: p, Suspected: false})
 	}
 }
 
@@ -161,7 +91,7 @@ func (m *Manual) Suspects() ident.PIDs {
 }
 
 // Events implements Detector.
-func (m *Manual) Events() <-chan Event { return m.n.out }
+func (m *Manual) Events() <-chan Event { return m.ev.Out() }
 
 // Stop implements Detector.
-func (m *Manual) Stop() { m.n.close() }
+func (m *Manual) Stop() { m.ev.Close() }

@@ -76,8 +76,10 @@ func TestManualSuspects(t *testing.T) {
 
 func TestHeartbeatSuspectsSilentPeer(t *testing.T) {
 	net := transport.NewMemNetwork()
-	epA, _ := net.Endpoint("a")
-	epB, _ := net.Endpoint("b")
+	faults := transport.NewFaults(1)
+	memA, _ := net.Endpoint("a")
+	memB, _ := net.Endpoint("b")
+	epA, epB := faults.Wrap(memA), faults.Wrap(memB)
 	defer epA.Close()
 	defer epB.Close()
 
@@ -99,7 +101,7 @@ func TestHeartbeatSuspectsSilentPeer(t *testing.T) {
 	// Silence b in both directions: a must suspect b. A beat may still be
 	// in flight when the link is cut (briefly revising the suspicion), so
 	// poll until the suspicion sticks.
-	net.CutBoth("a", "b")
+	faults.Partition([]ident.PID{"a"}, []ident.PID{"b"})
 	ev := waitEvent(t, ha.Events())
 	if ev.P != "b" || !ev.Suspected {
 		t.Fatalf("event %+v", ev)
@@ -107,8 +109,7 @@ func TestHeartbeatSuspectsSilentPeer(t *testing.T) {
 	waitSuspected(t, ha, "b", true)
 
 	// Heal: suspicion must be revised.
-	net.Heal("a", "b")
-	net.Heal("b", "a")
+	faults.Heal()
 	waitSuspected(t, ha, "b", false)
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/transport"
+	"repro/internal/ubq"
 )
 
 // Beat is the heartbeat wire message.
@@ -74,7 +75,7 @@ type Heartbeat struct {
 	susp      map[ident.PID]bool
 	suspGauge map[ident.PID]*obs.Gauge // per-peer suspected state (0/1)
 
-	n    *notifier
+	out  *ubq.Queue[Event]
 	done chan struct{}
 	wg   sync.WaitGroup
 	once sync.Once
@@ -104,7 +105,7 @@ func NewHeartbeat(ep transport.Endpoint, peers ident.PIDs, opts HeartbeatOptions
 		lastSeen:  make(map[ident.PID]time.Time),
 		susp:      make(map[ident.PID]bool),
 		suspGauge: make(map[ident.PID]*obs.Gauge),
-		n:         newNotifier(),
+		out:       ubq.New[Event](),
 		done:      make(chan struct{}),
 	}
 	h.peers = peers.Clone().Remove(ep.Self())
@@ -218,7 +219,7 @@ func (h *Heartbeat) alive(p ident.PID) {
 		gauge.Set(0)
 		h.m.revivals.Inc()
 		h.ev.Suspicion(string(p), false)
-		h.n.emit(Event{P: p, Suspected: false})
+		h.out.Push(Event{P: p, Suspected: false})
 	}
 }
 
@@ -239,7 +240,7 @@ func (h *Heartbeat) check(now time.Time) {
 	for _, p := range newly {
 		h.m.suspicions.Inc()
 		h.ev.Suspicion(string(p), true)
-		h.n.emit(Event{P: p, Suspected: true})
+		h.out.Push(Event{P: p, Suspected: true})
 	}
 }
 
@@ -264,13 +265,13 @@ func (h *Heartbeat) Suspects() ident.PIDs {
 }
 
 // Events implements Detector.
-func (h *Heartbeat) Events() <-chan Event { return h.n.out }
+func (h *Heartbeat) Events() <-chan Event { return h.out.Out() }
 
 // Stop implements Detector.
 func (h *Heartbeat) Stop() {
 	h.once.Do(func() {
 		close(h.done)
 		h.wg.Wait()
-		h.n.close()
+		h.out.Close()
 	})
 }

@@ -17,31 +17,6 @@ import (
 // endpoint implementation: Close is safe under double/concurrent close
 // and concurrent Send, and no envelope is delivered after Close returns.
 
-func TestUBQConcurrentClose(t *testing.T) {
-	q := newUBQ()
-	q.push(Envelope{From: "x"})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			q.close()
-		}()
-	}
-	wg.Wait()
-	// Every close call returned only after the pump exited: the out
-	// channel must already be closed.
-	select {
-	case _, ok := <-q.out:
-		if ok {
-			t.Fatal("envelope emitted after close returned")
-		}
-	default:
-		t.Fatal("out channel not closed after close returned")
-	}
-	q.push(Envelope{From: "y"}) // must be a no-op, not a panic
-}
-
 func TestMemEndpointDoubleClose(t *testing.T) {
 	n := NewMemNetwork()
 	ep, err := n.Endpoint("p")

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ident"
 	"repro/internal/obs"
+	"repro/internal/ubq"
 )
 
 // FaultKind labels one category of injected fault, both in FaultStats and
@@ -136,7 +137,7 @@ func (f *Faults) Stats() FaultStats {
 // Wrap returns a fault-injecting endpoint around ep and registers it with
 // the controller under ep.Self(), making it a target for Crash.
 func (f *Faults) Wrap(ep Endpoint) *FaultEndpoint {
-	fe := &FaultEndpoint{f: f, under: ep, self: ep.Self(), links: make(map[ident.PID]*delayLink)}
+	fe := &FaultEndpoint{f: f, under: ep, self: ep.Self(), links: make(map[ident.PID]*ubq.Queue[delayedMsg])}
 	f.mu.Lock()
 	f.eps[fe.self] = fe
 	f.mu.Unlock()
@@ -300,7 +301,8 @@ type FaultEndpoint struct {
 	// links holds the per-destination delay queues, created lazily by the
 	// first delayed send and used for every later send on that link so
 	// FIFO order survives rule changes.
-	links map[ident.PID]*delayLink
+	links map[ident.PID]*ubq.Queue[delayedMsg]
+	wg    sync.WaitGroup // the links' delay loops
 }
 
 var _ Endpoint = (*FaultEndpoint)(nil)
@@ -347,7 +349,7 @@ func (e *FaultEndpoint) Send(to ident.PID, g ident.GroupID, ch Channel, m any) e
 	}
 	v := e.f.judge(e.self, to)
 	if v.lost {
-		return nil // dropped by fault injection, like MemNetwork.Cut
+		return nil // lost on the link: as on a real network, the sender is not told
 	}
 	n := 1
 	if v.dup {
@@ -373,13 +375,13 @@ func (e *FaultEndpoint) Send(to ident.PID, g ident.GroupID, ch Channel, m any) e
 	}
 	dl := e.delayLink(to)
 	for i := 0; i < n; i++ {
-		dl.push(delayedMsg{to: to, g: g, ch: ch, m: m, delay: v.delay})
+		dl.Push(delayedMsg{to: to, g: g, ch: ch, m: m, delay: v.delay})
 	}
 	return nil
 }
 
 // delayLink returns (creating if needed) the delay queue for self→to.
-func (e *FaultEndpoint) delayLink(to ident.PID) *delayLink {
+func (e *FaultEndpoint) delayLink(to ident.PID) *ubq.Queue[delayedMsg] {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	dl, ok := e.links[to]
@@ -387,7 +389,12 @@ func (e *FaultEndpoint) delayLink(to ident.PID) *delayLink {
 		e.f.mu.Lock()
 		clock := e.f.clock
 		e.f.mu.Unlock()
-		dl = newDelayLink(clock, e.under)
+		dl = ubq.New[delayedMsg]()
+		e.wg.Add(1)
+		go func() {
+			defer e.wg.Done()
+			runDelayLink(dl, clock, e.under)
+		}()
 		e.links[to] = dl
 	}
 	return dl
@@ -412,14 +419,15 @@ func (e *FaultEndpoint) shutdown() {
 		return
 	}
 	e.closed = true
-	links := make([]*delayLink, 0, len(e.links))
+	links := make([]*ubq.Queue[delayedMsg], 0, len(e.links))
 	for _, dl := range e.links {
 		links = append(links, dl)
 	}
 	e.mu.Unlock()
 	for _, dl := range links {
-		dl.close()
+		dl.Close()
 	}
+	e.wg.Wait() // no delayed message is sent once shutdown returns
 }
 
 // delayedMsg is one message traversing a delayed link.
@@ -431,79 +439,23 @@ type delayedMsg struct {
 	delay time.Duration
 }
 
-// delayLink serialises messages on a delayed link: each message occupies
-// the link for its delay before reaching the wrapped endpoint, preserving
-// FIFO order. Delays are measured on the controller's clock.
-type delayLink struct {
-	clock obs.Clock
-	under Endpoint
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []delayedMsg
-	closed bool
-	done   chan struct{}
-	wg     sync.WaitGroup
-}
-
-func newDelayLink(clock obs.Clock, under Endpoint) *delayLink {
-	dl := &delayLink{clock: clock, under: under, done: make(chan struct{})}
-	dl.cond = sync.NewCond(&dl.mu)
-	dl.wg.Add(1)
-	go dl.run()
-	return dl
-}
-
-func (dl *delayLink) push(m delayedMsg) {
-	dl.mu.Lock()
-	defer dl.mu.Unlock()
-	if dl.closed {
-		return
-	}
-	dl.items = append(dl.items, m)
-	dl.cond.Signal()
-}
-
-func (dl *delayLink) close() {
-	dl.mu.Lock()
-	if dl.closed {
-		dl.mu.Unlock()
-		return
-	}
-	dl.closed = true
-	close(dl.done)
-	dl.cond.Signal()
-	dl.mu.Unlock()
-	dl.wg.Wait()
-}
-
-func (dl *delayLink) run() {
-	defer dl.wg.Done()
-	for {
-		dl.mu.Lock()
-		for len(dl.items) == 0 && !dl.closed {
-			dl.cond.Wait()
-		}
-		if dl.closed {
-			dl.mu.Unlock()
-			return
-		}
-		m := dl.items[0]
-		copy(dl.items, dl.items[1:])
-		dl.items = dl.items[:len(dl.items)-1]
-		dl.mu.Unlock()
-
+// runDelayLink serialises the messages of one delayed link: each occupies
+// the link for its delay, measured on the controller's clock, before it
+// reaches the wrapped endpoint, so the queue's FIFO order is the link's.
+// Closing the queue drops what it holds and ends the loop.
+func runDelayLink(q *ubq.Queue[delayedMsg], clock obs.Clock, under Endpoint) {
+	for m := range q.Out() {
 		if m.delay > 0 {
-			t := dl.clock.NewTimer(m.delay)
+			t := clock.NewTimer(m.delay)
 			select {
 			case <-t.C():
-			case <-dl.done:
+			case <-q.Done():
 				t.Stop()
 				return
 			}
 		}
 		// Best-effort like every transport send path: a failed send is the
 		// peer's crash, not the injector's problem.
-		_ = dl.under.Send(m.to, m.g, m.ch, m.m)
+		_ = under.Send(m.to, m.g, m.ch, m.m)
 	}
 }

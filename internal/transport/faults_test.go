@@ -82,6 +82,16 @@ func TestFaultsPartitionOneWayIsAsymmetric(t *testing.T) {
 		t.Fatalf("got %+v", env)
 	}
 	expectNone(t, fb.Inbox(ident.NodeGroup, Data), 50*time.Millisecond)
+
+	// Healing the one link restores it; the message sent while it was cut
+	// stays lost.
+	f.HealLink("a", "b")
+	if err := fa.Send("b", ident.NodeGroup, Data, "healed"); err != nil {
+		t.Fatal(err)
+	}
+	if env := recvOne(t, fb.Inbox(ident.NodeGroup, Data)); env.Msg != "healed" {
+		t.Fatalf("after HealLink got %+v", env)
+	}
 }
 
 func TestFaultsDropAllAndRemove(t *testing.T) {
@@ -128,7 +138,9 @@ func TestFaultsDuplicate(t *testing.T) {
 }
 
 // TestFaultsDelayDeterministicUnderFakeClock: a delayed message stays in
-// flight until the fake clock advances past its delay — the DES hook.
+// flight until the fake clock advances past its delay — the DES hook — and
+// the link serialises: the next message starts its delay only once the
+// one ahead of it has been delivered.
 func TestFaultsDelayDeterministicUnderFakeClock(t *testing.T) {
 	clock := obs.NewFake(time.Unix(0, 0))
 	f := NewFaults(5)
@@ -136,47 +148,60 @@ func TestFaultsDelayDeterministicUnderFakeClock(t *testing.T) {
 	fa, fb := faultPair(t, f)
 
 	f.Delay("a", "b", 100*time.Millisecond)
-	if err := fa.Send("b", ident.NodeGroup, Data, "slow"); err != nil {
-		t.Fatal(err)
+	for _, m := range []string{"slow", "second"} {
+		if err := fa.Send("b", ident.NodeGroup, Data, m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The delay-link goroutine registers its timer with the fake clock.
-	clock.BlockUntil(1)
-	expectNone(t, fb.Inbox(ident.NodeGroup, Data), 30*time.Millisecond)
-
-	clock.Advance(100 * time.Millisecond)
-	if env := recvOne(t, fb.Inbox(ident.NodeGroup, Data)); env.Msg != "slow" {
-		t.Fatalf("got %+v", env)
+	in := fb.Inbox(ident.NodeGroup, Data)
+	for _, want := range []string{"slow", "second"} {
+		// The delay-link goroutine registers the timer of the message at
+		// the head of the link with the fake clock; the frozen clock holds
+		// it back.
+		clock.BlockUntil(1)
+		expectNone(t, in, 30*time.Millisecond)
+		clock.Advance(100 * time.Millisecond)
+		if env := recvOne(t, in); env.Msg != want {
+			t.Fatalf("got %+v, want %s", env, want)
+		}
 	}
-	if st := f.Stats(); st.Delayed != 1 {
-		t.Fatalf("Delayed = %d, want 1", st.Delayed)
+	if st := f.Stats(); st.Delayed != 2 {
+		t.Fatalf("Delayed = %d, want 2", st.Delayed)
 	}
 }
 
-// TestFaultsDelayRemovalKeepsFIFO: a message sent after the delay rule is
-// removed must not overtake one still sitting in the delay queue.
+// TestFaultsDelayRemovalKeepsFIFO: a run of delayed messages arrives in
+// send order, and a message sent after the delay rule is removed must not
+// overtake the ones still sitting in the delay queue.
 func TestFaultsDelayRemovalKeepsFIFO(t *testing.T) {
 	clock := obs.NewFake(time.Unix(0, 0))
 	f := NewFaults(5)
 	f.SetClock(clock)
 	fa, fb := faultPair(t, f)
 
+	const delayed = 20
 	f.Delay("a", "b", 200*time.Millisecond)
-	if err := fa.Send("b", ident.NodeGroup, Data, "first"); err != nil {
-		t.Fatal(err)
+	for i := 0; i < delayed; i++ {
+		if err := fa.Send("b", ident.NodeGroup, Data, i); err != nil {
+			t.Fatal(err)
+		}
 	}
 	clock.BlockUntil(1)
-	f.Delay("a", "b", 0) // remove the rule while "first" is in flight
-	if err := fa.Send("b", ident.NodeGroup, Data, "second"); err != nil {
+	f.Delay("a", "b", 0) // remove the rule while the run is in flight
+	if err := fa.Send("b", ident.NodeGroup, Data, "undelayed"); err != nil {
 		t.Fatal(err)
 	}
-	clock.Advance(200 * time.Millisecond)
 
 	in := fb.Inbox(ident.NodeGroup, Data)
-	if env := recvOne(t, in); env.Msg != "first" {
-		t.Fatalf("reordered: got %+v first", env)
+	for i := 0; i < delayed; i++ {
+		clock.BlockUntil(1)
+		clock.Advance(200 * time.Millisecond)
+		if env := recvOne(t, in); env.Msg != i {
+			t.Fatalf("reordered: got %+v, want %d", env, i)
+		}
 	}
-	if env := recvOne(t, in); env.Msg != "second" {
-		t.Fatalf("got %+v second", env)
+	if env := recvOne(t, in); env.Msg != "undelayed" {
+		t.Fatalf("got %+v, want undelayed", env)
 	}
 }
 

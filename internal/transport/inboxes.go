@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ident"
 	"repro/internal/obs"
+	"repro/internal/ubq"
 )
 
 // inboxSet is the (GroupID, Channel)-keyed inbox registry shared by both
@@ -16,7 +17,7 @@ import (
 type inboxSet struct {
 	mu     sync.Mutex
 	closed bool
-	m      map[groupChan]*ubq
+	m      map[groupChan]*ubq.Queue[Envelope]
 
 	dropGroup    atomic.Uint64
 	dropChannel  atomic.Uint64
@@ -24,7 +25,7 @@ type inboxSet struct {
 }
 
 func newInboxSet() *inboxSet {
-	return &inboxSet{m: make(map[groupChan]*ubq, numChannels)}
+	return &inboxSet{m: make(map[groupChan]*ubq.Queue[Envelope], numChannels)}
 }
 
 // register creates the inboxes of every defined channel of g ahead of
@@ -38,7 +39,7 @@ func (s *inboxSet) register(g ident.GroupID) {
 	for _, ch := range Channels() {
 		key := groupChan{g, ch}
 		if _, ok := s.m[key]; !ok {
-			s.m[key] = newUBQ()
+			s.m[key] = ubq.New[Envelope]()
 		}
 	}
 }
@@ -77,7 +78,7 @@ func (s *inboxSet) dropUnknownGroup() { s.dropGroup.Add(1) }
 // g is dropped and counted.
 func (s *inboxSet) deregister(g ident.GroupID) {
 	s.mu.Lock()
-	var qs []*ubq
+	var qs []*ubq.Queue[Envelope]
 	for _, ch := range Channels() {
 		key := groupChan{g, ch}
 		if q, ok := s.m[key]; ok {
@@ -87,7 +88,7 @@ func (s *inboxSet) deregister(g ident.GroupID) {
 	}
 	s.mu.Unlock()
 	for _, q := range qs {
-		q.close()
+		q.Close()
 	}
 }
 
@@ -100,7 +101,7 @@ func (s *inboxSet) inbox(g ident.GroupID, ch Channel) <-chan Envelope {
 		close(dead)
 		return dead
 	}
-	return q.single()
+	return q.Out()
 }
 
 // inboxBatch is the batch-mode counterpart of inbox.
@@ -111,12 +112,12 @@ func (s *inboxSet) inboxBatch(g ident.GroupID, ch Channel) <-chan []Envelope {
 		close(dead)
 		return dead
 	}
-	return q.batch()
+	return q.Batches()
 }
 
 // lookup returns the inbox for (g, ch), registering it lazily; nil after
 // close.
-func (s *inboxSet) lookup(g ident.GroupID, ch Channel) *ubq {
+func (s *inboxSet) lookup(g ident.GroupID, ch Channel) *ubq.Queue[Envelope] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := groupChan{g, ch}
@@ -125,7 +126,7 @@ func (s *inboxSet) lookup(g ident.GroupID, ch Channel) *ubq {
 		if s.closed {
 			return nil
 		}
-		q = newUBQ()
+		q = ubq.New[Envelope]()
 		s.m[key] = q
 	}
 	return q
@@ -155,7 +156,7 @@ func (s *inboxSet) deposit(g ident.GroupID, ch Channel, env Envelope) {
 		return
 	}
 	if !closed {
-		q.push(env)
+		q.Push(env)
 	}
 }
 
@@ -177,7 +178,7 @@ func (s *inboxSet) depositBatch(g ident.GroupID, ch Channel, envs []Envelope) {
 		return
 	}
 	if !closed {
-		q.pushAll(envs)
+		q.PushAll(envs)
 	}
 }
 
@@ -186,13 +187,13 @@ func (s *inboxSet) depositBatch(g ident.GroupID, ch Channel, envs []Envelope) {
 func (s *inboxSet) close() {
 	s.mu.Lock()
 	s.closed = true
-	qs := make([]*ubq, 0, len(s.m))
+	qs := make([]*ubq.Queue[Envelope], 0, len(s.m))
 	for _, q := range s.m {
 		qs = append(qs, q)
 	}
 	s.mu.Unlock()
 	for _, q := range qs {
-		q.close()
+		q.Close()
 	}
 }
 

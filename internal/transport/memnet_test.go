@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/ident"
-	"repro/internal/obs"
 )
 
 func recvOne(t *testing.T, in <-chan Envelope) Envelope {
@@ -217,107 +216,6 @@ func TestMemNetworkCrashDropsTraffic(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("crashed endpoint's inbox not closed")
-	}
-}
-
-func TestMemNetworkCutAndHeal(t *testing.T) {
-	n := NewMemNetwork()
-	a, _ := n.Endpoint("a")
-	b, _ := n.Endpoint("b")
-	defer a.Close()
-	defer b.Close()
-
-	n.Cut("a", "b")
-	if err := a.Send("b", ident.NodeGroup, Data, "lost"); err != nil {
-		t.Fatalf("send on cut link should silently drop, got %v", err)
-	}
-	// Reverse direction still works.
-	if err := b.Send("a", ident.NodeGroup, Data, "back"); err != nil {
-		t.Fatal(err)
-	}
-	if env := recvOne(t, a.Inbox(ident.NodeGroup, Data)); env.Msg != "back" {
-		t.Fatalf("got %v", env.Msg)
-	}
-
-	n.Heal("a", "b")
-	if err := a.Send("b", ident.NodeGroup, Data, "again"); err != nil {
-		t.Fatal(err)
-	}
-	if env := recvOne(t, b.Inbox(ident.NodeGroup, Data)); env.Msg != "again" {
-		t.Fatalf("after heal got %v", env.Msg)
-	}
-}
-
-func TestMemNetworkDelayPreservesFIFO(t *testing.T) {
-	n := NewMemNetwork()
-	n.SetDelay(func(from, to ident.PID) time.Duration { return time.Millisecond })
-	a, _ := n.Endpoint("a")
-	b, _ := n.Endpoint("b")
-	defer a.Close()
-	defer b.Close()
-
-	const count = 20
-	start := time.Now()
-	for i := 0; i < count; i++ {
-		if err := a.Send("b", ident.NodeGroup, Data, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	in := b.Inbox(ident.NodeGroup, Data)
-	for i := 0; i < count; i++ {
-		env := recvOne(t, in)
-		if env.Msg != i {
-			t.Fatalf("out of order with delay: got %v want %d", env.Msg, i)
-		}
-	}
-	if elapsed := time.Since(start); elapsed < count*time.Millisecond {
-		t.Fatalf("delay not applied: %v elapsed for %d paced messages", elapsed, count)
-	}
-}
-
-func TestMemNetworkDelayOnFakeClockIsDeterministic(t *testing.T) {
-	n := NewMemNetwork()
-	fake := obs.NewFake(time.Unix(0, 0))
-	n.SetClock(fake)
-	n.SetDelay(func(from, to ident.PID) time.Duration { return 50 * time.Millisecond })
-	a, _ := n.Endpoint("a")
-	b, _ := n.Endpoint("b")
-	defer a.Close()
-	defer b.Close()
-
-	in := b.Inbox(ident.NodeGroup, Data)
-	if err := a.Send("b", ident.NodeGroup, Data, "first"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send("b", ident.NodeGroup, Data, "second"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rendezvous with the paced-link goroutine: its timer for "first" is
-	// registered, but the frozen clock must be holding the message back.
-	fake.BlockUntil(1)
-	select {
-	case env := <-in:
-		t.Fatalf("delivered %v with a frozen clock", env.Msg)
-	default:
-	}
-
-	fake.Advance(50 * time.Millisecond)
-	if env := recvOne(t, in); env.Msg != "first" {
-		t.Fatalf("got %v, want first", env.Msg)
-	}
-
-	// The link serialises: "second" only starts its delay after "first"
-	// delivers, and stays queued until the clock moves again.
-	fake.BlockUntil(1)
-	select {
-	case env := <-in:
-		t.Fatalf("second message delivered without an advance: %v", env.Msg)
-	default:
-	}
-	fake.Advance(50 * time.Millisecond)
-	if env := recvOne(t, in); env.Msg != "second" {
-		t.Fatalf("got %v, want second", env.Msg)
 	}
 }
 

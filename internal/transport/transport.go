@@ -2,11 +2,15 @@
 // the paper's system model (§3.1): processes are fully connected by
 // reliable, FIFO-ordered channels with no bound on transmission time.
 //
-// Two implementations are provided: MemNetwork, an in-process network built
-// on goroutines and unbounded per-link queues (with optional fault
-// injection for tests), and TCPNetwork, a TCP network for running groups
-// across real processes using the hand-rolled binary codec of
-// internal/codec with per-peer frame batching.
+// Two implementations are provided: MemNetwork, an in-process network that
+// is exactly that model (plus crash-stop), and TCPNetwork, a TCP network
+// for running groups across real processes using the hand-rolled binary
+// codec of internal/codec with per-peer frame batching. Every inbox is an
+// unbounded internal/ubq queue, so no transport exerts backpressure.
+//
+// Link faults — partitions, drops, delays, duplication, crashes — are
+// injected over either implementation by wrapping endpoints in a Faults
+// controller; it is the only fault layer.
 //
 // Endpoints are shared by every group a node hosts: messages are
 // multiplexed onto (GroupID, Channel) inboxes so that each group's
