@@ -220,11 +220,11 @@ func purgeBenchQueue(b *testing.B, rel obsolete.Relation, n, senders, k int) (*q
 
 // BenchmarkQueuePurgeFor measures the arrival-time purge pair the engine
 // runs per multicast and per arrival (CountPurgeableFor + PurgeFor) at
-// increasing queue lengths. indexed is the per-(view, sender) index path
-// the built-in encodings get; scan is the retained linear-scan reference,
-// forced by stripping the SenderLocal capability through obsolete.Func.
-// Flat ns/op across sizes on the indexed path (vs linear growth on scan)
-// is the acceptance criterion of the buffer-index work. The k2048 shapes are
+// increasing queue lengths. indexed is the listed lookup k-enumeration
+// gets; walk tests every older entry of the arrival's own stream, forced by
+// wrapping the relation in obsolete.Func, which does not declare Listed.
+// Flat ns/op across sizes on the indexed path (vs growth with the stream on
+// walk) is the acceptance criterion of the buffer-index work. The k2048 shapes are
 // the paper's k = 2 × buffer with a single sender: the window covers the
 // whole stream, so only a purge that follows the annotation's set bits, not
 // the stream's entries, stays flat from occupancy 64 to 1,024 (CI's
@@ -242,8 +242,8 @@ func BenchmarkQueuePurgeFor(b *testing.B) {
 		rel  func(k int) obsolete.Relation
 	}{
 		{"indexed", func(k int) obsolete.Relation { return obsolete.KEnumeration{K: k} }},
-		{"scan", func(k int) obsolete.Relation {
-			return obsolete.Func{Label: "scan-ref", F: obsolete.KEnumeration{K: k}.Obsoletes}
+		{"walk", func(k int) obsolete.Relation {
+			return obsolete.Func{Label: "walk", F: obsolete.KEnumeration{K: k}.Obsoletes}
 		}},
 	}
 	for _, mode := range modes {

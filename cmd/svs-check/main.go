@@ -1,9 +1,10 @@
 // svs-check exhaustively verifies obsolescence relations against a finite
-// model: the strict-partial-order laws of §3.2, purge/deliver confluence
-// (indexed purge ≡ linear-scan reference over every interleaving, purges
-// covered by deliveries), and the soundness of SenderLocal/Listed
-// capability declarations. See internal/relcheck and the "Verifying your
-// relation" section of the README.
+// model: the laws of §3.2 and §4.2 (a strict partial order relating only
+// older messages of one sender to newer ones), the soundness of a Listed
+// capability declaration, and purge/deliver confluence (over every
+// interleaving, every purged message covered by a delivered one). See
+// internal/relcheck and the "Verifying your relation" section of the
+// README.
 //
 // Usage:
 //

@@ -13,23 +13,16 @@ import (
 // truncate transitivity at their window; the closure restores the chains
 // the application semantics guarantee.
 //
-// The closure is exact for sender-local relations (every built-in
-// encoding): chains are computed per sender over the seq-ordered stream.
-// For relations that are not declared sender-local, cross-sender coverage
-// is additionally answered by the direct relation test (single-hop), on
-// top of the single-sender chains; chains through multiple cross-sender
-// hops are not followed.
+// Obsolescence is per sender (see obsolete.Relation): the closure follows
+// chains within each sender's seq-ordered stream and consults the relation
+// only for an older message against a newer one of the same sender, so it
+// is exact for every relation the protocol honours — and, like the
+// protocol, ignores whatever else a relation relates.
 //
 // Closure is shared by the execution checker (Recorder) and the static
 // relation verifier (internal/relcheck), which uses it to prove that every
 // purge decision commutes with delivery.
 type Closure struct {
-	rel obsolete.Relation
-	// cross enables the direct cross-sender test; false when the relation
-	// declares sender-locality (nothing to find).
-	cross bool
-	// metas resolves ids back to full messages for direct tests.
-	metas map[obsolete.MsgID]obsolete.Msg
 	// reach[id] is the set of message ids that transitively cover id
 	// within id's own sender stream.
 	reach map[obsolete.MsgID]map[obsolete.MsgID]bool
@@ -42,18 +35,14 @@ func NewClosure(rel obsolete.Relation, msgs []obsolete.Msg) *Closure {
 	if rel == nil {
 		rel = obsolete.Empty{}
 	}
-	c := &Closure{
-		rel:   rel,
-		cross: !obsolete.CapsOf(rel).SenderLocal,
-		metas: make(map[obsolete.MsgID]obsolete.Msg, len(msgs)),
-		reach: make(map[obsolete.MsgID]map[obsolete.MsgID]bool, len(msgs)),
-	}
+	c := &Closure{reach: make(map[obsolete.MsgID]map[obsolete.MsgID]bool, len(msgs))}
+	seen := make(map[obsolete.MsgID]bool, len(msgs))
 	bySender := make(map[ident.PID][]obsolete.Msg)
 	for _, m := range msgs {
-		if _, ok := c.metas[m.ID()]; ok {
+		if seen[m.ID()] {
 			continue
 		}
-		c.metas[m.ID()] = m
+		seen[m.ID()] = true
 		bySender[m.Sender] = append(bySender[m.Sender], m)
 	}
 	for s := range bySender {
@@ -64,7 +53,7 @@ func NewClosure(rel obsolete.Relation, msgs []obsolete.Msg) *Closure {
 		for i := len(stream) - 1; i >= 0; i-- {
 			set := make(map[obsolete.MsgID]bool)
 			for j := i + 1; j < len(stream); j++ {
-				if c.rel.Obsoletes(stream[i], stream[j]) {
+				if rel.Obsoletes(stream[i], stream[j]) {
 					set[stream[j].ID()] = true
 					for id := range c.reach[stream[j].ID()] {
 						set[id] = true
@@ -79,15 +68,7 @@ func NewClosure(rel obsolete.Relation, msgs []obsolete.Msg) *Closure {
 
 // Covers reports m ⊑* n.
 func (c *Closure) Covers(m, n obsolete.MsgID) bool {
-	if m == n || c.reach[m][n] {
-		return true
-	}
-	if c.cross && m.Sender != n.Sender {
-		mm, ok1 := c.metas[m]
-		nm, ok2 := c.metas[n]
-		return ok1 && ok2 && c.rel.Obsoletes(mm, nm)
-	}
-	return false
+	return m == n || c.reach[m][n]
 }
 
 // CoveredByAny reports whether some id in set covers m.
@@ -98,20 +79,6 @@ func (c *Closure) CoveredByAny(m obsolete.MsgID, set map[obsolete.MsgID]bool) bo
 	for n := range c.reach[m] {
 		if set[n] {
 			return true
-		}
-	}
-	if c.cross {
-		mm, ok := c.metas[m]
-		if !ok {
-			return false
-		}
-		for n := range set {
-			if n.Sender == m.Sender {
-				continue
-			}
-			if nm, ok := c.metas[n]; ok && c.rel.Obsoletes(mm, nm) {
-				return true
-			}
 		}
 	}
 	return false

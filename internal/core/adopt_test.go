@@ -41,7 +41,7 @@ func figure1Purge(rel obsolete.Relation, items []queue.Item) ([]queue.Item, int)
 // TestAdoptEqualsSweepModel: adopt purges as it inserts, and that leaves
 // exactly what Figure 1 leaves when the same flush is put behind the same
 // held queue and purge() then runs over all of it. Seeded, for each §4.2
-// encoding and a cross-sender relation: a held queue closed under the
+// encoding: a held queue closed under the
 // relation, its senders' frontiers, and a flush list that overlaps them —
 // entries at or below a frontier, duplicates, our own stream, two views.
 // Kept set, order, the number adopted and the number purged must agree.
@@ -54,7 +54,6 @@ func TestAdoptEqualsSweepModel(t *testing.T) {
 		{rel: obsolete.Tagging{}},
 		{rel: obsolete.Enumeration{}, tracker: func() obsolete.Tracker { return obsolete.NewEnumTracker(k) }},
 		{rel: obsolete.KEnumeration{K: k}, tracker: func() obsolete.Tracker { return obsolete.NewKTracker(k) }},
-		{rel: tagAnySender}, // transitive, like every relation the protocol admits
 	} {
 		t.Run(tc.rel.Name(), func(t *testing.T) {
 			adopted, purged, skipped := 0, 0, 0
@@ -213,8 +212,8 @@ func TestInstallUnderBacklogIsLinear(t *testing.T) {
 	const backlog, flushLen, k = 1024, 64, 2048
 	var calls, listed int
 	rel := countingKEnum{KEnumeration: obsolete.KEnumeration{K: k}, calls: &calls, listed: &listed}
-	if caps := obsolete.CapsOf(rel); !caps.SenderLocal || caps.Listed == nil {
-		t.Fatal("the counting wrapper lost a capability")
+	if _, ok := any(rel).(obsolete.Listed); !ok {
+		t.Fatal("the counting wrapper lost the Listed capability")
 	}
 	e := snapEngine(rel)
 	e.clock, e.rootCtx = obs.Wall{}, context.Background()

@@ -388,8 +388,8 @@ func genStream(t *testing.T, enc string, n int, seed int64) []OutMsg {
 }
 
 // TestBatchedEquivalentToSingle is the differential test of the batched
-// data plane: for every §4.2 relation encoding — on both the indexed and
-// the linear-scan queue paths — a randomized stream submitted through
+// data plane: for every §4.2 relation encoding — on both the listed lookup
+// and the per-sender walk of the queue — a randomized stream submitted through
 // MulticastBatch/DeliverBatch must produce exactly the delivery streams and
 // view-synchrony outcomes of the same stream pushed one message at a time,
 // across a view change in mid-stream, and purge as many (message, member)
@@ -406,12 +406,12 @@ func TestBatchedEquivalentToSingle(t *testing.T) {
 	}
 	const n = 120
 	for _, enc := range encodings {
-		for _, path := range []string{"indexed", "scan"} {
-			rel := enc.rel
-			if path == "scan" {
-				// Wrapping in Func hides the SenderLocal capability, forcing
-				// the queues onto the retained linear-scan purge path.
-				rel = obsolete.Func{Label: enc.name + "-scan", F: enc.rel.Obsoletes}
+		for _, path := range []string{"listed", "walk"} {
+			rel := enc.rel // tagging declares no Listed: it walks either way
+			if path == "walk" {
+				// Wrapping in Func hides the Listed capability, putting the
+				// queues on the per-sender walk.
+				rel = obsolete.Func{Label: enc.name + "-walk", F: enc.rel.Obsoletes}
 			}
 			t.Run(enc.name+"/"+path, func(t *testing.T) {
 				msgs := genStream(t, enc.name, n, 42)

@@ -57,7 +57,6 @@ type Engine struct {
 
 	toDeliver *queue.Queue
 	delivered *queue.Queue // current-view delivery history (for pred sets)
-	coverScan bool         // the relation reaches across senders (see coveredLocally)
 
 	// peers is the one table of per-process state, a record for every PID
 	// ever heard of; others lists the records of the current view's other
@@ -216,7 +215,6 @@ func New(cfg Config) (*Engine, error) {
 		cv:        initial.Clone(),
 		toDeliver: queue.New(cfg.Relation, cfg.ToDeliverCap),
 		delivered: queue.New(cfg.Relation, 0),
-		coverScan: !obsolete.CapsOf(cfg.Relation).SenderLocal,
 	}
 	e.armPeers()
 	e.pub = &published{view: e.cv.Clone()}

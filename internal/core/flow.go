@@ -150,37 +150,41 @@ func (p *peer) credit(n int) (excess bool) {
 }
 
 // received records one current-view data message arriving from p: it
-// consumed one of the credits this receiver granted.
-func (p *peer) received() {
+// consumed one of the credits this receiver granted. It returns the credits
+// to grant now (see grantDue).
+func (p *peer) received() int {
 	if p.window > 0 {
 		p.used++
 	}
+	return p.grantDue()
 }
 
 // freed records that one buffer slot previously charged to sender p is
 // free again (delivered, purged, or dropped as covered) and returns the
-// credits to grant now: grants go out in batches to bound control chatter.
-// The batching must not strand a sender: when p has consumed every credit
-// granted so far it is known blocked and cannot generate the traffic that
-// would push owed over the batch threshold, so whatever is owed is granted
-// immediately.
+// credits to grant now (see grantDue).
 func (p *peer) freed() int {
-	if p.window == 0 {
-		return 0
+	if p.window > 0 {
+		p.owed++
 	}
-	p.owed++
-	if p.owed < max(p.window/4, 1) && p.used < p.granted {
-		return 0
+	return p.grantDue()
+}
+
+// grantDue moves what is owed to p into the granted ledger and returns it,
+// when it is due: grants go out in batches of a quarter window to bound
+// control chatter, but the batching must not strand a sender. One that has
+// consumed every credit granted so far is known blocked and cannot generate
+// the traffic that would push owed over the threshold, so whatever is owed
+// goes at once — on the freed slot, or on the arrival that blocked it.
+func (p *peer) grantDue() (n int) {
+	if p.owed >= max(p.window/4, 1) || p.owed > 0 && p.used >= p.granted {
+		n, p.owed, p.granted = p.owed, 0, p.granted+p.owed
 	}
-	n := p.owed
-	p.owed = 0
-	p.granted += n
 	return n
 }
 
-// freed is peer.freed with the grant sent.
-func (e *Engine) freed(p *peer) {
-	if n := p.freed(); n > 0 {
+// grant sends p the n credits peer.received or peer.freed returned.
+func (e *Engine) grant(p *peer, n int) {
+	if n > 0 {
 		e.stats.CreditFlushes++
 		e.send(p.id, transport.Ctl, CreditMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Credits: n})
 	}

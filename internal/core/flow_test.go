@@ -93,6 +93,25 @@ func TestPeerGrantsInBatches(t *testing.T) {
 	}
 }
 
+// TestPeerGrantsOwedWhenBlocked: at window 8, seven arrivals and one
+// delivery leave one slot owed — below the batch of 2 — to a sender that
+// still holds a credit. The eighth arrival spends that credit: the sender is
+// now known blocked and can send nothing that would free another slot, so
+// what is owed is granted with that arrival, or never.
+func TestPeerGrantsOwedWhenBlocked(t *testing.T) {
+	_, p := flowEngine(Config{Window: 8})
+	for i := 0; i < 7; i++ {
+		p.received()
+	}
+	if n := p.freed(); n != 0 {
+		t.Fatalf("a lone freed slot granted %d to a sender holding a credit, want it batched", n)
+	}
+	p.received()
+	if p.owed != 0 || p.granted != 9 {
+		t.Fatalf("after the arrival that blocks the sender: owed %d, granted %d; want 0 and 9", p.owed, p.granted)
+	}
+}
+
 func TestPeerCreditsDisabled(t *testing.T) {
 	_, p := flowEngine(Config{})
 	for i := 0; i < 1000; i++ {

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/check"
 	"repro/internal/ident"
 	"repro/internal/obsolete"
 	"repro/internal/queue"
+	"repro/internal/transport"
 )
 
 // frontierStream mints one sender's FIFO stream under one of the §4.2
@@ -44,12 +48,22 @@ func (s *frontierStream) mint(rng *rand.Rand) obsolete.Msg {
 	return m
 }
 
-// TestFrontierSubsumesCover pins what lets processData and adopt skip the
-// cover scan under sender-local relations: every held message of s has seq ≤
-// s's recvMax (our own stream's included), so for an arrival above the
-// frontier the paper's t3 test — here the retained scan Covers, on a twin
-// queue whose relation is wrapped in obsolete.Func and so declares nothing —
-// always answers "not covered". Seeded FIFO streams from three senders and
+// scanCovers is Figure 1's t3 test by definition: some held message n with
+// m ⊑ n. It is the reference the reception frontier is held against.
+func scanCovers(rel obsolete.Relation, held []DataMsg, m obsolete.Msg) bool {
+	for _, dm := range held {
+		if obsolete.CoveredBy(rel, m, dm.Meta) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestFrontierSubsumesCover pins what makes the reception frontier t3's whole
+// test in processData and adopt: every held message of s has seq ≤ s's
+// recvMax (our own stream's included), so for an arrival above the frontier
+// the paper's t3 test — scanCovers over everything held — always answers
+// "not covered". Seeded FIFO streams from three senders and
 // ourselves go through all three places that insert a held message
 // (processData, adopt, commitOne), interleaved with deliveries, duplicate
 // arrivals and view changes.
@@ -68,9 +82,6 @@ func TestFrontierSubsumesCover(t *testing.T) {
 		t.Run(tc.rel.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(16))
 			e := snapEngine(tc.rel)
-			if e.coverScan {
-				t.Fatalf("%s is sender-local: the engine must not scan for covers", tc.rel.Name())
-			}
 			e.cv.Members = ident.NewPIDs("a", "b", "c", "me")
 			e.armPeers()
 			streams := map[ident.PID]*frontierStream{}
@@ -89,11 +100,7 @@ func TestFrontierSubsumesCover(t *testing.T) {
 			// offer checks one message against the reference, then hands it
 			// to the engine through in.
 			offer := func(m obsolete.Msg, in func(DataMsg)) {
-				ref := queue.New(obsolete.Func{Label: "ref", F: tc.rel.Obsoletes}, 0)
-				for _, dm := range e.held(all) {
-					ref.ForceAppend(itemOf(dm))
-				}
-				switch covered := ref.Covers(m); {
+				switch covered := scanCovers(tc.rel, e.held(all), m); {
 				case m.Seq > frontier(m.Sender):
 					fresh++
 					if covered {
@@ -174,17 +181,22 @@ func TestFrontierSubsumesCover(t *testing.T) {
 	}
 }
 
-// TestCrossSenderCoverDropsArrival is the one case the cover scan is kept
-// for, on a live group: under a relation that reaches across senders, p1's
-// message covers a later arrival from p0 that lies above p0's frontier. The
-// receivers must count it in DroppedCovered and never deliver it.
+// tagAnySender relates a message to any later-numbered one with the same
+// tag, whoever sent it: a relation that reaches across senders, which the
+// protocol does not honour.
+var tagAnySender = obsolete.Func{Label: "tag-any-sender", F: func(old, new obsolete.Msg) bool {
+	ot, ok1 := obsolete.TagOf(old)
+	nt, ok2 := obsolete.TagOf(new)
+	return ok1 && ok2 && ot == nt && old.Seq < new.Seq
+}}
+
+// TestCrossSenderCoverDropsArrival is the contract on a live group: under a
+// relation that relates p0:1 ≺ p1:2 across senders, p0:1 arrives above p0's
+// frontier after everyone holds p1:2. The engine consults the relation only
+// within p0's own stream, so p0:1 is delivered everywhere and nothing is
+// dropped as covered.
 func TestCrossSenderCoverDropsArrival(t *testing.T) {
 	h := newGroup(t, harnessOpts{n: 3, rel: tagAnySender})
-	for _, p := range h.pids {
-		if !h.members[p].eng.coverScan {
-			t.Fatalf("%s: engine does not scan for covers under a cross-sender relation", p)
-		}
-	}
 	mustSend := func(p ident.PID, seq ident.Seq, annot []byte) {
 		t.Helper()
 		if err := h.multicast(p, seq, annot, []byte(fmt.Sprintf("%s:%d", p, seq))); err != nil {
@@ -196,18 +208,147 @@ func TestCrossSenderCoverDropsArrival(t *testing.T) {
 	for _, p := range h.pids {
 		h.waitDelivered(p, func(log []check.Event) bool { return hasSeq(log, "p1", 2) })
 	}
-	mustSend("p0", 1, obsolete.TagAnnot(7)) // p0:1 ≺ p1:2, which everyone holds
+	mustSend("p0", 1, obsolete.TagAnnot(7)) // p0:1 ≺ p1:2 by the relation, ignored
 	mustSend("p0", 2, nil)                  // FIFO behind it: once delivered, p0:1 was decided
 	for _, p := range h.pids {
 		h.waitDelivered(p, func(log []check.Event) bool { return hasSeq(log, "p0", 2) })
-	}
-	for _, p := range []ident.PID{"p1", "p2"} {
-		if hasSeq(h.rec.Log(p), "p0", 1) {
-			t.Errorf("%s delivered p0:1, which p1:2 covers", p)
+		if !hasSeq(h.rec.Log(p), "p0", 1) {
+			t.Errorf("%s never delivered p0:1: a cross-sender pair was honoured", p)
 		}
-		if got := h.members[p].eng.Stats().DroppedCovered; got != 1 {
-			t.Errorf("%s: DroppedCovered = %d, want 1", p, got)
+		if got := h.members[p].eng.Stats().DroppedCovered; got != 0 {
+			t.Errorf("%s: DroppedCovered = %d, want 0", p, got)
 		}
 	}
 	h.verify()
+}
+
+// withinStream is an obsolete.Func that records every question it is asked
+// and remembers the first one outside the contract of obsolete.Relation: a
+// pair of two senders, or an old message not older than the new one.
+type withinStream struct {
+	mu    sync.Mutex
+	calls int
+	bad   string
+}
+
+func (w *withinStream) relation() obsolete.Func {
+	return obsolete.Func{Label: "within-stream", F: func(old, new obsolete.Msg) bool {
+		w.mu.Lock()
+		w.calls++
+		if w.bad == "" && (old.Sender != new.Sender || old.Seq >= new.Seq) {
+			w.bad = fmt.Sprintf("Obsoletes(%s:%d, %s:%d)", old.Sender, old.Seq, new.Sender, new.Seq)
+		}
+		w.mu.Unlock()
+		return obsolete.Tagging{}.Obsoletes(old, new)
+	}}
+}
+
+// TestRelationConsultedWithinStream drives a live three-member group through
+// every place the engine consults the relation — multicast, with capacity
+// checks against a full delivery queue; receive, delivery into the history
+// and stability pruning; an ordinary view change whose flush is repurged at
+// the proposal and adopted at the install; a join whose sponsor ships a
+// repurged backlog the joiner adopts — under an obsolete.Func, which does not
+// declare Listed, and fails on the first question asked about two messages of
+// different senders or about an old message not older than the new one.
+func TestRelationConsultedWithinStream(t *testing.T) {
+	rec := &withinStream{}
+	net := transport.NewMemNetwork()
+	pids := ident.NewPIDs("n0", "n1", "n2")
+	nodes := map[ident.PID]*Node{}
+	for _, p := range pids {
+		nodes[p] = joinerNode(t, net, p)
+	}
+	gc := GroupConfig{Relation: rec.relation(), ToDeliverCap: 4, StabilityInterval: 2 * time.Millisecond}
+	groups := createEverywhere(t, nodes, pids, 1, gc)
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+	drains := map[ident.PID]*joinDrain{}
+	for _, p := range pids {
+		drains[p] = newJoinDrain()
+		wg.Add(1)
+		go drains[p].run(ctx, groups[p], &wg)
+	}
+	last := map[ident.PID]ident.Seq{}
+	send := func(g *Group, p ident.PID, tag uint32) {
+		t.Helper()
+		last[p]++
+		mctx, mcancel := context.WithTimeout(ctx, 10*time.Second)
+		defer mcancel()
+		if _, err := g.Multicast(mctx, obsolete.Msg{Sender: p, Seq: last[p], Annot: obsolete.TagAnnot(tag)}, nil); err != nil {
+			t.Fatalf("%s:%d: %v", p, last[p], err)
+		}
+	}
+	delivered := func(p ident.PID, d *joinDrain) {
+		t.Helper()
+		for s, seq := range last {
+			joinWaitCond(t, fmt.Sprintf("%s delivering %s:%d", p, s, seq), func() bool { return d.hasSeq(s, seq) })
+		}
+	}
+
+	// n0's application stops consuming: four distinct tags fill its delivery
+	// queue, and every later multicast commits only because the capacity
+	// check finds the earlier message of its tag to purge. What n1 and n2
+	// multicast next fills the others' histories and waits at n0, whose full
+	// queue keeps its data inbox shut.
+	drains["n0"].setPaused(true)
+	for i := uint32(0); i < 12; i++ {
+		send(groups["n0"], "n0", 1+i%4)
+	}
+	for i := uint32(0); i < 6; i++ {
+		send(groups[pids[1+i%2]], pids[1+i%2], 1+i%3)
+	}
+	// A view change while n0 holds what it has not delivered and lacks what
+	// the others sent: the flush is repurged at the proposal and adopted at
+	// the install.
+	if err := groups["n1"].RequestViewChange(); err != nil {
+		t.Fatal(err)
+	}
+	joinWaitCond(t, "view 2 everywhere", func() bool {
+		return groups["n0"].View().ID == 2 && groups["n1"].View().ID == 2 && groups["n2"].View().ID == 2
+	})
+	drains["n0"].setPaused(false)
+	for _, p := range pids {
+		send(groups[p], p, 2)
+	}
+	for _, p := range pids {
+		delivered(p, drains[p])
+	}
+	joinWaitCond(t, "stability pruning a history", func() bool {
+		return groups["n0"].Stats().StablePruned+groups["n1"].Stats().StablePruned+groups["n2"].Stats().StablePruned > 0
+	})
+
+	// A join: n0, the sponsor, holds undelivered messages of n1 and n2
+	// again; it repurges the backlog it ships, and the joiner adopts it.
+	drains["n0"].setPaused(true)
+	send(groups["n1"], "n1", 4)
+	send(groups["n1"], "n1", 5)
+	send(groups["n2"], "n2", 4)
+	// (A Deliver call already waiting may still take the first of them.)
+	joinWaitCond(t, "n0 holding undelivered messages", func() bool { return groups["n0"].Stats().ToDeliverLen >= 2 })
+	jg, err := joinerNode(t, net, "n3").Join(1, gc, "n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jd := newJoinDrain()
+	wg.Add(1)
+	go jd.run(ctx, jg, &wg)
+	joinWaitCond(t, "the joiner installing view 3", func() bool { return jd.view() >= 3 })
+	drains["n0"].setPaused(false)
+	for _, p := range pids {
+		send(groups[p], p, 3)
+	}
+	delivered("n3", jd)
+
+	n0, n3 := groups["n0"].Stats(), jg.Stats()
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.bad != "" {
+		t.Fatalf("the relation was asked %s, outside one sender's stream (%d questions in all)", rec.bad, rec.calls)
+	}
+	if rec.calls == 0 || n0.PurgedToDeliver == 0 || n3.JoinBacklogRecv == 0 {
+		t.Fatalf("vacuous run: %d questions, n0 purged %d, joiner backlog %d", rec.calls, n0.PurgedToDeliver, n3.JoinBacklogRecv)
+	}
 }

@@ -288,15 +288,15 @@ func (e *Engine) processData(from *peer, dm DataMsg) bool {
 	}
 	// Whatever happens to it next, this arrival consumed one of the
 	// credits we granted its sender (receiver-side ledger, flow.go).
-	from.received()
-	if dm.Meta.Seq <= from.recvMax || e.coveredLocally(dm.Meta) {
-		// Duplicate, or an m with some m' : m ⊑ m' already queued or
-		// delivered (Figure 1, t3). The slot it would have used is free.
-		// Either way the message was received: advance the reception
-		// frontier so stability tracking is not held back by it.
-		from.recvMax = max(from.recvMax, dm.Meta.Seq)
+	e.grant(from, from.received())
+	if dm.Meta.Seq <= from.recvMax {
+		// Figure 1's t3 test: an m with some m' : m ⊑ m' already queued or
+		// delivered. Every held message lies at or below its sender's
+		// frontier (commitOne, acceptData and adopt raise it to whatever
+		// they insert), and a cover has m's sender and a seq ≥ m's, so the
+		// frontier is the whole test. The slot it would have used is free.
 		e.stats.DroppedCovered++
-		e.freed(from)
+		e.grant(from, from.freed())
 		return true
 	}
 	it := itemOf(dm)
@@ -361,23 +361,13 @@ func (e *Engine) retryPending() {
 	}
 }
 
-// coveredLocally reports whether some queued or delivered m' has m ⊑ m',
-// for an m above its sender's frontier. Every held message of s has seq ≤
-// s's recvMax, our own stream's included: commitOne, acceptData and adopt
-// raise the frontier to whatever they insert. A sender-local cover
-// has m's sender and a seq ≥ m's, so there the frontier is the whole t3
-// test; only a relation that reaches across senders scans the queues.
-func (e *Engine) coveredLocally(m obsolete.Msg) bool {
-	return e.coverScan && (e.toDeliver.Covers(m) || e.delivered.Covers(m))
-}
-
 // purgeToDeliver purges the delivery-queue entries obsoleted by it and
 // releases flow-control credits for them: their buffer slots are free
 // again (this is the heart of SVS's advantage — a slow receiver's window
 // refills without consuming). The queue lends each casualty to the visit
 // on its way out, so nothing is copied. from is the record of it's sender
-// (nil: our own message), which under a sender-local relation is the
-// sender of everything it purges.
+// (nil: our own message), which is the sender of everything it purges:
+// the queue only relates messages of one sender.
 func (e *Engine) purgeToDeliver(it queue.Item, from *peer) {
 	e.toDeliver.PurgeFor(it, func(p *queue.Item) {
 		switch {
@@ -385,7 +375,6 @@ func (e *Engine) purgeToDeliver(it queue.Item, from *peer) {
 		case p.Meta.Sender == e.cfg.Self:
 			e.unstage(p.Meta.Seq)
 		default:
-			from = e.peerOf(p.Meta.Sender, from)
 			e.freeSlot(from, p.Meta.Seq)
 		}
 	})
@@ -400,7 +389,7 @@ func (e *Engine) purgeToDeliver(it queue.Item, from *peer) {
 // slots back to.
 func (e *Engine) freeSlot(from *peer, seq ident.Seq) {
 	if from != nil && seq > from.seeded {
-		e.freed(from)
+		e.grant(from, from.freed())
 	}
 }
 

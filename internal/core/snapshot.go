@@ -79,17 +79,17 @@ func repurge(rel obsolete.Relation, msgs []DataMsg) []DataMsg {
 // was genuinely received before (reception is FIFO per sender), so if it is
 // missing locally it was purged under a justified cover chain; re-adding it
 // would break per-sender FIFO delivery — our own stream included, whose
-// frontier is what we committed or adopted. A message above the frontier
-// that some held m' covers is dropped as t3 drops it (coveredLocally). The
-// frontiers of recv are adopted afterwards — the filter must see our own —
-// and only forwards, so stale retransmissions are recognised as
-// duplicates. Our own entry continues the sequence numbering of an earlier
-// incarnation of this PID.
+// frontier is what we committed or adopted. Nothing held covers a message
+// above the frontier, so the frontier is t3's whole test here as in
+// processData. The frontiers of recv are adopted afterwards — the filter
+// must see our own — and only forwards, so stale retransmissions are
+// recognised as duplicates. Our own entry continues the sequence numbering
+// of an earlier incarnation of this PID.
 func (e *Engine) adopt(msgs []DataMsg, recv map[ident.PID]ident.Seq) int {
 	added := 0
 	for _, dm := range msgs {
 		s, seq := e.peer(dm.Meta.Sender), dm.Meta.Seq
-		if seq <= s.recvMax || e.coveredLocally(dm.Meta) {
+		if seq <= s.recvMax {
 			continue
 		}
 		s.recvMax = seq

@@ -18,7 +18,6 @@ func snapEngine(rel obsolete.Relation) *Engine {
 		cv:        View{ID: 4, Members: ident.NewPIDs("a", "b", "me")},
 		toDeliver: queue.New(rel, 0),
 		delivered: queue.New(rel, 0),
-		coverScan: !obsolete.CapsOf(rel).SenderLocal,
 	}
 	e.armPeers()
 	return e
@@ -33,15 +32,6 @@ func tagged(v uint64, s ident.PID, seq ident.Seq, tag uint32) queue.Item {
 	}
 	return queue.Item{Kind: queue.Data, View: v, Meta: obsolete.Msg{Sender: s, Seq: seq, Annot: annot}}
 }
-
-// tagAnySender covers a message by any later-numbered one with the same tag,
-// whoever sent it: a relation under which a message above its sender's
-// reception frontier can still be covered locally.
-var tagAnySender = obsolete.Func{Label: "tag-any-sender", F: func(old, new obsolete.Msg) bool {
-	ot, ok1 := obsolete.TagOf(old)
-	nt, ok2 := obsolete.TagOf(new)
-	return ok1 && ok2 && ot == nt && old.Seq < new.Seq
-}}
 
 // ids renders messages as "sender:seq@view" for comparison.
 func ids(msgs []DataMsg) []string {
@@ -120,9 +110,10 @@ func TestSnapshotThreeCallersOneState(t *testing.T) {
 }
 
 // TestSnapshotAdopt pins the applier: which messages of a snapshot join the
-// delivery queue, and that frontiers only ever move forwards.
+// delivery queue, each purging what it obsoletes, and that frontiers only
+// ever move forwards.
 func TestSnapshotAdopt(t *testing.T) {
-	e := snapEngine(tagAnySender)
+	e := snapEngine(obsolete.Tagging{})
 	e.self.recvMax = 7
 	e.peer("a").recvMax, e.peer("b").recvMax = 6, 3
 	e.toDeliver.ForceAppend(tagged(4, "a", 9, 4))
@@ -135,13 +126,13 @@ func TestSnapshotAdopt(t *testing.T) {
 		msg("a", 5, 1),  // below a's frontier
 		msg("a", 6, 1),  // at a's frontier
 		msg("me", 7, 2), // our own, at our frontier: already sent
-		msg("b", 4, 4),  // above b's frontier, but covered by the queued a:9
-		msg("b", 5, 5),  // new
+		msg("b", 4, 4),  // above b's frontier; a:9's tag is another sender's business
+		msg("b", 5, 4),  // new, and purges b:4 on its way in
 		msg("d", 1, 0),  // new sender
 		msg("me", 8, 2), // our own stream from an earlier incarnation
 	}, map[ident.PID]ident.Seq{"a": 4, "b": 10, "me": 3, "x": 2})
-	if added != 3 {
-		t.Errorf("adopted %d messages, want 3", added)
+	if added != 4 {
+		t.Errorf("adopted %d messages, want 4", added)
 	}
 	var queued []DataMsg
 	e.toDeliver.EachRef(func(it *queue.Item) bool {

@@ -99,18 +99,19 @@ func (e *Engine) recomputeStable() {
 // traffic: onInit's pred set filters by stableFilter whatever the history
 // still holds.
 //
-// With healing enabled the current view's entries are exempt: "received
-// by all processes" is a fact about *this view's* members, but a merge
-// contributes the view's non-obsolete backlog to the far side of a
-// healed partition — processes the stable frontier never covered. The
-// history holds no other view's entries (enterView starts a new one), so
-// there the test of the head is the whole cost and nothing is pruned: the
-// history keeps every delivered message the relation never obsoletes —
-// every one of them under the empty relation — until the next view.
+// With healing enabled nothing is pruned: "received by all processes" is a
+// fact about *this view's* members, but a merge contributes the view's
+// non-obsolete backlog to the far side of a healed partition — processes
+// the stable frontier never covered — and the history holds this view's
+// entries only (enterView starts a new one). It keeps every delivered
+// message the relation never obsoletes — every one of them under the empty
+// relation — until the next view.
 func (e *Engine) pruneStable() {
+	if e.cfg.Heal != nil {
+		return
+	}
 	stable := e.stableFilter()
-	prunable := func(it *queue.Item) bool { return it != nil && stable(it) && (e.cfg.Heal == nil || !e.inView(it)) }
-	for prunable(e.delivered.PeekHead()) {
+	for it := e.delivered.PeekHead(); it != nil && stable(it); it = e.delivered.PeekHead() {
 		e.delivered.PopHead()
 		e.stats.StablePruned++
 	}

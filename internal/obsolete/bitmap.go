@@ -14,9 +14,9 @@ import "math/bits"
 //
 // Capability audit (svs-check): Bitmap is an annotation representation,
 // not a Relation — it never answers Obsoletes and therefore declares no
-// SenderLocal/Listed capabilities of its own and never reaches the scan
-// path. The relation interpreting these bitmaps is KEnumeration (kenum.go),
-// which declares both; they are exhaustively verified by internal/relcheck
+// Listed capability of its own. The relation interpreting these bitmaps is
+// KEnumeration (kenum.go), which declares it; its listing and its
+// sender-locality are exhaustively verified by internal/relcheck
 // against the examples/kenum.yaml model in CI — an interpretation that
 // listed a bit the relation does not honour, or missed one it does, fails
 // the listed check with the offending message as witness.

@@ -39,10 +39,6 @@ func (Enumeration) Obsoletes(old, new Msg) bool {
 	return false
 }
 
-// SenderLocal implements the capability: enumerated deltas are relative to
-// the sender's own sequence stream, and deltas are strictly positive.
-func (Enumeration) SenderLocal() bool { return true }
-
 // AppendObsoleted implements the Listed capability: the annotation is the
 // list. Like Obsoletes it reads up to the first malformed delta.
 func (Enumeration) AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq) []ident.Seq {
@@ -59,10 +55,7 @@ func (Enumeration) AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq) []
 	return dst
 }
 
-var (
-	_ SenderLocal = Enumeration{}
-	_ Listed      = Enumeration{}
-)
+var _ Listed = Enumeration{}
 
 // EnumAnnot builds the enumeration annotation of a message with sequence
 // number seq obsoleting the given earlier sequence numbers. The caller is

@@ -43,10 +43,6 @@ func (r KEnumeration) Obsoletes(old, new Msg) bool {
 	return bitFromBytes(new.Annot, int(d-1))
 }
 
-// SenderLocal implements the capability: bitmaps index the sender's own
-// predecessors only.
-func (r KEnumeration) SenderLocal() bool { return true }
-
 // AppendObsoleted implements the Listed capability: bit i of the bitmap
 // names sequence number new.Seq-1-i, and bits at k or beyond name nothing.
 // The numbers come out descending.
@@ -82,10 +78,7 @@ func (r KEnumeration) AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq)
 	return dst
 }
 
-var (
-	_ SenderLocal = KEnumeration{}
-	_ Listed      = KEnumeration{}
-)
+var _ Listed = KEnumeration{}
 
 // KTracker allocates sequence numbers and computes transitively closed
 // k-enumeration bitmaps at the sender. It keeps the bitmaps of the last k

@@ -56,6 +56,13 @@ type MsgID struct {
 //   - transitive as encoded: if the application declares a ≺ b and b ≺ c,
 //     the annotation of c must also answer a ≺ c (the trackers in this
 //     package compute this closure automatically).
+//
+// Obsolescence is per sender (§4.2: "tags are ... used in combination with
+// the sender identification and sequence numbers"): the protocol asks
+// Obsoletes(old, new) only for old.Sender == new.Sender and old.Seq <
+// new.Seq, and a relation that relates any other pair has that pair
+// ignored — it can only ever purge less. Every encoding in this package
+// relates nothing else; internal/relcheck reports a relation that does.
 type Relation interface {
 	// Name identifies the encoding, for logs and experiment output.
 	Name() string
@@ -63,24 +70,7 @@ type Relation interface {
 	Obsoletes(old, new Msg) bool
 }
 
-// SenderLocal is an optional capability of a Relation. A relation that
-// implements it and reports true guarantees the FIFO sender-locality of
-// §4.2: Obsoletes(old, new) implies old.Sender == new.Sender AND
-// old.Seq < new.Seq. All encodings in this package have this property
-// ("tags are ... used in combination with the sender identification and
-// sequence numbers").
-//
-// Consumers (notably internal/queue) exploit the guarantee to index
-// buffered messages by sender and only examine a sender's own entries
-// when purging, instead of scanning the whole buffer.
-type SenderLocal interface {
-	Relation
-	// SenderLocal reports whether the guarantee above holds. Returning
-	// false is equivalent to not implementing the interface.
-	SenderLocal() bool
-}
-
-// Listed is an optional capability refining SenderLocal: whether old ≺ new
+// Listed is an optional capability of a Relation: whether old ≺ new
 // depends on old's sequence number alone — never on old's annotation — and
 // the relation can read off new's annotation every sequence number new
 // obsoletes. Enumeration (the explicit list) and KEnumeration (the set bits
@@ -99,31 +89,6 @@ type Listed interface {
 	AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq) []ident.Seq
 }
 
-// Caps is the set of capabilities a Relation declares, resolved by CapsOf.
-// An unsound declaration silently corrupts the purge index built on it;
-// internal/relcheck (and the svs-check CLI) exhaustively verify declared
-// capabilities against a finite model of the relation.
-type Caps struct {
-	// SenderLocal reports the sender-locality guarantee of the
-	// SenderLocal interface.
-	SenderLocal bool
-	// Listed is the relation's Listed capability, nil when undeclared; it
-	// only counts together with SenderLocal, which it refines.
-	Listed Listed
-}
-
-// CapsOf inspects rel for the optional capability interfaces and returns
-// what it declares. A SenderLocal implementation reporting false counts as
-// undeclared.
-func CapsOf(rel Relation) Caps {
-	var c Caps
-	if sl, ok := rel.(SenderLocal); ok && sl.SenderLocal() {
-		c.SenderLocal = true
-		c.Listed, _ = rel.(Listed)
-	}
-	return c
-}
-
 // Empty is the empty obsolescence relation: no message ever obsoletes
 // another. Running the SVS protocol with Empty yields classic View
 // Synchrony (§3.2: "If no messages m, m' exist such that m ≺ m', SVS
@@ -136,14 +101,10 @@ func (Empty) Name() string { return "empty" }
 // Obsoletes implements Relation; it always reports false.
 func (Empty) Obsoletes(_, _ Msg) bool { return false }
 
-// SenderLocal implements the capability vacuously: the relation never
-// holds, so in particular it never relates messages of distinct senders.
-func (Empty) SenderLocal() bool { return true }
-
-var _ SenderLocal = Empty{}
-
 // Func adapts a plain function to the Relation interface. It is intended
-// for tests and for applications with bespoke semantics.
+// for tests and for applications with bespoke semantics. Like every
+// relation, F is only ever consulted for pairs of one sender with old older
+// than new (see Relation).
 type Func struct {
 	Label string
 	F     func(old, new Msg) bool
@@ -158,9 +119,10 @@ func (f Func) Obsoletes(old, new Msg) bool { return f.F(old, new) }
 var _ Relation = Func{}
 
 // CoveredBy reports whether m ⊑ n, the reflexive closure of the relation:
-// m equals n or m ≺ n. This is the test the SVS protocol applies when
-// deciding whether an already-buffered message covers an incoming one
-// (transition t3 of the paper's Figure 1).
+// m equals n or m ≺ n. It defines the test transition t3 of the paper's
+// Figure 1 applies to an incoming message against every buffered one; the
+// protocol answers it with the sender's reception frontier, since every
+// cover of m is m itself or a later message of m's own sender.
 func CoveredBy(rel Relation, m, n Msg) bool {
 	if m.Sender == n.Sender && m.Seq == n.Seq {
 		return true

@@ -34,12 +34,6 @@ func (Tagging) Obsoletes(old, new Msg) bool {
 	return ot == nt
 }
 
-// SenderLocal implements the capability: tags are interpreted relative to
-// the sender's own stream, and only strictly earlier messages are related.
-func (Tagging) SenderLocal() bool { return true }
-
-var _ SenderLocal = Tagging{}
-
 // TagAnnot builds the annotation for a message updating the item with the
 // given tag.
 func TagAnnot(tag uint32) []byte {

@@ -108,16 +108,6 @@ func (m *model) witness(it Item, self int) bool {
 	return false
 }
 
-// covers is t3's test by definition: some data entry n with probe ⊑ n.
-func (m *model) covers(probe obsolete.Msg) bool {
-	for _, it := range m.items {
-		if it.Kind == Data && obsolete.CoveredBy(m.rel, probe, it.Meta) {
-			return true
-		}
-	}
-	return false
-}
-
 func (m *model) popHead() (Item, bool) {
 	if len(m.items) == 0 {
 		return Item{}, false
@@ -202,43 +192,20 @@ func (s *trackerStream) next(rng *rand.Rand) obsolete.Msg {
 	return obsolete.Msg{Sender: s.sender, Seq: seq, Annot: annot}
 }
 
-type funcStream struct {
-	sender ident.PID
-	seq    ident.Seq
-}
-
-func (s *funcStream) next(rng *rand.Rand) obsolete.Msg {
-	s.seq++
-	return obsolete.Msg{Sender: s.sender, Seq: s.seq, Annot: []byte{byte(rng.Intn(3))}}
-}
-
-// crossSenderFunc relates messages across senders (same one-byte class,
-// strictly increasing seq) — not sender-local, so the queue must take the
-// retained scan path.
-var crossSenderFunc = obsolete.Func{
-	Label: "cross-sender-class",
-	F: func(old, new obsolete.Msg) bool {
-		return old.Seq < new.Seq && len(old.Annot) == 1 && len(new.Annot) == 1 &&
-			old.Annot[0] == new.Annot[0]
-	},
-}
-
 // encodingCase is one relation the differential tests run, with a generator
 // of its senders' streams.
 type encodingCase struct {
 	name    string
 	rel     obsolete.Relation
-	indexed bool
 	streams func(senders []ident.PID) []stream
 }
 
-// encodingCases are the three §4.2 encodings plus an arbitrary cross-sender
-// Func relation.
+// encodingCases are the three §4.2 encodings.
 func encodingCases() []encodingCase {
 	const k = 8
 	return []encodingCase{
 		{
-			name: "tagging", rel: obsolete.Tagging{}, indexed: true,
+			name: "tagging", rel: obsolete.Tagging{},
 			streams: func(ps []ident.PID) []stream {
 				out := make([]stream, len(ps))
 				for i, p := range ps {
@@ -248,7 +215,7 @@ func encodingCases() []encodingCase {
 			},
 		},
 		{
-			name: "enumeration", rel: obsolete.Enumeration{}, indexed: true,
+			name: "enumeration", rel: obsolete.Enumeration{},
 			streams: func(ps []ident.PID) []stream {
 				out := make([]stream, len(ps))
 				for i, p := range ps {
@@ -258,21 +225,11 @@ func encodingCases() []encodingCase {
 			},
 		},
 		{
-			name: "k-enumeration", rel: obsolete.KEnumeration{K: k}, indexed: true,
+			name: "k-enumeration", rel: obsolete.KEnumeration{K: k},
 			streams: func(ps []ident.PID) []stream {
 				out := make([]stream, len(ps))
 				for i, p := range ps {
 					out[i] = &trackerStream{sender: p, tr: obsolete.NewKTracker(k), window: k}
-				}
-				return out
-			},
-		},
-		{
-			name: "func-cross-sender", rel: crossSenderFunc, indexed: false,
-			streams: func(ps []ident.PID) []stream {
-				out := make([]stream, len(ps))
-				for i, p := range ps {
-					out[i] = &funcStream{sender: p}
 				}
 				return out
 			},
@@ -283,8 +240,7 @@ func encodingCases() []encodingCase {
 // TestDifferentialIndexedVsReference drives identical randomized operation
 // sequences through the ring queue and the slice reference model for every
 // encodingCase, and checks kept-sets, purge counts, return values and stats
-// stay identical after every operation — and that Covers, which has only the
-// scan, matches its definition.
+// stay identical after every operation.
 func TestDifferentialIndexedVsReference(t *testing.T) {
 	for _, tc := range encodingCases() {
 		tc := tc
@@ -293,9 +249,6 @@ func TestDifferentialIndexedVsReference(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(1000*trial + 7)))
 				capacity := []int{0, 0, 4, 8, 16}[rng.Intn(5)]
 				q := New(tc.rel, capacity)
-				if (q.idx != nil) != tc.indexed {
-					t.Fatalf("indexed = %v, want %v", q.idx != nil, tc.indexed)
-				}
 				m := newModel(tc.rel, capacity)
 
 				senders := []ident.PID{"a", "b", "c"}[:1+rng.Intn(3)]
@@ -343,44 +296,16 @@ func TestDifferentialIndexedVsReference(t *testing.T) {
 						}
 					}
 					compareState(t, step, q, m)
-					// Coverage probes: a queued message (if any), a perturbed
-					// seq and an unknown sender, against the definition.
-					for _, probe := range coverProbes(rng, q) {
-						if got, want := q.Covers(probe), m.covers(probe); got != want {
-							t.Fatalf("trial %d step %d: Covers(%v/%d) = %v, model %v",
-								trial, step, probe.Sender, probe.Seq, got, want)
-						}
-					}
 				}
 			}
 		})
 	}
 }
 
-// coverProbes builds obsolete.Msg probes around the queue's current
-// contents: an exact queued message, a perturbed sequence number, and an
-// unknown sender.
-func coverProbes(rng *rand.Rand, q *Queue) []obsolete.Msg {
-	probes := []obsolete.Msg{{Sender: "nobody", Seq: ident.Seq(1 + rng.Intn(20))}}
-	snap := q.Snapshot()
-	if len(snap) == 0 {
-		return probes
-	}
-	it := snap[rng.Intn(len(snap))]
-	if it.Kind != Data {
-		return probes
-	}
-	probes = append(probes, it.Meta)
-	off := it.Meta
-	off.Seq = ident.Seq(uint64(off.Seq) + uint64(rng.Intn(5)) - 2)
-	probes = append(probes, off)
-	return probes
-}
-
 // TestArrivalPurgeLeavesNothingToSweep is why the queue has one purge. Every
-// message arrives the way the engine lets it in — refused when something
-// held covers it (t3), else purging what it obsoletes — with each sender's
-// stream ascending, a view change and deliveries in between; after every
+// message arrives the way the engine lets it in — purging what it obsoletes,
+// each sender's stream ascending, so nothing held covers it (t3) — with a
+// view change and deliveries in between; after every
 // step Figure 1's purge(), the pairwise sweep of the slice model, run over a
 // copy of what is held, must find nothing to remove.
 func TestArrivalPurgeLeavesNothingToSweep(t *testing.T) {
@@ -402,9 +327,6 @@ func TestArrivalPurgeLeavesNothingToSweep(t *testing.T) {
 						m.popHead()
 					default:
 						it := Item{Kind: Data, View: view, Meta: streams[rng.Intn(len(streams))].next(rng)}
-						if m.covers(it.Meta) {
-							continue
-						}
 						purged += len(m.purgeFor(it))
 						m.forceAppend(it)
 						if _, err := q.AppendPurge(it); err != nil {
@@ -425,94 +347,6 @@ func TestArrivalPurgeLeavesNothingToSweep(t *testing.T) {
 		})
 	}
 }
-
-// TestDifferentialScanMatchesIndexed strips the capability from each
-// sender-local encoding (wrapping it in obsolete.Func) and checks the
-// retained linear-scan path agrees with the indexed path operation by
-// operation — the two implementations must be observationally identical.
-func TestDifferentialScanMatchesIndexed(t *testing.T) {
-	const k = 8
-	rels := []obsolete.Relation{
-		obsolete.Tagging{},
-		obsolete.Enumeration{},
-		obsolete.KEnumeration{K: k},
-	}
-	for _, rel := range rels {
-		rel := rel
-		t.Run(rel.Name(), func(t *testing.T) {
-			for trial := 0; trial < 25; trial++ {
-				rng := rand.New(rand.NewSource(int64(31*trial + 3)))
-				indexed := New(rel, 8)
-				scan := New(obsolete.Func{Label: rel.Name(), F: rel.Obsoletes}, 8)
-				if indexed.idx == nil || scan.idx != nil {
-					t.Fatal("capability detection broken")
-				}
-
-				senders := []ident.PID{"a", "b"}
-				trackers := map[ident.PID]*obsolete.KTracker{}
-				taggingSeq := map[ident.PID]ident.Seq{}
-				for _, p := range senders {
-					trackers[p] = obsolete.NewKTracker(k)
-				}
-				next := func(p ident.PID) obsolete.Msg {
-					switch rel.(type) {
-					case obsolete.Tagging:
-						taggingSeq[p]++
-						return obsolete.Msg{Sender: p, Seq: taggingSeq[p], Annot: obsolete.TagAnnot(uint32(rng.Intn(3)))}
-					default:
-						tr := trackers[p]
-						var direct []ident.Seq
-						if last := tr.Seq(); last > 0 && rng.Intn(2) == 0 {
-							direct = append(direct, last)
-						}
-						seq, annot := tr.Next(direct...)
-						return obsolete.Msg{Sender: p, Seq: seq, Annot: annot}
-					}
-				}
-
-				for step := 0; step < 200; step++ {
-					switch rng.Intn(5) {
-					case 0, 1, 2:
-						it := Item{Kind: Data, View: 1, Meta: next(senders[rng.Intn(len(senders))])}
-						p1, e1 := indexed.AppendPurge(it)
-						p2, e2 := scan.AppendPurge(it)
-						if p1 != p2 || (e1 == nil) != (e2 == nil) {
-							t.Fatalf("trial %d step %d: AppendPurge (%d,%v) vs (%d,%v)", trial, step, p1, e1, p2, e2)
-						}
-					case 3:
-						i1, ok1 := pop(indexed)
-						i2, ok2 := pop(scan)
-						if ok1 != ok2 || (ok1 && id(i1) != id(i2)) {
-							t.Fatalf("trial %d step %d: PopHead mismatch", trial, step)
-						}
-					case 4:
-						it := Item{Kind: Data, View: 1, Meta: next(senders[rng.Intn(len(senders))])}
-						if c1, c2 := indexed.CountPurgeableFor(it), scan.CountPurgeableFor(it); c1 != c2 {
-							t.Fatalf("trial %d step %d: CountPurgeableFor %d vs %d", trial, step, c1, c2)
-						}
-						indexed.ForceAppend(it)
-						scan.ForceAppend(it)
-					}
-					if indexed.Stats() != scan.Stats() {
-						t.Fatalf("trial %d step %d: stats %+v vs %+v", trial, step, indexed.Stats(), scan.Stats())
-					}
-					g, w := ids(indexed.Snapshot()), ids(scan.Snapshot())
-					if fmt.Sprint(g) != fmt.Sprint(w) {
-						t.Fatalf("trial %d step %d: kept-sets\n indexed %v\n scan    %v", trial, step, g, w)
-					}
-				}
-			}
-		})
-	}
-}
-
-// unlisted strips the Listed capability from a sender-local relation and
-// keeps the rest, which puts the queue on the per-sender walk.
-type unlisted struct{ rel obsolete.Relation }
-
-func (u unlisted) Name() string                     { return u.rel.Name() + "/walk" }
-func (u unlisted) Obsoletes(o, n obsolete.Msg) bool { return u.rel.Obsoletes(o, n) }
-func (u unlisted) SenderLocal() bool                { return true }
 
 // rawBitmap is a k-enumeration annotation no tracker would mint but any peer
 // may send: up to twice k bits long, empty, sparse around the window edge
@@ -560,10 +394,11 @@ func rawEnumeration(rng *rand.Rand, seq ident.Seq) []byte {
 	return p
 }
 
-// TestDifferentialListedWalkScan holds the three arrival-purge paths — the
-// listed lookup, the per-sender walk (the same relation with Listed
-// stripped) and the scan (every capability stripped) — against the slice
-// model operation by operation: counts, the removed slice in FIFO order,
+// TestDifferentialListedWalkScan holds the two arrival-purge paths — the
+// listed lookup and the per-sender walk (the same relation wrapped in
+// obsolete.Func, which does not declare Listed) — against the slice model,
+// which scans every entry, operation by operation: counts, the removed
+// slice in FIFO order,
 // kept-sets and stats. The streams are what the listed lookup has to get
 // right: hundreds of set bits at once, the window edge at bit k-1 while
 // seq ≤ k, annotations longer than k bits, repeated sequence numbers, and
@@ -593,10 +428,9 @@ func TestDifferentialListedWalkScan(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(977*trial + 11)))
 				qs := []*Queue{
 					New(tc.rel, 0),
-					New(unlisted{tc.rel}, 0),
-					New(obsolete.Func{Label: tc.name + "/scan", F: tc.rel.Obsoletes}, 0),
+					New(obsolete.Func{Label: tc.name + "/walk", F: tc.rel.Obsoletes}, 0),
 				}
-				if qs[0].listed == nil || qs[1].listed != nil || qs[1].idx == nil || qs[2].idx != nil {
+				if qs[0].listed == nil || qs[1].listed != nil {
 					t.Fatal("capability detection broken")
 				}
 				m := newModel(tc.rel, 0)

@@ -6,13 +6,12 @@ import (
 	"repro/internal/ident"
 )
 
-// Sender index. For sender-local relations (obsolete.SenderLocal) purge
-// only ever relates entries of one (view, sender) stream, so the queue
-// keeps, per stream, the seq-ordered list of its data entries' absolute
-// ring positions. Purge operations then bound their candidate set to one
-// stream — and, when the relation lists what a message obsoletes
-// (obsolete.Listed), to the listed sequence numbers, found by binary
-// search — instead of scanning the whole buffer.
+// Sender index. Purge only ever relates entries of one (view, sender)
+// stream, so the queue keeps, per stream, the seq-ordered list of its data
+// entries' absolute ring positions. Purge operations then bound their
+// candidate set to one stream — and, when the relation lists what a message
+// obsoletes (obsolete.Listed), to the listed sequence numbers, found by
+// binary search — instead of scanning the whole buffer.
 
 type idxKey struct {
 	view   uint64

@@ -7,23 +7,22 @@ import (
 	"repro/internal/obsolete"
 )
 
-// Purge operations. Three ways to find what an arriving message n makes
-// obsolete, chosen once from what the relation declares:
+// Purge operations. An arriving message n is only ever related to the older
+// entries of its own (view, sender) stream (see obsolete.Relation), and
+// there are two ways to find which of them it makes obsolete, chosen once
+// from what the relation is:
 //
 //   - listed (obsolete.Listed): the relation reads the obsoleted sequence
 //     numbers off n's annotation; each is checked against the stream's
-//     held counts and, if an entry may carry it, found in n's own
-//     (view, sender) stream by binary search — O(listed + matches · log
-//     stream), whatever the occupancy.
-//   - walk (obsolete.SenderLocal only, e.g. tagging): every older entry of
-//     n's own stream is tested — O(sender's entries).
-//   - scan (neither): the retained linear-scan reference walking every
-//     entry, used for arbitrary relations (obsolete.Func) and as the
-//     oracle the differential tests compare the other two against.
+//     held counts and, if an entry may carry it, found in the stream by
+//     binary search — O(listed + matches · log stream), whatever the
+//     occupancy.
+//   - walk (anything else, e.g. tagging or obsolete.Func): every older entry
+//     of the stream is tested — O(sender's entries).
 //
-// All remove an entry m exactly when m is of n's view and m ≺ n, and visit
-// the removed entries in FIFO order; for per-sender seq-ordered streams (the
-// protocol invariant) they produce identical kept-sets, counts and stats.
+// obsolete.Empty never purges and keeps no index. Both paths remove an entry
+// m exactly when m is of n's view and sender, older than n, and m ≺ n, and
+// visit the removed entries in FIFO order.
 
 // PurgeFor removes the entries obsoleted by the (just received or about to
 // be appended) message n, calling visit on each in FIFO order before its
@@ -39,9 +38,6 @@ func (q *Queue) PurgeFor(n Item, visit func(*Item)) {
 func (q *Queue) purgeFor(n Item, visit func(*Item)) int {
 	if n.Kind != Data || q.live == 0 || q.never {
 		return 0
-	}
-	if q.idx == nil {
-		return q.purgeForScan(n, visit)
 	}
 	st := q.idx[idxKey{view: n.View, sender: n.Meta.Sender}]
 	hits := q.obsoletedBy(st, n.Meta)
@@ -77,7 +73,7 @@ func (q *Queue) purgeFor(n Item, visit func(*Item)) int {
 func (q *Queue) obsoletedBy(st *senderStream, n obsolete.Msg) []int {
 	hits := q.hits[:0]
 	if st == nil || len(st.ents) == 0 || st.ents[0].seq >= n.Seq {
-		return hits // SenderLocal guarantees old.Seq < new.Seq
+		return hits // only older entries are ever asked about
 	}
 	s := st.ents
 	if q.listed == nil {
@@ -106,25 +102,6 @@ func (q *Queue) obsoletedBy(st *senderStream, n obsolete.Msg) []int {
 	return hits
 }
 
-func (q *Queue) purgeForScan(n Item, visit func(*Item)) int {
-	removed := 0
-	for p := q.head; p != q.tail; p++ {
-		m := q.slot(p)
-		if m.Kind != Data || m.View != n.View {
-			continue
-		}
-		if q.rel.Obsoletes(m.Meta, n.Meta) {
-			if visit != nil {
-				visit(m)
-			}
-			q.killSlot(p)
-			removed++
-		}
-	}
-	q.stats.Purged += uint64(removed)
-	return removed
-}
-
 // CountPurgeableFor reports how many entries n's arrival would purge,
 // without removing them. Used for the engine's all-or-nothing capacity
 // check before committing a multicast.
@@ -132,31 +109,5 @@ func (q *Queue) CountPurgeableFor(n Item) int {
 	if n.Kind != Data || q.live == 0 || q.never {
 		return 0
 	}
-	if q.idx != nil {
-		return len(q.obsoletedBy(q.idx[idxKey{view: n.View, sender: n.Meta.Sender}], n.Meta))
-	}
-	c := 0
-	for p := q.head; p != q.tail; p++ {
-		m := q.slot(p)
-		if m.Kind == Data && m.View == n.View && q.rel.Obsoletes(m.Meta, n.Meta) {
-			c++
-		}
-	}
-	return c
-}
-
-// Covers reports whether some queued data entry n satisfies m ⊑ n: m is a
-// duplicate of n or obsoleted by it (the test transition t3 applies to an
-// arriving message against this queue). It scans every entry, and has no
-// indexed form because it needs none: under a sender-local relation the
-// engine's reception frontier already answers the question (core's
-// processData), so only relations that reach across senders ask here.
-//
-// Coverage is deliberately view-blind, like the engine's t3 check:
-// sequence numbers are global per sender, so a message queued under an
-// older view still covers a late duplicate.
-func (q *Queue) Covers(m obsolete.Msg) bool {
-	return q.AnyRef(func(it *Item) bool {
-		return it.Kind == Data && obsolete.CoveredBy(q.rel, m, it.Meta)
-	})
+	return len(q.obsoletedBy(q.idx[idxKey{view: n.View, sender: n.Meta.Sender}], n.Meta))
 }

@@ -14,19 +14,14 @@
 //
 // # Sender index
 //
-// Every encoding of §4.2 relates messages of a single sender only, and the
-// enumerating ones name what a message obsoletes in its annotation. When
-// the relation declares this through the capability interfaces
-// obsolete.SenderLocal / obsolete.Listed, the queue keeps a
-// per-(view, sender) seq-ordered index of its data entries and an arriving
-// message's purge examines only its own sender's stream — and, when listed,
-// only the sequence numbers its annotation names: O(set bits + matches · log
-// stream) for k-enumeration, whatever the occupancy. Arbitrary relations
-// (obsolete.Func) fall back to the retained linear-scan reference path.
-//
-// The indexed path reproduces the scan path exactly as long as each
-// (view, sender) stream is appended in ascending sequence-number order —
-// the per-sender FIFO invariant the protocol engine maintains.
+// Obsolescence is per sender (see obsolete.Relation): the queue asks the
+// relation about an arriving message only for the older entries of its own
+// (view, sender) stream. It keeps a per-(view, sender) seq-ordered index of
+// its data entries for every relation but obsolete.Empty, which never
+// purges, and an arriving message's purge examines only its own sender's
+// stream — and, when the relation implements obsolete.Listed, only the
+// sequence numbers its annotation names: O(set bits + matches · log stream)
+// for k-enumeration, whatever the occupancy.
 //
 // # One purge
 //
@@ -120,8 +115,7 @@ type Queue struct {
 	// buffers instead of allocating.
 	spare []Item
 
-	// Sender index (see index.go). idx is non-nil iff rel is sender-local
-	// and can purge at all.
+	// Sender index (see index.go), kept unless never.
 	idx    map[idxKey]*senderStream
 	listed obsolete.Listed // non-nil: rel lists what a message obsoletes
 	never  bool            // rel is obsolete.Empty: purging can never remove anything
@@ -135,10 +129,8 @@ type Queue struct {
 // capacity 0 means unbounded; otherwise Append fails with ErrFull when the
 // queue holds capacity entries.
 //
-// When rel implements obsolete.SenderLocal (all built-in encodings do),
-// the queue maintains the per-(view, sender) index and purge operations
-// run in O(sender's entries) — O(what the annotation lists) when rel also
-// implements obsolete.Listed — instead of scanning the whole queue.
+// Purge operations run in O(the arrival's own stream) — O(what the
+// annotation lists) when rel implements obsolete.Listed.
 func New(rel obsolete.Relation, capacity int) *Queue {
 	if rel == nil {
 		rel = obsolete.Empty{}
@@ -146,14 +138,12 @@ func New(rel obsolete.Relation, capacity int) *Queue {
 	q := &Queue{rel: rel, capacity: capacity}
 	if _, ok := rel.(obsolete.Empty); ok {
 		// The empty relation obsoletes nothing: skip both the index and
-		// every purge scan (plain VS has no purging to pay for).
+		// every purge (plain VS has no purging to pay for).
 		q.never = true
 		return q
 	}
-	if caps := obsolete.CapsOf(rel); caps.SenderLocal {
-		q.idx = make(map[idxKey]*senderStream)
-		q.listed = caps.Listed
-	}
+	q.idx = make(map[idxKey]*senderStream)
+	q.listed, _ = rel.(obsolete.Listed)
 	return q
 }
 
@@ -205,7 +195,7 @@ func (q *Queue) PopHead() {
 	if s == nil {
 		return
 	}
-	if q.idx != nil && s.Kind == Data {
+	if !q.never && s.Kind == Data {
 		q.idxDrop(idxKey{view: s.View, sender: s.Meta.Sender}, s.Meta.Seq, q.head)
 	}
 	*s = Item{}
@@ -239,17 +229,6 @@ func (q *Queue) EachRef(f func(*Item) bool) {
 			return
 		}
 	}
-}
-
-// AnyRef reports whether some entry satisfies f, without copying entries.
-// The same aliasing rules as EachRef apply.
-func (q *Queue) AnyRef(f func(*Item) bool) bool {
-	found := false
-	q.EachRef(func(it *Item) bool {
-		found = f(it)
-		return !found
-	})
-	return found
 }
 
 // Snapshot returns a copy of the queue contents in FIFO order. Payloads

@@ -218,11 +218,8 @@ func TestAnyAndPeek(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatal("PeekHead must not remove")
 	}
-	if !q.AnyRef(func(it *Item) bool { return it.Meta.Seq == 1 }) {
-		t.Fatal("AnyRef failed to find entry")
-	}
-	if q.AnyRef(func(it *Item) bool { return it.Meta.Seq == 2 }) {
-		t.Fatal("AnyRef found phantom entry")
+	if got := seqs(q); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("EachRef visited %v, want [1]", got)
 	}
 }
 

@@ -26,7 +26,7 @@ func (q *Queue) push(it Item) {
 	*q.slot(pos) = it
 	q.tail++
 	q.live++
-	if q.idx != nil && it.Kind == Data {
+	if !q.never && it.Kind == Data {
 		q.idxAdd(idxKey{view: it.View, sender: it.Meta.Sender}, it.Meta.Seq, pos)
 	}
 	q.stats.Appended++
@@ -68,7 +68,7 @@ func (q *Queue) compact() {
 	q.buf = buf
 	q.mask = uint64(n - 1)
 	q.head, q.tail = 0, w
-	if q.idx != nil {
+	if !q.never {
 		q.rebuildIndex()
 	}
 }

@@ -75,8 +75,6 @@ func Builtin(name string, d Domain) (*Model, error) {
 	default:
 		return nil, fmt.Errorf("relcheck: unknown built-in encoding %q (have %v)", name, BuiltinNames())
 	}
-	m.SenderLocal = obsolete.CapsOf(m.Rel).SenderLocal
-
 	for s := 0; s < d.Senders; s++ {
 		st := Stream{Sender: senderPID(s)}
 		var tr obsolete.Tracker

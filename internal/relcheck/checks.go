@@ -14,7 +14,7 @@ import (
 // p1→p2").
 type Violation struct {
 	Family string // laws | capabilities | confluence
-	Check  string // irreflexivity, sender-local, confluence, ...
+	Check  string // irreflexivity, sender-local, listed, purge-safety, ...
 	// Witness is the minimal counterexample, human-readable.
 	Witness string
 }
@@ -28,10 +28,10 @@ type CheckResult struct {
 	// Checked counts the objects examined: messages, pairs, triples or
 	// interleavings, per the check.
 	Checked int
-	// Detail annotates coverage ("sampled", "index inactive", ...).
+	// Detail annotates coverage ("sampled", "within window 4", ...).
 	Detail string
-	// Skipped means the check does not apply to this model (capability
-	// not declared, transitivity not claimed).
+	// Skipped means the check does not apply to this model (Listed not
+	// declared, transitivity not claimed).
 	Skipped bool
 	// Violations holds at most one minimal witness per check.
 	Violations []Violation
@@ -83,7 +83,7 @@ func Run(m *Model) *Report {
 	r.Checks = append(r.Checks, checkTransitivity(m, msgs))
 	r.Checks = append(r.Checks, checkSenderLocal(m, msgs))
 	r.Checks = append(r.Checks, checkListed(m, msgs))
-	r.Checks = append(r.Checks, checkConfluence(m, msgs)...)
+	r.Checks = append(r.Checks, checkPurgeSafety(m, msgs))
 	return r
 }
 
@@ -159,15 +159,12 @@ func checkTransitivity(m *Model, msgs []obsolete.Msg) CheckResult {
 	return res
 }
 
-// ---- Capabilities (purge-index declarations) -------------------------------
-
+// checkSenderLocal verifies that obsolescence is per sender: the relation
+// relates an older message to a newer one of the same sender and nothing
+// else. The protocol never asks about any other pair (obsolete.Relation),
+// so a relation that relates one silently purges less than it says.
 func checkSenderLocal(m *Model, msgs []obsolete.Msg) CheckResult {
-	res := CheckResult{Family: "capabilities", Name: "sender-local"}
-	if !m.SenderLocal {
-		res.Skipped = true
-		res.Detail = "not declared"
-		return res
-	}
+	res := CheckResult{Family: "laws", Name: "sender-local"}
 	for _, a := range msgs {
 		for _, b := range msgs {
 			if a.ID() == b.ID() {
@@ -198,14 +195,16 @@ func checkSenderLocal(m *Model, msgs []obsolete.Msg) CheckResult {
 	return res
 }
 
+// ---- Capabilities (purge-index declarations) -------------------------------
+
 // checkListed verifies the Listed capability: for every message of the
 // universe, the sequence numbers the relation reads off its annotation are
 // exactly those of the same-sender messages it obsoletes — one listed too
 // many and the queue purges a message nothing covers, one too few and the
-// listed lookup keeps what the scan would purge.
+// listed lookup keeps what the per-sender walk would purge.
 func checkListed(m *Model, msgs []obsolete.Msg) CheckResult {
 	res := CheckResult{Family: "capabilities", Name: "listed"}
-	l := obsolete.CapsOf(m.Rel).Listed
+	l, _ := m.Rel.(obsolete.Listed)
 	if l == nil {
 		res.Skipped = true
 		res.Detail = "not declared"
@@ -256,93 +255,47 @@ func runExecution(rel obsolete.Relation, arrivals []obsolete.Msg) []obsolete.Msg
 	return out
 }
 
-// scanRelation strips rel's capability declarations so internal/queue takes
-// the linear-scan reference path.
-func scanRelation(rel obsolete.Relation) obsolete.Relation {
-	return obsolete.Func{Label: rel.Name() + "/scan", F: rel.Obsoletes}
+// unsafePurge returns a message of arrivals that runExecution under rel
+// purged without delivering anything that covers it under closure — a purge
+// that does not commute with delivery.
+func unsafePurge(rel obsolete.Relation, closure *check.Closure, arrivals []obsolete.Msg) (obsolete.Msg, bool) {
+	delivered := make(map[obsolete.MsgID]bool, len(arrivals))
+	for _, id := range runExecution(rel, arrivals) {
+		delivered[id] = true
+	}
+	for _, a := range arrivals {
+		if !closure.CoveredByAny(a.ID(), delivered) {
+			return a, true
+		}
+	}
+	return obsolete.Msg{}, false
 }
 
-func sameIDs(a, b []obsolete.MsgID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func checkConfluence(m *Model, msgs []obsolete.Msg) []CheckResult {
-	idx := CheckResult{Family: "confluence", Name: "indexed ≡ scan"}
-	safe := CheckResult{Family: "confluence", Name: "purge safety"}
-	if !obsolete.CapsOf(m.Rel).SenderLocal {
-		idx.Detail = "index inactive — relation declares no capabilities"
-	}
-
-	scanRel := scanRelation(m.Rel)
-	// The closure is built over the whole universe with the capability
-	// declarations stripped, so coverage follows the relation's actual
-	// behaviour (including cross-sender edges) rather than its claims.
-	closure := check.NewClosure(scanRel, msgs)
-
-	// divergence: the indexed and scan executions deliver different
-	// sequences for this arrival order.
-	divergence := func(arrivals []obsolete.Msg) bool {
-		return !sameIDs(runExecution(m.Rel, arrivals), runExecution(scanRel, arrivals))
-	}
-	// unsafe: some message fed to the scan execution was purged without a
-	// delivered message covering it — the purge did not commute with
-	// delivery.
-	unsafeMsg := func(arrivals []obsolete.Msg) (obsolete.Msg, bool) {
-		delivered := runExecution(scanRel, arrivals)
-		set := make(map[obsolete.MsgID]bool, len(delivered))
-		for _, id := range delivered {
-			set[id] = true
-		}
-		for _, a := range arrivals {
-			if !set[a.ID()] && !closure.CoveredByAny(a.ID(), set) {
-				return a, true
-			}
-		}
-		return obsolete.Msg{}, false
-	}
-
+// checkPurgeSafety runs the queue under the model's relation over every
+// interleaving and checks that each purged message is covered by a delivered
+// one under the reflexive-transitive closure (internal/check.Closure).
+func checkPurgeSafety(m *Model, msgs []obsolete.Msg) CheckResult {
+	res := CheckResult{Family: "confluence", Name: "purge safety"}
+	closure := check.NewClosure(m.Rel, msgs)
+	unsafe := func(arrivals []obsolete.Msg) bool { _, bad := unsafePurge(m.Rel, closure, arrivals); return bad }
 	visited, exhaustive := forEachInterleaving(m.Streams, m.MaxInterleavings, func(arrivals []obsolete.Msg) bool {
-		if len(idx.Violations) == 0 && divergence(arrivals) {
-			w := minimize(arrivals, divergence)
-			got := runExecution(m.Rel, w)
-			want := runExecution(scanRel, w)
-			idx.Violations = append(idx.Violations, Violation{
-				Family: idx.Family, Check: "confluence",
-				Witness: fmt.Sprintf("arrivals %s deliver %s indexed vs %s scan — the declared capabilities corrupt the purge index",
-					msgsStr(w), idsStr(got), idsStr(want)),
-			})
+		if !unsafe(arrivals) {
+			return true
 		}
-		if len(safe.Violations) == 0 {
-			if _, bad := unsafeMsg(arrivals); bad {
-				w := minimize(arrivals, func(a []obsolete.Msg) bool { _, b := unsafeMsg(a); return b })
-				culprit, _ := unsafeMsg(w)
-				safe.Violations = append(safe.Violations, Violation{
-					Family: safe.Family, Check: "purge-safety",
-					Witness: fmt.Sprintf("arrivals %s purge %s but deliver nothing that covers it — purging does not commute with delivery",
-						msgsStr(w), msgStr(culprit)),
-				})
-			}
-		}
-		return len(idx.Violations) == 0 || len(safe.Violations) == 0
+		w := minimize(arrivals, unsafe)
+		culprit, _ := unsafePurge(m.Rel, closure, w)
+		res.Violations = append(res.Violations, Violation{
+			Family: res.Family, Check: "purge-safety",
+			Witness: fmt.Sprintf("arrivals %s purge %s but deliver nothing that covers it — purging does not commute with delivery",
+				msgsStr(w), msgStr(culprit)),
+		})
+		return false
 	})
-	idx.Checked, safe.Checked = visited, visited
+	res.Checked = visited
 	if !exhaustive {
-		detail := "sampled"
-		if idx.Detail != "" {
-			detail = idx.Detail + ", sampled"
-		}
-		idx.Detail = detail
-		safe.Detail = "sampled"
+		res.Detail = "sampled"
 	}
-	return []CheckResult{idx, safe}
+	return res
 }
 
 // minimize greedily shrinks an arrival sequence while pred keeps failing

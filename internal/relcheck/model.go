@@ -2,10 +2,10 @@
 // application-supplied obsolescence relations, in the mould of nccheck.
 //
 // SVS's safety guarantees (§3 of the paper) rest entirely on the
-// obsolescence relation being well-behaved — a strict partial order whose
-// purge decisions commute with delivery — and on the capability
-// declarations (obsolete.SenderLocal, obsolete.Listed) being truthful: an
-// unsound declaration silently corrupts the purge index in internal/queue.
+// obsolescence relation being well-behaved — a strict partial order over
+// each sender's own stream whose purge decisions commute with delivery — and
+// on the Listed capability (obsolete.Listed) being truthful: an unsound
+// declaration silently corrupts the purge lookup in internal/queue.
 // relcheck takes a finite model of an application's message space and
 // relation — a YAML spec (ParseYAML) or a registered in-process relation
 // sampled over a bounded sender/seq/annotation domain (Builtin) — and
@@ -13,18 +13,17 @@
 //
 //  1. Laws: the strict-partial-order laws of §3.2 — irreflexivity,
 //     antisymmetry, and transitivity where the encoding claims it
-//     (within its window for the enumeration-style encodings).
-//  2. Confluence: for every interleaving of the modelled per-sender
+//     (within its window for the enumeration-style encodings) — and
+//     sender-locality: the relation never relates messages across senders
+//     or against sequence order, pairs the protocol never asks about.
+//  2. Capabilities: a Listed relation lists exactly the predecessors each
+//     message obsoletes.
+//  3. Confluence: for every interleaving of the modelled per-sender
 //     streams (FIFO within each sender, the protocol invariant), purging
-//     on every arrival and then delivering yields the same delivery
-//     sequence under the indexed purge of internal/queue as under the
-//     linear-scan reference, and every purged message is covered by a
-//     delivered one under the reflexive-transitive closure
-//     (internal/check.Closure) — purging commutes with delivery.
-//  3. Capabilities: a declared SenderLocal relation never relates
-//     messages across senders or against sequence order, and a Listed
-//     relation lists exactly the predecessors each message obsoletes —
-//     falsified by exhaustive counterexample search.
+//     on every arrival under the model's relation and then delivering
+//     leaves every purged message covered by a delivered one under the
+//     reflexive-transitive closure (internal/check.Closure) — purging
+//     commutes with delivery.
 //
 // Violations carry a minimal witness, printed nccheck-style
 // ("VIOLATION: sender-local: p1:1 ≺ p2:2 crosses senders p1→p2"):
@@ -42,25 +41,19 @@ import (
 
 // Model is the finite universe svs-check verifies: a relation plus the
 // bounded per-sender message streams it is exercised over, and the claims
-// (capabilities, transitivity) under verification.
+// (transitivity) under verification.
 type Model struct {
 	// Name labels the model in reports.
 	Name string
 	// Source records where the model came from (a YAML path or "builtin").
 	Source string
-	// Rel is the relation under test. For YAML rule models this is a
-	// synthetic relation declaring exactly the capabilities the spec
-	// declares, so internal/queue builds the same purge index it would
-	// for a real application relation making those declarations.
+	// Rel is the relation under test. For YAML rule models this is the
+	// union of the spec's rule predicates, which declares no capability.
 	Rel obsolete.Relation
 
 	// Streams holds the per-sender, seq-ordered message streams of the
 	// universe, sorted by sender for deterministic enumeration.
 	Streams []Stream
-
-	// SenderLocal is the capability declaration under verification; it
-	// defaults to what Rel itself declares (obsolete.CapsOf).
-	SenderLocal bool
 
 	// Transitive claims the relation is transitively closed — within
 	// TransWindow sequence numbers when TransWindow > 0 (enumeration-style
@@ -115,18 +108,6 @@ func msgsStr(ms []obsolete.Msg) string {
 			s += " "
 		}
 		s += msgStr(m)
-	}
-	return s + "]"
-}
-
-// idsStr renders a delivery sequence witness-style.
-func idsStr(ids []obsolete.MsgID) string {
-	s := "["
-	for i, id := range ids {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%s:%d", id.Sender, id.Seq)
 	}
 	return s + "]"
 }

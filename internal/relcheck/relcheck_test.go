@@ -99,44 +99,23 @@ func violationsOf(r *Report, check string) []Violation {
 	return out
 }
 
+// TestUnsoundCrossDetected: a relation that reaches across senders breaks
+// the sender-local law, with the first cross pair as its witness, and
+// nothing else — the queue never asks about such a pair, so it purges
+// nothing the closure does not cover.
 func TestUnsoundCrossDetected(t *testing.T) {
 	m := mustParse(t, `
 name: unsound-cross
 relation: rules
-sender-local: true
 rules:
   - match: cross-sender
     reach: 2
 `)
 	r := Run(m)
-	if r.OK() {
-		t.Fatalf("unsound-cross verified sound:\n%s", r.Summary())
+	want := "p1:1 ≺ p2:2 crosses senders p1→p2"
+	if sl := violationsOf(r, "sender-local"); len(sl) != 1 || sl[0].Witness != want || len(r.Violations()) != 1 {
+		t.Fatalf("want the one sender-local witness %q, got %v", want, r.Violations())
 	}
-	sl := violationsOf(r, "sender-local")
-	if len(sl) != 1 || !strings.Contains(sl[0].Witness, "crosses senders") {
-		t.Fatalf("want 1 crosses-senders violation, got %v", r.Violations())
-	}
-	cs := violationsOf(r, "confluence")
-	if len(cs) != 1 {
-		t.Fatalf("want indexed-vs-scan divergence, got %v", r.Violations())
-	}
-	// The minimized arrival witness must be a genuine divergence of minimal
-	// length: a single victim plus the single message of another sender
-	// whose indexed purge misses it — 2 arrivals.
-	if got := arrivalCount(cs[0].Witness); got != 2 {
-		t.Errorf("confluence witness not minimal: %d arrivals in %q", got, cs[0].Witness)
-	}
-}
-
-// arrivalCount counts the messages in the leading "[...]" arrival list of a
-// confluence witness.
-func arrivalCount(witness string) int {
-	open := strings.Index(witness, "[")
-	close := strings.Index(witness, "]")
-	if open < 0 || close < open {
-		return -1
-	}
-	return len(strings.Fields(witness[open+1 : close]))
 }
 
 // misListing is k-enumeration whose Listed capability lies about what the
@@ -161,8 +140,7 @@ func (r misListing) AppendObsoleted(dst []ident.Seq, n obsolete.Msg, floor ident
 // TestUnsoundListingDetected: the built-in lists verify (TestBuiltinsSound
 // runs the check on both enumerating encodings); one that over-lists is
 // rejected with the first message that lists a predecessor it does not
-// obsolete, and the purge index it corrupts shows as a divergence; one that
-// under-lists is rejected too.
+// obsolete, and one that under-lists is rejected too.
 func TestUnsoundListingDetected(t *testing.T) {
 	m, err := Builtin("k-enumeration", Domain{})
 	if err != nil {
@@ -177,9 +155,6 @@ func TestUnsoundListingDetected(t *testing.T) {
 	// extra entry is the true one; message 3 reaches back to 1 only.
 	if want := "p1:3 lists p1:2 but p1:2 ≺ p1:3 is false"; len(ls) != 1 || ls[0].Witness != want {
 		t.Fatalf("over-listing: want witness %q, got %v", want, r.Violations())
-	}
-	if len(violationsOf(r, "confluence")) != 1 {
-		t.Fatalf("over-listing: want an indexed-vs-scan divergence, got %v", r.Violations())
 	}
 
 	m.Rel = misListing{KEnumeration: k}
@@ -244,7 +219,6 @@ func TestSoundRulesModel(t *testing.T) {
 	for _, text := range []string{`
 name: honest-stride
 relation: rules
-sender-local: true
 transitive: true
 rules:
   - match: stride
@@ -252,7 +226,6 @@ rules:
 `, `
 name: batch-commit-stride
 relation: rules
-sender-local: true
 rules:
   - match: stride
     from: 3
@@ -285,6 +258,7 @@ func TestParseYAMLErrors(t *testing.T) {
 		{"rule-from-nonstride", "relation: rules\nrules:\n  - match: cross-sender\n    from: 2\n", "only valid for stride"},
 		{"rule-from-beyond-reach", "relation: rules\nrules:\n  - match: stride\n    reach: 2\n    from: 3\n", "positive integer ≤ reach"},
 		{"window-key-is-gone", "relation: k-enumeration\nwindow: 2\n", `unknown key "window"`},
+		{"sender-local-key-is-gone", "relation: rules\nsender-local: true\nrules:\n  - match: stride\n", `unknown key "sender-local"`},
 		{"value-missing", "relation:\n", "no value"},
 		{"not-kv", "relation: empty\njust words\n", "expected key: value"},
 	}
@@ -307,20 +281,15 @@ func TestParseYAMLDefaults(t *testing.T) {
 	if m.Name != "k-enumeration" {
 		t.Errorf("Name = %q, want relation name fallback", m.Name)
 	}
-	// Declarations default to the relation's own capabilities.
-	caps := obsolete.CapsOf(obsolete.KEnumeration{K: DefaultDomain.K})
-	if m.SenderLocal != caps.SenderLocal {
-		t.Errorf("declaration %v differs from relation's own %v", m.SenderLocal, caps.SenderLocal)
-	}
 	if !m.Transitive || m.TransWindow != DefaultDomain.K {
 		t.Errorf("k-enumeration should claim transitivity within its window")
 	}
 }
 
 func TestParseYAMLOverrides(t *testing.T) {
-	// A spec may weaken a built-in's declarations to probe what-ifs.
-	m := mustParse(t, "relation: k-enumeration\nsender-local: false\ntransitive: false\n")
-	if m.SenderLocal || m.Transitive {
+	// A spec may weaken a built-in's claims to probe what-ifs.
+	m := mustParse(t, "relation: k-enumeration\ntransitive: false\n")
+	if m.Transitive {
 		t.Errorf("overrides not applied: %+v", m)
 	}
 }
@@ -445,7 +414,6 @@ func TestMinimizeFixpoint(t *testing.T) {
 func TestReportQuietShowsOnlyFailures(t *testing.T) {
 	m := mustParse(t, `
 relation: rules
-sender-local: true
 rules:
   - match: cross-sender
     reach: 2

@@ -31,17 +31,14 @@ func (r *Report) Format(w io.Writer, quiet bool) {
 		fmt.Fprintf(w, "  Senders:   %d, %d messages\n", len(r.Model.Streams), total)
 		fmt.Fprintf(w, "  Related:   %d ordered pairs\n", r.Related)
 		decl := "none"
-		if r.Model.SenderLocal {
-			decl = "sender-local"
-			if obsolete.CapsOf(r.Model.Rel).Listed != nil {
-				decl += " listed"
-			}
+		if _, ok := r.Model.Rel.(obsolete.Listed); ok {
+			decl = "listed"
 		}
 		fmt.Fprintf(w, "  Declared:  %s\n", decl)
 	}
 
 	for _, fam := range []struct{ key, title string }{
-		{"laws", "Laws (strict partial order §3.2)"},
+		{"laws", "Laws (a strict partial order per sender, §3.2 and §4.2)"},
 		{"capabilities", "Capabilities (purge-index declarations)"},
 		{"confluence", "Confluence (purge ⇄ deliver)"},
 	} {

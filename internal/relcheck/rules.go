@@ -10,9 +10,9 @@ import (
 // Rule relations. A YAML model with `relation: rules` describes its
 // relation as the union of small rule predicates, enough to model the
 // shape of an application relation — and, deliberately, to model unsound
-// ones: a rule set that crosses senders under a sender-local declaration
-// reproduces exactly the failure a bad third-party relation would smuggle
-// past the purge index.
+// ones: a rule set that crosses senders is exactly what a bad third-party
+// relation would ask the protocol to honour, and the sender-local law
+// rejects it.
 type rule interface {
 	// obsoletes reports old ≺ new under this rule alone.
 	obsoletes(old, new obsolete.Msg) bool
@@ -47,7 +47,7 @@ func (tagRule) obsoletes(old, new obsolete.Msg) bool {
 func (tagRule) String() string { return "tag" }
 
 // crossSenderRule relates messages of different senders within reach —
-// unsound under any SenderLocal declaration.
+// violates the sender-local law.
 type crossSenderRule struct{ reach int }
 
 func (r crossSenderRule) obsoletes(old, new obsolete.Msg) bool {
@@ -80,18 +80,11 @@ func (selfRule) obsoletes(old, new obsolete.Msg) bool {
 }
 func (selfRule) String() string { return "self" }
 
-// ruleRelation is the union of its rules. It implements the capability
-// interfaces according to the model's *declarations*, not its behaviour —
-// that is the point: internal/queue must build the same purge index it
-// would for a real relation making those declarations, so an unsound
-// declaration shows up as an indexed-vs-scan divergence.
+// ruleRelation is the union of its rules; internal/queue runs it on the
+// per-sender walk, as it would any relation that does not declare Listed.
 type ruleRelation struct {
-	name        string
-	rules       []rule
-	senderLocal bool
+	rules []rule
 }
-
-var _ obsolete.SenderLocal = (*ruleRelation)(nil)
 
 func (r *ruleRelation) Name() string {
 	parts := make([]string, len(r.rules))
@@ -109,8 +102,6 @@ func (r *ruleRelation) Obsoletes(old, new obsolete.Msg) bool {
 	}
 	return false
 }
-
-func (r *ruleRelation) SenderLocal() bool { return r.senderLocal }
 
 // usesTags reports whether any rule reads tag annotations, so stream
 // synthesis knows to attach them.

@@ -19,7 +19,6 @@ import (
 //	name: unsound-cross         # report label
 //	relation: rules             # empty | tagging | enumeration | k-enumeration | rules
 //	k: 4                        # encoding parameter (enumeration window / k-enumeration k)
-//	sender-local: true          # declared SenderLocal capability (default: what the relation declares)
 //	transitive: false           # transitivity claim (default: true for built-ins, false for rules)
 //	senders: 2                  # domain: number of senders
 //	depth: 6                    # domain: messages per sender
@@ -127,7 +126,7 @@ func splitKV(body string, ln int) (key, val string, err error) {
 // model validates the spec and builds the Model.
 func (sp *spec) model() (*Model, error) {
 	known := map[string]bool{
-		"name": true, "relation": true, "k": true, "sender-local": true,
+		"name": true, "relation": true, "k": true,
 		"transitive": true, "senders": true, "depth": true,
 		"tags": true, "max-interleavings": true,
 	}
@@ -185,14 +184,9 @@ func (sp *spec) model() (*Model, error) {
 		}
 	}
 
-	// Declarations: default to the relation's own, overridable by the spec
-	// (that is how a would-be declaration is proven unsound before it is
+	// The transitivity claim defaults to the relation's own, overridable by
+	// the spec (that is how a would-be claim is proven unsound before it is
 	// written into code).
-	if v, ok := sp.fields["sender-local"]; ok {
-		if m.SenderLocal, err = parseBool(v, "sender-local"); err != nil {
-			return nil, err
-		}
-	}
 	if v, ok := sp.fields["transitive"]; ok {
 		if m.Transitive, err = parseBool(v, "transitive"); err != nil {
 			return nil, err
@@ -200,10 +194,6 @@ func (sp *spec) model() (*Model, error) {
 	}
 	if m.MaxInterleavings, err = sp.intField("max-interleavings", 0); err != nil {
 		return nil, err
-	}
-	if rr, ok := m.Rel.(*ruleRelation); ok {
-		rr.name = sp.fields["name"]
-		rr.senderLocal = m.SenderLocal
 	}
 	m.Name = sp.fields["name"]
 	if m.Name == "" {
