@@ -220,11 +220,9 @@ func purgeBenchQueue(b *testing.B, rel obsolete.Relation, n, senders, k int) (*q
 
 // BenchmarkQueuePurgeFor measures the arrival-time purge pair the engine
 // runs per multicast and per arrival (CountPurgeableFor + PurgeFor) at
-// increasing queue lengths. indexed is the listed lookup k-enumeration
-// gets; walk tests every older entry of the arrival's own stream, forced by
-// wrapping the relation in obsolete.Func, which does not declare Listed.
-// Flat ns/op across sizes on the indexed path (vs growth with the stream on
-// walk) is the acceptance criterion of the buffer-index work. The k2048 shapes are
+// increasing queue lengths, on the queue's one purge path: the lookup of
+// what the arrival lists in its own sender's stream. Flat ns/op across sizes
+// is the acceptance criterion of the buffer-index work. The k2048 shapes are
 // the paper's k = 2 × buffer with a single sender: the window covers the
 // whole stream, so only a purge that follows the annotation's set bits, not
 // the stream's entries, stays flat from occupancy 64 to 1,024 (CI's
@@ -237,39 +235,28 @@ func BenchmarkQueuePurgeFor(b *testing.B) {
 		{"64", 64, 16, 64}, {"1k", 1024, 16, 64}, {"16k", 16384, 16, 64},
 		{"k2048/64", 64, 1, 2048}, {"k2048/1k", 1024, 1, 2048},
 	}
-	modes := []struct {
-		name string
-		rel  func(k int) obsolete.Relation
-	}{
-		{"indexed", func(k int) obsolete.Relation { return obsolete.KEnumeration{K: k} }},
-		{"walk", func(k int) obsolete.Relation {
-			return obsolete.Func{Label: "walk", F: obsolete.KEnumeration{K: k}.Obsoletes}
-		}},
-	}
-	for _, mode := range modes {
-		for _, sz := range sizes {
-			b.Run(mode.name+"/"+sz.name, func(b *testing.B) {
-				q, probe := purgeBenchQueue(b, mode.rel(sz.k), sz.n, sz.senders, sz.k)
-				var victim queue.Item
-				purged := 0
-				keep := func(it *queue.Item) { victim = *it; purged++ }
-				b.ReportAllocs()
-				b.ResetTimer()
-				// Each iteration does one real purge: count, remove the
-				// probe's predecessor, then re-append it so the next
-				// iteration purges it again (steady queue length, removal
-				// and index maintenance both on the measured path).
-				for i := 0; i < b.N; i++ {
-					_ = q.CountPurgeableFor(probe)
-					purged = 0
-					q.PurgeFor(probe, keep)
-					if purged != 1 {
-						b.Fatalf("purged %d entries, want 1", purged)
-					}
-					q.ForceAppend(victim)
+	for _, sz := range sizes {
+		b.Run("indexed/"+sz.name, func(b *testing.B) {
+			q, probe := purgeBenchQueue(b, obsolete.KEnumeration{K: sz.k}, sz.n, sz.senders, sz.k)
+			var victim queue.Item
+			purged := 0
+			keep := func(it *queue.Item) { victim = *it; purged++ }
+			b.ReportAllocs()
+			b.ResetTimer()
+			// Each iteration does one real purge: count, remove the
+			// probe's predecessor, then re-append it so the next
+			// iteration purges it again (steady queue length, removal
+			// and index maintenance both on the measured path).
+			for i := 0; i < b.N; i++ {
+				_ = q.CountPurgeableFor(probe)
+				purged = 0
+				q.PurgeFor(probe, keep)
+				if purged != 1 {
+					b.Fatalf("purged %d entries, want 1", purged)
 				}
-			})
-		}
+				q.ForceAppend(victim)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
 // svs-check exhaustively verifies obsolescence relations against a finite
 // model: the laws of §3.2 and §4.2 (a strict partial order relating only
-// older messages of one sender to newer ones), the soundness of a Listed
-// capability declaration, and purge/deliver confluence (over every
+// older messages of one sender to newer ones, whose listing names exactly
+// what each message obsoletes) and purge/deliver confluence (over every
 // interleaving, every purged message covered by a delivered one). See
 // internal/relcheck and the "Verifying your relation" section of the
 // README.
@@ -26,11 +26,11 @@ import (
 
 func main() {
 	var (
-		builtin = flag.String("builtin", "", "verify a built-in encoding (empty, tagging, enumeration, k-enumeration, or all)")
+		builtin = flag.String("builtin", "", "verify a built-in encoding (empty, tagging, enumeration, k-enumeration, or all); tagging is enumeration over obsolete.NewTagTracker streams")
 		senders = flag.Int("senders", 0, "domain: number of senders (default 2)")
 		depth   = flag.Int("depth", 0, "domain: messages per sender (default 6)")
 		tags    = flag.Int("tags", 0, "domain: distinct item tags (default 2)")
-		k       = flag.Int("k", 0, "encoding parameter: k-enumeration k / enumeration window (default 4)")
+		k       = flag.Int("k", 0, "encoding parameter: k-enumeration k / enumeration and tagging window (default 4)")
 		maxInt  = flag.Int("max-interleavings", 0, "confluence enumeration bound (default 2000)")
 		quiet   = flag.Bool("q", false, "print only failing checks and verdicts")
 	)

@@ -8,8 +8,21 @@ import (
 	"repro/internal/obsolete"
 )
 
-func tagged(s ident.PID, seq ident.Seq, tag uint32) obsolete.Msg {
-	return obsolete.Msg{Sender: s, Seq: seq, Annot: obsolete.TagAnnot(tag)}
+// tagging is the §4.2 tagging encoding as the protocol runs it: streams
+// minted by obsolete.NewTagTracker, whose updates list their item's earlier
+// updates, read by obsolete.Enumeration.
+var tagging = obsolete.Enumeration{}
+
+// tagged mints sender s's tagging stream through obsolete.NewTagTracker, one
+// update per tag: the message at index i has seq i+1.
+func tagged(s ident.PID, tags ...uint32) []obsolete.Msg {
+	tr := obsolete.NewTagTracker(64)
+	out := make([]obsolete.Msg, len(tags))
+	for i, tag := range tags {
+		seq, annot := tr.Update(tag)
+		out[i] = obsolete.Msg{Sender: s, Seq: seq, Annot: annot}
+	}
+	return out
 }
 
 func hasViolation(errs []error, substr string) bool {
@@ -22,10 +35,10 @@ func hasViolation(errs []error, substr string) bool {
 }
 
 func TestCleanExecutionVerifies(t *testing.T) {
-	r := NewRecorder(obsolete.Tagging{})
+	r := NewRecorder(tagging)
 	r.SetInitialView(1)
-	m1 := tagged("p0", 1, 7)
-	m2 := tagged("p0", 2, 7)
+	m := tagged("p0", 7, 7)
+	m1, m2 := m[0], m[1]
 	r.Multicast(m1, 1)
 	r.Multicast(m2, 1)
 	for _, p := range []ident.PID{"p0", "p1"} {
@@ -39,18 +52,18 @@ func TestCleanExecutionVerifies(t *testing.T) {
 }
 
 func TestDetectsCreation(t *testing.T) {
-	r := NewRecorder(obsolete.Tagging{})
+	r := NewRecorder(tagging)
 	r.SetInitialView(1)
-	r.Deliver("p0", tagged("p9", 1, 1), 1)
+	r.Deliver("p0", tagged("p9", 1)[0], 1)
 	if errs := r.Verify(); !hasViolation(errs, "creation") {
 		t.Fatalf("creation not detected: %v", errs)
 	}
 }
 
 func TestDetectsDuplication(t *testing.T) {
-	r := NewRecorder(obsolete.Tagging{})
+	r := NewRecorder(tagging)
 	r.SetInitialView(1)
-	m := tagged("p0", 1, 1)
+	m := tagged("p0", 1)[0]
 	r.Multicast(m, 1)
 	r.Deliver("p1", m, 1)
 	r.Deliver("p1", m, 1)
@@ -60,10 +73,10 @@ func TestDetectsDuplication(t *testing.T) {
 }
 
 func TestDetectsFIFOViolation(t *testing.T) {
-	r := NewRecorder(obsolete.Tagging{})
+	r := NewRecorder(tagging)
 	r.SetInitialView(1)
-	m1 := tagged("p0", 1, 1)
-	m2 := tagged("p0", 2, 2)
+	m := tagged("p0", 1, 2)
+	m1, m2 := m[0], m[1]
 	r.Multicast(m1, 1)
 	r.Multicast(m2, 1)
 	r.Deliver("p1", m2, 1)
@@ -74,7 +87,7 @@ func TestDetectsFIFOViolation(t *testing.T) {
 }
 
 func TestDetectsViewDisagreement(t *testing.T) {
-	r := NewRecorder(obsolete.Tagging{})
+	r := NewRecorder(tagging)
 	r.SetInitialView(1)
 	r.Install("p0", 2, ident.NewPIDs("p0", "p1"))
 	r.Install("p1", 2, ident.NewPIDs("p0"))
@@ -86,9 +99,9 @@ func TestDetectsViewDisagreement(t *testing.T) {
 func TestDetectsSVSViolation(t *testing.T) {
 	// p0 delivers m1 in view 1; p1 installs view 2 without delivering m1
 	// or anything covering it.
-	r := NewRecorder(obsolete.Tagging{})
+	r := NewRecorder(tagging)
 	r.SetInitialView(1)
-	m1 := tagged("s", 1, 1)
+	m1 := tagged("s", 1)[0]
 	r.Multicast(m1, 1)
 	r.Deliver("p0", m1, 1)
 	r.Install("p0", 2, ident.NewPIDs("p0", "p1"))
@@ -100,10 +113,10 @@ func TestDetectsSVSViolation(t *testing.T) {
 
 func TestSVSAllowsCoveredOmission(t *testing.T) {
 	// p1 omits m1 but delivers m2 ⊒ m1 before installing view 2: legal.
-	r := NewRecorder(obsolete.Tagging{})
+	r := NewRecorder(tagging)
 	r.SetInitialView(1)
-	m1 := tagged("s", 1, 7)
-	m2 := tagged("s", 2, 7)
+	m := tagged("s", 7, 7)
+	m1, m2 := m[0], m[1]
 	r.Multicast(m1, 1)
 	r.Multicast(m2, 1)
 	r.Deliver("p0", m1, 1)
@@ -151,11 +164,10 @@ func TestSVSChainCoverage(t *testing.T) {
 
 func TestDetectsFIFOSRViolation(t *testing.T) {
 	// p1 delivers m3 but skipped m1, which nothing covers (different tag).
-	r := NewRecorder(obsolete.Tagging{})
+	r := NewRecorder(tagging)
 	r.SetInitialView(1)
-	m1 := tagged("s", 1, 1)
-	m2 := tagged("s", 2, 2)
-	m3 := tagged("s", 3, 2) // covers m2 only
+	m := tagged("s", 1, 2, 2)
+	m1, m2, m3 := m[0], m[1], m[2] // m3 covers m2 only
 	r.Multicast(m1, 1)
 	r.Multicast(m2, 1)
 	r.Multicast(m3, 1)
@@ -172,10 +184,10 @@ func TestDetectsFIFOSRViolation(t *testing.T) {
 }
 
 func TestFIFOSRAllowsCoveredGap(t *testing.T) {
-	r := NewRecorder(obsolete.Tagging{})
+	r := NewRecorder(tagging)
 	r.SetInitialView(1)
-	m1 := tagged("s", 1, 5)
-	m2 := tagged("s", 2, 5)
+	m := tagged("s", 5, 5)
+	m1, m2 := m[0], m[1]
 	r.Multicast(m1, 1)
 	r.Multicast(m2, 1)
 	// p1 skips m1, delivers m2 which covers it.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/ident"
-	"repro/internal/obsolete"
 )
 
 // countViolations counts errors mentioning substr.
@@ -25,17 +24,17 @@ func countViolations(errs []error, substr string) int {
 // an installed view — and asserts the Recorder reports each as its own
 // violation, none masking the others, with nothing else flagged.
 func TestRecorderDistinctViolationsInOneExecution(t *testing.T) {
-	r := NewRecorder(obsolete.Tagging{})
+	r := NewRecorder(tagging)
 	r.SetInitialView(1)
 
-	good := tagged("p0", 1, 1)
+	good := tagged("p0", 1)[0]
 	r.Multicast(good, 1)
 
 	// p1: delivers the legitimate message twice (duplication), plus a
 	// message nobody multicast (creation).
 	r.Deliver("p1", good, 1)
 	r.Deliver("p1", good, 1)
-	ghost := tagged("p9", 1, 2)
+	ghost := tagged("p9", 2)[0]
 	r.Deliver("p1", ghost, 1)
 
 	// p0 delivers cleanly; then p0 and p1 install view 2 with different
@@ -73,9 +72,9 @@ func TestRecorderDistinctViolationsInOneExecution(t *testing.T) {
 // TestRecorderDuplicatePerProcess: duplication is per process — two
 // different processes each delivering a message once is fine.
 func TestRecorderDuplicatePerProcess(t *testing.T) {
-	r := NewRecorder(obsolete.Tagging{})
+	r := NewRecorder(tagging)
 	r.SetInitialView(1)
-	m := tagged("p0", 1, 1)
+	m := tagged("p0", 1)[0]
 	r.Multicast(m, 1)
 	r.Deliver("p0", m, 1)
 	r.Deliver("p1", m, 1)
@@ -87,9 +86,9 @@ func TestRecorderDuplicatePerProcess(t *testing.T) {
 // TestRecorderCreationPerDelivery: each delivery of a never-multicast
 // message is its own creation violation, even for the same message.
 func TestRecorderCreationPerDelivery(t *testing.T) {
-	r := NewRecorder(obsolete.Tagging{})
+	r := NewRecorder(tagging)
 	r.SetInitialView(1)
-	ghost := tagged("p9", 3, 1)
+	ghost := tagged("p9", 1, 1, 1)[2] // p9:3
 	r.Deliver("p0", ghost, 1)
 	r.Deliver("p1", ghost, 1)
 	errs := r.Verify()
@@ -102,7 +101,7 @@ func TestRecorderCreationPerDelivery(t *testing.T) {
 // installation fixes a view's membership; every later disagreeing install
 // is reported against it.
 func TestRecorderViewDisagreementKeepsFirstMembership(t *testing.T) {
-	r := NewRecorder(obsolete.Tagging{})
+	r := NewRecorder(tagging)
 	r.SetInitialView(1)
 	r.Install("p0", 2, ident.NewPIDs("p0", "p1", "p2"))
 	r.Install("p1", 2, ident.NewPIDs("p0", "p1"))
@@ -116,7 +115,7 @@ func TestRecorderViewDisagreementKeepsFirstMembership(t *testing.T) {
 // TestRecorderRegressingViewOrder: a process installing a view id not
 // greater than its previous one is flagged even when memberships agree.
 func TestRecorderRegressingViewOrder(t *testing.T) {
-	r := NewRecorder(obsolete.Tagging{})
+	r := NewRecorder(tagging)
 	r.SetInitialView(1)
 	members := ident.NewPIDs("p0", "p1")
 	r.Install("p0", 3, members)

@@ -48,14 +48,15 @@ func figure1Purge(rel obsolete.Relation, items []queue.Item) ([]queue.Item, int)
 func TestAdoptEqualsSweepModel(t *testing.T) {
 	const k = 8
 	for _, tc := range []struct {
+		name    string
 		rel     obsolete.Relation
-		tracker func() obsolete.Tracker
+		tracker func() obsolete.Tracker // nil: tagging
 	}{
-		{rel: obsolete.Tagging{}},
-		{rel: obsolete.Enumeration{}, tracker: func() obsolete.Tracker { return obsolete.NewEnumTracker(k) }},
-		{rel: obsolete.KEnumeration{K: k}, tracker: func() obsolete.Tracker { return obsolete.NewKTracker(k) }},
+		{name: "tagging", rel: tagging},
+		{name: "enumeration", rel: obsolete.Enumeration{}, tracker: func() obsolete.Tracker { return obsolete.NewEnumTracker(k) }},
+		{name: "k-enumeration(k=8)", rel: obsolete.KEnumeration{K: k}, tracker: func() obsolete.Tracker { return obsolete.NewKTracker(k) }},
 	} {
-		t.Run(tc.rel.Name(), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			adopted, purged, skipped := 0, 0, 0
 			for trial := 0; trial < 60; trial++ {
 				rng := rand.New(rand.NewSource(int64(20*trial + 1)))
@@ -70,7 +71,7 @@ func TestAdoptEqualsSweepModel(t *testing.T) {
 				}
 				streams := map[ident.PID]*stream{}
 				for _, p := range senders {
-					fs := &frontierStream{sender: p, tags: true}
+					fs := &frontierStream{sender: p, tags: tagStreams{}}
 					if tc.tracker != nil {
 						fs.tr = tc.tracker()
 					}
@@ -141,7 +142,7 @@ func TestAdoptEqualsSweepModel(t *testing.T) {
 				for _, it := range flush {
 					covered := it.Meta.Seq <= frontier[it.Meta.Sender]
 					for _, h := range model {
-						covered = covered || obsolete.CoveredBy(tc.rel, it.Meta, h.Meta)
+						covered = covered || coveredBy(tc.rel, it.Meta, h.Meta)
 					}
 					if covered {
 						skipped++
@@ -183,8 +184,8 @@ func TestAdoptEqualsSweepModel(t *testing.T) {
 	}
 }
 
-// countingKEnum is k-enumeration, capabilities and all, counting how often
-// the relation is consulted.
+// countingKEnum is k-enumeration counting how often the relation is
+// consulted, and how many numbers its listings name.
 type countingKEnum struct {
 	obsolete.KEnumeration
 	calls, listed *int
@@ -212,9 +213,6 @@ func TestInstallUnderBacklogIsLinear(t *testing.T) {
 	const backlog, flushLen, k = 1024, 64, 2048
 	var calls, listed int
 	rel := countingKEnum{KEnumeration: obsolete.KEnumeration{K: k}, calls: &calls, listed: &listed}
-	if _, ok := any(rel).(obsolete.Listed); !ok {
-		t.Fatal("the counting wrapper lost the Listed capability")
-	}
 	e := snapEngine(rel)
 	e.clock, e.rootCtx = obs.Wall{}, context.Background()
 	e.block(e.cv.Members)

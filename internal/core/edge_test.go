@@ -116,7 +116,7 @@ func TestSingleMemberGroup(t *testing.T) {
 	eng, err := New(Config{
 		Self: "solo", Endpoint: ep, Detector: det,
 		InitialView: View{ID: 1, Members: ident.NewPIDs("solo")},
-		Relation:    obsolete.Tagging{},
+		Relation:    tagging,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestSingleMemberGroup(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := eng.Multicast(ctx, obsolete.Msg{Sender: "solo", Seq: 1, Annot: obsolete.TagAnnot(1)}, []byte("x")); err != nil {
+	if _, err := eng.Multicast(ctx, tagStreams{}.next("solo", 1), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	d, err := eng.Deliver(ctx)
@@ -164,7 +164,7 @@ func TestRapidBackToBackViewChanges(t *testing.T) {
 	// INITs the change to v+1 races peers still finishing v. The INIT
 	// used to be dropped at those peers, stranding the initiator blocked
 	// forever; future-view control traffic is now deferred and replayed.
-	h := newGroup(t, harnessOpts{n: 3, rel: obsolete.Tagging{}})
+	h := newGroup(t, harnessOpts{n: 3, rel: tagging})
 	const changes = 6
 	for i := 0; i < changes; i++ {
 		if err := h.members["p0"].eng.RequestViewChange(); err != nil {

@@ -26,6 +26,7 @@ type groupHarness struct {
 	faults *transport.Faults
 	rel    obsolete.Relation
 	rec    *check.Recorder
+	tags   tagStreams // what update mints
 
 	pids    ident.PIDs
 	members map[ident.PID]*gMember
@@ -69,6 +70,7 @@ func newGroup(t *testing.T, o harnessOpts) *groupHarness {
 		faults:  transport.NewFaults(1),
 		rel:     o.rel,
 		rec:     check.NewRecorder(o.rel),
+		tags:    tagStreams{},
 		members: make(map[ident.PID]*gMember),
 	}
 	var pids []ident.PID
@@ -190,6 +192,17 @@ func (m *gMember) slowDown(d time.Duration) {
 	m.delay = d
 }
 
+// update multicasts p's next tagging message (see tagStreams.next) and
+// returns its sequence number.
+func (h *groupHarness) update(p ident.PID, tag uint32) ident.Seq {
+	h.t.Helper()
+	m := h.tags.next(p, tag)
+	if err := h.multicast(p, m.Seq, m.Annot, nil); err != nil {
+		h.t.Fatal(err)
+	}
+	return m.Seq
+}
+
 // multicast sends a tracked message from p and records it.
 func (h *groupHarness) multicast(p ident.PID, seq ident.Seq, annot []byte, payload []byte) error {
 	h.t.Helper()
@@ -293,13 +306,9 @@ func TestBroadcastAllDeliver(t *testing.T) {
 }
 
 func TestViewChangeSameMembership(t *testing.T) {
-	h := newGroup(t, harnessOpts{n: 3, rel: obsolete.Tagging{}})
-	var seq ident.Seq
+	h := newGroup(t, harnessOpts{n: 3, rel: tagging})
 	for i := 0; i < 10; i++ {
-		seq++
-		if err := h.multicast("p0", seq, obsolete.TagAnnot(uint32(i%3)), nil); err != nil {
-			t.Fatal(err)
-		}
+		h.update("p0", uint32(1+i%3))
 	}
 	if err := h.members["p0"].eng.RequestViewChange(); err != nil {
 		t.Fatal(err)
@@ -311,10 +320,7 @@ func TestViewChangeSameMembership(t *testing.T) {
 		}
 	}
 	// Multicast still works in the new view.
-	seq++
-	if err := h.multicast("p0", seq, obsolete.TagAnnot(9), nil); err != nil {
-		t.Fatal(err)
-	}
+	seq := h.update("p0", 9)
 	for _, p := range h.pids {
 		h.waitDelivered(p, func(log []check.Event) bool { return hasSeq(log, "p0", seq) })
 	}
@@ -322,13 +328,9 @@ func TestViewChangeSameMembership(t *testing.T) {
 }
 
 func TestViewChangeExcludesCrashedMember(t *testing.T) {
-	h := newGroup(t, harnessOpts{n: 3, rel: obsolete.Tagging{}})
-	var seq ident.Seq
+	h := newGroup(t, harnessOpts{n: 3, rel: tagging})
 	for i := 0; i < 5; i++ {
-		seq++
-		if err := h.multicast("p0", seq, obsolete.TagAnnot(uint32(i)), nil); err != nil {
-			t.Fatal(err)
-		}
+		h.update("p0", uint32(1+i))
 	}
 	// p2 crashes; survivors suspect it and evict it.
 	h.net.Crash("p2")
@@ -345,22 +347,15 @@ func TestViewChangeExcludesCrashedMember(t *testing.T) {
 		}
 	}
 	// The group remains live.
-	seq++
-	if err := h.multicast("p0", seq, obsolete.TagAnnot(42), nil); err != nil {
-		t.Fatal(err)
-	}
+	seq := h.update("p0", 42)
 	h.waitDelivered("p1", func(log []check.Event) bool { return hasSeq(log, "p0", seq) })
 	h.verify()
 }
 
 func TestExpelledSlowMember(t *testing.T) {
-	h := newGroup(t, harnessOpts{n: 3, rel: obsolete.Tagging{}})
-	var seq ident.Seq
+	h := newGroup(t, harnessOpts{n: 3, rel: tagging})
 	for i := 0; i < 5; i++ {
-		seq++
-		if err := h.multicast("p0", seq, obsolete.TagAnnot(uint32(i)), nil); err != nil {
-			t.Fatal(err)
-		}
+		h.update("p0", uint32(1+i))
 	}
 	// p2 is alive but the group decides to expel it (e.g. persistent
 	// perturbation). p2 must receive DeliverExpelled.
@@ -386,7 +381,7 @@ func TestExpelledSlowMember(t *testing.T) {
 }
 
 func TestMulticastSeqDiscipline(t *testing.T) {
-	h := newGroup(t, harnessOpts{n: 2, rel: obsolete.Tagging{}})
+	h := newGroup(t, harnessOpts{n: 2, rel: tagging})
 	// Sequence numbers must start at 1 and be contiguous.
 	meta := obsolete.Msg{Sender: "p0", Seq: 5}
 	if _, err := h.members["p0"].eng.Multicast(context.Background(), meta, nil); !errors.Is(err, ErrBadSeq) {
@@ -401,13 +396,9 @@ func TestMulticastSeqDiscipline(t *testing.T) {
 }
 
 func TestConcurrentViewChangeInitiators(t *testing.T) {
-	h := newGroup(t, harnessOpts{n: 4, rel: obsolete.Tagging{}})
-	var seq ident.Seq
+	h := newGroup(t, harnessOpts{n: 4, rel: tagging})
 	for i := 0; i < 8; i++ {
-		seq++
-		if err := h.multicast("p0", seq, obsolete.TagAnnot(uint32(i%2)), nil); err != nil {
-			t.Fatal(err)
-		}
+		h.update("p0", uint32(1+i%2))
 	}
 	// Two members start a view change at once, with different leave sets.
 	errC := make(chan error, 2)
@@ -510,20 +501,16 @@ func TestVSFlushesEverythingToSlowMember(t *testing.T) {
 }
 
 func TestMulticastDuringViewChangeParksAndResumes(t *testing.T) {
-	h := newGroup(t, harnessOpts{n: 3, rel: obsolete.Tagging{}})
+	h := newGroup(t, harnessOpts{n: 3, rel: tagging})
 	// Pause all drivers so the view change stays observable; the engine
 	// blocks multicasts while the group is blocked.
-	if err := h.multicast("p0", 1, obsolete.TagAnnot(1), nil); err != nil {
-		t.Fatal(err)
-	}
+	h.update("p0", 1)
 	if err := h.members["p1"].eng.RequestViewChange(); err != nil {
 		t.Fatal(err)
 	}
 	// This multicast may land in view 1 or view 2 depending on timing;
 	// either way it must complete and be delivered group-wide.
-	if err := h.multicast("p0", 2, obsolete.TagAnnot(2), nil); err != nil {
-		t.Fatal(err)
-	}
+	h.update("p0", 2)
 	for _, p := range h.pids {
 		h.waitView(p, 2)
 		h.waitDelivered(p, func(log []check.Event) bool { return hasSeq(log, "p0", 2) })
@@ -532,10 +519,8 @@ func TestMulticastDuringViewChangeParksAndResumes(t *testing.T) {
 }
 
 func TestAutoEvictOnSuspicion(t *testing.T) {
-	h := newGroup(t, harnessOpts{n: 3, rel: obsolete.Tagging{}, autoEvict: true})
-	if err := h.multicast("p0", 1, obsolete.TagAnnot(1), nil); err != nil {
-		t.Fatal(err)
-	}
+	h := newGroup(t, harnessOpts{n: 3, rel: tagging, autoEvict: true})
+	h.update("p0", 1)
 	h.net.Crash("p2")
 	h.members["p0"].det.Suspect("p2")
 	h.members["p1"].det.Suspect("p2")
@@ -550,14 +535,10 @@ func TestAutoEvictOnSuspicion(t *testing.T) {
 }
 
 func TestSequentialViewChanges(t *testing.T) {
-	h := newGroup(t, harnessOpts{n: 3, rel: obsolete.Tagging{}})
-	var seq ident.Seq
+	h := newGroup(t, harnessOpts{n: 3, rel: tagging})
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 5; i++ {
-			seq++
-			if err := h.multicast("p0", seq, obsolete.TagAnnot(uint32(i)), nil); err != nil {
-				t.Fatal(err)
-			}
+			h.update("p0", uint32(1+i))
 		}
 		if err := h.members["p0"].eng.RequestViewChange(); err != nil {
 			t.Fatal(err)
@@ -600,11 +581,9 @@ func TestEngineConfigValidation(t *testing.T) {
 }
 
 func TestStatsSnapshot(t *testing.T) {
-	h := newGroup(t, harnessOpts{n: 2, rel: obsolete.Tagging{}})
+	h := newGroup(t, harnessOpts{n: 2, rel: tagging})
 	for i := 1; i <= 3; i++ {
-		if err := h.multicast("p0", ident.Seq(i), obsolete.TagAnnot(7), nil); err != nil {
-			t.Fatal(err)
-		}
+		h.update("p0", 7)
 	}
 	h.waitDelivered("p1", func(log []check.Event) bool { return hasSeq(log, "p0", 3) })
 	st := h.members["p0"].eng.Stats()

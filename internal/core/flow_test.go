@@ -15,11 +15,9 @@ import (
 func TestFlowDisabledUnboundedNeverParks(t *testing.T) {
 	// Window 0 disables credit flow control entirely; with unbounded
 	// queues multicasts never park.
-	h := newGroup(t, harnessOpts{n: 3, rel: obsolete.Tagging{}})
+	h := newGroup(t, harnessOpts{n: 3, rel: tagging})
 	for i := 1; i <= 100; i++ {
-		if err := h.multicast("p0", ident.Seq(i), obsolete.TagAnnot(uint32(i%5)), nil); err != nil {
-			t.Fatal(err)
-		}
+		h.update("p0", uint32(1+i%5))
 	}
 	if st := h.members["p0"].eng.Stats(); st.MulticastParks != 0 {
 		t.Fatalf("parks = %d with flow control disabled", st.MulticastParks)

@@ -16,11 +16,11 @@ import (
 )
 
 // frontierStream mints one sender's FIFO stream under one of the §4.2
-// encodings (tr == nil: tagging when tags, otherwise plain).
+// encodings: through tr, through tags (tagging), or plain when neither.
 type frontierStream struct {
 	sender ident.PID
 	tr     obsolete.Tracker
-	tags   bool
+	tags   tagStreams
 	seq    ident.Seq
 	sent   []obsolete.Msg // every message minted so far, sent[i].Seq == i+1
 	seen   int            // prefix of sent the engine has been offered
@@ -37,9 +37,12 @@ func (s *frontierStream) mint(rng *rand.Rand) obsolete.Msg {
 			}
 		}
 		m.Seq, m.Annot = s.tr.Next(direct...)
-	case s.tags && rng.Intn(4) != 0:
-		s.seq++
-		m.Seq, m.Annot = s.seq, obsolete.TagAnnot(uint32(1+rng.Intn(3)))
+	case s.tags != nil:
+		tag := uint32(0) // one in four is reliable
+		if rng.Intn(4) != 0 {
+			tag = uint32(1 + rng.Intn(3))
+		}
+		m = s.tags.next(s.sender, tag)
 	default:
 		s.seq++
 		m.Seq = s.seq
@@ -52,7 +55,7 @@ func (s *frontierStream) mint(rng *rand.Rand) obsolete.Msg {
 // m ⊑ n. It is the reference the reception frontier is held against.
 func scanCovers(rel obsolete.Relation, held []DataMsg, m obsolete.Msg) bool {
 	for _, dm := range held {
-		if obsolete.CoveredBy(rel, m, dm.Meta) {
+		if coveredBy(rel, m, dm.Meta) {
 			return true
 		}
 	}
@@ -70,25 +73,28 @@ func scanCovers(rel obsolete.Relation, held []DataMsg, m obsolete.Msg) bool {
 func TestFrontierSubsumesCover(t *testing.T) {
 	const k = 8
 	for _, tc := range []struct {
+		name    string
 		rel     obsolete.Relation
 		tracker func() obsolete.Tracker
 		tags    bool
 	}{
-		{rel: obsolete.Empty{}},
-		{rel: obsolete.Tagging{}, tags: true},
-		{rel: obsolete.Enumeration{}, tracker: func() obsolete.Tracker { return obsolete.NewEnumTracker(k) }},
-		{rel: obsolete.KEnumeration{K: k}, tracker: func() obsolete.Tracker { return obsolete.NewKTracker(k) }},
+		{name: "empty", rel: obsolete.Empty{}},
+		{name: "tagging", rel: tagging, tags: true},
+		{name: "enumeration", rel: obsolete.Enumeration{}, tracker: func() obsolete.Tracker { return obsolete.NewEnumTracker(k) }},
+		{name: "k-enumeration(k=8)", rel: obsolete.KEnumeration{K: k}, tracker: func() obsolete.Tracker { return obsolete.NewKTracker(k) }},
 	} {
-		t.Run(tc.rel.Name(), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(16))
 			e := snapEngine(tc.rel)
 			e.cv.Members = ident.NewPIDs("a", "b", "c", "me")
 			e.armPeers()
 			streams := map[ident.PID]*frontierStream{}
 			for _, p := range e.cv.Members {
-				streams[p] = &frontierStream{sender: p, tags: tc.tags}
+				streams[p] = &frontierStream{sender: p}
 				if tc.tracker != nil {
 					streams[p].tr = tc.tracker()
+				} else if tc.tags {
+					streams[p].tags = tagStreams{}
 				}
 			}
 			peers := []ident.PID{"a", "b", "c"}
@@ -181,35 +187,34 @@ func TestFrontierSubsumesCover(t *testing.T) {
 	}
 }
 
-// tagAnySender relates a message to any later-numbered one with the same
-// tag, whoever sent it: a relation that reaches across senders, which the
-// protocol does not honour.
-var tagAnySender = obsolete.Func{Label: "tag-any-sender", F: func(old, new obsolete.Msg) bool {
-	ot, ok1 := obsolete.TagOf(old)
-	nt, ok2 := obsolete.TagOf(new)
-	return ok1 && ok2 && ot == nt && old.Seq < new.Seq
-}}
+// crossCover claims p0:1 ≺ p1:2, a pair of two senders that no listing can
+// name: it lists what enumeration lists, and its annotations list nothing.
+type crossCover struct{ obsolete.Enumeration }
+
+func (crossCover) Obsoletes(old, new obsolete.Msg) bool {
+	return old.ID() == obsolete.MsgID{Sender: "p0", Seq: 1} && new.ID() == obsolete.MsgID{Sender: "p1", Seq: 2}
+}
 
 // TestCrossSenderCoverDropsArrival is the contract on a live group: under a
-// relation that relates p0:1 ≺ p1:2 across senders, p0:1 arrives above p0's
-// frontier after everyone holds p1:2. The engine consults the relation only
-// within p0's own stream, so p0:1 is delivered everywhere and nothing is
-// dropped as covered.
+// relation that claims p0:1 ≺ p1:2 across senders, p0:1 arrives above p0's
+// frontier after everyone holds p1:2. The engine purges only what an
+// arrival lists within its own sender's stream, so p0:1 is delivered
+// everywhere and nothing is dropped as covered.
 func TestCrossSenderCoverDropsArrival(t *testing.T) {
-	h := newGroup(t, harnessOpts{n: 3, rel: tagAnySender})
-	mustSend := func(p ident.PID, seq ident.Seq, annot []byte) {
+	h := newGroup(t, harnessOpts{n: 3, rel: crossCover{}})
+	mustSend := func(p ident.PID, seq ident.Seq) {
 		t.Helper()
-		if err := h.multicast(p, seq, annot, []byte(fmt.Sprintf("%s:%d", p, seq))); err != nil {
+		if err := h.multicast(p, seq, nil, []byte(fmt.Sprintf("%s:%d", p, seq))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mustSend("p1", 1, nil)
-	mustSend("p1", 2, obsolete.TagAnnot(7))
+	mustSend("p1", 1)
+	mustSend("p1", 2)
 	for _, p := range h.pids {
 		h.waitDelivered(p, func(log []check.Event) bool { return hasSeq(log, "p1", 2) })
 	}
-	mustSend("p0", 1, obsolete.TagAnnot(7)) // p0:1 ≺ p1:2 by the relation, ignored
-	mustSend("p0", 2, nil)                  // FIFO behind it: once delivered, p0:1 was decided
+	mustSend("p0", 1) // p0:1 ≺ p1:2 by the relation, ignored
+	mustSend("p0", 2) // FIFO behind it: once delivered, p0:1 was decided
 	for _, p := range h.pids {
 		h.waitDelivered(p, func(log []check.Event) bool { return hasSeq(log, "p0", 2) })
 		if !hasSeq(h.rec.Log(p), "p0", 1) {
@@ -222,44 +227,49 @@ func TestCrossSenderCoverDropsArrival(t *testing.T) {
 	h.verify()
 }
 
-// withinStream is an obsolete.Func that records every question it is asked
-// and remembers the first one outside the contract of obsolete.Relation: a
-// pair of two senders, or an old message not older than the new one.
-type withinStream struct {
-	mu    sync.Mutex
-	calls int
-	bad   string
+// listingOnly is tagging's relation with Obsoletes booby-trapped: it counts
+// the listings it is asked for and records any Obsoletes call, which no path
+// of the engine makes — every purge looks up what the arrival lists.
+type listingOnly struct {
+	obsolete.Enumeration
+	mu       sync.Mutex
+	listings int
+	asked    string // the first Obsoletes call
 }
 
-func (w *withinStream) relation() obsolete.Func {
-	return obsolete.Func{Label: "within-stream", F: func(old, new obsolete.Msg) bool {
-		w.mu.Lock()
-		w.calls++
-		if w.bad == "" && (old.Sender != new.Sender || old.Seq >= new.Seq) {
-			w.bad = fmt.Sprintf("Obsoletes(%s:%d, %s:%d)", old.Sender, old.Seq, new.Sender, new.Seq)
-		}
-		w.mu.Unlock()
-		return obsolete.Tagging{}.Obsoletes(old, new)
-	}}
+func (r *listingOnly) Obsoletes(old, new obsolete.Msg) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.asked == "" {
+		r.asked = fmt.Sprintf("Obsoletes(%s:%d, %s:%d)", old.Sender, old.Seq, new.Sender, new.Seq)
+	}
+	return r.Enumeration.Obsoletes(old, new)
+}
+
+func (r *listingOnly) AppendObsoleted(dst []ident.Seq, new obsolete.Msg, floor ident.Seq) []ident.Seq {
+	r.mu.Lock()
+	r.listings++
+	r.mu.Unlock()
+	return r.Enumeration.AppendObsoleted(dst, new, floor)
 }
 
 // TestRelationConsultedWithinStream drives a live three-member group through
-// every place the engine consults the relation — multicast, with capacity
-// checks against a full delivery queue; receive, delivery into the history
-// and stability pruning; an ordinary view change whose flush is repurged at
-// the proposal and adopted at the install; a join whose sponsor ships a
-// repurged backlog the joiner adopts — under an obsolete.Func, which does not
-// declare Listed, and fails on the first question asked about two messages of
-// different senders or about an old message not older than the new one.
+// every place the engine purges — multicast, with capacity checks against a
+// full delivery queue; receive, delivery into the history and stability
+// pruning; an ordinary view change whose flush is repurged at the proposal
+// and adopted at the install; a join whose sponsor ships a repurged backlog
+// the joiner adopts — under tagging with a relation that fails if the engine
+// ever calls Obsoletes: each purge reads the arrival's listing and looks
+// the numbers up in its own sender's stream.
 func TestRelationConsultedWithinStream(t *testing.T) {
-	rec := &withinStream{}
+	rel := &listingOnly{}
 	net := transport.NewMemNetwork()
 	pids := ident.NewPIDs("n0", "n1", "n2")
 	nodes := map[ident.PID]*Node{}
 	for _, p := range pids {
 		nodes[p] = joinerNode(t, net, p)
 	}
-	gc := GroupConfig{Relation: rec.relation(), ToDeliverCap: 4, StabilityInterval: 2 * time.Millisecond}
+	gc := GroupConfig{Relation: rel, ToDeliverCap: 4, StabilityInterval: 2 * time.Millisecond}
 	groups := createEverywhere(t, nodes, pids, 1, gc)
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -272,13 +282,15 @@ func TestRelationConsultedWithinStream(t *testing.T) {
 		go drains[p].run(ctx, groups[p], &wg)
 	}
 	last := map[ident.PID]ident.Seq{}
+	tags := tagStreams{}
 	send := func(g *Group, p ident.PID, tag uint32) {
 		t.Helper()
-		last[p]++
+		m := tags.next(p, tag)
+		last[p] = m.Seq
 		mctx, mcancel := context.WithTimeout(ctx, 10*time.Second)
 		defer mcancel()
-		if _, err := g.Multicast(mctx, obsolete.Msg{Sender: p, Seq: last[p], Annot: obsolete.TagAnnot(tag)}, nil); err != nil {
-			t.Fatalf("%s:%d: %v", p, last[p], err)
+		if _, err := g.Multicast(mctx, m, nil); err != nil {
+			t.Fatalf("%s:%d: %v", p, m.Seq, err)
 		}
 	}
 	delivered := func(p ident.PID, d *joinDrain) {
@@ -343,12 +355,12 @@ func TestRelationConsultedWithinStream(t *testing.T) {
 	delivered("n3", jd)
 
 	n0, n3 := groups["n0"].Stats(), jg.Stats()
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if rec.bad != "" {
-		t.Fatalf("the relation was asked %s, outside one sender's stream (%d questions in all)", rec.bad, rec.calls)
+	rel.mu.Lock()
+	defer rel.mu.Unlock()
+	if rel.asked != "" {
+		t.Fatalf("the engine called %s (beside %d listings)", rel.asked, rel.listings)
 	}
-	if rec.calls == 0 || n0.PurgedToDeliver == 0 || n3.JoinBacklogRecv == 0 {
-		t.Fatalf("vacuous run: %d questions, n0 purged %d, joiner backlog %d", rec.calls, n0.PurgedToDeliver, n3.JoinBacklogRecv)
+	if rel.listings == 0 || n0.PurgedToDeliver == 0 || n3.JoinBacklogRecv == 0 {
+		t.Fatalf("vacuous run: %d listings, n0 purged %d, joiner backlog %d", rel.listings, n0.PurgedToDeliver, n3.JoinBacklogRecv)
 	}
 }

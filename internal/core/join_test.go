@@ -127,7 +127,7 @@ func joinerNode(t *testing.T, net *transport.MemNetwork, pid ident.PID) *Node {
 // TestJoinMidStreamMem: a fourth process joins a running 3-member group
 // after 20 tagged multicasts. The joiner must install the same view as
 // the incumbents, receive exactly the non-obsolete backlog (one message
-// per tag — everything else is obsoleted under Tagging and must NOT be
+// per tag — everything else is obsoleted under tagging and must NOT be
 // transferred), and deliver all subsequent multicasts.
 func TestJoinMidStreamMem(t *testing.T) {
 	net := transport.NewMemNetwork()
@@ -137,7 +137,7 @@ func TestJoinMidStreamMem(t *testing.T) {
 		nodes[p] = joinerNode(t, net, p)
 	}
 	const tags = 4
-	gc := GroupConfig{Relation: obsolete.Tagging{}}
+	gc := GroupConfig{Relation: tagging}
 	groups := createEverywhere(t, nodes, pids, 1, gc)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -154,8 +154,9 @@ func TestJoinMidStreamMem(t *testing.T) {
 	defer cancel()
 
 	const produced = 20
+	ts := tagStreams{}
 	for i := 1; i <= produced; i++ {
-		meta := obsolete.Msg{Sender: "n0", Seq: ident.Seq(i), Annot: obsolete.TagAnnot(uint32(i % tags))}
+		meta := ts.next("n0", uint32(1+i%tags))
 		mctx, mcancel := context.WithTimeout(ctx, 10*time.Second)
 		_, err := groups["n0"].Multicast(mctx, meta, []byte(fmt.Sprintf("v%d", i)))
 		mcancel()
@@ -214,14 +215,14 @@ func TestJoinMidStreamMem(t *testing.T) {
 
 	// The group is live with the newcomer: it sees subsequent multicasts
 	// and can multicast itself.
-	meta := obsolete.Msg{Sender: "n0", Seq: produced + 1, Annot: obsolete.TagAnnot(0)}
+	meta := ts.next("n0", 1) // seq produced+1
 	if _, err := groups["n0"].Multicast(ctx, meta, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
 	joinWaitCond(t, "joiner got post-join multicast", func() bool {
 		return jd.hasSeq("n0", produced+1)
 	})
-	jmeta := obsolete.Msg{Sender: "n3", Seq: 1, Annot: obsolete.TagAnnot(1)}
+	jmeta := ts.next("n3", 1)
 	if _, err := jg.Multicast(ctx, jmeta, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestJoinOverTCP(t *testing.T) {
 	}
 	pids := ident.NewPIDs("t0", "t1", "t2")
 	nodes, nets := tcpNodes(t, pids)
-	gc := GroupConfig{Relation: obsolete.Tagging{}, ToDeliverCap: 16, OutgoingCap: 16, Window: 16}
+	gc := GroupConfig{Relation: tagging, ToDeliverCap: 16, OutgoingCap: 16, Window: 16}
 	groups := createEverywhere(t, nodes, pids, 1, gc)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -414,8 +415,9 @@ func TestJoinOverTCP(t *testing.T) {
 
 	const tags = 3
 	const produced = 18
+	ts := tagStreams{}
 	for i := 1; i <= produced; i++ {
-		meta := obsolete.Msg{Sender: "t0", Seq: ident.Seq(i), Annot: obsolete.TagAnnot(uint32(i % tags))}
+		meta := ts.next("t0", uint32(1+i%tags))
 		mctx, mcancel := context.WithTimeout(ctx, 10*time.Second)
 		_, err := groups["t0"].Multicast(mctx, meta, []byte(fmt.Sprintf("v%d", i)))
 		mcancel()
@@ -470,7 +472,7 @@ func TestJoinOverTCP(t *testing.T) {
 		t.Fatal("joiner reports zero transfer bytes")
 	}
 
-	meta := obsolete.Msg{Sender: "t0", Seq: produced + 1, Annot: obsolete.TagAnnot(1)}
+	meta := ts.next("t0", 1) // seq produced+1
 	if _, err := groups["t0"].Multicast(ctx, meta, []byte("after")); err != nil {
 		t.Fatal(err)
 	}

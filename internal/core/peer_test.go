@@ -197,6 +197,7 @@ func TestPeerTableFollowsView(t *testing.T) {
 	all := ident.NewPIDs("p0", "p1", "p2", "p3", "p4")
 	live := map[ident.PID]*tableMember{}
 	lastSeq := map[ident.PID]ident.Seq{} // per PID, across its incarnations
+	tags := tagStreams{}                 // so is each PID's tagging stream
 	installs := 0
 	var installsMu sync.Mutex
 
@@ -216,7 +217,7 @@ func TestPeerTableFollowsView(t *testing.T) {
 			}
 		}}
 		cfg.Self, cfg.Endpoint, cfg.Detector = p, ep, m.det
-		cfg.Relation = obsolete.Tagging{}
+		cfg.Relation = tagging
 		cfg.Window, cfg.OutgoingCap, cfg.ToDeliverCap = window, window, 4*window
 		cfg.StabilityInterval = 2 * time.Millisecond // so that peers have something reported
 		if m.eng, err = New(cfg); err != nil {
@@ -286,11 +287,12 @@ func TestPeerTableFollowsView(t *testing.T) {
 		for _, p := range members() {
 			var batch []OutMsg
 			for i := 0; i <= burst; i++ {
-				lastSeq[p]++
-				meta := obsolete.Msg{Sender: p, Seq: lastSeq[p]}
+				tag := uint32(0) // the last is reliable
 				if i < burst {
-					meta.Annot = obsolete.TagAnnot(uint32(1 + rng.Intn(2)))
+					tag = uint32(1 + rng.Intn(2))
 				}
+				meta := tags.next(p, tag)
+				lastSeq[p] = meta.Seq
 				batch = append(batch, OutMsg{Meta: meta, Payload: []byte{byte(i)}})
 			}
 			if _, err := live[p].eng.MulticastBatch(ctx, batch); err != nil {

@@ -23,14 +23,16 @@ func snapEngine(rel obsolete.Relation) *Engine {
 	return e
 }
 
-// tagged is a data item of sender s tagged with item tag (0 = untagged,
-// i.e. fully reliable) in view v of the founding lineage.
-func tagged(v uint64, s ident.PID, seq ident.Seq, tag uint32) queue.Item {
-	var annot []byte
-	if tag != 0 {
-		annot = obsolete.TagAnnot(tag)
+// tagged mints sender s's tagging stream (see tagStreams), one message per
+// tag, as data items of view v of the founding lineage: the item at index i
+// has seq i+1, and tag 0 makes it reliable.
+func tagged(v uint64, s ident.PID, tags ...uint32) []queue.Item {
+	ts := tagStreams{}
+	out := make([]queue.Item, len(tags))
+	for i, tag := range tags {
+		out[i] = queue.Item{Kind: queue.Data, View: v, Meta: ts.next(s, tag)}
 	}
-	return queue.Item{Kind: queue.Data, View: v, Meta: obsolete.Msg{Sender: s, Seq: seq, Annot: annot}}
+	return out
 }
 
 // ids renders messages as "sender:seq@view" for comparison.
@@ -47,24 +49,28 @@ func ids(msgs []DataMsg) []string {
 // one collection under three filters. (The state is hand-built; a live
 // engine never holds an older view's entry next to current-view history.)
 func TestSnapshotThreeCallersOneState(t *testing.T) {
-	e := snapEngine(obsolete.Tagging{})
+	e := snapEngine(tagging)
 	e.self.recvMax = 7
 	e.peer("a").recvMax, e.peer("b").recvMax, e.peer("c").recvMax = 8, 3, 9
 	e.peer("a").stable = 5
+	a := tagged(4, "a", 0, 0, 0, 0, 1, 2, 2, 3) // a:7 lists a:6
+	b := tagged(4, "b", 0, 0, 0)
+	c := tagged(3, "c", 0, 0, 0, 0, 0, 0, 0, 0, 7)
+	me := tagged(4, "me", 0, 0, 0, 0, 0, 9, 9) // me:7 lists me:6
 	for _, it := range []queue.Item{
-		tagged(4, "a", 5, 1), // stable
-		tagged(4, "a", 6, 2), // covered by a:7, which is still queued
-		tagged(4, "b", 3, 0),
-		tagged(4, "me", 6, 9), // covered by me:7
+		a[4], // a:5, stable
+		a[5], // a:6, covered by a:7, which is still queued
+		b[2],
+		me[5], // me:6, covered by me:7
 	} {
 		e.delivered.ForceAppend(it)
 	}
 	for _, it := range []queue.Item{
-		tagged(3, "c", 9, 7), // flush-adopted from the previous view
+		c[8], // c:9, flush-adopted from the previous view
 		{Kind: queue.Control, View: 4, Ctl: e.cv},
-		tagged(4, "a", 7, 2),
-		tagged(4, "a", 8, 3),
-		tagged(4, "me", 7, 9),
+		a[6],
+		a[7],
+		me[6],
 	} {
 		e.toDeliver.ForceAppend(it)
 	}
@@ -113,23 +119,23 @@ func TestSnapshotThreeCallersOneState(t *testing.T) {
 // delivery queue, each purging what it obsoletes, and that frontiers only
 // ever move forwards.
 func TestSnapshotAdopt(t *testing.T) {
-	e := snapEngine(obsolete.Tagging{})
+	e := snapEngine(tagging)
 	e.self.recvMax = 7
 	e.peer("a").recvMax, e.peer("b").recvMax = 6, 3
-	e.toDeliver.ForceAppend(tagged(4, "a", 9, 4))
+	a := tagged(4, "a", 0, 0, 0, 0, 1, 1, 0, 0, 4)
+	b := tagged(4, "b", 0, 0, 0, 4, 4) // b:5 lists b:4
+	me := tagged(4, "me", 0, 0, 0, 0, 0, 0, 2, 2)
+	e.toDeliver.ForceAppend(a[8]) // a:9
 
-	msg := func(s ident.PID, seq ident.Seq, tag uint32) DataMsg {
-		it := tagged(4, s, seq, tag)
-		return msgOf(&it)
-	}
+	msg := func(it queue.Item) DataMsg { return msgOf(&it) }
 	added := e.adopt([]DataMsg{
-		msg("a", 5, 1),  // below a's frontier
-		msg("a", 6, 1),  // at a's frontier
-		msg("me", 7, 2), // our own, at our frontier: already sent
-		msg("b", 4, 4),  // above b's frontier; a:9's tag is another sender's business
-		msg("b", 5, 4),  // new, and purges b:4 on its way in
-		msg("d", 1, 0),  // new sender
-		msg("me", 8, 2), // our own stream from an earlier incarnation
+		msg(a[4]),                 // a:5, below a's frontier
+		msg(a[5]),                 // a:6, at a's frontier
+		msg(me[6]),                // me:7, our own, at our frontier: already sent
+		msg(b[3]),                 // b:4, above b's frontier; a:9's tag is another sender's business
+		msg(b[4]),                 // b:5, new, and purges b:4 on its way in
+		msg(tagged(4, "d", 0)[0]), // d:1, new sender
+		msg(me[7]),                // me:8, our own stream from an earlier incarnation
 	}, map[ident.PID]ident.Seq{"a": 4, "b": 10, "me": 3, "x": 2})
 	if added != 4 {
 		t.Errorf("adopted %d messages, want 4", added)

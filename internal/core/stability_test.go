@@ -169,7 +169,7 @@ func TestPruneStablePrefix(t *testing.T) {
 	e := snapEngine(obsolete.Empty{})
 	for seq := ident.Seq(1); seq <= 3; seq++ {
 		for _, s := range []ident.PID{"a", "b", "me"} {
-			e.delivered.ForceAppend(tagged(uint64(e.cv.ID), s, seq, 0))
+			e.delivered.ForceAppend(tagged(uint64(e.cv.ID), s, 0, 0, 0)[seq-1])
 		}
 	}
 	// report has every member gossip the same frontiers.

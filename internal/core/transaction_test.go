@@ -24,7 +24,7 @@ import (
 // one batch: each waiter gets one reply, [u2, c]. Served per message, the
 // waiter would take u1 alone before u2 had been looked at.
 func TestBatchPurgedBeforeDelivery(t *testing.T) {
-	c := newDiffCluster(t, obsolete.Tagging{})
+	c := newDiffCluster(t, tagging)
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 
@@ -47,11 +47,12 @@ func TestBatchPurgedBeforeDelivery(t *testing.T) {
 		t.Fatalf("barrier multicast: %v, want ErrBadSeq", err)
 	}
 
-	x, y := obsolete.TagAnnot(1), obsolete.TagAnnot(2)
+	const x, y = 1, 2
+	tags := tagStreams{}
 	batch := []OutMsg{
-		{Meta: obsolete.Msg{Sender: "p0", Seq: 1, Annot: x}, Payload: []byte("u1")},
-		{Meta: obsolete.Msg{Sender: "p0", Seq: 2, Annot: x}, Payload: []byte("u2")},
-		{Meta: obsolete.Msg{Sender: "p0", Seq: 3, Annot: y}, Payload: []byte("c")},
+		{Meta: tags.next("p0", x), Payload: []byte("u1")},
+		{Meta: tags.next("p0", x), Payload: []byte("u2")},
+		{Meta: tags.next("p0", y), Payload: []byte("c")},
 	}
 	if _, err := c.engs["p0"].MulticastBatch(ctx, batch); err != nil {
 		t.Fatal(err)
@@ -138,15 +139,16 @@ func txnEngine(rel obsolete.Relation, window, outCap, deliverCap int, peers ...i
 // counted in PurgedOutgoing, and no batch parks for good.
 func TestStagePurgeRefundsCredit(t *testing.T) {
 	const window, perBatch, batches = 4, 6, 8
-	e, log := txnEngine(obsolete.Tagging{}, window, window, 0)
+	e, log := txnEngine(tagging, window, window, 0)
 	peer := e.others[0]
 	rng := rand.New(rand.NewSource(3))
-	seq, inFlight := ident.Seq(0), 0
+	tags, seq, inFlight := tagStreams{}, ident.Seq(0), 0
 	for b := 0; b < batches; b++ {
 		req := &request{kind: reqMulticast}
 		for i := 0; i < perBatch; i++ {
-			seq++
-			req.batch = append(req.batch, OutMsg{Meta: obsolete.Msg{Seq: seq, Annot: obsolete.TagAnnot(uint32(rng.Intn(2)))}})
+			m := tags.next("me", uint32(1+rng.Intn(2)))
+			seq = m.Seq
+			req.batch = append(req.batch, OutMsg{Meta: m})
 		}
 		for try := 0; ; try++ {
 			sent := len(log.data)
@@ -252,17 +254,15 @@ func TestFullQueueServedMidTurn(t *testing.T) {
 	}
 }
 
-// TestRoomyQueueNeverCounted: the capacity check asks what an arrival would
-// purge only of a queue that is full.
+// TestRoomyQueueNeverCounted: the capacity check reads what an arrival
+// lists only when the queue is full. Every arrival here lists the message
+// just before it.
 func TestRoomyQueueNeverCounted(t *testing.T) {
-	asked := 0
-	rel := obsolete.Func{Label: "counting", F: func(old, new obsolete.Msg) bool {
-		asked++
-		return old.Seq+1 == new.Seq
-	}}
+	asked, listed := 0, 0
+	rel := countingKEnum{KEnumeration: obsolete.KEnumeration{K: 1}, calls: &asked, listed: &listed}
 	q := queue.New(rel, 3)
 	item := func(s ident.Seq) queue.Item {
-		return queue.Item{Kind: queue.Data, View: 1, Meta: obsolete.Msg{Sender: "p", Seq: s}}
+		return queue.Item{Kind: queue.Data, View: 1, Meta: obsolete.Msg{Sender: "p", Seq: s, Annot: []byte{1}}}
 	}
 	for s := ident.Seq(1); s <= 2; s++ {
 		q.ForceAppend(item(s))
@@ -291,18 +291,18 @@ func TestRoomyQueueNeverCounted(t *testing.T) {
 // at two.
 func TestOneRunPerFlush(t *testing.T) {
 	const window, batch, short = 64, 64, 40
-	e, log := txnEngine(obsolete.Tagging{}, window, window, 0, "a", "b", "c")
+	e, log := txnEngine(tagging, window, window, 0, "a", "b", "c")
 	a, b, c := e.others[0], e.others[1], e.others[2]
 	c.avail = short
 	inFlight := map[*peer]int{c: window - short}
 
-	req := &request{kind: reqMulticast}
+	req, tags := &request{kind: reqMulticast}, tagStreams{}
 	for s := ident.Seq(1); s <= batch; s++ {
 		tag := uint32(100 + s)
 		if s%4 == 0 {
 			tag = 1
 		}
-		req.batch = append(req.batch, OutMsg{Meta: obsolete.Msg{Sender: "me", Seq: s, Annot: obsolete.TagAnnot(tag)}})
+		req.batch = append(req.batch, OutMsg{Meta: tags.next("me", tag)})
 	}
 	if !e.advance(req) {
 		t.Fatalf("batch parked at message %d", req.done)

@@ -239,11 +239,11 @@ func (l *ctlLog) proposed(t *testing.T, ref ident.ViewRef) StateMsg {
 }
 
 // changeEngine is a hand-built, never-started engine self in view 4 of
-// members under Tagging, with a manual detector and a consensus service
+// members under tagging, with a manual detector and a consensus service
 // whose runners reach nobody but the log.
 func changeEngine(t *testing.T, self ident.PID, members ident.PIDs, heal bool) (*Engine, *ctlLog, *fd.Manual) {
 	log, det := &ctlLog{self: self}, fd.NewManual()
-	cfg := Config{Self: self, Endpoint: log, Detector: det, Relation: obsolete.Tagging{}}
+	cfg := Config{Self: self, Endpoint: log, Detector: det, Relation: tagging}
 	if heal {
 		cfg.Heal = &HealSpec{MergeTimeout: time.Hour}
 	}
@@ -395,15 +395,15 @@ func TestDecidedFlushRepurged(t *testing.T) {
 			for _, p := range tc.suspected {
 				det.Suspect(p)
 			}
-			e.delivered.ForceAppend(tagged(4, "a", 6, 2))
+			a := tagged(4, "a", 0, 0, 0, 0, 0, 2, 2) // a:7 lists a:6
+			e.delivered.ForceAppend(a[5])
 			e.onInit("b", InitMsg{View: e.cv.ID})
 			for _, m := range log.to("b") {
 				if pred, ok := m.(PredMsg); ok {
 					e.onPred("b", pred)
 				}
 			}
-			a7 := tagged(4, "a", 7, 2)
-			e.onPred("c", PredMsg{View: e.cv.ID, Msgs: []DataMsg{msgOf(&a7)}})
+			e.onPred("c", PredMsg{View: e.cv.ID, Msgs: []DataMsg{msgOf(&a[6])}})
 
 			next := ident.ViewRef{ID: e.cv.ID + 1}
 			if tc.heal {

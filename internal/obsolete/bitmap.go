@@ -12,14 +12,13 @@ import "math/bits"
 // of transitive obsolescence relations using only shift and binary or
 // operators".
 //
-// Capability audit (svs-check): Bitmap is an annotation representation,
-// not a Relation — it never answers Obsoletes and therefore declares no
-// Listed capability of its own. The relation interpreting these bitmaps is
-// KEnumeration (kenum.go), which declares it; its listing and its
-// sender-locality are exhaustively verified by internal/relcheck
-// against the examples/kenum.yaml model in CI — an interpretation that
-// listed a bit the relation does not honour, or missed one it does, fails
-// the listed check with the offending message as witness.
+// Audit (svs-check): Bitmap is an annotation representation, not a
+// Relation — it answers no Obsoletes and lists nothing of its own. The
+// relation interpreting these bitmaps is KEnumeration (kenum.go); its
+// listing and its sender-locality are exhaustively verified by
+// internal/relcheck against the examples/kenum.yaml model in CI — an
+// interpretation that listed a bit the relation does not honour, or missed
+// one it does, fails the listed law with the offending message as witness.
 type Bitmap []uint64
 
 // NewBitmap returns a zeroed bitmap able to hold k bits.

@@ -9,8 +9,9 @@ import (
 
 // Enumeration is the message-enumeration encoding of §4.2: every message
 // explicitly lists the sequence numbers of the earlier messages (of the
-// same sender) that it makes obsolete. The list must already contain the
-// transitive closure of the relation; EnumTracker computes it.
+// same sender) that it makes obsolete. EnumTracker lists the transitive
+// closure within its window, and so does NewTagTracker for an item's
+// updates, which lists the item's previous update at any distance besides.
 //
 // The annotation encodes the list compactly as uvarint deltas
 // (new.Seq - old.Seq), sorted ascending.
@@ -39,8 +40,8 @@ func (Enumeration) Obsoletes(old, new Msg) bool {
 	return false
 }
 
-// AppendObsoleted implements the Listed capability: the annotation is the
-// list. Like Obsoletes it reads up to the first malformed delta.
+// AppendObsoleted implements Relation: the annotation is the list. Like
+// Obsoletes it reads up to the first malformed delta.
 func (Enumeration) AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq) []ident.Seq {
 	for p := new.Annot; len(p) > 0; {
 		d, n := binary.Uvarint(p)
@@ -55,11 +56,9 @@ func (Enumeration) AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq) []
 	return dst
 }
 
-var _ Listed = Enumeration{}
-
 // EnumAnnot builds the enumeration annotation of a message with sequence
-// number seq obsoleting the given earlier sequence numbers. The caller is
-// responsible for supplying the transitive closure (or using EnumTracker).
+// number seq obsoleting the given earlier sequence numbers; the trackers
+// pass it the closure.
 func EnumAnnot(seq ident.Seq, preds []ident.Seq) []byte {
 	if len(preds) == 0 {
 		return nil
@@ -81,25 +80,6 @@ func EnumAnnot(seq ident.Seq, preds []ident.Seq) []byte {
 	return out
 }
 
-// EnumPreds decodes the sequence numbers enumerated by m, in ascending
-// order.
-func EnumPreds(m Msg) []ident.Seq {
-	var out []ident.Seq
-	p := m.Annot
-	for len(p) > 0 {
-		d, n := binary.Uvarint(p)
-		if n <= 0 {
-			break
-		}
-		if uint64(m.Seq) > d {
-			out = append(out, m.Seq-ident.Seq(d))
-		}
-		p = p[n:]
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // EnumTracker assigns sequence numbers and computes transitively closed
 // enumeration annotations at the sender. As the paper observes, "only the
 // recent messages from the enumeration need to be carried by each message
@@ -112,6 +92,9 @@ type EnumTracker struct {
 	seq    ident.Seq
 	// preds[s] is the closed predecessor set of recent message s.
 	preds map[ident.Seq][]ident.Seq
+	// far lists direct predecessors beyond the window too, without their
+	// closure (NewTagTracker: an item's previous update at any distance).
+	far bool
 }
 
 // NewEnumTracker returns a tracker keeping a window of the given size
@@ -138,7 +121,7 @@ func (t *EnumTracker) Next(direct ...ident.Seq) (ident.Seq, []byte) {
 		lo = seq - ident.Seq(t.window)
 	}
 	for _, d := range direct {
-		if d >= seq || d < lo {
+		if d == 0 || d >= seq || d < lo && !t.far {
 			continue
 		}
 		closed[d] = struct{}{}

@@ -37,15 +37,15 @@ func (r KEnumeration) Obsoletes(old, new Msg) bool {
 		return false
 	}
 	d := uint64(new.Seq - old.Seq)
-	if d > uint64(r.K) {
-		return false
+	if r.K <= 0 || d > uint64(r.K) {
+		return false // a window of no messages obsoletes nothing
 	}
 	return bitFromBytes(new.Annot, int(d-1))
 }
 
-// AppendObsoleted implements the Listed capability: bit i of the bitmap
-// names sequence number new.Seq-1-i, and bits at k or beyond name nothing.
-// The numbers come out descending.
+// AppendObsoleted implements Relation: bit i of the bitmap names sequence
+// number new.Seq-1-i, and bits at k or beyond name nothing. The numbers
+// come out descending.
 func (r KEnumeration) AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq) []ident.Seq {
 	if new.Seq <= floor || r.K <= 0 {
 		return dst
@@ -77,8 +77,6 @@ func (r KEnumeration) AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq)
 	}
 	return dst
 }
-
-var _ Listed = KEnumeration{}
 
 // KTracker allocates sequence numbers and computes transitively closed
 // k-enumeration bitmaps at the sender. It keeps the bitmaps of the last k

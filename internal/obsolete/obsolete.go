@@ -6,10 +6,14 @@
 // the delivery of m unnecessary for application correctness. The protocol
 // may then purge m from its buffers provided m' is (or will be) delivered.
 //
-// The package provides the three encodings discussed in §4.2 of the paper:
+// The package provides the three encodings discussed in §4.2 of the paper,
+// each computed at the sender into an annotation that lists what the
+// message obsoletes:
 //
-//   - Tagging: each message carries the integer tag of the single data item
-//     it updates; a later update of the same item obsoletes earlier ones.
+//   - Tagging: each message carries the tag of the single data item it
+//     updates; a later update of the same item obsoletes earlier ones.
+//     NewTagTracker lists an update's earlier updates of its item, and
+//     Enumeration reads the list.
 //   - Enumeration: each message explicitly enumerates the sequence numbers
 //     of the (transitively) obsoleted predecessors.
 //   - KEnumeration: each message carries a k-bit bitmap over its k closest
@@ -44,48 +48,40 @@ type MsgID struct {
 	Seq    ident.Seq
 }
 
-// Relation is an obsolescence relation over messages. Implementations must
-// be pure functions of the message metadata: given the same pair of
-// messages, Obsoletes must always return the same answer, on every process.
+// Relation is an obsolescence relation over messages, read off the newer
+// message's annotation. Implementations must be pure functions of the
+// message metadata: given the same messages, they must always give the same
+// answer, on every process.
 //
-// Obsoletes(old, new) reports old ≺ new, i.e. "new makes old obsolete".
-// Implementations must guarantee the partial-order laws of §3.2:
+// Obsoletes(old, new) reports old ≺ new, i.e. "new makes old obsolete". It
+// holds exactly when old.Sender == new.Sender and new's listing
+// (AppendObsoleted) names old.Seq. Obsolescence is per sender (§4.2: "tags
+// are ... used in combination with the sender identification and sequence
+// numbers"), whether new obsoletes old never depends on old's annotation, and
+// a listing names only numbers below new.Seq — so the relation is
+// irreflexive and antisymmetric.
 //
-//   - irreflexive: never Obsoletes(m, m);
-//   - antisymmetric: Obsoletes(a, b) ⇒ !Obsoletes(b, a);
-//   - transitive as encoded: if the application declares a ≺ b and b ≺ c,
-//     the annotation of c must also answer a ≺ c (the trackers in this
-//     package compute this closure automatically).
-//
-// Obsolescence is per sender (§4.2: "tags are ... used in combination with
-// the sender identification and sequence numbers"): the protocol asks
-// Obsoletes(old, new) only for old.Sender == new.Sender and old.Seq <
-// new.Seq, and a relation that relates any other pair has that pair
-// ignored — it can only ever purge less. Every encoding in this package
-// relates nothing else; internal/relcheck reports a relation that does.
+// Safety is judged against the reflexive-transitive closure of what the
+// listings name within one sender's stream (internal/check.Closure), and a
+// message purges what it lists as it arrives: with m1 ≺ m2 ≺ m3, m2's
+// arrival purges m1 and m3's purges m2. The trackers of this package fold
+// the closure into each listing within their window, so m3 also purges m1
+// in a queue that never saw m2. A listing that names only direct
+// predecessors purges a chain fully only in a queue every link passes
+// through: one that holds m1 and m3 without m2 keeps m1, which is safe.
+// internal/relcheck verifies that a relation's Obsoletes and its listing
+// agree.
 type Relation interface {
 	// Name identifies the encoding, for logs and experiment output.
 	Name() string
 	// Obsoletes reports whether new makes old obsolete (old ≺ new).
 	Obsoletes(old, new Msg) bool
-}
-
-// Listed is an optional capability of a Relation: whether old ≺ new
-// depends on old's sequence number alone — never on old's annotation — and
-// the relation can read off new's annotation every sequence number new
-// obsoletes. Enumeration (the explicit list) and KEnumeration (the set bits
-// of the bitmap) have this property; Tagging does not, since it compares the
-// two messages' tags.
-//
-// Consumers (internal/queue) look the listed sequence numbers up in the
-// sender's seq-ordered stream, so an arrival-time purge costs what the
-// annotation lists, not what the buffer holds.
-type Listed interface {
 	// AppendObsoleted appends to dst the sequence numbers s, floor ≤ s <
-	// new.Seq, such that new obsoletes the message (new.Sender, s), and
-	// returns the extended slice: s is listed exactly when
-	// Obsoletes(Msg{new.Sender, s, any annotation}, new). The order is
-	// unspecified and a number may repeat.
+	// new.Seq, of the messages of new's sender that new obsoletes, and
+	// returns the extended slice. The order is unspecified and a number may
+	// repeat. internal/queue looks the numbers up in the sender's
+	// seq-ordered stream, so an arrival-time purge costs what the annotation
+	// lists, not what the buffer holds.
 	AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq) []ident.Seq
 }
 
@@ -101,31 +97,5 @@ func (Empty) Name() string { return "empty" }
 // Obsoletes implements Relation; it always reports false.
 func (Empty) Obsoletes(_, _ Msg) bool { return false }
 
-// Func adapts a plain function to the Relation interface. It is intended
-// for tests and for applications with bespoke semantics. Like every
-// relation, F is only ever consulted for pairs of one sender with old older
-// than new (see Relation).
-type Func struct {
-	Label string
-	F     func(old, new Msg) bool
-}
-
-// Name implements Relation.
-func (f Func) Name() string { return f.Label }
-
-// Obsoletes implements Relation.
-func (f Func) Obsoletes(old, new Msg) bool { return f.F(old, new) }
-
-var _ Relation = Func{}
-
-// CoveredBy reports whether m ⊑ n, the reflexive closure of the relation:
-// m equals n or m ≺ n. It defines the test transition t3 of the paper's
-// Figure 1 applies to an incoming message against every buffered one; the
-// protocol answers it with the sender's reception frontier, since every
-// cover of m is m itself or a later message of m's own sender.
-func CoveredBy(rel Relation, m, n Msg) bool {
-	if m.Sender == n.Sender && m.Seq == n.Seq {
-		return true
-	}
-	return rel.Obsoletes(m, n)
-}
+// AppendObsoleted implements Relation; it lists nothing.
+func (Empty) AppendObsoleted(dst []ident.Seq, _ Msg, _ ident.Seq) []ident.Seq { return dst }

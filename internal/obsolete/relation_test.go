@@ -2,6 +2,7 @@ package obsolete
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ident"
@@ -23,21 +24,44 @@ func TestEmptyRelation(t *testing.T) {
 	}
 }
 
+// TestTagging pins the tagging encoding as NewTagTracker mints it and
+// Enumeration reads it: an update obsoletes the earlier updates of its item
+// from the same sender within the window, and the previous one at any
+// distance, and nothing else; each costs one uvarint delta.
 func TestTagging(t *testing.T) {
-	r := Tagging{}
+	r := Enumeration{}
+	p := map[ident.Seq]Msg{}
+	mint := func(seq ident.Seq, annot []byte) { p[seq] = msg("p", seq, annot) }
+	tr := NewTagTracker(8)
+	mint(tr.Update(7))  // p:1
+	mint(tr.Update(8))  // p:2
+	mint(tr.Reliable()) // p:3
+	mint(tr.Update(7))  // p:4, lists p:1
+	mint(tr.Update(7))  // p:5, lists p:4 and what p:4 listed, p:1
+	for tr.Seq() < 899 {
+		tr.Reliable()
+	}
+	mint(tr.Update(7))  // p:900, lists p:5: p:4 and p:1 lie beyond the window
+	mint(tr.Reliable()) // p:901
+	q := NewTagTracker(8)
+	q.Update(7)
+	qs, qa := q.Update(7) // q:2, lists q:1
+
 	tests := []struct {
 		name     string
 		old, new Msg
 		want     bool
 	}{
-		{"same item later", msg("p", 1, TagAnnot(7)), msg("p", 2, TagAnnot(7)), true},
-		{"same item much later", msg("p", 1, TagAnnot(7)), msg("p", 900, TagAnnot(7)), true},
-		{"different item", msg("p", 1, TagAnnot(7)), msg("p", 2, TagAnnot(8)), false},
-		{"wrong order", msg("p", 2, TagAnnot(7)), msg("p", 1, TagAnnot(7)), false},
-		{"same seq", msg("p", 1, TagAnnot(7)), msg("p", 1, TagAnnot(7)), false},
-		{"different sender", msg("p", 1, TagAnnot(7)), msg("q", 2, TagAnnot(7)), false},
-		{"old untagged", msg("p", 1, NoTag()), msg("p", 2, TagAnnot(7)), false},
-		{"new untagged", msg("p", 1, TagAnnot(7)), msg("p", 2, NoTag()), false},
+		{"same item later", p[1], p[4], true},
+		{"same item past an update", p[1], p[5], true},
+		{"same item much later", p[5], p[900], true},
+		{"same item beyond the window", p[4], p[900], false},
+		{"different item", p[2], p[5], false},
+		{"wrong order", p[4], p[1], false},
+		{"same seq", p[4], p[4], false},
+		{"different sender", p[1], msg("q", qs, qa), false},
+		{"old untagged", p[3], p[4], false},
+		{"new untagged", p[900], p[901], false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -46,16 +70,51 @@ func TestTagging(t *testing.T) {
 			}
 		})
 	}
+	if got := r.AppendObsoleted(nil, p[900], 0); len(got) != 1 || got[0] != 5 || len(p[900].Annot) != 2 {
+		t.Fatalf("p:900 lists %v in %d bytes, want [5] in 2", got, len(p[900].Annot))
+	}
+	if len(p[4].Annot) != 1 || len(p[5].Annot) != 2 || p[3].Annot != nil || p[1].Annot != nil {
+		t.Fatalf("annotations %x %x %x %x: a first update and a reliable message list nothing, a near one costs a byte",
+			p[1].Annot, p[3].Annot, p[4].Annot, p[5].Annot)
+	}
 }
 
-func TestTagOf(t *testing.T) {
-	m := msg("p", 1, TagAnnot(123456))
-	tag, ok := TagOf(m)
-	if !ok || tag != 123456 {
-		t.Fatalf("TagOf = %d,%v want 123456,true", tag, ok)
-	}
-	if _, ok := TagOf(msg("p", 1, nil)); ok {
-		t.Fatal("TagOf of untagged message should report false")
+// TestTagTrackerWindow holds NewTagTracker's listings against their
+// definition over a random stream of updates, reliable messages and
+// destructions: an update lists every earlier update of its item since the
+// item's last destruction that lies within the window, and the previous one
+// wherever it lies.
+func TestTagTrackerWindow(t *testing.T) {
+	const window = 8
+	rng := rand.New(rand.NewSource(5))
+	tr := NewTagTracker(window)
+	updates := map[uint32][]ident.Seq{} // item -> its updates since its destruction
+	for i := 0; i < 2000; i++ {
+		item := uint32(rng.Intn(3))
+		var seq ident.Seq
+		var annot []byte
+		var want []ident.Seq
+		switch rng.Intn(8) {
+		case 0:
+			seq, annot = tr.Reliable()
+		case 1:
+			seq, annot = tr.Destroy(item)
+			delete(updates, item)
+		default:
+			seq, annot = tr.Update(item)
+			u := updates[item]
+			for j, s := range u {
+				if j == len(u)-1 || seq-s <= window {
+					want = append(want, s)
+				}
+			}
+			updates[item] = append(u, seq)
+		}
+		got := Enumeration{}.AppendObsoleted(nil, msg("p", seq, annot), 0)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("p:%d lists %v, want %v", seq, got, want)
+		}
 	}
 }
 
@@ -253,20 +312,6 @@ func TestEnumeration(t *testing.T) {
 	}
 }
 
-func TestEnumPredsRoundTrip(t *testing.T) {
-	annot := EnumAnnot(10, []ident.Seq{3, 7, 9})
-	got := EnumPreds(msg("p", 10, annot))
-	want := []ident.Seq{3, 7, 9}
-	if len(got) != len(want) {
-		t.Fatalf("EnumPreds = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("EnumPreds = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestEnumTrackerWindow(t *testing.T) {
 	r := Enumeration{}
 	tr := NewEnumTracker(3)
@@ -315,34 +360,6 @@ func TestEnumAndKEnumAgree(t *testing.T) {
 				t.Fatalf("encodings disagree on (%d,%d): kenum=%v enum=%v", i, j, kg, eg)
 			}
 		}
-	}
-}
-
-func TestCoveredBy(t *testing.T) {
-	r := Tagging{}
-	a := msg("p", 1, TagAnnot(5))
-	b := msg("p", 2, TagAnnot(5))
-	c := msg("p", 3, TagAnnot(6))
-	if !CoveredBy(r, a, a) {
-		t.Fatal("CoveredBy must be reflexive")
-	}
-	if !CoveredBy(r, a, b) {
-		t.Fatal("a ⊑ b expected")
-	}
-	if CoveredBy(r, a, c) {
-		t.Fatal("a ⊑ c unexpected")
-	}
-}
-
-func TestFuncRelation(t *testing.T) {
-	r := Func{Label: "test", F: func(old, new Msg) bool {
-		return old.Sender == new.Sender && old.Seq < new.Seq
-	}}
-	if r.Name() != "test" {
-		t.Fatalf("Name = %q", r.Name())
-	}
-	if !r.Obsoletes(msg("p", 1, nil), msg("p", 2, nil)) {
-		t.Fatal("Func relation not applied")
 	}
 }
 
@@ -470,14 +487,15 @@ func TestKTrackerAnnot(t *testing.T) {
 	}
 }
 
-// TestListedMatchesObsoletes checks both Listed implementations against
-// their own Obsoletes over raw annotations — longer than the window, with
-// bits and deltas naming nothing, repeats, malformed tails — and every
-// floor: a sequence number is listed exactly when a message carrying it
-// would be obsoleted.
+// TestListedMatchesObsoletes checks every relation's listing against its own
+// Obsoletes over raw annotations — longer than the window, with bits and
+// deltas naming nothing, repeats, malformed tails — and every floor: a
+// sequence number is listed exactly when a message carrying it would be
+// obsoleted. A window of k ≤ 0 lists nothing, so it obsoletes nothing.
 func TestListedMatchesObsoletes(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	rels := []Relation{KEnumeration{K: 1}, KEnumeration{K: 8}, KEnumeration{K: 64}, KEnumeration{K: 70}, Enumeration{}}
+	rels := []Relation{KEnumeration{K: -1}, KEnumeration{K: 0}, KEnumeration{K: 1}, KEnumeration{K: 8},
+		KEnumeration{K: 64}, KEnumeration{K: 70}, Enumeration{}, Empty{}}
 	for _, rel := range rels {
 		for trial := 0; trial < 400; trial++ {
 			n := Msg{Sender: "p", Seq: ident.Seq(rng.Intn(200)), Annot: make([]byte, rng.Intn(24))}
@@ -489,7 +507,7 @@ func TestListedMatchesObsoletes(t *testing.T) {
 			}
 			floor := ident.Seq(rng.Intn(int(n.Seq) + 2))
 			listed := map[ident.Seq]bool{}
-			for _, s := range rel.(Listed).AppendObsoleted(nil, n, floor) {
+			for _, s := range rel.AppendObsoleted(nil, n, floor) {
 				if s < floor || s >= n.Seq {
 					t.Fatalf("%s: listed %d outside [%d, %d)", rel.Name(), s, floor, n.Seq)
 				}
@@ -502,11 +520,6 @@ func TestListedMatchesObsoletes(t *testing.T) {
 						rel.Name(), n.Seq, n.Annot, floor, s, listed[s], want)
 				}
 			}
-		}
-	}
-	for _, rel := range []Relation{Tagging{}, Func{F: KEnumeration{K: 8}.Obsoletes}} {
-		if _, ok := rel.(Listed); ok {
-			t.Fatalf("%T declares Listed", rel)
 		}
 	}
 }

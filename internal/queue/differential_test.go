@@ -160,18 +160,21 @@ type stream interface {
 	next(rng *rand.Rand) obsolete.Msg
 }
 
+// taggingStream is one sender's tagging stream, minted by
+// obsolete.NewTagTracker.
 type taggingStream struct {
 	sender ident.PID
-	seq    ident.Seq
+	items  *obsolete.ItemTracker
 }
 
 func (s *taggingStream) next(rng *rand.Rand) obsolete.Msg {
-	s.seq++
-	annot := obsolete.NoTag()
-	if rng.Intn(4) != 0 { // some messages stay untagged (fully reliable)
-		annot = obsolete.TagAnnot(uint32(rng.Intn(4)))
+	m := obsolete.Msg{Sender: s.sender}
+	if rng.Intn(4) != 0 {
+		m.Seq, m.Annot = s.items.Update(uint32(rng.Intn(4)))
+	} else { // some messages stay untagged (fully reliable)
+		m.Seq, m.Annot = s.items.Reliable()
 	}
-	return obsolete.Msg{Sender: s.sender, Seq: s.seq, Annot: annot}
+	return m
 }
 
 type trackerStream struct {
@@ -205,11 +208,11 @@ func encodingCases() []encodingCase {
 	const k = 8
 	return []encodingCase{
 		{
-			name: "tagging", rel: obsolete.Tagging{},
+			name: "tagging", rel: tagging,
 			streams: func(ps []ident.PID) []stream {
 				out := make([]stream, len(ps))
 				for i, p := range ps {
-					out[i] = &taggingStream{sender: p}
+					out[i] = &taggingStream{sender: p, items: obsolete.NewTagTracker(tagWindow)}
 				}
 				return out
 			},
@@ -394,13 +397,11 @@ func rawEnumeration(rng *rand.Rand, seq ident.Seq) []byte {
 	return p
 }
 
-// TestDifferentialListedWalkScan holds the two arrival-purge paths — the
-// listed lookup and the per-sender walk (the same relation wrapped in
-// obsolete.Func, which does not declare Listed) — against the slice model,
-// which scans every entry, operation by operation: counts, the removed
-// slice in FIFO order,
-// kept-sets and stats. The streams are what the listed lookup has to get
-// right: hundreds of set bits at once, the window edge at bit k-1 while
+// TestDifferentialListedWalkScan holds the arrival purge, the listed
+// lookup, against the slice model, which scans every entry and asks
+// Obsoletes of each, operation by operation: counts, the removed slice in
+// FIFO order, kept-sets and stats. The streams are what the lookup has to
+// get right: hundreds of set bits at once, the window edge at bit k-1 while
 // seq ≤ k, annotations longer than k bits, repeated sequence numbers, and
 // one sender's stream spread over two views.
 func TestDifferentialListedWalkScan(t *testing.T) {
@@ -426,14 +427,7 @@ func TestDifferentialListedWalkScan(t *testing.T) {
 			mostPurged := 0
 			for trial := 0; trial < tc.trials; trial++ {
 				rng := rand.New(rand.NewSource(int64(977*trial + 11)))
-				qs := []*Queue{
-					New(tc.rel, 0),
-					New(obsolete.Func{Label: tc.name + "/walk", F: tc.rel.Obsoletes}, 0),
-				}
-				if qs[0].listed == nil || qs[1].listed != nil {
-					t.Fatal("capability detection broken")
-				}
-				m := newModel(tc.rel, 0)
+				q, m := New(tc.rel, 0), newModel(tc.rel, 0)
 
 				senders := []ident.PID{"a", "b"}
 				last := map[ident.PID]ident.Seq{}
@@ -455,9 +449,7 @@ func TestDifferentialListedWalkScan(t *testing.T) {
 					case op == 0: // let the backlog build, unpurged
 						it := next()
 						it.Meta.Annot = nil
-						for _, q := range qs {
-							q.ForceAppend(it)
-						}
+						q.ForceAppend(it)
 						m.forceAppend(it)
 					case op <= 3: // the engine's pair: count, purge, append
 						it := next()
@@ -465,43 +457,35 @@ func TestDifferentialListedWalkScan(t *testing.T) {
 						removed := m.purgeFor(it)
 						m.forceAppend(it)
 						mostPurged = max(mostPurged, len(removed))
-						for i, q := range qs {
-							if got := q.CountPurgeableFor(it); got != want {
-								t.Fatalf("trial %d step %d queue %d: CountPurgeableFor %d, model %d", trial, step, i, got, want)
-							}
-							if got := purged(q, it); fmt.Sprint(ids(got)) != fmt.Sprint(ids(removed)) {
-								t.Fatalf("trial %d step %d queue %d: PurgeFor removed %v, model %v", trial, step, i, ids(got), ids(removed))
-							}
-							q.ForceAppend(it)
+						if got := q.CountPurgeableFor(it); got != want {
+							t.Fatalf("trial %d step %d: CountPurgeableFor %d, model %d", trial, step, got, want)
 						}
+						if got := purged(q, it); fmt.Sprint(ids(got)) != fmt.Sprint(ids(removed)) {
+							t.Fatalf("trial %d step %d: PurgeFor removed %v, model %v", trial, step, ids(got), ids(removed))
+						}
+						q.ForceAppend(it)
 					case op == 4:
 						it := next()
 						want := len(m.purgeFor(it))
 						m.forceAppend(it)
-						for i, q := range qs {
-							if got, err := q.AppendPurge(it); got != want || err != nil {
-								t.Fatalf("trial %d step %d queue %d: AppendPurge (%d, %v), model %d", trial, step, i, got, err, want)
-							}
+						if got, err := q.AppendPurge(it); got != want || err != nil {
+							t.Fatalf("trial %d step %d: AppendPurge (%d, %v), model %d", trial, step, got, err, want)
 						}
 					default:
 						mi, mok := m.popHead()
-						for i, q := range qs {
-							if qi, ok := pop(q); ok != mok || (ok && id(qi) != id(mi)) {
-								t.Fatalf("trial %d step %d queue %d: PopHead (%+v, %v), model (%+v, %v)", trial, step, i, id(qi), ok, id(mi), mok)
-							}
+						if qi, ok := pop(q); ok != mok || (ok && id(qi) != id(mi)) {
+							t.Fatalf("trial %d step %d: PopHead (%+v, %v), model (%+v, %v)", trial, step, id(qi), ok, id(mi), mok)
 						}
 					}
 					if op == 0 && step%64 != 0 {
 						continue // a plain append: checked every 64th time
 					}
-					for _, q := range qs {
-						compareState(t, step, q, m)
-					}
+					compareState(t, step, q, m)
 					if step%50 == 0 {
-						checkHeld(t, step, qs[0])
+						checkHeld(t, step, q)
 					}
 				}
-				checkHeld(t, tc.steps, qs[0])
+				checkHeld(t, tc.steps, q)
 			}
 			if tc.k == 512 && mostPurged < 200 {
 				t.Fatalf("largest single purge removed %d entries: the dense bitmaps never bit", mostPurged)
@@ -510,8 +494,8 @@ func TestDifferentialListedWalkScan(t *testing.T) {
 	}
 }
 
-// checkHeld recounts the per-stream filter of a listed queue from the index
-// it summarises: a count too low would hide an entry from the lookup, one
+// checkHeld recounts the per-stream filter of a queue from the index it
+// summarises: a count too low would hide an entry from the lookup, one
 // too high only costs a search, and neither may drift.
 func checkHeld(t *testing.T, step int, q *Queue) {
 	t.Helper()
@@ -523,5 +507,89 @@ func checkHeld(t *testing.T, step int, q *Queue) {
 		if !slices.Equal(st.held, want) {
 			t.Fatalf("step %d: stream %v: held counts drifted from its %d entries", step, k, len(st.ents))
 		}
+	}
+}
+
+// sameTag is tagging read at the receiver: an arrival purges every held
+// entry of its view and sender that updates the same item. Reliable
+// messages (tag < 0) neither purge nor are purged.
+type sameTag struct {
+	items []Item
+	tags  map[obsolete.MsgID]int
+}
+
+func (r *sameTag) appendPurge(it Item, tag int) int {
+	kept := r.items[:0]
+	for _, x := range r.items {
+		id := x.Meta.ID()
+		if tag >= 0 && r.tags[id] == tag && x.View == it.View && id.Sender == it.Meta.Sender {
+			continue
+		}
+		kept = append(kept, x)
+	}
+	purged := len(r.items) - len(kept)
+	r.items = append(kept, it)
+	r.tags[it.Meta.ID()] = tag
+	return purged
+}
+
+// TestDifferentialTaggingVsSameTag: purging on arrival what
+// obsolete.NewTagTracker lists keeps exactly what purging every same-tag
+// entry keeps — also when updates never arrive, as when their sender purged
+// its own copies, since an update lists its item's earlier updates and not
+// only the one before. Three senders' streams arrive interleaved, the head
+// is delivered now and then, and the view only moves forward; the kept sets
+// are compared after every step, and any step at which they differ is a
+// divergence.
+func TestDifferentialTaggingVsSameTag(t *testing.T) {
+	steps, purges, dropped, divergences := 0, 0, 0, 0
+	for trial := 0; trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(int64(331*trial + 3)))
+		q, ref := New(tagging, 0), &sameTag{tags: map[obsolete.MsgID]int{}}
+		ts := map[ident.PID]*obsolete.ItemTracker{}
+		senders := []ident.PID{"a", "b", "c"}
+		for _, p := range senders {
+			ts[p] = obsolete.NewTagTracker(tagWindow)
+		}
+		view := uint64(1)
+		for step := 0; step < 500; step++ {
+			switch op := rng.Intn(10); {
+			case op == 0:
+				view++
+			case op <= 2:
+				q.PopHead()
+				if len(ref.items) > 0 {
+					ref.items = ref.items[1:]
+				}
+			default:
+				p, tag := senders[rng.Intn(len(senders))], rng.Intn(6)-1
+				it := Item{Kind: Data, View: view, Meta: obsolete.Msg{Sender: p}}
+				if tag < 0 {
+					it.Meta.Seq, it.Meta.Annot = ts[p].Reliable()
+				} else {
+					it.Meta.Seq, it.Meta.Annot = ts[p].Update(uint32(tag))
+				}
+				if tag >= 0 && op == 9 {
+					dropped++ // the sender's copy was purged: it never arrives
+					break
+				}
+				n, err := q.AppendPurge(it)
+				if err != nil {
+					t.Fatal(err)
+				}
+				purges += n
+				ref.appendPurge(it, tag)
+			}
+			steps++
+			var kept []entryID
+			q.EachRef(func(it *Item) bool { kept = append(kept, id(*it)); return true })
+			if !slices.Equal(kept, ids(ref.items)) {
+				divergences++
+			}
+		}
+	}
+	t.Logf("%d steps, %d purges, %d updates dropped, %d divergences", steps, purges, dropped, divergences)
+	if divergences != 0 || purges == 0 || dropped == 0 {
+		t.Fatalf("%d divergences in %d steps (%d purges, %d dropped), want 0 and some of each", divergences, steps, purges, dropped)
 	}
 }

@@ -8,10 +8,9 @@ import (
 
 // Sender index. Purge only ever relates entries of one (view, sender)
 // stream, so the queue keeps, per stream, the seq-ordered list of its data
-// entries' absolute ring positions. Purge operations then bound their
-// candidate set to one stream — and, when the relation lists what a message
-// obsoletes (obsolete.Listed), to the listed sequence numbers, found by
-// binary search — instead of scanning the whole buffer.
+// entries' absolute ring positions. A purge then looks up the sequence
+// numbers the arrival lists in its own stream by binary search instead of
+// scanning the whole buffer.
 
 type idxKey struct {
 	view   uint64
@@ -26,9 +25,8 @@ type idxEnt struct {
 // senderStream is the index of one (view, sender) stream.
 type senderStream struct {
 	ents []idxEnt // seq-ordered
-	// held counts the entries per sequence number modulo heldSlots, kept
-	// only when the relation lists what a message obsoletes: most listed
-	// numbers name entries purged long ago, and a zero count says so
+	// held counts the entries per sequence number modulo heldSlots: most
+	// listed numbers name entries purged long ago, and a zero count says so
 	// without a search. A non-zero count may be another number's — it is
 	// only a reason to search, never an answer.
 	held []uint16
@@ -38,9 +36,7 @@ const heldSlots = 4096 // a power of two, several times the span of a stream in 
 
 // count records that delta entries numbered seq joined (or, negative, left).
 func (st *senderStream) count(seq ident.Seq, delta int) {
-	if st.held != nil {
-		st.held[seq%heldSlots] += uint16(delta)
-	}
+	st.held[seq%heldSlots] += uint16(delta)
 }
 
 // idxAdd records a data entry. The protocol appends each stream in
@@ -61,10 +57,7 @@ func (q *Queue) idxAdd(k idxKey, seq ident.Seq, pos uint64) {
 				delete(q.idx, old)
 			}
 		}
-		st = &senderStream{}
-		if q.listed != nil {
-			st.held = make([]uint16, heldSlots)
-		}
+		st = &senderStream{held: make([]uint16, heldSlots)}
 		q.idx[k] = st
 	}
 	st.count(seq, 1)

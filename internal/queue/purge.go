@@ -8,21 +8,14 @@ import (
 )
 
 // Purge operations. An arriving message n is only ever related to the older
-// entries of its own (view, sender) stream (see obsolete.Relation), and
-// there are two ways to find which of them it makes obsolete, chosen once
-// from what the relation is:
-//
-//   - listed (obsolete.Listed): the relation reads the obsoleted sequence
-//     numbers off n's annotation; each is checked against the stream's
-//     held counts and, if an entry may carry it, found in the stream by
-//     binary search — O(listed + matches · log stream), whatever the
-//     occupancy.
-//   - walk (anything else, e.g. tagging or obsolete.Func): every older entry
-//     of the stream is tested — O(sender's entries).
-//
-// obsolete.Empty never purges and keeps no index. Both paths remove an entry
-// m exactly when m is of n's view and sender, older than n, and m ≺ n, and
-// visit the removed entries in FIFO order.
+// entries of its own (view, sender) stream, and the relation reads off n's
+// annotation which of them n obsoletes (see obsolete.Relation): each listed
+// sequence number is checked against the stream's held counts and, if an
+// entry may carry it, found in the stream by binary search — O(listed +
+// matches · log stream), whatever the occupancy. obsolete.Empty never
+// purges and keeps no index. An entry m is removed exactly when m is of n's
+// view and sender and n lists it, and the removed entries are visited in
+// FIFO order.
 
 // PurgeFor removes the entries obsoleted by the (just received or about to
 // be appended) message n, calling visit on each in FIFO order before its
@@ -76,16 +69,7 @@ func (q *Queue) obsoletedBy(st *senderStream, n obsolete.Msg) []int {
 		return hits // only older entries are ever asked about
 	}
 	s := st.ents
-	if q.listed == nil {
-		for i := 0; i < len(s) && s[i].seq < n.Seq; i++ {
-			if q.rel.Obsoletes(q.slot(s[i].pos).Meta, n) {
-				hits = append(hits, i)
-			}
-		}
-		q.hits = hits
-		return hits
-	}
-	q.seqs = q.listed.AppendObsoleted(q.seqs[:0], n, s[0].seq)
+	q.seqs = q.rel.AppendObsoleted(q.seqs[:0], n, s[0].seq)
 	for _, seq := range q.seqs {
 		if seq >= n.Seq || st.held[seq%heldSlots] == 0 {
 			continue
@@ -95,7 +79,7 @@ func (q *Queue) obsoletedBy(st *senderStream, n obsolete.Msg) []int {
 			hits = append(hits, i) // duplicate seqs: all of them
 		}
 	}
-	// The capability promises neither an order nor distinct numbers.
+	// A listing promises neither an order nor distinct numbers.
 	slices.Sort(hits)
 	hits = slices.Compact(hits)
 	q.hits = hits

@@ -14,14 +14,12 @@
 //
 // # Sender index
 //
-// Obsolescence is per sender (see obsolete.Relation): the queue asks the
-// relation about an arriving message only for the older entries of its own
-// (view, sender) stream. It keeps a per-(view, sender) seq-ordered index of
-// its data entries for every relation but obsolete.Empty, which never
-// purges, and an arriving message's purge examines only its own sender's
-// stream — and, when the relation implements obsolete.Listed, only the
-// sequence numbers its annotation names: O(set bits + matches · log stream)
-// for k-enumeration, whatever the occupancy.
+// Obsolescence is per sender, and every relation lists what a message
+// obsoletes (see obsolete.Relation). The queue keeps a per-(view, sender)
+// seq-ordered index of its data entries for every relation but
+// obsolete.Empty, which never purges, and an arriving message's purge looks
+// up in its own sender's stream the sequence numbers its annotation lists:
+// O(listed + matches · log stream), whatever the occupancy.
 //
 // # One purge
 //
@@ -116,9 +114,8 @@ type Queue struct {
 	spare []Item
 
 	// Sender index (see index.go), kept unless never.
-	idx    map[idxKey]*senderStream
-	listed obsolete.Listed // non-nil: rel lists what a message obsoletes
-	never  bool            // rel is obsolete.Empty: purging can never remove anything
+	idx   map[idxKey]*senderStream
+	never bool // rel is obsolete.Empty: purging can never remove anything
 	// seqs and hits are obsoletedBy's scratch (see purge.go), kept so the
 	// arrival-time purge allocates nothing.
 	seqs []ident.Seq
@@ -129,8 +126,8 @@ type Queue struct {
 // capacity 0 means unbounded; otherwise Append fails with ErrFull when the
 // queue holds capacity entries.
 //
-// Purge operations run in O(the arrival's own stream) — O(what the
-// annotation lists) when rel implements obsolete.Listed.
+// A purge costs O(what the arrival's annotation lists + matches · log
+// stream).
 func New(rel obsolete.Relation, capacity int) *Queue {
 	if rel == nil {
 		rel = obsolete.Empty{}
@@ -143,7 +140,6 @@ func New(rel obsolete.Relation, capacity int) *Queue {
 		return q
 	}
 	q.idx = make(map[idxKey]*senderStream)
-	q.listed, _ = rel.(obsolete.Listed)
 	return q
 }
 

@@ -9,13 +9,34 @@ import (
 	"repro/internal/obsolete"
 )
 
-func dataItem(view uint64, sender ident.PID, seq ident.Seq, tag uint32) Item {
-	return Item{
-		Kind:    Data,
-		View:    view,
-		Meta:    obsolete.Msg{Sender: sender, Seq: seq, Annot: obsolete.TagAnnot(tag)},
-		Payload: []byte{byte(seq)},
+func dataItem(view uint64, sender ident.PID, seq ident.Seq) Item {
+	return Item{Kind: Data, View: view, Meta: obsolete.Msg{Sender: sender, Seq: seq}, Payload: []byte{byte(seq)}}
+}
+
+// tagging is the §4.2 tagging encoding as the queue runs it: streams minted
+// by obsolete.NewTagTracker, whose updates list their item's earlier
+// updates, read by obsolete.Enumeration.
+var tagging = obsolete.Enumeration{}
+
+// tagWindow is the window of the tests' tagging streams, longer than the
+// unit tests' streams: there every update lists all earlier ones of its item.
+const tagWindow = 64
+
+// tagStreams mints each sender's tagging stream through its own
+// obsolete.NewTagTracker.
+type tagStreams map[ident.PID]*obsolete.ItemTracker
+
+// update returns sender's next message, in view, updating item tag.
+func (ts tagStreams) update(view uint64, sender ident.PID, tag uint32) Item {
+	tr := ts[sender]
+	if tr == nil {
+		tr = obsolete.NewTagTracker(tagWindow)
+		ts[sender] = tr
 	}
+	seq, annot := tr.Update(tag)
+	it := dataItem(view, sender, seq)
+	it.Meta.Annot = annot
+	return it
 }
 
 func ctlItem(view uint64) Item {
@@ -53,7 +74,7 @@ func seqs(q *Queue) []ident.Seq {
 func TestFIFOOrder(t *testing.T) {
 	q := New(obsolete.Empty{}, 0)
 	for i := 1; i <= 5; i++ {
-		if err := q.Append(dataItem(1, "p", ident.Seq(i), uint32(i))); err != nil {
+		if err := q.Append(dataItem(1, "p", ident.Seq(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,12 +90,12 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestPurgeRemovesObsoleteKeepsMaximal(t *testing.T) {
-	q := New(obsolete.Tagging{}, 0)
+	q, ts := New(tagging, 0), tagStreams{}
 	// Updates to items 1,2,1,3,1 — purging should leave 2,3 and the last 1.
 	tags := []uint32{1, 2, 1, 3, 1}
 	removed := 0
-	for i, tag := range tags {
-		n, err := q.AppendPurge(dataItem(1, "p", ident.Seq(i+1), tag))
+	for _, tag := range tags {
+		n, err := q.AppendPurge(ts.update(1, "p", tag))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,15 +117,15 @@ func TestPurgeRemovesObsoleteKeepsMaximal(t *testing.T) {
 }
 
 func TestPurgeIgnoresCrossViewAndControl(t *testing.T) {
-	q := New(obsolete.Tagging{}, 0)
-	if err := q.Append(dataItem(1, "p", 1, 7)); err != nil {
+	q, ts := New(tagging, 0), tagStreams{}
+	if err := q.Append(ts.update(1, "p", 7)); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.Append(ctlItem(2)); err != nil {
 		t.Fatal(err)
 	}
 	// Same item, later seq, but a different view: must not purge.
-	if removed, err := q.AppendPurge(dataItem(2, "p", 2, 7)); err != nil || removed != 0 {
+	if removed, err := q.AppendPurge(ts.update(2, "p", 7)); err != nil || removed != 0 {
 		t.Fatalf("cross-view arrival purged %d entries (err %v)", removed, err)
 	}
 	if q.Len() != 3 {
@@ -113,21 +134,21 @@ func TestPurgeIgnoresCrossViewAndControl(t *testing.T) {
 }
 
 func TestAppendFullAndPurgeToMakeRoom(t *testing.T) {
-	q := New(obsolete.Tagging{}, 3)
-	for i := 1; i <= 3; i++ {
-		if err := q.Append(dataItem(1, "p", ident.Seq(i), uint32(i))); err != nil {
+	q, ts := New(tagging, 3), tagStreams{}
+	for tag := uint32(1); tag <= 3; tag++ {
+		if err := q.Append(ts.update(1, "p", tag)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// All distinct items: nothing purgeable, append must fail.
-	if err := q.Append(dataItem(1, "p", 4, 99)); !errors.Is(err, ErrFull) {
+	if err := q.Append(ts.update(1, "p", 99)); !errors.Is(err, ErrFull) {
 		t.Fatalf("Append to full queue: err = %v, want ErrFull", err)
 	}
 	if got := q.Stats().Rejected; got != 1 {
 		t.Fatalf("Rejected = %d, want 1", got)
 	}
 	// An update of item 2 purges the old one on arrival, making room.
-	purged, err := q.AppendPurge(dataItem(1, "p", 5, 2))
+	purged, err := q.AppendPurge(ts.update(1, "p", 2))
 	if err != nil {
 		t.Fatalf("AppendPurge: %v", err)
 	}
@@ -139,18 +160,21 @@ func TestAppendFullAndPurgeToMakeRoom(t *testing.T) {
 	}
 }
 
+// TestPurgeFor: an arrival that lists two held entries removes both and
+// visits them in FIFO order, whatever order its annotation lists them in.
 func TestPurgeFor(t *testing.T) {
-	q := New(obsolete.Tagging{}, 0)
-	for i, tag := range []uint32{1, 2, 1} {
-		if err := q.Append(dataItem(1, "p", ident.Seq(i+1), tag)); err != nil {
+	q := New(obsolete.Enumeration{}, 0)
+	for s := ident.Seq(1); s <= 3; s++ {
+		if err := q.Append(dataItem(1, "p", s)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Incoming update of item 1 purges both earlier updates of item 1.
-	if c := q.CountPurgeableFor(dataItem(1, "p", 4, 1)); c != 2 {
+	n := dataItem(1, "p", 4)
+	n.Meta.Annot = obsolete.EnumAnnot(4, []ident.Seq{3, 1}) // lists 3, then 1
+	if c := q.CountPurgeableFor(n); c != 2 {
 		t.Fatalf("CountPurgeableFor = %d, want 2", c)
 	}
-	removed := purged(q, dataItem(1, "p", 4, 1))
+	removed := purged(q, n)
 	if len(removed) != 2 {
 		t.Fatalf("PurgeFor removed %d, want 2", len(removed))
 	}
@@ -169,7 +193,7 @@ func TestPurgeFor(t *testing.T) {
 func TestSnapshot(t *testing.T) {
 	q := New(obsolete.Empty{}, 0)
 	for i := 1; i <= 4; i++ {
-		if err := q.Append(dataItem(uint64(i%2), "p", ident.Seq(i), uint32(i))); err != nil {
+		if err := q.Append(dataItem(uint64(i%2), "p", ident.Seq(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,13 +211,13 @@ func TestSnapshot(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	q := New(obsolete.Tagging{}, 0)
+	q, ts := New(tagging, 0), tagStreams{}
 	for i := 1; i <= 2; i++ {
-		if err := q.Append(dataItem(1, "p", ident.Seq(i), 1)); err != nil {
+		if err := q.Append(ts.update(1, "p", 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := q.AppendPurge(dataItem(1, "p", 3, 1)); err != nil {
+	if _, err := q.AppendPurge(ts.update(1, "p", 1)); err != nil {
 		t.Fatal(err)
 	}
 	q.PopHead()
@@ -208,7 +232,7 @@ func TestAnyAndPeek(t *testing.T) {
 	if q.PeekHead() != nil {
 		t.Fatal("PeekHead on empty queue")
 	}
-	if err := q.Append(dataItem(1, "p", 1, 1)); err != nil {
+	if err := q.Append(dataItem(1, "p", 1)); err != nil {
 		t.Fatal(err)
 	}
 	it := q.PeekHead()
@@ -225,10 +249,10 @@ func TestAnyAndPeek(t *testing.T) {
 
 func TestNilRelationDefaultsToEmpty(t *testing.T) {
 	q := New(nil, 0)
-	if err := q.Append(dataItem(1, "p", 1, 1)); err != nil {
+	if err := q.Append(dataItem(1, "p", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if removed, err := q.AppendPurge(dataItem(1, "p", 2, 1)); err != nil || removed != 0 {
+	if removed, err := q.AppendPurge(dataItem(1, "p", 2)); err != nil || removed != 0 {
 		t.Fatal("nil relation must behave as Empty (plain VS)")
 	}
 }

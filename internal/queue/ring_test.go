@@ -1,19 +1,18 @@
 package queue
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/ident"
 	"repro/internal/obsolete"
 )
 
-func payloadItem(sender ident.PID, seq ident.Seq, tag uint32) Item {
-	return Item{
-		Kind:    Data,
-		View:    1,
-		Meta:    obsolete.Msg{Sender: sender, Seq: seq, Annot: obsolete.TagAnnot(tag)},
-		Payload: make([]byte, 256),
-	}
+// payloadItem is p's next update of item tag in ts, carrying 256 bytes.
+func payloadItem(ts tagStreams, tag uint32) Item {
+	it := ts.update(1, "p", tag)
+	it.Payload = make([]byte, 256)
+	return it
 }
 
 // checkSlotsReleased asserts that every ring slot not holding a live entry
@@ -45,9 +44,9 @@ func checkSlotsReleased(t *testing.T, q *Queue) {
 // pinning: after pops and purges, the vacated ring slots must hold zero
 // Items so the popped/purged payloads become collectable.
 func TestRingReleasesPoppedAndPurgedSlots(t *testing.T) {
-	q := New(obsolete.Tagging{}, 0)
+	q, ts := New(tagging, 0), tagStreams{}
 	for i := 1; i <= 12; i++ {
-		if err := q.Append(payloadItem("p", ident.Seq(i), uint32(i%4))); err != nil {
+		if err := q.Append(payloadItem(ts, uint32(i%4))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,7 +60,7 @@ func TestRingReleasesPoppedAndPurgedSlots(t *testing.T) {
 	}
 
 	// An update of tag 1 purges every queued tag-1 entry (middle slots).
-	removed := purged(q, payloadItem("p", 13, 1))
+	removed := purged(q, payloadItem(ts, 1))
 	if len(removed) == 0 {
 		t.Fatal("expected purge to remove entries")
 	}
@@ -69,7 +68,7 @@ func TestRingReleasesPoppedAndPurgedSlots(t *testing.T) {
 
 	// Wrap the ring across the tombstones and force compaction.
 	for i := 14; i <= 40; i++ {
-		if err := q.Append(payloadItem("p", ident.Seq(i), uint32(i%4))); err != nil {
+		if err := q.Append(payloadItem(ts, uint32(i%4))); err != nil {
 			t.Fatal(err)
 		}
 		checkSlotsReleased(t, q)
@@ -77,7 +76,7 @@ func TestRingReleasesPoppedAndPurgedSlots(t *testing.T) {
 
 	// One arrival per tag purges what the plain appends left behind.
 	for i := 41; i <= 44; i++ {
-		if n, err := q.AppendPurge(payloadItem("p", ident.Seq(i), uint32(i%4))); err != nil || n == 0 {
+		if n, err := q.AppendPurge(payloadItem(ts, uint32(i%4))); err != nil || n == 0 {
 			t.Fatalf("AppendPurge = (%d, %v), want purges", n, err)
 		}
 		checkSlotsReleased(t, q)
@@ -97,9 +96,11 @@ func TestRingReleasesPoppedAndPurgedSlots(t *testing.T) {
 // TestSnapshotDoesNotAliasBytes asserts Snapshot hands back cloned payload
 // and annotation bytes, never views into live queue storage.
 func TestSnapshotDoesNotAliasBytes(t *testing.T) {
-	q := New(obsolete.Tagging{}, 0)
-	it := payloadItem("p", 1, 7)
+	q, ts := New(tagging, 0), tagStreams{}
+	payloadItem(ts, 7)
+	it := payloadItem(ts, 7) // lists the first: a non-empty annotation
 	it.Payload[0] = 0xAA
+	annot := bytes.Clone(it.Meta.Annot)
 	if err := q.Append(it); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestSnapshotDoesNotAliasBytes(t *testing.T) {
 	if head.Payload[0] != 0xAA {
 		t.Fatal("Snapshot aliases live payload bytes")
 	}
-	if tag, ok := obsolete.TagOf(head.Meta); !ok || tag != 7 {
+	if !bytes.Equal(head.Meta.Annot, annot) {
 		t.Fatal("Snapshot aliases live annotation bytes")
 	}
 
@@ -188,13 +189,13 @@ func TestIndexConsistencyAfterCompaction(t *testing.T) {
 // under an older view must not keep its key for the life of the group.
 func TestIndexDropsDrainedStreamsOfOldViews(t *testing.T) {
 	senders := []ident.PID{"a", "b", "c"}
-	q := New(obsolete.Tagging{}, 0)
-	var seq ident.Seq
+	q, ts := New(tagging, 0), tagStreams{}
+	var n uint32
 	for view := uint64(1); view <= 1000; view++ {
 		for round := 0; round < 2; round++ {
 			for _, s := range senders {
-				seq++
-				if _, err := q.AppendPurge(dataItem(view, s, seq, uint32(seq%2))); err != nil {
+				n++
+				if _, err := q.AppendPurge(ts.update(view, s, n%2)); err != nil {
 					t.Fatal(err)
 				}
 				for q.Len() > 4 {

@@ -16,7 +16,7 @@ type Domain struct {
 	Depth   int
 	Tags    int
 	// K parameterises the encoding itself: the k of k-enumeration, the
-	// tracker window of enumeration. Unused by empty and tagging.
+	// tracker window of enumeration and tagging. Unused by empty.
 	K int
 }
 
@@ -54,19 +54,19 @@ func BuiltinNames() []string {
 
 // Builtin returns the model of a named built-in encoding sampled over d.
 // The streams are generated with the encoding's own sender-side tracker so
-// annotations carry exactly the closure a real application would ship:
-// each sender's stream cycles through obsoleting nothing, the immediate
+// annotations carry exactly what a real application would ship. An
+// enumeration-style stream cycles through obsoleting nothing, the immediate
 // predecessor, the predecessor at the window edge, and a two-predecessor
-// batch, which exercises every annotation shape the encoding can emit.
+// batch, which exercises every annotation shape the encoding can emit. A
+// tagging stream updates item i mod tags at message i, every fifth message
+// reliable; it is read as enumeration.
 func Builtin(name string, d Domain) (*Model, error) {
 	d = d.withDefaults()
 	m := &Model{Name: name, Source: "builtin", Transitive: true}
 	switch name {
 	case "empty":
 		m.Rel = obsolete.Empty{}
-	case "tagging":
-		m.Rel = obsolete.Tagging{}
-	case "enumeration":
+	case "tagging", "enumeration":
 		m.Rel = obsolete.Enumeration{}
 		m.TransWindow = d.K // the tracker truncates closure at its window
 	case "k-enumeration", "bitmap":
@@ -78,7 +78,10 @@ func Builtin(name string, d Domain) (*Model, error) {
 	for s := 0; s < d.Senders; s++ {
 		st := Stream{Sender: senderPID(s)}
 		var tr obsolete.Tracker
+		var tags *obsolete.ItemTracker
 		switch name {
+		case "tagging":
+			tags = obsolete.NewTagTracker(d.K)
 		case "enumeration":
 			tr = obsolete.NewEnumTracker(d.K)
 		case "k-enumeration", "bitmap":
@@ -89,11 +92,10 @@ func Builtin(name string, d Domain) (*Model, error) {
 			switch {
 			case tr != nil:
 				msg.Seq, msg.Annot = tr.Next(trackerDirects(i, d.K)...)
-			case name == "tagging":
-				msg.Seq = seq(i)
-				if i%5 != 0 { // every fifth message is untagged (reliable)
-					msg.Annot = obsolete.TagAnnot(uint32(i % d.Tags))
-				}
+			case tags != nil && i%5 == 0:
+				msg.Seq, msg.Annot = tags.Reliable()
+			case tags != nil:
+				msg.Seq, msg.Annot = tags.Update(uint32(i % d.Tags))
 			default: // empty
 				msg.Seq = seq(i)
 			}

@@ -13,7 +13,7 @@ import (
 // nccheck-style ("VIOLATION: sender-local: p1:1 ≺ p2:2 crosses senders
 // p1→p2").
 type Violation struct {
-	Family string // laws | capabilities | confluence
+	Family string // laws | confluence
 	Check  string // irreflexivity, sender-local, listed, purge-safety, ...
 	// Witness is the minimal counterexample, human-readable.
 	Witness string
@@ -30,8 +30,8 @@ type CheckResult struct {
 	Checked int
 	// Detail annotates coverage ("sampled", "within window 4", ...).
 	Detail string
-	// Skipped means the check does not apply to this model (Listed not
-	// declared, transitivity not claimed).
+	// Skipped means the check does not apply to this model (transitivity
+	// not claimed, a listing derived from the rules).
 	Skipped bool
 	// Violations holds at most one minimal witness per check.
 	Violations []Violation
@@ -195,24 +195,21 @@ func checkSenderLocal(m *Model, msgs []obsolete.Msg) CheckResult {
 	return res
 }
 
-// ---- Capabilities (purge-index declarations) -------------------------------
-
-// checkListed verifies the Listed capability: for every message of the
-// universe, the sequence numbers the relation reads off its annotation are
-// exactly those of the same-sender messages it obsoletes — one listed too
-// many and the queue purges a message nothing covers, one too few and the
-// listed lookup keeps what the per-sender walk would purge.
+// checkListed verifies the listing: for every message of the universe, the
+// sequence numbers the relation reads off its annotation are exactly those of
+// the same-sender messages it obsoletes — one listed too many and the queue
+// purges a message the relation says nothing covers, one too few and it
+// keeps what the relation says is obsolete. A rules model's listing is
+// derived from its Obsoletes, so there the law could not fail.
 func checkListed(m *Model, msgs []obsolete.Msg) CheckResult {
-	res := CheckResult{Family: "capabilities", Name: "listed"}
-	l, _ := m.Rel.(obsolete.Listed)
-	if l == nil {
-		res.Skipped = true
-		res.Detail = "not declared"
+	res := CheckResult{Family: "laws", Name: "listed"}
+	if _, ok := m.Rel.(*ruleRelation); ok {
+		res.Skipped, res.Detail = true, "derived from rules"
 		return res
 	}
 	for _, b := range msgs {
 		listed := make(map[ident.Seq]bool)
-		for _, s := range l.AppendObsoleted(nil, b, 0) {
+		for _, s := range m.Rel.AppendObsoleted(nil, b, 0) {
 			listed[s] = true
 		}
 		for _, a := range msgs {

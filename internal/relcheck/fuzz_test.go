@@ -19,9 +19,9 @@ import (
 // Each input byte appends one message: the low bit picks the sender, the
 // next two bits pick the annotation shape (nothing, immediate
 // predecessor, window-edge reach, two-message batch — the shapes of
-// §4.1), the rest seed the tag. The byte order doubles as the arrival
-// order, so the fuzzer explores interleavings the fixed svs-check domain
-// does not.
+// §4.1), the rest seed the tag; tagging streams come from
+// obsolete.NewTagTracker. The byte order doubles as the arrival order, so
+// the fuzzer explores interleavings the fixed svs-check domain does not.
 func FuzzRelationLaws(f *testing.F) {
 	// Corpus seeds mirror the witness shapes svs-check minimization
 	// produces (see examples/unsound-*.yaml): a window-edge purge pair
@@ -74,9 +74,7 @@ func fuzzStreams(name string, k int, data []byte) (obsolete.Relation, []obsolete
 	switch name {
 	case "empty":
 		rel = obsolete.Empty{}
-	case "tagging":
-		rel = obsolete.Tagging{}
-	case "enumeration":
+	case "tagging", "enumeration":
 		rel = obsolete.Enumeration{}
 	default:
 		rel = obsolete.KEnumeration{K: k}
@@ -84,12 +82,15 @@ func fuzzStreams(name string, k int, data []byte) (obsolete.Relation, []obsolete
 
 	type sender struct {
 		tr   obsolete.Tracker
+		tags *obsolete.ItemTracker
 		next int
 	}
 	senders := make([]*sender, 2)
 	for i := range senders {
 		s := &sender{next: 1}
 		switch name {
+		case "tagging":
+			s.tags = obsolete.NewTagTracker(k)
 		case "enumeration":
 			s.tr = obsolete.NewEnumTracker(k)
 		case "k-enumeration":
@@ -120,11 +121,10 @@ func fuzzStreams(name string, k int, data []byte) (obsolete.Relation, []obsolete
 				direct = []int{i - 1, i - 2}
 			}
 			m.Seq, m.Annot = s.tr.Next(directs(direct...)...)
-		case name == "tagging":
-			m.Seq = seq(s.next)
-			if b>>1&1 == 0 { // some messages stay untagged (reliable)
-				m.Annot = obsolete.TagAnnot(uint32(b >> 2))
-			}
+		case s.tags != nil && b>>1&1 != 0: // some messages stay untagged (reliable)
+			m.Seq, m.Annot = s.tags.Reliable()
+		case s.tags != nil:
+			m.Seq, m.Annot = s.tags.Update(uint32(b >> 2))
 		default:
 			m.Seq = seq(s.next)
 		}

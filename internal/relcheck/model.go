@@ -4,21 +4,21 @@
 // SVS's safety guarantees (§3 of the paper) rest entirely on the
 // obsolescence relation being well-behaved — a strict partial order over
 // each sender's own stream whose purge decisions commute with delivery — and
-// on the Listed capability (obsolete.Listed) being truthful: an unsound
-// declaration silently corrupts the purge lookup in internal/queue.
-// relcheck takes a finite model of an application's message space and
-// relation — a YAML spec (ParseYAML) or a registered in-process relation
-// sampled over a bounded sender/seq/annotation domain (Builtin) — and
-// exhaustively checks three families:
+// on its listing being truthful: internal/queue purges what an arrival's
+// annotation lists, so a listing that disagrees with Obsoletes silently
+// corrupts the purge. relcheck takes a finite model of an application's
+// message space and relation — a YAML spec (ParseYAML) or a registered
+// in-process relation sampled over a bounded sender/seq/annotation domain
+// (Builtin) — and exhaustively checks two families:
 //
 //  1. Laws: the strict-partial-order laws of §3.2 — irreflexivity,
 //     antisymmetry, and transitivity where the encoding claims it
-//     (within its window for the enumeration-style encodings) — and
+//     (within its window for the enumeration-style encodings);
 //     sender-locality: the relation never relates messages across senders
-//     or against sequence order, pairs the protocol never asks about.
-//  2. Capabilities: a Listed relation lists exactly the predecessors each
-//     message obsoletes.
-//  3. Confluence: for every interleaving of the modelled per-sender
+//     or against sequence order, pairs the protocol never asks about; and
+//     listed: each message lists exactly the predecessors it obsoletes
+//     (skipped for rules models, whose listing is derived from the rules).
+//  2. Confluence: for every interleaving of the modelled per-sender
 //     streams (FIFO within each sender, the protocol invariant), purging
 //     on every arrival under the model's relation and then delivering
 //     leaves every purged message covered by a delivered one under the
@@ -48,7 +48,8 @@ type Model struct {
 	// Source records where the model came from (a YAML path or "builtin").
 	Source string
 	// Rel is the relation under test. For YAML rule models this is the
-	// union of the spec's rule predicates, which declares no capability.
+	// union of the spec's rule predicates, listing what they relate in the
+	// modelled domain.
 	Rel obsolete.Relation
 
 	// Streams holds the per-sender, seq-ordered message streams of the

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/ident"
 	"repro/internal/obsolete"
 )
@@ -53,6 +54,50 @@ func TestBuiltinTransitivityNonVacuous(t *testing.T) {
 			if c.Name == "transitivity" && !c.Skipped && c.Checked == 0 {
 				t.Errorf("built-in %q: transitivity checked 0 chains", name)
 			}
+		}
+	}
+}
+
+// TestTaggingClosureIsSameTag: the closure the protocol honours over the
+// tagging model's listings (check.Closure) is exactly the same-tag relation:
+// a ⊑* b for a ≠ b just when both update one item of one sender and a is
+// older. Over DefaultDomain the window spans every same-tag pair, so each
+// update lists them all; under a window of 2 some pair is covered only
+// through a chain, since an update lists its item's previous update at any
+// distance.
+func TestTaggingClosureIsSameTag(t *testing.T) {
+	tag := func(m obsolete.Msg) int { // as Builtin mints them
+		if m.Seq%5 == 0 {
+			return -1 // reliable
+		}
+		return int(m.Seq) % DefaultDomain.Tags
+	}
+	for _, k := range []int{DefaultDomain.K, 2} {
+		d := DefaultDomain
+		d.K = k
+		m, err := Builtin("tagging", d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs := m.Msgs()
+		closure := check.NewClosure(m.Rel, msgs)
+		chained := 0
+		for _, a := range msgs {
+			for _, b := range msgs {
+				if a.ID() == b.ID() {
+					continue
+				}
+				want := a.Sender == b.Sender && a.Seq < b.Seq && tag(a) >= 0 && tag(a) == tag(b)
+				if got := closure.Covers(a.ID(), b.ID()); got != want {
+					t.Fatalf("window %d: %s ⊑* %s is %v, same-tag says %v", k, msgStr(a), msgStr(b), got, want)
+				}
+				if want && !m.Rel.Obsoletes(a, b) {
+					chained++
+				}
+			}
+		}
+		if (chained == 0) != (k == DefaultDomain.K) {
+			t.Fatalf("window %d: %d same-tag pairs covered only through a chain", k, chained)
 		}
 	}
 }
@@ -118,9 +163,9 @@ rules:
 	}
 }
 
-// misListing is k-enumeration whose Listed capability lies about what the
-// bitmap says: it adds the direct predecessor to every list (over), or
-// drops the first number listed (under).
+// misListing is k-enumeration whose listing lies about what the bitmap
+// says: it adds the direct predecessor to every list (over), or drops the
+// first number listed (under).
 type misListing struct {
 	obsolete.KEnumeration
 	over bool
@@ -138,7 +183,7 @@ func (r misListing) AppendObsoleted(dst []ident.Seq, n obsolete.Msg, floor ident
 }
 
 // TestUnsoundListingDetected: the built-in lists verify (TestBuiltinsSound
-// runs the check on both enumerating encodings); one that over-lists is
+// runs the law on every encoding); one that over-lists is
 // rejected with the first message that lists a predecessor it does not
 // obsolete, and one that under-lists is rejected too.
 func TestUnsoundListingDetected(t *testing.T) {
@@ -214,7 +259,8 @@ rules:
 // would not be (1≺2≺5 without 1≺5). The second is the batch-commit shape
 // that reaches 3 to 4 back and nothing nearer: no intermediate arrival
 // purges the victim, and the arrival purge, which looks at the whole
-// stream, finds it all the same.
+// stream, finds it all the same. The third is the tag rule, whose listing is
+// every earlier number of the same residue.
 func TestSoundRulesModel(t *testing.T) {
 	for _, text := range []string{`
 name: honest-stride
@@ -230,6 +276,13 @@ rules:
   - match: stride
     from: 3
     reach: 4
+`, `
+name: tag-rule
+relation: rules
+transitive: true
+tags: 2
+rules:
+  - match: tag
 `} {
 		m := mustParse(t, text)
 		if r := Run(m); !r.OK() {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"repro/internal/obsolete"
 )
 
 // Report rendering, nccheck-style: a banner, the universe stats, one line
@@ -30,16 +28,10 @@ func (r *Report) Format(w io.Writer, quiet bool) {
 		fmt.Fprintf(w, "Universe\n")
 		fmt.Fprintf(w, "  Senders:   %d, %d messages\n", len(r.Model.Streams), total)
 		fmt.Fprintf(w, "  Related:   %d ordered pairs\n", r.Related)
-		decl := "none"
-		if _, ok := r.Model.Rel.(obsolete.Listed); ok {
-			decl = "listed"
-		}
-		fmt.Fprintf(w, "  Declared:  %s\n", decl)
 	}
 
 	for _, fam := range []struct{ key, title string }{
 		{"laws", "Laws (a strict partial order per sender, §3.2 and §4.2)"},
-		{"capabilities", "Capabilities (purge-index declarations)"},
 		{"confluence", "Confluence (purge ⇄ deliver)"},
 	} {
 		wroteTitle := false

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/ident"
 	"repro/internal/obsolete"
 )
 
@@ -38,11 +39,13 @@ func (r strideRule) String() string {
 	return fmt.Sprintf("stride≤%d", r.reach)
 }
 
-// tagRule is the tagging shape: same sender, same 4-byte tag, earlier seq.
-type tagRule struct{}
+// tagRule is the tagging shape: same sender, same tag, earlier seq, where
+// message s of a stream updates item s mod tags.
+type tagRule struct{ tags int }
 
-func (tagRule) obsoletes(old, new obsolete.Msg) bool {
-	return obsolete.Tagging{}.Obsoletes(old, new)
+func (r tagRule) obsoletes(old, new obsolete.Msg) bool {
+	return old.Sender == new.Sender && old.Seq < new.Seq &&
+		uint64(old.Seq)%uint64(r.tags) == uint64(new.Seq)%uint64(r.tags)
 }
 func (tagRule) String() string { return "tag" }
 
@@ -80,8 +83,10 @@ func (selfRule) obsoletes(old, new obsolete.Msg) bool {
 }
 func (selfRule) String() string { return "self" }
 
-// ruleRelation is the union of its rules; internal/queue runs it on the
-// per-sender walk, as it would any relation that does not declare Listed.
+// ruleRelation is the union of its rules. Its messages carry no annotation
+// — a rule reads sender and sequence number only — so its listing is derived
+// from the modelled domain: every number from 1 up to the message's own that
+// the rules relate to it.
 type ruleRelation struct {
 	rules []rule
 }
@@ -103,30 +108,23 @@ func (r *ruleRelation) Obsoletes(old, new obsolete.Msg) bool {
 	return false
 }
 
-// usesTags reports whether any rule reads tag annotations, so stream
-// synthesis knows to attach them.
-func (r *ruleRelation) usesTags() bool {
-	for _, ru := range r.rules {
-		if _, ok := ru.(tagRule); ok {
-			return true
+func (r *ruleRelation) AppendObsoleted(dst []ident.Seq, new obsolete.Msg, floor ident.Seq) []ident.Seq {
+	for s := max(floor, 1); s < new.Seq; s++ {
+		if r.Obsoletes(obsolete.Msg{Sender: new.Sender, Seq: s}, new) {
+			dst = append(dst, s)
 		}
 	}
-	return false
+	return dst
 }
 
 // ruleStreams synthesises the universe of a rules model: senders p1..pS
-// with seqs 1..depth, tagged round-robin over tags when the relation
-// reads tags.
-func ruleStreams(rel *ruleRelation, senders, depth, tags int) []Stream {
+// with seqs 1..depth.
+func ruleStreams(senders, depth int) []Stream {
 	var out []Stream
 	for s := 0; s < senders; s++ {
 		st := Stream{Sender: senderPID(s)}
 		for i := 1; i <= depth; i++ {
-			m := obsolete.Msg{Sender: st.Sender, Seq: seq(i)}
-			if rel.usesTags() {
-				m.Annot = obsolete.TagAnnot(uint32(i % tags))
-			}
-			st.Msgs = append(st.Msgs, m)
+			st.Msgs = append(st.Msgs, obsolete.Msg{Sender: st.Sender, Seq: seq(i)})
 		}
 		out = append(out, st)
 	}

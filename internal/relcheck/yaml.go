@@ -18,11 +18,11 @@ import (
 //
 //	name: unsound-cross         # report label
 //	relation: rules             # empty | tagging | enumeration | k-enumeration | rules
-//	k: 4                        # encoding parameter (enumeration window / k-enumeration k)
+//	k: 4                        # encoding parameter (enumeration and tagging window / k-enumeration k)
 //	transitive: false           # transitivity claim (default: true for built-ins, false for rules)
 //	senders: 2                  # domain: number of senders
 //	depth: 6                    # domain: messages per sender
-//	tags: 3                     # domain: distinct item tags
+//	tags: 3                     # domain: distinct item tags (tagging, and the tag rule)
 //	max-interleavings: 2000     # confluence enumeration bound
 //	rules:                      # relation: rules only — union of rule predicates
 //	  - match: stride           # stride | tag | cross-sender | symmetric | self
@@ -162,19 +162,16 @@ func (sp *spec) model() (*Model, error) {
 		if len(sp.rules) == 0 {
 			return nil, fmt.Errorf("relation: rules requires a non-empty rules section")
 		}
+		d = d.withDefaults()
 		rel := &ruleRelation{}
 		for _, r := range sp.rules {
-			ru, err := buildRule(r)
+			ru, err := buildRule(r, d.Tags)
 			if err != nil {
 				return nil, err
 			}
 			rel.rules = append(rel.rules, ru)
 		}
-		d = d.withDefaults()
-		m = &Model{
-			Rel:     rel,
-			Streams: ruleStreams(rel, d.Senders, d.Depth, d.Tags),
-		}
+		m = &Model{Rel: rel, Streams: ruleStreams(d.Senders, d.Depth)}
 	} else {
 		if len(sp.rules) > 0 {
 			return nil, fmt.Errorf("rules section is only valid with relation: rules")
@@ -224,7 +221,7 @@ func parseBool(v, key string) (bool, error) {
 	return false, fmt.Errorf("key %q: want true or false, got %q", key, v)
 }
 
-func buildRule(r map[string]string) (rule, error) {
+func buildRule(r map[string]string, tags int) (rule, error) {
 	match := r["match"]
 	reach := 4
 	if v, ok := r["reach"]; ok {
@@ -254,7 +251,7 @@ func buildRule(r map[string]string) (rule, error) {
 	case "stride":
 		return strideRule{from: from, reach: reach}, nil
 	case "tag":
-		return tagRule{}, nil
+		return tagRule{tags: tags}, nil
 	case "cross-sender":
 		return crossSenderRule{reach: reach}, nil
 	case "symmetric":
