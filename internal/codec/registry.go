@@ -29,13 +29,12 @@ const (
 	// TDataBatchMsg coalesces a run of DataMsgs from one sender into a
 	// single envelope (internal/core's batched data plane).
 	TDataBatchMsg
-	// TProbeMsg .. TMergePredMsg are the partition-healing protocol
-	// (internal/core): discovery probes, minority split declarations, merge
-	// announcements and the bidirectional merge state contributions.
+	// TProbeMsg and TSplitMsg are the partition-healing protocol
+	// (internal/core): discovery probes and minority split declarations. A
+	// merge needs no message of its own: it is announced by a TInitMsg over
+	// two sides and contributed to by TPredMsgs.
 	TProbeMsg
 	TSplitMsg
-	TMergeMsg
-	TMergePredMsg
 
 	// TTestA and TTestB are reserved for package tests.
 	TTestA TypeID = 250

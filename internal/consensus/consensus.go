@@ -338,9 +338,13 @@ func (in *instance) deliver(from ident.PID, m Msg) {
 func (in *instance) run() {
 	defer in.svc.wg.Done()
 
-	// Wait for the local proposal (messages keep buffering meanwhile).
+	// Wait for the local proposal (messages keep buffering meanwhile). A
+	// process that only awaits the instance learns the decision from the
+	// decide flood and never proposes: the runner ends with the decision.
 	select {
 	case <-in.proposeC:
+	case <-in.decidedC:
+		return
 	case <-in.svc.done:
 		return
 	}

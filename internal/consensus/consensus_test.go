@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -199,6 +200,35 @@ func TestConsensusAwait(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("await never returned")
+	}
+}
+
+// TestAwaitedInstanceEndsWithDecision: a bystander that awaits instances it
+// never proposes to — as a view-change engine awaits its successor's — keeps
+// no goroutine once the decide flood reaches it.
+func TestAwaitedInstanceEndsWithDecision(t *testing.T) {
+	const instances = 50
+	h := newHarness(t, 3)
+	bystander, proposers := h.pids[2], h.pids[:2]
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	before := runtime.NumGoroutine()
+	for i := 0; i < instances; i++ {
+		id := fmt.Sprintf("inst-%d", i)
+		awaited := make(chan error, 1)
+		go func() {
+			_, err := h.svcs[bystander].Await(ctx, id)
+			awaited <- err
+		}()
+		assertAgreement(t, h.proposeAll(t, id, proposers, 5*time.Second), proposers)
+		if err := <-awaited; err != nil {
+			t.Fatalf("await %s: %v", id, err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left over after %d awaited decisions", runtime.NumGoroutine()-before, instances)
+		}
 	}
 }
 

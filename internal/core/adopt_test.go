@@ -215,7 +215,7 @@ func TestInstallUnderBacklogIsLinear(t *testing.T) {
 	rel := countingKEnum{KEnumeration: obsolete.KEnumeration{K: k}, calls: &calls, listed: &listed}
 	e := snapEngine(rel)
 	e.clock, e.rootCtx = obs.Wall{}, context.Background()
-	e.block(e.cv.Members)
+	e.block(ident.ViewRef{ID: e.cv.ID + 1}, e.cv.Members, e.cv.Members)
 
 	rng := rand.New(rand.NewSource(20))
 	tr := obsolete.NewKTracker(k)

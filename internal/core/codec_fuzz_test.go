@@ -40,9 +40,14 @@ func TestCodecWireRoundTripEdgeCases(t *testing.T) {
 		InitMsg{},
 		InitMsg{View: 9, Leave: []ident.PID{}},
 		InitMsg{View: 9, Leave: []ident.PID{"a", "b"}},
+		InitMsg{View: 1, Members: []ident.PID{"a"}, Far: &MergeSide{View: 4, Epoch: 7, Members: []ident.PID{}}},
+		InitMsg{Members: []ident.PID{}, Far: &MergeSide{}},
 		PredMsg{},
-		PredMsg{View: 4, Msgs: []DataMsg{}},
-		PredMsg{View: 4, Msgs: []DataMsg{{View: 4, Meta: obsolete.Msg{Sender: "q", Seq: 7, Annot: []byte{1}}, Payload: []byte("x")}}},
+		PredMsg{Change: ident.ViewRef{ID: 5}, Msgs: []DataMsg{}},
+		PredMsg{Change: ident.ViewRef{ID: 5}, Msgs: []DataMsg{{View: 4, Meta: obsolete.Msg{Sender: "q", Seq: 7, Annot: []byte{1}}, Payload: []byte("x")}}},
+		PredMsg{Change: ident.ViewRef{Epoch: 5, ID: 2}, Decline: true},
+		PredMsg{Change: ident.ViewRef{ID: 2}, Msgs: []DataMsg{}, Recv: map[ident.PID]ident.Seq{}},
+		PredMsg{Change: ident.ViewRef{ID: 2}, Msgs: []DataMsg{dm}, Recv: map[ident.PID]ident.Seq{"q": 7}},
 		CreditMsg{},
 		CreditMsg{View: 2, Credits: -3},
 		CreditMsg{View: 2, Credits: 1 << 30},
@@ -62,12 +67,6 @@ func TestCodecWireRoundTripEdgeCases(t *testing.T) {
 		ProbeMsg{View: 6, Members: []ident.PID{"a", "b"}},
 		SplitMsg{},
 		SplitMsg{View: 2, Epoch: 3, Members: []ident.PID{"a"}},
-		MergeMsg{},
-		MergeMsg{A: MergeSide{View: 1, Members: []ident.PID{"a"}}, B: MergeSide{View: 4, Epoch: 7, Members: []ident.PID{}}},
-		MergePredMsg{},
-		MergePredMsg{Merge: ident.ViewRef{Epoch: 5, ID: 2}, Decline: true},
-		MergePredMsg{Merge: ident.ViewRef{ID: 2}, Msgs: []DataMsg{}, Recv: map[ident.PID]ident.Seq{}},
-		MergePredMsg{Merge: ident.ViewRef{ID: 2}, Msgs: []DataMsg{dm}, Recv: map[ident.PID]ident.Seq{"q": 7}},
 	}
 	for _, m := range cases {
 		roundTrip(t, m)
@@ -86,7 +85,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		roundTrip(t, dm)
 
 		init := InitMsg{View: ident.ViewID(view)}
-		pred := PredMsg{View: ident.ViewID(view)}
+		pred := PredMsg{Change: ident.ViewRef{Epoch: ident.Epoch(seq), ID: ident.ViewID(view)}, Decline: nils}
 		stable := StableMsg{View: ident.ViewID(view)}
 		if !nils {
 			init.Leave = []ident.PID{ident.PID(peer), ident.PID(sender)}
@@ -95,6 +94,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				ident.PID(sender): ident.Seq(seq),
 				ident.PID(peer):   ident.Seq(view),
 			}
+			pred.Recv = stable.Recv
 		}
 		roundTrip(t, init)
 		roundTrip(t, pred)
@@ -106,8 +106,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		side := MergeSide{View: ident.ViewID(view), Epoch: ident.Epoch(seq), Members: init.Leave}
 		roundTrip(t, ProbeMsg(side))
 		roundTrip(t, SplitMsg(side))
-		roundTrip(t, MergeMsg{A: side, B: MergeSide{View: ident.ViewID(seq), Members: init.Join}})
-		roundTrip(t, MergePredMsg{Merge: side.Ref(), Decline: nils, Msgs: pred.Msgs, Recv: stable.Recv})
+		roundTrip(t, InitMsg{View: ident.ViewID(seq), Members: init.Join, Far: &side})
 	})
 }
 
@@ -140,7 +139,7 @@ func FuzzWireDecodeNoPanic(f *testing.F) {
 	for _, m := range []any{
 		dm,
 		InitMsg{View: 4, Leave: []ident.PID{"b"}, Join: []ident.PID{"c"}},
-		PredMsg{View: 4, Msgs: []DataMsg{dm}},
+		PredMsg{Change: ident.ViewRef{Epoch: 1, ID: 5}, Msgs: []DataMsg{dm}},
 		CreditMsg{View: 4, Credits: 8},
 		StableMsg{View: 4, Recv: recv},
 		JoinReqMsg{},
@@ -148,8 +147,8 @@ func FuzzWireDecodeNoPanic(f *testing.F) {
 		&DataBatchMsg{Msgs: []DataMsg{dm, dm}},
 		ProbeMsg(side),
 		SplitMsg(side),
-		MergeMsg{A: side, B: MergeSide{View: 2, Epoch: 9, Members: []ident.PID{"c"}}},
-		MergePredMsg{Merge: side.Ref(), Msgs: []DataMsg{dm}, Recv: recv},
+		InitMsg{View: side.View, Epoch: side.Epoch, Members: side.Members, Far: &MergeSide{View: 2, Epoch: 9, Members: []ident.PID{"c"}}},
+		PredMsg{Change: side.Ref(), Decline: true},
 	} {
 		b, err := codec.Marshal(nil, m)
 		if err != nil {
@@ -182,7 +181,8 @@ func FuzzWireDecodeNoPanic(f *testing.F) {
 func TestDecodeBoundsHostileCounts(t *testing.T) {
 	const claimed = 1 << 20
 	hostile := codec.AppendByte(nil, byte(codec.TPredMsg))
-	hostile = codec.AppendUvarint(hostile, 1)         // view
+	hostile = codec.AppendUvarint(hostile, 1)         // change: view
+	hostile = codec.AppendUvarint(hostile, 0)         // change: epoch
 	hostile = codec.AppendUvarint(hostile, claimed+1) // claims 1M DataMsgs
 	// 1 MiB of 0xFF: satisfies the byte bound, but the first element's
 	// view field is an over-long varint, so decoding fails immediately.

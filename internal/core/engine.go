@@ -548,6 +548,15 @@ func (e *Engine) send(p ident.PID, ch transport.Channel, msg any) {
 	}
 }
 
+// sendOthers sends control message m to every process of to but this one.
+func (e *Engine) sendOthers(to ident.PIDs, m any) {
+	for _, p := range to {
+		if p != e.cfg.Self {
+			e.send(p, transport.Ctl, m)
+		}
+	}
+}
+
 // syncSnapshots mirrors loop-owned state into the facade-visible copies,
 // then releases the turn's replies.
 func (e *Engine) syncSnapshots() {

@@ -15,21 +15,21 @@ package core
 // When the partition heals, members discover each other again through
 // probes — tiny beacons sent to every process a member once shared a view
 // with but no longer does (peer.former) — and drive both sub-views into
-// a *merge*:
+// a *merge*, a view change over two sides on Figure 1's two messages:
 //
-//	probe ───────▶ far side (different epoch detected)
-//	MergeMsg ────▶ union     (both sides' refs + memberships, flooded)
-//	MergePredMsg ▶ union     (each member's current-view backlog +
-//	                          reception frontiers — the bidirectional
-//	                          semantic state exchange: every current-view
-//	                          message the relation never obsoleted)
-//	consensus(union ref) ───▶ union view installs on both sides
+//	probe ─────▶ far side (different epoch detected)
+//	INIT ──────▶ union     (both sides' refs + memberships, flooded)
+//	PRED ──────▶ union     (each member's current-view backlog +
+//	                        reception frontiers — the bidirectional
+//	                        semantic state exchange: every current-view
+//	                        message the relation never obsoleted)
+//	consensus(union ref) ─▶ union view installs on both sides
 //
 // A split and a merge are the view change of viewchange.go under another
-// successor: the contributions go into the same ledger, the same quorum
-// rule (checkPropose) decides when to propose, and the union view's flush
-// is built as every flush is — the deduplicated combination of every
-// contribution, repurged once — so each side delivers the other's
+// successor: one onInit opens the change, one onPred feeds its ledger, the
+// same quorum rule (checkPropose) decides when to propose, and the union
+// view's flush is built as every flush is — the deduplicated combination of
+// every contribution, repurged once — so each side delivers the other's
 // relation-surviving backlog before the union-view marker, and the SVS
 // guarantee holds across the merge exactly as it does across an ordinary
 // view change.
@@ -46,45 +46,15 @@ package core
 // enumerating every interleaving.
 
 import (
-	"time"
-
 	"repro/internal/ident"
 	"repro/internal/transport"
 )
 
-// mergeSide is one sub-view being merged: its global ref and membership.
-type mergeSide struct {
-	ref     ident.ViewRef
-	members ident.PIDs
-}
-
-// mergeState is what a change that is a merge holds beyond an ordinary one
-// (change.merge); its contributions, declines and two sides are the
-// change's ledger.
-type mergeState struct {
-	// ref names the union view under decision; the change awaits its
-	// instance like any other candidate successor.
-	ref ident.ViewRef
-	// union is the combined membership — the consensus participant set
-	// and the audience of every merge message.
-	union    ident.PIDs
-	deadline time.Time // the abort timeout (HealSpec.MergeTimeout)
-	bytesIn  uint64    // the contributions' encoded size, each member's first
-}
-
-// merging returns the merge in flight, nil when none.
-func (e *Engine) merging() *mergeState {
-	if e.chg == nil {
-		return nil
-	}
-	return e.chg.merge
-}
-
 // onHealTick fires every HealSpec.ProbeInterval: beacon the processes we
 // lost to a partition, and time out a merge that stopped making progress.
 func (e *Engine) onHealTick() {
-	if mg := e.merging(); mg != nil {
-		if e.clock.Now().After(mg.deadline) {
+	if c := e.chg; c.merge() {
+		if e.clock.Now().After(c.deadline) {
 			e.abortMerge("timeout")
 		}
 		return
@@ -104,7 +74,7 @@ func (e *Engine) onHealTick() {
 // member (probes only target those), so the interesting cases are all
 // disagreements about who belongs where.
 func (e *Engine) onProbe(from ident.PID, m ProbeMsg) {
-	if e.cfg.Heal == nil || e.joiner != nil || e.merging() != nil {
+	if e.cfg.Heal == nil || e.joiner != nil || e.chg.merge() {
 		return
 	}
 	ref := m.Ref()
@@ -116,8 +86,20 @@ func (e *Engine) onProbe(from ident.PID, m ProbeMsg) {
 		// Another lineage. Usually the healed far side of a partition; if
 		// from is currently *our* member, the group diverged (e.g. a split
 		// and an ordinary change both decided) — either way the union of
-		// the two views reconverges everyone.
-		e.maybeStartMerge(mergeSide{ref: ref, members: members})
+		// the two views reconverges everyone. Announce the merge to the
+		// union as triggerViewChange announces an ordinary change to the
+		// view, the pair normalised so both sides' initiators send one INIT.
+		if e.open() {
+			near := MergeSide{View: e.cv.ID, Epoch: e.cv.Epoch, Members: e.cv.Members.Clone()}
+			far := MergeSide{View: m.View, Epoch: m.Epoch, Members: members}
+			if far.Ref().Less(near.Ref()) {
+				near, far = far, near
+			}
+			init := InitMsg{View: near.View, Epoch: near.Epoch, Members: near.Members, Far: &far}
+			for _, p := range e.cv.Members.Union(members) {
+				e.send(p, transport.Ctl, init)
+			}
+		}
 		return
 	}
 	// Same lineage: one of us is simply behind.
@@ -166,19 +148,14 @@ func (e *Engine) checkSplit() {
 		return // this exact continuation is already declared and pending
 	}
 	e.ev.SplitDeclared(ref.String(), len(split))
-	msg := SplitMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Members: split.Clone()}
-	for _, p := range split {
-		if p != e.cfg.Self {
-			e.send(p, transport.Ctl, msg)
-		}
-	}
+	e.sendOthers(split, SplitMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Members: split.Clone()})
 	e.adoptSplit(split)
 }
 
 // onSplit handles a split declaration from the reachable set's leader.
 func (e *Engine) onSplit(from ident.PID, m SplitMsg) {
 	c := e.chg
-	if e.cfg.Heal == nil || c == nil || c.merge != nil || m.Ref() != e.cv.Ref() {
+	if e.cfg.Heal == nil || c == nil || c.merge() || m.Ref() != e.cv.Ref() {
 		return
 	}
 	members := ident.NewPIDs(m.Members...)
@@ -208,15 +185,6 @@ func (e *Engine) adoptSplit(members ident.PIDs) {
 
 // ---- merge: two sub-views reconverge into their union -----------------------
 
-// maybeStartMerge begins a merge with the remote sub-view a probe
-// revealed, if no change or merge is already in flight.
-func (e *Engine) maybeStartMerge(remote mergeSide) {
-	if !e.open() || remote.ref == e.cv.Ref() {
-		return
-	}
-	e.startMerge(mergeSide{ref: e.cv.Ref(), members: e.cv.Members.Clone()}, remote)
-}
-
 // mergeRefFor names the union view of two sub-views: a fresh epoch hashed
 // from both parent refs, one past the higher of the two view numbers — so
 // both sides' numbering is respected and re-runs of the same merge land on
@@ -229,115 +197,56 @@ func mergeRefFor(a, b ident.ViewRef) ident.ViewRef {
 	return ident.ViewRef{Epoch: MergeEpoch(a, b), ID: maxID + 1}
 }
 
-// startMerge blocks the engine and runs the merge handshake: announce the
-// merge to the union, extend the failure detector across it, contribute
-// our own state, and watch the union instance for the decision. Both
-// initiators (each side probes the other) derive the identical normalised
-// state, so their floods are idempotent.
-func (e *Engine) startMerge(a, b mergeSide) {
-	if b.ref.Less(a.ref) {
-		a, b = b, a
+// openMerge opens the change an INIT over two sides announces, if one side
+// is our current view, and returns it; nil, without healing or for an
+// announcement we have moved past. Both initiators (each side probes the
+// other) announce the same normalised pair, so their floods are
+// idempotent. The change's successor is the union's ref, its audience the
+// union, and its quorum is taken over both sub-views.
+func (e *Engine) openMerge(m InitMsg) *change {
+	if e.cfg.Heal == nil {
+		return nil
 	}
-	ref := mergeRefFor(a.ref, b.ref)
-	union := a.members.Union(b.members)
-	c := e.block(a.members, b.members)
-	c.merge = &mergeState{ref: ref, union: union, deadline: c.start.Add(e.cfg.Heal.MergeTimeout)}
-	e.ev.MergeStarted(ref.String(), a.ref.String(), b.ref.String(), len(union))
-	// Extend the heartbeat fanout across the union: the propose condition
-	// below needs suspicion to develop for far-side members that died.
-	e.setPeers(union)
-	// Flood the announcement (everyone re-floods once, so the handshake
-	// survives the initiator crashing mid-broadcast), then contribute.
-	// Per-link FIFO guarantees every peer sees our announcement before
-	// our contribution.
-	ann := MergeMsg{
-		A: MergeSide{View: a.ref.ID, Epoch: a.ref.Epoch, Members: a.members.Clone()},
-		B: MergeSide{View: b.ref.ID, Epoch: b.ref.Epoch, Members: b.members.Clone()},
-	}
-	for _, p := range union {
-		if p != e.cfg.Self {
-			e.send(p, transport.Ctl, ann)
-		}
-	}
-	// Unlike an ordinary flush the contribution keeps stable messages: the
-	// far side was never counted by this view's stable frontier, so for it
-	// "stable" proves nothing.
-	contrib := MergePredMsg{Merge: ref, Msgs: e.held(e.inView), Recv: e.recvSnapshot()}
-	for _, p := range union {
-		e.send(p, transport.Ctl, contrib) // including self: loopback keeps one code path
-	}
-	e.awaitDecision(ref)
-}
-
-// onMerge handles a merge announcement: if it names our current view as
-// one side, adopt it and run the same handshake as the initiator.
-func (e *Engine) onMerge(from ident.PID, m MergeMsg) {
-	if e.cfg.Heal == nil || !e.open() {
-		// Joining, already merging (this announcement is the flood echo),
-		// or an ordinary change is mid-flight — its install or abort comes
-		// first; the far side times out and re-probes.
-		return
-	}
-	a := mergeSide{ref: m.A.Ref(), members: ident.NewPIDs(m.A.Members...)}
-	b := mergeSide{ref: m.B.Ref(), members: ident.NewPIDs(m.B.Members...)}
-	cur := e.cv.Ref()
-	if cur != a.ref && cur != b.ref {
-		return // stale announcement for a view we have moved past
-	}
+	a, b := MergeSide{View: m.View, Epoch: m.Epoch, Members: m.Members}, *m.Far
 	// Our own side's membership is consensus-agreed state; use the
 	// authoritative copy (it equals the announced one at every correct
 	// sender).
-	if cur == a.ref {
-		a.members = e.cv.Members.Clone()
-	} else {
-		b.members = e.cv.Members.Clone()
+	switch e.cv.Ref() {
+	case a.Ref():
+		a.Members = e.cv.Members
+	case b.Ref():
+		b.Members = e.cv.Members
+	default:
+		return nil
 	}
-	e.startMerge(a, b)
+	sa, sb := ident.NewPIDs(a.Members...), ident.NewPIDs(b.Members...)
+	union := sa.Union(sb)
+	c := e.block(mergeRefFor(a.Ref(), b.Ref()), union, sa, sb)
+	c.deadline = c.start.Add(e.cfg.Heal.MergeTimeout)
+	e.ev.MergeStarted(c.next.String(), a.Ref().String(), b.Ref().String(), len(union))
+	// Extend the heartbeat fanout across the union: the quorum rule needs
+	// suspicion to develop for far-side members that died.
+	e.setPeers(union)
+	return c
 }
 
-// declineMerge answers a merge announcement that names this process on a
+// declineMerge answers an INIT over two sides that names this process on a
 // side it was since expelled from: a broadcast "count me out", so the
 // union can proceed without waiting for suspicion to develop.
-func (e *Engine) declineMerge(m MergeMsg) {
-	ref := mergeRefFor(m.A.Ref(), m.B.Ref())
-	union := ident.NewPIDs(m.A.Members...).Union(ident.NewPIDs(m.B.Members...))
-	msg := MergePredMsg{Merge: ref, Decline: true}
-	for _, p := range union {
-		if p != e.cfg.Self {
-			e.send(p, transport.Ctl, msg)
-		}
-	}
-}
-
-// onMergePred collects one member's merge contribution (or decline).
-func (e *Engine) onMergePred(from ident.PID, m MergePredMsg) {
-	mg := e.merging()
-	if mg == nil || m.Merge != mg.ref || !mg.union.Contains(from) {
-		return // not merging, a different merge, or an outsider
-	}
-	c := e.chg
-	if m.Decline {
-		c.declined = c.declined.Add(from)
-		e.checkPropose()
-		return
-	}
-	if !c.from.Contains(from) {
-		size := uint64(wireSize(m))
-		mg.bytesIn += size
-		e.stats.MergeBytesRecv += size
-	}
-	e.contribute(from, m.Msgs, m.Recv)
+func (e *Engine) declineMerge(m InitMsg) {
+	union := ident.NewPIDs(m.Members...).Union(m.Far.Members)
+	e.sendOthers(union, PredMsg{Change: mergeRefFor(m.Ref(), m.Far.Ref()), Decline: true})
 }
 
 // finishMerge records the completed merge; install has already adopted the
 // flush and the combined frontiers.
 func (e *Engine) finishMerge(st StateMsg) {
-	mg := e.chg.merge
+	c := e.chg
 	e.stats.Merges++
-	took := e.clock.Since(e.chg.start)
+	took := e.clock.Since(c.start)
 	e.m.mergeDur.ObserveDuration(took)
-	e.m.mergeBytes.Observe(float64(mg.bytesIn))
-	e.ev.MergeComplete(ident.ViewRef{Epoch: st.Epoch, ID: st.View}.String(), len(st.Members), len(st.Backlog), int(mg.bytesIn), took)
+	e.m.mergeBytes.Observe(float64(c.bytesIn))
+	e.ev.MergeComplete(ident.ViewRef{Epoch: st.Epoch, ID: st.View}.String(), len(st.Members), len(st.Backlog), int(c.bytesIn), took)
 }
 
 // abortMerge abandons a merge whose union decision did not arrive in
@@ -347,11 +256,11 @@ func (e *Engine) finishMerge(st StateMsg) {
 // the probe list; a later probe retries the merge on the same
 // (deterministic) instance.
 func (e *Engine) abortMerge(reason string) {
-	mg := e.chg.merge
+	c := e.chg
 	e.endChange()
 	e.stats.MergeAborts++
-	e.ev.MergeAborted(mg.ref.String(), reason)
-	for _, p := range mg.union {
+	e.ev.MergeAborted(c.next.String(), reason)
+	for _, p := range c.audience {
 		if p != e.cfg.Self && !e.cv.Includes(p) {
 			e.peer(p).former = true
 		}

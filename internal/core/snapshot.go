@@ -5,21 +5,40 @@ package core
 // flushed ahead of the view marker — and the three hand-overs of this
 // engine are that mechanism under different filters:
 //
-//	view-change pred    held(current view, not yet stable)         PredMsg
-//	merge contribution  held(current view)        + recvSnapshot   MergePredMsg
-//	join transfer       repurge(held(everything)) + recvSnapshot   StateMsg
+//	change over one side   held(current view, not yet stable)         PredMsg
+//	change over two sides  held(current view)        + recvSnapshot   PredMsg
+//	join transfer          repurge(held(everything)) + recvSnapshot   StateMsg
 //
-// A flush is repurged once, where it is assembled: a change's proposal
-// repurges the contributions it gathered (proposal, viewchange.go) and the
-// sponsor the backlog it ships. Either way the result is a StateMsg, and
-// whoever is handed one — the decided value of an install, a joiner's
-// transfer — applies it with adopt.
+// The first two are one function, contribution. A flush is repurged once,
+// where it is assembled: a change's proposal repurges the contributions it
+// gathered (proposal, viewchange.go) and the sponsor the backlog it ships.
+// Either way the result is a StateMsg, and whoever is handed one — the
+// decided value of an install, a joiner's transfer — applies it with adopt.
 
 import (
 	"repro/internal/ident"
 	"repro/internal/obsolete"
 	"repro/internal/queue"
 )
+
+// contribution is this member's PRED for change c: the current view's data
+// messages it accepted to deliver and still holds. A change over one side
+// leaves out what is known stable — received by every member, so the SVS
+// obligations for it hold everywhere without flushing — and sends no
+// frontiers. A merge keeps it, since the far side was never counted by this
+// view's stable frontier, and sends the frontiers. Under Config.Heal, which
+// prunes nothing of the current view from the history (pruneStable), a
+// merge's contribution is every current-view message the relation never
+// obsoleted: under the empty relation, the view's whole traffic.
+func (e *Engine) contribution(c *change) PredMsg {
+	if c.merge() {
+		return PredMsg{Change: c.next, Msgs: e.held(e.inView), Recv: e.recvSnapshot()}
+	}
+	stable := e.stableFilter()
+	return PredMsg{Change: c.next, Msgs: e.held(func(it *queue.Item) bool {
+		return e.inView(it) && !stable(it)
+	})}
+}
 
 // itemOf is the queue form of a data message.
 func itemOf(dm DataMsg) queue.Item {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/ident"
 	"repro/internal/obsolete"
 	"repro/internal/queue"
@@ -44,11 +45,11 @@ func ids(msgs []DataMsg) []string {
 	return out
 }
 
-// TestSnapshotThreeCallersOneState checks the view-change flush, the join
-// transfer and the merge contribution against the same held data: they are
-// one collection under three filters. (The state is hand-built; a live
-// engine never holds an older view's entry next to current-view history.)
-func TestSnapshotThreeCallersOneState(t *testing.T) {
+// heldFixture is a hand-built engine holding one fixed set of data: a
+// stable message, covers that straddle history and queue, and an older
+// view's entry flush-adopted into the queue. (A live engine never holds an
+// older view's entry next to current-view history.)
+func heldFixture() *Engine {
 	e := snapEngine(tagging)
 	e.self.recvMax = 7
 	e.peer("a").recvMax, e.peer("b").recvMax, e.peer("c").recvMax = 8, 3, 9
@@ -74,26 +75,42 @@ func TestSnapshotThreeCallersOneState(t *testing.T) {
 	} {
 		e.toDeliver.ForceAppend(it)
 	}
+	return e
+}
 
+// changeOver is a change record of e's current view over the given sides:
+// one for an ordinary change, two for a merge with a far sub-view.
+func changeOver(e *Engine, sides int) *change {
+	c := &change{next: ident.ViewRef{ID: e.cv.ID + 1}, sides: []ident.PIDs{e.cv.Members}}
+	if sides == 2 {
+		c.next = mergeRefFor(e.cv.Ref(), ident.ViewRef{Epoch: 9, ID: 7})
+		c.sides = append(c.sides, ident.NewPIDs("q1"))
+	}
+	return c
+}
+
+// TestSnapshotThreeCallersOneState checks the view-change flush, the join
+// transfer and the merge contribution against the same held data: they are
+// one collection under three filters.
+func TestSnapshotThreeCallersOneState(t *testing.T) {
+	e := heldFixture()
 	for _, tc := range []struct {
 		name string
 		got  []DataMsg
 		want []string
 	}{
 		{
-			// What onInit disseminates: current view only, stable left out,
-			// history then queue, nothing repurged.
+			// What onInit contributes to an ordinary change: current view
+			// only, stable left out, history then queue, nothing repurged.
 			name: "view-change pred",
-			got: e.held(func(it *queue.Item) bool {
-				return e.inView(it) && !e.stableFilter()(it)
-			}),
+			got:  e.contribution(changeOver(e, 1)).Msgs,
 			want: []string{"a:6@4", "b:3@4", "me:6@4", "a:7@4", "a:8@4", "me:7@4"},
 		},
 		{
-			// What startMerge contributes: the far side never counted
+			// What onInit contributes to a merge: the far side never counted
 			// towards this view's stable frontier, so a:5 stays.
 			name: "merge contribution",
-			got:  e.held(e.inView),
+			got:  e.contribution(changeOver(e, 2)).Msgs,
 			want: []string{"a:5@4", "a:6@4", "b:3@4", "me:6@4", "a:7@4", "a:8@4", "me:7@4"},
 		},
 		{
@@ -112,6 +129,43 @@ func TestSnapshotThreeCallersOneState(t *testing.T) {
 	wantRecv := map[ident.PID]ident.Seq{"a": 8, "b": 3, "c": 9, "me": 7}
 	if got := e.buildJoinState(e.cv).Recv; !reflect.DeepEqual(got, wantRecv) {
 		t.Errorf("join frontiers: got %v, want %v", got, wantRecv)
+	}
+}
+
+// TestOneContribution: a change over one side and one over two contribute
+// the same message, PredMsg. On one held set, an ordinary change's PRED
+// carries no frontiers and no stable message, and encodes at most 2 bytes
+// larger than the [PRED, v, P] it replaced — a view, an epoch and the
+// messages — for the empty frontier map and the decline flag; a merge's
+// carries both.
+func TestOneContribution(t *testing.T) {
+	e := heldFixture()
+	stableA5 := func(m PredMsg) bool {
+		for _, dm := range m.Msgs {
+			if dm.Meta.Sender == "a" && dm.Meta.Seq == 5 {
+				return true
+			}
+		}
+		return false
+	}
+
+	one := e.contribution(changeOver(e, 1))
+	if one.Change != (ident.ViewRef{ID: e.cv.ID + 1}) || one.Recv != nil || one.Decline || stableA5(one) {
+		t.Errorf("ordinary change's PRED names %v, carries frontiers %v, decline %v, stable a:5 %v; want %v, none, false, false",
+			one.Change, one.Recv, one.Decline, stableA5(one), ident.ViewRef{ID: e.cv.ID + 1})
+	}
+	parent := codec.AppendUvarint([]byte{byte(codec.TPredMsg)}, uint64(e.cv.ID))
+	parent = appendDataMsgs(codec.AppendUvarint(parent, uint64(e.cv.Epoch)), one.Msgs)
+	if grew := wireSize(one) - len(parent); grew < 0 || grew > 2 {
+		t.Errorf("ordinary change's PRED is %d bytes, %d more than the view-tagged pred set's %d; want at most 2",
+			wireSize(one), grew, len(parent))
+	}
+
+	two := e.contribution(changeOver(e, 2))
+	wantRecv := map[ident.PID]ident.Seq{"a": 8, "b": 3, "c": 9, "me": 7}
+	if !reflect.DeepEqual(two.Recv, wantRecv) || !stableA5(two) || two.Change != changeOver(e, 2).next {
+		t.Errorf("merge's PRED carries frontiers %v, stable a:5 %v, names %v; want %v, true, the union",
+			two.Recv, stableA5(two), two.Change, wantRecv)
 	}
 }
 

@@ -84,7 +84,7 @@ func TestFlushWithoutChainMiddle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := snapEngine(tc.rel)
 			e.clock, e.rootCtx = obs.Wall{}, context.Background()
-			e.block(e.cv.Members)
+			e.block(ident.ViewRef{ID: e.cv.ID + 1}, e.cv.Members, e.cv.Members)
 			flush := repurge(tc.rel, []DataMsg{{View: e.cv.ID, Meta: tc.stream[0]}, {View: e.cv.ID, Meta: tc.stream[2]}})
 			next := View{ID: e.cv.ID + 1, Members: e.cv.Members}
 			e.install(StateMsg{View: next.ID, Epoch: next.Epoch, Members: next.Members, Backlog: flush})

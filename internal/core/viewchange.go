@@ -3,10 +3,13 @@ package core
 // viewchange.go is Figure 1's view change, t4–t7: an INIT blocks the group
 // (t5), every member gathers the others' pred sets (t6), and consensus
 // decides the next view and its flush, which each member installs (t7).
-// A split and a merge (merge.go) run the same step: the change in flight is
-// one record with one ledger of contributions, one quorum rule decides when
-// to propose (checkPropose), every proposal repurges its flush once, the
-// decided value is a StateMsg entering the loop through one door
+// Every change runs on these two messages. An INIT over one side changes
+// the current view; an INIT over two sides is a merge (merge.go), the same
+// change over the union of two healed sub-views; a split (merge.go) is
+// another successor of an ordinary change. The change in flight is one
+// record with one ledger of PredMsg contributions, one quorum rule decides
+// when to propose (checkPropose), every proposal repurges its flush once,
+// the decided value is a StateMsg entering the loop through one door
 // (awaitDecision), and every view is entered one way (enterView).
 
 import (
@@ -27,34 +30,43 @@ import (
 
 // change is the view change in flight: set by block (t5), cleared by
 // endChange alone — at an install, a probe-proven expulsion (both through
-// enterView) or an aborted merge. An ordinary change and a merge (merge.go)
-// gather contributions into the same ledger. Either may await several
-// successors at once (the ordinary next view, a shrinking series of split
-// continuations, a merge union): the first to decide installs, and every
-// goroutine the change started ends with it.
+// enterView) or an aborted merge. A change over two sides is a merge
+// (merge.go); every change gathers its contributions into the same ledger.
+// A change may await several successors at once (the one it was opened for,
+// a shrinking series of split continuations): the first to decide installs,
+// and every goroutine the change started ends with it.
 type change struct {
 	ctx    context.Context // cancelled by endChange: ends the change's Await and Propose calls
 	cancel context.CancelFunc
 	start  time.Time // when the group blocked (viewChange histogram)
 
+	// next is the successor the change was opened for — the current view's
+	// next, or a merge's union — which every contribution names and the
+	// proposal decides. audience is who takes part: the view's members, or
+	// the union; every INIT and PRED of the change goes to it.
+	next     ident.ViewRef
+	audience ident.PIDs
 	awaited  map[ident.ViewRef]bool // successors whose instance awaitDecision watches
-	proposed bool                   // the ordinary change or the merge is proposed
+	proposed bool                   // next is proposed
 
-	// The ledger (t6): the memberships the quorum is taken over — the view
-	// for an ordinary change, the two sub-views for a merge — the pred sets
-	// gathered so far keyed by message, who contributed them, the frontiers
-	// they carried (a merge contribution's), max-folded, and the members
-	// that declined to take part.
+	// The ledger (t6): the memberships the quorum is taken over — the view,
+	// or a merge's two sub-views — the pred sets gathered so far keyed by
+	// message, who contributed them, the frontiers they carried (a merge
+	// contribution's), max-folded, and the members that declined.
 	sides    []ident.PIDs
 	pred     map[obsolete.MsgID]DataMsg
 	from     ident.PIDs
 	recv     map[ident.PID]ident.Seq
 	declined ident.PIDs
 
-	join, leave ident.PIDs // the ordinary change's membership requests
+	join, leave ident.PIDs // an ordinary change's membership requests
 
-	merge *mergeState // the partition merge this change is; nil for an ordinary one
+	deadline time.Time // a merge's abort timeout (HealSpec.MergeTimeout)
+	bytesIn  uint64    // a merge's contributions' encoded size, each member's first
 }
+
+// merge reports whether c, possibly nil, is a merge: a change over two sides.
+func (c *change) merge() bool { return c != nil && len(c.sides) == 2 }
 
 // maxDeferredCtl bounds the stash of control messages that arrive for a
 // future view and are replayed after the next install. A full stash keeps
@@ -109,10 +121,10 @@ func (e *Engine) onSuspicion(ev fd.Event) {
 
 func (e *Engine) onCtl(env transport.Envelope) {
 	if e.terminalErr() != nil {
-		// An expelled-but-alive process still answers merge announcements
-		// with a decline, so a union that names it can proceed without
-		// waiting for suspicion to develop.
-		if m, ok := env.Msg.(MergeMsg); ok && e.cfg.Heal != nil {
+		// An expelled-but-alive process still answers a merge's INIT with a
+		// decline, so a union that names it can proceed without waiting for
+		// suspicion to develop.
+		if m, ok := env.Msg.(InitMsg); ok && m.Far != nil && e.cfg.Heal != nil {
 			e.declineMerge(m)
 			return
 		}
@@ -121,12 +133,18 @@ func (e *Engine) onCtl(env transport.Envelope) {
 	}
 	switch m := env.Msg.(type) {
 	case InitMsg:
-		if e.deferFuture(env, ident.ViewRef{Epoch: m.Epoch, ID: m.View}) {
+		// A merge names another lineage's view as well as ours; it is never
+		// deferred.
+		if m.Far == nil && e.deferFuture(env, m.Ref()) {
 			return
 		}
 		e.onInit(env.From, m)
 	case PredMsg:
-		if e.deferFuture(env, ident.ViewRef{Epoch: m.Epoch, ID: m.View}) {
+		// A contribution to a change we have not opened yet waits if it
+		// changes a later view of ours: its sender is past an install we
+		// have still to make.
+		if c := e.chg; (c == nil || m.Change != c.next) &&
+			e.deferFuture(env, ident.ViewRef{Epoch: m.Change.Epoch, ID: m.Change.ID - 1}) {
 			return
 		}
 		e.onPred(env.From, m)
@@ -162,10 +180,6 @@ func (e *Engine) onCtl(env transport.Envelope) {
 		e.onProbe(env.From, m)
 	case SplitMsg:
 		e.onSplit(env.From, m)
-	case MergeMsg:
-		e.onMerge(env.From, m)
-	case MergePredMsg:
-		e.onMergePred(env.From, m)
 	default:
 		// A control envelope of no known kind fell through every case —
 		// before, it vanished without a trace.
@@ -223,10 +237,14 @@ func (e *Engine) replayDeferred() {
 	}
 }
 
-// onInit is transition t5: block the group, adopt the leave and join
-// sets, compute and disseminate the local pred sequence.
+// onInit is transition t5 of every change: block the group, open the
+// change's ledger, forward the INIT so every correct process blocks even if
+// the initiator crashed mid-dissemination, and contribute our pred set. An
+// INIT over one side changes the current view, adopting its leave and join
+// sets; one over two sides merges the current view with the far sub-view
+// (openMerge, merge.go).
 func (e *Engine) onInit(from ident.PID, m InitMsg) {
-	if e.merging() != nil && m.View == e.cv.ID && m.Epoch == e.cv.Epoch && e.cv.Includes(from) {
+	if m.Far == nil && e.chg.merge() && m.Ref() == e.cv.Ref() && e.cv.Includes(from) {
 		// A member started an ordinary change while we were merging. The
 		// change's quorum is reachable (the INIT got here) but its members
 		// will not answer a merge mid-change — so yield: abort the merge
@@ -234,48 +252,48 @@ func (e *Engine) onInit(from ident.PID, m InitMsg) {
 		// the change completes.
 		e.abortMerge("view_change")
 	}
-	if m.View != e.cv.ID || !e.open() || !e.cv.Includes(from) {
+	if !e.open() {
+		// Joining, at our end, or changing already — this INIT is the flood
+		// echo, or another change's, whose install or abort comes first (a
+		// merge's far side times out and re-probes).
+		return
+	}
+	var c *change
+	if m.Far == nil {
+		if m.Ref() != e.cv.Ref() || !e.cv.Includes(from) {
+			return
+		}
+		c = e.block(ident.ViewRef{Epoch: e.cv.Epoch, ID: e.cv.ID + 1}, e.cv.Members, e.cv.Members)
+		c.leave = ident.NewPIDs(m.Leave...).Intersect(e.cv.Members)
+		// Current members need no admission and a process asked to leave is
+		// not admitted by the same change.
+		c.join = ident.NewPIDs(m.Join...).Without(e.cv.Members).Without(c.leave)
+	} else if c = e.openMerge(m); c == nil {
 		return
 	}
 	if from != e.cfg.Self {
-		// Forward so every correct process initiates even if the
-		// initiator crashed mid-dissemination.
-		for _, p := range e.cv.Members {
-			e.send(p, transport.Ctl, m)
-		}
+		e.sendOthers(c.audience, m)
 	}
-	c := e.block(e.cv.Members)
-	c.leave = ident.NewPIDs(m.Leave...).Intersect(e.cv.Members)
-	// Current members need no admission and a process asked to leave is
-	// not admitted by the same change.
-	c.join = ident.NewPIDs(m.Join...).Without(e.cv.Members).Without(c.leave)
-
-	// The local pred sequence: what we accepted to deliver in this view.
-	// Messages known stable (received by every member) are left out — the
-	// SVS obligations for them hold everywhere without flushing.
-	stable := e.stableFilter()
-	pred := PredMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Msgs: e.held(func(it *queue.Item) bool {
-		return e.inView(it) && !stable(it)
-	})}
-	for _, p := range e.cv.Members {
-		e.send(p, transport.Ctl, pred)
+	pred := e.contribution(c)
+	for _, p := range c.audience {
+		e.send(p, transport.Ctl, pred) // including self: loopback keeps one code path
 	}
-
 	// Watch for the decision even if we never reach the propose condition
 	// ourselves — the decide flood must still install the view here.
-	e.awaitDecision(ident.ViewRef{Epoch: e.cv.Epoch, ID: e.cv.ID + 1})
+	e.awaitDecision(c.next)
 	e.checkPropose()
 }
 
-// block closes the data plane for a view change or a merge (t5) and opens
-// the change record, whose quorum is taken over sides. Arrivals not yet
-// accepted are dropped: their senders' pred sets (or merge contributions)
-// cover them.
-func (e *Engine) block(sides ...ident.PIDs) *change {
+// block closes the data plane for a change (t5) and opens its record: the
+// successor it was opened for, who takes part, and the sides its quorum is
+// taken over. Arrivals not yet accepted are dropped: their senders' pred
+// sets cover them.
+func (e *Engine) block(next ident.ViewRef, audience ident.PIDs, sides ...ident.PIDs) *change {
 	ctx, cancel := context.WithCancel(e.rootCtx)
 	e.chg = &change{
-		ctx: ctx, cancel: cancel, start: e.clock.Now(), awaited: make(map[ident.ViewRef]bool),
-		sides: sides, pred: make(map[obsolete.MsgID]DataMsg), recv: make(map[ident.PID]ident.Seq),
+		ctx: ctx, cancel: cancel, start: e.clock.Now(), next: next, audience: audience,
+		awaited: make(map[ident.ViewRef]bool), sides: sides,
+		pred: make(map[obsolete.MsgID]DataMsg), recv: make(map[ident.PID]ident.Seq),
 	}
 	e.pendingHead = DataMsg{}
 	e.pendingRest = e.pendingRest[:0]
@@ -293,24 +311,29 @@ func (e *Engine) endChange() {
 	}
 }
 
-// onPred is transition t6: accumulate pred sequences.
+// onPred is transition t6 of every change: enter one member's contribution
+// to the change in flight — its pred set and, for a merge, its frontiers —
+// into the ledger, or count the member out if it declines, and re-test the
+// quorum.
 func (e *Engine) onPred(from ident.PID, m PredMsg) {
 	c := e.chg
-	if c == nil || c.merge != nil || m.View != e.cv.ID || m.Epoch != e.cv.Epoch || !e.cv.Includes(from) {
+	if c == nil || m.Change != c.next || !c.audience.Contains(from) {
+		return // not changing, another change, or an outsider
+	}
+	if m.Decline {
+		c.declined = c.declined.Add(from)
+		e.checkPropose()
 		return
 	}
-	e.contribute(from, m.Msgs, nil)
-}
-
-// contribute enters one member's contribution to the change in flight —
-// its pred set and, for a merge, its frontiers — into the ledger and
-// re-tests the quorum.
-func (e *Engine) contribute(from ident.PID, msgs []DataMsg, recv map[ident.PID]ident.Seq) {
-	c := e.chg
-	for _, dm := range msgs {
+	if c.merge() && !c.from.Contains(from) {
+		size := uint64(wireSize(m))
+		c.bytesIn += size
+		e.stats.MergeBytesRecv += size
+	}
+	for _, dm := range m.Msgs {
 		c.pred[dm.Meta.ID()] = dm
 	}
-	for s, q := range recv {
+	for s, q := range m.Recv {
 		c.recv[s] = max(c.recv[s], q)
 	}
 	c.from = c.from.Add(from)
@@ -328,10 +351,10 @@ func (e *Engine) contribute(from ident.PID, msgs []DataMsg, recv map[ident.PID]i
 // minority. Without a majority an ordinary change can never decide, and
 // with healing enabled the reachable minority continues under a split
 // epoch instead of wedging (checkSplit, merge.go); a merge waits. With one,
-// an ordinary change proposes the contributors less the leavers plus the
-// joiners — joiners have no pred set to contribute and take no part in the
-// consensus deciding the view that admits them — and a merge proposes its
-// contributors as the union view.
+// the change proposes as its successor the contributors less the leavers
+// plus the joiners (a merge has neither) — joiners have no pred set to
+// contribute and take no part in the consensus deciding the view that
+// admits them.
 func (e *Engine) checkPropose() {
 	c := e.chg
 	if c == nil || c.proposed {
@@ -348,19 +371,15 @@ func (e *Engine) checkPropose() {
 			}
 		}
 		if 2*contributed <= len(eligible) {
-			if c.merge == nil {
+			if !c.merge() {
 				e.checkSplit()
 			}
 			return
 		}
 	}
 	c.proposed = true
-	if mg := c.merge; mg != nil {
-		e.propose(e.proposal(View{Epoch: mg.ref.Epoch, ID: mg.ref.ID, Members: c.from}), mg.union)
-		return
-	}
-	next := View{Epoch: e.cv.Epoch, ID: e.cv.ID + 1, Members: c.from.Without(c.leave).Union(c.join)}
-	e.propose(e.proposal(next), e.cv.Members)
+	next := View{Epoch: c.next.Epoch, ID: c.next.ID, Members: c.from.Without(c.leave).Union(c.join)}
+	e.propose(e.proposal(next), c.audience)
 }
 
 // proposal is the value a change proposes for next: the view, every pred
@@ -497,7 +516,7 @@ func (e *Engine) install(st StateMsg) {
 	added := e.adopt(st.Backlog, st.Recv)
 	e.stats.FlushAdded += uint64(added)
 
-	if e.chg.merge != nil {
+	if e.chg.merge() {
 		// The "newcomers" are the other side, which already holds its own
 		// state — no sponsor transfer.
 		e.finishMerge(st)

@@ -299,20 +299,20 @@ func TestOneQuorumRule(t *testing.T) {
 			if len(tc.sides) == 1 {
 				e.onInit("p1", InitMsg{View: e.cv.ID})
 				for _, p := range tc.from {
-					e.onPred(p, PredMsg{View: e.cv.ID})
+					e.onPred(p, PredMsg{Change: next})
 				}
 				if tc.want == "splits" {
 					next.Epoch = SplitEpoch(e.cv.Ref(), tc.from)
 				}
 			} else {
-				other := mergeSide{ref: ident.ViewRef{Epoch: 9, ID: 7}, members: tc.sides[1]}
-				next = mergeRefFor(e.cv.Ref(), other.ref)
-				e.maybeStartMerge(other)
+				far := MergeSide{View: 7, Epoch: 9, Members: tc.sides[1]}
+				next = mergeRefFor(e.cv.Ref(), far.Ref())
+				e.onInit("p1", InitMsg{View: e.cv.ID, Members: tc.sides[0], Far: &far})
 				for _, p := range tc.declined {
-					e.onMergePred(p, MergePredMsg{Merge: next, Decline: true})
+					e.onPred(p, PredMsg{Change: next, Decline: true})
 				}
 				for _, p := range tc.from {
-					e.onMergePred(p, MergePredMsg{Merge: next})
+					e.onPred(p, PredMsg{Change: next})
 				}
 			}
 			got := "waits"
@@ -332,22 +332,20 @@ func TestOneQuorumRule(t *testing.T) {
 	}
 }
 
-// TestMergeDeclineCountsOut: an expelled process still answers a merge
-// announcement that names it, with a decline to every other member of the
-// union, and a merging member receiving that decline proposes the union
-// without the decliner instead of waiting for its suspicion.
+// TestMergeDeclineCountsOut: an expelled process still answers a merge's
+// INIT that names it, with a decline to every other member of the union,
+// and a merging member receiving that decline proposes the union without
+// the decliner instead of waiting for its suspicion.
 func TestMergeDeclineCountsOut(t *testing.T) {
 	ps := ident.NewPIDs
-	ann := MergeMsg{
-		A: MergeSide{View: 4, Members: ps("p1", "p2")},
-		B: MergeSide{View: 7, Epoch: 9, Members: ps("q1", "q2", "q3")},
-	}
-	ref := mergeRefFor(ann.A.Ref(), ann.B.Ref())
+	far := MergeSide{View: 7, Epoch: 9, Members: ps("q1", "q2", "q3")}
+	ann := InitMsg{View: 4, Members: ps("p1", "p2"), Far: &far}
+	ref := mergeRefFor(ann.Ref(), far.Ref())
 
-	expelled, xlog, _ := changeEngine(t, "q3", ann.B.Members, true)
+	expelled, xlog, _ := changeEngine(t, "q3", far.Members, true)
 	expelled.terminal = ErrExpelled
 	expelled.onCtl(transport.Envelope{From: "q1", Msg: ann})
-	decline := MergePredMsg{Merge: ref, Decline: true}
+	decline := PredMsg{Change: ref, Decline: true}
 	for _, p := range ps("p1", "p2", "q1", "q2", "q3") {
 		want := []any{decline}
 		if p == "q3" {
@@ -358,15 +356,15 @@ func TestMergeDeclineCountsOut(t *testing.T) {
 		}
 	}
 
-	e, log, _ := changeEngine(t, "p1", ann.A.Members, true)
-	e.maybeStartMerge(mergeSide{ref: ann.B.Ref(), members: ann.B.Members})
+	e, log, _ := changeEngine(t, "p1", ann.Members, true)
+	e.onInit("q1", ann)
 	for _, p := range ps("p1", "p2", "q1", "q2") {
-		e.onMergePred(p, MergePredMsg{Merge: ref})
+		e.onPred(p, PredMsg{Change: ref})
 	}
 	if e.chg.proposed {
 		t.Fatal("proposed while q3, unsuspected, had neither contributed nor declined")
 	}
-	e.onMergePred("q3", xlog.to("p1")[0].(MergePredMsg))
+	e.onPred("q3", xlog.to("p1")[0].(PredMsg))
 	if !e.chg.proposed {
 		t.Fatal("q3's decline did not count it out")
 	}
@@ -403,7 +401,7 @@ func TestDecidedFlushRepurged(t *testing.T) {
 					e.onPred("b", pred)
 				}
 			}
-			e.onPred("c", PredMsg{View: e.cv.ID, Msgs: []DataMsg{msgOf(&a[6])}})
+			e.onPred("c", PredMsg{Change: ident.ViewRef{ID: e.cv.ID + 1}, Msgs: []DataMsg{msgOf(&a[6])}})
 
 			next := ident.ViewRef{ID: e.cv.ID + 1}
 			if tc.heal {

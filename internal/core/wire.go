@@ -40,17 +40,25 @@ type DataBatchMsg struct {
 	Msgs []DataMsg
 }
 
-// InitMsg is the [INIT, v, l] message of Figure 1, extended for dynamic
-// membership: it triggers the view change removing the processes in Leave
-// and admitting the processes in Join. Joiners do not take part in the
-// flush or the consensus deciding the view that admits them; they are
-// brought up to date afterwards by a StateMsg.
+// InitMsg is the [INIT, v, l] message of Figure 1, the one announcement of
+// every change. An INIT over one side (Far nil) triggers the view change of
+// view (View, Epoch) removing the processes in Leave and admitting the
+// processes in Join. Joiners do not take part in the flush or the consensus
+// deciding the view that admits them; they are brought up to date afterwards
+// by a StateMsg. An INIT over two sides merges the healed sub-views (View,
+// Epoch, Members) and Far into their union (merge.go); the pair is
+// normalised, lower ref first, so every process derives the same union.
 type InitMsg struct {
-	View  ident.ViewID
-	Epoch ident.Epoch
-	Leave []ident.PID
-	Join  []ident.PID
+	View    ident.ViewID
+	Epoch   ident.Epoch
+	Leave   []ident.PID
+	Join    []ident.PID
+	Members []ident.PID // a merge's near side; an ordinary change's is the view's
+	Far     *MergeSide
 }
+
+// Ref returns the ref of the view the INIT names first.
+func (m InitMsg) Ref() ident.ViewRef { return ident.ViewRef{Epoch: m.Epoch, ID: m.View} }
 
 // JoinReqMsg is sent by a process outside the group to a contact member to
 // ask admission; the envelope's From identifies the joiner. A member
@@ -84,13 +92,19 @@ func (m StateMsg) view() View {
 	return View{Epoch: m.Epoch, ID: m.View, Members: ident.NewPIDs(m.Members...)}
 }
 
-// PredMsg is the [PRED, v, P] message of Figure 1: the sender's sequence
-// of data messages accepted for delivery in view v (its local-pred set),
-// in FIFO order.
+// PredMsg is the [PRED, v, P] message of Figure 1, the one contribution to
+// every change: the sender's data messages accepted for delivery in its
+// current view (its local-pred set), in FIFO order, for the change opened
+// for successor Change (snapshot.go, contribution). A merge's also carries
+// the sender's per-sender reception frontiers, so the union can tell a
+// duplicate from a message it never had. Decline is a process that cannot
+// take part in a merge naming it (it was expelled) counting itself out, so
+// the others need not wait for its suspicion.
 type PredMsg struct {
-	View  ident.ViewID
-	Epoch ident.Epoch
-	Msgs  []DataMsg
+	Change  ident.ViewRef
+	Msgs    []DataMsg
+	Recv    map[ident.PID]ident.Seq
+	Decline bool
 }
 
 // CreditMsg implements the window-based flow control of the engine: the
@@ -136,7 +150,7 @@ type SplitMsg struct {
 // Ref returns the parent view ref the split continues from.
 func (m SplitMsg) Ref() ident.ViewRef { return ident.ViewRef{Epoch: m.Epoch, ID: m.View} }
 
-// MergeSide names one of the two sub-views being merged.
+// MergeSide names a sub-view: the far side of a merge's INIT.
 type MergeSide struct {
 	View    ident.ViewID
 	Epoch   ident.Epoch
@@ -145,32 +159,6 @@ type MergeSide struct {
 
 // Ref returns the side's view ref.
 func (s MergeSide) Ref() ident.ViewRef { return ident.ViewRef{Epoch: s.Epoch, ID: s.View} }
-
-// MergeMsg announces a merge between two healed sub-views and is flooded
-// to their union. The pair is normalised (A.Ref < B.Ref) so every process
-// derives the same union view ref. A member of either side that receives
-// it blocks, re-forwards the announcement, contributes a MergePredMsg and
-// awaits the union-view consensus.
-type MergeMsg struct {
-	A, B MergeSide
-}
-
-// MergePredMsg is one process's contribution to a merge: its local flush
-// set (the messages accepted for delivery in its current view, purged) and
-// its per-sender reception frontiers — the bidirectional analogue of a
-// joiner's StateMsg. A merge runs only under Config.Heal, which prunes
-// nothing of the current view from the history (pruneStable), so a
-// contribution carries every current-view message the relation never
-// obsoleted: bounded by the relation, not by stability — under the empty
-// relation, the view's whole traffic. Decline is sent by a
-// process that cannot take part (already expelled, or mid-change) so the
-// coordinators can count it out instead of waiting for suspicion.
-type MergePredMsg struct {
-	Merge   ident.ViewRef // the union view ref under decision
-	Decline bool
-	Msgs    []DataMsg
-	Recv    map[ident.PID]ident.Seq
-}
 
 func init() {
 	codec.Register[DataMsg](codec.TDataMsg, appendDataMsg, readDataMsgStrict)
@@ -190,8 +178,6 @@ func init() {
 	codec.Register[SplitMsg](codec.TSplitMsg,
 		func(dst []byte, m SplitMsg) []byte { return appendMergeSide(dst, MergeSide(m)) },
 		func(r *codec.Reader) (SplitMsg, error) { return SplitMsg(readMergeSide(r)), r.Err() })
-	codec.Register[MergeMsg](codec.TMergeMsg, appendMergeMsg, readMergeMsg)
-	codec.Register[MergePredMsg](codec.TMergePredMsg, appendMergePredMsg, readMergePredMsg)
 }
 
 // ---- binary encoders (internal/codec) --------------------------------------
@@ -248,7 +234,13 @@ func appendInitMsg(dst []byte, m InitMsg) []byte {
 	dst = codec.AppendUvarint(dst, uint64(m.View))
 	dst = codec.AppendUvarint(dst, uint64(m.Epoch))
 	dst = appendPIDs(dst, m.Leave)
-	return appendPIDs(dst, m.Join)
+	dst = appendPIDs(dst, m.Join)
+	dst = appendPIDs(dst, m.Members)
+	dst = codec.AppendByte(dst, boolByte(m.Far != nil))
+	if m.Far != nil {
+		dst = appendMergeSide(dst, *m.Far)
+	}
+	return dst
 }
 
 func readInitMsg(r *codec.Reader) (InitMsg, error) {
@@ -257,6 +249,11 @@ func readInitMsg(r *codec.Reader) (InitMsg, error) {
 	m.Epoch = ident.Epoch(r.Uvarint())
 	m.Leave = readPIDs(r)
 	m.Join = readPIDs(r)
+	m.Members = readPIDs(r)
+	if r.Byte() != 0 {
+		far := readMergeSide(r)
+		m.Far = &far
+	}
 	return m, r.Err()
 }
 
@@ -329,16 +326,20 @@ func readStateMsg(r *codec.Reader) (StateMsg, error) {
 }
 
 func appendPredMsg(dst []byte, m PredMsg) []byte {
-	dst = codec.AppendUvarint(dst, uint64(m.View))
-	dst = codec.AppendUvarint(dst, uint64(m.Epoch))
-	return appendDataMsgs(dst, m.Msgs)
+	dst = codec.AppendUvarint(dst, uint64(m.Change.ID))
+	dst = codec.AppendUvarint(dst, uint64(m.Change.Epoch))
+	dst = appendDataMsgs(dst, m.Msgs)
+	dst = appendSeqMap(dst, m.Recv)
+	return codec.AppendByte(dst, boolByte(m.Decline))
 }
 
 func readPredMsg(r *codec.Reader) (PredMsg, error) {
 	var m PredMsg
-	m.View = ident.ViewID(r.Uvarint())
-	m.Epoch = ident.Epoch(r.Uvarint())
+	m.Change.ID = ident.ViewID(r.Uvarint())
+	m.Change.Epoch = ident.Epoch(r.Uvarint())
 	m.Msgs = readDataMsgs(r)
+	m.Recv = readSeqMap(r)
+	m.Decline = r.Byte() != 0
 	return m, r.Err()
 }
 
@@ -354,36 +355,6 @@ func readMergeSide(r *codec.Reader) MergeSide {
 	s.Epoch = ident.Epoch(r.Uvarint())
 	s.Members = readPIDs(r)
 	return s
-}
-
-func appendMergeMsg(dst []byte, m MergeMsg) []byte {
-	dst = appendMergeSide(dst, m.A)
-	return appendMergeSide(dst, m.B)
-}
-
-func readMergeMsg(r *codec.Reader) (MergeMsg, error) {
-	var m MergeMsg
-	m.A = readMergeSide(r)
-	m.B = readMergeSide(r)
-	return m, r.Err()
-}
-
-func appendMergePredMsg(dst []byte, m MergePredMsg) []byte {
-	dst = codec.AppendUvarint(dst, uint64(m.Merge.Epoch))
-	dst = codec.AppendUvarint(dst, uint64(m.Merge.ID))
-	dst = codec.AppendByte(dst, boolByte(m.Decline))
-	dst = appendDataMsgs(dst, m.Msgs)
-	return appendSeqMap(dst, m.Recv)
-}
-
-func readMergePredMsg(r *codec.Reader) (MergePredMsg, error) {
-	var m MergePredMsg
-	m.Merge.Epoch = ident.Epoch(r.Uvarint())
-	m.Merge.ID = ident.ViewID(r.Uvarint())
-	m.Decline = r.Byte() != 0
-	m.Msgs = readDataMsgs(r)
-	m.Recv = readSeqMap(r)
-	return m, r.Err()
 }
 
 func boolByte(b bool) byte {

@@ -14,11 +14,10 @@ import "math/bits"
 //
 // Audit (svs-check): Bitmap is an annotation representation, not a
 // Relation — it answers no Obsoletes and lists nothing of its own. The
-// relation interpreting these bitmaps is KEnumeration (kenum.go); its
-// listing and its sender-locality are exhaustively verified by
-// internal/relcheck against the examples/kenum.yaml model in CI — an
-// interpretation that listed a bit the relation does not honour, or missed
-// one it does, fails the listed law with the offending message as witness.
+// relation interpreting these bitmaps is KEnumeration (kenum.go), whose
+// Obsoletes reads its listing; its laws, its sender-locality and the
+// safety of purging by its listing are exhaustively verified by
+// internal/relcheck against the examples/kenum.yaml model in CI.
 type Bitmap []uint64
 
 // NewBitmap returns a zeroed bitmap able to hold k bits.
@@ -135,13 +134,4 @@ func BitmapFromBytes(p []byte) Bitmap {
 		b[i/8] |= uint64(c) << (8 * uint(i%8))
 	}
 	return b
-}
-
-// bitFromBytes reads bit i directly from the wire form, avoiding an
-// allocation on the hot purge path.
-func bitFromBytes(p []byte, i int) bool {
-	if i < 0 || i/8 >= len(p) {
-		return false
-	}
-	return p[i/8]&(1<<(uint(i)%8)) != 0
 }

@@ -166,22 +166,6 @@ func TestBitmapTrim(t *testing.T) {
 	}
 }
 
-func TestBitFromBytes(t *testing.T) {
-	b := NewBitmap(64)
-	b.Set(0)
-	b.Set(9)
-	b.Set(42)
-	raw := b.Bytes()
-	for i := 0; i < 64; i++ {
-		if got, want := bitFromBytes(raw, i), b.Get(i); got != want {
-			t.Fatalf("bitFromBytes(%d) = %v, want %v", i, got, want)
-		}
-	}
-	if bitFromBytes(raw, -1) || bitFromBytes(raw, 1000) {
-		t.Fatal("out of range bitFromBytes should be false")
-	}
-}
-
 func TestBitmapClone(t *testing.T) {
 	b := NewBitmap(64)
 	b.Set(5)

@@ -20,28 +20,11 @@ type Enumeration struct{}
 // Name implements Relation.
 func (Enumeration) Name() string { return "enumeration" }
 
-// Obsoletes implements Relation.
-func (Enumeration) Obsoletes(old, new Msg) bool {
-	if old.Sender != new.Sender || old.Seq >= new.Seq {
-		return false
-	}
-	want := uint64(new.Seq - old.Seq)
-	p := new.Annot
-	for len(p) > 0 {
-		d, n := binary.Uvarint(p)
-		if n <= 0 {
-			return false
-		}
-		if d == want {
-			return true
-		}
-		p = p[n:]
-	}
-	return false
-}
+// Obsoletes implements Relation, reading the listing.
+func (r Enumeration) Obsoletes(old, new Msg) bool { return listed(r, old, new) }
 
-// AppendObsoleted implements Relation: the annotation is the list. Like
-// Obsoletes it reads up to the first malformed delta.
+// AppendObsoleted implements Relation: the annotation is the list, read up
+// to the first malformed delta.
 func (Enumeration) AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq) []ident.Seq {
 	for p := new.Annot; len(p) > 0; {
 		d, n := binary.Uvarint(p)

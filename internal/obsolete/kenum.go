@@ -31,21 +31,12 @@ type KEnumeration struct {
 // Name implements Relation.
 func (r KEnumeration) Name() string { return fmt.Sprintf("k-enumeration(k=%d)", r.K) }
 
-// Obsoletes implements Relation.
-func (r KEnumeration) Obsoletes(old, new Msg) bool {
-	if old.Sender != new.Sender || old.Seq >= new.Seq {
-		return false
-	}
-	d := uint64(new.Seq - old.Seq)
-	if r.K <= 0 || d > uint64(r.K) {
-		return false // a window of no messages obsoletes nothing
-	}
-	return bitFromBytes(new.Annot, int(d-1))
-}
+// Obsoletes implements Relation, reading the listing.
+func (r KEnumeration) Obsoletes(old, new Msg) bool { return listed(r, old, new) }
 
 // AppendObsoleted implements Relation: bit i of the bitmap names sequence
-// number new.Seq-1-i, and bits at k or beyond name nothing. The numbers
-// come out descending.
+// number new.Seq-1-i, and bits at k or beyond name nothing, so a window of
+// k ≤ 0 names nothing at all. The numbers come out descending.
 func (r KEnumeration) AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq) []ident.Seq {
 	if new.Seq <= floor || r.K <= 0 {
 		return dst

@@ -69,8 +69,8 @@ type MsgID struct {
 // in a queue that never saw m2. A listing that names only direct
 // predecessors purges a chain fully only in a queue every link passes
 // through: one that holds m1 and m3 without m2 keeps m1, which is safe.
-// internal/relcheck verifies that a relation's Obsoletes and its listing
-// agree.
+// The encodings of this package read Obsoletes off their listing (listed),
+// so the two cannot disagree.
 type Relation interface {
 	// Name identifies the encoding, for logs and experiment output.
 	Name() string
@@ -83,6 +83,20 @@ type Relation interface {
 	// seq-ordered stream, so an arrival-time purge costs what the annotation
 	// lists, not what the buffer holds.
 	AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq) []ident.Seq
+}
+
+// listed is Obsoletes for a relation that lists: old ≺ new exactly when the
+// senders match and new's listing, from old.Seq up, names old.Seq.
+func listed(r Relation, old, new Msg) bool {
+	if old.Sender != new.Sender || old.Seq >= new.Seq {
+		return false
+	}
+	for _, s := range r.AppendObsoleted(nil, new, old.Seq) {
+		if s == old.Seq {
+			return true
+		}
+	}
+	return false
 }
 
 // Empty is the empty obsolescence relation: no message ever obsoletes

@@ -119,7 +119,6 @@ func TestTagTrackerWindow(t *testing.T) {
 }
 
 func TestKEnumerationDirect(t *testing.T) {
-	r := KEnumeration{K: 8}
 	tr := NewKTracker(8)
 
 	// m1, m2 (obsoletes m1), m3 (obsoletes nothing), m4 (obsoletes m3).
@@ -133,23 +132,28 @@ func TestKEnumerationDirect(t *testing.T) {
 	m3 := msg("p", s3, a3)
 	m4 := msg("p", s4, a4)
 
-	if !r.Obsoletes(m1, m2) {
-		t.Error("m1 ≺ m2 expected")
-	}
-	if r.Obsoletes(m2, m1) {
-		t.Error("m2 ≺ m1 unexpected (antisymmetry)")
-	}
-	if r.Obsoletes(m1, m3) || r.Obsoletes(m2, m3) {
-		t.Error("m3 should obsolete nothing")
-	}
-	if !r.Obsoletes(m3, m4) {
-		t.Error("m3 ≺ m4 expected")
-	}
-	if r.Obsoletes(m1, m4) || r.Obsoletes(m2, m4) {
-		t.Error("m4 unrelated to m1/m2")
-	}
-	if r.Obsoletes(m1, msg("q", m2.Seq, m2.Annot)) {
-		t.Error("cross-sender obsolescence must be false")
+	for _, tc := range []struct {
+		name     string
+		k        int
+		old, new Msg
+		want     bool
+	}{
+		{"m1 ≺ m2", 8, m1, m2, true},
+		{"antisymmetry", 8, m2, m1, false},
+		{"m3 obsoletes nothing", 8, m1, m3, false},
+		{"m3 obsoletes nothing either", 8, m2, m3, false},
+		{"m3 ≺ m4", 8, m3, m4, true},
+		{"m4 unrelated to m1", 8, m1, m4, false},
+		{"m4 unrelated to m2", 8, m2, m4, false},
+		{"cross-sender", 8, m1, msg("q", m2.Seq, m2.Annot), false},
+		{"beyond a window of 1", 1, m1, msg("p", s1+2, []byte{0xff}), false},
+		{"a window of no messages", 0, m1, m2, false},
+		{"a negative window", -1, m1, m2, false},
+	} {
+		if got := (KEnumeration{K: tc.k}).Obsoletes(tc.old, tc.new); got != tc.want {
+			t.Errorf("%s: k=%d: %s:%d ≺ %s:%d is %v, want %v",
+				tc.name, tc.k, tc.old.Sender, tc.old.Seq, tc.new.Sender, tc.new.Seq, got, tc.want)
+		}
 	}
 }
 
@@ -484,42 +488,5 @@ func TestKTrackerAnnot(t *testing.T) {
 	}
 	if _, ok := tr.Annot(0); ok {
 		t.Fatal("Annot(0) should be unavailable")
-	}
-}
-
-// TestListedMatchesObsoletes checks every relation's listing against its own
-// Obsoletes over raw annotations — longer than the window, with bits and
-// deltas naming nothing, repeats, malformed tails — and every floor: a
-// sequence number is listed exactly when a message carrying it would be
-// obsoleted. A window of k ≤ 0 lists nothing, so it obsoletes nothing.
-func TestListedMatchesObsoletes(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	rels := []Relation{KEnumeration{K: -1}, KEnumeration{K: 0}, KEnumeration{K: 1}, KEnumeration{K: 8},
-		KEnumeration{K: 64}, KEnumeration{K: 70}, Enumeration{}, Empty{}}
-	for _, rel := range rels {
-		for trial := 0; trial < 400; trial++ {
-			n := Msg{Sender: "p", Seq: ident.Seq(rng.Intn(200)), Annot: make([]byte, rng.Intn(24))}
-			rng.Read(n.Annot)
-			if rng.Intn(3) == 0 {
-				for i := range n.Annot {
-					n.Annot[i] &= 0x11 // sparse bitmaps, short deltas
-				}
-			}
-			floor := ident.Seq(rng.Intn(int(n.Seq) + 2))
-			listed := map[ident.Seq]bool{}
-			for _, s := range rel.AppendObsoleted(nil, n, floor) {
-				if s < floor || s >= n.Seq {
-					t.Fatalf("%s: listed %d outside [%d, %d)", rel.Name(), s, floor, n.Seq)
-				}
-				listed[s] = true
-			}
-			for s := floor; s < n.Seq+3; s++ {
-				old := Msg{Sender: "p", Seq: s, Annot: []byte{byte(s)}}
-				if want := rel.Obsoletes(old, n); listed[s] != want {
-					t.Fatalf("%s: seq %d annot %x floor %d: %d listed=%v, Obsoletes=%v",
-						rel.Name(), n.Seq, n.Annot, floor, s, listed[s], want)
-				}
-			}
-		}
 	}
 }

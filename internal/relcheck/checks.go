@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/check"
-	"repro/internal/ident"
 	"repro/internal/obsolete"
 	"repro/internal/queue"
 )
@@ -14,7 +13,7 @@ import (
 // p1→p2").
 type Violation struct {
 	Family string // laws | confluence
-	Check  string // irreflexivity, sender-local, listed, purge-safety, ...
+	Check  string // irreflexivity, sender-local, purge-safety, ...
 	// Witness is the minimal counterexample, human-readable.
 	Witness string
 }
@@ -31,7 +30,7 @@ type CheckResult struct {
 	// Detail annotates coverage ("sampled", "within window 4", ...).
 	Detail string
 	// Skipped means the check does not apply to this model (transitivity
-	// not claimed, a listing derived from the rules).
+	// not claimed).
 	Skipped bool
 	// Violations holds at most one minimal witness per check.
 	Violations []Violation
@@ -82,7 +81,6 @@ func Run(m *Model) *Report {
 	r.Checks = append(r.Checks, checkAntisymmetry(m, msgs))
 	r.Checks = append(r.Checks, checkTransitivity(m, msgs))
 	r.Checks = append(r.Checks, checkSenderLocal(m, msgs))
-	r.Checks = append(r.Checks, checkListed(m, msgs))
 	r.Checks = append(r.Checks, checkPurgeSafety(m, msgs))
 	return r
 }
@@ -187,45 +185,6 @@ func checkSenderLocal(m *Model, msgs []obsolete.Msg) CheckResult {
 					Family: res.Family, Check: res.Name,
 					Witness: fmt.Sprintf("%s ≺ %s relates against sequence order",
 						msgStr(a), msgStr(b)),
-				})
-				return res
-			}
-		}
-	}
-	return res
-}
-
-// checkListed verifies the listing: for every message of the universe, the
-// sequence numbers the relation reads off its annotation are exactly those of
-// the same-sender messages it obsoletes — one listed too many and the queue
-// purges a message the relation says nothing covers, one too few and it
-// keeps what the relation says is obsolete. A rules model's listing is
-// derived from its Obsoletes, so there the law could not fail.
-func checkListed(m *Model, msgs []obsolete.Msg) CheckResult {
-	res := CheckResult{Family: "laws", Name: "listed"}
-	if _, ok := m.Rel.(*ruleRelation); ok {
-		res.Skipped, res.Detail = true, "derived from rules"
-		return res
-	}
-	for _, b := range msgs {
-		listed := make(map[ident.Seq]bool)
-		for _, s := range m.Rel.AppendObsoleted(nil, b, 0) {
-			listed[s] = true
-		}
-		for _, a := range msgs {
-			if a.Sender != b.Sender || a.ID() == b.ID() {
-				continue // cross-sender reach is sender-local's to report
-			}
-			res.Checked++
-			if obs := m.Rel.Obsoletes(a, b); obs != listed[a.Seq] {
-				how := "lists"
-				if obs {
-					how = "omits"
-				}
-				res.Violations = append(res.Violations, Violation{
-					Family: res.Family, Check: res.Name,
-					Witness: fmt.Sprintf("%s %s %s but %s ≺ %s is %v",
-						msgStr(b), how, msgStr(a), msgStr(a), msgStr(b), obs),
 				})
 				return res
 			}

@@ -3,21 +3,21 @@
 //
 // SVS's safety guarantees (§3 of the paper) rest entirely on the
 // obsolescence relation being well-behaved — a strict partial order over
-// each sender's own stream whose purge decisions commute with delivery — and
-// on its listing being truthful: internal/queue purges what an arrival's
-// annotation lists, so a listing that disagrees with Obsoletes silently
-// corrupts the purge. relcheck takes a finite model of an application's
-// message space and relation — a YAML spec (ParseYAML) or a registered
-// in-process relation sampled over a bounded sender/seq/annotation domain
-// (Builtin) — and exhaustively checks two families:
+// each sender's own stream whose purge decisions commute with delivery.
+// internal/queue purges what an arrival's annotation lists, and every
+// relation a model can name answers Obsoletes from that same listing (the
+// built-in encodings read it, a rules model's listing is derived from its
+// rules), so the two never disagree. relcheck takes a finite model of an
+// application's message space and relation — a YAML spec (ParseYAML) or a
+// registered in-process relation sampled over a bounded
+// sender/seq/annotation domain (Builtin) — and exhaustively checks two
+// families:
 //
 //  1. Laws: the strict-partial-order laws of §3.2 — irreflexivity,
 //     antisymmetry, and transitivity where the encoding claims it
-//     (within its window for the enumeration-style encodings);
+//     (within its window for the enumeration-style encodings); and
 //     sender-locality: the relation never relates messages across senders
-//     or against sequence order, pairs the protocol never asks about; and
-//     listed: each message lists exactly the predecessors it obsoletes
-//     (skipped for rules models, whose listing is derived from the rules).
+//     or against sequence order, pairs the protocol never asks about.
 //  2. Confluence: for every interleaving of the modelled per-sender
 //     streams (FIFO within each sender, the protocol invariant), purging
 //     on every arrival under the model's relation and then delivering

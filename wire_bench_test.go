@@ -38,7 +38,7 @@ func wireMessages() []any {
 			Payload: payload,
 		}
 	}
-	pred := core.PredMsg{View: 7, Msgs: make([]core.DataMsg, 0, 16)}
+	pred := core.PredMsg{Change: ident.ViewRef{ID: 8}, Msgs: make([]core.DataMsg, 0, 16)}
 	for i := 0; i < 16; i++ {
 		pred.Msgs = append(pred.Msgs, dm(ident.Seq(i+1)))
 	}
