@@ -12,25 +12,31 @@
 //	     highest timestamp;
 //	  3. every process waits for c's proposal — adopting it and ACKing —
 //	     or NACKs when the detector suspects c;
-//	  4. c gathers a majority of replies; if all are ACKs the value is
-//	     locked and c reliably broadcasts DECIDE.
+//	  4. c gathers a majority of ACKs, giving the round up at a NACK; the
+//	     value is then locked, and c decides and broadcasts DECIDE, which
+//	     every process relays once when it decides.
 //
 // Safety requires only a majority of correct processes; the detector is
 // used for liveness alone. Decisions are cached so that stragglers asking
 // about a decided instance are answered immediately.
+//
+// A Machine runs every instance of one group as a message-driven state
+// machine with no goroutine, lock, channel or timer of its own: whoever owns
+// it feeds it proposals, received messages and detector rechecks, one call
+// at a time, and each call returns the instances that decided during it.
+// The SVS engine drives its machine from its own loop; Service is a
+// stand-alone driver with a blocking Propose.
 package consensus
 
 import (
-	"context"
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/codec"
 	"repro/internal/fd"
 	"repro/internal/ident"
 	"repro/internal/obs"
-	"repro/internal/transport"
 )
 
 // msgType enumerates the wire message types of the algorithm.
@@ -92,451 +98,276 @@ func readMsg(r *codec.Reader) (Msg, error) {
 	return m, r.Err()
 }
 
-// Service multiplexes the consensus instances of one group over a shared
-// endpoint: all its traffic travels in the group's Consensus inbox, so a
-// node hosting many groups runs one Service per group and their rounds
-// never interfere (instance ids only need to be unique within a group).
-type Service struct {
-	ep    transport.Endpoint
-	det   fd.Detector
-	group ident.GroupID
-	// poll is how often waiting phases re-check the failure detector.
-	poll  time.Duration
-	clock obs.Clock
-	ev    *obs.Events
-	m     svcMetrics
-
-	mu        sync.Mutex
-	instances map[string]*instance
-	stopped   bool
-	done      chan struct{}
-	wg        sync.WaitGroup
+// Decision is the outcome of one instance, as a Machine input returns it.
+type Decision struct {
+	Instance string
+	Value    []byte
 }
 
-// svcMetrics are the service's instruments; nil instruments record nothing.
-type svcMetrics struct {
+// Machine holds the consensus instances of one group. It is not safe for
+// concurrent use: one owner calls Propose, Receive and Recheck in turn, and
+// every message the machine sends goes through the send function it was
+// given, including those to itself, which come back through Receive.
+type Machine struct {
+	self  ident.PID
+	send  func(to ident.PID, m Msg)
+	det   fd.Detector
+	clock obs.Clock // read only to time consensus_decide_seconds
+	ev    *obs.Events
+	metrics
+
+	instances map[string]*instance
+	// live lists the proposed instances in proposal order, the ones Recheck
+	// visits; decided ones are pruned by the next Propose or Recheck.
+	live []*instance
+}
+
+// metrics are the machine's instruments; nil instruments record nothing.
+type metrics struct {
 	decisions *obs.Counter   // instances decided (locally observed)
 	nacks     *obs.Counter   // coordinator suspicions turned into NACKs
 	rounds    *obs.Histogram // rounds a proposing process ran until deciding
 	latency   *obs.Histogram // propose-to-decide wall time
 }
 
-// New returns a stopped service for one group's consensus instances; call
-// Start. ob supplies the poll clock, metrics and events; nil uses the wall
-// clock with no instrumentation.
-func New(ep transport.Endpoint, det fd.Detector, group ident.GroupID, ob *obs.Obs) *Service {
-	return &Service{
-		ep:    ep,
+// NewMachine returns an empty machine for process self. send transmits a
+// message of an instance; det is the oracle asked whether the coordinator
+// an instance waits on is suspected. ob supplies
+// the clock, metrics and events; nil uses the wall clock with no
+// instrumentation.
+func NewMachine(self ident.PID, send func(to ident.PID, m Msg), det fd.Detector, ob *obs.Obs) *Machine {
+	return &Machine{
+		self:  self,
+		send:  send,
 		det:   det,
-		group: group,
-		poll:  2 * time.Millisecond,
 		clock: ob.Clock(),
 		ev:    ob.Events(),
-		m: svcMetrics{
+		metrics: metrics{
 			decisions: ob.Counter("consensus_decisions_total"),
 			nacks:     ob.Counter("consensus_nacks_total"),
 			rounds:    ob.Histogram("consensus_rounds", obs.CountBuckets),
 			latency:   ob.Histogram("consensus_decide_seconds", obs.DurationBuckets),
 		},
 		instances: make(map[string]*instance),
-		done:      make(chan struct{}),
 	}
 }
 
-// Start launches the dispatcher.
-func (s *Service) Start() {
-	s.wg.Add(1)
-	go s.dispatch()
-}
+// phase is where a proposed instance waits within its current round.
+type phase uint8
 
-// Stop terminates the dispatcher and all running instances.
-func (s *Service) Stop() {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return
-	}
-	s.stopped = true
-	close(s.done)
-	s.mu.Unlock()
-	s.wg.Wait()
-}
+const (
+	gathering phase = iota + 1 // coordinator: a majority of estimates
+	awaiting                   // the coordinator's proposal, or its suspicion
+	replying                   // coordinator: a majority of ACKs, or a NACK
+)
 
-// Propose runs instance id among participants with the given initial
-// value and blocks until a decision is reached, the context is cancelled,
-// or the service stops. All participants must call Propose with the same
-// id and participant set; values may differ. The decided value is one of
-// the proposed values and is the same at every deciding process.
-func (s *Service) Propose(ctx context.Context, id string, participants ident.PIDs, value []byte) ([]byte, error) {
-	if !participants.Contains(s.ep.Self()) {
-		return nil, fmt.Errorf("consensus: %s is not a participant of %q", s.ep.Self(), id)
-	}
-	in := s.instance(id)
-
-	in.mu.Lock()
-	if in.decided {
-		v := in.decision
-		in.mu.Unlock()
-		return v, nil
-	}
-	if !in.proposed {
-		in.proposed = true
-		in.participants = participants.Clone()
-		in.est = value
-		in.start = s.clock.Now()
-		close(in.proposeC) // unblock the runner
-	}
-	in.mu.Unlock()
-
-	select {
-	case <-in.decidedC:
-		in.mu.Lock()
-		v := in.decision
-		in.mu.Unlock()
-		return v, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-s.done:
-		return nil, fmt.Errorf("consensus: service stopped")
-	}
-}
-
-// Await blocks until instance id decides, without participating in it. It
-// lets a process that has not (yet) proposed — e.g. one still gathering
-// flush sets — learn the outcome as soon as the decide flood reaches it.
-func (s *Service) Await(ctx context.Context, id string) ([]byte, error) {
-	in := s.instance(id)
-	select {
-	case <-in.decidedC:
-		in.mu.Lock()
-		v := in.decision
-		in.mu.Unlock()
-		return v, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-s.done:
-		return nil, fmt.Errorf("consensus: service stopped")
-	}
-}
-
-// Decision returns the cached decision of instance id, if any.
-func (s *Service) Decision(id string) ([]byte, bool) {
-	s.mu.Lock()
-	in, ok := s.instances[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if !in.decided {
-		return nil, false
-	}
-	return in.decision, true
-}
-
-// instance returns (creating if necessary) the record for id.
-func (s *Service) instance(id string) *instance {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if in, ok := s.instances[id]; ok {
-		return in
-	}
-	in := &instance{
-		svc:      s,
-		id:       id,
-		proposeC: make(chan struct{}),
-		decidedC: make(chan struct{}),
-		wake:     make(chan struct{}, 1),
-	}
-	s.instances[id] = in
-	if !s.stopped {
-		s.wg.Add(1)
-		go in.run()
-	}
-	return in
-}
-
-// dispatch routes incoming wire messages to their instances.
-func (s *Service) dispatch() {
-	defer s.wg.Done()
-	inbox := s.ep.Inbox(s.group, transport.Consensus)
-	for {
-		select {
-		case <-s.done:
-			return
-		case env, ok := <-inbox:
-			if !ok {
-				return
-			}
-			m, ok := env.Msg.(Msg)
-			if !ok {
-				continue
-			}
-			s.instance(m.Instance).deliver(env.From, m)
-		}
-	}
-}
-
-// instance is the per-id state machine.
+// instance is one consensus instance.
 type instance struct {
-	svc *Service
-	id  string
-
-	mu           sync.Mutex
+	id           string
 	proposed     bool
 	participants ident.PIDs
 	est          []byte
 	ts           int
-	round        int       // current round of the local runner
+	round        int
+	phase        phase
 	start        time.Time // when the local proposal arrived
+	got          []Msg     // coordinator: estimates gathered this round
+	acks         int       // coordinator: ACKs gathered this round
+	inbox        []Msg     // received messages no phase has consumed yet
 	decided      bool
 	decision     []byte
-	inbox        []inMsg
-
-	proposeC chan struct{} // closed when the local proposal arrives
-	decidedC chan struct{} // closed on decision
-	wake     chan struct{} // pinged when a message arrives
 }
 
-type inMsg struct {
-	from ident.PID
-	m    Msg
+// instance returns (creating if necessary) the record for id.
+func (m *Machine) instance(id string) *instance {
+	in, ok := m.instances[id]
+	if !ok {
+		in = &instance{id: id}
+		m.instances[id] = in
+	}
+	return in
 }
 
-// deliver buffers m and wakes the runner. Decide messages take effect
-// immediately — even at a process that never proposed — and a decided
-// instance answers any late non-decide traffic with the decision so
-// stragglers terminate.
-func (in *instance) deliver(from ident.PID, m Msg) {
-	in.mu.Lock()
-	if in.decided {
-		dec := in.decision
-		in.mu.Unlock()
-		if m.Type != msgDecide {
-			_ = in.svc.ep.Send(from, in.svc.group, transport.Consensus, Msg{
-				Instance: in.id, Type: msgDecide, Value: dec,
-			})
+// Decided returns the decision of instance id, if it has one.
+func (m *Machine) Decided(id string) ([]byte, bool) {
+	if in, ok := m.instances[id]; ok && in.decided {
+		return in.decision, true
+	}
+	return nil, false
+}
+
+// Propose starts instance id among participants with the given initial
+// value. All participants must propose the same id and participant set;
+// values may differ. The decided value is one of the proposed values and is
+// the same at every deciding process. Proposing to an instance this process
+// already proposed to, or that has decided, does nothing.
+func (m *Machine) Propose(id string, participants ident.PIDs, value []byte) ([]Decision, error) {
+	if !participants.Contains(m.self) {
+		return nil, fmt.Errorf("consensus: %s is not a participant of %q", m.self, id)
+	}
+	in := m.instance(id)
+	if in.proposed || in.decided {
+		return nil, nil
+	}
+	in.proposed, in.participants, in.est, in.start = true, participants.Clone(), value, m.clock.Now()
+	m.live = append(slices.DeleteFunc(m.live, (*instance).done), in)
+	m.startRound(in)
+	return m.advance(in, nil), nil
+}
+
+// Receive handles one message of an instance. A decide takes effect at
+// once, even at a process that never proposed; a decided instance answers
+// any other message with its decision, so stragglers terminate; anything
+// else waits in the instance until a phase consumes it.
+func (m *Machine) Receive(from ident.PID, msg Msg) []Decision {
+	in := m.instance(msg.Instance)
+	switch {
+	case in.decided:
+		if msg.Type != msgDecide {
+			m.send(from, Msg{Instance: in.id, Type: msgDecide, Value: in.decision})
 		}
-		return
+		return nil
+	case msg.Type == msgDecide:
+		return m.decide(in, msg.Value, nil)
 	}
-	if m.Type == msgDecide {
-		in.decideLocked(m.Value)
-		in.mu.Unlock()
-		return
+	in.inbox = append(in.inbox, msg)
+	return m.advance(in, nil)
+}
+
+// Recheck re-tests against the detector the coordinator each instance
+// awaits a proposal from, NACKing the suspected ones.
+func (m *Machine) Recheck() []Decision {
+	var out []Decision
+	m.live = slices.DeleteFunc(m.live, (*instance).done)
+	for _, in := range m.live {
+		if in.phase == awaiting {
+			out = m.advance(in, out)
+		}
 	}
-	in.inbox = append(in.inbox, inMsg{from: from, m: m})
-	in.mu.Unlock()
-	select {
-	case in.wake <- struct{}{}:
-	default:
+	return out
+}
+
+func (in *instance) done() bool { return in.decided }
+
+// coord is the coordinator of the instance's current round.
+func (in *instance) coord() ident.PID { return in.participants[in.round%len(in.participants)] }
+
+// startRound is phase 1 of the current round: send our estimate to the
+// coordinator, then wait as coordinator or as participant.
+func (m *Machine) startRound(in *instance) {
+	coord := in.coord()
+	m.send(coord, Msg{Instance: in.id, Round: in.round, Type: msgEstimate, Value: in.est, Ts: in.ts})
+	in.phase, in.got, in.acks = awaiting, nil, 0
+	if coord == m.self {
+		in.phase = gathering
 	}
 }
 
-// run executes the rotating-coordinator rounds once the local proposal is
-// available. Decide messages short-circuit every phase.
-func (in *instance) run() {
-	defer in.svc.wg.Done()
-
-	// Wait for the local proposal (messages keep buffering meanwhile). A
-	// process that only awaits the instance learns the decision from the
-	// decide flood and never proposes: the runner ends with the decision.
-	select {
-	case <-in.proposeC:
-	case <-in.decidedC:
-		return
-	case <-in.svc.done:
-		return
-	}
-
-	in.mu.Lock()
-	parts := in.participants
-	in.mu.Unlock()
-	n := len(parts)
-	majority := n/2 + 1
-	self := in.svc.ep.Self()
-
-	for r := 0; ; r++ {
-		coord := parts[r%n]
-
-		// Phase 1: send estimate to the coordinator.
-		in.mu.Lock()
-		in.round = r
-		est, ts := in.est, in.ts
-		in.mu.Unlock()
-		in.send(coord, Msg{Instance: in.id, Round: r, Type: msgEstimate, Value: est, Ts: ts})
-
-		// Phase 2 (coordinator): gather a majority of estimates, keep the
-		// freshest, propose it.
-		if coord == self {
-			ests, ok := in.collect(r, msgEstimate, majority, nil)
-			if !ok {
-				return // decided or stopped
+// advance runs the rotating-coordinator rounds of a proposed instance as
+// far as its buffered messages and the detector allow, appending a decision
+// to out.
+func (m *Machine) advance(in *instance, out []Decision) []Decision {
+	majority := len(in.participants)/2 + 1
+	for in.proposed && !in.decided {
+		coord := in.coord()
+		switch in.phase {
+		case gathering:
+			// Phase 2: a majority of estimates; propose the freshest.
+			in.got = append(in.got, in.take(msgEstimate)...)
+			if len(in.got) < majority {
+				return out
 			}
-			best := ests[0].m
-			for _, e := range ests[1:] {
-				if e.m.Ts > best.Ts {
-					best = e.m
+			best := in.got[0]
+			for _, e := range in.got[1:] {
+				if e.Ts > best.Ts {
+					best = e
 				}
 			}
-			for _, p := range parts {
-				in.send(p, Msg{Instance: in.id, Round: r, Type: msgPropose, Value: best.Value})
+			for _, p := range in.participants {
+				m.send(p, Msg{Instance: in.id, Round: in.round, Type: msgPropose, Value: best.Value})
 			}
-		}
-
-		// Phase 3: adopt the coordinator's proposal, or NACK on suspicion.
-		prop, got, alive := in.awaitPropose(r, coord)
-		if !alive {
-			return // decided or stopped
-		}
-		if got {
-			in.mu.Lock()
-			in.est, in.ts = prop.Value, r
-			in.mu.Unlock()
-			in.send(coord, Msg{Instance: in.id, Round: r, Type: msgAck})
-		} else {
-			in.svc.m.nacks.Inc()
-			in.send(coord, Msg{Instance: in.id, Round: r, Type: msgNack})
-		}
-
-		// Phase 4 (coordinator): majority of ACKs locks the value.
-		if coord == self {
-			replies, ok := in.collect(r, msgAck, majority, func(m Msg) bool {
-				return m.Type == msgNack && m.Round == r
-			})
-			if !ok {
-				return
+			in.phase = awaiting
+		case awaiting:
+			// Phase 3: adopt the coordinator's proposal, or NACK on suspicion.
+			reply := msgAck
+			if props := in.take(msgPropose); len(props) > 0 {
+				in.est, in.ts = props[0].Value, in.round
+			} else if m.det.Suspected(coord) {
+				m.nacks.Inc()
+				reply = msgNack
+			} else {
+				return out
 			}
-			if replies != nil { // majority of ACKs, no NACK seen first
-				in.mu.Lock()
-				v := in.est
-				in.mu.Unlock()
-				for _, p := range parts {
-					in.send(p, Msg{Instance: in.id, Type: msgDecide, Value: v})
+			m.send(coord, Msg{Instance: in.id, Round: in.round, Type: reply})
+			if coord != m.self {
+				in.round++
+				m.startRound(in)
+				continue
+			}
+			in.phase = replying
+		case replying:
+			// Phase 4: a majority of ACKs locks the value; a NACK fails the
+			// round.
+			nacked := false
+			for _, r := range in.take(msgAck, msgNack) {
+				if r.Type == msgNack {
+					nacked = true
+					break
 				}
+				in.acks++
+			}
+			switch {
+			case nacked:
+				in.round++
+				m.startRound(in)
+			case in.acks >= majority:
+				return m.decide(in, in.est, out)
+			default:
+				return out
 			}
 		}
 	}
+	return out
 }
 
-// send transmits m, delivering locally without the network round-trip.
-func (in *instance) send(to ident.PID, m Msg) {
-	_ = in.svc.ep.Send(to, in.svc.group, transport.Consensus, m)
-}
-
-// takeMatching removes and returns buffered messages matching pred. It
-// reports decided=true when the instance has a decision, which terminates
-// every waiting phase.
-func (in *instance) takeMatching(pred func(Msg) bool) (out []inMsg, decided bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.decided {
-		return nil, true
-	}
+// take removes and returns the buffered messages of the current round of
+// the given types. Messages of earlier rounds can no longer be consumed and
+// are dropped on the way.
+func (in *instance) take(types ...msgType) []Msg {
+	var out []Msg
 	kept := in.inbox[:0]
-	for _, im := range in.inbox {
-		if pred(im.m) {
-			out = append(out, im)
-			continue
+	for _, m := range in.inbox {
+		switch {
+		case m.Round < in.round:
+		case m.Round == in.round && slices.Contains(types, m.Type):
+			out = append(out, m)
+		default:
+			kept = append(kept, m)
 		}
-		kept = append(kept, im)
 	}
+	clear(in.inbox[len(kept):])
 	in.inbox = kept
-	return out, false
+	return out
 }
 
-// decideLocked records the decision and relays it to all participants
-// (reliable broadcast of the decision). Callers hold in.mu.
-func (in *instance) decideLocked(v []byte) {
-	if in.decided {
-		return
-	}
-	in.decided = true
-	in.decision = v
-	close(in.decidedC)
-	in.svc.m.decisions.Inc()
+// decide records the decision and relays it once to every other
+// participant: the reliable broadcast of the decision. A bystander that
+// never proposed knows no participants and relays nothing.
+func (m *Machine) decide(in *instance, v []byte, out []Decision) []Decision {
+	in.decided, in.decision, in.inbox, in.got = true, v, nil, nil
+	m.decisions.Inc()
 	if in.proposed {
 		// Rounds and latency only make sense at a process that actually
-		// ran the protocol; a bystander learning via the decide flood
-		// would skew both towards zero.
-		in.svc.m.rounds.Observe(float64(in.round + 1))
-		in.svc.m.latency.ObserveDuration(in.svc.clock.Since(in.start))
-		in.svc.ev.ConsensusDecision(in.id, in.round+1)
+		// ran the protocol; a bystander learning via the decide flood would
+		// skew both towards zero.
+		m.rounds.Observe(float64(in.round + 1))
+		m.latency.ObserveDuration(m.clock.Since(in.start))
+		m.ev.ConsensusDecision(in.id, in.round+1)
 	}
-	parts := in.participants
-	self := in.svc.ep.Self()
-	go func() {
-		for _, p := range parts {
-			if p != self {
-				_ = in.svc.ep.Send(p, in.svc.group, transport.Consensus, Msg{
-					Instance: in.id, Type: msgDecide, Value: v,
-				})
-			}
-		}
-	}()
-}
-
-// collect waits until want messages of the given round/type have been
-// gathered, a decide arrives (returns nil,false... see below), or abort
-// reports true on some gathered message (NACK handling). The returned
-// bool is false when the instance terminated (decide or service stop);
-// a nil slice with true means aborted by the abort predicate.
-func (in *instance) collect(round int, t msgType, want int, abort func(Msg) bool) ([]inMsg, bool) {
-	var got []inMsg
-	ticker := in.svc.clock.NewTicker(in.svc.poll)
-	defer ticker.Stop()
-	for {
-		match, decided := in.takeMatching(func(m Msg) bool {
-			if m.Round != round {
-				return false
-			}
-			return m.Type == t || (abort != nil && abort(m))
-		})
-		if decided {
-			return nil, false
-		}
-		for _, im := range match {
-			if abort != nil && abort(im.m) {
-				return nil, true // aborted: round failed
-			}
-			got = append(got, im)
-		}
-		if len(got) >= want {
-			return got, true
-		}
-		select {
-		case <-in.wake:
-		case <-ticker.C():
-		case <-in.svc.done:
-			return nil, false
+	for _, p := range in.participants {
+		if p != m.self {
+			m.send(p, Msg{Instance: in.id, Type: msgDecide, Value: v})
 		}
 	}
-}
-
-// awaitPropose waits for the coordinator's round-r proposal, giving up
-// when the failure detector suspects the coordinator. alive is false when
-// the instance terminated meanwhile.
-func (in *instance) awaitPropose(round int, coord ident.PID) (prop Msg, got, alive bool) {
-	ticker := in.svc.clock.NewTicker(in.svc.poll)
-	defer ticker.Stop()
-	for {
-		match, decided := in.takeMatching(func(m Msg) bool {
-			return m.Type == msgPropose && m.Round == round
-		})
-		if decided {
-			return Msg{}, false, false
-		}
-		if len(match) > 0 {
-			return match[0].m, true, true
-		}
-		if in.svc.det.Suspected(coord) {
-			return Msg{}, false, true
-		}
-		select {
-		case <-in.wake:
-		case <-ticker.C():
-		case <-in.svc.done:
-			return Msg{}, false, false
-		}
-	}
+	return append(out, Decision{Instance: in.id, Value: v})
 }

@@ -3,8 +3,8 @@ package consensus
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -15,291 +15,346 @@ import (
 	"repro/internal/transport"
 )
 
-// harness wires n processes with manual failure detectors.
-type harness struct {
-	net  *transport.MemNetwork
-	pids ident.PIDs
-	svcs map[ident.PID]*Service
-	dets map[ident.PID]*fd.Manual
-	eps  map[ident.PID]*transport.MemEndpoint
+// network is a goroutine-free set of machines: a send is queued, and
+// deliver hands queued messages to their destinations' Receive one at a
+// time, in an order drawn from a seeded source. Messages to or from a
+// crashed process, or to a cut-off one, are discarded.
+type network struct {
+	t       *testing.T
+	pids    ident.PIDs
+	ms      map[ident.PID]*Machine
+	dets    map[ident.PID]*fd.Manual
+	rng     *rand.Rand
+	queue   []wireMsg
+	crashed map[ident.PID]bool
+	cut     map[ident.PID]bool
+	decided map[ident.PID]map[string][]byte
 }
 
-func newHarness(t *testing.T, n int) *harness {
+type wireMsg struct {
+	from, to ident.PID
+	m        Msg
+}
+
+func newNet(t *testing.T, n int, seed int64) *network {
 	t.Helper()
-	h := &harness{
-		net:  transport.NewMemNetwork(),
-		svcs: make(map[ident.PID]*Service),
-		dets: make(map[ident.PID]*fd.Manual),
-		eps:  make(map[ident.PID]*transport.MemEndpoint),
+	nw := &network{
+		t:       t,
+		ms:      make(map[ident.PID]*Machine),
+		dets:    make(map[ident.PID]*fd.Manual),
+		rng:     rand.New(rand.NewSource(seed)),
+		crashed: make(map[ident.PID]bool),
+		cut:     make(map[ident.PID]bool),
+		decided: make(map[ident.PID]map[string][]byte),
 	}
 	var pids []ident.PID
 	for i := 0; i < n; i++ {
 		pids = append(pids, ident.PID(fmt.Sprintf("p%d", i)))
 	}
-	h.pids = ident.NewPIDs(pids...)
-	for _, p := range h.pids {
-		ep, err := h.net.Endpoint(p)
+	nw.pids = ident.NewPIDs(pids...)
+	for _, p := range nw.pids {
+		p := p
+		det := fd.NewManual()
+		t.Cleanup(det.Stop)
+		nw.dets[p] = det
+		nw.decided[p] = make(map[string][]byte)
+		send := func(to ident.PID, m Msg) { nw.queue = append(nw.queue, wireMsg{from: p, to: to, m: m}) }
+		nw.ms[p] = NewMachine(p, send, det, nil)
+	}
+	return nw
+}
+
+// record files the decisions a machine input of p returned, failing on a
+// second decision of one instance.
+func (nw *network) record(p ident.PID, ds []Decision) {
+	nw.t.Helper()
+	for _, d := range ds {
+		if _, again := nw.decided[p][d.Instance]; again {
+			nw.t.Fatalf("%s decided %s twice", p, d.Instance)
+		}
+		nw.decided[p][d.Instance] = d.Value
+	}
+}
+
+func (nw *network) propose(p ident.PID, id string) {
+	nw.t.Helper()
+	ds, err := nw.ms[p].Propose(id, nw.pids, []byte("from-"+string(p)))
+	if err != nil {
+		nw.t.Fatal(err)
+	}
+	nw.record(p, ds)
+}
+
+// step delivers one queued message; false when none is left.
+func (nw *network) step() bool {
+	if len(nw.queue) == 0 {
+		return false
+	}
+	i := nw.rng.Intn(len(nw.queue))
+	w := nw.queue[i]
+	nw.queue = append(nw.queue[:i], nw.queue[i+1:]...)
+	if !nw.crashed[w.from] && !nw.crashed[w.to] && !nw.cut[w.to] {
+		nw.record(w.to, nw.ms[w.to].Receive(w.from, w.m))
+	}
+	return true
+}
+
+// deliver runs the network until no message is in flight.
+func (nw *network) deliver() {
+	for steps := 0; nw.step(); steps++ {
+		if steps > 1e6 {
+			nw.t.Fatal("the network never went quiet")
+		}
+	}
+}
+
+// suspect has every live process suspect p and recheck.
+func (nw *network) suspect(p ident.PID) {
+	for _, q := range nw.pids {
+		if !nw.crashed[q] {
+			nw.dets[q].Suspect(p)
+			nw.record(q, nw.ms[q].Recheck())
+		}
+	}
+}
+
+// agreed checks that every process in who decided id, all on one value that
+// one of proposers proposed, and returns it.
+func (nw *network) agreed(id string, who, proposers ident.PIDs) []byte {
+	nw.t.Helper()
+	var first []byte
+	for _, p := range who {
+		v, ok := nw.decided[p][id]
+		if !ok {
+			nw.t.Fatalf("%s did not decide %s", p, id)
+		}
+		if first == nil {
+			first = v
+		} else if string(v) != string(first) {
+			nw.t.Fatalf("disagreement on %s: %s decided %q, another %q", id, p, v, first)
+		}
+	}
+	for _, p := range proposers {
+		if string(first) == "from-"+string(p) {
+			return first
+		}
+	}
+	nw.t.Fatalf("decided value %q was never proposed", first)
+	return nil
+}
+
+func TestConsensusAllCorrect(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			for seed := int64(1); seed <= 20; seed++ {
+				nw := newNet(t, n, seed)
+				for _, p := range nw.pids {
+					nw.propose(p, "inst")
+				}
+				nw.deliver()
+				nw.agreed("inst", nw.pids, nw.pids)
+			}
+		})
+	}
+}
+
+// TestConsensusCoordinatorCrash: the round-0 coordinator p0 crashed before
+// anything started. The others' instances wait on it until a suspicion and
+// a recheck NACK it; round 1 decides.
+func TestConsensusCoordinatorCrash(t *testing.T) {
+	nw := newNet(t, 3, 1)
+	coord := nw.pids[0]
+	rest := nw.pids.Remove(coord)
+	nw.crashed[coord] = true
+	for _, p := range rest {
+		nw.propose(p, "inst")
+	}
+	nw.deliver()
+	for _, p := range rest {
+		if _, ok := nw.decided[p]["inst"]; ok {
+			t.Fatalf("%s decided while the coordinator was unsuspected", p)
+		}
+	}
+	nw.suspect(coord)
+	nw.deliver()
+	nw.agreed("inst", rest, rest)
+}
+
+// TestConsensusMidRoundCrash: the round-0 coordinator crashes after its
+// proposal reached one process, which adopted and ACKed it. A suspicion and
+// a recheck move the others on, and the survivors agree.
+func TestConsensusMidRoundCrash(t *testing.T) {
+	undecided := 0 // seeds where the coordinator crashed before deciding
+	for seed := int64(1); seed <= 20; seed++ {
+		nw := newNet(t, 5, seed)
+		coord, adopter := nw.pids[0], nw.pids[1]
+		rest := nw.pids.Remove(coord)
+		for _, p := range nw.pids {
+			nw.propose(p, "inst")
+		}
+		for in := nw.ms[adopter].instances["inst"]; in.round == 0 && !in.decided; {
+			if !nw.step() {
+				t.Fatal("the round-0 proposal never reached the adopter")
+			}
+		}
+		if !nw.ms[coord].instances["inst"].decided {
+			undecided++
+		}
+		nw.crashed[coord] = true
+		nw.suspect(coord)
+		nw.deliver()
+		nw.agreed("inst", rest, nw.pids)
+	}
+	if undecided == 0 {
+		t.Fatal("the coordinator decided before its crash in every run")
+	}
+	t.Logf("%d of 20 runs crashed the coordinator before it decided", undecided)
+}
+
+// TestConsensusBystanderLearnsDecision: a process that never proposes still
+// learns the decision from the decide flood, and keeps nothing of the
+// instance but the decision.
+func TestConsensusBystanderLearnsDecision(t *testing.T) {
+	nw := newNet(t, 3, 1)
+	bystander, proposers := nw.pids[2], nw.pids[:2]
+	for _, p := range proposers {
+		nw.propose(p, "inst")
+	}
+	nw.deliver()
+	v := nw.agreed("inst", nw.pids, proposers)
+	if got, ok := nw.ms[bystander].Decided("inst"); !ok || string(got) != string(v) {
+		t.Fatalf("bystander's Decided = %q, %v; want %q", got, ok, v)
+	}
+	if in := nw.ms[bystander].instances["inst"]; in.inbox != nil || len(nw.ms[bystander].live) != 0 {
+		t.Fatalf("bystander keeps %d messages and %d live instances", len(in.inbox), len(nw.ms[bystander].live))
+	}
+}
+
+// TestConsensusDecisionCache: a process cut off while the others decide
+// proposes late; the coordinator's decided instance answers its estimate
+// with the decision. Decided reports the cache and proposing again does
+// nothing.
+func TestConsensusDecisionCache(t *testing.T) {
+	nw := newNet(t, 3, 1)
+	late := nw.pids[2]
+	nw.cut[late] = true
+	for _, p := range nw.pids[:2] {
+		nw.propose(p, "inst")
+	}
+	nw.deliver()
+	nw.cut[late] = false
+	nw.propose(late, "inst")
+	nw.deliver()
+	v := nw.agreed("inst", nw.pids, nw.pids[:2])
+	m := nw.ms[nw.pids[0]]
+	if got, ok := m.Decided("inst"); !ok || string(got) != string(v) {
+		t.Fatalf("Decided = %q, %v; want %q", got, ok, v)
+	}
+	if _, ok := m.Decided("other"); ok {
+		t.Fatal("phantom decision")
+	}
+	if ds, err := m.Propose("inst", nw.pids, []byte("again")); ds != nil || err != nil || len(nw.queue) != 0 {
+		t.Fatalf("proposing to a decided instance returned %v, %v and sent %d messages", ds, err, len(nw.queue))
+	}
+}
+
+func TestConsensusNonParticipant(t *testing.T) {
+	nw := newNet(t, 2, 1)
+	if _, err := nw.ms[nw.pids[0]].Propose("inst", ident.NewPIDs("x", "y"), []byte("v")); err == nil {
+		t.Fatal("proposing outside the participant set should fail")
+	}
+	if len(nw.queue) != 0 {
+		t.Fatal("a refused proposal sent messages")
+	}
+}
+
+// TestConsensusConcurrentInstances: eight instances whose messages
+// interleave on one network each reach agreement.
+func TestConsensusConcurrentInstances(t *testing.T) {
+	const instances = 8
+	nw := newNet(t, 3, 1)
+	for i := 0; i < instances; i++ {
+		for _, p := range nw.pids {
+			nw.propose(p, fmt.Sprintf("inst-%d", i))
+		}
+	}
+	nw.deliver()
+	for i := 0; i < instances; i++ {
+		nw.agreed(fmt.Sprintf("inst-%d", i), nw.pids, nw.pids)
+	}
+}
+
+// services starts one Service per process over a memory network.
+func services(t *testing.T, n int) (ident.PIDs, []*Service) {
+	t.Helper()
+	mem := transport.NewMemNetwork()
+	var pids []ident.PID
+	for i := 0; i < n; i++ {
+		pids = append(pids, ident.PID(fmt.Sprintf("p%d", i)))
+	}
+	var svcs []*Service
+	for _, p := range pids {
+		ep, err := mem.Endpoint(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		det := fd.NewManual()
 		svc := New(ep, det, ident.NodeGroup, nil)
 		svc.Start()
-		h.eps[p] = ep
-		h.dets[p] = det
-		h.svcs[p] = svc
-	}
-	t.Cleanup(func() {
-		for _, p := range h.pids {
-			h.svcs[p].Stop()
-			h.dets[p].Stop()
-			h.eps[p].Close()
-		}
-	})
-	return h
-}
-
-// proposeAll has every pid in who propose its own value; returns decisions.
-func (h *harness) proposeAll(t *testing.T, id string, who ident.PIDs, timeout time.Duration) map[ident.PID][]byte {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	var mu sync.Mutex
-	out := make(map[ident.PID][]byte)
-	var wg sync.WaitGroup
-	for _, p := range who {
-		wg.Add(1)
-		go func(p ident.PID) {
-			defer wg.Done()
-			v, err := h.svcs[p].Propose(ctx, id, h.pids, []byte("from-"+string(p)))
-			if err != nil {
-				t.Errorf("%s: propose: %v", p, err)
-				return
-			}
-			mu.Lock()
-			out[p] = v
-			mu.Unlock()
-		}(p)
-	}
-	wg.Wait()
-	return out
-}
-
-func assertAgreement(t *testing.T, decisions map[ident.PID][]byte, proposers ident.PIDs) {
-	t.Helper()
-	var first []byte
-	for _, v := range decisions {
-		first = v
-		break
-	}
-	if first == nil {
-		t.Fatal("no decisions")
-	}
-	for p, v := range decisions {
-		if string(v) != string(first) {
-			t.Fatalf("disagreement: %s decided %q, others %q", p, v, first)
-		}
-	}
-	// Validity: the decision is one of the proposals.
-	valid := false
-	for _, p := range proposers {
-		if string(first) == "from-"+string(p) {
-			valid = true
-			break
-		}
-	}
-	if !valid {
-		t.Fatalf("decided value %q was never proposed", first)
-	}
-}
-
-func TestConsensusAllCorrect(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			h := newHarness(t, n)
-			decisions := h.proposeAll(t, "inst", h.pids, 5*time.Second)
-			if len(decisions) != n {
-				t.Fatalf("%d deciders, want %d", len(decisions), n)
-			}
-			assertAgreement(t, decisions, h.pids)
+		t.Cleanup(func() {
+			svc.Stop()
+			det.Stop()
+			ep.Close()
 		})
+		svcs = append(svcs, svc)
 	}
+	return ident.NewPIDs(pids...), svcs
 }
 
-func TestConsensusCoordinatorCrash(t *testing.T) {
-	h := newHarness(t, 3)
-	// The round-0 coordinator is the first sorted pid: p0. Crash it before
-	// anything starts and have everyone suspect it.
-	coord := h.pids[0]
-	h.net.Crash(coord)
-	rest := h.pids.Remove(coord)
-	for _, p := range rest {
-		h.dets[p].Suspect(coord)
-	}
-	decisions := h.proposeAll(t, "inst", rest, 5*time.Second)
-	if len(decisions) != len(rest) {
-		t.Fatalf("%d deciders, want %d", len(decisions), len(rest))
-	}
-	assertAgreement(t, decisions, rest)
-}
-
-func TestConsensusMidRoundCrash(t *testing.T) {
-	h := newHarness(t, 5)
-	coord := h.pids[0]
-	rest := h.pids.Remove(coord)
-
-	// Everyone but the coordinator proposes; the coordinator stays silent
-	// (as if crashed before proposing) and is eventually suspected.
-	done := make(chan map[ident.PID][]byte, 1)
-	go func() {
-		done <- h.proposeAll(t, "inst", rest, 10*time.Second)
-	}()
-	time.Sleep(30 * time.Millisecond)
-	h.net.Crash(coord)
-	for _, p := range rest {
-		h.dets[p].Suspect(coord)
-	}
-	decisions := <-done
-	if len(decisions) != len(rest) {
-		t.Fatalf("%d deciders, want %d", len(decisions), len(rest))
-	}
-	assertAgreement(t, decisions, rest)
-}
-
-func TestConsensusAwait(t *testing.T) {
-	h := newHarness(t, 3)
-	// p2 never proposes; it must still learn the decision via Await.
-	awaiter := h.pids[2]
-	proposers := h.pids.Remove(awaiter)
-
+// TestServiceProposeBlocksUntilDecided: every member proposes to four
+// instances at once, each from its own goroutine; every blocking Propose
+// returns its instance's one decided value, and a later Propose of a
+// decided instance returns it at once.
+func TestServiceProposeBlocksUntilDecided(t *testing.T) {
+	const instances = 4
+	pids, svcs := services(t, 3)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	awaitC := make(chan []byte, 1)
-	go func() {
-		v, err := h.svcs[awaiter].Await(ctx, "inst")
-		if err != nil {
-			t.Errorf("await: %v", err)
-			close(awaitC)
-			return
-		}
-		awaitC <- v
-	}()
-
-	decisions := h.proposeAll(t, "inst", proposers, 5*time.Second)
-	assertAgreement(t, decisions, proposers)
-
-	select {
-	case v, ok := <-awaitC:
-		if !ok {
-			t.Fatal("await failed")
-		}
-		for _, d := range decisions {
-			if string(v) != string(d) {
-				t.Fatalf("awaited %q != decided %q", v, d)
-			}
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("await never returned")
-	}
-}
-
-// TestAwaitedInstanceEndsWithDecision: a bystander that awaits instances it
-// never proposes to — as a view-change engine awaits its successor's — keeps
-// no goroutine once the decide flood reaches it.
-func TestAwaitedInstanceEndsWithDecision(t *testing.T) {
-	const instances = 50
-	h := newHarness(t, 3)
-	bystander, proposers := h.pids[2], h.pids[:2]
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	before := runtime.NumGoroutine()
-	for i := 0; i < instances; i++ {
-		id := fmt.Sprintf("inst-%d", i)
-		awaited := make(chan error, 1)
-		go func() {
-			_, err := h.svcs[bystander].Await(ctx, id)
-			awaited <- err
-		}()
-		assertAgreement(t, h.proposeAll(t, id, proposers, 5*time.Second), proposers)
-		if err := <-awaited; err != nil {
-			t.Fatalf("await %s: %v", id, err)
-		}
-	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines left over after %d awaited decisions", runtime.NumGoroutine()-before, instances)
-		}
-	}
-}
-
-func TestConsensusDecisionCache(t *testing.T) {
-	h := newHarness(t, 3)
-	decisions := h.proposeAll(t, "inst", h.pids, 5*time.Second)
-	assertAgreement(t, decisions, h.pids)
-
-	// A second Propose on the decided instance returns immediately.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	v, err := h.svcs[h.pids[0]].Propose(ctx, "inst", h.pids, []byte("late"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(v) != string(decisions[h.pids[0]]) {
-		t.Fatalf("cached decision %q != original %q", v, decisions[h.pids[0]])
-	}
-	if got, ok := h.svcs[h.pids[1]].Decision("inst"); !ok || string(got) != string(v) {
-		t.Fatalf("Decision() = %q,%v", got, ok)
-	}
-	if _, ok := h.svcs[h.pids[1]].Decision("other"); ok {
-		t.Fatal("phantom decision")
-	}
-}
-
-func TestConsensusConcurrentInstances(t *testing.T) {
-	h := newHarness(t, 3)
-	const instances = 8
+	got := make([][][]byte, instances)
 	var wg sync.WaitGroup
-	errs := make(chan error, instances)
-	for i := 0; i < instances; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			id := fmt.Sprintf("inst-%d", i)
-			decisions := h.proposeAll(t, id, h.pids, 10*time.Second)
-			var first []byte
-			for _, v := range decisions {
-				if first == nil {
-					first = v
-				} else if string(v) != string(first) {
-					errs <- fmt.Errorf("instance %s disagreement", id)
-					return
+	for k := range got {
+		got[k] = make([][]byte, len(svcs))
+		for i, svc := range svcs {
+			wg.Add(1)
+			go func(k, i int, svc *Service) {
+				defer wg.Done()
+				v, err := svc.Propose(ctx, fmt.Sprintf("inst-%d", k), pids, []byte(pids[i]))
+				if err != nil {
+					t.Errorf("%s: %v", pids[i], err)
 				}
-			}
-		}(i)
+				got[k][i] = v
+			}(k, i, svc)
+		}
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	for k, vs := range got {
+		for _, v := range vs {
+			if v == nil || string(v) != string(vs[0]) {
+				t.Fatalf("inst-%d: decisions %q disagree", k, vs)
+			}
+		}
 	}
-}
-
-func TestConsensusNonParticipant(t *testing.T) {
-	h := newHarness(t, 2)
-	ctx := context.Background()
-	_, err := h.svcs[h.pids[0]].Propose(ctx, "inst", ident.NewPIDs("x", "y"), []byte("v"))
-	if err == nil {
-		t.Fatal("proposing outside the participant set should fail")
+	if v, err := svcs[1].Propose(ctx, "inst-0", pids, []byte("late")); err != nil || string(v) != string(got[0][0]) {
+		t.Fatalf("late Propose = %q, %v; want %q", v, err, got[0][0])
 	}
 }
 
 func TestConsensusContextCancel(t *testing.T) {
-	h := newHarness(t, 3)
+	pids, svcs := services(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// Nobody else proposes, so this can only end via ctx.
-	_, err := h.svcs[h.pids[0]].Propose(ctx, "lonely", h.pids, []byte("v"))
-	if err == nil {
+	if _, err := svcs[0].Propose(ctx, "lonely", pids, []byte("v")); err == nil {
 		t.Fatal("cancelled propose should fail")
 	}
 }

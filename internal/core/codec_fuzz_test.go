@@ -110,7 +110,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecodeValueNoPanic hardens the decided-value door (decided) against
+// FuzzDecodeValueNoPanic hardens the decided-value door (decodeState) against
 // arbitrary bytes arriving from a faulty peer.
 func FuzzDecodeValueNoPanic(f *testing.F) {
 	good, err := codec.Marshal(nil, StateMsg{
@@ -124,7 +124,7 @@ func FuzzDecodeValueNoPanic(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not gob"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_ = decided(ident.ViewRef{ID: 2}, data, nil)
+		_, _ = decodeState(data)
 	})
 }
 

@@ -18,17 +18,15 @@ import (
 // shut it down with Stop.
 type Engine struct {
 	cfg   Config
-	cons  *consensus.Service
 	clock obs.Clock
 	ev    *obs.Events
 	m     engMetrics
 
 	reqC  chan *request
-	decC  chan decision
 	doneC chan struct{}
 
 	// rootCtx is cancelled by Stop (under pub.mu, so Start sees it): it ends
-	// the loop and every goroutine a view change started.
+	// the loop, and with it everything the engine runs.
 	rootCtx context.Context
 	cancel  context.CancelFunc
 	once    sync.Once
@@ -38,6 +36,11 @@ type Engine struct {
 	pub *published
 
 	// ---- state below is owned exclusively by the run loop ----
+
+	// cons holds the group's consensus instances; the loop feeds it the
+	// Consensus inbox and suspicions, and takes its decisions in the same
+	// turn (onDecisions).
+	cons *consensus.Machine
 
 	// The control state is three records, at most one of them set: joiner
 	// while the join handshake runs (join.go), chg while a view change or
@@ -179,14 +182,6 @@ func putRequest(req *request) {
 	requestPool.Put(req)
 }
 
-// decision carries a consensus outcome back into the loop (awaitDecision):
-// the decided value, or why there is none (decided).
-type decision struct {
-	forRef ident.ViewRef
-	val    StateMsg
-	err    error
-}
-
 // New validates cfg and assembles a stopped engine; call Start.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
@@ -201,18 +196,21 @@ func New(cfg Config) (*Engine, error) {
 		// A joiner has no view until the state transfer installs one.
 		initial = View{}
 	}
+	// The consensus machine sends straight to the endpoint, best effort, and
+	// holds nothing of the engine: a cycle through it would keep a stopped
+	// engine with a finalizer from ever being collected.
+	send := func(to ident.PID, m consensus.Msg) { _ = cfg.Endpoint.Send(to, cfg.Group, transport.Consensus, m) }
 	e := &Engine{
 		cfg:       cfg,
-		cons:      consensus.New(cfg.Endpoint, cfg.Detector, cfg.Group, cfg.Obs),
 		clock:     cfg.Obs.Clock(),
 		ev:        cfg.Obs.Events(),
 		m:         newEngMetrics(cfg.Obs),
 		reqC:      make(chan *request, 64),
-		decC:      make(chan decision, 4),
 		doneC:     make(chan struct{}),
 		rootCtx:   ctx,
 		cancel:    cancel,
 		cv:        initial.Clone(),
+		cons:      consensus.NewMachine(cfg.Self, send, cfg.Detector, cfg.Obs),
 		toDeliver: queue.New(cfg.Relation, cfg.ToDeliverCap),
 		delivered: queue.New(cfg.Relation, 0),
 	}
@@ -222,7 +220,7 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Start launches the consensus service and the protocol loop. A joining
+// Start launches the protocol loop. A joining
 // engine also starts asking its contacts for admission. Start after Stop
 // fails with ErrStopped.
 func (e *Engine) Start() error {
@@ -232,7 +230,6 @@ func (e *Engine) Start() error {
 		return ErrStopped
 	}
 	e.pub.started = true
-	e.cons.Start()
 	if e.cfg.StabilityInterval > 0 {
 		e.stabTick = e.clock.NewTicker(e.cfg.StabilityInterval)
 	}
@@ -260,7 +257,6 @@ func (e *Engine) Stop() {
 			close(e.doneC) // no loop will
 		}
 		<-e.doneC
-		e.cons.Stop()
 	})
 }
 
@@ -419,14 +415,15 @@ func (e *Engine) do(ctx context.Context, req *request) result {
 // firehose of submitters cannot starve the network-facing cases.
 const reqDrainCap = 256
 
-// run is the protocol loop: a single goroutine owning all state. Both
-// inboxes are consumed in batch mode: one receive hands the loop every
-// envelope pending for the channel, amortising the wakeup and the
-// per-iteration snapshot mirror over the whole run.
+// run is the protocol loop: a single goroutine owning all state, the
+// consensus instances included. Every inbox is consumed in batch mode: one
+// receive hands the loop every envelope pending for the channel, amortising
+// the wakeup and the per-iteration snapshot mirror over the whole run.
 func (e *Engine) run() {
 	defer close(e.doneC)
 	dataIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Data)
 	ctlIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Ctl)
+	consIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Consensus)
 	fdEv := e.cfg.Detector.Events()
 	var stabC <-chan time.Time
 	if e.stabTick != nil {
@@ -474,6 +471,19 @@ func (e *Engine) run() {
 			for i := range envs {
 				e.onCtl(envs[i])
 			}
+		case envs, ok := <-consIn:
+			// Consensus runs in every state — joining, blocked, at its end:
+			// an instance outlives the change that proposed to it, and the
+			// other participants may still need our estimate and ACK.
+			if !ok {
+				consIn = nil
+				break
+			}
+			for i := range envs {
+				if m, ok := envs[i].Msg.(consensus.Msg); ok {
+					e.onDecisions(e.cons.Receive(envs[i].From, m))
+				}
+			}
 		case ev, ok := <-fdEv:
 			if !ok {
 				fdEv = nil
@@ -483,8 +493,6 @@ func (e *Engine) run() {
 		case req := <-e.reqC:
 			e.onRequest(req)
 			e.drainRequests()
-		case dec := <-e.decC:
-			e.onDecision(dec)
 		case <-stabC:
 			e.gossipStability()
 		case <-healC:
@@ -591,8 +599,8 @@ func (e *Engine) syncSnapshots() {
 }
 
 // shutdown ends a join handshake still running and fails every parked
-// request. A change in flight needs nothing: its goroutines run under the
-// root context, which Stop has cancelled.
+// request. A change in flight, and every consensus instance, is state of
+// this loop and ends with it.
 func (e *Engine) shutdown() {
 	e.endJoin()
 	for _, req := range append(e.deliverWaiters, e.multicastQ...) {

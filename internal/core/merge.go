@@ -34,16 +34,19 @@ package core
 // guarantee holds across the merge exactly as it does across an ordinary
 // view change.
 //
-// Concurrency discipline: every handler here runs on the engine loop; the
-// state machine tolerates concurrent proposals (an ordinary change, a
-// shrinking series of split declarations, a merge) through the successors
-// the change in flight awaits (change.awaited) — the first decided one
-// wins and every other decision is counted as ignored. Races that slip
-// through (e.g. a split and an ordinary change both deciding on opposite
-// sides of a flapping partition) leave the loser on a divergent lineage,
-// which the member-with-different-epoch probe case below detects and
-// re-merges: the protocol converges by construction instead of
-// enumerating every interleaving.
+// Concurrency discipline: every handler here runs on the engine loop, and so
+// does consensus — a decision reaches onDecision in the turn the engine's
+// machine reaches it, and nothing here starts a goroutine. The state
+// machine tolerates concurrent proposals (an ordinary change, a shrinking
+// series of split declarations, a merge) through the successors the change
+// in flight awaits (change.awaited) — the first decided one wins and every
+// other decision is counted as ignored. Races that slip through (e.g. a
+// split and an ordinary change both deciding on opposite sides of a
+// flapping partition) leave the loser on a divergent lineage, which the
+// member-with-different-epoch probe case below detects and re-merges: the
+// protocol converges by construction instead of enumerating every
+// interleaving. A straggler's probe that left before it installed a union
+// is no such divergence, and is answered with a probe instead.
 
 import (
 	"repro/internal/ident"
@@ -62,12 +65,17 @@ func (e *Engine) onHealTick() {
 	if !e.open() {
 		return
 	}
-	probe := ProbeMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Members: e.cv.Members.Clone()}
+	probe := e.probe()
 	for _, p := range e.peers {
 		if p.former {
 			e.send(p.id, transport.Ctl, probe)
 		}
 	}
+}
+
+// probe is this engine's discovery beacon: its current view.
+func (e *Engine) probe() ProbeMsg {
+	return ProbeMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Members: e.cv.Members.Clone()}
 }
 
 // onProbe classifies a discovery beacon. The sender considers us a former
@@ -83,9 +91,19 @@ func (e *Engine) onProbe(from ident.PID, m ProbeMsg) {
 		return // malformed: a probe speaks for the sender's own view
 	}
 	if ref.Epoch != e.cv.Epoch {
+		if e.cv.Includes(from) && ref.ID < e.cv.ID {
+			// Our member names an older view of another lineage: a straggler
+			// whose probe left before it installed our view (a union's ID is
+			// one past both sides'). Merging again would fold everyone into
+			// a second union; answer with our view instead. If it really
+			// diverged, it sees our probe as another lineage and merges.
+			e.send(from, transport.Ctl, e.probe())
+			return
+		}
 		// Another lineage. Usually the healed far side of a partition; if
-		// from is currently *our* member, the group diverged (e.g. a split
-		// and an ordinary change both decided) — either way the union of
+		// from is currently *our* member and names a view no older than
+		// ours, the group diverged (e.g. a split and an ordinary change both
+		// decided) — either way the union of
 		// the two views reconverges everyone. Announce the merge to the
 		// union as triggerViewChange announces an ordinary change to the
 		// view, the pair normalised so both sides' initiators send one INIT.
@@ -112,8 +130,7 @@ func (e *Engine) onProbe(from ident.PID, m ProbeMsg) {
 	case ref.ID < e.cv.ID && e.chg == nil && !e.cv.Includes(from):
 		// The prober is the stale one; answer with our view so it can
 		// draw the same conclusion.
-		e.send(from, transport.Ctl,
-			ProbeMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Members: e.cv.Members.Clone()})
+		e.send(from, transport.Ctl, e.probe())
 	}
 }
 
@@ -144,7 +161,7 @@ func (e *Engine) checkSplit() {
 		return
 	}
 	ref := ident.ViewRef{Epoch: SplitEpoch(e.cv.Ref(), split), ID: e.cv.ID + 1}
-	if c.awaited[ref] {
+	if c.awaited[viewInstance(ref)] {
 		return // this exact continuation is already declared and pending
 	}
 	e.ev.SplitDeclared(ref.String(), len(split))

@@ -10,16 +10,18 @@ package core
 // record with one ledger of PredMsg contributions, one quorum rule decides
 // when to propose (checkPropose), every proposal repurges its flush once,
 // the decided value is a StateMsg entering the loop through one door
-// (awaitDecision), and every view is entered one way (enterView).
+// (onDecision), and every view is entered one way (enterView). Consensus is
+// a message handler of this loop like INIT and PRED: the engine's machine
+// (Engine.cons) runs each instance, and nothing here starts a goroutine.
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"sort"
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/consensus"
 	"repro/internal/fd"
 	"repro/internal/ident"
 	"repro/internal/obs"
@@ -33,12 +35,9 @@ import (
 // enterView) or an aborted merge. A change over two sides is a merge
 // (merge.go); every change gathers its contributions into the same ledger.
 // A change may await several successors at once (the one it was opened for,
-// a shrinking series of split continuations): the first to decide installs,
-// and every goroutine the change started ends with it.
+// a shrinking series of split continuations): the first to decide installs.
 type change struct {
-	ctx    context.Context // cancelled by endChange: ends the change's Await and Propose calls
-	cancel context.CancelFunc
-	start  time.Time // when the group blocked (viewChange histogram)
+	start time.Time // when the group blocked (viewChange histogram)
 
 	// next is the successor the change was opened for — the current view's
 	// next, or a merge's union — which every contribution names and the
@@ -46,8 +45,8 @@ type change struct {
 	// the union; every INIT and PRED of the change goes to it.
 	next     ident.ViewRef
 	audience ident.PIDs
-	awaited  map[ident.ViewRef]bool // successors whose instance awaitDecision watches
-	proposed bool                   // next is proposed
+	awaited  map[string]bool // consensus instances of the successors awaited
+	proposed bool            // next is proposed
 
 	// The ledger (t6): the memberships the quorum is taken over — the view,
 	// or a merge's two sub-views — the pred sets gathered so far keyed by
@@ -109,12 +108,14 @@ func (e *Engine) triggerViewChange(join, leave ident.PIDs) error {
 }
 
 // onSuspicion reacts to failure detector events: they re-evaluate the
-// propose condition and, with AutoEvict, trigger eviction view changes.
+// propose condition, let consensus instances waiting on a suspected
+// coordinator move on and, with AutoEvict, trigger eviction view changes.
 func (e *Engine) onSuspicion(ev fd.Event) {
 	if ev.Suspected && e.cfg.AutoEvict && e.open() && e.cv.Includes(ev.P) {
 		_ = e.triggerViewChange(nil, ident.NewPIDs(ev.P))
 	}
 	e.checkPropose()
+	e.onDecisions(e.cons.Recheck())
 }
 
 // ---- t5/t6: ctl handling ---------------------------------------------------
@@ -289,10 +290,9 @@ func (e *Engine) onInit(from ident.PID, m InitMsg) {
 // taken over. Arrivals not yet accepted are dropped: their senders' pred
 // sets cover them.
 func (e *Engine) block(next ident.ViewRef, audience ident.PIDs, sides ...ident.PIDs) *change {
-	ctx, cancel := context.WithCancel(e.rootCtx)
 	e.chg = &change{
-		ctx: ctx, cancel: cancel, start: e.clock.Now(), next: next, audience: audience,
-		awaited: make(map[ident.ViewRef]bool), sides: sides,
+		start: e.clock.Now(), next: next, audience: audience,
+		awaited: make(map[string]bool), sides: sides,
 		pred: make(map[obsolete.MsgID]DataMsg), recv: make(map[ident.PID]ident.Seq),
 	}
 	e.pendingHead = DataMsg{}
@@ -301,15 +301,11 @@ func (e *Engine) block(next ident.ViewRef, audience ident.PIDs, sides ...ident.P
 	return e.chg
 }
 
-// endChange ends the change in flight, if any: the goroutines it started
-// stop and the data plane reopens; the caller retries whatever waited. It
-// is the only place a change ends.
-func (e *Engine) endChange() {
-	if c := e.chg; c != nil {
-		c.cancel()
-		e.chg = nil
-	}
-}
+// endChange ends the change in flight, if any, and the data plane reopens;
+// the caller retries whatever waited. It is the only place a change ends.
+// The consensus instances the change proposed to live on in the machine:
+// the other participants may still need this process's estimate and ACK.
+func (e *Engine) endChange() { e.chg = nil }
 
 // onPred is transition t6 of every change: enter one member's contribution
 // to the change in flight — its pred set and, for a merge, its frontiers —
@@ -398,58 +394,46 @@ func (e *Engine) proposal(next View) StateMsg {
 }
 
 // propose offers val to the consensus instance of the view it names, among
-// participants, and awaits that instance. Propose's own result is dropped:
-// the outcome — ours or a competitor's — enters the loop through
-// awaitDecision like every other. The call ends with the change; the
-// consensus runner does not, so a change given up here leaves the other
-// participants' instance live.
+// participants, and awaits that instance. The outcome — ours or a
+// competitor's — enters through onDecision like every other. The instance
+// outlives the change, so a change given up here leaves it live for the
+// other participants.
 func (e *Engine) propose(val StateMsg, participants ident.PIDs) {
 	ref := ident.ViewRef{Epoch: val.Epoch, ID: val.View}
 	e.awaitDecision(ref)
-	raw, _ := codec.Marshal(nil, val) // a registered type: cannot fail
-	ctx, members := e.chg.ctx, participants.Clone()
-	go func() { _, _ = e.cons.Propose(ctx, viewInstance(ref), members, raw) }()
+	// Neither call can fail: StateMsg is a registered type, and we are one
+	// of the participants.
+	raw, _ := codec.Marshal(nil, val)
+	ds, _ := e.cons.Propose(viewInstance(ref), participants, raw)
+	e.onDecisions(ds)
 }
 
-// awaitDecision watches the consensus instance of successor ref for the
-// change in flight, once per ref: the one door through which decisions
-// enter the loop. onDecision installs whichever awaited instance decides
-// first. A watch outlived by its change delivers nothing.
+// awaitDecision makes the change in flight await the consensus instance of
+// successor ref: onDecision installs whichever awaited instance decides
+// first. An instance that has decided already installs now.
 func (e *Engine) awaitDecision(ref ident.ViewRef) {
-	c := e.chg
-	if c.awaited[ref] {
+	id := viewInstance(ref)
+	if e.chg.awaited[id] {
 		return
 	}
-	c.awaited[ref] = true
-	go func() {
-		raw, err := e.cons.Await(c.ctx, viewInstance(ref))
-		if c.ctx.Err() != nil {
-			return // the change ended, or the engine stopped
-		}
-		select {
-		case e.decC <- decided(ref, raw, err):
-		case <-c.ctx.Done():
-		}
-	}()
+	e.chg.awaited[id] = true
+	if v, ok := e.cons.Decided(id); ok {
+		e.onDecision(consensus.Decision{Instance: id, Value: v})
+	}
 }
 
-// decided is the decision an outcome of ref's instance makes: the decided
-// value is a StateMsg, and bytes that do not decode, or decode to another
-// type, are a failed decision.
-func decided(ref ident.ViewRef, raw []byte, err error) decision {
-	dec := decision{forRef: ref, err: err}
-	if err != nil {
-		return dec
-	}
+// decodeState decodes a decided value: a StateMsg. Bytes that do not
+// decode, or decode to another type, are a failed decision.
+func decodeState(raw []byte) (StateMsg, error) {
 	v, err := codec.UnmarshalBytes(raw)
 	if err != nil {
-		dec.err = fmt.Errorf("core: decode decided value: %w", err)
-	} else if st, ok := v.(StateMsg); ok {
-		dec.val = st
-	} else {
-		dec.err = fmt.Errorf("core: decided value is a %T, not a StateMsg", v)
+		return StateMsg{}, fmt.Errorf("core: decode decided value: %w", err)
 	}
-	return dec
+	st, ok := v.(StateMsg)
+	if !ok {
+		return StateMsg{}, fmt.Errorf("core: decided value is a %T, not a StateMsg", v)
+	}
+	return st, nil
 }
 
 // sortedPred flattens the accumulated global pred set deterministically:
@@ -468,32 +452,43 @@ func sortedPred(m map[obsolete.MsgID]DataMsg) []DataMsg {
 	return out
 }
 
+// onDecisions hands onDecision every decision one call of the consensus
+// machine returned, after the call.
+func (e *Engine) onDecisions(ds []consensus.Decision) {
+	for _, d := range ds {
+		e.onDecision(d)
+	}
+}
+
 // onDecision installs the agreed view (the tail of t7) — but only a
 // decision the change in flight awaits. With concurrent proposals
 // (ordinary successor, split continuations, a merge union) more than one
 // instance can decide; the first awaited one wins and every other outcome
 // is counted instead of silently dropped.
-func (e *Engine) onDecision(dec decision) {
-	if dec.err != nil {
-		// A failed outcome (a decode failure, a stopped consensus service)
-		// is counted and logged: the group stays blocked until another
-		// decide flood reaches it, and an operator should see why.
+func (e *Engine) onDecision(d consensus.Decision) {
+	if e.chg == nil || !e.chg.awaited[d.Instance] {
+		// Accounted, not installed: a decision that lost a
+		// concurrent-proposal race, or one that landed after its change
+		// ended.
+		n, why := &e.stats.IgnoredWrongView, ignoreWrongView
+		if e.chg == nil {
+			n, why = &e.stats.IgnoredNotBlocked, ignoreNotBlocked
+		}
+		*n++
+		e.ev.DecisionIgnored(d.Instance, why)
+		return
+	}
+	st, err := decodeState(d.Value)
+	if err != nil {
+		// A value that does not decode is counted and logged: the group
+		// stays blocked until another decision reaches it, and an operator
+		// should see why. Every successor a change awaits is numbered
+		// next.ID.
 		e.stats.DecisionFailures++
-		e.ev.DecisionFailed(uint64(dec.forRef.ID), dec.err)
+		e.ev.DecisionFailed(uint64(e.chg.next.ID), err)
 		return
 	}
-	if e.chg != nil && e.chg.awaited[dec.forRef] {
-		e.install(dec.val)
-		return
-	}
-	// Accounted, not installed: a decision that lost a concurrent-proposal
-	// race, or one that landed after its change ended.
-	n, why := &e.stats.IgnoredWrongView, ignoreWrongView
-	if e.chg == nil {
-		n, why = &e.stats.IgnoredNotBlocked, ignoreNotBlocked
-	}
-	*n++
-	e.ev.DecisionIgnored(dec.forRef.String(), why)
+	e.install(st)
 }
 
 func (e *Engine) install(st StateMsg) {

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -162,12 +162,10 @@ func TestProbeExpulsionEntersView(t *testing.T) {
 
 // ctlLog is the endpoint of a hand-built engine whose change path is driven
 // by calling its handlers: it records every control and consensus message
-// handed to Send, by destination. The consensus runner a proposal starts
-// sends through it from its own goroutine.
+// handed to Send, by destination.
 type ctlLog struct {
 	transport.Endpoint
 	self ident.PID
-	mu   sync.Mutex
 	sent map[ident.PID][]any
 }
 
@@ -177,8 +175,6 @@ func (l *ctlLog) Send(to ident.PID, _ ident.GroupID, ch transport.Channel, m any
 	if ch == transport.Data {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.sent == nil {
 		l.sent = make(map[ident.PID][]any)
 	}
@@ -187,16 +183,10 @@ func (l *ctlLog) Send(to ident.PID, _ ident.GroupID, ch transport.Channel, m any
 }
 
 // to returns what was sent to p so far.
-func (l *ctlLog) to(p ident.PID) []any {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]any(nil), l.sent[p]...)
-}
+func (l *ctlLog) to(p ident.PID) []any { return l.sent[p] }
 
 // splits reports whether a SplitMsg was sent to anyone.
 func (l *ctlLog) splits() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for _, ms := range l.sent {
 		for _, m := range ms {
 			if _, ok := m.(SplitMsg); ok {
@@ -207,60 +197,46 @@ func (l *ctlLog) splits() bool {
 	return false
 }
 
-// proposed waits for the value the engine proposed for ref: the estimate
-// its consensus runner sends in round 0, the only message of the instance
-// that carries a value while no other participant answers.
+// proposed returns the value the engine proposed for ref: the estimate its
+// consensus machine sent in round 0 within the proposing turn, the only
+// message of the instance that carries a value while no other participant
+// answers.
 func (l *ctlLog) proposed(t *testing.T, ref ident.ViewRef) StateMsg {
 	t.Helper()
-	find := func() []byte {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		for _, ms := range l.sent {
-			for _, m := range ms {
-				if cm, ok := m.(consensus.Msg); ok && cm.Instance == viewInstance(ref) && cm.Value != nil {
-					return cm.Value
+	for _, ms := range l.sent {
+		for _, m := range ms {
+			if cm, ok := m.(consensus.Msg); ok && cm.Instance == viewInstance(ref) && cm.Value != nil {
+				st, err := decodeState(cm.Value)
+				if err != nil {
+					t.Fatalf("proposal for %v: %v", ref, err)
 				}
+				return st
 			}
 		}
-		return nil
 	}
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if raw := find(); raw != nil {
-			dec := decided(ref, raw, nil)
-			if dec.err != nil {
-				t.Fatalf("proposal for %v: %v", ref, dec.err)
-			}
-			return dec.val
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("nothing proposed for %v", ref)
-		}
-	}
+	t.Fatalf("nothing proposed for %v", ref)
+	return StateMsg{}
 }
 
 // changeEngine is a hand-built, never-started engine self in view 4 of
-// members under tagging, with a manual detector and a consensus service
-// whose runners reach nobody but the log.
+// members under tagging, with a manual detector and a consensus machine
+// that reaches nobody but the log.
 func changeEngine(t *testing.T, self ident.PID, members ident.PIDs, heal bool) (*Engine, *ctlLog, *fd.Manual) {
 	log, det := &ctlLog{self: self}, fd.NewManual()
 	cfg := Config{Self: self, Endpoint: log, Detector: det, Relation: tagging}
 	if heal {
 		cfg.Heal = &HealSpec{MergeTimeout: time.Hour}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	e := &Engine{
-		cfg: cfg, cons: consensus.New(log, det, 0, nil), clock: obs.Wall{},
-		decC: make(chan decision, 4), rootCtx: ctx, cancel: cancel,
+		cfg: cfg, clock: obs.Wall{},
 		cv:        View{ID: 4, Members: members},
 		toDeliver: queue.New(cfg.Relation, 0),
 		delivered: queue.New(cfg.Relation, 0),
 	}
+	send := func(to ident.PID, m consensus.Msg) { _ = log.Send(to, 0, transport.Consensus, m) }
+	e.cons = consensus.NewMachine(self, send, det, nil)
 	e.armPeers()
-	t.Cleanup(func() {
-		cancel()
-		e.cons.Stop()
-		det.Stop()
-	})
+	t.Cleanup(det.Stop)
 	return e, log, det
 }
 
@@ -325,7 +301,7 @@ func TestOneQuorumRule(t *testing.T) {
 			if got != tc.want {
 				t.Fatalf("%s, want %s", got, tc.want)
 			}
-			if got != "waits" && !e.chg.awaited[next] {
+			if got != "waits" && !e.chg.awaited[viewInstance(next)] {
 				t.Fatalf("%s without awaiting %v", got, next)
 			}
 		})
@@ -370,6 +346,73 @@ func TestMergeDeclineCountsOut(t *testing.T) {
 	}
 	if got, want := ps(log.proposed(t, ref).Members...), ps("p1", "p2", "q1", "q2"); !got.Equal(want) {
 		t.Fatalf("proposed union %v, want %v", got, want)
+	}
+}
+
+// TestViewChangeStartsNoGoroutine: a view change runs on the engine loop
+// alone. From the INIT through every PRED to the proposal — whose round-0
+// estimate leaves within the turn — no goroutine starts.
+func TestViewChangeStartsNoGoroutine(t *testing.T) {
+	e, log, _ := changeEngine(t, "p1", ident.NewPIDs("p1", "p2", "p3"), false)
+	next := ident.ViewRef{ID: e.cv.ID + 1}
+	before := runtime.NumGoroutine()
+	e.onInit("p1", InitMsg{View: e.cv.ID})
+	for _, p := range e.cv.Members {
+		e.onPred(p, PredMsg{Change: next})
+	}
+	if !e.chg.proposed {
+		t.Fatal("every PRED is in, yet the change did not propose")
+	}
+	log.proposed(t, next)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("the view change started %d goroutines", n-before)
+	}
+}
+
+// TestStragglerProbeAnsweredWithView: a probe from a member of our view
+// that names an older view of another lineage comes from a straggler that
+// has not installed our view yet — the union a merge just formed, whose ID
+// is one past both sides'. It is answered with our view, not with a second
+// merge. A member naming a view no older than ours has diverged, and a
+// non-member is the far side of a partition: both are still merged.
+func TestStragglerProbeAnsweredWithView(t *testing.T) {
+	ps := ident.NewPIDs
+	union := View{Epoch: 77, ID: 8, Members: ps("p1", "p2", "q1", "q2")}
+	for _, tc := range []struct {
+		name  string
+		from  ident.PID
+		probe ProbeMsg
+		merge bool
+	}{
+		{name: "a union member names its old side", from: "q1", probe: ProbeMsg{View: 7, Epoch: 9, Members: ps("q1", "q2")}},
+		{name: "a member diverged at an equal ID", from: "q1", probe: ProbeMsg{View: 8, Epoch: 9, Members: ps("q1", "q2")}, merge: true},
+		{name: "a non-member at a lower ID", from: "r1", probe: ProbeMsg{View: 3, Epoch: 9, Members: ps("r1")}, merge: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, log, _ := changeEngine(t, "p1", union.Members, true)
+			e.cv = union.Clone()
+			e.onProbe(tc.from, tc.probe)
+			inits, probes := 0, 0
+			for to, ms := range log.sent {
+				for _, m := range ms {
+					switch m := m.(type) {
+					case InitMsg:
+						inits++
+					case ProbeMsg:
+						if to != tc.from || m.Ref() != union.Ref() {
+							t.Errorf("probe %v sent to %s", m, to)
+						}
+						probes++
+					}
+				}
+			}
+			if tc.merge && (inits == 0 || probes != 0) {
+				t.Fatalf("%d INITs and %d probes sent, want a merge", inits, probes)
+			}
+			if !tc.merge && (inits != 0 || probes != 1) {
+				t.Fatalf("%d INITs and %d probes sent, want one probe back and no INIT", inits, probes)
+			}
+		})
 	}
 }
 
@@ -426,7 +469,7 @@ func TestDecodeValueRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, raw := range [][]byte{[]byte("garbage"), nil, credit} {
-		e.onDecision(decided(ref, raw, nil))
+		e.onDecision(consensus.Decision{Instance: viewInstance(ref), Value: raw})
 		if n := e.stats.DecisionFailures; n != uint64(i+1) || e.cv.ID != 4 || e.chg == nil {
 			t.Fatalf("decision %q: %d failures, view %d, blocked %v; want %d, view 4, still blocked",
 				raw, n, e.cv.ID, e.chg != nil, i+1)
@@ -436,7 +479,7 @@ func TestDecodeValueRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.onDecision(decided(ref, st, nil))
+	e.onDecision(consensus.Decision{Instance: viewInstance(ref), Value: st})
 	if e.cv.Ref() != ref || e.chg != nil || e.stats.DecisionFailures != 3 {
 		t.Fatalf("a StateMsg decision left view %v, blocked %v, %d failures", e.cv.Ref(), e.chg != nil, e.stats.DecisionFailures)
 	}

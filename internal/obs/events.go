@@ -183,12 +183,12 @@ func (e *Events) DecisionFailed(view uint64, err error) {
 		slog.String("err", err.Error()))
 }
 
-// DecisionIgnored reports a consensus decision that arrived but was not
-// installed — a duplicate, a decision landing while unblocked, or the
-// losing branch of concurrent view proposals.
-func (e *Events) DecisionIgnored(view string, reason string) {
+// DecisionIgnored reports a consensus decision that was not installed — a
+// decision landing while unblocked, or the losing branch of concurrent view
+// proposals — by its consensus instance.
+func (e *Events) DecisionIgnored(instance string, reason string) {
 	e.emit(slog.LevelDebug, "decision_ignored",
-		slog.String("view", view),
+		slog.String("instance", instance),
 		slog.String("reason", reason))
 }
 

@@ -1,13 +1,13 @@
 #!/bin/sh
 # core-loc.sh — print the tracked size numbers of ROADMAP open item 3: for
-# internal/core, internal/queue, internal/obsolete, internal/relcheck,
-# internal/check, internal/obs, internal/transport, internal/fd and
-# internal/ubq the total
+# internal/core, internal/consensus, internal/queue, internal/obsolete,
+# internal/relcheck, internal/check, internal/obs, internal/transport,
+# internal/fd and internal/ubq the total
 # lines, and non-blank non-comment lines, of the package's non-test .go
 # files; and how many fields `type Engine struct` declares (names separated
 # by commas count one each, comments are skipped).
 #
-# With --check the numbers are a ratchet: the nine non-blank non-comment
+# With --check the numbers are a ratchet: the ten non-blank non-comment
 # counts and the Engine field count are compared against the ceilings in
 # scripts/core-loc.max, and the script exits non-zero if any rose above its
 # ceiling (or has none). A change that must grow a number raises its ceiling
@@ -28,7 +28,7 @@ case "${1-}" in
 esac
 
 measured=""
-for pkg in internal/core internal/queue internal/obsolete internal/relcheck internal/check internal/obs internal/transport internal/fd internal/ubq; do
+for pkg in internal/core internal/consensus internal/queue internal/obsolete internal/relcheck internal/check internal/obs internal/transport internal/fd internal/ubq; do
 	# shellcheck disable=SC2046
 	set -- $(find "$pkg" -maxdepth 1 -name '*.go' ! -name '*_test.go' | sort)
 	total=$(cat "$@" | wc -l)
