@@ -211,22 +211,36 @@ func TestConsensusMidRoundCrash(t *testing.T) {
 	t.Logf("%d of 20 runs crashed the coordinator before it decided", undecided)
 }
 
-// TestConsensusBystanderLearnsDecision: a process that never proposes still
-// learns the decision from the decide flood, and keeps nothing of the
-// instance but the decision.
-func TestConsensusBystanderLearnsDecision(t *testing.T) {
+// bystanderRun has two of three processes propose; the third never does.
+// It returns the network, the bystander and the agreed value.
+func bystanderRun(t *testing.T) (*network, ident.PID, []byte) {
+	t.Helper()
 	nw := newNet(t, 3, 1)
 	bystander, proposers := nw.pids[2], nw.pids[:2]
 	for _, p := range proposers {
 		nw.propose(p, "inst")
 	}
 	nw.deliver()
-	v := nw.agreed("inst", nw.pids, proposers)
+	return nw, bystander, nw.agreed("inst", nw.pids, proposers)
+}
+
+// TestConsensusAwait: a process that never proposes still learns the
+// decision from the decide flood.
+func TestConsensusAwait(t *testing.T) {
+	nw, bystander, v := bystanderRun(t)
 	if got, ok := nw.ms[bystander].Decided("inst"); !ok || string(got) != string(v) {
 		t.Fatalf("bystander's Decided = %q, %v; want %q", got, ok, v)
 	}
-	if in := nw.ms[bystander].instances["inst"]; in.inbox != nil || len(nw.ms[bystander].live) != 0 {
-		t.Fatalf("bystander keeps %d messages and %d live instances", len(in.inbox), len(nw.ms[bystander].live))
+}
+
+// TestAwaitedInstanceEndsWithDecision: once the bystander has learnt the
+// decision it keeps nothing of the instance but the decision: no buffered
+// messages and no live instance.
+func TestAwaitedInstanceEndsWithDecision(t *testing.T) {
+	nw, bystander, _ := bystanderRun(t)
+	m := nw.ms[bystander]
+	if in := m.instances["inst"]; !in.decided || in.inbox != nil || len(m.live) != 0 {
+		t.Fatalf("bystander: decided %v, keeps %d messages and %d live instances", in.decided, len(in.inbox), len(m.live))
 	}
 }
 
