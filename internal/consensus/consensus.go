@@ -10,15 +10,19 @@
 //	  1. every process sends its (estimate, ts) to c;
 //	  2. c gathers a majority of estimates and proposes the one with the
 //	     highest timestamp;
-//	  3. every process waits for c's proposal — adopting it and ACKing —
-//	     or NACKs when the detector suspects c;
+//	  3. every process waits for c's proposal — adopting it with timestamp
+//	     r+1 and ACKing — or NACKs when the detector suspects c;
 //	  4. c gathers a majority of ACKs, giving the round up at a NACK; the
 //	     value is then locked, and c decides and broadcasts DECIDE, which
 //	     every process relays once when it decides.
 //
-// Safety requires only a majority of correct processes; the detector is
-// used for liveness alone. Decisions are cached so that stragglers asking
-// about a decided instance are answered immediately.
+// Initial estimates carry timestamp 0 and an estimate adopted in round r
+// carries r+1, as Chandra–Toueg's rounds count from 1: a value locked in
+// round 0 outranks every initial estimate, so a later coordinator that
+// hears a majority proposes it again. Safety requires only a majority of
+// correct processes; the detector is used for liveness alone. Decisions are
+// cached so that stragglers asking about a decided instance are answered
+// immediately.
 //
 // A Machine runs every instance of one group as a message-driven state
 // machine with no goroutine, lock, channel or timer of its own: whoever owns
@@ -73,7 +77,7 @@ type Msg struct {
 	Round    int
 	Type     msgType
 	Value    []byte
-	Ts       int // estimate timestamp (rounds); meaningful for estimates
+	Ts       int // estimate timestamp: 0 initially, r+1 once adopted in round r
 }
 
 func init() {
@@ -291,7 +295,7 @@ func (m *Machine) advance(in *instance, out []Decision) []Decision {
 			// Phase 3: adopt the coordinator's proposal, or NACK on suspicion.
 			reply := msgAck
 			if props := in.take(msgPropose); len(props) > 0 {
-				in.est, in.ts = props[0].Value, in.round
+				in.est, in.ts = props[0].Value, in.round+1
 			} else if m.det.Suspected(coord) {
 				m.nacks.Inc()
 				reply = msgNack

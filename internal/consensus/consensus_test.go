@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -395,4 +396,49 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 			t.Fatalf("got %#v, want %#v", out, m)
 		}
 	}
+}
+
+// deliverIf hands queued messages that keep accepts to their destinations,
+// in queue order, until none is left; the rest stay queued. Messages queued
+// meanwhile are considered too.
+func (nw *network) deliverIf(keep func(w wireMsg) bool) {
+	nw.t.Helper()
+	for {
+		i := slices.IndexFunc(nw.queue, keep)
+		if i < 0 {
+			return
+		}
+		w := nw.queue[i]
+		nw.queue = slices.Delete(nw.queue, i, i+1)
+		nw.record(w.to, nw.ms[w.to].Receive(w.from, w.m))
+	}
+}
+
+// TestConsensusAgreesUnderFalseSuspicion: a value locked in round 0 must
+// outrank every initial estimate in round 1. Five processes propose. p0,
+// round 0's coordinator, gathers the estimates of p0–p2 and proposes its
+// own value to p0–p2, which adopt it and ACK; p3 and p4 falsely suspect p0
+// and NACK. p0 decides on the three ACKs. Round 1's coordinator p1 hears
+// p3's initial estimate first, then everything not from p0: it must still
+// propose, and decide, p0's value.
+func TestConsensusAgreesUnderFalseSuspicion(t *testing.T) {
+	nw := newNet(t, 5, 1)
+	p := nw.pids
+	for _, q := range p {
+		nw.propose(q, "inst")
+	}
+	early := p[:3]
+	nw.deliverIf(func(w wireMsg) bool { return w.m.Type == msgEstimate && w.to == p[0] && early.Contains(w.from) })
+	nw.deliverIf(func(w wireMsg) bool { return w.m.Type == msgPropose && early.Contains(w.to) })
+	for _, q := range p[3:] {
+		nw.dets[q].Suspect(p[0])
+		nw.record(q, nw.ms[q].Recheck())
+	}
+	nw.deliverIf(func(w wireMsg) bool { return w.m.Type == msgAck && w.to == p[0] })
+	if v := nw.decided[p[0]]["inst"]; string(v) != "from-p0" {
+		t.Fatalf("p0 decided %q in round 0, want from-p0", v)
+	}
+	nw.deliverIf(func(w wireMsg) bool { return w.m.Type == msgEstimate && w.from == p[3] && w.to == p[1] })
+	nw.deliverIf(func(w wireMsg) bool { return w.from != p[0] })
+	nw.agreed("inst", p[:2], p)
 }

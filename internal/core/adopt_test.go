@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/codec"
+	"repro/internal/consensus"
+	"repro/internal/fd"
 	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/obsolete"
@@ -215,27 +218,25 @@ func TestInstallUnderBacklogIsLinear(t *testing.T) {
 	rel := countingKEnum{KEnumeration: obsolete.KEnumeration{K: k}, calls: &calls, listed: &listed}
 	e := snapEngine(rel)
 	e.clock, e.rootCtx = obs.Wall{}, context.Background()
-	e.block(ident.ViewRef{ID: e.cv.ID + 1}, e.cv.Members, e.cv.Members)
 
 	rng := rand.New(rand.NewSource(20))
 	tr := obsolete.NewKTracker(k)
 	for i := 0; i < backlog; i++ {
 		seq, annot := tr.Next() // the backlog obsoletes nothing: all of it survives
-		e.toDeliver.ForceAppend(queue.Item{Kind: queue.Data, View: uint64(e.cv.ID), Meta: obsolete.Msg{Sender: "a", Seq: seq, Annot: annot}})
+		e.toDeliver.ForceAppend(queue.Item{Kind: queue.Data, View: uint64(e.vc.cv.ID), Meta: obsolete.Msg{Sender: "a", Seq: seq, Annot: annot}})
 	}
 	e.peer("a").recvMax = tr.Seq()
 	var flush []DataMsg
 	for i := 0; i < flushLen; i++ {
 		seq, annot := tr.Next(ident.Seq(1+rng.Intn(backlog)), ident.Seq(1+rng.Intn(backlog)))
-		flush = append(flush, DataMsg{View: e.cv.ID, Meta: obsolete.Msg{Sender: "a", Seq: seq, Annot: annot}})
+		flush = append(flush, DataMsg{View: e.vc.cv.ID, Meta: obsolete.Msg{Sender: "a", Seq: seq, Annot: annot}})
 	}
 
 	calls, listed = 0, 0
-	next := View{ID: e.cv.ID + 1, Members: e.cv.Members}
-	e.install(StateMsg{View: next.ID, Epoch: next.Epoch, Members: next.Members, Backlog: flush})
+	next := installFlush(t, e, flush)
 
-	if e.cv.ID != next.ID || e.stats.FlushAdded != flushLen {
-		t.Fatalf("install: view %d, %d flush messages adopted", e.cv.ID, e.stats.FlushAdded)
+	if e.vc.cv.ID != next.ID || e.stats.FlushAdded != flushLen {
+		t.Fatalf("install: view %d, %d flush messages adopted", e.vc.cv.ID, e.stats.FlushAdded)
 	}
 	purged := int(e.toDeliver.Stats().Purged)
 	if purged == 0 || e.toDeliver.Len() != backlog+flushLen-purged+1 {
@@ -245,4 +246,22 @@ func TestInstallUnderBacklogIsLinear(t *testing.T) {
 		t.Fatalf("install consulted the relation %d times for a flush of %d listing %d numbers over a backlog of %d; want at most %d",
 			calls, flushLen, listed, backlog, limit)
 	}
+}
+
+// installFlush has e, blocked for its next view, decide and install that
+// view with flush, as a decision entering the loop does.
+func installFlush(t *testing.T, e *Engine, flush []DataMsg) View {
+	t.Helper()
+	det := fd.NewManual()
+	t.Cleanup(det.Stop)
+	e.cfg.Detector = det
+	next := View{ID: e.vc.cv.ID + 1, Members: e.vc.cv.Members}
+	id := viewInstance(next.Ref())
+	e.vc.chg = &change{next: next.Ref(), awaited: map[string]bool{id: true}}
+	raw, err := codec.Marshal(nil, StateMsg{View: next.ID, Epoch: next.Epoch, Members: next.Members, Backlog: flush})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.input("", consensus.Decision{Instance: id, Value: raw})
+	return next
 }

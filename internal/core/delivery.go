@@ -82,6 +82,7 @@ type Stats struct {
 	CreditsStaleView   uint64 // credit grants discarded: wrong view
 	CreditsExcess      uint64 // credit grants clamped: they would have lifted credits past the window
 	CtlDeferredDropped uint64 // future-view control envelopes dropped past the defer cap
+	JoinReqDropped     uint64 // admission requests dropped past the cap on parked ones
 
 	JoinStatesSent  uint64 // state transfers shipped to joiners (sponsor side)
 	JoinBacklogSent uint64 // backlog messages shipped in those transfers

@@ -38,25 +38,18 @@ type Engine struct {
 	// ---- state below is owned exclusively by the run loop ----
 
 	// cons holds the group's consensus instances; the loop feeds it the
-	// Consensus inbox and suspicions, and takes its decisions in the same
+	// Consensus inbox and suspicions, and steps its decisions in the same
 	// turn (onDecisions).
 	cons *consensus.Machine
 
-	// The control state is three records, at most one of them set: joiner
-	// while the join handshake runs (join.go), chg while a view change or
-	// a merge is in flight (viewchange.go, merge.go), terminal once this
-	// engine can make no further progress — ErrExpelled or ErrJoinTimeout,
-	// what every call fails with from then on. None set is an open member.
-	cv       View
-	chg      *change
+	// vc is the view-change state: the current view, the change in flight,
+	// what waits for a later view, and whether this engine is joining or at
+	// its end. Only step (viewchange.go) changes it; the loop steps it with
+	// every control event and carries out the effects. joiner is the join
+	// handshake's timer and backoff (join.go), set while vc is joining.
+	vc       viewState
 	joiner   *joiner
-	terminal error
-
 	healTick obs.Ticker
-
-	// pendingJoins holds admission requests received while a view change
-	// is in flight (join.go).
-	pendingJoins ident.PIDs
 
 	toDeliver *queue.Queue
 	delivered *queue.Queue // current-view delivery history (for pred sets)
@@ -94,13 +87,7 @@ type Engine struct {
 	// replies are the answers this loop turn produced. syncSnapshots sends
 	// them once the facade snapshots reflect the turn, so a call that has
 	// returned always finds its own effect in Stats and View.
-	replies     []*request
-	deferredCtl []transport.Envelope // control traffic for future views
-
-	// viewDirty marks the loop-owned view as newer than the facade
-	// snapshot, so syncSnapshots clones it only when it actually changed
-	// instead of allocating on every loop iteration.
-	viewDirty bool
+	replies []*request
 
 	stats Stats
 }
@@ -201,21 +188,27 @@ func New(cfg Config) (*Engine, error) {
 	// engine with a finalizer from ever being collected.
 	send := func(to ident.PID, m consensus.Msg) { _ = cfg.Endpoint.Send(to, cfg.Group, transport.Consensus, m) }
 	e := &Engine{
-		cfg:       cfg,
-		clock:     cfg.Obs.Clock(),
-		ev:        cfg.Obs.Events(),
-		m:         newEngMetrics(cfg.Obs),
-		reqC:      make(chan *request, 64),
-		doneC:     make(chan struct{}),
-		rootCtx:   ctx,
-		cancel:    cancel,
-		cv:        initial.Clone(),
+		cfg:     cfg,
+		clock:   cfg.Obs.Clock(),
+		ev:      cfg.Obs.Events(),
+		m:       newEngMetrics(cfg.Obs),
+		reqC:    make(chan *request, 64),
+		doneC:   make(chan struct{}),
+		rootCtx: ctx,
+		cancel:  cancel,
+		vc: viewState{
+			self: cfg.Self, rel: cfg.Relation, heal: cfg.Heal != nil, autoEvict: cfg.AutoEvict,
+			cv: initial.Clone(), joining: cfg.Join != nil,
+		},
 		cons:      consensus.NewMachine(cfg.Self, send, cfg.Detector, cfg.Obs),
 		toDeliver: queue.New(cfg.Relation, cfg.ToDeliverCap),
 		delivered: queue.New(cfg.Relation, 0),
 	}
+	if cfg.Heal != nil {
+		e.vc.mergeTimeout = cfg.Heal.MergeTimeout
+	}
 	e.armPeers()
-	e.pub = &published{view: e.cv.Clone()}
+	e.pub = &published{view: e.vc.cv.Clone()}
 	e.pub.export(cfg.Obs)
 	return e, nil
 }
@@ -489,14 +482,15 @@ func (e *Engine) run() {
 				fdEv = nil
 				break
 			}
-			e.onSuspicion(ev)
+			e.input("", ev)
+			e.onDecisions(e.cons.Recheck())
 		case req := <-e.reqC:
 			e.onRequest(req)
 			e.drainRequests()
 		case <-stabC:
 			e.gossipStability()
 		case <-healC:
-			e.onHealTick()
+			e.input("", healTick{})
 		case <-joinC:
 			e.onJoinRetry()
 		}
@@ -510,7 +504,7 @@ func (e *Engine) run() {
 // its end), a previous arrival waits for queue space, or there is no space
 // to begin with.
 func (e *Engine) dataGated() bool {
-	return !e.open() || e.stalled() || e.toDeliver.Full()
+	return !e.vc.open() || e.stalled() || e.toDeliver.Full()
 }
 
 // stalled reports whether an earlier arrival waits for queue space: a
@@ -518,19 +512,6 @@ func (e *Engine) dataGated() bool {
 func (e *Engine) stalled() bool {
 	return e.pendingHead.Meta.Seq != 0 || e.pendingPos < len(e.pendingRest)
 }
-
-// open reports whether this engine is a member with no change in flight —
-// none of the three control records set (see Engine).
-func (e *Engine) open() bool {
-	return e.joiner == nil && e.chg == nil && e.terminal == nil
-}
-
-// terminalErr is what every call fails with once this engine can make no
-// further progress — ErrJoinTimeout once its join was abandoned,
-// ErrExpelled once it entered a view without itself — and nil while it
-// can. Parked requests need no failing by hand: the retry that follows the
-// transition runs them into this error.
-func (e *Engine) terminalErr() error { return e.terminal }
 
 // drainRequests opportunistically serves whatever else is already sitting
 // in reqC after a request wakes the loop, so concurrent single-message
@@ -556,38 +537,28 @@ func (e *Engine) send(p ident.PID, ch transport.Channel, msg any) {
 	}
 }
 
-// sendOthers sends control message m to every process of to but this one.
-func (e *Engine) sendOthers(to ident.PIDs, m any) {
-	for _, p := range to {
-		if p != e.cfg.Self {
-			e.send(p, transport.Ctl, m)
-		}
-	}
-}
-
 // syncSnapshots mirrors loop-owned state into the facade-visible copies,
 // then releases the turn's replies.
 func (e *Engine) syncSnapshots() {
-	e.stats.View = e.cv.ID
-	e.stats.Epoch = e.cv.Epoch
-	e.stats.Members = len(e.cv.Members)
+	e.stats.View = e.vc.cv.ID
+	e.stats.Epoch = e.vc.cv.Epoch
+	e.stats.Members = len(e.vc.cv.Members)
 	e.stats.ToDeliverLen = e.toDeliver.Len()
 	e.stats.HistoryLen = e.delivered.Len()
 	e.stats.Parked = len(e.multicastQ)
 	e.stats.LastSent = e.self.recvMax
-	e.stats.Blocked = e.chg != nil
+	e.stats.Blocked = e.vc.chg != nil
 	st := e.toDeliver.Stats()
 	e.stats.PurgedToDeliver = st.Purged
 	if st.MaxLen > e.stats.ToDeliverMax {
 		e.stats.ToDeliverMax = st.MaxLen
 	}
 	e.pub.mu.Lock()
-	if e.viewDirty {
-		// Clone only when the view actually changed: the facade keeps its
-		// own copy, and cloning per loop iteration would put a members
-		// alloc on the per-batch hot path.
-		e.pub.view = e.cv.Clone()
-		e.viewDirty = false
+	if e.pub.view.Ref() != e.vc.cv.Ref() {
+		// Clone only when the view actually changed — every view has a ref
+		// of its own: the facade keeps its own copy, and cloning per loop
+		// iteration would put a members alloc on the per-batch hot path.
+		e.pub.view = e.vc.cv.Clone()
 	}
 	e.pub.stats = e.stats
 	e.pub.mu.Unlock()
@@ -618,6 +589,27 @@ func (e *Engine) onRequest(req *request) {
 	case reqDeliver:
 		e.deliverWaiters = append(e.deliverWaiters, req)
 	case reqViewChange:
-		e.reply(req, result{err: e.triggerViewChange(req.join, req.leave)})
+		err := e.vc.requestErr()
+		if err == nil {
+			e.input(e.cfg.Self, membership{join: req.join, leave: req.leave})
+		}
+		e.reply(req, result{err: err})
 	}
+}
+
+// onCtl dispatches a control envelope: flow-control credits and stability
+// gossip to the data plane while this engine is a live member, everything
+// else to the view change.
+func (e *Engine) onCtl(env transport.Envelope) {
+	if e.vc.terminal == nil {
+		switch m := env.Msg.(type) {
+		case CreditMsg:
+			e.onCredit(env.From, m)
+			return
+		case StableMsg:
+			e.onStable(env.From, m)
+			return
+		}
+	}
+	e.input(env.From, env.Msg)
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"log/slog"
+
 	"repro/internal/ident"
+	"repro/internal/obs"
 	"repro/internal/queue"
 	"repro/internal/transport"
 )
@@ -21,11 +24,6 @@ type peer struct {
 	recvMax ident.Seq // highest number received from id (adopted ones included)
 	stable  ident.Seq // highest number known received by every member (stability.go)
 	seeded  ident.Seq // highest number adopted from our own join transfer (see freeSlot)
-
-	// former marks a process we once shared a view with and no longer do —
-	// a probe target of partition healing (merge.go). Only set with
-	// Config.Heal.
-	former bool
 
 	link
 }
@@ -93,24 +91,19 @@ func (e *Engine) peerOf(id ident.PID, last *peer) *peer {
 
 // armPeers is enterView's share of the table: every link starts afresh,
 // and others becomes the new view's other members in view order, each with
-// a full window both ways and an empty outgoing queue. A healing engine
-// remembers who left: only someone we once shared a view with can be the
-// far side of a healed partition. Our own record is in the table too,
-// for the frontier of our own stream.
+// a full window both ways and an empty outgoing queue. Our own record is
+// in the table too, for the frontier of our own stream.
 func (e *Engine) armPeers() {
 	e.self = e.peer(e.cfg.Self)
-	heal := e.cfg.Heal != nil
 	for _, p := range e.peers {
-		p.former = p.former || (heal && p.member)
 		p.link = link{}
 	}
 	e.others = e.others[:0]
-	for _, id := range e.cv.Members {
+	for _, id := range e.vc.cv.Members {
 		if id == e.cfg.Self {
 			continue
 		}
 		p := e.peer(id)
-		p.former = false
 		p.link = link{member: true, window: e.cfg.Window, avail: e.cfg.Window, granted: e.cfg.Window}
 		if p.window > 0 {
 			p.out = queue.New(e.cfg.Relation, e.cfg.OutgoingCap)
@@ -186,8 +179,33 @@ func (p *peer) grantDue() (n int) {
 func (e *Engine) grant(p *peer, n int) {
 	if n > 0 {
 		e.stats.CreditFlushes++
-		e.send(p.id, transport.Ctl, CreditMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Credits: n})
+		e.send(p.id, transport.Ctl, CreditMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Credits: n})
 	}
+}
+
+// onCredit takes a credit grant from a member. A grant from another view
+// must not inflate this view's window: both sides re-arm to a full window
+// at install, so crediting a stale grant would double-count the slots it
+// stood for.
+func (e *Engine) onCredit(from ident.PID, m CreditMsg) {
+	if m.View != e.vc.cv.ID || m.Epoch != e.vc.cv.Epoch {
+		e.stats.CreditsStaleView++
+		e.ev.Drop(obs.DropStaleCredit, slog.String("from", string(from)),
+			slog.Uint64("view", uint64(m.View)))
+		return
+	}
+	p := e.peers[from]
+	if p == nil || !p.member {
+		e.dropUnknownSender(from)
+		return
+	}
+	if p.credit(m.Credits) {
+		// More credits than p can owe us: keep the window, drop the rest.
+		e.stats.CreditsExcess++
+		e.ev.Drop(obs.DropExcessCredit, slog.String("from", string(from)),
+			slog.Int("credits", m.Credits))
+	}
+	e.drainOutgoing(p)
 }
 
 // drainOutgoing flushes the pending queue towards p while credits last,

@@ -29,7 +29,7 @@ func TestFlowDisabledUnboundedNeverParks(t *testing.T) {
 // member "peer", armed with the given window.
 func flowEngine(cfg Config) (*Engine, *peer) {
 	cfg.Self, cfg.Relation = "me", obsolete.Empty{}
-	e := &Engine{cfg: cfg, cv: View{ID: 3, Members: ident.NewPIDs("me", "peer")}}
+	e := &Engine{cfg: cfg, vc: viewState{cv: View{ID: 3, Members: ident.NewPIDs("me", "peer")}}}
 	e.armPeers()
 	return e, e.others[0]
 }
@@ -130,7 +130,7 @@ func TestCreditGrantClampedAtWindow(t *testing.T) {
 	const window = 8
 	e, p := flowEngine(Config{Window: window, OutgoingCap: window})
 	grant := func(n int) {
-		e.onCtl(transport.Envelope{From: p.id, Msg: CreditMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Credits: n}})
+		e.onCtl(transport.Envelope{From: p.id, Msg: CreditMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Credits: n}})
 	}
 	for i := 0; i < 3; i++ {
 		p.takeCredit()

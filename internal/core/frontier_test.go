@@ -86,10 +86,10 @@ func TestFrontierSubsumesCover(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(16))
 			e := snapEngine(tc.rel)
-			e.cv.Members = ident.NewPIDs("a", "b", "c", "me")
+			e.vc.cv.Members = ident.NewPIDs("a", "b", "c", "me")
 			e.armPeers()
 			streams := map[ident.PID]*frontierStream{}
-			for _, p := range e.cv.Members {
+			for _, p := range e.vc.cv.Members {
 				streams[p] = &frontierStream{sender: p}
 				if tc.tracker != nil {
 					streams[p].tr = tc.tracker()
@@ -115,7 +115,7 @@ func TestFrontierSubsumesCover(t *testing.T) {
 				case covered:
 					refCovered++
 				}
-				in(DataMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Meta: m})
+				in(DataMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Meta: m})
 			}
 			arrive := func(dm DataMsg) {
 				if !e.processData(e.peers[dm.Meta.Sender], dm) {
@@ -152,13 +152,13 @@ func TestFrontierSubsumesCover(t *testing.T) {
 				case op < 11: // a snapshot: each stream's next few messages, repurged, then frontiers
 					var msgs []DataMsg
 					recv := map[ident.PID]ident.Seq{}
-					for _, p := range e.cv.Members {
+					for _, p := range e.vc.cv.Members {
 						s := streams[p]
 						for n := rng.Intn(4); n > 0; n-- {
 							if s.seen == len(s.sent) {
 								s.mint(rng)
 							}
-							msgs = append(msgs, DataMsg{View: e.cv.ID, Meta: s.sent[s.seen]})
+							msgs = append(msgs, DataMsg{View: e.vc.cv.ID, Meta: s.sent[s.seen]})
 							s.seen++
 						}
 						if s.seen > 0 {
@@ -170,7 +170,7 @@ func TestFrontierSubsumesCover(t *testing.T) {
 					}
 					e.adopt(nil, recv)
 				default: // a view change: history starts afresh, frontiers persist
-					e.cv.ID++
+					e.vc.cv.ID++
 					e.delivered = queue.New(tc.rel, 0)
 				}
 				for _, dm := range e.held(all) {

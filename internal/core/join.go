@@ -59,7 +59,7 @@ func (e *Engine) onJoinRetry() {
 	j := e.joiner
 	if g := e.cfg.Join.GiveUp; g > 0 && e.clock.Since(j.start) >= g {
 		e.endJoin()
-		e.terminal = ErrJoinTimeout // the turn's retries fail what is parked
+		e.vc.joining, e.vc.terminal = false, ErrJoinTimeout // the turn's retries fail what is parked
 		return
 	}
 	e.sendJoinReq()
@@ -87,22 +87,30 @@ func (j *joiner) delay(js *JoinSpec) time.Duration {
 	return d
 }
 
-// onJoinState installs the first view of a joining engine from the state
+// onJoinState installs the first view of a joining process from the state
 // transfer: backlog, frontiers, then the view marker — the application
 // sees the inherited state first and the view notification tells it the
 // join completed. Duplicate transfers (retries, several responders) after
 // the first are ignored.
-func (e *Engine) onJoinState(from ident.PID, m StateMsg) {
-	if e.joiner == nil {
+func (t *turn) onJoinState(from ident.PID, m StateMsg) {
+	if !t.joining {
 		return
 	}
 	next := m.view()
 	// Only a member of the view being transferred may hand it over (the
 	// sponsor, or — on the recovery path — the contact that was re-asked);
 	// a transfer from anyone else would hijack the joining engine.
-	if next.ID == 0 || !next.Includes(e.cfg.Self) || !next.Includes(from) || from == e.cfg.Self {
+	if next.ID == 0 || !next.Includes(t.self) || !next.Includes(from) || from == t.self {
 		return
 	}
+	t.joining = false
+	t.enter(next, install{st: m, from: from})
+}
+
+// onJoined is the engine's half of a completed handshake: it ends the
+// retransmissions and adopts the transferred state before the view is
+// entered.
+func (e *Engine) onJoined(from ident.PID, m StateMsg) {
 	took := e.clock.Since(e.joiner.start)
 	e.m.joinDur.ObserveDuration(took)
 	e.endJoin()
@@ -122,20 +130,31 @@ func (e *Engine) onJoinState(from ident.PID, m StateMsg) {
 		}
 	}
 	e.adopt(m.Backlog, m.Recv)
-	e.enterView(next)
 }
 
 // ---- the members' side: admission and the sponsor's transfer ---------------
 
+// maxPendingJoins bounds the admission requests parked while a change is in
+// flight. A group wedged at t5 (no Heal, no majority) never serves them,
+// and every distinct requester would otherwise stay parked for good. A
+// request past the cap is dropped and counted
+// (engine_dropped_total{reason=join_overflow}); nothing is lost, since the
+// joiner retransmits until a view admits it.
+const maxPendingJoins = 256
+
 // onJoinReq parks an admission request; requests arriving mid view change
 // wait for the install (the joiner retransmits anyway, but parking spares
 // it a retry period).
-func (e *Engine) onJoinReq(from ident.PID) {
-	if e.joiner != nil || from == e.cfg.Self {
+func (t *turn) onJoinReq(from ident.PID) {
+	if t.joining || from == t.self {
 		return
 	}
-	e.pendingJoins = e.pendingJoins.Add(from)
-	e.serveJoins()
+	if len(t.joins) >= maxPendingJoins && !t.joins.Contains(from) {
+		t.drop(func(st *Stats) *uint64 { return &st.JoinReqDropped }, obs.DropJoinOverflow)
+		return
+	}
+	t.joins = t.joins.Add(from)
+	t.serveJoins()
 }
 
 // serveJoins resolves parked admission requests once no view change is in
@@ -144,15 +163,17 @@ func (e *Engine) onJoinReq(from ident.PID) {
 // it gets a fresh snapshot directly. The rest are admitted by a view
 // change; if a concurrent change wins without them, their retransmitted
 // requests try again.
-func (e *Engine) serveJoins() {
-	if !e.open() || len(e.pendingJoins) == 0 {
+func (t *turn) serveJoins() {
+	if !t.open() || len(t.joins) == 0 {
 		return
 	}
-	pending := e.pendingJoins
-	e.pendingJoins = nil
-	e.sendJoinStates(e.cv, pending.Intersect(e.cv.Members))
-	if admit := pending.Without(e.cv.Members); len(admit) > 0 {
-		_ = e.triggerViewChange(admit, nil)
+	pending := t.joins
+	t.joins = nil
+	if back := pending.Intersect(t.cv.Members); len(back) > 0 {
+		t.emit(transfer{view: t.cv, to: back})
+	}
+	if admit := pending.Without(t.cv.Members); len(admit) > 0 {
+		t.trigger(admit, nil)
 	}
 }
 
@@ -162,9 +183,9 @@ func (e *Engine) serveJoins() {
 // exactly one transfer is sent per join unless the sponsor crashes, in
 // which case the joiner's retransmitted request reaches serveJoins at
 // another member.
-func (e *Engine) sponsorJoiners(next View) {
-	if inc := e.cv.Members.Intersect(next.Members); len(inc) > 0 && inc[0] == e.cfg.Self {
-		e.sendJoinStates(next, next.Members.Without(e.cv.Members))
+func (e *Engine) sponsorJoiners(prev, next View) {
+	if inc := prev.Members.Intersect(next.Members); len(inc) > 0 && inc[0] == e.cfg.Self {
+		e.sendJoinStates(next, next.Members.Without(prev.Members))
 	}
 }
 

@@ -14,7 +14,7 @@ package core
 //
 // When the partition heals, members discover each other again through
 // probes — tiny beacons sent to every process a member once shared a view
-// with but no longer does (peer.former) — and drive both sub-views into
+// with but no longer does (viewState.former) — and drive both sub-views into
 // a *merge*, a view change over two sides on Figure 1's two messages:
 //
 //	probe ─────▶ far side (different epoch detected)
@@ -34,9 +34,9 @@ package core
 // guarantee holds across the merge exactly as it does across an ordinary
 // view change.
 //
-// Concurrency discipline: every handler here runs on the engine loop, and so
-// does consensus — a decision reaches onDecision in the turn the engine's
-// machine reaches it, and nothing here starts a goroutine. The state
+// Every handler here is part of step (viewchange.go): a pure transition of
+// the view-change state whose effects the engine carries out, with
+// finishMerge and aborted as the engine's half of a merge's end. The state
 // machine tolerates concurrent proposals (an ordinary change, a shrinking
 // series of split declarations, a merge) through the successors the change
 // in flight awaits (change.awaited) — the first decided one wins and every
@@ -44,45 +44,39 @@ package core
 // split and an ordinary change both deciding on opposite sides of a
 // flapping partition) leave the loser on a divergent lineage, which the
 // member-with-different-epoch probe case below detects and re-merges: the
-// protocol converges by construction instead of enumerating every
-// interleaving. A straggler's probe that left before it installed a union
+// protocol converges by construction. The explorer (explore_test.go) walks
+// one small merge through every interleaving. A straggler's probe that left before it installed a union
 // is no such divergence, and is answered with a probe instead.
 
 import (
 	"repro/internal/ident"
-	"repro/internal/transport"
+	"repro/internal/obs"
 )
 
 // onHealTick fires every HealSpec.ProbeInterval: beacon the processes we
 // lost to a partition, and time out a merge that stopped making progress.
-func (e *Engine) onHealTick() {
-	if c := e.chg; c.merge() {
-		if e.clock.Now().After(c.deadline) {
-			e.abortMerge("timeout")
+func (t *turn) onHealTick() {
+	if c := t.chg; c.merge() {
+		if t.now.After(c.start.Add(t.mergeTimeout)) {
+			t.abortMerge("timeout")
 		}
 		return
 	}
-	if !e.open() {
-		return
-	}
-	probe := e.probe()
-	for _, p := range e.peers {
-		if p.former {
-			e.send(p.id, transport.Ctl, probe)
-		}
+	if t.open() {
+		t.emit(sendTo{t.former, t.probe()})
 	}
 }
 
-// probe is this engine's discovery beacon: its current view.
-func (e *Engine) probe() ProbeMsg {
-	return ProbeMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Members: e.cv.Members.Clone()}
+// probe is this process's discovery beacon: its current view.
+func (t *turn) probe() ProbeMsg {
+	return ProbeMsg{View: t.cv.ID, Epoch: t.cv.Epoch, Members: t.cv.Members.Clone()}
 }
 
 // onProbe classifies a discovery beacon. The sender considers us a former
 // member (probes only target those), so the interesting cases are all
 // disagreements about who belongs where.
-func (e *Engine) onProbe(from ident.PID, m ProbeMsg) {
-	if e.cfg.Heal == nil || e.joiner != nil || e.chg.merge() {
+func (t *turn) onProbe(from ident.PID, m ProbeMsg) {
+	if !t.heal || t.joining || t.chg.merge() {
 		return
 	}
 	ref := m.Ref()
@@ -90,14 +84,14 @@ func (e *Engine) onProbe(from ident.PID, m ProbeMsg) {
 	if !members.Contains(from) {
 		return // malformed: a probe speaks for the sender's own view
 	}
-	if ref.Epoch != e.cv.Epoch {
-		if e.cv.Includes(from) && ref.ID < e.cv.ID {
+	if ref.Epoch != t.cv.Epoch {
+		if t.cv.Includes(from) && ref.ID < t.cv.ID {
 			// Our member names an older view of another lineage: a straggler
 			// whose probe left before it installed our view (a union's ID is
 			// one past both sides'). Merging again would fold everyone into
 			// a second union; answer with our view instead. If it really
 			// diverged, it sees our probe as another lineage and merges.
-			e.send(from, transport.Ctl, e.probe())
+			t.emit(sendTo{ident.PIDs{from}, t.probe()})
 			return
 		}
 		// Another lineage. Usually the healed far side of a partition; if
@@ -105,32 +99,30 @@ func (e *Engine) onProbe(from ident.PID, m ProbeMsg) {
 		// ours, the group diverged (e.g. a split and an ordinary change both
 		// decided) — either way the union of
 		// the two views reconverges everyone. Announce the merge to the
-		// union as triggerViewChange announces an ordinary change to the
-		// view, the pair normalised so both sides' initiators send one INIT.
-		if e.open() {
-			near := MergeSide{View: e.cv.ID, Epoch: e.cv.Epoch, Members: e.cv.Members.Clone()}
+		// union as trigger announces an ordinary change to the view, the
+		// pair normalised so both sides' initiators send one INIT.
+		if t.open() {
+			near := MergeSide{View: t.cv.ID, Epoch: t.cv.Epoch, Members: t.cv.Members.Clone()}
 			far := MergeSide{View: m.View, Epoch: m.Epoch, Members: members}
 			if far.Ref().Less(near.Ref()) {
 				near, far = far, near
 			}
 			init := InitMsg{View: near.View, Epoch: near.Epoch, Members: near.Members, Far: &far}
-			for _, p := range e.cv.Members.Union(members) {
-				e.send(p, transport.Ctl, init)
-			}
+			t.emit(sendTo{t.cv.Members.Union(members), init})
 		}
 		return
 	}
 	// Same lineage: one of us is simply behind.
 	switch {
-	case ref.ID > e.cv.ID && !members.Contains(e.cfg.Self):
+	case ref.ID > t.cv.ID && !members.Contains(t.self):
 		// Proof that a newer view of our own lineage excludes us: the
 		// group evicted us while we were cut off, and the decide flood
 		// never found us. Enter that view as its decision would have.
-		e.enterView(View{Epoch: ref.Epoch, ID: ref.ID, Members: members})
-	case ref.ID < e.cv.ID && e.chg == nil && !e.cv.Includes(from):
+		t.enter(View{Epoch: ref.Epoch, ID: ref.ID, Members: members}, install{})
+	case ref.ID < t.cv.ID && t.chg == nil && !t.cv.Includes(from):
 		// The prober is the stale one; answer with our view so it can
 		// draw the same conclusion.
-		e.send(from, transport.Ctl, e.probe())
+		t.emit(sendTo{ident.PIDs{from}, t.probe()})
 	}
 }
 
@@ -145,38 +137,38 @@ func (e *Engine) onProbe(from ident.PID, m ProbeMsg) {
 // continuation awaited by the change so whichever decides first wins.
 // Without Config.Heal it returns at once and the minority stays blocked at
 // t5: plain SVS's wedge is that one return.
-func (e *Engine) checkSplit() {
-	if e.cfg.Heal == nil {
+func (t *turn) checkSplit() {
+	if !t.heal {
 		return
 	}
-	c := e.chg
+	c := t.chg
 	var split ident.PIDs
 	for _, p := range c.from {
-		if !e.cfg.Detector.Suspected(p) {
+		if !t.suspected(p) {
 			split = split.Add(p)
 		}
 	}
 	split = split.Without(c.leave)
-	if len(split) == 0 || !split.Contains(e.cfg.Self) || split[0] != e.cfg.Self {
+	if len(split) == 0 || split[0] != t.self {
 		return
 	}
-	ref := ident.ViewRef{Epoch: SplitEpoch(e.cv.Ref(), split), ID: e.cv.ID + 1}
+	ref := ident.ViewRef{Epoch: SplitEpoch(t.cv.Ref(), split), ID: t.cv.ID + 1}
 	if c.awaited[viewInstance(ref)] {
 		return // this exact continuation is already declared and pending
 	}
-	e.ev.SplitDeclared(ref.String(), len(split))
-	e.sendOthers(split, SplitMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Members: split.Clone()})
-	e.adoptSplit(split)
+	t.emit(observe(func(_ *Stats, ev *obs.Events) { ev.SplitDeclared(ref.String(), len(split)) }),
+		sendTo{split.Remove(t.self), SplitMsg{View: t.cv.ID, Epoch: t.cv.Epoch, Members: split.Clone()}})
+	t.adoptSplit(split)
 }
 
 // onSplit handles a split declaration from the reachable set's leader.
-func (e *Engine) onSplit(from ident.PID, m SplitMsg) {
-	c := e.chg
-	if e.cfg.Heal == nil || c == nil || c.merge() || m.Ref() != e.cv.Ref() {
+func (t *turn) onSplit(from ident.PID, m SplitMsg) {
+	c := t.chg
+	if !t.heal || c == nil || c.merge() || m.Ref() != t.cv.Ref() {
 		return
 	}
 	members := ident.NewPIDs(m.Members...)
-	if len(members) == 0 || members[0] != from || !members.Contains(e.cfg.Self) {
+	if len(members) == 0 || members[0] != from || !members.Contains(t.self) {
 		return // only the declared set's lowest member may declare
 	}
 	for _, p := range members {
@@ -184,20 +176,20 @@ func (e *Engine) onSplit(from ident.PID, m SplitMsg) {
 			// We cannot yet cover every declared member's deliveries, so
 			// we must not propose — but the declaration is legitimate, so
 			// watch the instance for the decide flood.
-			e.awaitDecision(ident.ViewRef{Epoch: SplitEpoch(e.cv.Ref(), members), ID: e.cv.ID + 1})
+			t.await(ident.ViewRef{Epoch: SplitEpoch(t.cv.Ref(), members), ID: t.cv.ID + 1})
 			return
 		}
 	}
-	e.adoptSplit(members)
+	t.adoptSplit(members)
 }
 
 // adoptSplit proposes the split continuation: the next view is the
 // declared set, under an epoch derived from (parent ref, member set) so
 // concurrent declarations for different sets occupy different consensus
 // instances, with the flush every proposal carries.
-func (e *Engine) adoptSplit(members ident.PIDs) {
-	next := View{Epoch: SplitEpoch(e.cv.Ref(), members), ID: e.cv.ID + 1, Members: members}
-	e.propose(e.proposal(next), members)
+func (t *turn) adoptSplit(members ident.PIDs) {
+	next := View{Epoch: SplitEpoch(t.cv.Ref(), members), ID: t.cv.ID + 1, Members: members}
+	t.propose(t.proposal(next), members)
 }
 
 // ---- merge: two sub-views reconverge into their union -----------------------
@@ -207,11 +199,7 @@ func (e *Engine) adoptSplit(members ident.PIDs) {
 // both sides' numbering is respected and re-runs of the same merge land on
 // the same instance.
 func mergeRefFor(a, b ident.ViewRef) ident.ViewRef {
-	maxID := a.ID
-	if b.ID > maxID {
-		maxID = b.ID
-	}
-	return ident.ViewRef{Epoch: MergeEpoch(a, b), ID: maxID + 1}
+	return ident.ViewRef{Epoch: MergeEpoch(a, b), ID: max(a.ID, b.ID) + 1}
 }
 
 // openMerge opens the change an INIT over two sides announces, if one side
@@ -220,67 +208,70 @@ func mergeRefFor(a, b ident.ViewRef) ident.ViewRef {
 // other) announce the same normalised pair, so their floods are
 // idempotent. The change's successor is the union's ref, its audience the
 // union, and its quorum is taken over both sub-views.
-func (e *Engine) openMerge(m InitMsg) *change {
-	if e.cfg.Heal == nil {
+func (t *turn) openMerge(m InitMsg) *change {
+	if !t.heal {
 		return nil
 	}
 	a, b := MergeSide{View: m.View, Epoch: m.Epoch, Members: m.Members}, *m.Far
 	// Our own side's membership is consensus-agreed state; use the
 	// authoritative copy (it equals the announced one at every correct
 	// sender).
-	switch e.cv.Ref() {
+	switch t.cv.Ref() {
 	case a.Ref():
-		a.Members = e.cv.Members
+		a.Members = t.cv.Members
 	case b.Ref():
-		b.Members = e.cv.Members
+		b.Members = t.cv.Members
 	default:
 		return nil
 	}
 	sa, sb := ident.NewPIDs(a.Members...), ident.NewPIDs(b.Members...)
 	union := sa.Union(sb)
-	c := e.block(mergeRefFor(a.Ref(), b.Ref()), union, sa, sb)
-	c.deadline = c.start.Add(e.cfg.Heal.MergeTimeout)
-	e.ev.MergeStarted(c.next.String(), a.Ref().String(), b.Ref().String(), len(union))
-	// Extend the heartbeat fanout across the union: the quorum rule needs
-	// suspicion to develop for far-side members that died.
-	e.setPeers(union)
+	c := t.block(mergeRefFor(a.Ref(), b.Ref()), union, sa, sb)
+	next := c.next
+	t.emit(observe(func(_ *Stats, ev *obs.Events) {
+		ev.MergeStarted(next.String(), a.Ref().String(), b.Ref().String(), len(union))
+	}))
 	return c
 }
 
 // declineMerge answers an INIT over two sides that names this process on a
 // side it was since expelled from: a broadcast "count me out", so the
-// union can proceed without waiting for suspicion to develop.
-func (e *Engine) declineMerge(m InitMsg) {
-	union := ident.NewPIDs(m.Members...).Union(m.Far.Members)
-	e.sendOthers(union, PredMsg{Change: mergeRefFor(m.Ref(), m.Far.Ref()), Decline: true})
-}
-
-// finishMerge records the completed merge; install has already adopted the
-// flush and the combined frontiers.
-func (e *Engine) finishMerge(st StateMsg) {
-	c := e.chg
-	e.stats.Merges++
-	took := e.clock.Since(c.start)
-	e.m.mergeDur.ObserveDuration(took)
-	e.m.mergeBytes.Observe(float64(c.bytesIn))
-	e.ev.MergeComplete(ident.ViewRef{Epoch: st.Epoch, ID: st.View}.String(), len(st.Members), len(st.Backlog), int(c.bytesIn), took)
+// union can proceed without waiting for suspicion to develop. The INIT is
+// forwarded ahead of it, as every member forwards it: a member the
+// announcement has not reached yet would drop a decline for a merge it has
+// not opened as another lineage's chatter, and wait for this process until
+// the merge timed out.
+func (t *turn) declineMerge(m InitMsg) {
+	union := ident.NewPIDs(m.Members...).Union(m.Far.Members).Remove(t.self)
+	t.emit(sendTo{union, m}, sendTo{union, PredMsg{Change: mergeRefFor(m.Ref(), m.Far.Ref()), Decline: true}})
 }
 
 // abortMerge abandons a merge whose union decision did not arrive in
 // time — the partition re-opened mid-handshake, or a side was wedged in
-// its own view change. The change ends (the engine unblocks), the
-// view-scoped detector fanout is restored and the far side goes back on
-// the probe list; a later probe retries the merge on the same
-// (deterministic) instance.
-func (e *Engine) abortMerge(reason string) {
-	c := e.chg
-	e.endChange()
+// its own view change. The change ends (the engine unblocks); a later
+// probe retries the merge on the same (deterministic) instance.
+func (t *turn) abortMerge(reason string) {
+	t.emit(abort{reason: reason, chg: t.chg})
+	t.former = t.former.Union(t.chg.audience.Without(t.cv.Members).Remove(t.self))
+	t.chg = nil
+}
+
+// ---- the engine's half ------------------------------------------------------
+
+// finishMerge records the completed merge; install has already adopted the
+// flush and the combined frontiers.
+func (e *Engine) finishMerge(f install) {
+	e.stats.Merges++
+	took := e.clock.Since(f.chg.start)
+	e.m.mergeDur.ObserveDuration(took)
+	e.m.mergeBytes.Observe(float64(f.chg.bytesIn))
+	e.ev.MergeComplete(ident.ViewRef{Epoch: f.st.Epoch, ID: f.st.View}.String(), len(f.st.Members), len(f.st.Backlog), int(f.chg.bytesIn), took)
+}
+
+// aborted records an abandoned merge and restores the view-scoped detector
+// fanout.
+func (e *Engine) aborted(f abort) {
 	e.stats.MergeAborts++
-	e.ev.MergeAborted(c.next.String(), reason)
-	for _, p := range c.audience {
-		if p != e.cfg.Self && !e.cv.Includes(p) {
-			e.peer(p).former = true
-		}
-	}
-	e.setPeers(e.cv.Members)
+	e.ev.MergeAborted(f.chg.next.String(), f.reason)
+	e.setPeers(e.vc.cv.Members)
 }

@@ -103,6 +103,7 @@ var statsExport = []struct {
 	{"engine_dropped_total", obs.KindCounter, reason(obs.DropStaleCredit), func(s *Stats) uint64 { return s.CreditsStaleView }},
 	{"engine_dropped_total", obs.KindCounter, reason(obs.DropExcessCredit), func(s *Stats) uint64 { return s.CreditsExcess }},
 	{"engine_dropped_total", obs.KindCounter, reason(obs.DropDeferOverflow), func(s *Stats) uint64 { return s.CtlDeferredDropped }},
+	{"engine_dropped_total", obs.KindCounter, reason(obs.DropJoinOverflow), func(s *Stats) uint64 { return s.JoinReqDropped }},
 	{"engine_dropped_total", obs.KindCounter, reason(obs.DropBadType), func(s *Stats) uint64 { return s.DroppedBadType }},
 	{"engine_dropped_total", obs.KindCounter, reason(obs.DropUnknownCtl), func(s *Stats) uint64 { return s.DroppedUnknownCtl }},
 	{"engine_dropped_total", obs.KindCounter, reason(obs.DropExpelled), func(s *Stats) uint64 { return s.DroppedExpelled }},

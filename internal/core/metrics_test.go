@@ -421,7 +421,9 @@ func TestRegistryMatchesStats(t *testing.T) {
 	// by the change that clamps a peer's credits at its window:
 	// engine_dropped_total{reason=excess_credit} counts the grants that
 	// would have lifted them past it, which only a buggy or hostile member
-	// sends.
+	// sends. And one by the change that bounds the parked admission
+	// requests: engine_dropped_total{reason=join_overflow} counts the
+	// requests past the cap.
 	parent, err := os.ReadFile("testdata/parent_metric_keys.txt")
 	if err != nil {
 		t.Fatal(err)

@@ -151,7 +151,7 @@ func (m *tableMember) halt() {
 // nothing that belongs to a view.
 func checkArmed(e *Engine) error {
 	var want, got []ident.PID
-	for _, id := range e.cv.Members {
+	for _, id := range e.vc.cv.Members {
 		if id != e.cfg.Self {
 			want = append(want, id)
 		}
@@ -160,7 +160,7 @@ func checkArmed(e *Engine) error {
 		got = append(got, p.id)
 	}
 	if !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("others = %v, want %v (view %v)", got, want, e.cv.Members)
+		return fmt.Errorf("others = %v, want %v (view %v)", got, want, e.vc.cv.Members)
 	}
 	w := e.cfg.Window
 	for id, p := range e.peers {
@@ -172,8 +172,8 @@ func checkArmed(e *Engine) error {
 			}
 			l.out = nil
 		}
-		if p.id != id || p.former || p.member != (id != e.cfg.Self && e.cv.Includes(id)) || !reflect.DeepEqual(l, fresh) {
-			return fmt.Errorf("record %s (id %s, former %v) entered view %v with link %+v, want %+v", id, p.id, p.former, e.cv.Members, l, fresh)
+		if p.id != id || e.vc.former.Contains(id) || p.member != (id != e.cfg.Self && e.vc.cv.Includes(id)) || !reflect.DeepEqual(l, fresh) {
+			return fmt.Errorf("record %s (id %s, former %v) entered view %v with link %+v, want %+v", id, p.id, e.vc.former.Contains(id), e.vc.cv.Members, l, fresh)
 		}
 	}
 	return nil

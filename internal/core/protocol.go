@@ -46,7 +46,7 @@ func (e *Engine) advance(req *request) bool {
 		}
 		// Park while the group is blocked or buffers lack room; install,
 		// credit arrivals and deliveries retry the queue head.
-		if e.chg != nil || !e.canCommit(m.Meta, m.Payload) {
+		if e.vc.chg != nil || !e.canCommit(m.Meta, m.Payload) {
 			e.flushStage()
 			return false
 		}
@@ -61,7 +61,7 @@ func (e *Engine) advance(req *request) bool {
 		e.ev.FlowUnblocked(uint64(e.self.recvMax), stalled)
 		req.parkedAt = time.Time{}
 	}
-	e.reply(req, result{view: e.cv.Ref()})
+	e.reply(req, result{view: e.vc.cv.Ref()})
 	return true
 }
 
@@ -77,10 +77,10 @@ func (e *Engine) park(req *request) {
 }
 
 func (e *Engine) multicastPrecheck(meta obsolete.Msg) error {
-	if err := e.terminalErr(); err != nil {
-		return err
+	if e.vc.terminal != nil {
+		return e.vc.terminal
 	}
-	if !e.cv.Includes(e.cfg.Self) {
+	if !e.vc.cv.Includes(e.cfg.Self) {
 		return ErrNotMember
 	}
 	if meta.Seq != e.self.recvMax+1 {
@@ -114,7 +114,7 @@ func fullAfterPurge(q *queue.Queue, it queue.Item) bool {
 
 func (e *Engine) dataItem(meta obsolete.Msg, payload []byte) queue.Item {
 	meta.Sender = e.cfg.Self
-	return itemOf(DataMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Meta: meta, Payload: payload})
+	return itemOf(DataMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Meta: meta, Payload: payload})
 }
 
 // commitOne commits a single message of the transaction advance drives:
@@ -272,7 +272,7 @@ func (e *Engine) ingestData(link ident.PID, from *peer, dm DataMsg) {
 // applied) but the delivery queue is full — the caller keeps it as
 // pendingHead until space frees. It runs only while the data plane is open.
 func (e *Engine) processData(from *peer, dm DataMsg) bool {
-	if dm.View != e.cv.ID || dm.Epoch != e.cv.Epoch {
+	if dm.View != e.vc.cv.ID || dm.Epoch != e.vc.cv.Epoch {
 		// Not this view — stale, or another lineage's traffic racing a
 		// partition merge. Either way its pred/flush obligations are
 		// handled by view-change machinery, not the data path.
@@ -334,7 +334,7 @@ func (e *Engine) acceptData(from *peer, it queue.Item) {
 // the batch behind it.
 func (e *Engine) retryPending() {
 	var from *peer // sender of the last stashed arrival: they come in runs
-	for e.open() {
+	for e.vc.open() {
 		if e.pendingHead.Meta.Seq != 0 {
 			if e.toDeliver.Full() {
 				return
@@ -446,7 +446,7 @@ func (e *Engine) serveWaiters() {
 		}
 		res := result{n: n}
 		if n == 0 {
-			if res.err = e.terminalErr(); res.err == nil {
+			if res.err = e.vc.terminal; res.err == nil {
 				return
 			}
 		}

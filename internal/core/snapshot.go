@@ -52,7 +52,7 @@ func msgOf(it *queue.Item) DataMsg {
 
 // inView reports whether it was multicast in the current view.
 func (e *Engine) inView(it *queue.Item) bool {
-	return it.View == uint64(e.cv.ID) && it.Epoch == uint64(e.cv.Epoch)
+	return it.View == uint64(e.vc.cv.ID) && it.Epoch == uint64(e.vc.cv.Epoch)
 }
 
 // held returns the data messages this process has accepted to deliver and

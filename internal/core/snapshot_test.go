@@ -16,7 +16,7 @@ import (
 func snapEngine(rel obsolete.Relation) *Engine {
 	e := &Engine{
 		cfg:       Config{Self: "me", Relation: rel},
-		cv:        View{ID: 4, Members: ident.NewPIDs("a", "b", "me")},
+		vc:        viewState{cv: View{ID: 4, Members: ident.NewPIDs("a", "b", "me")}},
 		toDeliver: queue.New(rel, 0),
 		delivered: queue.New(rel, 0),
 	}
@@ -68,7 +68,7 @@ func heldFixture() *Engine {
 	}
 	for _, it := range []queue.Item{
 		c[8], // c:9, flush-adopted from the previous view
-		{Kind: queue.Control, View: 4, Ctl: e.cv},
+		{Kind: queue.Control, View: 4, Ctl: e.vc.cv},
 		a[6],
 		a[7],
 		me[6],
@@ -81,9 +81,9 @@ func heldFixture() *Engine {
 // changeOver is a change record of e's current view over the given sides:
 // one for an ordinary change, two for a merge with a far sub-view.
 func changeOver(e *Engine, sides int) *change {
-	c := &change{next: ident.ViewRef{ID: e.cv.ID + 1}, sides: []ident.PIDs{e.cv.Members}}
+	c := &change{next: ident.ViewRef{ID: e.vc.cv.ID + 1}, sides: []ident.PIDs{e.vc.cv.Members}}
 	if sides == 2 {
-		c.next = mergeRefFor(e.cv.Ref(), ident.ViewRef{Epoch: 9, ID: 7})
+		c.next = mergeRefFor(e.vc.cv.Ref(), ident.ViewRef{Epoch: 9, ID: 7})
 		c.sides = append(c.sides, ident.NewPIDs("q1"))
 	}
 	return c
@@ -118,7 +118,7 @@ func TestSnapshotThreeCallersOneState(t *testing.T) {
 			// that straddle history and queue (a:6 ⊑ a:7, me:6 ⊑ me:7)
 			// collapsed.
 			name: "join backlog",
-			got:  e.buildJoinState(e.cv).Backlog,
+			got:  e.buildJoinState(e.vc.cv).Backlog,
 			want: []string{"a:5@4", "b:3@4", "c:9@3", "a:7@4", "a:8@4", "me:7@4"},
 		},
 	} {
@@ -127,7 +127,7 @@ func TestSnapshotThreeCallersOneState(t *testing.T) {
 		}
 	}
 	wantRecv := map[ident.PID]ident.Seq{"a": 8, "b": 3, "c": 9, "me": 7}
-	if got := e.buildJoinState(e.cv).Recv; !reflect.DeepEqual(got, wantRecv) {
+	if got := e.buildJoinState(e.vc.cv).Recv; !reflect.DeepEqual(got, wantRecv) {
 		t.Errorf("join frontiers: got %v, want %v", got, wantRecv)
 	}
 }
@@ -150,12 +150,12 @@ func TestOneContribution(t *testing.T) {
 	}
 
 	one := e.contribution(changeOver(e, 1))
-	if one.Change != (ident.ViewRef{ID: e.cv.ID + 1}) || one.Recv != nil || one.Decline || stableA5(one) {
+	if one.Change != (ident.ViewRef{ID: e.vc.cv.ID + 1}) || one.Recv != nil || one.Decline || stableA5(one) {
 		t.Errorf("ordinary change's PRED names %v, carries frontiers %v, decline %v, stable a:5 %v; want %v, none, false, false",
-			one.Change, one.Recv, one.Decline, stableA5(one), ident.ViewRef{ID: e.cv.ID + 1})
+			one.Change, one.Recv, one.Decline, stableA5(one), ident.ViewRef{ID: e.vc.cv.ID + 1})
 	}
-	parent := codec.AppendUvarint([]byte{byte(codec.TPredMsg)}, uint64(e.cv.ID))
-	parent = appendDataMsgs(codec.AppendUvarint(parent, uint64(e.cv.Epoch)), one.Msgs)
+	parent := codec.AppendUvarint([]byte{byte(codec.TPredMsg)}, uint64(e.vc.cv.ID))
+	parent = appendDataMsgs(codec.AppendUvarint(parent, uint64(e.vc.cv.Epoch)), one.Msgs)
 	if grew := wireSize(one) - len(parent); grew < 0 || grew > 2 {
 		t.Errorf("ordinary change's PRED is %d bytes, %d more than the view-tagged pred set's %d; want at most 2",
 			wireSize(one), grew, len(parent))

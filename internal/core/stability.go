@@ -49,10 +49,10 @@ func (e *Engine) recvSnapshot() map[ident.PID]ident.Seq {
 
 // gossipStability broadcasts this process's reception frontier.
 func (e *Engine) gossipStability() {
-	if !e.open() {
+	if !e.vc.open() {
 		return
 	}
-	m := StableMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Recv: e.recvSnapshot()}
+	m := StableMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Recv: e.recvSnapshot()}
 	e.onStable(e.cfg.Self, m)
 	for _, p := range e.others {
 		e.send(p.id, transport.Ctl, m)
@@ -63,7 +63,7 @@ func (e *Engine) gossipStability() {
 // kept as received: its sender built it for this one gossip round and
 // nobody writes to it afterwards.
 func (e *Engine) onStable(from ident.PID, m StableMsg) {
-	if m.View != e.cv.ID || m.Epoch != e.cv.Epoch || !e.cv.Includes(from) {
+	if m.View != e.vc.cv.ID || m.Epoch != e.vc.cv.Epoch || !e.vc.cv.Includes(from) {
 		return
 	}
 	e.peer(from).reported = m.Recv

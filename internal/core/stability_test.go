@@ -169,13 +169,13 @@ func TestPruneStablePrefix(t *testing.T) {
 	e := snapEngine(obsolete.Empty{})
 	for seq := ident.Seq(1); seq <= 3; seq++ {
 		for _, s := range []ident.PID{"a", "b", "me"} {
-			e.delivered.ForceAppend(tagged(uint64(e.cv.ID), s, 0, 0, 0)[seq-1])
+			e.delivered.ForceAppend(tagged(uint64(e.vc.cv.ID), s, 0, 0, 0)[seq-1])
 		}
 	}
 	// report has every member gossip the same frontiers.
 	report := func(a, b, me ident.Seq) {
-		for _, from := range e.cv.Members {
-			e.onStable(from, StableMsg{View: e.cv.ID, Recv: map[ident.PID]ident.Seq{"a": a, "b": b, "me": me}})
+		for _, from := range e.vc.cv.Members {
+			e.onStable(from, StableMsg{View: e.vc.cv.ID, Recv: map[ident.PID]ident.Seq{"a": a, "b": b, "me": me}})
 		}
 	}
 	check := func(when string, pruned uint64, head string) {

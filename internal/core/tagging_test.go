@@ -84,10 +84,8 @@ func TestFlushWithoutChainMiddle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := snapEngine(tc.rel)
 			e.clock, e.rootCtx = obs.Wall{}, context.Background()
-			e.block(ident.ViewRef{ID: e.cv.ID + 1}, e.cv.Members, e.cv.Members)
-			flush := repurge(tc.rel, []DataMsg{{View: e.cv.ID, Meta: tc.stream[0]}, {View: e.cv.ID, Meta: tc.stream[2]}})
-			next := View{ID: e.cv.ID + 1, Members: e.cv.Members}
-			e.install(StateMsg{View: next.ID, Epoch: next.Epoch, Members: next.Members, Backlog: flush})
+			flush := repurge(tc.rel, []DataMsg{{View: e.vc.cv.ID, Meta: tc.stream[0]}, {View: e.vc.cv.ID, Meta: tc.stream[2]}})
+			next := installFlush(t, e, flush)
 			var got []ident.Seq
 			e.toDeliver.EachRef(func(it *queue.Item) bool {
 				if it.Kind == queue.Data {
@@ -95,8 +93,8 @@ func TestFlushWithoutChainMiddle(t *testing.T) {
 				}
 				return true
 			})
-			if e.cv.ID != next.ID || fmt.Sprint(got) != tc.want {
-				t.Fatalf("view %d, delivery queue holds a:%v, want view %d and a:%s", e.cv.ID, got, next.ID, tc.want)
+			if e.vc.cv.ID != next.ID || fmt.Sprint(got) != tc.want {
+				t.Fatalf("view %d, delivery queue holds a:%v, want view %d and a:%s", e.vc.cv.ID, got, next.ID, tc.want)
 			}
 		})
 	}

@@ -122,7 +122,7 @@ func txnEngine(rel obsolete.Relation, window, outCap, deliverCap int, peers ...i
 	cfg := Config{Self: "me", Endpoint: log, Relation: rel, Window: window, OutgoingCap: outCap}
 	e := &Engine{
 		cfg:       cfg,
-		cv:        View{ID: 1, Members: ident.NewPIDs(append([]ident.PID{"me"}, peers...)...)},
+		vc:        viewState{cv: View{ID: 1, Members: ident.NewPIDs(append([]ident.PID{"me"}, peers...)...)}},
 		toDeliver: queue.New(rel, deliverCap),
 		delivered: queue.New(rel, 0),
 	}

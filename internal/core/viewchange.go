@@ -1,18 +1,27 @@
 package core
 
-// viewchange.go is Figure 1's view change, t4–t7: an INIT blocks the group
-// (t5), every member gathers the others' pred sets (t6), and consensus
-// decides the next view and its flush, which each member installs (t7).
-// Every change runs on these two messages. An INIT over one side changes
-// the current view; an INIT over two sides is a merge (merge.go), the same
-// change over the union of two healed sub-views; a split (merge.go) is
-// another successor of an ordinary change. The change in flight is one
-// record with one ledger of PredMsg contributions, one quorum rule decides
-// when to propose (checkPropose), every proposal repurges its flush once,
-// the decided value is a StateMsg entering the loop through one door
-// (onDecision), and every view is entered one way (enterView). Consensus is
-// a message handler of this loop like INIT and PRED: the engine's machine
-// (Engine.cons) runs each instance, and nothing here starts a goroutine.
+// viewchange.go is Figure 1's view change, t4–t7, as one pure transition
+// function: step(state, event) → (state, []effect). An INIT blocks the
+// group (t5), every member gathers the others' pred sets (t6), and
+// consensus decides the next view and its flush, which each member installs
+// (t7). Every change runs on these two messages. An INIT over one side
+// changes the current view; an INIT over two sides is a merge (merge.go),
+// the same change over the union of two healed sub-views; a split
+// (merge.go) is another successor of an ordinary change. The change in
+// flight is one record with one ledger of PredMsg contributions, one quorum
+// rule decides when to propose (checkPropose), every proposal repurges its
+// flush once, the decided value is a StateMsg entering through one door
+// (onDecision), and every view is entered one way (enter).
+//
+// step reaches no engine, consensus machine, detector, clock or channel:
+// the time and the detector's verdicts come in with each event, and what
+// the change wants done goes out as effects, which the engine interprets
+// (apply) in order — the data-plane half of blocking and installing, the
+// consensus machine's propose, and the sends. Consensus is a message
+// handler of the engine loop like INIT and PRED, and nothing here starts a
+// goroutine. Because step is a plain function over a value, the explorer
+// (explore_test.go) runs this same code through every interleaving of a
+// small group.
 
 import (
 	"fmt"
@@ -30,12 +39,34 @@ import (
 	"repro/internal/transport"
 )
 
-// change is the view change in flight: set by block (t5), cleared by
-// endChange alone — at an install, a probe-proven expulsion (both through
-// enterView) or an aborted merge. A change over two sides is a merge
-// (merge.go); every change gathers its contributions into the same ledger.
-// A change may await several successors at once (the one it was opened for,
-// a shrinking series of split continuations): the first to decide installs.
+// viewState is everything the view change decides on, as a value: who this
+// process is and how it is configured, the current view, the change in
+// flight, the control traffic stashed for a later view, the admission
+// requests parked until no change is in flight, and whether the engine is
+// still joining or already at its end. step updates the change record of
+// the state it is given in place, and nothing else it shares: a caller that
+// steps one state twice (the explorer) copies that record first.
+type viewState struct {
+	self         ident.PID
+	rel          obsolete.Relation
+	heal         bool          // Config.Heal is set: split, merge, decline
+	mergeTimeout time.Duration // HealSpec.MergeTimeout
+	autoEvict    bool          // Config.AutoEvict
+
+	cv       View
+	chg      *change              // the change in flight (t5 to t7); nil while open
+	stash    []transport.Envelope // control traffic for a view not yet installed
+	joins    ident.PIDs           // admission requests parked while not open
+	former   ident.PIDs           // with Heal: who we once shared a view with and no longer do
+	joining  bool                 // the join handshake runs (join.go)
+	terminal error                // ErrExpelled or ErrJoinTimeout: no further progress
+}
+
+// change is the view change in flight: opened by block (t5), ended by
+// enter or an aborted merge. A change over two sides is a merge (merge.go);
+// every change gathers its contributions into the same ledger. A change may
+// await several successors at once (the one it was opened for, a shrinking
+// series of split continuations): the first to decide installs.
 type change struct {
 	start time.Time // when the group blocked (viewChange histogram)
 
@@ -60,12 +91,97 @@ type change struct {
 
 	join, leave ident.PIDs // an ordinary change's membership requests
 
-	deadline time.Time // a merge's abort timeout (HealSpec.MergeTimeout)
-	bytesIn  uint64    // a merge's contributions' encoded size, each member's first
+	bytesIn uint64 // a merge's contributions' encoded size, each member's first
 }
 
 // merge reports whether c, possibly nil, is a merge: a change over two sides.
 func (c *change) merge() bool { return c != nil && len(c.sides) == 2 }
+
+// open reports whether this process is a member with no change in flight:
+// not joining, not changing views, not at its end.
+func (s *viewState) open() bool { return !s.joining && s.chg == nil && s.terminal == nil }
+
+// requestErr is why a membership request fails at once: the engine is at
+// its end, or has no view to change yet.
+func (s *viewState) requestErr() error {
+	if s.terminal == nil && s.joining {
+		return ErrJoining
+	}
+	return s.terminal
+}
+
+// An event is what happened to the view change: from sent msg, at now, with
+// suspected the detector's verdict at that moment. msg is an InitMsg,
+// PredMsg, SplitMsg, ProbeMsg, JoinReqMsg or StateMsg received, a control
+// message of no known kind, or one of membership (t4), fd.Event (a
+// suspicion), consensus.Decision, healTick and entered.
+type event struct {
+	from      ident.PID
+	msg       any
+	now       time.Time
+	suspected func(ident.PID) bool
+}
+
+type (
+	// membership is the application's request for a change (t4).
+	membership struct{ join, leave ident.PIDs }
+	// healTick is HealSpec.ProbeInterval elapsing.
+	healTick struct{}
+	// entered tells that the engine has entered the view an install effect
+	// named, retried what was parked and replayed the stash.
+	entered struct{}
+)
+
+// An effect is what step asks of the engine, one of the types below, in
+// the order the engine must carry them out.
+type effect any
+
+type (
+	// sendTo sends msg on the control channel to each of to.
+	sendTo struct {
+		to  ident.PIDs
+		msg any
+	}
+	// contribute closes the data plane for the change just opened (t5) —
+	// arrivals not yet accepted are dropped, their senders' pred sets cover
+	// them — and sends this member's PRED to the change's audience
+	// (contribution). A merge also extends the detector's fanout to it.
+	// Effects name a change by its record as step left it, which no later
+	// step writes.
+	contribute struct{ chg *change }
+	// propose offers val to the consensus instance of the view it names.
+	propose struct {
+		val          StateMsg
+		participants ident.PIDs
+	}
+	// await asks for the decision of instance id, if it has one already.
+	await struct{ id string }
+	// install makes view current in the data plane. It first adopts st:
+	// the flush chg decided as prev closes (the tail of t7), or the state
+	// transfer from a member that admits this joiner; a view a probe
+	// proved comes with neither. Then it replays the control traffic
+	// stashed for the view, and steps entered.
+	install struct {
+		view   View
+		st     StateMsg
+		prev   View
+		chg    *change
+		from   ident.PID
+		replay []transport.Envelope
+	}
+	// abort abandons the merge chg.
+	abort struct {
+		reason string
+		chg    *change
+	}
+	// transfer ships a snapshot labelled view to each of to (join.go).
+	transfer struct {
+		view View
+		to   ident.PIDs
+	}
+	// observe counts or logs what happened.
+	observe func(*Stats, *obs.Events)
+)
 
 // maxDeferredCtl bounds the stash of control messages that arrive for a
 // future view and are replayed after the next install. A full stash keeps
@@ -73,6 +189,49 @@ func (c *change) merge() bool { return c != nil && len(c.sides) == 2 }
 // engine_dropped_total{reason=defer_overflow}): the earliest stashed INIT
 // is the one whose replay unblocks the peer that sent it.
 const maxDeferredCtl = 4096
+
+// turn is one step in progress: the state being stepped, the event, and
+// the effects so far.
+type turn struct {
+	viewState
+	event
+	out []effect
+}
+
+// step is the view change's transition function: s after ev, and what the
+// engine must do about it.
+func step(s viewState, ev event) (viewState, []effect) {
+	t := &turn{viewState: s, event: ev}
+	switch m := ev.msg.(type) {
+	case membership:
+		t.trigger(m.join, m.leave)
+	case fd.Event:
+		t.onSuspicion(m)
+	case consensus.Decision:
+		t.onDecision(m)
+	case healTick:
+		t.onHealTick()
+	case entered:
+		t.serveJoins()
+	default:
+		t.onCtl(ev.from, ev.msg)
+	}
+	return t.viewState, t.out
+}
+
+func (t *turn) emit(fx ...effect) { t.out = append(t.out, fx...) }
+
+// drop counts the event's message as discarded in the counter n returns,
+// and logs it under reason unless that is empty.
+func (t *turn) drop(n func(*Stats) *uint64, reason obs.DropReason, attrs ...slog.Attr) {
+	from := t.from
+	t.emit(observe(func(st *Stats, ev *obs.Events) {
+		*n(st)++
+		if reason != "" {
+			ev.Drop(reason, append([]slog.Attr{slog.String("from", string(from))}, attrs...)...)
+		}
+	}))
+}
 
 // pidStrings renders a PID set for an event attribute.
 func pidStrings(ps ident.PIDs) []string {
@@ -88,104 +247,70 @@ func pidStrings(ps ident.PIDs) []string {
 
 // ---- t4: trigger view change ---------------------------------------------
 
-func (e *Engine) triggerViewChange(join, leave ident.PIDs) error {
-	if err := e.terminalErr(); err != nil {
-		return err
+// trigger announces a change of the current view to its members. While a
+// change is in flight it does nothing: joiners it does not admit re-request
+// admission and are picked up by the next change.
+func (t *turn) trigger(join, leave ident.PIDs) {
+	if t.requestErr() != nil || t.chg != nil {
+		return
 	}
-	if e.joiner != nil {
-		return ErrJoining
-	}
-	if e.chg != nil {
-		// A view change is already in progress; joiners it does not admit
-		// re-request admission and are picked up by the next change.
-		return nil
-	}
-	init := InitMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Leave: leave, Join: join}
-	for _, p := range e.cv.Members {
-		e.send(p, transport.Ctl, init)
-	}
-	return nil
+	t.emit(sendTo{t.cv.Members, InitMsg{View: t.cv.ID, Epoch: t.cv.Epoch, Leave: leave, Join: join}})
 }
 
 // onSuspicion reacts to failure detector events: they re-evaluate the
-// propose condition, let consensus instances waiting on a suspected
-// coordinator move on and, with AutoEvict, trigger eviction view changes.
-func (e *Engine) onSuspicion(ev fd.Event) {
-	if ev.Suspected && e.cfg.AutoEvict && e.open() && e.cv.Includes(ev.P) {
-		_ = e.triggerViewChange(nil, ident.NewPIDs(ev.P))
+// propose condition and, with AutoEvict, trigger eviction view changes. The
+// engine then lets consensus instances waiting on a suspected coordinator
+// move on.
+func (t *turn) onSuspicion(ev fd.Event) {
+	if ev.Suspected && t.autoEvict && t.open() && t.cv.Includes(ev.P) {
+		t.trigger(nil, ident.NewPIDs(ev.P))
 	}
-	e.checkPropose()
-	e.onDecisions(e.cons.Recheck())
+	t.checkPropose()
 }
 
 // ---- t5/t6: ctl handling ---------------------------------------------------
 
-func (e *Engine) onCtl(env transport.Envelope) {
-	if e.terminalErr() != nil {
+func (t *turn) onCtl(from ident.PID, msg any) {
+	if t.terminal != nil {
 		// An expelled-but-alive process still answers a merge's INIT with a
 		// decline, so a union that names it can proceed without waiting for
 		// suspicion to develop.
-		if m, ok := env.Msg.(InitMsg); ok && m.Far != nil && e.cfg.Heal != nil {
-			e.declineMerge(m)
+		if m, ok := msg.(InitMsg); ok && m.Far != nil && t.heal {
+			t.declineMerge(m)
 			return
 		}
-		e.stats.DroppedExpelled++
+		t.drop(func(st *Stats) *uint64 { return &st.DroppedExpelled }, "")
 		return
 	}
-	switch m := env.Msg.(type) {
+	switch m := msg.(type) {
 	case InitMsg:
 		// A merge names another lineage's view as well as ours; it is never
 		// deferred.
-		if m.Far == nil && e.deferFuture(env, m.Ref()) {
+		if m.Far == nil && t.deferFuture(m, m.Ref()) {
 			return
 		}
-		e.onInit(env.From, m)
+		t.onInit(from, m)
 	case PredMsg:
 		// A contribution to a change we have not opened yet waits if it
 		// changes a later view of ours: its sender is past an install we
 		// have still to make.
-		if c := e.chg; (c == nil || m.Change != c.next) &&
-			e.deferFuture(env, ident.ViewRef{Epoch: m.Change.Epoch, ID: m.Change.ID - 1}) {
+		if c := t.chg; (c == nil || m.Change != c.next) &&
+			t.deferFuture(m, ident.ViewRef{Epoch: m.Change.Epoch, ID: m.Change.ID - 1}) {
 			return
 		}
-		e.onPred(env.From, m)
-	case CreditMsg:
-		// A grant from another view must not inflate this view's window:
-		// both sides re-arm to a full window at install, so crediting a
-		// stale grant would double-count the slots it stood for.
-		if m.View != e.cv.ID || m.Epoch != e.cv.Epoch {
-			e.stats.CreditsStaleView++
-			e.ev.Drop(obs.DropStaleCredit, slog.String("from", string(env.From)),
-				slog.Uint64("view", uint64(m.View)))
-			return
-		}
-		p := e.peers[env.From]
-		if p == nil || !p.member {
-			e.dropUnknownSender(env.From)
-			return
-		}
-		if p.credit(m.Credits) {
-			// More credits than p can owe us: keep the window, drop the rest.
-			e.stats.CreditsExcess++
-			e.ev.Drop(obs.DropExcessCredit, slog.String("from", string(env.From)),
-				slog.Int("credits", m.Credits))
-		}
-		e.drainOutgoing(p)
-	case StableMsg:
-		e.onStable(env.From, m)
+		t.onPred(from, m)
 	case JoinReqMsg:
-		e.onJoinReq(env.From)
+		t.onJoinReq(from)
 	case StateMsg:
-		e.onJoinState(env.From, m)
+		t.onJoinState(from, m)
 	case ProbeMsg:
-		e.onProbe(env.From, m)
+		t.onProbe(from, m)
 	case SplitMsg:
-		e.onSplit(env.From, m)
+		t.onSplit(from, m)
 	default:
 		// A control envelope of no known kind fell through every case —
 		// before, it vanished without a trace.
-		e.stats.DroppedUnknownCtl++
-		e.ev.Drop(obs.DropUnknownCtl, slog.String("from", string(env.From)))
+		t.drop(func(st *Stats) *uint64 { return &st.DroppedUnknownCtl }, obs.DropUnknownCtl)
 	}
 }
 
@@ -206,36 +331,21 @@ func (e *Engine) onCtl(env transport.Envelope) {
 // view-change chatter, which the merge protocol handles through its own
 // messages — and is dropped as stale rather than stashed against an
 // install that may never come.
-func (e *Engine) deferFuture(env transport.Envelope, ref ident.ViewRef) bool {
-	if ref.Epoch == e.cv.Epoch && ref.ID <= e.cv.ID {
+func (t *turn) deferFuture(msg any, ref ident.ViewRef) bool {
+	if ref.Epoch == t.cv.Epoch && ref.ID <= t.cv.ID {
 		return false
 	}
-	if ref.Epoch != e.cv.Epoch && e.open() {
-		e.stats.DroppedStale++
-		e.ev.Drop(obs.DropStaleView, slog.String("from", string(env.From)),
-			slog.String("view", ref.String()))
+	if ref.Epoch != t.cv.Epoch && t.open() {
+		t.drop(func(st *Stats) *uint64 { return &st.DroppedStale }, obs.DropStaleView, slog.String("view", ref.String()))
 		return true
 	}
-	if len(e.deferredCtl) < maxDeferredCtl {
-		e.deferredCtl = append(e.deferredCtl, env)
+	if len(t.stash) < maxDeferredCtl {
+		// A new array: the stepped state keeps its own.
+		t.stash = append(t.stash[:len(t.stash):len(t.stash)], transport.Envelope{From: t.from, Msg: msg})
 	} else {
-		e.stats.CtlDeferredDropped++
-		e.ev.Drop(obs.DropDeferOverflow, slog.String("from", string(env.From)),
-			slog.Uint64("view", uint64(ref.ID)))
+		t.drop(func(st *Stats) *uint64 { return &st.CtlDeferredDropped }, obs.DropDeferOverflow, slog.Uint64("view", uint64(ref.ID)))
 	}
 	return true
-}
-
-// replayDeferred re-dispatches stashed control traffic after an install.
-func (e *Engine) replayDeferred() {
-	if len(e.deferredCtl) == 0 {
-		return
-	}
-	pending := e.deferredCtl
-	e.deferredCtl = nil
-	for _, env := range pending {
-		e.onCtl(env)
-	}
 }
 
 // onInit is transition t5 of every change: block the group, open the
@@ -243,17 +353,18 @@ func (e *Engine) replayDeferred() {
 // the initiator crashed mid-dissemination, and contribute our pred set. An
 // INIT over one side changes the current view, adopting its leave and join
 // sets; one over two sides merges the current view with the far sub-view
-// (openMerge, merge.go).
-func (e *Engine) onInit(from ident.PID, m InitMsg) {
-	if m.Far == nil && e.chg.merge() && m.Ref() == e.cv.Ref() && e.cv.Includes(from) {
+// (openMerge, merge.go). A change opens with an empty ledger, so the quorum
+// rule has nothing to test until the first PRED.
+func (t *turn) onInit(from ident.PID, m InitMsg) {
+	if m.Far == nil && t.chg.merge() && m.Ref() == t.cv.Ref() && t.cv.Includes(from) {
 		// A member started an ordinary change while we were merging. The
 		// change's quorum is reachable (the INIT got here) but its members
 		// will not answer a merge mid-change — so yield: abort the merge
 		// and join the change. The far side's probes retry the merge once
 		// the change completes.
-		e.abortMerge("view_change")
+		t.abortMerge("view_change")
 	}
-	if !e.open() {
+	if !t.open() {
 		// Joining, at our end, or changing already — this INIT is the flood
 		// echo, or another change's, whose install or abort comes first (a
 		// merge's far side times out and re-probes).
@@ -261,70 +372,56 @@ func (e *Engine) onInit(from ident.PID, m InitMsg) {
 	}
 	var c *change
 	if m.Far == nil {
-		if m.Ref() != e.cv.Ref() || !e.cv.Includes(from) {
+		if m.Ref() != t.cv.Ref() || !t.cv.Includes(from) {
 			return
 		}
-		c = e.block(ident.ViewRef{Epoch: e.cv.Epoch, ID: e.cv.ID + 1}, e.cv.Members, e.cv.Members)
-		c.leave = ident.NewPIDs(m.Leave...).Intersect(e.cv.Members)
+		c = t.block(ident.ViewRef{Epoch: t.cv.Epoch, ID: t.cv.ID + 1}, t.cv.Members, t.cv.Members)
+		c.leave = ident.NewPIDs(m.Leave...).Intersect(t.cv.Members)
 		// Current members need no admission and a process asked to leave is
 		// not admitted by the same change.
-		c.join = ident.NewPIDs(m.Join...).Without(e.cv.Members).Without(c.leave)
-	} else if c = e.openMerge(m); c == nil {
+		c.join = ident.NewPIDs(m.Join...).Without(t.cv.Members).Without(c.leave)
+	} else if c = t.openMerge(m); c == nil {
 		return
 	}
-	if from != e.cfg.Self {
-		e.sendOthers(c.audience, m)
+	if from != t.self {
+		t.emit(sendTo{c.audience.Remove(t.self), m})
 	}
-	pred := e.contribution(c)
-	for _, p := range c.audience {
-		e.send(p, transport.Ctl, pred) // including self: loopback keeps one code path
-	}
-	// Watch for the decision even if we never reach the propose condition
+	// Our PRED goes to ourselves too: loopback keeps one code path. Watch
+	// for the decision even if we never reach the propose condition
 	// ourselves — the decide flood must still install the view here.
-	e.awaitDecision(c.next)
-	e.checkPropose()
+	t.emit(contribute{c})
+	t.await(c.next)
 }
 
-// block closes the data plane for a change (t5) and opens its record: the
-// successor it was opened for, who takes part, and the sides its quorum is
-// taken over. Arrivals not yet accepted are dropped: their senders' pred
-// sets cover them.
-func (e *Engine) block(next ident.ViewRef, audience ident.PIDs, sides ...ident.PIDs) *change {
-	e.chg = &change{
-		start: e.clock.Now(), next: next, audience: audience,
+// block opens the record of a change (t5): the successor it was opened
+// for, who takes part, and the sides its quorum is taken over.
+func (t *turn) block(next ident.ViewRef, audience ident.PIDs, sides ...ident.PIDs) *change {
+	t.chg = &change{
+		start: t.now, next: next, audience: audience,
 		awaited: make(map[string]bool), sides: sides,
 		pred: make(map[obsolete.MsgID]DataMsg), recv: make(map[ident.PID]ident.Seq),
 	}
-	e.pendingHead = DataMsg{}
-	e.pendingRest = e.pendingRest[:0]
-	e.pendingPos = 0
-	return e.chg
+	return t.chg
 }
-
-// endChange ends the change in flight, if any, and the data plane reopens;
-// the caller retries whatever waited. It is the only place a change ends.
-// The consensus instances the change proposed to live on in the machine:
-// the other participants may still need this process's estimate and ACK.
-func (e *Engine) endChange() { e.chg = nil }
 
 // onPred is transition t6 of every change: enter one member's contribution
 // to the change in flight — its pred set and, for a merge, its frontiers —
 // into the ledger, or count the member out if it declines, and re-test the
 // quorum.
-func (e *Engine) onPred(from ident.PID, m PredMsg) {
-	c := e.chg
+func (t *turn) onPred(from ident.PID, m PredMsg) {
+	c := t.chg
 	if c == nil || m.Change != c.next || !c.audience.Contains(from) {
 		return // not changing, another change, or an outsider
 	}
 	if m.Decline {
 		c.declined = c.declined.Add(from)
-		e.checkPropose()
+		t.checkPropose()
 		return
 	}
 	if c.merge() && !c.from.Contains(from) {
 		size := uint64(wireSize(m))
 		c.bytesIn += size
-		e.stats.MergeBytesRecv += size
+		t.emit(observe(func(st *Stats, _ *obs.Events) { st.MergeBytesRecv += size }))
 	}
 	for _, dm := range m.Msgs {
 		c.pred[dm.Meta.ID()] = dm
@@ -333,7 +430,7 @@ func (e *Engine) onPred(from ident.PID, m PredMsg) {
 		c.recv[s] = max(c.recv[s], q)
 	}
 	c.from = c.from.Add(from)
-	e.checkPropose()
+	t.checkPropose()
 }
 
 // ---- t7: propose and install ----------------------------------------------
@@ -351,8 +448,8 @@ func (e *Engine) onPred(from ident.PID, m PredMsg) {
 // plus the joiners (a merge has neither) — joiners have no pred set to
 // contribute and take no part in the consensus deciding the view that
 // admits them.
-func (e *Engine) checkPropose() {
-	c := e.chg
+func (t *turn) checkPropose() {
+	c := t.chg
 	if c == nil || c.proposed {
 		return
 	}
@@ -362,20 +459,20 @@ func (e *Engine) checkPropose() {
 		for _, p := range eligible {
 			if c.from.Contains(p) {
 				contributed++
-			} else if !e.cfg.Detector.Suspected(p) {
+			} else if !t.suspected(p) {
 				return // still waiting on a live member
 			}
 		}
 		if 2*contributed <= len(eligible) {
 			if !c.merge() {
-				e.checkSplit()
+				t.checkSplit()
 			}
 			return
 		}
 	}
 	c.proposed = true
 	next := View{Epoch: c.next.Epoch, ID: c.next.ID, Members: c.from.Without(c.leave).Union(c.join)}
-	e.propose(e.proposal(next), c.audience)
+	t.propose(t.proposal(next), c.audience)
 }
 
 // proposal is the value a change proposes for next: the view, every pred
@@ -385,40 +482,30 @@ func (e *Engine) checkPropose() {
 // every one of them seen: had a contributor collapsed a:6 ⊑ a:7 ⊑ a:8 to
 // a:8, another member's a:6 would meet a:8 here without the a:7 that links
 // them, and under KEnumeration a:8 lists only the last K numbers.
-func (e *Engine) proposal(next View) StateMsg {
-	c := e.chg
+func (t *turn) proposal(next View) StateMsg {
 	return StateMsg{
 		View: next.ID, Epoch: next.Epoch, Members: next.Members.Clone(),
-		Recv: c.recv, Backlog: repurge(e.cfg.Relation, sortedPred(c.pred)),
+		Recv: t.chg.recv, Backlog: repurge(t.rel, sortedPred(t.chg.pred)),
 	}
 }
 
 // propose offers val to the consensus instance of the view it names, among
-// participants, and awaits that instance. The outcome — ours or a
+// participants, after awaiting that instance. The outcome — ours or a
 // competitor's — enters through onDecision like every other. The instance
 // outlives the change, so a change given up here leaves it live for the
 // other participants.
-func (e *Engine) propose(val StateMsg, participants ident.PIDs) {
-	ref := ident.ViewRef{Epoch: val.Epoch, ID: val.View}
-	e.awaitDecision(ref)
-	// Neither call can fail: StateMsg is a registered type, and we are one
-	// of the participants.
-	raw, _ := codec.Marshal(nil, val)
-	ds, _ := e.cons.Propose(viewInstance(ref), participants, raw)
-	e.onDecisions(ds)
+func (t *turn) propose(val StateMsg, participants ident.PIDs) {
+	t.await(ident.ViewRef{Epoch: val.Epoch, ID: val.View})
+	t.emit(propose{val: val, participants: participants})
 }
 
-// awaitDecision makes the change in flight await the consensus instance of
+// await makes the change in flight await the consensus instance of
 // successor ref: onDecision installs whichever awaited instance decides
-// first. An instance that has decided already installs now.
-func (e *Engine) awaitDecision(ref ident.ViewRef) {
-	id := viewInstance(ref)
-	if e.chg.awaited[id] {
-		return
-	}
-	e.chg.awaited[id] = true
-	if v, ok := e.cons.Decided(id); ok {
-		e.onDecision(consensus.Decision{Instance: id, Value: v})
+// first. The engine answers at once for an instance decided already.
+func (t *turn) await(ref ident.ViewRef) {
+	if id := viewInstance(ref); !t.chg.awaited[id] {
+		t.chg.awaited[id] = true
+		t.emit(await{id})
 	}
 }
 
@@ -452,30 +539,25 @@ func sortedPred(m map[obsolete.MsgID]DataMsg) []DataMsg {
 	return out
 }
 
-// onDecisions hands onDecision every decision one call of the consensus
-// machine returned, after the call.
-func (e *Engine) onDecisions(ds []consensus.Decision) {
-	for _, d := range ds {
-		e.onDecision(d)
-	}
-}
-
 // onDecision installs the agreed view (the tail of t7) — but only a
 // decision the change in flight awaits. With concurrent proposals
 // (ordinary successor, split continuations, a merge union) more than one
 // instance can decide; the first awaited one wins and every other outcome
 // is counted instead of silently dropped.
-func (e *Engine) onDecision(d consensus.Decision) {
-	if e.chg == nil || !e.chg.awaited[d.Instance] {
+func (t *turn) onDecision(d consensus.Decision) {
+	c := t.chg
+	if c == nil || !c.awaited[d.Instance] {
 		// Accounted, not installed: a decision that lost a
 		// concurrent-proposal race, or one that landed after its change
 		// ended.
-		n, why := &e.stats.IgnoredWrongView, ignoreWrongView
-		if e.chg == nil {
-			n, why = &e.stats.IgnoredNotBlocked, ignoreNotBlocked
-		}
-		*n++
-		e.ev.DecisionIgnored(d.Instance, why)
+		t.emit(observe(func(st *Stats, ev *obs.Events) {
+			n, why := &st.IgnoredWrongView, ignoreWrongView
+			if c == nil {
+				n, why = &st.IgnoredNotBlocked, ignoreNotBlocked
+			}
+			*n++
+			ev.DecisionIgnored(d.Instance, why)
+		}))
 		return
 	}
 	st, err := decodeState(d.Value)
@@ -484,72 +566,153 @@ func (e *Engine) onDecision(d consensus.Decision) {
 		// stays blocked until another decision reaches it, and an operator
 		// should see why. Every successor a change awaits is numbered
 		// next.ID.
-		e.stats.DecisionFailures++
-		e.ev.DecisionFailed(uint64(e.chg.next.ID), err)
+		t.emit(observe(func(s *Stats, ev *obs.Events) {
+			s.DecisionFailures++
+			ev.DecisionFailed(uint64(c.next.ID), err)
+		}))
 		return
 	}
-	e.install(st)
+	t.enter(st.view(), install{st: st, prev: t.cv, chg: c})
 }
 
-func (e *Engine) install(st StateMsg) {
-	next := st.view()
-	e.stats.LastFlushLen = len(st.Backlog)
-	blockedFor := e.clock.Since(e.chg.start)
-	e.m.viewChange.ObserveDuration(blockedFor)
-	if e.ev != nil {
-		e.ev.ViewInstall(uint64(next.ID), len(next.Members), len(st.Backlog), blockedFor)
-		e.ev.MemberChange(uint64(next.ID),
-			pidStrings(next.Members.Without(e.cv.Members)),
-			pidStrings(e.cv.Members.Without(next.Members)))
+// enter makes next the current view, whether a decision installed it, a
+// state transfer did, or a probe proved it: the change in flight ends, a
+// view that excludes this process expels it, and the engine installs the
+// view f describes and replays what was stashed for it.
+func (t *turn) enter(next View, f install) {
+	t.chg = nil
+	if !next.Includes(t.self) {
+		t.terminal = ErrExpelled // the engine's retries fail what is parked
 	}
+	if t.heal {
+		// Only someone we once shared a view with can be the far side of a
+		// healed partition (onHealTick).
+		t.former = t.former.Union(t.cv.Members).Without(next.Members).Remove(t.self)
+	}
+	t.cv = next
+	f.view, f.replay, t.stash = next, t.stash, nil
+	t.emit(f)
+}
+
+// ---- the engine's half: interpreting the effects --------------------------
+
+// input steps the view change with one event and carries out its effects.
+func (e *Engine) input(from ident.PID, msg any) {
+	var fx []effect
+	e.vc, fx = step(e.vc, event{from: from, msg: msg, now: e.clock.Now(), suspected: e.cfg.Detector.Suspected})
+	for _, f := range fx {
+		e.apply(f)
+	}
+}
+
+// apply carries out one effect. Effects that feed the consensus machine
+// hand what it decides straight back to input, so a decision installs
+// inside the effect that produced it, before the next effect runs.
+func (e *Engine) apply(f effect) {
+	switch f := f.(type) {
+	case sendTo:
+		for _, p := range f.to {
+			e.send(p, transport.Ctl, f.msg)
+		}
+	case contribute:
+		e.pendingHead = DataMsg{}
+		e.pendingRest = e.pendingRest[:0]
+		e.pendingPos = 0
+		if f.chg.merge() {
+			// The quorum rule needs suspicion to develop for far-side
+			// members that died.
+			e.setPeers(f.chg.audience)
+		}
+		pred := e.contribution(f.chg)
+		for _, p := range f.chg.audience {
+			e.send(p, transport.Ctl, pred)
+		}
+	case propose:
+		// Neither call can fail: StateMsg is a registered type, and we are
+		// one of the participants.
+		raw, _ := codec.Marshal(nil, f.val)
+		ds, _ := e.cons.Propose(viewInstance(ident.ViewRef{Epoch: f.val.Epoch, ID: f.val.View}), f.participants, raw)
+		e.onDecisions(ds)
+	case await:
+		if v, ok := e.cons.Decided(f.id); ok {
+			e.input("", consensus.Decision{Instance: f.id, Value: v})
+		}
+	case install:
+		switch {
+		case f.chg != nil:
+			e.install(f)
+		case f.from != "":
+			e.onJoined(f.from, f.st)
+		}
+		e.enterView(f.view)
+		for _, env := range f.replay {
+			e.input(env.From, env.Msg)
+		}
+		e.input("", entered{})
+	case abort:
+		e.aborted(f)
+	case transfer:
+		e.sendJoinStates(f.view, f.to)
+	case observe:
+		f(&e.stats, e.ev)
+	}
+}
+
+// onDecisions steps every decision one call of the consensus machine
+// returned, after the call.
+func (e *Engine) onDecisions(ds []consensus.Decision) {
+	for _, d := range ds {
+		e.input("", d)
+	}
+}
+
+// install adopts a decided flush: the data-plane half of t7, before the
+// view is entered.
+func (e *Engine) install(f install) {
+	st, next := f.st, f.st.view()
+	e.stats.LastFlushLen = len(st.Backlog)
+	blockedFor := e.clock.Since(f.chg.start)
+	e.m.viewChange.ObserveDuration(blockedFor)
+	e.ev.ViewInstall(uint64(next.ID), len(next.Members), len(st.Backlog), blockedFor)
+	e.ev.MemberChange(uint64(next.ID),
+		pidStrings(next.Members.Without(f.prev.Members)),
+		pidStrings(f.prev.Members.Without(next.Members)))
 
 	// Adopt the flush messages we have not seen; the view marker follows
 	// them into the delivery queue (enterView). For a merge decision the
 	// flush carries both sides' backlogs, so this is what delivers the
 	// other partition's relation-surviving messages before the union-view
 	// marker, and st.Recv (empty otherwise) the combined frontiers.
-	added := e.adopt(st.Backlog, st.Recv)
-	e.stats.FlushAdded += uint64(added)
+	e.stats.FlushAdded += uint64(e.adopt(st.Backlog, st.Recv))
 
-	if e.chg.merge() {
+	if f.chg.merge() {
 		// The "newcomers" are the other side, which already holds its own
 		// state — no sponsor transfer.
-		e.finishMerge(st)
+		e.finishMerge(f)
 	} else {
 		// Dynamic membership: newcomers admitted by this view get a
 		// semantic state transfer from their sponsor. This must read
-		// e.delivered and e.cv before enterView resets them.
-		e.sponsorJoiners(next)
+		// e.delivered before enterView resets it.
+		e.sponsorJoiners(f.prev, next)
 	}
-	e.enterView(next)
 }
 
-// enterView makes next the current view, whether a decision installed it, a
-// state transfer did, or a probe proved it: the change in flight ends, a
-// view that excludes this process expels it, the view marker goes into the
-// delivery queue behind whatever the caller just adopted, everything scoped
-// to one view starts afresh, and whoever waited for the view — deliveries,
-// parked multicasts, deferred control traffic, admission requests — gets
-// its turn.
+// enterView is the data-plane half of entering a view step has made
+// current: the view marker goes into the delivery queue behind whatever
+// was just adopted, everything scoped to one view starts afresh, and
+// parked multicasts get their turn (failing, if the view expelled us).
 func (e *Engine) enterView(next View) {
-	e.endChange()
 	e.stats.ViewsInstalled++
 	if !next.Includes(e.cfg.Self) {
-		e.terminal = ErrExpelled // the retries below fail what is parked
 		e.ev.Expelled(uint64(next.ID))
 	}
 	e.toDeliver.ForceAppend(queue.Item{
 		Kind: queue.Control, View: uint64(next.ID), Epoch: uint64(next.Epoch), Ctl: next.Clone(),
 	})
-	e.cv = next.Clone()
-	e.viewDirty = true
 	e.delivered = queue.New(e.cfg.Relation, 0)
 	e.armPeers()
-	e.setPeers(e.cv.Members)
-
+	e.setPeers(next.Members)
 	e.retryParked()
-	e.replayDeferred()
-	e.serveJoins()
 }
 
 // setPeers tells a detector that tracks a peer set (the node's shared

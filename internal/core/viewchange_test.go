@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -20,79 +19,94 @@ import (
 	"repro/internal/transport"
 )
 
-// TestOneDecisionPerChange: a view change's decision enters the loop once.
-// Ten changes in a three-member group install ten views at every member and
-// leave nothing for any member to ignore — no second report of a decision
-// it installed, no straggler from a change that already ended.
+// stepper drives one process's view-change state with events and keeps the
+// effects, with no engine: consensus, the data plane and the network are
+// whatever the test makes of the effects. It starts in view 4 of members,
+// under tagging.
+type stepper struct {
+	s         viewState
+	suspected ident.PIDs
+	fx        []effect
+}
+
+func newStepper(self ident.PID, members ident.PIDs, heal bool) *stepper {
+	return &stepper{s: viewState{self: self, rel: tagging, heal: heal, mergeTimeout: time.Hour, cv: View{ID: 4, Members: members}}}
+}
+
+func (st *stepper) feed(from ident.PID, msg any) {
+	var fx []effect
+	st.s, fx = step(st.s, event{from: from, msg: msg, now: exploreNow, suspected: st.suspected.Contains})
+	st.fx = append(st.fx, fx...)
+}
+
+// proposal returns the value proposed for ref, if any was.
+func (st *stepper) proposal(ref ident.ViewRef) (StateMsg, bool) {
+	for _, f := range st.fx {
+		if p, ok := f.(propose); ok && p.val.View == ref.ID && p.val.Epoch == ref.Epoch {
+			return p.val, true
+		}
+	}
+	return StateMsg{}, false
+}
+
+// sent returns the messages sent to p, in order.
+func (st *stepper) sent(p ident.PID) []any {
+	var out []any
+	for _, f := range st.fx {
+		if s, ok := f.(sendTo); ok && s.to.Contains(p) {
+			out = append(out, s.msg)
+		}
+	}
+	return out
+}
+
+// awaits reports whether ref's decision was awaited.
+func (st *stepper) awaits(ref ident.ViewRef) bool {
+	for _, f := range st.fx {
+		if a, ok := f.(await); ok && a.id == viewInstance(ref) {
+			return true
+		}
+	}
+	return false
+}
+
+// stats counts what the observe effects counted.
+func (st *stepper) stats() Stats {
+	var s Stats
+	for _, f := range st.fx {
+		if o, ok := f.(observe); ok {
+			o(&s, nil)
+		}
+	}
+	return s
+}
+
+// TestOneDecisionPerChange: a view change's decision enters once. Ten
+// changes in a three-member group, each run to its end by the fair
+// continuation of the explorer's world, install ten views at every member
+// and leave nothing for any member to ignore — no second report of a
+// decision it installed, no straggler from a change that already ended.
 func TestOneDecisionPerChange(t *testing.T) {
 	const changes = 10
-	net := transport.NewMemNetwork()
-	view0 := View{ID: 1, Members: ident.NewPIDs("p0", "p1", "p2")}
-	reg := obs.NewRegistry()
-	engs := map[ident.PID]*Engine{}
-	for _, p := range view0.Members {
-		ep, err := net.Endpoint(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		det := fd.NewManual()
-		eng, err := New(Config{
-			Self: p, Endpoint: ep, Detector: det, InitialView: view0,
-			Obs: obs.New(nil, reg, nil).With(obs.L("node", string(p))),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		engs[p] = eng
-		t.Cleanup(func() {
-			eng.Stop()
-			det.Stop()
-			ep.Close()
-		})
-	}
-	for _, eng := range engs {
-		if err := eng.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ps := ident.NewPIDs("p0", "p1", "p2")
+	w := newWorld(ps, View{ID: 1, Members: ps}, false)
 	for i := 1; i <= changes; i++ {
-		if err := engs["p0"].RequestViewChange(); err != nil {
-			t.Fatal(err)
+		w.input(0, "p0", membership{})
+		for m, ok := w.fairMove(); ok; m, ok = w.fairMove() {
+			w.do(m)
 		}
-		want := view0.ID + ident.ViewID(i)
-		waitCond(t, fmt.Sprintf("view %d everywhere", want), func() bool {
-			for _, eng := range engs {
-				if eng.Stats().View < want {
-					return false
-				}
-			}
-			return true
-		})
-	}
-
-	// engine_decisions_ignored_total of p, summed over every reason.
-	ignored := func(p ident.PID) uint64 {
-		var n uint64
-		for key, v := range reg.Snapshot().Counters {
-			if strings.HasPrefix(key, "engine_decisions_ignored_total{") && strings.Contains(key, "node="+string(p)+",") {
-				n += v
+		if w.violation != "" {
+			t.Fatal(w.violation)
+		}
+		for j, p := range w.procs {
+			if n := len(p.views) - 1; n != i {
+				t.Fatalf("change %d: %s installed %d views", i, ps[j], n)
 			}
 		}
-		return n
 	}
-	// A second report of the last decision lands right behind its install:
-	// give it that long before reading.
-	for settle := time.Now().Add(300 * time.Millisecond); time.Now().Before(settle); time.Sleep(5 * time.Millisecond) {
-		if ignored("p0")+ignored("p1")+ignored("p2") > 0 {
-			break
-		}
-	}
-	for _, p := range view0.Members {
-		if n := engs[p].Stats().ViewsInstalled; n != changes {
-			t.Errorf("%s installed %d views, want %d", p, n, changes)
-		}
-		if n := ignored(p); n != 0 {
-			t.Errorf("%s ignored %d decisions, want 0", p, n)
+	for j := range w.procs {
+		if st := w.stats[j]; st.IgnoredNotBlocked+st.IgnoredWrongView != 0 {
+			t.Errorf("%s ignored %d decisions, want 0", ps[j], st.IgnoredNotBlocked+st.IgnoredWrongView)
 		}
 	}
 }
@@ -182,21 +196,6 @@ func (l *ctlLog) Send(to ident.PID, _ ident.GroupID, ch transport.Channel, m any
 	return nil
 }
 
-// to returns what was sent to p so far.
-func (l *ctlLog) to(p ident.PID) []any { return l.sent[p] }
-
-// splits reports whether a SplitMsg was sent to anyone.
-func (l *ctlLog) splits() bool {
-	for _, ms := range l.sent {
-		for _, m := range ms {
-			if _, ok := m.(SplitMsg); ok {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // proposed returns the value the engine proposed for ref: the estimate its
 // consensus machine sent in round 0 within the proposing turn, the only
 // message of the instance that carries a value while no other participant
@@ -221,15 +220,12 @@ func (l *ctlLog) proposed(t *testing.T, ref ident.ViewRef) StateMsg {
 // changeEngine is a hand-built, never-started engine self in view 4 of
 // members under tagging, with a manual detector and a consensus machine
 // that reaches nobody but the log.
-func changeEngine(t *testing.T, self ident.PID, members ident.PIDs, heal bool) (*Engine, *ctlLog, *fd.Manual) {
+func changeEngine(t *testing.T, self ident.PID, members ident.PIDs) (*Engine, *ctlLog) {
 	log, det := &ctlLog{self: self}, fd.NewManual()
 	cfg := Config{Self: self, Endpoint: log, Detector: det, Relation: tagging}
-	if heal {
-		cfg.Heal = &HealSpec{MergeTimeout: time.Hour}
-	}
 	e := &Engine{
 		cfg: cfg, clock: obs.Wall{},
-		cv:        View{ID: 4, Members: members},
+		vc:        viewState{self: self, rel: tagging, cv: View{ID: 4, Members: members}},
 		toDeliver: queue.New(cfg.Relation, 0),
 		delivered: queue.New(cfg.Relation, 0),
 	}
@@ -237,7 +233,7 @@ func changeEngine(t *testing.T, self ident.PID, members ident.PIDs, heal bool) (
 	e.cons = consensus.NewMachine(self, send, det, nil)
 	e.armPeers()
 	t.Cleanup(det.Stop)
-	return e, log, det
+	return e, log
 }
 
 // TestOneQuorumRule: an ordinary change, a split and a merge decide when to
@@ -267,42 +263,36 @@ func TestOneQuorumRule(t *testing.T) {
 		{name: "merge, a decline leaves a side without majority", sides: []ident.PIDs{near, far}, from: ps("p1", "p2", "p3", "q1"), declined: ps("q2"), suspected: ps("q3"), heal: true, want: "waits"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, log, det := changeEngine(t, "p1", tc.sides[0], tc.heal)
-			for _, p := range tc.suspected {
-				det.Suspect(p)
-			}
-			next := ident.ViewRef{ID: e.cv.ID + 1}
+			st := newStepper("p1", tc.sides[0], tc.heal)
+			st.suspected = tc.suspected
+			next := ident.ViewRef{ID: st.s.cv.ID + 1}
 			if len(tc.sides) == 1 {
-				e.onInit("p1", InitMsg{View: e.cv.ID})
-				for _, p := range tc.from {
-					e.onPred(p, PredMsg{Change: next})
-				}
-				if tc.want == "splits" {
-					next.Epoch = SplitEpoch(e.cv.Ref(), tc.from)
-				}
+				st.feed("p1", InitMsg{View: st.s.cv.ID})
 			} else {
 				far := MergeSide{View: 7, Epoch: 9, Members: tc.sides[1]}
-				next = mergeRefFor(e.cv.Ref(), far.Ref())
-				e.onInit("p1", InitMsg{View: e.cv.ID, Members: tc.sides[0], Far: &far})
-				for _, p := range tc.declined {
-					e.onPred(p, PredMsg{Change: next, Decline: true})
-				}
-				for _, p := range tc.from {
-					e.onPred(p, PredMsg{Change: next})
-				}
+				next = mergeRefFor(st.s.cv.Ref(), far.Ref())
+				st.feed("p1", InitMsg{View: st.s.cv.ID, Members: tc.sides[0], Far: &far})
 			}
-			got := "waits"
-			switch {
-			case e.chg.proposed:
+			for _, p := range tc.declined {
+				st.feed(p, PredMsg{Change: next, Decline: true})
+			}
+			for _, p := range tc.from {
+				st.feed(p, PredMsg{Change: next})
+			}
+			got, awaited := "waits", next
+			if _, ok := st.proposal(next); ok {
 				got = "proposes"
-			case log.splits():
-				got = "splits"
+			}
+			for _, m := range st.sent("p2") {
+				if _, ok := m.(SplitMsg); ok {
+					got, awaited = "splits", ident.ViewRef{Epoch: SplitEpoch(st.s.cv.Ref(), tc.from), ID: next.ID}
+				}
 			}
 			if got != tc.want {
 				t.Fatalf("%s, want %s", got, tc.want)
 			}
-			if got != "waits" && !e.chg.awaited[viewInstance(next)] {
-				t.Fatalf("%s without awaiting %v", got, next)
+			if got != "waits" && !st.awaits(awaited) {
+				t.Fatalf("%s without awaiting %v", got, awaited)
 			}
 		})
 	}
@@ -311,41 +301,56 @@ func TestOneQuorumRule(t *testing.T) {
 // TestMergeDeclineCountsOut: an expelled process still answers a merge's
 // INIT that names it, with a decline to every other member of the union,
 // and a merging member receiving that decline proposes the union without
-// the decliner instead of waiting for its suspicion.
+// the decliner instead of waiting for its suspicion. The decline follows
+// the INIT on every link, so a member the announcement has not reached yet
+// opens the merge before it counts the decline: had the decline come
+// alone, that member would take it for another lineage's chatter, drop it,
+// and wait for the decliner until the merge timed out.
 func TestMergeDeclineCountsOut(t *testing.T) {
 	ps := ident.NewPIDs
 	far := MergeSide{View: 7, Epoch: 9, Members: ps("q1", "q2", "q3")}
 	ann := InitMsg{View: 4, Members: ps("p1", "p2"), Far: &far}
 	ref := mergeRefFor(ann.Ref(), far.Ref())
 
-	expelled, xlog, _ := changeEngine(t, "q3", far.Members, true)
-	expelled.terminal = ErrExpelled
-	expelled.onCtl(transport.Envelope{From: "q1", Msg: ann})
+	expelled := newStepper("q3", far.Members, true)
+	expelled.s.terminal = ErrExpelled
+	expelled.feed("q1", ann)
 	decline := PredMsg{Change: ref, Decline: true}
 	for _, p := range ps("p1", "p2", "q1", "q2", "q3") {
-		want := []any{decline}
+		want := []any{ann, decline}
 		if p == "q3" {
 			want = nil
 		}
-		if got := xlog.to(p); !reflect.DeepEqual(got, want) {
+		if got := expelled.sent(p); !reflect.DeepEqual(got, want) {
 			t.Errorf("the expelled q3 sent %s %v, want %v", p, got, want)
 		}
 	}
 
-	e, log, _ := changeEngine(t, "p1", ann.Members, true)
-	e.onInit("q1", ann)
+	st := newStepper("p1", ann.Members, true)
+	st.feed("q1", ann)
 	for _, p := range ps("p1", "p2", "q1", "q2") {
-		e.onPred(p, PredMsg{Change: ref})
+		st.feed(p, PredMsg{Change: ref})
 	}
-	if e.chg.proposed {
+	if _, ok := st.proposal(ref); ok {
 		t.Fatal("proposed while q3, unsuspected, had neither contributed nor declined")
 	}
-	e.onPred("q3", xlog.to("p1")[0].(PredMsg))
-	if !e.chg.proposed {
+	st.feed("q3", decline)
+	val, ok := st.proposal(ref)
+	if !ok {
 		t.Fatal("q3's decline did not count it out")
 	}
-	if got, want := ps(log.proposed(t, ref).Members...), ps("p1", "p2", "q1", "q2"); !got.Equal(want) {
+	if got, want := ps(val.Members...), ps("p1", "p2", "q1", "q2"); !got.Equal(want) {
 		t.Fatalf("proposed union %v, want %v", got, want)
+	}
+
+	// q2 hears of the merge first from q3.
+	q2 := newStepper("q2", far.Members, true)
+	q2.s.cv = View{Epoch: far.Epoch, ID: far.View, Members: far.Members}
+	for _, m := range expelled.sent("q2") {
+		q2.feed("q3", m)
+	}
+	if c := q2.s.chg; c == nil || c.next != ref || !c.declined.Contains("q3") {
+		t.Fatalf("q2 after q3's INIT and decline: change %+v, want the merge with q3 declined", c)
 	}
 }
 
@@ -353,14 +358,14 @@ func TestMergeDeclineCountsOut(t *testing.T) {
 // alone. From the INIT through every PRED to the proposal — whose round-0
 // estimate leaves within the turn — no goroutine starts.
 func TestViewChangeStartsNoGoroutine(t *testing.T) {
-	e, log, _ := changeEngine(t, "p1", ident.NewPIDs("p1", "p2", "p3"), false)
-	next := ident.ViewRef{ID: e.cv.ID + 1}
+	e, log := changeEngine(t, "p1", ident.NewPIDs("p1", "p2", "p3"))
+	next := ident.ViewRef{ID: e.vc.cv.ID + 1}
 	before := runtime.NumGoroutine()
-	e.onInit("p1", InitMsg{View: e.cv.ID})
-	for _, p := range e.cv.Members {
-		e.onPred(p, PredMsg{Change: next})
+	e.onCtl(transport.Envelope{From: "p1", Msg: InitMsg{View: e.vc.cv.ID}})
+	for _, p := range e.vc.cv.Members {
+		e.onCtl(transport.Envelope{From: p, Msg: PredMsg{Change: next}})
 	}
-	if !e.chg.proposed {
+	if !e.vc.chg.proposed {
 		t.Fatal("every PRED is in, yet the change did not propose")
 	}
 	log.proposed(t, next)
@@ -389,21 +394,23 @@ func TestStragglerProbeAnsweredWithView(t *testing.T) {
 		{name: "a non-member at a lower ID", from: "r1", probe: ProbeMsg{View: 3, Epoch: 9, Members: ps("r1")}, merge: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, log, _ := changeEngine(t, "p1", union.Members, true)
-			e.cv = union.Clone()
-			e.onProbe(tc.from, tc.probe)
+			st := newStepper("p1", union.Members, true)
+			st.s.cv = union
+			st.feed(tc.from, tc.probe)
 			inits, probes := 0, 0
-			for to, ms := range log.sent {
-				for _, m := range ms {
-					switch m := m.(type) {
-					case InitMsg:
-						inits++
-					case ProbeMsg:
-						if to != tc.from || m.Ref() != union.Ref() {
-							t.Errorf("probe %v sent to %s", m, to)
-						}
-						probes++
+			for _, f := range st.fx {
+				s, ok := f.(sendTo)
+				if !ok {
+					continue
+				}
+				switch m := s.msg.(type) {
+				case InitMsg:
+					inits++
+				case ProbeMsg:
+					if !s.to.Equal(ident.PIDs{tc.from}) || m.Ref() != union.Ref() {
+						t.Errorf("probe %v sent to %v", m, s.to)
 					}
+					probes++
 				}
 			}
 			if tc.merge && (inits == 0 || probes != 0) {
@@ -432,26 +439,19 @@ func TestDecidedFlushRepurged(t *testing.T) {
 		{name: "split", members: ps("a", "b", "c", "d", "e"), suspected: ps("a", "d", "e"), heal: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, log, det := changeEngine(t, "b", tc.members, tc.heal)
-			for _, p := range tc.suspected {
-				det.Suspect(p)
-			}
+			st := newStepper("b", tc.members, tc.heal)
+			st.suspected = tc.suspected
 			a := tagged(4, "a", 0, 0, 0, 0, 0, 2, 2) // a:7 lists a:6
-			e.delivered.ForceAppend(a[5])
-			e.onInit("b", InitMsg{View: e.cv.ID})
-			for _, m := range log.to("b") {
-				if pred, ok := m.(PredMsg); ok {
-					e.onPred("b", pred)
-				}
-			}
-			e.onPred("c", PredMsg{Change: ident.ViewRef{ID: e.cv.ID + 1}, Msgs: []DataMsg{msgOf(&a[6])}})
-
-			next := ident.ViewRef{ID: e.cv.ID + 1}
+			next := ident.ViewRef{ID: st.s.cv.ID + 1}
+			st.feed("b", InitMsg{View: st.s.cv.ID})
+			st.feed("b", PredMsg{Change: next, Msgs: []DataMsg{msgOf(&a[5])}})
+			st.feed("c", PredMsg{Change: next, Msgs: []DataMsg{msgOf(&a[6])}})
 			if tc.heal {
-				next.Epoch = SplitEpoch(e.cv.Ref(), ps("b", "c"))
+				next.Epoch = SplitEpoch(st.s.cv.Ref(), ps("b", "c"))
 			}
-			if got := ids(log.proposed(t, next).Backlog); !reflect.DeepEqual(got, []string{"a:7@4"}) {
-				t.Fatalf("proposed flush %v, want [a:7@4]", got)
+			val, ok := st.proposal(next)
+			if got := ids(val.Backlog); !ok || !reflect.DeepEqual(got, []string{"a:7@4"}) {
+				t.Fatalf("proposed flush %v (proposed: %v), want [a:7@4]", got, ok)
 			}
 		})
 	}
@@ -461,26 +461,45 @@ func TestDecidedFlushRepurged(t *testing.T) {
 // whose bytes do not decode, or decode to another registered type, counts
 // one DecisionFailures and installs nothing; a StateMsg installs.
 func TestDecodeValueRejectsGarbage(t *testing.T) {
-	e, _, _ := changeEngine(t, "p1", ident.NewPIDs("p1", "p2"), false)
-	e.onInit("p1", InitMsg{View: e.cv.ID})
-	ref := ident.ViewRef{ID: e.cv.ID + 1}
+	e, _ := changeEngine(t, "p1", ident.NewPIDs("p1", "p2"))
+	e.onCtl(transport.Envelope{From: "p1", Msg: InitMsg{View: e.vc.cv.ID}})
+	ref := ident.ViewRef{ID: e.vc.cv.ID + 1}
 	credit, err := codec.Marshal(nil, CreditMsg{View: ref.ID, Credits: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, raw := range [][]byte{[]byte("garbage"), nil, credit} {
-		e.onDecision(consensus.Decision{Instance: viewInstance(ref), Value: raw})
-		if n := e.stats.DecisionFailures; n != uint64(i+1) || e.cv.ID != 4 || e.chg == nil {
+		e.input("", consensus.Decision{Instance: viewInstance(ref), Value: raw})
+		if n := e.stats.DecisionFailures; n != uint64(i+1) || e.vc.cv.ID != 4 || e.vc.chg == nil {
 			t.Fatalf("decision %q: %d failures, view %d, blocked %v; want %d, view 4, still blocked",
-				raw, n, e.cv.ID, e.chg != nil, i+1)
+				raw, n, e.vc.cv.ID, e.vc.chg != nil, i+1)
 		}
 	}
 	st, err := codec.Marshal(nil, StateMsg{View: ref.ID, Members: []ident.PID{"p1", "p2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.onDecision(consensus.Decision{Instance: viewInstance(ref), Value: st})
-	if e.cv.Ref() != ref || e.chg != nil || e.stats.DecisionFailures != 3 {
-		t.Fatalf("a StateMsg decision left view %v, blocked %v, %d failures", e.cv.Ref(), e.chg != nil, e.stats.DecisionFailures)
+	e.input("", consensus.Decision{Instance: viewInstance(ref), Value: st})
+	if e.vc.cv.Ref() != ref || e.vc.chg != nil || e.stats.DecisionFailures != 3 {
+		t.Fatalf("a StateMsg decision left view %v, blocked %v, %d failures", e.vc.cv.Ref(), e.vc.chg != nil, e.stats.DecisionFailures)
+	}
+}
+
+// TestPendingJoinsBounded: a group blocked in a change parks the admission
+// requests it cannot serve yet, up to maxPendingJoins requesters; each
+// further one is dropped and counted, and a parked requester asking again
+// is not.
+func TestPendingJoinsBounded(t *testing.T) {
+	st := newStepper("p1", ident.NewPIDs("p1", "p2", "p3"), false)
+	st.feed("p1", InitMsg{View: st.s.cv.ID})
+	for i := 0; i < maxPendingJoins+10; i++ {
+		st.feed(ident.PID(fmt.Sprintf("j%04d", i)), JoinReqMsg{})
+	}
+	st.feed("j0000", JoinReqMsg{})
+	if n := len(st.s.joins); n != maxPendingJoins {
+		t.Errorf("%d requesters parked, want %d", n, maxPendingJoins)
+	}
+	if n := st.stats().JoinReqDropped; n != 10 {
+		t.Errorf("%d requests dropped, want 10", n)
 	}
 }

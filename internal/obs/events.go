@@ -25,6 +25,8 @@ const (
 	DropExcessCredit DropReason = "excess_credit"
 	// DropDeferOverflow: a future-view control envelope past the defer cap.
 	DropDeferOverflow DropReason = "defer_overflow"
+	// DropJoinOverflow: an admission request past the cap on parked ones.
+	DropJoinOverflow DropReason = "join_overflow"
 	// DropBadType: an envelope whose payload is not the type its channel
 	// carries — a miscoded or hostile peer.
 	DropBadType DropReason = "bad_type"
