@@ -235,8 +235,8 @@ func TestInstallUnderBacklogIsLinear(t *testing.T) {
 	calls, listed = 0, 0
 	next := installFlush(t, e, flush)
 
-	if e.vc.cv.ID != next.ID || e.stats.FlushAdded != flushLen {
-		t.Fatalf("install: view %d, %d flush messages adopted", e.vc.cv.ID, e.stats.FlushAdded)
+	if e.vc.cv.ID != next.ID || e.vc.stats.FlushAdded != flushLen {
+		t.Fatalf("install: view %d, %d flush messages adopted", e.vc.cv.ID, e.vc.stats.FlushAdded)
 	}
 	purged := int(e.toDeliver.Stats().Purged)
 	if purged == 0 || e.toDeliver.Len() != backlog+flushLen-purged+1 {

@@ -43,10 +43,12 @@ type Engine struct {
 	cons *consensus.Machine
 
 	// vc is the view-change state: the current view, the change in flight,
-	// what waits for a later view, and whether this engine is joining or at
-	// its end. Only step (viewchange.go) changes it; the loop steps it with
-	// every control event and carries out the effects. joiner is the join
-	// handshake's timer and backoff (join.go), set while vc is joining.
+	// what waits for a later view, whether this engine is joining or at its
+	// end, and the engine's counters (vc.stats). Only step (viewchange.go)
+	// changes the view change's part; the loop steps it with every control
+	// event and the join give-up, and carries out the effects. The data
+	// plane counts into vc.stats directly. joiner is the join handshake's
+	// timer and backoff (join.go), set while vc is joining.
 	vc       viewState
 	joiner   *joiner
 	healTick obs.Ticker
@@ -88,8 +90,6 @@ type Engine struct {
 	// them once the facade snapshots reflect the turn, so a call that has
 	// returned always finds its own effect in Stats and View.
 	replies []*request
-
-	stats Stats
 }
 
 type reqKind uint8
@@ -197,15 +197,12 @@ func New(cfg Config) (*Engine, error) {
 		rootCtx: ctx,
 		cancel:  cancel,
 		vc: viewState{
-			self: cfg.Self, rel: cfg.Relation, heal: cfg.Heal != nil, autoEvict: cfg.AutoEvict,
+			self: cfg.Self, rel: cfg.Relation, heal: cfg.Heal, autoEvict: cfg.AutoEvict,
 			cv: initial.Clone(), joining: cfg.Join != nil,
 		},
 		cons:      consensus.NewMachine(cfg.Self, send, cfg.Detector, cfg.Obs),
 		toDeliver: queue.New(cfg.Relation, cfg.ToDeliverCap),
 		delivered: queue.New(cfg.Relation, 0),
-	}
-	if cfg.Heal != nil {
-		e.vc.mergeTimeout = cfg.Heal.MergeTimeout
 	}
 	e.armPeers()
 	e.pub = &published{view: e.vc.cv.Clone()}
@@ -532,7 +529,7 @@ func (e *Engine) drainRequests() {
 // but the failure is counted and logged instead of vanishing into `_ =`.
 func (e *Engine) send(p ident.PID, ch transport.Channel, msg any) {
 	if err := e.cfg.Endpoint.Send(p, e.cfg.Group, ch, msg); err != nil {
-		e.stats.SendErrors++
+		e.vc.stats.SendErrors++
 		e.ev.SendError(string(p), err)
 	}
 }
@@ -540,18 +537,18 @@ func (e *Engine) send(p ident.PID, ch transport.Channel, msg any) {
 // syncSnapshots mirrors loop-owned state into the facade-visible copies,
 // then releases the turn's replies.
 func (e *Engine) syncSnapshots() {
-	e.stats.View = e.vc.cv.ID
-	e.stats.Epoch = e.vc.cv.Epoch
-	e.stats.Members = len(e.vc.cv.Members)
-	e.stats.ToDeliverLen = e.toDeliver.Len()
-	e.stats.HistoryLen = e.delivered.Len()
-	e.stats.Parked = len(e.multicastQ)
-	e.stats.LastSent = e.self.recvMax
-	e.stats.Blocked = e.vc.chg != nil
+	e.vc.stats.View = e.vc.cv.ID
+	e.vc.stats.Epoch = e.vc.cv.Epoch
+	e.vc.stats.Members = len(e.vc.cv.Members)
+	e.vc.stats.ToDeliverLen = e.toDeliver.Len()
+	e.vc.stats.HistoryLen = e.delivered.Len()
+	e.vc.stats.Parked = len(e.multicastQ)
+	e.vc.stats.LastSent = e.self.recvMax
+	e.vc.stats.Blocked = e.vc.chg != nil
 	st := e.toDeliver.Stats()
-	e.stats.PurgedToDeliver = st.Purged
-	if st.MaxLen > e.stats.ToDeliverMax {
-		e.stats.ToDeliverMax = st.MaxLen
+	e.vc.stats.PurgedToDeliver = st.Purged
+	if st.MaxLen > e.vc.stats.ToDeliverMax {
+		e.vc.stats.ToDeliverMax = st.MaxLen
 	}
 	e.pub.mu.Lock()
 	if e.pub.view.Ref() != e.vc.cv.Ref() {
@@ -560,7 +557,7 @@ func (e *Engine) syncSnapshots() {
 		// iteration would put a members alloc on the per-batch hot path.
 		e.pub.view = e.vc.cv.Clone()
 	}
-	e.pub.stats = e.stats
+	e.pub.stats = e.vc.stats
 	e.pub.mu.Unlock()
 	for i, req := range e.replies {
 		req.resC <- req.res // buffered, one reply per request: never blocks
@@ -589,10 +586,13 @@ func (e *Engine) onRequest(req *request) {
 	case reqDeliver:
 		e.deliverWaiters = append(e.deliverWaiters, req)
 	case reqViewChange:
-		err := e.vc.requestErr()
-		if err == nil {
-			e.input(e.cfg.Self, membership{join: req.join, leave: req.leave})
+		// Joining or at its end, the engine has no view to change; while a
+		// change is in flight the request does nothing and succeeds.
+		err := e.vc.terminal
+		if err == nil && e.vc.joining {
+			err = ErrJoining
 		}
+		e.input(e.cfg.Self, membership{join: req.join, leave: req.leave})
 		e.reply(req, result{err: err})
 	}
 }

@@ -122,11 +122,6 @@ type world struct {
 	decliners ident.PIDs // who sent a decline
 	installed map[ident.ViewRef][]byte
 
-	// stats are what each process's observe effects counted. Every world
-	// cloned from one start shares them: they mean something along one run,
-	// and are no part of the key.
-	stats []Stats
-
 	violation string // set by the effect that broke (a), (b) or (c)
 }
 
@@ -212,7 +207,7 @@ func (w *world) input(i int, from ident.PID, msg any) {
 
 // apply is Engine.apply in the world: the data plane holds no messages, so
 // a contribution is an empty PRED and a state transfer carries the view
-// alone (the sponsor's, as sponsorJoiners picks it, or a lost one's
+// alone (the sponsor's, as installFlush picks it, or a lost one's
 // resend); and the consensus machine is the oracle.
 func (w *world) apply(i int, f effect) {
 	self := w.pids[i]
@@ -273,8 +268,6 @@ func (w *world) apply(i int, f effect) {
 		for _, q := range f.to {
 			w.send(self, q, st)
 		}
-	case observe:
-		f(&w.stats[i], nil)
 	}
 }
 
@@ -507,7 +500,7 @@ func (w *world) suspicions() []move {
 			continue
 		}
 		for j, q := range w.pids {
-			if w.procs[j].crashed && c.audience.Contains(q) && (p.s.heal || !c.from.Contains(q)) && !p.suspects.Contains(q) {
+			if w.procs[j].crashed && c.audience.Contains(q) && (p.s.heal != nil || !c.from.Contains(q)) && !p.suspects.Contains(q) {
 				out = append(out, move{mvSuspect, i, j})
 			}
 		}
@@ -623,7 +616,9 @@ func (w *world) key(b []byte) []byte {
 	return w.appendPIDs(b, w.decliners)
 }
 
-// procKey is the canonical encoding of process p.
+// procKey is the canonical encoding of process p. It leaves out the
+// counters (viewState.stats): they tell what happened along one run, and
+// nothing reads them.
 func (w *world) procKey(p *xproc) []byte {
 	b := []byte{'#'}
 	if p.crashed {
@@ -723,13 +718,22 @@ func (w *world) blocked() string {
 					live++
 				}
 			}
-			wedged = wedged || (!s.heal && 2*live <= len(side))
+			wedged = wedged || (s.heal == nil && 2*live <= len(side))
 		}
 		if !wedged {
 			return string(w.pids[i])
 		}
 	}
 	return ""
+}
+
+// healSpec is the HealSpec of a stepped state: healing on or off, and a
+// merge timeout that never fires.
+func healSpec(on bool) *HealSpec {
+	if !on {
+		return nil
+	}
+	return &HealSpec{MergeTimeout: time.Hour}
 }
 
 // scenario is a small group to explore.
@@ -740,9 +744,9 @@ type scenario struct {
 
 // newWorld starts the processes of pids in view v, with heal.
 func newWorld(pids ident.PIDs, v View, heal bool) *world {
-	w := &world{pids: pids, stats: make([]Stats, len(pids))}
+	w := &world{pids: pids}
 	for _, p := range pids {
-		s := viewState{self: p, rel: tagging, heal: heal, mergeTimeout: time.Hour, cv: v}
+		s := viewState{self: p, rel: tagging, heal: healSpec(heal), cv: v}
 		w.procs = append(w.procs, &xproc{s: s, views: []ident.ViewRef{v.Ref()}})
 	}
 	return w

@@ -178,7 +178,7 @@ func (p *peer) grantDue() (n int) {
 // grant sends p the n credits peer.received or peer.freed returned.
 func (e *Engine) grant(p *peer, n int) {
 	if n > 0 {
-		e.stats.CreditFlushes++
+		e.vc.stats.CreditFlushes++
 		e.send(p.id, transport.Ctl, CreditMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Credits: n})
 	}
 }
@@ -189,7 +189,7 @@ func (e *Engine) grant(p *peer, n int) {
 // stood for.
 func (e *Engine) onCredit(from ident.PID, m CreditMsg) {
 	if m.View != e.vc.cv.ID || m.Epoch != e.vc.cv.Epoch {
-		e.stats.CreditsStaleView++
+		e.vc.stats.CreditsStaleView++
 		e.ev.Drop(obs.DropStaleCredit, slog.String("from", string(from)),
 			slog.Uint64("view", uint64(m.View)))
 		return
@@ -201,7 +201,7 @@ func (e *Engine) onCredit(from ident.PID, m CreditMsg) {
 	}
 	if p.credit(m.Credits) {
 		// More credits than p can owe us: keep the window, drop the rest.
-		e.stats.CreditsExcess++
+		e.vc.stats.CreditsExcess++
 		e.ev.Drop(obs.DropExcessCredit, slog.String("from", string(from)),
 			slog.Int("credits", m.Credits))
 	}

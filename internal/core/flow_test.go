@@ -136,18 +136,18 @@ func TestCreditGrantClampedAtWindow(t *testing.T) {
 		p.takeCredit()
 	}
 	grant(1 << 30)
-	if p.avail != window || e.stats.CreditsExcess != 1 {
+	if p.avail != window || e.vc.stats.CreditsExcess != 1 {
 		t.Fatalf("after a grant of 2^30: %d credits held, CreditsExcess %d; want the window %d and 1",
-			p.avail, e.stats.CreditsExcess, window)
+			p.avail, e.vc.stats.CreditsExcess, window)
 	}
 	// An honest grant gives back what was taken, and is not counted.
 	for i := 0; i < 3; i++ {
 		p.takeCredit()
 	}
 	grant(3)
-	if p.avail != window || e.stats.CreditsExcess != 1 {
+	if p.avail != window || e.vc.stats.CreditsExcess != 1 {
 		t.Fatalf("after an honest grant: %d credits held, CreditsExcess %d; want %d and 1",
-			p.avail, e.stats.CreditsExcess, window)
+			p.avail, e.vc.stats.CreditsExcess, window)
 	}
 }
 

@@ -179,9 +179,9 @@ func TestFrontierSubsumesCover(t *testing.T) {
 					}
 				}
 			}
-			if fresh < 500 || refCovered == 0 || e.stats.DroppedCovered == 0 {
+			if fresh < 500 || refCovered == 0 || e.vc.stats.DroppedCovered == 0 {
 				t.Fatalf("vacuous run: %d arrivals above the frontier, %d re-arrivals the scan covered, %d dropped",
-					fresh, refCovered, e.stats.DroppedCovered)
+					fresh, refCovered, e.vc.stats.DroppedCovered)
 			}
 		})
 	}

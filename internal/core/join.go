@@ -59,7 +59,7 @@ func (e *Engine) onJoinRetry() {
 	j := e.joiner
 	if g := e.cfg.Join.GiveUp; g > 0 && e.clock.Since(j.start) >= g {
 		e.endJoin()
-		e.vc.joining, e.vc.terminal = false, ErrJoinTimeout // the turn's retries fail what is parked
+		e.input("", joinTimeout{})
 		return
 	}
 	e.sendJoinReq()
@@ -117,8 +117,8 @@ func (e *Engine) onJoined(from ident.PID, m StateMsg) {
 	size := wireSize(m)
 	e.ev.StateTransfer("recv", string(from), uint64(m.View), len(m.Backlog), size)
 	e.ev.JoinComplete(uint64(m.View), len(m.Members), took)
-	e.stats.JoinBacklogRecv = uint64(len(m.Backlog))
-	e.stats.JoinBytesRecv = uint64(size)
+	e.vc.stats.JoinBacklogRecv = uint64(len(m.Backlog))
+	e.vc.stats.JoinBytesRecv = uint64(size)
 
 	// Backlog entries of the installed view never consumed a window slot
 	// here; remember them so their consumption grants no credits. Whatever
@@ -150,7 +150,8 @@ func (t *turn) onJoinReq(from ident.PID) {
 		return
 	}
 	if len(t.joins) >= maxPendingJoins && !t.joins.Contains(from) {
-		t.drop(func(st *Stats) *uint64 { return &st.JoinReqDropped }, obs.DropJoinOverflow)
+		t.stats.JoinReqDropped++
+		t.drop(obs.DropJoinOverflow)
 		return
 	}
 	t.joins = t.joins.Add(from)
@@ -177,18 +178,6 @@ func (t *turn) serveJoins() {
 	}
 }
 
-// sponsorJoiners makes the sponsor — the lowest-ordered member surviving
-// from the closing view — ship the state transfer to every newcomer of
-// the view being installed. Every incumbent computes the same sponsor, so
-// exactly one transfer is sent per join unless the sponsor crashes, in
-// which case the joiner's retransmitted request reaches serveJoins at
-// another member.
-func (e *Engine) sponsorJoiners(prev, next View) {
-	if inc := prev.Members.Intersect(next.Members); len(inc) > 0 && inc[0] == e.cfg.Self {
-		e.sendJoinStates(next, next.Members.Without(prev.Members))
-	}
-}
-
 // sendJoinStates ships one snapshot of this member's state, labelled with
 // the view the joiners are to install, to each of them.
 func (e *Engine) sendJoinStates(next View, joiners ident.PIDs) {
@@ -199,9 +188,9 @@ func (e *Engine) sendJoinStates(next View, joiners ident.PIDs) {
 	size := wireSize(st)
 	for _, j := range joiners {
 		e.send(j, transport.Ctl, st)
-		e.stats.JoinStatesSent++
-		e.stats.JoinBacklogSent += uint64(len(st.Backlog))
-		e.stats.JoinBytesSent += uint64(size)
+		e.vc.stats.JoinStatesSent++
+		e.vc.stats.JoinBacklogSent += uint64(len(st.Backlog))
+		e.vc.stats.JoinBytesSent += uint64(size)
 		e.ev.StateTransfer("sent", string(j), uint64(st.View), len(st.Backlog), size)
 	}
 }

@@ -35,8 +35,8 @@ package core
 // view change.
 //
 // Every handler here is part of step (viewchange.go): a pure transition of
-// the view-change state whose effects the engine carries out, with
-// finishMerge and aborted as the engine's half of a merge's end. The state
+// the view-change state whose effects the engine carries out (installFlush
+// and the abort effect are the engine's half of a merge's end). The state
 // machine tolerates concurrent proposals (an ordinary change, a shrinking
 // series of split declarations, a merge) through the successors the change
 // in flight awaits (change.awaited) — the first decided one wins and every
@@ -44,20 +44,18 @@ package core
 // split and an ordinary change both deciding on opposite sides of a
 // flapping partition) leave the loser on a divergent lineage, which the
 // member-with-different-epoch probe case below detects and re-merges: the
-// protocol converges by construction. The explorer (explore_test.go) walks
-// one small merge through every interleaving. A straggler's probe that left before it installed a union
-// is no such divergence, and is answered with a probe instead.
+// protocol converges by construction. A straggler's probe that left before
+// it installed a union is no such divergence, and is answered with a probe
+// instead. The explorer (explore_test.go) walks one small merge through
+// every interleaving.
 
-import (
-	"repro/internal/ident"
-	"repro/internal/obs"
-)
+import "repro/internal/ident"
 
 // onHealTick fires every HealSpec.ProbeInterval: beacon the processes we
 // lost to a partition, and time out a merge that stopped making progress.
 func (t *turn) onHealTick() {
 	if c := t.chg; c.merge() {
-		if t.now.After(c.start.Add(t.mergeTimeout)) {
+		if t.now.After(c.start.Add(t.heal.MergeTimeout)) {
 			t.abortMerge("timeout")
 		}
 		return
@@ -76,7 +74,7 @@ func (t *turn) probe() ProbeMsg {
 // member (probes only target those), so the interesting cases are all
 // disagreements about who belongs where.
 func (t *turn) onProbe(from ident.PID, m ProbeMsg) {
-	if !t.heal || t.joining || t.chg.merge() {
+	if t.heal == nil || t.joining || t.chg.merge() {
 		return
 	}
 	ref := m.Ref()
@@ -138,7 +136,7 @@ func (t *turn) onProbe(from ident.PID, m ProbeMsg) {
 // Without Config.Heal it returns at once and the minority stays blocked at
 // t5: plain SVS's wedge is that one return.
 func (t *turn) checkSplit() {
-	if !t.heal {
+	if t.heal == nil {
 		return
 	}
 	c := t.chg
@@ -156,7 +154,7 @@ func (t *turn) checkSplit() {
 	if c.awaited[viewInstance(ref)] {
 		return // this exact continuation is already declared and pending
 	}
-	t.emit(observe(func(_ *Stats, ev *obs.Events) { ev.SplitDeclared(ref.String(), len(split)) }),
+	t.emit(splitDeclared{ref, len(split)},
 		sendTo{split.Remove(t.self), SplitMsg{View: t.cv.ID, Epoch: t.cv.Epoch, Members: split.Clone()}})
 	t.adoptSplit(split)
 }
@@ -164,7 +162,7 @@ func (t *turn) checkSplit() {
 // onSplit handles a split declaration from the reachable set's leader.
 func (t *turn) onSplit(from ident.PID, m SplitMsg) {
 	c := t.chg
-	if !t.heal || c == nil || c.merge() || m.Ref() != t.cv.Ref() {
+	if t.heal == nil || c == nil || c.merge() || m.Ref() != t.cv.Ref() {
 		return
 	}
 	members := ident.NewPIDs(m.Members...)
@@ -209,7 +207,7 @@ func mergeRefFor(a, b ident.ViewRef) ident.ViewRef {
 // idempotent. The change's successor is the union's ref, its audience the
 // union, and its quorum is taken over both sub-views.
 func (t *turn) openMerge(m InitMsg) *change {
-	if !t.heal {
+	if t.heal == nil {
 		return nil
 	}
 	a, b := MergeSide{View: m.View, Epoch: m.Epoch, Members: m.Members}, *m.Far
@@ -227,10 +225,7 @@ func (t *turn) openMerge(m InitMsg) *change {
 	sa, sb := ident.NewPIDs(a.Members...), ident.NewPIDs(b.Members...)
 	union := sa.Union(sb)
 	c := t.block(mergeRefFor(a.Ref(), b.Ref()), union, sa, sb)
-	next := c.next
-	t.emit(observe(func(_ *Stats, ev *obs.Events) {
-		ev.MergeStarted(next.String(), a.Ref().String(), b.Ref().String(), len(union))
-	}))
+	t.emit(mergeStarted{c.next, a.Ref(), b.Ref(), len(union)})
 	return c
 }
 
@@ -251,27 +246,8 @@ func (t *turn) declineMerge(m InitMsg) {
 // its own view change. The change ends (the engine unblocks); a later
 // probe retries the merge on the same (deterministic) instance.
 func (t *turn) abortMerge(reason string) {
-	t.emit(abort{reason: reason, chg: t.chg})
+	t.stats.MergeAborts++
+	t.emit(abort{next: t.chg.next, reason: reason})
 	t.former = t.former.Union(t.chg.audience.Without(t.cv.Members).Remove(t.self))
 	t.chg = nil
-}
-
-// ---- the engine's half ------------------------------------------------------
-
-// finishMerge records the completed merge; install has already adopted the
-// flush and the combined frontiers.
-func (e *Engine) finishMerge(f install) {
-	e.stats.Merges++
-	took := e.clock.Since(f.chg.start)
-	e.m.mergeDur.ObserveDuration(took)
-	e.m.mergeBytes.Observe(float64(f.chg.bytesIn))
-	e.ev.MergeComplete(ident.ViewRef{Epoch: f.st.Epoch, ID: f.st.View}.String(), len(f.st.Members), len(f.st.Backlog), int(f.chg.bytesIn), took)
-}
-
-// aborted records an abandoned merge and restores the view-scoped detector
-// fanout.
-func (e *Engine) aborted(f abort) {
-	e.stats.MergeAborts++
-	e.ev.MergeAborted(f.chg.next.String(), f.reason)
-	e.setPeers(e.vc.cv.Members)
 }

@@ -68,7 +68,7 @@ func (e *Engine) advance(req *request) bool {
 // park appends a multicast to the flow-control wait queue, stamping the
 // stall start for the park-duration histogram.
 func (e *Engine) park(req *request) {
-	e.stats.MulticastParks++
+	e.vc.stats.MulticastParks++
 	if req.parkedAt.IsZero() && (e.m.parkDur != nil || e.ev != nil) {
 		req.parkedAt = e.clock.Now()
 		e.ev.FlowBlocked(uint64(req.batch[req.done].Meta.Seq))
@@ -134,7 +134,7 @@ func (e *Engine) commitOne(meta obsolete.Msg, payload []byte) {
 	for _, p := range e.others {
 		e.stageData(p, dm)
 	}
-	e.stats.Multicast++
+	e.vc.stats.Multicast++
 	e.serveIfFull()
 }
 
@@ -149,7 +149,7 @@ func (e *Engine) stageData(p *peer, dm DataMsg) {
 		return
 	}
 	purged, _ := p.out.AppendPurge(itemOf(dm)) // room guaranteed by canCommit
-	e.stats.PurgedOutgoing += uint64(purged)
+	e.vc.stats.PurgedOutgoing += uint64(purged)
 }
 
 // unstage drops the staged copy of our own message seq, which a later
@@ -195,7 +195,7 @@ func (e *Engine) flushStage() {
 			e.send(p.id, transport.Data, env)
 		}
 		if dropped := took - k; dropped > 0 {
-			e.stats.PurgedOutgoing += uint64(dropped)
+			e.vc.stats.PurgedOutgoing += uint64(dropped)
 			p.credit(dropped)
 			e.drainOutgoing(p)
 		}
@@ -239,7 +239,7 @@ func (e *Engine) onDataBatch(envs []transport.Envelope) {
 		default:
 			// A data-channel envelope that is not data: miscoded or
 			// hostile peer. This was an entirely silent discard before.
-			e.stats.DroppedBadType++
+			e.vc.stats.DroppedBadType++
 			e.ev.Drop(obs.DropBadType, slog.String("from", string(env.From)))
 		}
 	}
@@ -276,7 +276,7 @@ func (e *Engine) processData(from *peer, dm DataMsg) bool {
 		// Not this view — stale, or another lineage's traffic racing a
 		// partition merge. Either way its pred/flush obligations are
 		// handled by view-change machinery, not the data path.
-		e.stats.DroppedStale++
+		e.vc.stats.DroppedStale++
 		return true
 	}
 	if dm.Meta.Sender == e.cfg.Self {
@@ -295,7 +295,7 @@ func (e *Engine) processData(from *peer, dm DataMsg) bool {
 		// frontier (commitOne, acceptData and adopt raise it to whatever
 		// they insert), and a cover has m's sender and a seq ≥ m's, so the
 		// frontier is the whole test. The slot it would have used is free.
-		e.stats.DroppedCovered++
+		e.vc.stats.DroppedCovered++
 		e.grant(from, from.freed())
 		return true
 	}
@@ -316,7 +316,7 @@ func (e *Engine) processData(from *peer, dm DataMsg) bool {
 // and hold windows. Whatever PID a peer wrote there gets no slot, no credit
 // and no record.
 func (e *Engine) dropUnknownSender(id ident.PID) {
-	e.stats.DroppedUnknownSender++
+	e.vc.stats.DroppedUnknownSender++
 	e.ev.Drop(obs.DropUnknownSender, slog.String("from", string(id)))
 }
 
@@ -468,7 +468,7 @@ func (e *Engine) deliverItem(it *queue.Item, last *peer) (Delivery, *peer) {
 		}
 		return Delivery{Kind: kind, View: v.ID, Epoch: v.Epoch, NewView: v}, last
 	default:
-		e.stats.Delivered++
+		e.vc.stats.Delivered++
 		if !it.At.IsZero() {
 			e.m.deliverLatency.ObserveDuration(e.clock.Since(it.At))
 		}

@@ -113,7 +113,7 @@ func (e *Engine) pruneStable() {
 	stable := e.stableFilter()
 	for it := e.delivered.PeekHead(); it != nil && stable(it); it = e.delivered.PeekHead() {
 		e.delivered.PopHead()
-		e.stats.StablePruned++
+		e.vc.stats.StablePruned++
 	}
 }
 

@@ -184,8 +184,8 @@ func TestPruneStablePrefix(t *testing.T) {
 		if it := e.delivered.PeekHead(); it != nil {
 			got = ids([]DataMsg{msgOf(it)})[0]
 		}
-		if e.stats.StablePruned != pruned || got != head {
-			t.Fatalf("%s: %d pruned, history head %s; want %d and %s", when, e.stats.StablePruned, got, pruned, head)
+		if e.vc.stats.StablePruned != pruned || got != head {
+			t.Fatalf("%s: %d pruned, history head %s; want %d and %s", when, e.vc.stats.StablePruned, got, pruned, head)
 		}
 	}
 

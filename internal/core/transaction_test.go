@@ -191,12 +191,12 @@ func TestStagePurgeRefundsCredit(t *testing.T) {
 		}
 	}
 	queued := peer.out.Len()
-	if got := uint64(len(log.data)+queued) + e.stats.PurgedOutgoing; got != uint64(seq) {
+	if got := uint64(len(log.data)+queued) + e.vc.stats.PurgedOutgoing; got != uint64(seq) {
 		t.Fatalf("%d sent + %d queued + %d purged outgoing = %d, want every one of %d copies",
-			len(log.data), queued, e.stats.PurgedOutgoing, got, seq)
+			len(log.data), queued, e.vc.stats.PurgedOutgoing, got, seq)
 	}
-	if e.stats.PurgedOutgoing < batches {
-		t.Fatalf("PurgedOutgoing = %d: the self-obsoleting batches dropped nothing", e.stats.PurgedOutgoing)
+	if e.vc.stats.PurgedOutgoing < batches {
+		t.Fatalf("PurgedOutgoing = %d: the self-obsoleting batches dropped nothing", e.vc.stats.PurgedOutgoing)
 	}
 }
 
@@ -378,8 +378,8 @@ func TestOneRunPerFlush(t *testing.T) {
 				p.id, p.avail, got-p.avail, got, window)
 		}
 	}
-	if e.stats.CreditsExcess != 0 {
-		t.Errorf("CreditsExcess = %d after an honest refund", e.stats.CreditsExcess)
+	if e.vc.stats.CreditsExcess != 0 {
+		t.Errorf("CreditsExcess = %d after an honest refund", e.vc.stats.CreditsExcess)
 	}
 
 	// (d) A batch committed to every peer costs the same allocations at two

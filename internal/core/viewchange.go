@@ -13,11 +13,12 @@ package core
 // flush once, the decided value is a StateMsg entering through one door
 // (onDecision), and every view is entered one way (enter).
 //
-// step reaches no engine, consensus machine, detector, clock or channel:
-// the time and the detector's verdicts come in with each event, and what
-// the change wants done goes out as effects, which the engine interprets
-// (apply) in order — the data-plane half of blocking and installing, the
-// consensus machine's propose, and the sends. Consensus is a message
+// step reaches no engine, consensus machine, detector, clock, logger or
+// channel: the time and the detector's verdicts come in with each event,
+// the counters are part of the state, and what the change wants done goes
+// out as effects, which the engine interprets (apply) in order — the
+// data-plane half of blocking and installing, the consensus machine's
+// propose, the sends, and the events to log (notes). Consensus is a message
 // handler of the engine loop like INIT and PRED, and nothing here starts a
 // goroutine. Because step is a plain function over a value, the explorer
 // (explore_test.go) runs this same code through every interleaving of a
@@ -42,16 +43,16 @@ import (
 // viewState is everything the view change decides on, as a value: who this
 // process is and how it is configured, the current view, the change in
 // flight, the control traffic stashed for a later view, the admission
-// requests parked until no change is in flight, and whether the engine is
-// still joining or already at its end. step updates the change record of
-// the state it is given in place, and nothing else it shares: a caller that
-// steps one state twice (the explorer) copies that record first.
+// requests parked until no change is in flight, whether the engine is still
+// joining or already at its end, and the engine's counters. step updates
+// the change record of the state it is given in place, and nothing else it
+// shares: a caller that steps one state twice (the explorer) copies that
+// record first.
 type viewState struct {
-	self         ident.PID
-	rel          obsolete.Relation
-	heal         bool          // Config.Heal is set: split, merge, decline
-	mergeTimeout time.Duration // HealSpec.MergeTimeout
-	autoEvict    bool          // Config.AutoEvict
+	self      ident.PID
+	rel       obsolete.Relation
+	heal      *HealSpec // Config.Heal: split, merge, decline; nil without healing
+	autoEvict bool      // Config.AutoEvict
 
 	cv       View
 	chg      *change              // the change in flight (t5 to t7); nil while open
@@ -60,6 +61,10 @@ type viewState struct {
 	former   ident.PIDs           // with Heal: who we once shared a view with and no longer do
 	joining  bool                 // the join handshake runs (join.go)
 	terminal error                // ErrExpelled or ErrJoinTimeout: no further progress
+
+	// stats are the engine's counters, one record: step counts what the
+	// view change drops and ignores, the engine's data plane the rest.
+	stats Stats
 }
 
 // change is the view change in flight: opened by block (t5), ended by
@@ -101,20 +106,11 @@ func (c *change) merge() bool { return c != nil && len(c.sides) == 2 }
 // not joining, not changing views, not at its end.
 func (s *viewState) open() bool { return !s.joining && s.chg == nil && s.terminal == nil }
 
-// requestErr is why a membership request fails at once: the engine is at
-// its end, or has no view to change yet.
-func (s *viewState) requestErr() error {
-	if s.terminal == nil && s.joining {
-		return ErrJoining
-	}
-	return s.terminal
-}
-
 // An event is what happened to the view change: from sent msg, at now, with
 // suspected the detector's verdict at that moment. msg is an InitMsg,
 // PredMsg, SplitMsg, ProbeMsg, JoinReqMsg or StateMsg received, a control
 // message of no known kind, or one of membership (t4), fd.Event (a
-// suspicion), consensus.Decision, healTick and entered.
+// suspicion), consensus.Decision, healTick, joinTimeout and entered.
 type event struct {
 	from      ident.PID
 	msg       any
@@ -127,6 +123,9 @@ type (
 	membership struct{ join, leave ident.PIDs }
 	// healTick is HealSpec.ProbeInterval elapsing.
 	healTick struct{}
+	// joinTimeout is JoinSpec.GiveUp running out before a state transfer
+	// arrived: the join is abandoned.
+	joinTimeout struct{}
 	// entered tells that the engine has entered the view an install effect
 	// named, retried what was parked and replayed the stash.
 	entered struct{}
@@ -169,19 +168,56 @@ type (
 		from   ident.PID
 		replay []transport.Envelope
 	}
-	// abort abandons the merge chg.
+	// abort ends the merge that was to install next without installing it.
 	abort struct {
+		next   ident.ViewRef
 		reason string
-		chg    *change
 	}
 	// transfer ships a snapshot labelled view to each of to (join.go).
 	transfer struct {
 		view View
 		to   ident.PIDs
 	}
-	// observe counts or logs what happened.
-	observe func(*Stats, *obs.Events)
 )
+
+// A note is an effect that is only logged (obs.Events): what step dropped,
+// a decision it did not install, a split it declared, a merge it opened.
+// Its counter, if it has one, is in the state, bumped by step.
+type note interface{ log(*obs.Events) }
+
+type (
+	// dropped is a control message discarded for reason.
+	dropped struct {
+		reason obs.DropReason
+		attrs  []slog.Attr
+	}
+	// ignored is a decision no change awaited, and why.
+	ignored struct{ instance, why string }
+	// failed is a decision of the successor to view that did not decode.
+	failed struct {
+		view ident.ViewID
+		err  error
+	}
+	// splitDeclared is this process declaring the split continuation ref
+	// of so many members.
+	splitDeclared struct {
+		ref     ident.ViewRef
+		members int
+	}
+	// mergeStarted is a merge opened for next over sides a and b.
+	mergeStarted struct {
+		next, a, b ident.ViewRef
+		union      int
+	}
+)
+
+func (f dropped) log(ev *obs.Events)       { ev.Drop(f.reason, f.attrs...) }
+func (f ignored) log(ev *obs.Events)       { ev.DecisionIgnored(f.instance, f.why) }
+func (f failed) log(ev *obs.Events)        { ev.DecisionFailed(uint64(f.view), f.err) }
+func (f splitDeclared) log(ev *obs.Events) { ev.SplitDeclared(f.ref.String(), f.members) }
+func (f mergeStarted) log(ev *obs.Events) {
+	ev.MergeStarted(f.next.String(), f.a.String(), f.b.String(), f.union)
+}
 
 // maxDeferredCtl bounds the stash of control messages that arrive for a
 // future view and are replayed after the next install. A full stash keeps
@@ -211,6 +247,8 @@ func step(s viewState, ev event) (viewState, []effect) {
 		t.onDecision(m)
 	case healTick:
 		t.onHealTick()
+	case joinTimeout:
+		t.joining, t.terminal = false, ErrJoinTimeout // the engine's retries fail what is parked
 	case entered:
 		t.serveJoins()
 	default:
@@ -221,16 +259,10 @@ func step(s viewState, ev event) (viewState, []effect) {
 
 func (t *turn) emit(fx ...effect) { t.out = append(t.out, fx...) }
 
-// drop counts the event's message as discarded in the counter n returns,
-// and logs it under reason unless that is empty.
-func (t *turn) drop(n func(*Stats) *uint64, reason obs.DropReason, attrs ...slog.Attr) {
-	from := t.from
-	t.emit(observe(func(st *Stats, ev *obs.Events) {
-		*n(st)++
-		if reason != "" {
-			ev.Drop(reason, append([]slog.Attr{slog.String("from", string(from))}, attrs...)...)
-		}
-	}))
+// drop logs the event's message as discarded for reason; the caller counts
+// it.
+func (t *turn) drop(reason obs.DropReason, attrs ...slog.Attr) {
+	t.emit(dropped{reason, append([]slog.Attr{slog.String("from", string(t.from))}, attrs...)})
 }
 
 // pidStrings renders a PID set for an event attribute.
@@ -249,9 +281,10 @@ func pidStrings(ps ident.PIDs) []string {
 
 // trigger announces a change of the current view to its members. While a
 // change is in flight it does nothing: joiners it does not admit re-request
-// admission and are picked up by the next change.
+// admission and are picked up by the next change. Joining or at its end,
+// there is no view to change.
 func (t *turn) trigger(join, leave ident.PIDs) {
-	if t.requestErr() != nil || t.chg != nil {
+	if !t.open() {
 		return
 	}
 	t.emit(sendTo{t.cv.Members, InitMsg{View: t.cv.ID, Epoch: t.cv.Epoch, Leave: leave, Join: join}})
@@ -262,7 +295,7 @@ func (t *turn) trigger(join, leave ident.PIDs) {
 // engine then lets consensus instances waiting on a suspected coordinator
 // move on.
 func (t *turn) onSuspicion(ev fd.Event) {
-	if ev.Suspected && t.autoEvict && t.open() && t.cv.Includes(ev.P) {
+	if ev.Suspected && t.autoEvict && t.cv.Includes(ev.P) {
 		t.trigger(nil, ident.NewPIDs(ev.P))
 	}
 	t.checkPropose()
@@ -275,11 +308,11 @@ func (t *turn) onCtl(from ident.PID, msg any) {
 		// An expelled-but-alive process still answers a merge's INIT with a
 		// decline, so a union that names it can proceed without waiting for
 		// suspicion to develop.
-		if m, ok := msg.(InitMsg); ok && m.Far != nil && t.heal {
+		if m, ok := msg.(InitMsg); ok && m.Far != nil && t.heal != nil {
 			t.declineMerge(m)
 			return
 		}
-		t.drop(func(st *Stats) *uint64 { return &st.DroppedExpelled }, "")
+		t.stats.DroppedExpelled++
 		return
 	}
 	switch m := msg.(type) {
@@ -310,7 +343,8 @@ func (t *turn) onCtl(from ident.PID, msg any) {
 	default:
 		// A control envelope of no known kind fell through every case —
 		// before, it vanished without a trace.
-		t.drop(func(st *Stats) *uint64 { return &st.DroppedUnknownCtl }, obs.DropUnknownCtl)
+		t.stats.DroppedUnknownCtl++
+		t.drop(obs.DropUnknownCtl)
 	}
 }
 
@@ -336,14 +370,16 @@ func (t *turn) deferFuture(msg any, ref ident.ViewRef) bool {
 		return false
 	}
 	if ref.Epoch != t.cv.Epoch && t.open() {
-		t.drop(func(st *Stats) *uint64 { return &st.DroppedStale }, obs.DropStaleView, slog.String("view", ref.String()))
+		t.stats.DroppedStale++
+		t.drop(obs.DropStaleView, slog.String("view", ref.String()))
 		return true
 	}
 	if len(t.stash) < maxDeferredCtl {
 		// A new array: the stepped state keeps its own.
 		t.stash = append(t.stash[:len(t.stash):len(t.stash)], transport.Envelope{From: t.from, Msg: msg})
 	} else {
-		t.drop(func(st *Stats) *uint64 { return &st.CtlDeferredDropped }, obs.DropDeferOverflow, slog.Uint64("view", uint64(ref.ID)))
+		t.stats.CtlDeferredDropped++
+		t.drop(obs.DropDeferOverflow, slog.Uint64("view", uint64(ref.ID)))
 	}
 	return true
 }
@@ -421,7 +457,7 @@ func (t *turn) onPred(from ident.PID, m PredMsg) {
 	if c.merge() && !c.from.Contains(from) {
 		size := uint64(wireSize(m))
 		c.bytesIn += size
-		t.emit(observe(func(st *Stats, _ *obs.Events) { st.MergeBytesRecv += size }))
+		t.stats.MergeBytesRecv += size
 	}
 	for _, dm := range m.Msgs {
 		c.pred[dm.Meta.ID()] = dm
@@ -550,14 +586,12 @@ func (t *turn) onDecision(d consensus.Decision) {
 		// Accounted, not installed: a decision that lost a
 		// concurrent-proposal race, or one that landed after its change
 		// ended.
-		t.emit(observe(func(st *Stats, ev *obs.Events) {
-			n, why := &st.IgnoredWrongView, ignoreWrongView
-			if c == nil {
-				n, why = &st.IgnoredNotBlocked, ignoreNotBlocked
-			}
-			*n++
-			ev.DecisionIgnored(d.Instance, why)
-		}))
+		n, why := &t.stats.IgnoredWrongView, ignoreWrongView
+		if c == nil {
+			n, why = &t.stats.IgnoredNotBlocked, ignoreNotBlocked
+		}
+		*n++
+		t.emit(ignored{d.Instance, why})
 		return
 	}
 	st, err := decodeState(d.Value)
@@ -566,10 +600,8 @@ func (t *turn) onDecision(d consensus.Decision) {
 		// stays blocked until another decision reaches it, and an operator
 		// should see why. Every successor a change awaits is numbered
 		// next.ID.
-		t.emit(observe(func(s *Stats, ev *obs.Events) {
-			s.DecisionFailures++
-			ev.DecisionFailed(uint64(c.next.ID), err)
-		}))
+		t.stats.DecisionFailures++
+		t.emit(failed{c.next.ID, err})
 		return
 	}
 	t.enter(st.view(), install{st: st, prev: t.cv, chg: c})
@@ -584,7 +616,7 @@ func (t *turn) enter(next View, f install) {
 	if !next.Includes(t.self) {
 		t.terminal = ErrExpelled // the engine's retries fail what is parked
 	}
-	if t.heal {
+	if t.heal != nil {
 		// Only someone we once shared a view with can be the far side of a
 		// healed partition (onHealTick).
 		t.former = t.former.Union(t.cv.Members).Without(next.Members).Remove(t.self)
@@ -638,23 +670,14 @@ func (e *Engine) apply(f effect) {
 			e.input("", consensus.Decision{Instance: f.id, Value: v})
 		}
 	case install:
-		switch {
-		case f.chg != nil:
-			e.install(f)
-		case f.from != "":
-			e.onJoined(f.from, f.st)
-		}
-		e.enterView(f.view)
-		for _, env := range f.replay {
-			e.input(env.From, env.Msg)
-		}
-		e.input("", entered{})
+		e.enterView(f)
 	case abort:
-		e.aborted(f)
+		e.ev.MergeAborted(f.next.String(), f.reason)
+		e.setPeers(e.vc.cv.Members) // the view's own fanout again
 	case transfer:
 		e.sendJoinStates(f.view, f.to)
-	case observe:
-		f(&e.stats, e.ev)
+	case note:
+		f.log(e.ev)
 	}
 }
 
@@ -666,11 +689,42 @@ func (e *Engine) onDecisions(ds []consensus.Decision) {
 	}
 }
 
-// install adopts a decided flush: the data-plane half of t7, before the
-// view is entered.
-func (e *Engine) install(f install) {
-	st, next := f.st, f.st.view()
-	e.stats.LastFlushLen = len(st.Backlog)
+// enterView is the data-plane half of entering the view step has made
+// current. It adopts what f carries — a decided flush (installFlush) or a
+// joiner's transfer (onJoined); a view a probe proved carries nothing —
+// then the view marker goes into the delivery queue behind it, everything
+// scoped to one view starts afresh, parked multicasts get their turn
+// (failing, if the view expelled us), the control traffic stashed for the
+// view is replayed, and step hears that the view is entered.
+func (e *Engine) enterView(f install) {
+	switch {
+	case f.chg != nil:
+		e.installFlush(f)
+	case f.from != "":
+		e.onJoined(f.from, f.st)
+	}
+	e.vc.stats.ViewsInstalled++
+	if !f.view.Includes(e.cfg.Self) {
+		e.ev.Expelled(uint64(f.view.ID))
+	}
+	e.toDeliver.ForceAppend(queue.Item{
+		Kind: queue.Control, View: uint64(f.view.ID), Epoch: uint64(f.view.Epoch), Ctl: f.view.Clone(),
+	})
+	e.delivered = queue.New(e.cfg.Relation, 0)
+	e.armPeers()
+	e.setPeers(f.view.Members)
+	e.retryParked()
+	for _, env := range f.replay {
+		e.input(env.From, env.Msg)
+	}
+	e.input("", entered{})
+}
+
+// installFlush adopts a decided flush: the data-plane half of t7, before
+// the view is entered.
+func (e *Engine) installFlush(f install) {
+	st, next := f.st, f.view
+	e.vc.stats.LastFlushLen = len(st.Backlog)
 	blockedFor := e.clock.Since(f.chg.start)
 	e.m.viewChange.ObserveDuration(blockedFor)
 	e.ev.ViewInstall(uint64(next.ID), len(next.Members), len(st.Backlog), blockedFor)
@@ -683,36 +737,26 @@ func (e *Engine) install(f install) {
 	// flush carries both sides' backlogs, so this is what delivers the
 	// other partition's relation-surviving messages before the union-view
 	// marker, and st.Recv (empty otherwise) the combined frontiers.
-	e.stats.FlushAdded += uint64(e.adopt(st.Backlog, st.Recv))
+	e.vc.stats.FlushAdded += uint64(e.adopt(st.Backlog, st.Recv))
 
 	if f.chg.merge() {
 		// The "newcomers" are the other side, which already holds its own
-		// state — no sponsor transfer.
-		e.finishMerge(f)
-	} else {
-		// Dynamic membership: newcomers admitted by this view get a
-		// semantic state transfer from their sponsor. This must read
+		// state — no sponsor transfer. The merge began when the group
+		// blocked.
+		e.vc.stats.Merges++
+		e.m.mergeDur.ObserveDuration(blockedFor)
+		e.m.mergeBytes.Observe(float64(f.chg.bytesIn))
+		e.ev.MergeComplete(next.Ref().String(), len(next.Members), len(st.Backlog), int(f.chg.bytesIn), blockedFor)
+	} else if inc := f.prev.Members.Intersect(next.Members); len(inc) > 0 && inc[0] == e.cfg.Self {
+		// Dynamic membership: the sponsor — the lowest-ordered member
+		// surviving from the closing view — ships the newcomers admitted
+		// by this view a semantic state transfer. Every incumbent computes
+		// the same sponsor, so exactly one transfer is sent per join unless
+		// the sponsor crashes, in which case the joiner's retransmitted
+		// request reaches serveJoins at another member. This must read
 		// e.delivered before enterView resets it.
-		e.sponsorJoiners(f.prev, next)
+		e.sendJoinStates(next, next.Members.Without(f.prev.Members))
 	}
-}
-
-// enterView is the data-plane half of entering a view step has made
-// current: the view marker goes into the delivery queue behind whatever
-// was just adopted, everything scoped to one view starts afresh, and
-// parked multicasts get their turn (failing, if the view expelled us).
-func (e *Engine) enterView(next View) {
-	e.stats.ViewsInstalled++
-	if !next.Includes(e.cfg.Self) {
-		e.ev.Expelled(uint64(next.ID))
-	}
-	e.toDeliver.ForceAppend(queue.Item{
-		Kind: queue.Control, View: uint64(next.ID), Epoch: uint64(next.Epoch), Ctl: next.Clone(),
-	})
-	e.delivered = queue.New(e.cfg.Relation, 0)
-	e.armPeers()
-	e.setPeers(next.Members)
-	e.retryParked()
 }
 
 // setPeers tells a detector that tracks a peer set (the node's shared

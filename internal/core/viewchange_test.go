@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,7 +31,7 @@ type stepper struct {
 }
 
 func newStepper(self ident.PID, members ident.PIDs, heal bool) *stepper {
-	return &stepper{s: viewState{self: self, rel: tagging, heal: heal, mergeTimeout: time.Hour, cv: View{ID: 4, Members: members}}}
+	return &stepper{s: viewState{self: self, rel: tagging, heal: healSpec(heal), cv: View{ID: 4, Members: members}}}
 }
 
 func (st *stepper) feed(from ident.PID, msg any) {
@@ -70,17 +71,6 @@ func (st *stepper) awaits(ref ident.ViewRef) bool {
 	return false
 }
 
-// stats counts what the observe effects counted.
-func (st *stepper) stats() Stats {
-	var s Stats
-	for _, f := range st.fx {
-		if o, ok := f.(observe); ok {
-			o(&s, nil)
-		}
-	}
-	return s
-}
-
 // TestOneDecisionPerChange: a view change's decision enters once. Ten
 // changes in a three-member group, each run to its end by the fair
 // continuation of the explorer's world, install ten views at every member
@@ -105,8 +95,87 @@ func TestOneDecisionPerChange(t *testing.T) {
 		}
 	}
 	for j := range w.procs {
-		if st := w.stats[j]; st.IgnoredNotBlocked+st.IgnoredWrongView != 0 {
+		if st := w.procs[j].s.stats; st.IgnoredNotBlocked+st.IgnoredWrongView != 0 {
 			t.Errorf("%s ignored %d decisions, want 0", ps[j], st.IgnoredNotBlocked+st.IgnoredWrongView)
+		}
+	}
+}
+
+// TestOneDecisionPerChangeEngines is TestOneDecisionPerChange end to end:
+// three engines with real consensus machines over a MemNetwork, where the
+// engine answers each await from the machine's decision cache and a
+// propose or a Receive may hand back the decision the change installed
+// already. Ten changes install ten views at every member and leave nothing
+// for any member to ignore.
+func TestOneDecisionPerChangeEngines(t *testing.T) {
+	const changes = 10
+	net := transport.NewMemNetwork()
+	view0 := View{ID: 1, Members: ident.NewPIDs("p0", "p1", "p2")}
+	reg := obs.NewRegistry()
+	engs := map[ident.PID]*Engine{}
+	for _, p := range view0.Members {
+		ep, err := net.Endpoint(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det := fd.NewManual()
+		eng, err := New(Config{
+			Self: p, Endpoint: ep, Detector: det, InitialView: view0,
+			Obs: obs.New(nil, reg, nil).With(obs.L("node", string(p))),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs[p] = eng
+		t.Cleanup(func() {
+			eng.Stop()
+			det.Stop()
+			ep.Close()
+		})
+	}
+	for _, eng := range engs {
+		if err := eng.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= changes; i++ {
+		if err := engs["p0"].RequestViewChange(); err != nil {
+			t.Fatal(err)
+		}
+		want := view0.ID + ident.ViewID(i)
+		waitCond(t, fmt.Sprintf("view %d everywhere", want), func() bool {
+			for _, eng := range engs {
+				if eng.Stats().View < want {
+					return false
+				}
+			}
+			return true
+		})
+	}
+
+	// engine_decisions_ignored_total of p, summed over every reason.
+	ignored := func(p ident.PID) uint64 {
+		var n uint64
+		for key, v := range reg.Snapshot().Counters {
+			if strings.HasPrefix(key, "engine_decisions_ignored_total{") && strings.Contains(key, "node="+string(p)+",") {
+				n += v
+			}
+		}
+		return n
+	}
+	// A second report of the last decision lands right behind its install:
+	// give it that long before reading.
+	for settle := time.Now().Add(300 * time.Millisecond); time.Now().Before(settle); time.Sleep(5 * time.Millisecond) {
+		if ignored("p0")+ignored("p1")+ignored("p2") > 0 {
+			break
+		}
+	}
+	for _, p := range view0.Members {
+		if n := engs[p].Stats().ViewsInstalled; n != changes {
+			t.Errorf("%s installed %d views, want %d", p, n, changes)
+		}
+		if n := ignored(p); n != 0 {
+			t.Errorf("%s ignored %d decisions, want 0", p, n)
 		}
 	}
 }
@@ -470,7 +539,7 @@ func TestDecodeValueRejectsGarbage(t *testing.T) {
 	}
 	for i, raw := range [][]byte{[]byte("garbage"), nil, credit} {
 		e.input("", consensus.Decision{Instance: viewInstance(ref), Value: raw})
-		if n := e.stats.DecisionFailures; n != uint64(i+1) || e.vc.cv.ID != 4 || e.vc.chg == nil {
+		if n := e.vc.stats.DecisionFailures; n != uint64(i+1) || e.vc.cv.ID != 4 || e.vc.chg == nil {
 			t.Fatalf("decision %q: %d failures, view %d, blocked %v; want %d, view 4, still blocked",
 				raw, n, e.vc.cv.ID, e.vc.chg != nil, i+1)
 		}
@@ -480,8 +549,27 @@ func TestDecodeValueRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.input("", consensus.Decision{Instance: viewInstance(ref), Value: st})
-	if e.vc.cv.Ref() != ref || e.vc.chg != nil || e.stats.DecisionFailures != 3 {
-		t.Fatalf("a StateMsg decision left view %v, blocked %v, %d failures", e.vc.cv.Ref(), e.vc.chg != nil, e.stats.DecisionFailures)
+	if e.vc.cv.Ref() != ref || e.vc.chg != nil || e.vc.stats.DecisionFailures != 3 {
+		t.Fatalf("a StateMsg decision left view %v, blocked %v, %d failures", e.vc.cv.Ref(), e.vc.chg != nil, e.vc.stats.DecisionFailures)
+	}
+}
+
+// TestJoinTimeoutIsAStep: giving up a join is a transition of the state
+// like any other. The joining state turns terminal with ErrJoinTimeout, and
+// a state transfer arriving afterwards installs nothing: it is counted as
+// traffic reaching an engine at its end.
+func TestJoinTimeoutIsAStep(t *testing.T) {
+	st := newStepper("j", nil, false)
+	st.s.cv, st.s.joining = View{}, true
+	st.feed("", joinTimeout{})
+	if st.s.joining || st.s.terminal != ErrJoinTimeout || len(st.fx) != 0 {
+		t.Fatalf("after the give-up: joining %v, terminal %v, effects %v; want false, %v, none",
+			st.s.joining, st.s.terminal, st.fx, ErrJoinTimeout)
+	}
+	st.feed("p1", StateMsg{View: 5, Members: []ident.PID{"j", "p1"}})
+	if len(st.fx) != 0 || st.s.cv.ID != 0 || st.s.stats.DroppedExpelled != 1 {
+		t.Fatalf("a late transfer: effects %v, view %d, %d dropped; want none, 0, 1",
+			st.fx, st.s.cv.ID, st.s.stats.DroppedExpelled)
 	}
 }
 
@@ -499,7 +587,7 @@ func TestPendingJoinsBounded(t *testing.T) {
 	if n := len(st.s.joins); n != maxPendingJoins {
 		t.Errorf("%d requesters parked, want %d", n, maxPendingJoins)
 	}
-	if n := st.stats().JoinReqDropped; n != 10 {
+	if n := st.s.stats.JoinReqDropped; n != 10 {
 		t.Errorf("%d requests dropped, want 10", n)
 	}
 }
