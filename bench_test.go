@@ -398,9 +398,12 @@ func liveGroupObs(b *testing.B, rel obsolete.Relation, buffer int, mk func() *ob
 			ob = mk()
 		}
 		eng, err := core.New(core.Config{
-			Self: p, Endpoint: ep, Detector: det, InitialView: view,
-			Relation: rel, ToDeliverCap: buffer, OutgoingCap: buffer, Window: buffer,
+			Self: p, Endpoint: ep, Detector: det,
 			Obs: ob,
+			GroupConfig: core.GroupConfig{
+				InitialView: view, Relation: rel,
+				ToDeliverCap: buffer, OutgoingCap: buffer, Window: buffer,
+			},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -51,9 +51,12 @@ func run() error {
 		}
 		det := fd.NewManual()
 		eng, err := core.New(core.Config{
-			Self: p, Endpoint: ep, Detector: det, InitialView: view,
-			Relation:     rel,
-			ToDeliverCap: 8, OutgoingCap: 8, Window: 8,
+			Self: p, Endpoint: ep, Detector: det,
+			GroupConfig: core.GroupConfig{
+				InitialView:  view,
+				Relation:     rel,
+				ToDeliverCap: 8, OutgoingCap: 8, Window: 8,
+			},
 		})
 		if err != nil {
 			return err

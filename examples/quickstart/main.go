@@ -44,9 +44,12 @@ func run() error {
 		}
 		det := fd.NewManual() // quickstart: no real failure detection needed
 		eng, err := core.New(core.Config{
-			Self: p, Endpoint: ep, Detector: det, InitialView: view,
-			Relation:     rel,
-			ToDeliverCap: 4, OutgoingCap: 4, Window: 4, // tiny buffers to make purging visible
+			Self: p, Endpoint: ep, Detector: det,
+			GroupConfig: core.GroupConfig{
+				InitialView:  view,
+				Relation:     rel,
+				ToDeliverCap: 4, OutgoingCap: 4, Window: 4, // tiny buffers to make purging visible
+			},
 		})
 		if err != nil {
 			return err

@@ -83,9 +83,12 @@ func runGroup(tr *trace.Trace, rel obsolete.Relation, label string) (outcome, er
 		}
 		det := fd.NewManual()
 		eng, err := core.New(core.Config{
-			Self: p, Endpoint: ep, Detector: det, InitialView: view,
-			Relation:     rel,
-			ToDeliverCap: buffer, OutgoingCap: buffer, Window: buffer,
+			Self: p, Endpoint: ep, Detector: det,
+			GroupConfig: core.GroupConfig{
+				InitialView:  view,
+				Relation:     rel,
+				ToDeliverCap: buffer, OutgoingCap: buffer, Window: buffer,
+			},
 		})
 		if err != nil {
 			return out, err

@@ -174,9 +174,9 @@ func newDiffCluster(t *testing.T, rel obsolete.Relation) *diffCluster {
 		det := fd.NewManual()
 		eng, err := New(Config{
 			Self: p, Endpoint: ep, Detector: det,
-			InitialView: view0, Relation: rel,
 			// Flow control off, queues unbounded: no parking, no stalls —
 			// the outcome depends only on the message stream.
+			GroupConfig: GroupConfig{InitialView: view0, Relation: rel},
 		})
 		if err != nil {
 			t.Fatal(err)

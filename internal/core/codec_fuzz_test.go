@@ -38,10 +38,10 @@ func TestCodecWireRoundTripEdgeCases(t *testing.T) {
 		DataMsg{View: 3, Meta: obsolete.Msg{Sender: "p", Seq: 1}, Payload: nil},
 		DataMsg{View: 3, Meta: obsolete.Msg{Sender: "p", Seq: 2, Annot: []byte{}}, Payload: []byte{}},
 		InitMsg{},
-		InitMsg{View: 9, Leave: []ident.PID{}},
-		InitMsg{View: 9, Leave: []ident.PID{"a", "b"}},
-		InitMsg{View: 1, Members: []ident.PID{"a"}, Far: &MergeSide{View: 4, Epoch: 7, Members: []ident.PID{}}},
-		InitMsg{Members: []ident.PID{}, Far: &MergeSide{}},
+		InitMsg{View: View{ID: 9}, Leave: []ident.PID{}},
+		InitMsg{View: View{ID: 9}, Leave: []ident.PID{"a", "b"}},
+		InitMsg{View: View{ID: 1, Members: []ident.PID{"a"}}, Far: &View{ID: 4, Epoch: 7, Members: []ident.PID{}}},
+		InitMsg{View: View{Members: []ident.PID{}}, Far: &View{}},
 		PredMsg{},
 		PredMsg{Change: ident.ViewRef{ID: 5}, Msgs: []DataMsg{}},
 		PredMsg{Change: ident.ViewRef{ID: 5}, Msgs: []DataMsg{{View: 4, Meta: obsolete.Msg{Sender: "q", Seq: 7, Annot: []byte{1}}, Payload: []byte("x")}}},
@@ -59,14 +59,14 @@ func TestCodecWireRoundTripEdgeCases(t *testing.T) {
 		&DataBatchMsg{Msgs: []DataMsg{dm, {}}},
 		JoinReqMsg{},
 		StateMsg{},
-		StateMsg{View: 2, Members: []ident.PID{"solo"}},
-		StateMsg{View: 3, Members: []ident.PID{}, Recv: map[ident.PID]ident.Seq{}, Backlog: []DataMsg{}},
-		StateMsg{View: 3, Epoch: 9, Members: []ident.PID{"a", "q"}, Recv: map[ident.PID]ident.Seq{"q": 7}, Backlog: []DataMsg{dm}},
+		StateMsg{View: View{ID: 2, Members: []ident.PID{"solo"}}},
+		StateMsg{View: View{ID: 3, Members: []ident.PID{}}, Recv: map[ident.PID]ident.Seq{}, Backlog: []DataMsg{}},
+		StateMsg{View: View{ID: 3, Epoch: 9, Members: []ident.PID{"a", "q"}}, Recv: map[ident.PID]ident.Seq{"q": 7}, Backlog: []DataMsg{dm}},
 		ProbeMsg{},
-		ProbeMsg{View: 6, Epoch: 1 << 40, Members: []ident.PID{}},
-		ProbeMsg{View: 6, Members: []ident.PID{"a", "b"}},
+		ProbeMsg{View: View{ID: 6, Epoch: 1 << 40, Members: []ident.PID{}}},
+		ProbeMsg{View: View{ID: 6, Members: []ident.PID{"a", "b"}}},
 		SplitMsg{},
-		SplitMsg{View: 2, Epoch: 3, Members: []ident.PID{"a"}},
+		SplitMsg{View: View{ID: 2, Epoch: 3, Members: []ident.PID{"a"}}},
 	}
 	for _, m := range cases {
 		roundTrip(t, m)
@@ -84,7 +84,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		dm := DataMsg{View: ident.ViewID(view), Meta: meta, Payload: payload}
 		roundTrip(t, dm)
 
-		init := InitMsg{View: ident.ViewID(view)}
+		init := InitMsg{View: View{ID: ident.ViewID(view)}}
 		pred := PredMsg{Change: ident.ViewRef{Epoch: ident.Epoch(seq), ID: ident.ViewID(view)}, Decline: nils}
 		stable := StableMsg{View: ident.ViewID(view)}
 		if !nils {
@@ -102,11 +102,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		roundTrip(t, CreditMsg{View: ident.ViewID(view), Credits: int(credits)})
 		roundTrip(t, &DataBatchMsg{Msgs: pred.Msgs})
 		roundTrip(t, JoinReqMsg{})
-		roundTrip(t, StateMsg{View: ident.ViewID(view), Epoch: ident.Epoch(seq), Members: init.Leave, Recv: stable.Recv, Backlog: pred.Msgs})
-		side := MergeSide{View: ident.ViewID(view), Epoch: ident.Epoch(seq), Members: init.Leave}
-		roundTrip(t, ProbeMsg(side))
-		roundTrip(t, SplitMsg(side))
-		roundTrip(t, InitMsg{View: ident.ViewID(seq), Members: init.Join, Far: &side})
+		roundTrip(t, StateMsg{View: View{ID: ident.ViewID(view), Epoch: ident.Epoch(seq), Members: init.Leave}, Recv: stable.Recv, Backlog: pred.Msgs})
+		side := View{ID: ident.ViewID(view), Epoch: ident.Epoch(seq), Members: init.Leave}
+		roundTrip(t, ProbeMsg{side})
+		roundTrip(t, SplitMsg{side})
+		roundTrip(t, InitMsg{View: View{ID: ident.ViewID(seq), Members: init.Join}, Far: &side})
 	})
 }
 
@@ -114,7 +114,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // arbitrary bytes arriving from a faulty peer.
 func FuzzDecodeValueNoPanic(f *testing.F) {
 	good, err := codec.Marshal(nil, StateMsg{
-		View: 2, Members: []ident.PID{"a", "b"},
+		View:    View{ID: 2, Members: []ident.PID{"a", "b"}},
 		Backlog: []DataMsg{{View: 1, Meta: obsolete.Msg{Sender: "a", Seq: 1}}},
 	})
 	if err != nil {
@@ -135,19 +135,19 @@ func FuzzDecodeValueNoPanic(f *testing.F) {
 func FuzzWireDecodeNoPanic(f *testing.F) {
 	dm := DataMsg{View: 4, Epoch: 1, Meta: obsolete.Msg{Sender: "a", Seq: 3, Annot: []byte{5}}, Payload: []byte("p")}
 	recv := map[ident.PID]ident.Seq{"a": 3, "b": 1}
-	side := MergeSide{View: 4, Epoch: 1, Members: []ident.PID{"a", "b"}}
+	side := View{ID: 4, Epoch: 1, Members: []ident.PID{"a", "b"}}
 	for _, m := range []any{
 		dm,
-		InitMsg{View: 4, Leave: []ident.PID{"b"}, Join: []ident.PID{"c"}},
+		InitMsg{View: View{ID: 4}, Leave: []ident.PID{"b"}, Join: []ident.PID{"c"}},
 		PredMsg{Change: ident.ViewRef{Epoch: 1, ID: 5}, Msgs: []DataMsg{dm}},
 		CreditMsg{View: 4, Credits: 8},
 		StableMsg{View: 4, Recv: recv},
 		JoinReqMsg{},
-		StateMsg{View: 4, Members: side.Members, Recv: recv, Backlog: []DataMsg{dm}},
+		StateMsg{View: View{ID: 4, Members: side.Members}, Recv: recv, Backlog: []DataMsg{dm}},
 		&DataBatchMsg{Msgs: []DataMsg{dm, dm}},
-		ProbeMsg(side),
-		SplitMsg(side),
-		InitMsg{View: side.View, Epoch: side.Epoch, Members: side.Members, Far: &MergeSide{View: 2, Epoch: 9, Members: []ident.PID{"c"}}},
+		ProbeMsg{side},
+		SplitMsg{side},
+		InitMsg{View: side, Far: &View{ID: 2, Epoch: 9, Members: []ident.PID{"c"}}},
 		PredMsg{Change: side.Ref(), Decline: true},
 	} {
 		b, err := codec.Marshal(nil, m)

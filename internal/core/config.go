@@ -31,24 +31,33 @@ type Config struct {
 	// Detector is the failure detector oracle. The engine consumes its
 	// Events channel.
 	Detector fd.Detector
-	// InitialView is the agreed first view (same at every member). It is
-	// ignored when Join is set: a joiner learns its first view from the
-	// group's state transfer.
-	InitialView View
 	// Join, when non-nil, starts the engine as a joiner of an already
 	// running group instead of a founding member: the engine asks the
 	// contacts for admission and installs its first view — membership,
 	// reception frontiers and the non-obsolete backlog — from the state
 	// transfer that follows the admitting view change.
 	Join *JoinSpec
-	// Relation is the obsolescence relation; nil means the empty relation,
-	// i.e. classic View Synchrony.
-	Relation obsolete.Relation
 	// Obs supplies the engine's clock, metrics and structured events. All of
 	// the engine's timestamps and tickers come from its Clock, so tests can
 	// drive the protocol under a deterministic obs.Fake. Nil means the wall
 	// clock with no metrics and no events.
 	Obs *obs.Obs
+
+	GroupConfig
+}
+
+// GroupConfig is the group's own part of a Config: everything but the
+// fields a Node supplies to the groups it hosts (Self, Group, Endpoint and
+// Detector from the node, Obs derived from NodeConfig.Obs with the group's
+// label, and Join from Node.Join / JoinWith).
+type GroupConfig struct {
+	// InitialView is the agreed first view (same at every member). It is
+	// ignored when Join is set: a joiner learns its first view from the
+	// group's state transfer.
+	InitialView View
+	// Relation is the obsolescence relation; nil means the empty relation,
+	// i.e. classic View Synchrony.
+	Relation obsolete.Relation
 
 	// ToDeliverCap bounds the delivery queue (Figure 1's to-deliver).
 	// 0 means unbounded. A full queue exerts flow control on senders.
@@ -149,37 +158,27 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: config: Detector is required")
 	}
 	if c.Join != nil {
-		contacts := c.Join.Contacts.Clone().Remove(c.Self)
-		if len(contacts) == 0 {
+		js := *c.Join
+		js.Contacts = js.Contacts.Remove(c.Self)
+		if len(js.Contacts) == 0 {
 			return fmt.Errorf("core: config: Join needs at least one contact other than Self")
 		}
-		retry := c.Join.Retry
-		if retry <= 0 {
-			retry = 200 * time.Millisecond
+		if js.Retry <= 0 {
+			js.Retry = 200 * time.Millisecond
 		}
-		retryMax := c.Join.RetryMax
-		if retryMax <= 0 {
-			retryMax = 16 * retry
+		if js.RetryMax <= 0 {
+			js.RetryMax = 16 * js.Retry
 		}
-		if retryMax < retry {
-			retryMax = retry
-		}
-		jitter := c.Join.RetryJitter
+		js.RetryMax = max(js.RetryMax, js.Retry)
 		switch {
-		case jitter < 0:
-			jitter = 0
-		case jitter == 0:
-			jitter = 0.2
-		case jitter >= 1:
-			return fmt.Errorf("core: config: Join.RetryJitter %v must be below 1", jitter)
+		case js.RetryJitter < 0:
+			js.RetryJitter = 0
+		case js.RetryJitter == 0:
+			js.RetryJitter = 0.2
+		case js.RetryJitter >= 1:
+			return fmt.Errorf("core: config: Join.RetryJitter %v must be below 1", js.RetryJitter)
 		}
-		c.Join = &JoinSpec{
-			Contacts:    contacts,
-			Retry:       retry,
-			RetryMax:    retryMax,
-			RetryJitter: jitter,
-			GiveUp:      c.Join.GiveUp,
-		}
+		c.Join = &js
 	} else {
 		if len(c.InitialView.Members) == 0 {
 			return fmt.Errorf("core: config: InitialView must have members")
@@ -192,21 +191,20 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: config: negative capacity")
 	}
 	if c.Heal != nil {
-		probe := c.Heal.ProbeInterval
-		if probe < 0 {
+		h := *c.Heal
+		if h.ProbeInterval < 0 {
 			return fmt.Errorf("core: config: negative Heal.ProbeInterval")
 		}
-		if probe == 0 {
-			probe = 500 * time.Millisecond
-		}
-		timeout := c.Heal.MergeTimeout
-		if timeout < 0 {
+		if h.MergeTimeout < 0 {
 			return fmt.Errorf("core: config: negative Heal.MergeTimeout")
 		}
-		if timeout == 0 {
-			timeout = 20 * probe
+		if h.ProbeInterval == 0 {
+			h.ProbeInterval = 500 * time.Millisecond
 		}
-		c.Heal = &HealSpec{ProbeInterval: probe, MergeTimeout: timeout}
+		if h.MergeTimeout == 0 {
+			h.MergeTimeout = 20 * h.ProbeInterval
+		}
+		c.Heal = &h
 	}
 	if c.Relation == nil {
 		c.Relation = obsolete.Empty{}

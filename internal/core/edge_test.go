@@ -115,8 +115,10 @@ func TestSingleMemberGroup(t *testing.T) {
 	defer det.Stop()
 	eng, err := New(Config{
 		Self: "solo", Endpoint: ep, Detector: det,
-		InitialView: View{ID: 1, Members: ident.NewPIDs("solo")},
-		Relation:    tagging,
+		GroupConfig: GroupConfig{
+			InitialView: View{ID: 1, Members: ident.NewPIDs("solo")},
+			Relation:    tagging,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +218,7 @@ func TestStopWithoutStart(t *testing.T) {
 	defer det.Stop()
 	eng, err := New(Config{
 		Self: "solo", Endpoint: ep, Detector: det,
-		InitialView: View{ID: 1, Members: ident.NewPIDs("solo")},
+		GroupConfig: GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("solo")}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,8 +259,10 @@ func TestCancelledCallsConsumeNothing(t *testing.T) {
 	defer det.Stop()
 	eng, err := New(Config{
 		Self: "solo", Endpoint: ep, Detector: det,
-		InitialView:  View{ID: 1, Members: ident.NewPIDs("solo")},
-		ToDeliverCap: 1, // the second multicast parks until the first is delivered
+		GroupConfig: GroupConfig{
+			InitialView:  View{ID: 1, Members: ident.NewPIDs("solo")},
+			ToDeliverCap: 1, // the second multicast parks until the first is delivered
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +339,7 @@ func TestStagePrunedAtInstall(t *testing.T) {
 		})
 		return eng
 	}
-	founder := start("p0", Config{InitialView: View{ID: 1, Members: ident.NewPIDs("p0")}})
+	founder := start("p0", Config{GroupConfig: GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("p0")}}})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

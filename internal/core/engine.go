@@ -49,9 +49,8 @@ type Engine struct {
 	// event and the join give-up, and carries out the effects. The data
 	// plane counts into vc.stats directly. joiner is the join handshake's
 	// timer and backoff (join.go), set while vc is joining.
-	vc       viewState
-	joiner   *joiner
-	healTick obs.Ticker
+	vc     viewState
+	joiner *joiner
 
 	toDeliver *queue.Queue
 	delivered *queue.Queue // current-view delivery history (for pred sets)
@@ -81,8 +80,6 @@ type Engine struct {
 	// peer took credit for a prefix of it (link.took); flushStage hands
 	// every peer the survivors of its prefix and empties it.
 	stage []DataMsg
-
-	stabTick obs.Ticker // stability gossip (stability.go)
 
 	deliverWaiters []*request
 	multicastQ     []*request
@@ -203,6 +200,7 @@ func New(cfg Config) (*Engine, error) {
 		cons:      consensus.NewMachine(cfg.Self, send, cfg.Detector, cfg.Obs),
 		toDeliver: queue.New(cfg.Relation, cfg.ToDeliverCap),
 		delivered: queue.New(cfg.Relation, 0),
+		peers:     make(map[ident.PID]*peer),
 	}
 	e.armPeers()
 	e.pub = &published{view: e.vc.cv.Clone()}
@@ -210,9 +208,9 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Start launches the protocol loop. A joining
-// engine also starts asking its contacts for admission. Start after Stop
-// fails with ErrStopped.
+// Start launches the protocol loop with its stability gossip and heal
+// tickers. A joining engine also starts asking its contacts for admission.
+// Start after Stop fails with ErrStopped.
 func (e *Engine) Start() error {
 	e.pub.mu.Lock()
 	defer e.pub.mu.Unlock()
@@ -220,18 +218,31 @@ func (e *Engine) Start() error {
 		return ErrStopped
 	}
 	e.pub.started = true
-	if e.cfg.StabilityInterval > 0 {
-		e.stabTick = e.clock.NewTicker(e.cfg.StabilityInterval)
-	}
+	var probe time.Duration
 	if e.cfg.Heal != nil {
-		e.healTick = e.clock.NewTicker(e.cfg.Heal.ProbeInterval)
+		probe = e.cfg.Heal.ProbeInterval
 	}
 	if e.cfg.Join != nil {
 		e.startJoin()
 	}
-	go e.run()
+	go e.run(e.ticker(e.cfg.StabilityInterval), e.ticker(probe))
 	return nil
 }
+
+// ticker returns a ticker of the engine's clock firing every d, or for a
+// period of zero or less one that never fires.
+func (e *Engine) ticker(d time.Duration) obs.Ticker {
+	if d <= 0 {
+		return never{}
+	}
+	return e.clock.NewTicker(d)
+}
+
+// never is the ticker of a disabled period.
+type never struct{}
+
+func (never) C() <-chan time.Time { return nil }
+func (never) Stop()               {}
 
 // Stop terminates the engine. Parked Multicast and Deliver calls return
 // ErrStopped. Stop does not close the endpoint or the detector; the caller
@@ -406,25 +417,19 @@ func (e *Engine) do(ctx context.Context, req *request) result {
 const reqDrainCap = 256
 
 // run is the protocol loop: a single goroutine owning all state, the
-// consensus instances included. Every inbox is consumed in batch mode: one
-// receive hands the loop every envelope pending for the channel, amortising
-// the wakeup and the per-iteration snapshot mirror over the whole run.
-func (e *Engine) run() {
+// consensus instances included, which gossips stability on each tick of
+// stab and probes on each tick of heal. Every inbox is consumed in batch
+// mode: one receive hands the loop every envelope pending for the channel,
+// amortising the wakeup and the per-iteration snapshot mirror over the
+// whole run.
+func (e *Engine) run(stab, heal obs.Ticker) {
 	defer close(e.doneC)
+	defer stab.Stop()
+	defer heal.Stop()
 	dataIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Data)
 	ctlIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Ctl)
 	consIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Consensus)
 	fdEv := e.cfg.Detector.Events()
-	var stabC <-chan time.Time
-	if e.stabTick != nil {
-		stabC = e.stabTick.C()
-		defer e.stabTick.Stop()
-	}
-	var healC <-chan time.Time
-	if e.healTick != nil {
-		healC = e.healTick.C()
-		defer e.healTick.Stop()
-	}
 	if e.joiner != nil {
 		e.sendJoinReq()
 	}
@@ -484,9 +489,9 @@ func (e *Engine) run() {
 		case req := <-e.reqC:
 			e.onRequest(req)
 			e.drainRequests()
-		case <-stabC:
+		case <-stab.C():
 			e.gossipStability()
-		case <-healC:
+		case <-heal.C():
 			e.input("", healTick{})
 		case <-joinC:
 			e.onJoinRetry()
@@ -547,9 +552,7 @@ func (e *Engine) syncSnapshots() {
 	e.vc.stats.Blocked = e.vc.chg != nil
 	st := e.toDeliver.Stats()
 	e.vc.stats.PurgedToDeliver = st.Purged
-	if st.MaxLen > e.vc.stats.ToDeliverMax {
-		e.vc.stats.ToDeliverMax = st.MaxLen
-	}
+	e.vc.stats.ToDeliverMax = max(e.vc.stats.ToDeliverMax, st.MaxLen)
 	e.pub.mu.Lock()
 	if e.pub.view.Ref() != e.vc.cv.Ref() {
 		// Clone only when the view actually changed — every view has a ref

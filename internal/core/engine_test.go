@@ -92,18 +92,20 @@ func newGroup(t *testing.T, o harnessOpts) *groupHarness {
 		}
 		det := fd.NewManual()
 		eng, err := New(Config{
-			Self:              p,
-			Endpoint:          h.faults.Wrap(ep),
-			Detector:          det,
-			InitialView:       view0,
-			Relation:          o.rel,
-			ToDeliverCap:      o.toDeliverCap,
-			OutgoingCap:       o.outgoingCap,
-			Window:            o.window,
-			AutoEvict:         o.autoEvict,
-			StabilityInterval: o.stability,
-			Heal:              o.heal,
-			Obs:               ob,
+			Self:     p,
+			Endpoint: h.faults.Wrap(ep),
+			Detector: det,
+			Obs:      ob,
+			GroupConfig: GroupConfig{
+				InitialView:       view0,
+				Relation:          o.rel,
+				ToDeliverCap:      o.toDeliverCap,
+				OutgoingCap:       o.outgoingCap,
+				Window:            o.window,
+				AutoEvict:         o.autoEvict,
+				StabilityInterval: o.stability,
+				Heal:              o.heal,
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -562,14 +564,16 @@ func TestEngineConfigValidation(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"missing self", Config{Endpoint: ep, Detector: det, InitialView: view}},
-		{"missing endpoint", Config{Self: "a", Detector: det, InitialView: view}},
-		{"missing detector", Config{Self: "a", Endpoint: ep, InitialView: view}},
+		{"missing self", Config{Endpoint: ep, Detector: det, GroupConfig: GroupConfig{InitialView: view}}},
+		{"missing endpoint", Config{Self: "a", Detector: det, GroupConfig: GroupConfig{InitialView: view}}},
+		{"missing detector", Config{Self: "a", Endpoint: ep, GroupConfig: GroupConfig{InitialView: view}}},
 		{"empty view", Config{Self: "a", Endpoint: ep, Detector: det}},
-		{"self not member", Config{Self: "a", Endpoint: ep, Detector: det,
-			InitialView: View{ID: 1, Members: ident.NewPIDs("x", "y")}}},
-		{"self mismatch", Config{Self: "b", Endpoint: ep, Detector: det, InitialView: view}},
-		{"negative cap", Config{Self: "a", Endpoint: ep, Detector: det, InitialView: view, ToDeliverCap: -1}},
+		{"self not member", Config{
+			Self: "a", Endpoint: ep, Detector: det,
+			GroupConfig: GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("x", "y")}},
+		}},
+		{"self mismatch", Config{Self: "b", Endpoint: ep, Detector: det, GroupConfig: GroupConfig{InitialView: view}}},
+		{"negative cap", Config{Self: "a", Endpoint: ep, Detector: det, GroupConfig: GroupConfig{InitialView: view, ToDeliverCap: -1}}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -225,7 +225,7 @@ func (w *world) apply(i int, f effect) {
 		}
 	case propose:
 		w.checkProposal(i, f)
-		ref := ident.ViewRef{Epoch: f.val.Epoch, ID: f.val.View}
+		ref := f.val.Ref()
 		id := viewInstance(ref)
 		k := w.inst(id)
 		if k < 0 {
@@ -248,7 +248,7 @@ func (w *world) apply(i int, f effect) {
 			w.checkInstall(i, f.st)
 			if inc := f.prev.Members.Intersect(f.view.Members); !f.chg.merge() && len(inc) > 0 && inc[0] == self {
 				for _, q := range f.view.Members.Without(f.prev.Members) {
-					w.send(self, q, StateMsg{View: f.view.ID, Epoch: f.view.Epoch, Members: f.view.Members})
+					w.send(self, q, StateMsg{View: f.view})
 				}
 			}
 		}
@@ -264,7 +264,7 @@ func (w *world) apply(i int, f effect) {
 		}
 		w.input(i, "", entered{})
 	case transfer:
-		st := StateMsg{View: f.view.ID, Epoch: f.view.Epoch, Members: f.view.Members}
+		st := StateMsg{View: f.view}
 		for _, q := range f.to {
 			w.send(self, q, st)
 		}
@@ -295,7 +295,7 @@ func (w *world) checkProposal(i int, f propose) {
 // checkInstall is property (b).
 func (w *world) checkInstall(i int, st StateMsg) {
 	raw, _ := codec.Marshal(nil, st)
-	ref := ident.ViewRef{Epoch: st.Epoch, ID: st.View}
+	ref := st.Ref()
 	if prev, ok := w.installed[ref]; ok {
 		if !bytes.Equal(prev, raw) && w.violation == "" {
 			w.violation = fmt.Sprintf("(b) %s installed %v as %v, another installer differently", w.pids[i], ref, st.Members)
@@ -575,7 +575,7 @@ func describe(m any) string {
 		}
 		return fmt.Sprintf("PRED(%v)", m.Change)
 	case StateMsg:
-		return fmt.Sprintf("STATE(%v)", m.view())
+		return fmt.Sprintf("STATE(%v)", m.View)
 	default:
 		return fmt.Sprintf("%T%+v", m, m)
 	}
@@ -782,7 +782,7 @@ var scenarios = []scenario{
 			w.procs[1].s.terminal = ErrExpelled
 			w.procs[2].s.cv = b
 			w.procs[2].views = []ident.ViewRef{b.Ref()}
-			w.send("p2", "p0", ProbeMsg{View: b.ID, Epoch: b.Epoch, Members: b.Members})
+			w.send("p2", "p0", ProbeMsg{b})
 			return w
 		},
 	},

@@ -69,9 +69,6 @@ type link struct {
 func (e *Engine) peer(id ident.PID) *peer {
 	p := e.peers[id]
 	if p == nil {
-		if e.peers == nil {
-			e.peers = make(map[ident.PID]*peer)
-		}
 		p = &peer{id: id}
 		e.peers[id] = p
 	}

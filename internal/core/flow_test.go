@@ -29,13 +29,13 @@ func TestFlowDisabledUnboundedNeverParks(t *testing.T) {
 // member "peer", armed with the given window.
 func flowEngine(cfg Config) (*Engine, *peer) {
 	cfg.Self, cfg.Relation = "me", obsolete.Empty{}
-	e := &Engine{cfg: cfg, vc: viewState{cv: View{ID: 3, Members: ident.NewPIDs("me", "peer")}}}
+	e := &Engine{cfg: cfg, vc: viewState{cv: View{ID: 3, Members: ident.NewPIDs("me", "peer")}}, peers: map[ident.PID]*peer{}}
 	e.armPeers()
 	return e, e.others[0]
 }
 
 func TestPeerCredits(t *testing.T) {
-	e, p := flowEngine(Config{Window: 4, OutgoingCap: 8})
+	e, p := flowEngine(Config{GroupConfig: GroupConfig{Window: 4, OutgoingCap: 8}})
 	if p.out == nil || len(e.peers) != 2 {
 		t.Fatalf("window 4 should arm an outgoing queue for the one peer, beside our own record: %+v", e.peers)
 	}
@@ -73,7 +73,7 @@ func TestPeerCredits(t *testing.T) {
 // granted a quarter window at a time, except to a sender known to have used
 // up everything it was granted.
 func TestPeerGrantsInBatches(t *testing.T) {
-	_, p := flowEngine(Config{Window: 8})
+	_, p := flowEngine(Config{GroupConfig: GroupConfig{Window: 8}})
 	for i := 0; i < 3; i++ {
 		p.received()
 	}
@@ -97,7 +97,7 @@ func TestPeerGrantsInBatches(t *testing.T) {
 // now known blocked and can send nothing that would free another slot, so
 // what is owed is granted with that arrival, or never.
 func TestPeerGrantsOwedWhenBlocked(t *testing.T) {
-	_, p := flowEngine(Config{Window: 8})
+	_, p := flowEngine(Config{GroupConfig: GroupConfig{Window: 8}})
 	for i := 0; i < 7; i++ {
 		p.received()
 	}
@@ -128,7 +128,7 @@ func TestPeerCreditsDisabled(t *testing.T) {
 // grant lifts the credits to the window and no further, and is counted.
 func TestCreditGrantClampedAtWindow(t *testing.T) {
 	const window = 8
-	e, p := flowEngine(Config{Window: window, OutgoingCap: window})
+	e, p := flowEngine(Config{GroupConfig: GroupConfig{Window: window, OutgoingCap: window}})
 	grant := func(n int) {
 		e.onCtl(transport.Envelope{From: p.id, Msg: CreditMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Credits: n}})
 	}
@@ -169,7 +169,7 @@ func TestDrainOutgoingNeverDropsWithoutCredit(t *testing.T) {
 	defer pep.Close()
 	inbox := pep.Inbox(0, transport.Data)
 
-	e, p := flowEngine(Config{Endpoint: ep, Window: 4})
+	e, p := flowEngine(Config{Endpoint: ep, GroupConfig: GroupConfig{Window: 4}})
 	out := p.out
 	// One stale leftover from view 2, then five live messages.
 	out.ForceAppend(queue.Item{Kind: queue.Data, View: 2, Meta: obsolete.Msg{Sender: "me", Seq: 90}})
@@ -352,7 +352,7 @@ func TestStaleViewCreditRejected(t *testing.T) {
 }
 
 // TestDeferredCtlOverflowCounted pins the maxDeferredCtl backstop: control
-// envelopes for future views past the cap are dropped, and the drop is
+// envelopes for the next view past the cap are dropped, and the drop is
 // visible in Stats rather than silent. It is the arriving envelope that goes,
 // never a stashed one: the first thing stashed here is p1's INIT for view 2
 // (p1 installed it ahead of p0 and went on), and once p0 installs view 2
@@ -365,12 +365,12 @@ func TestDeferredCtlOverflowCounted(t *testing.T) {
 	}
 	defer evil.Close()
 
-	if err := h.members["p1"].ep.Send("p0", 0, transport.Ctl, InitMsg{View: 2}); err != nil {
+	if err := h.members["p1"].ep.Send("p0", 0, transport.Ctl, InitMsg{View: View{ID: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	const extra = 7
 	for i := 1; i < maxDeferredCtl+extra; i++ {
-		if err := evil.Send("p0", 0, transport.Ctl, InitMsg{View: 99}); err != nil {
+		if err := evil.Send("p0", 0, transport.Ctl, InitMsg{View: View{ID: 2}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -75,9 +75,7 @@ func (j *joiner) delay(js *JoinSpec) time.Duration {
 	for i := 0; i < j.attempt && d < js.RetryMax; i++ {
 		d *= 2
 	}
-	if d > js.RetryMax {
-		d = js.RetryMax
-	}
+	d = min(d, js.RetryMax)
 	if js.RetryJitter > 0 {
 		d = time.Duration(float64(d) * (1 + js.RetryJitter*(2*j.rng.Float64()-1)))
 		if d <= 0 {
@@ -96,7 +94,7 @@ func (t *turn) onJoinState(from ident.PID, m StateMsg) {
 	if !t.joining {
 		return
 	}
-	next := m.view()
+	next := View{Epoch: m.Epoch, ID: m.ID, Members: ident.NewPIDs(m.Members...)}
 	// Only a member of the view being transferred may hand it over (the
 	// sponsor, or — on the recovery path — the contact that was re-asked);
 	// a transfer from anyone else would hijack the joining engine.
@@ -115,8 +113,8 @@ func (e *Engine) onJoined(from ident.PID, m StateMsg) {
 	e.m.joinDur.ObserveDuration(took)
 	e.endJoin()
 	size := wireSize(m)
-	e.ev.StateTransfer("recv", string(from), uint64(m.View), len(m.Backlog), size)
-	e.ev.JoinComplete(uint64(m.View), len(m.Members), took)
+	e.ev.StateTransfer("recv", string(from), uint64(m.ID), len(m.Backlog), size)
+	e.ev.JoinComplete(uint64(m.ID), len(m.Members), took)
 	e.vc.stats.JoinBacklogRecv = uint64(len(m.Backlog))
 	e.vc.stats.JoinBytesRecv = uint64(size)
 
@@ -124,7 +122,7 @@ func (e *Engine) onJoined(from ident.PID, m StateMsg) {
 	// here; remember them so their consumption grants no credits. Whatever
 	// the sender multicasts in later views is numbered above them.
 	for _, dm := range m.Backlog {
-		if dm.View == m.View && dm.Epoch == m.Epoch {
+		if dm.Ref() == m.Ref() {
 			s := e.peer(dm.Meta.Sender)
 			s.seeded = max(s.seeded, dm.Meta.Seq)
 		}
@@ -191,7 +189,7 @@ func (e *Engine) sendJoinStates(next View, joiners ident.PIDs) {
 		e.vc.stats.JoinStatesSent++
 		e.vc.stats.JoinBacklogSent += uint64(len(st.Backlog))
 		e.vc.stats.JoinBytesSent += uint64(size)
-		e.ev.StateTransfer("sent", string(j), uint64(st.View), len(st.Backlog), size)
+		e.ev.StateTransfer("sent", string(j), uint64(st.ID), len(st.Backlog), size)
 	}
 }
 
@@ -204,7 +202,7 @@ func (e *Engine) sendJoinStates(next View, joiners ident.PIDs) {
 // keeps it unpruned: a relation that obsoletes little ships it whole.
 func (e *Engine) buildJoinState(next View) StateMsg {
 	return StateMsg{
-		View: next.ID, Epoch: next.Epoch, Members: next.Members.Clone(),
+		View:    next.Clone(),
 		Recv:    e.recvSnapshot(),
 		Backlog: repurge(e.cfg.Relation, e.held(func(*queue.Item) bool { return true })),
 	}

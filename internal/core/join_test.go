@@ -507,7 +507,7 @@ func TestJoinStateFromNonMemberRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer evil.Close()
-	forged := StateMsg{View: 9, Members: []ident.PID{"j", "ghost"}}
+	forged := StateMsg{View: View{ID: 9, Members: []ident.PID{"j", "ghost"}}}
 	if err := evil.Send("j", 0, transport.Ctl, forged); err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func (t *turn) onHealTick() {
 
 // probe is this process's discovery beacon: its current view.
 func (t *turn) probe() ProbeMsg {
-	return ProbeMsg{View: t.cv.ID, Epoch: t.cv.Epoch, Members: t.cv.Members.Clone()}
+	return ProbeMsg{t.cv.Clone()}
 }
 
 // onProbe classifies a discovery beacon. The sender considers us a former
@@ -100,13 +100,11 @@ func (t *turn) onProbe(from ident.PID, m ProbeMsg) {
 		// union as trigger announces an ordinary change to the view, the
 		// pair normalised so both sides' initiators send one INIT.
 		if t.open() {
-			near := MergeSide{View: t.cv.ID, Epoch: t.cv.Epoch, Members: t.cv.Members.Clone()}
-			far := MergeSide{View: m.View, Epoch: m.Epoch, Members: members}
+			near, far := t.cv.Clone(), View{Epoch: ref.Epoch, ID: ref.ID, Members: members}
 			if far.Ref().Less(near.Ref()) {
 				near, far = far, near
 			}
-			init := InitMsg{View: near.View, Epoch: near.Epoch, Members: near.Members, Far: &far}
-			t.emit(sendTo{t.cv.Members.Union(members), init})
+			t.emit(sendTo{t.cv.Members.Union(members), InitMsg{View: near, Far: &far}})
 		}
 		return
 	}
@@ -155,7 +153,7 @@ func (t *turn) checkSplit() {
 		return // this exact continuation is already declared and pending
 	}
 	t.emit(splitDeclared{ref, len(split)},
-		sendTo{split.Remove(t.self), SplitMsg{View: t.cv.ID, Epoch: t.cv.Epoch, Members: split.Clone()}})
+		sendTo{split.Remove(t.self), SplitMsg{View{Epoch: t.cv.Epoch, ID: t.cv.ID, Members: split.Clone()}}})
 	t.adoptSplit(split)
 }
 
@@ -210,7 +208,7 @@ func (t *turn) openMerge(m InitMsg) *change {
 	if t.heal == nil {
 		return nil
 	}
-	a, b := MergeSide{View: m.View, Epoch: m.Epoch, Members: m.Members}, *m.Far
+	a, b := m.View, *m.Far
 	// Our own side's membership is consensus-agreed state; use the
 	// authoritative copy (it equals the announced one at every correct
 	// sender).
@@ -237,7 +235,7 @@ func (t *turn) openMerge(m InitMsg) *change {
 // not opened as another lineage's chatter, and wait for this process until
 // the merge timed out.
 func (t *turn) declineMerge(m InitMsg) {
-	union := ident.NewPIDs(m.Members...).Union(m.Far.Members).Remove(t.self)
+	union := m.Members.Union(m.Far.Members).Remove(t.self)
 	t.emit(sendTo{union, m}, sendTo{union, PredMsg{Change: mergeRefFor(m.Ref(), m.Far.Ref()), Decline: true}})
 }
 

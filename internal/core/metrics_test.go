@@ -494,7 +494,7 @@ func TestRegistryDoesNotRetainEngine(t *testing.T) {
 		defer det.Stop()
 		eng, err := New(Config{
 			Self: "solo", Endpoint: ep, Detector: det, Obs: obs.New(nil, reg, nil),
-			InitialView: View{ID: 1, Members: ident.NewPIDs("solo")},
+			GroupConfig: GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("solo")}},
 		})
 		if err != nil {
 			t.Fatal(err)

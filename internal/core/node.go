@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/fd"
 	"repro/internal/ident"
 	"repro/internal/obs"
-	"repro/internal/obsolete"
 	"repro/internal/transport"
 )
 
@@ -73,28 +71,6 @@ type NodeConfig struct {
 	// bundle labelled with the group id (so one registry snapshot separates
 	// the groups). Nil means the wall clock with no instrumentation.
 	Obs *obs.Obs
-}
-
-// GroupConfig configures one hosted group; it is Config minus the fields
-// the Node supplies: Self, Group, Endpoint and Detector from the node, Obs
-// derived from NodeConfig.Obs with the group's label, and Join from
-// Node.Join / JoinWith. Every field keeps Config's meaning and default.
-type GroupConfig struct {
-	// InitialView is the agreed first view (same at every member).
-	InitialView View
-	// Relation is the obsolescence relation; nil means classic VS.
-	Relation obsolete.Relation
-	// ToDeliverCap / OutgoingCap / Window bound this group's protocol
-	// buffers, independently of every other group (see Config).
-	ToDeliverCap int
-	OutgoingCap  int
-	Window       int
-	// AutoEvict triggers eviction view changes on suspicion (see Config).
-	AutoEvict bool
-	// StabilityInterval enables reception-frontier gossip (see Config).
-	StabilityInterval time.Duration
-	// Heal enables partition healing for this group (see Config.Heal).
-	Heal *HealSpec
 }
 
 // Group is one hosted group: the Engine facade (Multicast, Deliver,
@@ -170,9 +146,6 @@ func (n *Node) Self() ident.PID { return n.cfg.Self }
 // Detector returns the shared failure detector.
 func (n *Node) Detector() fd.Detector { return n.det }
 
-// Obs returns the node's observability bundle (nil when none was given).
-func (n *Node) Obs() *obs.Obs { return n.obs }
-
 // Metrics snapshots every instrument the node and its groups have
 // recorded. With no registry attached the snapshot is empty, never nil.
 func (n *Node) Metrics() obs.Snapshot {
@@ -200,54 +173,38 @@ func (n *Node) Group(g ident.GroupID) (*Group, bool) {
 }
 
 // host implements Create and Join: it wires a group-scoped engine onto
-// the node's shared endpoint and detector. join selects the engine's
-// bootstrap mode.
+// the node's shared endpoint and detector and starts it; join selects the
+// engine's bootstrap mode. It holds n.mu throughout, so a group is hosted
+// or not at one instant, and a New that fails leaves nothing behind: New
+// registers the group's inboxes only once the config is valid. Start
+// cannot fail on an engine nobody else holds.
 func (n *Node) host(id ident.GroupID, gc GroupConfig, join *JoinSpec) (*Group, error) {
 	if id == ident.NodeGroup {
 		return nil, fmt.Errorf("core: group id %d is reserved for node-scoped traffic", id)
 	}
 	n.mu.Lock()
-	err := n.hostableLocked(id)
-	n.mu.Unlock()
-	if err != nil {
-		return nil, err
+	defer n.mu.Unlock()
+	if n.closed {
+		return nil, fmt.Errorf("core: node closed")
 	}
-
-	// Inboxes must exist before the first peer envelope can arrive for
-	// the group (engine.New registers too; this keeps the window closed
-	// even if construction fails midway and stray traffic shows up).
-	n.cfg.Endpoint.Register(id)
+	if _, dup := n.groups[id]; dup {
+		return nil, fmt.Errorf("core: group %d already hosted", id)
+	}
 	tap := n.fan.Tap()
 	eng, err := New(Config{
-		Self:              n.cfg.Self,
-		Group:             id,
-		Endpoint:          n.cfg.Endpoint,
-		Detector:          &groupDetector{Tap: tap, node: n, id: id},
-		InitialView:       gc.InitialView,
-		Join:              join,
-		Relation:          gc.Relation,
-		ToDeliverCap:      gc.ToDeliverCap,
-		OutgoingCap:       gc.OutgoingCap,
-		Window:            gc.Window,
-		AutoEvict:         gc.AutoEvict,
-		StabilityInterval: gc.StabilityInterval,
-		Heal:              gc.Heal,
-		Obs:               n.obs.With(obs.L("group", fmt.Sprint(id))),
+		Self:        n.cfg.Self,
+		Group:       id,
+		Endpoint:    n.cfg.Endpoint,
+		Detector:    &groupDetector{Tap: tap, node: n, id: id},
+		Join:        join,
+		Obs:         n.obs.With(obs.L("group", fmt.Sprint(id))),
+		GroupConfig: gc,
 	})
 	if err != nil {
 		tap.Stop()
-		n.deregisterIfUnhosted(id)
 		return nil, err
 	}
 	grp := &Group{Engine: eng, node: n, id: id, tap: tap}
-
-	n.mu.Lock()
-	if err := n.hostableLocked(id); err != nil { // closed or hosted meanwhile
-		n.mu.Unlock()
-		eng.Stop() // never started: this releases its root context
-		tap.Stop()
-		return nil, err
-	}
 	n.groups[id] = grp
 	// A joiner monitors its contacts until the first installed view
 	// reports the real membership through the SetPeers hook.
@@ -257,25 +214,8 @@ func (n *Node) host(id ident.GroupID, gc GroupConfig, join *JoinSpec) (*Group, e
 	}
 	n.groupPeers[id] = peers.Clone().Remove(n.cfg.Self)
 	n.syncPeersLocked()
-	n.mu.Unlock()
-
-	if err := eng.Start(); err != nil {
-		grp.Leave()
-		return nil, err
-	}
+	_ = eng.Start()
 	return grp, nil
-}
-
-// hostableLocked reports why group id cannot be hosted now, if it cannot.
-// Callers hold n.mu.
-func (n *Node) hostableLocked(id ident.GroupID) error {
-	if n.closed {
-		return fmt.Errorf("core: node closed")
-	}
-	if _, dup := n.groups[id]; dup {
-		return fmt.Errorf("core: group %d already hosted", id)
-	}
-	return nil
 }
 
 // Join hosts group id by joining it while it runs: instead of agreeing an
@@ -310,18 +250,6 @@ func (n *Node) Create(id ident.GroupID, gc GroupConfig) (*Group, error) {
 // receive their state transfer from the sponsor.
 func (g *Group) Add(ps ...ident.PID) error {
 	return g.Engine.RequestMembershipChange(ident.NewPIDs(ps...), nil)
-}
-
-// deregisterIfUnhosted undoes Create's eager inbox registration on an
-// error path — unless the group is (or became) hosted, in which case the
-// inboxes belong to the live engine.
-func (n *Node) deregisterIfUnhosted(id ident.GroupID) {
-	n.mu.Lock()
-	_, hosted := n.groups[id]
-	n.mu.Unlock()
-	if !hosted {
-		n.cfg.Endpoint.Deregister(id)
-	}
 }
 
 // setGroupPeers records group id's newly installed membership and
@@ -385,14 +313,10 @@ func (n *Node) Close() error {
 	for _, g := range n.groups {
 		groups = append(groups, g)
 	}
-	n.groups = make(map[ident.GroupID]*Group)
-	n.groupPeers = make(map[ident.GroupID]ident.PIDs)
 	n.mu.Unlock()
 
 	for _, g := range groups {
-		g.Engine.Stop()
-		g.tap.Stop()
-		n.cfg.Endpoint.Deregister(g.id)
+		g.Leave()
 	}
 	n.fan.Stop()
 	if n.hb != nil {

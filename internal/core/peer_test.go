@@ -34,7 +34,7 @@ func TestForgedSenderDropped(t *testing.T) {
 			t.Fatal(err)
 		}
 		det := fd.NewManual()
-		cfg := Config{Self: p, Endpoint: ep, Detector: det, InitialView: view0, Window: 4, OutgoingCap: 4}
+		cfg := Config{Self: p, Endpoint: ep, Detector: det, GroupConfig: GroupConfig{InitialView: view0, Window: 4, OutgoingCap: 4}}
 		if p == "p0" {
 			cfg.Obs = obs.New(nil, reg, nil)
 		}
@@ -310,7 +310,7 @@ func TestPeerTableFollowsView(t *testing.T) {
 
 	founders := ident.NewPIDs("p0", "p1", "p2")
 	for _, p := range founders {
-		start(p, Config{InitialView: View{ID: 1, Members: founders}})
+		start(p, Config{GroupConfig: GroupConfig{InitialView: View{ID: 1, Members: founders}}})
 	}
 	traffic(3)
 

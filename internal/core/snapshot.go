@@ -118,9 +118,8 @@ func (e *Engine) adopt(msgs []DataMsg, recv map[ident.PID]ident.Seq) int {
 		added++
 	}
 	for id, q := range recv {
-		if s := e.peer(id); q > s.recvMax {
-			s.recvMax = q
-		}
+		s := e.peer(id)
+		s.recvMax = max(s.recvMax, q)
 	}
 	return added
 }

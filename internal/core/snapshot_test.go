@@ -15,10 +15,11 @@ import (
 // clock, just the loop-owned state the snapshot code reads and writes.
 func snapEngine(rel obsolete.Relation) *Engine {
 	e := &Engine{
-		cfg:       Config{Self: "me", Relation: rel},
+		cfg:       Config{Self: "me", GroupConfig: GroupConfig{Relation: rel}},
 		vc:        viewState{cv: View{ID: 4, Members: ident.NewPIDs("a", "b", "me")}},
 		toDeliver: queue.New(rel, 0),
 		delivered: queue.New(rel, 0),
+		peers:     map[ident.PID]*peer{},
 	}
 	e.armPeers()
 	return e
@@ -155,7 +156,7 @@ func TestOneContribution(t *testing.T) {
 			one.Change, one.Recv, one.Decline, stableA5(one), ident.ViewRef{ID: e.vc.cv.ID + 1})
 	}
 	parent := codec.AppendUvarint([]byte{byte(codec.TPredMsg)}, uint64(e.vc.cv.ID))
-	parent = appendDataMsgs(codec.AppendUvarint(parent, uint64(e.vc.cv.Epoch)), one.Msgs)
+	parent = appendList(codec.AppendUvarint(parent, uint64(e.vc.cv.Epoch)), one.Msgs, appendDataMsg)
 	if grew := wireSize(one) - len(parent); grew < 0 || grew > 2 {
 		t.Errorf("ordinary change's PRED is %d bytes, %d more than the view-tagged pred set's %d; want at most 2",
 			wireSize(one), grew, len(parent))

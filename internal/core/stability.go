@@ -76,15 +76,11 @@ func (e *Engine) onStable(from ident.PID, m StableMsg) {
 // us nothing that could be pruned, and needs no frontier until it has one.
 func (e *Engine) recomputeStable() {
 	for id, s := range e.peers {
-		min := e.self.reported[id] // zero when a member never reported (or lacks s)
+		low := e.self.reported[id] // zero when a member never reported (or lacks s)
 		for _, q := range e.others {
-			if v := q.reported[id]; v < min {
-				min = v
-			}
+			low = min(low, q.reported[id])
 		}
-		if min > s.stable {
-			s.stable = min
-		}
+		s.stable = max(s.stable, low)
 	}
 	e.pruneStable()
 }

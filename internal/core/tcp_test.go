@@ -52,9 +52,12 @@ func groupOverTCP(t *testing.T, opts transport.TCPOptions) {
 			Interval: 10 * time.Millisecond,
 		})
 		eng, err := New(Config{
-			Self: p, Endpoint: nets[p], Detector: det, InitialView: view,
-			Relation:     rel,
-			ToDeliverCap: 16, OutgoingCap: 16, Window: 16,
+			Self: p, Endpoint: nets[p], Detector: det,
+			GroupConfig: GroupConfig{
+				InitialView:  view,
+				Relation:     rel,
+				ToDeliverCap: 16, OutgoingCap: 16, Window: 16,
+			},
 		})
 		if err != nil {
 			t.Fatal(err)

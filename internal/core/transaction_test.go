@@ -119,12 +119,13 @@ func txnEngine(rel obsolete.Relation, window, outCap, deliverCap int, peers ...i
 		peers = []ident.PID{"peer"}
 	}
 	log := &sendLog{}
-	cfg := Config{Self: "me", Endpoint: log, Relation: rel, Window: window, OutgoingCap: outCap}
+	cfg := Config{Self: "me", Endpoint: log, GroupConfig: GroupConfig{Relation: rel, Window: window, OutgoingCap: outCap}}
 	e := &Engine{
 		cfg:       cfg,
 		vc:        viewState{cv: View{ID: 1, Members: ident.NewPIDs(append([]ident.PID{"me"}, peers...)...)}},
 		toDeliver: queue.New(rel, deliverCap),
 		delivered: queue.New(rel, 0),
+		peers:     map[ident.PID]*peer{},
 	}
 	e.armPeers()
 	return e, log

@@ -287,7 +287,7 @@ func (t *turn) trigger(join, leave ident.PIDs) {
 	if !t.open() {
 		return
 	}
-	t.emit(sendTo{t.cv.Members, InitMsg{View: t.cv.ID, Epoch: t.cv.Epoch, Leave: leave, Join: join}})
+	t.emit(sendTo{t.cv.Members, InitMsg{View: View{Epoch: t.cv.Epoch, ID: t.cv.ID}, Leave: leave, Join: join}})
 }
 
 // onSuspicion reacts to failure detector events: they re-evaluate the
@@ -348,28 +348,30 @@ func (t *turn) onCtl(from ident.PID, msg any) {
 	}
 }
 
-// deferFuture stashes a control message for a view this process has not
-// installed yet. A peer that already installed view v may initiate the
-// change to v+1 before we finish installing v ourselves; dropping its INIT
-// would strand it blocked (it cannot retransmit — it blocked itself at
-// t5). The decide flood guarantees we install v shortly, at which point
-// the stashed messages are replayed. The stash is bounded by
-// maxDeferredCtl as a backstop against garbage from broken peers; drops
-// past it are counted in Stats.CtlDeferredDropped.
+// deferFuture stashes a control message for the view this process installs
+// next. A peer that already installed view v may initiate the change to
+// v+1 before we finish installing v ourselves; dropping its INIT would
+// strand it blocked (it cannot retransmit — it blocked itself at t5). The
+// decide flood guarantees we install v shortly, at which point the stashed
+// messages are replayed. No member is two installs ahead of us, so a
+// member of our lineage naming a view past the next is garbage from a
+// broken peer and dropped as stale; the stash is bounded by maxDeferredCtl
+// as a backstop, and drops past it are counted in Stats.CtlDeferredDropped.
 //
 // Cross-lineage traffic is deferred only while an epoch-changing install
 // may be in flight (blocked on a merge decision, or joining — the state
-// transfer may land us in a split epoch); then the replay after the
-// install re-evaluates it under the new epoch. Otherwise a ref from
-// another epoch is not "our future" — it is another partition's
-// view-change chatter, which the merge protocol handles through its own
-// messages — and is dropped as stale rather than stashed against an
-// install that may never come.
+// transfer may land us in a split epoch, and a joiner has no view to count
+// from); then the replay after the install re-evaluates it under the new
+// epoch. Otherwise a ref from another epoch is not "our future" — it is
+// another partition's view-change chatter, which the merge protocol
+// handles through its own messages — and is dropped as stale rather than
+// stashed against an install that may never come.
 func (t *turn) deferFuture(msg any, ref ident.ViewRef) bool {
-	if ref.Epoch == t.cv.Epoch && ref.ID <= t.cv.ID {
+	same := ref.Epoch == t.cv.Epoch
+	if same && ref.ID <= t.cv.ID {
 		return false
 	}
-	if ref.Epoch != t.cv.Epoch && t.open() {
+	if same && !t.joining && ref.ID > t.cv.ID+1 || !same && t.open() {
 		t.stats.DroppedStale++
 		t.drop(obs.DropStaleView, slog.String("view", ref.String()))
 		return true
@@ -519,10 +521,7 @@ func (t *turn) checkPropose() {
 // a:8, another member's a:6 would meet a:8 here without the a:7 that links
 // them, and under KEnumeration a:8 lists only the last K numbers.
 func (t *turn) proposal(next View) StateMsg {
-	return StateMsg{
-		View: next.ID, Epoch: next.Epoch, Members: next.Members.Clone(),
-		Recv: t.chg.recv, Backlog: repurge(t.rel, sortedPred(t.chg.pred)),
-	}
+	return StateMsg{View: next.Clone(), Recv: t.chg.recv, Backlog: repurge(t.rel, sortedPred(t.chg.pred))}
 }
 
 // propose offers val to the consensus instance of the view it names, among
@@ -531,7 +530,7 @@ func (t *turn) proposal(next View) StateMsg {
 // outlives the change, so a change given up here leaves it live for the
 // other participants.
 func (t *turn) propose(val StateMsg, participants ident.PIDs) {
-	t.await(ident.ViewRef{Epoch: val.Epoch, ID: val.View})
+	t.await(val.Ref())
 	t.emit(propose{val: val, participants: participants})
 }
 
@@ -604,7 +603,7 @@ func (t *turn) onDecision(d consensus.Decision) {
 		t.emit(failed{c.next.ID, err})
 		return
 	}
-	t.enter(st.view(), install{st: st, prev: t.cv, chg: c})
+	t.enter(st.View, install{st: st, prev: t.cv, chg: c})
 }
 
 // enter makes next the current view, whether a decision installed it, a
@@ -663,7 +662,7 @@ func (e *Engine) apply(f effect) {
 		// Neither call can fail: StateMsg is a registered type, and we are
 		// one of the participants.
 		raw, _ := codec.Marshal(nil, f.val)
-		ds, _ := e.cons.Propose(viewInstance(ident.ViewRef{Epoch: f.val.Epoch, ID: f.val.View}), f.participants, raw)
+		ds, _ := e.cons.Propose(viewInstance(f.val.Ref()), f.participants, raw)
 		e.onDecisions(ds)
 	case await:
 		if v, ok := e.cons.Decided(f.id); ok {

@@ -43,7 +43,7 @@ func (st *stepper) feed(from ident.PID, msg any) {
 // proposal returns the value proposed for ref, if any was.
 func (st *stepper) proposal(ref ident.ViewRef) (StateMsg, bool) {
 	for _, f := range st.fx {
-		if p, ok := f.(propose); ok && p.val.View == ref.ID && p.val.Epoch == ref.Epoch {
+		if p, ok := f.(propose); ok && p.val.Ref() == ref {
 			return p.val, true
 		}
 	}
@@ -120,8 +120,9 @@ func TestOneDecisionPerChangeEngines(t *testing.T) {
 		}
 		det := fd.NewManual()
 		eng, err := New(Config{
-			Self: p, Endpoint: ep, Detector: det, InitialView: view0,
-			Obs: obs.New(nil, reg, nil).With(obs.L("node", string(p))),
+			Self: p, Endpoint: ep, Detector: det,
+			Obs:         obs.New(nil, reg, nil).With(obs.L("node", string(p))),
+			GroupConfig: GroupConfig{InitialView: view0},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -200,7 +201,7 @@ func TestProbeExpulsionEntersView(t *testing.T) {
 	}
 	det := fd.NewManual()
 	t.Cleanup(det.Stop)
-	straggler, err := New(Config{Self: "p2", Endpoint: eps["p2"], Detector: det, InitialView: view0, Heal: &HealSpec{}})
+	straggler, err := New(Config{Self: "p2", Endpoint: eps["p2"], Detector: det, GroupConfig: GroupConfig{InitialView: view0, Heal: &HealSpec{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestProbeExpulsionEntersView(t *testing.T) {
 
 	// p0 opens a view change the straggler joins at t5 and that never
 	// completes: p0 and p1 run no engine to answer it.
-	if err := eps["p0"].Send("p2", 0, transport.Ctl, InitMsg{View: view0.ID}); err != nil {
+	if err := eps["p0"].Send("p2", 0, transport.Ctl, InitMsg{View: View{ID: view0.ID}}); err != nil {
 		t.Fatal(err)
 	}
 	waitCond(t, "straggler blocked", func() bool { return straggler.Stats().Blocked })
@@ -225,7 +226,7 @@ func TestProbeExpulsionEntersView(t *testing.T) {
 	waitCond(t, "multicast parked", func() bool { return straggler.Stats().Parked == 1 })
 
 	evicted := View{ID: 3, Members: ident.NewPIDs("p0", "p1")}
-	if err := eps["p0"].Send("p2", 0, transport.Ctl, ProbeMsg{View: evicted.ID, Epoch: evicted.Epoch, Members: evicted.Members}); err != nil {
+	if err := eps["p0"].Send("p2", 0, transport.Ctl, ProbeMsg{View: View{ID: evicted.ID, Epoch: evicted.Epoch, Members: evicted.Members}}); err != nil {
 		t.Fatal(err)
 	}
 	d, err := straggler.Deliver(ctx)
@@ -291,12 +292,13 @@ func (l *ctlLog) proposed(t *testing.T, ref ident.ViewRef) StateMsg {
 // that reaches nobody but the log.
 func changeEngine(t *testing.T, self ident.PID, members ident.PIDs) (*Engine, *ctlLog) {
 	log, det := &ctlLog{self: self}, fd.NewManual()
-	cfg := Config{Self: self, Endpoint: log, Detector: det, Relation: tagging}
+	cfg := Config{Self: self, Endpoint: log, Detector: det, GroupConfig: GroupConfig{Relation: tagging}}
 	e := &Engine{
 		cfg: cfg, clock: obs.Wall{},
 		vc:        viewState{self: self, rel: tagging, cv: View{ID: 4, Members: members}},
 		toDeliver: queue.New(cfg.Relation, 0),
 		delivered: queue.New(cfg.Relation, 0),
+		peers:     map[ident.PID]*peer{},
 	}
 	send := func(to ident.PID, m consensus.Msg) { _ = log.Send(to, 0, transport.Consensus, m) }
 	e.cons = consensus.NewMachine(self, send, det, nil)
@@ -336,11 +338,11 @@ func TestOneQuorumRule(t *testing.T) {
 			st.suspected = tc.suspected
 			next := ident.ViewRef{ID: st.s.cv.ID + 1}
 			if len(tc.sides) == 1 {
-				st.feed("p1", InitMsg{View: st.s.cv.ID})
+				st.feed("p1", InitMsg{View: View{ID: st.s.cv.ID}})
 			} else {
-				far := MergeSide{View: 7, Epoch: 9, Members: tc.sides[1]}
+				far := View{ID: 7, Epoch: 9, Members: tc.sides[1]}
 				next = mergeRefFor(st.s.cv.Ref(), far.Ref())
-				st.feed("p1", InitMsg{View: st.s.cv.ID, Members: tc.sides[0], Far: &far})
+				st.feed("p1", InitMsg{View: View{ID: st.s.cv.ID, Members: tc.sides[0]}, Far: &far})
 			}
 			for _, p := range tc.declined {
 				st.feed(p, PredMsg{Change: next, Decline: true})
@@ -377,8 +379,8 @@ func TestOneQuorumRule(t *testing.T) {
 // and wait for the decliner until the merge timed out.
 func TestMergeDeclineCountsOut(t *testing.T) {
 	ps := ident.NewPIDs
-	far := MergeSide{View: 7, Epoch: 9, Members: ps("q1", "q2", "q3")}
-	ann := InitMsg{View: 4, Members: ps("p1", "p2"), Far: &far}
+	far := View{ID: 7, Epoch: 9, Members: ps("q1", "q2", "q3")}
+	ann := InitMsg{View: View{ID: 4, Members: ps("p1", "p2")}, Far: &far}
 	ref := mergeRefFor(ann.Ref(), far.Ref())
 
 	expelled := newStepper("q3", far.Members, true)
@@ -414,7 +416,7 @@ func TestMergeDeclineCountsOut(t *testing.T) {
 
 	// q2 hears of the merge first from q3.
 	q2 := newStepper("q2", far.Members, true)
-	q2.s.cv = View{Epoch: far.Epoch, ID: far.View, Members: far.Members}
+	q2.s.cv = far
 	for _, m := range expelled.sent("q2") {
 		q2.feed("q3", m)
 	}
@@ -430,7 +432,7 @@ func TestViewChangeStartsNoGoroutine(t *testing.T) {
 	e, log := changeEngine(t, "p1", ident.NewPIDs("p1", "p2", "p3"))
 	next := ident.ViewRef{ID: e.vc.cv.ID + 1}
 	before := runtime.NumGoroutine()
-	e.onCtl(transport.Envelope{From: "p1", Msg: InitMsg{View: e.vc.cv.ID}})
+	e.onCtl(transport.Envelope{From: "p1", Msg: InitMsg{View: View{ID: e.vc.cv.ID}}})
 	for _, p := range e.vc.cv.Members {
 		e.onCtl(transport.Envelope{From: p, Msg: PredMsg{Change: next}})
 	}
@@ -458,9 +460,9 @@ func TestStragglerProbeAnsweredWithView(t *testing.T) {
 		probe ProbeMsg
 		merge bool
 	}{
-		{name: "a union member names its old side", from: "q1", probe: ProbeMsg{View: 7, Epoch: 9, Members: ps("q1", "q2")}},
-		{name: "a member diverged at an equal ID", from: "q1", probe: ProbeMsg{View: 8, Epoch: 9, Members: ps("q1", "q2")}, merge: true},
-		{name: "a non-member at a lower ID", from: "r1", probe: ProbeMsg{View: 3, Epoch: 9, Members: ps("r1")}, merge: true},
+		{name: "a union member names its old side", from: "q1", probe: ProbeMsg{View: View{ID: 7, Epoch: 9, Members: ps("q1", "q2")}}},
+		{name: "a member diverged at an equal ID", from: "q1", probe: ProbeMsg{View: View{ID: 8, Epoch: 9, Members: ps("q1", "q2")}}, merge: true},
+		{name: "a non-member at a lower ID", from: "r1", probe: ProbeMsg{View: View{ID: 3, Epoch: 9, Members: ps("r1")}}, merge: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := newStepper("p1", union.Members, true)
@@ -512,7 +514,7 @@ func TestDecidedFlushRepurged(t *testing.T) {
 			st.suspected = tc.suspected
 			a := tagged(4, "a", 0, 0, 0, 0, 0, 2, 2) // a:7 lists a:6
 			next := ident.ViewRef{ID: st.s.cv.ID + 1}
-			st.feed("b", InitMsg{View: st.s.cv.ID})
+			st.feed("b", InitMsg{View: View{ID: st.s.cv.ID}})
 			st.feed("b", PredMsg{Change: next, Msgs: []DataMsg{msgOf(&a[5])}})
 			st.feed("c", PredMsg{Change: next, Msgs: []DataMsg{msgOf(&a[6])}})
 			if tc.heal {
@@ -531,7 +533,7 @@ func TestDecidedFlushRepurged(t *testing.T) {
 // one DecisionFailures and installs nothing; a StateMsg installs.
 func TestDecodeValueRejectsGarbage(t *testing.T) {
 	e, _ := changeEngine(t, "p1", ident.NewPIDs("p1", "p2"))
-	e.onCtl(transport.Envelope{From: "p1", Msg: InitMsg{View: e.vc.cv.ID}})
+	e.onCtl(transport.Envelope{From: "p1", Msg: InitMsg{View: View{ID: e.vc.cv.ID}}})
 	ref := ident.ViewRef{ID: e.vc.cv.ID + 1}
 	credit, err := codec.Marshal(nil, CreditMsg{View: ref.ID, Credits: 1})
 	if err != nil {
@@ -544,7 +546,7 @@ func TestDecodeValueRejectsGarbage(t *testing.T) {
 				raw, n, e.vc.cv.ID, e.vc.chg != nil, i+1)
 		}
 	}
-	st, err := codec.Marshal(nil, StateMsg{View: ref.ID, Members: []ident.PID{"p1", "p2"}})
+	st, err := codec.Marshal(nil, StateMsg{View: View{ID: ref.ID, Members: []ident.PID{"p1", "p2"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +568,7 @@ func TestJoinTimeoutIsAStep(t *testing.T) {
 		t.Fatalf("after the give-up: joining %v, terminal %v, effects %v; want false, %v, none",
 			st.s.joining, st.s.terminal, st.fx, ErrJoinTimeout)
 	}
-	st.feed("p1", StateMsg{View: 5, Members: []ident.PID{"j", "p1"}})
+	st.feed("p1", StateMsg{View: View{ID: 5, Members: []ident.PID{"j", "p1"}}})
 	if len(st.fx) != 0 || st.s.cv.ID != 0 || st.s.stats.DroppedExpelled != 1 {
 		t.Fatalf("a late transfer: effects %v, view %d, %d dropped; want none, 0, 1",
 			st.fx, st.s.cv.ID, st.s.stats.DroppedExpelled)
@@ -579,7 +581,7 @@ func TestJoinTimeoutIsAStep(t *testing.T) {
 // is not.
 func TestPendingJoinsBounded(t *testing.T) {
 	st := newStepper("p1", ident.NewPIDs("p1", "p2", "p3"), false)
-	st.feed("p1", InitMsg{View: st.s.cv.ID})
+	st.feed("p1", InitMsg{View: View{ID: st.s.cv.ID}})
 	for i := 0; i < maxPendingJoins+10; i++ {
 		st.feed(ident.PID(fmt.Sprintf("j%04d", i)), JoinReqMsg{})
 	}
@@ -589,5 +591,27 @@ func TestPendingJoinsBounded(t *testing.T) {
 	}
 	if n := st.s.stats.JoinReqDropped; n != 10 {
 		t.Errorf("%d requests dropped, want 10", n)
+	}
+}
+
+// TestStashOnlyNextView: the deferred stash keeps control traffic for the
+// view this process installs next, and nothing further ahead. A stash full
+// of INITs naming a far view of our lineage, from a process in no view of
+// ours, would drop the next view's INIT from a member and strand the change
+// it opens; a PRED for change 0 would name a view just short of the wrap
+// and be stashed the same way. Both are dropped as stale instead, and the
+// member's INIT waits for its view.
+func TestStashOnlyNextView(t *testing.T) {
+	st := newStepper("p1", ident.NewPIDs("p0", "p1", "p2"), false)
+	for i := 0; i < maxDeferredCtl; i++ {
+		st.feed("x", InitMsg{View: View{ID: st.s.cv.ID + 1000}})
+	}
+	st.feed("p0", PredMsg{})
+	st.feed("p0", InitMsg{View: View{ID: st.s.cv.ID + 1}})
+	if len(st.s.stash) != 1 || st.s.stash[0].From != "p0" {
+		t.Errorf("stash holds %d messages, want only p0's INIT for the next view", len(st.s.stash))
+	}
+	if s := st.s.stats; s.DroppedStale != maxDeferredCtl+1 || s.CtlDeferredDropped != 0 {
+		t.Errorf("%d dropped stale, %d deferred dropped; want %d, 0", s.DroppedStale, s.CtlDeferredDropped, maxDeferredCtl+1)
 	}
 }

@@ -42,23 +42,18 @@ type DataBatchMsg struct {
 
 // InitMsg is the [INIT, v, l] message of Figure 1, the one announcement of
 // every change. An INIT over one side (Far nil) triggers the view change of
-// view (View, Epoch) removing the processes in Leave and admitting the
+// the view it names, removing the processes in Leave and admitting the
 // processes in Join. Joiners do not take part in the flush or the consensus
 // deciding the view that admits them; they are brought up to date afterwards
-// by a StateMsg. An INIT over two sides merges the healed sub-views (View,
-// Epoch, Members) and Far into their union (merge.go); the pair is
-// normalised, lower ref first, so every process derives the same union.
+// by a StateMsg. An INIT over two sides merges the healed sub-views View and
+// Far into their union (merge.go); the pair is normalised, lower ref first,
+// so every process derives the same union.
 type InitMsg struct {
-	View    ident.ViewID
-	Epoch   ident.Epoch
-	Leave   []ident.PID
-	Join    []ident.PID
-	Members []ident.PID // a merge's near side; an ordinary change's is the view's
-	Far     *MergeSide
+	View  // a merge's near side; an ordinary change names the view, not its members
+	Leave []ident.PID
+	Join  []ident.PID
+	Far   *View
 }
-
-// Ref returns the ref of the view the INIT names first.
-func (m InitMsg) Ref() ident.ViewRef { return ident.ViewRef{Epoch: m.Epoch, ID: m.View} }
 
 // JoinReqMsg is sent by a process outside the group to a contact member to
 // ask admission; the envelope's From identifies the joiner. A member
@@ -76,20 +71,13 @@ type JoinReqMsg struct{}
 // group's age (§2.3/§4.2) — and the value every view change, split and
 // merge decides: the next view and its flush.
 type StateMsg struct {
-	View    ident.ViewID
-	Epoch   ident.Epoch
-	Members []ident.PID
+	View
 	// Recv maps each sender to the highest sequence number received from
 	// it — by the sponsor when it took the snapshot, or by any contributor
 	// to a merge; the installer adopts it as its reception frontier so
 	// direct copies of backlog messages are recognised as duplicates.
 	Recv    map[ident.PID]ident.Seq
 	Backlog []DataMsg
-}
-
-// view is the view m installs.
-func (m StateMsg) view() View {
-	return View{Epoch: m.Epoch, ID: m.View, Members: ident.NewPIDs(m.Members...)}
 }
 
 // PredMsg is the [PRED, v, P] message of Figure 1, the one contribution to
@@ -124,41 +112,17 @@ type CreditMsg struct {
 // different lineage reveals a healed partition and starts a merge; a probe
 // from a newer view of the *same* lineage tells a straggler it has been
 // evicted.
-type ProbeMsg struct {
-	View    ident.ViewID
-	Epoch   ident.Epoch
-	Members []ident.PID
-}
-
-// Ref returns the sender's view ref.
-func (m ProbeMsg) Ref() ident.ViewRef { return ident.ViewRef{Epoch: m.Epoch, ID: m.View} }
+type ProbeMsg struct{ View }
 
 // SplitMsg is broadcast by the lowest-ordered live member of a blocked
 // view change that cannot reach a majority: the declared survivor set
 // continues as a minority sub-view under a fresh split epoch instead of
-// wedging forever. View/Epoch name the parent (current) view; Members is
-// the survivor set, whose lowest PID must be the declaring leader. As
+// wedging forever. Its view is the parent (current) view's ref with the
+// survivor set as members, whose lowest PID must be the declaring leader. As
 // suspicions accrue, successively lower-ordered survivors declare
 // successively smaller sets — the rotating-proposer arbitration between
 // competing continuations; consensus picks exactly one per epoch.
-type SplitMsg struct {
-	View    ident.ViewID
-	Epoch   ident.Epoch
-	Members []ident.PID
-}
-
-// Ref returns the parent view ref the split continues from.
-func (m SplitMsg) Ref() ident.ViewRef { return ident.ViewRef{Epoch: m.Epoch, ID: m.View} }
-
-// MergeSide names a sub-view: the far side of a merge's INIT.
-type MergeSide struct {
-	View    ident.ViewID
-	Epoch   ident.Epoch
-	Members []ident.PID
-}
-
-// Ref returns the side's view ref.
-func (s MergeSide) Ref() ident.ViewRef { return ident.ViewRef{Epoch: s.Epoch, ID: s.View} }
+type SplitMsg struct{ View }
 
 func init() {
 	codec.Register[DataMsg](codec.TDataMsg, appendDataMsg, readDataMsgStrict)
@@ -171,29 +135,46 @@ func init() {
 		func(_ *codec.Reader) (JoinReqMsg, error) { return JoinReqMsg{}, nil })
 	codec.Register[StateMsg](codec.TStateMsg, appendStateMsg, readStateMsg)
 	codec.Register[*DataBatchMsg](codec.TDataBatchMsg, appendDataBatchMsg, readDataBatchMsg)
-	// ProbeMsg and SplitMsg have MergeSide's fields and share its encoding.
+	// ProbeMsg and SplitMsg are a view on the wire.
 	codec.Register[ProbeMsg](codec.TProbeMsg,
-		func(dst []byte, m ProbeMsg) []byte { return appendMergeSide(dst, MergeSide(m)) },
-		func(r *codec.Reader) (ProbeMsg, error) { return ProbeMsg(readMergeSide(r)), r.Err() })
+		func(dst []byte, m ProbeMsg) []byte { return appendView(dst, m.View) },
+		func(r *codec.Reader) (ProbeMsg, error) { return ProbeMsg{readView(r)}, r.Err() })
 	codec.Register[SplitMsg](codec.TSplitMsg,
-		func(dst []byte, m SplitMsg) []byte { return appendMergeSide(dst, MergeSide(m)) },
-		func(r *codec.Reader) (SplitMsg, error) { return SplitMsg(readMergeSide(r)), r.Err() })
+		func(dst []byte, m SplitMsg) []byte { return appendView(dst, m.View) },
+		func(r *codec.Reader) (SplitMsg, error) { return SplitMsg{readView(r)}, r.Err() })
 }
 
 // ---- binary encoders (internal/codec) --------------------------------------
 
-// capHint clamps a wire-supplied element count before it becomes a
+// maxPrealloc clamps a wire-supplied element count before it becomes a
 // pre-allocation: Reader.Count bounds counts in *bytes* of remaining
 // input, but our elements are multi-byte structs, so a corrupt count
 // could otherwise demand an ~80x amplified up-front allocation. Slices
-// and maps grow past the hint naturally; truncated input still fails at
-// the first missing element.
-func capHint(n int) int {
-	const max = 1024
-	if n > max {
-		return max
+// and maps grow past it naturally; truncated input still fails at the
+// first missing element.
+const maxPrealloc = 1024
+
+// appendList encodes a list: its count (nil kept apart from empty), then
+// each element.
+func appendList[T any](dst []byte, xs []T, enc func([]byte, T) []byte) []byte {
+	dst = codec.AppendCount(dst, len(xs), xs == nil)
+	for _, x := range xs {
+		dst = enc(dst, x)
 	}
-	return n
+	return dst
+}
+
+// readList decodes a list appendList encoded.
+func readList[T any](r *codec.Reader, dec func(*codec.Reader) T) []T {
+	n, isNil := r.Count()
+	if isNil {
+		return nil
+	}
+	out := make([]T, 0, min(n, maxPrealloc))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		out = append(out, dec(r))
+	}
+	return out
 }
 
 func appendDataMsg(dst []byte, m DataMsg) []byte {
@@ -222,60 +203,46 @@ func readDataMsgStrict(r *codec.Reader) (DataMsg, error) {
 }
 
 func appendDataBatchMsg(dst []byte, m *DataBatchMsg) []byte {
-	return appendDataMsgs(dst, m.Msgs)
+	return appendList(dst, m.Msgs, appendDataMsg)
 }
 
 func readDataBatchMsg(r *codec.Reader) (*DataBatchMsg, error) {
-	m := &DataBatchMsg{Msgs: readDataMsgs(r)}
+	m := &DataBatchMsg{Msgs: readList(r, readDataMsg)}
 	return m, r.Err()
 }
 
+// An InitMsg's members follow its Leave and Join, so its near side is not
+// encoded as a view.
 func appendInitMsg(dst []byte, m InitMsg) []byte {
-	dst = codec.AppendUvarint(dst, uint64(m.View))
+	dst = codec.AppendUvarint(dst, uint64(m.ID))
 	dst = codec.AppendUvarint(dst, uint64(m.Epoch))
-	dst = appendPIDs(dst, m.Leave)
-	dst = appendPIDs(dst, m.Join)
-	dst = appendPIDs(dst, m.Members)
+	dst = appendList(dst, m.Leave, appendPID)
+	dst = appendList(dst, m.Join, appendPID)
+	dst = appendList(dst, m.Members, appendPID)
 	dst = codec.AppendByte(dst, boolByte(m.Far != nil))
 	if m.Far != nil {
-		dst = appendMergeSide(dst, *m.Far)
+		dst = appendView(dst, *m.Far)
 	}
 	return dst
 }
 
 func readInitMsg(r *codec.Reader) (InitMsg, error) {
 	var m InitMsg
-	m.View = ident.ViewID(r.Uvarint())
+	m.ID = ident.ViewID(r.Uvarint())
 	m.Epoch = ident.Epoch(r.Uvarint())
-	m.Leave = readPIDs(r)
-	m.Join = readPIDs(r)
-	m.Members = readPIDs(r)
+	m.Leave = readList(r, readPID)
+	m.Join = readList(r, readPID)
+	m.Members = readList(r, readPID)
 	if r.Byte() != 0 {
-		far := readMergeSide(r)
+		far := readView(r)
 		m.Far = &far
 	}
 	return m, r.Err()
 }
 
-func appendPIDs(dst []byte, ps []ident.PID) []byte {
-	dst = codec.AppendCount(dst, len(ps), ps == nil)
-	for _, p := range ps {
-		dst = codec.AppendString(dst, string(p))
-	}
-	return dst
-}
+func appendPID(dst []byte, p ident.PID) []byte { return codec.AppendString(dst, string(p)) }
 
-func readPIDs(r *codec.Reader) []ident.PID {
-	n, isNil := r.Count()
-	if isNil {
-		return nil
-	}
-	out := make([]ident.PID, 0, capHint(n))
-	for i := 0; i < n && r.Err() == nil; i++ {
-		out = append(out, ident.PID(r.String()))
-	}
-	return out
-}
+func readPID(r *codec.Reader) ident.PID { return ident.PID(r.String()) }
 
 // appendSeqMap encodes a per-sender frontier map with sorted keys so the
 // encoding is deterministic across processes (and its size comparable in
@@ -299,7 +266,7 @@ func readSeqMap(r *codec.Reader) map[ident.PID]ident.Seq {
 	if isNil {
 		return nil
 	}
-	m := make(map[ident.PID]ident.Seq, capHint(n))
+	m := make(map[ident.PID]ident.Seq, min(n, maxPrealloc))
 	for i := 0; i < n && r.Err() == nil; i++ {
 		p := ident.PID(r.String())
 		m[p] = ident.Seq(r.Uvarint())
@@ -308,27 +275,22 @@ func readSeqMap(r *codec.Reader) map[ident.PID]ident.Seq {
 }
 
 func appendStateMsg(dst []byte, m StateMsg) []byte {
-	dst = codec.AppendUvarint(dst, uint64(m.View))
-	dst = codec.AppendUvarint(dst, uint64(m.Epoch))
-	dst = appendPIDs(dst, m.Members)
+	dst = appendView(dst, m.View)
 	dst = appendSeqMap(dst, m.Recv)
-	return appendDataMsgs(dst, m.Backlog)
+	return appendList(dst, m.Backlog, appendDataMsg)
 }
 
 func readStateMsg(r *codec.Reader) (StateMsg, error) {
-	var m StateMsg
-	m.View = ident.ViewID(r.Uvarint())
-	m.Epoch = ident.Epoch(r.Uvarint())
-	m.Members = readPIDs(r)
+	m := StateMsg{View: readView(r)}
 	m.Recv = readSeqMap(r)
-	m.Backlog = readDataMsgs(r)
+	m.Backlog = readList(r, readDataMsg)
 	return m, r.Err()
 }
 
 func appendPredMsg(dst []byte, m PredMsg) []byte {
 	dst = codec.AppendUvarint(dst, uint64(m.Change.ID))
 	dst = codec.AppendUvarint(dst, uint64(m.Change.Epoch))
-	dst = appendDataMsgs(dst, m.Msgs)
+	dst = appendList(dst, m.Msgs, appendDataMsg)
 	dst = appendSeqMap(dst, m.Recv)
 	return codec.AppendByte(dst, boolByte(m.Decline))
 }
@@ -337,24 +299,25 @@ func readPredMsg(r *codec.Reader) (PredMsg, error) {
 	var m PredMsg
 	m.Change.ID = ident.ViewID(r.Uvarint())
 	m.Change.Epoch = ident.Epoch(r.Uvarint())
-	m.Msgs = readDataMsgs(r)
+	m.Msgs = readList(r, readDataMsg)
 	m.Recv = readSeqMap(r)
 	m.Decline = r.Byte() != 0
 	return m, r.Err()
 }
 
-func appendMergeSide(dst []byte, s MergeSide) []byte {
-	dst = codec.AppendUvarint(dst, uint64(s.View))
-	dst = codec.AppendUvarint(dst, uint64(s.Epoch))
-	return appendPIDs(dst, s.Members)
+// appendView encodes a view: its number, its epoch, its members.
+func appendView(dst []byte, v View) []byte {
+	dst = codec.AppendUvarint(dst, uint64(v.ID))
+	dst = codec.AppendUvarint(dst, uint64(v.Epoch))
+	return appendList(dst, v.Members, appendPID)
 }
 
-func readMergeSide(r *codec.Reader) MergeSide {
-	var s MergeSide
-	s.View = ident.ViewID(r.Uvarint())
-	s.Epoch = ident.Epoch(r.Uvarint())
-	s.Members = readPIDs(r)
-	return s
+func readView(r *codec.Reader) View {
+	var v View
+	v.ID = ident.ViewID(r.Uvarint())
+	v.Epoch = ident.Epoch(r.Uvarint())
+	v.Members = readList(r, readPID)
+	return v
 }
 
 func boolByte(b bool) byte {
@@ -362,26 +325,6 @@ func boolByte(b bool) byte {
 		return 1
 	}
 	return 0
-}
-
-func appendDataMsgs(dst []byte, msgs []DataMsg) []byte {
-	dst = codec.AppendCount(dst, len(msgs), msgs == nil)
-	for _, dm := range msgs {
-		dst = appendDataMsg(dst, dm)
-	}
-	return dst
-}
-
-func readDataMsgs(r *codec.Reader) []DataMsg {
-	n, isNil := r.Count()
-	if isNil {
-		return nil
-	}
-	out := make([]DataMsg, 0, capHint(n))
-	for i := 0; i < n && r.Err() == nil; i++ {
-		out = append(out, readDataMsg(r))
-	}
-	return out
 }
 
 func appendCreditMsg(dst []byte, m CreditMsg) []byte {

@@ -97,17 +97,19 @@ func New(cfg Config) (*Replica, error) {
 		rel = obsolete.Empty{}
 	}
 	eng, err := core.New(core.Config{
-		Self:              cfg.Self,
-		Group:             cfg.Group,
-		Endpoint:          cfg.Endpoint,
-		Detector:          cfg.Detector,
-		InitialView:       cfg.InitialView,
-		Relation:          rel,
-		ToDeliverCap:      cfg.ToDeliverCap,
-		OutgoingCap:       cfg.OutgoingCap,
-		Window:            cfg.Window,
-		AutoEvict:         cfg.AutoEvict,
-		StabilityInterval: cfg.StabilityInterval,
+		Self:     cfg.Self,
+		Group:    cfg.Group,
+		Endpoint: cfg.Endpoint,
+		Detector: cfg.Detector,
+		GroupConfig: core.GroupConfig{
+			InitialView:       cfg.InitialView,
+			Relation:          rel,
+			ToDeliverCap:      cfg.ToDeliverCap,
+			OutgoingCap:       cfg.OutgoingCap,
+			Window:            cfg.Window,
+			AutoEvict:         cfg.AutoEvict,
+			StabilityInterval: cfg.StabilityInterval,
+		},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("replica: %w", err)

@@ -50,7 +50,7 @@ func wireMessages() []any {
 		dm(1), dm(2), dm(3), dm(4), // DATA dominates steady-state traffic
 		core.CreditMsg{View: 7, Credits: 16},
 		core.StableMsg{View: 7, Recv: recv},
-		core.InitMsg{View: 7, Leave: []ident.PID{"replica-3"}},
+		core.InitMsg{View: core.View{ID: 7}, Leave: []ident.PID{"replica-3"}},
 		pred,
 	}
 }
