@@ -274,8 +274,8 @@ func TestNodeCreateErrorCleansUpInboxes(t *testing.T) {
 	}
 	defer node.Close()
 
-	// Self not in InitialView: engine construction fails after Create
-	// has eagerly registered the inboxes.
+	// Self not in InitialView: engine construction fails, and New
+	// registers the inboxes only once the config is valid.
 	_, err = node.Create(7, GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("a", "x")}})
 	if err == nil {
 		t.Fatal("invalid group config accepted")
