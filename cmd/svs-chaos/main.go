@@ -83,7 +83,7 @@ func run(self ident.PID, listen, ctl, logPath string, k, buffer int, seed int64,
 	}
 	defer logF.Close()
 
-	tcp, err := transport.NewTCPNetworkOpts(self, listen, nil, transport.TCPOptions{})
+	tcp, err := transport.NewTCPNetwork(self, listen, nil)
 	if err != nil {
 		return err
 	}
@@ -95,11 +95,13 @@ func run(self ident.PID, listen, ctl, logPath string, k, buffer int, seed int64,
 		logger = slog.New(slog.NewTextHandler(os.Stderr, nil)).With(slog.String("node", string(self)))
 	}
 	reg := obs.NewRegistry()
+	ob := obs.New(nil, reg, logger)
+	faults.Instrument(ob)
 	node, err := core.NewNode(core.NodeConfig{
 		Self:      self,
 		Endpoint:  ep,
 		Heartbeat: fd.HeartbeatOptions{Interval: hb},
-		Obs:       obs.New(nil, reg, logger),
+		Obs:       ob,
 	})
 	if err != nil {
 		return err

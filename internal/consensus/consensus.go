@@ -35,6 +35,7 @@ package consensus
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
@@ -118,7 +119,10 @@ type Machine struct {
 	det   fd.Detector
 	clock obs.Clock // read only to time consensus_decide_seconds
 	ev    *obs.Events
-	metrics
+	// counts is what the registry reads; nil histograms record nothing.
+	counts  *counts
+	rounds  *obs.Histogram // rounds a proposing process ran until deciding
+	latency *obs.Histogram // propose-to-decide wall time
 
 	instances map[string]*instance
 	// live lists the proposed instances in proposal order, the ones Recheck
@@ -126,12 +130,22 @@ type Machine struct {
 	live []*instance
 }
 
-// metrics are the machine's instruments; nil instruments record nothing.
-type metrics struct {
-	decisions *obs.Counter   // instances decided (locally observed)
-	nacks     *obs.Counter   // coordinator suspicions turned into NACKs
-	rounds    *obs.Histogram // rounds a proposing process ran until deciding
-	latency   *obs.Histogram // propose-to-decide wall time
+// counts are the machine's counters. They are allocated apart from it, so
+// the registry source reading them holds nothing else of the machine, and
+// atomic, because a snapshot reads them while the owner runs.
+type counts struct {
+	decisions atomic.Uint64 // instances decided (locally observed)
+	nacks     atomic.Uint64 // coordinator suspicions turned into NACKs
+}
+
+// countsExport is the machine's metric catalogue: the counters a registry
+// reads off counts when it is snapshotted.
+var countsExport = []struct {
+	name string
+	get  func(*counts) uint64
+}{
+	{"consensus_decisions_total", func(c *counts) uint64 { return c.decisions.Load() }},
+	{"consensus_nacks_total", func(c *counts) uint64 { return c.nacks.Load() }},
 }
 
 // NewMachine returns an empty machine for process self. send transmits a
@@ -140,18 +154,21 @@ type metrics struct {
 // the clock, metrics and events; nil uses the wall clock with no
 // instrumentation.
 func NewMachine(self ident.PID, send func(to ident.PID, m Msg), det fd.Detector, ob *obs.Obs) *Machine {
+	c := new(counts)
+	ob.AddSource(func(emit obs.Emit) {
+		for _, row := range countsExport {
+			emit(row.name, obs.KindCounter, row.get(c))
+		}
+	})
 	return &Machine{
-		self:  self,
-		send:  send,
-		det:   det,
-		clock: ob.Clock(),
-		ev:    ob.Events(),
-		metrics: metrics{
-			decisions: ob.Counter("consensus_decisions_total"),
-			nacks:     ob.Counter("consensus_nacks_total"),
-			rounds:    ob.Histogram("consensus_rounds", obs.CountBuckets),
-			latency:   ob.Histogram("consensus_decide_seconds", obs.DurationBuckets),
-		},
+		self:      self,
+		send:      send,
+		det:       det,
+		clock:     ob.Clock(),
+		ev:        ob.Events(),
+		counts:    c,
+		rounds:    ob.Histogram("consensus_rounds", obs.CountBuckets),
+		latency:   ob.Histogram("consensus_decide_seconds", obs.DurationBuckets),
 		instances: make(map[string]*instance),
 	}
 }
@@ -297,7 +314,7 @@ func (m *Machine) advance(in *instance, out []Decision) []Decision {
 			if props := in.take(msgPropose); len(props) > 0 {
 				in.est, in.ts = props[0].Value, in.round+1
 			} else if m.det.Suspected(coord) {
-				m.nacks.Inc()
+				m.counts.nacks.Add(1)
 				reply = msgNack
 			} else {
 				return out
@@ -359,7 +376,7 @@ func (in *instance) take(types ...msgType) []Msg {
 // never proposed knows no participants and relays nothing.
 func (m *Machine) decide(in *instance, v []byte, out []Decision) []Decision {
 	in.decided, in.decision, in.inbox, in.got = true, v, nil, nil
-	m.decisions.Inc()
+	m.counts.decisions.Add(1)
 	if in.proposed {
 		// Rounds and latency only make sense at a process that actually
 		// ran the protocol; a bystander learning via the decide flood would

@@ -121,6 +121,7 @@ type world struct {
 	crashes   int        // how many more may
 	decliners ident.PIDs // who sent a decline
 	installed map[ident.ViewRef][]byte
+	onLink    func(msg any) // if set, sees every message put on a link (TestControlCost)
 
 	violation string // set by the effect that broke (a), (b) or (c)
 }
@@ -176,6 +177,9 @@ func (w *world) send(p, q ident.PID, msg any) {
 	default:
 		l := w.links[i*n+j]
 		w.links[i*n+j] = append(l[:len(l):len(l)], wrap(msg))
+		if w.onLink != nil {
+			w.onLink(msg)
+		}
 	}
 }
 

@@ -28,6 +28,7 @@ type metricScenario struct {
 	groups map[string]*Group // by node label
 	mems   map[string]*transport.MemEndpoint
 	tcps   map[string]*transport.TCPNetwork
+	faults *transport.Faults
 }
 
 // runMetricScenario drives, from one seed, everything that puts a metric
@@ -78,6 +79,7 @@ func runMetricScenario(t *testing.T) *metricScenario {
 	net := transport.NewMemNetwork()
 	faults := transport.NewFaults(19)
 	faults.Instrument(root)
+	sc.faults = faults
 	memNode := func(p ident.PID) *Node {
 		ep, err := net.Endpoint(p)
 		if err != nil {
@@ -157,11 +159,10 @@ func runMetricScenario(t *testing.T) *metricScenario {
 			sc.mems["n0"].Drops().DroppedUnknownGroup == 1
 	})
 
-	// ---- TCP: t0 t1 ----
+	// ---- TCP: t0 t1, instrumented by the Nodes hosting them ----
 	pair := ident.NewPIDs("t0", "t1")
 	for _, p := range pair {
-		ob := root.With(obs.L("node", string(p)))
-		n, err := transport.NewTCPNetworkOpts(p, "127.0.0.1:0", nil, transport.TCPOptions{Obs: ob})
+		n, err := transport.NewTCPNetwork(p, "127.0.0.1:0", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,9 +335,10 @@ func TestRegistryMatchesStats(t *testing.T) {
 		engines map[string]Stats
 		wires   map[string]transport.TCPStats
 		drops   map[string]transport.DropStats
+		faults  transport.FaultStats
 	}
 	read := func() facades {
-		f := facades{map[string]Stats{}, map[string]transport.TCPStats{}, map[string]transport.DropStats{}}
+		f := facades{map[string]Stats{}, map[string]transport.TCPStats{}, map[string]transport.DropStats{}, sc.faults.Stats()}
 		for node, g := range sc.groups {
 			f.engines[node] = g.Stats()
 		}
@@ -391,6 +393,16 @@ func TestRegistryMatchesStats(t *testing.T) {
 			if got := snap.Counters[key]; got != want {
 				t.Errorf("%s = %d, Drops says %d", key, got, want)
 			}
+		}
+	}
+	f := now.faults
+	for kind, want := range map[transport.FaultKind]uint64{
+		transport.FaultPartition: f.Partitioned, transport.FaultDrop: f.Dropped, transport.FaultDelay: f.Delayed,
+		transport.FaultDuplicate: f.Duplicated, transport.FaultCrash: f.Crashed,
+	} {
+		key := fmt.Sprintf("transport_faults_total{kind=%s}", kind)
+		if got, ok := snap.Counters[key]; !ok || got != want {
+			t.Errorf("%s = %d (present %v), FaultStats says %d", key, got, ok, want)
 		}
 	}
 

@@ -121,9 +121,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		groups:     make(map[ident.GroupID]*Group),
 		groupPeers: make(map[ident.GroupID]ident.PIDs),
 	}
-	// Endpoints that can export their drop counters through an obs registry
-	// (both in-tree transports) get the node's bundle; transports without
-	// the hook are left alone.
+	// Endpoints that export their counters and histograms through an obs
+	// registry (both in-tree transports) are attached to the node's bundle
+	// here, and only here; transports without the hook are left alone.
 	if in, ok := cfg.Endpoint.(interface{ Instrument(*obs.Obs) }); ok {
 		in.Instrument(n.obs)
 	}

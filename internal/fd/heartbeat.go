@@ -42,15 +42,47 @@ func (o *HeartbeatOptions) defaults() {
 	}
 }
 
-// hbMetrics are the heartbeat detector's instruments. Nil instruments
-// (no registry) record nothing.
-type hbMetrics struct {
-	beatsSent  *obs.Counter
-	beatsRecv  *obs.Counter
-	sendErrors *obs.Counter
-	suspicions *obs.Counter
-	revivals   *obs.Counter
-	beatGap    *obs.Histogram // observed gap between a peer's beats
+// monitor is the detector's state under one lock: whom it monitors, when
+// each was last heard, whom it suspects, and its counts since it was
+// created. It is allocated apart from the Heartbeat so that the registry
+// source reading it holds nothing else of the detector.
+type monitor struct {
+	mu       sync.Mutex
+	peers    ident.PIDs
+	lastSeen map[ident.PID]time.Time
+	susp     map[ident.PID]bool
+
+	beatsSent, beatsRecv, sendErrors, suspicions, revivals uint64
+}
+
+// hbExport is the detector's metric catalogue: the counters a registry
+// reads off the monitor when it is snapshotted.
+var hbExport = []struct {
+	name string
+	get  func(*monitor) uint64
+}{
+	{"fd_beats_sent_total", func(m *monitor) uint64 { return m.beatsSent }},
+	{"fd_beats_recv_total", func(m *monitor) uint64 { return m.beatsRecv }},
+	{"fd_beat_send_errors_total", func(m *monitor) uint64 { return m.sendErrors }},
+	{"fd_suspicions_total", func(m *monitor) uint64 { return m.suspicions }},
+	{"fd_revivals_total", func(m *monitor) uint64 { return m.revivals }},
+}
+
+// export emits the counts, and fd_suspected{peer=p} for each peer
+// currently monitored.
+func (m *monitor) export(emit obs.Emit) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, row := range hbExport {
+		emit(row.name, obs.KindCounter, row.get(m))
+	}
+	for _, p := range m.peers {
+		var v uint64
+		if m.susp[p] {
+			v = 1
+		}
+		emit("fd_suspected", obs.KindGauge, v, obs.L("peer", string(p)))
+	}
 }
 
 // Heartbeat is a timeout-based eventually-accurate failure detector: each
@@ -62,18 +94,12 @@ type hbMetrics struct {
 // ident.NodeGroup on the FailureDetector channel, so one detector serves
 // every group the node hosts (see fd.Fanout for sharing its events).
 type Heartbeat struct {
-	ep    transport.Endpoint
-	opts  HeartbeatOptions
-	clock obs.Clock
-	ob    *obs.Obs
-	m     hbMetrics
-	ev    *obs.Events
-
-	mu        sync.Mutex
-	peers     ident.PIDs
-	lastSeen  map[ident.PID]time.Time
-	susp      map[ident.PID]bool
-	suspGauge map[ident.PID]*obs.Gauge // per-peer suspected state (0/1)
+	ep      transport.Endpoint
+	opts    HeartbeatOptions
+	clock   obs.Clock
+	beatGap *obs.Histogram // observed gap between a peer's beats
+	ev      *obs.Events
+	*monitor
 
 	out  *ubq.Queue[Event]
 	done chan struct{}
@@ -88,36 +114,22 @@ var _ Detector = (*Heartbeat)(nil)
 func NewHeartbeat(ep transport.Endpoint, peers ident.PIDs, opts HeartbeatOptions) *Heartbeat {
 	opts.defaults()
 	ob := opts.Obs
-	h := &Heartbeat{
-		ep:    ep,
-		opts:  opts,
-		clock: ob.Clock(),
-		ob:    ob,
-		ev:    ob.Events(),
-		m: hbMetrics{
-			beatsSent:  ob.Counter("fd_beats_sent_total"),
-			beatsRecv:  ob.Counter("fd_beats_recv_total"),
-			sendErrors: ob.Counter("fd_beat_send_errors_total"),
-			suspicions: ob.Counter("fd_suspicions_total"),
-			revivals:   ob.Counter("fd_revivals_total"),
-			beatGap:    ob.Histogram("fd_beat_gap_seconds", obs.DurationBuckets),
-		},
-		lastSeen:  make(map[ident.PID]time.Time),
-		susp:      make(map[ident.PID]bool),
-		suspGauge: make(map[ident.PID]*obs.Gauge),
-		out:       ubq.New[Event](),
-		done:      make(chan struct{}),
+	m := &monitor{
+		peers:    peers.Clone().Remove(ep.Self()),
+		lastSeen: make(map[ident.PID]time.Time),
+		susp:     make(map[ident.PID]bool),
 	}
-	h.peers = peers.Clone().Remove(ep.Self())
-	for _, p := range h.peers {
-		h.suspGauge[p] = h.peerGauge(p)
+	ob.AddSource(m.export)
+	return &Heartbeat{
+		ep:      ep,
+		opts:    opts,
+		clock:   ob.Clock(),
+		beatGap: ob.Histogram("fd_beat_gap_seconds", obs.DurationBuckets),
+		ev:      ob.Events(),
+		monitor: m,
+		out:     ubq.New[Event](),
+		done:    make(chan struct{}),
 	}
-	return h
-}
-
-// peerGauge resolves the per-peer suspected gauge (nil without a registry).
-func (h *Heartbeat) peerGauge(p ident.PID) *obs.Gauge {
-	return h.ob.GaugeL("fd_suspected", obs.L("peer", string(p)))
 }
 
 // Start launches the beat and monitor goroutines.
@@ -143,15 +155,12 @@ func (h *Heartbeat) SetPeers(peers ident.PIDs) {
 	for _, p := range next {
 		if !h.peers.Contains(p) {
 			h.lastSeen[p] = now
-			h.suspGauge[p] = h.peerGauge(p)
 		}
 	}
 	for _, p := range h.peers {
 		if !next.Contains(p) {
 			delete(h.lastSeen, p)
 			delete(h.susp, p)
-			h.suspGauge[p].Set(0)
-			delete(h.suspGauge, p)
 		}
 	}
 	h.peers = next
@@ -169,16 +178,17 @@ func (h *Heartbeat) beatLoop() {
 			h.mu.Lock()
 			peers := h.peers.Clone()
 			h.mu.Unlock()
+			var sent, failed uint64
 			for _, p := range peers {
 				// Best effort: a failed send is just a missing beat, but it
 				// is counted — a climbing error rate is a dead link.
 				if err := h.ep.Send(p, ident.NodeGroup, transport.FailureDetector, Beat{}); err != nil {
-					h.m.sendErrors.Inc()
+					failed++
 				} else {
-					h.m.beatsSent.Inc()
+					sent++
 				}
 			}
-			h.check(h.clock.Now())
+			h.check(h.clock.Now(), sent, failed)
 		}
 	}
 }
@@ -207,38 +217,41 @@ func (h *Heartbeat) alive(p ident.PID) {
 		return
 	}
 	if last, ok := h.lastSeen[p]; ok {
-		h.m.beatGap.ObserveDuration(now.Sub(last))
+		h.beatGap.ObserveDuration(now.Sub(last))
 	}
 	h.lastSeen[p] = now
 	revised := h.susp[p]
 	delete(h.susp, p)
-	gauge := h.suspGauge[p]
-	h.mu.Unlock()
-	h.m.beatsRecv.Inc()
+	h.beatsRecv++
 	if revised {
-		gauge.Set(0)
-		h.m.revivals.Inc()
+		h.revivals++
+	}
+	h.mu.Unlock()
+	if revised {
 		h.ev.Suspicion(string(p), false)
 		h.out.Push(Event{P: p, Suspected: false})
 	}
 }
 
-func (h *Heartbeat) check(now time.Time) {
+// check counts a tick's beats, sent and failed, and suspects every peer
+// silent for longer than the timeout at now.
+func (h *Heartbeat) check(now time.Time, sent, failed uint64) {
 	var newly []ident.PID
 	h.mu.Lock()
+	h.beatsSent += sent
+	h.sendErrors += failed
 	for _, p := range h.peers {
 		if h.susp[p] {
 			continue
 		}
 		if now.Sub(h.lastSeen[p]) > h.opts.Timeout {
 			h.susp[p] = true
-			h.suspGauge[p].Set(1)
+			h.suspicions++
 			newly = append(newly, p)
 		}
 	}
 	h.mu.Unlock()
 	for _, p := range newly {
-		h.m.suspicions.Inc()
 		h.ev.Suspicion(string(p), true)
 		h.out.Push(Event{P: p, Suspected: true})
 	}
@@ -256,10 +269,8 @@ func (h *Heartbeat) Suspects() ident.PIDs {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	ps := make([]ident.PID, 0, len(h.susp))
-	for p, s := range h.susp {
-		if s {
-			ps = append(ps, p)
-		}
+	for p := range h.susp {
+		ps = append(ps, p)
 	}
 	return ident.NewPIDs(ps...)
 }

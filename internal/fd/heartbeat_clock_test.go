@@ -130,3 +130,50 @@ func TestHeartbeatDeterministicUnderFakeClock(t *testing.T) {
 		t.Fatalf("second suspicion tick at virtual %v, want 240ms", got)
 	}
 }
+
+// TestSuspectedGaugeFollowsPeers: fd_suspected{peer=p} has a row for each
+// peer the detector monitors now, and none for a peer SetPeers dropped.
+func TestSuspectedGaugeFollowsPeers(t *testing.T) {
+	net := transport.NewMemNetwork()
+	ep, err := net.Endpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	clock := obs.NewFake(time.Unix(0, 0))
+	reg := obs.NewRegistry()
+	h := NewHeartbeat(ep, ident.NewPIDs("a", "b", "c"), HeartbeatOptions{
+		Interval: 20 * time.Millisecond,
+		Timeout:  100 * time.Millisecond,
+		Obs:      obs.New(clock, reg, nil),
+	})
+	h.Start()
+	defer h.Stop()
+	clock.BlockUntil(1)
+
+	// One tick past the timeout: b and c never beat, both are suspected.
+	clock.Advance(120 * time.Millisecond)
+	for i := 0; i < 2; i++ {
+		select {
+		case ev := <-h.Events():
+			if !ev.Suspected {
+				t.Fatalf("unexpected event %+v", ev)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("no suspicion after the timeout tick")
+		}
+	}
+	gauges := reg.Snapshot().Gauges
+	if gauges["fd_suspected{peer=b}"] != 1 || gauges["fd_suspected{peer=c}"] != 1 {
+		t.Fatalf("suspected gauges = %v, want b and c at 1", gauges)
+	}
+
+	h.SetPeers(ident.NewPIDs("a", "c"))
+	gauges = reg.Snapshot().Gauges
+	if _, ok := gauges["fd_suspected{peer=b}"]; ok {
+		t.Fatalf("fd_suspected{peer=b} outlived b's removal: %v", gauges)
+	}
+	if gauges["fd_suspected{peer=c}"] != 1 {
+		t.Fatalf("suspected gauges = %v, want c still at 1", gauges)
+	}
+}

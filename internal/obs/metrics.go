@@ -22,58 +22,6 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Counter is a monotonically increasing atomic counter. All methods are
-// nil-safe: a nil *Counter records nothing and reads zero, so callers
-// handed no registry pay only a nil check.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is an atomic instantaneous value. Nil-safe like Counter.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Add adds n (which may be negative).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Histogram is a fixed-boundary cumulative-free histogram: bounds[i] is
 // the inclusive upper edge of bucket i, and one overflow bucket catches
 // everything above the last bound. Observations are two atomic adds (the
@@ -145,20 +93,19 @@ var DurationBuckets = []float64{
 // histograms (consensus rounds, flush sizes).
 var CountBuckets = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 256, 512, 1024}
 
-// Registry holds a process's instruments, keyed by name plus sorted
-// labels. Lookup (Counter/Gauge/Histogram) takes the registry lock and is
-// meant for construction time; the returned instruments are then updated
-// lock-free. Asking twice for the same name and labels returns the same
-// instrument, so independent components can share a counter.
+// Registry holds a process's histograms and the sources it reads counters
+// and gauges from. A histogram is keyed by name plus sorted labels; lookup
+// takes the registry lock and is meant for construction time, after which
+// the histogram is updated lock-free. Asking twice for the same name and
+// labels returns the same histogram.
 //
-// A component that already keeps its counts in a snapshot of its own (the
-// engine's Stats, the TCP endpoint's TCPStats) registers a source instead
-// of instruments: nothing is recorded twice, and the registry reads the
-// component's numbers when it is asked for its own.
+// Every counter and gauge is kept by the component it counts, in a plain
+// record of its own (the engine's Stats, the TCP endpoint's TCPStats, a
+// fault controller's FaultStats): the component registers a source, and the
+// registry reads the component's numbers when it is asked for its own.
+// Nothing is recorded twice.
 type Registry struct {
 	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	sources    []func(Emit)
 }
@@ -172,10 +119,9 @@ const (
 )
 
 // Emit reports one value from a source to the snapshot being taken.
-// Counters reported under one name and label set add up — across sources
-// and with an instrument of that key — exactly as components sharing one
-// Counter do; of several gauges under one key the last reported stands,
-// as with Gauge.Set (a negative gauge travels as uint64(int64(v))).
+// Counters reported under one name and label set add up across sources;
+// of several gauges under one key the last reported stands (a negative
+// gauge travels as uint64(int64(v))).
 type Emit func(name string, kind Kind, value uint64, labels ...Label)
 
 // AddSource registers fn to be called by every Snapshot, in registration
@@ -194,11 +140,7 @@ func (r *Registry) AddSource(fn func(Emit)) {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-	}
+	return &Registry{histograms: make(map[string]*Histogram)}
 }
 
 // metricKey renders name{k1=v1,k2=v2} with labels sorted by key.
@@ -224,39 +166,6 @@ func metricKey(name string, labels []Label) string {
 	return b.String()
 }
 
-// Counter returns (creating if needed) the counter name with labels. A
-// nil registry returns a nil (no-op) counter.
-func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
-	key := metricKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[key]
-	if !ok {
-		c = &Counter{}
-		r.counters[key] = c
-	}
-	return c
-}
-
-// Gauge returns (creating if needed) the gauge name with labels.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	key := metricKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[key]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[key] = g
-	}
-	return g
-}
-
 // Histogram returns (creating if needed) the histogram name with labels.
 // bounds must be sorted ascending; they are only consulted on creation
 // (the first caller wins), so every caller should pass the same set —
@@ -278,9 +187,9 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	return h
 }
 
-// Snapshot is a point-in-time copy of every instrument, marshalable to
-// JSON. It is what Node.Metrics returns and what svs-demo's -metrics
-// endpoint serves.
+// Snapshot is a point-in-time copy of every histogram and sourced value,
+// marshalable to JSON. It is what Node.Metrics returns and what svs-demo's
+// -metrics endpoint serves.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
@@ -305,9 +214,9 @@ func (h HistogramSnapshot) Mean() float64 {
 	return h.Sum / float64(h.Count)
 }
 
-// Snapshot copies every instrument, then asks every source. Writers are
+// Snapshot copies every histogram, then asks every source. Writers are
 // not stopped: each value is read atomically, so the snapshot is
-// per-instrument (and per-source) consistent.
+// per-histogram (and per-source) consistent.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   make(map[string]uint64),
@@ -318,12 +227,6 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	r.mu.Lock()
-	for k, c := range r.counters {
-		s.Counters[k] = c.Value()
-	}
-	for k, g := range r.gauges {
-		s.Gauges[k] = g.Value()
-	}
 	for k, h := range r.histograms {
 		s.Histograms[k] = h.snapshot()
 	}

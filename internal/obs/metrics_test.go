@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -62,18 +63,20 @@ func TestHistogramDurationAndMean(t *testing.T) {
 
 func TestRegistryLabelsAndIdentity(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("msgs", L("group", "1"), L("node", "p0"))
-	// Same name, same labels in a different order: the same instrument.
-	b := r.Counter("msgs", L("node", "p0"), L("group", "1"))
+	a := r.Histogram("lat", CountBuckets, L("group", "1"), L("node", "p0"))
+	// Same name, same labels in a different order: the same histogram.
+	b := r.Histogram("lat", CountBuckets, L("node", "p0"), L("group", "1"))
 	if a != b {
-		t.Fatal("label order changed instrument identity")
+		t.Fatal("label order changed histogram identity")
 	}
-	c := r.Counter("msgs", L("group", "2"), L("node", "p0"))
-	if a == c {
-		t.Fatal("different labels shared an instrument")
+	if c := r.Histogram("lat", CountBuckets, L("group", "2"), L("node", "p0")); a == c {
+		t.Fatal("different labels shared a histogram")
 	}
-	a.Add(3)
-	c.Inc()
+	// A source's labels are sorted into the key the same way.
+	r.AddSource(func(emit Emit) {
+		emit("msgs", KindCounter, 3, L("node", "p0"), L("group", "1"))
+		emit("msgs", KindCounter, 1, L("group", "2"), L("node", "p0"))
+	})
 	snap := r.Snapshot()
 	if snap.Counters["msgs{group=1,node=p0}"] != 3 {
 		t.Fatalf("unexpected snapshot %v", snap.Counters)
@@ -90,9 +93,15 @@ func TestObsWithDerivesLabels(t *testing.T) {
 	r := NewRegistry()
 	root := New(Wall{}, r, nil)
 	g1 := root.With(L("group", "1"))
-	g1.Counter("delivered").Add(7)
-	g1.GaugeL("suspected", L("peer", "p1")).Set(1)
+	g1.Histogram("lat", CountBuckets).Observe(1)
+	g1.AddSource(func(emit Emit) {
+		emit("delivered", KindCounter, 7)
+		emit("suspected", KindGauge, 1, L("peer", "p1"))
+	})
 	snap := r.Snapshot()
+	if snap.Histograms["lat{group=1}"].Count != 1 {
+		t.Fatalf("unexpected histograms %v", snap.Histograms)
+	}
 	if snap.Counters["delivered{group=1}"] != 7 {
 		t.Fatalf("unexpected counters %v", snap.Counters)
 	}
@@ -100,7 +109,7 @@ func TestObsWithDerivesLabels(t *testing.T) {
 		t.Fatalf("unexpected gauges %v", snap.Gauges)
 	}
 	// The parent bundle is unaffected by the derivation.
-	root.Counter("delivered").Inc()
+	root.AddSource(func(emit Emit) { emit("delivered", KindCounter, 1) })
 	if got := r.Snapshot().Counters["delivered"]; got != 1 {
 		t.Fatalf("parent counter = %d, want 1", got)
 	}
@@ -108,8 +117,11 @@ func TestObsWithDerivesLabels(t *testing.T) {
 
 func TestWriteJSONRoundTrips(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c").Add(2)
-	r.Gauge("g").Set(-4)
+	depth := int64(-4)
+	r.AddSource(func(emit Emit) {
+		emit("c", KindCounter, 2)
+		emit("g", KindGauge, uint64(depth))
+	})
 	r.Histogram("h", CountBuckets).Observe(3)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -124,9 +136,10 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	}
 }
 
-// TestMetricsRaceHammer updates every instrument kind from many goroutines
-// while snapshots are taken concurrently; under -race this proves the
-// lock-free instruments and snapshot copying are torn-read free.
+// TestMetricsRaceHammer observes histograms and bumps a sourced counter
+// from many goroutines while snapshots are taken concurrently; under -race
+// this proves the lock-free histograms, the source reads and snapshot
+// copying are torn-read free.
 func TestMetricsRaceHammer(t *testing.T) {
 	r := NewRegistry()
 	const (
@@ -134,25 +147,26 @@ func TestMetricsRaceHammer(t *testing.T) {
 		perLoop  = 1000
 		snappers = 3
 	)
+	var total atomic.Uint64 // a component's own counter, read by its source
+	r.AddSource(func(emit Emit) {
+		emit("hammer_total", KindCounter, total.Load())
+		emit("hammer_depth", KindGauge, total.Load())
+	})
 	var writeWG, snapWG sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < writers; w++ {
 		writeWG.Add(1)
 		go func(w int) {
 			defer writeWG.Done()
-			// Half the writers resolve instruments per iteration (exercising
+			// Half the writers resolve histograms per iteration (exercising
 			// registry lookup under contention), half hold them.
-			c := r.Counter("hammer_total")
-			g := r.Gauge("hammer_depth")
 			h := r.Histogram("hammer_lat", DurationBuckets)
 			for i := 0; i < perLoop; i++ {
 				if w%2 == 0 {
-					c = r.Counter("hammer_total")
-					g = r.Gauge("hammer_depth", L("w", fmt.Sprint(w)))
 					h = r.Histogram("hammer_lat", DurationBuckets)
+					r.Histogram("hammer_w", CountBuckets, L("w", fmt.Sprint(w))).Observe(1)
 				}
-				c.Inc()
-				g.Add(1)
+				total.Add(1)
 				h.Observe(float64(i) * 1e-6)
 			}
 		}(w)
@@ -214,9 +228,8 @@ func TestSourcesAreReadAtSnapshot(t *testing.T) {
 			emit("depth", KindGauge, 1)
 		})
 	}
-	// Two sources and an instrument under one unlabelled key add up; of
-	// the gauges the last registered stands.
-	root.Counter("shared_total").Add(2)
+	// Two sources under one unlabelled key add up; of the gauges the last
+	// registered stands.
 	for _, v := range []uint64{3, 4} {
 		v := v
 		root.AddSource(func(emit Emit) {
@@ -228,7 +241,7 @@ func TestSourcesAreReadAtSnapshot(t *testing.T) {
 	snap := r.Snapshot()
 	for key, want := range map[string]uint64{
 		"sent_total{node=a}": 5, "sent_total{node=b}": 5,
-		"dropped_total{node=a,reason=stale}": 1, "shared_total": 9,
+		"dropped_total{node=a,reason=stale}": 1, "shared_total": 7,
 	} {
 		if got := snap.Counters[key]; got != want {
 			t.Errorf("%s = %d, want %d (counters %v)", key, got, want, snap.Counters)

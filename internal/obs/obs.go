@@ -27,8 +27,8 @@ func Default() *Obs {
 }
 
 // Nop returns a bundle with the wall clock and no instrumentation at all:
-// every Counter/Gauge/Histogram it hands out is nil (recording is a nil
-// check) and sources are ignored. It exists to measure instrumentation
+// every Histogram it hands out is nil (recording is a nil check) and
+// sources are ignored. It exists to measure instrumentation
 // overhead (BenchmarkMulticastInstrumented).
 func Nop() *Obs { return &Obs{clock: Wall{}} }
 
@@ -62,8 +62,9 @@ func (o *Obs) Events() *Events {
 }
 
 // With returns a derived bundle sharing the clock, registry and sink,
-// with the given labels appended: instruments it creates carry them and
-// its Events attach them as attrs. Deriving never mutates the parent.
+// with the given labels appended: the histograms it creates and the
+// values its sources emit carry them, and its Events attach them as
+// attrs. Deriving never mutates the parent.
 func (o *Obs) With(labels ...Label) *Obs {
 	if o == nil {
 		return nil
@@ -72,22 +73,6 @@ func (o *Obs) With(labels ...Label) *Obs {
 	ls = append(ls, o.labels...)
 	ls = append(ls, labels...)
 	return &Obs{clock: o.clock, reg: o.reg, events: o.events, labels: ls}
-}
-
-// Counter creates/fetches a counter carrying the bundle's labels.
-func (o *Obs) Counter(name string) *Counter {
-	if o == nil {
-		return nil
-	}
-	return o.reg.Counter(name, o.labels...)
-}
-
-// Gauge creates/fetches a gauge carrying the bundle's labels.
-func (o *Obs) Gauge(name string) *Gauge {
-	if o == nil {
-		return nil
-	}
-	return o.reg.Gauge(name, o.labels...)
 }
 
 // Histogram creates/fetches a histogram carrying the bundle's labels.
@@ -110,20 +95,4 @@ func (o *Obs) AddSource(fn func(Emit)) {
 			emit(name, kind, value, append(o.labels[:len(o.labels):len(o.labels)], labels...)...)
 		})
 	})
-}
-
-// CounterL is Counter with extra per-call labels (e.g. a peer dimension).
-func (o *Obs) CounterL(name string, extra ...Label) *Counter {
-	if o == nil {
-		return nil
-	}
-	return o.reg.Counter(name, append(append([]Label{}, o.labels...), extra...)...)
-}
-
-// GaugeL is Gauge with extra per-call labels.
-func (o *Obs) GaugeL(name string, extra ...Label) *Gauge {
-	if o == nil {
-		return nil
-	}
-	return o.reg.Gauge(name, append(append([]Label{}, o.labels...), extra...)...)
 }

@@ -46,8 +46,8 @@ type FaultStats struct {
 //
 // All randomness comes from one seeded rand source and all time from an
 // obs.Clock, so a DES harness driving an obs.Fake replays the exact same
-// fault schedule run after run. Every injected fault is counted
-// (FaultStats) and, after Instrument, exported as
+// fault schedule run after run. Every injected fault is counted in
+// FaultStats, which Instrument exports as
 // transport_faults_total{kind=partition|drop|delay|duplicate|crash}.
 //
 // Faults filters on the sending side: a rule for the link a→b takes
@@ -67,18 +67,19 @@ type Faults struct {
 	dup   map[link]float64
 
 	stats FaultStats
-	m     faultMetrics
 }
 
-// faultMetrics holds the optional obs mirrors of the fault counters. All
-// reads and writes happen under Faults.mu, so Instrument is safe while
-// faults are being injected.
-type faultMetrics struct {
-	partition *obs.Counter
-	drop      *obs.Counter
-	delay     *obs.Counter
-	duplicate *obs.Counter
-	crash     *obs.Counter
+// faultExport is the controller's metric catalogue: FaultStats as
+// transport_faults_total{kind=...}.
+var faultExport = []struct {
+	kind FaultKind
+	get  func(*FaultStats) uint64
+}{
+	{FaultPartition, func(s *FaultStats) uint64 { return s.Partitioned }},
+	{FaultDrop, func(s *FaultStats) uint64 { return s.Dropped }},
+	{FaultDelay, func(s *FaultStats) uint64 { return s.Delayed }},
+	{FaultDuplicate, func(s *FaultStats) uint64 { return s.Duplicated }},
+	{FaultCrash, func(s *FaultStats) uint64 { return s.Crashed }},
 }
 
 // NewFaults returns a controller with no rules, drawing randomness from
@@ -107,24 +108,16 @@ func (f *Faults) SetClock(c obs.Clock) {
 	f.clock = c
 }
 
-// Instrument mirrors the fault counters onto ob as
-// transport_faults_total{kind=...}. Safe to call while faults flow.
+// Instrument makes ob's registry read Stats whenever it is snapshotted, as
+// transport_faults_total{kind=...}: every fault since the controller was
+// created, those injected before the call included.
 func (f *Faults) Instrument(ob *obs.Obs) {
-	if ob == nil {
-		return
-	}
-	kind := func(k FaultKind) *obs.Counter {
-		return ob.CounterL("transport_faults_total", obs.L("kind", string(k)))
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.m = faultMetrics{
-		partition: kind(FaultPartition),
-		drop:      kind(FaultDrop),
-		delay:     kind(FaultDelay),
-		duplicate: kind(FaultDuplicate),
-		crash:     kind(FaultCrash),
-	}
+	ob.AddSource(func(emit obs.Emit) {
+		st := f.Stats()
+		for _, row := range faultExport {
+			emit("transport_faults_total", obs.KindCounter, row.get(&st), obs.L("kind", string(row.kind)))
+		}
+	})
 }
 
 // Stats returns a snapshot of the fault counters.
@@ -242,7 +235,6 @@ func (f *Faults) Crash(p ident.PID) error {
 	}
 	delete(f.eps, p)
 	f.stats.Crashed++
-	f.m.crash.Inc()
 	f.mu.Unlock()
 	fe.shutdown()
 	return fe.under.Close()
@@ -266,23 +258,19 @@ func (f *Faults) judge(from, to ident.PID) verdict {
 	l := link{from, to}
 	if f.cut[l] {
 		f.stats.Partitioned++
-		f.m.partition.Inc()
 		return verdict{lost: true}
 	}
 	if p, ok := f.drop[l]; ok && f.rng.Float64() < p {
 		f.stats.Dropped++
-		f.m.drop.Inc()
 		return verdict{lost: true}
 	}
 	var v verdict
 	if p, ok := f.dup[l]; ok && f.rng.Float64() < p {
 		f.stats.Duplicated++
-		f.m.duplicate.Inc()
 		v.dup = true
 	}
 	if d, ok := f.delay[l]; ok {
 		f.stats.Delayed++
-		f.m.delay.Inc()
 		v.delay = d
 		v.route = true
 	}

@@ -230,13 +230,15 @@ func TestFaultsCrashClosesEndpoint(t *testing.T) {
 func TestFaultsMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	f := NewFaults(11)
-	f.Instrument(obs.New(nil, reg, nil))
 	fa, _ := faultPair(t, f)
 
 	f.Partition([]ident.PID{"a"}, []ident.PID{"b"})
 	if err := fa.Send("b", ident.NodeGroup, Data, "x"); err != nil {
 		t.Fatal(err)
 	}
+	// The registry reads FaultStats: a fault injected before Instrument
+	// counts as well as the ones after it.
+	f.Instrument(obs.New(nil, reg, nil))
 	f.Heal()
 	f.Drop("a", "b", 1.0)
 	if err := fa.Send("b", ident.NodeGroup, Data, "x"); err != nil {

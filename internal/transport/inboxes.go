@@ -19,9 +19,8 @@ type inboxSet struct {
 	closed bool
 	m      map[groupChan]*ubq.Queue[Envelope]
 
-	dropGroup    atomic.Uint64
-	dropChannel  atomic.Uint64
-	instrumented atomic.Bool
+	dropGroup   atomic.Uint64
+	dropChannel atomic.Uint64
 }
 
 func newInboxSet() *inboxSet {
@@ -55,13 +54,8 @@ var dropExport = []struct {
 }
 
 // instrument makes ob's registry read the drop counters whenever it is
-// snapshotted. The first bundle wins and a nil one does not count: an
-// endpoint instrumented at construction is not exported a second time by
-// the node-level Instrument call.
+// snapshotted.
 func (s *inboxSet) instrument(ob *obs.Obs) {
-	if ob == nil || !s.instrumented.CompareAndSwap(false, true) {
-		return
-	}
 	ob.AddSource(func(emit obs.Emit) {
 		d := s.drops()
 		for _, row := range dropExport {

@@ -79,10 +79,10 @@ func (e *MemEndpoint) Self() ident.PID { return e.self }
 // their (group, channel) inbox was not registered.
 func (e *MemEndpoint) Drops() DropStats { return e.boxes.drops() }
 
-// Instrument exports the endpoint's drop counters through ob as
-// transport_dropped_total{reason=...} (the first bundle wins). Safe to
-// call while traffic is flowing; core.NewNode calls it with the node's
-// obs bundle.
+// Instrument makes ob's registry read the endpoint's drop counters as
+// transport_dropped_total{reason=...}. Call it once per registry; it is
+// safe while traffic is flowing, and core.NewNode calls it with the
+// node's obs bundle.
 func (e *MemEndpoint) Instrument(ob *obs.Obs) { e.boxes.instrument(ob) }
 
 // Register implements Endpoint: create the inboxes of every channel of g.

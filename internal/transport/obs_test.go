@@ -58,21 +58,20 @@ func TestMemEndpointDropMetrics(t *testing.T) {
 func TestTCPWireMetrics(t *testing.T) {
 	regA := obs.NewRegistry()
 	regB := obs.NewRegistry()
-	a, err := NewTCPNetworkOpts("a", "127.0.0.1:0", nil, TCPOptions{Obs: obs.New(nil, regA, nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := NewTCPNetworkOpts("b", "127.0.0.1:0", nil, TCPOptions{Obs: obs.New(nil, regB, nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	a.AddPeer("b", b.Addr())
-
+	a, b := tcpPair(t)
 	const g = ident.GroupID(3)
 	b.Register(g)
 	inbox := b.Inbox(g, Data)
+
+	// One envelope first, so a's write loop and b's read loop are running
+	// when the registries are attached: under -race this checks that the
+	// loops pick the histograms up safely.
+	if err := a.Send("b", g, Data, tcpPayload{N: -1}); err != nil {
+		t.Fatal(err)
+	}
+	<-inbox
+	a.Instrument(obs.New(nil, regA, nil))
+	b.Instrument(obs.New(nil, regB, nil))
 
 	const msgs = 5
 	for i := 0; i < msgs; i++ {

@@ -28,12 +28,6 @@ type TCPOptions struct {
 	// frames than its peers accept gets dropped as faulty.
 	// 0 means the default of 16 MiB.
 	MaxFrame int
-	// Obs, when non-nil, makes its metrics registry read Stats() whenever
-	// it is snapshotted (wireExport: tcp_frames_sent_total and the rest,
-	// transport_dropped_total{reason=...}) and receives the two batch-size
-	// histograms (tcp_batch_envelopes, transport_rx_batch_envelopes).
-	// Frames, envelopes and drops are counted once, behind Stats().
-	Obs *obs.Obs
 }
 
 const defaultMaxFrame = 16 << 20
@@ -86,7 +80,14 @@ type TCPNetwork struct {
 	bytesSent  atomic.Uint64
 	framesRecv atomic.Uint64
 	envsRecv   atomic.Uint64
-	m          tcpMetrics
+	// batch samples envelopes-per-frame on the send path: the achieved
+	// write-coalescing factor as a distribution rather than a ratio.
+	// rxBatch mirrors it on the receive path: envelopes decoded per
+	// incoming frame, handed onwards to the inbox demux in one pass. Both
+	// stay nil, recording nothing, until Instrument attaches them; the
+	// loops load them atomically because it may do so while they run.
+	batch   atomic.Pointer[obs.Histogram]
+	rxBatch atomic.Pointer[obs.Histogram]
 
 	boxes *inboxSet
 
@@ -100,28 +101,6 @@ type TCPNetwork struct {
 }
 
 var _ Endpoint = (*TCPNetwork)(nil)
-
-// tcpMetrics are the distributions the wire counters cannot carry. The
-// nil instruments of a zero value are no-ops, so the hot paths record
-// unconditionally. Resolved once at construction (TCPOptions.Obs) —
-// never mutated afterwards, because the read/write loops access the
-// fields without synchronisation.
-type tcpMetrics struct {
-	// batch samples envelopes-per-frame on the send path: the achieved
-	// write-coalescing factor as a distribution rather than a ratio.
-	batch *obs.Histogram
-	// rxBatch mirrors batch on the receive path: envelopes decoded per
-	// incoming frame, i.e. the batch size handed onwards to the inbox
-	// demux in one pass.
-	rxBatch *obs.Histogram
-}
-
-func newTCPMetrics(ob *obs.Obs) tcpMetrics {
-	return tcpMetrics{
-		batch:   ob.Histogram("tcp_batch_envelopes", obs.CountBuckets),
-		rxBatch: ob.Histogram("transport_rx_batch_envelopes", obs.CountBuckets),
-	}
-}
 
 // wireExport is the TCP endpoint's metric catalogue: the counters a
 // registry reads off Stats() when it is snapshotted (README "Metric
@@ -196,14 +175,6 @@ func NewTCPNetworkOpts(self ident.PID, listenAddr string, peers map[ident.PID]st
 		accepted:  make(map[net.Conn]struct{}),
 		boxes:     newInboxSet(),
 	}
-	n.m = newTCPMetrics(opts.Obs)
-	opts.Obs.AddSource(func(emit obs.Emit) {
-		st := n.Stats()
-		for _, row := range wireExport {
-			emit(row.name, obs.KindCounter, row.get(&st))
-		}
-	})
-	n.boxes.instrument(opts.Obs)
 	n.maxBody = opts.MaxFrame - len(n.fromEnc)
 	if n.maxBody <= 0 {
 		ln.Close()
@@ -241,12 +212,23 @@ func (n *TCPNetwork) Conns() int {
 	return len(n.conns)
 }
 
-// Instrument exports the endpoint's drop counters through ob as
-// transport_dropped_total{reason=...}, unless TCPOptions.Obs already
-// does. Safe to call while traffic is flowing; core.NewNode calls it with
-// the node's obs bundle. The wire counters (frames, envelopes, bytes) are
-// exported through TCPOptions.Obs only.
-func (n *TCPNetwork) Instrument(ob *obs.Obs) { n.boxes.instrument(ob) }
+// Instrument makes ob's registry read Stats() whenever it is snapshotted
+// (wireExport, and the drops as transport_dropped_total{reason=...}) and
+// attaches the two batch-size histograms (tcp_batch_envelopes,
+// transport_rx_batch_envelopes). Call it once per registry; it is safe
+// while traffic is flowing, and core.NewNode calls it with the node's obs
+// bundle.
+func (n *TCPNetwork) Instrument(ob *obs.Obs) {
+	n.batch.Store(ob.Histogram("tcp_batch_envelopes", obs.CountBuckets))
+	n.rxBatch.Store(ob.Histogram("transport_rx_batch_envelopes", obs.CountBuckets))
+	ob.AddSource(func(emit obs.Emit) {
+		st := n.Stats()
+		for _, row := range wireExport {
+			emit(row.name, obs.KindCounter, row.get(&st))
+		}
+	})
+	n.boxes.instrument(ob)
+}
 
 // Stats returns a snapshot of the wire counters.
 func (n *TCPNetwork) Stats() TCPStats {
@@ -376,7 +358,7 @@ func (n *TCPNetwork) writeLoop(to ident.PID, pc *peerConn) {
 			n.framesSent.Add(1)
 			n.envsSent.Add(uint64(count))
 			n.bytesSent.Add(uint64(total))
-			n.m.batch.Observe(float64(count))
+			n.batch.Load().Observe(float64(count))
 		}
 
 		// Reuse the drained buffers next round, but let one-off bursts go.
@@ -537,7 +519,7 @@ func (n *TCPNetwork) readLoop(conn net.Conn) {
 		// batching by more than one frame anyway (latency).
 		flushRun()
 		if frameEnvs > 0 {
-			n.m.rxBatch.Observe(float64(frameEnvs))
+			n.rxBatch.Load().Observe(float64(frameEnvs))
 		}
 		if r.Err() != nil {
 			return
