@@ -119,8 +119,12 @@ type Machine struct {
 	det   fd.Detector
 	clock obs.Clock // read only to time consensus_decide_seconds
 	ev    *obs.Events
-	// counts is what the registry reads; nil histograms record nothing.
-	counts  *counts
+	// The counts are what the registry reads: allocated apart from the
+	// machine, so its source holds nothing else of it, and atomic, because
+	// a snapshot reads them while the owner runs.
+	decisions *atomic.Uint64 // instances decided (locally observed)
+	nacks     *atomic.Uint64 // coordinator suspicions turned into NACKs
+	// Nil histograms record nothing.
 	rounds  *obs.Histogram // rounds a proposing process ran until deciding
 	latency *obs.Histogram // propose-to-decide wall time
 
@@ -130,35 +134,16 @@ type Machine struct {
 	live []*instance
 }
 
-// counts are the machine's counters. They are allocated apart from it, so
-// the registry source reading them holds nothing else of the machine, and
-// atomic, because a snapshot reads them while the owner runs.
-type counts struct {
-	decisions atomic.Uint64 // instances decided (locally observed)
-	nacks     atomic.Uint64 // coordinator suspicions turned into NACKs
-}
-
-// countsExport is the machine's metric catalogue: the counters a registry
-// reads off counts when it is snapshotted.
-var countsExport = []struct {
-	name string
-	get  func(*counts) uint64
-}{
-	{"consensus_decisions_total", func(c *counts) uint64 { return c.decisions.Load() }},
-	{"consensus_nacks_total", func(c *counts) uint64 { return c.nacks.Load() }},
-}
-
 // NewMachine returns an empty machine for process self. send transmits a
 // message of an instance; det is the oracle asked whether the coordinator
 // an instance waits on is suspected. ob supplies
 // the clock, metrics and events; nil uses the wall clock with no
 // instrumentation.
 func NewMachine(self ident.PID, send func(to ident.PID, m Msg), det fd.Detector, ob *obs.Obs) *Machine {
-	c := new(counts)
+	decisions, nacks := new(atomic.Uint64), new(atomic.Uint64)
 	ob.AddSource(func(emit obs.Emit) {
-		for _, row := range countsExport {
-			emit(row.name, obs.KindCounter, row.get(c))
-		}
+		emit("consensus_decisions_total", obs.KindCounter, decisions.Load())
+		emit("consensus_nacks_total", obs.KindCounter, nacks.Load())
 	})
 	return &Machine{
 		self:      self,
@@ -166,7 +151,8 @@ func NewMachine(self ident.PID, send func(to ident.PID, m Msg), det fd.Detector,
 		det:       det,
 		clock:     ob.Clock(),
 		ev:        ob.Events(),
-		counts:    c,
+		decisions: decisions,
+		nacks:     nacks,
 		rounds:    ob.Histogram("consensus_rounds", obs.CountBuckets),
 		latency:   ob.Histogram("consensus_decide_seconds", obs.DurationBuckets),
 		instances: make(map[string]*instance),
@@ -314,7 +300,7 @@ func (m *Machine) advance(in *instance, out []Decision) []Decision {
 			if props := in.take(msgPropose); len(props) > 0 {
 				in.est, in.ts = props[0].Value, in.round+1
 			} else if m.det.Suspected(coord) {
-				m.counts.nacks.Add(1)
+				m.nacks.Add(1)
 				reply = msgNack
 			} else {
 				return out
@@ -376,7 +362,7 @@ func (in *instance) take(types ...msgType) []Msg {
 // never proposed knows no participants and relays nothing.
 func (m *Machine) decide(in *instance, v []byte, out []Decision) []Decision {
 	in.decided, in.decision, in.inbox, in.got = true, v, nil, nil
-	m.counts.decisions.Add(1)
+	m.decisions.Add(1)
 	if in.proposed {
 		// Rounds and latency only make sense at a process that actually
 		// ran the protocol; a bystander learning via the decide flood would

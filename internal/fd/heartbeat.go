@@ -55,27 +55,16 @@ type monitor struct {
 	beatsSent, beatsRecv, sendErrors, suspicions, revivals uint64
 }
 
-// hbExport is the detector's metric catalogue: the counters a registry
-// reads off the monitor when it is snapshotted.
-var hbExport = []struct {
-	name string
-	get  func(*monitor) uint64
-}{
-	{"fd_beats_sent_total", func(m *monitor) uint64 { return m.beatsSent }},
-	{"fd_beats_recv_total", func(m *monitor) uint64 { return m.beatsRecv }},
-	{"fd_beat_send_errors_total", func(m *monitor) uint64 { return m.sendErrors }},
-	{"fd_suspicions_total", func(m *monitor) uint64 { return m.suspicions }},
-	{"fd_revivals_total", func(m *monitor) uint64 { return m.revivals }},
-}
-
 // export emits the counts, and fd_suspected{peer=p} for each peer
 // currently monitored.
 func (m *monitor) export(emit obs.Emit) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, row := range hbExport {
-		emit(row.name, obs.KindCounter, row.get(m))
-	}
+	emit("fd_beats_sent_total", obs.KindCounter, m.beatsSent)
+	emit("fd_beats_recv_total", obs.KindCounter, m.beatsRecv)
+	emit("fd_beat_send_errors_total", obs.KindCounter, m.sendErrors)
+	emit("fd_suspicions_total", obs.KindCounter, m.suspicions)
+	emit("fd_revivals_total", obs.KindCounter, m.revivals)
 	for _, p := range m.peers {
 		var v uint64
 		if m.susp[p] {

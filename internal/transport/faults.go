@@ -69,19 +69,6 @@ type Faults struct {
 	stats FaultStats
 }
 
-// faultExport is the controller's metric catalogue: FaultStats as
-// transport_faults_total{kind=...}.
-var faultExport = []struct {
-	kind FaultKind
-	get  func(*FaultStats) uint64
-}{
-	{FaultPartition, func(s *FaultStats) uint64 { return s.Partitioned }},
-	{FaultDrop, func(s *FaultStats) uint64 { return s.Dropped }},
-	{FaultDelay, func(s *FaultStats) uint64 { return s.Delayed }},
-	{FaultDuplicate, func(s *FaultStats) uint64 { return s.Duplicated }},
-	{FaultCrash, func(s *FaultStats) uint64 { return s.Crashed }},
-}
-
 // NewFaults returns a controller with no rules, drawing randomness from
 // seed and time from the wall clock (see SetClock).
 func NewFaults(seed int64) *Faults {
@@ -114,9 +101,14 @@ func (f *Faults) SetClock(c obs.Clock) {
 func (f *Faults) Instrument(ob *obs.Obs) {
 	ob.AddSource(func(emit obs.Emit) {
 		st := f.Stats()
-		for _, row := range faultExport {
-			emit("transport_faults_total", obs.KindCounter, row.get(&st), obs.L("kind", string(row.kind)))
+		kind := func(k FaultKind, v uint64) {
+			emit("transport_faults_total", obs.KindCounter, v, obs.L("kind", string(k)))
 		}
+		kind(FaultPartition, st.Partitioned)
+		kind(FaultDrop, st.Dropped)
+		kind(FaultDelay, st.Delayed)
+		kind(FaultDuplicate, st.Duplicated)
+		kind(FaultCrash, st.Crashed)
 	})
 }
 
