@@ -121,10 +121,10 @@ func TestAdoptEqualsSweepModel(t *testing.T) {
 				frontier := map[ident.PID]ident.Seq{}
 				for _, p := range senders {
 					frontier[p] = ident.Seq(streams[p].have)
-					e.peer(p).recvMax = frontier[p]
+					e.vc.peer(p).recvMax = frontier[p]
 				}
 				for _, it := range model {
-					e.toDeliver.ForceAppend(it)
+					e.vc.toDeliver.ForceAppend(it)
 				}
 
 				// The flush: from somewhere at or below each frontier to
@@ -161,10 +161,10 @@ func TestAdoptEqualsSweepModel(t *testing.T) {
 				for i := range flush {
 					msgs[i] = msgOf(&flush[i])
 				}
-				before := e.toDeliver.Stats().Purged
-				added := e.adopt(msgs, nil)
+				before := e.vc.toDeliver.Stats().Purged
+				added := e.vc.adopt(msgs, nil)
 				var got []DataMsg
-				e.toDeliver.EachRef(func(it *queue.Item) bool {
+				e.vc.toDeliver.EachRef(func(it *queue.Item) bool {
 					got = append(got, msgOf(it))
 					return true
 				})
@@ -175,7 +175,7 @@ func TestAdoptEqualsSweepModel(t *testing.T) {
 				if !reflect.DeepEqual(ids(got), ids(want)) {
 					t.Fatalf("trial %d: delivery queue after adopt\n got  %v\n want %v", trial, ids(got), ids(want))
 				}
-				if gotPurged := int(e.toDeliver.Stats().Purged - before); added != wantAdded || gotPurged != wantPurged {
+				if gotPurged := int(e.vc.toDeliver.Stats().Purged - before); added != wantAdded || gotPurged != wantPurged {
 					t.Fatalf("trial %d: adopted %d and purged %d, the model %d and %d", trial, added, gotPurged, wantAdded, wantPurged)
 				}
 				adopted, purged = adopted+added, purged+wantPurged
@@ -217,15 +217,15 @@ func TestInstallUnderBacklogIsLinear(t *testing.T) {
 	var calls, listed int
 	rel := countingKEnum{KEnumeration: obsolete.KEnumeration{K: k}, calls: &calls, listed: &listed}
 	e := snapEngine(rel)
-	e.clock, e.rootCtx = obs.Wall{}, context.Background()
+	e.vc.clock, e.rootCtx = obs.Wall{}, context.Background()
 
 	rng := rand.New(rand.NewSource(20))
 	tr := obsolete.NewKTracker(k)
 	for i := 0; i < backlog; i++ {
 		seq, annot := tr.Next() // the backlog obsoletes nothing: all of it survives
-		e.toDeliver.ForceAppend(queue.Item{Kind: queue.Data, View: uint64(e.vc.cv.ID), Meta: obsolete.Msg{Sender: "a", Seq: seq, Annot: annot}})
+		e.vc.toDeliver.ForceAppend(queue.Item{Kind: queue.Data, View: uint64(e.vc.cv.ID), Meta: obsolete.Msg{Sender: "a", Seq: seq, Annot: annot}})
 	}
-	e.peer("a").recvMax = tr.Seq()
+	e.vc.peer("a").recvMax = tr.Seq()
 	var flush []DataMsg
 	for i := 0; i < flushLen; i++ {
 		seq, annot := tr.Next(ident.Seq(1+rng.Intn(backlog)), ident.Seq(1+rng.Intn(backlog)))
@@ -238,9 +238,9 @@ func TestInstallUnderBacklogIsLinear(t *testing.T) {
 	if e.vc.cv.ID != next.ID || e.vc.stats.FlushAdded != flushLen {
 		t.Fatalf("install: view %d, %d flush messages adopted", e.vc.cv.ID, e.vc.stats.FlushAdded)
 	}
-	purged := int(e.toDeliver.Stats().Purged)
-	if purged == 0 || e.toDeliver.Len() != backlog+flushLen-purged+1 {
-		t.Fatalf("after install: %d queued, %d purged", e.toDeliver.Len(), purged)
+	purged := int(e.vc.toDeliver.Stats().Purged)
+	if purged == 0 || e.vc.toDeliver.Len() != backlog+flushLen-purged+1 {
+		t.Fatalf("after install: %d queued, %d purged", e.vc.toDeliver.Len(), purged)
 	}
 	if limit := 2 * (flushLen + listed); calls > limit {
 		t.Fatalf("install consulted the relation %d times for a flush of %d listing %d numbers over a backlog of %d; want at most %d",

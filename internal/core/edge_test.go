@@ -364,10 +364,10 @@ func TestStagePrunedAtInstall(t *testing.T) {
 		joiner.Stop()
 	}
 	founder.Stop() // the loop has exited: its state is safe to read
-	if len(founder.others) != 0 || len(founder.peers) < peers {
-		t.Fatalf("%d other members and %d records after %d peers came and went", len(founder.others), len(founder.peers), peers)
+	if len(founder.vc.others) != 0 || len(founder.vc.peers) < peers {
+		t.Fatalf("%d other members and %d records after %d peers came and went", len(founder.vc.others), len(founder.vc.peers), peers)
 	}
-	for id, p := range founder.peers {
+	for id, p := range founder.vc.peers {
 		if !reflect.DeepEqual(p.link, link{}) {
 			t.Fatalf("%s left, yet its record keeps per-view state: %+v", id, p.link)
 		}

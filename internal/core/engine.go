@@ -9,7 +9,6 @@ import (
 	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/obsolete"
-	"repro/internal/queue"
 	"repro/internal/transport"
 )
 
@@ -17,10 +16,7 @@ import (
 // it with New, drive it with Multicast / Deliver / RequestViewChange, and
 // shut it down with Stop.
 type Engine struct {
-	cfg   Config
-	clock obs.Clock
-	ev    *obs.Events
-	m     engMetrics
+	cfg Config
 
 	reqC  chan *request
 	doneC chan struct{}
@@ -42,44 +38,15 @@ type Engine struct {
 	// turn (onDecisions).
 	cons *consensus.Machine
 
-	// vc is the view-change state: the current view, the change in flight,
-	// what waits for a later view, whether this engine is joining or at its
-	// end, and the engine's counters (vc.stats). Only step (viewchange.go)
-	// changes the view change's part; the loop steps it with every control
-	// event and the join give-up, and carries out the effects. The data
-	// plane counts into vc.stats directly. joiner is the join handshake's
-	// timer and backoff (join.go), set while vc is joining.
+	// vc is the group member as a value (viewchange.go): the view change
+	// and the data plane of t1–t3, with the counters (vc.stats), the clock,
+	// the histograms and the event log. The loop steps it with every
+	// control event and the join give-up and carries out the effects, and
+	// calls its data-plane methods directly; its sends leave through the
+	// engine's outlet (send, full). joiner is the join handshake's timer
+	// and backoff (join.go), set while vc is joining.
 	vc     viewState
 	joiner *joiner
-
-	toDeliver *queue.Queue
-	delivered *queue.Queue // current-view delivery history (for pred sets)
-
-	// peers is the one table of per-process state, a record for every PID
-	// ever heard of; others lists the records of the current view's other
-	// members in cv.Members order, rebuilt by enterView (flow.go). self is
-	// our own record, whose recvMax is the frontier of our own stream: the
-	// last sequence number we committed or adopted.
-	peers  map[ident.PID]*peer
-	others []*peer
-	self   *peer
-
-	// pendingHead is one arrival (zero Seq: none — sequence numbers start
-	// at 1) that passed every receive check (its credit is charged and its
-	// purges applied) but found the delivery queue full; it occupies the
-	// reserved stall slot until space frees. pendingRest holds the raw,
-	// unprocessed remainder of a batched receive behind it (consumed from
-	// pendingPos), so per-sender FIFO survives batch arrivals; the data
-	// inbox stays gated while either is non-empty.
-	pendingHead DataMsg
-	pendingRest []DataMsg
-	pendingPos  int
-
-	// stage is the open multicast transaction's run (advance): every
-	// message it committed, in order, so it ends at our frontier. Each
-	// peer took credit for a prefix of it (link.took); flushStage hands
-	// every peer the survivors of its prefix and empties it.
-	stage []DataMsg
 
 	deliverWaiters []*request
 	multicastQ     []*request
@@ -186,23 +153,13 @@ func New(cfg Config) (*Engine, error) {
 	send := func(to ident.PID, m consensus.Msg) { _ = cfg.Endpoint.Send(to, cfg.Group, transport.Consensus, m) }
 	e := &Engine{
 		cfg:     cfg,
-		clock:   cfg.Obs.Clock(),
-		ev:      cfg.Obs.Events(),
-		m:       newEngMetrics(cfg.Obs),
 		reqC:    make(chan *request, 64),
 		doneC:   make(chan struct{}),
 		rootCtx: ctx,
 		cancel:  cancel,
-		vc: viewState{
-			self: cfg.Self, rel: cfg.Relation, heal: cfg.Heal, autoEvict: cfg.AutoEvict,
-			cv: initial.Clone(), joining: cfg.Join != nil,
-		},
-		cons:      consensus.NewMachine(cfg.Self, send, cfg.Detector, cfg.Obs),
-		toDeliver: queue.New(cfg.Relation, cfg.ToDeliverCap),
-		delivered: queue.New(cfg.Relation, 0),
-		peers:     make(map[ident.PID]*peer),
+		cons:    consensus.NewMachine(cfg.Self, send, cfg.Detector, cfg.Obs),
 	}
-	e.armPeers()
+	e.vc = newViewState(&e.cfg, initial.Clone(), e)
 	e.pub = &published{view: e.vc.cv.Clone()}
 	e.pub.export(cfg.Obs)
 	return e, nil
@@ -235,7 +192,7 @@ func (e *Engine) ticker(d time.Duration) obs.Ticker {
 	if d <= 0 {
 		return never{}
 	}
-	return e.clock.NewTicker(d)
+	return e.vc.clock.NewTicker(d)
 }
 
 // never is the ticker of a disabled period.
@@ -440,7 +397,7 @@ func (e *Engine) run(stab, heal obs.Ticker) {
 		// arrivals, leave data in the transport; senders run out of
 		// credits and stop.
 		dataC := dataIn
-		if e.dataGated() {
+		if e.vc.gated() {
 			dataC = nil
 		}
 		// Re-fetched every iteration: each backoff step arms a fresh timer.
@@ -457,7 +414,7 @@ func (e *Engine) run(stab, heal obs.Ticker) {
 				dataIn = nil
 				break
 			}
-			e.onDataBatch(envs)
+			e.vc.onDataBatch(envs)
 		case envs, ok := <-ctlIn:
 			if !ok {
 				ctlIn = nil
@@ -490,7 +447,7 @@ func (e *Engine) run(stab, heal obs.Ticker) {
 			e.onRequest(req)
 			e.drainRequests()
 		case <-stab.C():
-			e.gossipStability()
+			e.vc.gossipStability()
 		case <-heal.C():
 			e.input("", healTick{})
 		case <-joinC:
@@ -499,20 +456,6 @@ func (e *Engine) run(stab, heal obs.Ticker) {
 		e.serveDeliveries()
 		e.syncSnapshots()
 	}
-}
-
-// dataGated reports whether the loop must leave data arrivals in the
-// transport: this engine is no open member (joining, changing views, or at
-// its end), a previous arrival waits for queue space, or there is no space
-// to begin with.
-func (e *Engine) dataGated() bool {
-	return !e.vc.open() || e.stalled() || e.toDeliver.Full()
-}
-
-// stalled reports whether an earlier arrival waits for queue space: a
-// processed head, or the raw rest of its batch.
-func (e *Engine) stalled() bool {
-	return e.pendingHead.Meta.Seq != 0 || e.pendingPos < len(e.pendingRest)
 }
 
 // drainRequests opportunistically serves whatever else is already sitting
@@ -529,14 +472,9 @@ func (e *Engine) drainRequests() {
 	}
 }
 
-// send is the engine's best-effort transmit: in the crash-stop model a
-// failed send is the peer's problem (the detector will notice a dead one),
-// but the failure is counted and logged instead of vanishing into `_ =`.
-func (e *Engine) send(p ident.PID, ch transport.Channel, msg any) {
-	if err := e.cfg.Endpoint.Send(p, e.cfg.Group, ch, msg); err != nil {
-		e.vc.stats.SendErrors++
-		e.ev.SendError(string(p), err)
-	}
+// send is the engine's outlet for the group's traffic: its endpoint.
+func (e *Engine) send(to ident.PID, ch transport.Channel, msg any) error {
+	return e.cfg.Endpoint.Send(to, e.cfg.Group, ch, msg)
 }
 
 // syncSnapshots mirrors loop-owned state into the facade-visible copies,
@@ -545,12 +483,12 @@ func (e *Engine) syncSnapshots() {
 	e.vc.stats.View = e.vc.cv.ID
 	e.vc.stats.Epoch = e.vc.cv.Epoch
 	e.vc.stats.Members = len(e.vc.cv.Members)
-	e.vc.stats.ToDeliverLen = e.toDeliver.Len()
-	e.vc.stats.HistoryLen = e.delivered.Len()
+	e.vc.stats.ToDeliverLen = e.vc.toDeliver.Len()
+	e.vc.stats.HistoryLen = e.vc.delivered.Len()
 	e.vc.stats.Parked = len(e.multicastQ)
-	e.vc.stats.LastSent = e.self.recvMax
+	e.vc.stats.LastSent = e.vc.own.recvMax
 	e.vc.stats.Blocked = e.vc.chg != nil
-	st := e.toDeliver.Stats()
+	st := e.vc.toDeliver.Stats()
 	e.vc.stats.PurgedToDeliver = st.Purged
 	e.vc.stats.ToDeliverMax = max(e.vc.stats.ToDeliverMax, st.MaxLen)
 	e.pub.mu.Lock()
@@ -607,10 +545,10 @@ func (e *Engine) onCtl(env transport.Envelope) {
 	if e.vc.terminal == nil {
 		switch m := env.Msg.(type) {
 		case CreditMsg:
-			e.onCredit(env.From, m)
+			e.vc.onCredit(env.From, m)
 			return
 		case StableMsg:
-			e.onStable(env.From, m)
+			e.vc.onStable(env.From, m)
 			return
 		}
 	}

@@ -1,14 +1,18 @@
 package core
 
-// explore_test.go is an exhaustive explorer of the view change. It runs
-// step itself — the function the engine runs, not a model written beside
-// it — over a small group: a breadth-first search through every
-// interleaving of control-message delivery (FIFO per link), membership
-// requests, crashes, suspicions and consensus decisions, with states
-// deduplicated by a canonical encoding. Consensus is an oracle: once a
-// majority of an instance's participants proposed, it may decide any value
-// proposed to it, once, and each participant then learns the decision as
-// an event of its own. The explorer checks the view change, not
+// explore_test.go is an exhaustive explorer of the view change and the
+// data plane. It runs each process's viewState itself — step and the data
+// plane's methods, the code the engine runs, not a model written beside it
+// — over a small group: a breadth-first search through every interleaving
+// of control-message delivery (FIFO per link), data-message delivery (FIFO
+// per link, apart from control), multicasts, the application's deliveries,
+// membership requests, crashes, suspicions and consensus decisions, with
+// states deduplicated by a canonical encoding. Every send a process makes
+// goes on the world's links through its outlet: PREDs carry what the
+// process holds and a sponsor ships what it holds. Consensus is an oracle:
+// once a majority of an instance's participants proposed, it may decide any
+// value proposed to it, once, and each participant then learns the decision
+// as an event of its own. The explorer checks the view change, not
 // Chandra–Toueg.
 //
 // On every reachable state it checks
@@ -23,7 +27,14 @@ package core
 //	    suspect exactly the crashed processes, decide every instance a live
 //	    majority proposed to — ends with no live member blocked. Without
 //	    Heal a member blocked in a change whose live members are a minority
-//	    of a side is the documented wedge, not a violation.
+//	    of a side is the documented wedge, not a violation;
+//
+// and, in a scenario whose application delivers, on every terminal state
+//
+//	(e) Semantic View Synchrony and the other properties of §3.2: every
+//	    process's multicasts, deliveries and installs go into one
+//	    check.Recorder — the chaos oracle's checker — and Verify finds
+//	    nothing.
 //
 // A violation fails the test with the shortest trace to it, one event per
 // line.
@@ -31,6 +42,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/maphash"
 	"maps"
@@ -38,16 +50,21 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/codec"
 	"repro/internal/consensus"
 	"repro/internal/fd"
 	"repro/internal/ident"
+	"repro/internal/obsolete"
+	"repro/internal/queue"
+	"repro/internal/transport"
 )
 
 // maxProcs bounds the processes of an explored world.
@@ -56,8 +73,8 @@ const maxProcs = 4
 // exploreNow is the time of every explored event: no timeout ever fires.
 var exploreNow = time.Unix(0, 0)
 
-// xproc is one process of an explored world: its view-change state and
-// what the world knows about it.
+// xproc is one process of an explored world: its state and what the world
+// knows about it.
 type xproc struct {
 	s        viewState
 	crashed  bool
@@ -65,6 +82,9 @@ type xproc struct {
 	knows    []string        // consensus instances whose decision it learnt
 	views    []ident.ViewRef // the views it entered, the initial one first
 	selfQ    []selfMsg       // what it sent itself, not yet processed
+	script   []obsolete.Msg  // what it is yet to multicast, in order
+	casts    []check.Event   // what it multicast, each in the view it was sent in
+	log      []check.Event   // what its application delivered and installed
 	key      []byte          // its part of the world's key, once computed
 }
 
@@ -115,6 +135,8 @@ type world struct {
 	procs     []*xproc                    // shared between worlds until mut copies one
 	owned     uint8                       // the procs this world copied already
 	links     [maxProcs * maxProcs][]wmsg // links[from*n+to]: control messages in flight, FIFO
+	data      [][]wmsg                    // data messages in flight, FIFO per link, as links; nil if none ever were
+	app       bool                        // the application delivers, and (e) is checked
 	insts     []xinst
 	reqs      []xreq
 	crashable ident.PIDs // who may still crash
@@ -135,23 +157,70 @@ func (w *world) idx(p ident.PID) int {
 	return -1
 }
 
-// mut returns process i for writing: the world's own copy of it, with a
-// change record of its own, which step may update in place. The world's
-// PREDs carry no messages or frontiers, so step never writes the ledger's
-// maps here, and only the awaited set needs a copy.
+// mut returns process i for writing: the world's own copy of it, whose
+// state step and the data plane may update in place and whose sends go on
+// w's links.
 func (w *world) mut(i int) *xproc {
 	if w.owned&(1<<i) == 0 {
 		p := *w.procs[i]
 		p.key = nil
-		if c := p.s.chg; c != nil {
-			cc := *c
-			cc.awaited = maps.Clone(c.awaited)
-			p.s.chg = &cc
-		}
+		p.s = cloneState(p.s)
+		p.s.out = xout{w, i}
 		w.procs[i], w.owned = &p, w.owned|1<<i
 	}
 	return w.procs[i]
 }
+
+// cloneState is a copy of s that shares nothing step or the data plane
+// writes in place: the change record and its ledger, the queues, the peer
+// records, the stage and the receive stash.
+func cloneState(s viewState) viewState {
+	if c := s.chg; c != nil {
+		cc := *c
+		cc.awaited, cc.pred, cc.recv = cloneMap(c.awaited), cloneMap(c.pred), cloneMap(c.recv)
+		s.chg = &cc
+	}
+	s.toDeliver, s.delivered = s.toDeliver.Clone(), s.delivered.Clone()
+	peers, recs := make(map[ident.PID]*peer, len(s.peers)), make([]peer, 0, len(s.peers))
+	for id, p := range s.peers {
+		recs = append(recs, *p)
+		q := &recs[len(recs)-1]
+		if q.out != nil {
+			q.out = q.out.Clone()
+		}
+		peers[id] = q
+	}
+	others := make([]*peer, len(s.others))
+	for i, p := range s.others {
+		others[i] = peers[p.id]
+	}
+	s.peers, s.others, s.own = peers, others, peers[s.self]
+	s.pendingRest, s.stage = slices.Clone(s.pendingRest), slices.Clone(s.stage)
+	return s
+}
+
+// cloneMap is maps.Clone, but an empty map comes back as a new empty map,
+// which costs a header and no table.
+func cloneMap[M ~map[K]V, K comparable, V any](m M) M {
+	if len(m) == 0 {
+		return make(M)
+	}
+	return maps.Clone(m)
+}
+
+// xout is process i's outlet in world w.
+type xout struct {
+	w *world
+	i int
+}
+
+func (o xout) send(to ident.PID, ch transport.Channel, msg any) error {
+	o.w.send(o.w.pids[o.i], to, ch, msg)
+	return nil
+}
+
+// full has nothing to do: the application reads as a move of the world.
+func (xout) full() {}
 
 func (w *world) clone() *world {
 	c := *w
@@ -160,13 +229,20 @@ func (w *world) clone() *world {
 	return &c
 }
 
-// send queues msg from p to q, if q is a process of the world: on their
-// link, or in p's own queue, with how many messages were in flight to p on
-// each link when it was sent.
-func (w *world) send(p, q ident.PID, msg any) {
+// send queues msg from p to q on channel ch, if q is a process of the
+// world: data on their data link, control on their control link, or in p's
+// own queue, with how many messages were in flight to p on each link when
+// it was sent.
+func (w *world) send(p, q ident.PID, ch transport.Channel, msg any) {
 	i, j, n := w.idx(p), w.idx(q), len(w.pids)
+	if m, ok := msg.(PredMsg); ok && m.Decline {
+		w.decliners = w.decliners.Add(p)
+	}
 	switch {
 	case j < 0:
+	case ch == transport.Data:
+		l := w.dataLink(i*n + j)
+		w.setData(i*n+j, append(l[:len(l):len(l)], wrap(msg)))
 	case i == j:
 		s := selfMsg{msg: wrap(msg)}
 		for r := 0; r < n; r++ {
@@ -181,6 +257,27 @@ func (w *world) send(p, q ident.PID, msg any) {
 			w.onLink(msg)
 		}
 	}
+}
+
+// dataLink is data link k's messages in flight.
+func (w *world) dataLink(k int) []wmsg {
+	if w.data == nil {
+		return nil
+	}
+	return w.data[k]
+}
+
+// setData replaces data link k.
+func (w *world) setData(k int, l []wmsg) {
+	if w.data == nil {
+		if l == nil {
+			return
+		}
+		w.data = make([][]wmsg, maxProcs*maxProcs)
+	} else {
+		w.data = slices.Clone(w.data)
+	}
+	w.data[k] = l
 }
 
 // setInst replaces instance k.
@@ -202,31 +299,16 @@ func (w *world) inst(id string) int {
 // Engine.input does.
 func (w *world) input(i int, from ident.PID, msg any) {
 	p := w.mut(i)
-	var fx []effect
-	p.s, fx = step(p.s, event{from: from, msg: msg, now: exploreNow, suspected: p.suspects.Contains})
-	for _, f := range fx {
+	for _, f := range step(&p.s, event{from: from, msg: msg, now: exploreNow, suspected: p.suspects.Contains}) {
 		w.apply(i, f)
 	}
 }
 
-// apply is Engine.apply in the world: the data plane holds no messages, so
-// a contribution is an empty PRED and a state transfer carries the view
-// alone (the sponsor's, as installFlush picks it, or a lost one's
-// resend); and the consensus machine is the oracle.
+// apply is Engine.apply in the world, where the consensus machine is the
+// oracle and the detector watches everyone.
 func (w *world) apply(i int, f effect) {
 	self := w.pids[i]
 	switch f := f.(type) {
-	case sendTo:
-		for _, q := range f.to {
-			w.send(self, q, f.msg)
-		}
-		if m, ok := f.msg.(PredMsg); ok && m.Decline {
-			w.decliners = w.decliners.Add(self)
-		}
-	case contribute:
-		for _, q := range f.chg.audience {
-			w.send(self, q, PredMsg{Change: f.chg.next})
-		}
 	case propose:
 		w.checkProposal(i, f)
 		ref := f.val.Ref()
@@ -250,11 +332,6 @@ func (w *world) apply(i int, f effect) {
 	case install:
 		if f.chg != nil {
 			w.checkInstall(i, f.st)
-			if inc := f.prev.Members.Intersect(f.view.Members); !f.chg.merge() && len(inc) > 0 && inc[0] == self {
-				for _, q := range f.view.Members.Without(f.prev.Members) {
-					w.send(self, q, StateMsg{View: f.view})
-				}
-			}
 		}
 		p := w.mut(i)
 		for _, v := range p.views {
@@ -263,15 +340,22 @@ func (w *world) apply(i int, f effect) {
 			}
 		}
 		p.views = append(p.views[:len(p.views):len(p.views)], f.view.Ref())
+		// Data in flight to it from a view it has left can only be dropped
+		// as stale whenever it arrives, so it is dropped now.
+		for j := range w.pids {
+			k := j*len(w.pids) + i
+			l := w.dataLink(k)
+			for len(l) > 0 && l[0].m.(DataMsg).Ref() != f.view.Ref() {
+				l = l[1:]
+			}
+			if len(l) < len(w.dataLink(k)) {
+				w.setData(k, l)
+			}
+		}
 		for _, env := range f.replay {
 			w.input(i, env.From, env.Msg)
 		}
 		w.input(i, "", entered{})
-	case transfer:
-		st := StateMsg{View: f.view}
-		for _, q := range f.to {
-			w.send(self, q, st)
-		}
 	}
 }
 
@@ -324,12 +408,15 @@ type move struct {
 type moveKind uint8
 
 const (
-	mvDeliver moveKind = iota // process the head of link a
-	mvSuspect                 // process a comes to suspect process b
-	mvLearn                   // process b learns the decision of instance a
-	mvDecide                  // the oracle decides instance a on value b
-	mvRequest                 // membership request a is issued
-	mvCrash                   // process a crashes
+	mvDeliver   moveKind = iota // process the head of link a
+	mvSuspect                   // process a comes to suspect process b
+	mvLearn                     // process b learns the decision of instance a
+	mvDecide                    // the oracle decides instance a on value b
+	mvRequest                   // membership request a is issued
+	mvCrash                     // process a crashes
+	mvData                      // process the head of data link a
+	mvMulticast                 // process a multicasts the next message of its script, in its first view
+	mvApp                       // the application of process a delivers its queue's head
 )
 
 // ready reports whether the head of link k may be processed now: k is
@@ -374,6 +461,17 @@ func (w *world) label(m move) string {
 	case mvRequest:
 		r := w.reqs[m.a]
 		return fmt.Sprintf("%s requests join %v leave %v", r.by, r.join, r.leave)
+	case mvData:
+		return fmt.Sprintf("%s receives %s from %s", w.pids[m.a%n], describe(w.data[m.a][0].m), w.pids[m.a/n])
+	case mvMulticast:
+		p := w.procs[m.a]
+		return fmt.Sprintf("%s multicasts %v in %v", w.pids[m.a], p.script[0].ID(), p.s.cv.Ref())
+	case mvApp:
+		it := w.procs[m.a].s.toDeliver.PeekHead()
+		if it.Kind == queue.Control {
+			return fmt.Sprintf("%s delivers %v", w.pids[m.a], it.Ctl)
+		}
+		return fmt.Sprintf("%s delivers %v of view %d", w.pids[m.a], it.Meta.ID(), it.View)
 	default:
 		return string(w.pids[m.a]) + " crashes"
 	}
@@ -416,6 +514,27 @@ func (w *world) do(m move) {
 		w.input(w.idx(r.by), r.by, membership{join: r.join, leave: r.leave})
 	case mvCrash:
 		w.crash(m.a)
+	case mvData:
+		n := len(w.pids)
+		msg := w.data[m.a][0].m
+		w.setData(m.a, w.data[m.a][1:])
+		w.mut(m.a % n).s.onDataBatch([]transport.Envelope{{From: w.pids[m.a/n], Msg: msg}})
+	case mvMulticast:
+		p := w.mut(m.a)
+		meta := p.script[0]
+		p.script = p.script[1:]
+		p.casts = append(p.casts[:len(p.casts):len(p.casts)], check.Event{Kind: check.EvDeliver, Meta: meta, View: p.s.cv.Ref()})
+		p.s.commitOne(meta, nil)
+		p.s.flushStage()
+	case mvApp:
+		p := w.mut(m.a)
+		d, _ := p.s.deliverItem(p.s.toDeliver.PeekHead(), nil)
+		p.s.toDeliver.PopHead()
+		ev := check.Event{Kind: check.EvDeliver, Meta: d.Meta, View: ident.ViewRef{Epoch: d.Epoch, ID: d.View}}
+		if d.Kind != DeliverData {
+			ev = check.Event{Kind: check.EvInstall, Ref: d.NewView.Ref(), Members: d.NewView.Members}
+		}
+		p.log = append(p.log[:len(p.log):len(p.log)], ev)
 	}
 }
 
@@ -423,9 +542,12 @@ func (w *world) do(m move) {
 // continuation takes (-1 for none): a pending suspicion of a crashed
 // process first, then a delivery, a decision learnt, and last the decision
 // of an instance a live majority proposed to, on the first live proposer's
-// value.
+// value. An eager move, if there is one, is the only one.
 func (w *world) moves() (out []move, fair int) {
 	fair = -1
+	if m, ok := w.eager(); ok {
+		return []move{m}, 0
+	}
 	// first makes out[from:] the fair continuation's choice, if it has
 	// none yet and there is one.
 	first := func(from int) {
@@ -486,7 +608,47 @@ func (w *world) moves() (out []move, fair int) {
 			}
 		}
 	}
+	n := len(w.pids)
+	for k := 0; k < n*n; k++ {
+		if p := w.procs[k%n]; len(w.dataLink(k)) > 0 && !p.crashed && !p.s.gated() {
+			out = append(out, move{mvData, k, 0})
+		}
+	}
+	for i, p := range w.procs {
+		if !p.crashed && len(p.script) > 0 && p.s.open() && len(p.views) == 1 {
+			out = append(out, move{mvMulticast, i, 0})
+		}
+	}
 	return out, fair
+}
+
+// eager is the move a world whose application delivers takes before any
+// other, if there is one. Its processes run like engines whose application
+// always waits in Deliver, so the loop hands it every item as soon as it is
+// queued; a process handles what it sent itself as soon as it may; and a
+// decision reaches its participants at once. What is left to interleave is
+// the data plane against the change: each multicast, each data message's
+// arrival, each control message between processes.
+func (w *world) eager() (move, bool) {
+	if !w.app {
+		return move{}, false
+	}
+	n := len(w.pids)
+	for i, p := range w.procs {
+		switch {
+		case p.crashed:
+		case p.s.toDeliver.Len() > 0:
+			return move{mvApp, i, 0}, true
+		case w.ready(i*n + i):
+			return move{mvDeliver, i*n + i, 0}, true
+		}
+	}
+	for k := range w.insts {
+		if ls := w.learners(k); len(ls) > 0 {
+			return move{mvLearn, k, ls[0]}, true
+		}
+	}
+	return move{}, false
 }
 
 // suspicions lists a live process in a change coming to suspect a crashed
@@ -504,7 +666,7 @@ func (w *world) suspicions() []move {
 			continue
 		}
 		for j, q := range w.pids {
-			if w.procs[j].crashed && c.audience.Contains(q) && (p.s.heal != nil || !c.from.Contains(q)) && !p.suspects.Contains(q) {
+			if w.procs[j].crashed && c.audience.Contains(q) && (p.s.cfg.Heal != nil || !c.from.Contains(q)) && !p.suspects.Contains(q) {
 				out = append(out, move{mvSuspect, i, j})
 			}
 		}
@@ -562,6 +724,8 @@ func (w *world) crash(i int) {
 	n := len(w.pids)
 	for j := 0; j < n; j++ {
 		w.links[i*n+j], w.links[j*n+i] = nil, nil
+		w.setData(i*n+j, nil)
+		w.setData(j*n+i, nil)
 	}
 }
 
@@ -580,6 +744,8 @@ func describe(m any) string {
 		return fmt.Sprintf("PRED(%v)", m.Change)
 	case StateMsg:
 		return fmt.Sprintf("STATE(%v)", m.View)
+	case DataMsg:
+		return fmt.Sprintf("DATA(%v of view %d)", m.Meta.ID(), m.View)
 	default:
 		return fmt.Sprintf("%T%+v", m, m)
 	}
@@ -595,7 +761,12 @@ func (w *world) key(b []byte) []byte {
 		}
 		b = append(b, p.key...)
 	}
-	for _, l := range w.links[:len(w.pids)*len(w.pids)] {
+	nn := len(w.pids) * len(w.pids)
+	for k := 0; k < 2*nn; k++ {
+		l := w.links[k%nn]
+		if k >= nn {
+			l = w.dataLink(k - nn)
+		}
 		b = append(b, '|')
 		for _, m := range l {
 			b = append(append(b, m.enc...), ';')
@@ -686,6 +857,44 @@ func (w *world) procKey(p *xproc) []byte {
 		}
 		b = strconv.AppendUint(b, c.bytesIn, 10)
 	}
+	// The data plane: the queue and the history, every record's frontiers
+	// and window, the receive stash; and what the process multicast and
+	// its application delivered.
+	item := func(it *queue.Item) bool {
+		if it.Kind == queue.Control {
+			b = append(b, 'v')
+			ref(it.Ctl.(View).Ref())
+			return true
+		}
+		b = append(b, byte(w.idx(it.Meta.Sender)))
+		b = strconv.AppendUint(b, uint64(it.Meta.Seq), 10)
+		ref(ident.ViewRef{Epoch: ident.Epoch(it.Epoch), ID: ident.ViewID(it.View)})
+		return true
+	}
+	s.toDeliver.EachRef(item)
+	b = append(b, '|')
+	s.delivered.EachRef(item)
+	for _, id := range w.pids {
+		b = append(b, '|')
+		if r := s.peers[id]; r != nil {
+			for _, n := range []int{int(r.recvMax), int(r.stable), int(r.seeded), r.avail, r.owed, r.granted, r.used} {
+				b = strconv.AppendInt(append(b, ','), int64(n), 10)
+			}
+		}
+	}
+	if s.stalled() {
+		msg(s.pendingHead)
+		msg(&DataBatchMsg{Msgs: s.pendingRest[s.pendingPos:]})
+	}
+	for _, evs := range [][]check.Event{p.casts, p.log} {
+		b = append(b, '|')
+		for _, ev := range evs {
+			b = append(b, byte(ev.Kind), byte(w.idx(ev.Meta.Sender)))
+			b = strconv.AppendUint(b, uint64(ev.Meta.Seq), 10)
+			ref(ev.View)
+			ref(ev.Ref)
+		}
+	}
 	return b
 }
 
@@ -722,7 +931,7 @@ func (w *world) blocked() string {
 					live++
 				}
 			}
-			wedged = wedged || (s.heal == nil && 2*live <= len(side))
+			wedged = wedged || (s.cfg.Heal == nil && 2*live <= len(side))
 		}
 		if !wedged {
 			return string(w.pids[i])
@@ -740,18 +949,25 @@ func healSpec(on bool) *HealSpec {
 	return &HealSpec{MergeTimeout: time.Hour}
 }
 
-// scenario is a small group to explore.
+// scenario is a small group to explore, and how many states it has.
 type scenario struct {
-	name  string
-	world func() *world
+	name   string
+	world  func() *world
+	states int
 }
 
-// newWorld starts the processes of pids in view v, with heal.
+// newWorld starts the processes of pids in view v, under tagging, with
+// heal.
 func newWorld(pids ident.PIDs, v View, heal bool) *world {
+	return newWorldOf(pids, v, GroupConfig{Relation: tagging, Heal: healSpec(heal)})
+}
+
+// newWorldOf starts the processes of pids in view v, each configured by gc.
+func newWorldOf(pids ident.PIDs, v View, gc GroupConfig) *world {
 	w := &world{pids: pids}
 	for _, p := range pids {
-		s := viewState{self: p, rel: tagging, heal: healSpec(heal), cv: v}
-		w.procs = append(w.procs, &xproc{s: s, views: []ident.ViewRef{v.Ref()}})
+		cfg := Config{Self: p, GroupConfig: gc}
+		w.procs = append(w.procs, &xproc{s: newViewState(&cfg, v, nil), views: []ident.ViewRef{v.Ref()}})
 	}
 	return w
 }
@@ -771,6 +987,7 @@ var scenarios = []scenario{
 			w.crashable, w.crashes = ps("p1"), 1
 			return w
 		},
+		states: 145071,
 	},
 	{
 		// Under Heal, the two sides of a 2|1 split, {p0,p1} and {p2}, merge
@@ -785,11 +1002,60 @@ var scenarios = []scenario{
 			w.procs[1].s.cv = View{ID: 3, Members: ps("p0")}
 			w.procs[1].s.terminal = ErrExpelled
 			w.procs[2].s.cv = b
+			w.procs[2].s.armPeers()
 			w.procs[2].views = []ident.ViewRef{b.Ref()}
-			w.send("p2", "p0", ProbeMsg{b})
+			w.send("p2", "p0", transport.Ctl, ProbeMsg{b})
 			return w
 		},
+		states: 6194,
 	},
+	{
+		// Three members; p0 multicasts two updates of one item, the second
+		// obsoleting the first, and then a reliable message, under
+		// KEnumeration{K: 4}, while p1 asks for an ordinary change. Every
+		// multicast, every data message's arrival and every delivery of the
+		// application is a move of its own, and (e) checks each terminal
+		// state's record.
+		name: "data: three members multicast through a change",
+		world: func() *world {
+			ps := ident.NewPIDs("p0", "p1", "p2")
+			rel := obsolete.KEnumeration{K: 4}
+			w := newWorldOf(ps, View{ID: 1, Members: ps}, GroupConfig{Relation: rel})
+			w.app = true
+			tr := obsolete.NewKTracker(rel.K)
+			for _, direct := range [][]ident.Seq{nil, {1}, nil} {
+				seq, annot := tr.Next(direct...)
+				w.procs[0].script = append(w.procs[0].script, obsolete.Msg{Sender: "p0", Seq: seq, Annot: annot})
+			}
+			w.reqs = []xreq{{by: "p1"}}
+			return w
+		},
+		states: 41902,
+	},
+}
+
+// verify is property (e): every process's multicasts, deliveries and
+// installs, in one check.Recorder; "" when Verify finds nothing.
+func (w *world) verify() string {
+	r := check.NewRecorder(w.procs[0].s.cfg.Relation)
+	r.SetInitialViewRef(w.procs[0].views[0])
+	for i, p := range w.procs {
+		for _, ev := range p.casts {
+			r.MulticastRef(ev.Meta, ev.View)
+		}
+		for _, ev := range p.log {
+			if ev.Kind == check.EvInstall {
+				r.InstallRef(w.pids[i], ev.Ref, ev.Members)
+			} else {
+				r.DeliverRef(w.pids[i], ev.Meta, ev.View)
+			}
+		}
+	}
+	errs := r.Verify()
+	if len(errs) == 0 {
+		return ""
+	}
+	return fmt.Sprintf("(e) %v", errors.Join(errs...))
 }
 
 // exploreResult is what one exploration found.
@@ -799,11 +1065,16 @@ type exploreResult struct {
 }
 
 // explore searches every state reachable from start breadth first,
-// checking (a)–(c) on every effect and, once every state is known, (d) on
-// each of them. States are told apart by a 64-bit hash of their key, with a
+// checking (a)–(c) on every effect, (e) on every terminal state of a world
+// whose application delivers and, once every state is known, (d) on each
+// of them. States are told apart by a 64-bit hash of their key, with a
 // seed drawn per run: two of a few hundred thousand states collide with
 // odds below one in 10^8.
 func explore(start *world) exploreResult {
+	// Every move copies the process it changes, and most copies are garbage
+	// as soon as their key is found seen: a larger heap target halves the
+	// collector's work for some more memory.
+	defer debug.SetGCPercent(debug.SetGCPercent(200))
 	seed := maphash.MakeSeed()
 	var buf []byte
 	hash := func(w *world) uint64 {
@@ -845,6 +1116,12 @@ func explore(start *world) exploreResult {
 		for f, w := range frontier {
 			ms, fair := w.moves()
 			nodes[ids[f]].fair = -1
+			if len(ms) == 0 && w.app {
+				if v := w.verify(); v != "" {
+					_, lines := replay(ids[f])
+					return exploreResult{states: len(nodes), violation: v + "\n" + trace(lines)}
+				}
+			}
 			if fair < 0 {
 				if who := w.blocked(); who != "" {
 					blocked[ids[f]] = "(d) " + who + " is blocked for good"
@@ -926,52 +1203,64 @@ func TestExplore(t *testing.T) {
 				t.Fatalf("%s", r.violation)
 			}
 			t.Logf("%d states in %v", r.states, time.Since(start).Round(time.Millisecond))
+			if sc.states != 0 && r.states != sc.states {
+				t.Errorf("%d states, want %d", r.states, sc.states)
+			}
 		})
 	}
 }
 
 // TestExplorerCatchesInjectedBugs is the explorer's own guard: each
-// mutation is one line of viewchange.go changed in a copy that the go
-// command overlays on the package, and the explorer run on it must fail
+// mutation is one line of a file of the package changed in a copy that the
+// go command overlays on the package, and the explorer run on it must fail
 // with a shortest trace that names the property it breaks.
 func TestExplorerCatchesInjectedBugs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the explorer once per mutation")
-	}
-	src, err := filepath.Abs("viewchange.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
 	}
 	goCmd, err := exec.LookPath("go")
 	if err != nil {
 		goCmd = filepath.Join(runtime.GOROOT(), "bin", "go")
 	}
 	for _, tc := range []struct {
-		name, line, mutant, property string
+		name, file, line, mutant, property string
 	}{
 		{
 			name:     "propose with a live member outstanding",
+			file:     "viewchange.go",
 			line:     "return // still waiting on a live member",
 			mutant:   "continue",
 			property: "(c)",
 		},
 		{
 			name:     "a decline returned from before it is counted",
+			file:     "viewchange.go",
 			line:     "c.declined = c.declined.Add(from)",
 			mutant:   "return",
 			property: "(d)",
 		},
+		{
+			name:     "held leaves the newest history entry out of a PRED",
+			file:     "snapshot.go",
+			line:     "s.delivered.EachRef(collect)",
+			mutant:   "s.delivered.EachRef(collect); out = out[:max(len(out)-1, 0)]",
+			property: "(e)",
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			src, err := filepath.Abs(tc.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			orig, err := os.ReadFile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if n := bytes.Count(orig, []byte(tc.line)); n != 1 {
-				t.Fatalf("%q occurs %d times in viewchange.go, want once", tc.line, n)
+				t.Fatalf("%q occurs %d times in %s, want once", tc.line, n, tc.file)
 			}
 			dir := t.TempDir()
-			mutant := filepath.Join(dir, "viewchange.go")
+			mutant := filepath.Join(dir, tc.file)
 			if err := os.WriteFile(mutant, bytes.Replace(orig, []byte(tc.line), []byte(tc.mutant), 1), 0o644); err != nil {
 				t.Fatal(err)
 			}

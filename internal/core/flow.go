@@ -12,9 +12,9 @@ import (
 // peer is everything this process keeps about one process: the paper's
 // buffer model (§2.3, §5) is a window and an outgoing buffer per receiver
 // and a reception frontier per sender, and both ends of that are one
-// record. Engine.peers holds a record for every PID ever heard of, our own
-// included (for the frontiers only); Engine.others lists the records of the
-// current view's other members, which is what the data plane walks.
+// record. viewState.peers holds a record for every PID ever heard of, our
+// own included (for the frontiers only); viewState.others lists the records
+// of the current view's other members, which is what the data plane walks.
 type peer struct {
 	id ident.PID
 
@@ -29,7 +29,7 @@ type peer struct {
 }
 
 // link is the half of a peer that belongs to one view: the credit window in
-// both directions, and what the peer last told us. enterView zeroes it for
+// both directions, and what the peer last told us. armPeers zeroes it for
 // every record and arms it for the view's other members, so both sides of
 // every window return to full by convention and nothing about a departed
 // process is kept but its frontiers.
@@ -66,11 +66,11 @@ type link struct {
 
 // peer returns the record of id, creating it on first mention. The data
 // plane never calls it: a sender or creditor without a record is dropped.
-func (e *Engine) peer(id ident.PID) *peer {
-	p := e.peers[id]
+func (s *viewState) peer(id ident.PID) *peer {
+	p := s.peers[id]
 	if p == nil {
 		p = &peer{id: id}
-		e.peers[id] = p
+		s.peers[id] = p
 	}
 	return p
 }
@@ -79,33 +79,33 @@ func (e *Engine) peer(id ident.PID) *peer {
 // last. An envelope, the delivery queue and the history all come in runs of
 // one sender, so a walk hashes a PID once per run instead of once per
 // message.
-func (e *Engine) peerOf(id ident.PID, last *peer) *peer {
+func (s *viewState) peerOf(id ident.PID, last *peer) *peer {
 	if last != nil && last.id == id {
 		return last
 	}
-	return e.peers[id]
+	return s.peers[id]
 }
 
-// armPeers is enterView's share of the table: every link starts afresh,
-// and others becomes the new view's other members in view order, each with
-// a full window both ways and an empty outgoing queue. Our own record is
-// in the table too, for the frontier of our own stream.
-func (e *Engine) armPeers() {
-	e.self = e.peer(e.cfg.Self)
-	for _, p := range e.peers {
+// armPeers is entering a view's share of the table: every link starts
+// afresh, and others becomes the view's other members in view order, each
+// with a full window both ways and an empty outgoing queue. Our own record
+// is in the table too, for the frontier of our own stream.
+func (s *viewState) armPeers() {
+	s.own = s.peer(s.self)
+	for _, p := range s.peers {
 		p.link = link{}
 	}
-	e.others = e.others[:0]
-	for _, id := range e.vc.cv.Members {
-		if id == e.cfg.Self {
+	s.others = s.others[:0]
+	for _, id := range s.cv.Members {
+		if id == s.self {
 			continue
 		}
-		p := e.peer(id)
-		p.link = link{member: true, window: e.cfg.Window, avail: e.cfg.Window, granted: e.cfg.Window}
+		p := s.peer(id)
+		p.link = link{member: true, window: s.cfg.Window, avail: s.cfg.Window, granted: s.cfg.Window}
 		if p.window > 0 {
-			p.out = queue.New(e.cfg.Relation, e.cfg.OutgoingCap)
+			p.out = queue.New(s.cfg.Relation, s.cfg.OutgoingCap)
 		}
-		e.others = append(e.others, p)
+		s.others = append(s.others, p)
 	}
 }
 
@@ -173,10 +173,10 @@ func (p *peer) grantDue() (n int) {
 }
 
 // grant sends p the n credits peer.received or peer.freed returned.
-func (e *Engine) grant(p *peer, n int) {
+func (s *viewState) grant(p *peer, n int) {
 	if n > 0 {
-		e.vc.stats.CreditFlushes++
-		e.send(p.id, transport.Ctl, CreditMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Credits: n})
+		s.stats.CreditFlushes++
+		s.send(p.id, transport.Ctl, CreditMsg{View: s.cv.ID, Epoch: s.cv.Epoch, Credits: n})
 	}
 }
 
@@ -184,32 +184,32 @@ func (e *Engine) grant(p *peer, n int) {
 // must not inflate this view's window: both sides re-arm to a full window
 // at install, so crediting a stale grant would double-count the slots it
 // stood for.
-func (e *Engine) onCredit(from ident.PID, m CreditMsg) {
-	if m.View != e.vc.cv.ID || m.Epoch != e.vc.cv.Epoch {
-		e.vc.stats.CreditsStaleView++
-		e.ev.Drop(obs.DropStaleCredit, slog.String("from", string(from)),
+func (s *viewState) onCredit(from ident.PID, m CreditMsg) {
+	if m.View != s.cv.ID || m.Epoch != s.cv.Epoch {
+		s.stats.CreditsStaleView++
+		s.ev.Drop(obs.DropStaleCredit, slog.String("from", string(from)),
 			slog.Uint64("view", uint64(m.View)))
 		return
 	}
-	p := e.peers[from]
+	p := s.peers[from]
 	if p == nil || !p.member {
-		e.dropUnknownSender(from)
+		s.dropUnknownSender(from)
 		return
 	}
 	if p.credit(m.Credits) {
 		// More credits than p can owe us: keep the window, drop the rest.
-		e.vc.stats.CreditsExcess++
-		e.ev.Drop(obs.DropExcessCredit, slog.String("from", string(from)),
+		s.stats.CreditsExcess++
+		s.ev.Drop(obs.DropExcessCredit, slog.String("from", string(from)),
 			slog.Int("credits", m.Credits))
 	}
-	e.drainOutgoing(p)
+	s.drainOutgoing(p)
 }
 
 // drainOutgoing flushes the pending queue towards p while credits last,
 // coalescing the whole run into one DataBatchMsg envelope. The head is
 // only popped once its send is paid for and it is copied into the run: a
 // message must never be lost between PeekHead and takeCredit.
-func (e *Engine) drainOutgoing(p *peer) {
+func (s *viewState) drainOutgoing(p *peer) {
 	if p.out == nil {
 		return
 	}
@@ -219,7 +219,7 @@ func (e *Engine) drainOutgoing(p *peer) {
 		if it == nil {
 			break
 		}
-		if !e.inView(it) {
+		if !s.inView(it) {
 			p.out.PopHead() // stale: the view changed while it waited
 			continue
 		}
@@ -230,6 +230,6 @@ func (e *Engine) drainOutgoing(p *peer) {
 		p.out.PopHead()
 	}
 	if env := dataEnvelope(run); env != nil {
-		e.send(p.id, transport.Data, env) // ownership of run transfers with the send
+		s.send(p.id, transport.Data, env) // ownership of run transfers with the send
 	}
 }

@@ -29,15 +29,16 @@ func TestFlowDisabledUnboundedNeverParks(t *testing.T) {
 // member "peer", armed with the given window.
 func flowEngine(cfg Config) (*Engine, *peer) {
 	cfg.Self, cfg.Relation = "me", obsolete.Empty{}
-	e := &Engine{cfg: cfg, vc: viewState{cv: View{ID: 3, Members: ident.NewPIDs("me", "peer")}}, peers: map[ident.PID]*peer{}}
-	e.armPeers()
-	return e, e.others[0]
+	cfg.InitialView = View{ID: 3, Members: ident.NewPIDs("me", "peer")}
+	e := &Engine{cfg: cfg}
+	e.vc = newViewState(&e.cfg, cfg.InitialView, e)
+	return e, e.vc.others[0]
 }
 
 func TestPeerCredits(t *testing.T) {
 	e, p := flowEngine(Config{GroupConfig: GroupConfig{Window: 4, OutgoingCap: 8}})
-	if p.out == nil || len(e.peers) != 2 {
-		t.Fatalf("window 4 should arm an outgoing queue for the one peer, beside our own record: %+v", e.peers)
+	if p.out == nil || len(e.vc.peers) != 2 {
+		t.Fatalf("window 4 should arm an outgoing queue for the one peer, beside our own record: %+v", e.vc.peers)
 	}
 	for i := 0; i < 4; i++ {
 		if !p.hasCredit() || !p.takeCredit() {
@@ -58,8 +59,8 @@ func TestPeerCredits(t *testing.T) {
 		t.Fatal("non-positive grant added credit")
 	}
 	// The next view re-arms the full window, on the same record.
-	e.armPeers()
-	if e.others[0] != p {
+	e.vc.armPeers()
+	if e.vc.others[0] != p {
 		t.Fatal("re-arming replaced the peer's record")
 	}
 	for i := 0; i < 4; i++ {
@@ -202,7 +203,7 @@ func TestDrainOutgoingNeverDropsWithoutCredit(t *testing.T) {
 		}
 	}
 
-	e.drainOutgoing(p)
+	e.vc.drainOutgoing(p)
 	if got := recv(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("first drain sent %v, want [1]", got)
 	}
@@ -211,12 +212,12 @@ func TestDrainOutgoingNeverDropsWithoutCredit(t *testing.T) {
 	}
 	// Each granted credit releases exactly the next message, in order.
 	p.credit(2)
-	e.drainOutgoing(p)
+	e.vc.drainOutgoing(p)
 	if got := recv(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("second drain sent %v, want [2 3]", got)
 	}
 	p.credit(10)
-	e.drainOutgoing(p)
+	e.vc.drainOutgoing(p)
 	if got := recv(); len(got) != 2 || got[0] != 4 || got[1] != 5 {
 		t.Fatalf("final drain sent %v, want [4 5]", got)
 	}

@@ -87,7 +87,7 @@ func TestFrontierSubsumesCover(t *testing.T) {
 			rng := rand.New(rand.NewSource(16))
 			e := snapEngine(tc.rel)
 			e.vc.cv.Members = ident.NewPIDs("a", "b", "c", "me")
-			e.armPeers()
+			e.vc.armPeers()
 			streams := map[ident.PID]*frontierStream{}
 			for _, p := range e.vc.cv.Members {
 				streams[p] = &frontierStream{sender: p}
@@ -100,13 +100,13 @@ func TestFrontierSubsumesCover(t *testing.T) {
 			peers := []ident.PID{"a", "b", "c"}
 			all := func(*queue.Item) bool { return true }
 			frontier := func(s ident.PID) ident.Seq {
-				return e.peer(s).recvMax
+				return e.vc.peer(s).recvMax
 			}
 			fresh, refCovered := 0, 0
 			// offer checks one message against the reference, then hands it
 			// to the engine through in.
 			offer := func(m obsolete.Msg, in func(DataMsg)) {
-				switch covered := scanCovers(tc.rel, e.held(all), m); {
+				switch covered := scanCovers(tc.rel, e.vc.held(all), m); {
 				case m.Seq > frontier(m.Sender):
 					fresh++
 					if covered {
@@ -118,7 +118,7 @@ func TestFrontierSubsumesCover(t *testing.T) {
 				in(DataMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Meta: m})
 			}
 			arrive := func(dm DataMsg) {
-				if !e.processData(e.peers[dm.Meta.Sender], dm) {
+				if !e.vc.processData(e.vc.peers[dm.Meta.Sender], dm) {
 					t.Fatal("unbounded delivery queue reported full")
 				}
 			}
@@ -137,16 +137,16 @@ func TestFrontierSubsumesCover(t *testing.T) {
 						offer(s.sent[rng.Intn(s.seen)], arrive)
 					}
 				case op < 7: // we multicast
-					e.commitOne(streams["me"].mint(rng), nil)
-					e.stage = e.stage[:0]
-					for _, p := range e.others {
+					e.vc.commitOne(streams["me"].mint(rng), nil)
+					e.vc.stage = e.vc.stage[:0]
+					for _, p := range e.vc.others {
 						p.took = 0
 					}
 				case op < 10: // the application consumes a few
 					for n := rng.Intn(6); n > 0; n-- {
-						if it := e.toDeliver.PeekHead(); it != nil {
-							e.deliverItem(it, nil)
-							e.toDeliver.PopHead()
+						if it := e.vc.toDeliver.PeekHead(); it != nil {
+							e.vc.deliverItem(it, nil)
+							e.vc.toDeliver.PopHead()
 						}
 					}
 				case op < 11: // a snapshot: each stream's next few messages, repurged, then frontiers
@@ -166,14 +166,14 @@ func TestFrontierSubsumesCover(t *testing.T) {
 						}
 					}
 					for _, dm := range repurge(tc.rel, msgs) {
-						offer(dm.Meta, func(dm DataMsg) { e.adopt([]DataMsg{dm}, nil) })
+						offer(dm.Meta, func(dm DataMsg) { e.vc.adopt([]DataMsg{dm}, nil) })
 					}
-					e.adopt(nil, recv)
+					e.vc.adopt(nil, recv)
 				default: // a view change: history starts afresh, frontiers persist
 					e.vc.cv.ID++
-					e.delivered = queue.New(tc.rel, 0)
+					e.vc.delivered = queue.New(tc.rel, 0)
 				}
-				for _, dm := range e.held(all) {
+				for _, dm := range e.vc.held(all) {
 					if dm.Meta.Seq > frontier(dm.Meta.Sender) {
 						t.Fatalf("step %d: held %s:%d lies above its frontier %d", step, dm.Meta.Sender, dm.Meta.Seq, frontier(dm.Meta.Sender))
 					}

@@ -29,9 +29,9 @@ type joiner struct {
 
 // startJoin opens the handshake; the loop sends the first request.
 func (e *Engine) startJoin() {
-	j := &joiner{start: e.clock.Now()}
+	j := &joiner{start: e.vc.clock.Now()}
 	j.rng = rand.New(rand.NewSource(j.start.UnixNano()))
-	j.timer = e.clock.NewTimer(j.delay(e.cfg.Join))
+	j.timer = e.vc.clock.NewTimer(j.delay(e.cfg.Join))
 	e.joiner = j
 }
 
@@ -45,9 +45,7 @@ func (e *Engine) endJoin() {
 
 // sendJoinReq (re)transmits the admission request to every contact.
 func (e *Engine) sendJoinReq() {
-	for _, c := range e.cfg.Join.Contacts {
-		e.send(c, transport.Ctl, JoinReqMsg{})
-	}
+	e.vc.sendAll(e.cfg.Join.Contacts, JoinReqMsg{})
 }
 
 // onJoinRetry fires on each backoff step: give up if the retry budget is
@@ -57,14 +55,14 @@ func (e *Engine) sendJoinReq() {
 // nothing to recover; the caller stops it and retries with live contacts.
 func (e *Engine) onJoinRetry() {
 	j := e.joiner
-	if g := e.cfg.Join.GiveUp; g > 0 && e.clock.Since(j.start) >= g {
+	if g := e.cfg.Join.GiveUp; g > 0 && e.vc.clock.Since(j.start) >= g {
 		e.endJoin()
 		e.input("", joinTimeout{})
 		return
 	}
 	e.sendJoinReq()
 	j.attempt++
-	j.timer = e.clock.NewTimer(j.delay(e.cfg.Join))
+	j.timer = e.vc.clock.NewTimer(j.delay(e.cfg.Join))
 }
 
 // delay computes the wait before retransmission attempt:
@@ -105,29 +103,24 @@ func (t *turn) onJoinState(from ident.PID, m StateMsg) {
 	t.enter(next, install{st: m, from: from})
 }
 
-// onJoined is the engine's half of a completed handshake: it ends the
-// retransmissions and adopts the transferred state before the view is
-// entered.
-func (e *Engine) onJoined(from ident.PID, m StateMsg) {
-	took := e.clock.Since(e.joiner.start)
-	e.m.joinDur.ObserveDuration(took)
-	e.endJoin()
+// adoptTransfer adopts the state transfer m from a member that admitted
+// this joiner, before the view it names is entered.
+func (s *viewState) adoptTransfer(from ident.PID, m StateMsg) {
 	size := wireSize(m)
-	e.ev.StateTransfer("recv", string(from), uint64(m.ID), len(m.Backlog), size)
-	e.ev.JoinComplete(uint64(m.ID), len(m.Members), took)
-	e.vc.stats.JoinBacklogRecv = uint64(len(m.Backlog))
-	e.vc.stats.JoinBytesRecv = uint64(size)
+	s.ev.StateTransfer("recv", string(from), uint64(m.ID), len(m.Backlog), size)
+	s.stats.JoinBacklogRecv = uint64(len(m.Backlog))
+	s.stats.JoinBytesRecv = uint64(size)
 
 	// Backlog entries of the installed view never consumed a window slot
 	// here; remember them so their consumption grants no credits. Whatever
 	// the sender multicasts in later views is numbered above them.
 	for _, dm := range m.Backlog {
 		if dm.Ref() == m.Ref() {
-			s := e.peer(dm.Meta.Sender)
-			s.seeded = max(s.seeded, dm.Meta.Seq)
+			p := s.peer(dm.Meta.Sender)
+			p.seeded = max(p.seeded, dm.Meta.Seq)
 		}
 	}
-	e.adopt(m.Backlog, m.Recv)
+	s.adopt(m.Backlog, m.Recv)
 }
 
 // ---- the members' side: admission and the sponsor's transfer ---------------
@@ -169,27 +162,27 @@ func (t *turn) serveJoins() {
 	pending := t.joins
 	t.joins = nil
 	if back := pending.Intersect(t.cv.Members); len(back) > 0 {
-		t.emit(transfer{view: t.cv, to: back})
+		t.transfer(t.cv, back)
 	}
 	if admit := pending.Without(t.cv.Members); len(admit) > 0 {
 		t.trigger(admit, nil)
 	}
 }
 
-// sendJoinStates ships one snapshot of this member's state, labelled with
-// the view the joiners are to install, to each of them.
-func (e *Engine) sendJoinStates(next View, joiners ident.PIDs) {
+// transfer ships one snapshot of this member's state, labelled with the
+// view the joiners are to install, to each of them.
+func (s *viewState) transfer(next View, joiners ident.PIDs) {
 	if len(joiners) == 0 {
 		return
 	}
-	st := e.buildJoinState(next)
+	st := s.buildJoinState(next)
 	size := wireSize(st)
 	for _, j := range joiners {
-		e.send(j, transport.Ctl, st)
-		e.vc.stats.JoinStatesSent++
-		e.vc.stats.JoinBacklogSent += uint64(len(st.Backlog))
-		e.vc.stats.JoinBytesSent += uint64(size)
-		e.ev.StateTransfer("sent", string(j), uint64(st.ID), len(st.Backlog), size)
+		s.send(j, transport.Ctl, st)
+		s.stats.JoinStatesSent++
+		s.stats.JoinBacklogSent += uint64(len(st.Backlog))
+		s.stats.JoinBytesSent += uint64(size)
+		s.ev.StateTransfer("sent", string(j), uint64(st.ID), len(st.Backlog), size)
 	}
 }
 
@@ -200,11 +193,11 @@ func (e *Engine) sendJoinStates(next View, joiners ident.PIDs) {
 // relation the backlog is O(window) however long the group has run. Only
 // the relation bounds the current view's part under Config.Heal, which
 // keeps it unpruned: a relation that obsoletes little ships it whole.
-func (e *Engine) buildJoinState(next View) StateMsg {
+func (s *viewState) buildJoinState(next View) StateMsg {
 	return StateMsg{
 		View:    next.Clone(),
-		Recv:    e.recvSnapshot(),
-		Backlog: repurge(e.cfg.Relation, e.held(func(*queue.Item) bool { return true })),
+		Recv:    s.recvSnapshot(),
+		Backlog: repurge(s.cfg.Relation, s.held(func(*queue.Item) bool { return true })),
 	}
 }
 

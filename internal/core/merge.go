@@ -34,20 +34,19 @@ package core
 // guarantee holds across the merge exactly as it does across an ordinary
 // view change.
 //
-// Every handler here is part of step (viewchange.go): a pure transition of
-// the view-change state whose effects the engine carries out (installFlush
-// and the abort effect are the engine's half of a merge's end). The state
-// machine tolerates concurrent proposals (an ordinary change, a shrinking
-// series of split declarations, a merge) through the successors the change
-// in flight awaits (change.awaited) — the first decided one wins and every
-// other decision is counted as ignored. Races that slip through (e.g. a
-// split and an ordinary change both deciding on opposite sides of a
-// flapping partition) leave the loser on a divergent lineage, which the
-// member-with-different-epoch probe case below detects and re-merges: the
-// protocol converges by construction. A straggler's probe that left before
-// it installed a union is no such divergence, and is answered with a probe
-// instead. The explorer (explore_test.go) walks one small merge through
-// every interleaving.
+// Every handler here is part of step (viewchange.go): a transition of the
+// group's state (installFlush ends a merge, abortMerge abandons one). The
+// state machine tolerates concurrent proposals (an ordinary change, a
+// shrinking series of split declarations, a merge) through the successors
+// the change in flight awaits (change.awaited) — the first decided one
+// wins and every other decision is counted as ignored. Races that slip
+// through (e.g. a split and an ordinary change both deciding on opposite
+// sides of a flapping partition) leave the loser on a divergent lineage,
+// which the member-with-different-epoch probe case below detects and
+// re-merges: the protocol converges by construction. A straggler's probe
+// that left before it installed a union is no such divergence, and is
+// answered with a probe instead. The explorer (explore_test.go) walks one
+// small merge through every interleaving.
 
 import "repro/internal/ident"
 
@@ -55,13 +54,13 @@ import "repro/internal/ident"
 // lost to a partition, and time out a merge that stopped making progress.
 func (t *turn) onHealTick() {
 	if c := t.chg; c.merge() {
-		if t.now.After(c.start.Add(t.heal.MergeTimeout)) {
+		if t.now.After(c.start.Add(t.cfg.Heal.MergeTimeout)) {
 			t.abortMerge("timeout")
 		}
 		return
 	}
 	if t.open() {
-		t.emit(sendTo{t.former, t.probe()})
+		t.sendAll(t.former, t.probe())
 	}
 }
 
@@ -74,7 +73,7 @@ func (t *turn) probe() ProbeMsg {
 // member (probes only target those), so the interesting cases are all
 // disagreements about who belongs where.
 func (t *turn) onProbe(from ident.PID, m ProbeMsg) {
-	if t.heal == nil || t.joining || t.chg.merge() {
+	if t.cfg.Heal == nil || t.joining || t.chg.merge() {
 		return
 	}
 	ref := m.Ref()
@@ -89,7 +88,7 @@ func (t *turn) onProbe(from ident.PID, m ProbeMsg) {
 			// one past both sides'). Merging again would fold everyone into
 			// a second union; answer with our view instead. If it really
 			// diverged, it sees our probe as another lineage and merges.
-			t.emit(sendTo{ident.PIDs{from}, t.probe()})
+			t.sendAll(ident.PIDs{from}, t.probe())
 			return
 		}
 		// Another lineage. Usually the healed far side of a partition; if
@@ -104,7 +103,7 @@ func (t *turn) onProbe(from ident.PID, m ProbeMsg) {
 			if far.Ref().Less(near.Ref()) {
 				near, far = far, near
 			}
-			t.emit(sendTo{t.cv.Members.Union(members), InitMsg{View: near, Far: &far}})
+			t.sendAll(t.cv.Members.Union(members), InitMsg{View: near, Far: &far})
 		}
 		return
 	}
@@ -118,7 +117,7 @@ func (t *turn) onProbe(from ident.PID, m ProbeMsg) {
 	case ref.ID < t.cv.ID && t.chg == nil && !t.cv.Includes(from):
 		// The prober is the stale one; answer with our view so it can
 		// draw the same conclusion.
-		t.emit(sendTo{ident.PIDs{from}, t.probe()})
+		t.sendAll(ident.PIDs{from}, t.probe())
 	}
 }
 
@@ -134,7 +133,7 @@ func (t *turn) onProbe(from ident.PID, m ProbeMsg) {
 // Without Config.Heal it returns at once and the minority stays blocked at
 // t5: plain SVS's wedge is that one return.
 func (t *turn) checkSplit() {
-	if t.heal == nil {
+	if t.cfg.Heal == nil {
 		return
 	}
 	c := t.chg
@@ -152,15 +151,15 @@ func (t *turn) checkSplit() {
 	if c.awaited[viewInstance(ref)] {
 		return // this exact continuation is already declared and pending
 	}
-	t.emit(splitDeclared{ref, len(split)},
-		sendTo{split.Remove(t.self), SplitMsg{View{Epoch: t.cv.Epoch, ID: t.cv.ID, Members: split.Clone()}}})
+	t.ev.SplitDeclared(ref.String(), len(split))
+	t.sendAll(split.Remove(t.self), SplitMsg{View{Epoch: t.cv.Epoch, ID: t.cv.ID, Members: split.Clone()}})
 	t.adoptSplit(split)
 }
 
 // onSplit handles a split declaration from the reachable set's leader.
 func (t *turn) onSplit(from ident.PID, m SplitMsg) {
 	c := t.chg
-	if t.heal == nil || c == nil || c.merge() || m.Ref() != t.cv.Ref() {
+	if t.cfg.Heal == nil || c == nil || c.merge() || m.Ref() != t.cv.Ref() {
 		return
 	}
 	members := ident.NewPIDs(m.Members...)
@@ -205,7 +204,7 @@ func mergeRefFor(a, b ident.ViewRef) ident.ViewRef {
 // idempotent. The change's successor is the union's ref, its audience the
 // union, and its quorum is taken over both sub-views.
 func (t *turn) openMerge(m InitMsg) *change {
-	if t.heal == nil {
+	if t.cfg.Heal == nil {
 		return nil
 	}
 	a, b := m.View, *m.Far
@@ -223,7 +222,7 @@ func (t *turn) openMerge(m InitMsg) *change {
 	sa, sb := ident.NewPIDs(a.Members...), ident.NewPIDs(b.Members...)
 	union := sa.Union(sb)
 	c := t.block(mergeRefFor(a.Ref(), b.Ref()), union, sa, sb)
-	t.emit(mergeStarted{c.next, a.Ref(), b.Ref(), len(union)})
+	t.ev.MergeStarted(c.next.String(), a.Ref().String(), b.Ref().String(), len(union))
 	return c
 }
 
@@ -236,7 +235,8 @@ func (t *turn) openMerge(m InitMsg) *change {
 // the merge timed out.
 func (t *turn) declineMerge(m InitMsg) {
 	union := m.Members.Union(m.Far.Members).Remove(t.self)
-	t.emit(sendTo{union, m}, sendTo{union, PredMsg{Change: mergeRefFor(m.Ref(), m.Far.Ref()), Decline: true}})
+	t.sendAll(union, m)
+	t.sendAll(union, PredMsg{Change: mergeRefFor(m.Ref(), m.Far.Ref()), Decline: true})
 }
 
 // abortMerge abandons a merge whose union decision did not arrive in
@@ -245,7 +245,8 @@ func (t *turn) declineMerge(m InitMsg) {
 // probe retries the merge on the same (deterministic) instance.
 func (t *turn) abortMerge(reason string) {
 	t.stats.MergeAborts++
-	t.emit(abort{next: t.chg.next, reason: reason})
+	t.ev.MergeAborted(t.chg.next.String(), reason)
+	t.emit(watch{t.cv.Members}) // the view's own fanout again
 	t.former = t.former.Union(t.chg.audience.Without(t.cv.Members).Remove(t.self))
 	t.chg = nil
 }

@@ -26,8 +26,8 @@ type engMetrics struct {
 	mergeBytes     *obs.Histogram // contribution bytes per merge
 }
 
-func newEngMetrics(ob *obs.Obs) engMetrics {
-	return engMetrics{
+func newEngMetrics(ob *obs.Obs) *engMetrics {
+	return &engMetrics{
 		deliverLatency: ob.Histogram("engine_deliver_latency_seconds", obs.DurationBuckets),
 		viewChange:     ob.Histogram("engine_view_change_seconds", obs.DurationBuckets),
 		joinDur:        ob.Histogram("engine_join_seconds", obs.DurationBuckets),

@@ -50,7 +50,7 @@ func TestForgedSenderDropped(t *testing.T) {
 		})
 	}
 	victim := engs["p0"]
-	records := len(victim.peers) // not started yet: safe to read
+	records := len(victim.vc.peers) // not started yet: safe to read
 	for _, eng := range engs {
 		if err := eng.Start(); err != nil {
 			t.Fatal(err)
@@ -96,8 +96,8 @@ func TestForgedSenderDropped(t *testing.T) {
 	if got := reg.Snapshot().Counters[counter]; got != 3 {
 		t.Errorf("%s = %d, want 3", counter, got)
 	}
-	if len(victim.peers) != records || victim.peers["ghost"] != nil || victim.peers["evil"] != nil {
-		t.Errorf("peer table grew from %d to %d records: %v", records, len(victim.peers), victim.peers)
+	if len(victim.vc.peers) != records || victim.vc.peers["ghost"] != nil || victim.vc.peers["evil"] != nil {
+		t.Errorf("peer table grew from %d to %d records: %v", records, len(victim.vc.peers), victim.vc.peers)
 	}
 	if st := victim.Stats(); st.Delivered != 2 || st.DroppedCovered != 0 {
 		t.Errorf("p0 delivered %d messages and dropped %d as covered, want 2 and 0", st.Delivered, st.DroppedCovered)
@@ -156,14 +156,14 @@ func checkArmed(e *Engine) error {
 			want = append(want, id)
 		}
 	}
-	for _, p := range e.others {
+	for _, p := range e.vc.others {
 		got = append(got, p.id)
 	}
 	if !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("others = %v, want %v (view %v)", got, want, e.vc.cv.Members)
 	}
 	w := e.cfg.Window
-	for id, p := range e.peers {
+	for id, p := range e.vc.peers {
 		l, fresh := p.link, link{}
 		if p.member {
 			fresh = link{member: true, window: w, avail: w, granted: w}
@@ -408,7 +408,7 @@ func TestPeerTableFollowsView(t *testing.T) {
 			if a == b {
 				continue
 			}
-			ab, ba := engs[a].peers[b], engs[b].peers[a]
+			ab, ba := engs[a].vc.peers[b], engs[b].vc.peers[a]
 			if ab.avail+ba.owed != window || ab.out.Len() != 0 || ba.granted-ba.used != ab.avail {
 				t.Errorf("%s→%s: %d credits held + %d owed (granted %d, used %d, %d queued), want the window %d",
 					a, b, ab.avail, ba.owed, ba.granted, ba.used, ab.out.Len(), window)

@@ -1,8 +1,16 @@
 package core
 
 // protocol.go is Figure 1's data path: t2 multicast, t3 receive, t1
-// deliver, and purge() wherever a message waits. The view change, t4–t7,
-// is viewchange.go.
+// deliver, and purge() wherever a message waits. Its state — the delivery
+// queue, the history, the peer table, the stage and the receive stash — is
+// part of the view-change value (viewState, viewchange.go), so t4–t7 close
+// it, flush it and install into it in the same step, and its methods are
+// that value's. The engine calls them directly on the hot path, with no
+// event or effect in between: onDataBatch for an arrival, commitOne and
+// flushStage from MulticastBatch's commit loop (advance), deliverItem for
+// each delivery, onCredit for a grant. Every send leaves through the
+// value's outlet, the engine's endpoint or the explorer's links. The engine
+// keeps the requests: parked multicasts and waiting Deliver calls.
 
 import (
 	"log/slog"
@@ -37,28 +45,28 @@ func (e *Engine) advance(req *request) bool {
 	n := len(req.batch)
 	for req.done < n {
 		m := &req.batch[req.done]
-		if err := e.multicastPrecheck(m.Meta); err != nil {
+		if err := e.vc.multicastPrecheck(m.Meta); err != nil {
 			// Fail the message and the rest of the batch; the committed
 			// prefix stands (documented in MulticastBatch).
-			e.flushStage()
+			e.vc.flushStage()
 			e.reply(req, result{err: err})
 			return true
 		}
 		// Park while the group is blocked or buffers lack room; install,
 		// credit arrivals and deliveries retry the queue head.
-		if e.vc.chg != nil || !e.canCommit(m.Meta, m.Payload) {
-			e.flushStage()
+		if e.vc.chg != nil || !e.vc.canCommit(m.Meta, m.Payload) {
+			e.vc.flushStage()
 			return false
 		}
-		e.commitOne(m.Meta, m.Payload)
+		e.vc.commitOne(m.Meta, m.Payload)
 		req.done++
 	}
-	e.flushStage()
-	e.m.batchSize.Observe(float64(n))
+	e.vc.flushStage()
+	e.vc.m.batchSize.Observe(float64(n))
 	if !req.parkedAt.IsZero() {
-		stalled := e.clock.Since(req.parkedAt)
-		e.m.parkDur.ObserveDuration(stalled)
-		e.ev.FlowUnblocked(uint64(e.self.recvMax), stalled)
+		stalled := e.vc.clock.Since(req.parkedAt)
+		e.vc.m.parkDur.ObserveDuration(stalled)
+		e.vc.ev.FlowUnblocked(uint64(e.vc.own.recvMax), stalled)
 		req.parkedAt = time.Time{}
 	}
 	e.reply(req, result{view: e.vc.cv.Ref()})
@@ -69,21 +77,21 @@ func (e *Engine) advance(req *request) bool {
 // stall start for the park-duration histogram.
 func (e *Engine) park(req *request) {
 	e.vc.stats.MulticastParks++
-	if req.parkedAt.IsZero() && (e.m.parkDur != nil || e.ev != nil) {
-		req.parkedAt = e.clock.Now()
-		e.ev.FlowBlocked(uint64(req.batch[req.done].Meta.Seq))
+	if req.parkedAt.IsZero() && (e.vc.m.parkDur != nil || e.vc.ev != nil) {
+		req.parkedAt = e.vc.clock.Now()
+		e.vc.ev.FlowBlocked(uint64(req.batch[req.done].Meta.Seq))
 	}
 	e.multicastQ = append(e.multicastQ, req)
 }
 
-func (e *Engine) multicastPrecheck(meta obsolete.Msg) error {
-	if e.vc.terminal != nil {
-		return e.vc.terminal
+func (s *viewState) multicastPrecheck(meta obsolete.Msg) error {
+	if s.terminal != nil {
+		return s.terminal
 	}
-	if !e.vc.cv.Includes(e.cfg.Self) {
+	if !s.cv.Includes(s.self) {
 		return ErrNotMember
 	}
-	if meta.Seq != e.self.recvMax+1 {
+	if meta.Seq != s.own.recvMax+1 {
 		return ErrBadSeq
 	}
 	return nil
@@ -93,12 +101,12 @@ func (e *Engine) multicastPrecheck(meta obsolete.Msg) error {
 // buffered, counting the entries its arrival would purge. The check is
 // all-or-nothing: no queue is touched unless every queue fits, so a parked
 // multicast never half-purges state it has not yet committed to send.
-func (e *Engine) canCommit(meta obsolete.Msg, payload []byte) bool {
-	it := e.dataItem(meta, payload)
-	if fullAfterPurge(e.toDeliver, it) {
+func (s *viewState) canCommit(meta obsolete.Msg, payload []byte) bool {
+	it := s.dataItem(meta, payload)
+	if fullAfterPurge(s.toDeliver, it) {
 		return false
 	}
-	for _, p := range e.others {
+	for _, p := range s.others {
 		if p.out != nil && !p.hasCredit() && fullAfterPurge(p.out, it) {
 			return false
 		}
@@ -112,30 +120,30 @@ func fullAfterPurge(q *queue.Queue, it queue.Item) bool {
 	return q.Full() && q.Len()-q.CountPurgeableFor(it) >= q.Cap()
 }
 
-func (e *Engine) dataItem(meta obsolete.Msg, payload []byte) queue.Item {
-	meta.Sender = e.cfg.Self
-	return itemOf(DataMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Meta: meta, Payload: payload})
+func (s *viewState) dataItem(meta obsolete.Msg, payload []byte) queue.Item {
+	meta.Sender = s.self
+	return itemOf(DataMsg{View: s.cv.ID, Epoch: s.cv.Epoch, Meta: meta, Payload: payload})
 }
 
 // commitOne commits a single message of the transaction advance drives:
 // local append (with its purges), staging, counters. Room in every queue
 // is guaranteed by canCommit.
-func (e *Engine) commitOne(meta obsolete.Msg, payload []byte) {
-	it := e.dataItem(meta, payload)
-	if e.m.deliverLatency != nil {
-		it.At = e.clock.Now()
+func (s *viewState) commitOne(meta obsolete.Msg, payload []byte) {
+	it := s.dataItem(meta, payload)
+	if s.m.deliverLatency != nil {
+		it.At = s.clock.Now()
 	}
 
-	e.purgeToDeliver(it, nil)   // unstage counts back from the frontier: raise it after
-	e.toDeliver.ForceAppend(it) // room guaranteed by canCommit
-	e.self.recvMax = it.Meta.Seq
+	s.purgeToDeliver(it, nil)   // unstage counts back from the frontier: raise it after
+	s.toDeliver.ForceAppend(it) // room guaranteed by canCommit
+	s.own.recvMax = it.Meta.Seq
 	dm := msgOf(&it)
-	e.stage = append(e.stage, dm)
-	for _, p := range e.others {
-		e.stageData(p, dm)
+	s.stage = append(s.stage, dm)
+	for _, p := range s.others {
+		s.stageData(p, dm)
 	}
-	e.vc.stats.Multicast++
-	e.serveIfFull()
+	s.stats.Multicast++
+	s.serveIfFull()
 }
 
 // stageData lets p have the message just staged, or buffers it in p's
@@ -143,13 +151,13 @@ func (e *Engine) commitOne(meta obsolete.Msg, payload []byte) {
 // a transaction (only a CreditMsg on a later loop turn, or flushStage's
 // refund, which ends it), so a peer out of credits stays out: what p took
 // is a prefix of the stage.
-func (e *Engine) stageData(p *peer, dm DataMsg) {
+func (s *viewState) stageData(p *peer, dm DataMsg) {
 	if p.takeCredit() {
 		p.took++
 		return
 	}
 	purged, _ := p.out.AppendPurge(itemOf(dm)) // room guaranteed by canCommit
-	e.vc.stats.PurgedOutgoing += uint64(purged)
+	s.stats.PurgedOutgoing += uint64(purged)
 }
 
 // unstage drops the staged copy of our own message seq, which a later
@@ -157,9 +165,9 @@ func (e *Engine) stageData(p *peer, dm DataMsg) {
 // that later message goes to every peer too, so the copy need not be sent
 // at all. The stage ends at our frontier, so seq names its slot;
 // flushStage squeezes the emptied slots out.
-func (e *Engine) unstage(seq ident.Seq) {
-	if i := len(e.stage) - 1 - int(e.self.recvMax) + int(seq); i >= 0 && i < len(e.stage) {
-		e.stage[i] = DataMsg{}
+func (s *viewState) unstage(seq ident.Seq) {
+	if i := len(s.stage) - 1 - int(s.own.recvMax) + int(seq); i >= 0 && i < len(s.stage) {
+		s.stage[i] = DataMsg{}
 	}
 }
 
@@ -172,19 +180,19 @@ func (e *Engine) unstage(seq ident.Seq) {
 // copy took a credit and never left: the credit comes back once the run is
 // out — not earlier, or a later message of the run could overtake one that
 // waits in the outgoing queue — and counts as an outgoing purge.
-func (e *Engine) flushStage() {
-	if len(e.stage) == 0 {
+func (s *viewState) flushStage() {
+	if len(s.stage) == 0 {
 		return
 	}
-	base := e.self.recvMax + 1 - ident.Seq(len(e.stage)) // the stage ends at our frontier
-	n := 0                                               // the longest prefix a peer took
-	for _, p := range e.others {
+	base := s.own.recvMax + 1 - ident.Seq(len(s.stage)) // the stage ends at our frontier
+	n := 0                                              // the longest prefix a peer took
+	for _, p := range s.others {
 		n = max(n, p.took)
 	}
-	run := slices.Clone(slices.DeleteFunc(e.stage[:n], func(dm DataMsg) bool { return dm.Meta.Seq == 0 }))
+	run := slices.Clone(slices.DeleteFunc(s.stage[:n], func(dm DataMsg) bool { return dm.Meta.Seq == 0 }))
 	var env any // the last peer's envelope, for the next with as many survivors
 	shared := -1
-	for _, p := range e.others {
+	for _, p := range s.others {
 		took := p.took
 		p.took = 0
 		k := sort.Search(len(run), func(i int) bool { return run[i].Meta.Seq >= base+ident.Seq(took) })
@@ -192,16 +200,16 @@ func (e *Engine) flushStage() {
 			env, shared = dataEnvelope(run[:k]), k
 		}
 		if env != nil {
-			e.send(p.id, transport.Data, env)
+			s.send(p.id, transport.Data, env)
 		}
 		if dropped := took - k; dropped > 0 {
-			e.vc.stats.PurgedOutgoing += uint64(dropped)
+			s.stats.PurgedOutgoing += uint64(dropped)
 			p.credit(dropped)
-			e.drainOutgoing(p)
+			s.drainOutgoing(p)
 		}
 	}
-	clear(e.stage) // release payload references
-	e.stage = e.stage[:0]
+	clear(s.stage) // release payload references
+	s.stage = s.stage[:0]
 }
 
 // dataEnvelope is what a run of data messages travels in: nothing for an
@@ -223,26 +231,40 @@ func dataEnvelope(run []DataMsg) any {
 // envelope carries either a single DataMsg or a DataBatchMsg run; both
 // routes go through ingestData per message, so batching never changes a
 // message's fate — only how many channel operations it shared.
-func (e *Engine) onDataBatch(envs []transport.Envelope) {
+func (s *viewState) onDataBatch(envs []transport.Envelope) {
 	var from *peer // the record of the last envelope's link
 	for i := range envs {
 		env := &envs[i]
 		switch m := env.Msg.(type) {
 		case DataMsg:
-			from = e.peerOf(env.From, from)
-			e.ingestData(env.From, from, m)
+			from = s.peerOf(env.From, from)
+			s.ingestData(env.From, from, m)
 		case *DataBatchMsg:
-			from = e.peerOf(env.From, from)
+			from = s.peerOf(env.From, from)
 			for j := range m.Msgs {
-				e.ingestData(env.From, from, m.Msgs[j])
+				s.ingestData(env.From, from, m.Msgs[j])
 			}
 		default:
 			// A data-channel envelope that is not data: miscoded or
 			// hostile peer. This was an entirely silent discard before.
-			e.vc.stats.DroppedBadType++
-			e.ev.Drop(obs.DropBadType, slog.String("from", string(env.From)))
+			s.stats.DroppedBadType++
+			s.ev.Drop(obs.DropBadType, slog.String("from", string(env.From)))
 		}
 	}
+}
+
+// gated reports whether the owner must leave data arrivals in the
+// transport: this process is no open member (joining, changing views, or at
+// its end), a previous arrival waits for queue space, or there is no space
+// to begin with.
+func (s *viewState) gated() bool {
+	return !s.open() || s.stalled() || s.toDeliver.Full()
+}
+
+// stalled reports whether an earlier arrival waits for queue space: a
+// processed head, or the raw rest of its batch.
+func (s *viewState) stalled() bool {
+	return s.pendingHead.Meta.Seq != 0 || s.pendingPos < len(s.pendingRest)
 }
 
 // ingestData routes one arrival on link, the process that sent it, whose
@@ -252,17 +274,17 @@ func (e *Engine) onDataBatch(envs []transport.Envelope) {
 // anything is pending, so the stash is bounded by one batched receive.) A
 // process multicasts only its own stream: a message in anyone else's name
 // is dropped before it can reach the stash or a frontier.
-func (e *Engine) ingestData(link ident.PID, from *peer, dm DataMsg) {
+func (s *viewState) ingestData(link ident.PID, from *peer, dm DataMsg) {
 	if dm.Meta.Sender != link {
-		e.dropUnknownSender(link)
+		s.dropUnknownSender(link)
 		return
 	}
-	if e.stalled() {
-		e.pendingRest = append(e.pendingRest, dm)
+	if s.stalled() {
+		s.pendingRest = append(s.pendingRest, dm)
 		return
 	}
-	if !e.processData(from, dm) {
-		e.pendingHead = dm
+	if !s.processData(from, dm) {
+		s.pendingHead = dm
 	}
 }
 
@@ -271,42 +293,42 @@ func (e *Engine) ingestData(link ident.PID, from *peer, dm DataMsg) {
 // message passed every check (and its credit charge and purges were
 // applied) but the delivery queue is full — the caller keeps it as
 // pendingHead until space frees. It runs only while the data plane is open.
-func (e *Engine) processData(from *peer, dm DataMsg) bool {
-	if dm.View != e.vc.cv.ID || dm.Epoch != e.vc.cv.Epoch {
+func (s *viewState) processData(from *peer, dm DataMsg) bool {
+	if dm.View != s.cv.ID || dm.Epoch != s.cv.Epoch {
 		// Not this view — stale, or another lineage's traffic racing a
 		// partition merge. Either way its pred/flush obligations are
 		// handled by view-change machinery, not the data path.
-		e.vc.stats.DroppedStale++
+		s.stats.DroppedStale++
 		return true
 	}
-	if dm.Meta.Sender == e.cfg.Self {
+	if dm.Meta.Sender == s.self {
 		return true // never accept echoes of our own stream
 	}
 	if from == nil || !from.member {
-		e.dropUnknownSender(dm.Meta.Sender)
+		s.dropUnknownSender(dm.Meta.Sender)
 		return true
 	}
 	// Whatever happens to it next, this arrival consumed one of the
 	// credits we granted its sender (receiver-side ledger, flow.go).
-	e.grant(from, from.received())
+	s.grant(from, from.received())
 	if dm.Meta.Seq <= from.recvMax {
 		// Figure 1's t3 test: an m with some m' : m ⊑ m' already queued or
 		// delivered. Every held message lies at or below its sender's
 		// frontier (commitOne, acceptData and adopt raise it to whatever
 		// they insert), and a cover has m's sender and a seq ≥ m's, so the
 		// frontier is the whole test. The slot it would have used is free.
-		e.vc.stats.DroppedCovered++
-		e.grant(from, from.freed())
+		s.stats.DroppedCovered++
+		s.grant(from, from.freed())
 		return true
 	}
 	it := itemOf(dm)
-	e.purgeToDeliver(it, from)
-	if e.toDeliver.Full() {
+	s.purgeToDeliver(it, from)
+	if s.toDeliver.Full() {
 		// Keep the arrival in the one reserved stall slot; the data inbox
 		// stays closed until space frees, so per-sender FIFO holds.
 		return false
 	}
-	e.acceptData(from, it)
+	s.acceptData(from, it)
 	return true
 }
 
@@ -315,48 +337,48 @@ func (e *Engine) processData(from *peer, dm DataMsg) bool {
 // a process that is no member of the view — only members multicast in it
 // and hold windows. Whatever PID a peer wrote there gets no slot, no credit
 // and no record.
-func (e *Engine) dropUnknownSender(id ident.PID) {
-	e.vc.stats.DroppedUnknownSender++
-	e.ev.Drop(obs.DropUnknownSender, slog.String("from", string(id)))
+func (s *viewState) dropUnknownSender(id ident.PID) {
+	s.stats.DroppedUnknownSender++
+	s.ev.Drop(obs.DropUnknownSender, slog.String("from", string(id)))
 }
 
-func (e *Engine) acceptData(from *peer, it queue.Item) {
-	if e.m.deliverLatency != nil {
-		it.At = e.clock.Now()
+func (s *viewState) acceptData(from *peer, it queue.Item) {
+	if s.m.deliverLatency != nil {
+		it.At = s.clock.Now()
 	}
 	from.recvMax = it.Meta.Seq
-	e.toDeliver.ForceAppend(it)
-	e.serveIfFull()
+	s.toDeliver.ForceAppend(it)
+	s.serveIfFull()
 }
 
 // retryPending re-attempts the stashed arrivals once space frees: first
 // the processed head waiting on its stall slot, then the raw remainder of
 // the batch behind it.
-func (e *Engine) retryPending() {
+func (s *viewState) retryPending() {
 	var from *peer // sender of the last stashed arrival: they come in runs
-	for e.vc.open() {
-		if e.pendingHead.Meta.Seq != 0 {
-			if e.toDeliver.Full() {
+	for s.open() {
+		if s.pendingHead.Meta.Seq != 0 {
+			if s.toDeliver.Full() {
 				return
 			}
-			from = e.peerOf(e.pendingHead.Meta.Sender, from)
-			it := itemOf(e.pendingHead)
-			e.pendingHead = DataMsg{}
-			e.acceptData(from, it) // still this view: block() clears the stash
+			from = s.peerOf(s.pendingHead.Meta.Sender, from)
+			it := itemOf(s.pendingHead)
+			s.pendingHead = DataMsg{}
+			s.acceptData(from, it) // still this view: onInit clears the stash
 			continue
 		}
-		if e.pendingPos < len(e.pendingRest) {
-			dm := e.pendingRest[e.pendingPos]
-			e.pendingRest[e.pendingPos] = DataMsg{} // release payload refs
-			e.pendingPos++
-			from = e.peerOf(dm.Meta.Sender, from)
-			if !e.processData(from, dm) {
-				e.pendingHead = dm
+		if s.pendingPos < len(s.pendingRest) {
+			dm := s.pendingRest[s.pendingPos]
+			s.pendingRest[s.pendingPos] = DataMsg{} // release payload refs
+			s.pendingPos++
+			from = s.peerOf(dm.Meta.Sender, from)
+			if !s.processData(from, dm) {
+				s.pendingHead = dm
 			}
 			continue
 		}
-		e.pendingRest = e.pendingRest[:0]
-		e.pendingPos = 0
+		s.pendingRest = s.pendingRest[:0]
+		s.pendingPos = 0
 		return
 	}
 }
@@ -368,14 +390,14 @@ func (e *Engine) retryPending() {
 // on its way out, so nothing is copied. from is the record of it's sender
 // (nil: our own message), which is the sender of everything it purges:
 // the queue only relates messages of one sender.
-func (e *Engine) purgeToDeliver(it queue.Item, from *peer) {
-	e.toDeliver.PurgeFor(it, func(p *queue.Item) {
+func (s *viewState) purgeToDeliver(it queue.Item, from *peer) {
+	s.toDeliver.PurgeFor(it, func(p *queue.Item) {
 		switch {
-		case !e.inView(p):
-		case p.Meta.Sender == e.cfg.Self:
-			e.unstage(p.Meta.Seq)
+		case !s.inView(p):
+		case p.Meta.Sender == s.self:
+			s.unstage(p.Meta.Seq)
 		default:
-			e.freeSlot(from, p.Meta.Seq)
+			s.freeSlot(from, p.Meta.Seq)
 		}
 	})
 }
@@ -387,9 +409,9 @@ func (e *Engine) purgeToDeliver(it queue.Item, from *peer) {
 // granted for it (a duplicate arriving on the channel is credited
 // separately). Our own record, like any non-member's, has no window to give
 // slots back to.
-func (e *Engine) freeSlot(from *peer, seq ident.Seq) {
+func (s *viewState) freeSlot(from *peer, seq ident.Seq) {
 	if from != nil && seq > from.seeded {
-		e.grant(from, from.freed())
+		s.grant(from, from.freed())
 	}
 }
 
@@ -406,18 +428,26 @@ func (e *Engine) freeSlot(from *peer, seq ident.Seq) {
 func (e *Engine) serveDeliveries() {
 	for {
 		e.serveWaiters()
-		e.retryPending()
+		e.vc.retryPending()
 		e.retryParked()
-		if len(e.deliverWaiters) == 0 || e.toDeliver.Len() == 0 {
+		if len(e.deliverWaiters) == 0 || e.vc.toDeliver.Len() == 0 {
 			return
 		}
 	}
 }
 
 // serveIfFull serves deliveries in mid-turn, which only a full delivery
-// queue warrants: a waiter can make the room the rest of the batch needs.
-func (e *Engine) serveIfFull() {
-	if e.toDeliver.Full() && len(e.deliverWaiters) > 0 {
+// queue warrants: a reader can make the room the rest of the batch needs.
+func (s *viewState) serveIfFull() {
+	if s.toDeliver.Full() {
+		s.out.full()
+	}
+}
+
+// full is the engine's outlet serving its waiting Deliver calls in
+// mid-turn (serveIfFull).
+func (e *Engine) full() {
+	if len(e.deliverWaiters) > 0 {
 		e.serveWaiters()
 	}
 }
@@ -436,12 +466,12 @@ func (e *Engine) serveWaiters() {
 		}
 		n := 0
 		for n < len(w.dst) {
-			it := e.toDeliver.PeekHead()
+			it := e.vc.toDeliver.PeekHead()
 			if it == nil {
 				break
 			}
-			w.dst[n], from = e.deliverItem(it, from)
-			e.toDeliver.PopHead()
+			w.dst[n], from = e.vc.deliverItem(it, from)
+			e.vc.toDeliver.PopHead()
 			n++
 		}
 		res := result{n: n}
@@ -458,26 +488,26 @@ func (e *Engine) serveWaiters() {
 // deliverItem turns the queue head into what the application sees, before
 // the caller pops it. last is the record the previous call resolved; the
 // record of it's sender comes back for the next one.
-func (e *Engine) deliverItem(it *queue.Item, last *peer) (Delivery, *peer) {
+func (s *viewState) deliverItem(it *queue.Item, last *peer) (Delivery, *peer) {
 	switch it.Kind {
 	case queue.Control:
 		v := it.Ctl.(View)
 		kind := DeliverView
-		if !v.Includes(e.cfg.Self) {
+		if !v.Includes(s.self) {
 			kind = DeliverExpelled
 		}
 		return Delivery{Kind: kind, View: v.ID, Epoch: v.Epoch, NewView: v}, last
 	default:
-		e.vc.stats.Delivered++
+		s.stats.Delivered++
 		if !it.At.IsZero() {
-			e.m.deliverLatency.ObserveDuration(e.clock.Since(it.At))
+			s.m.deliverLatency.ObserveDuration(s.clock.Since(it.At))
 		}
-		if e.inView(it) {
+		if s.inView(it) {
 			// Keep it in the per-view history for pred sets; purge the
 			// history with the same relation so it holds live items only.
-			_, _ = e.delivered.AppendPurge(*it) // unbounded: never full
-			last = e.peerOf(it.Meta.Sender, last)
-			e.freeSlot(last, it.Meta.Seq)
+			_, _ = s.delivered.AppendPurge(*it) // unbounded: never full
+			last = s.peerOf(it.Meta.Sender, last)
+			s.freeSlot(last, it.Meta.Seq)
 		}
 		return Delivery{
 			Kind:    DeliverData,

@@ -1,19 +1,22 @@
 package core
 
-// snapshot.go is the engine's one state-transfer mechanism. Figure 1 gives
-// a member a single way to hand over what it holds — the pred set of t5–t7,
-// flushed ahead of the view marker — and the three hand-overs of this
-// engine are that mechanism under different filters:
+// snapshot.go is the group's one state-transfer mechanism, over the data
+// plane the view-change state holds. Figure 1 gives a member a single way
+// to hand over what it holds — the pred set of t5–t7, flushed ahead of the
+// view marker — and the three hand-overs are that mechanism under
+// different filters:
 //
 //	change over one side   held(current view, not yet stable)         PredMsg
 //	change over two sides  held(current view)        + recvSnapshot   PredMsg
 //	join transfer          repurge(held(everything)) + recvSnapshot   StateMsg
 //
-// The first two are one function, contribution. A flush is repurged once,
-// where it is assembled: a change's proposal repurges the contributions it
-// gathered (proposal, viewchange.go) and the sponsor the backlog it ships.
-// Either way the result is a StateMsg, and whoever is handed one — the
-// decided value of an install, a joiner's transfer — applies it with adopt.
+// The first two are one function, contribution, which onInit sends as it
+// opens the change; the third is buildJoinState, which transfer sends. A
+// flush is repurged once, where it is assembled: a change's proposal
+// repurges the contributions it gathered (proposal, viewchange.go) and the
+// sponsor the backlog it ships. Either way the result is a StateMsg, and
+// whoever is handed one — the decided value of an install, a joiner's
+// transfer — applies it with adopt, in the same step that enters its view.
 
 import (
 	"repro/internal/ident"
@@ -30,13 +33,13 @@ import (
 // prunes nothing of the current view from the history (pruneStable), a
 // merge's contribution is every current-view message the relation never
 // obsoleted: under the empty relation, the view's whole traffic.
-func (e *Engine) contribution(c *change) PredMsg {
+func (s *viewState) contribution(c *change) PredMsg {
 	if c.merge() {
-		return PredMsg{Change: c.next, Msgs: e.held(e.inView), Recv: e.recvSnapshot()}
+		return PredMsg{Change: c.next, Msgs: s.held(s.inView), Recv: s.recvSnapshot()}
 	}
-	stable := e.stableFilter()
-	return PredMsg{Change: c.next, Msgs: e.held(func(it *queue.Item) bool {
-		return e.inView(it) && !stable(it)
+	stable := s.stableFilter()
+	return PredMsg{Change: c.next, Msgs: s.held(func(it *queue.Item) bool {
+		return s.inView(it) && !stable(it)
 	})}
 }
 
@@ -51,14 +54,14 @@ func msgOf(it *queue.Item) DataMsg {
 }
 
 // inView reports whether it was multicast in the current view.
-func (e *Engine) inView(it *queue.Item) bool {
-	return it.View == uint64(e.vc.cv.ID) && it.Epoch == uint64(e.vc.cv.Epoch)
+func (s *viewState) inView(it *queue.Item) bool {
+	return it.View == uint64(s.cv.ID) && it.Epoch == uint64(s.cv.Epoch)
 }
 
 // held returns the data messages this process has accepted to deliver and
 // still holds — delivery history, then delivery queue, each FIFO — that
 // pass keep.
-func (e *Engine) held(keep func(*queue.Item) bool) []DataMsg {
+func (s *viewState) held(keep func(*queue.Item) bool) []DataMsg {
 	var out []DataMsg
 	collect := func(it *queue.Item) bool {
 		if it.Kind == queue.Data && keep(it) {
@@ -66,8 +69,8 @@ func (e *Engine) held(keep func(*queue.Item) bool) []DataMsg {
 		}
 		return true
 	}
-	e.delivered.EachRef(collect)
-	e.toDeliver.EachRef(collect)
+	s.delivered.EachRef(collect)
+	s.toDeliver.EachRef(collect)
 	return out
 }
 
@@ -93,7 +96,7 @@ func repurge(rel obsolete.Relation, msgs []DataMsg) []DataMsg {
 
 // adopt applies a snapshot and returns how many of msgs joined the
 // delivery queue, each purging what it obsoletes as it goes in, like every
-// other arrival — without the credit accounting: enterView re-arms every
+// other arrival — without the credit accounting: enter re-arms every
 // window right after. A message at or below its sender's reception frontier
 // was genuinely received before (reception is FIFO per sender), so if it is
 // missing locally it was purged under a justified cover chain; re-adding it
@@ -104,22 +107,22 @@ func repurge(rel obsolete.Relation, msgs []DataMsg) []DataMsg {
 // must see our own — and only forwards, so stale retransmissions are
 // recognised as duplicates. Our own entry continues the sequence numbering
 // of an earlier incarnation of this PID.
-func (e *Engine) adopt(msgs []DataMsg, recv map[ident.PID]ident.Seq) int {
+func (s *viewState) adopt(msgs []DataMsg, recv map[ident.PID]ident.Seq) int {
 	added := 0
 	for _, dm := range msgs {
-		s, seq := e.peer(dm.Meta.Sender), dm.Meta.Seq
-		if seq <= s.recvMax {
+		p, seq := s.peer(dm.Meta.Sender), dm.Meta.Seq
+		if seq <= p.recvMax {
 			continue
 		}
-		s.recvMax = seq
+		p.recvMax = seq
 		it := itemOf(dm)
-		e.toDeliver.PurgeFor(it, nil)
-		e.toDeliver.ForceAppend(it) // the agreed flush is never refused
+		s.toDeliver.PurgeFor(it, nil)
+		s.toDeliver.ForceAppend(it) // the agreed flush is never refused
 		added++
 	}
 	for id, q := range recv {
-		s := e.peer(id)
-		s.recvMax = max(s.recvMax, q)
+		p := s.peer(id)
+		p.recvMax = max(p.recvMax, q)
 	}
 	return added
 }

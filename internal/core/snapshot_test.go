@@ -14,14 +14,8 @@ import (
 // snapEngine is a hand-built, never-started engine: no goroutines, no
 // clock, just the loop-owned state the snapshot code reads and writes.
 func snapEngine(rel obsolete.Relation) *Engine {
-	e := &Engine{
-		cfg:       Config{Self: "me", GroupConfig: GroupConfig{Relation: rel}},
-		vc:        viewState{cv: View{ID: 4, Members: ident.NewPIDs("a", "b", "me")}},
-		toDeliver: queue.New(rel, 0),
-		delivered: queue.New(rel, 0),
-		peers:     map[ident.PID]*peer{},
-	}
-	e.armPeers()
+	e := &Engine{cfg: Config{Self: "me", GroupConfig: GroupConfig{Relation: rel}}}
+	e.vc = newViewState(&e.cfg, View{ID: 4, Members: ident.NewPIDs("a", "b", "me")}, e)
 	return e
 }
 
@@ -52,9 +46,9 @@ func ids(msgs []DataMsg) []string {
 // older view's entry next to current-view history.)
 func heldFixture() *Engine {
 	e := snapEngine(tagging)
-	e.self.recvMax = 7
-	e.peer("a").recvMax, e.peer("b").recvMax, e.peer("c").recvMax = 8, 3, 9
-	e.peer("a").stable = 5
+	e.vc.own.recvMax = 7
+	e.vc.peer("a").recvMax, e.vc.peer("b").recvMax, e.vc.peer("c").recvMax = 8, 3, 9
+	e.vc.peer("a").stable = 5
 	a := tagged(4, "a", 0, 0, 0, 0, 1, 2, 2, 3) // a:7 lists a:6
 	b := tagged(4, "b", 0, 0, 0)
 	c := tagged(3, "c", 0, 0, 0, 0, 0, 0, 0, 0, 7)
@@ -65,7 +59,7 @@ func heldFixture() *Engine {
 		b[2],
 		me[5], // me:6, covered by me:7
 	} {
-		e.delivered.ForceAppend(it)
+		e.vc.delivered.ForceAppend(it)
 	}
 	for _, it := range []queue.Item{
 		c[8], // c:9, flush-adopted from the previous view
@@ -74,7 +68,7 @@ func heldFixture() *Engine {
 		a[7],
 		me[6],
 	} {
-		e.toDeliver.ForceAppend(it)
+		e.vc.toDeliver.ForceAppend(it)
 	}
 	return e
 }
@@ -104,14 +98,14 @@ func TestSnapshotThreeCallersOneState(t *testing.T) {
 			// What onInit contributes to an ordinary change: current view
 			// only, stable left out, history then queue, nothing repurged.
 			name: "view-change pred",
-			got:  e.contribution(changeOver(e, 1)).Msgs,
+			got:  e.vc.contribution(changeOver(e, 1)).Msgs,
 			want: []string{"a:6@4", "b:3@4", "me:6@4", "a:7@4", "a:8@4", "me:7@4"},
 		},
 		{
 			// What onInit contributes to a merge: the far side never counted
 			// towards this view's stable frontier, so a:5 stays.
 			name: "merge contribution",
-			got:  e.contribution(changeOver(e, 2)).Msgs,
+			got:  e.vc.contribution(changeOver(e, 2)).Msgs,
 			want: []string{"a:5@4", "a:6@4", "b:3@4", "me:6@4", "a:7@4", "a:8@4", "me:7@4"},
 		},
 		{
@@ -119,7 +113,7 @@ func TestSnapshotThreeCallersOneState(t *testing.T) {
 			// that straddle history and queue (a:6 ⊑ a:7, me:6 ⊑ me:7)
 			// collapsed.
 			name: "join backlog",
-			got:  e.buildJoinState(e.vc.cv).Backlog,
+			got:  e.vc.buildJoinState(e.vc.cv).Backlog,
 			want: []string{"a:5@4", "b:3@4", "c:9@3", "a:7@4", "a:8@4", "me:7@4"},
 		},
 	} {
@@ -128,7 +122,7 @@ func TestSnapshotThreeCallersOneState(t *testing.T) {
 		}
 	}
 	wantRecv := map[ident.PID]ident.Seq{"a": 8, "b": 3, "c": 9, "me": 7}
-	if got := e.buildJoinState(e.vc.cv).Recv; !reflect.DeepEqual(got, wantRecv) {
+	if got := e.vc.buildJoinState(e.vc.cv).Recv; !reflect.DeepEqual(got, wantRecv) {
 		t.Errorf("join frontiers: got %v, want %v", got, wantRecv)
 	}
 }
@@ -150,7 +144,7 @@ func TestOneContribution(t *testing.T) {
 		return false
 	}
 
-	one := e.contribution(changeOver(e, 1))
+	one := e.vc.contribution(changeOver(e, 1))
 	if one.Change != (ident.ViewRef{ID: e.vc.cv.ID + 1}) || one.Recv != nil || one.Decline || stableA5(one) {
 		t.Errorf("ordinary change's PRED names %v, carries frontiers %v, decline %v, stable a:5 %v; want %v, none, false, false",
 			one.Change, one.Recv, one.Decline, stableA5(one), ident.ViewRef{ID: e.vc.cv.ID + 1})
@@ -162,7 +156,7 @@ func TestOneContribution(t *testing.T) {
 			wireSize(one), grew, len(parent))
 	}
 
-	two := e.contribution(changeOver(e, 2))
+	two := e.vc.contribution(changeOver(e, 2))
 	wantRecv := map[ident.PID]ident.Seq{"a": 8, "b": 3, "c": 9, "me": 7}
 	if !reflect.DeepEqual(two.Recv, wantRecv) || !stableA5(two) || two.Change != changeOver(e, 2).next {
 		t.Errorf("merge's PRED carries frontiers %v, stable a:5 %v, names %v; want %v, true, the union",
@@ -175,15 +169,15 @@ func TestOneContribution(t *testing.T) {
 // ever move forwards.
 func TestSnapshotAdopt(t *testing.T) {
 	e := snapEngine(tagging)
-	e.self.recvMax = 7
-	e.peer("a").recvMax, e.peer("b").recvMax = 6, 3
+	e.vc.own.recvMax = 7
+	e.vc.peer("a").recvMax, e.vc.peer("b").recvMax = 6, 3
 	a := tagged(4, "a", 0, 0, 0, 0, 1, 1, 0, 0, 4)
 	b := tagged(4, "b", 0, 0, 0, 4, 4) // b:5 lists b:4
 	me := tagged(4, "me", 0, 0, 0, 0, 0, 0, 2, 2)
-	e.toDeliver.ForceAppend(a[8]) // a:9
+	e.vc.toDeliver.ForceAppend(a[8]) // a:9
 
 	msg := func(it queue.Item) DataMsg { return msgOf(&it) }
-	added := e.adopt([]DataMsg{
+	added := e.vc.adopt([]DataMsg{
 		msg(a[4]),                 // a:5, below a's frontier
 		msg(a[5]),                 // a:6, at a's frontier
 		msg(me[6]),                // me:7, our own, at our frontier: already sent
@@ -196,7 +190,7 @@ func TestSnapshotAdopt(t *testing.T) {
 		t.Errorf("adopted %d messages, want 4", added)
 	}
 	var queued []DataMsg
-	e.toDeliver.EachRef(func(it *queue.Item) bool {
+	e.vc.toDeliver.EachRef(func(it *queue.Item) bool {
 		queued = append(queued, msgOf(it))
 		return true
 	})
@@ -207,13 +201,13 @@ func TestSnapshotAdopt(t *testing.T) {
 	// (me at the 8 it adopted, not at the 3 offered).
 	wantMax := map[ident.PID]ident.Seq{"a": 6, "b": 10, "d": 1, "me": 8, "x": 2}
 	gotMax := map[ident.PID]ident.Seq{}
-	for id, p := range e.peers {
+	for id, p := range e.vc.peers {
 		gotMax[id] = p.recvMax
 	}
 	if !reflect.DeepEqual(gotMax, wantMax) {
 		t.Errorf("reception frontiers: got %v, want %v", gotMax, wantMax)
 	}
-	if e.adopt(nil, map[ident.PID]ident.Seq{"me": 12}); e.self.recvMax != 12 {
-		t.Errorf("own frontier = %d after a higher one was offered, want 12", e.self.recvMax)
+	if e.vc.adopt(nil, map[ident.PID]ident.Seq{"me": 12}); e.vc.own.recvMax != 12 {
+		t.Errorf("own frontier = %d after a higher one was offered, want 12", e.vc.own.recvMax)
 	}
 }

@@ -35,54 +35,70 @@ type StableMsg struct {
 
 // recvSnapshot copies this process's per-sender reception frontier,
 // including its own stream: everything we multicast is trivially received
-// here. The stability gossip ships it, and so does every state transfer
-// that carries frontiers (snapshot.go).
-func (e *Engine) recvSnapshot() map[ident.PID]ident.Seq {
-	recv := make(map[ident.PID]ident.Seq, len(e.peers))
-	for id, s := range e.peers {
-		if s.recvMax > 0 {
-			recv[id] = s.recvMax
+// here. Every state transfer that carries frontiers ships it (snapshot.go).
+func (s *viewState) recvSnapshot() map[ident.PID]ident.Seq {
+	recv := make(map[ident.PID]ident.Seq, len(s.peers))
+	for id, p := range s.peers {
+		if p.recvMax > 0 {
+			recv[id] = p.recvMax
 		}
 	}
 	return recv
 }
 
-// gossipStability broadcasts this process's reception frontier.
-func (e *Engine) gossipStability() {
-	if !e.vc.open() {
+// eachMember calls f with the record of every current member, our own
+// first. Stability is about them alone: only current-view entries are ever
+// pruned or filtered, and their senders are members. A departed sender's
+// frontier never travels in the gossip or costs a recompute again.
+func (s *viewState) eachMember(f func(*peer)) {
+	f(s.own)
+	for _, p := range s.others {
+		f(p)
+	}
+}
+
+// gossipStability broadcasts this process's reception frontier for the
+// current view's senders.
+func (s *viewState) gossipStability() {
+	if !s.open() {
 		return
 	}
-	m := StableMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Recv: e.recvSnapshot()}
-	e.onStable(e.cfg.Self, m)
-	for _, p := range e.others {
-		e.send(p.id, transport.Ctl, m)
+	recv := make(map[ident.PID]ident.Seq, len(s.others)+1)
+	s.eachMember(func(p *peer) {
+		if p.recvMax > 0 {
+			recv[p.id] = p.recvMax
+		}
+	})
+	m := StableMsg{View: s.cv.ID, Epoch: s.cv.Epoch, Recv: recv}
+	s.onStable(s.self, m)
+	for _, p := range s.others {
+		s.send(p.id, transport.Ctl, m)
 	}
 }
 
 // onStable folds a frontier report into the stability table. The report is
 // kept as received: its sender built it for this one gossip round and
 // nobody writes to it afterwards.
-func (e *Engine) onStable(from ident.PID, m StableMsg) {
-	if m.View != e.vc.cv.ID || m.Epoch != e.vc.cv.Epoch || !e.vc.cv.Includes(from) {
+func (s *viewState) onStable(from ident.PID, m StableMsg) {
+	if m.View != s.cv.ID || m.Epoch != s.cv.Epoch || !s.cv.Includes(from) {
 		return
 	}
-	e.peer(from).reported = m.Recv
-	e.recomputeStable()
+	s.peer(from).reported = m.Recv
+	s.recomputeStable()
 }
 
-// recomputeStable derives the group-wide stable frontier: per sender, the
-// minimum frontier over every current member. Members that have not
-// reported yet hold everything at zero. A sender without a record has sent
-// us nothing that could be pruned, and needs no frontier until it has one.
-func (e *Engine) recomputeStable() {
-	for id, s := range e.peers {
-		low := e.self.reported[id] // zero when a member never reported (or lacks s)
-		for _, q := range e.others {
-			low = min(low, q.reported[id])
+// recomputeStable derives the group-wide stable frontier: per current
+// member as a sender, the minimum frontier over every current member.
+// Members that have not reported yet hold everything at zero.
+func (s *viewState) recomputeStable() {
+	s.eachMember(func(p *peer) {
+		low := s.own.reported[p.id] // zero when a member never reported (or lacks p)
+		for _, q := range s.others {
+			low = min(low, q.reported[p.id])
 		}
-		s.stable = max(s.stable, low)
-	}
-	e.pruneStable()
+		p.stable = max(p.stable, low)
+	})
+	s.pruneStable()
 }
 
 // pruneStable drops the stable head of the delivery history: those entries
@@ -99,17 +115,17 @@ func (e *Engine) recomputeStable() {
 // fact about *this view's* members, but a merge contributes the view's
 // non-obsolete backlog to the far side of a healed partition — processes
 // the stable frontier never covered — and the history holds this view's
-// entries only (enterView starts a new one). It keeps every delivered
-// message the relation never obsoletes — every one of them under the empty
+// entries only (enter starts a new one). It keeps every delivered message
+// the relation never obsoletes — every one of them under the empty
 // relation — until the next view.
-func (e *Engine) pruneStable() {
-	if e.cfg.Heal != nil {
+func (s *viewState) pruneStable() {
+	if s.cfg.Heal != nil {
 		return
 	}
-	stable := e.stableFilter()
-	for it := e.delivered.PeekHead(); it != nil && stable(it); it = e.delivered.PeekHead() {
-		e.delivered.PopHead()
-		e.vc.stats.StablePruned++
+	stable := s.stableFilter()
+	for it := s.delivered.PeekHead(); it != nil && stable(it); it = s.delivered.PeekHead() {
+		s.delivered.PopHead()
+		s.stats.StablePruned++
 	}
 }
 
@@ -118,10 +134,10 @@ func (e *Engine) pruneStable() {
 // per view (armPeers drops them after a membership change); the stable
 // frontier itself is monotone and survives, since sequence numbers are
 // global per sender.
-func (e *Engine) stableFilter() func(*queue.Item) bool {
-	var s *peer // held items come in runs of one sender
+func (s *viewState) stableFilter() func(*queue.Item) bool {
+	var p *peer // held items come in runs of one sender
 	return func(it *queue.Item) bool {
-		s = e.peerOf(it.Meta.Sender, s)
-		return s != nil && it.Meta.Seq <= s.stable
+		p = s.peerOf(it.Meta.Sender, p)
+		return p != nil && it.Meta.Seq <= p.stable
 	}
 }

@@ -169,19 +169,19 @@ func TestPruneStablePrefix(t *testing.T) {
 	e := snapEngine(obsolete.Empty{})
 	for seq := ident.Seq(1); seq <= 3; seq++ {
 		for _, s := range []ident.PID{"a", "b", "me"} {
-			e.delivered.ForceAppend(tagged(uint64(e.vc.cv.ID), s, 0, 0, 0)[seq-1])
+			e.vc.delivered.ForceAppend(tagged(uint64(e.vc.cv.ID), s, 0, 0, 0)[seq-1])
 		}
 	}
 	// report has every member gossip the same frontiers.
 	report := func(a, b, me ident.Seq) {
 		for _, from := range e.vc.cv.Members {
-			e.onStable(from, StableMsg{View: e.vc.cv.ID, Recv: map[ident.PID]ident.Seq{"a": a, "b": b, "me": me}})
+			e.vc.onStable(from, StableMsg{View: e.vc.cv.ID, Recv: map[ident.PID]ident.Seq{"a": a, "b": b, "me": me}})
 		}
 	}
 	check := func(when string, pruned uint64, head string) {
 		t.Helper()
 		got := "empty"
-		if it := e.delivered.PeekHead(); it != nil {
+		if it := e.vc.delivered.PeekHead(); it != nil {
 			got = ids([]DataMsg{msgOf(it)})[0]
 		}
 		if e.vc.stats.StablePruned != pruned || got != head {

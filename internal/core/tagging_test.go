@@ -83,11 +83,11 @@ func TestFlushWithoutChainMiddle(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := snapEngine(tc.rel)
-			e.clock, e.rootCtx = obs.Wall{}, context.Background()
+			e.vc.clock, e.rootCtx = obs.Wall{}, context.Background()
 			flush := repurge(tc.rel, []DataMsg{{View: e.vc.cv.ID, Meta: tc.stream[0]}, {View: e.vc.cv.ID, Meta: tc.stream[2]}})
 			next := installFlush(t, e, flush)
 			var got []ident.Seq
-			e.toDeliver.EachRef(func(it *queue.Item) bool {
+			e.vc.toDeliver.EachRef(func(it *queue.Item) bool {
 				if it.Kind == queue.Data {
 					got = append(got, it.Meta.Seq)
 				}

@@ -119,15 +119,9 @@ func txnEngine(rel obsolete.Relation, window, outCap, deliverCap int, peers ...i
 		peers = []ident.PID{"peer"}
 	}
 	log := &sendLog{}
-	cfg := Config{Self: "me", Endpoint: log, GroupConfig: GroupConfig{Relation: rel, Window: window, OutgoingCap: outCap}}
-	e := &Engine{
-		cfg:       cfg,
-		vc:        viewState{cv: View{ID: 1, Members: ident.NewPIDs(append([]ident.PID{"me"}, peers...)...)}},
-		toDeliver: queue.New(rel, deliverCap),
-		delivered: queue.New(rel, 0),
-		peers:     map[ident.PID]*peer{},
-	}
-	e.armPeers()
+	cfg := Config{Self: "me", Endpoint: log, GroupConfig: GroupConfig{Relation: rel, Window: window, OutgoingCap: outCap, ToDeliverCap: deliverCap}}
+	e := &Engine{cfg: cfg}
+	e.vc = newViewState(&e.cfg, View{ID: 1, Members: ident.NewPIDs(append([]ident.PID{"me"}, peers...)...)}, e)
 	return e, log
 }
 
@@ -141,7 +135,7 @@ func txnEngine(rel obsolete.Relation, window, outCap, deliverCap int, peers ...i
 func TestStagePurgeRefundsCredit(t *testing.T) {
 	const window, perBatch, batches = 4, 6, 8
 	e, log := txnEngine(tagging, window, window, 0)
-	peer := e.others[0]
+	peer := e.vc.others[0]
 	rng := rand.New(rand.NewSource(3))
 	tags, seq, inFlight := tagStreams{}, ident.Seq(0), 0
 	for b := 0; b < batches; b++ {
@@ -177,13 +171,13 @@ func TestStagePurgeRefundsCredit(t *testing.T) {
 			sent = len(log.data)
 			peer.credit(inFlight)
 			inFlight = 0
-			e.drainOutgoing(peer)
+			e.vc.drainOutgoing(peer)
 			inFlight += len(log.data) - sent
 		}
 		// The delivery queue is unbounded and nobody delivers: keep only
 		// the transaction under test in it.
-		for e.toDeliver.Len() > 0 {
-			e.toDeliver.PopHead()
+		for e.vc.toDeliver.Len() > 0 {
+			e.vc.toDeliver.PopHead()
 		}
 	}
 	for i := 1; i < len(log.data); i++ {
@@ -229,8 +223,8 @@ func TestFullQueueServedMidTurn(t *testing.T) {
 	if !e.advance(req) {
 		t.Fatalf("batch parked at message %d with a waiter on the full queue", req.done)
 	}
-	if got := served(w); fmt.Sprint(got) != "[1 2 3 4]" || e.toDeliver.Len() != 2 {
-		t.Fatalf("waiter got %v and %d stay queued, want [1 2 3 4] and 2", got, e.toDeliver.Len())
+	if got := served(w); fmt.Sprint(got) != "[1 2 3 4]" || e.vc.toDeliver.Len() != 2 {
+		t.Fatalf("waiter got %v and %d stay queued, want [1 2 3 4] and 2", got, e.vc.toDeliver.Len())
 	}
 
 	e, _ = txnEngine(obsolete.Empty{}, 0, 0, capacity)
@@ -239,12 +233,12 @@ func TestFullQueueServedMidTurn(t *testing.T) {
 	for s := ident.Seq(1); s <= capacity+2; s++ {
 		run = append(run, DataMsg{View: 1, Meta: obsolete.Msg{Sender: "peer", Seq: s}})
 	}
-	e.onDataBatch([]transport.Envelope{{From: "peer", Msg: &DataBatchMsg{Msgs: run}}})
-	if e.stalled() {
+	e.vc.onDataBatch([]transport.Envelope{{From: "peer", Msg: &DataBatchMsg{Msgs: run}}})
+	if e.vc.stalled() {
 		t.Fatal("arrivals stalled behind a full queue that had a waiter")
 	}
-	if got := served(w); fmt.Sprint(got) != "[1 2 3 4]" || e.toDeliver.Len() != 2 {
-		t.Fatalf("waiter got %v and %d stay queued, want [1 2 3 4] and 2", got, e.toDeliver.Len())
+	if got := served(w); fmt.Sprint(got) != "[1 2 3 4]" || e.vc.toDeliver.Len() != 2 {
+		t.Fatalf("waiter got %v and %d stay queued, want [1 2 3 4] and 2", got, e.vc.toDeliver.Len())
 	}
 
 	// With nobody waiting the full queue parks the batch where it stands.
@@ -293,7 +287,7 @@ func TestRoomyQueueNeverCounted(t *testing.T) {
 func TestOneRunPerFlush(t *testing.T) {
 	const window, batch, short = 64, 64, 40
 	e, log := txnEngine(tagging, window, window, 0, "a", "b", "c")
-	a, b, c := e.others[0], e.others[1], e.others[2]
+	a, b, c := e.vc.others[0], e.vc.others[1], e.vc.others[2]
 	c.avail = short
 	inFlight := map[*peer]int{c: window - short}
 
@@ -400,8 +394,8 @@ func TestOneRunPerFlush(t *testing.T) {
 				t.Fatal("equal-credit batch parked")
 			}
 			e.replies = e.replies[:0]
-			for e.toDeliver.PeekHead() != nil {
-				e.toDeliver.PopHead()
+			for e.vc.toDeliver.PeekHead() != nil {
+				e.vc.toDeliver.PopHead()
 			}
 		})
 	}

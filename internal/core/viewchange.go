@@ -1,28 +1,30 @@
 package core
 
-// viewchange.go is Figure 1's view change, t4–t7, as one pure transition
-// function: step(state, event) → (state, []effect). An INIT blocks the
-// group (t5), every member gathers the others' pred sets (t6), and
-// consensus decides the next view and its flush, which each member installs
-// (t7). Every change runs on these two messages. An INIT over one side
-// changes the current view; an INIT over two sides is a merge (merge.go),
-// the same change over the union of two healed sub-views; a split
-// (merge.go) is another successor of an ordinary change. The change in
-// flight is one record with one ledger of PredMsg contributions, one quorum
-// rule decides when to propose (checkPropose), every proposal repurges its
-// flush once, the decided value is a StateMsg entering through one door
-// (onDecision), and every view is entered one way (enter).
+// viewchange.go is Figure 1's view change, t4–t7, as one transition
+// function over the group's state: step(state, event) → []effect. An INIT
+// blocks the group (t5), every member gathers the others' pred sets (t6),
+// and consensus decides the next view and its flush, which each member
+// installs (t7). Every change runs on these two messages. An INIT over one
+// side changes the current view; an INIT over two sides is a merge
+// (merge.go), the same change over the union of two healed sub-views; a
+// split (merge.go) is another successor of an ordinary change. The change
+// in flight is one record with one ledger of PredMsg contributions, one
+// quorum rule decides when to propose (checkPropose), every proposal
+// repurges its flush once, the decided value is a StateMsg entering through
+// one door (onDecision), and every view is entered one way (enter).
 //
-// step reaches no engine, consensus machine, detector, clock, logger or
-// channel: the time and the detector's verdicts come in with each event,
-// the counters are part of the state, and what the change wants done goes
-// out as effects, which the engine interprets (apply) in order — the
-// data-plane half of blocking and installing, the consensus machine's
-// propose, the sends, and the events to log (notes). Consensus is a message
-// handler of the engine loop like INIT and PRED, and nothing here starts a
-// goroutine. Because step is a plain function over a value, the explorer
-// (explore_test.go) runs this same code through every interleaving of a
-// small group.
+// The state is the whole group member but its loop: the view change and the
+// data plane of t1–t3 (protocol.go), so blocking closes the data plane and
+// installing adopts the flush in the same step, and every send leaves
+// through the outlet the state's owner supplies. step reaches no engine,
+// consensus machine, detector or channel: the time and the detector's
+// verdicts come in with each event, and what the owner must do — the
+// consensus machine's propose, watching a peer set, the loop's half of
+// entering a view — goes out as effects, which the engine interprets
+// (apply) in order. Consensus is a message handler of the engine loop like
+// INIT and PRED, and nothing here starts a goroutine. Because the state is
+// a value its owner can copy, the explorer (explore_test.go) runs this same
+// code, data plane included, through every interleaving of a small group.
 
 import (
 	"fmt"
@@ -40,19 +42,16 @@ import (
 	"repro/internal/transport"
 )
 
-// viewState is everything the view change decides on, as a value: who this
-// process is and how it is configured, the current view, the change in
-// flight, the control traffic stashed for a later view, the admission
-// requests parked until no change is in flight, whether the engine is still
-// joining or already at its end, and the engine's counters. step updates
-// the change record of the state it is given in place, and nothing else it
-// shares: a caller that steps one state twice (the explorer) copies that
-// record first.
+// viewState is one group member as a value: who it is and how its group is
+// configured, the current view, the change in flight, the control traffic
+// stashed for a later view, the admission requests parked until no change
+// is in flight, whether it is still joining or already at its end, its
+// counters, and the data plane. step and the data plane's methods update it
+// in place; a caller that steps one state twice (the explorer) copies it
+// first, every queue, record and ledger it points to included.
 type viewState struct {
-	self      ident.PID
-	rel       obsolete.Relation
-	heal      *HealSpec // Config.Heal: split, merge, decline; nil without healing
-	autoEvict bool      // Config.AutoEvict
+	self ident.PID
+	cfg  *GroupConfig
 
 	cv       View
 	chg      *change              // the change in flight (t5 to t7); nil while open
@@ -62,9 +61,71 @@ type viewState struct {
 	joining  bool                 // the join handshake runs (join.go)
 	terminal error                // ErrExpelled or ErrJoinTimeout: no further progress
 
-	// stats are the engine's counters, one record: step counts what the
-	// view change drops and ignores, the engine's data plane the rest.
+	// stats are the engine's counters, one record, bumped where they
+	// happen.
 	stats Stats
+
+	// The data plane (protocol.go). delivered is the current view's
+	// delivery history, for pred sets.
+	toDeliver *queue.Queue
+	delivered *queue.Queue
+
+	// peers is the one table of per-process state, a record for every PID
+	// ever heard of; others lists the records of the current view's other
+	// members in cv.Members order, rebuilt by armPeers (flow.go). own is
+	// our own record, whose recvMax is the frontier of our own stream: the
+	// last sequence number we committed or adopted.
+	peers  map[ident.PID]*peer
+	others []*peer
+	own    *peer
+
+	// pendingHead is one arrival (zero Seq: none — sequence numbers start
+	// at 1) that passed every receive check (its credit is charged and its
+	// purges applied) but found the delivery queue full; it occupies the
+	// reserved stall slot until space frees. pendingRest holds the raw,
+	// unprocessed remainder of a batched receive behind it (consumed from
+	// pendingPos), so per-sender FIFO survives batch arrivals; the data
+	// inbox stays gated while either is non-empty.
+	pendingHead DataMsg
+	pendingRest []DataMsg
+	pendingPos  int
+
+	// stage is the open multicast transaction's run (commitOne): every
+	// message it committed, in order, so it ends at our frontier. Each
+	// peer took credit for a prefix of it (link.took); flushStage hands
+	// every peer the survivors of its prefix and empties it.
+	stage []DataMsg
+
+	// What the owner supplies: the outlet, and the clock, histograms and
+	// event log (each nil-safe; the clock is read only for a histogram).
+	out   outlet
+	clock obs.Clock
+	m     *engMetrics
+	ev    *obs.Events
+}
+
+// outlet is the owner's side of a viewState: the one way out for every
+// message the group sends, and the readers to serve when the delivery
+// queue fills in mid-turn. The engine is one (its endpoint and its Deliver
+// calls), the explorer's world another (its links; the application reads
+// there as a move of its own).
+type outlet interface {
+	send(to ident.PID, ch transport.Channel, msg any) error
+	full()
+}
+
+// newViewState is the state of cfg.Self in view cv: an empty data plane,
+// every link armed. Its sends leave through out.
+func newViewState(cfg *Config, cv View, out outlet) viewState {
+	s := viewState{
+		self: cfg.Self, cfg: &cfg.GroupConfig, cv: cv, joining: cfg.Join != nil,
+		toDeliver: queue.New(cfg.Relation, cfg.ToDeliverCap),
+		delivered: queue.New(cfg.Relation, 0),
+		peers:     make(map[ident.PID]*peer),
+		out:       out, clock: cfg.Obs.Clock(), m: newEngMetrics(cfg.Obs), ev: cfg.Obs.Events(),
+	}
+	s.armPeers()
+	return s
 }
 
 // change is the view change in flight: opened by block (t5), ended by
@@ -136,18 +197,6 @@ type (
 type effect any
 
 type (
-	// sendTo sends msg on the control channel to each of to.
-	sendTo struct {
-		to  ident.PIDs
-		msg any
-	}
-	// contribute closes the data plane for the change just opened (t5) —
-	// arrivals not yet accepted are dropped, their senders' pred sets cover
-	// them — and sends this member's PRED to the change's audience
-	// (contribution). A merge also extends the detector's fanout to it.
-	// Effects name a change by its record as step left it, which no later
-	// step writes.
-	contribute struct{ chg *change }
 	// propose offers val to the consensus instance of the view it names.
 	propose struct {
 		val          StateMsg
@@ -155,69 +204,23 @@ type (
 	}
 	// await asks for the decision of instance id, if it has one already.
 	await struct{ id string }
-	// install makes view current in the data plane. It first adopts st:
-	// the flush chg decided as prev closes (the tail of t7), or the state
-	// transfer from a member that admits this joiner; a view a probe
-	// proved comes with neither. Then it replays the control traffic
-	// stashed for the view, and steps entered.
+	// install is the loop's half of entering view, which step has made
+	// current and its data plane has installed: what it was entered on
+	// (the flush st that chg decided, the state transfer st from a member
+	// that admits this joiner, or neither for a view a probe proved), and
+	// the control traffic stashed for it. The engine ends a join, lets
+	// parked multicasts in, replays the stash and steps entered.
 	install struct {
 		view   View
 		st     StateMsg
-		prev   View
 		chg    *change
 		from   ident.PID
 		replay []transport.Envelope
 	}
-	// abort ends the merge that was to install next without installing it.
-	abort struct {
-		next   ident.ViewRef
-		reason string
-	}
-	// transfer ships a snapshot labelled view to each of to (join.go).
-	transfer struct {
-		view View
-		to   ident.PIDs
-	}
+	// watch asks the detector to monitor peers for this group: a merge's
+	// union while it runs, the view again once it is aborted.
+	watch struct{ peers ident.PIDs }
 )
-
-// A note is an effect that is only logged (obs.Events): what step dropped,
-// a decision it did not install, a split it declared, a merge it opened.
-// Its counter, if it has one, is in the state, bumped by step.
-type note interface{ log(*obs.Events) }
-
-type (
-	// dropped is a control message discarded for reason.
-	dropped struct {
-		reason obs.DropReason
-		attrs  []slog.Attr
-	}
-	// ignored is a decision no change awaited, and why.
-	ignored struct{ instance, why string }
-	// failed is a decision of the successor to view that did not decode.
-	failed struct {
-		view ident.ViewID
-		err  error
-	}
-	// splitDeclared is this process declaring the split continuation ref
-	// of so many members.
-	splitDeclared struct {
-		ref     ident.ViewRef
-		members int
-	}
-	// mergeStarted is a merge opened for next over sides a and b.
-	mergeStarted struct {
-		next, a, b ident.ViewRef
-		union      int
-	}
-)
-
-func (f dropped) log(ev *obs.Events)       { ev.Drop(f.reason, f.attrs...) }
-func (f ignored) log(ev *obs.Events)       { ev.DecisionIgnored(f.instance, f.why) }
-func (f failed) log(ev *obs.Events)        { ev.DecisionFailed(uint64(f.view), f.err) }
-func (f splitDeclared) log(ev *obs.Events) { ev.SplitDeclared(f.ref.String(), f.members) }
-func (f mergeStarted) log(ev *obs.Events) {
-	ev.MergeStarted(f.next.String(), f.a.String(), f.b.String(), f.union)
-}
 
 // maxDeferredCtl bounds the stash of control messages that arrive for a
 // future view and are replayed after the next install. A full stash keeps
@@ -229,14 +232,14 @@ const maxDeferredCtl = 4096
 // turn is one step in progress: the state being stepped, the event, and
 // the effects so far.
 type turn struct {
-	viewState
+	*viewState
 	event
-	out []effect
+	fx []effect
 }
 
-// step is the view change's transition function: s after ev, and what the
-// engine must do about it.
-func step(s viewState, ev event) (viewState, []effect) {
+// step is the view change's transition function: it steps s with ev and
+// returns what the engine must do about it.
+func step(s *viewState, ev event) []effect {
 	t := &turn{viewState: s, event: ev}
 	switch m := ev.msg.(type) {
 	case membership:
@@ -254,15 +257,33 @@ func step(s viewState, ev event) (viewState, []effect) {
 	default:
 		t.onCtl(ev.from, ev.msg)
 	}
-	return t.viewState, t.out
+	return t.fx
 }
 
-func (t *turn) emit(fx ...effect) { t.out = append(t.out, fx...) }
+func (t *turn) emit(fx ...effect) { t.fx = append(t.fx, fx...) }
 
 // drop logs the event's message as discarded for reason; the caller counts
 // it.
 func (t *turn) drop(reason obs.DropReason, attrs ...slog.Attr) {
-	t.emit(dropped{reason, append([]slog.Attr{slog.String("from", string(t.from))}, attrs...)})
+	t.ev.Drop(reason, append([]slog.Attr{slog.String("from", string(t.from))}, attrs...)...)
+}
+
+// sendAll sends msg on the control channel to each of to.
+func (s *viewState) sendAll(to ident.PIDs, msg any) {
+	for _, p := range to {
+		s.send(p, transport.Ctl, msg)
+	}
+}
+
+// send is the group's best-effort transmit through the owner's outlet: in
+// the crash-stop model a failed send is the peer's problem (the detector
+// will notice a dead one), but the failure is counted and logged instead of
+// vanishing into `_ =`.
+func (s *viewState) send(to ident.PID, ch transport.Channel, msg any) {
+	if err := s.out.send(to, ch, msg); err != nil {
+		s.stats.SendErrors++
+		s.ev.SendError(string(to), err)
+	}
 }
 
 // pidStrings renders a PID set for an event attribute.
@@ -287,7 +308,7 @@ func (t *turn) trigger(join, leave ident.PIDs) {
 	if !t.open() {
 		return
 	}
-	t.emit(sendTo{t.cv.Members, InitMsg{View: View{Epoch: t.cv.Epoch, ID: t.cv.ID}, Leave: leave, Join: join}})
+	t.sendAll(t.cv.Members, InitMsg{View: View{Epoch: t.cv.Epoch, ID: t.cv.ID}, Leave: leave, Join: join})
 }
 
 // onSuspicion reacts to failure detector events: they re-evaluate the
@@ -295,7 +316,7 @@ func (t *turn) trigger(join, leave ident.PIDs) {
 // engine then lets consensus instances waiting on a suspected coordinator
 // move on.
 func (t *turn) onSuspicion(ev fd.Event) {
-	if ev.Suspected && t.autoEvict && t.cv.Includes(ev.P) {
+	if ev.Suspected && t.cfg.AutoEvict && t.cv.Includes(ev.P) {
 		t.trigger(nil, ident.NewPIDs(ev.P))
 	}
 	t.checkPropose()
@@ -308,7 +329,7 @@ func (t *turn) onCtl(from ident.PID, msg any) {
 		// An expelled-but-alive process still answers a merge's INIT with a
 		// decline, so a union that names it can proceed without waiting for
 		// suspicion to develop.
-		if m, ok := msg.(InitMsg); ok && m.Far != nil && t.heal != nil {
+		if m, ok := msg.(InitMsg); ok && m.Far != nil && t.cfg.Heal != nil {
 			t.declineMerge(m)
 			return
 		}
@@ -377,7 +398,7 @@ func (t *turn) deferFuture(msg any, ref ident.ViewRef) bool {
 		return true
 	}
 	if len(t.stash) < maxDeferredCtl {
-		// A new array: the stepped state keeps its own.
+		// A new array: a copy of the state keeps its own.
 		t.stash = append(t.stash[:len(t.stash):len(t.stash)], transport.Envelope{From: t.from, Msg: msg})
 	} else {
 		t.stats.CtlDeferredDropped++
@@ -388,11 +409,12 @@ func (t *turn) deferFuture(msg any, ref ident.ViewRef) bool {
 
 // onInit is transition t5 of every change: block the group, open the
 // change's ledger, forward the INIT so every correct process blocks even if
-// the initiator crashed mid-dissemination, and contribute our pred set. An
-// INIT over one side changes the current view, adopting its leave and join
-// sets; one over two sides merges the current view with the far sub-view
-// (openMerge, merge.go). A change opens with an empty ledger, so the quorum
-// rule has nothing to test until the first PRED.
+// the initiator crashed mid-dissemination, close the data plane and
+// contribute our pred set. An INIT over one side changes the current view,
+// adopting its leave and join sets; one over two sides merges the current
+// view with the far sub-view (openMerge, merge.go). A change opens with an
+// empty ledger, so the quorum rule has nothing to test until the first
+// PRED.
 func (t *turn) onInit(from ident.PID, m InitMsg) {
 	if m.Far == nil && t.chg.merge() && m.Ref() == t.cv.Ref() && t.cv.Includes(from) {
 		// A member started an ordinary change while we were merging. The
@@ -420,14 +442,21 @@ func (t *turn) onInit(from ident.PID, m InitMsg) {
 		c.join = ident.NewPIDs(m.Join...).Without(t.cv.Members).Without(c.leave)
 	} else if c = t.openMerge(m); c == nil {
 		return
+	} else {
+		// The quorum rule needs suspicion to develop for far-side members
+		// that died.
+		t.emit(watch{c.audience})
 	}
 	if from != t.self {
-		t.emit(sendTo{c.audience.Remove(t.self), m})
+		t.sendAll(c.audience.Remove(t.self), m)
 	}
-	// Our PRED goes to ourselves too: loopback keeps one code path. Watch
-	// for the decision even if we never reach the propose condition
-	// ourselves — the decide flood must still install the view here.
-	t.emit(contribute{c})
+	// The data plane closes: arrivals not yet accepted are dropped, their
+	// senders' pred sets cover them. Our PRED goes to ourselves too:
+	// loopback keeps one code path. Watch for the decision even if we never
+	// reach the propose condition ourselves — the decide flood must still
+	// install the view here.
+	t.pendingHead, t.pendingRest, t.pendingPos = DataMsg{}, t.pendingRest[:0], 0
+	t.sendAll(c.audience, t.contribution(c))
 	t.await(c.next)
 }
 
@@ -521,7 +550,7 @@ func (t *turn) checkPropose() {
 // a:8, another member's a:6 would meet a:8 here without the a:7 that links
 // them, and under KEnumeration a:8 lists only the last K numbers.
 func (t *turn) proposal(next View) StateMsg {
-	return StateMsg{View: next.Clone(), Recv: t.chg.recv, Backlog: repurge(t.rel, sortedPred(t.chg.pred))}
+	return StateMsg{View: next.Clone(), Recv: t.chg.recv, Backlog: repurge(t.cfg.Relation, sortedPred(t.chg.pred))}
 }
 
 // propose offers val to the consensus instance of the view it names, among
@@ -590,7 +619,7 @@ func (t *turn) onDecision(d consensus.Decision) {
 			n, why = &t.stats.IgnoredNotBlocked, ignoreNotBlocked
 		}
 		*n++
-		t.emit(ignored{d.Instance, why})
+		t.ev.DecisionIgnored(d.Instance, why)
 		return
 	}
 	st, err := decodeState(d.Value)
@@ -600,38 +629,84 @@ func (t *turn) onDecision(d consensus.Decision) {
 		// should see why. Every successor a change awaits is numbered
 		// next.ID.
 		t.stats.DecisionFailures++
-		t.emit(failed{c.next.ID, err})
+		t.ev.DecisionFailed(uint64(c.next.ID), err)
 		return
 	}
-	t.enter(st.View, install{st: st, prev: t.cv, chg: c})
+	t.enter(st.View, install{st: st, chg: c})
 }
 
 // enter makes next the current view, whether a decision installed it, a
 // state transfer did, or a probe proved it: the change in flight ends, a
-// view that excludes this process expels it, and the engine installs the
-// view f describes and replays what was stashed for it.
+// view that excludes this process expels it, the data plane adopts what f
+// carries and puts the view marker behind it, everything scoped to one view
+// starts afresh, and the engine does its half (install).
 func (t *turn) enter(next View, f install) {
+	prev := t.cv
 	t.chg = nil
 	if !next.Includes(t.self) {
 		t.terminal = ErrExpelled // the engine's retries fail what is parked
+		t.ev.Expelled(uint64(next.ID))
 	}
-	if t.heal != nil {
+	if t.cfg.Heal != nil {
 		// Only someone we once shared a view with can be the far side of a
 		// healed partition (onHealTick).
 		t.former = t.former.Union(t.cv.Members).Without(next.Members).Remove(t.self)
 	}
 	t.cv = next
+	switch {
+	case f.chg != nil:
+		t.installFlush(f.chg, f.st, prev)
+	case f.from != "":
+		t.adoptTransfer(f.from, f.st)
+	}
+	t.stats.ViewsInstalled++
+	t.toDeliver.ForceAppend(queue.Item{
+		Kind: queue.Control, View: uint64(next.ID), Epoch: uint64(next.Epoch), Ctl: next.Clone(),
+	})
+	t.delivered = queue.New(t.cfg.Relation, 0)
+	t.armPeers()
 	f.view, f.replay, t.stash = next, t.stash, nil
 	t.emit(f)
+}
+
+// installFlush adopts the flush st that change c decided as prev closes:
+// the data-plane half of t7, ahead of the view marker. For a merge the
+// flush carries both sides' backlogs, so this is what delivers the other
+// partition's relation-surviving messages before the union-view marker, and
+// st.Recv (empty otherwise) the combined frontiers.
+func (t *turn) installFlush(c *change, st StateMsg, prev View) {
+	next := t.cv
+	blockedFor := t.now.Sub(c.start)
+	t.stats.LastFlushLen = len(st.Backlog)
+	t.m.viewChange.ObserveDuration(blockedFor)
+	t.ev.ViewInstall(uint64(next.ID), len(next.Members), len(st.Backlog), blockedFor)
+	t.ev.MemberChange(uint64(next.ID), pidStrings(next.Members.Without(prev.Members)), pidStrings(prev.Members.Without(next.Members)))
+	t.stats.FlushAdded += uint64(t.adopt(st.Backlog, st.Recv))
+	if c.merge() {
+		// The "newcomers" are the other side, which already holds its own
+		// state — no sponsor transfer. The merge began when the group
+		// blocked.
+		t.stats.Merges++
+		t.m.mergeDur.ObserveDuration(blockedFor)
+		t.m.mergeBytes.Observe(float64(c.bytesIn))
+		t.ev.MergeComplete(next.Ref().String(), len(next.Members), len(st.Backlog), int(c.bytesIn), blockedFor)
+	} else if inc := prev.Members.Intersect(next.Members); len(inc) > 0 && inc[0] == t.self {
+		// Dynamic membership: the sponsor — the lowest-ordered member
+		// surviving from the closing view — ships the newcomers admitted
+		// by this view a semantic state transfer. Every incumbent computes
+		// the same sponsor, so exactly one transfer is sent per join unless
+		// the sponsor crashes, in which case the joiner's retransmitted
+		// request reaches serveJoins at another member. This reads the
+		// closing view's history, before enter starts a new one.
+		t.transfer(next, next.Members.Without(prev.Members))
+	}
 }
 
 // ---- the engine's half: interpreting the effects --------------------------
 
 // input steps the view change with one event and carries out its effects.
 func (e *Engine) input(from ident.PID, msg any) {
-	var fx []effect
-	e.vc, fx = step(e.vc, event{from: from, msg: msg, now: e.clock.Now(), suspected: e.cfg.Detector.Suspected})
-	for _, f := range fx {
+	for _, f := range step(&e.vc, event{from: from, msg: msg, now: e.vc.clock.Now(), suspected: e.cfg.Detector.Suspected}) {
 		e.apply(f)
 	}
 }
@@ -641,23 +716,6 @@ func (e *Engine) input(from ident.PID, msg any) {
 // inside the effect that produced it, before the next effect runs.
 func (e *Engine) apply(f effect) {
 	switch f := f.(type) {
-	case sendTo:
-		for _, p := range f.to {
-			e.send(p, transport.Ctl, f.msg)
-		}
-	case contribute:
-		e.pendingHead = DataMsg{}
-		e.pendingRest = e.pendingRest[:0]
-		e.pendingPos = 0
-		if f.chg.merge() {
-			// The quorum rule needs suspicion to develop for far-side
-			// members that died.
-			e.setPeers(f.chg.audience)
-		}
-		pred := e.contribution(f.chg)
-		for _, p := range f.chg.audience {
-			e.send(p, transport.Ctl, pred)
-		}
 	case propose:
 		// Neither call can fail: StateMsg is a registered type, and we are
 		// one of the participants.
@@ -670,13 +728,8 @@ func (e *Engine) apply(f effect) {
 		}
 	case install:
 		e.enterView(f)
-	case abort:
-		e.ev.MergeAborted(f.next.String(), f.reason)
-		e.setPeers(e.vc.cv.Members) // the view's own fanout again
-	case transfer:
-		e.sendJoinStates(f.view, f.to)
-	case note:
-		f.log(e.ev)
+	case watch:
+		e.setPeers(f.peers)
 	}
 }
 
@@ -688,74 +741,24 @@ func (e *Engine) onDecisions(ds []consensus.Decision) {
 	}
 }
 
-// enterView is the data-plane half of entering the view step has made
-// current. It adopts what f carries — a decided flush (installFlush) or a
-// joiner's transfer (onJoined); a view a probe proved carries nothing —
-// then the view marker goes into the delivery queue behind it, everything
-// scoped to one view starts afresh, parked multicasts get their turn
-// (failing, if the view expelled us), the control traffic stashed for the
-// view is replayed, and step hears that the view is entered.
+// enterView is the loop's half of entering the view step has installed: a
+// state transfer ends the join handshake, the detector watches the view,
+// parked multicasts get their turn (failing, if the view expelled us), the
+// control traffic stashed for the view is replayed, and step hears that
+// the view is entered.
 func (e *Engine) enterView(f install) {
-	switch {
-	case f.chg != nil:
-		e.installFlush(f)
-	case f.from != "":
-		e.onJoined(f.from, f.st)
+	if f.from != "" {
+		took := e.vc.clock.Since(e.joiner.start)
+		e.vc.m.joinDur.ObserveDuration(took)
+		e.endJoin()
+		e.vc.ev.JoinComplete(uint64(f.view.ID), len(f.view.Members), took)
 	}
-	e.vc.stats.ViewsInstalled++
-	if !f.view.Includes(e.cfg.Self) {
-		e.ev.Expelled(uint64(f.view.ID))
-	}
-	e.toDeliver.ForceAppend(queue.Item{
-		Kind: queue.Control, View: uint64(f.view.ID), Epoch: uint64(f.view.Epoch), Ctl: f.view.Clone(),
-	})
-	e.delivered = queue.New(e.cfg.Relation, 0)
-	e.armPeers()
 	e.setPeers(f.view.Members)
 	e.retryParked()
 	for _, env := range f.replay {
 		e.input(env.From, env.Msg)
 	}
 	e.input("", entered{})
-}
-
-// installFlush adopts a decided flush: the data-plane half of t7, before
-// the view is entered.
-func (e *Engine) installFlush(f install) {
-	st, next := f.st, f.view
-	e.vc.stats.LastFlushLen = len(st.Backlog)
-	blockedFor := e.clock.Since(f.chg.start)
-	e.m.viewChange.ObserveDuration(blockedFor)
-	e.ev.ViewInstall(uint64(next.ID), len(next.Members), len(st.Backlog), blockedFor)
-	e.ev.MemberChange(uint64(next.ID),
-		pidStrings(next.Members.Without(f.prev.Members)),
-		pidStrings(f.prev.Members.Without(next.Members)))
-
-	// Adopt the flush messages we have not seen; the view marker follows
-	// them into the delivery queue (enterView). For a merge decision the
-	// flush carries both sides' backlogs, so this is what delivers the
-	// other partition's relation-surviving messages before the union-view
-	// marker, and st.Recv (empty otherwise) the combined frontiers.
-	e.vc.stats.FlushAdded += uint64(e.adopt(st.Backlog, st.Recv))
-
-	if f.chg.merge() {
-		// The "newcomers" are the other side, which already holds its own
-		// state — no sponsor transfer. The merge began when the group
-		// blocked.
-		e.vc.stats.Merges++
-		e.m.mergeDur.ObserveDuration(blockedFor)
-		e.m.mergeBytes.Observe(float64(f.chg.bytesIn))
-		e.ev.MergeComplete(next.Ref().String(), len(next.Members), len(st.Backlog), int(f.chg.bytesIn), blockedFor)
-	} else if inc := f.prev.Members.Intersect(next.Members); len(inc) > 0 && inc[0] == e.cfg.Self {
-		// Dynamic membership: the sponsor — the lowest-ordered member
-		// surviving from the closing view — ships the newcomers admitted
-		// by this view a semantic state transfer. Every incumbent computes
-		// the same sponsor, so exactly one transfer is sent per join unless
-		// the sponsor crashes, in which case the joiner's retransmitted
-		// request reaches serveJoins at another member. This must read
-		// e.delivered before enterView resets it.
-		e.sendJoinStates(next, next.Members.Without(f.prev.Members))
-	}
 }
 
 // setPeers tells a detector that tracks a peer set (the node's shared

@@ -16,7 +16,6 @@ import (
 	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/obsolete"
-	"repro/internal/queue"
 	"repro/internal/transport"
 )
 
@@ -30,15 +29,31 @@ type stepper struct {
 	fx        []effect
 }
 
+// sendTo is a send the stepper's state made: msg to each of to.
+type sendTo struct {
+	to  ident.PIDs
+	msg any
+}
+
 func newStepper(self ident.PID, members ident.PIDs, heal bool) *stepper {
-	return &stepper{s: viewState{self: self, rel: tagging, heal: healSpec(heal), cv: View{ID: 4, Members: members}}}
+	st := &stepper{}
+	cfg := Config{Self: self, GroupConfig: GroupConfig{Relation: tagging, Heal: healSpec(heal)}}
+	st.s = newViewState(&cfg, View{ID: 4, Members: members}, st)
+	return st
 }
 
 func (st *stepper) feed(from ident.PID, msg any) {
-	var fx []effect
-	st.s, fx = step(st.s, event{from: from, msg: msg, now: exploreNow, suspected: st.suspected.Contains})
-	st.fx = append(st.fx, fx...)
+	st.fx = append(st.fx, step(&st.s, event{from: from, msg: msg, now: exploreNow, suspected: st.suspected.Contains})...)
 }
+
+// send and full make the stepper its state's outlet: a send is kept among
+// the effects.
+func (st *stepper) send(to ident.PID, _ transport.Channel, msg any) error {
+	st.fx = append(st.fx, sendTo{ident.PIDs{to}, msg})
+	return nil
+}
+
+func (st *stepper) full() {}
 
 // proposal returns the value proposed for ref, if any was.
 func (st *stepper) proposal(ref ident.ViewRef) (StateMsg, bool) {
@@ -293,16 +308,10 @@ func (l *ctlLog) proposed(t *testing.T, ref ident.ViewRef) StateMsg {
 func changeEngine(t *testing.T, self ident.PID, members ident.PIDs) (*Engine, *ctlLog) {
 	log, det := &ctlLog{self: self}, fd.NewManual()
 	cfg := Config{Self: self, Endpoint: log, Detector: det, GroupConfig: GroupConfig{Relation: tagging}}
-	e := &Engine{
-		cfg: cfg, clock: obs.Wall{},
-		vc:        viewState{self: self, rel: tagging, cv: View{ID: 4, Members: members}},
-		toDeliver: queue.New(cfg.Relation, 0),
-		delivered: queue.New(cfg.Relation, 0),
-		peers:     map[ident.PID]*peer{},
-	}
+	e := &Engine{cfg: cfg}
+	e.vc = newViewState(&e.cfg, View{ID: 4, Members: members}, e)
 	send := func(to ident.PID, m consensus.Msg) { _ = log.Send(to, 0, transport.Consensus, m) }
 	e.cons = consensus.NewMachine(self, send, det, nil)
-	e.armPeers()
 	t.Cleanup(det.Stop)
 	return e, log
 }
