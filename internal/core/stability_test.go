@@ -1,12 +1,17 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/check"
+	"repro/internal/fd"
 	"repro/internal/ident"
 	"repro/internal/obsolete"
+	"repro/internal/transport"
 )
 
 func TestStabilityPrunesHistoryAndShrinksFlush(t *testing.T) {
@@ -195,4 +200,97 @@ func TestPruneStablePrefix(t *testing.T) {
 	check("a:1 and a:2 stable", 6, "a:3@4")
 	report(3, 3, 3)
 	check("everything stable", 9, "empty")
+}
+
+// stableSpy is an endpoint that keeps every StableMsg sent through it.
+type stableSpy struct {
+	transport.Endpoint
+	mu   sync.Mutex
+	sent []StableMsg
+}
+
+func (s *stableSpy) Send(to ident.PID, g ident.GroupID, ch transport.Channel, msg any) error {
+	if m, ok := msg.(StableMsg); ok {
+		s.mu.Lock()
+		s.sent = append(s.sent, m)
+		s.mu.Unlock()
+	}
+	return s.Endpoint.Send(to, g, ch, msg)
+}
+
+// last returns the latest StableMsg sent for view v, if any was.
+func (s *stableSpy) last(v ident.ViewID) (StableMsg, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := len(s.sent) - 1; i >= 0; i-- {
+		if s.sent[i].View == v {
+			return s.sent[i], true
+		}
+	}
+	return StableMsg{}, false
+}
+
+// TestStableGossipCarriesCurrentMembersOnly: five processes join a
+// three-member group one after another, multicast once each and leave. The
+// stability gossip of the group they left carries a frontier for at most
+// its three members — none for a departed sender, whose messages the
+// history no longer holds.
+func TestStableGossipCarriesCurrentMembersOnly(t *testing.T) {
+	net := transport.NewMemNetwork()
+	founders := ident.NewPIDs("p0", "p1", "p2")
+	var spy *stableSpy
+	start := func(p ident.PID, cfg Config) *Engine {
+		ep, err := net.Endpoint(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det := fd.NewManual()
+		cfg.Self, cfg.Endpoint, cfg.Detector = p, ep, det
+		if p == "p0" {
+			spy = &stableSpy{Endpoint: ep}
+			cfg.Endpoint = spy
+		}
+		cfg.StabilityInterval = time.Millisecond
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			eng.Stop()
+			det.Stop()
+			ep.Close()
+		})
+		return eng
+	}
+	var p0 *Engine
+	for _, p := range founders {
+		e := start(p, Config{GroupConfig: GroupConfig{InitialView: View{ID: 1, Members: founders}}})
+		if p == "p0" {
+			p0 = e
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 1; i <= 5; i++ {
+		j := ident.PID(fmt.Sprintf("j%d", i))
+		joiner := start(j, Config{Join: &JoinSpec{Contacts: ident.NewPIDs("p0")}})
+		waitCond(t, fmt.Sprintf("%s admitted", j), func() bool { return p0.View().Includes(j) && joiner.View().Includes(j) })
+		if _, err := joiner.Multicast(ctx, obsolete.Msg{Sender: j, Seq: 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := p0.RequestViewChange(j); err != nil {
+			t.Fatal(err)
+		}
+		waitCond(t, fmt.Sprintf("%s gone", j), func() bool { return !p0.View().Includes(j) })
+		joiner.Stop()
+	}
+	v := p0.View().ID
+	var m StableMsg
+	waitCond(t, "a StableMsg of the last view", func() (ok bool) { m, ok = spy.last(v); return ok })
+	if len(m.Recv) > len(founders) {
+		t.Fatalf("the gossip of view %d carries %d frontiers, want at most %d: %v", v, len(m.Recv), len(founders), m.Recv)
+	}
 }
