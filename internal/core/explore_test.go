@@ -180,13 +180,13 @@ func cloneState(s viewState) viewState {
 		cc.awaited, cc.pred, cc.recv = cloneMap(c.awaited), cloneMap(c.pred), cloneMap(c.recv)
 		s.chg = &cc
 	}
-	s.toDeliver, s.delivered = s.toDeliver.Clone(), s.delivered.Clone()
+	s.toDeliver, s.delivered = cloneQueue(s.toDeliver, s.cfg), cloneQueue(s.delivered, s.cfg)
 	peers, recs := make(map[ident.PID]*peer, len(s.peers)), make([]peer, 0, len(s.peers))
 	for id, p := range s.peers {
 		recs = append(recs, *p)
 		q := &recs[len(recs)-1]
 		if q.out != nil {
-			q.out = q.out.Clone()
+			q.out = cloneQueue(q.out, s.cfg)
 		}
 		peers[id] = q
 	}
@@ -197,6 +197,16 @@ func cloneState(s viewState) viewState {
 	s.peers, s.others, s.own = peers, others, peers[s.self]
 	s.pendingRest, s.stage = slices.Clone(s.pendingRest), slices.Clone(s.stage)
 	return s
+}
+
+// cloneQueue is a copy of q, whose relation is cfg's: its items.
+func cloneQueue(q *queue.Queue, cfg *GroupConfig) *queue.Queue {
+	c := queue.New(cfg.Relation, q.Cap())
+	q.EachRef(func(it *queue.Item) bool {
+		c.ForceAppend(*it)
+		return true
+	})
+	return c
 }
 
 // cloneMap is maps.Clone, but an empty map comes back as a new empty map,

@@ -162,16 +162,16 @@ func (t *turn) serveJoins() {
 	pending := t.joins
 	t.joins = nil
 	if back := pending.Intersect(t.cv.Members); len(back) > 0 {
-		t.transfer(t.cv, back)
+		t.sendState(t.cv, back)
 	}
 	if admit := pending.Without(t.cv.Members); len(admit) > 0 {
 		t.trigger(admit, nil)
 	}
 }
 
-// transfer ships one snapshot of this member's state, labelled with the
+// sendState ships one snapshot of this member's state, labelled with the
 // view the joiners are to install, to each of them.
-func (s *viewState) transfer(next View, joiners ident.PIDs) {
+func (s *viewState) sendState(next View, joiners ident.PIDs) {
 	if len(joiners) == 0 {
 		return
 	}

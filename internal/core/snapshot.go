@@ -11,7 +11,7 @@ package core
 //	join transfer          repurge(held(everything)) + recvSnapshot   StateMsg
 //
 // The first two are one function, contribution, which onInit sends as it
-// opens the change; the third is buildJoinState, which transfer sends. A
+// opens the change; the third is buildJoinState, which sendState sends. A
 // flush is repurged once, where it is assembled: a change's proposal
 // repurges the contributions it gathered (proposal, viewchange.go) and the
 // sponsor the backlog it ships. Either way the result is a StateMsg, and

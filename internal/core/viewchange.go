@@ -698,7 +698,7 @@ func (t *turn) installFlush(c *change, st StateMsg, prev View) {
 		// the sponsor crashes, in which case the joiner's retransmitted
 		// request reaches serveJoins at another member. This reads the
 		// closing view's history, before enter starts a new one.
-		t.transfer(next, next.Members.Without(prev.Members))
+		t.sendState(next, next.Members.Without(prev.Members))
 	}
 }
 

@@ -143,30 +143,6 @@ func New(rel obsolete.Relation, capacity int) *Queue {
 	return q
 }
 
-// Clone returns a copy of q that shares nothing q writes: its entries, in
-// a ring just large enough for them, its sender index and its counters.
-func (q *Queue) Clone() *Queue {
-	c := New(q.rel, q.capacity)
-	c.stats = q.stats
-	if q.live == 0 {
-		return c
-	}
-	n := 1
-	for n < q.live {
-		n <<= 1
-	}
-	c.buf, c.mask, c.live = make([]Item, n), uint64(n-1), q.live
-	q.EachRef(func(it *Item) bool {
-		*c.slot(c.tail) = *it
-		c.tail++
-		return true
-	})
-	if !c.never {
-		c.rebuildIndex()
-	}
-	return c
-}
-
 // Len returns the number of queued entries.
 func (q *Queue) Len() int { return q.live }
 
