@@ -134,6 +134,7 @@ type world struct {
 	pids      ident.PIDs
 	procs     []*xproc                    // shared between worlds until mut copies one
 	owned     uint8                       // the procs this world copied already
+	dataOwned uint8                       // the owned procs whose data plane it copied too
 	links     [maxProcs * maxProcs][]wmsg // links[from*n+to]: control messages in flight, FIFO
 	data      [][]wmsg                    // data messages in flight, FIFO per link, as links; nil if none ever were
 	app       bool                        // the application delivers, and (e) is checked
@@ -157,29 +158,58 @@ func (w *world) idx(p ident.PID) int {
 	return -1
 }
 
-// mut returns process i for writing: the world's own copy of it, whose
-// state step and the data plane may update in place and whose sends go on
-// w's links.
+// mut returns process i for writing: the world's own copy of it, with a
+// change record and ledger of its own, which step updates in place, and
+// whose sends go on w's links. Its data plane is still shared: see
+// mutData.
 func (w *world) mut(i int) *xproc {
 	if w.owned&(1<<i) == 0 {
 		p := *w.procs[i]
 		p.key = nil
-		p.s = cloneState(p.s)
+		if c := p.s.chg; c != nil {
+			cc := *c
+			cc.awaited, cc.pred, cc.recv = cloneMap(c.awaited), cloneMap(c.pred), cloneMap(c.recv)
+			p.s.chg = &cc
+		}
 		p.s.out = xout{w, i}
 		w.procs[i], w.owned = &p, w.owned|1<<i
 	}
 	return w.procs[i]
 }
 
-// cloneState is a copy of s that shares nothing step or the data plane
-// writes in place: the change record and its ledger, the queues, the peer
-// records, the stage and the receive stash.
-func cloneState(s viewState) viewState {
-	if c := s.chg; c != nil {
-		cc := *c
-		cc.awaited, cc.pred, cc.recv = cloneMap(c.awaited), cloneMap(c.pred), cloneMap(c.recv)
-		s.chg = &cc
+// mutData is mut with the process's data plane the world's own as well,
+// for a move that writes it. Most moves do not: step writes the data plane
+// only when it enters a view (mayEnter), and copying it on every move
+// would double what the search costs.
+func (w *world) mutData(i int) *xproc {
+	p := w.mut(i)
+	if w.dataOwned&(1<<i) == 0 {
+		p.s = cloneData(p.s)
+		w.dataOwned |= 1 << i
 	}
+	return p
+}
+
+// mayEnter reports whether stepping p with msg can enter a view: a
+// decision, a state transfer or a probe can, and so can any event once p
+// knows a decision it may still await (step then awaits it, and the answer
+// installs). input checks the claim.
+func (w *world) mayEnter(p *xproc, msg any) bool {
+	switch msg.(type) {
+	case consensus.Decision, StateMsg, ProbeMsg:
+		return true
+	}
+	for _, id := range p.knows {
+		if !p.past(w.insts[w.inst(id)].ref) {
+			return true
+		}
+	}
+	return false
+}
+
+// cloneData is a copy of s that shares no data plane with it: the queues,
+// the peer records, the stage and the receive stash.
+func cloneData(s viewState) viewState {
 	s.toDeliver, s.delivered = cloneQueue(s.toDeliver, s.cfg), cloneQueue(s.delivered, s.cfg)
 	peers, recs := make(map[ident.PID]*peer, len(s.peers)), make([]peer, 0, len(s.peers))
 	for id, p := range s.peers {
@@ -235,7 +265,7 @@ func (xout) full() {}
 func (w *world) clone() *world {
 	c := *w
 	c.procs = append([]*xproc(nil), w.procs...)
-	c.owned = 0
+	c.owned, c.dataOwned = 0, 0
 	return &c
 }
 
@@ -309,7 +339,15 @@ func (w *world) inst(id string) int {
 // Engine.input does.
 func (w *world) input(i int, from ident.PID, msg any) {
 	p := w.mut(i)
-	for _, f := range step(&p.s, event{from: from, msg: msg, now: exploreNow, suspected: p.suspects.Contains}) {
+	if w.mayEnter(p, msg) {
+		p = w.mutData(i)
+	}
+	history := p.s.delivered // entering a view starts a new one
+	fx := step(&p.s, event{from: from, msg: msg, now: exploreNow, suspected: p.suspects.Contains})
+	if w.dataOwned&(1<<i) == 0 && p.s.delivered != history {
+		panic(fmt.Sprintf("explore: %s entered a view on a data plane it shares with other worlds (%T)", w.pids[i], msg))
+	}
+	for _, f := range fx {
 		w.apply(i, f)
 	}
 }
@@ -528,16 +566,16 @@ func (w *world) do(m move) {
 		n := len(w.pids)
 		msg := w.data[m.a][0].m
 		w.setData(m.a, w.data[m.a][1:])
-		w.mut(m.a % n).s.onDataBatch([]transport.Envelope{{From: w.pids[m.a/n], Msg: msg}})
+		w.mutData(m.a % n).s.onDataBatch([]transport.Envelope{{From: w.pids[m.a/n], Msg: msg}})
 	case mvMulticast:
-		p := w.mut(m.a)
+		p := w.mutData(m.a)
 		meta := p.script[0]
 		p.script = p.script[1:]
 		p.casts = append(p.casts[:len(p.casts):len(p.casts)], check.Event{Kind: check.EvDeliver, Meta: meta, View: p.s.cv.Ref()})
 		p.s.commitOne(meta, nil)
 		p.s.flushStage()
 	case mvApp:
-		p := w.mut(m.a)
+		p := w.mutData(m.a)
 		d, _ := p.s.deliverItem(p.s.toDeliver.PeekHead(), nil)
 		p.s.toDeliver.PopHead()
 		ev := check.Event{Kind: check.EvDeliver, Meta: d.Meta, View: ident.ViewRef{Epoch: d.Epoch, ID: d.View}}
