@@ -393,7 +393,10 @@ func (w *world) apply(i int, f effect) {
 		for j := range w.pids {
 			k := j*len(w.pids) + i
 			l := w.dataLink(k)
-			for len(l) > 0 && l[0].m.(DataMsg).Ref() != f.view.Ref() {
+			for len(l) > 0 {
+				if dm, ok := l[0].m.(DataMsg); !ok || dm.Ref() == f.view.Ref() {
+					break
+				}
 				l = l[1:]
 			}
 			if len(l) < len(w.dataLink(k)) {
