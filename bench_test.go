@@ -1044,7 +1044,7 @@ func benchMergeStateTransfer(b *testing.B, semantic bool) {
 	gc := core.GroupConfig{
 		Relation: rel, ToDeliverCap: 64, OutgoingCap: 64, Window: 64,
 		AutoEvict:   true,
-		Heal:        &core.HealSpec{ProbeInterval: 2 * time.Millisecond, MergeTimeout: time.Second},
+		Heal:        true,
 		InitialView: core.View{ID: 1, Members: pids},
 	}
 	dets := make(map[ident.PID]*fd.Manual, len(pids))

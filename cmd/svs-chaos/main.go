@@ -63,7 +63,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "fault-injection rng seed")
 		hb      = flag.Duration("hb", 50*time.Millisecond, "heartbeat interval (timeout is 5x)")
 		events  = flag.Bool("events", false, "log structured protocol events to stderr")
-		heal    = flag.Bool("heal", false, "enable partition healing (probe former members, merge diverged views)")
+		heal    = flag.Bool("heal", false, "enable partition healing (probe former members every 500ms, merge diverged views)")
 	)
 	flag.Parse()
 	if *self == "" || *logPath == "" {
@@ -190,18 +190,15 @@ func (s *server) log(e event) {
 }
 
 func (s *server) gc() core.GroupConfig {
-	gc := core.GroupConfig{
+	return core.GroupConfig{
 		Relation:          obsolete.KEnumeration{K: s.k},
 		ToDeliverCap:      s.buffer,
 		OutgoingCap:       s.buffer,
 		Window:            s.buffer,
 		AutoEvict:         true,
 		StabilityInterval: 100 * time.Millisecond,
+		Heal:              s.heal,
 	}
-	if s.heal {
-		gc.Heal = &core.HealSpec{}
-	}
-	return gc
 }
 
 func (s *server) mux() *http.ServeMux {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +31,7 @@ type network struct {
 	crashed map[ident.PID]bool
 	cut     map[ident.PID]bool
 	decided map[ident.PID]map[string][]byte
+	onSend  func(w wireMsg) // when set, sees every send as it is queued
 }
 
 type wireMsg struct {
@@ -59,7 +61,13 @@ func newNet(t *testing.T, n int, seed int64) *network {
 		t.Cleanup(det.Stop)
 		nw.dets[p] = det
 		nw.decided[p] = make(map[string][]byte)
-		send := func(to ident.PID, m Msg) { nw.queue = append(nw.queue, wireMsg{from: p, to: to, m: m}) }
+		send := func(to ident.PID, m Msg) {
+			w := wireMsg{from: p, to: to, m: m}
+			if nw.onSend != nil {
+				nw.onSend(w)
+			}
+			nw.queue = append(nw.queue, w)
+		}
 		nw.ms[p] = NewMachine(p, send, det, nil)
 	}
 	return nw
@@ -441,4 +449,91 @@ func TestConsensusAgreesUnderFalseSuspicion(t *testing.T) {
 	nw.deliverIf(func(w wireMsg) bool { return w.m.Type == msgEstimate && w.from == p[3] && w.to == p[1] })
 	nw.deliverIf(func(w wireMsg) bool { return w.from != p[0] })
 	nw.agreed("inst", p[:2], p)
+}
+
+// instanceCost runs one fault-free instance among n processes that all
+// propose, on newNet's schedule for seed, and renders the messages the
+// machines put on the links — a process's sends to itself are loopback
+// and not counted — as "kind count/bytes" by kind, bytes encoded. With
+// extra, p0 sends its first message to another process twice.
+func instanceCost(t *testing.T, n int, seed int64, extra bool) string {
+	t.Helper()
+	nw := newNet(t, n, seed)
+	sent, bytes := map[string]int{}, map[string]int{}
+	nw.onSend = func(w wireMsg) {
+		if extra && w.from == "p0" && w.to != w.from {
+			extra = false
+			nw.queue = append(nw.queue, w)
+			nw.onSend(w)
+		}
+		if w.from == w.to {
+			return
+		}
+		b, err := codec.Marshal(nil, w.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent[w.m.Type.String()]++
+		bytes[w.m.Type.String()] += len(b)
+	}
+	for _, p := range nw.pids {
+		nw.propose(p, "inst")
+	}
+	nw.deliver()
+	nw.agreed("inst", nw.pids, nw.pids)
+	var out []string
+	for _, k := range []msgType{msgEstimate, msgPropose, msgAck, msgNack, msgDecide} {
+		if sent[k.String()] > 0 {
+			out = append(out, fmt.Sprintf("%s %d/%d", k, sent[k.String()], bytes[k.String()]))
+		}
+	}
+	return strings.Join(out, ", ")
+}
+
+// TestConsensusCost pins the messages and bytes of one fault-free instance
+// of the real Machine at n = 3, 5 and 9, every participant proposing, on
+// the seeded network's schedule for seeds 1–20: one row per seed. Each
+// process sends its estimate to round 0's coordinator, which proposes to
+// the others, and they ACK. A participant that has replied moves on to the
+// next round and sends that round's coordinator its estimate, so until the
+// decision reaches it the schedule can run later rounds; every decision is
+// relayed to the other participants, and a decided process answers each
+// late message with it. So the counts vary with the seed. An injected
+// extra message fails every row.
+func TestConsensusCost(t *testing.T) {
+	rows := []struct {
+		seed int64
+		want [3]string // n = 3, 5, 9
+	}{
+		{1, [3]string{"estimate 3/51, propose 2/34, ack 2/20, decide 6/102", "estimate 7/119, propose 8/136, ack 4/40, decide 27/459", "estimate 15/255, propose 8/136, ack 7/70, decide 78/1326"}},
+		{2, [3]string{"estimate 3/51, propose 2/34, ack 2/20, decide 6/102", "estimate 7/119, propose 4/68, ack 4/40, decide 23/391", "estimate 13/221, propose 8/136, ack 6/60, decide 79/1343"}},
+		{3, [3]string{"estimate 3/51, propose 4/68, ack 2/20, decide 9/153", "estimate 8/136, propose 8/136, ack 6/60, decide 27/459", "estimate 13/221, propose 8/136, ack 6/60, decide 80/1360"}},
+		{4, [3]string{"estimate 3/51, propose 2/34, ack 1/10, decide 7/119", "estimate 9/153, propose 8/136, ack 7/70, decide 23/391", "estimate 14/238, propose 16/272, ack 8/80, decide 87/1479"}},
+		{5, [3]string{"estimate 2/34, propose 2/34, ack 1/10, decide 7/119", "estimate 7/119, propose 8/136, ack 4/40, decide 26/442", "estimate 13/221, propose 16/272, ack 6/60, decide 85/1445"}},
+		{6, [3]string{"estimate 3/51, propose 2/34, ack 2/20, decide 8/136", "estimate 9/153, propose 8/136, ack 6/60, decide 28/476", "estimate 14/238, propose 16/272, ack 7/70, decide 82/1394"}},
+		{7, [3]string{"estimate 3/51, propose 2/34, ack 1/10, decide 8/136", "estimate 6/102, propose 4/68, ack 3/30, decide 26/442", "estimate 18/306, propose 16/272, ack 12/120, decide 86/1462"}},
+		{8, [3]string{"estimate 3/51, propose 2/34, ack 2/20, decide 7/119", "estimate 7/119, propose 4/68, ack 4/40, decide 25/425", "estimate 17/289, propose 16/272, ack 10/100, decide 85/1445"}},
+		{9, [3]string{"estimate 3/51, propose 4/68, ack 3/30, decide 6/102", "estimate 8/136, propose 8/136, ack 5/50, decide 26/442", "estimate 17/289, propose 16/272, ack 11/110, decide 86/1462"}},
+		{10, [3]string{"estimate 3/51, propose 4/68, ack 3/30, decide 7/119", "estimate 8/136, propose 8/136, ack 6/60, decide 26/442", "estimate 19/323, propose 16/272, ack 13/130, decide 84/1428"}},
+		{11, [3]string{"estimate 3/51, propose 2/34, ack 1/10, decide 8/136", "estimate 7/119, propose 8/136, ack 4/40, decide 27/459", "estimate 15/255, propose 16/272, ack 8/80, decide 89/1513"}},
+		{12, [3]string{"estimate 3/51, propose 4/68, ack 2/20, decide 7/119", "estimate 8/136, propose 8/136, ack 5/50, decide 26/442", "estimate 14/238, propose 8/136, ack 7/70, decide 78/1326"}},
+		{13, [3]string{"estimate 3/51, propose 4/68, ack 2/20, decide 7/119", "estimate 6/102, propose 8/136, ack 3/30, decide 26/442", "estimate 16/272, propose 16/272, ack 9/90, decide 88/1496"}},
+		{14, [3]string{"estimate 3/51, propose 2/34, ack 2/20, decide 8/136", "estimate 8/136, propose 8/136, ack 6/60, decide 27/459", "estimate 16/272, propose 16/272, ack 10/100, decide 86/1462"}},
+		{15, [3]string{"estimate 3/51, propose 4/68, ack 3/30, decide 6/102", "estimate 7/119, propose 4/68, ack 4/40, decide 26/442", "estimate 21/357, propose 16/272, ack 15/150, decide 79/1343"}},
+		{16, [3]string{"estimate 3/51, propose 4/68, ack 2/20, decide 8/136", "estimate 9/153, propose 8/136, ack 7/70, decide 24/408", "estimate 14/238, propose 8/136, ack 6/60, decide 78/1326"}},
+		{17, [3]string{"estimate 3/51, propose 2/34, ack 2/20, decide 6/102", "estimate 7/119, propose 4/68, ack 4/40, decide 23/391", "estimate 14/238, propose 8/136, ack 6/60, decide 77/1309"}},
+		{18, [3]string{"estimate 3/51, propose 2/34, ack 2/20, decide 7/119", "estimate 7/119, propose 4/68, ack 3/30, decide 22/374", "estimate 14/238, propose 16/272, ack 7/70, decide 87/1479"}},
+		{19, [3]string{"estimate 3/51, propose 4/68, ack 2/20, decide 9/153", "estimate 6/102, propose 4/68, ack 3/30, decide 24/408", "estimate 14/238, propose 8/136, ack 6/60, decide 78/1326"}},
+		{20, [3]string{"estimate 3/51, propose 2/34, ack 2/20, decide 7/119", "estimate 8/136, propose 8/136, ack 5/50, decide 27/459", "estimate 15/255, propose 8/136, ack 8/80, decide 79/1343"}},
+	}
+	for _, r := range rows {
+		for i, n := range []int{3, 5, 9} {
+			if got := instanceCost(t, n, r.seed, false); got != r.want[i] {
+				t.Errorf("seed %d, n=%d: %s, want %s", r.seed, n, got, r.want[i])
+			}
+			if got := instanceCost(t, n, r.seed, true); got == r.want[i] {
+				t.Errorf("seed %d, n=%d: an extra message left the count at %s", r.seed, n, got)
+			}
+		}
+	}
 }

@@ -87,23 +87,13 @@ type GroupConfig struct {
 	// that cannot reach a majority continues as a minority sub-view under a
 	// fresh lineage epoch instead of wedging, and sub-views that later hear
 	// each other's probes merge back into a union view with a bidirectional
-	// semantic state exchange. Nil disables healing: minorities block and
-	// evicted processes stay out, the pre-healing behaviour.
-	Heal *HealSpec
-}
-
-// HealSpec configures partition healing (Config.Heal).
-type HealSpec struct {
-	// ProbeInterval is the period of the discovery beacon sent to processes
-	// this member once shared a view with but no longer does. Probes are
-	// tiny (a view ref + member list) and only flow while the engine is
-	// unblocked, so the steady-state cost of a healed group is zero.
-	// Default 500ms.
-	ProbeInterval time.Duration
-	// MergeTimeout aborts a merge whose union-view consensus does not
-	// decide in time (e.g. the partition re-opened mid-handshake); the
-	// engine unblocks and retries on a later probe. Default 20×ProbeInterval.
-	MergeTimeout time.Duration
+	// semantic state exchange. A healing member probes every process it once
+	// shared a view with but no longer does every 500ms, while it is
+	// unblocked, and aborts a merge that has not decided after 10s (the
+	// partition re-opened mid-handshake) to retry it on a later probe. False
+	// disables healing: minorities block and evicted processes stay out, the
+	// pre-healing behaviour.
+	Heal bool
 }
 
 // JoinSpec configures a joining engine (Config.Join).
@@ -111,24 +101,14 @@ type JoinSpec struct {
 	// Contacts are members of the running group to ask for admission. At
 	// least one is required; all of them are asked (concurrent admission
 	// requests are reconciled by the view-change consensus like any other
-	// concurrent initiators).
+	// concurrent initiators). The request is retransmitted — it covers a
+	// contact or sponsor crashing mid-handshake — with retransmission n
+	// waiting min(200ms·2ⁿ, 3.2s) scaled by a jitter factor in [0.8, 1.2],
+	// so a herd of joiners hitting a recovering group spreads out instead
+	// of hammering it in lockstep.
 	Contacts ident.PIDs
-	// Retry is the base interval of the join retransmission backoff — it
-	// covers a contact or sponsor crashing mid-handshake. Retransmission
-	// n waits min(Retry·2ⁿ, RetryMax) scaled by the jitter factor, so a
-	// herd of joiners hitting a recovering group spreads out instead of
-	// hammering it in lockstep. Default 200ms.
-	Retry time.Duration
-	// RetryMax caps the exponential backoff. 0 means 16×Retry; values
-	// below Retry are raised to Retry.
-	RetryMax time.Duration
-	// RetryJitter is the relative jitter applied to every interval: each
-	// wait is scaled by a uniform factor in [1-RetryJitter, 1+RetryJitter].
-	// It must be below 1. 0 means the default of 0.2; negative disables
-	// jitter (deterministic intervals, what fake-clock tests want).
-	RetryJitter float64
-	// GiveUp abandons the join after this much time without a state
-	// transfer: every parked and future call on the engine fails with
+	// GiveUp abandons the join once this much time has passed without a
+	// state transfer: every parked and future call on the engine fails with
 	// ErrJoinTimeout. It turns "all my contacts are dead" into a clean,
 	// observable error instead of an eternal retry. 0 retries forever.
 	GiveUp time.Duration
@@ -163,21 +143,6 @@ func (c *Config) validate() error {
 		if len(js.Contacts) == 0 {
 			return fmt.Errorf("core: config: Join needs at least one contact other than Self")
 		}
-		if js.Retry <= 0 {
-			js.Retry = 200 * time.Millisecond
-		}
-		if js.RetryMax <= 0 {
-			js.RetryMax = 16 * js.Retry
-		}
-		js.RetryMax = max(js.RetryMax, js.Retry)
-		switch {
-		case js.RetryJitter < 0:
-			js.RetryJitter = 0
-		case js.RetryJitter == 0:
-			js.RetryJitter = 0.2
-		case js.RetryJitter >= 1:
-			return fmt.Errorf("core: config: Join.RetryJitter %v must be below 1", js.RetryJitter)
-		}
 		c.Join = &js
 	} else {
 		if len(c.InitialView.Members) == 0 {
@@ -189,22 +154,6 @@ func (c *Config) validate() error {
 	}
 	if c.ToDeliverCap < 0 || c.OutgoingCap < 0 || c.Window < 0 {
 		return fmt.Errorf("core: config: negative capacity")
-	}
-	if c.Heal != nil {
-		h := *c.Heal
-		if h.ProbeInterval < 0 {
-			return fmt.Errorf("core: config: negative Heal.ProbeInterval")
-		}
-		if h.MergeTimeout < 0 {
-			return fmt.Errorf("core: config: negative Heal.MergeTimeout")
-		}
-		if h.ProbeInterval == 0 {
-			h.ProbeInterval = 500 * time.Millisecond
-		}
-		if h.MergeTimeout == 0 {
-			h.MergeTimeout = 20 * h.ProbeInterval
-		}
-		c.Heal = &h
 	}
 	if c.Relation == nil {
 		c.Relation = obsolete.Empty{}

@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/ident"
+	"repro/internal/obsolete"
 	"repro/internal/transport"
 )
 
@@ -41,6 +43,82 @@ func controlRun(t *testing.T, w *world, want ident.ViewRef) (sent, bytes map[str
 	return sent, bytes
 }
 
+// quietLink is one member's outlet in quietRun: every send is queued on
+// the shared links.
+type quietLink struct {
+	from  ident.PID
+	links *[]quietSend
+}
+
+// quietSend is a message on quietRun's links.
+type quietSend struct {
+	from, to ident.PID
+	msg      any
+}
+
+func (l quietLink) send(to ident.PID, _ transport.Channel, msg any) error {
+	*l.links = append(*l.links, quietSend{l.from, to, msg})
+	return nil
+}
+
+func (quietLink) full() {}
+
+// quietRun steps n members of a quiet group — stability gossip every
+// 100ms, no data — through 60s of protocol time, ticking each member at
+// its wake and delivering every send before the next tick, and returns the
+// control messages put on the links, by type, and their encoded bytes.
+func quietRun(t *testing.T, n int) (sent, bytes map[string]int) {
+	t.Helper()
+	sent, bytes = map[string]int{}, map[string]int{}
+	var pids []ident.PID
+	for i := 0; i < n; i++ {
+		pids = append(pids, ident.PID(fmt.Sprintf("p%d", i)))
+	}
+	members := ident.NewPIDs(pids...)
+	v := View{ID: 1, Members: members}
+	var links []quietSend
+	states := map[ident.PID]*viewState{}
+	for _, p := range members {
+		cfg := Config{Self: p, GroupConfig: GroupConfig{Relation: obsolete.Empty{}, StabilityInterval: 100 * time.Millisecond}}
+		s := newViewState(&cfg, v, quietLink{p, &links})
+		states[p] = &s
+	}
+	none := func(ident.PID) bool { return false }
+	start := time.Unix(0, 0)
+	tickAt := func(s *viewState, now time.Time) {
+		if fx := step(s, event{msg: tick{}, now: now, suspected: none}); len(fx) > 0 {
+			t.Fatalf("a quiet tick had effects %v", fx)
+		}
+		for _, l := range links {
+			b, err := codec.Marshal(nil, l.msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent[fmt.Sprintf("%T", l.msg)]++
+			bytes[fmt.Sprintf("%T", l.msg)] += len(b)
+			if m, ok := l.msg.(StableMsg); ok {
+				states[l.to].onStable(l.from, m)
+			}
+		}
+		links = links[:0]
+	}
+	for _, p := range members {
+		tickAt(states[p], start)
+	}
+	for end := start.Add(60 * time.Second); ; {
+		var next *viewState
+		for _, p := range members {
+			if w := states[p].wake(); !w.After(end) && (next == nil || w.Before(next.wake())) {
+				next = states[p]
+			}
+		}
+		if next == nil {
+			return sent, bytes
+		}
+		tickAt(next, next.wake())
+	}
+}
+
 // TestControlCost pins the control messages of a change on the explorer's
 // world with the consensus oracle, along the fair run. In an ordinary
 // change — no join, no leave, no crash — every member floods the INIT and
@@ -48,7 +126,9 @@ func controlRun(t *testing.T, w *world, want ident.ViewRef) (sent, bytes map[str
 // the links, before any consensus traffic; their encoded bytes are pinned
 // too. A join adds the sponsor's one StateMsg; a leaver still contributes;
 // in a 2|1 merge the INIT goes to the union and the probed side's member
-// announces it to the other two.
+// announces it to the other two. A quiet group of n members with stability
+// gossip every 100ms sends 600·n(n−1) StableMsgs in 60s, each member one
+// round to the others per period, and no CreditMsg.
 func TestControlCost(t *testing.T) {
 	ps := ident.NewPIDs
 	for _, n := range []int{2, 3, 4} {
@@ -123,6 +203,24 @@ func TestControlCost(t *testing.T) {
 			sent, _ := controlRun(t, tc.world(), tc.view)
 			if fmt.Sprint(sent) != fmt.Sprint(tc.want) {
 				t.Fatalf("control messages on the links = %v, want %v", sent, tc.want)
+			}
+		})
+	}
+
+	for _, n := range []int{3, 5, 9} {
+		t.Run(fmt.Sprintf("quiet n=%d", n), func(t *testing.T) {
+			sent, bytes := quietRun(t, n)
+			// A StableMsg with no frontier to report encodes in 4 bytes.
+			rounds := 600 * n * (n - 1)
+			if want := map[string]int{"core.StableMsg": rounds}; fmt.Sprint(sent) != fmt.Sprint(want) {
+				t.Fatalf("control messages on the links = %v, want %v", sent, want)
+			}
+			if want := map[string]int{"core.StableMsg": 4 * rounds}; fmt.Sprint(bytes) != fmt.Sprint(want) {
+				t.Fatalf("control bytes on the links = %v, want %v", bytes, want)
+			}
+			again, againBytes := quietRun(t, n)
+			if fmt.Sprint(sent, bytes) != fmt.Sprint(again, againBytes) {
+				t.Fatalf("a second run counted %v %v, the first %v %v", again, againBytes, sent, bytes)
 			}
 		})
 	}

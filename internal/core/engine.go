@@ -39,14 +39,12 @@ type Engine struct {
 	cons *consensus.Machine
 
 	// vc is the group member as a value (viewchange.go): the view change
-	// and the data plane of t1–t3, with the counters (vc.stats), the clock,
-	// the histograms and the event log. The loop steps it with every
-	// control event and the join give-up and carries out the effects, and
-	// calls its data-plane methods directly; its sends leave through the
-	// engine's outlet (send, full). joiner is the join handshake's timer
-	// and backoff (join.go), set while vc is joining.
-	vc     viewState
-	joiner *joiner
+	// and the data plane of t1–t3, with its protocol time, the counters
+	// (vc.stats), the clock, the histograms and the event log. The loop
+	// steps it with every control event and every tick it asks for (wake)
+	// and carries out the effects, and calls its data-plane methods
+	// directly; its sends leave through the engine's outlet (send, full).
+	vc viewState
 
 	deliverWaiters []*request
 	multicastQ     []*request
@@ -165,9 +163,8 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Start launches the protocol loop with its stability gossip and heal
-// tickers. A joining engine also starts asking its contacts for admission.
-// Start after Stop fails with ErrStopped.
+// Start launches the protocol loop. A joining engine starts asking its
+// contacts for admission. Start after Stop fails with ErrStopped.
 func (e *Engine) Start() error {
 	e.pub.mu.Lock()
 	defer e.pub.mu.Unlock()
@@ -175,27 +172,11 @@ func (e *Engine) Start() error {
 		return ErrStopped
 	}
 	e.pub.started = true
-	var probe time.Duration
-	if e.cfg.Heal != nil {
-		probe = e.cfg.Heal.ProbeInterval
-	}
-	if e.cfg.Join != nil {
-		e.startJoin()
-	}
-	go e.run(e.ticker(e.cfg.StabilityInterval), e.ticker(probe))
+	go e.run()
 	return nil
 }
 
-// ticker returns a ticker of the engine's clock firing every d, or for a
-// period of zero or less one that never fires.
-func (e *Engine) ticker(d time.Duration) obs.Ticker {
-	if d <= 0 {
-		return never{}
-	}
-	return e.vc.clock.NewTicker(d)
-}
-
-// never is the ticker of a disabled period.
+// never is the timer of a loop with nothing due.
 type never struct{}
 
 func (never) C() <-chan time.Time { return nil }
@@ -374,36 +355,39 @@ func (e *Engine) do(ctx context.Context, req *request) result {
 const reqDrainCap = 256
 
 // run is the protocol loop: a single goroutine owning all state, the
-// consensus instances included, which gossips stability on each tick of
-// stab and probes on each tick of heal. Every inbox is consumed in batch
+// consensus instances included. Protocol time reaches the value as tick
+// events on one timer: the loop steps a tick as it starts, which arms the
+// value's timed duties and sends a joiner's first request, and re-arms the
+// timer whenever the value's wake moves. Every inbox is consumed in batch
 // mode: one receive hands the loop every envelope pending for the channel,
 // amortising the wakeup and the per-iteration snapshot mirror over the
 // whole run.
-func (e *Engine) run(stab, heal obs.Ticker) {
+func (e *Engine) run() {
 	defer close(e.doneC)
-	defer stab.Stop()
-	defer heal.Stop()
 	dataIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Data)
 	ctlIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Ctl)
 	consIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Consensus)
 	fdEv := e.cfg.Detector.Events()
-	if e.joiner != nil {
-		e.sendJoinReq()
-	}
+	e.input("", tick{})
 
+	var timer obs.Timer = never{}
+	var armed time.Time // the wake timer fires at; zero once it fired
+	defer func() { timer.Stop() }()
 	stop := e.rootCtx.Done()
 	for {
+		if w := e.vc.wake(); !w.Equal(armed) {
+			timer.Stop()
+			timer, armed = never{}, w
+			if !w.IsZero() {
+				timer = e.vc.clock.NewTimer(w.Sub(e.vc.clock.Now()))
+			}
+		}
 		// Flow control: while not an open member, or holding unprocessed
 		// arrivals, leave data in the transport; senders run out of
 		// credits and stop.
 		dataC := dataIn
 		if e.vc.gated() {
 			dataC = nil
-		}
-		// Re-fetched every iteration: each backoff step arms a fresh timer.
-		var joinC <-chan time.Time
-		if e.joiner != nil {
-			joinC = e.joiner.timer.C()
 		}
 		select {
 		case <-stop:
@@ -446,12 +430,9 @@ func (e *Engine) run(stab, heal obs.Ticker) {
 		case req := <-e.reqC:
 			e.onRequest(req)
 			e.drainRequests()
-		case <-stab.C():
-			e.vc.gossipStability()
-		case <-heal.C():
-			e.input("", healTick{})
-		case <-joinC:
-			e.onJoinRetry()
+		case <-timer.C():
+			armed = time.Time{}
+			e.input("", tick{})
 		}
 		e.serveDeliveries()
 		e.syncSnapshots()
@@ -507,11 +488,10 @@ func (e *Engine) syncSnapshots() {
 	e.replies = e.replies[:0]
 }
 
-// shutdown ends a join handshake still running and fails every parked
-// request. A change in flight, and every consensus instance, is state of
-// this loop and ends with it.
+// shutdown fails every parked request. A change in flight, a join
+// handshake, and every consensus instance are state of this loop and end
+// with it.
 func (e *Engine) shutdown() {
-	e.endJoin()
 	for _, req := range append(e.deliverWaiters, e.multicastQ...) {
 		e.reply(req, result{err: ErrStopped})
 	}

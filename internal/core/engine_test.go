@@ -55,7 +55,7 @@ type harnessOpts struct {
 	window       int
 	autoEvict    bool
 	stability    time.Duration
-	heal         *HealSpec // enable partition healing
+	heal         bool      // enable partition healing
 	clock        obs.Clock // nil = wall clock
 }
 

@@ -230,7 +230,7 @@ func cloneData(s viewState) viewState {
 }
 
 // cloneQueue is a copy of q, whose relation is cfg's: its items.
-func cloneQueue(q *queue.Queue, cfg *GroupConfig) *queue.Queue {
+func cloneQueue(q *queue.Queue, cfg *Config) *queue.Queue {
 	c := queue.New(cfg.Relation, q.Cap())
 	q.EachRef(func(it *queue.Item) bool {
 		c.ForceAppend(*it)
@@ -717,7 +717,7 @@ func (w *world) suspicions() []move {
 			continue
 		}
 		for j, q := range w.pids {
-			if w.procs[j].crashed && c.audience.Contains(q) && (p.s.cfg.Heal != nil || !c.from.Contains(q)) && !p.suspects.Contains(q) {
+			if w.procs[j].crashed && c.audience.Contains(q) && (p.s.cfg.Heal || !c.from.Contains(q)) && !p.suspects.Contains(q) {
 				out = append(out, move{mvSuspect, i, j})
 			}
 		}
@@ -982,22 +982,13 @@ func (w *world) blocked() string {
 					live++
 				}
 			}
-			wedged = wedged || (s.cfg.Heal == nil && 2*live <= len(side))
+			wedged = wedged || (!s.cfg.Heal && 2*live <= len(side))
 		}
 		if !wedged {
 			return string(w.pids[i])
 		}
 	}
 	return ""
-}
-
-// healSpec is the HealSpec of a stepped state: healing on or off, and a
-// merge timeout that never fires.
-func healSpec(on bool) *HealSpec {
-	if !on {
-		return nil
-	}
-	return &HealSpec{MergeTimeout: time.Hour}
 }
 
 // scenario is a small group to explore, and how many states it has.
@@ -1010,7 +1001,7 @@ type scenario struct {
 // newWorld starts the processes of pids in view v, under tagging, with
 // heal.
 func newWorld(pids ident.PIDs, v View, heal bool) *world {
-	return newWorldOf(pids, v, GroupConfig{Relation: tagging, Heal: healSpec(heal)})
+	return newWorldOf(pids, v, GroupConfig{Relation: tagging, Heal: heal})
 }
 
 // newWorldOf starts the processes of pids in view v, each configured by gc.

@@ -9,9 +9,10 @@ import (
 	"repro/internal/obs"
 )
 
-// healProbe is the probe interval of the fake-clock healing tests: every
-// advance step fires one round of discovery beacons on each engine.
-const healProbe = 100 * time.Millisecond
+// healProbe is the advance step of the fake-clock healing tests: the probe
+// interval, so every step fires one round of discovery beacons on each
+// engine.
+const healProbe = probeInterval
 
 // lastView reads the most recent view p's application loop reported.
 func (h *groupHarness) lastView(p ident.PID) View {
@@ -73,7 +74,7 @@ func TestPartitionHealSplitAndMerge(t *testing.T) {
 	h := newGroup(t, harnessOpts{
 		n:         5,
 		autoEvict: true,
-		heal:      &HealSpec{ProbeInterval: healProbe, MergeTimeout: time.Hour},
+		heal:      true,
 		clock:     fake,
 	})
 	maj, min := h.pids[:3], h.pids[3:] // {p0,p1,p2} | {p3,p4}
@@ -215,7 +216,7 @@ func TestPartitionHealSingletonMerge(t *testing.T) {
 	h := newGroup(t, harnessOpts{
 		n:         3,
 		autoEvict: true,
-		heal:      &HealSpec{ProbeInterval: healProbe, MergeTimeout: time.Hour},
+		heal:      true,
 		clock:     fake,
 	})
 	maj, loner := h.pids[:2], h.pids[2] // {p0,p1} | p2

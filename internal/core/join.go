@@ -6,7 +6,8 @@ package core
 // ships it a snapshot).
 
 import (
-	"math/rand"
+	"fmt"
+	"hash/fnv"
 	"time"
 
 	"repro/internal/codec"
@@ -16,71 +17,47 @@ import (
 	"repro/internal/transport"
 )
 
-// joiner is the join handshake of a joining engine, set from Start until
-// the state transfer installs the first view or JoinSpec.GiveUp runs out.
-// timer retransmits the request meanwhile under capped exponential backoff
-// with jitter: attempt counts the retransmissions, rng draws the jitter.
-type joiner struct {
-	start   time.Time // when the handshake began (joinDur, GiveUp)
-	timer   obs.Timer
-	attempt int
-	rng     *rand.Rand
-}
+// The join handshake's backoff: retransmission n of the request waits
+// min(joinRetry·2ⁿ, 16·joinRetry), scaled by a factor in [1-joinJitter,
+// 1+joinJitter].
+const (
+	joinRetry  = 200 * time.Millisecond
+	joinJitter = 0.2
+)
 
-// startJoin opens the handshake; the loop sends the first request.
-func (e *Engine) startJoin() {
-	j := &joiner{start: e.vc.clock.Now()}
-	j.rng = rand.New(rand.NewSource(j.start.UnixNano()))
-	j.timer = e.vc.clock.NewTimer(j.delay(e.cfg.Join))
-	e.joiner = j
-}
-
-// endJoin closes the handshake, if one is running.
-func (e *Engine) endJoin() {
-	if j := e.joiner; j != nil {
-		j.timer.Stop()
-		e.joiner = nil
-	}
-}
-
-// sendJoinReq (re)transmits the admission request to every contact.
-func (e *Engine) sendJoinReq() {
-	e.vc.sendAll(e.cfg.Join.Contacts, JoinReqMsg{})
-}
-
-// onJoinRetry fires on each backoff step: give up if the retry budget is
-// spent, otherwise retransmit and arm the next (longer) wait. Giving up is
+// onJoinTick is protocol time for a joining process: the first tick starts
+// the handshake, a tick past JoinSpec.GiveUp abandons it, and a tick at a
+// backoff step (re)transmits the request to every contact. Giving up is
 // terminal: every parked call fails with ErrJoinTimeout, as does everything
 // submitted afterwards — the engine never installed a view, so there is
 // nothing to recover; the caller stops it and retries with live contacts.
-func (e *Engine) onJoinRetry() {
-	j := e.joiner
-	if g := e.cfg.Join.GiveUp; g > 0 && e.vc.clock.Since(j.start) >= g {
-		e.endJoin()
-		e.input("", joinTimeout{})
-		return
-	}
-	e.sendJoinReq()
-	j.attempt++
-	j.timer = e.vc.clock.NewTimer(j.delay(e.cfg.Join))
-}
-
-// delay computes the wait before retransmission attempt:
-// min(Retry·2ⁿ, RetryMax), scaled by a uniform jitter factor in
-// [1-RetryJitter, 1+RetryJitter].
-func (j *joiner) delay(js *JoinSpec) time.Duration {
-	d := js.Retry
-	for i := 0; i < j.attempt && d < js.RetryMax; i++ {
-		d *= 2
-	}
-	d = min(d, js.RetryMax)
-	if js.RetryJitter > 0 {
-		d = time.Duration(float64(d) * (1 + js.RetryJitter*(2*j.rng.Float64()-1)))
-		if d <= 0 {
-			d = time.Millisecond
+func (t *turn) onJoinTick() {
+	js := t.cfg.Join
+	if t.joinStart.IsZero() {
+		t.joinStart, t.retryAt = t.now, t.now
+		if js.GiveUp > 0 {
+			t.giveUpAt = t.now.Add(js.GiveUp)
 		}
 	}
-	return d
+	if !t.giveUpAt.IsZero() && !t.now.Before(t.giveUpAt) {
+		t.joining, t.terminal = false, ErrJoinTimeout // the engine's retries fail what is parked
+		return
+	}
+	if !t.now.Before(t.retryAt) {
+		t.sendAll(js.Contacts, JoinReqMsg{})
+		t.retryAt = t.retryAt.Add(retryDelay(t.self, t.joinStart, t.retries))
+		t.retries++
+	}
+}
+
+// retryDelay is the wait before retransmission n of a handshake self began
+// at start. Its jitter is drawn from a hash of the three, so a herd of
+// joiners spreads out while a copied state draws the same delays.
+func retryDelay(self ident.PID, start time.Time, n int) time.Duration {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s/%d/%d", self, start.UnixNano(), n)
+	u := float64(h.Sum64()>>11) / (1 << 53) // uniform in [0, 1)
+	return time.Duration(float64(joinRetry<<min(n, 4)) * (1 + joinJitter*(2*u-1)))
 }
 
 // onJoinState installs the first view of a joining process from the state
@@ -104,9 +81,9 @@ func (t *turn) onJoinState(from ident.PID, m StateMsg) {
 }
 
 // adoptTransfer adopts the state transfer m from a member that admitted
-// this joiner, before the view it names is entered.
-func (s *viewState) adoptTransfer(from ident.PID, m StateMsg) {
-	size := wireSize(m)
+// this joiner, as the view it names is entered: the join completes.
+func (t *turn) adoptTransfer(from ident.PID, m StateMsg) {
+	s, size := t.viewState, wireSize(m)
 	s.ev.StateTransfer("recv", string(from), uint64(m.ID), len(m.Backlog), size)
 	s.stats.JoinBacklogRecv = uint64(len(m.Backlog))
 	s.stats.JoinBytesRecv = uint64(size)
@@ -121,6 +98,9 @@ func (s *viewState) adoptTransfer(from ident.PID, m StateMsg) {
 		}
 	}
 	s.adopt(m.Backlog, m.Recv)
+	took := t.now.Sub(s.joinStart)
+	s.m.joinDur.ObserveDuration(took)
+	s.ev.JoinComplete(uint64(s.cv.ID), len(s.cv.Members), took)
 }
 
 // ---- the members' side: admission and the sponsor's transfer ---------------

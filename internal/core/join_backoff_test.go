@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -36,12 +37,22 @@ func backoffNone(t *testing.T, in <-chan transport.Envelope) {
 	}
 }
 
+// retryBand is the window retransmission n must fall in: ±20 % of
+// min(200ms·2ⁿ, 3.2s).
+func retryBand(n int) (lo, hi time.Duration) {
+	base := min(200*time.Millisecond<<n, 3200*time.Millisecond)
+	return base * 8 / 10, base * 12 / 10
+}
+
 // TestJoinBackoffScheduleFake pins the retransmission schedule under a
-// fake clock: with jitter disabled, retries fire at exactly
-// Retry·2ⁿ capped at RetryMax — here 100ms, 200ms, 400ms, 400ms — and
-// not a tick earlier.
+// fake clock: retry n (n = 0..5) goes out retryDelay(n) after the one
+// before it, not a tick earlier, and that delay lies inside ±20 % of
+// min(200ms·2ⁿ, 3.2s). The jitter is a hash of the joiner, its start and
+// n, so across joiners and starts every delay stays inside its band while
+// the herd spreads out.
 func TestJoinBackoffScheduleFake(t *testing.T) {
-	fake := obs.NewFake(time.Unix(0, 0))
+	start := time.Unix(0, 0)
+	fake := obs.NewFake(start)
 	net := transport.NewMemNetwork()
 	jep, err := net.Endpoint("j")
 	if err != nil {
@@ -58,13 +69,8 @@ func TestJoinBackoffScheduleFake(t *testing.T) {
 	defer det.Stop()
 	eng, err := New(Config{
 		Self: "j", Endpoint: jep, Detector: det,
-		Join: &JoinSpec{
-			Contacts:    ident.NewPIDs("c"),
-			Retry:       100 * time.Millisecond,
-			RetryMax:    400 * time.Millisecond,
-			RetryJitter: -1, // deterministic intervals
-		},
-		Obs: obs.New(fake, nil, nil),
+		Join: &JoinSpec{Contacts: ident.NewPIDs("c")},
+		Obs:  obs.New(fake, nil, nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,21 +85,37 @@ func TestJoinBackoffScheduleFake(t *testing.T) {
 		t.Fatalf("initial join request from %q, want j", env.From)
 	}
 
-	for i, d := range []time.Duration{
-		100 * time.Millisecond, // attempt 0: Retry
-		200 * time.Millisecond, // attempt 1: Retry·2
-		400 * time.Millisecond, // attempt 2: Retry·4 = RetryMax
-		400 * time.Millisecond, // attempt 3: capped
-	} {
-		// The engine re-arms the timer after each retransmission; wait for
+	for n := 0; n <= 5; n++ {
+		d := retryDelay("j", start, n)
+		if lo, hi := retryBand(n); d < lo || d > hi {
+			t.Fatalf("retry %d waits %v, outside [%v, %v]", n, d, lo, hi)
+		}
+		// The engine re-arms its timer after each retransmission; wait for
 		// it to register before advancing, or the tick lands nowhere.
 		fake.BlockUntil(1)
 		fake.Advance(d - time.Millisecond)
 		backoffNone(t, inbox)
 		fake.Advance(time.Millisecond)
 		if env := backoffRecv(t, inbox); env.From != "j" {
-			t.Fatalf("retry %d from %q, want j", i, env.From)
+			t.Fatalf("retry %d from %q, want j", n, env.From)
 		}
+	}
+
+	first := map[time.Duration]bool{}
+	for i := 0; i < 200; i++ {
+		self, at := ident.PID(fmt.Sprintf("j%d", i%20)), start.Add(time.Duration(i/20)*time.Millisecond)
+		for n := 0; n <= 5; n++ {
+			d := retryDelay(self, at, n)
+			if lo, hi := retryBand(n); d < lo || d > hi {
+				t.Fatalf("%s starting at %v: retry %d waits %v, outside [%v, %v]", self, at, n, d, lo, hi)
+			}
+			if n == 0 {
+				first[d] = true
+			}
+		}
+	}
+	if len(first) < 190 {
+		t.Fatalf("200 joiners drew %d distinct first delays: the jitter does not spread them", len(first))
 	}
 }
 
@@ -112,10 +134,8 @@ func TestJoinGiveUpFake(t *testing.T) {
 	eng, err := New(Config{
 		Self: "j", Endpoint: jep, Detector: det,
 		Join: &JoinSpec{
-			Contacts:    ident.NewPIDs("ghost"), // never attached: every send fails
-			Retry:       50 * time.Millisecond,
-			RetryJitter: -1,
-			GiveUp:      200 * time.Millisecond,
+			Contacts: ident.NewPIDs("ghost"), // never attached: every send fails
+			GiveUp:   200 * time.Millisecond,
 		},
 		Obs: obs.New(fake, nil, nil),
 	})
@@ -137,9 +157,10 @@ func TestJoinGiveUpFake(t *testing.T) {
 		delErr <- err
 	}()
 
-	// One big advance fires the pending retry timer; by the time the
-	// engine processes the tick the clock reads 400ms — past the 200ms
-	// budget — so the retry gives up instead of retransmitting.
+	// One big advance fires the engine's timer, armed for the give-up at
+	// 200ms at the latest; by the time the engine steps the tick the clock
+	// reads 400ms, past the budget, so it gives up instead of
+	// retransmitting.
 	fake.BlockUntil(1)
 	fake.Advance(400 * time.Millisecond)
 
@@ -152,6 +173,66 @@ func TestJoinGiveUpFake(t *testing.T) {
 	meta := obsolete.Msg{Sender: "j", Seq: 1}
 	if _, err := eng.Multicast(ctx, meta, []byte("x")); !errors.Is(err, ErrJoinTimeout) {
 		t.Fatalf("Multicast after give-up = %v, want ErrJoinTimeout", err)
+	}
+}
+
+// TestJoinGiveUpAtDeadline: the give-up is a deadline the engine's timer
+// is armed for, not a test made when a retransmission happens to fire.
+// With a 1s budget and the clock advancing in 10ms steps, a parked Deliver
+// fails with ErrJoinTimeout by 1.01s, and not before 1s.
+func TestJoinGiveUpAtDeadline(t *testing.T) {
+	fake := obs.NewFake(time.Unix(0, 0))
+	net := transport.NewMemNetwork()
+	jep, err := net.Endpoint("j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := fd.NewManual()
+	defer det.Stop()
+	eng, err := New(Config{
+		Self: "j", Endpoint: jep, Detector: det,
+		Join: &JoinSpec{Contacts: ident.NewPIDs("ghost"), GiveUp: time.Second},
+		Obs:  obs.New(fake, nil, nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	delErr := make(chan error, 1)
+	go func() {
+		_, err := eng.Deliver(ctx)
+		delErr <- err
+	}()
+
+	for now := 10 * time.Millisecond; ; now += 10 * time.Millisecond {
+		// Until the give-up the engine always has its timer armed: the next
+		// retransmission or the deadline.
+		fake.BlockUntil(1)
+		fake.Advance(10 * time.Millisecond)
+		wait := time.Millisecond
+		if now >= time.Second {
+			wait = 5 * time.Second
+		}
+		select {
+		case err := <-delErr:
+			if now < time.Second {
+				t.Fatalf("gave up at %v, before the 1s budget ran out", now)
+			}
+			if !errors.Is(err, ErrJoinTimeout) {
+				t.Fatalf("parked Deliver = %v, want ErrJoinTimeout", err)
+			}
+			return
+		case <-time.After(wait):
+			if now >= 1010*time.Millisecond {
+				t.Fatalf("no give-up by %v with a 1s budget", now)
+			}
+		}
 	}
 }
 
@@ -204,7 +285,6 @@ func TestJoinAllDeadContactsTimeout(t *testing.T) {
 	jn := joinerNode(t, net, "j")
 	jg, err := jn.JoinWith(1, GroupConfig{}, JoinSpec{
 		Contacts: ident.NewPIDs("d0", "d1"),
-		Retry:    5 * time.Millisecond,
 		GiveUp:   50 * time.Millisecond,
 	})
 	if err != nil {

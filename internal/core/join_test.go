@@ -493,7 +493,7 @@ func TestJoinStateFromNonMemberRejected(t *testing.T) {
 	det := fd.NewManual()
 	defer det.Stop()
 	eng, err := New(Config{Self: "j", Endpoint: ep, Detector: det,
-		Join: &JoinSpec{Contacts: ident.NewPIDs("ghost"), Retry: 20 * time.Millisecond}})
+		Join: &JoinSpec{Contacts: ident.NewPIDs("ghost")}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,18 +48,27 @@ package core
 // answered with a probe instead. The explorer (explore_test.go) walks one
 // small merge through every interleaving.
 
-import "repro/internal/ident"
+import (
+	"time"
 
-// onHealTick fires every HealSpec.ProbeInterval: beacon the processes we
-// lost to a partition, and time out a merge that stopped making progress.
-func (t *turn) onHealTick() {
-	if c := t.chg; c.merge() {
-		if t.now.After(c.start.Add(t.cfg.Heal.MergeTimeout)) {
-			t.abortMerge("timeout")
-		}
-		return
+	"repro/internal/ident"
+)
+
+// Healing's clock: an unblocked member probes every probeInterval, and a
+// merge that has not decided mergeTimeout after the group blocked aborts.
+const (
+	probeInterval = 500 * time.Millisecond
+	mergeTimeout  = 10 * time.Second
+)
+
+// onProbeTick is protocol time under Heal: time out a merge that stopped
+// making progress, and beacon the processes we lost to a partition when a
+// probe is due.
+func (t *turn) onProbeTick() {
+	if c := t.chg; c.merge() && !t.now.Before(c.start.Add(mergeTimeout)) {
+		t.abortMerge("timeout")
 	}
-	if t.open() {
+	if due(&t.probeAt, t.now, probeInterval) && t.open() {
 		t.sendAll(t.former, t.probe())
 	}
 }
@@ -73,7 +82,7 @@ func (t *turn) probe() ProbeMsg {
 // member (probes only target those), so the interesting cases are all
 // disagreements about who belongs where.
 func (t *turn) onProbe(from ident.PID, m ProbeMsg) {
-	if t.cfg.Heal == nil || t.joining || t.chg.merge() {
+	if !t.cfg.Heal || t.joining || t.chg.merge() {
 		return
 	}
 	ref := m.Ref()
@@ -133,7 +142,7 @@ func (t *turn) onProbe(from ident.PID, m ProbeMsg) {
 // Without Config.Heal it returns at once and the minority stays blocked at
 // t5: plain SVS's wedge is that one return.
 func (t *turn) checkSplit() {
-	if t.cfg.Heal == nil {
+	if !t.cfg.Heal {
 		return
 	}
 	c := t.chg
@@ -159,7 +168,7 @@ func (t *turn) checkSplit() {
 // onSplit handles a split declaration from the reachable set's leader.
 func (t *turn) onSplit(from ident.PID, m SplitMsg) {
 	c := t.chg
-	if t.cfg.Heal == nil || c == nil || c.merge() || m.Ref() != t.cv.Ref() {
+	if !t.cfg.Heal || c == nil || c.merge() || m.Ref() != t.cv.Ref() {
 		return
 	}
 	members := ident.NewPIDs(m.Members...)
@@ -204,7 +213,7 @@ func mergeRefFor(a, b ident.ViewRef) ident.ViewRef {
 // idempotent. The change's successor is the union's ref, its audience the
 // union, and its quorum is taken over both sub-views.
 func (t *turn) openMerge(m InitMsg) *change {
-	if t.cfg.Heal == nil {
+	if !t.cfg.Heal {
 		return nil
 	}
 	a, b := m.View, *m.Far

@@ -324,7 +324,7 @@ func TestPeerTableFollowsView(t *testing.T) {
 			for _, m := range live {
 				m.det.Restore(p) // an evicted incarnation was suspected
 			}
-			m := start(p, Config{Join: &JoinSpec{Contacts: in, Retry: 20 * time.Millisecond}})
+			m := start(p, Config{Join: &JoinSpec{Contacts: in}})
 			settled(fmt.Sprintf("step %d: %s joining %v", step, p, in))
 			// The numbering of p runs on where its last incarnation stopped:
 			// the transfer carried the frontier the group kept for it.

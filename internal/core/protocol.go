@@ -30,7 +30,7 @@ import (
 func (e *Engine) onMulticastReq(req *request) {
 	// Park while a join is still in flight: the first view (and with it
 	// membership and flow windows) arrives with the state transfer.
-	if e.joiner != nil || !e.advance(req) {
+	if e.vc.joining || !e.advance(req) {
 		e.park(req)
 	}
 }
@@ -523,7 +523,7 @@ func (s *viewState) deliverItem(it *queue.Item, last *peer) (Delivery, *peer) {
 // in place until its whole batch commits, so a half-committed transaction
 // resumes exactly where it stopped.
 func (e *Engine) retryParked() {
-	if e.joiner != nil {
+	if e.vc.joining {
 		return
 	}
 	for len(e.multicastQ) > 0 {

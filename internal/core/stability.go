@@ -119,7 +119,7 @@ func (s *viewState) recomputeStable() {
 // the relation never obsoletes — every one of them under the empty
 // relation — until the next view.
 func (s *viewState) pruneStable() {
-	if s.cfg.Heal != nil {
+	if s.cfg.Heal {
 		return
 	}
 	stable := s.stableFilter()

@@ -17,11 +17,14 @@ package core
 // data plane of t1–t3 (protocol.go), so blocking closes the data plane and
 // installing adopts the flush in the same step, and every send leaves
 // through the outlet the state's owner supplies. step reaches no engine,
-// consensus machine, detector or channel: the time and the detector's
-// verdicts come in with each event, and what the owner must do — the
-// consensus machine's propose, watching a peer set, the loop's half of
+// consensus machine, detector, channel or timer: the time and the
+// detector's verdicts come in with each event, and what the owner must do —
+// the consensus machine's propose, watching a peer set, the loop's half of
 // entering a view — goes out as effects, which the engine interprets
-// (apply) in order. Consensus is a message handler of the engine loop like
+// (apply) in order. Protocol time is a step too: the state records when its
+// stability gossip, heal probe, merge timeout, join retransmission and join
+// give-up are next due, wake reports the earliest, and a tick event runs
+// whatever is due. Consensus is a message handler of the engine loop like
 // INIT and PRED, and nothing here starts a goroutine. Because the state is
 // a value its owner can copy, the explorer (explore_test.go) runs this same
 // code, data plane included, through every interleaving of a small group.
@@ -45,13 +48,14 @@ import (
 // viewState is one group member as a value: who it is and how its group is
 // configured, the current view, the change in flight, the control traffic
 // stashed for a later view, the admission requests parked until no change
-// is in flight, whether it is still joining or already at its end, its
-// counters, and the data plane. step and the data plane's methods update it
-// in place; a caller that steps one state twice (the explorer) copies it
-// first, every queue, record and ledger it points to included.
+// is in flight, whether it is still joining or already at its end, when its
+// timed duties are due, its counters, and the data plane. step and the data
+// plane's methods update it in place; a caller that steps one state twice
+// (the explorer) copies it first, every queue, record and ledger it points
+// to included.
 type viewState struct {
 	self ident.PID
-	cfg  *GroupConfig
+	cfg  *Config
 
 	cv       View
 	chg      *change              // the change in flight (t5 to t7); nil while open
@@ -60,6 +64,14 @@ type viewState struct {
 	former   ident.PIDs           // with Heal: who we once shared a view with and no longer do
 	joining  bool                 // the join handshake runs (join.go)
 	terminal error                // ErrExpelled or ErrJoinTimeout: no further progress
+
+	// Protocol time (onTick): when the stability gossip, the heal probe and
+	// the join request are next due, zero until the first tick arms them;
+	// when the join handshake began and when it gives up (zero: never), and
+	// how many requests it sent.
+	gossipAt, probeAt, retryAt time.Time
+	joinStart, giveUpAt        time.Time
+	retries                    int
 
 	// stats are the engine's counters, one record, bumped where they
 	// happen.
@@ -118,7 +130,7 @@ type outlet interface {
 // every link armed. Its sends leave through out.
 func newViewState(cfg *Config, cv View, out outlet) viewState {
 	s := viewState{
-		self: cfg.Self, cfg: &cfg.GroupConfig, cv: cv, joining: cfg.Join != nil,
+		self: cfg.Self, cfg: cfg, cv: cv, joining: cfg.Join != nil,
 		toDeliver: queue.New(cfg.Relation, cfg.ToDeliverCap),
 		delivered: queue.New(cfg.Relation, 0),
 		peers:     make(map[ident.PID]*peer),
@@ -171,7 +183,7 @@ func (s *viewState) open() bool { return !s.joining && s.chg == nil && s.termina
 // suspected the detector's verdict at that moment. msg is an InitMsg,
 // PredMsg, SplitMsg, ProbeMsg, JoinReqMsg or StateMsg received, a control
 // message of no known kind, or one of membership (t4), fd.Event (a
-// suspicion), consensus.Decision, healTick, joinTimeout and entered.
+// suspicion), consensus.Decision, tick and entered.
 type event struct {
 	from      ident.PID
 	msg       any
@@ -182,11 +194,8 @@ type event struct {
 type (
 	// membership is the application's request for a change (t4).
 	membership struct{ join, leave ident.PIDs }
-	// healTick is HealSpec.ProbeInterval elapsing.
-	healTick struct{}
-	// joinTimeout is JoinSpec.GiveUp running out before a state transfer
-	// arrived: the join is abandoned.
-	joinTimeout struct{}
+	// tick is protocol time passing: every timed duty due by now runs.
+	tick struct{}
 	// entered tells that the engine has entered the view an install effect
 	// named, retried what was parked and replayed the stash.
 	entered struct{}
@@ -208,8 +217,8 @@ type (
 	// current and its data plane has installed: what it was entered on
 	// (the flush st that chg decided, the state transfer st from a member
 	// that admits this joiner, or neither for a view a probe proved), and
-	// the control traffic stashed for it. The engine ends a join, lets
-	// parked multicasts in, replays the stash and steps entered.
+	// the control traffic stashed for it. The engine lets parked multicasts
+	// in, replays the stash and steps entered.
 	install struct {
 		view   View
 		st     StateMsg
@@ -248,10 +257,8 @@ func step(s *viewState, ev event) []effect {
 		t.onSuspicion(m)
 	case consensus.Decision:
 		t.onDecision(m)
-	case healTick:
-		t.onHealTick()
-	case joinTimeout:
-		t.joining, t.terminal = false, ErrJoinTimeout // the engine's retries fail what is parked
+	case tick:
+		t.onTick()
 	case entered:
 		t.serveJoins()
 	default:
@@ -261,6 +268,60 @@ func step(s *viewState, ev event) []effect {
 }
 
 func (t *turn) emit(fx ...effect) { t.fx = append(t.fx, fx...) }
+
+// onTick runs every timed duty due by now and re-arms it. The owner steps
+// one tick as it starts, which arms the duties and sends a joiner's first
+// request, and one at every wake after.
+func (t *turn) onTick() {
+	if t.joining {
+		t.onJoinTick()
+	}
+	if due(&t.gossipAt, t.now, t.cfg.StabilityInterval) {
+		t.gossipStability()
+	}
+	if t.cfg.Heal {
+		t.onProbeTick()
+	}
+}
+
+// due reports whether a duty of period every, next due at *at, has come by
+// now, and re-arms it: a duty not yet armed one period from now, one that
+// has come at the first point of its grid past now. A duty of period zero
+// is off.
+func due(at *time.Time, now time.Time, every time.Duration) bool {
+	switch {
+	case every <= 0:
+		return false
+	case at.IsZero():
+		*at = now.Add(every)
+		return false
+	case now.Before(*at):
+		return false
+	}
+	*at = at.Add(every * (now.Sub(*at)/every + 1))
+	return true
+}
+
+// wake is when s next needs a tick: its earliest timed duty or deadline,
+// zero for none.
+func (s *viewState) wake() time.Time {
+	w := earliest(s.gossipAt, s.probeAt)
+	if s.joining {
+		w = earliest(earliest(w, s.retryAt), s.giveUpAt)
+	}
+	if c := s.chg; c.merge() {
+		w = earliest(w, c.start.Add(mergeTimeout))
+	}
+	return w
+}
+
+// earliest is the earlier of a and b, where zero means never.
+func earliest(a, b time.Time) time.Time {
+	if a.IsZero() || !b.IsZero() && b.Before(a) {
+		return b
+	}
+	return a
+}
 
 // drop logs the event's message as discarded for reason; the caller counts
 // it.
@@ -329,7 +390,7 @@ func (t *turn) onCtl(from ident.PID, msg any) {
 		// An expelled-but-alive process still answers a merge's INIT with a
 		// decline, so a union that names it can proceed without waiting for
 		// suspicion to develop.
-		if m, ok := msg.(InitMsg); ok && m.Far != nil && t.cfg.Heal != nil {
+		if m, ok := msg.(InitMsg); ok && m.Far != nil && t.cfg.Heal {
 			t.declineMerge(m)
 			return
 		}
@@ -647,9 +708,9 @@ func (t *turn) enter(next View, f install) {
 		t.terminal = ErrExpelled // the engine's retries fail what is parked
 		t.ev.Expelled(uint64(next.ID))
 	}
-	if t.cfg.Heal != nil {
+	if t.cfg.Heal {
 		// Only someone we once shared a view with can be the far side of a
-		// healed partition (onHealTick).
+		// healed partition (onProbeTick).
 		t.former = t.former.Union(t.cv.Members).Without(next.Members).Remove(t.self)
 	}
 	t.cv = next
@@ -741,18 +802,11 @@ func (e *Engine) onDecisions(ds []consensus.Decision) {
 	}
 }
 
-// enterView is the loop's half of entering the view step has installed: a
-// state transfer ends the join handshake, the detector watches the view,
-// parked multicasts get their turn (failing, if the view expelled us), the
-// control traffic stashed for the view is replayed, and step hears that
-// the view is entered.
+// enterView is the loop's half of entering the view step has installed: the
+// detector watches the view, parked multicasts get their turn (failing, if
+// the view expelled us), the control traffic stashed for the view is
+// replayed, and step hears that the view is entered.
 func (e *Engine) enterView(f install) {
-	if f.from != "" {
-		took := e.vc.clock.Since(e.joiner.start)
-		e.vc.m.joinDur.ObserveDuration(took)
-		e.endJoin()
-		e.vc.ev.JoinComplete(uint64(f.view.ID), len(f.view.Members), took)
-	}
 	e.setPeers(f.view.Members)
 	e.retryParked()
 	for _, env := range f.replay {

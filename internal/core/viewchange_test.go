@@ -37,13 +37,18 @@ type sendTo struct {
 
 func newStepper(self ident.PID, members ident.PIDs, heal bool) *stepper {
 	st := &stepper{}
-	cfg := Config{Self: self, GroupConfig: GroupConfig{Relation: tagging, Heal: healSpec(heal)}}
+	cfg := Config{Self: self, GroupConfig: GroupConfig{Relation: tagging, Heal: heal}}
 	st.s = newViewState(&cfg, View{ID: 4, Members: members}, st)
 	return st
 }
 
 func (st *stepper) feed(from ident.PID, msg any) {
 	st.fx = append(st.fx, step(&st.s, event{from: from, msg: msg, now: exploreNow, suspected: st.suspected.Contains})...)
+}
+
+// tickAt steps protocol time to now.
+func (st *stepper) tickAt(now time.Time) {
+	st.fx = append(st.fx, step(&st.s, event{msg: tick{}, now: now, suspected: st.suspected.Contains})...)
 }
 
 // send and full make the stepper its state's outlet: a send is kept among
@@ -216,7 +221,7 @@ func TestProbeExpulsionEntersView(t *testing.T) {
 	}
 	det := fd.NewManual()
 	t.Cleanup(det.Stop)
-	straggler, err := New(Config{Self: "p2", Endpoint: eps["p2"], Detector: det, GroupConfig: GroupConfig{InitialView: view0, Heal: &HealSpec{}}})
+	straggler, err := New(Config{Self: "p2", Endpoint: eps["p2"], Detector: det, GroupConfig: GroupConfig{InitialView: view0, Heal: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,13 +571,29 @@ func TestDecodeValueRejectsGarbage(t *testing.T) {
 }
 
 // TestJoinTimeoutIsAStep: giving up a join is a transition of the state
-// like any other. The joining state turns terminal with ErrJoinTimeout, and
-// a state transfer arriving afterwards installs nothing: it is counted as
-// traffic reaching an engine at its end.
+// like any other, made by the tick at JoinSpec.GiveUp. The first tick sends
+// the request and arms the give-up, which wake reports; a tick just short
+// of it changes nothing, and the tick at it turns the joining state
+// terminal with ErrJoinTimeout. A state transfer arriving afterwards
+// installs nothing: it is counted as traffic reaching an engine at its end.
 func TestJoinTimeoutIsAStep(t *testing.T) {
 	st := newStepper("j", nil, false)
 	st.s.cv, st.s.joining = View{}, true
-	st.feed("", joinTimeout{})
+	st.s.cfg.Join = &JoinSpec{Contacts: ident.NewPIDs("p1"), GiveUp: 100 * time.Millisecond}
+	st.tickAt(exploreNow)
+	giveUp := exploreNow.Add(100 * time.Millisecond)
+	if got := st.sent("p1"); len(got) != 1 || got[0] != (JoinReqMsg{}) {
+		t.Fatalf("the first tick sent p1 %v, want one JoinReqMsg", got)
+	}
+	if w := st.s.wake(); !w.Equal(giveUp) {
+		t.Fatalf("wake %v, want the give-up at %v", w, giveUp)
+	}
+	st.fx = nil
+	st.tickAt(giveUp.Add(-time.Nanosecond))
+	if !st.s.joining || len(st.fx) != 0 {
+		t.Fatalf("a tick before the give-up: joining %v, effects %v; want still joining, none", st.s.joining, st.fx)
+	}
+	st.tickAt(giveUp)
 	if st.s.joining || st.s.terminal != ErrJoinTimeout || len(st.fx) != 0 {
 		t.Fatalf("after the give-up: joining %v, terminal %v, effects %v; want false, %v, none",
 			st.s.joining, st.s.terminal, st.fx, ErrJoinTimeout)
@@ -581,6 +602,31 @@ func TestJoinTimeoutIsAStep(t *testing.T) {
 	if len(st.fx) != 0 || st.s.cv.ID != 0 || st.s.stats.DroppedExpelled != 1 {
 		t.Fatalf("a late transfer: effects %v, view %d, %d dropped; want none, 0, 1",
 			st.fx, st.s.cv.ID, st.s.stats.DroppedExpelled)
+	}
+}
+
+// TestMergeTimeoutIsADeadline: a merge that has not decided aborts at
+// exactly mergeTimeout after the group blocked, a deadline wake reports,
+// and not a tick before.
+func TestMergeTimeoutIsADeadline(t *testing.T) {
+	ps := ident.NewPIDs
+	far := View{ID: 7, Epoch: 9, Members: ps("q1")}
+	st := newStepper("p1", ps("p1", "p2"), true)
+	st.feed("q1", InitMsg{View: View{ID: 4, Members: ps("p1", "p2")}, Far: &far})
+	deadline := exploreNow.Add(mergeTimeout)
+	if !st.s.chg.merge() {
+		t.Fatal("the INIT over two sides opened no merge")
+	}
+	if w := st.s.wake(); !w.Equal(deadline) {
+		t.Fatalf("wake %v, want the merge timeout at %v", w, deadline)
+	}
+	st.tickAt(deadline.Add(-time.Nanosecond))
+	if !st.s.chg.merge() || st.s.stats.MergeAborts != 0 {
+		t.Fatal("the merge aborted before its timeout")
+	}
+	st.tickAt(deadline)
+	if st.s.chg != nil || st.s.stats.MergeAborts != 1 {
+		t.Fatalf("ticked at the timeout: change %+v, %d aborts; want none, 1", st.s.chg, st.s.stats.MergeAborts)
 	}
 }
 

@@ -34,4 +34,18 @@ if [ "$found" -ne 0 ]; then
     echo "so fake-clock tests keep control of every timer." >&2
     exit 1
 fi
-echo "lint-clock: OK (no direct time.Now/NewTicker/NewTimer/After/Since/Tick in $PKGS)"
+
+# Protocol time reaches the view-change value only as the time of a step
+# event: in internal/core the engine loop's wake timer (engine.go) is the
+# one timer, and no file but engine.go arms a timer or a ticker.
+# shellcheck disable=SC2046
+hits=$(grep -nE 'NewTimer\(|NewTicker\(' $(find internal/core -maxdepth 1 -name '*.go' ! -name '*_test.go' ! -name engine.go) /dev/null || true)
+if [ -n "$hits" ]; then
+    echo "$hits"
+    echo "" >&2
+    echo "lint-clock: a timer or ticker in internal/core outside engine.go." >&2
+    echo "Record when the duty is due in viewState and run it on a tick (wake)." >&2
+    exit 1
+fi
+echo "lint-clock: OK (no direct time.Now/NewTicker/NewTimer/After/Since/Tick in $PKGS;"
+echo "            internal/core arms timers in engine.go only)"
