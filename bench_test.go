@@ -369,22 +369,23 @@ func BenchmarkConsensusDecision(b *testing.B) {
 	}
 }
 
-// liveGroup spins up an n-member engine group with fast consumer loops,
-// returning the producer engine, its tracker, and a shutdown func.
-func liveGroup(b *testing.B, rel obsolete.Relation, buffer int) (*core.Engine, func()) {
+// liveGroup spins up an n-member group, one node per member, with fast
+// consumer loops, returning the producer's group and a shutdown func.
+func liveGroup(b *testing.B, rel obsolete.Relation, buffer int) (*core.Group, func()) {
 	return liveGroupObs(b, rel, buffer, nil)
 }
 
 // liveGroupObs is liveGroup with an obs bundle factory: mk is called once
-// per engine (each gets a private registry so in-process members don't
+// per node (each gets a private registry so in-process members don't
 // share unlabelled instruments); nil means uninstrumented.
-func liveGroupObs(b *testing.B, rel obsolete.Relation, buffer int, mk func() *obs.Obs) (*core.Engine, func()) {
+func liveGroupObs(b *testing.B, rel obsolete.Relation, buffer int, mk func() *obs.Obs) (*core.Group, func()) {
 	b.Helper()
 	net := transport.NewMemNetwork()
 	pids := ident.NewPIDs("p0", "p1", "p2")
 	view := core.View{ID: 1, Members: pids}
 	ctx, cancel := context.WithCancel(context.Background())
-	var engines []*core.Engine
+	var nodes []*core.Node
+	var groups []*core.Group
 	var dets []*fd.Manual
 	var wg sync.WaitGroup
 	for _, p := range pids {
@@ -397,24 +398,22 @@ func liveGroupObs(b *testing.B, rel obsolete.Relation, buffer int, mk func() *ob
 		if mk != nil {
 			ob = mk()
 		}
-		eng, err := core.New(core.Config{
-			Self: p, Endpoint: ep, Detector: det,
-			Obs: ob,
-			GroupConfig: core.GroupConfig{
-				InitialView: view, Relation: rel,
-				ToDeliverCap: buffer, OutgoingCap: buffer, Window: buffer,
-			},
+		node, err := core.NewNode(core.NodeConfig{Self: p, Endpoint: ep, Detector: det, Obs: ob})
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := node.Create(1, core.GroupConfig{
+			InitialView: view, Relation: rel,
+			ToDeliverCap: buffer, OutgoingCap: buffer, Window: buffer,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := eng.Start(); err != nil {
-			b.Fatal(err)
-		}
-		engines = append(engines, eng)
+		nodes = append(nodes, node)
+		groups = append(groups, eng)
 		dets = append(dets, det)
 		wg.Add(1)
-		go func(eng *core.Engine) {
+		go func(eng *core.Group) {
 			defer wg.Done()
 			for {
 				if _, err := eng.Deliver(ctx); err != nil {
@@ -425,15 +424,15 @@ func liveGroupObs(b *testing.B, rel obsolete.Relation, buffer int, mk func() *ob
 	}
 	stop := func() {
 		cancel()
-		for _, e := range engines {
-			e.Stop()
+		for _, n := range nodes {
+			n.Close()
 		}
 		wg.Wait()
 		for _, d := range dets {
 			d.Stop()
 		}
 	}
-	return engines[0], stop
+	return groups[0], stop
 }
 
 func BenchmarkEngineMulticastSemantic(b *testing.B) {

@@ -53,9 +53,7 @@ func run() error {
 		r.OnViewChange(func(v core.View) {
 			fmt.Printf("  [%s] installed %v\n", p, v)
 		})
-		if err := r.Start(); err != nil {
-			return err
-		}
+		r.Start()
 		replicas[p] = r
 		dets[p] = det
 	}

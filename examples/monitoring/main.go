@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fd"
 	"repro/internal/ident"
 	"repro/internal/obsolete"
 	"repro/internal/transport"
@@ -43,34 +42,33 @@ func run() error {
 	view := core.View{ID: 1, Members: group}
 	rel := obsolete.KEnumeration{K: k}
 
-	engines := make(map[ident.PID]*core.Engine)
+	nodes := make(map[ident.PID]*core.Node)
+	engines := make(map[ident.PID]*core.Group)
+	defer func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	}()
 	for _, p := range group {
 		ep, err := net.Endpoint(p)
 		if err != nil {
 			return err
 		}
-		det := fd.NewManual()
-		eng, err := core.New(core.Config{
-			Self: p, Endpoint: ep, Detector: det,
-			GroupConfig: core.GroupConfig{
-				InitialView:  view,
-				Relation:     rel,
-				ToDeliverCap: 8, OutgoingCap: 8, Window: 8,
-			},
+		node, err := core.NewNode(core.NodeConfig{Self: p, Endpoint: ep})
+		if err != nil {
+			return err
+		}
+		nodes[p] = node
+		eng, err := node.Create(1, core.GroupConfig{
+			InitialView:  view,
+			Relation:     rel,
+			ToDeliverCap: 8, OutgoingCap: 8, Window: 8,
 		})
 		if err != nil {
 			return err
 		}
-		if err := eng.Start(); err != nil {
-			return err
-		}
 		engines[p] = eng
 	}
-	defer func() {
-		for _, e := range engines {
-			e.Stop()
-		}
-	}()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fd"
 	"repro/internal/ident"
 	"repro/internal/obsolete"
 	"repro/internal/transport"
@@ -33,28 +32,29 @@ func run() error {
 	group := ident.NewPIDs("alice", "bob", "carol")
 	view := core.View{ID: 1, Members: group}
 
-	// 2. One engine per member. The k-enumeration relation with window 32
-	//    lets later updates of an item obsolete earlier ones.
+	// 2. One node per member, each hosting group 1. The node owns the
+	//    endpoint and runs the heartbeat failure detector. The
+	//    k-enumeration relation with window 32 lets later updates of an
+	//    item obsolete earlier ones.
 	rel := obsolete.KEnumeration{K: 32}
-	engines := make(map[ident.PID]*core.Engine)
+	nodes := make(map[ident.PID]*core.Node)
+	engines := make(map[ident.PID]*core.Group)
 	for _, p := range group {
 		ep, err := net.Endpoint(p)
 		if err != nil {
 			return err
 		}
-		det := fd.NewManual() // quickstart: no real failure detection needed
-		eng, err := core.New(core.Config{
-			Self: p, Endpoint: ep, Detector: det,
-			GroupConfig: core.GroupConfig{
-				InitialView:  view,
-				Relation:     rel,
-				ToDeliverCap: 4, OutgoingCap: 4, Window: 4, // tiny buffers to make purging visible
-			},
-		})
+		node, err := core.NewNode(core.NodeConfig{Self: p, Endpoint: ep})
 		if err != nil {
 			return err
 		}
-		if err := eng.Start(); err != nil {
+		nodes[p] = node
+		eng, err := node.Create(1, core.GroupConfig{
+			InitialView:  view,
+			Relation:     rel,
+			ToDeliverCap: 4, OutgoingCap: 4, Window: 4, // tiny buffers to make purging visible
+		})
+		if err != nil {
 			return err
 		}
 		engines[p] = eng
@@ -131,7 +131,7 @@ func run() error {
 
 	cancel()
 	for _, p := range group {
-		engines[p].Stop()
+		nodes[p].Close()
 	}
 	wg.Wait()
 	return nil

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fd"
 	"repro/internal/ident"
 	"repro/internal/obsolete"
 	"repro/internal/trace"
@@ -75,34 +74,33 @@ func runGroup(tr *trace.Trace, rel obsolete.Relation, label string) (outcome, er
 	group := ident.NewPIDs("a-producer", "b-fast", "c-slow")
 	view := core.View{ID: 1, Members: group}
 
-	engines := make(map[ident.PID]*core.Engine)
+	nodes := make(map[ident.PID]*core.Node)
+	engines := make(map[ident.PID]*core.Group)
+	defer func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	}()
 	for _, p := range group {
 		ep, err := net.Endpoint(p)
 		if err != nil {
 			return out, err
 		}
-		det := fd.NewManual()
-		eng, err := core.New(core.Config{
-			Self: p, Endpoint: ep, Detector: det,
-			GroupConfig: core.GroupConfig{
-				InitialView:  view,
-				Relation:     rel,
-				ToDeliverCap: buffer, OutgoingCap: buffer, Window: buffer,
-			},
+		node, err := core.NewNode(core.NodeConfig{Self: p, Endpoint: ep})
+		if err != nil {
+			return out, err
+		}
+		nodes[p] = node
+		eng, err := node.Create(1, core.GroupConfig{
+			InitialView:  view,
+			Relation:     rel,
+			ToDeliverCap: buffer, OutgoingCap: buffer, Window: buffer,
 		})
 		if err != nil {
 			return out, err
 		}
-		if err := eng.Start(); err != nil {
-			return out, err
-		}
 		engines[p] = eng
 	}
-	defer func() {
-		for _, e := range engines {
-			e.Stop()
-		}
-	}()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -172,7 +172,7 @@ func newDiffCluster(t *testing.T, rel obsolete.Relation) *diffCluster {
 			t.Fatal(err)
 		}
 		det := fd.NewManual()
-		eng, err := New(Config{
+		eng, err := start(config{
 			Self: p, Endpoint: ep, Detector: det,
 			// Flow control off, queues unbounded: no parking, no stalls —
 			// the outcome depends only on the message stream.
@@ -181,12 +181,9 @@ func newDiffCluster(t *testing.T, rel obsolete.Relation) *diffCluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Start(); err != nil {
-			t.Fatal(err)
-		}
 		c.engs[p] = eng
 		t.Cleanup(func() {
-			eng.Stop()
+			eng.stop()
 			det.Stop()
 			ep.Close()
 		})

@@ -12,21 +12,18 @@ import (
 	"repro/internal/transport"
 )
 
-// Config assembles an Engine. Self, Endpoint, Detector and InitialView are
-// required; everything else has working defaults.
-type Config struct {
+// config assembles an Engine: what its Node supplies and the group's own
+// GroupConfig.
+type config struct {
 	// Self is this process's identifier; it must be a member of
-	// InitialView and equal Endpoint.Self().
+	// InitialView.
 	Self ident.PID
 	// Group identifies the SVS group this engine is a member of. All of
 	// the engine's traffic travels in this group's transport inboxes, so
-	// many engines can share one Endpoint (see Node). The zero value —
-	// ident.NodeGroup — is fine for standalone single-group deployments;
-	// the Node runtime reserves it for node-scoped traffic and assigns
-	// application groups non-zero identifiers.
+	// many engines share one Endpoint.
 	Group ident.GroupID
-	// Endpoint connects the process to its peers; it may be shared with
-	// other groups and with the node's failure detector.
+	// Endpoint connects the process to its peers; it is shared with the
+	// node's other groups and its failure detector.
 	Endpoint transport.Endpoint
 	// Detector is the failure detector oracle. The engine consumes its
 	// Events channel.
@@ -37,23 +34,23 @@ type Config struct {
 	// reception frontiers and the non-obsolete backlog — from the state
 	// transfer that follows the admitting view change.
 	Join *JoinSpec
-	// Obs supplies the engine's clock, metrics and structured events. All of
-	// the engine's timestamps and tickers come from its Clock, so tests can
-	// drive the protocol under a deterministic obs.Fake. Nil means the wall
-	// clock with no metrics and no events.
+	// Obs supplies the engine's clock, metrics and structured events. Every
+	// timestamp and the loop's one wake timer come from its Clock, so tests
+	// can drive the protocol under a deterministic obs.Fake. Nil means the
+	// wall clock with no metrics and no events.
 	Obs *obs.Obs
 
 	GroupConfig
 }
 
-// GroupConfig is the group's own part of a Config: everything but the
-// fields a Node supplies to the groups it hosts (Self, Group, Endpoint and
-// Detector from the node, Obs derived from NodeConfig.Obs with the group's
-// label, and Join from Node.Join / JoinWith).
+// GroupConfig is the group's own part of its configuration: everything but
+// what the Node supplies to the groups it hosts (its Self, Endpoint and
+// detector, the group's id, an Obs derived from NodeConfig.Obs with the
+// group's label, and the JoinSpec of Node.Join / JoinWith).
 type GroupConfig struct {
 	// InitialView is the agreed first view (same at every member). It is
-	// ignored when Join is set: a joiner learns its first view from the
-	// group's state transfer.
+	// ignored by Node.Join and JoinWith: a joiner learns its first view from
+	// the group's state transfer.
 	InitialView View
 	// Relation is the obsolescence relation; nil means the empty relation,
 	// i.e. classic View Synchrony.
@@ -96,7 +93,7 @@ type GroupConfig struct {
 	Heal bool
 }
 
-// JoinSpec configures a joining engine (Config.Join).
+// JoinSpec configures a joining group (Node.JoinWith).
 type JoinSpec struct {
 	// Contacts are members of the running group to ask for admission. At
 	// least one is required; all of them are asked (concurrent admission
@@ -124,19 +121,10 @@ var (
 	ErrJoinTimeout = errors.New("core: join abandoned: no contact answered within the retry budget")
 )
 
-func (c *Config) validate() error {
-	if c.Self == "" {
-		return fmt.Errorf("core: config: Self is required")
-	}
-	if c.Endpoint == nil {
-		return fmt.Errorf("core: config: Endpoint is required")
-	}
-	if c.Endpoint.Self() != c.Self {
-		return fmt.Errorf("core: config: Endpoint.Self() %q != Self %q", c.Endpoint.Self(), c.Self)
-	}
-	if c.Detector == nil {
-		return fmt.Errorf("core: config: Detector is required")
-	}
+// validate checks the group's part of c and fills its defaults. Self and
+// Endpoint are the node's and checked by NewNode; the node always supplies
+// the detector.
+func (c *config) validate() error {
 	if c.Join != nil {
 		js := *c.Join
 		js.Contacts = js.Contacts.Remove(c.Self)

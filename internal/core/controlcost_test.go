@@ -79,7 +79,7 @@ func quietRun(t *testing.T, n int) (sent, bytes map[string]int) {
 	var links []quietSend
 	states := map[ident.PID]*viewState{}
 	for _, p := range members {
-		cfg := Config{Self: p, GroupConfig: GroupConfig{Relation: obsolete.Empty{}, StabilityInterval: 100 * time.Millisecond}}
+		cfg := config{Self: p, GroupConfig: GroupConfig{Relation: obsolete.Empty{}, StabilityInterval: 100 * time.Millisecond}}
 		s := newViewState(&cfg, v, quietLink{p, &links})
 		states[p] = &s
 	}

@@ -121,7 +121,7 @@ type Stats struct {
 	IgnoredWrongView  uint64
 	DecisionFailures  uint64
 
-	// Partition healing (Config.Heal).
+	// Partition healing (GroupConfig.Heal).
 	Merges         uint64 // union views installed by a partition merge
 	MergeAborts    uint64 // merges abandoned on timeout
 	MergeBytesRecv uint64 // wire bytes of merge state contributions received

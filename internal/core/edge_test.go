@@ -91,14 +91,14 @@ func TestStopWhileParkedReleasesCallers(t *testing.T) {
 	}()
 	// Give the producer time to park, then stop the engine under it.
 	time.Sleep(100 * time.Millisecond)
-	h.members["p0"].eng.Stop()
+	h.members["p0"].eng.stop()
 	select {
 	case err := <-errC:
 		if !errors.Is(err, ErrStopped) {
 			t.Fatalf("err = %v, want ErrStopped", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("parked multicast not released by Stop")
+		t.Fatal("parked multicast not released by stop")
 	}
 }
 
@@ -113,7 +113,7 @@ func TestSingleMemberGroup(t *testing.T) {
 	defer ep.Close()
 	det := fd.NewManual()
 	defer det.Stop()
-	eng, err := New(Config{
+	eng, err := start(config{
 		Self: "solo", Endpoint: ep, Detector: det,
 		GroupConfig: GroupConfig{
 			InitialView: View{ID: 1, Members: ident.NewPIDs("solo")},
@@ -123,10 +123,7 @@ func TestSingleMemberGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Stop()
+	defer eng.stop()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -148,8 +145,8 @@ func TestSingleMemberGroup(t *testing.T) {
 
 func TestDoubleStopIsSafe(t *testing.T) {
 	h := newGroup(t, harnessOpts{n: 2, rel: obsolete.Empty{}})
-	h.members["p0"].eng.Stop()
-	h.members["p0"].eng.Stop()
+	h.members["p0"].eng.stop()
+	h.members["p0"].eng.stop()
 	if _, err := h.members["p0"].eng.Multicast(context.Background(), obsolete.Msg{Sender: "p0", Seq: 1}, nil); !errors.Is(err, ErrStopped) {
 		t.Fatalf("multicast after stop: %v", err)
 	}
@@ -204,46 +201,6 @@ func TestViewChangeWithUnknownLeaver(t *testing.T) {
 	h.verify()
 }
 
-// TestStopWithoutStart is the regression for Stop blocking forever on an
-// engine that New built but nothing started (Node.host's late error paths):
-// only the loop closed doneC, and there was no loop.
-func TestStopWithoutStart(t *testing.T) {
-	net := transport.NewMemNetwork()
-	ep, err := net.Endpoint("solo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-	det := fd.NewManual()
-	defer det.Stop()
-	eng, err := New(Config{
-		Self: "solo", Endpoint: ep, Detector: det,
-		GroupConfig: GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("solo")}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stopped := make(chan struct{})
-	go func() {
-		eng.Stop()
-		close(stopped)
-	}()
-	select {
-	case <-stopped:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Stop on a never-started engine did not return")
-	}
-	if eng.rootCtx.Err() == nil {
-		t.Error("root context not cancelled")
-	}
-	if err := eng.Start(); !errors.Is(err, ErrStopped) {
-		t.Errorf("Start after Stop: %v, want ErrStopped", err)
-	}
-	if _, err := eng.Deliver(context.Background()); !errors.Is(err, ErrStopped) {
-		t.Errorf("Deliver after Stop: %v, want ErrStopped", err)
-	}
-}
-
 // TestCancelledCallsConsumeNothing cancels a Deliver and a Multicast while
 // the loop holds them (both are batches of one on the shared request path)
 // and checks that the engine neither hands the abandoned calls anything nor
@@ -257,7 +214,7 @@ func TestCancelledCallsConsumeNothing(t *testing.T) {
 	defer ep.Close()
 	det := fd.NewManual()
 	defer det.Stop()
-	eng, err := New(Config{
+	eng, err := start(config{
 		Self: "solo", Endpoint: ep, Detector: det,
 		GroupConfig: GroupConfig{
 			InitialView:  View{ID: 1, Members: ident.NewPIDs("solo")},
@@ -267,10 +224,7 @@ func TestCancelledCallsConsumeNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Stop()
+	defer eng.stop()
 	live, done := context.WithTimeout(context.Background(), 10*time.Second)
 	defer done()
 
@@ -318,28 +272,25 @@ func TestCancelledCallsConsumeNothing(t *testing.T) {
 // queue, no credits.
 func TestStagePrunedAtInstall(t *testing.T) {
 	net := transport.NewMemNetwork()
-	start := func(p ident.PID, cfg Config) *Engine {
+	launch := func(p ident.PID, cfg config) *Engine {
 		ep, err := net.Endpoint(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		det := fd.NewManual()
 		cfg.Self, cfg.Endpoint, cfg.Detector = p, ep, det
-		eng, err := New(cfg)
+		eng, err := start(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Start(); err != nil {
-			t.Fatal(err)
-		}
 		t.Cleanup(func() {
-			eng.Stop()
+			eng.stop()
 			det.Stop()
 			ep.Close()
 		})
 		return eng
 	}
-	founder := start("p0", Config{GroupConfig: GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("p0")}}})
+	founder := launch("p0", config{GroupConfig: GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("p0")}}})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -347,7 +298,7 @@ func TestStagePrunedAtInstall(t *testing.T) {
 	const peers = 4
 	for i := 1; i <= peers; i++ {
 		p := ident.PID(fmt.Sprintf("j%d", i))
-		joiner := start(p, Config{Join: &JoinSpec{Contacts: ident.NewPIDs("p0")}})
+		joiner := launch(p, config{Join: &JoinSpec{Contacts: ident.NewPIDs("p0")}})
 		waitCond(t, fmt.Sprintf("%s admitted", p), func() bool {
 			return founder.View().Includes(p) && joiner.View().Includes(p)
 		})
@@ -361,9 +312,9 @@ func TestStagePrunedAtInstall(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitCond(t, fmt.Sprintf("%s evicted", p), func() bool { return !founder.View().Includes(p) })
-		joiner.Stop()
+		joiner.stop()
 	}
-	founder.Stop() // the loop has exited: its state is safe to read
+	founder.stop() // the loop has exited: its state is safe to read
 	if len(founder.vc.others) != 0 || len(founder.vc.peers) < peers {
 		t.Fatalf("%d other members and %d records after %d peers came and went", len(founder.vc.others), len(founder.vc.peers), peers)
 	}

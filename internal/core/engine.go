@@ -12,20 +12,20 @@ import (
 	"repro/internal/transport"
 )
 
-// Engine is one group member running the SVS protocol of Figure 1. Create
-// it with New, drive it with Multicast / Deliver / RequestViewChange, and
-// shut it down with Stop.
+// Engine is one group member running the SVS protocol of Figure 1: the
+// part of a hosted Group that the application drives with Multicast /
+// Deliver / RequestViewChange. A Node starts it (start) and stops it
+// (stop).
 type Engine struct {
-	cfg Config
+	cfg config
 
 	reqC  chan *request
 	doneC chan struct{}
 
-	// rootCtx is cancelled by Stop (under pub.mu, so Start sees it): it ends
-	// the loop, and with it everything the engine runs.
+	// rootCtx is cancelled by stop: it ends the loop, and with it
+	// everything the engine runs.
 	rootCtx context.Context
 	cancel  context.CancelFunc
-	once    sync.Once
 
 	// pub is the facade's mirror of the loop's view and counters
 	// (metrics.go), written by the loop when a turn ends.
@@ -131,13 +131,14 @@ func putRequest(req *request) {
 	requestPool.Put(req)
 }
 
-// New validates cfg and assembles a stopped engine; call Start.
-func New(cfg Config) (*Engine, error) {
+// start validates cfg and runs an engine on it: the group's inboxes are
+// registered, so no peer traffic can race the loop's first read, and the
+// protocol loop is launched. A joining engine starts asking its contacts
+// for admission.
+func start(cfg config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// Make the group's inboxes exist before any peer traffic can race the
-	// protocol loop's first read.
 	cfg.Endpoint.Register(cfg.Group)
 	ctx, cancel := context.WithCancel(context.Background())
 	initial := cfg.InitialView
@@ -158,22 +159,10 @@ func New(cfg Config) (*Engine, error) {
 		cons:    consensus.NewMachine(cfg.Self, send, cfg.Detector, cfg.Obs),
 	}
 	e.vc = newViewState(&e.cfg, initial.Clone(), e)
-	e.pub = &published{view: e.vc.cv.Clone()}
+	e.pub = &published{view: e.vc.cv.Clone(), watched: e.vc.watching().Clone()}
 	e.pub.export(cfg.Obs)
-	return e, nil
-}
-
-// Start launches the protocol loop. A joining engine starts asking its
-// contacts for admission. Start after Stop fails with ErrStopped.
-func (e *Engine) Start() error {
-	e.pub.mu.Lock()
-	defer e.pub.mu.Unlock()
-	if e.rootCtx.Err() != nil {
-		return ErrStopped
-	}
-	e.pub.started = true
 	go e.run()
-	return nil
+	return e, nil
 }
 
 // never is the timer of a loop with nothing due.
@@ -182,21 +171,12 @@ type never struct{}
 func (never) C() <-chan time.Time { return nil }
 func (never) Stop()               {}
 
-// Stop terminates the engine. Parked Multicast and Deliver calls return
-// ErrStopped. Stop does not close the endpoint or the detector; the caller
-// owns those. An engine that was never started stops too: its root context
-// is cancelled and Stop returns at once.
-func (e *Engine) Stop() {
-	e.once.Do(func() {
-		e.pub.mu.Lock()
-		e.cancel()
-		started := e.pub.started
-		e.pub.mu.Unlock()
-		if !started {
-			close(e.doneC) // no loop will
-		}
-		<-e.doneC
-	})
+// stop terminates the engine and returns once its loop has exited. Parked
+// Multicast and Deliver calls return ErrStopped. stop does not close the
+// endpoint or the detector; the node owns those. Stopping twice is safe.
+func (e *Engine) stop() {
+	e.cancel()
+	<-e.doneC
 }
 
 // Self returns this process's identifier.
@@ -307,7 +287,7 @@ func (e *Engine) RequestViewChange(leave ...ident.PID) error {
 
 // RequestMembershipChange is the general form of RequestViewChange: the
 // next view admits the processes in join and removes the processes in
-// leave. Joined processes must be running a joining engine (Config.Join) —
+// leave. Joined processes must be joining the group (Node.Join) —
 // the view change only makes them members; the state transfer that follows
 // the install is what brings them up to date. A process in both sets
 // leaves.
@@ -459,7 +439,8 @@ func (e *Engine) send(to ident.PID, ch transport.Channel, msg any) error {
 }
 
 // syncSnapshots mirrors loop-owned state into the facade-visible copies,
-// then releases the turn's replies.
+// whom the group needs monitored included, then releases the turn's
+// replies.
 func (e *Engine) syncSnapshots() {
 	e.vc.stats.View = e.vc.cv.ID
 	e.vc.stats.Epoch = e.vc.cv.Epoch
@@ -478,6 +459,9 @@ func (e *Engine) syncSnapshots() {
 		// of its own: the facade keeps its own copy, and cloning per loop
 		// iteration would put a members alloc on the per-batch hot path.
 		e.pub.view = e.vc.cv.Clone()
+	}
+	if w := e.vc.watching(); !w.Equal(e.pub.watched) {
+		e.pub.watched = w.Clone()
 	}
 	e.pub.stats = e.vc.stats
 	e.pub.mu.Unlock()

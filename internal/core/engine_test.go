@@ -91,7 +91,7 @@ func newGroup(t *testing.T, o harnessOpts) *groupHarness {
 			t.Fatal(err)
 		}
 		det := fd.NewManual()
-		eng, err := New(Config{
+		eng, err := start(config{
 			Self:     p,
 			Endpoint: h.faults.Wrap(ep),
 			Detector: det,
@@ -121,18 +121,13 @@ func newGroup(t *testing.T, o harnessOpts) *groupHarness {
 		h.members[p] = m
 	}
 	for _, p := range h.pids {
-		if err := h.members[p].eng.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range h.pids {
 		h.startDriver(h.members[p])
 	}
 	t.Cleanup(func() {
 		for _, p := range h.pids {
 			m := h.members[p]
 			m.cancel()
-			m.eng.Stop()
+			m.eng.stop()
 			<-m.loopDone
 			m.det.Stop()
 			m.ep.Close()
@@ -552,32 +547,46 @@ func TestSequentialViewChanges(t *testing.T) {
 	h.verify()
 }
 
+// TestEngineConfigValidation: a node refuses a config without Self or
+// Endpoint, or whose Endpoint is another process's, and a node refuses to
+// create a group it cannot be a founding member of.
+// TestEngineConfigValidation: NewNode refuses a config without Self or
+// Endpoint, or with another process's Endpoint, and Create refuses a group
+// the node cannot found.
 func TestEngineConfigValidation(t *testing.T) {
-	net := transport.NewMemNetwork()
-	ep, _ := net.Endpoint("a")
-	defer ep.Close()
-	det := fd.NewManual()
-	defer det.Stop()
 	view := View{ID: 1, Members: ident.NewPIDs("a", "b")}
-
 	tests := []struct {
 		name string
-		cfg  Config
+		self ident.PID // the node's; its endpoint is always a's
+		noEP bool      // the node gets no endpoint
+		gc   GroupConfig
 	}{
-		{"missing self", Config{Endpoint: ep, Detector: det, GroupConfig: GroupConfig{InitialView: view}}},
-		{"missing endpoint", Config{Self: "a", Detector: det, GroupConfig: GroupConfig{InitialView: view}}},
-		{"missing detector", Config{Self: "a", Endpoint: ep, GroupConfig: GroupConfig{InitialView: view}}},
-		{"empty view", Config{Self: "a", Endpoint: ep, Detector: det}},
-		{"self not member", Config{
-			Self: "a", Endpoint: ep, Detector: det,
-			GroupConfig: GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("x", "y")}},
-		}},
-		{"self mismatch", Config{Self: "b", Endpoint: ep, Detector: det, GroupConfig: GroupConfig{InitialView: view}}},
-		{"negative cap", Config{Self: "a", Endpoint: ep, Detector: det, GroupConfig: GroupConfig{InitialView: view, ToDeliverCap: -1}}},
+		{"missing self", "", false, GroupConfig{InitialView: view}},
+		{"missing endpoint", "a", true, GroupConfig{InitialView: view}},
+		{"empty view", "a", false, GroupConfig{}},
+		{"self not member", "a", false, GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("x", "y")}}},
+		{"self mismatch", "b", false, GroupConfig{InitialView: view}},
+		{"negative cap", "a", false, GroupConfig{InitialView: view, ToDeliverCap: -1}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := New(tc.cfg); err == nil {
+			ep, err := transport.NewMemNetwork().Endpoint("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ep.Close()
+			det := fd.NewManual()
+			defer det.Stop()
+			nc := NodeConfig{Self: tc.self, Endpoint: ep, Detector: det}
+			if tc.noEP {
+				nc.Endpoint = nil
+			}
+			n, err := NewNode(nc)
+			if err == nil {
+				defer n.Close()
+				_, err = n.Create(1, tc.gc)
+			}
+			if err == nil {
 				t.Fatal("invalid config accepted")
 			}
 		})

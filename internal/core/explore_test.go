@@ -28,6 +28,9 @@ package core
 //	    majority proposed to — ends with no live member blocked. Without
 //	    Heal a member blocked in a change whose live members are a minority
 //	    of a side is the documented wedge, not a violation;
+//	(f) a process that has just entered a view holds its peer table as
+//	    checkArmed says: a fresh link to each other member, nothing of a
+//	    view in any other record;
 //
 // and, in a scenario whose application delivers, on every terminal state
 //
@@ -49,6 +52,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -146,7 +150,7 @@ type world struct {
 	installed map[ident.ViewRef][]byte
 	onLink    func(msg any) // if set, sees every message put on a link (TestControlCost)
 
-	violation string // set by the effect that broke (a), (b) or (c)
+	violation string // set by the effect that broke (a), (b), (c) or (f)
 }
 
 func (w *world) idx(p ident.PID) int {
@@ -230,7 +234,7 @@ func cloneData(s viewState) viewState {
 }
 
 // cloneQueue is a copy of q, whose relation is cfg's: its items.
-func cloneQueue(q *queue.Queue, cfg *Config) *queue.Queue {
+func cloneQueue(q *queue.Queue, cfg *config) *queue.Queue {
 	c := queue.New(cfg.Relation, q.Cap())
 	q.EachRef(func(it *queue.Item) bool {
 		c.ForceAppend(*it)
@@ -382,6 +386,9 @@ func (w *world) apply(i int, f effect) {
 			w.checkInstall(i, f.st)
 		}
 		p := w.mut(i)
+		if err := checkArmed(&p.s); err != nil && w.violation == "" {
+			w.violation = fmt.Sprintf("(f) %s entered %v: %v", self, f.view.Ref(), err)
+		}
 		for _, v := range p.views {
 			if v == f.view.Ref() && w.violation == "" {
 				w.violation = fmt.Sprintf("(a) %s entered %v twice", self, v)
@@ -408,6 +415,45 @@ func (w *world) apply(i int, f effect) {
 		}
 		w.input(i, "", entered{})
 	}
+}
+
+// checkArmed is property (f), what must hold of s's peer table whenever a
+// view has just been entered: others is the view's other members in view
+// order, each with a fresh link — full window both ways, an empty outgoing
+// queue under a window and none without, nothing staged, owed or reported
+// — every other record, our own included, holds nothing that belongs to a
+// view, and no member of the view counts as a former one.
+func checkArmed(s *viewState) error {
+	var want, got []ident.PID
+	for _, id := range s.cv.Members {
+		if id != s.self {
+			want = append(want, id)
+		}
+	}
+	for _, p := range s.others {
+		got = append(got, p.id)
+	}
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("others = %v, want %v (view %v)", got, want, s.cv.Members)
+	}
+	w := s.cfg.Window
+	for id, p := range s.peers {
+		l, fresh := p.link, link{}
+		if p.member {
+			fresh = link{member: true, window: w, avail: w, granted: w}
+			if (w > 0) != (l.out != nil) || l.out != nil && (l.out.Len() != 0 || l.out.Cap() != s.cfg.OutgoingCap) {
+				return fmt.Errorf("member %s: outgoing queue %v not fresh for window %d", id, l.out, w)
+			}
+			l.out = nil
+		}
+		if p.id != id || p.member != (id != s.self && s.cv.Includes(id)) || !reflect.DeepEqual(l, fresh) {
+			return fmt.Errorf("record %s (id %s) entered view %v with link %+v, want %+v", id, p.id, s.cv.Members, l, fresh)
+		}
+	}
+	if f := s.former.Intersect(s.cv.Members); len(f) > 0 {
+		return fmt.Errorf("members %v of view %v count as former", f, s.cv.Members)
+	}
+	return nil
 }
 
 func (w *world) decision(k int) consensus.Decision {
@@ -1008,7 +1054,7 @@ func newWorld(pids ident.PIDs, v View, heal bool) *world {
 func newWorldOf(pids ident.PIDs, v View, gc GroupConfig) *world {
 	w := &world{pids: pids}
 	for _, p := range pids {
-		cfg := Config{Self: p, GroupConfig: gc}
+		cfg := config{Self: p, GroupConfig: gc}
 		w.procs = append(w.procs, &xproc{s: newViewState(&cfg, v, nil), views: []ident.ViewRef{v.Ref()}})
 	}
 	return w
@@ -1107,9 +1153,9 @@ type exploreResult struct {
 }
 
 // explore searches every state reachable from start breadth first,
-// checking (a)–(c) on every effect, (e) on every terminal state of a world
-// whose application delivers and, once every state is known, (d) on each
-// of them. States are told apart by a 64-bit hash of their key, with a
+// checking (a)–(c) and (f) on every effect, (e) on every terminal state of
+// a world whose application delivers and, once every state is known, (d)
+// on each of them. States are told apart by a 64-bit hash of their key, with a
 // seed drawn per run: two of a few hundred thousand states collide with
 // odds below one in 10^8.
 func explore(start *world) exploreResult {

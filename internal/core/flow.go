@@ -35,14 +35,14 @@ type peer struct {
 // process is kept but its frontiers.
 //
 // The credit window reproduces the paper's buffer model in a live group:
-// every receiver grants each sender a window of Config.Window buffer slots;
+// every receiver grants each sender a window of GroupConfig.Window buffer slots;
 // a sender without credits queues in a bounded per-peer outgoing queue; a
 // full outgoing queue blocks the application's multicast. Credits flow back
 // as the receiver delivers or purges — purging is what lets a slow SVS
 // receiver keep its senders unblocked (§2.3).
 type link struct {
 	member bool // another member of the current view
-	window int  // Config.Window for a member; 0 (also: flow control disabled) switches the arithmetic off
+	window int  // GroupConfig.Window for a member; 0 (also: flow control disabled) switches the arithmetic off
 
 	// Sender side: what we may send to the peer.
 	avail int          // credits held, at most window

@@ -27,7 +27,7 @@ func TestFlowDisabledUnboundedNeverParks(t *testing.T) {
 
 // flowEngine is a hand-built engine "me" whose view has the one other
 // member "peer", armed with the given window.
-func flowEngine(cfg Config) (*Engine, *peer) {
+func flowEngine(cfg config) (*Engine, *peer) {
 	cfg.Self, cfg.Relation = "me", obsolete.Empty{}
 	cfg.InitialView = View{ID: 3, Members: ident.NewPIDs("me", "peer")}
 	e := &Engine{cfg: cfg}
@@ -36,7 +36,7 @@ func flowEngine(cfg Config) (*Engine, *peer) {
 }
 
 func TestPeerCredits(t *testing.T) {
-	e, p := flowEngine(Config{GroupConfig: GroupConfig{Window: 4, OutgoingCap: 8}})
+	e, p := flowEngine(config{GroupConfig: GroupConfig{Window: 4, OutgoingCap: 8}})
 	if p.out == nil || len(e.vc.peers) != 2 {
 		t.Fatalf("window 4 should arm an outgoing queue for the one peer, beside our own record: %+v", e.vc.peers)
 	}
@@ -74,7 +74,7 @@ func TestPeerCredits(t *testing.T) {
 // granted a quarter window at a time, except to a sender known to have used
 // up everything it was granted.
 func TestPeerGrantsInBatches(t *testing.T) {
-	_, p := flowEngine(Config{GroupConfig: GroupConfig{Window: 8}})
+	_, p := flowEngine(config{GroupConfig: GroupConfig{Window: 8}})
 	for i := 0; i < 3; i++ {
 		p.received()
 	}
@@ -98,7 +98,7 @@ func TestPeerGrantsInBatches(t *testing.T) {
 // now known blocked and can send nothing that would free another slot, so
 // what is owed is granted with that arrival, or never.
 func TestPeerGrantsOwedWhenBlocked(t *testing.T) {
-	_, p := flowEngine(Config{GroupConfig: GroupConfig{Window: 8}})
+	_, p := flowEngine(config{GroupConfig: GroupConfig{Window: 8}})
 	for i := 0; i < 7; i++ {
 		p.received()
 	}
@@ -112,7 +112,7 @@ func TestPeerGrantsOwedWhenBlocked(t *testing.T) {
 }
 
 func TestPeerCreditsDisabled(t *testing.T) {
-	_, p := flowEngine(Config{})
+	_, p := flowEngine(config{})
 	for i := 0; i < 1000; i++ {
 		if !p.hasCredit() || !p.takeCredit() {
 			t.Fatal("disabled flow control must never refuse")
@@ -129,7 +129,7 @@ func TestPeerCreditsDisabled(t *testing.T) {
 // grant lifts the credits to the window and no further, and is counted.
 func TestCreditGrantClampedAtWindow(t *testing.T) {
 	const window = 8
-	e, p := flowEngine(Config{GroupConfig: GroupConfig{Window: window, OutgoingCap: window}})
+	e, p := flowEngine(config{GroupConfig: GroupConfig{Window: window, OutgoingCap: window}})
 	grant := func(n int) {
 		e.onCtl(transport.Envelope{From: p.id, Msg: CreditMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Credits: n}})
 	}
@@ -170,7 +170,7 @@ func TestDrainOutgoingNeverDropsWithoutCredit(t *testing.T) {
 	defer pep.Close()
 	inbox := pep.Inbox(0, transport.Data)
 
-	e, p := flowEngine(Config{Endpoint: ep, GroupConfig: GroupConfig{Window: 4}})
+	e, p := flowEngine(config{Endpoint: ep, GroupConfig: GroupConfig{Window: 4}})
 	out := p.out
 	// One stale leftover from view 2, then five live messages.
 	out.ForceAppend(queue.Item{Kind: queue.Data, View: 2, Meta: obsolete.Msg{Sender: "me", Seq: 90}})

@@ -171,7 +171,7 @@ func (s *viewState) sendState(next View, joiners ident.PIDs) {
 // still held, of whatever view, repurged so covers that straddle history
 // and queue collapse. This is the semantic state transfer: under a purging
 // relation the backlog is O(window) however long the group has run. Only
-// the relation bounds the current view's part under Config.Heal, which
+// the relation bounds the current view's part under GroupConfig.Heal, which
 // keeps it unpruned: a relation that obsoletes little ships it whole.
 func (s *viewState) buildJoinState(next View) StateMsg {
 	return StateMsg{

@@ -51,8 +51,8 @@ func retryBand(n int) (lo, hi time.Duration) {
 // n, so across joiners and starts every delay stays inside its band while
 // the herd spreads out.
 func TestJoinBackoffScheduleFake(t *testing.T) {
-	start := time.Unix(0, 0)
-	fake := obs.NewFake(start)
+	begin := time.Unix(0, 0)
+	fake := obs.NewFake(begin)
 	net := transport.NewMemNetwork()
 	jep, err := net.Endpoint("j")
 	if err != nil {
@@ -67,7 +67,7 @@ func TestJoinBackoffScheduleFake(t *testing.T) {
 
 	det := fd.NewManual()
 	defer det.Stop()
-	eng, err := New(Config{
+	eng, err := start(config{
 		Self: "j", Endpoint: jep, Detector: det,
 		Join: &JoinSpec{Contacts: ident.NewPIDs("c")},
 		Obs:  obs.New(fake, nil, nil),
@@ -75,18 +75,15 @@ func TestJoinBackoffScheduleFake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Stop()
+	defer eng.stop()
 
-	// The initial request is sent on Start, before any timer fires.
+	// The initial request is sent as the engine starts, before any timer fires.
 	if env := backoffRecv(t, inbox); env.From != "j" {
 		t.Fatalf("initial join request from %q, want j", env.From)
 	}
 
 	for n := 0; n <= 5; n++ {
-		d := retryDelay("j", start, n)
+		d := retryDelay("j", begin, n)
 		if lo, hi := retryBand(n); d < lo || d > hi {
 			t.Fatalf("retry %d waits %v, outside [%v, %v]", n, d, lo, hi)
 		}
@@ -103,7 +100,7 @@ func TestJoinBackoffScheduleFake(t *testing.T) {
 
 	first := map[time.Duration]bool{}
 	for i := 0; i < 200; i++ {
-		self, at := ident.PID(fmt.Sprintf("j%d", i%20)), start.Add(time.Duration(i/20)*time.Millisecond)
+		self, at := ident.PID(fmt.Sprintf("j%d", i%20)), begin.Add(time.Duration(i/20)*time.Millisecond)
 		for n := 0; n <= 5; n++ {
 			d := retryDelay(self, at, n)
 			if lo, hi := retryBand(n); d < lo || d > hi {
@@ -131,7 +128,7 @@ func TestJoinGiveUpFake(t *testing.T) {
 	}
 	det := fd.NewManual()
 	defer det.Stop()
-	eng, err := New(Config{
+	eng, err := start(config{
 		Self: "j", Endpoint: jep, Detector: det,
 		Join: &JoinSpec{
 			Contacts: ident.NewPIDs("ghost"), // never attached: every send fails
@@ -142,10 +139,7 @@ func TestJoinGiveUpFake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Stop()
+	defer eng.stop()
 
 	// Park a Deliver before the budget expires; it must be failed, not
 	// stranded.
@@ -189,7 +183,7 @@ func TestJoinGiveUpAtDeadline(t *testing.T) {
 	}
 	det := fd.NewManual()
 	defer det.Stop()
-	eng, err := New(Config{
+	eng, err := start(config{
 		Self: "j", Endpoint: jep, Detector: det,
 		Join: &JoinSpec{Contacts: ident.NewPIDs("ghost"), GiveUp: time.Second},
 		Obs:  obs.New(fake, nil, nil),
@@ -197,10 +191,7 @@ func TestJoinGiveUpAtDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Stop()
+	defer eng.stop()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -492,15 +492,12 @@ func TestJoinStateFromNonMemberRejected(t *testing.T) {
 	}
 	det := fd.NewManual()
 	defer det.Stop()
-	eng, err := New(Config{Self: "j", Endpoint: ep, Detector: det,
+	eng, err := start(config{Self: "j", Endpoint: ep, Detector: det,
 		Join: &JoinSpec{Contacts: ident.NewPIDs("ghost")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Stop()
+	defer eng.stop()
 
 	evil, err := net.Endpoint("evil")
 	if err != nil {
@@ -536,23 +533,20 @@ func TestJoinConfigValidation(t *testing.T) {
 	det := fd.NewManual()
 	defer det.Stop()
 
-	if _, err := New(Config{Self: "j", Endpoint: ep, Detector: det, Join: &JoinSpec{}}); err == nil {
+	if _, err := start(config{Self: "j", Endpoint: ep, Detector: det, Join: &JoinSpec{}}); err == nil {
 		t.Fatal("join without contacts accepted")
 	}
-	if _, err := New(Config{Self: "j", Endpoint: ep, Detector: det,
+	if _, err := start(config{Self: "j", Endpoint: ep, Detector: det,
 		Join: &JoinSpec{Contacts: ident.NewPIDs("j")}}); err == nil {
 		t.Fatal("join with only self as contact accepted")
 	}
 	// A valid joiner config needs no InitialView.
-	eng, err := New(Config{Self: "j", Endpoint: ep, Detector: det,
+	eng, err := start(config{Self: "j", Endpoint: ep, Detector: det,
 		Join: &JoinSpec{Contacts: ident.NewPIDs("a")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Stop()
+	defer eng.stop()
 	// View changes cannot be requested before the join completes.
 	if err := eng.RequestViewChange(); !errors.Is(err, ErrJoining) {
 		t.Fatalf("RequestViewChange while joining = %v, want ErrJoining", err)

@@ -1,7 +1,7 @@
 package core
 
 // merge.go implements partition healing: the discovery, split and merge
-// protocol enabled by Config.Heal.
+// protocol enabled by GroupConfig.Heal.
 //
 // A network partition leaves the group in one of two shapes. The majority
 // side completes its view change normally and evicts the unreachable
@@ -139,7 +139,7 @@ func (t *turn) onProbe(from ident.PID, m ProbeMsg) {
 // it dies, growing suspicion shrinks the reachable set until a surviving
 // member finds itself lowest — a rotating proposer, with every declared
 // continuation awaited by the change so whichever decides first wins.
-// Without Config.Heal it returns at once and the minority stays blocked at
+// Without GroupConfig.Heal it returns at once and the minority stays blocked at
 // t5: plain SVS's wedge is that one return.
 func (t *turn) checkSplit() {
 	if !t.cfg.Heal {
@@ -179,7 +179,7 @@ func (t *turn) onSplit(from ident.PID, m SplitMsg) {
 		if !c.from.Contains(p) {
 			// We cannot yet cover every declared member's deliveries, so
 			// we must not propose — but the declaration is legitimate, so
-			// watch the instance for the decide flood.
+			// await the instance for the decide flood.
 			t.await(ident.ViewRef{Epoch: SplitEpoch(t.cv.Ref(), members), ID: t.cv.ID + 1})
 			return
 		}
@@ -255,7 +255,6 @@ func (t *turn) declineMerge(m InitMsg) {
 func (t *turn) abortMerge(reason string) {
 	t.stats.MergeAborts++
 	t.ev.MergeAborted(t.chg.next.String(), reason)
-	t.emit(watch{t.cv.Members}) // the view's own fanout again
 	t.former = t.former.Union(t.chg.audience.Without(t.cv.Members).Remove(t.self))
 	t.chg = nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"repro/internal/ident"
 	"repro/internal/obs"
 )
 
@@ -38,17 +39,17 @@ func newEngMetrics(ob *obs.Obs) *engMetrics {
 	}
 }
 
-// published is what the outside may read of an engine: the loop's view and
-// counters as of its last completed turn, copied under mu by syncSnapshots.
-// It is allocated apart from the Engine so that its readers — the facade's
-// View and Stats, and the registry source export registers — hold this
-// small value and never the engine. started (also under mu) records that
-// Start launched the loop, so Stop knows whether there is one to wait for.
+// published is what the outside may read of an engine: the loop's view,
+// whom the group needs monitored (viewState.watching) and its counters as of
+// its last completed turn, copied under mu by syncSnapshots. It is
+// allocated apart from the Engine so that its readers — the facade's View
+// and Stats, the node's heartbeat and the registry source export registers
+// — hold this small value and never the engine.
 type published struct {
 	mu      sync.Mutex
 	view    View
+	watched ident.PIDs
 	stats   Stats
-	started bool
 }
 
 func (p *published) Stats() Stats {

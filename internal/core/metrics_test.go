@@ -504,20 +504,17 @@ func TestRegistryDoesNotRetainEngine(t *testing.T) {
 		defer ep.Close()
 		det := fd.NewManual()
 		defer det.Stop()
-		eng, err := New(Config{
+		eng, err := start(config{
 			Self: "solo", Endpoint: ep, Detector: det, Obs: obs.New(nil, reg, nil),
 			GroupConfig: GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("solo")}},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Start(); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := eng.Multicast(context.Background(), obsolete.Msg{Sender: "solo", Seq: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
-		eng.Stop()
+		eng.stop()
 		runtime.SetFinalizer(eng, func(*Engine) { close(collected) })
 	}()
 	deadline := time.After(10 * time.Second)

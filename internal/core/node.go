@@ -28,10 +28,10 @@ import (
 //
 // Everything else stays per-group and fully isolated: each group runs its
 // own Engine (protocol loop, delivery queue, flow-control windows,
-// per-peer outgoing queues) and its own consensus service, keyed by group
-// on the wire. A blocked or slow group therefore never delays another
-// group's data or control plane — the §5.3 buffer-separation rule lifted
-// to group granularity.
+// per-peer outgoing queues, and the consensus instances of its view
+// changes), keyed by group on the wire. A blocked or slow group therefore
+// never delays another group's data or control plane — the §5.3
+// buffer-separation rule lifted to group granularity.
 type Node struct {
 	cfg NodeConfig
 	obs *obs.Obs      // node-labelled bundle; groups derive from it
@@ -41,12 +41,7 @@ type Node struct {
 
 	mu     sync.Mutex
 	groups map[ident.GroupID]*Group
-	// groupPeers tracks each hosted group's *current* peers (initial
-	// view at Create, then every installed view via groupDetector): the
-	// node-owned heartbeat monitors exactly the union, so a peer evicted
-	// from its last shared group stops being beaten and re-dialed.
-	groupPeers map[ident.GroupID]ident.PIDs
-	closed     bool
+	closed bool
 }
 
 // NodeConfig assembles a Node.
@@ -58,9 +53,8 @@ type NodeConfig struct {
 	Endpoint transport.Endpoint
 	// Detector optionally supplies the shared failure detector (already
 	// started). When nil the Node runs its own fd.Heartbeat over the
-	// endpoint, monitoring the union of all hosted groups' current
-	// memberships (a joining group's contacts until its first view), and
-	// stops it on Close.
+	// endpoint, which monitors, beat by beat, the union of whom the hosted
+	// groups need watched (Node.watched), and stops it on Close.
 	Detector fd.Detector
 	// Heartbeat tunes the node-owned heartbeat detector (ignored when
 	// Detector is set).
@@ -83,23 +77,6 @@ type Group struct {
 	tap  *fd.Tap
 }
 
-// groupDetector is the Detector handed to one group's engine: the shared
-// detector's Tap for events and queries, plus the view-install SetPeers
-// hook (enterView, viewchange.go), which reports the group's current
-// membership back to the node so the shared heartbeat tracks view changes —
-// without it, a peer evicted from every group would be monitored (and
-// re-dialed) forever.
-type groupDetector struct {
-	*fd.Tap
-	node *Node
-	id   ident.GroupID
-}
-
-// SetPeers reports the group's newly installed membership to the node.
-func (d *groupDetector) SetPeers(members ident.PIDs) {
-	d.node.setGroupPeers(d.id, members)
-}
-
 // ID returns the group's identifier.
 func (g *Group) ID() ident.GroupID { return g.id }
 
@@ -115,11 +92,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("core: node config: Endpoint.Self() %q != Self %q", cfg.Endpoint.Self(), cfg.Self)
 	}
 	n := &Node{
-		cfg:        cfg,
-		obs:        cfg.Obs,
-		det:        cfg.Detector,
-		groups:     make(map[ident.GroupID]*Group),
-		groupPeers: make(map[ident.GroupID]ident.PIDs),
+		cfg:    cfg,
+		obs:    cfg.Obs,
+		det:    cfg.Detector,
+		groups: make(map[ident.GroupID]*Group),
 	}
 	// Endpoints that export their counters and histograms through an obs
 	// registry (both in-tree transports) are attached to the node's bundle
@@ -132,7 +108,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		if hbo.Obs == nil {
 			hbo.Obs = n.obs
 		}
-		n.hb = fd.NewHeartbeat(cfg.Endpoint, nil, hbo)
+		n.hb = fd.NewHeartbeat(cfg.Endpoint, n.watched, hbo)
 		n.hb.Start()
 		n.det = n.hb
 	}
@@ -172,12 +148,28 @@ func (n *Node) Group(g ident.GroupID) (*Group, bool) {
 	return grp, ok
 }
 
-// host implements Create and Join: it wires a group-scoped engine onto
-// the node's shared endpoint and detector and starts it; join selects the
-// engine's bootstrap mode. It holds n.mu throughout, so a group is hosted
-// or not at one instant, and a New that fails leaves nothing behind: New
-// registers the group's inboxes only once the config is valid. Start
-// cannot fail on an engine nobody else holds.
+// watched is whom the node-owned heartbeat monitors: the union of what the
+// hosted groups published they need watched at the end of their last turn
+// (viewState.watching). A peer no group lists any more — evicted from its
+// last shared group, or the dead contact of a join that gave up — stops
+// being beaten and re-dialed at the next beat.
+func (n *Node) watched() ident.PIDs {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var union ident.PIDs
+	for _, g := range n.groups {
+		g.pub.mu.Lock()
+		union = union.Union(g.pub.watched)
+		g.pub.mu.Unlock()
+	}
+	return union
+}
+
+// host implements Create and Join: it starts a group-scoped engine on the
+// node's shared endpoint and detector; join selects the engine's bootstrap
+// mode. It holds n.mu throughout, so a group is hosted or not at one
+// instant, and a start that fails leaves nothing behind: start registers
+// the group's inboxes only once the config is valid.
 func (n *Node) host(id ident.GroupID, gc GroupConfig, join *JoinSpec) (*Group, error) {
 	if id == ident.NodeGroup {
 		return nil, fmt.Errorf("core: group id %d is reserved for node-scoped traffic", id)
@@ -191,11 +183,11 @@ func (n *Node) host(id ident.GroupID, gc GroupConfig, join *JoinSpec) (*Group, e
 		return nil, fmt.Errorf("core: group %d already hosted", id)
 	}
 	tap := n.fan.Tap()
-	eng, err := New(Config{
+	eng, err := start(config{
 		Self:        n.cfg.Self,
 		Group:       id,
 		Endpoint:    n.cfg.Endpoint,
-		Detector:    &groupDetector{Tap: tap, node: n, id: id},
+		Detector:    tap,
 		Join:        join,
 		Obs:         n.obs.With(obs.L("group", fmt.Sprint(id))),
 		GroupConfig: gc,
@@ -206,15 +198,6 @@ func (n *Node) host(id ident.GroupID, gc GroupConfig, join *JoinSpec) (*Group, e
 	}
 	grp := &Group{Engine: eng, node: n, id: id, tap: tap}
 	n.groups[id] = grp
-	// A joiner monitors its contacts until the first installed view
-	// reports the real membership through the SetPeers hook.
-	peers := gc.InitialView.Members
-	if join != nil {
-		peers = join.Contacts
-	}
-	n.groupPeers[id] = peers.Clone().Remove(n.cfg.Self)
-	n.syncPeersLocked()
-	_ = eng.Start()
 	return grp, nil
 }
 
@@ -229,9 +212,9 @@ func (n *Node) Join(id ident.GroupID, gc GroupConfig, contacts ...ident.PID) (*G
 	return n.host(id, gc, &JoinSpec{Contacts: ident.NewPIDs(contacts...)})
 }
 
-// JoinWith is Join with an explicit JoinSpec, for callers that need to
-// tune the retransmission backoff or set a give-up budget (JoinSpec.GiveUp)
-// instead of retrying dead contacts forever.
+// JoinWith is Join with an explicit JoinSpec, for callers that set a
+// give-up budget (JoinSpec.GiveUp) instead of retrying dead contacts
+// forever.
 func (n *Node) JoinWith(id ident.GroupID, gc GroupConfig, spec JoinSpec) (*Group, error) {
 	return n.host(id, gc, &spec)
 }
@@ -244,44 +227,18 @@ func (n *Node) Create(id ident.GroupID, gc GroupConfig) (*Group, error) {
 	return n.host(id, gc, nil)
 }
 
-// Add asks the group to admit the given processes, which must be running
-// joining engines (Node.Join or Config.Join). It returns once the view
+// Add asks the group to admit the given processes, which must be joining
+// it (Node.Join or JoinWith). It returns once the view
 // change is initiated; the joiners appear in the next installed view and
 // receive their state transfer from the sponsor.
 func (g *Group) Add(ps ...ident.PID) error {
 	return g.Engine.RequestMembershipChange(ident.NewPIDs(ps...), nil)
 }
 
-// setGroupPeers records group id's newly installed membership and
-// re-syncs the heartbeat peer set. Calls for groups no longer hosted
-// (a view install racing Leave) are ignored.
-func (n *Node) setGroupPeers(id ident.GroupID, members ident.PIDs) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, hosted := n.groups[id]; !hosted {
-		return
-	}
-	n.groupPeers[id] = members.Clone().Remove(n.cfg.Self)
-	n.syncPeersLocked()
-}
-
-// syncPeersLocked pushes the union of all groups' current peers into the
-// node-owned heartbeat detector. Callers hold n.mu.
-func (n *Node) syncPeersLocked() {
-	if n.hb == nil {
-		return
-	}
-	var union ident.PIDs
-	for _, peers := range n.groupPeers {
-		union = union.Union(peers)
-	}
-	n.hb.SetPeers(union)
-}
-
 // Leave detaches the group from its node: the engine stops, the detector
 // tap closes, the transport inboxes are deregistered (stray traffic for
-// the group is dropped and counted from then on), and peers no group
-// shares anymore stop being monitored. Leave is idempotent.
+// the group is dropped and counted from then on), and from the next beat
+// peers no group shares anymore stop being monitored. Leave is idempotent.
 func (g *Group) Leave() {
 	n := g.node
 	n.mu.Lock()
@@ -290,11 +247,9 @@ func (g *Group) Leave() {
 		return // already left (or superseded)
 	}
 	delete(n.groups, g.id)
-	delete(n.groupPeers, g.id)
-	n.syncPeersLocked()
 	n.mu.Unlock()
 
-	g.Engine.Stop()
+	g.stop()
 	g.tap.Stop()
 	n.cfg.Endpoint.Deregister(g.id)
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fd"
 	"repro/internal/ident"
+	"repro/internal/obs"
 	"repro/internal/obsolete"
 	"repro/internal/transport"
 )
@@ -274,7 +275,7 @@ func TestNodeCreateErrorCleansUpInboxes(t *testing.T) {
 	}
 	defer node.Close()
 
-	// Self not in InitialView: engine construction fails, and New
+	// Self not in InitialView: engine construction fails, and start
 	// registers the inboxes only once the config is valid.
 	_, err = node.Create(7, GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("a", "x")}})
 	if err == nil {
@@ -369,6 +370,169 @@ func TestNodeHeartbeatTracksEvictions(t *testing.T) {
 	})
 	cancel()
 	wg.Wait()
+}
+
+// beatNode is node self on net, running its own heartbeat every 10ms of a
+// fake clock and recording into a registry of its own, and hosting group 9
+// with "quiet", an endpoint that never answers: its one beat per tick
+// succeeds, so fd_beats_sent_total moving tells that the heartbeat ran a
+// tick. beat advances the clock one interval and waits for that.
+type beatNode struct {
+	*Node
+	clock *obs.Fake
+	reg   *obs.Registry
+}
+
+func newBeatNode(t *testing.T, net *transport.MemNetwork, self ident.PID) *beatNode {
+	t.Helper()
+	ep, err := net.Endpoint(self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet, err := net.Endpoint("quiet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { quiet.Close() })
+	b := &beatNode{clock: obs.NewFake(time.Unix(0, 0)), reg: obs.NewRegistry()}
+	b.Node, err = NewNode(NodeConfig{
+		Self: self, Endpoint: ep,
+		Heartbeat: fd.HeartbeatOptions{Interval: 10 * time.Millisecond},
+		Obs:       obs.New(b.clock, b.reg, nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	if _, err := b.Create(9, GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs(self, "quiet")}}); err != nil {
+		t.Fatal(err)
+	}
+	b.clock.BlockUntil(1) // the beat ticker
+	return b
+}
+
+func (b *beatNode) counter(name string) uint64 { return b.reg.Snapshot().Counters[name] }
+
+// suspected is the fd_suspected row of p, and whether there is one.
+func (b *beatNode) suspected(p ident.PID) (int64, bool) {
+	v, ok := b.reg.Snapshot().Gauges["fd_suspected{peer="+string(p)+"}"]
+	return v, ok
+}
+
+func (b *beatNode) beat(t *testing.T) {
+	t.Helper()
+	sent := b.counter("fd_beats_sent_total")
+	b.clock.Advance(10 * time.Millisecond)
+	waitCond(t, "the heartbeat to run a tick", func() bool { return b.counter("fd_beats_sent_total") > sent })
+}
+
+// stopsBeating checks that, from the next beat on, the node neither
+// monitors dead nor tries to beat it.
+func (b *beatNode) stopsBeating(t *testing.T, dead ident.PID) {
+	t.Helper()
+	failed := b.counter("fd_beat_send_errors_total")
+	for i := 0; i < 5; i++ {
+		b.beat(t)
+		if v, ok := b.suspected(dead); ok {
+			t.Fatalf("beat %d after the group ended: fd_suspected{peer=%s} = %d, want no row", i+1, dead, v)
+		}
+		if got := b.counter("fd_beat_send_errors_total"); got != failed {
+			t.Fatalf("beat %d after the group ended: fd_beat_send_errors_total %d -> %d", i+1, failed, got)
+		}
+	}
+}
+
+// TestJoinGiveUpStopsHeartbeat: a join whose only contact is dead gives up
+// after its budget, and from the next beat on its node stops monitoring,
+// and beating, the dead contact.
+func TestJoinGiveUpStopsHeartbeat(t *testing.T) {
+	b := newBeatNode(t, transport.NewMemNetwork(), "j")
+	g, err := b.JoinWith(1, GroupConfig{}, JoinSpec{Contacts: ident.NewPIDs("dead"), GiveUp: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.clock.BlockUntil(2) // and the joiner's wake timer
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	gaveUp := make(chan error, 1)
+	go func() {
+		_, err := g.Deliver(ctx)
+		gaveUp <- err
+	}()
+	// 150ms in, well past the 50ms timeout and short of the budget.
+	for i := 0; i < 15; i++ {
+		b.beat(t)
+	}
+	if v, ok := b.suspected("dead"); !ok || v != 1 || b.counter("fd_beat_send_errors_total") == 0 {
+		t.Fatalf("while joining: fd_suspected{peer=dead} = %d (row %v), %d failed beats; want the dead contact suspected and beaten",
+			v, ok, b.counter("fd_beat_send_errors_total"))
+	}
+	for i := 0; ; i++ {
+		if i == 100 {
+			t.Fatal("the join never gave up")
+		}
+		b.beat(t)
+		select {
+		case err := <-gaveUp:
+			if !errors.Is(err, ErrJoinTimeout) {
+				t.Fatalf("Deliver = %v, want ErrJoinTimeout", err)
+			}
+		default:
+			continue
+		}
+		break
+	}
+	b.stopsBeating(t, "dead")
+}
+
+// TestExpelledGroupStopsHeartbeat: once a group has expelled this process,
+// its node stops monitoring, and beating, the members that no other hosted
+// group lists — here x, which crashes right after.
+func TestExpelledGroupStopsHeartbeat(t *testing.T) {
+	net := transport.NewMemNetwork()
+	b := newBeatNode(t, net, "j")
+	epX, err := net.Endpoint("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	detX := fd.NewManual()
+	defer detX.Stop()
+	x, err := NewNode(NodeConfig{Self: "x", Endpoint: epX, Detector: detX})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	gc := GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("j", "x")}}
+	gj, err := b.Create(1, gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gx, err := x.Create(1, gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.beat(t)
+	if _, ok := b.suspected("x"); !ok {
+		t.Fatal("x, a member of group 1, is not monitored")
+	}
+
+	// x removes j. The clock stands still, so nobody suspects anybody.
+	if err := gx.RequestViewChange("j"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for {
+		d, err := gj.Deliver(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Kind == DeliverExpelled {
+			break
+		}
+	}
+	x.Close()
+	b.stopsBeating(t, "x")
 }
 
 // tcpNodes builds one node per pid over real TCP endpoints with the

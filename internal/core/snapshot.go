@@ -29,7 +29,7 @@ import (
 // leaves out what is known stable — received by every member, so the SVS
 // obligations for it hold everywhere without flushing — and sends no
 // frontiers. A merge keeps it, since the far side was never counted by this
-// view's stable frontier, and sends the frontiers. Under Config.Heal, which
+// view's stable frontier, and sends the frontiers. Under GroupConfig.Heal, which
 // prunes nothing of the current view from the history (pruneStable), a
 // merge's contribution is every current-view message the relation never
 // obsoleted: under the empty relation, the view's whole traffic.

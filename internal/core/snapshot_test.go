@@ -14,7 +14,7 @@ import (
 // snapEngine is a hand-built, never-started engine: no goroutines, no
 // clock, just the loop-owned state the snapshot code reads and writes.
 func snapEngine(rel obsolete.Relation) *Engine {
-	e := &Engine{cfg: Config{Self: "me", GroupConfig: GroupConfig{Relation: rel}}}
+	e := &Engine{cfg: config{Self: "me", GroupConfig: GroupConfig{Relation: rel}}}
 	e.vc = newViewState(&e.cfg, View{ID: 4, Members: ident.NewPIDs("a", "b", "me")}, e)
 	return e
 }

@@ -6,7 +6,7 @@ import (
 	"repro/internal/transport"
 )
 
-// Stability tracking (optional, Config.StabilityInterval > 0).
+// Stability tracking (optional, GroupConfig.StabilityInterval > 0).
 //
 // §2.1 of the paper observes that a view-synchronous protocol must keep a
 // message buffered "until it is known to be stable, i.e. received by all

@@ -239,7 +239,7 @@ func TestStableGossipCarriesCurrentMembersOnly(t *testing.T) {
 	net := transport.NewMemNetwork()
 	founders := ident.NewPIDs("p0", "p1", "p2")
 	var spy *stableSpy
-	start := func(p ident.PID, cfg Config) *Engine {
+	launch := func(p ident.PID, cfg config) *Engine {
 		ep, err := net.Endpoint(p)
 		if err != nil {
 			t.Fatal(err)
@@ -251,15 +251,12 @@ func TestStableGossipCarriesCurrentMembersOnly(t *testing.T) {
 			cfg.Endpoint = spy
 		}
 		cfg.StabilityInterval = time.Millisecond
-		eng, err := New(cfg)
+		eng, err := start(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Start(); err != nil {
-			t.Fatal(err)
-		}
 		t.Cleanup(func() {
-			eng.Stop()
+			eng.stop()
 			det.Stop()
 			ep.Close()
 		})
@@ -267,7 +264,7 @@ func TestStableGossipCarriesCurrentMembersOnly(t *testing.T) {
 	}
 	var p0 *Engine
 	for _, p := range founders {
-		e := start(p, Config{GroupConfig: GroupConfig{InitialView: View{ID: 1, Members: founders}}})
+		e := launch(p, config{GroupConfig: GroupConfig{InitialView: View{ID: 1, Members: founders}}})
 		if p == "p0" {
 			p0 = e
 		}
@@ -276,7 +273,7 @@ func TestStableGossipCarriesCurrentMembersOnly(t *testing.T) {
 	defer cancel()
 	for i := 1; i <= 5; i++ {
 		j := ident.PID(fmt.Sprintf("j%d", i))
-		joiner := start(j, Config{Join: &JoinSpec{Contacts: ident.NewPIDs("p0")}})
+		joiner := launch(j, config{Join: &JoinSpec{Contacts: ident.NewPIDs("p0")}})
 		waitCond(t, fmt.Sprintf("%s admitted", j), func() bool { return p0.View().Includes(j) && joiner.View().Includes(j) })
 		if _, err := joiner.Multicast(ctx, obsolete.Msg{Sender: j, Seq: 1}, nil); err != nil {
 			t.Fatal(err)
@@ -285,7 +282,7 @@ func TestStableGossipCarriesCurrentMembersOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitCond(t, fmt.Sprintf("%s gone", j), func() bool { return !p0.View().Includes(j) })
-		joiner.Stop()
+		joiner.stop()
 	}
 	v := p0.View().ID
 	var m StableMsg

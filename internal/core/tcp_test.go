@@ -7,75 +7,34 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fd"
 	"repro/internal/ident"
 	"repro/internal/obsolete"
-	"repro/internal/transport"
 )
 
-// TestGroupOverTCP runs a full group — engines, heartbeat failure
-// detectors, consensus — over real TCP sockets on localhost: multicast
-// with purging semantics, then a view change.
+// TestGroupOverTCP runs a full group — nodes with their heartbeat failure
+// detectors, engines, consensus — over real TCP sockets on localhost:
+// multicast with purging semantics, then a view change.
 func TestGroupOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP integration skipped in -short mode")
 	}
-	groupOverTCP(t, transport.TCPOptions{})
-}
-
-func groupOverTCP(t *testing.T, opts transport.TCPOptions) {
 	pids := ident.NewPIDs("t0", "t1", "t2")
 	view := View{ID: 1, Members: pids}
 	rel := obsolete.KEnumeration{K: 32}
 
-	// Bootstrap: listen first, exchange addresses, then start engines.
-	nets := make(map[ident.PID]*transport.TCPNetwork, len(pids))
+	nodes, _ := tcpNodes(t, pids)
+	engines := make(map[ident.PID]*Group, len(pids))
 	for _, p := range pids {
-		n, err := transport.NewTCPNetworkOpts(p, "127.0.0.1:0", nil, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nets[p] = n
-	}
-	for _, p := range pids {
-		for _, q := range pids {
-			if p != q {
-				nets[p].AddPeer(q, nets[q].Addr())
-			}
-		}
-	}
-
-	engines := make(map[ident.PID]*Engine, len(pids))
-	dets := make(map[ident.PID]*fd.Heartbeat, len(pids))
-	for _, p := range pids {
-		det := fd.NewHeartbeat(nets[p], pids, fd.HeartbeatOptions{
-			Interval: 10 * time.Millisecond,
-		})
-		eng, err := New(Config{
-			Self: p, Endpoint: nets[p], Detector: det,
-			GroupConfig: GroupConfig{
-				InitialView:  view,
-				Relation:     rel,
-				ToDeliverCap: 16, OutgoingCap: 16, Window: 16,
-			},
+		g, err := nodes[p].Create(1, GroupConfig{
+			InitialView:  view,
+			Relation:     rel,
+			ToDeliverCap: 16, OutgoingCap: 16, Window: 16,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		det.Start()
-		if err := eng.Start(); err != nil {
-			t.Fatal(err)
-		}
-		engines[p] = eng
-		dets[p] = det
+		engines[p] = g
 	}
-	t.Cleanup(func() {
-		for _, p := range pids {
-			engines[p].Stop()
-			dets[p].Stop()
-			nets[p].Close()
-		}
-	})
 
 	// Delivery loops counting data and watching for the new view.
 	ctx, cancel := context.WithCancel(context.Background())

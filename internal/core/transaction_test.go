@@ -119,7 +119,7 @@ func txnEngine(rel obsolete.Relation, window, outCap, deliverCap int, peers ...i
 		peers = []ident.PID{"peer"}
 	}
 	log := &sendLog{}
-	cfg := Config{Self: "me", Endpoint: log, GroupConfig: GroupConfig{Relation: rel, Window: window, OutgoingCap: outCap, ToDeliverCap: deliverCap}}
+	cfg := config{Self: "me", Endpoint: log, GroupConfig: GroupConfig{Relation: rel, Window: window, OutgoingCap: outCap, ToDeliverCap: deliverCap}}
 	e := &Engine{cfg: cfg}
 	e.vc = newViewState(&e.cfg, View{ID: 1, Members: ident.NewPIDs(append([]ident.PID{"me"}, peers...)...)}, e)
 	return e, log

@@ -19,9 +19,9 @@ package core
 // through the outlet the state's owner supplies. step reaches no engine,
 // consensus machine, detector, channel or timer: the time and the
 // detector's verdicts come in with each event, and what the owner must do —
-// the consensus machine's propose, watching a peer set, the loop's half of
-// entering a view — goes out as effects, which the engine interprets
-// (apply) in order. Protocol time is a step too: the state records when its
+// the consensus machine's propose, the loop's half of entering a view —
+// goes out as effects, which the engine interprets (apply) in order. Whom
+// the group needs monitored is read off the state (watching), not told. Protocol time is a step too: the state records when its
 // stability gossip, heal probe, merge timeout, join retransmission and join
 // give-up are next due, wake reports the earliest, and a tick event runs
 // whatever is due. Consensus is a message handler of the engine loop like
@@ -55,7 +55,7 @@ import (
 // to included.
 type viewState struct {
 	self ident.PID
-	cfg  *Config
+	cfg  *config
 
 	cv       View
 	chg      *change              // the change in flight (t5 to t7); nil while open
@@ -128,7 +128,7 @@ type outlet interface {
 
 // newViewState is the state of cfg.Self in view cv: an empty data plane,
 // every link armed. Its sends leave through out.
-func newViewState(cfg *Config, cv View, out outlet) viewState {
+func newViewState(cfg *config, cv View, out outlet) viewState {
 	s := viewState{
 		self: cfg.Self, cfg: cfg, cv: cv, joining: cfg.Join != nil,
 		toDeliver: queue.New(cfg.Relation, cfg.ToDeliverCap),
@@ -179,6 +179,23 @@ func (c *change) merge() bool { return c != nil && len(c.sides) == 2 }
 // not joining, not changing views, not at its end.
 func (s *viewState) open() bool { return !s.joining && s.chg == nil && s.terminal == nil }
 
+// watching is whom the group needs the failure detector to monitor: nobody
+// once it is at its end, the contacts while it joins, the union while a
+// merge runs — the quorum rule needs suspicion to develop for far-side
+// members that died — and the view otherwise. It is read, never copied,
+// so a turn that did not change it costs one comparison (syncSnapshots).
+func (s *viewState) watching() ident.PIDs {
+	switch {
+	case s.terminal != nil:
+		return nil
+	case s.joining:
+		return s.cfg.Join.Contacts
+	case s.chg.merge():
+		return s.chg.audience
+	}
+	return s.cv.Members
+}
+
 // An event is what happened to the view change: from sent msg, at now, with
 // suspected the detector's verdict at that moment. msg is an InitMsg,
 // PredMsg, SplitMsg, ProbeMsg, JoinReqMsg or StateMsg received, a control
@@ -226,9 +243,6 @@ type (
 		from   ident.PID
 		replay []transport.Envelope
 	}
-	// watch asks the detector to monitor peers for this group: a merge's
-	// union while it runs, the view again once it is aborted.
-	watch struct{ peers ident.PIDs }
 )
 
 // maxDeferredCtl bounds the stash of control messages that arrive for a
@@ -503,10 +517,6 @@ func (t *turn) onInit(from ident.PID, m InitMsg) {
 		c.join = ident.NewPIDs(m.Join...).Without(t.cv.Members).Without(c.leave)
 	} else if c = t.openMerge(m); c == nil {
 		return
-	} else {
-		// The quorum rule needs suspicion to develop for far-side members
-		// that died.
-		t.emit(watch{c.audience})
 	}
 	if from != t.self {
 		t.sendAll(c.audience.Remove(t.self), m)
@@ -789,8 +799,6 @@ func (e *Engine) apply(f effect) {
 		}
 	case install:
 		e.enterView(f)
-	case watch:
-		e.setPeers(f.peers)
 	}
 }
 
@@ -802,23 +810,14 @@ func (e *Engine) onDecisions(ds []consensus.Decision) {
 	}
 }
 
-// enterView is the loop's half of entering the view step has installed: the
-// detector watches the view, parked multicasts get their turn (failing, if
-// the view expelled us), the control traffic stashed for the view is
-// replayed, and step hears that the view is entered.
+// enterView is the loop's half of entering the view step has installed:
+// parked multicasts get their turn (failing, if the view expelled us), the
+// control traffic stashed for the view is replayed, and step hears that the
+// view is entered.
 func (e *Engine) enterView(f install) {
-	e.setPeers(f.view.Members)
 	e.retryParked()
 	for _, env := range f.replay {
 		e.input(env.From, env.Msg)
 	}
 	e.input("", entered{})
-}
-
-// setPeers tells a detector that tracks a peer set (the node's shared
-// heartbeat does, through groupDetector) whom this group needs monitored.
-func (e *Engine) setPeers(ps ident.PIDs) {
-	if pd, ok := e.cfg.Detector.(interface{ SetPeers(ident.PIDs) }); ok {
-		pd.SetPeers(ps)
-	}
 }

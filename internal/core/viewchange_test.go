@@ -37,7 +37,7 @@ type sendTo struct {
 
 func newStepper(self ident.PID, members ident.PIDs, heal bool) *stepper {
 	st := &stepper{}
-	cfg := Config{Self: self, GroupConfig: GroupConfig{Relation: tagging, Heal: heal}}
+	cfg := config{Self: self, GroupConfig: GroupConfig{Relation: tagging, Heal: heal}}
 	st.s = newViewState(&cfg, View{ID: 4, Members: members}, st)
 	return st
 }
@@ -139,7 +139,7 @@ func TestOneDecisionPerChangeEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 		det := fd.NewManual()
-		eng, err := New(Config{
+		eng, err := start(config{
 			Self: p, Endpoint: ep, Detector: det,
 			Obs:         obs.New(nil, reg, nil).With(obs.L("node", string(p))),
 			GroupConfig: GroupConfig{InitialView: view0},
@@ -149,15 +149,10 @@ func TestOneDecisionPerChangeEngines(t *testing.T) {
 		}
 		engs[p] = eng
 		t.Cleanup(func() {
-			eng.Stop()
+			eng.stop()
 			det.Stop()
 			ep.Close()
 		})
-	}
-	for _, eng := range engs {
-		if err := eng.Start(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	for i := 1; i <= changes; i++ {
 		if err := engs["p0"].RequestViewChange(); err != nil {
@@ -221,14 +216,11 @@ func TestProbeExpulsionEntersView(t *testing.T) {
 	}
 	det := fd.NewManual()
 	t.Cleanup(det.Stop)
-	straggler, err := New(Config{Self: "p2", Endpoint: eps["p2"], Detector: det, GroupConfig: GroupConfig{InitialView: view0, Heal: true}})
+	straggler, err := start(config{Self: "p2", Endpoint: eps["p2"], Detector: det, GroupConfig: GroupConfig{InitialView: view0, Heal: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := straggler.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(straggler.Stop)
+	t.Cleanup(straggler.stop)
 
 	// p0 opens a view change the straggler joins at t5 and that never
 	// completes: p0 and p1 run no engine to answer it.
@@ -312,7 +304,7 @@ func (l *ctlLog) proposed(t *testing.T, ref ident.ViewRef) StateMsg {
 // that reaches nobody but the log.
 func changeEngine(t *testing.T, self ident.PID, members ident.PIDs) (*Engine, *ctlLog) {
 	log, det := &ctlLog{self: self}, fd.NewManual()
-	cfg := Config{Self: self, Endpoint: log, Detector: det, GroupConfig: GroupConfig{Relation: tagging}}
+	cfg := config{Self: self, Endpoint: log, Detector: det, GroupConfig: GroupConfig{Relation: tagging}}
 	e := &Engine{cfg: cfg}
 	e.vc = newViewState(&e.cfg, View{ID: 4, Members: members}, e)
 	send := func(to ident.PID, m consensus.Msg) { _ = log.Send(to, 0, transport.Consensus, m) }
@@ -668,5 +660,65 @@ func TestStashOnlyNextView(t *testing.T) {
 	}
 	if s := st.s.stats; s.DroppedStale != maxDeferredCtl+1 || s.CtlDeferredDropped != 0 {
 		t.Errorf("%d dropped stale, %d deferred dropped; want %d, 0", s.DroppedStale, s.CtlDeferredDropped, maxDeferredCtl+1)
+	}
+}
+
+// TestWatchingFollowsState: whom a group needs monitored is read off its
+// state, step by step — the view while open or in an ordinary change, the
+// contacts while joining, the union while a merge runs and the view again
+// once it aborts, and nobody once the group is at its end, expelled or
+// given up.
+func TestWatchingFollowsState(t *testing.T) {
+	ps := ident.NewPIDs
+	t0 := time.Unix(0, 0)
+	view := View{ID: 2, Members: ps("p0", "p1")}
+	far := View{Epoch: SplitEpoch(ident.ViewRef{ID: 1}, ps("p2")), ID: 2, Members: ps("p2")}
+	for _, tc := range []struct {
+		name  string
+		join  *JoinSpec
+		steps []event
+		want  []ident.PIDs // as built, then after each step
+	}{
+		{
+			name:  "open, then an ordinary change",
+			steps: []event{{from: "p1", msg: InitMsg{View: View{ID: 2}}, now: t0}},
+			want:  []ident.PIDs{view.Members, view.Members},
+		},
+		{
+			name:  "expelled",
+			steps: []event{{from: "p1", msg: ProbeMsg{View{ID: 3, Members: ps("p1")}}, now: t0}},
+			want:  []ident.PIDs{view.Members, nil},
+		},
+		{
+			name:  "joining, then given up",
+			join:  &JoinSpec{Contacts: ps("p1", "p2"), GiveUp: time.Second},
+			steps: []event{{msg: tick{}, now: t0}, {msg: tick{}, now: t0.Add(time.Second)}},
+			want:  []ident.PIDs{ps("p1", "p2"), ps("p1", "p2"), nil},
+		},
+		{
+			name:  "merge running, then aborted",
+			steps: []event{{from: "p2", msg: InitMsg{View: view, Far: &far}, now: t0}, {msg: tick{}, now: t0.Add(mergeTimeout)}},
+			want:  []ident.PIDs{view.Members, ps("p0", "p1", "p2"), view.Members},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var links []quietSend
+			cfg := config{Self: "p0", Join: tc.join, GroupConfig: GroupConfig{Relation: obsolete.Empty{}, Heal: true}}
+			initial := view
+			if tc.join != nil {
+				initial = View{}
+			}
+			s := newViewState(&cfg, initial, quietLink{"p0", &links})
+			if got := s.watching(); !got.Equal(tc.want[0]) {
+				t.Fatalf("as built: watching %v, want %v", got, tc.want[0])
+			}
+			for i, ev := range tc.steps {
+				ev.suspected = func(ident.PID) bool { return false }
+				step(&s, ev)
+				if got := s.watching(); !got.Equal(tc.want[i+1]) {
+					t.Fatalf("after %T: watching %v, want %v", ev.msg, got, tc.want[i+1])
+				}
+			}
+		})
 	}
 }

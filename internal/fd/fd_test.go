@@ -1,12 +1,33 @@
 package fd
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ident"
 	"repro/internal/transport"
 )
+
+// peerSet is a watched set a test changes while a detector reads it.
+type peerSet struct {
+	mu sync.Mutex
+	ps ident.PIDs
+}
+
+func watching(ps ...ident.PID) *peerSet { return &peerSet{ps: ident.NewPIDs(ps...)} }
+
+func (s *peerSet) get() ident.PIDs {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ps
+}
+
+func (s *peerSet) set(ps ...ident.PID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ps = ident.NewPIDs(ps...)
+}
 
 func waitSuspected(t *testing.T, d Detector, p ident.PID, want bool) {
 	t.Helper()
@@ -83,10 +104,10 @@ func TestHeartbeatSuspectsSilentPeer(t *testing.T) {
 	defer epA.Close()
 	defer epB.Close()
 
-	peers := ident.NewPIDs("a", "b")
-	opts := HeartbeatOptions{Interval: 5 * time.Millisecond, Timeout: 25 * time.Millisecond}
-	ha := NewHeartbeat(epA, peers, opts)
-	hb := NewHeartbeat(epB, peers, opts)
+	peers := watching("a", "b")
+	opts := HeartbeatOptions{Interval: 5 * time.Millisecond}
+	ha := NewHeartbeat(epA, peers.get, opts)
+	hb := NewHeartbeat(epB, peers.get, opts)
 	ha.Start()
 	hb.Start()
 	defer ha.Stop()
@@ -113,34 +134,26 @@ func TestHeartbeatSuspectsSilentPeer(t *testing.T) {
 	waitSuspected(t, ha, "b", false)
 }
 
+// TestHeartbeatSetPeers: the detector follows its watched set at the next
+// beat. A peer the set drops loses its suspicion; a peer it keeps keeps
+// its own.
 func TestHeartbeatSetPeers(t *testing.T) {
 	net := transport.NewMemNetwork()
 	epA, _ := net.Endpoint("a")
 	defer epA.Close()
 
-	opts := HeartbeatOptions{Interval: 5 * time.Millisecond, Timeout: 20 * time.Millisecond}
-	ha := NewHeartbeat(epA, ident.NewPIDs("a", "b", "c"), opts)
+	peers := watching("a", "b", "c")
+	ha := NewHeartbeat(epA, peers.get, HeartbeatOptions{Interval: 5 * time.Millisecond})
 	ha.Start()
 	defer ha.Stop()
 
 	// b and c never beat: both eventually suspected.
-	deadline := time.After(3 * time.Second)
-	for {
-		if ha.Suspected("b") && ha.Suspected("c") {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("peers never suspected")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
+	waitSuspected(t, ha, "b", true)
+	waitSuspected(t, ha, "c", true)
 
-	// Dropping c from the view forgets its suspicion.
-	ha.SetPeers(ident.NewPIDs("a", "b"))
-	if ha.Suspected("c") {
-		t.Fatal("removed peer still suspected")
-	}
+	// Dropping c from the watched set forgets its suspicion at the next beat.
+	peers.set("a", "b")
+	waitSuspected(t, ha, "c", false)
 	if !ha.Suspected("b") {
 		t.Fatal("kept peer lost suspicion state")
 	}
@@ -150,7 +163,7 @@ func TestHeartbeatStopIsIdempotent(t *testing.T) {
 	net := transport.NewMemNetwork()
 	ep, _ := net.Endpoint("a")
 	defer ep.Close()
-	h := NewHeartbeat(ep, ident.NewPIDs("a"), HeartbeatOptions{})
+	h := NewHeartbeat(ep, watching("a").get, HeartbeatOptions{})
 	h.Start()
 	h.Stop()
 	h.Stop()

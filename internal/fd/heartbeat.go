@@ -22,10 +22,9 @@ func init() {
 
 // HeartbeatOptions configures the heartbeat detector.
 type HeartbeatOptions struct {
-	// Interval between heartbeats. Default 20ms.
+	// Interval between heartbeats. Default 20ms. A peer silent for longer
+	// than 5×Interval is suspected.
 	Interval time.Duration
-	// Timeout after which a silent peer is suspected. Default 5×Interval.
-	Timeout time.Duration
 	// Obs supplies the clock, metrics and event sink. All timestamps and
 	// the beat ticker come from its Clock, so a deterministic clock makes
 	// suspicion timing exactly reproducible (see the fake-clock tests).
@@ -37,12 +36,13 @@ func (o *HeartbeatOptions) defaults() {
 	if o.Interval <= 0 {
 		o.Interval = 20 * time.Millisecond
 	}
-	if o.Timeout <= 0 {
-		o.Timeout = 5 * o.Interval
-	}
 }
 
-// monitor is the detector's state under one lock: whom it monitors, when
+// timeoutBeats is how many beat intervals a peer may stay silent before it
+// is suspected.
+const timeoutBeats = 5
+
+// monitor is the detector's state under one lock: whom it monitors now, when
 // each was last heard, whom it suspects, and its counts since it was
 // created. It is allocated apart from the Heartbeat so that the registry
 // source reading it holds nothing else of the detector.
@@ -84,6 +84,7 @@ func (m *monitor) export(emit obs.Emit) {
 // every group the node hosts (see fd.Fanout for sharing its events).
 type Heartbeat struct {
 	ep      transport.Endpoint
+	watched func() ident.PIDs
 	opts    HeartbeatOptions
 	clock   obs.Clock
 	beatGap *obs.Histogram // observed gap between a peer's beats
@@ -98,19 +99,20 @@ type Heartbeat struct {
 
 var _ Detector = (*Heartbeat)(nil)
 
-// NewHeartbeat returns a detector monitoring peers through ep. Call Start
-// to begin beating.
-func NewHeartbeat(ep transport.Endpoint, peers ident.PIDs, opts HeartbeatOptions) *Heartbeat {
+// NewHeartbeat returns a detector monitoring, through ep, whom watched
+// names: it is read at Start and again at every beat, so the monitored set
+// follows it one beat late. Call Start to begin beating.
+func NewHeartbeat(ep transport.Endpoint, watched func() ident.PIDs, opts HeartbeatOptions) *Heartbeat {
 	opts.defaults()
 	ob := opts.Obs
 	m := &monitor{
-		peers:    peers.Clone().Remove(ep.Self()),
 		lastSeen: make(map[ident.PID]time.Time),
 		susp:     make(map[ident.PID]bool),
 	}
 	ob.AddSource(m.export)
 	return &Heartbeat{
 		ep:      ep,
+		watched: watched,
 		opts:    opts,
 		clock:   ob.Clock(),
 		beatGap: ob.Histogram("fd_beat_gap_seconds", obs.DurationBuckets),
@@ -123,24 +125,20 @@ func NewHeartbeat(ep transport.Endpoint, peers ident.PIDs, opts HeartbeatOptions
 
 // Start launches the beat and monitor goroutines.
 func (h *Heartbeat) Start() {
-	now := h.clock.Now()
-	h.mu.Lock()
-	for _, p := range h.peers {
-		h.lastSeen[p] = now
-	}
-	h.mu.Unlock()
+	h.follow()
 	h.wg.Add(2)
 	go h.beatLoop()
 	go h.recvLoop()
 }
 
-// SetPeers replaces the monitored set (e.g. after a view change). Newly
-// added peers start unsuspected with a fresh grace period.
-func (h *Heartbeat) SetPeers(peers ident.PIDs) {
+// follow makes the monitored set whom watched names now and returns it: a
+// newly named peer starts unsuspected with a fresh grace period, a dropped
+// one is forgotten, its suspicion with it.
+func (h *Heartbeat) follow() ident.PIDs {
+	next := h.watched().Remove(h.ep.Self())
 	now := h.clock.Now()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	next := peers.Clone().Remove(h.ep.Self())
 	for _, p := range next {
 		if !h.peers.Contains(p) {
 			h.lastSeen[p] = now
@@ -153,6 +151,7 @@ func (h *Heartbeat) SetPeers(peers ident.PIDs) {
 		}
 	}
 	h.peers = next
+	return next
 }
 
 func (h *Heartbeat) beatLoop() {
@@ -164,11 +163,8 @@ func (h *Heartbeat) beatLoop() {
 		case <-h.done:
 			return
 		case <-ticker.C():
-			h.mu.Lock()
-			peers := h.peers.Clone()
-			h.mu.Unlock()
 			var sent, failed uint64
-			for _, p := range peers {
+			for _, p := range h.follow() {
 				// Best effort: a failed send is just a missing beat, but it
 				// is counted — a climbing error rate is a dead link.
 				if err := h.ep.Send(p, ident.NodeGroup, transport.FailureDetector, Beat{}); err != nil {
@@ -223,7 +219,7 @@ func (h *Heartbeat) alive(p ident.PID) {
 }
 
 // check counts a tick's beats, sent and failed, and suspects every peer
-// silent for longer than the timeout at now.
+// silent for longer than timeoutBeats intervals at now.
 func (h *Heartbeat) check(now time.Time, sent, failed uint64) {
 	var newly []ident.PID
 	h.mu.Lock()
@@ -233,7 +229,7 @@ func (h *Heartbeat) check(now time.Time, sent, failed uint64) {
 		if h.susp[p] {
 			continue
 		}
-		if now.Sub(h.lastSeen[p]) > h.opts.Timeout {
+		if now.Sub(h.lastSeen[p]) > timeoutBeats*h.opts.Interval {
 			h.susp[p] = true
 			h.suspicions++
 			newly = append(newly, p)

@@ -11,8 +11,8 @@ import (
 
 // TestHeartbeatDeterministicUnderFakeClock drives the heartbeat detector
 // with an obs.Fake clock and proves suspicion timing is exact: with
-// Interval=20ms and Timeout=100ms, a peer silent since t=0 is suspected at
-// the t=120ms tick (the first beat tick where now-lastSeen > Timeout) and
+// Interval=20ms, so a 100ms timeout, a peer silent since t=0 is suspected at
+// the t=120ms tick (the first beat tick where now-lastSeen > 100ms) and
 // at no earlier tick. The beats the detector sends each tick double as
 // synchronisation points: receiving the beat of tick N guarantees the
 // check of every tick before N has completed, so the "not yet suspected"
@@ -33,9 +33,8 @@ func TestHeartbeatDeterministicUnderFakeClock(t *testing.T) {
 	start := time.Unix(0, 0)
 	clock := obs.NewFake(start)
 	reg := obs.NewRegistry()
-	h := NewHeartbeat(epA, ident.NewPIDs("a", "b"), HeartbeatOptions{
+	h := NewHeartbeat(epA, watching("a", "b").get, HeartbeatOptions{
 		Interval: 20 * time.Millisecond,
-		Timeout:  100 * time.Millisecond,
 		Obs:      obs.New(clock, reg, nil),
 	})
 	h.Start()
@@ -108,7 +107,7 @@ func TestHeartbeatDeterministicUnderFakeClock(t *testing.T) {
 		t.Fatalf("suspected gauge wrong: %v", snap.Gauges)
 	}
 
-	// Silence b again: the next suspicion lands at lastSeen+Timeout
+	// Silence b again: the next suspicion lands at lastSeen+100ms
 	// rounded up to a tick — beat received at 120ms, so the 240ms tick
 	// (240-120 = 120 > 100) and not the 220ms one.
 	for clock.Now().Sub(start) < 220*time.Millisecond {
@@ -132,7 +131,8 @@ func TestHeartbeatDeterministicUnderFakeClock(t *testing.T) {
 }
 
 // TestSuspectedGaugeFollowsPeers: fd_suspected{peer=p} has a row for each
-// peer the detector monitors now, and none for a peer SetPeers dropped.
+// peer the detector monitors now, and none, one beat later, for a peer the
+// watched set dropped.
 func TestSuspectedGaugeFollowsPeers(t *testing.T) {
 	net := transport.NewMemNetwork()
 	ep, err := net.Endpoint("a")
@@ -142,9 +142,9 @@ func TestSuspectedGaugeFollowsPeers(t *testing.T) {
 	defer ep.Close()
 	clock := obs.NewFake(time.Unix(0, 0))
 	reg := obs.NewRegistry()
-	h := NewHeartbeat(ep, ident.NewPIDs("a", "b", "c"), HeartbeatOptions{
+	peers := watching("a", "b", "c")
+	h := NewHeartbeat(ep, peers.get, HeartbeatOptions{
 		Interval: 20 * time.Millisecond,
-		Timeout:  100 * time.Millisecond,
 		Obs:      obs.New(clock, reg, nil),
 	})
 	h.Start()
@@ -168,7 +168,20 @@ func TestSuspectedGaugeFollowsPeers(t *testing.T) {
 		t.Fatalf("suspected gauges = %v, want b and c at 1", gauges)
 	}
 
-	h.SetPeers(ident.NewPIDs("a", "c"))
+	// b leaves the watched set. The clock then moves one beat and stands
+	// still, so the row can only go at that beat.
+	peers.set("a", "c")
+	clock.Advance(20 * time.Millisecond)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, ok := reg.Snapshot().Gauges["fd_suspected{peer=b}"]; !ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("fd_suspected{peer=b} outlived the beat after b's removal")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	gauges = reg.Snapshot().Gauges
 	if _, ok := gauges["fd_suspected{peer=b}"]; ok {
 		t.Fatalf("fd_suspected{peer=b} outlived b's removal: %v", gauges)

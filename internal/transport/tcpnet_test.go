@@ -28,13 +28,15 @@ func init() {
 		})
 }
 
-func tcpPairOpts(t *testing.T, opts TCPOptions) (*TCPNetwork, *TCPNetwork) {
+// tcpPairCap is two connected networks a and b whose frames are bounded
+// by frameCap.
+func tcpPairCap(t *testing.T, frameCap int) (*TCPNetwork, *TCPNetwork) {
 	t.Helper()
-	a, err := NewTCPNetworkOpts("a", "127.0.0.1:0", nil, opts)
+	a, err := newTCPNetwork("a", "127.0.0.1:0", nil, frameCap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewTCPNetworkOpts("b", "127.0.0.1:0", map[ident.PID]string{"a": a.Addr()}, opts)
+	b, err := newTCPNetwork("b", "127.0.0.1:0", map[ident.PID]string{"a": a.Addr()}, frameCap)
 	if err != nil {
 		a.Close()
 		t.Fatal(err)
@@ -50,7 +52,7 @@ func tcpPairOpts(t *testing.T, opts TCPOptions) (*TCPNetwork, *TCPNetwork) {
 
 func tcpPair(t *testing.T) (*TCPNetwork, *TCPNetwork) {
 	t.Helper()
-	return tcpPairOpts(t, TCPOptions{})
+	return tcpPairCap(t, maxFrame)
 }
 
 func TestTCPNetworkSendRecv(t *testing.T) {
