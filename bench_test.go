@@ -69,6 +69,15 @@ func BenchmarkFig3bObsolescenceDistance(b *testing.B) {
 	b.ReportMetric(100*st.NeverObsoleteShare, "never-obsolete-%") // paper: 41.88
 }
 
+// BenchmarkTraceGenerate times the §5.2 session generator at its paper
+// calibration; every benchmark run, figure and tool starts from one call.
+func BenchmarkTraceGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		trace.Generate(trace.DefaultParams())
+	}
+}
+
 // ---- Fig. 4: rate sweeps -----------------------------------------------------
 
 func BenchmarkFig4aProducerIdle(b *testing.B) {

@@ -50,10 +50,16 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Read parses the format produced by WriteTo.
+// maxRounds bounds the rounds a trace may declare, because Read allocates
+// ActivePerRound up front from that count: 1<<22 rounds is about 39 hours
+// at 30 rounds/s.
+const maxRounds = 1 << 22
+
+// Read parses the format produced by WriteTo. It rejects a rounds count
+// that is negative, above 1<<22 or declared twice.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1<<20) // lines up to 1 MiB; the buffer grows to fit
 	t := &Trace{}
 	line := 0
 	for sc.Scan() {
@@ -71,6 +77,12 @@ func Read(r io.Reader) (*Trace, error) {
 			v, err := strconv.Atoi(fields[1])
 			if err != nil {
 				return nil, fmt.Errorf("trace: line %d: %w", line, err)
+			}
+			if v < 0 || v > maxRounds {
+				return nil, fmt.Errorf("trace: line %d: rounds %d outside [0, %d]", line, v, maxRounds)
+			}
+			if t.ActivePerRound != nil {
+				return nil, fmt.Errorf("trace: line %d: rounds declared twice", line)
 			}
 			t.Rounds = v
 			t.ActivePerRound = make([]int, v)

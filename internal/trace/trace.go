@@ -22,12 +22,14 @@
 //     share;
 //   - per-round update counts that fluctuate (bursts), producing the
 //     paper's observation that receivers must outpace the average rate.
+//
+// Generate costs time linear in the session and a constant number of
+// allocations; TestGenerateGolden pins its stream draw for draw.
 package trace
 
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // EventKind is the kind of a trace event.
@@ -137,83 +139,77 @@ func ScalePlayers(p Params, players int) Params {
 // trace.
 func Generate(p Params) *Trace {
 	rng := rand.New(rand.NewSource(p.Seed))
+	// Events is allocated once, for the mean traffic and a quarter more.
+	perRound := math.Max(p.BurstStartsPerRound, 0)*math.Max(p.BurstLenMean, 1) +
+		math.Max(p.TransientSpawnsPerRound, 0)*(math.Max(p.TransientUpdatesMean, 1)+2)
 	tr := &Trace{
 		Rounds:         p.Rounds,
 		RoundsPerSec:   p.RoundsPerSec,
+		Events:         make([]Event, 0, int(float64(p.Rounds)*perRound*1.25)+64),
 		ActivePerRound: make([]int, p.Rounds),
 	}
 
 	zipf := newZipfPicker(p.PersistentItems, p.ZipfS, rng)
-	burst := make(map[uint32]int)     // persistent item -> remaining burst rounds
-	transient := make(map[uint32]int) // transient item -> remaining updates
+	burst := make([]int, max(p.PersistentItems, 1)) // item-1 -> remaining burst rounds
+	bursting := 0                                   // items with burst rounds left
+	transient := make([]projectile, 0, 64)          // live, in creation (= id) order
 	nextTransient := uint32(1_000_000)
+	bursts, spawns := newPoisson(p.BurstStartsPerRound), newPoisson(p.TransientSpawnsPerRound)
 
 	for r := 0; r < p.Rounds; r++ {
-		var round []Event
-
-		// New persistent bursts.
-		for i := poisson(rng, p.BurstStartsPerRound); i > 0; i-- {
-			item := zipf.pick()
+		start := len(tr.Events)
+		// New persistent bursts, then one update per bursting item.
+		for i := bursts.sample(rng); i > 0; i-- {
+			item := zipf.pick() - 1
+			if burst[item] == 0 {
+				bursting++
+			}
 			burst[item] += geometric(rng, p.BurstLenMean)
 		}
-		// One update per bursting item per round. Maps are iterated in
-		// sorted key order so the same seed always yields the same trace.
-		for _, item := range sortedKeys(burst) {
-			round = append(round, Event{Round: r, Kind: Update, Item: item})
-			if burst[item]--; burst[item] <= 0 {
-				delete(burst, item)
+		for i, n := 0, bursting; n > 0; i++ {
+			if burst[i] > 0 {
+				n--
+				tr.Events = append(tr.Events, Event{Round: r, Kind: Update, Item: uint32(i + 1)})
+				if burst[i]--; burst[i] == 0 {
+					bursting--
+				}
 			}
 		}
 
-		// Transient lifecycle: spawn this round, update once per round
-		// from the next round on, destroy when the updates run out.
-		spawned := make(map[uint32]bool)
-		for i := poisson(rng, p.TransientSpawnsPerRound); i > 0; i-- {
-			id := nextTransient
+		// Transients: spawn this round (the tail, which the walk skips),
+		// update once a round from the next on, destroy when updates run out.
+		old := len(transient)
+		for i := spawns.sample(rng); i > 0; i-- {
+			tr.Events = append(tr.Events, Event{Round: r, Kind: Create, Item: nextTransient})
+			transient = append(transient, projectile{nextTransient, geometric(rng, p.TransientUpdatesMean)})
 			nextTransient++
-			round = append(round, Event{Round: r, Kind: Create, Item: id})
-			transient[id] = geometric(rng, p.TransientUpdatesMean)
-			spawned[id] = true
 		}
-		for _, id := range sortedKeys(transient) {
-			if spawned[id] {
-				continue // first update comes the round after creation
-			}
-			if transient[id] == 0 {
-				round = append(round, Event{Round: r, Kind: Destroy, Item: id})
-				delete(transient, id)
+		live := 0
+		for _, pr := range transient[:old] {
+			if pr.left == 0 {
+				tr.Events = append(tr.Events, Event{Round: r, Kind: Destroy, Item: pr.id})
 				continue
 			}
-			round = append(round, Event{Round: r, Kind: Update, Item: id})
-			transient[id]--
+			tr.Events = append(tr.Events, Event{Round: r, Kind: Update, Item: pr.id})
+			transient[live] = projectile{pr.id, pr.left - 1}
+			live++
 		}
+		transient = transient[:live+copy(transient[live:], transient[old:])]
 
-		// Interleave the round's messages as a real server would emit
-		// them, keeping each item's create before its updates (creates
-		// stay in place; only updates of distinct items swap freely).
-		shuffleRound(rng, round)
-		tr.Events = append(tr.Events, round...)
+		// Interleave the round's messages as a real server would emit them;
+		// a transient item is only created (never also updated) in its spawn
+		// round, so any permutation keeps every item's stream well-formed.
+		round := tr.Events[start:]
+		rng.Shuffle(len(round), func(i, j int) { round[i], round[j] = round[j], round[i] })
 		tr.ActivePerRound[r] = p.PersistentItems + len(transient)
 	}
 	return tr
 }
 
-// sortedKeys returns the keys of m in ascending order.
-func sortedKeys(m map[uint32]int) []uint32 {
-	out := make([]uint32, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// shuffleRound permutes a round's events. Because a transient item is only
-// created (never also updated) in its spawn round, any permutation keeps
-// every item's stream well-formed; the shuffle just removes the artificial
-// persistent-then-transient grouping.
-func shuffleRound(rng *rand.Rand, round []Event) {
-	rng.Shuffle(len(round), func(i, j int) { round[i], round[j] = round[j], round[i] })
+// projectile is a live transient item and its remaining updates.
+type projectile struct {
+	id   uint32
+	left int
 }
 
 // Duration returns the session length in seconds.
@@ -235,17 +231,21 @@ func (t *Trace) MeanRate() float64 {
 
 // ---- distributions ----------------------------------------------------------
 
-// poisson samples a Poisson variate with rate lambda (Knuth's algorithm;
-// fine for the small rates used here).
-func poisson(rng *rand.Rand, lambda float64) int {
-	if lambda <= 0 {
+// poisson samples Poisson variates with a fixed rate (Knuth's algorithm;
+// fine for the small rates used here). A rate that is not positive draws
+// nothing from the generator.
+type poisson struct{ rate, limit float64 }
+
+func newPoisson(rate float64) poisson { return poisson{rate: rate, limit: math.Exp(-rate)} }
+
+func (d poisson) sample(rng *rand.Rand) int {
+	if d.rate <= 0 {
 		return 0
 	}
-	l := math.Exp(-lambda)
 	k, p := 0, 1.0
 	for {
 		p *= rng.Float64()
-		if p <= l {
+		if p <= d.limit {
 			return k
 		}
 		k++

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -292,9 +294,120 @@ func TestReadRejectsGarbage(t *testing.T) {
 		"ev 0 z 5\nrounds 1\n",
 		"active 5 1\n",
 		"bogus 1 2\n",
+		"rounds -1\n",
+		"rounds 4194305\n",
+		"rounds 5\nev 4 u 1\nrounds 2\n",
 	} {
 		if _, err := Read(bytes.NewReader([]byte(in))); err == nil {
 			t.Errorf("Read(%q) accepted garbage", in)
 		}
 	}
+}
+
+// hashTrace is the FNV-64a hash of a trace's stream: every event as its
+// round (8 bytes), kind (1) and item (4), then every active count (8), all
+// little-endian.
+func hashTrace(tr *Trace) uint64 {
+	h := fnv.New64a()
+	var b [13]byte
+	for _, ev := range tr.Events {
+		binary.LittleEndian.PutUint64(b[0:8], uint64(ev.Round))
+		b[8] = byte(ev.Kind)
+		binary.LittleEndian.PutUint32(b[9:13], ev.Item)
+		h.Write(b[:])
+	}
+	for _, a := range tr.ActivePerRound {
+		binary.LittleEndian.PutUint64(b[0:8], uint64(a))
+		h.Write(b[:8])
+	}
+	return h.Sum64()
+}
+
+// TestGenerateGolden pins the generated stream: every benchmark seed and
+// figure replays exactly these events, so making the generator faster must
+// not change a single draw. The table predates the linear-time generator.
+func TestGenerateGolden(t *testing.T) {
+	with := func(f func(*Params)) Params {
+		p := DefaultParams()
+		f(&p)
+		return p
+	}
+	seed := func(s int64) Params { return with(func(p *Params) { p.Seed = s }) }
+	for _, c := range []struct {
+		name   string
+		p      Params
+		events int
+		hash   uint64
+	}{
+		{"default/seed=1", seed(1), 16060, 0x4dbb67990b524e9f},
+		{"default/seed=2", seed(2), 15763, 0x66fd5f8fea5ba48a},
+		{"default/seed=3", seed(3), 16804, 0xa69771155d50df25},
+		{"default/seed=4", seed(4), 16380, 0xe73526a90c2fb357},
+		{"default/seed=5", seed(5), 16663, 0x73c950076c246f51},
+		{"default/seed=6", seed(6), 16491, 0x0246343129371771},
+		{"default/seed=7", seed(7), 16568, 0xa52d5c148d2ce076},
+		{"default/seed=8", seed(8), 16477, 0x88a9e0b3a97ed65c},
+		{"default/seed=9", seed(9), 16522, 0x406888c621a822c5},
+		{"default/seed=10", seed(10), 16314, 0xe6b6fdfcb7f854ca},
+		{"default/seed=42", seed(42), 16723, 0xb4819a2c3beb82f7},
+		{"default/seed=101", seed(101), 16670, 0x16f20a10060e9224},
+		{"default/seed=201", seed(201), 16352, 0xe9a2c78060c982a2},
+		{"players=1", ScalePlayers(DefaultParams(), 1), 7052, 0x1552a3da9f0dbb7a},
+		{"players=10", ScalePlayers(DefaultParams(), 10), 28902, 0x7bf76acac8552e6e},
+		{"players=20", ScalePlayers(DefaultParams(), 20), 52889, 0x899cb158809c0d04},
+		{"rounds=300", with(func(p *Params) { p.Rounds = 300 }), 428, 0x61a90e7434cea9cb},
+		{"persistent=0", with(func(p *Params) { p.PersistentItems = 0 }), 16855, 0xc8127084809c4404},
+		{"rates=0", with(func(p *Params) { p.BurstStartsPerRound, p.TransientSpawnsPerRound = 0, 0 }), 0, 0x62ee85cd0f0ac925},
+	} {
+		tr := Generate(c.p)
+		if got, h := len(tr.Events), hashTrace(tr); got != c.events || h != c.hash {
+			t.Errorf("%s: %d events, hash %#016x; want %d, %#016x", c.name, got, h, c.events, c.hash)
+		}
+	}
+}
+
+// TestGenerateAllocs checks that generating a session costs a constant
+// number of allocations, whatever its length (11,696 rounds is
+// DefaultParams itself).
+func TestGenerateAllocs(t *testing.T) {
+	for _, rounds := range []int{1000, 11696} {
+		p := DefaultParams()
+		p.Rounds = rounds
+		if n := testing.AllocsPerRun(3, func() { Generate(p) }); n > 16 {
+			t.Errorf("Generate at %d rounds: %.0f allocations, want <= 16", rounds, n)
+		}
+	}
+}
+
+// FuzzTraceRead feeds Read arbitrary text: it must never panic, and a trace
+// it accepts must serialise to text that reads back and serialises the same.
+func FuzzTraceRead(f *testing.F) {
+	p := DefaultParams()
+	p.Rounds = 50
+	var seed bytes.Buffer
+	if _, err := Generate(p).WriteTo(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte("rounds 2\nroundspersec 30\nactive 1 3\nev 1 c 7\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tr, err := Read(bytes.NewReader(in))
+		if err != nil || tr.Rounds > 1<<10 { // larger traces are valid, just slow to re-serialise
+			return
+		}
+		var once, twice bytes.Buffer
+		if _, err := tr.WriteTo(&once); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading %q: %v", once.String(), err)
+		}
+		if _, err := back.WriteTo(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("round trip changed the text:\n%s\n---\n%s", once.String(), twice.String())
+		}
+	})
 }

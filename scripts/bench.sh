@@ -12,7 +12,8 @@
 #     -benchtime 1x and their custom metrics (thresholds, idle%,
 #     occupancy, xfer-bytes, merge-bytes) are the payload.
 #   micro — the hot-path microbenchmarks (wire codec, engine multicast,
-#     multi-group node throughput, view change, queue purge/pop).
+#     multi-group node throughput, view change, queue purge/pop, the
+#     game-session generator every run and figure starts from).
 #     Single-iteration numbers are noise here, so they run at a fixed
 #     iteration count with -count repeats and the JSON records the
 #     per-metric mean over the repeats.
@@ -46,7 +47,7 @@ cat "$RAW_FIG"
 
 echo "== micro (-benchtime $MICRO_BENCHTIME -count $MICRO_COUNT, means reported) =="
 go test -run '^$' \
-    -bench 'BenchmarkWireCodec|BenchmarkEngineMulticast|BenchmarkMulticastInstrumented|BenchmarkMultiGroup|BenchmarkViewChangeLatency|BenchmarkQueuePurgeFor|BenchmarkQueuePopHead' \
+    -bench 'BenchmarkWireCodec|BenchmarkEngineMulticast|BenchmarkMulticastInstrumented|BenchmarkMultiGroup|BenchmarkViewChangeLatency|BenchmarkQueuePurgeFor|BenchmarkQueuePopHead|BenchmarkTraceGenerate' \
     -benchtime "$MICRO_BENCHTIME" -count "$MICRO_COUNT" -benchmem . > "$RAW_MICRO" 2>&1 || {
     cat "$RAW_MICRO" >&2
     exit 1
