@@ -61,8 +61,6 @@ func (l quietLink) send(to ident.PID, _ transport.Channel, msg any) error {
 	return nil
 }
 
-func (quietLink) full() {}
-
 // quietRun steps n members of a quiet group — stability gossip every
 // 100ms, no data — through 60s of protocol time, ticking each member at
 // its wake and delivering every send before the next tick, and returns the
@@ -83,10 +81,9 @@ func quietRun(t *testing.T, n int) (sent, bytes map[string]int) {
 		s := newViewState(&cfg, v, quietLink{p, &links})
 		states[p] = &s
 	}
-	none := func(ident.PID) bool { return false }
 	start := time.Unix(0, 0)
 	tickAt := func(s *viewState, now time.Time) {
-		if fx := step(s, event{msg: tick{}, now: now, suspected: none}); len(fx) > 0 {
+		if fx := step(s, event{msg: tick{}, now: now, detector: suspects(nil)}); len(fx) > 0 {
 			t.Fatalf("a quiet tick had effects %v", fx)
 		}
 		for _, l := range links {

@@ -95,8 +95,8 @@ type Stats struct {
 
 	CreditFlushes uint64 // owed-credit batches granted back to senders
 
-	MulticastParks uint64 // times a multicast had to wait (flow control)
-	Parked         int    // multicasts currently parked on flow control
+	MulticastParks uint64 // times a multicast had to wait (flow control, a view change or a join)
+	Parked         int    // multicasts currently parked: on flow control, a view change or a join
 	ToDeliverLen   int    // current delivery-queue occupancy
 	ToDeliverMax   int    // high-water mark of the delivery queue
 

@@ -38,20 +38,17 @@ type Engine struct {
 	// turn (onDecisions).
 	cons *consensus.Machine
 
-	// vc is the group member as a value (viewchange.go): the view change
-	// and the data plane of t1–t3, with its protocol time, the counters
-	// (vc.stats), the clock, the histograms and the event log. The loop
-	// steps it with every control event and every tick it asks for (wake)
-	// and carries out the effects, and calls its data-plane methods
-	// directly; its sends leave through the engine's outlet (send, full).
+	// vc is the group member as a value (viewchange.go): the view change,
+	// the data plane of t1–t3 and the application's calls on it, with its
+	// protocol time, the counters (vc.stats), the clock, the histograms and
+	// the event log. The loop steps it with every call, every control
+	// event and every tick it asks for (wake) and carries out the effects,
+	// and calls its arrival and end-of-turn methods directly; its sends
+	// leave through the engine's outlet (send). The calls a turn answered
+	// (vc.replies) are released by syncSnapshots once the facade snapshots
+	// reflect the turn, so a call that has returned always finds its own
+	// effect in Stats and View.
 	vc viewState
-
-	deliverWaiters []*request
-	multicastQ     []*request
-	// replies are the answers this loop turn produced. syncSnapshots sends
-	// them once the facade snapshots reflect the turn, so a call that has
-	// returned always finds its own effect in Stats and View.
-	replies []*request
 }
 
 type reqKind uint8
@@ -101,12 +98,6 @@ type result struct {
 	view ident.ViewRef
 	n    int
 	err  error
-}
-
-// reply queues res as the answer to req (see Engine.replies).
-func (e *Engine) reply(req *request, res result) {
-	req.res = res
-	e.replies = append(e.replies, req)
 }
 
 // requestPool recycles request structs across Multicast/Deliver/
@@ -385,7 +376,7 @@ func (e *Engine) run() {
 				break
 			}
 			for i := range envs {
-				e.onCtl(envs[i])
+				e.input(envs[i].From, envs[i].Msg)
 			}
 		case envs, ok := <-consIn:
 			// Consensus runs in every state — joining, blocked, at its end:
@@ -408,13 +399,13 @@ func (e *Engine) run() {
 			e.input("", ev)
 			e.onDecisions(e.cons.Recheck())
 		case req := <-e.reqC:
-			e.onRequest(req)
+			e.input("", req)
 			e.drainRequests()
 		case <-timer.C():
 			armed = time.Time{}
 			e.input("", tick{})
 		}
-		e.serveDeliveries()
+		e.vc.endTurn()
 		e.syncSnapshots()
 	}
 }
@@ -426,7 +417,7 @@ func (e *Engine) drainRequests() {
 	for i := 0; i < reqDrainCap; i++ {
 		select {
 		case req := <-e.reqC:
-			e.onRequest(req)
+			e.input("", req)
 		default:
 			return
 		}
@@ -447,7 +438,7 @@ func (e *Engine) syncSnapshots() {
 	e.vc.stats.Members = len(e.vc.cv.Members)
 	e.vc.stats.ToDeliverLen = e.vc.toDeliver.Len()
 	e.vc.stats.HistoryLen = e.vc.delivered.Len()
-	e.vc.stats.Parked = len(e.multicastQ)
+	e.vc.stats.Parked = len(e.vc.multicastQ)
 	e.vc.stats.LastSent = e.vc.own.recvMax
 	e.vc.stats.Blocked = e.vc.chg != nil
 	st := e.vc.toDeliver.Stats()
@@ -465,56 +456,21 @@ func (e *Engine) syncSnapshots() {
 	}
 	e.pub.stats = e.vc.stats
 	e.pub.mu.Unlock()
-	for i, req := range e.replies {
+	for _, req := range e.vc.replies {
 		req.resC <- req.res // buffered, one reply per request: never blocks
-		e.replies[i] = nil
 	}
-	e.replies = e.replies[:0]
+	clear(e.vc.replies)
+	e.vc.replies = e.vc.replies[:0]
 }
 
 // shutdown fails every parked request. A change in flight, a join
 // handshake, and every consensus instance are state of this loop and end
 // with it.
 func (e *Engine) shutdown() {
-	for _, req := range append(e.deliverWaiters, e.multicastQ...) {
-		e.reply(req, result{err: ErrStopped})
+	s := &e.vc
+	for _, req := range append(s.deliverWaiters, s.multicastQ...) {
+		s.reply(req, result{err: ErrStopped})
 	}
-	e.deliverWaiters, e.multicastQ = nil, nil
+	s.deliverWaiters, s.multicastQ = nil, nil
 	e.syncSnapshots()
-}
-
-// onRequest dispatches an application request.
-func (e *Engine) onRequest(req *request) {
-	switch req.kind {
-	case reqMulticast:
-		e.onMulticastReq(req)
-	case reqDeliver:
-		e.deliverWaiters = append(e.deliverWaiters, req)
-	case reqViewChange:
-		// Joining or at its end, the engine has no view to change; while a
-		// change is in flight the request does nothing and succeeds.
-		err := e.vc.terminal
-		if err == nil && e.vc.joining {
-			err = ErrJoining
-		}
-		e.input(e.cfg.Self, membership{join: req.join, leave: req.leave})
-		e.reply(req, result{err: err})
-	}
-}
-
-// onCtl dispatches a control envelope: flow-control credits and stability
-// gossip to the data plane while this engine is a live member, everything
-// else to the view change.
-func (e *Engine) onCtl(env transport.Envelope) {
-	if e.vc.terminal == nil {
-		switch m := env.Msg.(type) {
-		case CreditMsg:
-			e.vc.onCredit(env.From, m)
-			return
-		case StableMsg:
-			e.vc.onStable(env.From, m)
-			return
-		}
-	}
-	e.input(env.From, env.Msg)
 }

@@ -5,9 +5,10 @@ package core
 // plane's methods, the code the engine runs, not a model written beside it
 // — over a small group: a breadth-first search through every interleaving
 // of control-message delivery (FIFO per link), data-message delivery (FIFO
-// per link, apart from control), multicasts, the application's deliveries,
-// membership requests, crashes, suspicions and consensus decisions, with
-// states deduplicated by a canonical encoding. Every send a process makes
+// per link, apart from control), the application's calls — multicasts,
+// deliveries and membership requests, each stepped as the engine steps it
+// (call) —, crashes, suspicions and consensus decisions, with states
+// deduplicated by a canonical encoding. Every send a process makes
 // goes on the world's links through its outlet: PREDs carry what the
 // process holds and a sponsor ships what it holds. Consensus is an oracle:
 // once a majority of an instance's participants proposed, it may decide any
@@ -212,7 +213,8 @@ func (w *world) mayEnter(p *xproc, msg any) bool {
 }
 
 // cloneData is a copy of s that shares no data plane with it: the queues,
-// the peer records, the stage and the receive stash.
+// the peer records, the stage, the receive stash and the blocks runs are
+// carved from. (No call is ever parked in it: see call.)
 func cloneData(s viewState) viewState {
 	s.toDeliver, s.delivered = cloneQueue(s.toDeliver, s.cfg), cloneQueue(s.delivered, s.cfg)
 	peers, recs := make(map[ident.PID]*peer, len(s.peers)), make([]peer, 0, len(s.peers))
@@ -230,6 +232,7 @@ func cloneData(s viewState) viewState {
 	}
 	s.peers, s.others, s.own = peers, others, peers[s.self]
 	s.pendingRest, s.stage = slices.Clone(s.pendingRest), slices.Clone(s.stage)
+	s.runs, s.envs = nil, nil
 	return s
 }
 
@@ -263,8 +266,11 @@ func (o xout) send(to ident.PID, ch transport.Channel, msg any) error {
 	return nil
 }
 
-// full has nothing to do: the application reads as a move of the world.
-func (xout) full() {}
+// suspects is a failure detector's fixed verdict: it suspects the
+// processes listed.
+type suspects ident.PIDs
+
+func (s suspects) Suspected(p ident.PID) bool { return ident.PIDs(s).Contains(p) }
 
 func (w *world) clone() *world {
 	c := *w
@@ -347,13 +353,30 @@ func (w *world) input(i int, from ident.PID, msg any) {
 		p = w.mutData(i)
 	}
 	history := p.s.delivered // entering a view starts a new one
-	fx := step(&p.s, event{from: from, msg: msg, now: exploreNow, suspected: p.suspects.Contains})
+	fx := step(&p.s, event{from: from, msg: msg, now: exploreNow, detector: suspects(p.suspects)})
 	if w.dataOwned&(1<<i) == 0 && p.s.delivered != history {
 		panic(fmt.Sprintf("explore: %s entered a view on a data plane it shares with other worlds (%T)", w.pids[i], msg))
 	}
 	for _, f := range fx {
 		w.apply(i, f)
 	}
+}
+
+// call is process i's application calling: the world steps req and ends
+// the turn (endTurn), as the engine's loop does, and returns the answer.
+// An explored call is answered in its turn — a multicast is made only
+// while its process is open and under no flow control, a delivery only
+// from a queue that holds something, a membership request only while its
+// initiator is open — so nothing of a call outlives the move.
+func (w *world) call(i int, req *request) result {
+	p := w.mutData(i)
+	w.input(i, "", req)
+	p.s.endTurn()
+	if len(p.s.replies) != 1 || p.s.replies[0] != req || req.res.err != nil || len(p.s.multicastQ)+len(p.s.deliverWaiters) > 0 {
+		panic(fmt.Sprintf("explore: %s's call of kind %d was not answered in its turn (%v)", w.pids[i], req.kind, req.res.err))
+	}
+	p.s.multicastQ, p.s.deliverWaiters, p.s.replies = nil, nil, nil
+	return req.res
 }
 
 // apply is Engine.apply in the world, where the consensus machine is the
@@ -512,8 +535,8 @@ const (
 	mvRequest                   // membership request a is issued
 	mvCrash                     // process a crashes
 	mvData                      // process the head of data link a
-	mvMulticast                 // process a multicasts the next message of its script, in its first view
-	mvApp                       // the application of process a delivers its queue's head
+	mvMulticast                 // process a multicasts the next message of its script, in its first view: a one-message request
+	mvApp                       // the application of process a delivers its queue's head: a one-slot request
 )
 
 // ready reports whether the head of link k may be processed now: k is
@@ -608,7 +631,7 @@ func (w *world) do(m move) {
 		r := w.reqs[m.a]
 		w.reqs = slices.Clone(w.reqs)
 		w.reqs[m.a].fired = true
-		w.input(w.idx(r.by), r.by, membership{join: r.join, leave: r.leave})
+		w.call(w.idx(r.by), &request{kind: reqViewChange, join: r.join, leave: r.leave})
 	case mvCrash:
 		w.crash(m.a)
 	case mvData:
@@ -617,16 +640,18 @@ func (w *world) do(m move) {
 		w.setData(m.a, w.data[m.a][1:])
 		w.mutData(m.a % n).s.onDataBatch([]transport.Envelope{{From: w.pids[m.a/n], Msg: msg}})
 	case mvMulticast:
-		p := w.mutData(m.a)
-		meta := p.script[0]
+		req := &request{kind: reqMulticast}
+		req.one[0].Meta = w.procs[m.a].script[0]
+		req.batch = req.one[:]
+		res := w.call(m.a, req)
+		p := w.procs[m.a]
 		p.script = p.script[1:]
-		p.casts = append(p.casts[:len(p.casts):len(p.casts)], check.Event{Kind: check.EvDeliver, Meta: meta, View: p.s.cv.Ref()})
-		p.s.commitOne(meta, nil)
-		p.s.flushStage()
+		p.casts = append(p.casts[:len(p.casts):len(p.casts)], check.Event{Kind: check.EvDeliver, Meta: req.one[0].Meta, View: res.view})
 	case mvApp:
-		p := w.mutData(m.a)
-		d, _ := p.s.deliverItem(p.s.toDeliver.PeekHead(), nil)
-		p.s.toDeliver.PopHead()
+		req := &request{kind: reqDeliver}
+		req.dst = req.oneD[:]
+		w.call(m.a, req)
+		d, p := req.oneD[0], w.procs[m.a]
 		ev := check.Event{Kind: check.EvDeliver, Meta: d.Meta, View: ident.ViewRef{Epoch: d.Epoch, ID: d.View}}
 		if d.Kind != DeliverData {
 			ev = check.Event{Kind: check.EvInstall, Ref: d.NewView.Ref(), Members: d.NewView.Members}

@@ -229,7 +229,7 @@ func (s *viewState) drainOutgoing(p *peer) {
 		run = append(run, msgOf(it))
 		p.out.PopHead()
 	}
-	if env := dataEnvelope(run); env != nil {
+	if env := s.envelope(run); env != nil {
 		s.send(p.id, transport.Data, env) // ownership of run transfers with the send
 	}
 }

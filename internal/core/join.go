@@ -40,7 +40,7 @@ func (t *turn) onJoinTick() {
 		}
 	}
 	if !t.giveUpAt.IsZero() && !t.now.Before(t.giveUpAt) {
-		t.joining, t.terminal = false, ErrJoinTimeout // the engine's retries fail what is parked
+		t.joining, t.terminal = false, ErrJoinTimeout // endTurn fails what is parked
 		return
 	}
 	if !t.now.Before(t.retryAt) {

@@ -298,3 +298,27 @@ func TestJoinAllDeadContactsTimeout(t *testing.T) {
 		return runtime.NumGoroutine() <= baseline+2
 	})
 }
+
+// TestJoinerDropsCancelledCalls: a joiner parks every Multicast until the
+// state transfer installs its first view, and a parked call whose caller
+// gave up leaves the queue on the loop's next turn, wherever it stands. A
+// hundred Multicasts with 2 ms deadlines to a dead contact, with no
+// give-up, leave at most the last one parked.
+func TestJoinerDropsCancelledCalls(t *testing.T) {
+	jn := joinerNode(t, transport.NewMemNetwork(), "j")
+	jg, err := jn.Join(1, GroupConfig{}, "dead")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 100; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+		_, err := jg.Multicast(ctx, obsolete.Msg{Sender: "j", Seq: ident.Seq(i)}, []byte("x"))
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Multicast %d = %v, want its deadline", i, err)
+		}
+	}
+	if n := jg.Stats().Parked; n > 1 {
+		t.Fatalf("%d multicasts parked after their callers gave up, want at most the last", n)
+	}
+}

@@ -148,7 +148,7 @@ func (t *turn) checkSplit() {
 	c := t.chg
 	var split ident.PIDs
 	for _, p := range c.from {
-		if !t.suspected(p) {
+		if !t.detector.Suspected(p) {
 			split = split.Add(p)
 		}
 	}

@@ -3,14 +3,15 @@ package core
 // protocol.go is Figure 1's data path: t2 multicast, t3 receive, t1
 // deliver, and purge() wherever a message waits. Its state — the delivery
 // queue, the history, the peer table, the stage and the receive stash — is
-// part of the view-change value (viewState, viewchange.go), so t4–t7 close
-// it, flush it and install into it in the same step, and its methods are
-// that value's. The engine calls them directly on the hot path, with no
-// event or effect in between: onDataBatch for an arrival, commitOne and
-// flushStage from MulticastBatch's commit loop (advance), deliverItem for
-// each delivery, onCredit for a grant. Every send leaves through the
-// value's outlet, the engine's endpoint or the explorer's links. The engine
-// keeps the requests: parked multicasts and waiting Deliver calls.
+// part of the group member's value (viewState, viewchange.go), so t4–t7
+// close it, flush it and install into it in the same step, and so are the
+// application's calls on it: the multicasts parked until they fit, the
+// Deliver calls waiting for the queue, and the answers of the turn. A call
+// is a step event (onRequest); an arrival (onDataBatch) and the end of
+// every turn of the owner's loop (endTurn) are methods the engine calls
+// directly on the hot path, with no event or effect in between. Every send
+// leaves through the value's outlet, the engine's endpoint or the
+// explorer's links.
 
 import (
 	"log/slog"
@@ -25,15 +26,48 @@ import (
 	"repro/internal/transport"
 )
 
-// ---- t2: multicast -------------------------------------------------------
+// ---- the application's calls ----------------------------------------------
 
-func (e *Engine) onMulticastReq(req *request) {
-	// Park while a join is still in flight: the first view (and with it
-	// membership and flow windows) arrives with the state transfer.
-	if e.vc.joining || !e.advance(req) {
-		e.park(req)
+// onRequest takes one of the application's calls: a multicast (t2)
+// commits or parks, a Deliver waits for the turn's end (endTurn) unless the
+// queue fills before, and a membership change is triggered (t4) and
+// answered at once.
+func (t *turn) onRequest(req *request) {
+	switch req.kind {
+	case reqMulticast:
+		// Park while a join is still in flight: the first view (and with it
+		// membership and flow windows) arrives with the state transfer.
+		if t.joining || !t.advance(req) {
+			t.park(req)
+		}
+	case reqDeliver:
+		t.deliverWaiters = append(t.deliverWaiters, req)
+	case reqViewChange:
+		// Joining or at its end, the process has no view to change; while a
+		// change is in flight the request does nothing and succeeds.
+		err := t.terminal
+		if err == nil && t.joining {
+			err = ErrJoining
+		}
+		t.trigger(req.join, req.leave)
+		t.reply(req, result{err: err})
 	}
 }
+
+// reply answers req with res, for the owner to release when the turn is
+// over (replies).
+func (s *viewState) reply(req *request, res result) {
+	req.res = res
+	s.replies = append(s.replies, req)
+}
+
+// dropCancelled removes from q the calls whose callers gave up, wherever
+// they stand: each has returned already, so nothing answers them.
+func dropCancelled(q []*request) []*request {
+	return slices.DeleteFunc(q, func(req *request) bool { return req.ctx != nil && req.ctx.Err() != nil })
+}
+
+// ---- t2: multicast -------------------------------------------------------
 
 // advance commits as many of req's messages as flow control and buffer
 // room allow, staging them and flushing the stage as one coalesced
@@ -41,47 +75,47 @@ func (e *Engine) onMulticastReq(req *request) {
 // (stay) park(ed): the committed prefix is recorded in req.done, so a
 // resumed request continues exactly where it stopped — semantically the
 // batch behaves as that many individual multicasts back to back.
-func (e *Engine) advance(req *request) bool {
+func (s *viewState) advance(req *request) bool {
 	n := len(req.batch)
 	for req.done < n {
 		m := &req.batch[req.done]
-		if err := e.vc.multicastPrecheck(m.Meta); err != nil {
+		if err := s.multicastPrecheck(m.Meta); err != nil {
 			// Fail the message and the rest of the batch; the committed
 			// prefix stands (documented in MulticastBatch).
-			e.vc.flushStage()
-			e.reply(req, result{err: err})
+			s.flushStage()
+			s.reply(req, result{err: err})
 			return true
 		}
 		// Park while the group is blocked or buffers lack room; install,
 		// credit arrivals and deliveries retry the queue head.
-		if e.vc.chg != nil || !e.vc.canCommit(m.Meta, m.Payload) {
-			e.vc.flushStage()
+		if s.chg != nil || !s.canCommit(m.Meta, m.Payload) {
+			s.flushStage()
 			return false
 		}
-		e.vc.commitOne(m.Meta, m.Payload)
+		s.commitOne(m.Meta, m.Payload)
 		req.done++
 	}
-	e.vc.flushStage()
-	e.vc.m.batchSize.Observe(float64(n))
+	s.flushStage()
+	s.m.batchSize.Observe(float64(n))
 	if !req.parkedAt.IsZero() {
-		stalled := e.vc.clock.Since(req.parkedAt)
-		e.vc.m.parkDur.ObserveDuration(stalled)
-		e.vc.ev.FlowUnblocked(uint64(e.vc.own.recvMax), stalled)
+		stalled := s.clock.Since(req.parkedAt)
+		s.m.parkDur.ObserveDuration(stalled)
+		s.ev.FlowUnblocked(uint64(s.own.recvMax), stalled)
 		req.parkedAt = time.Time{}
 	}
-	e.reply(req, result{view: e.vc.cv.Ref()})
+	s.reply(req, result{view: s.cv.Ref()})
 	return true
 }
 
 // park appends a multicast to the flow-control wait queue, stamping the
 // stall start for the park-duration histogram.
-func (e *Engine) park(req *request) {
-	e.vc.stats.MulticastParks++
-	if req.parkedAt.IsZero() && (e.vc.m.parkDur != nil || e.vc.ev != nil) {
-		req.parkedAt = e.vc.clock.Now()
-		e.vc.ev.FlowBlocked(uint64(req.batch[req.done].Meta.Seq))
+func (s *viewState) park(req *request) {
+	s.stats.MulticastParks++
+	if req.parkedAt.IsZero() && (s.m.parkDur != nil || s.ev != nil) {
+		req.parkedAt = s.clock.Now()
+		s.ev.FlowBlocked(uint64(req.batch[req.done].Meta.Seq))
 	}
-	e.multicastQ = append(e.multicastQ, req)
+	s.multicastQ = append(s.multicastQ, req)
 }
 
 func (s *viewState) multicastPrecheck(meta obsolete.Msg) error {
@@ -173,13 +207,14 @@ func (s *viewState) unstage(seq ident.Seq) {
 
 // flushStage transmits the stage, less the copies unstage emptied: every
 // peer gets the survivors of the prefix it took credit for. The stage is
-// compacted once and its survivors copied once, and every peer is handed a
-// prefix of that copy — peers in a row with equal prefixes share one
-// envelope. Receivers never write to a batch (fault injection may deliver
-// one twice), so from the send on the copy is the transport's. A dropped
-// copy took a credit and never left: the credit comes back once the run is
-// out — not earlier, or a later message of the run could overtake one that
-// waits in the outgoing queue — and counts as an outgoing purge.
+// compacted once and its survivors copied once (carve), and every peer is
+// handed a prefix of that copy — peers in a row with equal prefixes share
+// one envelope. Receivers never write to a batch (fault injection may
+// deliver one twice), so from the send on the copy is the transport's. A
+// dropped copy took a credit and never left: the credit comes back once
+// the run is out — not earlier, or a later message of the run could
+// overtake one that waits in the outgoing queue — and counts as an
+// outgoing purge.
 func (s *viewState) flushStage() {
 	if len(s.stage) == 0 {
 		return
@@ -189,7 +224,7 @@ func (s *viewState) flushStage() {
 	for _, p := range s.others {
 		n = max(n, p.took)
 	}
-	run := slices.Clone(slices.DeleteFunc(s.stage[:n], func(dm DataMsg) bool { return dm.Meta.Seq == 0 }))
+	run := s.carve(slices.DeleteFunc(s.stage[:n], func(dm DataMsg) bool { return dm.Meta.Seq == 0 }))
 	var env any // the last peer's envelope, for the next with as many survivors
 	shared := -1
 	for _, p := range s.others {
@@ -197,7 +232,7 @@ func (s *viewState) flushStage() {
 		p.took = 0
 		k := sort.Search(len(run), func(i int) bool { return run[i].Meta.Seq >= base+ident.Seq(took) })
 		if k != shared {
-			env, shared = dataEnvelope(run[:k]), k
+			env, shared = s.envelope(run[:k]), k
 		}
 		if env != nil {
 			s.send(p.id, transport.Data, env)
@@ -212,17 +247,43 @@ func (s *viewState) flushStage() {
 	s.stage = s.stage[:0]
 }
 
-// dataEnvelope is what a run of data messages travels in: nothing for an
-// empty run, a plain DataMsg for one message, one DataBatchMsg otherwise.
-func dataEnvelope(run []DataMsg) any {
+// runBlock is how many runs of one length a block of carve holds, and how
+// many envelopes a block of envelope.
+const runBlock = 16
+
+// carve copies a run of more than one message into the block runs is the
+// tail of, and returns the copy, whose capacity ends with it. A shorter run
+// travels as a plain DataMsg and needs no copy. A block keeps the payloads
+// of its runs until it is replaced: at most runBlock runs' worth.
+func (s *viewState) carve(run []DataMsg) []DataMsg {
+	if len(run) < 2 {
+		return run
+	}
+	if cap(s.runs)-len(s.runs) < len(run) {
+		s.runs = make([]DataMsg, 0, runBlock*len(run))
+	}
+	i := len(s.runs)
+	s.runs = append(s.runs, run...)
+	return s.runs[i:len(s.runs):len(s.runs)]
+}
+
+// envelope is what a run of data messages travels in: nothing for an
+// empty run, a plain DataMsg for one message, one DataBatchMsg, cut from
+// the block envs is the tail of, otherwise.
+func (s *viewState) envelope(run []DataMsg) any {
 	switch len(run) {
 	case 0:
 		return nil
 	case 1:
 		return run[0]
-	default:
-		return &DataBatchMsg{Msgs: run}
 	}
+	if len(s.envs) == 0 {
+		s.envs = make([]DataBatchMsg, runBlock)
+	}
+	env := &s.envs[0]
+	s.envs = s.envs[1:]
+	env.Msgs = run
+	return env
 }
 
 // ---- t3: receive data ----------------------------------------------------
@@ -417,72 +478,65 @@ func (s *viewState) freeSlot(from *peer, seq ident.Seq) {
 
 // ---- t1: deliver ---------------------------------------------------------
 
-// serveDeliveries ends every turn of the protocol loop: it hands the
-// delivery queue to the waiting Deliver and DeliverBatch calls, then lets
-// the stashed arrivals and parked multicasts into the room that made (and
-// into whatever else the turn changed — a view, a terminal state). Serving
-// once a turn is what makes a batch one transaction: every message of a
-// MulticastBatch or a DataBatchMsg has purged its predecessors before a
-// waiter is woken, and the waiter gets the survivors in one reply. What the
-// retries append goes to a waiter the queue could not feed before.
-func (e *Engine) serveDeliveries() {
+// endTurn ends every turn of the owner's loop: it drops the calls whose
+// callers gave up, hands the delivery queue to the waiting Deliver and
+// DeliverBatch calls, then lets the stashed arrivals and parked multicasts
+// into the room that made (and into whatever else the turn changed — a
+// view, a terminal state). Serving once a turn is what makes a batch one
+// transaction: every message of a MulticastBatch or a DataBatchMsg has
+// purged its predecessors before a waiter is woken, and the waiter gets the
+// survivors in one reply. What the retries append goes to a waiter the
+// queue could not feed before.
+func (s *viewState) endTurn() {
 	for {
-		e.serveWaiters()
-		e.vc.retryPending()
-		e.retryParked()
-		if len(e.deliverWaiters) == 0 || e.vc.toDeliver.Len() == 0 {
+		s.serveWaiters()
+		s.retryPending()
+		s.retryParked()
+		if len(s.deliverWaiters) == 0 || s.toDeliver.Len() == 0 {
 			return
 		}
 	}
 }
 
 // serveIfFull serves deliveries in mid-turn, which only a full delivery
-// queue warrants: a reader can make the room the rest of the batch needs.
+// queue with a reader waiting warrants: the reader can make the room the
+// rest of the batch needs.
 func (s *viewState) serveIfFull() {
-	if s.toDeliver.Full() {
-		s.out.full()
-	}
-}
-
-// full is the engine's outlet serving its waiting Deliver calls in
-// mid-turn (serveIfFull).
-func (e *Engine) full() {
-	if len(e.deliverWaiters) > 0 {
-		e.serveWaiters()
+	if s.toDeliver.Full() && len(s.deliverWaiters) > 0 {
+		s.serveWaiters()
 	}
 }
 
 // serveWaiters hands queue heads to waiting Deliver and DeliverBatch calls.
 // A waiter takes as many heads as its buffer holds in one wake-up
 // (Deliver's holds one); it never completes empty — it waits for the first
-// item, or for the terminal error that says none will come.
-func (e *Engine) serveWaiters() {
+// item, or for the terminal error that says none will come. Waiters whose
+// callers gave up are dropped first.
+func (s *viewState) serveWaiters() {
+	s.deliverWaiters = dropCancelled(s.deliverWaiters)
 	var from *peer // sender of the last head: the queue comes in runs of one
-	for len(e.deliverWaiters) > 0 {
-		w := e.deliverWaiters[0]
-		if w.ctx != nil && w.ctx.Err() != nil {
-			e.deliverWaiters = e.deliverWaiters[1:]
-			continue
-		}
+	served := 0
+	for _, w := range s.deliverWaiters {
 		n := 0
 		for n < len(w.dst) {
-			it := e.vc.toDeliver.PeekHead()
+			it := s.toDeliver.PeekHead()
 			if it == nil {
 				break
 			}
-			w.dst[n], from = e.vc.deliverItem(it, from)
-			e.vc.toDeliver.PopHead()
+			w.dst[n], from = s.deliverItem(it, from)
+			s.toDeliver.PopHead()
 			n++
 		}
 		res := result{n: n}
 		if n == 0 {
-			if res.err = e.vc.terminal; res.err == nil {
-				return
+			if res.err = s.terminal; res.err == nil {
+				break
 			}
 		}
-		e.deliverWaiters = e.deliverWaiters[1:]
-		e.reply(w, res)
+		served++
+		s.reply(w, res)
 	}
+	s.deliverWaiters = slices.Delete(s.deliverWaiters, 0, served)
 }
 
 // deliverItem turns the queue head into what the application sees, before
@@ -519,22 +573,21 @@ func (s *viewState) deliverItem(it *queue.Item, last *peer) (Delivery, *peer) {
 	}
 }
 
-// retryParked re-attempts parked multicasts in FIFO order. The head stays
-// in place until its whole batch commits, so a half-committed transaction
-// resumes exactly where it stopped.
-func (e *Engine) retryParked() {
-	if e.vc.joining {
+// retryParked drops the parked multicasts whose callers gave up, a
+// joiner's too, and re-attempts the rest in FIFO order once there is a
+// view. The head stays in place until its whole batch commits, so a
+// half-committed transaction resumes exactly where it stopped.
+func (s *viewState) retryParked() {
+	s.multicastQ = dropCancelled(s.multicastQ)
+	if s.joining {
 		return
 	}
-	for len(e.multicastQ) > 0 {
-		req := e.multicastQ[0]
-		if req.ctx != nil && req.ctx.Err() != nil {
-			e.multicastQ = e.multicastQ[1:]
-			continue
+	done := 0
+	for _, req := range s.multicastQ {
+		if !s.advance(req) {
+			break // progress is recorded in req.done; the head stays parked
 		}
-		if !e.advance(req) {
-			return // progress is recorded in req.done; the head stays parked
-		}
-		e.multicastQ = e.multicastQ[1:]
+		done++
 	}
+	s.multicastQ = slices.Delete(s.multicastQ, 0, done)
 }

@@ -147,7 +147,7 @@ func TestStagePurgeRefundsCredit(t *testing.T) {
 		}
 		for try := 0; ; try++ {
 			sent := len(log.data)
-			done := e.advance(req) // ends in a flush, committed or not
+			done := e.vc.advance(req) // ends in a flush, committed or not
 			inFlight += len(log.data) - sent
 			for i, old := range log.data[sent:] {
 				for _, later := range log.data[sent+i+1:] {
@@ -203,7 +203,7 @@ func TestFullQueueServedMidTurn(t *testing.T) {
 	const capacity = 4
 	park := func(e *Engine) *request {
 		w := &request{kind: reqDeliver, dst: make([]Delivery, 2*capacity)}
-		e.deliverWaiters = append(e.deliverWaiters, w)
+		e.vc.deliverWaiters = append(e.vc.deliverWaiters, w)
 		return w
 	}
 	served := func(w *request) []ident.Seq {
@@ -220,7 +220,7 @@ func TestFullQueueServedMidTurn(t *testing.T) {
 	for s := ident.Seq(1); s <= capacity+2; s++ {
 		req.batch = append(req.batch, OutMsg{Meta: obsolete.Msg{Seq: s}})
 	}
-	if !e.advance(req) {
+	if !e.vc.advance(req) {
 		t.Fatalf("batch parked at message %d with a waiter on the full queue", req.done)
 	}
 	if got := served(w); fmt.Sprint(got) != "[1 2 3 4]" || e.vc.toDeliver.Len() != 2 {
@@ -244,7 +244,7 @@ func TestFullQueueServedMidTurn(t *testing.T) {
 	// With nobody waiting the full queue parks the batch where it stands.
 	e, _ = txnEngine(obsolete.Empty{}, 0, 0, capacity)
 	req.done = 0
-	if e.advance(req) || req.done != capacity {
+	if e.vc.advance(req) || req.done != capacity {
 		t.Fatalf("batch committed %d of %d into a queue of %d with no waiter", req.done, len(req.batch), capacity)
 	}
 }
@@ -299,7 +299,7 @@ func TestOneRunPerFlush(t *testing.T) {
 		}
 		req.batch = append(req.batch, OutMsg{Meta: tags.next("me", tag)})
 	}
-	if !e.advance(req) {
+	if !e.vc.advance(req) {
 		t.Fatalf("batch parked at message %d", req.done)
 	}
 	// survivors lists the messages among the first n that no later message
@@ -390,10 +390,10 @@ func TestOneRunPerFlush(t *testing.T) {
 				req.batch[i].Meta = obsolete.Msg{Seq: seq}
 			}
 			req.done = 0
-			if !e.advance(req) {
+			if !e.vc.advance(req) {
 				t.Fatal("equal-credit batch parked")
 			}
-			e.replies = e.replies[:0]
+			e.vc.replies = e.vc.replies[:0]
 			for e.vc.toDeliver.PeekHead() != nil {
 				e.vc.toDeliver.PopHead()
 			}
@@ -401,5 +401,55 @@ func TestOneRunPerFlush(t *testing.T) {
 	}
 	if two, four := commitAllocs("a"), commitAllocs("a", "b", "c"); two != four {
 		t.Errorf("a batch commit allocates %v times at 2 members and %v at 4", two, four)
+	}
+}
+
+// TestCallStepAllocatesNothing: stepping the application's calls allocates
+// nothing once the buffers have grown. A 64-message multicast request
+// commits under open windows — the peer's grant, stepped as any control
+// envelope, reopens them — and a deliver request drains the queue it
+// filled. Each message updates one of 64 items, obsoleting the last
+// update, so the queue and the history stay the size they are. The runs
+// the flushes send are cut from blocks of runBlock: one allocation per
+// block, which AllocsPerRun's whole allocations per run round down to none.
+func TestCallStepAllocatesNothing(t *testing.T) {
+	const batch, runs = 64, 100
+	e, log := txnEngine(tagging, batch, batch, batch, "a")
+	log.discard = true
+	tags := tagStreams{}
+	metas := make([]obsolete.Msg, 2*(runs+1)*batch)
+	for i := range metas {
+		metas[i] = tags.next("me", uint32(1+i%batch))
+	}
+	mc := &request{kind: reqMulticast, batch: make([]OutMsg, batch)}
+	dl := &request{kind: reqDeliver, dst: make([]Delivery, batch)}
+	var grant any = CreditMsg{View: e.vc.cv.ID, Credits: batch}
+	call := func(req *request) {
+		e.input("", req)
+		e.vc.endTurn()
+		if len(e.vc.replies) != 1 || req.res.err != nil {
+			t.Fatalf("%d answers to a call of kind %d (%v), want it answered", len(e.vc.replies), req.kind, req.res.err)
+		}
+		e.vc.replies = e.vc.replies[:0]
+	}
+	multicast := func() {
+		for i := range mc.batch {
+			mc.batch[i].Meta, metas = metas[0], metas[1:]
+		}
+		mc.done = 0
+		call(mc)
+		e.input("a", grant)
+	}
+	if n := testing.AllocsPerRun(runs, multicast); n != 0 {
+		t.Errorf("a %d-message multicast request allocates %v times", batch, n)
+	}
+	if n := testing.AllocsPerRun(runs, func() {
+		multicast()
+		call(dl)
+		if dl.res.n != batch {
+			t.Fatalf("a deliver request took %d of a queue of %d", dl.res.n, batch)
+		}
+	}); n != 0 {
+		t.Errorf("a multicast and a deliver request allocate %v times", n)
 	}
 }

@@ -13,21 +13,24 @@ package core
 // repurges its flush once, the decided value is a StateMsg entering through
 // one door (onDecision), and every view is entered one way (enter).
 //
-// The state is the whole group member but its loop: the view change and the
-// data plane of t1–t3 (protocol.go), so blocking closes the data plane and
-// installing adopts the flush in the same step, and every send leaves
+// The state is the whole group member but its loop: the view change, the
+// data plane of t1–t3 (protocol.go) and the application's calls on it, so
+// blocking closes the data plane and parks the callers, and installing
+// adopts the flush and lets them in, in the same step. Every send leaves
 // through the outlet the state's owner supplies. step reaches no engine,
 // consensus machine, detector, channel or timer: the time and the
 // detector's verdicts come in with each event, and what the owner must do —
 // the consensus machine's propose, the loop's half of entering a view —
 // goes out as effects, which the engine interprets (apply) in order. Whom
-// the group needs monitored is read off the state (watching), not told. Protocol time is a step too: the state records when its
-// stability gossip, heal probe, merge timeout, join retransmission and join
-// give-up are next due, wake reports the earliest, and a tick event runs
-// whatever is due. Consensus is a message handler of the engine loop like
-// INIT and PRED, and nothing here starts a goroutine. Because the state is
-// a value its owner can copy, the explorer (explore_test.go) runs this same
-// code, data plane included, through every interleaving of a small group.
+// the group needs monitored is read off the state (watching), not told.
+// Protocol time is a step too: the state records when its stability
+// gossip, heal probe, merge timeout, join retransmission and join give-up
+// are next due, wake reports the earliest, and a tick event runs whatever
+// is due. Consensus is a message handler of the engine loop like INIT and
+// PRED, and nothing here starts a goroutine. Because the state is a value
+// its owner can copy, the explorer (explore_test.go) runs this same code,
+// data plane and calls included, through every interleaving of a small
+// group.
 
 import (
 	"fmt"
@@ -49,10 +52,10 @@ import (
 // configured, the current view, the change in flight, the control traffic
 // stashed for a later view, the admission requests parked until no change
 // is in flight, whether it is still joining or already at its end, when its
-// timed duties are due, its counters, and the data plane. step and the data
-// plane's methods update it in place; a caller that steps one state twice
-// (the explorer) copies it first, every queue, record and ledger it points
-// to included.
+// timed duties are due, its counters, the data plane and the application's
+// calls on it. step and the data plane's methods update it in place; a
+// caller that steps one state twice (the explorer) copies it first, every
+// queue, record and ledger it points to included.
 type viewState struct {
 	self ident.PID
 	cfg  *config
@@ -108,6 +111,21 @@ type viewState struct {
 	// every peer the survivors of its prefix and empties it.
 	stage []DataMsg
 
+	// runs and envs are the unused tails of the blocks flushStage cuts the
+	// runs it sends, and their envelopes, from (carve). A run is the
+	// transport's from the send on and is never written again, so a block
+	// only saves allocations: one serves runBlock flushes.
+	runs []DataMsg
+	envs []DataBatchMsg
+
+	// The application's calls (protocol.go): the multicasts parked by flow
+	// control, a change or a join, in FIFO order; the Deliver calls waiting
+	// for the queue; and the calls this turn answered, which the owner
+	// releases once the turn is over (Engine.syncSnapshots).
+	multicastQ     []*request
+	deliverWaiters []*request
+	replies        []*request
+
 	// What the owner supplies: the outlet, and the clock, histograms and
 	// event log (each nil-safe; the clock is read only for a histogram).
 	out   outlet
@@ -117,13 +135,10 @@ type viewState struct {
 }
 
 // outlet is the owner's side of a viewState: the one way out for every
-// message the group sends, and the readers to serve when the delivery
-// queue fills in mid-turn. The engine is one (its endpoint and its Deliver
-// calls), the explorer's world another (its links; the application reads
-// there as a move of its own).
+// message the group sends. The engine is one (its endpoint), the
+// explorer's world another (its links).
 type outlet interface {
 	send(to ident.PID, ch transport.Channel, msg any) error
-	full()
 }
 
 // newViewState is the state of cfg.Self in view cv: an empty data plane,
@@ -196,25 +211,28 @@ func (s *viewState) watching() ident.PIDs {
 	return s.cv.Members
 }
 
-// An event is what happened to the view change: from sent msg, at now, with
-// suspected the detector's verdict at that moment. msg is an InitMsg,
-// PredMsg, SplitMsg, ProbeMsg, JoinReqMsg or StateMsg received, a control
-// message of no known kind, or one of membership (t4), fd.Event (a
+// An event is what happened to the group member: from sent msg, at now,
+// with detector the failure detector's verdicts at that moment. msg is a
+// control envelope's message received (an InitMsg, PredMsg, SplitMsg,
+// ProbeMsg, JoinReqMsg, StateMsg, CreditMsg or StableMsg, or one of no
+// known kind), an application's call (a *request: a multicast, t2; a
+// Deliver, t1; a membership change, t4), or one of fd.Event (a
 // suspicion), consensus.Decision, tick and entered.
 type event struct {
-	from      ident.PID
-	msg       any
-	now       time.Time
-	suspected func(ident.PID) bool
+	from     ident.PID
+	msg      any
+	now      time.Time
+	detector suspector
 }
 
+// suspector is the failure detector as step reads it: fd.Detector is one.
+type suspector interface{ Suspected(ident.PID) bool }
+
 type (
-	// membership is the application's request for a change (t4).
-	membership struct{ join, leave ident.PIDs }
 	// tick is protocol time passing: every timed duty due by now runs.
 	tick struct{}
 	// entered tells that the engine has entered the view an install effect
-	// named, retried what was parked and replayed the stash.
+	// named and replayed the stash.
 	entered struct{}
 )
 
@@ -231,11 +249,11 @@ type (
 	// await asks for the decision of instance id, if it has one already.
 	await struct{ id string }
 	// install is the loop's half of entering view, which step has made
-	// current and its data plane has installed: what it was entered on
-	// (the flush st that chg decided, the state transfer st from a member
-	// that admits this joiner, or neither for a view a probe proved), and
-	// the control traffic stashed for it. The engine lets parked multicasts
-	// in, replays the stash and steps entered.
+	// current, installing it into the data plane and letting the parked
+	// multicasts in: what it was entered on (the flush st that chg decided,
+	// the state transfer st from a member that admits this joiner, or
+	// neither for a view a probe proved), and the control traffic stashed
+	// for it. The engine replays the stash and steps entered.
 	install struct {
 		view   View
 		st     StateMsg
@@ -260,13 +278,13 @@ type turn struct {
 	fx []effect
 }
 
-// step is the view change's transition function: it steps s with ev and
+// step is the group member's transition function: it steps s with ev and
 // returns what the engine must do about it.
 func step(s *viewState, ev event) []effect {
 	t := &turn{viewState: s, event: ev}
 	switch m := ev.msg.(type) {
-	case membership:
-		t.trigger(m.join, m.leave)
+	case *request:
+		t.onRequest(m)
 	case fd.Event:
 		t.onSuspicion(m)
 	case consensus.Decision:
@@ -399,6 +417,9 @@ func (t *turn) onSuspicion(ev fd.Event) {
 
 // ---- t5/t6: ctl handling ---------------------------------------------------
 
+// onCtl takes a control envelope: flow-control credits and stability
+// gossip go to the data plane, everything else to the view change. At its
+// end a process takes none of them.
 func (t *turn) onCtl(from ident.PID, msg any) {
 	if t.terminal != nil {
 		// An expelled-but-alive process still answers a merge's INIT with a
@@ -412,6 +433,10 @@ func (t *turn) onCtl(from ident.PID, msg any) {
 		return
 	}
 	switch m := msg.(type) {
+	case CreditMsg:
+		t.onCredit(from, m)
+	case StableMsg:
+		t.onStable(from, m)
 	case InitMsg:
 		// A merge names another lineage's view as well as ours; it is never
 		// deferred.
@@ -597,7 +622,7 @@ func (t *turn) checkPropose() {
 		for _, p := range eligible {
 			if c.from.Contains(p) {
 				contributed++
-			} else if !t.suspected(p) {
+			} else if !t.detector.Suspected(p) {
 				return // still waiting on a live member
 			}
 		}
@@ -710,12 +735,14 @@ func (t *turn) onDecision(d consensus.Decision) {
 // state transfer did, or a probe proved it: the change in flight ends, a
 // view that excludes this process expels it, the data plane adopts what f
 // carries and puts the view marker behind it, everything scoped to one view
-// starts afresh, and the engine does its half (install).
+// starts afresh, the parked multicasts get their turn — before the stash
+// replays, so the view they were parked for is the one they are sent in —
+// and the engine does its half (install).
 func (t *turn) enter(next View, f install) {
 	prev := t.cv
 	t.chg = nil
 	if !next.Includes(t.self) {
-		t.terminal = ErrExpelled // the engine's retries fail what is parked
+		t.terminal = ErrExpelled // retryParked fails what is parked
 		t.ev.Expelled(uint64(next.ID))
 	}
 	if t.cfg.Heal {
@@ -736,6 +763,7 @@ func (t *turn) enter(next View, f install) {
 	})
 	t.delivered = queue.New(t.cfg.Relation, 0)
 	t.armPeers()
+	t.retryParked()
 	f.view, f.replay, t.stash = next, t.stash, nil
 	t.emit(f)
 }
@@ -775,16 +803,18 @@ func (t *turn) installFlush(c *change, st StateMsg, prev View) {
 
 // ---- the engine's half: interpreting the effects --------------------------
 
-// input steps the view change with one event and carries out its effects.
+// input steps the group member with one event and carries out its effects.
 func (e *Engine) input(from ident.PID, msg any) {
-	for _, f := range step(&e.vc, event{from: from, msg: msg, now: e.vc.clock.Now(), suspected: e.cfg.Detector.Suspected}) {
+	for _, f := range step(&e.vc, event{from: from, msg: msg, now: e.vc.clock.Now(), detector: e.cfg.Detector}) {
 		e.apply(f)
 	}
 }
 
 // apply carries out one effect. Effects that feed the consensus machine
 // hand what it decides straight back to input, so a decision installs
-// inside the effect that produced it, before the next effect runs.
+// inside the effect that produced it, before the next effect runs. An
+// install is followed by the control traffic stashed for the view, and
+// step hears that the view is entered.
 func (e *Engine) apply(f effect) {
 	switch f := f.(type) {
 	case propose:
@@ -798,7 +828,10 @@ func (e *Engine) apply(f effect) {
 			e.input("", consensus.Decision{Instance: f.id, Value: v})
 		}
 	case install:
-		e.enterView(f)
+		for _, env := range f.replay {
+			e.input(env.From, env.Msg)
+		}
+		e.input("", entered{})
 	}
 }
 
@@ -808,16 +841,4 @@ func (e *Engine) onDecisions(ds []consensus.Decision) {
 	for _, d := range ds {
 		e.input("", d)
 	}
-}
-
-// enterView is the loop's half of entering the view step has installed:
-// parked multicasts get their turn (failing, if the view expelled us), the
-// control traffic stashed for the view is replayed, and step hears that the
-// view is entered.
-func (e *Engine) enterView(f install) {
-	e.retryParked()
-	for _, env := range f.replay {
-		e.input(env.From, env.Msg)
-	}
-	e.input("", entered{})
 }

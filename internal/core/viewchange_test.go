@@ -16,6 +16,7 @@ import (
 	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/obsolete"
+	"repro/internal/queue"
 	"repro/internal/transport"
 )
 
@@ -43,22 +44,20 @@ func newStepper(self ident.PID, members ident.PIDs, heal bool) *stepper {
 }
 
 func (st *stepper) feed(from ident.PID, msg any) {
-	st.fx = append(st.fx, step(&st.s, event{from: from, msg: msg, now: exploreNow, suspected: st.suspected.Contains})...)
+	st.fx = append(st.fx, step(&st.s, event{from: from, msg: msg, now: exploreNow, detector: suspects(st.suspected)})...)
 }
 
 // tickAt steps protocol time to now.
 func (st *stepper) tickAt(now time.Time) {
-	st.fx = append(st.fx, step(&st.s, event{msg: tick{}, now: now, suspected: st.suspected.Contains})...)
+	st.fx = append(st.fx, step(&st.s, event{msg: tick{}, now: now, detector: suspects(st.suspected)})...)
 }
 
-// send and full make the stepper its state's outlet: a send is kept among
-// the effects.
+// send makes the stepper its state's outlet: a send is kept among the
+// effects.
 func (st *stepper) send(to ident.PID, _ transport.Channel, msg any) error {
 	st.fx = append(st.fx, sendTo{ident.PIDs{to}, msg})
 	return nil
 }
-
-func (st *stepper) full() {}
 
 // proposal returns the value proposed for ref, if any was.
 func (st *stepper) proposal(ref ident.ViewRef) (StateMsg, bool) {
@@ -101,7 +100,7 @@ func TestOneDecisionPerChange(t *testing.T) {
 	ps := ident.NewPIDs("p0", "p1", "p2")
 	w := newWorld(ps, View{ID: 1, Members: ps}, false)
 	for i := 1; i <= changes; i++ {
-		w.input(0, "p0", membership{})
+		w.call(0, &request{kind: reqViewChange})
 		for m, ok := w.fairMove(); ok; m, ok = w.fairMove() {
 			w.do(m)
 		}
@@ -438,9 +437,9 @@ func TestViewChangeStartsNoGoroutine(t *testing.T) {
 	e, log := changeEngine(t, "p1", ident.NewPIDs("p1", "p2", "p3"))
 	next := ident.ViewRef{ID: e.vc.cv.ID + 1}
 	before := runtime.NumGoroutine()
-	e.onCtl(transport.Envelope{From: "p1", Msg: InitMsg{View: View{ID: e.vc.cv.ID}}})
+	e.input("p1", InitMsg{View: View{ID: e.vc.cv.ID}})
 	for _, p := range e.vc.cv.Members {
-		e.onCtl(transport.Envelope{From: p, Msg: PredMsg{Change: next}})
+		e.input(p, PredMsg{Change: next})
 	}
 	if !e.vc.chg.proposed {
 		t.Fatal("every PRED is in, yet the change did not propose")
@@ -534,12 +533,55 @@ func TestDecidedFlushRepurged(t *testing.T) {
 	}
 }
 
+// TestParkedCallsCommitBeforeStashReplays: a multicast parked while the
+// group changes to view 5 commits in view 5 as the decision installs it —
+// behind the view's marker, answered with the view — and only then does
+// the INIT for the change to view 6, stashed during the change, replay and
+// block the group again. Replayed first, it would keep the call parked.
+func TestParkedCallsCommitBeforeStashReplays(t *testing.T) {
+	ps := ident.NewPIDs("p1", "p2")
+	e, _ := changeEngine(t, "p1", ps)
+	e.input("p1", InitMsg{View: View{ID: 4}})
+	req := &request{kind: reqMulticast}
+	req.one[0].Meta = obsolete.Msg{Sender: "p1", Seq: 1}
+	req.batch = req.one[:]
+	e.input("", req)
+	e.input("p2", InitMsg{View: View{ID: 5}})
+	if len(e.vc.multicastQ) != 1 || len(e.vc.stash) != 1 {
+		t.Fatalf("%d calls parked and %d messages stashed in the change, want 1 and 1", len(e.vc.multicastQ), len(e.vc.stash))
+	}
+	v5 := ident.ViewRef{ID: 5}
+	st, err := codec.Marshal(nil, StateMsg{View: View{ID: v5.ID, Members: ps}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.input("", consensus.Decision{Instance: viewInstance(v5), Value: st})
+	if len(e.vc.replies) != 1 || req.res != (result{view: v5}) || len(e.vc.multicastQ) != 0 {
+		t.Fatalf("after the install: %d answers, the call's %+v, %d parked; want it answered in %v", len(e.vc.replies), req.res, len(e.vc.multicastQ), v5)
+	}
+	var queued []string
+	e.vc.toDeliver.EachRef(func(it *queue.Item) bool {
+		if it.Kind == queue.Control {
+			queued = append(queued, it.Ctl.(View).Ref().String())
+		} else {
+			queued = append(queued, fmt.Sprintf("%s:%d@%d", it.Meta.Sender, it.Meta.Seq, it.View))
+		}
+		return true
+	})
+	if want := []string{v5.String(), "p1:1@5"}; !reflect.DeepEqual(queued, want) {
+		t.Fatalf("delivery queue %v, want %v", queued, want)
+	}
+	if c := e.vc.chg; c == nil || c.next != (ident.ViewRef{ID: 6}) {
+		t.Fatalf("the replayed INIT left change %+v, want the group blocked for view 6", c)
+	}
+}
+
 // TestDecodeValueRejectsGarbage: the decided value is a StateMsg. A decision
 // whose bytes do not decode, or decode to another registered type, counts
 // one DecisionFailures and installs nothing; a StateMsg installs.
 func TestDecodeValueRejectsGarbage(t *testing.T) {
 	e, _ := changeEngine(t, "p1", ident.NewPIDs("p1", "p2"))
-	e.onCtl(transport.Envelope{From: "p1", Msg: InitMsg{View: View{ID: e.vc.cv.ID}}})
+	e.input("p1", InitMsg{View: View{ID: e.vc.cv.ID}})
 	ref := ident.ViewRef{ID: e.vc.cv.ID + 1}
 	credit, err := codec.Marshal(nil, CreditMsg{View: ref.ID, Credits: 1})
 	if err != nil {
@@ -713,7 +755,7 @@ func TestWatchingFollowsState(t *testing.T) {
 				t.Fatalf("as built: watching %v, want %v", got, tc.want[0])
 			}
 			for i, ev := range tc.steps {
-				ev.suspected = func(ident.PID) bool { return false }
+				ev.detector = suspects(nil)
 				step(&s, ev)
 				if got := s.watching(); !got.Equal(tc.want[i+1]) {
 					t.Fatalf("after %T: watching %v, want %v", ev.msg, got, tc.want[i+1])

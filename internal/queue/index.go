@@ -25,6 +25,10 @@ type idxEnt struct {
 // senderStream is the index of one (view, sender) stream.
 type senderStream struct {
 	ents []idxEnt // seq-ordered
+	// base is the largest array ents has lain in. Pops leave ents a suffix
+	// of its array; a stream that empties starts again at base's front, so
+	// filling and draining it allocates nothing once base has grown.
+	base []idxEnt
 	// held counts the entries per sequence number modulo heldSlots: most
 	// listed numbers name entries purged long ago, and a zero count says so
 	// without a search. A non-zero count may be another number's — it is
@@ -63,14 +67,16 @@ func (q *Queue) idxAdd(k idxKey, seq ident.Seq, pos uint64) {
 	st.count(seq, 1)
 	s := st.ents
 	if n := len(s); n == 0 || s[n-1].seq <= seq {
-		st.ents = append(s, idxEnt{seq: seq, pos: pos})
-		return
+		s = append(s, idxEnt{seq: seq, pos: pos})
+	} else {
+		i := sort.Search(len(s), func(i int) bool { return s[i].seq > seq })
+		s = append(s, idxEnt{})
+		copy(s[i+1:], s[i:])
+		s[i] = idxEnt{seq: seq, pos: pos}
 	}
-	i := sort.Search(len(s), func(i int) bool { return s[i].seq > seq })
-	s = append(s, idxEnt{})
-	copy(s[i+1:], s[i:])
-	s[i] = idxEnt{seq: seq, pos: pos}
-	st.ents = s
+	if st.ents = s; cap(s) > cap(st.base) {
+		st.base = s
+	}
 }
 
 // idxDrop removes the entry with the given seq and position.
@@ -90,11 +96,11 @@ func (q *Queue) idxDrop(k idxKey, seq ident.Seq, pos uint64) {
 	st.count(seq, -1)
 	switch {
 	case len(s) == 1: // necessarily i == 0
-		// Truncate rather than reslice so the stream keeps its full
-		// backing array: the next idxAdd reuses it instead of
-		// allocating. Emptied streams stay in the map until a later view
-		// starts a stream (see idxAdd).
-		st.ents = s[:0]
+		// Start again at the front of the stream's largest array rather
+		// than in the slack the pops left: the next idxAdds reuse it
+		// instead of allocating. Emptied streams stay in the map until a
+		// later view starts a stream (see idxAdd).
+		st.ents = st.base[:0]
 	case i == 0:
 		// PopHead always drops the stream's oldest entry: reslice instead
 		// of memmoving the whole slice, keeping pops O(1). The vacated
@@ -111,7 +117,7 @@ func (q *Queue) idxDrop(k idxKey, seq ident.Seq, pos uint64) {
 // streams left with no live entries are dropped afterwards.
 func (q *Queue) rebuildIndex() {
 	for _, st := range q.idx {
-		st.ents = st.ents[:0]
+		st.ents = st.base[:0]
 		clear(st.held)
 	}
 	for p := q.head; p != q.tail; p++ {
