@@ -28,8 +28,9 @@
 // machine with no goroutine, lock, channel or timer of its own: whoever owns
 // it feeds it proposals, received messages and detector rechecks, one call
 // at a time, and each call returns the instances that decided during it.
-// The SVS engine drives its machine from its own loop; Service is a
-// stand-alone driver with a blocking Propose.
+// An SVS group member holds its machine in its own state and drives it from
+// its transition function, on its engine's loop; Service is a stand-alone
+// driver with a blocking Propose.
 package consensus
 
 import (

@@ -95,11 +95,21 @@ func (nw *network) propose(p ident.PID, id string) {
 }
 
 // step delivers one queued message; false when none is left.
-func (nw *network) step() bool {
-	if len(nw.queue) == 0 {
+func (nw *network) step() bool { return nw.stepIf(func(wireMsg) bool { return true }) }
+
+// stepIf delivers one of the queued messages keep accepts, drawn from the
+// seeded source; false when keep accepts none.
+func (nw *network) stepIf(keep func(w wireMsg) bool) bool {
+	var kept []int
+	for i, w := range nw.queue {
+		if keep(w) {
+			kept = append(kept, i)
+		}
+	}
+	if len(kept) == 0 {
 		return false
 	}
-	i := nw.rng.Intn(len(nw.queue))
+	i := kept[nw.rng.Intn(len(kept))]
 	w := nw.queue[i]
 	nw.queue = append(nw.queue[:i], nw.queue[i+1:]...)
 	if !nw.crashed[w.from] && !nw.crashed[w.to] && !nw.cut[w.to] {
@@ -218,6 +228,41 @@ func TestConsensusMidRoundCrash(t *testing.T) {
 		t.Fatal("the coordinator decided before its crash in every run")
 	}
 	t.Logf("%d of 20 runs crashed the coordinator before it decided", undecided)
+}
+
+// TestConsensusCoordinatorCrashMidDecide: the round-0 coordinator decides
+// and crashes while it sends DECIDE. Five processes propose, and the seeded
+// schedule runs, every DECIDE of p0 held back, until p0 decides. Its
+// DECIDE then reaches p2 and p3 but neither p1, round 1's coordinator, nor
+// p4; p0 crashes and is suspected. Every correct process decides one
+// proposed value.
+func TestConsensusCoordinatorCrashMidDecide(t *testing.T) {
+	stranded := 0 // seeds where p1 and p4 were undecided at the crash
+	for seed := int64(1); seed <= 100; seed++ {
+		nw := newNet(t, 5, seed)
+		p := nw.pids
+		for _, q := range p {
+			nw.propose(q, "inst")
+		}
+		fromCoord := func(w wireMsg) bool { return w.from == p[0] && w.m.Type == msgDecide }
+		for !nw.ms[p[0]].instances["inst"].decided {
+			if !nw.stepIf(func(w wireMsg) bool { return !fromCoord(w) }) {
+				t.Fatalf("seed %d: p0 never decided", seed)
+			}
+		}
+		nw.deliverIf(func(w wireMsg) bool { return fromCoord(w) && (w.to == p[2] || w.to == p[3]) })
+		if !nw.ms[p[1]].instances["inst"].decided && !nw.ms[p[4]].instances["inst"].decided {
+			stranded++
+		}
+		nw.crashed[p[0]] = true
+		nw.suspect(p[0])
+		nw.deliver()
+		nw.agreed("inst", p[1:], p)
+	}
+	if stranded == 0 {
+		t.Fatal("p1 or p4 had decided before the crash in every run")
+	}
+	t.Logf("%d of 100 runs crashed p0 with p1 and p4 undecided", stranded)
 }
 
 // bystanderRun has two of three processes propose; the third never does.

@@ -258,10 +258,11 @@ func installFlush(t *testing.T, e *Engine, flush []DataMsg) View {
 	next := View{ID: e.vc.cv.ID + 1, Members: e.vc.cv.Members}
 	id := viewInstance(next.Ref())
 	e.vc.chg = &change{next: next.Ref(), awaited: map[string]bool{id: true}}
+	e.vc.cons = injector{undecided{}}
 	raw, err := codec.Marshal(nil, StateMsg{View: View{ID: next.ID, Epoch: next.Epoch, Members: next.Members}, Backlog: flush})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.input("", consensus.Decision{Instance: id, Value: raw})
+	e.input("", consensus.Msg{Instance: id, Value: raw})
 	return next
 }

@@ -84,7 +84,7 @@ func quietRun(t *testing.T, n int) (sent, bytes map[string]int) {
 	start := time.Unix(0, 0)
 	tickAt := func(s *viewState, now time.Time) {
 		if fx := step(s, event{msg: tick{}, now: now, detector: suspects(nil)}); len(fx) > 0 {
-			t.Fatalf("a quiet tick had effects %v", fx)
+			t.Fatalf("a quiet tick installed %v", fx)
 		}
 		for _, l := range links {
 			b, err := codec.Marshal(nil, l.msg)

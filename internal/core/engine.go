@@ -33,21 +33,17 @@ type Engine struct {
 
 	// ---- state below is owned exclusively by the run loop ----
 
-	// cons holds the group's consensus instances; the loop feeds it the
-	// Consensus inbox and suspicions, and steps its decisions in the same
-	// turn (onDecisions).
-	cons *consensus.Machine
-
-	// vc is the group member as a value (viewchange.go): the view change,
-	// the data plane of t1–t3 and the application's calls on it, with its
-	// protocol time, the counters (vc.stats), the clock, the histograms and
-	// the event log. The loop steps it with every call, every control
-	// event and every tick it asks for (wake) and carries out the effects,
-	// and calls its arrival and end-of-turn methods directly; its sends
-	// leave through the engine's outlet (send). The calls a turn answered
-	// (vc.replies) are released by syncSnapshots once the facade snapshots
-	// reflect the turn, so a call that has returned always finds its own
-	// effect in Stats and View.
+	// vc is the group member as a value (viewchange.go): the view change
+	// and its consensus machine, the data plane of t1–t3 and the
+	// application's calls on it, with its protocol time, the counters
+	// (vc.stats), the clock, the histograms and the event log. The loop
+	// steps it with every call, every control and consensus envelope, every
+	// suspicion and every tick it asks for (wake) and carries out the
+	// installs, and calls its arrival and end-of-turn methods directly; its
+	// sends leave through the engine's outlet (send), the machine's through
+	// the endpoint. The calls a turn answered (vc.replies) are released by
+	// syncSnapshots once the facade snapshots reflect the turn, so a call
+	// that has returned always finds its own effect in Stats and View.
 	vc viewState
 }
 
@@ -137,19 +133,19 @@ func start(cfg config) (*Engine, error) {
 		// A joiner has no view until the state transfer installs one.
 		initial = View{}
 	}
-	// The consensus machine sends straight to the endpoint, best effort, and
-	// holds nothing of the engine: a cycle through it would keep a stopped
-	// engine with a finalizer from ever being collected.
-	send := func(to ident.PID, m consensus.Msg) { _ = cfg.Endpoint.Send(to, cfg.Group, transport.Consensus, m) }
 	e := &Engine{
 		cfg:     cfg,
 		reqC:    make(chan *request, 64),
 		doneC:   make(chan struct{}),
 		rootCtx: ctx,
 		cancel:  cancel,
-		cons:    consensus.NewMachine(cfg.Self, send, cfg.Detector, cfg.Obs),
 	}
 	e.vc = newViewState(&e.cfg, initial.Clone(), e)
+	// The consensus machine sends straight to the endpoint, best effort, and
+	// holds nothing of the engine: a cycle through it would keep a stopped
+	// engine with a finalizer from ever being collected.
+	send := func(to ident.PID, m consensus.Msg) { _ = cfg.Endpoint.Send(to, cfg.Group, transport.Consensus, m) }
+	e.vc.cons = consensus.NewMachine(cfg.Self, send, cfg.Detector, cfg.Obs)
 	e.pub = &published{view: e.vc.cv.Clone(), watched: e.vc.watching().Clone()}
 	e.pub.export(cfg.Obs)
 	go e.run()
@@ -326,13 +322,14 @@ func (e *Engine) do(ctx context.Context, req *request) result {
 const reqDrainCap = 256
 
 // run is the protocol loop: a single goroutine owning all state, the
-// consensus instances included. Protocol time reaches the value as tick
-// events on one timer: the loop steps a tick as it starts, which arms the
-// value's timed duties and sends a joiner's first request, and re-arms the
-// timer whenever the value's wake moves. Every inbox is consumed in batch
-// mode: one receive hands the loop every envelope pending for the channel,
-// amortising the wakeup and the per-iteration snapshot mirror over the
-// whole run.
+// consensus instances included. Every call, control or consensus envelope
+// and suspicion is a step of the value; data arrivals go to it directly
+// (onDataBatch). Protocol time reaches it as tick events on one timer: the
+// loop steps a tick as it starts, which arms the value's timed duties and
+// sends a joiner's first request, and re-arms the timer whenever the
+// value's wake moves. Every inbox is consumed in batch mode: one receive
+// hands the loop every envelope pending for the channel, amortising the
+// wakeup and the per-iteration snapshot mirror over the whole run.
 func (e *Engine) run() {
 	defer close(e.doneC)
 	dataIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Data)
@@ -379,17 +376,12 @@ func (e *Engine) run() {
 				e.input(envs[i].From, envs[i].Msg)
 			}
 		case envs, ok := <-consIn:
-			// Consensus runs in every state — joining, blocked, at its end:
-			// an instance outlives the change that proposed to it, and the
-			// other participants may still need our estimate and ACK.
 			if !ok {
 				consIn = nil
 				break
 			}
 			for i := range envs {
-				if m, ok := envs[i].Msg.(consensus.Msg); ok {
-					e.onDecisions(e.cons.Receive(envs[i].From, m))
-				}
+				e.input(envs[i].From, envs[i].Msg)
 			}
 		case ev, ok := <-fdEv:
 			if !ok {
@@ -397,7 +389,6 @@ func (e *Engine) run() {
 				break
 			}
 			e.input("", ev)
-			e.onDecisions(e.cons.Recheck())
 		case req := <-e.reqC:
 			e.input("", req)
 			e.drainRequests()

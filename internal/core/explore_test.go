@@ -10,11 +10,12 @@ package core
 // (call) —, crashes, suspicions and consensus decisions, with states
 // deduplicated by a canonical encoding. Every send a process makes
 // goes on the world's links through its outlet: PREDs carry what the
-// process holds and a sponsor ships what it holds. Consensus is an oracle:
+// process holds and a sponsor ships what it holds. Consensus is an oracle
+// at the seam where the engine has its consensus machine (viewState.cons):
 // once a majority of an instance's participants proposed, it may decide any
 // value proposed to it, once, and each participant then learns the decision
-// as an event of its own. The explorer checks the view change, not
-// Chandra–Toueg.
+// from a consensus message of its own, which the oracle answers with it.
+// The explorer checks the view change, not Chandra–Toueg.
 //
 // On every reachable state it checks
 //
@@ -151,7 +152,7 @@ type world struct {
 	installed map[ident.ViewRef][]byte
 	onLink    func(msg any) // if set, sees every message put on a link (TestControlCost)
 
-	violation string // set by the effect that broke (a), (b), (c) or (f)
+	violation string // set by the step that broke (a), (b), (c) or (f)
 }
 
 func (w *world) idx(p ident.PID) int {
@@ -164,9 +165,9 @@ func (w *world) idx(p ident.PID) int {
 }
 
 // mut returns process i for writing: the world's own copy of it, with a
-// change record and ledger of its own, which step updates in place, and
-// whose sends go on w's links. Its data plane is still shared: see
-// mutData.
+// change record and ledger of its own, which step updates in place, whose
+// sends go on w's links and whose consensus machine is w's oracle. Its data
+// plane is still shared: see mutData.
 func (w *world) mut(i int) *xproc {
 	if w.owned&(1<<i) == 0 {
 		p := *w.procs[i]
@@ -176,7 +177,7 @@ func (w *world) mut(i int) *xproc {
 			cc.awaited, cc.pred, cc.recv = cloneMap(c.awaited), cloneMap(c.pred), cloneMap(c.recv)
 			p.s.chg = &cc
 		}
-		p.s.out = xout{w, i}
+		p.s.out, p.s.cons = xout{w, i}, xcons{w, i}
 		w.procs[i], w.owned = &p, w.owned|1<<i
 	}
 	return w.procs[i]
@@ -196,12 +197,12 @@ func (w *world) mutData(i int) *xproc {
 }
 
 // mayEnter reports whether stepping p with msg can enter a view: a
-// decision, a state transfer or a probe can, and so can any event once p
-// knows a decision it may still await (step then awaits it, and the answer
-// installs). input checks the claim.
+// consensus message (the decision), a state transfer or a probe can, and so
+// can any event once p knows a decision it may still await (step then
+// awaits it, and the answer installs). input checks the claim.
 func (w *world) mayEnter(p *xproc, msg any) bool {
 	switch msg.(type) {
-	case consensus.Decision, StateMsg, ProbeMsg:
+	case consensus.Msg, StateMsg, ProbeMsg:
 		return true
 	}
 	for _, id := range p.knows {
@@ -265,6 +266,55 @@ func (o xout) send(to ident.PID, ch transport.Channel, msg any) error {
 	o.w.send(o.w.pids[o.i], to, ch, msg)
 	return nil
 }
+
+// xcons is process i's consensus machine in world w: the oracle. It
+// decides nothing during a call; an instance decides in a move of its own
+// (mvDecide), and each participant learns the decision in another (mvLearn).
+type xcons struct {
+	w *world
+	i int
+}
+
+// Propose checks (c) on the proposal and enters it into instance id,
+// unless the instance decided or the process proposed to it already.
+func (c xcons) Propose(id string, participants ident.PIDs, value []byte) ([]consensus.Decision, error) {
+	w, self := c.w, c.w.pids[c.i]
+	val, err := decodeState(value)
+	if err != nil {
+		panic(fmt.Sprintf("explore: %s proposed to %s: %v", self, id, err))
+	}
+	w.checkProposal(c.i, val, participants)
+	k := w.inst(id)
+	if k < 0 {
+		w.insts = append(w.insts[:len(w.insts):len(w.insts)], xinst{id: id, ref: val.Ref(), participants: participants})
+		k = len(w.insts) - 1
+	}
+	in := w.insts[k]
+	if in.decided != 0 || slices.Contains(in.proposers, self) {
+		return nil, nil
+	}
+	in.proposers = append(in.proposers[:len(in.proposers):len(in.proposers)], self)
+	in.values = append(in.values[:len(in.values):len(in.values)], wmsg{m: val, enc: string(value)})
+	w.setInst(k, in)
+	return nil, nil
+}
+
+// Decided answers for an instance whose decision the process learnt.
+func (c xcons) Decided(id string) ([]byte, bool) {
+	if k := c.w.inst(id); k >= 0 && slices.Contains(c.w.procs[c.i].knows, id) {
+		return c.w.decision(k), true
+	}
+	return nil, false
+}
+
+// Receive answers the consensus message a learn move steps with the
+// decision of its instance.
+func (c xcons) Receive(_ ident.PID, m consensus.Msg) []consensus.Decision {
+	return []consensus.Decision{{Instance: m.Instance, Value: c.w.decision(c.w.inst(m.Instance))}}
+}
+
+// Recheck has nothing to move on: no instance waits on a coordinator.
+func (xcons) Recheck() []consensus.Decision { return nil }
 
 // suspects is a failure detector's fixed verdict: it suspects the
 // processes listed.
@@ -345,7 +395,7 @@ func (w *world) inst(id string) int {
 	return -1
 }
 
-// input steps process i with one event and carries out its effects, as
+// input steps process i with one event and carries out its installs, as
 // Engine.input does.
 func (w *world) input(i int, from ident.PID, msg any) {
 	p := w.mut(i)
@@ -379,65 +429,42 @@ func (w *world) call(i int, req *request) result {
 	return req.res
 }
 
-// apply is Engine.apply in the world, where the consensus machine is the
-// oracle and the detector watches everyone.
-func (w *world) apply(i int, f effect) {
+// apply carries out install f of process i as Engine.input does, checking
+// (a), (b) and (f) on it.
+func (w *world) apply(i int, f install) {
 	self := w.pids[i]
-	switch f := f.(type) {
-	case propose:
-		w.checkProposal(i, f)
-		ref := f.val.Ref()
-		id := viewInstance(ref)
-		k := w.inst(id)
-		if k < 0 {
-			w.insts = append(w.insts[:len(w.insts):len(w.insts)], xinst{id: id, ref: ref, participants: f.participants})
-			k = len(w.insts) - 1
-		}
-		in := w.insts[k]
-		if in.decided != 0 || slices.Contains(in.proposers, self) {
-			return
-		}
-		in.proposers = append(in.proposers[:len(in.proposers):len(in.proposers)], self)
-		in.values = append(in.values[:len(in.values):len(in.values)], wrap(f.val))
-		w.setInst(k, in)
-	case await:
-		if k := w.inst(f.id); k >= 0 && slices.Contains(w.procs[i].knows, f.id) {
-			w.input(i, "", w.decision(k))
-		}
-	case install:
-		if f.chg != nil {
-			w.checkInstall(i, f.st)
-		}
-		p := w.mut(i)
-		if err := checkArmed(&p.s); err != nil && w.violation == "" {
-			w.violation = fmt.Sprintf("(f) %s entered %v: %v", self, f.view.Ref(), err)
-		}
-		for _, v := range p.views {
-			if v == f.view.Ref() && w.violation == "" {
-				w.violation = fmt.Sprintf("(a) %s entered %v twice", self, v)
-			}
-		}
-		p.views = append(p.views[:len(p.views):len(p.views)], f.view.Ref())
-		// Data in flight to it from a view it has left can only be dropped
-		// as stale whenever it arrives, so it is dropped now.
-		for j := range w.pids {
-			k := j*len(w.pids) + i
-			l := w.dataLink(k)
-			for len(l) > 0 {
-				if dm, ok := l[0].m.(DataMsg); !ok || dm.Ref() == f.view.Ref() {
-					break
-				}
-				l = l[1:]
-			}
-			if len(l) < len(w.dataLink(k)) {
-				w.setData(k, l)
-			}
-		}
-		for _, env := range f.replay {
-			w.input(i, env.From, env.Msg)
-		}
-		w.input(i, "", entered{})
+	if f.chg != nil {
+		w.checkInstall(i, f.st)
 	}
+	p := w.mut(i)
+	if err := checkArmed(&p.s); err != nil && w.violation == "" {
+		w.violation = fmt.Sprintf("(f) %s entered %v: %v", self, f.view.Ref(), err)
+	}
+	for _, v := range p.views {
+		if v == f.view.Ref() && w.violation == "" {
+			w.violation = fmt.Sprintf("(a) %s entered %v twice", self, v)
+		}
+	}
+	p.views = append(p.views[:len(p.views):len(p.views)], f.view.Ref())
+	// Data in flight to it from a view it has left can only be dropped as
+	// stale whenever it arrives, so it is dropped now.
+	for j := range w.pids {
+		k := j*len(w.pids) + i
+		l := w.dataLink(k)
+		for len(l) > 0 {
+			if dm, ok := l[0].m.(DataMsg); !ok || dm.Ref() == f.view.Ref() {
+				break
+			}
+			l = l[1:]
+		}
+		if len(l) < len(w.dataLink(k)) {
+			w.setData(k, l)
+		}
+	}
+	for _, env := range f.replay {
+		w.input(i, env.From, env.Msg)
+	}
+	w.input(i, "", entered{})
 }
 
 // checkArmed is property (f), what must hold of s's peer table whenever a
@@ -479,23 +506,25 @@ func checkArmed(s *viewState) error {
 	return nil
 }
 
-func (w *world) decision(k int) consensus.Decision {
+// decision is the value instance k decided.
+func (w *world) decision(k int) []byte {
 	in := w.insts[k]
-	return consensus.Decision{Instance: in.id, Value: []byte(in.values[in.decided-1].enc)}
+	return []byte(in.values[in.decided-1].enc)
 }
 
-// checkProposal is property (c).
-func (w *world) checkProposal(i int, f propose) {
+// checkProposal is property (c): process i proposed val among
+// participants.
+func (w *world) checkProposal(i int, val StateMsg, participants ident.PIDs) {
 	var leaving ident.PIDs
 	for _, r := range w.reqs {
 		if r.fired {
 			leaving = leaving.Union(r.leave)
 		}
 	}
-	for _, q := range f.participants.Without(ident.NewPIDs(f.val.Members...)) {
+	for _, q := range participants.Without(ident.NewPIDs(val.Members...)) {
 		if !w.procs[i].suspects.Contains(q) && !w.decliners.Contains(q) && !leaving.Contains(q) && w.violation == "" {
 			w.violation = fmt.Sprintf("(c) %s proposed %v without %s, which it does not suspect, which did not decline and was not asked to leave",
-				w.pids[i], f.val.Members, q)
+				w.pids[i], val.Members, q)
 		}
 	}
 }
@@ -834,7 +863,7 @@ func (w *world) learn(k, j int) {
 	w.setInst(k, in)
 	p := w.mut(j)
 	p.knows = append(p.knows[:len(p.knows):len(p.knows)], in.id)
-	w.input(j, "", w.decision(k))
+	w.input(j, "", consensus.Msg{Instance: in.id})
 }
 
 // crash stops process i: what it has not yet delivered, and what it sent
@@ -1178,7 +1207,7 @@ type exploreResult struct {
 }
 
 // explore searches every state reachable from start breadth first,
-// checking (a)–(c) and (f) on every effect, (e) on every terminal state of
+// checking (a)–(c) and (f) on every step, (e) on every terminal state of
 // a world whose application delivers and, once every state is known, (d)
 // on each of them. States are told apart by a 64-bit hash of their key, with a
 // seed drawn per run: two of a few hundred thousand states collide with

@@ -9,7 +9,7 @@ package core
 // Deliver calls waiting for the queue, and the answers of the turn. A call
 // is a step event (onRequest); an arrival (onDataBatch) and the end of
 // every turn of the owner's loop (endTurn) are methods the engine calls
-// directly on the hot path, with no event or effect in between. Every send
+// directly on the hot path, with no event in between. Every send
 // leaves through the value's outlet, the engine's endpoint or the
 // explorer's links.
 

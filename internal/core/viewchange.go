@@ -1,7 +1,7 @@
 package core
 
 // viewchange.go is Figure 1's view change, t4–t7, as one transition
-// function over the group's state: step(state, event) → []effect. An INIT
+// function over the group's state: step(state, event) → []install. An INIT
 // blocks the group (t5), every member gathers the others' pred sets (t6),
 // and consensus decides the next view and its flush, which each member
 // installs (t7). Every change runs on these two messages. An INIT over one
@@ -13,24 +13,26 @@ package core
 // repurges its flush once, the decided value is a StateMsg entering through
 // one door (onDecision), and every view is entered one way (enter).
 //
-// The state is the whole group member but its loop: the view change, the
-// data plane of t1–t3 (protocol.go) and the application's calls on it, so
-// blocking closes the data plane and parks the callers, and installing
-// adopts the flush and lets them in, in the same step. Every send leaves
-// through the outlet the state's owner supplies. step reaches no engine,
-// consensus machine, detector, channel or timer: the time and the
-// detector's verdicts come in with each event, and what the owner must do —
-// the consensus machine's propose, the loop's half of entering a view —
-// goes out as effects, which the engine interprets (apply) in order. Whom
-// the group needs monitored is read off the state (watching), not told.
-// Protocol time is a step too: the state records when its stability
-// gossip, heal probe, merge timeout, join retransmission and join give-up
-// are next due, wake reports the earliest, and a tick event runs whatever
-// is due. Consensus is a message handler of the engine loop like INIT and
-// PRED, and nothing here starts a goroutine. Because the state is a value
-// its owner can copy, the explorer (explore_test.go) runs this same code,
-// data plane and calls included, through every interleaving of a small
-// group.
+// The state is the whole group member but its loop: the view change, its
+// consensus machine, the data plane of t1–t3 (protocol.go) and the
+// application's calls on it, so blocking closes the data plane and parks
+// the callers, and installing adopts the flush and lets them in, in the
+// same step. Every send leaves through the outlet the state's owner
+// supplies, the machine's straight through the endpoint it was given. step
+// reaches no engine, detector, channel or timer: the time and the
+// detector's verdicts come in with each event, step proposes to the
+// machine, asks it for decisions and hands it every consensus message and
+// suspicion itself, and the one thing it leaves to its owner — the loop's
+// half of entering a view — goes out as install, which the engine carries
+// out (input) in order. Whom the group needs monitored is read off the
+// state (watching), not told. Protocol time is a step too: the state
+// records when its stability gossip, heal probe, merge timeout, join
+// retransmission and join give-up are next due, wake reports the earliest,
+// and a tick event runs whatever is due. Nothing here starts a goroutine.
+// Because the state is a value its owner can copy, the explorer
+// (explore_test.go) runs this same code, data plane and calls included,
+// through every interleaving of a small group, with its consensus oracle
+// in the machine's place.
 
 import (
 	"fmt"
@@ -126,9 +128,11 @@ type viewState struct {
 	deliverWaiters []*request
 	replies        []*request
 
-	// What the owner supplies: the outlet, and the clock, histograms and
-	// event log (each nil-safe; the clock is read only for a histogram).
+	// What the owner supplies: the outlet, the consensus machine, and the
+	// clock, histograms and event log (each nil-safe; the clock is read
+	// only for a histogram).
 	out   outlet
+	cons  machine
 	clock obs.Clock
 	m     *engMetrics
 	ev    *obs.Events
@@ -141,8 +145,19 @@ type outlet interface {
 	send(to ident.PID, ch transport.Channel, msg any) error
 }
 
+// machine is the group's consensus as step drives it: the methods of
+// consensus.Machine, which is one; the explorer's oracle is another. Each
+// call returns the instances that decided during it.
+type machine interface {
+	Propose(id string, participants ident.PIDs, value []byte) ([]consensus.Decision, error)
+	Decided(id string) ([]byte, bool)
+	Receive(from ident.PID, m consensus.Msg) []consensus.Decision
+	Recheck() []consensus.Decision
+}
+
 // newViewState is the state of cfg.Self in view cv: an empty data plane,
-// every link armed. Its sends leave through out.
+// every link armed. Its sends leave through out; its owner supplies the
+// consensus machine (cons).
 func newViewState(cfg *config, cv View, out outlet) viewState {
 	s := viewState{
 		self: cfg.Self, cfg: cfg, cv: cv, joining: cfg.Join != nil,
@@ -215,9 +230,9 @@ func (s *viewState) watching() ident.PIDs {
 // with detector the failure detector's verdicts at that moment. msg is a
 // control envelope's message received (an InitMsg, PredMsg, SplitMsg,
 // ProbeMsg, JoinReqMsg, StateMsg, CreditMsg or StableMsg, or one of no
-// known kind), an application's call (a *request: a multicast, t2; a
-// Deliver, t1; a membership change, t4), or one of fd.Event (a
-// suspicion), consensus.Decision, tick and entered.
+// known kind), a consensus envelope's (a consensus.Msg), an application's
+// call (a *request: a multicast, t2; a Deliver, t1; a membership change,
+// t4), or one of fd.Event (a suspicion), tick and entered.
 type event struct {
 	from     ident.PID
 	msg      any
@@ -231,37 +246,25 @@ type suspector interface{ Suspected(ident.PID) bool }
 type (
 	// tick is protocol time passing: every timed duty due by now runs.
 	tick struct{}
-	// entered tells that the engine has entered the view an install effect
-	// named and replayed the stash.
+	// entered tells that the engine has entered the view an install named
+	// and replayed the stash.
 	entered struct{}
 )
 
-// An effect is what step asks of the engine, one of the types below, in
-// the order the engine must carry them out.
-type effect any
-
-type (
-	// propose offers val to the consensus instance of the view it names.
-	propose struct {
-		val          StateMsg
-		participants ident.PIDs
-	}
-	// await asks for the decision of instance id, if it has one already.
-	await struct{ id string }
-	// install is the loop's half of entering view, which step has made
-	// current, installing it into the data plane and letting the parked
-	// multicasts in: what it was entered on (the flush st that chg decided,
-	// the state transfer st from a member that admits this joiner, or
-	// neither for a view a probe proved), and the control traffic stashed
-	// for it. The engine replays the stash and steps entered.
-	install struct {
-		view   View
-		st     StateMsg
-		chg    *change
-		from   ident.PID
-		replay []transport.Envelope
-	}
-)
+// install is what step asks of the engine: the loop's half of entering
+// view, which step has made current, installing it into the data plane
+// and letting the parked multicasts in. It tells what the view was entered
+// on (the flush st that chg decided, the state transfer st from a member
+// that admits this joiner, or neither for a view a probe proved), and the
+// control traffic stashed for it. The engine replays the stash and steps
+// entered.
+type install struct {
+	view   View
+	st     StateMsg
+	chg    *change
+	from   ident.PID
+	replay []transport.Envelope
+}
 
 // maxDeferredCtl bounds the stash of control messages that arrive for a
 // future view and are replayed after the next install. A full stash keeps
@@ -270,25 +273,32 @@ type (
 // is the one whose replay unblocks the peer that sent it.
 const maxDeferredCtl = 4096
 
-// turn is one step in progress: the state being stepped, the event, and
-// the effects so far.
+// turn is one step in progress: the state being stepped, the event, the
+// decisions the consensus machine returned so far, and the views entered.
 type turn struct {
 	*viewState
 	event
-	fx []effect
+	decided []consensus.Decision
+	fx      []install
 }
 
 // step is the group member's transition function: it steps s with ev and
-// returns what the engine must do about it.
-func step(s *viewState, ev event) []effect {
+// returns the views the engine must install, in order. What the consensus
+// machine decides during the handler enters through onDecision after it,
+// in the order decided, so a decision installs in the turn that produced
+// it.
+func step(s *viewState, ev event) []install {
 	t := &turn{viewState: s, event: ev}
 	switch m := ev.msg.(type) {
 	case *request:
 		t.onRequest(m)
+	case consensus.Msg:
+		// Consensus runs in every state — joining, blocked, at its end: an
+		// instance outlives the change that proposed to it, and the other
+		// participants may still need our estimate and ACK.
+		t.learn(t.cons.Receive(ev.from, m)...)
 	case fd.Event:
 		t.onSuspicion(m)
-	case consensus.Decision:
-		t.onDecision(m)
 	case tick:
 		t.onTick()
 	case entered:
@@ -296,10 +306,15 @@ func step(s *viewState, ev event) []effect {
 	default:
 		t.onCtl(ev.from, ev.msg)
 	}
+	for _, d := range t.decided {
+		t.onDecision(d)
+	}
 	return t.fx
 }
 
-func (t *turn) emit(fx ...effect) { t.fx = append(t.fx, fx...) }
+// learn keeps what a call of the consensus machine decided for the end of
+// the turn.
+func (t *turn) learn(ds ...consensus.Decision) { t.decided = append(t.decided, ds...) }
 
 // onTick runs every timed duty due by now and re-arms it. The owner steps
 // one tick as it starts, which arms the duties and sends a joiner's first
@@ -405,14 +420,14 @@ func (t *turn) trigger(join, leave ident.PIDs) {
 }
 
 // onSuspicion reacts to failure detector events: they re-evaluate the
-// propose condition and, with AutoEvict, trigger eviction view changes. The
-// engine then lets consensus instances waiting on a suspected coordinator
-// move on.
+// propose condition and, with AutoEvict, trigger eviction view changes, and
+// the consensus instances waiting on a suspected coordinator move on.
 func (t *turn) onSuspicion(ev fd.Event) {
 	if ev.Suspected && t.cfg.AutoEvict && t.cv.Includes(ev.P) {
 		t.trigger(nil, ident.NewPIDs(ev.P))
 	}
 	t.checkPropose()
+	t.learn(t.cons.Recheck()...)
 }
 
 // ---- t5/t6: ctl handling ---------------------------------------------------
@@ -656,16 +671,22 @@ func (t *turn) proposal(next View) StateMsg {
 // other participants.
 func (t *turn) propose(val StateMsg, participants ident.PIDs) {
 	t.await(val.Ref())
-	t.emit(propose{val: val, participants: participants})
+	// Neither call can fail: StateMsg is a registered type, and we are one
+	// of the participants.
+	raw, _ := codec.Marshal(nil, val)
+	ds, _ := t.cons.Propose(viewInstance(val.Ref()), participants, raw)
+	t.learn(ds...)
 }
 
 // await makes the change in flight await the consensus instance of
 // successor ref: onDecision installs whichever awaited instance decides
-// first. The engine answers at once for an instance decided already.
+// first. An instance decided already is answered at once.
 func (t *turn) await(ref ident.ViewRef) {
 	if id := viewInstance(ref); !t.chg.awaited[id] {
 		t.chg.awaited[id] = true
-		t.emit(await{id})
+		if v, ok := t.cons.Decided(id); ok {
+			t.learn(consensus.Decision{Instance: id, Value: v})
+		}
 	}
 }
 
@@ -765,7 +786,7 @@ func (t *turn) enter(next View, f install) {
 	t.armPeers()
 	t.retryParked()
 	f.view, f.replay, t.stash = next, t.stash, nil
-	t.emit(f)
+	t.fx = append(t.fx, f)
 }
 
 // installFlush adopts the flush st that change c decided as prev closes:
@@ -801,44 +822,16 @@ func (t *turn) installFlush(c *change, st StateMsg, prev View) {
 	}
 }
 
-// ---- the engine's half: interpreting the effects --------------------------
+// ---- the engine's half: installing ------------------------------------------
 
-// input steps the group member with one event and carries out its effects.
+// input steps the group member with one event and carries out the installs
+// it asks for: each view's stashed control traffic is replayed, and step
+// hears that the view is entered.
 func (e *Engine) input(from ident.PID, msg any) {
 	for _, f := range step(&e.vc, event{from: from, msg: msg, now: e.vc.clock.Now(), detector: e.cfg.Detector}) {
-		e.apply(f)
-	}
-}
-
-// apply carries out one effect. Effects that feed the consensus machine
-// hand what it decides straight back to input, so a decision installs
-// inside the effect that produced it, before the next effect runs. An
-// install is followed by the control traffic stashed for the view, and
-// step hears that the view is entered.
-func (e *Engine) apply(f effect) {
-	switch f := f.(type) {
-	case propose:
-		// Neither call can fail: StateMsg is a registered type, and we are
-		// one of the participants.
-		raw, _ := codec.Marshal(nil, f.val)
-		ds, _ := e.cons.Propose(viewInstance(f.val.Ref()), f.participants, raw)
-		e.onDecisions(ds)
-	case await:
-		if v, ok := e.cons.Decided(f.id); ok {
-			e.input("", consensus.Decision{Instance: f.id, Value: v})
-		}
-	case install:
 		for _, env := range f.replay {
 			e.input(env.From, env.Msg)
 		}
 		e.input("", entered{})
-	}
-}
-
-// onDecisions steps every decision one call of the consensus machine
-// returned, after the call.
-func (e *Engine) onDecisions(ds []consensus.Decision) {
-	for _, d := range ds {
-		e.input("", d)
 	}
 }

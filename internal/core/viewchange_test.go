@@ -20,14 +20,16 @@ import (
 	"repro/internal/transport"
 )
 
-// stepper drives one process's view-change state with events and keeps the
-// effects, with no engine: consensus, the data plane and the network are
-// whatever the test makes of the effects. It starts in view 4 of members,
-// under tagging.
+// stepper drives one process's view-change state with events and keeps
+// what it did, with no engine: the stepper is the state's outlet and
+// consensus machine, and keeps its sends, its proposals, the decisions it
+// asked for and its installs, in order, in fx. Its machine decides nothing.
+// It starts in view 4 of members, under tagging.
 type stepper struct {
+	undecided
 	s         viewState
 	suspected ident.PIDs
-	fx        []effect
+	fx        []any
 }
 
 // sendTo is a send the stepper's state made: msg to each of to.
@@ -36,24 +38,66 @@ type sendTo struct {
 	msg any
 }
 
+// proposed and asked are what the stepper's state asked of its consensus
+// machine: a proposal of val, and the decision of instance id.
+type (
+	proposed struct{ val StateMsg }
+	asked    struct{ id string }
+)
+
 func newStepper(self ident.PID, members ident.PIDs, heal bool) *stepper {
 	st := &stepper{}
 	cfg := config{Self: self, GroupConfig: GroupConfig{Relation: tagging, Heal: heal}}
 	st.s = newViewState(&cfg, View{ID: 4, Members: members}, st)
+	st.s.cons = st
 	return st
 }
 
+func (st *stepper) Propose(_ string, _ ident.PIDs, value []byte) ([]consensus.Decision, error) {
+	val, err := decodeState(value)
+	st.fx = append(st.fx, proposed{val})
+	return nil, err
+}
+
+func (st *stepper) Decided(id string) ([]byte, bool) {
+	st.fx = append(st.fx, asked{id})
+	return nil, false
+}
+
+// undecided is a consensus machine that never decides.
+type undecided struct{}
+
+func (undecided) Propose(string, ident.PIDs, []byte) ([]consensus.Decision, error) { return nil, nil }
+func (undecided) Decided(string) ([]byte, bool)                                    { return nil, false }
+func (undecided) Receive(ident.PID, consensus.Msg) []consensus.Decision            { return nil }
+func (undecided) Recheck() []consensus.Decision                                    { return nil }
+
+// injector is consensus machine m with a test's hand on it: a consensus
+// message from nobody is the decision of its instance on its value, as if
+// m had decided it. Every other call is m's.
+type injector struct{ machine }
+
+func (c injector) Receive(from ident.PID, m consensus.Msg) []consensus.Decision {
+	if from == "" {
+		return []consensus.Decision{{Instance: m.Instance, Value: m.Value}}
+	}
+	return c.machine.Receive(from, m)
+}
+
 func (st *stepper) feed(from ident.PID, msg any) {
-	st.fx = append(st.fx, step(&st.s, event{from: from, msg: msg, now: exploreNow, detector: suspects(st.suspected)})...)
+	for _, f := range step(&st.s, event{from: from, msg: msg, now: exploreNow, detector: suspects(st.suspected)}) {
+		st.fx = append(st.fx, f)
+	}
 }
 
 // tickAt steps protocol time to now.
 func (st *stepper) tickAt(now time.Time) {
-	st.fx = append(st.fx, step(&st.s, event{msg: tick{}, now: now, detector: suspects(st.suspected)})...)
+	for _, f := range step(&st.s, event{msg: tick{}, now: now, detector: suspects(st.suspected)}) {
+		st.fx = append(st.fx, f)
+	}
 }
 
-// send makes the stepper its state's outlet: a send is kept among the
-// effects.
+// send makes the stepper its state's outlet.
 func (st *stepper) send(to ident.PID, _ transport.Channel, msg any) error {
 	st.fx = append(st.fx, sendTo{ident.PIDs{to}, msg})
 	return nil
@@ -62,7 +106,7 @@ func (st *stepper) send(to ident.PID, _ transport.Channel, msg any) error {
 // proposal returns the value proposed for ref, if any was.
 func (st *stepper) proposal(ref ident.ViewRef) (StateMsg, bool) {
 	for _, f := range st.fx {
-		if p, ok := f.(propose); ok && p.val.Ref() == ref {
+		if p, ok := f.(proposed); ok && p.val.Ref() == ref {
 			return p.val, true
 		}
 	}
@@ -83,7 +127,7 @@ func (st *stepper) sent(p ident.PID) []any {
 // awaits reports whether ref's decision was awaited.
 func (st *stepper) awaits(ref ident.ViewRef) bool {
 	for _, f := range st.fx {
-		if a, ok := f.(await); ok && a.id == viewInstance(ref) {
+		if a, ok := f.(asked); ok && a.id == viewInstance(ref) {
 			return true
 		}
 	}
@@ -300,14 +344,15 @@ func (l *ctlLog) proposed(t *testing.T, ref ident.ViewRef) StateMsg {
 
 // changeEngine is a hand-built, never-started engine self in view 4 of
 // members under tagging, with a manual detector and a consensus machine
-// that reaches nobody but the log.
+// that reaches nobody but the log, into which the test can inject
+// decisions (injector).
 func changeEngine(t *testing.T, self ident.PID, members ident.PIDs) (*Engine, *ctlLog) {
 	log, det := &ctlLog{self: self}, fd.NewManual()
 	cfg := config{Self: self, Endpoint: log, Detector: det, GroupConfig: GroupConfig{Relation: tagging}}
 	e := &Engine{cfg: cfg}
 	e.vc = newViewState(&e.cfg, View{ID: 4, Members: members}, e)
 	send := func(to ident.PID, m consensus.Msg) { _ = log.Send(to, 0, transport.Consensus, m) }
-	e.cons = consensus.NewMachine(self, send, det, nil)
+	e.vc.cons = injector{consensus.NewMachine(self, send, det, nil)}
 	t.Cleanup(det.Stop)
 	return e, log
 }
@@ -450,6 +495,135 @@ func TestViewChangeStartsNoGoroutine(t *testing.T) {
 	}
 }
 
+// consNet carries consensus messages, in the order sent, between an engine
+// under test and bare machines of the other participants. A message to a
+// process in lost, or to one the net does not know, is lost.
+type consNet struct {
+	e      *Engine
+	peers  map[ident.PID]*consensus.Machine
+	lost   ident.PIDs
+	flight []consEnv
+}
+
+type consEnv struct {
+	from, to ident.PID
+	m        consensus.Msg
+}
+
+// newConsNet gives e a consensus machine on a new net.
+func newConsNet(e *Engine) *consNet {
+	n := &consNet{e: e, peers: map[ident.PID]*consensus.Machine{}}
+	e.vc.cons = n.machine(e.cfg.Self, e.cfg.Detector)
+	return n
+}
+
+func (n *consNet) machine(self ident.PID, det fd.Detector) *consensus.Machine {
+	return consensus.NewMachine(self, func(to ident.PID, m consensus.Msg) {
+		n.flight = append(n.flight, consEnv{self, to, m})
+	}, det, nil)
+}
+
+// peer adds the machine of participant p, whose detector suspects the
+// processes listed.
+func (n *consNet) peer(t *testing.T, p ident.PID, suspected ...ident.PID) *consensus.Machine {
+	det := fd.NewManual()
+	t.Cleanup(det.Stop)
+	for _, q := range suspected {
+		det.Suspect(q)
+	}
+	n.peers[p] = n.machine(p, det)
+	return n.peers[p]
+}
+
+// run delivers messages until none is in flight: each to the engine as a
+// step of it, to a peer through its Receive.
+func (n *consNet) run() {
+	for len(n.flight) > 0 {
+		env := n.flight[0]
+		n.flight = n.flight[1:]
+		switch peer := n.peers[env.to]; {
+		case n.lost.Contains(env.to):
+		case env.to == n.e.cfg.Self:
+			n.e.input(env.from, env.m)
+		case peer != nil:
+			peer.Receive(env.from, env.m)
+		}
+	}
+}
+
+// TestExpelledMemberAnswersConsensus: consensus runs where control traffic
+// stops. p1 is asked to leave; p0 and p1 decide view 5 without it, which
+// expels p1, while p2 hears nothing. Then p0 crashes, and p2, a straggler
+// suspecting it, sends its round-1 estimate for that instance to p1,
+// round 1's coordinator: the expelled p1 still answers with the decision.
+func TestExpelledMemberAnswersConsensus(t *testing.T) {
+	ps := ident.NewPIDs("p0", "p1", "p2")
+	e, _ := changeEngine(t, "p1", ps)
+	n := newConsNet(e)
+	v5 := ident.ViewRef{ID: 5}
+	raw, err := codec.Marshal(nil, StateMsg{View: View{ID: v5.ID, Members: ident.NewPIDs("p0", "p2")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.lost = ident.PIDs{"p2"}
+	if _, err := n.peer(t, "p0").Propose(viewInstance(v5), ps, raw); err != nil {
+		t.Fatal(err)
+	}
+	e.input("p0", InitMsg{View: View{ID: 4}, Leave: ident.NewPIDs("p1")})
+	for _, p := range ps {
+		e.input(p, PredMsg{Change: v5})
+	}
+	n.run()
+	if e.vc.terminal != ErrExpelled || e.vc.cv.Ref() != v5 {
+		t.Fatalf("p1 in view %v, terminal %v; want expelled by %v", e.vc.cv.Ref(), e.vc.terminal, v5)
+	}
+
+	n.lost = ident.PIDs{"p0"}
+	straggler := n.peer(t, "p2", "p0")
+	if _, err := straggler.Propose(viewInstance(v5), ps, []byte("p2's")); err != nil {
+		t.Fatal(err)
+	}
+	n.run()
+	if v, ok := straggler.Decided(viewInstance(v5)); !ok || string(v) != string(raw) {
+		t.Fatalf("the straggler decided %v (%q), want %q from the expelled p1", ok, v, raw)
+	}
+}
+
+// TestConsensusAheadOfTheChange: a consensus message for a change this
+// member has not opened yet goes to its machine — neither stashed for the
+// next view nor dropped. p1 opened the change to view 5 first and sent its
+// estimate to p0, round 0's coordinator, before p0 heard the INIT; with
+// p2 crashed, p0 needs that estimate for a majority, and the instance
+// decides once p0 proposes too.
+func TestConsensusAheadOfTheChange(t *testing.T) {
+	ps := ident.NewPIDs("p0", "p1", "p2")
+	e, _ := changeEngine(t, "p0", ps)
+	e.cfg.Detector.(*fd.Manual).Suspect("p2")
+	n := newConsNet(e)
+	n.lost = ident.PIDs{"p2"}
+	v5 := ident.ViewRef{ID: 5}
+	raw, err := codec.Marshal(nil, StateMsg{View: View{ID: v5.ID, Members: ident.NewPIDs("p0", "p1")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.peer(t, "p1", "p2").Propose(viewInstance(v5), ps, raw); err != nil {
+		t.Fatal(err)
+	}
+	n.run()
+	if st := e.vc.stats; len(e.vc.stash) != 0 || st.DroppedUnknownCtl+st.DroppedStale+st.CtlDeferredDropped != 0 || e.vc.chg != nil {
+		t.Fatalf("p1's estimate ahead of the change: %d stashed, %d dropped, blocked %v; want it held by the machine alone",
+			len(e.vc.stash), st.DroppedUnknownCtl+st.DroppedStale+st.CtlDeferredDropped, e.vc.chg != nil)
+	}
+	e.input("p1", InitMsg{View: View{ID: 4}})
+	for _, p := range ident.NewPIDs("p0", "p1") {
+		e.input(p, PredMsg{Change: v5})
+	}
+	n.run()
+	if e.vc.cv.Ref() != v5 || e.vc.chg != nil {
+		t.Fatalf("p0 in view %v, blocked %v; want view %v installed", e.vc.cv.Ref(), e.vc.chg != nil, v5)
+	}
+}
+
 // TestStragglerProbeAnsweredWithView: a probe from a member of our view
 // that names an older view of another lineage comes from a straggler that
 // has not installed our view yet — the union a merge just formed, whose ID
@@ -555,7 +729,7 @@ func TestParkedCallsCommitBeforeStashReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.input("", consensus.Decision{Instance: viewInstance(v5), Value: st})
+	e.input("", consensus.Msg{Instance: viewInstance(v5), Value: st})
 	if len(e.vc.replies) != 1 || req.res != (result{view: v5}) || len(e.vc.multicastQ) != 0 {
 		t.Fatalf("after the install: %d answers, the call's %+v, %d parked; want it answered in %v", len(e.vc.replies), req.res, len(e.vc.multicastQ), v5)
 	}
@@ -588,7 +762,7 @@ func TestDecodeValueRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, raw := range [][]byte{[]byte("garbage"), nil, credit} {
-		e.input("", consensus.Decision{Instance: viewInstance(ref), Value: raw})
+		e.input("", consensus.Msg{Instance: viewInstance(ref), Value: raw})
 		if n := e.vc.stats.DecisionFailures; n != uint64(i+1) || e.vc.cv.ID != 4 || e.vc.chg == nil {
 			t.Fatalf("decision %q: %d failures, view %d, blocked %v; want %d, view 4, still blocked",
 				raw, n, e.vc.cv.ID, e.vc.chg != nil, i+1)
@@ -598,7 +772,7 @@ func TestDecodeValueRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.input("", consensus.Decision{Instance: viewInstance(ref), Value: st})
+	e.input("", consensus.Msg{Instance: viewInstance(ref), Value: st})
 	if e.vc.cv.Ref() != ref || e.vc.chg != nil || e.vc.stats.DecisionFailures != 3 {
 		t.Fatalf("a StateMsg decision left view %v, blocked %v, %d failures", e.vc.cv.Ref(), e.vc.chg != nil, e.vc.stats.DecisionFailures)
 	}
@@ -751,6 +925,7 @@ func TestWatchingFollowsState(t *testing.T) {
 				initial = View{}
 			}
 			s := newViewState(&cfg, initial, quietLink{"p0", &links})
+			s.cons = undecided{}
 			if got := s.watching(); !got.Equal(tc.want[0]) {
 				t.Fatalf("as built: watching %v, want %v", got, tc.want[0])
 			}

@@ -76,9 +76,11 @@ func (r KEnumeration) AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq)
 type KTracker struct {
 	k   int
 	seq ident.Seq
-	// ring[(seq-1) % k] holds the bitmap of message seq while it remains
-	// inside the window.
-	ring []Bitmap
+	// ring is k bitmaps of w words each, cut from one array (row): slot
+	// (seq-1) % k holds the bitmap of message seq while it remains inside
+	// the window.
+	w    int
+	ring []uint64
 }
 
 // NewKTracker returns a tracker with window k. k must be positive.
@@ -86,11 +88,14 @@ func NewKTracker(k int) *KTracker {
 	if k <= 0 {
 		panic("obsolete: k must be positive")
 	}
-	t := &KTracker{k: k, ring: make([]Bitmap, k)}
-	for i := range t.ring {
-		t.ring[i] = NewBitmap(k)
-	}
-	return t
+	w := (k + 63) / 64
+	return &KTracker{k: k, w: w, ring: make([]uint64, k*w)}
+}
+
+// row is the bitmap of message seq's ring slot.
+func (t *KTracker) row(seq ident.Seq) Bitmap {
+	i := int(uint64(seq-1)%uint64(t.k)) * t.w
+	return Bitmap(t.ring[i : i+t.w : i+t.w])
 }
 
 // K returns the window size.
@@ -110,10 +115,8 @@ func (t *KTracker) Seq() ident.Seq { return t.seq }
 func (t *KTracker) Next(direct ...ident.Seq) (ident.Seq, []byte) {
 	t.seq++
 	seq := t.seq
-	bm := t.ring[int(uint64(seq-1))%t.k]
-	for i := range bm {
-		bm[i] = 0
-	}
+	bm := t.row(seq)
+	clear(bm)
 	for _, d := range direct {
 		if d == 0 || d >= seq || uint64(seq-d) > uint64(t.k) {
 			continue
@@ -122,7 +125,7 @@ func (t *KTracker) Next(direct ...ident.Seq) (ident.Seq, []byte) {
 		bm.Set(delta - 1)
 		// Fold in d's own closure, shifted into seq's frame: a message at
 		// distance i from d sits at distance delta+i from seq.
-		bm.OrShift(t.ring[int(uint64(d-1))%t.k], delta)
+		bm.OrShift(t.row(d), delta)
 	}
 	bm.Trim(t.k)
 	return seq, bm.Bytes()
@@ -141,11 +144,7 @@ func (t *KTracker) Skip(to ident.Seq) {
 		return
 	}
 	t.seq = to
-	for i := range t.ring {
-		for j := range t.ring[i] {
-			t.ring[i][j] = 0
-		}
-	}
+	clear(t.ring)
 }
 
 // Annot returns the wire annotation of an already-allocated recent message
@@ -155,5 +154,5 @@ func (t *KTracker) Annot(seq ident.Seq) ([]byte, bool) {
 	if seq == 0 || seq > t.seq || uint64(t.seq-seq) >= uint64(t.k) {
 		return nil, false
 	}
-	return t.ring[int(uint64(seq-1))%t.k].Bytes(), true
+	return t.row(seq).Bytes(), true
 }

@@ -490,3 +490,11 @@ func TestKTrackerAnnot(t *testing.T) {
 		t.Fatal("Annot(0) should be unavailable")
 	}
 }
+
+// TestKTrackerAllocatesOnce: a tracker's ring of k bitmaps is one array, so
+// building one allocates the tracker and that array, whatever k is.
+func TestKTrackerAllocatesOnce(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { NewKTracker(2048) }); n > 2 {
+		t.Fatalf("NewKTracker(2048) made %v allocations, want at most 2", n)
+	}
+}
