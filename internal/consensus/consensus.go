@@ -22,7 +22,10 @@
 // hears a majority proposes it again. Safety requires only a majority of
 // correct processes; the detector is used for liveness alone. Decisions are
 // cached so that stragglers asking about a decided instance are answered
-// immediately.
+// immediately; a decided instance keeps its id and decision alone. What a
+// peer can make a machine keep is bounded: the undecided instances it never
+// proposed to (MaxUnproposed) and the messages one instance buffers
+// (MaxBuffered); what arrives past either cap is dropped and counted.
 //
 // A Machine runs every instance of one group as a message-driven state
 // machine with no goroutine, lock, channel or timer of its own: whoever owns
@@ -125,11 +128,16 @@ type Machine struct {
 	// a snapshot reads them while the owner runs.
 	decisions *atomic.Uint64 // instances decided (locally observed)
 	nacks     *atomic.Uint64 // coordinator suspicions turned into NACKs
+	// Messages dropped past MaxUnproposed and past MaxBuffered.
+	instanceDrops, inboxDrops *atomic.Uint64
 	// Nil histograms record nothing.
 	rounds  *obs.Histogram // rounds a proposing process ran until deciding
 	latency *obs.Histogram // propose-to-decide wall time
 
 	instances map[string]*instance
+	// unproposed counts the undecided instances this machine has not
+	// proposed to: the ones only peers' messages opened.
+	unproposed int
 	// live lists the proposed instances in proposal order, the ones Recheck
 	// visits; decided ones are pruned by the next Propose or Recheck.
 	live []*instance
@@ -142,21 +150,26 @@ type Machine struct {
 // instrumentation.
 func NewMachine(self ident.PID, send func(to ident.PID, m Msg), det fd.Detector, ob *obs.Obs) *Machine {
 	decisions, nacks := new(atomic.Uint64), new(atomic.Uint64)
+	instanceDrops, inboxDrops := new(atomic.Uint64), new(atomic.Uint64)
 	ob.AddSource(func(emit obs.Emit) {
 		emit("consensus_decisions_total", obs.KindCounter, decisions.Load())
 		emit("consensus_nacks_total", obs.KindCounter, nacks.Load())
+		emit("consensus_dropped_total", obs.KindCounter, instanceDrops.Load(), obs.L("reason", "instance_overflow"))
+		emit("consensus_dropped_total", obs.KindCounter, inboxDrops.Load(), obs.L("reason", "inbox_overflow"))
 	})
 	return &Machine{
-		self:      self,
-		send:      send,
-		det:       det,
-		clock:     ob.Clock(),
-		ev:        ob.Events(),
-		decisions: decisions,
-		nacks:     nacks,
-		rounds:    ob.Histogram("consensus_rounds", obs.CountBuckets),
-		latency:   ob.Histogram("consensus_decide_seconds", obs.DurationBuckets),
-		instances: make(map[string]*instance),
+		self:          self,
+		send:          send,
+		det:           det,
+		clock:         ob.Clock(),
+		ev:            ob.Events(),
+		decisions:     decisions,
+		nacks:         nacks,
+		instanceDrops: instanceDrops,
+		inboxDrops:    inboxDrops,
+		rounds:        ob.Histogram("consensus_rounds", obs.CountBuckets),
+		latency:       ob.Histogram("consensus_decide_seconds", obs.DurationBuckets),
+		instances:     make(map[string]*instance),
 	}
 }
 
@@ -186,14 +199,35 @@ type instance struct {
 	decision     []byte
 }
 
-// instance returns (creating if necessary) the record for id.
+// The caps on what peers can make a machine keep, each over ten times the
+// most an honest run has needed: an undecided instance that peers' messages
+// opened before this machine proposed to it has been at most one at a time,
+// and an instance has buffered at most 14 messages (nine participants).
+const (
+	MaxUnproposed = 16
+	MaxBuffered   = 256
+)
+
+// instance returns the record for id, creating it — one more instance not
+// proposed to — if need be.
 func (m *Machine) instance(id string) *instance {
 	in, ok := m.instances[id]
 	if !ok {
 		in = &instance{id: id}
 		m.instances[id] = in
+		m.unproposed++
 	}
 	return in
+}
+
+// Backlog reports what peers have made the machine keep: the undecided
+// instances it has not proposed to, and the most messages one instance
+// buffers.
+func (m *Machine) Backlog() (unproposed, buffered int) {
+	for _, in := range m.instances {
+		buffered = max(buffered, len(in.inbox))
+	}
+	return m.unproposed, buffered
 }
 
 // Decided returns the decision of instance id, if it has one.
@@ -217,6 +251,7 @@ func (m *Machine) Propose(id string, participants ident.PIDs, value []byte) ([]D
 	if in.proposed || in.decided {
 		return nil, nil
 	}
+	m.unproposed--
 	in.proposed, in.participants, in.est, in.start = true, participants.Clone(), value, m.clock.Now()
 	m.live = append(slices.DeleteFunc(m.live, (*instance).done), in)
 	m.startRound(in)
@@ -226,8 +261,14 @@ func (m *Machine) Propose(id string, participants ident.PIDs, value []byte) ([]D
 // Receive handles one message of an instance. A decide takes effect at
 // once, even at a process that never proposed; a decided instance answers
 // any other message with its decision, so stragglers terminate; anything
-// else waits in the instance until a phase consumes it.
+// else waits in the instance until a phase consumes it. A message that
+// would open an instance past MaxUnproposed, or that finds its instance
+// buffering MaxBuffered, is dropped.
 func (m *Machine) Receive(from ident.PID, msg Msg) []Decision {
+	if _, ok := m.instances[msg.Instance]; !ok && msg.Type != msgDecide && m.unproposed >= MaxUnproposed {
+		m.instanceDrops.Add(1)
+		return nil
+	}
 	in := m.instance(msg.Instance)
 	switch {
 	case in.decided:
@@ -237,6 +278,9 @@ func (m *Machine) Receive(from ident.PID, msg Msg) []Decision {
 		return nil
 	case msg.Type == msgDecide:
 		return m.decide(in, msg.Value, nil)
+	case len(in.inbox) >= MaxBuffered:
+		m.inboxDrops.Add(1)
+		return nil
 	}
 	in.inbox = append(in.inbox, msg)
 	return m.advance(in, nil)
@@ -360,9 +404,9 @@ func (in *instance) take(types ...msgType) []Msg {
 
 // decide records the decision and relays it once to every other
 // participant: the reliable broadcast of the decision. A bystander that
-// never proposed knows no participants and relays nothing.
+// never proposed knows no participants and relays nothing. The instance
+// keeps its id and decision alone.
 func (m *Machine) decide(in *instance, v []byte, out []Decision) []Decision {
-	in.decided, in.decision, in.inbox, in.got = true, v, nil, nil
 	m.decisions.Add(1)
 	if in.proposed {
 		// Rounds and latency only make sense at a process that actually
@@ -371,11 +415,14 @@ func (m *Machine) decide(in *instance, v []byte, out []Decision) []Decision {
 		m.rounds.Observe(float64(in.round + 1))
 		m.latency.ObserveDuration(m.clock.Since(in.start))
 		m.ev.ConsensusDecision(in.id, in.round+1)
+	} else {
+		m.unproposed--
 	}
 	for _, p := range in.participants {
 		if p != m.self {
 			m.send(p, Msg{Instance: in.id, Type: msgDecide, Value: v})
 		}
 	}
+	*in = instance{id: in.id, decided: true, decision: v}
 	return append(out, Decision{Instance: in.id, Value: v})
 }

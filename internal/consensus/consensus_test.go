@@ -14,6 +14,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/fd"
 	"repro/internal/ident"
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -580,5 +581,54 @@ func TestConsensusCost(t *testing.T) {
 				t.Errorf("seed %d, n=%d: an extra message left the count at %s", r.seed, n, got)
 			}
 		}
+	}
+}
+
+// floodMachine is p0 of a three-process group whose counters a registry
+// reads, and a snapshot of its drop counter for reason.
+func floodMachine(t *testing.T) (*Machine, func(reason string) uint64) {
+	t.Helper()
+	det := fd.NewManual()
+	t.Cleanup(det.Stop)
+	reg := obs.NewRegistry()
+	m := NewMachine("p0", func(ident.PID, Msg) {}, det, obs.New(nil, reg, nil))
+	return m, func(reason string) uint64 {
+		return reg.Snapshot().Counters["consensus_dropped_total{reason="+reason+"}"]
+	}
+}
+
+// TestConsensusFreshInstanceFlood: a peer naming 10,000 instances this
+// machine never proposed to opens MaxUnproposed of them; every message past
+// the cap is dropped and counted. An instance the machine proposes to is
+// not a peer's and still opens.
+func TestConsensusFreshInstanceFlood(t *testing.T) {
+	const flood = 10000
+	m, dropped := floodMachine(t)
+	for i := 0; i < flood; i++ {
+		m.Receive("p1", Msg{Instance: fmt.Sprintf("fake-%d", i), Type: msgEstimate})
+	}
+	if len(m.instances) != MaxUnproposed || dropped("instance_overflow") != flood-MaxUnproposed {
+		t.Fatalf("%d instances kept and %d messages dropped, want %d and %d",
+			len(m.instances), dropped("instance_overflow"), MaxUnproposed, flood-MaxUnproposed)
+	}
+	if _, err := m.Propose("real", ident.NewPIDs("p0", "p1", "p2"), []byte("v")); err != nil || m.instances["real"] == nil {
+		t.Fatalf("a proposal past the cap: %v, instance %v", err, m.instances["real"])
+	}
+}
+
+// TestConsensusFutureRoundFlood: 10,000 messages for rounds a proposed
+// instance has not reached leave MaxBuffered of them buffered; the rest
+// are dropped and counted.
+func TestConsensusFutureRoundFlood(t *testing.T) {
+	const flood = 10000
+	m, dropped := floodMachine(t)
+	if _, err := m.Propose("inst", ident.NewPIDs("p0", "p1", "p2"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < flood; i++ {
+		m.Receive("p1", Msg{Instance: "inst", Round: 1000 + i, Type: msgPropose})
+	}
+	if n := len(m.instances["inst"].inbox); n != MaxBuffered || dropped("inbox_overflow") != flood-MaxBuffered {
+		t.Fatalf("%d messages buffered and %d dropped, want %d and %d", n, dropped("inbox_overflow"), MaxBuffered, flood-MaxBuffered)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -217,7 +216,7 @@ func TestInstallUnderBacklogIsLinear(t *testing.T) {
 	var calls, listed int
 	rel := countingKEnum{KEnumeration: obsolete.KEnumeration{K: k}, calls: &calls, listed: &listed}
 	e := snapEngine(rel)
-	e.vc.clock, e.rootCtx = obs.Wall{}, context.Background()
+	e.vc.clock = obs.Wall{}
 
 	rng := rand.New(rand.NewSource(20))
 	tr := obsolete.NewKTracker(k)
@@ -263,6 +262,6 @@ func installFlush(t *testing.T, e *Engine, flush []DataMsg) View {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.input("", consensus.Msg{Instance: id, Value: raw})
+	e.input(event{msg: consensus.Msg{Instance: id, Value: raw}})
 	return next
 }

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/consensus"
+	"repro/internal/fd"
 	"repro/internal/ident"
 	"repro/internal/obsolete"
+	"repro/internal/transport"
 )
 
 // roundTrip marshals m through the registry and requires the decoded
@@ -128,14 +132,13 @@ func FuzzDecodeValueNoPanic(f *testing.F) {
 	})
 }
 
-// FuzzWireDecodeNoPanic feeds arbitrary bytes to the registry decoder with
-// every core wire type registered, seeded with one encoding of each. No
-// input may panic it; whatever it accepts must encode again and decode to
-// the same value.
-func FuzzWireDecodeNoPanic(f *testing.F) {
+// wireCorpus is one message of every core wire type, encoded: the fuzz
+// targets' seeds.
+func wireCorpus(f *testing.F) [][]byte {
 	dm := DataMsg{View: 4, Epoch: 1, Meta: obsolete.Msg{Sender: "a", Seq: 3, Annot: []byte{5}}, Payload: []byte("p")}
 	recv := map[ident.PID]ident.Seq{"a": 3, "b": 1}
 	side := View{ID: 4, Epoch: 1, Members: []ident.PID{"a", "b"}}
+	var out [][]byte
 	for _, m := range []any{
 		dm,
 		InitMsg{View: View{ID: 4}, Leave: []ident.PID{"b"}, Join: []ident.PID{"c"}},
@@ -154,6 +157,17 @@ func FuzzWireDecodeNoPanic(f *testing.F) {
 		if err != nil {
 			f.Fatalf("seed %T: %v", m, err)
 		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// FuzzWireDecodeNoPanic feeds arbitrary bytes to the registry decoder with
+// every core wire type registered, seeded with one encoding of each. No
+// input may panic it; whatever it accepts must encode again and decode to
+// the same value.
+func FuzzWireDecodeNoPanic(f *testing.F) {
+	for _, b := range wireCorpus(f) {
 		f.Add(b)
 	}
 	f.Add([]byte{})
@@ -202,4 +216,87 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 10<<20 {
 		t.Fatalf("hostile count drove %d bytes of allocation", grew)
 	}
+}
+
+// FuzzStep steps arbitrary peer input into p0 of a three-member group —
+// open, blocked in a change, or joining — as the engine's loop does: each
+// input is one turn (Engine.input, then endTurn), and data reaches the
+// value only while it is not gated. An input is whatever the codec decodes from
+// the fuzzed bytes (a control message, a consensus.Msg or data), stepped
+// as a control or consensus envelope or as a data batch, from a member or
+// a stranger, 1 to 5,000 times; how's bit 4 gives every repetition a fresh
+// stranger and a fresh consensus instance. No input may panic the value or
+// grow what it keeps past a bound: the stash, the parked admissions and
+// its consensus machine's caps.
+func FuzzStep(f *testing.F) {
+	for _, b := range wireCorpus(f) {
+		f.Add(uint8(0), uint8(0), uint16(0), b)
+	}
+	for _, m := range []consensus.Msg{
+		{Instance: viewInstance(ident.ViewRef{ID: 5}), Value: []byte("v")},
+		{Instance: "x", Round: 7},
+	} {
+		b, err := codec.Marshal(nil, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(1), uint8(4), uint16(300), b)
+	}
+	det := fd.NewManual()
+	f.Cleanup(det.Stop)
+	members := ident.NewPIDs("p0", "p1", "p2")
+	f.Fuzz(func(t *testing.T, state, how uint8, repeat uint16, raw []byte) {
+		v, err := codec.UnmarshalBytes(raw)
+		if err != nil {
+			return
+		}
+		e := &Engine{cfg: config{Self: "p0", Endpoint: &sendLog{discard: true}, Detector: det,
+			GroupConfig: GroupConfig{Relation: tagging, ToDeliverCap: 64, Window: 8, OutgoingCap: 8}}}
+		view := View{ID: 4, Members: members}
+		if state%3 == 2 {
+			e.cfg.Join, view = &JoinSpec{Contacts: ident.NewPIDs("p1")}, View{}
+		}
+		e.vc = newViewState(&e.cfg, view, e.cfg.Endpoint)
+		m := consensus.NewMachine("p0", func(ident.PID, consensus.Msg) {}, det, nil)
+		s := &e.vc
+		s.cons = m
+		e.input(event{msg: tick{}})
+		if state%3 == 1 {
+			e.input(event{from: "p1", msg: InitMsg{View: View{ID: 4}}})
+		}
+		s.endTurn()
+		if (s.chg != nil) != (state%3 == 1) || s.joining != (state%3 == 2) {
+			t.Fatalf("state %d: blocked %v, joining %v", state%3, s.chg != nil, s.joining)
+		}
+		for i := 0; i <= int(repeat%5000); i++ {
+			from, msg := ident.PID("p1"), v
+			if how&1 != 0 {
+				from = "x"
+			}
+			if how&4 != 0 {
+				from = ident.PID(fmt.Sprintf("x%d", i))
+				if cm, ok := msg.(consensus.Msg); ok {
+					cm.Instance += string(from)
+					msg = cm
+				}
+			}
+			switch {
+			case how&2 == 0:
+				e.input(event{from: from, msg: msg})
+			case !s.gated():
+				e.input(event{data: []transport.Envelope{{From: from, Msg: msg}}})
+			}
+			s.endTurn()
+		}
+		unproposed, buffered := m.Backlog()
+		switch {
+		case len(s.stash) > maxDeferredCtl:
+			t.Fatalf("%d messages stashed, bound %d", len(s.stash), maxDeferredCtl)
+		case len(s.joins) > maxPendingJoins:
+			t.Fatalf("%d admissions parked, bound %d", len(s.joins), maxPendingJoins)
+		case unproposed > consensus.MaxUnproposed || buffered > consensus.MaxBuffered:
+			t.Fatalf("the machine keeps %d instances it never proposed to and buffers %d messages in one, bounds %d and %d",
+				unproposed, buffered, consensus.MaxUnproposed, consensus.MaxBuffered)
+		}
+	})
 }

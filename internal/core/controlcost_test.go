@@ -56,7 +56,7 @@ type quietSend struct {
 	msg      any
 }
 
-func (l quietLink) send(to ident.PID, _ transport.Channel, msg any) error {
+func (l quietLink) Send(to ident.PID, _ ident.GroupID, _ transport.Channel, msg any) error {
 	*l.links = append(*l.links, quietSend{l.from, to, msg})
 	return nil
 }

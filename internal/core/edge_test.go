@@ -102,6 +102,65 @@ func TestStopWhileParkedReleasesCallers(t *testing.T) {
 	}
 }
 
+// TestStopReleasesEveryCall: stopping an engine fails every call its value
+// holds with ErrStopped — a Deliver waiting on an empty queue, and a
+// joiner's Multicast, parked because its one contact is dead and it never
+// gives up — and so does a call racing the stop. The stop's turn releases
+// them: the last turn the joiner publishes has nothing parked.
+func TestStopReleasesEveryCall(t *testing.T) {
+	net := transport.NewMemNetwork()
+	det := fd.NewManual()
+	defer det.Stop()
+	launch := func(self ident.PID, cfg config) *Engine {
+		ep, err := net.Endpoint(self)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		cfg.Self, cfg.Endpoint, cfg.Detector, cfg.Relation = self, ep, det, tagging
+		eng, err := start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	solo := launch("solo", config{GroupConfig: GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("solo")}}})
+	joiner := launch("j", config{Join: &JoinSpec{Contacts: ident.NewPIDs("ghost")}})
+
+	errC := make(chan error, 4)
+	deliver := func() {
+		_, err := solo.Deliver(context.Background())
+		errC <- err
+	}
+	multicast := func() {
+		_, err := joiner.Multicast(context.Background(), tagStreams{}.next("j", 1), nil)
+		errC <- err
+	}
+	go deliver()
+	go multicast()
+	joinWaitCond(t, "the joiner's multicast parked", func() bool { return joiner.Stats().Parked == 1 })
+	// The Deliver has most likely reached the value by now; if it races the
+	// stop instead, it must fail the same way.
+	time.Sleep(20 * time.Millisecond)
+	go deliver() // racing the stop
+	go multicast()
+	solo.stop()
+	joiner.stop()
+	for i := 0; i < 4; i++ {
+		select {
+		case err := <-errC:
+			if !errors.Is(err, ErrStopped) {
+				t.Fatalf("call returned %v, want ErrStopped", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of 4 calls not released by stop", 4-i)
+		}
+	}
+	if n := joiner.Stats().Parked; n != 0 {
+		t.Fatalf("the joiner stopped with %d multicasts parked", n)
+	}
+}
+
 func TestSingleMemberGroup(t *testing.T) {
 	// A group of one: multicast delivers locally; a view change runs
 	// consensus with itself.

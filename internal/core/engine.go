@@ -22,11 +22,6 @@ type Engine struct {
 	reqC  chan *request
 	doneC chan struct{}
 
-	// rootCtx is cancelled by stop: it ends the loop, and with it
-	// everything the engine runs.
-	rootCtx context.Context
-	cancel  context.CancelFunc
-
 	// pub is the facade's mirror of the loop's view and counters
 	// (metrics.go), written by the loop when a turn ends.
 	pub *published
@@ -37,13 +32,13 @@ type Engine struct {
 	// and its consensus machine, the data plane of t1–t3 and the
 	// application's calls on it, with its protocol time, the counters
 	// (vc.stats), the clock, the histograms and the event log. The loop
-	// steps it with every call, every control and consensus envelope, every
-	// suspicion and every tick it asks for (wake) and carries out the
-	// installs, and calls its arrival and end-of-turn methods directly; its
-	// sends leave through the engine's outlet (send), the machine's through
-	// the endpoint. The calls a turn answered (vc.replies) are released by
-	// syncSnapshots once the facade snapshots reflect the turn, so a call
-	// that has returned always finds its own effect in Stats and View.
+	// steps it with every input it reads — every call and the stop, every
+	// data, control and consensus envelope, every suspicion and every tick
+	// it asks for (wake) —, carries out the installs and ends each turn
+	// (endTurn); its sends and the machine's leave through the endpoint.
+	// The calls a turn answered (vc.replies) are released by syncSnapshots
+	// once the facade snapshots reflect the turn, so a call that has
+	// returned always finds its own effect in Stats and View.
 	vc viewState
 }
 
@@ -53,6 +48,7 @@ const (
 	reqMulticast reqKind = iota + 1
 	reqDeliver
 	reqViewChange
+	reqStop
 )
 
 // OutMsg is one message of a MulticastBatch: the tracker-minted metadata
@@ -127,23 +123,16 @@ func start(cfg config) (*Engine, error) {
 		return nil, err
 	}
 	cfg.Endpoint.Register(cfg.Group)
-	ctx, cancel := context.WithCancel(context.Background())
 	initial := cfg.InitialView
 	if cfg.Join != nil {
 		// A joiner has no view until the state transfer installs one.
 		initial = View{}
 	}
-	e := &Engine{
-		cfg:     cfg,
-		reqC:    make(chan *request, 64),
-		doneC:   make(chan struct{}),
-		rootCtx: ctx,
-		cancel:  cancel,
-	}
-	e.vc = newViewState(&e.cfg, initial.Clone(), e)
-	// The consensus machine sends straight to the endpoint, best effort, and
-	// holds nothing of the engine: a cycle through it would keep a stopped
-	// engine with a finalizer from ever being collected.
+	e := &Engine{cfg: cfg, reqC: make(chan *request, 64), doneC: make(chan struct{})}
+	e.vc = newViewState(&e.cfg, initial.Clone(), cfg.Endpoint)
+	// The consensus machine sends straight to the endpoint too, best effort,
+	// and holds nothing of the engine: a cycle through it would keep a
+	// stopped engine with a finalizer from ever being collected.
 	send := func(to ident.PID, m consensus.Msg) { _ = cfg.Endpoint.Send(to, cfg.Group, transport.Consensus, m) }
 	e.vc.cons = consensus.NewMachine(cfg.Self, send, cfg.Detector, cfg.Obs)
 	e.pub = &published{view: e.vc.cv.Clone(), watched: e.vc.watching().Clone()}
@@ -158,12 +147,17 @@ type never struct{}
 func (never) C() <-chan time.Time { return nil }
 func (never) Stop()               {}
 
-// stop terminates the engine and returns once its loop has exited. Parked
+// stop terminates the engine and returns once its loop has exited: it asks
+// the loop to step the value to its end (a stop request), so parked
 // Multicast and Deliver calls return ErrStopped. stop does not close the
-// endpoint or the detector; the node owns those. Stopping twice is safe.
+// endpoint or the detector; the node owns those. A second stop finds the
+// loop gone and returns.
 func (e *Engine) stop() {
-	e.cancel()
-	<-e.doneC
+	select {
+	case e.reqC <- &request{kind: reqStop}:
+		<-e.doneC
+	case <-e.doneC:
+	}
 }
 
 // Self returns this process's identifier.
@@ -191,7 +185,7 @@ func (e *Engine) Multicast(ctx context.Context, meta obsolete.Msg, payload []byt
 	req := getRequest(reqMulticast, ctx)
 	req.one[0] = OutMsg{Meta: meta, Payload: payload}
 	req.batch = req.one[:]
-	res := e.do(ctx, req)
+	res, _ := e.roundTrip(ctx, req)
 	return res.view, res.err
 }
 
@@ -225,7 +219,7 @@ func (e *Engine) MulticastBatch(ctx context.Context, msgs []OutMsg) (ident.ViewR
 	}
 	req := getRequest(reqMulticast, ctx)
 	req.batch = msgs
-	res := e.do(ctx, req)
+	res, _ := e.roundTrip(ctx, req)
 	return res.view, res.err
 }
 
@@ -236,12 +230,7 @@ func (e *Engine) MulticastBatch(ctx context.Context, msgs []OutMsg) (ident.ViewR
 func (e *Engine) Deliver(ctx context.Context) (Delivery, error) {
 	req := getRequest(reqDeliver, ctx)
 	req.dst = req.oneD[:]
-	res, reusable := e.roundTrip(ctx, req)
-	if !reusable {
-		return Delivery{}, res.err
-	}
-	d := req.oneD[0] // zero unless the loop filled it
-	putRequest(req)
+	res, d := e.roundTrip(ctx, req)
 	return d, res.err
 }
 
@@ -261,7 +250,7 @@ func (e *Engine) DeliverBatch(ctx context.Context, dst []Delivery) (int, error) 
 	}
 	req := getRequest(reqDeliver, ctx)
 	req.dst = dst
-	res := e.do(ctx, req)
+	res, _ := e.roundTrip(ctx, req)
 	return res.n, res.err
 }
 
@@ -282,39 +271,33 @@ func (e *Engine) RequestMembershipChange(join, leave ident.PIDs) error {
 	req := getRequest(reqViewChange, context.Background())
 	req.join = join.Clone()
 	req.leave = leave.Clone()
-	return e.do(context.Background(), req).err
+	res, _ := e.roundTrip(context.Background(), req)
+	return res.err
 }
 
-// roundTrip submits req to the protocol loop and waits for its one reply.
-// It reports whether req may be recycled: a request that was answered (or
-// never reached the loop) may; one abandoned on ctx or stop may not, since
-// a late reply — and, for a deliver, late writes into dst — can still land
-// on it.
-func (e *Engine) roundTrip(ctx context.Context, req *request) (res result, reusable bool) {
+// roundTrip submits req to the protocol loop, waits for its one reply and
+// recycles req, returning beside the reply what the loop filled into a
+// single Deliver's slot (zero for any other call). A request abandoned on
+// ctx or stop is not recycled: a late reply — and, for a deliver, late
+// writes into dst — can still land on it.
+func (e *Engine) roundTrip(ctx context.Context, req *request) (res result, d Delivery) {
 	select {
 	case e.reqC <- req:
+		select {
+		case res = <-req.resC:
+			d = req.oneD[0]
+		case <-ctx.Done():
+			return result{err: ctx.Err()}, d
+		case <-e.doneC:
+			return result{err: ErrStopped}, d
+		}
 	case <-ctx.Done():
-		return result{err: ctx.Err()}, true
+		res.err = ctx.Err()
 	case <-e.doneC:
-		return result{err: ErrStopped}, true
+		res.err = ErrStopped
 	}
-	select {
-	case res = <-req.resC:
-		return res, true
-	case <-ctx.Done():
-		return result{err: ctx.Err()}, false
-	case <-e.doneC:
-		return result{err: ErrStopped}, false
-	}
-}
-
-// do is roundTrip for the calls that read nothing back out of the request.
-func (e *Engine) do(ctx context.Context, req *request) result {
-	res, reusable := e.roundTrip(ctx, req)
-	if reusable {
-		putRequest(req)
-	}
-	return res
+	putRequest(req)
+	return res, d
 }
 
 // reqDrainCap bounds the greedy request drain per loop iteration, so a
@@ -322,27 +305,29 @@ func (e *Engine) do(ctx context.Context, req *request) result {
 const reqDrainCap = 256
 
 // run is the protocol loop: a single goroutine owning all state, the
-// consensus instances included. Every call, control or consensus envelope
-// and suspicion is a step of the value; data arrivals go to it directly
-// (onDataBatch). Protocol time reaches it as tick events on one timer: the
-// loop steps a tick as it starts, which arms the value's timed duties and
-// sends a joiner's first request, and re-arms the timer whenever the
-// value's wake moves. Every inbox is consumed in batch mode: one receive
-// hands the loop every envelope pending for the channel, amortising the
-// wakeup and the per-iteration snapshot mirror over the whole run.
+// consensus instances included. It reads one input, steps the value with it
+// (input), ends the turn (endTurn) and publishes it (syncSnapshots); every
+// call and the stop, every data, control and consensus envelope, every
+// suspicion and every tick is a step. Protocol time reaches the value as
+// tick events on one timer: the loop steps a tick as it starts, which arms
+// the value's timed duties and sends a joiner's first request, and re-arms
+// the timer whenever the value's wake moves. Every inbox is consumed in
+// batch mode: one receive hands the loop every envelope pending for the
+// channel, and a request wakes it for every request already queued behind
+// it, amortising the wakeup and the per-turn snapshot mirror over the whole
+// run. The loop returns once the turn that stepped a stop is published.
 func (e *Engine) run() {
 	defer close(e.doneC)
 	dataIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Data)
 	ctlIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Ctl)
 	consIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Consensus)
 	fdEv := e.cfg.Detector.Events()
-	e.input("", tick{})
+	e.input(event{msg: tick{}})
 
 	var timer obs.Timer = never{}
 	var armed time.Time // the wake timer fires at; zero once it fired
 	defer func() { timer.Stop() }()
-	stop := e.rootCtx.Done()
-	for {
+	for e.vc.terminal != ErrStopped {
 		if w := e.vc.wake(); !w.Equal(armed) {
 			timer.Stop()
 			timer, armed = never{}, w
@@ -358,22 +343,19 @@ func (e *Engine) run() {
 			dataC = nil
 		}
 		select {
-		case <-stop:
-			e.shutdown()
-			return
 		case envs, ok := <-dataC:
 			if !ok {
 				dataIn = nil
 				break
 			}
-			e.vc.onDataBatch(envs)
+			e.input(event{data: envs})
 		case envs, ok := <-ctlIn:
 			if !ok {
 				ctlIn = nil
 				break
 			}
 			for i := range envs {
-				e.input(envs[i].From, envs[i].Msg)
+				e.input(event{from: envs[i].From, msg: envs[i].Msg})
 			}
 		case envs, ok := <-consIn:
 			if !ok {
@@ -381,43 +363,29 @@ func (e *Engine) run() {
 				break
 			}
 			for i := range envs {
-				e.input(envs[i].From, envs[i].Msg)
+				e.input(event{from: envs[i].From, msg: envs[i].Msg})
 			}
 		case ev, ok := <-fdEv:
 			if !ok {
 				fdEv = nil
 				break
 			}
-			e.input("", ev)
+			e.input(event{msg: ev})
 		case req := <-e.reqC:
-			e.input("", req)
-			e.drainRequests()
+			// Serve whatever else already sits in reqC, so concurrent
+			// single-message callers get batch amortisation without using
+			// the batch APIs. The loop is reqC's only reader.
+			e.input(event{msg: req})
+			for i := 0; i < reqDrainCap && len(e.reqC) > 0; i++ {
+				e.input(event{msg: <-e.reqC})
+			}
 		case <-timer.C():
 			armed = time.Time{}
-			e.input("", tick{})
+			e.input(event{msg: tick{}})
 		}
 		e.vc.endTurn()
 		e.syncSnapshots()
 	}
-}
-
-// drainRequests opportunistically serves whatever else is already sitting
-// in reqC after a request wakes the loop, so concurrent single-message
-// callers get batch amortisation without using the batch APIs.
-func (e *Engine) drainRequests() {
-	for i := 0; i < reqDrainCap; i++ {
-		select {
-		case req := <-e.reqC:
-			e.input("", req)
-		default:
-			return
-		}
-	}
-}
-
-// send is the engine's outlet for the group's traffic: its endpoint.
-func (e *Engine) send(to ident.PID, ch transport.Channel, msg any) error {
-	return e.cfg.Endpoint.Send(to, e.cfg.Group, ch, msg)
 }
 
 // syncSnapshots mirrors loop-owned state into the facade-visible copies,
@@ -452,16 +420,4 @@ func (e *Engine) syncSnapshots() {
 	}
 	clear(e.vc.replies)
 	e.vc.replies = e.vc.replies[:0]
-}
-
-// shutdown fails every parked request. A change in flight, a join
-// handshake, and every consensus instance are state of this loop and end
-// with it.
-func (e *Engine) shutdown() {
-	s := &e.vc
-	for _, req := range append(s.deliverWaiters, s.multicastQ...) {
-		s.reply(req, result{err: ErrStopped})
-	}
-	s.deliverWaiters, s.multicastQ = nil, nil
-	e.syncSnapshots()
 }

@@ -262,7 +262,7 @@ type xout struct {
 	i int
 }
 
-func (o xout) send(to ident.PID, ch transport.Channel, msg any) error {
+func (o xout) Send(to ident.PID, _ ident.GroupID, ch transport.Channel, msg any) error {
 	o.w.send(o.w.pids[o.i], to, ch, msg)
 	return nil
 }
@@ -667,7 +667,7 @@ func (w *world) do(m move) {
 		n := len(w.pids)
 		msg := w.data[m.a][0].m
 		w.setData(m.a, w.data[m.a][1:])
-		w.mutData(m.a % n).s.onDataBatch([]transport.Envelope{{From: w.pids[m.a/n], Msg: msg}})
+		step(&w.mutData(m.a%n).s, event{data: []transport.Envelope{{From: w.pids[m.a/n], Msg: msg}}})
 	case mvMulticast:
 		req := &request{kind: reqMulticast}
 		req.one[0].Meta = w.procs[m.a].script[0]

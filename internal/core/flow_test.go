@@ -31,7 +31,7 @@ func flowEngine(cfg config) (*Engine, *peer) {
 	cfg.Self, cfg.Relation = "me", obsolete.Empty{}
 	cfg.InitialView = View{ID: 3, Members: ident.NewPIDs("me", "peer")}
 	e := &Engine{cfg: cfg}
-	e.vc = newViewState(&e.cfg, cfg.InitialView, e)
+	e.vc = newViewState(&e.cfg, cfg.InitialView, e.cfg.Endpoint)
 	return e, e.vc.others[0]
 }
 
@@ -131,7 +131,7 @@ func TestCreditGrantClampedAtWindow(t *testing.T) {
 	const window = 8
 	e, p := flowEngine(config{GroupConfig: GroupConfig{Window: window, OutgoingCap: window}})
 	grant := func(n int) {
-		e.input(p.id, CreditMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Credits: n})
+		e.input(event{from: p.id, msg: CreditMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Credits: n}})
 	}
 	for i := 0; i < 3; i++ {
 		p.takeCredit()

@@ -435,7 +435,11 @@ func TestRegistryMatchesStats(t *testing.T) {
 	// would have lifted them past it, which only a buggy or hostile member
 	// sends. And one by the change that bounds the parked admission
 	// requests: engine_dropped_total{reason=join_overflow} counts the
-	// requests past the cap.
+	// requests past the cap. Two more by the change that bounds what a
+	// peer can make a consensus machine keep:
+	// consensus_dropped_total{reason=instance_overflow} and
+	// {reason=inbox_overflow} count the messages past its caps on the
+	// instances it never proposed to and on one instance's buffer.
 	parent, err := os.ReadFile("testdata/parent_metric_keys.txt")
 	if err != nil {
 		t.Fatal(err)

@@ -41,12 +41,17 @@ func (b *lockedBuf) String() string {
 // an installed view change, heartbeat instruments, delivery-latency
 // samples, and the view_install structured event. Metrics()/Stats() are
 // polled concurrently with the protocol loops throughout, so -race covers
-// snapshotting against live instruments.
+// snapshotting against live instruments. The heartbeats run on one fake
+// clock that moves a single interval, so every node beats once and none
+// can suspect a peer however long the scheduler keeps it waiting: a false
+// suspicion would let the view change leave a member out.
 func TestNodeObservability(t *testing.T) {
 	net := transport.NewMemNetwork()
 	pids := ident.NewPIDs("n0", "n1", "n2")
 	view0 := View{ID: 1, Members: pids}
 	const gid = ident.GroupID(7)
+	const beat = 10 * time.Millisecond
+	beats := obs.NewFake(time.Unix(0, 0))
 
 	type bundle struct {
 		node *Node
@@ -66,7 +71,7 @@ func TestNodeObservability(t *testing.T) {
 		node, err := NewNode(NodeConfig{
 			Self:      p,
 			Endpoint:  ep,
-			Heartbeat: fd.HeartbeatOptions{Interval: 10 * time.Millisecond},
+			Heartbeat: fd.HeartbeatOptions{Interval: beat, Obs: obs.New(beats, reg, logger)},
 			Obs:       obs.New(nil, reg, logger),
 		})
 		if err != nil {
@@ -120,6 +125,16 @@ func TestNodeObservability(t *testing.T) {
 		}
 	}
 	key := func(name string) string { return fmt.Sprintf("%s{group=%d}", name, gid) }
+
+	// One beat from every node, each to the peers its group watches; five
+	// would be a timeout.
+	beats.BlockUntil(len(pids))
+	beats.Advance(beat)
+	for _, p := range pids {
+		waitFor(fmt.Sprintf("a beat from %s", p), func() bool {
+			return nodes[p].reg.Snapshot().Counters["fd_beats_sent_total"] > 0
+		})
+	}
 
 	// Multicast a chain where each message obsoletes its predecessor; no
 	// application delivers yet, so arrivals must purge queued entries to

@@ -6,12 +6,12 @@ package core
 // part of the group member's value (viewState, viewchange.go), so t4–t7
 // close it, flush it and install into it in the same step, and so are the
 // application's calls on it: the multicasts parked until they fit, the
-// Deliver calls waiting for the queue, and the answers of the turn. A call
-// is a step event (onRequest); an arrival (onDataBatch) and the end of
-// every turn of the owner's loop (endTurn) are methods the engine calls
-// directly on the hot path, with no event in between. Every send
-// leaves through the value's outlet, the engine's endpoint or the
-// explorer's links.
+// Deliver calls waiting for the queue, and the answers of the turn. A call,
+// the stop (onRequest) and a data arrival (onDataBatch) are step events;
+// the end of every turn of the owner's loop (endTurn), after all the turn's
+// events, is the one method the owner calls directly. Every send leaves
+// through the value's outlet, the engine's endpoint or the explorer's
+// links.
 
 import (
 	"log/slog"
@@ -31,7 +31,9 @@ import (
 // onRequest takes one of the application's calls: a multicast (t2)
 // commits or parks, a Deliver waits for the turn's end (endTurn) unless the
 // queue fills before, and a membership change is triggered (t4) and
-// answered at once.
+// answered at once. The stop ends the value, as a join give-up does: the
+// turn's endTurn fails every parked and waiting call, and the owner's loop
+// returns once the turn is published.
 func (t *turn) onRequest(req *request) {
 	switch req.kind {
 	case reqMulticast:
@@ -51,6 +53,9 @@ func (t *turn) onRequest(req *request) {
 		}
 		t.trigger(req.join, req.leave)
 		t.reply(req, result{err: err})
+	case reqStop:
+		// No longer joining, or retryParked would keep a joiner's calls.
+		t.joining, t.terminal = false, ErrStopped
 	}
 }
 
@@ -288,7 +293,7 @@ func (s *viewState) envelope(run []DataMsg) any {
 
 // ---- t3: receive data ----------------------------------------------------
 
-// onDataBatch processes one batched receive from the data inbox. Each
+// onDataBatch steps one batched receive from the data inbox. Each
 // envelope carries either a single DataMsg or a DataBatchMsg run; both
 // routes go through ingestData per message, so batching never changes a
 // message's fate — only how many channel operations it shared.

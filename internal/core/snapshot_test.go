@@ -15,7 +15,7 @@ import (
 // clock, just the loop-owned state the snapshot code reads and writes.
 func snapEngine(rel obsolete.Relation) *Engine {
 	e := &Engine{cfg: config{Self: "me", GroupConfig: GroupConfig{Relation: rel}}}
-	e.vc = newViewState(&e.cfg, View{ID: 4, Members: ident.NewPIDs("a", "b", "me")}, e)
+	e.vc = newViewState(&e.cfg, View{ID: 4, Members: ident.NewPIDs("a", "b", "me")}, e.cfg.Endpoint)
 	return e
 }
 

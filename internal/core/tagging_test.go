@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -83,7 +82,7 @@ func TestFlushWithoutChainMiddle(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := snapEngine(tc.rel)
-			e.vc.clock, e.rootCtx = obs.Wall{}, context.Background()
+			e.vc.clock = obs.Wall{}
 			flush := repurge(tc.rel, []DataMsg{{View: e.vc.cv.ID, Meta: tc.stream[0]}, {View: e.vc.cv.ID, Meta: tc.stream[2]}})
 			next := installFlush(t, e, flush)
 			var got []ident.Seq

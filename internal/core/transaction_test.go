@@ -121,7 +121,7 @@ func txnEngine(rel obsolete.Relation, window, outCap, deliverCap int, peers ...i
 	log := &sendLog{}
 	cfg := config{Self: "me", Endpoint: log, GroupConfig: GroupConfig{Relation: rel, Window: window, OutgoingCap: outCap, ToDeliverCap: deliverCap}}
 	e := &Engine{cfg: cfg}
-	e.vc = newViewState(&e.cfg, View{ID: 1, Members: ident.NewPIDs(append([]ident.PID{"me"}, peers...)...)}, e)
+	e.vc = newViewState(&e.cfg, View{ID: 1, Members: ident.NewPIDs(append([]ident.PID{"me"}, peers...)...)}, e.cfg.Endpoint)
 	return e, log
 }
 
@@ -233,7 +233,7 @@ func TestFullQueueServedMidTurn(t *testing.T) {
 	for s := ident.Seq(1); s <= capacity+2; s++ {
 		run = append(run, DataMsg{View: 1, Meta: obsolete.Msg{Sender: "peer", Seq: s}})
 	}
-	e.vc.onDataBatch([]transport.Envelope{{From: "peer", Msg: &DataBatchMsg{Msgs: run}}})
+	e.input(event{data: []transport.Envelope{{From: "peer", Msg: &DataBatchMsg{Msgs: run}}}})
 	if e.vc.stalled() {
 		t.Fatal("arrivals stalled behind a full queue that had a waiter")
 	}
@@ -404,14 +404,16 @@ func TestOneRunPerFlush(t *testing.T) {
 	}
 }
 
-// TestCallStepAllocatesNothing: stepping the application's calls allocates
-// nothing once the buffers have grown. A 64-message multicast request
-// commits under open windows — the peer's grant, stepped as any control
-// envelope, reopens them — and a deliver request drains the queue it
-// filled. Each message updates one of 64 items, obsoleting the last
-// update, so the queue and the history stay the size they are. The runs
-// the flushes send are cut from blocks of runBlock: one allocation per
-// block, which AllocsPerRun's whole allocations per run round down to none.
+// TestCallStepAllocatesNothing: stepping the application's calls and the
+// data arrivals allocates nothing once the buffers have grown. A 64-message
+// multicast request commits under open windows — the peer's grant, stepped
+// as any control envelope, reopens them — and a deliver request drains the
+// queue it filled; a 64-message DataBatchMsg from the peer, stepped as an
+// event, fills it as well. Each message updates one of 64 items, obsoleting
+// the last update, so the queue and the history stay the size they are.
+// The runs the flushes send are cut from blocks of runBlock: one
+// allocation per block, which AllocsPerRun's whole allocations per run
+// round down to none.
 func TestCallStepAllocatesNothing(t *testing.T) {
 	const batch, runs = 64, 100
 	e, log := txnEngine(tagging, batch, batch, batch, "a")
@@ -424,8 +426,8 @@ func TestCallStepAllocatesNothing(t *testing.T) {
 	mc := &request{kind: reqMulticast, batch: make([]OutMsg, batch)}
 	dl := &request{kind: reqDeliver, dst: make([]Delivery, batch)}
 	var grant any = CreditMsg{View: e.vc.cv.ID, Credits: batch}
-	call := func(req *request) {
-		e.input("", req)
+	call := func(e *Engine, req *request) {
+		e.input(event{msg: req})
 		e.vc.endTurn()
 		if len(e.vc.replies) != 1 || req.res.err != nil {
 			t.Fatalf("%d answers to a call of kind %d (%v), want it answered", len(e.vc.replies), req.kind, req.res.err)
@@ -437,19 +439,41 @@ func TestCallStepAllocatesNothing(t *testing.T) {
 			mc.batch[i].Meta, metas = metas[0], metas[1:]
 		}
 		mc.done = 0
-		call(mc)
-		e.input("a", grant)
+		call(e, mc)
+		e.input(event{from: "a", msg: grant})
 	}
 	if n := testing.AllocsPerRun(runs, multicast); n != 0 {
 		t.Errorf("a %d-message multicast request allocates %v times", batch, n)
 	}
 	if n := testing.AllocsPerRun(runs, func() {
 		multicast()
-		call(dl)
+		call(e, dl)
 		if dl.res.n != batch {
 			t.Fatalf("a deliver request took %d of a queue of %d", dl.res.n, batch)
 		}
 	}); n != 0 {
 		t.Errorf("a multicast and a deliver request allocate %v times", n)
+	}
+
+	// The receiving side, with flow control off: no grant goes back.
+	r, rlog := txnEngine(tagging, 0, 0, batch, "a")
+	rlog.discard = true
+	arrivals := make([][]transport.Envelope, runs+1)
+	for i := range arrivals {
+		run := make([]DataMsg, batch)
+		for j := range run {
+			run[j] = DataMsg{View: r.vc.cv.ID, Meta: tags.next("a", uint32(1+j))}
+		}
+		arrivals[i] = []transport.Envelope{{From: "a", Msg: &DataBatchMsg{Msgs: run}}}
+	}
+	if n := testing.AllocsPerRun(runs, func() {
+		r.input(event{data: arrivals[0]})
+		arrivals = arrivals[1:]
+		call(r, dl)
+		if dl.res.n != batch {
+			t.Fatalf("a deliver request took %d of %d arrivals", dl.res.n, batch)
+		}
+	}); n != 0 {
+		t.Errorf("a %d-message data batch and a deliver request allocate %v times", batch, n)
 	}
 }

@@ -17,9 +17,11 @@ package core
 // consensus machine, the data plane of t1–t3 (protocol.go) and the
 // application's calls on it, so blocking closes the data plane and parks
 // the callers, and installing adopts the flush and lets them in, in the
-// same step. Every send leaves through the outlet the state's owner
-// supplies, the machine's straight through the endpoint it was given. step
-// reaches no engine, detector, channel or timer: the time and the
+// same step. Every input of the member is a step event: a call or the stop,
+// a data batch, a control or consensus envelope, a suspicion, a tick. Every
+// send leaves through the outlet the state's owner supplies (the engine's
+// endpoint), the machine's straight through the endpoint it was given.
+// step reaches no engine, detector, channel or timer: the time and the
 // detector's verdicts come in with each event, step proposes to the
 // machine, asks it for decisions and hands it every consensus message and
 // suspicion itself, and the one thing it leaves to its owner — the loop's
@@ -68,7 +70,7 @@ type viewState struct {
 	joins    ident.PIDs           // admission requests parked while not open
 	former   ident.PIDs           // with Heal: who we once shared a view with and no longer do
 	joining  bool                 // the join handshake runs (join.go)
-	terminal error                // ErrExpelled or ErrJoinTimeout: no further progress
+	terminal error                // ErrExpelled, ErrJoinTimeout or ErrStopped: no further progress
 
 	// Protocol time (onTick): when the stability gossip, the heal probe and
 	// the join request are next due, zero until the first tick arms them;
@@ -139,10 +141,10 @@ type viewState struct {
 }
 
 // outlet is the owner's side of a viewState: the one way out for every
-// message the group sends. The engine is one (its endpoint), the
-// explorer's world another (its links).
+// message the group sends, in transport.Endpoint's own shape. The engine's
+// endpoint is one, the explorer's world another (its links).
 type outlet interface {
-	send(to ident.PID, ch transport.Channel, msg any) error
+	Send(to ident.PID, g ident.GroupID, ch transport.Channel, msg any) error
 }
 
 // machine is the group's consensus as step drives it: the methods of
@@ -226,16 +228,20 @@ func (s *viewState) watching() ident.PIDs {
 	return s.cv.Members
 }
 
-// An event is what happened to the group member: from sent msg, at now,
-// with detector the failure detector's verdicts at that moment. msg is a
-// control envelope's message received (an InitMsg, PredMsg, SplitMsg,
-// ProbeMsg, JoinReqMsg, StateMsg, CreditMsg or StableMsg, or one of no
-// known kind), a consensus envelope's (a consensus.Msg), an application's
-// call (a *request: a multicast, t2; a Deliver, t1; a membership change,
-// t4), or one of fd.Event (a suspicion), tick and entered.
+// An event is what happened to the group member: from sent msg, or the
+// data inbox handed over the batch data, at now, with detector the failure
+// detector's verdicts at that moment. msg is a control envelope's message
+// received (an InitMsg, PredMsg, SplitMsg, ProbeMsg, JoinReqMsg, StateMsg,
+// CreditMsg or StableMsg, or one of no known kind), a consensus envelope's
+// (a consensus.Msg), an application's call or the stop (a *request: a
+// multicast, t2; a Deliver, t1; a membership change, t4; the end), or one
+// of fd.Event (a suspicion), tick and entered. An event without msg is a
+// data arrival (t3): its batch travels typed, not boxed, so stepping it
+// allocates nothing.
 type event struct {
 	from     ident.PID
 	msg      any
+	data     []transport.Envelope
 	now      time.Time
 	detector suspector
 }
@@ -290,6 +296,8 @@ type turn struct {
 func step(s *viewState, ev event) []install {
 	t := &turn{viewState: s, event: ev}
 	switch m := ev.msg.(type) {
+	case nil: // a data arrival: the batch is ev.data
+		t.onDataBatch(ev.data)
 	case *request:
 		t.onRequest(m)
 	case consensus.Msg:
@@ -388,7 +396,7 @@ func (s *viewState) sendAll(to ident.PIDs, msg any) {
 // will notice a dead one), but the failure is counted and logged instead of
 // vanishing into `_ =`.
 func (s *viewState) send(to ident.PID, ch transport.Channel, msg any) {
-	if err := s.out.send(to, ch, msg); err != nil {
+	if err := s.out.Send(to, s.cfg.Group, ch, msg); err != nil {
 		s.stats.SendErrors++
 		s.ev.SendError(string(to), err)
 	}
@@ -824,14 +832,16 @@ func (t *turn) installFlush(c *change, st StateMsg, prev View) {
 
 // ---- the engine's half: installing ------------------------------------------
 
-// input steps the group member with one event and carries out the installs
-// it asks for: each view's stashed control traffic is replayed, and step
-// hears that the view is entered.
-func (e *Engine) input(from ident.PID, msg any) {
-	for _, f := range step(&e.vc, event{from: from, msg: msg, now: e.vc.clock.Now(), detector: e.cfg.Detector}) {
+// input steps the group member with one event, at the clock's now and with
+// the detector's verdicts, and carries out the installs it asks for: each
+// view's stashed control traffic is replayed, and step hears that the view
+// is entered.
+func (e *Engine) input(ev event) {
+	ev.now, ev.detector = e.vc.clock.Now(), e.cfg.Detector
+	for _, f := range step(&e.vc, ev) {
 		for _, env := range f.replay {
-			e.input(env.From, env.Msg)
+			e.input(event{from: env.From, msg: env.Msg})
 		}
-		e.input("", entered{})
+		e.input(event{msg: entered{}})
 	}
 }

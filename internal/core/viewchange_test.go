@@ -97,8 +97,8 @@ func (st *stepper) tickAt(now time.Time) {
 	}
 }
 
-// send makes the stepper its state's outlet.
-func (st *stepper) send(to ident.PID, _ transport.Channel, msg any) error {
+// Send makes the stepper its state's outlet.
+func (st *stepper) Send(to ident.PID, _ ident.GroupID, _ transport.Channel, msg any) error {
 	st.fx = append(st.fx, sendTo{ident.PIDs{to}, msg})
 	return nil
 }
@@ -350,7 +350,7 @@ func changeEngine(t *testing.T, self ident.PID, members ident.PIDs) (*Engine, *c
 	log, det := &ctlLog{self: self}, fd.NewManual()
 	cfg := config{Self: self, Endpoint: log, Detector: det, GroupConfig: GroupConfig{Relation: tagging}}
 	e := &Engine{cfg: cfg}
-	e.vc = newViewState(&e.cfg, View{ID: 4, Members: members}, e)
+	e.vc = newViewState(&e.cfg, View{ID: 4, Members: members}, e.cfg.Endpoint)
 	send := func(to ident.PID, m consensus.Msg) { _ = log.Send(to, 0, transport.Consensus, m) }
 	e.vc.cons = injector{consensus.NewMachine(self, send, det, nil)}
 	t.Cleanup(det.Stop)
@@ -482,9 +482,9 @@ func TestViewChangeStartsNoGoroutine(t *testing.T) {
 	e, log := changeEngine(t, "p1", ident.NewPIDs("p1", "p2", "p3"))
 	next := ident.ViewRef{ID: e.vc.cv.ID + 1}
 	before := runtime.NumGoroutine()
-	e.input("p1", InitMsg{View: View{ID: e.vc.cv.ID}})
+	e.input(event{from: "p1", msg: InitMsg{View: View{ID: e.vc.cv.ID}}})
 	for _, p := range e.vc.cv.Members {
-		e.input(p, PredMsg{Change: next})
+		e.input(event{from: p, msg: PredMsg{Change: next}})
 	}
 	if !e.vc.chg.proposed {
 		t.Fatal("every PRED is in, yet the change did not propose")
@@ -544,7 +544,7 @@ func (n *consNet) run() {
 		switch peer := n.peers[env.to]; {
 		case n.lost.Contains(env.to):
 		case env.to == n.e.cfg.Self:
-			n.e.input(env.from, env.m)
+			n.e.input(event{from: env.from, msg: env.m})
 		case peer != nil:
 			peer.Receive(env.from, env.m)
 		}
@@ -569,9 +569,9 @@ func TestExpelledMemberAnswersConsensus(t *testing.T) {
 	if _, err := n.peer(t, "p0").Propose(viewInstance(v5), ps, raw); err != nil {
 		t.Fatal(err)
 	}
-	e.input("p0", InitMsg{View: View{ID: 4}, Leave: ident.NewPIDs("p1")})
+	e.input(event{from: "p0", msg: InitMsg{View: View{ID: 4}, Leave: ident.NewPIDs("p1")}})
 	for _, p := range ps {
-		e.input(p, PredMsg{Change: v5})
+		e.input(event{from: p, msg: PredMsg{Change: v5}})
 	}
 	n.run()
 	if e.vc.terminal != ErrExpelled || e.vc.cv.Ref() != v5 {
@@ -614,9 +614,9 @@ func TestConsensusAheadOfTheChange(t *testing.T) {
 		t.Fatalf("p1's estimate ahead of the change: %d stashed, %d dropped, blocked %v; want it held by the machine alone",
 			len(e.vc.stash), st.DroppedUnknownCtl+st.DroppedStale+st.CtlDeferredDropped, e.vc.chg != nil)
 	}
-	e.input("p1", InitMsg{View: View{ID: 4}})
+	e.input(event{from: "p1", msg: InitMsg{View: View{ID: 4}}})
 	for _, p := range ident.NewPIDs("p0", "p1") {
-		e.input(p, PredMsg{Change: v5})
+		e.input(event{from: p, msg: PredMsg{Change: v5}})
 	}
 	n.run()
 	if e.vc.cv.Ref() != v5 || e.vc.chg != nil {
@@ -715,12 +715,12 @@ func TestDecidedFlushRepurged(t *testing.T) {
 func TestParkedCallsCommitBeforeStashReplays(t *testing.T) {
 	ps := ident.NewPIDs("p1", "p2")
 	e, _ := changeEngine(t, "p1", ps)
-	e.input("p1", InitMsg{View: View{ID: 4}})
+	e.input(event{from: "p1", msg: InitMsg{View: View{ID: 4}}})
 	req := &request{kind: reqMulticast}
 	req.one[0].Meta = obsolete.Msg{Sender: "p1", Seq: 1}
 	req.batch = req.one[:]
-	e.input("", req)
-	e.input("p2", InitMsg{View: View{ID: 5}})
+	e.input(event{msg: req})
+	e.input(event{from: "p2", msg: InitMsg{View: View{ID: 5}}})
 	if len(e.vc.multicastQ) != 1 || len(e.vc.stash) != 1 {
 		t.Fatalf("%d calls parked and %d messages stashed in the change, want 1 and 1", len(e.vc.multicastQ), len(e.vc.stash))
 	}
@@ -729,7 +729,7 @@ func TestParkedCallsCommitBeforeStashReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.input("", consensus.Msg{Instance: viewInstance(v5), Value: st})
+	e.input(event{msg: consensus.Msg{Instance: viewInstance(v5), Value: st}})
 	if len(e.vc.replies) != 1 || req.res != (result{view: v5}) || len(e.vc.multicastQ) != 0 {
 		t.Fatalf("after the install: %d answers, the call's %+v, %d parked; want it answered in %v", len(e.vc.replies), req.res, len(e.vc.multicastQ), v5)
 	}
@@ -755,14 +755,14 @@ func TestParkedCallsCommitBeforeStashReplays(t *testing.T) {
 // one DecisionFailures and installs nothing; a StateMsg installs.
 func TestDecodeValueRejectsGarbage(t *testing.T) {
 	e, _ := changeEngine(t, "p1", ident.NewPIDs("p1", "p2"))
-	e.input("p1", InitMsg{View: View{ID: e.vc.cv.ID}})
+	e.input(event{from: "p1", msg: InitMsg{View: View{ID: e.vc.cv.ID}}})
 	ref := ident.ViewRef{ID: e.vc.cv.ID + 1}
 	credit, err := codec.Marshal(nil, CreditMsg{View: ref.ID, Credits: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, raw := range [][]byte{[]byte("garbage"), nil, credit} {
-		e.input("", consensus.Msg{Instance: viewInstance(ref), Value: raw})
+		e.input(event{msg: consensus.Msg{Instance: viewInstance(ref), Value: raw}})
 		if n := e.vc.stats.DecisionFailures; n != uint64(i+1) || e.vc.cv.ID != 4 || e.vc.chg == nil {
 			t.Fatalf("decision %q: %d failures, view %d, blocked %v; want %d, view 4, still blocked",
 				raw, n, e.vc.cv.ID, e.vc.chg != nil, i+1)
@@ -772,7 +772,7 @@ func TestDecodeValueRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.input("", consensus.Msg{Instance: viewInstance(ref), Value: st})
+	e.input(event{msg: consensus.Msg{Instance: viewInstance(ref), Value: st}})
 	if e.vc.cv.Ref() != ref || e.vc.chg != nil || e.vc.stats.DecisionFailures != 3 {
 		t.Fatalf("a StateMsg decision left view %v, blocked %v, %d failures", e.vc.cv.Ref(), e.vc.chg != nil, e.vc.stats.DecisionFailures)
 	}
