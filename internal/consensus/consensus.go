@@ -23,9 +23,11 @@
 // correct processes; the detector is used for liveness alone. Decisions are
 // cached so that stragglers asking about a decided instance are answered
 // immediately; a decided instance keeps its id and decision alone. What a
-// peer can make a machine keep is bounded: the undecided instances it never
-// proposed to (MaxUnproposed) and the messages one instance buffers
-// (MaxBuffered); what arrives past either cap is dropped and counted.
+// peer can make a machine keep is bounded: the instances it never proposed
+// to, decided or not (MaxUnproposed), and the messages one instance buffers
+// (MaxBuffered). Past a cap the oldest such instance, or the message for
+// the furthest round, makes room and is counted: a flood displaces what is
+// least likely to be needed, and once it stops, honest traffic flows again.
 //
 // A Machine runs every instance of one group as a message-driven state
 // machine with no goroutine, lock, channel or timer of its own: whoever owns
@@ -128,16 +130,17 @@ type Machine struct {
 	// a snapshot reads them while the owner runs.
 	decisions *atomic.Uint64 // instances decided (locally observed)
 	nacks     *atomic.Uint64 // coordinator suspicions turned into NACKs
-	// Messages dropped past MaxUnproposed and past MaxBuffered.
+	// Instances forgotten past MaxUnproposed, messages dropped past
+	// MaxBuffered.
 	instanceDrops, inboxDrops *atomic.Uint64
 	// Nil histograms record nothing.
 	rounds  *obs.Histogram // rounds a proposing process ran until deciding
 	latency *obs.Histogram // propose-to-decide wall time
 
 	instances map[string]*instance
-	// unproposed counts the undecided instances this machine has not
-	// proposed to: the ones only peers' messages opened.
-	unproposed int
+	// opened lists, oldest first, the instances peers' messages opened; the
+	// ones this machine has since proposed to are pruned by the next open.
+	opened []*instance
 	// live lists the proposed instances in proposal order, the ones Recheck
 	// visits; decided ones are pruned by the next Propose or Recheck.
 	live []*instance
@@ -200,34 +203,42 @@ type instance struct {
 }
 
 // The caps on what peers can make a machine keep, each over ten times the
-// most an honest run has needed: an undecided instance that peers' messages
-// opened before this machine proposed to it has been at most one at a time,
-// and an instance has buffered at most 14 messages (nine participants).
+// most an honest run has needed: instances that peers' messages opened and
+// this machine has not proposed to have been at most one at a time, and an
+// instance has buffered at most 14 messages (nine participants).
 const (
 	MaxUnproposed = 16
 	MaxBuffered   = 256
 )
 
-// instance returns the record for id, creating it — one more instance not
-// proposed to — if need be.
-func (m *Machine) instance(id string) *instance {
-	in, ok := m.instances[id]
-	if !ok {
-		in = &instance{id: id}
-		m.instances[id] = in
-		m.unproposed++
+// open creates the record of an instance a peer's message names, first
+// forgetting the oldest instance peers opened if MaxUnproposed of them are
+// still not proposed to. A forgotten decision can still be learnt: a later
+// Propose sends an estimate, which a participant that decided answers.
+func (m *Machine) open(id string) *instance {
+	m.opened = slices.DeleteFunc(m.opened, func(in *instance) bool { return in.proposed })
+	if len(m.opened) >= MaxUnproposed {
+		delete(m.instances, m.opened[0].id)
+		m.opened = slices.Delete(m.opened, 0, 1)
+		m.instanceDrops.Add(1)
 	}
+	in := &instance{id: id}
+	m.instances[id] = in
+	m.opened = append(m.opened, in)
 	return in
 }
 
-// Backlog reports what peers have made the machine keep: the undecided
-// instances it has not proposed to, and the most messages one instance
+// Backlog reports what peers have made the machine keep: the instances it
+// has not proposed to, decided or not, and the most messages one instance
 // buffers.
 func (m *Machine) Backlog() (unproposed, buffered int) {
 	for _, in := range m.instances {
+		if !in.proposed {
+			unproposed++
+		}
 		buffered = max(buffered, len(in.inbox))
 	}
-	return m.unproposed, buffered
+	return unproposed, buffered
 }
 
 // Decided returns the decision of instance id, if it has one.
@@ -247,12 +258,21 @@ func (m *Machine) Propose(id string, participants ident.PIDs, value []byte) ([]D
 	if !participants.Contains(m.self) {
 		return nil, fmt.Errorf("consensus: %s is not a participant of %q", m.self, id)
 	}
-	in := m.instance(id)
-	if in.proposed || in.decided {
+	in, ok := m.instances[id]
+	if !ok {
+		in = &instance{id: id}
+		m.instances[id] = in
+	}
+	if in.proposed {
 		return nil, nil
 	}
-	m.unproposed--
-	in.proposed, in.participants, in.est, in.start = true, participants.Clone(), value, m.clock.Now()
+	// Proposed to, the instance is no longer a peer's to forget, decided or
+	// not.
+	in.proposed = true
+	if in.decided {
+		return nil, nil
+	}
+	in.participants, in.est, in.start = participants.Clone(), value, m.clock.Now()
 	m.live = append(slices.DeleteFunc(m.live, (*instance).done), in)
 	m.startRound(in)
 	return m.advance(in, nil), nil
@@ -261,15 +281,14 @@ func (m *Machine) Propose(id string, participants ident.PIDs, value []byte) ([]D
 // Receive handles one message of an instance. A decide takes effect at
 // once, even at a process that never proposed; a decided instance answers
 // any other message with its decision, so stragglers terminate; anything
-// else waits in the instance until a phase consumes it. A message that
-// would open an instance past MaxUnproposed, or that finds its instance
-// buffering MaxBuffered, is dropped.
+// else waits in the instance until a phase consumes it. An instance
+// buffering MaxBuffered messages drops the one for the furthest round, the
+// last a phase would consume: its oldest, or msg if none is further.
 func (m *Machine) Receive(from ident.PID, msg Msg) []Decision {
-	if _, ok := m.instances[msg.Instance]; !ok && msg.Type != msgDecide && m.unproposed >= MaxUnproposed {
-		m.instanceDrops.Add(1)
-		return nil
+	in, ok := m.instances[msg.Instance]
+	if !ok {
+		in = m.open(msg.Instance)
 	}
-	in := m.instance(msg.Instance)
 	switch {
 	case in.decided:
 		if msg.Type != msgDecide {
@@ -278,9 +297,19 @@ func (m *Machine) Receive(from ident.PID, msg Msg) []Decision {
 		return nil
 	case msg.Type == msgDecide:
 		return m.decide(in, msg.Value, nil)
-	case len(in.inbox) >= MaxBuffered:
+	}
+	if len(in.inbox) >= MaxBuffered {
 		m.inboxDrops.Add(1)
-		return nil
+		far := 0
+		for i, b := range in.inbox {
+			if b.Round > in.inbox[far].Round {
+				far = i
+			}
+		}
+		if in.inbox[far].Round <= msg.Round {
+			return nil
+		}
+		in.inbox = slices.Delete(in.inbox, far, far+1)
 	}
 	in.inbox = append(in.inbox, msg)
 	return m.advance(in, nil)
@@ -415,14 +444,12 @@ func (m *Machine) decide(in *instance, v []byte, out []Decision) []Decision {
 		m.rounds.Observe(float64(in.round + 1))
 		m.latency.ObserveDuration(m.clock.Since(in.start))
 		m.ev.ConsensusDecision(in.id, in.round+1)
-	} else {
-		m.unproposed--
 	}
 	for _, p := range in.participants {
 		if p != m.self {
 			m.send(p, Msg{Instance: in.id, Type: msgDecide, Value: v})
 		}
 	}
-	*in = instance{id: in.id, decided: true, decision: v}
+	*in = instance{id: in.id, proposed: in.proposed, decided: true, decision: v}
 	return append(out, Decision{Instance: in.id, Value: v})
 }

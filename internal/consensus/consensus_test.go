@@ -14,7 +14,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/fd"
 	"repro/internal/ident"
-	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -584,51 +583,54 @@ func TestConsensusCost(t *testing.T) {
 	}
 }
 
-// floodMachine is p0 of a three-process group whose counters a registry
-// reads, and a snapshot of its drop counter for reason.
-func floodMachine(t *testing.T) (*Machine, func(reason string) uint64) {
-	t.Helper()
-	det := fd.NewManual()
-	t.Cleanup(det.Stop)
-	reg := obs.NewRegistry()
-	m := NewMachine("p0", func(ident.PID, Msg) {}, det, obs.New(nil, reg, nil))
-	return m, func(reason string) uint64 {
-		return reg.Snapshot().Counters["consensus_dropped_total{reason="+reason+"}"]
-	}
-}
-
-// TestConsensusFreshInstanceFlood: a peer naming 10,000 instances this
-// machine never proposed to opens MaxUnproposed of them; every message past
-// the cap is dropped and counted. An instance the machine proposes to is
-// not a peer's and still opens.
+// TestConsensusFreshInstanceFlood: a peer naming 10,000 instances the
+// round-0 coordinator p0 never proposed to, by an estimate or by a DECIDE,
+// leaves it keeping MaxUnproposed of them, each one past the cap forgetting
+// the oldest and counted. The flood is no wall: p1's and p2's estimates of
+// a real instance, ahead of p0's proposal, still open it, and it decides
+// once p0 proposes.
 func TestConsensusFreshInstanceFlood(t *testing.T) {
 	const flood = 10000
-	m, dropped := floodMachine(t)
-	for i := 0; i < flood; i++ {
-		m.Receive("p1", Msg{Instance: fmt.Sprintf("fake-%d", i), Type: msgEstimate})
-	}
-	if len(m.instances) != MaxUnproposed || dropped("instance_overflow") != flood-MaxUnproposed {
-		t.Fatalf("%d instances kept and %d messages dropped, want %d and %d",
-			len(m.instances), dropped("instance_overflow"), MaxUnproposed, flood-MaxUnproposed)
-	}
-	if _, err := m.Propose("real", ident.NewPIDs("p0", "p1", "p2"), []byte("v")); err != nil || m.instances["real"] == nil {
-		t.Fatalf("a proposal past the cap: %v, instance %v", err, m.instances["real"])
+	for _, typ := range []msgType{msgEstimate, msgDecide} {
+		t.Run(typ.String(), func(t *testing.T) {
+			nw := newNet(t, 3, 1)
+			m := nw.ms["p0"]
+			for i := 0; i < flood; i++ {
+				nw.record("p0", m.Receive("x", Msg{Instance: fmt.Sprintf("fake-%d", i), Type: typ, Value: []byte("v")}))
+			}
+			unproposed, _ := m.Backlog()
+			if unproposed != MaxUnproposed || len(m.instances) != MaxUnproposed || m.instanceDrops.Load() != flood-MaxUnproposed {
+				t.Fatalf("%d instances kept, %d not proposed to, %d forgotten; want %d, %d and %d",
+					len(m.instances), unproposed, m.instanceDrops.Load(), MaxUnproposed, MaxUnproposed, flood-MaxUnproposed)
+			}
+			nw.propose("p1", "real")
+			nw.propose("p2", "real")
+			nw.deliver()
+			nw.propose("p0", "real")
+			nw.deliver()
+			nw.agreed("real", nw.pids, nw.pids)
+		})
 	}
 }
 
-// TestConsensusFutureRoundFlood: 10,000 messages for rounds a proposed
-// instance has not reached leave MaxBuffered of them buffered; the rest
-// are dropped and counted.
+// TestConsensusFutureRoundFlood: 10,000 messages for rounds p0's proposed
+// instance has not reached leave MaxBuffered of them buffered, the rest
+// dropped and counted. The flood is no wall: each message of the round the
+// instance runs makes room by dropping one for the furthest round, and the
+// instance decides.
 func TestConsensusFutureRoundFlood(t *testing.T) {
 	const flood = 10000
-	m, dropped := floodMachine(t)
-	if _, err := m.Propose("inst", ident.NewPIDs("p0", "p1", "p2"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
+	nw := newNet(t, 3, 1)
+	m := nw.ms["p0"]
+	nw.propose("p0", "inst")
 	for i := 0; i < flood; i++ {
-		m.Receive("p1", Msg{Instance: "inst", Round: 1000 + i, Type: msgPropose})
+		nw.record("p0", m.Receive("x", Msg{Instance: "inst", Round: 1000 + i, Type: msgPropose}))
 	}
-	if n := len(m.instances["inst"].inbox); n != MaxBuffered || dropped("inbox_overflow") != flood-MaxBuffered {
-		t.Fatalf("%d messages buffered and %d dropped, want %d and %d", n, dropped("inbox_overflow"), MaxBuffered, flood-MaxBuffered)
+	if _, buffered := m.Backlog(); buffered != MaxBuffered || m.inboxDrops.Load() != flood-MaxBuffered {
+		t.Fatalf("%d messages buffered and %d dropped, want %d and %d", buffered, m.inboxDrops.Load(), MaxBuffered, flood-MaxBuffered)
 	}
+	nw.propose("p1", "inst")
+	nw.propose("p2", "inst")
+	nw.deliver()
+	nw.agreed("inst", nw.pids, nw.pids)
 }

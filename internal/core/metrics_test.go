@@ -438,8 +438,9 @@ func TestRegistryMatchesStats(t *testing.T) {
 	// requests past the cap. Two more by the change that bounds what a
 	// peer can make a consensus machine keep:
 	// consensus_dropped_total{reason=instance_overflow} and
-	// {reason=inbox_overflow} count the messages past its caps on the
-	// instances it never proposed to and on one instance's buffer.
+	// {reason=inbox_overflow} count the instances it forgets past its cap
+	// on those it never proposed to, and the messages it drops past its
+	// cap on one instance's buffer.
 	parent, err := os.ReadFile("testdata/parent_metric_keys.txt")
 	if err != nil {
 		t.Fatal(err)

@@ -624,6 +624,38 @@ func TestConsensusAheadOfTheChange(t *testing.T) {
 	}
 }
 
+// TestConsensusFloodAheadOfTheChange: TestConsensusAheadOfTheChange after
+// a stranger stepped estimates for more fresh instances into p0 than its
+// machine keeps. p1's early estimate still opens its instance, which
+// forgets the oldest fake one, and the change to view 5 installs.
+func TestConsensusFloodAheadOfTheChange(t *testing.T) {
+	ps := ident.NewPIDs("p0", "p1", "p2")
+	e, _ := changeEngine(t, "p0", ps)
+	e.cfg.Detector.(*fd.Manual).Suspect("p2")
+	n := newConsNet(e)
+	n.lost = ident.PIDs{"p2"}
+	for i := 0; i < 2*consensus.MaxUnproposed; i++ {
+		e.input(event{from: "x", msg: consensus.Msg{Instance: fmt.Sprintf("fake-%d", i)}})
+	}
+	v5 := ident.ViewRef{ID: 5}
+	raw, err := codec.Marshal(nil, StateMsg{View: View{ID: v5.ID, Members: ident.NewPIDs("p0", "p1")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.peer(t, "p1", "p2").Propose(viewInstance(v5), ps, raw); err != nil {
+		t.Fatal(err)
+	}
+	n.run()
+	e.input(event{from: "p1", msg: InitMsg{View: View{ID: 4}}})
+	for _, p := range ident.NewPIDs("p0", "p1") {
+		e.input(event{from: p, msg: PredMsg{Change: v5}})
+	}
+	n.run()
+	if e.vc.cv.Ref() != v5 || e.vc.chg != nil {
+		t.Fatalf("p0 in view %v, blocked %v; want view %v installed", e.vc.cv.Ref(), e.vc.chg != nil, v5)
+	}
+}
+
 // TestStragglerProbeAnsweredWithView: a probe from a member of our view
 // that names an older view of another lineage comes from a straggler that
 // has not installed our view yet — the union a merge just formed, whose ID
