@@ -14,12 +14,14 @@ import (
 
 // Service runs one group's consensus instances on their own goroutine, for
 // callers that have no loop of their own: one goroutine drives one Machine
-// from the group's Consensus inbox, rechecks the detector on a poll, and
-// answers blocking Propose calls. Instance ids only need to be unique
+// from the group's Ctl inbox, rechecks the detector on a poll, and answers
+// blocking Propose calls. Consensus rounds are control traffic, so they
+// travel on the group's Ctl channel, as a group engine's machine sends
+// them; the Service is that inbox's reader, and so is not for a group an
+// engine runs on the same endpoint. Instance ids only need to be unique
 // within a group, so a node hosting many groups runs one Service per group.
 type Service struct {
-	ep    transport.Endpoint
-	group ident.GroupID
+	inbox <-chan []transport.Envelope
 	clock obs.Clock
 	m     *Machine
 
@@ -49,13 +51,14 @@ type outcome struct {
 }
 
 // New returns a stopped service for one group's consensus instances; call
-// Start. ob supplies the poll clock, metrics and events; nil uses the wall
-// clock with no instrumentation.
+// Start. It claims the group's Ctl inbox before it returns, so a peer's
+// rounds that arrive before Start wait there rather than being dropped. ob
+// supplies the poll clock, metrics and events; nil uses the wall clock
+// with no instrumentation.
 func New(ep transport.Endpoint, det fd.Detector, group ident.GroupID, ob *obs.Obs) *Service {
-	send := func(to ident.PID, m Msg) { _ = ep.Send(to, group, transport.Consensus, m) }
+	send := func(to ident.PID, m Msg) { _ = ep.Send(to, group, transport.Ctl, m) }
 	return &Service{
-		ep:    ep,
-		group: group,
+		inbox: ep.InboxBatch(group, transport.Ctl),
 		clock: ob.Clock(),
 		m:     NewMachine(ep.Self(), send, det, ob),
 		reqC:  make(chan proposal),
@@ -100,7 +103,6 @@ func (s *Service) Propose(ctx context.Context, id string, participants ident.PID
 // drive is the service's one goroutine: every machine input happens here.
 func (s *Service) drive() {
 	defer s.wg.Done()
-	inbox := s.ep.InboxBatch(s.group, transport.Consensus)
 	tick := s.clock.NewTicker(poll)
 	defer tick.Stop()
 	waiters := make(map[string][]chan outcome)
@@ -109,7 +111,7 @@ func (s *Service) drive() {
 		select {
 		case <-s.done:
 			return
-		case envs, ok := <-inbox:
+		case envs, ok := <-s.inbox:
 			if !ok {
 				return
 			}

@@ -242,6 +242,12 @@ func FuzzStep(f *testing.F) {
 		}
 		f.Add(uint8(1), uint8(4), uint16(300), b)
 	}
+	// A joiner deferring 4,096 PREDs for its first view: a full stash.
+	pred, err := codec.Marshal(nil, PredMsg{Change: ident.ViewRef{ID: 2}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(2), uint8(0), uint16(maxDeferredCtl-1), pred)
 	det := fd.NewManual()
 	f.Cleanup(det.Stop)
 	members := ident.NewPIDs("p0", "p1", "p2")

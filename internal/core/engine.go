@@ -114,10 +114,10 @@ func putRequest(req *request) {
 	requestPool.Put(req)
 }
 
-// start validates cfg and runs an engine on it: the group's inboxes are
-// registered, so no peer traffic can race the loop's first read, and the
-// protocol loop is launched. A joining engine starts asking its contacts
-// for admission.
+// start validates cfg and runs an engine on it: the group's Data and Ctl
+// inboxes are registered, so no peer traffic can race the loop's first
+// read, and the protocol loop is launched. A joining engine starts asking
+// its contacts for admission.
 func start(cfg config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -131,9 +131,10 @@ func start(cfg config) (*Engine, error) {
 	e := &Engine{cfg: cfg, reqC: make(chan *request, 64), doneC: make(chan struct{})}
 	e.vc = newViewState(&e.cfg, initial.Clone(), cfg.Endpoint)
 	// The consensus machine sends straight to the endpoint too, best effort,
-	// and holds nothing of the engine: a cycle through it would keep a
-	// stopped engine with a finalizer from ever being collected.
-	send := func(to ident.PID, m consensus.Msg) { _ = cfg.Endpoint.Send(to, cfg.Group, transport.Consensus, m) }
+	// on the control channel, and holds nothing of the engine: a cycle
+	// through it would keep a stopped engine with a finalizer from ever
+	// being collected.
+	send := func(to ident.PID, m consensus.Msg) { _ = cfg.Endpoint.Send(to, cfg.Group, transport.Ctl, m) }
 	e.vc.cons = consensus.NewMachine(cfg.Self, send, cfg.Detector, cfg.Obs)
 	e.pub = &published{view: e.vc.cv.Clone(), watched: e.vc.watching().Clone()}
 	e.pub.export(cfg.Obs)
@@ -307,20 +308,21 @@ const reqDrainCap = 256
 // run is the protocol loop: a single goroutine owning all state, the
 // consensus instances included. It reads one input, steps the value with it
 // (input), ends the turn (endTurn) and publishes it (syncSnapshots); every
-// call and the stop, every data, control and consensus envelope, every
-// suspicion and every tick is a step. Protocol time reaches the value as
-// tick events on one timer: the loop steps a tick as it starts, which arms
-// the value's timed duties and sends a joiner's first request, and re-arms
-// the timer whenever the value's wake moves. Every inbox is consumed in
-// batch mode: one receive hands the loop every envelope pending for the
-// channel, and a request wakes it for every request already queued behind
-// it, amortising the wakeup and the per-turn snapshot mirror over the whole
-// run. The loop returns once the turn that stepped a stop is published.
+// call and the stop, every data and control envelope, every suspicion and
+// every tick is a step. Consensus messages are control envelopes: they
+// share the Ctl inbox with the protocol's own, and reach step in the order
+// they arrived. Protocol time reaches the value as tick events on one
+// timer: the loop steps a tick as it starts, which arms the value's timed
+// duties and sends a joiner's first request, and re-arms the timer whenever
+// the value's wake moves. Every inbox is consumed in batch mode: one
+// receive hands the loop every envelope pending for the channel, and a
+// request wakes it for every request already queued behind it, amortising
+// the wakeup and the per-turn snapshot mirror over the whole run. The loop
+// returns once the turn that stepped a stop is published.
 func (e *Engine) run() {
 	defer close(e.doneC)
 	dataIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Data)
 	ctlIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Ctl)
-	consIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Consensus)
 	fdEv := e.cfg.Detector.Events()
 	e.input(event{msg: tick{}})
 
@@ -352,14 +354,6 @@ func (e *Engine) run() {
 		case envs, ok := <-ctlIn:
 			if !ok {
 				ctlIn = nil
-				break
-			}
-			for i := range envs {
-				e.input(event{from: envs[i].From, msg: envs[i].Msg})
-			}
-		case envs, ok := <-consIn:
-			if !ok {
-				consIn = nil
 				break
 			}
 			for i := range envs {

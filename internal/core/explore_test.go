@@ -165,13 +165,14 @@ func (w *world) idx(p ident.PID) int {
 }
 
 // mut returns process i for writing: the world's own copy of it, with a
-// change record and ledger of its own, which step updates in place, whose
-// sends go on w's links and whose consensus machine is w's oracle. Its data
-// plane is still shared: see mutData.
+// change record, ledger and stash of its own, which step updates in place,
+// whose sends go on w's links and whose consensus machine is w's oracle. Its
+// data plane is still shared: see mutData.
 func (w *world) mut(i int) *xproc {
 	if w.owned&(1<<i) == 0 {
 		p := *w.procs[i]
 		p.key = nil
+		p.s.stash = slices.Clone(p.s.stash)
 		if c := p.s.chg; c != nil {
 			cc := *c
 			cc.awaited, cc.pred, cc.recv = cloneMap(c.awaited), cloneMap(c.pred), cloneMap(c.recv)

@@ -228,13 +228,13 @@ func (s *viewState) watching() ident.PIDs {
 	return s.cv.Members
 }
 
-// An event is what happened to the group member: from sent msg, or the
-// data inbox handed over the batch data, at now, with detector the failure
+// An event is what happened to the group member: from sent msg, or the data
+// inbox handed over the batch data, at now, with detector the failure
 // detector's verdicts at that moment. msg is a control envelope's message
 // received (an InitMsg, PredMsg, SplitMsg, ProbeMsg, JoinReqMsg, StateMsg,
-// CreditMsg or StableMsg, or one of no known kind), a consensus envelope's
-// (a consensus.Msg), an application's call or the stop (a *request: a
-// multicast, t2; a Deliver, t1; a membership change, t4; the end), or one
+// CreditMsg, StableMsg or consensus.Msg, whose rounds share the Ctl inbox,
+// or one of no known kind), an application's call or the stop (a *request:
+// a multicast, t2; a Deliver, t1; a membership change, t4; the end), or one
 // of fd.Event (a suspicion), tick and entered. An event without msg is a
 // data arrival (t3): its batch travels typed, not boxed, so stepping it
 // allocates nothing.
@@ -301,9 +301,11 @@ func step(s *viewState, ev event) []install {
 	case *request:
 		t.onRequest(m)
 	case consensus.Msg:
-		// Consensus runs in every state — joining, blocked, at its end: an
-		// instance outlives the change that proposed to it, and the other
-		// participants may still need our estimate and ACK.
+		// A control envelope, taken in the order the Ctl inbox yields it
+		// among the protocol's own. Consensus runs in every state —
+		// joining, blocked, at its end: an instance outlives the change
+		// that proposed to it, and the other participants may still need
+		// our estimate and ACK.
 		t.learn(t.cons.Receive(ev.from, m)...)
 	case fd.Event:
 		t.onSuspicion(m)
@@ -463,7 +465,7 @@ func (t *turn) onCtl(from ident.PID, msg any) {
 	case InitMsg:
 		// A merge names another lineage's view as well as ours; it is never
 		// deferred.
-		if m.Far == nil && t.deferFuture(m, m.Ref()) {
+		if m.Far == nil && t.deferFuture(msg, m.Ref()) {
 			return
 		}
 		t.onInit(from, m)
@@ -472,7 +474,7 @@ func (t *turn) onCtl(from ident.PID, msg any) {
 		// changes a later view of ours: its sender is past an install we
 		// have still to make.
 		if c := t.chg; (c == nil || m.Change != c.next) &&
-			t.deferFuture(m, ident.ViewRef{Epoch: m.Change.Epoch, ID: m.Change.ID - 1}) {
+			t.deferFuture(msg, ident.ViewRef{Epoch: m.Change.Epoch, ID: m.Change.ID - 1}) {
 			return
 		}
 		t.onPred(from, m)
@@ -521,8 +523,7 @@ func (t *turn) deferFuture(msg any, ref ident.ViewRef) bool {
 		return true
 	}
 	if len(t.stash) < maxDeferredCtl {
-		// A new array: a copy of the state keeps its own.
-		t.stash = append(t.stash[:len(t.stash):len(t.stash)], transport.Envelope{From: t.from, Msg: msg})
+		t.stash = append(t.stash, transport.Envelope{From: t.from, Msg: msg})
 	} else {
 		t.stats.CtlDeferredDropped++
 		t.drop(obs.DropDeferOverflow, slog.Uint64("view", uint64(ref.ID)))

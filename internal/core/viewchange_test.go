@@ -351,7 +351,7 @@ func changeEngine(t *testing.T, self ident.PID, members ident.PIDs) (*Engine, *c
 	cfg := config{Self: self, Endpoint: log, Detector: det, GroupConfig: GroupConfig{Relation: tagging}}
 	e := &Engine{cfg: cfg}
 	e.vc = newViewState(&e.cfg, View{ID: 4, Members: members}, e.cfg.Endpoint)
-	send := func(to ident.PID, m consensus.Msg) { _ = log.Send(to, 0, transport.Consensus, m) }
+	send := func(to ident.PID, m consensus.Msg) { _ = log.Send(to, 0, transport.Ctl, m) }
 	e.vc.cons = injector{consensus.NewMachine(self, send, det, nil)}
 	t.Cleanup(det.Stop)
 	return e, log
@@ -908,6 +908,30 @@ func TestStashOnlyNextView(t *testing.T) {
 	}
 	if s := st.s.stats; s.DroppedStale != maxDeferredCtl+1 || s.CtlDeferredDropped != 0 {
 		t.Errorf("%d dropped stale, %d deferred dropped; want %d, 0", s.DroppedStale, s.CtlDeferredDropped, maxDeferredCtl+1)
+	}
+}
+
+// TestDeferralAppendsInPlace: deferring a control message appends it to the
+// stash in place. Copying the stash on every deferral made filling it
+// quadratic in what it holds; now one more PRED deferred into a joining
+// value already holding 1,000 allocates nothing.
+func TestDeferralAppendsInPlace(t *testing.T) {
+	const held, runs = 1000, 100
+	st := newStepper("j", nil, false)
+	st.s.cv, st.s.joining = View{}, true
+	var pred any = PredMsg{Change: ident.ViewRef{ID: 2}}
+	ev := event{from: "p1", msg: pred, now: exploreNow, detector: suspects(nil)}
+	for i := 0; i < held; i++ {
+		step(&st.s, ev)
+	}
+	if len(st.s.stash) != held {
+		t.Fatalf("%d PREDs stashed, want %d", len(st.s.stash), held)
+	}
+	if n := testing.AllocsPerRun(runs, func() { step(&st.s, ev) }); n != 0 {
+		t.Errorf("deferring one more PRED allocates %v times", n)
+	}
+	if len(st.s.stash) != held+runs+1 {
+		t.Errorf("%d PREDs stashed, want %d", len(st.s.stash), held+runs+1)
 	}
 }
 

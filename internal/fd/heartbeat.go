@@ -81,7 +81,9 @@ func (m *monitor) export(emit obs.Emit) {
 //
 // Heartbeats are node-scoped, not group-scoped: they travel in
 // ident.NodeGroup on the FailureDetector channel, so one detector serves
-// every group the node hosts (see fd.Fanout for sharing its events).
+// every group the node hosts (see fd.Fanout for sharing its events). The
+// detector is that inbox's only reader: Start claims it, and until then
+// the endpoint drops and counts the beats peers send.
 type Heartbeat struct {
 	ep      transport.Endpoint
 	watched func() ident.PIDs
@@ -123,12 +125,14 @@ func NewHeartbeat(ep transport.Endpoint, watched func() ident.PIDs, opts Heartbe
 	}
 }
 
-// Start launches the beat and monitor goroutines.
+// Start claims the endpoint's (ident.NodeGroup, FailureDetector) inbox and
+// launches the beat and monitor goroutines.
 func (h *Heartbeat) Start() {
+	inbox := h.ep.Inbox(ident.NodeGroup, transport.FailureDetector)
 	h.follow()
 	h.wg.Add(2)
 	go h.beatLoop()
-	go h.recvLoop()
+	go h.recvLoop(inbox)
 }
 
 // follow makes the monitored set whom watched names now and returns it: a
@@ -178,9 +182,8 @@ func (h *Heartbeat) beatLoop() {
 	}
 }
 
-func (h *Heartbeat) recvLoop() {
+func (h *Heartbeat) recvLoop(inbox <-chan transport.Envelope) {
 	defer h.wg.Done()
-	inbox := h.ep.Inbox(ident.NodeGroup, transport.FailureDetector)
 	for {
 		select {
 		case <-h.done:

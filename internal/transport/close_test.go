@@ -315,6 +315,7 @@ func TestReadLoopDropsBogusChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	a.Register(ident.NodeGroup)
 
 	conn, err := net.Dial("tcp", a.Addr())
 	if err != nil {

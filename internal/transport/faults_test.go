@@ -22,6 +22,8 @@ func faultPair(t *testing.T, f *Faults) (*FaultEndpoint, *FaultEndpoint) {
 		t.Fatal(err)
 	}
 	fa, fb := f.Wrap(a), f.Wrap(b)
+	fa.Register(ident.NodeGroup) // the tests read NodeGroup's Data and Ctl
+	fb.Register(ident.NodeGroup)
 	t.Cleanup(func() {
 		fa.Close()
 		fb.Close()

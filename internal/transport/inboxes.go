@@ -10,8 +10,8 @@ import (
 )
 
 // inboxSet is the (GroupID, Channel)-keyed inbox registry shared by both
-// wire transports. Registration is how an endpoint knows which groups its
-// node hosts: deposit drops and counts envelopes for anything else, and
+// wire transports. It holds an inbox only for a pair a reader claimed
+// (lookup): deposit drops and counts envelopes for any other pair, and
 // close ends every inbox exactly once (crash-stop: nothing is delivered
 // after close returns).
 type inboxSet struct {
@@ -24,23 +24,14 @@ type inboxSet struct {
 }
 
 func newInboxSet() *inboxSet {
-	return &inboxSet{m: make(map[groupChan]*ubq.Queue[Envelope], numChannels)}
+	return &inboxSet{m: make(map[groupChan]*ubq.Queue[Envelope])}
 }
 
-// register creates the inboxes of every defined channel of g ahead of
-// traffic. Idempotent; a no-op after close.
+// register claims g's Data and Ctl inboxes, the two a group's engine
+// reads, ahead of traffic. Idempotent; a no-op after close.
 func (s *inboxSet) register(g ident.GroupID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	for _, ch := range Channels() {
-		key := groupChan{g, ch}
-		if _, ok := s.m[key]; !ok {
-			s.m[key] = ubq.New[Envelope]()
-		}
-	}
+	s.lookup(g, Data)
+	s.lookup(g, Ctl)
 }
 
 // dropExport is the inbox set's metric catalogue: DropStats as
@@ -68,12 +59,12 @@ func (s *inboxSet) instrument(ob *obs.Obs) {
 // never be hosted here (used by the TCP read loop for out-of-range ids).
 func (s *inboxSet) dropUnknownGroup() { s.dropGroup.Add(1) }
 
-// deregister removes and closes the inboxes of g; subsequent traffic for
+// deregister removes and closes every inbox of g; subsequent traffic for
 // g is dropped and counted.
 func (s *inboxSet) deregister(g ident.GroupID) {
 	s.mu.Lock()
 	var qs []*ubq.Queue[Envelope]
-	for _, ch := range Channels() {
+	for ch := Data; ch <= numChannels; ch++ {
 		key := groupChan{g, ch}
 		if q, ok := s.m[key]; ok {
 			qs = append(qs, q)
@@ -86,8 +77,8 @@ func (s *inboxSet) deregister(g ident.GroupID) {
 	}
 }
 
-// inbox returns the receive channel for (g, ch), registering it lazily;
-// after close it returns an already-closed channel.
+// inbox returns the receive channel for (g, ch), claiming it; after close
+// it returns an already-closed channel.
 func (s *inboxSet) inbox(g ident.GroupID, ch Channel) <-chan Envelope {
 	q := s.lookup(g, ch)
 	if q == nil {
@@ -109,8 +100,8 @@ func (s *inboxSet) inboxBatch(g ident.GroupID, ch Channel) <-chan []Envelope {
 	return q.Batches()
 }
 
-// lookup returns the inbox for (g, ch), registering it lazily; nil after
-// close.
+// lookup returns the inbox for (g, ch), creating it on a reader's first
+// claim; nil after close.
 func (s *inboxSet) lookup(g ident.GroupID, ch Channel) *ubq.Queue[Envelope] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -126,30 +117,35 @@ func (s *inboxSet) lookup(g ident.GroupID, ch Channel) *ubq.Queue[Envelope] {
 	return q
 }
 
-// drop counts n envelopes that found no inbox: an unhosted group, or a
-// channel outside the defined range.
-func (s *inboxSet) drop(ch Channel, n int) {
-	if validChannel(ch) {
-		s.dropGroup.Add(uint64(n))
-	} else {
-		s.dropChannel.Add(uint64(n))
+// target returns the inbox to deposit n envelopes for (g, ch) into, or nil
+// after close. When no reader claimed the pair it counts the n as dropped
+// and returns nil: as an unknown channel when g has some other inbox here
+// or ch is outside the defined range, else as an unknown group.
+func (s *inboxSet) target(g ident.GroupID, ch Channel, n int) *ubq.Queue[Envelope] {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if q, ok := s.m[groupChan{g, ch}]; ok {
+		if s.closed {
+			return nil
+		}
+		return q
 	}
+	hosted := !validChannel(ch)
+	for c := Data; c <= numChannels && !hosted; c++ {
+		_, hosted = s.m[groupChan{g, c}]
+	}
+	if hosted {
+		s.dropChannel.Add(uint64(n))
+	} else {
+		s.dropGroup.Add(uint64(n))
+	}
+	return nil
 }
 
 // deposit places env in the inbox for (g, ch), or drops and counts it
-// when that inbox was never registered — traffic for a group this node
-// does not host (or no longer hosts), or a channel outside the defined
-// range.
+// when no reader claimed that pair.
 func (s *inboxSet) deposit(g ident.GroupID, ch Channel, env Envelope) {
-	s.mu.Lock()
-	q, ok := s.m[groupChan{g, ch}]
-	closed := s.closed
-	s.mu.Unlock()
-	if !ok {
-		s.drop(ch, 1)
-		return
-	}
-	if !closed {
+	if q := s.target(g, ch, 1); q != nil {
 		q.Push(env)
 	}
 }
@@ -157,21 +153,13 @@ func (s *inboxSet) deposit(g ident.GroupID, ch Channel, env Envelope) {
 // depositBatch places a run of envelopes for one (g, ch) in its inbox
 // under a single registry lookup and a single inbox lock acquisition —
 // the receive-side mirror of the send path's frame coalescing. The slice
-// contents are copied; the caller may reuse envs immediately. When the
-// inbox was never registered the whole run is dropped and counted.
+// contents are copied; the caller may reuse envs immediately. When no
+// reader claimed the pair the whole run is dropped and counted.
 func (s *inboxSet) depositBatch(g ident.GroupID, ch Channel, envs []Envelope) {
 	if len(envs) == 0 {
 		return
 	}
-	s.mu.Lock()
-	q, ok := s.m[groupChan{g, ch}]
-	closed := s.closed
-	s.mu.Unlock()
-	if !ok {
-		s.drop(ch, len(envs))
-		return
-	}
-	if !closed {
+	if q := s.target(g, ch, len(envs)); q != nil {
 		q.PushAll(envs)
 	}
 }

@@ -39,9 +39,8 @@ func (n *MemNetwork) Crash(p ident.PID) {
 	}
 }
 
-// Endpoint attaches process p to the network. The reserved ident.NodeGroup
-// is registered immediately; application groups are registered by
-// Register or lazily by Inbox.
+// Endpoint attaches process p to the network with no inbox: each is
+// created when a reader claims it (Register, Inbox or InboxBatch).
 func (n *MemNetwork) Endpoint(p ident.PID) (*MemEndpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -54,7 +53,6 @@ func (n *MemNetwork) Endpoint(p ident.PID) (*MemEndpoint, error) {
 		closeDone: make(chan struct{}),
 		boxes:     newInboxSet(),
 	}
-	ep.boxes.register(ident.NodeGroup)
 	n.eps[p] = ep
 	return ep, nil
 }
@@ -75,8 +73,8 @@ var _ Endpoint = (*MemEndpoint)(nil)
 // Self implements Endpoint.
 func (e *MemEndpoint) Self() ident.PID { return e.self }
 
-// Drops returns the counters of envelopes discarded at deposit because
-// their (group, channel) inbox was not registered.
+// Drops returns the counters of envelopes discarded at deposit because no
+// reader claimed their (group, channel) inbox.
 func (e *MemEndpoint) Drops() DropStats { return e.boxes.drops() }
 
 // Instrument makes ob's registry read the endpoint's drop counters as
@@ -85,10 +83,10 @@ func (e *MemEndpoint) Drops() DropStats { return e.boxes.drops() }
 // node's obs bundle.
 func (e *MemEndpoint) Instrument(ob *obs.Obs) { e.boxes.instrument(ob) }
 
-// Register implements Endpoint: create the inboxes of every channel of g.
+// Register implements Endpoint: create g's Data and Ctl inboxes.
 func (e *MemEndpoint) Register(g ident.GroupID) { e.boxes.register(g) }
 
-// Deregister implements Endpoint: remove and close the inboxes of g.
+// Deregister implements Endpoint: remove and close every inbox of g.
 // Subsequent traffic for g is dropped and counted.
 func (e *MemEndpoint) Deregister(g ident.GroupID) { e.boxes.deregister(g) }
 

@@ -32,6 +32,7 @@ func TestMemNetworkBasicSendRecv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b.Register(ident.NodeGroup)
 	defer a.Close()
 	defer b.Close()
 
@@ -48,6 +49,7 @@ func TestMemNetworkFIFOPerSender(t *testing.T) {
 	n := NewMemNetwork()
 	a, _ := n.Endpoint("a")
 	b, _ := n.Endpoint("b")
+	b.Register(ident.NodeGroup)
 	defer a.Close()
 	defer b.Close()
 
@@ -70,6 +72,7 @@ func TestMemNetworkChannelsAreIsolated(t *testing.T) {
 	n := NewMemNetwork()
 	a, _ := n.Endpoint("a")
 	b, _ := n.Endpoint("b")
+	b.Register(ident.NodeGroup)
 	defer a.Close()
 	defer b.Close()
 
@@ -159,6 +162,7 @@ func TestMemNetworkDropsUnknownGroupAndChannel(t *testing.T) {
 func TestMemNetworkSelfSend(t *testing.T) {
 	n := NewMemNetwork()
 	a, _ := n.Endpoint("a")
+	a.Register(ident.NodeGroup)
 	defer a.Close()
 
 	if err := a.Send("a", ident.NodeGroup, Ctl, 42); err != nil {

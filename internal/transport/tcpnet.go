@@ -28,8 +28,8 @@ type TCPStats struct {
 	BytesSent     uint64
 	FramesRecv    uint64
 	EnvelopesRecv uint64
-	// Drops counts received envelopes discarded because their
-	// (group, channel) inbox was not registered here.
+	// Drops counts received envelopes discarded because no reader
+	// claimed their (group, channel) inbox here.
 	Drops DropStats
 }
 
@@ -54,8 +54,8 @@ type TCPStats struct {
 //
 // decoded back-to-back until the frame is exhausted. A decode error is a
 // protocol violation and closes the connection; a well-formed envelope
-// for an unregistered group or an undefined channel is dropped and
-// counted (Stats().Drops) without penalising the rest of the stream.
+// for a (group, channel) inbox no reader claimed is dropped and counted
+// (Stats().Drops) without penalising the rest of the stream.
 type TCPNetwork struct {
 	self     ident.PID
 	frameCap int // maxFrame, or a test's smaller bound
@@ -166,7 +166,6 @@ func newTCPNetwork(self ident.PID, listenAddr string, peers map[ident.PID]string
 	for p, addr := range peers {
 		n.peers[p] = addr
 	}
-	n.boxes.register(ident.NodeGroup)
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
@@ -225,10 +224,10 @@ func (n *TCPNetwork) Stats() TCPStats {
 	}
 }
 
-// Register implements Endpoint: create the inboxes of every channel of g.
+// Register implements Endpoint: create g's Data and Ctl inboxes.
 func (n *TCPNetwork) Register(g ident.GroupID) { n.boxes.register(g) }
 
-// Deregister implements Endpoint: remove and close the inboxes of g.
+// Deregister implements Endpoint: remove and close every inbox of g.
 // Subsequent traffic for g is dropped and counted.
 func (n *TCPNetwork) Deregister(g ident.GroupID) { n.boxes.deregister(g) }
 
@@ -247,7 +246,7 @@ func (n *TCPNetwork) InboxBatch(g ident.GroupID, ch Channel) <-chan []Envelope {
 // as the peer's crash (connection drop), matching the crash-stop model.
 func (n *TCPNetwork) Send(to ident.PID, g ident.GroupID, ch Channel, m any) error {
 	if to == n.self {
-		n.deposit(g, ch, Envelope{From: n.self, Group: g, Msg: m})
+		n.boxes.deposit(g, ch, Envelope{From: n.self, Group: g, Msg: m})
 		return nil
 	}
 	pc, err := n.peer(to)
@@ -517,12 +516,6 @@ func (n *TCPNetwork) readLoop(conn net.Conn) {
 			run = nil
 		}
 	}
-}
-
-// deposit places env in the inbox for (g, ch), or drops and counts it
-// when that inbox was never registered.
-func (n *TCPNetwork) deposit(g ident.GroupID, ch Channel, env Envelope) {
-	n.boxes.deposit(g, ch, env)
 }
 
 // Close implements Endpoint: crash-stop shutdown. Envelopes still queued

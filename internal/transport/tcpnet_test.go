@@ -43,6 +43,8 @@ func tcpPairCap(t *testing.T, frameCap int) (*TCPNetwork, *TCPNetwork) {
 	}
 	// Give a the route back to b.
 	a.AddPeer("b", b.Addr())
+	a.Register(ident.NodeGroup) // the tests read NodeGroup's Data and Ctl
+	b.Register(ident.NodeGroup)
 	t.Cleanup(func() {
 		a.Close()
 		b.Close()

@@ -13,13 +13,21 @@
 // controller; it is the only fault layer.
 //
 // Endpoints are shared by every group a node hosts: messages are
-// multiplexed onto (GroupID, Channel) inboxes so that each group's
-// protocol, consensus module and the node-wide failure detector each own
-// an independent inbox. One TCP connection pair per peer therefore serves
-// all the groups two nodes share. A slow application in one group never
-// starves another group's data or control plane — the buffer separation
-// the paper prescribes ("the protocol must always reserve separate buffer
-// space for control information", §5.3), lifted to group granularity.
+// multiplexed onto (GroupID, Channel) inboxes. A group has two channels,
+// Data and Ctl — its protocol's control traffic and its consensus rounds
+// share Ctl, in arrival order — and the node has one more, the
+// FailureDetector channel of ident.NodeGroup. One TCP connection pair per
+// peer therefore serves all the groups two nodes share. A slow application
+// in one group never starves another group's data or control plane — the
+// buffer separation the paper prescribes ("the protocol must always reserve
+// separate buffer space for control information", §5.3), lifted to group
+// granularity.
+//
+// An endpoint holds only the inboxes a reader claims: a group's engine
+// claims its Data and Ctl (Register), the heartbeat detector the node's
+// FailureDetector channel, and a consensus.Service the Ctl channel of its
+// group. An envelope for a pair nobody claimed is dropped and counted, so
+// a peer cannot fill an inbox that no code reads.
 package transport
 
 import (
@@ -36,11 +44,10 @@ const (
 	// Data carries application multicast traffic (DATA messages). It is
 	// the only channel subject to protocol-level flow control.
 	Data Channel = iota + 1
-	// Ctl carries SVS control traffic: INIT, PRED, VIEW dissemination,
-	// stability gossip and flow-control credits.
+	// Ctl carries a group's control traffic: INIT, PRED, VIEW
+	// dissemination, stability gossip, flow-control credits and the
+	// consensus module's rounds.
 	Ctl
-	// Consensus carries the consensus module's rounds.
-	Consensus
 	// FailureDetector carries heartbeats. Heartbeats are node-scoped: they
 	// always travel in ident.NodeGroup, regardless of how many groups the
 	// node hosts.
@@ -49,14 +56,7 @@ const (
 	numChannels = FailureDetector
 )
 
-// Channels lists every defined channel.
-func Channels() []Channel {
-	return []Channel{Data, Ctl, Consensus, FailureDetector}
-}
-
-// validChannel reports whether ch is one of the defined channels. Wire
-// transports drop (and count) envelopes outside this range instead of
-// depositing into inboxes nothing consumes.
+// validChannel reports whether ch is one of the defined channels.
 func validChannel(ch Channel) bool {
 	return ch >= Data && ch <= numChannels
 }
@@ -76,9 +76,11 @@ type Envelope struct {
 }
 
 // DropStats counts envelopes an endpoint discarded at deposit time
-// instead of delivering. Unknown means the (group, channel) inbox was
-// never registered — traffic for a group this node does not host (or no
-// longer hosts), or a channel outside the defined range.
+// instead of delivering, because no reader had claimed their (group,
+// channel) inbox. UnknownGroup means the group has no inbox here at all —
+// a group this node does not host (or no longer hosts); UnknownChannel
+// means the group has inboxes but not this one — a channel nobody reads,
+// or one outside the defined range.
 type DropStats struct {
 	DroppedUnknownGroup   uint64
 	DroppedUnknownChannel uint64
@@ -101,11 +103,15 @@ var ErrUnknownPeer = errors.New("transport: unknown peer")
 // within each (group, channel) provided the sender calls Send from one
 // goroutine, which the protocol engine does.
 //
-// Inbox returns the receive channel for (g, ch), registering it if
-// needed; it is closed when the endpoint closes or the group is
-// deregistered. An envelope arriving for a (group, channel) pair that was
-// never registered is dropped and counted, not deposited: registration is
-// how an endpoint knows which groups this node hosts.
+// Inbox returns the receive channel for (g, ch), creating the inbox if
+// needed: calling it is how a reader claims the pair. The channel is
+// closed when the endpoint closes or the group is deregistered. An
+// envelope arriving for a pair no reader claimed is dropped and counted
+// (DropStats), not deposited, so nothing accumulates where nothing reads.
+// Who claims what: a group's engine its Data and Ctl (Register), the
+// heartbeat detector (ident.NodeGroup, FailureDetector) as it starts, and
+// a consensus.Service its group's Ctl as it is created. No endpoint
+// claims anything at construction.
 //
 // InboxBatch is the amortised form of Inbox: one receive yields every
 // envelope pending for (g, ch) at that moment (bounded per receive),
@@ -116,11 +122,10 @@ var ErrUnknownPeer = errors.New("transport: unknown peer")
 // by whichever is called first for that (g, ch); mixing the two on one
 // inbox panics.
 //
-// Register creates the inboxes of every defined channel of group g ahead
-// of traffic (idempotent); Deregister removes and closes them, so stray
-// traffic for a departed group is dropped and counted instead of
-// accumulating. The reserved ident.NodeGroup is registered at endpoint
-// creation.
+// Register creates group g's Data and Ctl inboxes ahead of traffic
+// (idempotent), so no peer traffic can race the engine's first read;
+// Deregister removes and closes every inbox of g, so stray traffic for a
+// departed group is dropped and counted instead of accumulating.
 type Endpoint interface {
 	Self() ident.PID
 	Send(to ident.PID, g ident.GroupID, ch Channel, m any) error
