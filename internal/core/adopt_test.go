@@ -262,6 +262,6 @@ func installFlush(t *testing.T, e *Engine, flush []DataMsg) View {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.input(event{msg: consensus.Msg{Instance: id, Value: raw}})
+	input(e, event{msg: consensus.Msg{Instance: id, Value: raw}})
 	return next
 }

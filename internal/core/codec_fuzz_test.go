@@ -220,7 +220,7 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 
 // FuzzStep steps arbitrary peer input into p0 of a three-member group —
 // open, blocked in a change, or joining — as the engine's loop does: each
-// input is one turn (Engine.input, then endTurn), and data reaches the
+// input is one turn (a step, then endTurn), and data reaches the
 // value only while it is not gated. An input is whatever the codec decodes from
 // the fuzzed bytes (a control message, a consensus.Msg or data), stepped
 // as a control or consensus envelope or as a data batch, from a member or
@@ -266,9 +266,9 @@ func FuzzStep(f *testing.F) {
 		m := consensus.NewMachine("p0", func(ident.PID, consensus.Msg) {}, det, nil)
 		s := &e.vc
 		s.cons = m
-		e.input(event{msg: tick{}})
+		input(e, event{msg: tick{}})
 		if state%3 == 1 {
-			e.input(event{from: "p1", msg: InitMsg{View: View{ID: 4}}})
+			input(e, event{from: "p1", msg: InitMsg{View: View{ID: 4}}})
 		}
 		s.endTurn()
 		if (s.chg != nil) != (state%3 == 1) || s.joining != (state%3 == 2) {
@@ -288,9 +288,9 @@ func FuzzStep(f *testing.F) {
 			}
 			switch {
 			case how&2 == 0:
-				e.input(event{from: from, msg: msg})
+				input(e, event{from: from, msg: msg})
 			case !s.gated():
-				e.input(event{data: []transport.Envelope{{From: from, Msg: msg}}})
+				input(e, event{data: []transport.Envelope{{From: from, Msg: msg}}})
 			}
 			s.endTurn()
 		}

@@ -23,7 +23,7 @@ type Engine struct {
 	doneC chan struct{}
 
 	// pub is the facade's mirror of the loop's view and counters
-	// (metrics.go), written by the loop when a turn ends.
+	// (metrics.go), written by the loop when a turn ends (publish).
 	pub *published
 
 	// ---- state below is owned exclusively by the run loop ----
@@ -34,11 +34,11 @@ type Engine struct {
 	// (vc.stats), the clock, the histograms and the event log. The loop
 	// steps it with every input it reads — every call and the stop, every
 	// data, control and consensus envelope, every suspicion and every tick
-	// it asks for (wake) —, carries out the installs and ends each turn
-	// (endTurn); its sends and the machine's leave through the endpoint.
-	// The calls a turn answered (vc.replies) are released by syncSnapshots
-	// once the facade snapshots reflect the turn, so a call that has
-	// returned always finds its own effect in Stats and View.
+	// it asks for (wake) —, ends each turn (endTurn) and publishes it;
+	// its sends and the machine's leave through the endpoint. The calls a
+	// turn answered (vc.replies) are released by publish once the facade
+	// reflects the turn, so a call that has returned always finds its own
+	// effect in Stats and View.
 	vc viewState
 }
 
@@ -278,20 +278,29 @@ func (e *Engine) RequestMembershipChange(join, leave ident.PIDs) error {
 
 // roundTrip submits req to the protocol loop, waits for its one reply and
 // recycles req, returning beside the reply what the loop filled into a
-// single Deliver's slot (zero for any other call). A request abandoned on
-// ctx or stop is not recycled: a late reply — and, for a deliver, late
-// writes into dst — can still land on it.
+// single Deliver's slot (zero for any other call). A reply that is there
+// wins over a cancel or a stop that landed with it: the call took effect.
+// A request abandoned on ctx or stop is not recycled: a late reply — and,
+// for a deliver, late writes into dst — can still land on it.
 func (e *Engine) roundTrip(ctx context.Context, req *request) (res result, d Delivery) {
 	select {
 	case e.reqC <- req:
+		var gaveUp error
 		select {
 		case res = <-req.resC:
-			d = req.oneD[0]
 		case <-ctx.Done():
-			return result{err: ctx.Err()}, d
+			gaveUp = ctx.Err()
 		case <-e.doneC:
-			return result{err: ErrStopped}, d
+			gaveUp = ErrStopped
 		}
+		if gaveUp != nil {
+			select {
+			case res = <-req.resC:
+			default:
+				return result{err: gaveUp}, d
+			}
+		}
+		d = req.oneD[0]
 	case <-ctx.Done():
 		res.err = ctx.Err()
 	case <-e.doneC:
@@ -307,9 +316,10 @@ const reqDrainCap = 256
 
 // run is the protocol loop: a single goroutine owning all state, the
 // consensus instances included. It reads one input, steps the value with it
-// (input), ends the turn (endTurn) and publishes it (syncSnapshots); every
-// call and the stop, every data and control envelope, every suspicion and
-// every tick is a step. Consensus messages are control envelopes: they
+// at the clock's now and with the detector's verdicts, ends the turn
+// (endTurn) and publishes it (publish); every call and the stop, every data
+// and control envelope, every suspicion and every tick is a step, and a
+// step enters a view whole. Consensus messages are control envelopes: they
 // share the Ctl inbox with the protocol's own, and reach step in the order
 // they arrived. Protocol time reaches the value as tick events on one
 // timer: the loop steps a tick as it starts, which arms the value's timed
@@ -324,7 +334,11 @@ func (e *Engine) run() {
 	dataIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Data)
 	ctlIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Ctl)
 	fdEv := e.cfg.Detector.Events()
-	e.input(event{msg: tick{}})
+	input := func(ev event) {
+		ev.now, ev.detector = e.vc.clock.Now(), e.cfg.Detector
+		step(&e.vc, ev)
+	}
+	input(event{msg: tick{}})
 
 	var timer obs.Timer = never{}
 	var armed time.Time // the wake timer fires at; zero once it fired
@@ -350,68 +364,34 @@ func (e *Engine) run() {
 				dataIn = nil
 				break
 			}
-			e.input(event{data: envs})
+			input(event{data: envs})
 		case envs, ok := <-ctlIn:
 			if !ok {
 				ctlIn = nil
 				break
 			}
 			for i := range envs {
-				e.input(event{from: envs[i].From, msg: envs[i].Msg})
+				input(event{from: envs[i].From, msg: envs[i].Msg})
 			}
 		case ev, ok := <-fdEv:
 			if !ok {
 				fdEv = nil
 				break
 			}
-			e.input(event{msg: ev})
+			input(event{msg: ev})
 		case req := <-e.reqC:
 			// Serve whatever else already sits in reqC, so concurrent
 			// single-message callers get batch amortisation without using
 			// the batch APIs. The loop is reqC's only reader.
-			e.input(event{msg: req})
+			input(event{msg: req})
 			for i := 0; i < reqDrainCap && len(e.reqC) > 0; i++ {
-				e.input(event{msg: <-e.reqC})
+				input(event{msg: <-e.reqC})
 			}
 		case <-timer.C():
 			armed = time.Time{}
-			e.input(event{msg: tick{}})
+			input(event{msg: tick{}})
 		}
 		e.vc.endTurn()
-		e.syncSnapshots()
+		e.pub.publish(&e.vc)
 	}
-}
-
-// syncSnapshots mirrors loop-owned state into the facade-visible copies,
-// whom the group needs monitored included, then releases the turn's
-// replies.
-func (e *Engine) syncSnapshots() {
-	e.vc.stats.View = e.vc.cv.ID
-	e.vc.stats.Epoch = e.vc.cv.Epoch
-	e.vc.stats.Members = len(e.vc.cv.Members)
-	e.vc.stats.ToDeliverLen = e.vc.toDeliver.Len()
-	e.vc.stats.HistoryLen = e.vc.delivered.Len()
-	e.vc.stats.Parked = len(e.vc.multicastQ)
-	e.vc.stats.LastSent = e.vc.own.recvMax
-	e.vc.stats.Blocked = e.vc.chg != nil
-	st := e.vc.toDeliver.Stats()
-	e.vc.stats.PurgedToDeliver = st.Purged
-	e.vc.stats.ToDeliverMax = max(e.vc.stats.ToDeliverMax, st.MaxLen)
-	e.pub.mu.Lock()
-	if e.pub.view.Ref() != e.vc.cv.Ref() {
-		// Clone only when the view actually changed — every view has a ref
-		// of its own: the facade keeps its own copy, and cloning per loop
-		// iteration would put a members alloc on the per-batch hot path.
-		e.pub.view = e.vc.cv.Clone()
-	}
-	if w := e.vc.watching(); !w.Equal(e.pub.watched) {
-		e.pub.watched = w.Clone()
-	}
-	e.pub.stats = e.vc.stats
-	e.pub.mu.Unlock()
-	for _, req := range e.vc.replies {
-		req.resC <- req.res // buffered, one reply per request: never blocks
-	}
-	clear(e.vc.replies)
-	e.vc.replies = e.vc.replies[:0]
 }

@@ -614,3 +614,50 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Fatal("Self() wrong")
 	}
 }
+
+// TestAnsweredCallReturnsItsReply: a call the loop answered returns the
+// answer, even when the stop or the caller's cancel has landed as well —
+// the call took effect, and MulticastBatch promises that a failed message
+// was not committed. Every request here holds its reply before the call
+// is made; a call that did not get into the loop fails.
+func TestAnsweredCallReturnsItsReply(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name    string
+		ctx     context.Context
+		stopped bool
+		err     error
+	}{
+		{name: "stopped", ctx: context.Background(), stopped: true, err: ErrStopped},
+		{name: "cancelled", ctx: cancelled, err: context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := &Engine{reqC: make(chan *request, 1), doneC: make(chan struct{})}
+			if tc.stopped {
+				close(e.doneC)
+			}
+			answer := result{view: ident.ViewRef{ID: 7}, n: 1}
+			reached := 0
+			for i := 0; i < 1000; i++ {
+				req := &request{kind: reqMulticast, resC: make(chan result, 1)}
+				req.resC <- answer
+				res, _ := e.roundTrip(tc.ctx, req)
+				select {
+				case <-e.reqC:
+					reached++
+					if res != answer {
+						t.Fatalf("call %d reached the loop and returned %+v, want its reply %+v", i, res, answer)
+					}
+				default:
+					if !errors.Is(res.err, tc.err) {
+						t.Fatalf("call %d never reached the loop and returned %+v, want %v", i, res, tc.err)
+					}
+				}
+			}
+			if reached == 0 {
+				t.Fatal("no call reached the loop")
+			}
+		})
+	}
+}

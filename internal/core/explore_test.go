@@ -30,7 +30,8 @@ package core
 //	    majority proposed to — ends with no live member blocked. Without
 //	    Heal a member blocked in a change whose live members are a minority
 //	    of a side is the documented wedge, not a violation;
-//	(f) a process that has just entered a view holds its peer table as
+//	(f) a process that has just entered a view, at the end of the step
+//	    that entered it and replayed its stash, holds its peer table as
 //	    checkArmed says: a fresh link to each other member, nothing of a
 //	    view in any other record;
 //
@@ -125,11 +126,15 @@ type xinst struct {
 }
 
 // xreq is a membership request the environment may issue once, while its
-// initiator is open in its first view: the requests of a scenario are
-// concurrent, and one issued while a change is in flight does nothing.
+// initiator is open in its first view, or in view in if the request names
+// one: the requests of a scenario are concurrent, and one issued while a
+// change is in flight does nothing. A request issued in a later view can
+// overtake that view's install at another member, whose stash then holds
+// its INIT and PRED until it enters the view.
 type xreq struct {
 	by          ident.PID
 	join, leave ident.PIDs
+	in          ident.ViewID // the view it is issued in; 0: its initiator's first
 	fired       bool
 }
 
@@ -396,8 +401,8 @@ func (w *world) inst(id string) int {
 	return -1
 }
 
-// input steps process i with one event and carries out its installs, as
-// Engine.input does.
+// input steps process i with one event, as the engine's loop does, and
+// checks (a), (b) and (f) on the views the step entered.
 func (w *world) input(i int, from ident.PID, msg any) {
 	p := w.mut(i)
 	if w.mayEnter(p, msg) {
@@ -409,7 +414,7 @@ func (w *world) input(i int, from ident.PID, msg any) {
 		panic(fmt.Sprintf("explore: %s entered a view on a data plane it shares with other worlds (%T)", w.pids[i], msg))
 	}
 	for _, f := range fx {
-		w.apply(i, f)
+		w.entered(i, f)
 	}
 }
 
@@ -430,9 +435,9 @@ func (w *world) call(i int, req *request) result {
 	return req.res
 }
 
-// apply carries out install f of process i as Engine.input does, checking
-// (a), (b) and (f) on it.
-func (w *world) apply(i int, f install) {
+// entered checks (a), (b) and (f) on install f, a view process i entered
+// in the step just made, whose stash the step replayed.
+func (w *world) entered(i int, f install) {
 	self := w.pids[i]
 	if f.chg != nil {
 		w.checkInstall(i, f.st)
@@ -462,10 +467,6 @@ func (w *world) apply(i int, f install) {
 			w.setData(k, l)
 		}
 	}
-	for _, env := range f.replay {
-		w.input(i, env.From, env.Msg)
-	}
-	w.input(i, "", entered{})
 }
 
 // checkArmed is property (f), what must hold of s's peer table whenever a
@@ -749,7 +750,7 @@ func (w *world) moves() (out []move, fair int) {
 		}
 	}
 	for r, req := range w.reqs {
-		if !req.fired && w.procs[w.idx(req.by)].open() {
+		if !req.fired && w.procs[w.idx(req.by)].mayIssue(req) {
 			out = append(out, move{mvRequest, r, 0})
 		}
 	}
@@ -826,8 +827,17 @@ func (w *world) suspicions() []move {
 	return out
 }
 
-// open reports whether p is live, in its first view and in no change.
-func (p *xproc) open() bool { return !p.crashed && len(p.views) == 1 && p.s.open() }
+// mayIssue reports whether p, r's initiator, may issue r now: it is live,
+// in no change, and in the view r is issued in.
+func (p *xproc) mayIssue(r xreq) bool {
+	if p.crashed || !p.s.open() {
+		return false
+	}
+	if r.in == 0 {
+		return len(p.views) == 1
+	}
+	return p.s.cv.ID == r.in
+}
 
 // past reports whether p can no longer await the instance of ref: it is at
 // its end, or its view is ref's or a later one of ref's lineage. Whether
@@ -1175,6 +1185,20 @@ var scenarios = []scenario{
 		},
 		states: 41902,
 	},
+	{
+		// Two members; p0 asks for a change of view 1, and p1 asks for
+		// another once it is in view 2. p1's INIT and PRED for view 3 can
+		// reach p0 before p0 enters view 2: p0 stashes them and replays them
+		// as it enters it, in the same step.
+		name: "a change overtakes an install",
+		world: func() *world {
+			ps := ident.NewPIDs("p0", "p1")
+			w := newWorld(ps, View{ID: 1, Members: ps}, false)
+			w.reqs = []xreq{{by: "p0"}, {by: "p1", in: 2}}
+			return w
+		},
+		states: 283,
+	},
 }
 
 // verify is property (e): every process's multicasts, deliveries and
@@ -1380,6 +1404,13 @@ func TestExplorerCatchesInjectedBugs(t *testing.T) {
 			file:     "viewchange.go",
 			line:     "c.declined = c.declined.Add(from)",
 			mutant:   "return",
+			property: "(d)",
+		},
+		{
+			name:     "step enters a view without replaying its stash",
+			file:     "viewchange.go",
+			line:     "for _, env := range f.replay {",
+			mutant:   "for _, env := range f.replay[:0] {",
 			property: "(d)",
 		},
 		{

@@ -131,7 +131,7 @@ func TestCreditGrantClampedAtWindow(t *testing.T) {
 	const window = 8
 	e, p := flowEngine(config{GroupConfig: GroupConfig{Window: window, OutgoingCap: window}})
 	grant := func(n int) {
-		e.input(event{from: p.id, msg: CreditMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Credits: n}})
+		input(e, event{from: p.id, msg: CreditMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Credits: n}})
 	}
 	for i := 0; i < 3; i++ {
 		p.takeCredit()

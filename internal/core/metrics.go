@@ -41,7 +41,7 @@ func newEngMetrics(ob *obs.Obs) *engMetrics {
 
 // published is what the outside may read of an engine: the loop's view,
 // whom the group needs monitored (viewState.watching) and its counters as of
-// its last completed turn, copied under mu by syncSnapshots. It is
+// its last completed turn, copied under mu by publish. It is
 // allocated apart from the Engine so that its readers — the facade's View
 // and Stats, the node's heartbeat and the registry source export registers
 // — hold this small value and never the engine.
@@ -58,6 +58,28 @@ func (p *published) Stats() Stats {
 	return p.stats
 }
 
+// publish copies s, whose turn has ended (endTurn), into p — the view only
+// when it changed, whom it watches only when that did — and then releases
+// the replies of the turn, so a call that returns finds its own effect in p.
+func (p *published) publish(s *viewState) {
+	p.mu.Lock()
+	if p.view.Ref() != s.cv.Ref() {
+		// Every view has a ref of its own: cloning per turn would put a
+		// members alloc on the per-batch hot path.
+		p.view = s.cv.Clone()
+	}
+	if w := s.watching(); !w.Equal(p.watched) {
+		p.watched = w.Clone()
+	}
+	p.stats = s.stats
+	p.mu.Unlock()
+	for _, req := range s.replies {
+		req.resC <- req.res // buffered, one reply per request: never blocks
+	}
+	clear(s.replies)
+	s.replies = s.replies[:0]
+}
+
 // export makes the registry of ob read p whenever it is snapshotted: one
 // value per row of statsExport, as of the loop's last completed turn —
 // what Stats shows at that moment.
@@ -71,13 +93,6 @@ func (p *published) export(ob *obs.Obs) {
 }
 
 func reason[S ~string](r S) []obs.Label { return []obs.Label{obs.L("reason", string(r))} }
-
-func flag(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
 
 // statsExport is the engine's metric catalogue: every counter and gauge it
 // exports (each under the engine's node and group labels) and the Stats
@@ -123,7 +138,7 @@ var statsExport = []struct {
 	{"engine_todeliver_max", obs.KindGauge, nil, func(s *Stats) uint64 { return uint64(s.ToDeliverMax) }},
 	{"engine_history_len", obs.KindGauge, nil, func(s *Stats) uint64 { return uint64(s.HistoryLen) }},
 	{"engine_purged_todeliver", obs.KindGauge, nil, func(s *Stats) uint64 { return s.PurgedToDeliver }},
-	{"engine_blocked", obs.KindGauge, nil, func(s *Stats) uint64 { return flag(s.Blocked) }},
+	{"engine_blocked", obs.KindGauge, nil, func(s *Stats) uint64 { return uint64(boolByte(s.Blocked)) }},
 	{"engine_last_flush_len", obs.KindGauge, nil, func(s *Stats) uint64 { return uint64(s.LastFlushLen) }},
 	{"engine_parked_current", obs.KindGauge, nil, func(s *Stats) uint64 { return uint64(s.Parked) }},
 }

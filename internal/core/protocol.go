@@ -9,7 +9,8 @@ package core
 // Deliver calls waiting for the queue, and the answers of the turn. A call,
 // the stop (onRequest) and a data arrival (onDataBatch) are step events;
 // the end of every turn of the owner's loop (endTurn), after all the turn's
-// events, is the one method the owner calls directly. Every send leaves
+// events, is the one method the owner calls directly, and it leaves the
+// value's gauges current for the owner to publish. Every send leaves
 // through the value's outlet, the engine's endpoint or the explorer's
 // links.
 
@@ -491,16 +492,23 @@ func (s *viewState) freeSlot(from *peer, seq ident.Seq) {
 // transaction: every message of a MulticastBatch or a DataBatchMsg has
 // purged its predecessors before a waiter is woken, and the waiter gets the
 // survivors in one reply. What the retries append goes to a waiter the
-// queue could not feed before.
+// queue could not feed before. Last it refreshes the gauges in s.stats, so
+// the counters describe the value as the turn left it.
 func (s *viewState) endTurn() {
 	for {
 		s.serveWaiters()
 		s.retryPending()
 		s.retryParked()
 		if len(s.deliverWaiters) == 0 || s.toDeliver.Len() == 0 {
-			return
+			break
 		}
 	}
+	st := &s.stats
+	st.View, st.Epoch, st.Members = s.cv.ID, s.cv.Epoch, len(s.cv.Members)
+	st.ToDeliverLen, st.HistoryLen = s.toDeliver.Len(), s.delivered.Len()
+	st.Parked, st.LastSent, st.Blocked = len(s.multicastQ), s.own.recvMax, s.chg != nil
+	q := s.toDeliver.Stats()
+	st.PurgedToDeliver, st.ToDeliverMax = q.Purged, max(st.ToDeliverMax, q.MaxLen)
 }
 
 // serveIfFull serves deliveries in mid-turn, which only a full delivery

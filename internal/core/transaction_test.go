@@ -233,7 +233,7 @@ func TestFullQueueServedMidTurn(t *testing.T) {
 	for s := ident.Seq(1); s <= capacity+2; s++ {
 		run = append(run, DataMsg{View: 1, Meta: obsolete.Msg{Sender: "peer", Seq: s}})
 	}
-	e.input(event{data: []transport.Envelope{{From: "peer", Msg: &DataBatchMsg{Msgs: run}}}})
+	input(e, event{data: []transport.Envelope{{From: "peer", Msg: &DataBatchMsg{Msgs: run}}}})
 	if e.vc.stalled() {
 		t.Fatal("arrivals stalled behind a full queue that had a waiter")
 	}
@@ -427,7 +427,7 @@ func TestCallStepAllocatesNothing(t *testing.T) {
 	dl := &request{kind: reqDeliver, dst: make([]Delivery, batch)}
 	var grant any = CreditMsg{View: e.vc.cv.ID, Credits: batch}
 	call := func(e *Engine, req *request) {
-		e.input(event{msg: req})
+		input(e, event{msg: req})
 		e.vc.endTurn()
 		if len(e.vc.replies) != 1 || req.res.err != nil {
 			t.Fatalf("%d answers to a call of kind %d (%v), want it answered", len(e.vc.replies), req.kind, req.res.err)
@@ -440,7 +440,7 @@ func TestCallStepAllocatesNothing(t *testing.T) {
 		}
 		mc.done = 0
 		call(e, mc)
-		e.input(event{from: "a", msg: grant})
+		input(e, event{from: "a", msg: grant})
 	}
 	if n := testing.AllocsPerRun(runs, multicast); n != 0 {
 		t.Errorf("a %d-message multicast request allocates %v times", batch, n)
@@ -467,7 +467,7 @@ func TestCallStepAllocatesNothing(t *testing.T) {
 		arrivals[i] = []transport.Envelope{{From: "a", Msg: &DataBatchMsg{Msgs: run}}}
 	}
 	if n := testing.AllocsPerRun(runs, func() {
-		r.input(event{data: arrivals[0]})
+		input(r, event{data: arrivals[0]})
 		arrivals = arrivals[1:]
 		call(r, dl)
 		if dl.res.n != batch {

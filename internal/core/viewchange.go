@@ -11,7 +11,8 @@ package core
 // in flight is one record with one ledger of PredMsg contributions, one
 // quorum rule decides when to propose (checkPropose), every proposal
 // repurges its flush once, the decided value is a StateMsg entering through
-// one door (onDecision), and every view is entered one way (enter).
+// one door (onDecision), and every view is entered one way (enter), which
+// step finishes by replaying the control traffic stashed for the view.
 //
 // The state is the whole group member but its loop: the view change, its
 // consensus machine, the data plane of t1–t3 (protocol.go) and the
@@ -24,13 +25,14 @@ package core
 // step reaches no engine, detector, channel or timer: the time and the
 // detector's verdicts come in with each event, step proposes to the
 // machine, asks it for decisions and hands it every consensus message and
-// suspicion itself, and the one thing it leaves to its owner — the loop's
-// half of entering a view — goes out as install, which the engine carries
-// out (input) in order. Whom the group needs monitored is read off the
-// state (watching), not told. Protocol time is a step too: the state
-// records when its stability gossip, heal probe, merge timeout, join
-// retransmission and join give-up are next due, wake reports the earliest,
-// and a tick event runs whatever is due. Nothing here starts a goroutine.
+// suspicion itself, and it enters a view whole: it replays the stash and
+// serves the parked admissions itself, and reports the views it entered
+// (install) only for its observers to check. Whom the group needs
+// monitored is read off the state (watching), not told. Protocol time is a
+// step too: the state records when its stability gossip, heal probe, merge
+// timeout, join retransmission and join give-up are next due, wake reports
+// the earliest, and a tick event runs whatever is due. Nothing here starts
+// a goroutine.
 // Because the state is a value its owner can copy, the explorer
 // (explore_test.go) runs this same code, data plane and calls included,
 // through every interleaving of a small group, with its consensus oracle
@@ -125,7 +127,7 @@ type viewState struct {
 	// The application's calls (protocol.go): the multicasts parked by flow
 	// control, a change or a join, in FIFO order; the Deliver calls waiting
 	// for the queue; and the calls this turn answered, which the owner
-	// releases once the turn is over (Engine.syncSnapshots).
+	// releases once the turn is over (published.publish).
 	multicastQ     []*request
 	deliverWaiters []*request
 	replies        []*request
@@ -215,7 +217,7 @@ func (s *viewState) open() bool { return !s.joining && s.chg == nil && s.termina
 // once it is at its end, the contacts while it joins, the union while a
 // merge runs — the quorum rule needs suspicion to develop for far-side
 // members that died — and the view otherwise. It is read, never copied,
-// so a turn that did not change it costs one comparison (syncSnapshots).
+// so a turn that did not change it costs one comparison (publish).
 func (s *viewState) watching() ident.PIDs {
 	switch {
 	case s.terminal != nil:
@@ -234,8 +236,8 @@ func (s *viewState) watching() ident.PIDs {
 // received (an InitMsg, PredMsg, SplitMsg, ProbeMsg, JoinReqMsg, StateMsg,
 // CreditMsg, StableMsg or consensus.Msg, whose rounds share the Ctl inbox,
 // or one of no known kind), an application's call or the stop (a *request:
-// a multicast, t2; a Deliver, t1; a membership change, t4; the end), or one
-// of fd.Event (a suspicion), tick and entered. An event without msg is a
+// a multicast, t2; a Deliver, t1; a membership change, t4; the end), an
+// fd.Event (a suspicion) or a tick. An event without msg is a
 // data arrival (t3): its batch travels typed, not boxed, so stepping it
 // allocates nothing.
 type event struct {
@@ -249,21 +251,14 @@ type event struct {
 // suspector is the failure detector as step reads it: fd.Detector is one.
 type suspector interface{ Suspected(ident.PID) bool }
 
-type (
-	// tick is protocol time passing: every timed duty due by now runs.
-	tick struct{}
-	// entered tells that the engine has entered the view an install named
-	// and replayed the stash.
-	entered struct{}
-)
+// tick is protocol time passing: every timed duty due by now runs.
+type tick struct{}
 
-// install is what step asks of the engine: the loop's half of entering
-// view, which step has made current, installing it into the data plane
-// and letting the parked multicasts in. It tells what the view was entered
-// on (the flush st that chg decided, the state transfer st from a member
-// that admits this joiner, or neither for a view a probe proved), and the
-// control traffic stashed for it. The engine replays the stash and steps
-// entered.
+// install is the record of a view step entered: the view, what it was
+// entered on (the flush st that chg decided, the state transfer st from a
+// member that admits this joiner, or neither for a view a probe proved),
+// and the control traffic stashed for it, which step replays. Nothing acts
+// on it but step; its observers (the explorer) check it.
 type install struct {
 	view   View
 	st     StateMsg
@@ -280,7 +275,8 @@ type install struct {
 const maxDeferredCtl = 4096
 
 // turn is one step in progress: the state being stepped, the event, the
-// decisions the consensus machine returned so far, and the views entered.
+// decisions the consensus machine returned so far, and the views its
+// handler and decisions entered.
 type turn struct {
 	*viewState
 	event
@@ -289,10 +285,14 @@ type turn struct {
 }
 
 // step is the group member's transition function: it steps s with ev and
-// returns the views the engine must install, in order. What the consensus
-// machine decides during the handler enters through onDecision after it,
-// in the order decided, so a decision installs in the turn that produced
-// it.
+// returns the views it entered, in order. What the consensus machine
+// decides during the handler enters through onDecision after it, in the
+// order decided, so a decision installs in the turn that produced it.
+// Then step finishes entering each view (t7's second half): it steps the
+// control traffic stashed for the view, each envelope at ev's time and
+// with ev's detector and depth first — the views a replayed envelope
+// enters are finished before the next envelope —, and then serves the
+// admission requests parked while no view was open.
 func step(s *viewState, ev event) []install {
 	t := &turn{viewState: s, event: ev}
 	switch m := ev.msg.(type) {
@@ -311,15 +311,20 @@ func step(s *viewState, ev event) []install {
 		t.onSuspicion(m)
 	case tick:
 		t.onTick()
-	case entered:
-		t.serveJoins()
 	default:
 		t.onCtl(ev.from, ev.msg)
 	}
 	for _, d := range t.decided {
 		t.onDecision(d)
 	}
-	return t.fx
+	fx := t.fx
+	for _, f := range t.fx {
+		for _, env := range f.replay {
+			fx = append(fx, step(s, event{from: env.From, msg: env.Msg, now: ev.now, detector: ev.detector})...)
+		}
+		t.serveJoins()
+	}
+	return fx
 }
 
 // learn keeps what a call of the consensus machine decided for the end of
@@ -765,9 +770,10 @@ func (t *turn) onDecision(d consensus.Decision) {
 // state transfer did, or a probe proved it: the change in flight ends, a
 // view that excludes this process expels it, the data plane adopts what f
 // carries and puts the view marker behind it, everything scoped to one view
-// starts afresh, the parked multicasts get their turn — before the stash
-// replays, so the view they were parked for is the one they are sent in —
-// and the engine does its half (install).
+// starts afresh, and the parked multicasts get their turn — before the
+// stash replays, so the view they were parked for is the one they are sent
+// in. The view goes on the turn's record (install), with the stash, for
+// step to replay.
 func (t *turn) enter(next View, f install) {
 	prev := t.cv
 	t.chg = nil
@@ -828,21 +834,5 @@ func (t *turn) installFlush(c *change, st StateMsg, prev View) {
 		// request reaches serveJoins at another member. This reads the
 		// closing view's history, before enter starts a new one.
 		t.sendState(next, next.Members.Without(prev.Members))
-	}
-}
-
-// ---- the engine's half: installing ------------------------------------------
-
-// input steps the group member with one event, at the clock's now and with
-// the detector's verdicts, and carries out the installs it asks for: each
-// view's stashed control traffic is replayed, and step hears that the view
-// is entered.
-func (e *Engine) input(ev event) {
-	ev.now, ev.detector = e.vc.clock.Now(), e.cfg.Detector
-	for _, f := range step(&e.vc, ev) {
-		for _, env := range f.replay {
-			e.input(event{from: env.From, msg: env.Msg})
-		}
-		e.input(event{msg: entered{}})
 	}
 }

@@ -342,6 +342,13 @@ func (l *ctlLog) proposed(t *testing.T, ref ident.ViewRef) StateMsg {
 	return StateMsg{}
 }
 
+// input steps e's value with ev as its loop would: at the clock's now and
+// with the detector's verdicts.
+func input(e *Engine, ev event) {
+	ev.now, ev.detector = e.vc.clock.Now(), e.cfg.Detector
+	step(&e.vc, ev)
+}
+
 // changeEngine is a hand-built, never-started engine self in view 4 of
 // members under tagging, with a manual detector and a consensus machine
 // that reaches nobody but the log, into which the test can inject
@@ -482,9 +489,9 @@ func TestViewChangeStartsNoGoroutine(t *testing.T) {
 	e, log := changeEngine(t, "p1", ident.NewPIDs("p1", "p2", "p3"))
 	next := ident.ViewRef{ID: e.vc.cv.ID + 1}
 	before := runtime.NumGoroutine()
-	e.input(event{from: "p1", msg: InitMsg{View: View{ID: e.vc.cv.ID}}})
+	input(e, event{from: "p1", msg: InitMsg{View: View{ID: e.vc.cv.ID}}})
 	for _, p := range e.vc.cv.Members {
-		e.input(event{from: p, msg: PredMsg{Change: next}})
+		input(e, event{from: p, msg: PredMsg{Change: next}})
 	}
 	if !e.vc.chg.proposed {
 		t.Fatal("every PRED is in, yet the change did not propose")
@@ -544,7 +551,7 @@ func (n *consNet) run() {
 		switch peer := n.peers[env.to]; {
 		case n.lost.Contains(env.to):
 		case env.to == n.e.cfg.Self:
-			n.e.input(event{from: env.from, msg: env.m})
+			input(n.e, event{from: env.from, msg: env.m})
 		case peer != nil:
 			peer.Receive(env.from, env.m)
 		}
@@ -569,9 +576,9 @@ func TestExpelledMemberAnswersConsensus(t *testing.T) {
 	if _, err := n.peer(t, "p0").Propose(viewInstance(v5), ps, raw); err != nil {
 		t.Fatal(err)
 	}
-	e.input(event{from: "p0", msg: InitMsg{View: View{ID: 4}, Leave: ident.NewPIDs("p1")}})
+	input(e, event{from: "p0", msg: InitMsg{View: View{ID: 4}, Leave: ident.NewPIDs("p1")}})
 	for _, p := range ps {
-		e.input(event{from: p, msg: PredMsg{Change: v5}})
+		input(e, event{from: p, msg: PredMsg{Change: v5}})
 	}
 	n.run()
 	if e.vc.terminal != ErrExpelled || e.vc.cv.Ref() != v5 {
@@ -614,9 +621,9 @@ func TestConsensusAheadOfTheChange(t *testing.T) {
 		t.Fatalf("p1's estimate ahead of the change: %d stashed, %d dropped, blocked %v; want it held by the machine alone",
 			len(e.vc.stash), st.DroppedUnknownCtl+st.DroppedStale+st.CtlDeferredDropped, e.vc.chg != nil)
 	}
-	e.input(event{from: "p1", msg: InitMsg{View: View{ID: 4}}})
+	input(e, event{from: "p1", msg: InitMsg{View: View{ID: 4}}})
 	for _, p := range ident.NewPIDs("p0", "p1") {
-		e.input(event{from: p, msg: PredMsg{Change: v5}})
+		input(e, event{from: p, msg: PredMsg{Change: v5}})
 	}
 	n.run()
 	if e.vc.cv.Ref() != v5 || e.vc.chg != nil {
@@ -635,7 +642,7 @@ func TestConsensusFloodAheadOfTheChange(t *testing.T) {
 	n := newConsNet(e)
 	n.lost = ident.PIDs{"p2"}
 	for i := 0; i < 2*consensus.MaxUnproposed; i++ {
-		e.input(event{from: "x", msg: consensus.Msg{Instance: fmt.Sprintf("fake-%d", i)}})
+		input(e, event{from: "x", msg: consensus.Msg{Instance: fmt.Sprintf("fake-%d", i)}})
 	}
 	v5 := ident.ViewRef{ID: 5}
 	raw, err := codec.Marshal(nil, StateMsg{View: View{ID: v5.ID, Members: ident.NewPIDs("p0", "p1")}})
@@ -646,9 +653,9 @@ func TestConsensusFloodAheadOfTheChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.run()
-	e.input(event{from: "p1", msg: InitMsg{View: View{ID: 4}}})
+	input(e, event{from: "p1", msg: InitMsg{View: View{ID: 4}}})
 	for _, p := range ident.NewPIDs("p0", "p1") {
-		e.input(event{from: p, msg: PredMsg{Change: v5}})
+		input(e, event{from: p, msg: PredMsg{Change: v5}})
 	}
 	n.run()
 	if e.vc.cv.Ref() != v5 || e.vc.chg != nil {
@@ -747,12 +754,12 @@ func TestDecidedFlushRepurged(t *testing.T) {
 func TestParkedCallsCommitBeforeStashReplays(t *testing.T) {
 	ps := ident.NewPIDs("p1", "p2")
 	e, _ := changeEngine(t, "p1", ps)
-	e.input(event{from: "p1", msg: InitMsg{View: View{ID: 4}}})
+	input(e, event{from: "p1", msg: InitMsg{View: View{ID: 4}}})
 	req := &request{kind: reqMulticast}
 	req.one[0].Meta = obsolete.Msg{Sender: "p1", Seq: 1}
 	req.batch = req.one[:]
-	e.input(event{msg: req})
-	e.input(event{from: "p2", msg: InitMsg{View: View{ID: 5}}})
+	input(e, event{msg: req})
+	input(e, event{from: "p2", msg: InitMsg{View: View{ID: 5}}})
 	if len(e.vc.multicastQ) != 1 || len(e.vc.stash) != 1 {
 		t.Fatalf("%d calls parked and %d messages stashed in the change, want 1 and 1", len(e.vc.multicastQ), len(e.vc.stash))
 	}
@@ -761,7 +768,7 @@ func TestParkedCallsCommitBeforeStashReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.input(event{msg: consensus.Msg{Instance: viewInstance(v5), Value: st}})
+	input(e, event{msg: consensus.Msg{Instance: viewInstance(v5), Value: st}})
 	if len(e.vc.replies) != 1 || req.res != (result{view: v5}) || len(e.vc.multicastQ) != 0 {
 		t.Fatalf("after the install: %d answers, the call's %+v, %d parked; want it answered in %v", len(e.vc.replies), req.res, len(e.vc.multicastQ), v5)
 	}
@@ -787,14 +794,14 @@ func TestParkedCallsCommitBeforeStashReplays(t *testing.T) {
 // one DecisionFailures and installs nothing; a StateMsg installs.
 func TestDecodeValueRejectsGarbage(t *testing.T) {
 	e, _ := changeEngine(t, "p1", ident.NewPIDs("p1", "p2"))
-	e.input(event{from: "p1", msg: InitMsg{View: View{ID: e.vc.cv.ID}}})
+	input(e, event{from: "p1", msg: InitMsg{View: View{ID: e.vc.cv.ID}}})
 	ref := ident.ViewRef{ID: e.vc.cv.ID + 1}
 	credit, err := codec.Marshal(nil, CreditMsg{View: ref.ID, Credits: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, raw := range [][]byte{[]byte("garbage"), nil, credit} {
-		e.input(event{msg: consensus.Msg{Instance: viewInstance(ref), Value: raw}})
+		input(e, event{msg: consensus.Msg{Instance: viewInstance(ref), Value: raw}})
 		if n := e.vc.stats.DecisionFailures; n != uint64(i+1) || e.vc.cv.ID != 4 || e.vc.chg == nil {
 			t.Fatalf("decision %q: %d failures, view %d, blocked %v; want %d, view 4, still blocked",
 				raw, n, e.vc.cv.ID, e.vc.chg != nil, i+1)
@@ -804,7 +811,7 @@ func TestDecodeValueRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.input(event{msg: consensus.Msg{Instance: viewInstance(ref), Value: st}})
+	input(e, event{msg: consensus.Msg{Instance: viewInstance(ref), Value: st}})
 	if e.vc.cv.Ref() != ref || e.vc.chg != nil || e.vc.stats.DecisionFailures != 3 {
 		t.Fatalf("a StateMsg decision left view %v, blocked %v, %d failures", e.vc.cv.Ref(), e.vc.chg != nil, e.vc.stats.DecisionFailures)
 	}

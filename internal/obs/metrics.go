@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -243,14 +241,6 @@ func (r *Registry) Snapshot() Snapshot {
 		src(emit)
 	}
 	return s
-}
-
-// WriteJSON writes the snapshot as indented JSON — the expvar-style
-// export svs-demo serves on its -metrics endpoint.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }
 
 // Sum adds up every counter whose name (ignoring labels) equals name —

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -115,6 +114,8 @@ func TestObsWithDerivesLabels(t *testing.T) {
 	}
 }
 
+// TestWriteJSONRoundTrips: a snapshot survives encoding/json both ways,
+// which is how svs-demo serves its merged snapshot.
 func TestWriteJSONRoundTrips(t *testing.T) {
 	r := NewRegistry()
 	depth := int64(-4)
@@ -123,13 +124,13 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 		emit("g", KindGauge, uint64(depth))
 	})
 	r.Histogram("h", CountBuckets).Observe(3)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	raw, err := json.Marshal(r.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var s Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
+	if err := json.Unmarshal(raw, &s); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, raw)
 	}
 	if s.Counters["c"] != 2 || s.Gauges["g"] != -4 || s.Histograms["h"].Count != 1 {
 		t.Fatalf("round-trip mismatch: %+v", s)

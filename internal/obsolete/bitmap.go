@@ -38,17 +38,6 @@ func (b Bitmap) Get(i int) bool {
 	return b[i/64]&(1<<(uint(i)%64)) != 0
 }
 
-// Or folds src into b (b |= src). Bits of src beyond len(b) are dropped.
-func (b Bitmap) Or(src Bitmap) {
-	n := len(b)
-	if len(src) < n {
-		n = len(src)
-	}
-	for i := 0; i < n; i++ {
-		b[i] |= src[i]
-	}
-}
-
 // OrShift folds src shifted left by shift bits into b (b |= src << shift).
 // Bits shifted beyond len(b) are dropped; this implements the window
 // truncation of the k-enumeration: predecessors further than k away fall

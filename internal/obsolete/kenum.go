@@ -98,9 +98,6 @@ func (t *KTracker) row(seq ident.Seq) Bitmap {
 	return Bitmap(t.ring[i : i+t.w : i+t.w])
 }
 
-// K returns the window size.
-func (t *KTracker) K() int { return t.k }
-
 // Seq returns the last sequence number allocated.
 func (t *KTracker) Seq() ident.Seq { return t.seq }
 

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -24,8 +23,6 @@ const (
 	FaultDelay FaultKind = "delay"
 	// FaultDuplicate: a message sent twice by a per-link duplication rule.
 	FaultDuplicate FaultKind = "duplicate"
-	// FaultCrash: an endpoint hard-closed by Crash.
-	FaultCrash FaultKind = "crash"
 )
 
 // FaultStats counts injected faults since the controller was created.
@@ -34,21 +31,20 @@ type FaultStats struct {
 	Dropped     uint64 // messages dropped by probabilistic rules
 	Delayed     uint64 // messages routed through a delay queue
 	Duplicated  uint64 // extra copies sent by duplication rules
-	Crashed     uint64 // endpoints hard-closed by Crash
 }
 
 // Faults is a deterministic fault-injection controller for transport
 // endpoints. It wraps any Endpoint implementation (MemNetwork and
 // TCPNetwork alike) with send-side filtering: symmetric and asymmetric
 // partitions between peer sets, per-link probabilistic drop and
-// duplication, per-link FIFO-preserving delays, and process crashes
-// (hard-closing the wrapped endpoint).
+// duplication, and per-link FIFO-preserving delays. A process crashes by
+// closing its endpoint (FaultEndpoint.Close, or MemNetwork.Crash).
 //
 // All randomness comes from one seeded rand source and all time from an
 // obs.Clock, so a DES harness driving an obs.Fake replays the exact same
 // fault schedule run after run. Every injected fault is counted in
 // FaultStats, which Instrument exports as
-// transport_faults_total{kind=partition|drop|delay|duplicate|crash}.
+// transport_faults_total{kind=partition|drop|delay|duplicate}.
 //
 // Faults filters on the sending side: a rule for the link a→b takes
 // effect at a's controller. In a multi-process deployment each process
@@ -59,7 +55,6 @@ type Faults struct {
 	mu    sync.Mutex
 	clock obs.Clock
 	rng   *rand.Rand
-	eps   map[ident.PID]*FaultEndpoint
 
 	cut   map[link]bool
 	drop  map[link]float64
@@ -75,7 +70,6 @@ func NewFaults(seed int64) *Faults {
 	return &Faults{
 		clock: obs.Wall{},
 		rng:   rand.New(rand.NewSource(seed)),
-		eps:   make(map[ident.PID]*FaultEndpoint),
 		cut:   make(map[link]bool),
 		drop:  make(map[link]float64),
 		delay: make(map[link]time.Duration),
@@ -108,7 +102,6 @@ func (f *Faults) Instrument(ob *obs.Obs) {
 		kind(FaultDrop, st.Dropped)
 		kind(FaultDelay, st.Delayed)
 		kind(FaultDuplicate, st.Duplicated)
-		kind(FaultCrash, st.Crashed)
 	})
 }
 
@@ -119,14 +112,9 @@ func (f *Faults) Stats() FaultStats {
 	return f.stats
 }
 
-// Wrap returns a fault-injecting endpoint around ep and registers it with
-// the controller under ep.Self(), making it a target for Crash.
+// Wrap returns a fault-injecting endpoint around ep.
 func (f *Faults) Wrap(ep Endpoint) *FaultEndpoint {
-	fe := &FaultEndpoint{f: f, under: ep, self: ep.Self(), links: make(map[ident.PID]*ubq.Queue[delayedMsg])}
-	f.mu.Lock()
-	f.eps[fe.self] = fe
-	f.mu.Unlock()
-	return fe
+	return &FaultEndpoint{f: f, under: ep, self: ep.Self(), links: make(map[ident.PID]*ubq.Queue[delayedMsg])}
 }
 
 // Partition cuts every link between the sets a and b, in both directions.
@@ -211,25 +199,6 @@ func (f *Faults) Duplicate(from, to ident.PID, p float64) {
 		return
 	}
 	f.dup[link{from, to}] = p
-}
-
-// Crash hard-closes the wrapped endpoint registered under p: its
-// underlying endpoint closes (dropping its queues, breaking its
-// connections) and every subsequent Send through the wrapper fails with
-// ErrClosed. It returns an error if no wrapped endpoint is registered
-// under p.
-func (f *Faults) Crash(p ident.PID) error {
-	f.mu.Lock()
-	fe := f.eps[p]
-	if fe == nil {
-		f.mu.Unlock()
-		return fmt.Errorf("transport: faults: no endpoint registered for %s", p)
-	}
-	delete(f.eps, p)
-	f.stats.Crashed++
-	f.mu.Unlock()
-	fe.shutdown()
-	return fe.under.Close()
 }
 
 // verdict is one atomic fault decision for a send, taken under f.mu so
@@ -383,31 +352,20 @@ func (e *FaultEndpoint) delayLink(to ident.PID) *ubq.Queue[delayedMsg] {
 // Close implements Endpoint: closes the wrapped endpoint and stops the
 // delay queues (in-flight delayed messages are dropped, crash-stop).
 func (e *FaultEndpoint) Close() error {
-	e.shutdown()
-	e.f.mu.Lock()
-	if e.f.eps[e.self] == e {
-		delete(e.f.eps, e.self)
-	}
-	e.f.mu.Unlock()
-	return e.under.Close()
-}
-
-func (e *FaultEndpoint) shutdown() {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	links := make([]*ubq.Queue[delayedMsg], 0, len(e.links))
-	for _, dl := range e.links {
-		links = append(links, dl)
+	var links []*ubq.Queue[delayedMsg]
+	if !e.closed {
+		e.closed = true
+		for _, dl := range e.links {
+			links = append(links, dl)
+		}
 	}
 	e.mu.Unlock()
 	for _, dl := range links {
 		dl.Close()
 	}
-	e.wg.Wait() // no delayed message is sent once shutdown returns
+	e.wg.Wait() // no delayed message is sent once the links are closed
+	return e.under.Close()
 }
 
 // delayedMsg is one message traversing a delayed link.

@@ -207,25 +207,21 @@ func TestFaultsDelayRemovalKeepsFIFO(t *testing.T) {
 	}
 }
 
-func TestFaultsCrashClosesEndpoint(t *testing.T) {
+// TestFaultEndpointClose: closing a wrapped endpoint is how a process
+// crashes — sends from it fail and sends to it find no peer.
+func TestFaultEndpointClose(t *testing.T) {
 	f := NewFaults(9)
 	fa, fb := faultPair(t, f)
 
-	if err := f.Crash("b"); err != nil {
+	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// b's endpoint is gone: sends from b fail, sends to b vanish with it.
 	if err := fb.Send("a", ident.NodeGroup, Data, "x"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("send from crashed endpoint: err = %v, want ErrClosed", err)
+		t.Fatalf("send from closed endpoint: err = %v, want ErrClosed", err)
 	}
 	if err := fa.Send("b", ident.NodeGroup, Data, "x"); !errors.Is(err, ErrUnknownPeer) {
-		t.Fatalf("send to crashed peer: err = %v, want ErrUnknownPeer", err)
-	}
-	if st := f.Stats(); st.Crashed != 1 {
-		t.Fatalf("Crashed = %d, want 1", st.Crashed)
-	}
-	if err := f.Crash("b"); err == nil {
-		t.Fatal("second Crash of the same endpoint should error")
+		t.Fatalf("send to closed peer: err = %v, want ErrUnknownPeer", err)
 	}
 }
 
@@ -246,15 +242,11 @@ func TestFaultsMetrics(t *testing.T) {
 	if err := fa.Send("b", ident.NodeGroup, Data, "x"); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Crash("a"); err != nil {
-		t.Fatal(err)
-	}
 
 	snap := reg.Snapshot()
 	for _, want := range []string{
 		`transport_faults_total{kind=partition}`,
 		`transport_faults_total{kind=drop}`,
-		`transport_faults_total{kind=crash}`,
 	} {
 		if v := snap.Counters[want]; v != 1 {
 			t.Fatalf("%s = %d, want 1", want, v)
