@@ -220,14 +220,14 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 
 // FuzzStep steps arbitrary peer input into p0 of a three-member group —
 // open, blocked in a change, or joining — as the engine's loop does: each
-// input is one turn (a step, then endTurn), and data reaches the
-// value only while it is not gated. An input is whatever the codec decodes from
+// input is one turn (a step, then endTurn). An input is whatever the codec decodes from
 // the fuzzed bytes (a control message, a consensus.Msg or data), stepped
 // as a control or consensus envelope or as a data batch, from a member or
 // a stranger, 1 to 5,000 times; how's bit 4 gives every repetition a fresh
 // stranger and a fresh consensus instance. No input may panic the value or
-// grow what it keeps past a bound: the stash, the parked admissions and
-// its consensus machine's caps.
+// grow what it keeps past a bound: the stash, the parked admissions, the
+// pending data arrivals (two windows per sender: the current view's credits
+// and a later view's) and its consensus machine's caps.
 func FuzzStep(f *testing.F) {
 	for _, b := range wireCorpus(f) {
 		f.Add(uint8(0), uint8(0), uint16(0), b)
@@ -286,15 +286,20 @@ func FuzzStep(f *testing.F) {
 					msg = cm
 				}
 			}
-			switch {
-			case how&2 == 0:
+			if how&2 == 0 {
 				input(e, event{from: from, msg: msg})
-			case !s.gated():
+			} else {
 				input(e, event{data: []transport.Envelope{{From: from, Msg: msg}}})
 			}
 			s.endTurn()
 		}
 		unproposed, buffered := m.Backlog()
+		perSender := map[ident.PID]int{}
+		for _, dm := range s.pending {
+			if perSender[dm.Meta.Sender]++; perSender[dm.Meta.Sender] > 2*s.cfg.Window {
+				t.Fatalf("%d arrivals from %s pending, bound %d", perSender[dm.Meta.Sender], dm.Meta.Sender, 2*s.cfg.Window)
+			}
+		}
 		switch {
 		case len(s.stash) > maxDeferredCtl:
 			t.Fatalf("%d messages stashed, bound %d", len(s.stash), maxDeferredCtl)

@@ -57,15 +57,20 @@ type GroupConfig struct {
 	Relation obsolete.Relation
 
 	// ToDeliverCap bounds the delivery queue (Figure 1's to-deliver).
-	// 0 means unbounded. A full queue exerts flow control on senders.
+	// 0 means unbounded. A full queue exerts flow control on senders
+	// through the credits it withholds: an arrival that does not fit waits
+	// in the receiver until it does, as far as its sender's credits allow.
 	ToDeliverCap int
 	// OutgoingCap bounds each per-peer outgoing queue used when the peer
 	// is out of window credits. 0 means unbounded.
 	OutgoingCap int
 	// Window is the per-sender flow-control window (credits) a receiver
-	// grants. 0 disables credit flow control entirely: sends go straight
-	// to the network and only ToDeliverCap provides backpressure (the
-	// receiver simply stops reading).
+	// grants, and enforces: an arrival beyond the credits granted its
+	// sender is dropped and counted (Stats.DroppedOverspent). 0 disables
+	// credit flow control entirely, a mode for trusted peers only: sends
+	// go straight to the network, nothing bounds what a sender makes a
+	// receiver keep, and arrivals that do not fit the delivery queue wait
+	// in the receiver without a bound.
 	Window int
 
 	// AutoEvict makes the engine initiate a view change excluding any

@@ -75,8 +75,9 @@ type Stats struct {
 
 	DroppedBadType       uint64 // data-channel envelopes that were not data
 	DroppedUnknownCtl    uint64 // control envelopes of no known type
-	DroppedExpelled      uint64 // control traffic reaching this engine after its expulsion or failed join
+	DroppedExpelled      uint64 // traffic reaching this engine after its expulsion or failed join
 	DroppedUnknownSender uint64 // data or credits from a process that is not a member, or not the process whose link it arrived on
+	DroppedOverspent     uint64 // data arrivals beyond the credits their sender was granted (GroupConfig.Window)
 	SendErrors           uint64 // sends the endpoint refused
 
 	CreditsStaleView   uint64 // credit grants discarded: wrong view

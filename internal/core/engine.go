@@ -351,15 +351,8 @@ func (e *Engine) run() {
 				timer = e.vc.clock.NewTimer(w.Sub(e.vc.clock.Now()))
 			}
 		}
-		// Flow control: while not an open member, or holding unprocessed
-		// arrivals, leave data in the transport; senders run out of
-		// credits and stop.
-		dataC := dataIn
-		if e.vc.gated() {
-			dataC = nil
-		}
 		select {
-		case envs, ok := <-dataC:
+		case envs, ok := <-dataIn:
 			if !ok {
 				dataIn = nil
 				break

@@ -90,6 +90,7 @@ type xproc struct {
 	views    []ident.ViewRef // the views it entered, the initial one first
 	selfQ    []selfMsg       // what it sent itself, not yet processed
 	script   []obsolete.Msg  // what it is yet to multicast, in order
+	castIn   ident.ViewID    // the view it multicasts its script in; 0: its first
 	casts    []check.Event   // what it multicast, each in the view it was sent in
 	log      []check.Event   // what its application delivered and installed
 	key      []byte          // its part of the world's key, once computed
@@ -220,7 +221,7 @@ func (w *world) mayEnter(p *xproc, msg any) bool {
 }
 
 // cloneData is a copy of s that shares no data plane with it: the queues,
-// the peer records, the stage, the receive stash and the blocks runs are
+// the peer records, the stage, the pending arrivals and the blocks runs are
 // carved from. (No call is ever parked in it: see call.)
 func cloneData(s viewState) viewState {
 	s.toDeliver, s.delivered = cloneQueue(s.toDeliver, s.cfg), cloneQueue(s.delivered, s.cfg)
@@ -238,7 +239,7 @@ func cloneData(s viewState) viewState {
 		others[i] = peers[p.id]
 	}
 	s.peers, s.others, s.own = peers, others, peers[s.self]
-	s.pendingRest, s.stage = slices.Clone(s.pendingRest), slices.Clone(s.stage)
+	s.pending, s.stage = slices.Clone(s.pending), slices.Clone(s.stage)
 	s.runs, s.envs = nil, nil
 	return s
 }
@@ -345,7 +346,7 @@ func (w *world) send(p, q ident.PID, ch transport.Channel, msg any) {
 		w.decliners = w.decliners.Add(p)
 	}
 	switch {
-	case j < 0:
+	case j < 0, ch == transport.Data && w.doomed(j, msg):
 	case ch == transport.Data:
 		l := w.dataLink(i*n + j)
 		w.setData(i*n+j, append(l[:len(l):len(l)], wrap(msg)))
@@ -402,7 +403,10 @@ func (w *world) inst(id string) int {
 }
 
 // input steps process i with one event, as the engine's loop does, and
-// checks (a), (b) and (f) on the views the step entered.
+// checks (a), (b) and (f) on the views the step entered. A step that left
+// the process open with data arrivals pending ends the turn (endTurn), which
+// takes them, as the engine's loop does; no other turn's end changes
+// anything the explorer sees.
 func (w *world) input(i int, from ident.PID, msg any) {
 	p := w.mut(i)
 	if w.mayEnter(p, msg) {
@@ -415,6 +419,10 @@ func (w *world) input(i int, from ident.PID, msg any) {
 	}
 	for _, f := range fx {
 		w.entered(i, f)
+	}
+	w.dropDoomed(i)
+	if len(p.s.pending) > 0 && p.s.open() {
+		w.mutData(i).s.endTurn()
 	}
 }
 
@@ -452,15 +460,28 @@ func (w *world) entered(i int, f install) {
 		}
 	}
 	p.views = append(p.views[:len(p.views):len(p.views)], f.view.Ref())
-	// Data in flight to it from a view it has left can only be dropped as
-	// stale whenever it arrives, so it is dropped now.
+}
+
+// doomed reports whether process j can only drop data message m whenever it
+// arrives: m is of a view j has left, or of j's current view while j is in
+// an ordinary change, which ends only by entering a later view.
+func (w *world) doomed(j int, m any) bool {
+	dm, ok := m.(DataMsg)
+	s := &w.procs[j].s
+	if !ok || dm.View > s.cv.ID {
+		return false
+	}
+	return dm.Ref() != s.cv.Ref() || s.chg != nil && !s.chg.merge()
+}
+
+// dropDoomed drops the data in flight to process i that it can only drop
+// (doomed): a step that blocked it or entered a view dooms what it has not
+// yet received.
+func (w *world) dropDoomed(i int) {
 	for j := range w.pids {
 		k := j*len(w.pids) + i
 		l := w.dataLink(k)
-		for len(l) > 0 {
-			if dm, ok := l[0].m.(DataMsg); !ok || dm.Ref() == f.view.Ref() {
-				break
-			}
+		for len(l) > 0 && w.doomed(i, l[0].m) {
 			l = l[1:]
 		}
 		if len(l) < len(w.dataLink(k)) {
@@ -566,7 +587,7 @@ const (
 	mvRequest                   // membership request a is issued
 	mvCrash                     // process a crashes
 	mvData                      // process the head of data link a
-	mvMulticast                 // process a multicasts the next message of its script, in its first view: a one-message request
+	mvMulticast                 // process a multicasts the next message of its script (mayCast): a one-message request
 	mvApp                       // the application of process a delivers its queue's head: a one-slot request
 )
 
@@ -763,12 +784,12 @@ func (w *world) moves() (out []move, fair int) {
 	}
 	n := len(w.pids)
 	for k := 0; k < n*n; k++ {
-		if p := w.procs[k%n]; len(w.dataLink(k)) > 0 && !p.crashed && !p.s.gated() {
+		if len(w.dataLink(k)) > 0 && !w.procs[k%n].crashed {
 			out = append(out, move{mvData, k, 0})
 		}
 	}
 	for i, p := range w.procs {
-		if !p.crashed && len(p.script) > 0 && p.s.open() && len(p.views) == 1 {
+		if len(p.script) > 0 && p.mayCast() {
 			out = append(out, move{mvMulticast, i, 0})
 		}
 	}
@@ -837,6 +858,19 @@ func (p *xproc) mayIssue(r xreq) bool {
 		return len(p.views) == 1
 	}
 	return p.s.cv.ID == r.in
+}
+
+// mayCast reports whether p may multicast the next message of its script
+// now: it is live and open, and in its first view or, if the script names
+// one, in that view.
+func (p *xproc) mayCast() bool {
+	if p.crashed || !p.s.open() {
+		return false
+	}
+	if p.castIn == 0 {
+		return len(p.views) == 1
+	}
+	return p.s.cv.ID == p.castIn
 }
 
 // past reports whether p can no longer await the instance of ref: it is at
@@ -1020,7 +1054,7 @@ func (w *world) procKey(p *xproc) []byte {
 		b = strconv.AppendUint(b, c.bytesIn, 10)
 	}
 	// The data plane: the queue and the history, every record's frontiers
-	// and window, the receive stash; and what the process multicast and
+	// and window, the pending arrivals; and what the process multicast and
 	// its application delivered.
 	item := func(it *queue.Item) bool {
 		if it.Kind == queue.Control {
@@ -1044,9 +1078,8 @@ func (w *world) procKey(p *xproc) []byte {
 			}
 		}
 	}
-	if s.stalled() {
-		msg(s.pendingHead)
-		msg(&DataBatchMsg{Msgs: s.pendingRest[s.pendingPos:]})
+	if len(s.pending) > 0 {
+		msg(&DataBatchMsg{Msgs: s.pending})
 	}
 	for _, evs := range [][]check.Event{p.casts, p.log} {
 		b = append(b, '|')
@@ -1198,6 +1231,26 @@ var scenarios = []scenario{
 			return w
 		},
 		states: 283,
+	},
+	{
+		// p0 alone admits the joiner p1, then multicasts two messages in
+		// view 2 and asks for view 3. Either message can reach p1 before
+		// the sponsor's transfer does: p1 holds it while it joins and takes
+		// it once it enters view 2, or (e) finds p1 installing view 3
+		// without it.
+		name: "data: a joiner takes the next view's data that came before its transfer",
+		world: func() *world {
+			ps := ident.NewPIDs
+			w := newWorldOf(ps("p0", "p1"), View{ID: 1, Members: ps("p0")}, GroupConfig{Relation: tagging})
+			w.procs[1].s.cv, w.procs[1].s.joining, w.procs[1].views = View{}, true, []ident.ViewRef{{}}
+			w.app = true
+			tags := tagStreams{}
+			w.procs[0].script = []obsolete.Msg{tags.next("p0", 1), tags.next("p0", 2)}
+			w.procs[0].castIn = 2
+			w.reqs = []xreq{{by: "p0", join: ps("p1")}, {by: "p0", in: 2}}
+			return w
+		},
+		states: 236,
 	},
 }
 
@@ -1418,6 +1471,13 @@ func TestExplorerCatchesInjectedBugs(t *testing.T) {
 			file:     "snapshot.go",
 			line:     "s.delivered.EachRef(collect)",
 			mutant:   "s.delivered.EachRef(collect); out = out[:max(len(out)-1, 0)]",
+			property: "(e)",
+		},
+		{
+			name:     "a member that is not open drops data instead of holding it",
+			file:     "protocol.go",
+			line:     "case s.terminal != nil:",
+			mutant:   "case !s.open():",
 			property: "(e)",
 		},
 	} {

@@ -186,21 +186,17 @@ func (s *viewState) grant(p *peer, n int) {
 // stood for.
 func (s *viewState) onCredit(from ident.PID, m CreditMsg) {
 	if m.View != s.cv.ID || m.Epoch != s.cv.Epoch {
-		s.stats.CreditsStaleView++
-		s.ev.Drop(obs.DropStaleCredit, slog.String("from", string(from)),
-			slog.Uint64("view", uint64(m.View)))
+		s.drop(&s.stats.CreditsStaleView, obs.DropStaleCredit, from, slog.Uint64("view", uint64(m.View)))
 		return
 	}
 	p := s.peers[from]
 	if p == nil || !p.member {
-		s.dropUnknownSender(from)
+		s.drop(&s.stats.DroppedUnknownSender, obs.DropUnknownSender, from)
 		return
 	}
 	if p.credit(m.Credits) {
 		// More credits than p can owe us: keep the window, drop the rest.
-		s.stats.CreditsExcess++
-		s.ev.Drop(obs.DropExcessCredit, slog.String("from", string(from)),
-			slog.Int("credits", m.Credits))
+		s.drop(&s.stats.CreditsExcess, obs.DropExcessCredit, from, slog.Int("credits", m.Credits))
 	}
 	s.drainOutgoing(p)
 }

@@ -63,12 +63,12 @@ func scanCovers(rel obsolete.Relation, held []DataMsg, m obsolete.Msg) bool {
 }
 
 // TestFrontierSubsumesCover pins what makes the reception frontier t3's whole
-// test in processData and adopt: every held message of s has seq ≤ s's
+// test in take and adopt: every held message of s has seq ≤ s's
 // recvMax (our own stream's included), so for an arrival above the frontier
 // the paper's t3 test — scanCovers over everything held — always answers
 // "not covered". Seeded FIFO streams from three senders and
 // ourselves go through all three places that insert a held message
-// (processData, adopt, commitOne), interleaved with deliveries, duplicate
+// (take, adopt, commitOne), interleaved with deliveries, duplicate
 // arrivals and view changes.
 func TestFrontierSubsumesCover(t *testing.T) {
 	const k = 8
@@ -118,7 +118,7 @@ func TestFrontierSubsumesCover(t *testing.T) {
 				in(DataMsg{View: e.vc.cv.ID, Epoch: e.vc.cv.Epoch, Meta: m})
 			}
 			arrive := func(dm DataMsg) {
-				if !e.vc.processData(e.vc.peers[dm.Meta.Sender], dm) {
+				if !e.vc.take(e.vc.peers[dm.Meta.Sender], dm) {
 					t.Fatal("unbounded delivery queue reported full")
 				}
 			}

@@ -121,8 +121,7 @@ func (t *turn) onJoinReq(from ident.PID) {
 		return
 	}
 	if len(t.joins) >= maxPendingJoins && !t.joins.Contains(from) {
-		t.stats.JoinReqDropped++
-		t.drop(obs.DropJoinOverflow)
+		t.drop(&t.stats.JoinReqDropped, obs.DropJoinOverflow, from)
 		return
 	}
 	t.joins = t.joins.Add(from)

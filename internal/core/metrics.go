@@ -13,6 +13,10 @@ const (
 	ignoreWrongView  = "wrong_view"  // the losing branch of concurrent proposals
 )
 
+// dropOverspent labels a data message dropped beyond the credits its sender
+// was granted (hold, take).
+const dropOverspent obs.DropReason = "overspent"
+
 // engMetrics are the timings and sizes a plain counter cannot carry,
 // resolved once at construction. Every field is nil-safe: an engine built
 // without a registry pays one nil check per site. Events are counted in
@@ -124,6 +128,7 @@ var statsExport = []struct {
 	{"engine_dropped_total", obs.KindCounter, reason(obs.DropUnknownCtl), func(s *Stats) uint64 { return s.DroppedUnknownCtl }},
 	{"engine_dropped_total", obs.KindCounter, reason(obs.DropExpelled), func(s *Stats) uint64 { return s.DroppedExpelled }},
 	{"engine_dropped_total", obs.KindCounter, reason(obs.DropUnknownSender), func(s *Stats) uint64 { return s.DroppedUnknownSender }},
+	{"engine_dropped_total", obs.KindCounter, reason(dropOverspent), func(s *Stats) uint64 { return s.DroppedOverspent }},
 	{"engine_send_errors_total", obs.KindCounter, nil, func(s *Stats) uint64 { return s.SendErrors }},
 	{"engine_decision_failures_total", obs.KindCounter, nil, func(s *Stats) uint64 { return s.DecisionFailures }},
 	{"engine_credit_flushes_total", obs.KindCounter, nil, func(s *Stats) uint64 { return s.CreditFlushes }},

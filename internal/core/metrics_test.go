@@ -442,6 +442,9 @@ func TestRegistryMatchesStats(t *testing.T) {
 	// on those it never proposed to, and the messages it drops past its
 	// cap on one instance's buffer. One more was dropped with
 	// Faults.Crash, which nothing called: transport_faults_total{kind=crash}.
+	// And one was added by the change that makes a receiver enforce the
+	// credits it grants: engine_dropped_total{reason=overspent} counts the
+	// data arrivals beyond them, which only a buggy or hostile member sends.
 	parent, err := os.ReadFile("testdata/parent_metric_keys.txt")
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,7 @@ package core
 
 // protocol.go is Figure 1's data path: t2 multicast, t3 receive, t1
 // deliver, and purge() wherever a message waits. Its state — the delivery
-// queue, the history, the peer table, the stage and the receive stash — is
+// queue, the history, the peer table, the stage and the pending arrivals — is
 // part of the group member's value (viewState, viewchange.go), so t4–t7
 // close it, flush it and install into it in the same step, and so are the
 // application's calls on it: the multicasts parked until they fit, the
@@ -15,7 +15,6 @@ package core
 // links.
 
 import (
-	"log/slog"
 	"slices"
 	"sort"
 	"time"
@@ -314,66 +313,55 @@ func (s *viewState) onDataBatch(envs []transport.Envelope) {
 		default:
 			// A data-channel envelope that is not data: miscoded or
 			// hostile peer. This was an entirely silent discard before.
-			s.stats.DroppedBadType++
-			s.ev.Drop(obs.DropBadType, slog.String("from", string(env.From)))
+			s.drop(&s.stats.DroppedBadType, obs.DropBadType, env.From)
 		}
 	}
 }
 
-// gated reports whether the owner must leave data arrivals in the
-// transport: this process is no open member (joining, changing views, or at
-// its end), a previous arrival waits for queue space, or there is no space
-// to begin with.
-func (s *viewState) gated() bool {
-	return !s.open() || s.stalled() || s.toDeliver.Full()
-}
-
-// stalled reports whether an earlier arrival waits for queue space: a
-// processed head, or the raw rest of its batch.
-func (s *viewState) stalled() bool {
-	return s.pendingHead.Meta.Seq != 0 || s.pendingPos < len(s.pendingRest)
-}
-
 // ingestData routes one arrival on link, the process that sent it, whose
-// record is from (nil: it has none): process it now, or — when an earlier
-// arrival of this batch is already waiting for queue space — stash it raw
-// behind it, preserving per-sender FIFO. (The data inbox is gated while
-// anything is pending, so the stash is bounded by one batched receive.) A
-// process multicasts only its own stream: a message in anyone else's name
-// is dropped before it can reach the stash or a frontier.
+// record is from (nil: it has none). A process multicasts only its own
+// stream: a message in anyone else's name is dropped before it can reach
+// pending or a frontier. An open process takes the arrival at once (take)
+// unless earlier arrivals wait, which keeps per-sender FIFO; the rest wait
+// in pending, as far as their senders' credits allow (hold).
 func (s *viewState) ingestData(link ident.PID, from *peer, dm DataMsg) {
-	if dm.Meta.Sender != link {
-		s.dropUnknownSender(link)
-		return
-	}
-	if s.stalled() {
-		s.pendingRest = append(s.pendingRest, dm)
-		return
-	}
-	if !s.processData(from, dm) {
-		s.pendingHead = dm
+	switch {
+	case dm.Meta.Sender != link:
+		s.drop(&s.stats.DroppedUnknownSender, obs.DropUnknownSender, link)
+	case len(s.pending) > 0 || !s.open() || !s.take(from, dm):
+		s.hold(from, dm)
 	}
 }
 
-// processData runs the t3 receive checks for one arrival from the sender
-// whose record is from (nil: it has none). It returns false only when the
-// message passed every check (and its credit charge and purges were
-// applied) but the delivery queue is full — the caller keeps it as
-// pendingHead until space frees. It runs only while the data plane is open.
-func (s *viewState) processData(from *peer, dm DataMsg) bool {
-	if dm.View != s.cv.ID || dm.Epoch != s.cv.Epoch {
+// take runs the t3 receive checks on one arrival from the sender whose
+// record is from (nil: it has none), while the process is open: an
+// arrival of another view, our own echo, one from a process that is no
+// member and one beyond the credits its sender was granted are dropped;
+// one its sender's frontier covers is dropped and its slot freed; any
+// other is accepted with its purges. It returns false, touching nothing,
+// for an arrival that passed every check but does not fit the delivery
+// queue even after its purges: it waits unprocessed (pending), so no purge
+// is ever applied for a message that is not accepted.
+func (s *viewState) take(from *peer, dm DataMsg) bool {
+	switch {
+	case dm.View != s.cv.ID || dm.Epoch != s.cv.Epoch:
 		// Not this view — stale, or another lineage's traffic racing a
 		// partition merge. Either way its pred/flush obligations are
 		// handled by view-change machinery, not the data path.
 		s.stats.DroppedStale++
 		return true
-	}
-	if dm.Meta.Sender == s.self {
+	case dm.Meta.Sender == s.self:
 		return true // never accept echoes of our own stream
-	}
-	if from == nil || !from.member {
-		s.dropUnknownSender(dm.Meta.Sender)
+	case from == nil || !from.member:
+		s.drop(&s.stats.DroppedUnknownSender, obs.DropUnknownSender, dm.Meta.Sender)
 		return true
+	case from.window > 0 && from.used >= from.granted:
+		s.drop(&s.stats.DroppedOverspent, dropOverspent, from.id)
+		return true
+	}
+	it := itemOf(dm)
+	if dm.Meta.Seq > from.recvMax && fullAfterPurge(s.toDeliver, it) {
+		return false
 	}
 	// Whatever happens to it next, this arrival consumed one of the
 	// credits we granted its sender (receiver-side ledger, flow.go).
@@ -388,25 +376,51 @@ func (s *viewState) processData(from *peer, dm DataMsg) bool {
 		s.grant(from, from.freed())
 		return true
 	}
-	it := itemOf(dm)
 	s.purgeToDeliver(it, from)
-	if s.toDeliver.Full() {
-		// Keep the arrival in the one reserved stall slot; the data inbox
-		// stays closed until space frees, so per-sender FIFO holds.
-		return false
-	}
 	s.acceptData(from, it)
 	return true
 }
 
-// dropUnknownSender discards a data message or credit grant that id had no
-// right to send: one in another process's name, or a current-view one from
-// a process that is no member of the view — only members multicast in it
-// and hold windows. Whatever PID a peer wrote there gets no slot, no credit
-// and no record.
-func (s *viewState) dropUnknownSender(id ident.PID) {
-	s.stats.DroppedUnknownSender++
-	s.ev.Drop(obs.DropUnknownSender, slog.String("from", string(id)))
+// hold keeps an arrival that cannot be taken now at the end of pending, or
+// drops it, counted. A process at its end holds nothing. One that is not
+// open (changing views or joining) holds arrivals of a later view, which
+// it may yet enter, from the change's audience; an open one, or one in a
+// merge, which may abort, holds those of its current view. An ordinary
+// change ends only by entering a later view, so the current view's data is
+// stale already. With flow control on, the credits granted bound what
+// waits: a current-view arrival from p waits while p's arrivals taken and
+// waiting stay within the credits granted it, one of a later view while
+// fewer than a window of p's wait — a later view grants a full one; a
+// re-sent copy of an arrival that waits already is dropped as covered. What
+// waits is resolved in order by retryPending: stale after an install, taken
+// after an aborted merge or once the queue has room.
+func (s *viewState) hold(from *peer, dm DataMsg) {
+	id := dm.Meta.Sender
+	next := !s.open() && dm.View > s.cv.ID
+	waiting, last := 0, ident.Seq(0)
+	for i := 0; i < len(s.pending) && s.cfg.Window > 0; i++ {
+		if h := &s.pending[i]; h.Meta.Sender == id {
+			last = h.Meta.Seq // each sender's arrivals wait in order
+			if next && h.View > s.cv.ID || !next && h.Ref() == dm.Ref() {
+				waiting++
+			}
+		}
+	}
+	switch {
+	case s.terminal != nil:
+		s.stats.DroppedExpelled++
+	case !next && (dm.Ref() != s.cv.Ref() || s.chg != nil && !s.chg.merge()):
+		s.stats.DroppedStale++
+	case id == s.self:
+	case next && s.chg != nil && !s.chg.audience.Contains(id), !next && (from == nil || !from.member):
+		s.drop(&s.stats.DroppedUnknownSender, obs.DropUnknownSender, id)
+	case dm.Meta.Seq <= last:
+		s.stats.DroppedCovered++
+	case s.cfg.Window > 0 && (next && waiting >= s.cfg.Window || !next && from.used+waiting >= from.granted):
+		s.drop(&s.stats.DroppedOverspent, dropOverspent, id)
+	default:
+		s.pending = append(s.pending, dm)
+	}
 }
 
 func (s *viewState) acceptData(from *peer, it queue.Item) {
@@ -418,36 +432,19 @@ func (s *viewState) acceptData(from *peer, it queue.Item) {
 	s.serveIfFull()
 }
 
-// retryPending re-attempts the stashed arrivals once space frees: first
-// the processed head waiting on its stall slot, then the raw remainder of
-// the batch behind it.
+// retryPending takes the pending arrivals in order while the process is
+// open, up to the first that still does not fit.
 func (s *viewState) retryPending() {
-	var from *peer // sender of the last stashed arrival: they come in runs
-	for s.open() {
-		if s.pendingHead.Meta.Seq != 0 {
-			if s.toDeliver.Full() {
-				return
-			}
-			from = s.peerOf(s.pendingHead.Meta.Sender, from)
-			it := itemOf(s.pendingHead)
-			s.pendingHead = DataMsg{}
-			s.acceptData(from, it) // still this view: onInit clears the stash
-			continue
+	var from *peer // sender of the last arrival taken: they come in runs
+	n := 0
+	for ; n < len(s.pending) && s.open(); n++ {
+		if from = s.peerOf(s.pending[n].Meta.Sender, from); !s.take(from, s.pending[n]) {
+			break
 		}
-		if s.pendingPos < len(s.pendingRest) {
-			dm := s.pendingRest[s.pendingPos]
-			s.pendingRest[s.pendingPos] = DataMsg{} // release payload refs
-			s.pendingPos++
-			from = s.peerOf(dm.Meta.Sender, from)
-			if !s.processData(from, dm) {
-				s.pendingHead = dm
-			}
-			continue
-		}
-		s.pendingRest = s.pendingRest[:0]
-		s.pendingPos = 0
-		return
 	}
+	rest := copy(s.pending, s.pending[n:])
+	clear(s.pending[rest:]) // release the taken arrivals' payloads
+	s.pending = s.pending[:rest]
 }
 
 // purgeToDeliver purges the delivery-queue entries obsoleted by it and
@@ -486,7 +483,7 @@ func (s *viewState) freeSlot(from *peer, seq ident.Seq) {
 
 // endTurn ends every turn of the owner's loop: it drops the calls whose
 // callers gave up, hands the delivery queue to the waiting Deliver and
-// DeliverBatch calls, then lets the stashed arrivals and parked multicasts
+// DeliverBatch calls, then lets the pending arrivals and parked multicasts
 // into the room that made (and into whatever else the turn changed — a
 // view, a terminal state). Serving once a turn is what makes a batch one
 // transaction: every message of a MulticastBatch or a DataBatchMsg has

@@ -103,7 +103,7 @@ func repurge(rel obsolete.Relation, msgs []DataMsg) []DataMsg {
 // would break per-sender FIFO delivery — our own stream included, whose
 // frontier is what we committed or adopted. Nothing held covers a message
 // above the frontier, so the frontier is t3's whole test here as in
-// processData. The frontiers of recv are adopted afterwards — the filter
+// take. The frontiers of recv are adopted afterwards — the filter
 // must see our own — and only forwards, so stale retransmissions are
 // recognised as duplicates. Our own entry continues the sequence numbering
 // of an earlier incarnation of this PID.

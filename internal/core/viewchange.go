@@ -100,16 +100,11 @@ type viewState struct {
 	others []*peer
 	own    *peer
 
-	// pendingHead is one arrival (zero Seq: none — sequence numbers start
-	// at 1) that passed every receive check (its credit is charged and its
-	// purges applied) but found the delivery queue full; it occupies the
-	// reserved stall slot until space frees. pendingRest holds the raw,
-	// unprocessed remainder of a batched receive behind it (consumed from
-	// pendingPos), so per-sender FIFO survives batch arrivals; the data
-	// inbox stays gated while either is non-empty.
-	pendingHead DataMsg
-	pendingRest []DataMsg
-	pendingPos  int
+	// pending is the data arrivals this process could not take yet, in the
+	// order they came, unprocessed: the delivery queue was full, earlier
+	// ones waited, or it was not open. The credits granted their senders
+	// bound it (hold).
+	pending []DataMsg
 
 	// stage is the open multicast transaction's run (commitOne): every
 	// message it committed, in order, so it ends at our frontier. Each
@@ -385,10 +380,11 @@ func earliest(a, b time.Time) time.Time {
 	return a
 }
 
-// drop logs the event's message as discarded for reason; the caller counts
-// it.
-func (t *turn) drop(reason obs.DropReason, attrs ...slog.Attr) {
-	t.ev.Drop(reason, append([]slog.Attr{slog.String("from", string(t.from))}, attrs...)...)
+// drop counts in n a message from discarded for reason, and logs it with
+// attrs.
+func (s *viewState) drop(n *uint64, reason obs.DropReason, from ident.PID, attrs ...slog.Attr) {
+	*n++
+	s.ev.Drop(reason, append([]slog.Attr{slog.String("from", string(from))}, attrs...)...)
 }
 
 // sendAll sends msg on the control channel to each of to.
@@ -494,8 +490,7 @@ func (t *turn) onCtl(from ident.PID, msg any) {
 	default:
 		// A control envelope of no known kind fell through every case —
 		// before, it vanished without a trace.
-		t.stats.DroppedUnknownCtl++
-		t.drop(obs.DropUnknownCtl)
+		t.drop(&t.stats.DroppedUnknownCtl, obs.DropUnknownCtl, from)
 	}
 }
 
@@ -523,15 +518,13 @@ func (t *turn) deferFuture(msg any, ref ident.ViewRef) bool {
 		return false
 	}
 	if same && !t.joining && ref.ID > t.cv.ID+1 || !same && t.open() {
-		t.stats.DroppedStale++
-		t.drop(obs.DropStaleView, slog.String("view", ref.String()))
+		t.drop(&t.stats.DroppedStale, obs.DropStaleView, t.from, slog.String("view", ref.String()))
 		return true
 	}
 	if len(t.stash) < maxDeferredCtl {
 		t.stash = append(t.stash, transport.Envelope{From: t.from, Msg: msg})
 	} else {
-		t.stats.CtlDeferredDropped++
-		t.drop(obs.DropDeferOverflow, slog.Uint64("view", uint64(ref.ID)))
+		t.drop(&t.stats.CtlDeferredDropped, obs.DropDeferOverflow, t.from, slog.Uint64("view", uint64(ref.ID)))
 	}
 	return true
 }
@@ -575,12 +568,10 @@ func (t *turn) onInit(from ident.PID, m InitMsg) {
 	if from != t.self {
 		t.sendAll(c.audience.Remove(t.self), m)
 	}
-	// The data plane closes: arrivals not yet accepted are dropped, their
-	// senders' pred sets cover them. Our PRED goes to ourselves too:
-	// loopback keeps one code path. Watch for the decision even if we never
-	// reach the propose condition ourselves — the decide flood must still
-	// install the view here.
-	t.pendingHead, t.pendingRest, t.pendingPos = DataMsg{}, t.pendingRest[:0], 0
+	// The data plane closes: arrivals wait (pending) until the change ends.
+	// Our PRED goes to ourselves too: loopback keeps one code path. Watch
+	// for the decision even if we never reach the propose condition
+	// ourselves — the decide flood must still install the view here.
 	t.sendAll(c.audience, t.contribution(c))
 	t.await(c.next)
 }

@@ -1,6 +1,9 @@
 package obsolete
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Bitmap is a little-endian bit set used by the k-enumeration encoding.
 // Bit i of the bitmap attached to a message with sequence number s means
@@ -109,18 +112,38 @@ func (b Bitmap) Bytes() []byte {
 	if last < 0 {
 		return []byte{}
 	}
-	out := make([]byte, last*8+(bits.Len64(b[last])+7)/8)
-	for i := range out {
-		out[i] = byte(b[i/8] >> (8 * uint(i%8)))
+	out := make([]byte, last*8+8)
+	for i, w := range b[:last+1] {
+		binary.LittleEndian.PutUint64(out[i*8:], w)
 	}
-	return out
+	n := last*8 + (bits.Len64(b[last])+7)/8
+	return out[:n:n]
 }
 
 // BitmapFromBytes parses the wire form produced by Bytes.
 func BitmapFromBytes(p []byte) Bitmap {
-	b := make(Bitmap, (len(p)+7)/8)
-	for i, c := range p {
-		b[i/8] |= uint64(c) << (8 * uint(i%8))
+	return make(Bitmap, (len(p)+7)/8).load(p)
+}
+
+// load fills the first words of b with the wire form p, which must fit,
+// and returns them.
+func (b Bitmap) load(p []byte) Bitmap {
+	b = b[:(len(p)+7)/8]
+	for i := range b {
+		b[i] = word(p, i*8)
 	}
 	return b
+}
+
+// word is the little-endian word at byte off of the wire form p, zero past
+// its end.
+func word(p []byte, off int) uint64 {
+	if len(p)-off >= 8 {
+		return binary.LittleEndian.Uint64(p[off:])
+	}
+	var w uint64
+	for j, c := range p[off:] {
+		w |= uint64(c) << (8 * uint(j))
+	}
+	return w
 }

@@ -1,7 +1,6 @@
 package obsolete
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -50,15 +49,7 @@ func (r KEnumeration) AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq)
 		p = p[:m]
 	}
 	for off := 0; off < len(p); off += 8 {
-		var w uint64
-		if len(p)-off >= 8 {
-			w = binary.LittleEndian.Uint64(p[off:])
-		} else {
-			for j, c := range p[off:] {
-				w |= uint64(c) << (8 * uint(j))
-			}
-		}
-		for ; w != 0; w &= w - 1 {
+		for w := word(p, off); w != 0; w &= w - 1 {
 			i := uint64(off*8 + bits.TrailingZeros64(w))
 			if i >= n {
 				return dst
@@ -70,17 +61,19 @@ func (r KEnumeration) AppendObsoleted(dst []ident.Seq, new Msg, floor ident.Seq)
 }
 
 // KTracker allocates sequence numbers and computes transitively closed
-// k-enumeration bitmaps at the sender. It keeps the bitmaps of the last k
-// messages in a ring so that closure is a single shift-OR per direct
-// predecessor.
+// k-enumeration bitmaps at the sender. It keeps the annotation it returned
+// for each of the last k messages in a ring, so that closure is a single
+// shift-OR per direct predecessor.
 type KTracker struct {
 	k   int
 	seq ident.Seq
-	// ring is k bitmaps of w words each, cut from one array (row): slot
-	// (seq-1) % k holds the bitmap of message seq while it remains inside
-	// the window.
-	w    int
-	ring []uint64
+	// ring holds at slot (seq-1) % k the annotation of message seq while
+	// it remains inside the window. bm and src are one window of words
+	// each, cut from one array at the first message: Next builds the new
+	// bitmap in bm, zero outside the words it writes, and loads a
+	// predecessor's annotation into src.
+	ring    [][]byte
+	bm, src Bitmap
 }
 
 // NewKTracker returns a tracker with window k. k must be positive.
@@ -88,14 +81,12 @@ func NewKTracker(k int) *KTracker {
 	if k <= 0 {
 		panic("obsolete: k must be positive")
 	}
-	w := (k + 63) / 64
-	return &KTracker{k: k, w: w, ring: make([]uint64, k*w)}
+	return &KTracker{k: k, ring: make([][]byte, k)}
 }
 
-// row is the bitmap of message seq's ring slot.
-func (t *KTracker) row(seq ident.Seq) Bitmap {
-	i := int(uint64(seq-1)%uint64(t.k)) * t.w
-	return Bitmap(t.ring[i : i+t.w : i+t.w])
+// slot is message seq's place in the ring.
+func (t *KTracker) slot(seq ident.Seq) *[]byte {
+	return &t.ring[uint64(seq-1)%uint64(t.k)]
 }
 
 // Seq returns the last sequence number allocated.
@@ -104,28 +95,38 @@ func (t *KTracker) Seq() ident.Seq { return t.seq }
 // Next allocates the next sequence number for a message that directly
 // obsoletes the messages with the given sequence numbers. It returns the
 // new sequence number and the wire annotation containing the transitive
-// closure (bounded by the window).
+// closure (bounded by the window). The annotation is shared with the
+// tracker, which folds it into later ones: it must never be written.
 //
 // Direct predecessors outside the window are silently dropped, mirroring
 // the paper: "it is very unlikely that two messages far apart in the
 // message stream can be found simultaneously in the same buffer".
 func (t *KTracker) Next(direct ...ident.Seq) (ident.Seq, []byte) {
+	if t.bm == nil {
+		w := (t.k + 63) / 64
+		words := make(Bitmap, 2*w)
+		t.bm, t.src = words[:w:w], words[w:]
+	}
 	t.seq++
-	seq := t.seq
-	bm := t.row(seq)
-	clear(bm)
+	seq, n := t.seq, 0 // n: how many words of bm may be written
 	for _, d := range direct {
 		if d == 0 || d >= seq || uint64(seq-d) > uint64(t.k) {
 			continue
 		}
 		delta := int(seq - d)
-		bm.Set(delta - 1)
+		t.bm.Set(delta - 1)
 		// Fold in d's own closure, shifted into seq's frame: a message at
 		// distance i from d sits at distance delta+i from seq.
-		bm.OrShift(t.row(d), delta)
+		src := t.src.load(*t.slot(d))
+		t.bm.OrShift(src, delta)
+		n = max(n, min(len(t.bm), len(src)+delta/64+1))
 	}
+	bm := t.bm[:n]
 	bm.Trim(t.k)
-	return seq, bm.Bytes()
+	annot := bm.Bytes()
+	clear(bm)
+	*t.slot(seq) = annot
+	return seq, annot
 }
 
 // Skip fast-forwards the tracker to sequence number to, so the next
@@ -145,11 +146,11 @@ func (t *KTracker) Skip(to ident.Seq) {
 }
 
 // Annot returns the wire annotation of an already-allocated recent message
-// (one of the last k). It reports false if seq has fallen out of the
-// window. Useful for diagnostics and tests.
+// (one of the last k), shared as Next returned it. It reports false if seq
+// has fallen out of the window. Useful for diagnostics and tests.
 func (t *KTracker) Annot(seq ident.Seq) ([]byte, bool) {
 	if seq == 0 || seq > t.seq || uint64(t.seq-seq) >= uint64(t.k) {
 		return nil, false
 	}
-	return t.row(seq).Bytes(), true
+	return *t.slot(seq), true
 }

@@ -491,8 +491,9 @@ func TestKTrackerAnnot(t *testing.T) {
 	}
 }
 
-// TestKTrackerAllocatesOnce: a tracker's ring of k bitmaps is one array, so
-// building one allocates the tracker and that array, whatever k is.
+// TestKTrackerAllocatesOnce: a tracker's ring of k annotations is one
+// array, and its scratch words come with its first message, so building one
+// allocates the tracker and that array, whatever k is.
 func TestKTrackerAllocatesOnce(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { NewKTracker(2048) }); n > 2 {
 		t.Fatalf("NewKTracker(2048) made %v allocations, want at most 2", n)
