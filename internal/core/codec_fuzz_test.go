@@ -224,10 +224,12 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 // the fuzzed bytes (a control message, a consensus.Msg or data), stepped
 // as a control or consensus envelope or as a data batch, from a member or
 // a stranger, 1 to 5,000 times; how's bit 4 gives every repetition a fresh
-// stranger and a fresh consensus instance. No input may panic the value or
-// grow what it keeps past a bound: the stash, the parked admissions, the
-// pending data arrivals (two windows per sender: the current view's credits
-// and a later view's) and its consensus machine's caps.
+// stranger, in whose name a DataMsg then comes, and a fresh consensus
+// instance. No input may panic the value or grow what it keeps past a
+// bound: the stash, the parked admissions, the pending data arrivals (two
+// windows per sender: the current view's credits and a later view's; and
+// strangerWindows windows of strangers' on top of the members') and its
+// consensus machine's caps.
 func FuzzStep(f *testing.F) {
 	for _, b := range wireCorpus(f) {
 		f.Add(uint8(0), uint8(0), uint16(0), b)
@@ -248,6 +250,12 @@ func FuzzStep(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(uint8(2), uint8(0), uint16(maxDeferredCtl-1), pred)
+	// A joiner sent a later view's data in the names of 5,000 processes.
+	data, err := codec.Marshal(nil, DataMsg{View: 5, Meta: obsolete.Msg{Sender: "x", Seq: 1}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(2), uint8(6), uint16(4999), data)
 	det := fd.NewManual()
 	f.Cleanup(det.Stop)
 	members := ident.NewPIDs("p0", "p1", "p2")
@@ -281,9 +289,13 @@ func FuzzStep(f *testing.F) {
 			}
 			if how&4 != 0 {
 				from = ident.PID(fmt.Sprintf("x%d", i))
-				if cm, ok := msg.(consensus.Msg); ok {
-					cm.Instance += string(from)
-					msg = cm
+				switch m := msg.(type) {
+				case consensus.Msg:
+					m.Instance += string(from)
+					msg = m
+				case DataMsg:
+					m.Meta.Sender = from
+					msg = m
 				}
 			}
 			if how&2 == 0 {
@@ -301,6 +313,8 @@ func FuzzStep(f *testing.F) {
 			}
 		}
 		switch {
+		case len(s.pending) > (strangerWindows+2*len(members))*s.cfg.Window:
+			t.Fatalf("%d arrivals pending, bound %d", len(s.pending), (strangerWindows+2*len(members))*s.cfg.Window)
 		case len(s.stash) > maxDeferredCtl:
 			t.Fatalf("%d messages stashed, bound %d", len(s.stash), maxDeferredCtl)
 		case len(s.joins) > maxPendingJoins:

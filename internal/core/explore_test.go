@@ -221,8 +221,9 @@ func (w *world) mayEnter(p *xproc, msg any) bool {
 }
 
 // cloneData is a copy of s that shares no data plane with it: the queues,
-// the peer records, the stage, the pending arrivals and the blocks runs are
-// carved from. (No call is ever parked in it: see call.)
+// the peer records, the stage, the pending arrivals and what of each sender
+// waits, and the blocks runs are carved from. (No call is ever parked in
+// it: see call.)
 func cloneData(s viewState) viewState {
 	s.toDeliver, s.delivered = cloneQueue(s.toDeliver, s.cfg), cloneQueue(s.delivered, s.cfg)
 	peers, recs := make(map[ident.PID]*peer, len(s.peers)), make([]peer, 0, len(s.peers))
@@ -239,7 +240,7 @@ func cloneData(s viewState) viewState {
 		others[i] = peers[p.id]
 	}
 	s.peers, s.others, s.own = peers, others, peers[s.self]
-	s.pending, s.stage = slices.Clone(s.pending), slices.Clone(s.stage)
+	s.pending, s.waiting, s.stage = slices.Clone(s.pending), maps.Clone(s.waiting), slices.Clone(s.stage)
 	s.runs, s.envs = nil, nil
 	return s
 }

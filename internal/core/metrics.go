@@ -14,7 +14,7 @@ const (
 )
 
 // dropOverspent labels a data message dropped beyond the credits its sender
-// was granted (hold, take).
+// was granted (admit).
 const dropOverspent obs.DropReason = "overspent"
 
 // engMetrics are the timings and sizes a plain counter cannot carry,

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/check"
+	"repro/internal/consensus"
 	"repro/internal/ident"
 	"repro/internal/obsolete"
 	"repro/internal/transport"
@@ -232,8 +234,9 @@ func TestTwoSendersPending(t *testing.T) {
 }
 
 // TestPendingWhileNotOpen: a process that is not open holds the data of a
-// view it may yet enter, at most a window per sender — a joiner from
-// anyone, a member in a change from the change's audience — and drops the
+// view it may yet enter, a window per sender on top of the credits the
+// sender has of the current view, and what it holds from strangers — from
+// anyone, for a joiner — shares strangerWindows windows. It drops the
 // current view's in an ordinary change, which ends only in a later view.
 // In a merge it holds the current view's too, and takes it once the merge
 // aborts.
@@ -256,24 +259,43 @@ func TestPendingWhileNotOpen(t *testing.T) {
 		t.Fatalf("joiner: %d pending, %d overspent, %d covered; want %d, %d and 1",
 			len(j.pending), j.stats.DroppedOverspent, j.stats.DroppedCovered, 2*window, 2*window)
 	}
+	// A flood in the names of ever new processes fills the strangers' share
+	// and no more.
+	const strangers = 2 * strangerWindows * window
+	for i := 0; i < strangers; i++ {
+		arrive(&j, ident.PID(fmt.Sprintf("x%d", i)), 2, 1)
+	}
+	if want := strangerWindows * window; len(j.pending) != want || j.stats.DroppedOverspent != 2*window+uint64(strangers+2*window-want) {
+		t.Fatalf("joiner after %d strangers: %d pending, %d overspent; want %d and %d",
+			strangers, len(j.pending), j.stats.DroppedOverspent, want, 2*window+strangers+2*window-want)
+	}
 
 	n := newValueNet(members, GroupConfig{Window: window})
 	m := n.procs["me"]
 	m.cons = undecided{}
-	step(m, event{from: "p1", msg: InitMsg{View: View{ID: 1}}, now: time.Unix(0, 0), detector: suspects(nil)})
+	step(m, event{from: "p1", msg: InitMsg{View: View{ID: 1}, Join: []ident.PID{"j"}}, now: time.Unix(0, 0), detector: suspects(nil)})
 	if m.chg == nil {
 		t.Fatal("the INIT did not block")
 	}
-	for seq := ident.Seq(1); seq <= 2*window; seq++ {
+	for seq := ident.Seq(1); seq <= 3*window; seq++ {
 		arrive(m, "p1", 1, seq)               // the current view's: stale
-		arrive(m, "p2", 2, seq)               // the next view's: held up to a window
-		arrive(m, "x", 2, seq)                // no member of the change
+		arrive(m, "p2", 2, seq)               // the next view's: held up to its credits and a window
+		arrive(m, "x", 2, seq)                // a stranger's: held up to a window
 		arrive(m, "p1", ident.ViewID(0), seq) // an earlier view's: stale
 	}
-	if st := m.stats; len(m.pending) != window || st.DroppedOverspent != window ||
-		st.DroppedStale != 4*window || st.DroppedUnknownSender != 2*window {
-		t.Fatalf("blocked member: %d pending, %d overspent, %d stale, %d unknown; want %d, %d, %d and %d",
-			len(m.pending), st.DroppedOverspent, st.DroppedStale, st.DroppedUnknownSender, window, window, 4*window, 2*window)
+	if st := m.stats; len(m.pending) != 3*window || st.DroppedOverspent != 3*window || st.DroppedStale != 6*window {
+		t.Fatalf("blocked member: %d pending, %d overspent, %d stale; want %d, %d and %d",
+			len(m.pending), st.DroppedOverspent, st.DroppedStale, 3*window, 3*window, 6*window)
+	}
+	// Strangers fill their share; the change's joiner still gets a window.
+	for i := 0; i < strangers; i++ {
+		arrive(m, ident.PID(fmt.Sprintf("x%d", i)), 2, 1)
+	}
+	for seq := ident.Seq(1); seq <= 2*window; seq++ {
+		arrive(m, "j", 2, seq)
+	}
+	if want := (strangerWindows + 1) * window; len(m.pending) != want {
+		t.Fatalf("blocked member after %d strangers and the joiner: %d pending, want %d", strangers, len(m.pending), want)
 	}
 
 	far := View{ID: 7, Epoch: 9, Members: ident.NewPIDs("q1")}
@@ -287,5 +309,113 @@ func TestPendingWhileNotOpen(t *testing.T) {
 	if st.s.chg != nil || len(st.s.pending) != 0 || st.s.toDeliver.Len() != 2 || st.s.stats.DroppedStale != 1 {
 		t.Fatalf("after an aborted merge: change %v, %d pending, %d queued, %d stale; want none, 0, 2 and 1",
 			st.s.chg, len(st.s.pending), st.s.toDeliver.Len(), st.s.stats.DroppedStale)
+	}
+}
+
+// decisionBox is a consensus machine shared by a valueNet's processes that
+// decides nothing by itself: it keeps the first proposal, and a process
+// learns a decision only when the test hands it one (decide).
+type decisionBox struct{ id, value []byte }
+
+func (d *decisionBox) Propose(id string, _ ident.PIDs, value []byte) ([]consensus.Decision, error) {
+	if d.value == nil {
+		d.id, d.value = []byte(id), value
+	}
+	return nil, nil
+}
+func (*decisionBox) Decided(string) ([]byte, bool) { return nil, false }
+func (*decisionBox) Recheck() []consensus.Decision { return nil }
+func (*decisionBox) Receive(_ ident.PID, m consensus.Msg) []consensus.Decision {
+	return []consensus.Decision{{Instance: m.Instance, Value: m.Value}}
+}
+
+// decide hands process p the decision of the box's proposal.
+func (n *valueNet) decide(p ident.PID, d *decisionBox) {
+	n.input(p, transport.Envelope{From: p, Msg: consensus.Msg{Instance: string(d.id), Value: d.value}}, transport.Ctl)
+}
+
+// stepAllBut steps every send in flight, and every send those make, but
+// the ones to p, which stay in flight in the order they were sent.
+func (n *valueNet) stepAllBut(p ident.PID) {
+	var kept []valueSend
+	for len(n.inflight) > 0 {
+		f := n.inflight[0]
+		n.inflight = n.inflight[1:]
+		if f.to == p {
+			kept = append(kept, f)
+			continue
+		}
+		n.input(f.to, f.env, f.ch)
+	}
+	n.inflight = kept
+}
+
+// TestBlockedMemberTakesJoinerData: p0 and p2 admit the joiner p1, and p2
+// learns the decision last. p1 enters view 2 on p0's transfer and
+// multicasts at once, with the full window a new view grants; its data
+// reaches p2 while p2 is still blocked. p2 holds it — p1 is a joiner of
+// the change — and delivers p1's stream whole once it enters view 2.
+func TestBlockedMemberTakesJoinerData(t *testing.T) {
+	const window = 4
+	gc := GroupConfig{Relation: obsolete.Empty{}, ToDeliverCap: 8, OutgoingCap: 8, Window: window}
+	n := newValueNet(ident.NewPIDs("p0", "p2"), gc)
+	joiner := &config{Self: "p1", Join: &JoinSpec{Contacts: ident.NewPIDs("p0")}, GroupConfig: gc}
+	j := newViewState(joiner, View{}, valueOut{n, "p1"})
+	n.procs["p1"] = &j
+	box := &decisionBox{}
+	for _, s := range n.procs {
+		s.cons = box
+	}
+	step(n.procs["p0"], event{msg: &request{kind: reqViewChange, join: ident.NewPIDs("p1")}, now: time.Unix(0, 0), detector: suspects(nil)})
+	n.procs["p0"].endTurn()
+	for n.stepOne() {
+	}
+	if box.value == nil {
+		t.Fatal("nobody proposed")
+	}
+
+	n.decide("p0", box)
+	n.stepAllBut("p2")
+	if j.cv.ID != 2 || !j.open() {
+		t.Fatalf("the joiner is in view %d, open %v", j.cv.ID, j.open())
+	}
+	req := &request{kind: reqMulticast}
+	for s := ident.Seq(1); s <= window; s++ {
+		req.batch = append(req.batch, OutMsg{Meta: obsolete.Msg{Sender: "p1", Seq: s}})
+	}
+	n.input("p1", transport.Envelope{Msg: req}, transport.Ctl)
+	if req.res.err != nil || req.done != window {
+		t.Fatalf("the joiner multicast %d of %d messages: %v", req.done, window, req.res.err)
+	}
+
+	p2 := n.procs["p2"]
+	var rest []valueSend
+	for _, f := range n.inflight {
+		if f.to == "p2" && f.ch == transport.Data {
+			n.input(f.to, f.env, f.ch)
+		} else {
+			rest = append(rest, f)
+		}
+	}
+	n.inflight = rest
+	if p2.chg == nil || len(p2.pending) != window {
+		t.Fatalf("p2: blocked %v, %d arrivals pending, want blocked and %d", p2.chg != nil, len(p2.pending), window)
+	}
+	n.decide("p2", box)
+	for n.stepOne() {
+	}
+	var got []ident.Seq
+	for _, m := range n.consume("p2") {
+		if m.Sender == "p1" {
+			got = append(got, m.Seq)
+		}
+	}
+	if len(got) != window {
+		t.Fatalf("p2 delivered p1's stream as %v, want 1 to %d", got, window)
+	}
+	for i, s := range got {
+		if s != ident.Seq(i+1) {
+			t.Fatalf("p2 delivered p1's stream as %v, want 1 to %d", got, window)
+		}
 	}
 }

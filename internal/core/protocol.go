@@ -321,44 +321,103 @@ func (s *viewState) onDataBatch(envs []transport.Envelope) {
 // ingestData routes one arrival on link, the process that sent it, whose
 // record is from (nil: it has none). A process multicasts only its own
 // stream: a message in anyone else's name is dropped before it can reach
-// pending or a frontier. An open process takes the arrival at once (take)
-// unless earlier arrivals wait, which keeps per-sender FIFO; the rest wait
-// in pending, as far as their senders' credits allow (hold).
+// pending or a frontier. An arrival that passes the receive checks (admit)
+// is taken at once (take) by an open process with nothing pending, which
+// keeps per-sender FIFO; any other waits at the end of pending.
 func (s *viewState) ingestData(link ident.PID, from *peer, dm DataMsg) {
-	switch {
-	case dm.Meta.Sender != link:
+	id := dm.Meta.Sender
+	if id != link {
 		s.drop(&s.stats.DroppedUnknownSender, obs.DropUnknownSender, link)
-	case len(s.pending) > 0 || !s.open() || !s.take(from, dm):
-		s.hold(from, dm)
+		return
 	}
+	if !s.admit(from, dm, s.waiting[id]) || len(s.pending) == 0 && s.open() && s.take(from, dm) {
+		return
+	}
+	if s.waiting == nil {
+		s.waiting = make(map[ident.PID]waitRun)
+	}
+	s.waiting[id] = waitRun{n: s.waiting[id].n + 1, last: dm.Meta.Seq}
+	s.pending = append(s.pending, dm)
 }
 
-// take runs the t3 receive checks on one arrival from the sender whose
-// record is from (nil: it has none), while the process is open: an
-// arrival of another view, our own echo, one from a process that is no
-// member and one beyond the credits its sender was granted are dropped;
-// one its sender's frontier covers is dropped and its slot freed; any
-// other is accepted with its purges. It returns false, touching nothing,
-// for an arrival that passed every check but does not fit the delivery
-// queue even after its purges: it waits unprocessed (pending), so no purge
-// is ever applied for a message that is not accepted.
-func (s *viewState) take(from *peer, dm DataMsg) bool {
+// waitRun is what of one sender waits in pending: how many arrivals, and
+// the number of the last, which is the highest (each sender's arrivals
+// wait in order).
+type waitRun struct {
+	n    int
+	last ident.Seq
+}
+
+// strangerWindows bounds what a process that is not open holds of a later
+// view from senders that are not in the change's audience or joiners of it
+// — from everyone, for a joiner, which knows no view yet: that many windows
+// in all, enough for a joiner whose first view's other members all
+// multicast before its transfer arrives, up to that many of them. Past it
+// such an arrival counts as overspent.
+const strangerWindows = 64
+
+// admit runs the t3 receive checks on an arrival from the sender whose
+// record is from (nil: it has none), ahead being what of that sender waits
+// before it in pending, and reports whether the arrival passed: it is taken
+// or waits. A process at its end takes nothing; one that is not open
+// (changing views or joining) may yet enter a later view, whose arrivals
+// it holds, and in a merge, which may abort, it holds its current view's
+// too. Otherwise an arrival of another view, our own echo, one from a
+// process that is no member, a re-sent copy of an arrival that waits and
+// one beyond the credits its sender was granted are dropped. What passes
+// is resolved in order by retryPending, which admits each arrival again
+// with nothing ahead of it: stale after an install, taken after an aborted
+// merge or once the queue has room.
+func (s *viewState) admit(from *peer, dm DataMsg, ahead waitRun) bool {
+	id := dm.Meta.Sender
+	later := !s.open() && dm.View > s.cv.ID
 	switch {
-	case dm.View != s.cv.ID || dm.Epoch != s.cv.Epoch:
+	case s.terminal != nil:
+		s.stats.DroppedExpelled++
+	case !later && (dm.Ref() != s.cv.Ref() || s.chg != nil && !s.chg.merge()):
 		// Not this view — stale, or another lineage's traffic racing a
-		// partition merge. Either way its pred/flush obligations are
-		// handled by view-change machinery, not the data path.
+		// partition merge — or this view's in an ordinary change, which
+		// ends only in a later view. Its pred/flush obligations are handled
+		// by view-change machinery, not the data path.
 		s.stats.DroppedStale++
-		return true
-	case dm.Meta.Sender == s.self:
-		return true // never accept echoes of our own stream
-	case from == nil || !from.member:
-		s.drop(&s.stats.DroppedUnknownSender, obs.DropUnknownSender, dm.Meta.Sender)
-		return true
-	case from.window > 0 && from.used >= from.granted:
-		s.drop(&s.stats.DroppedOverspent, dropOverspent, from.id)
+	case id == s.self:
+		// never accept echoes of our own stream
+	case !later && (from == nil || !from.member):
+		s.drop(&s.stats.DroppedUnknownSender, obs.DropUnknownSender, id)
+	case dm.Meta.Seq <= ahead.last:
+		s.stats.DroppedCovered++
+	case s.cfg.Window > 0 && s.overspent(from, id, later, ahead.n):
+		s.drop(&s.stats.DroppedOverspent, dropOverspent, id)
+	default:
 		return true
 	}
+	return false
+}
+
+// overspent is the credit test of an arrival from id, whose record is from,
+// with waiting of id's arrivals ahead of it. One of the current view fits
+// the credits granted id and not yet used. A later view's grants a full
+// window, on top of those credits (what of id waits may be the current
+// view's), and a stranger's shares strangerWindows windows with the
+// others'.
+func (s *viewState) overspent(from *peer, id ident.PID, later bool, waiting int) bool {
+	credits := 0
+	if from != nil && from.member {
+		credits = from.granted - from.used
+	}
+	if !later {
+		return waiting >= credits
+	}
+	return waiting >= credits+s.cfg.Window || !s.chg.mayInclude(id) && len(s.pending) >= strangerWindows*s.cfg.Window
+}
+
+// take accepts an arrival that passed admit, from a member whose record is
+// from, while the process is open: one its sender's frontier covers is
+// dropped and its slot freed; any other is accepted with its purges. It
+// returns false, touching nothing, for an arrival that does not fit the
+// delivery queue even after its purges: it waits unprocessed (pending), so
+// no purge is ever applied for a message that is not accepted.
+func (s *viewState) take(from *peer, dm DataMsg) bool {
 	it := itemOf(dm)
 	if dm.Meta.Seq > from.recvMax && fullAfterPurge(s.toDeliver, it) {
 		return false
@@ -381,48 +440,6 @@ func (s *viewState) take(from *peer, dm DataMsg) bool {
 	return true
 }
 
-// hold keeps an arrival that cannot be taken now at the end of pending, or
-// drops it, counted. A process at its end holds nothing. One that is not
-// open (changing views or joining) holds arrivals of a later view, which
-// it may yet enter, from the change's audience; an open one, or one in a
-// merge, which may abort, holds those of its current view. An ordinary
-// change ends only by entering a later view, so the current view's data is
-// stale already. With flow control on, the credits granted bound what
-// waits: a current-view arrival from p waits while p's arrivals taken and
-// waiting stay within the credits granted it, one of a later view while
-// fewer than a window of p's wait — a later view grants a full one; a
-// re-sent copy of an arrival that waits already is dropped as covered. What
-// waits is resolved in order by retryPending: stale after an install, taken
-// after an aborted merge or once the queue has room.
-func (s *viewState) hold(from *peer, dm DataMsg) {
-	id := dm.Meta.Sender
-	next := !s.open() && dm.View > s.cv.ID
-	waiting, last := 0, ident.Seq(0)
-	for i := 0; i < len(s.pending) && s.cfg.Window > 0; i++ {
-		if h := &s.pending[i]; h.Meta.Sender == id {
-			last = h.Meta.Seq // each sender's arrivals wait in order
-			if next && h.View > s.cv.ID || !next && h.Ref() == dm.Ref() {
-				waiting++
-			}
-		}
-	}
-	switch {
-	case s.terminal != nil:
-		s.stats.DroppedExpelled++
-	case !next && (dm.Ref() != s.cv.Ref() || s.chg != nil && !s.chg.merge()):
-		s.stats.DroppedStale++
-	case id == s.self:
-	case next && s.chg != nil && !s.chg.audience.Contains(id), !next && (from == nil || !from.member):
-		s.drop(&s.stats.DroppedUnknownSender, obs.DropUnknownSender, id)
-	case dm.Meta.Seq <= last:
-		s.stats.DroppedCovered++
-	case s.cfg.Window > 0 && (next && waiting >= s.cfg.Window || !next && from.used+waiting >= from.granted):
-		s.drop(&s.stats.DroppedOverspent, dropOverspent, id)
-	default:
-		s.pending = append(s.pending, dm)
-	}
-}
-
 func (s *viewState) acceptData(from *peer, it queue.Item) {
 	if s.m.deliverLatency != nil {
 		it.At = s.clock.Now()
@@ -432,18 +449,24 @@ func (s *viewState) acceptData(from *peer, it queue.Item) {
 	s.serveIfFull()
 }
 
-// retryPending takes the pending arrivals in order while the process is
+// retryPending resolves the pending arrivals in order while the process is
 // open, up to the first that still does not fit.
 func (s *viewState) retryPending() {
-	var from *peer // sender of the last arrival taken: they come in runs
+	var from *peer // sender of the last arrival resolved: they come in runs
 	n := 0
 	for ; n < len(s.pending) && s.open(); n++ {
-		if from = s.peerOf(s.pending[n].Meta.Sender, from); !s.take(from, s.pending[n]) {
+		dm := s.pending[n]
+		if from = s.peerOf(dm.Meta.Sender, from); s.admit(from, dm, waitRun{}) && !s.take(from, dm) {
 			break
+		}
+		if w := s.waiting[dm.Meta.Sender]; w.n > 1 {
+			s.waiting[dm.Meta.Sender] = waitRun{n: w.n - 1, last: w.last}
+		} else {
+			delete(s.waiting, dm.Meta.Sender)
 		}
 	}
 	rest := copy(s.pending, s.pending[n:])
-	clear(s.pending[rest:]) // release the taken arrivals' payloads
+	clear(s.pending[rest:]) // release the resolved arrivals' payloads
 	s.pending = s.pending[:rest]
 }
 

@@ -103,8 +103,9 @@ type viewState struct {
 	// pending is the data arrivals this process could not take yet, in the
 	// order they came, unprocessed: the delivery queue was full, earlier
 	// ones waited, or it was not open. The credits granted their senders
-	// bound it (hold).
+	// bound it (admit); waiting is what of each sender it holds.
 	pending []DataMsg
+	waiting map[ident.PID]waitRun
 
 	// stage is the open multicast transaction's run (commitOne): every
 	// message it committed, in order, so it ends at our frontier. Each
@@ -203,6 +204,12 @@ type change struct {
 
 // merge reports whether c, possibly nil, is a merge: a change over two sides.
 func (c *change) merge() bool { return c != nil && len(c.sides) == 2 }
+
+// mayInclude reports whether id may be a member of the view c, possibly
+// nil, ends in: one of its audience or a joiner it admits.
+func (c *change) mayInclude(id ident.PID) bool {
+	return c != nil && (c.audience.Contains(id) || c.join.Contains(id))
+}
 
 // open reports whether this process is a member with no change in flight:
 // not joining, not changing views, not at its end.
