@@ -25,8 +25,9 @@ type config struct {
 	// Endpoint connects the process to its peers; it is shared with the
 	// node's other groups and its failure detector.
 	Endpoint transport.Endpoint
-	// Detector is the failure detector oracle. The engine consumes its
-	// Events channel.
+	// Detector is the failure detector oracle. The engine subscribes to
+	// its Events as its loop starts and cancels the subscription as the
+	// loop ends.
 	Detector fd.Detector
 	// Join, when non-nil, starts the engine as a joiner of an already
 	// running group instead of a founding member: the engine asks the

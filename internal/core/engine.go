@@ -327,13 +327,17 @@ const reqDrainCap = 256
 // the value's wake moves. Every inbox is consumed in batch mode: one
 // receive hands the loop every envelope pending for the channel, and a
 // request wakes it for every request already queued behind it, amortising
-// the wakeup and the per-turn snapshot mirror over the whole run. The loop
-// returns once the turn that stepped a stop is published.
+// the wakeup and the per-turn snapshot mirror over the whole run. No receive
+// is bounded: a data flood that piled up while the loop was busy (overspent
+// data from a peer, say, or everything with Window 0) is stepped in one
+// turn, and calls, control envelopes and suspicions wait until it is done.
+// The loop returns once the turn that stepped a stop is published.
 func (e *Engine) run() {
 	defer close(e.doneC)
 	dataIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Data)
 	ctlIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Ctl)
-	fdEv := e.cfg.Detector.Events()
+	fdEv, unsubscribe := e.cfg.Detector.Events()
+	defer unsubscribe()
 	input := func(ev event) {
 		ev.now, ev.detector = e.vc.clock.Now(), e.cfg.Detector
 		step(&e.vc, ev)
@@ -366,12 +370,14 @@ func (e *Engine) run() {
 			for i := range envs {
 				input(event{from: envs[i].From, msg: envs[i].Msg})
 			}
-		case ev, ok := <-fdEv:
+		case evs, ok := <-fdEv:
 			if !ok {
 				fdEv = nil
 				break
 			}
-			input(event{msg: ev})
+			for _, ev := range evs {
+				input(event{msg: ev})
+			}
 		case req := <-e.reqC:
 			// Serve whatever else already sits in reqC, so concurrent
 			// single-message callers get batch amortisation without using

@@ -150,6 +150,7 @@ type world struct {
 	links     [maxProcs * maxProcs][]wmsg // links[from*n+to]: control messages in flight, FIFO
 	data      [][]wmsg                    // data messages in flight, FIFO per link, as links; nil if none ever were
 	app       bool                        // the application delivers, and (e) is checked
+	late      ident.PIDs                  // who learns a decision as a move of its own, also when app is set
 	insts     []xinst
 	reqs      []xreq
 	crashable ident.PIDs // who may still crash
@@ -801,9 +802,10 @@ func (w *world) moves() (out []move, fair int) {
 // other, if there is one. Its processes run like engines whose application
 // always waits in Deliver, so the loop hands it every item as soon as it is
 // queued; a process handles what it sent itself as soon as it may; and a
-// decision reaches its participants at once. What is left to interleave is
-// the data plane against the change: each multicast, each data message's
-// arrival, each control message between processes.
+// decision reaches its participants at once, but for those late names.
+// What is left to interleave is the data plane against the change: each
+// multicast, each data message's arrival, each control message between
+// processes, and when a late participant learns a decision.
 func (w *world) eager() (move, bool) {
 	if !w.app {
 		return move{}, false
@@ -819,8 +821,10 @@ func (w *world) eager() (move, bool) {
 		}
 	}
 	for k := range w.insts {
-		if ls := w.learners(k); len(ls) > 0 {
-			return move{mvLearn, k, ls[0]}, true
+		for _, j := range w.learners(k) {
+			if !w.late.Contains(w.pids[j]) {
+				return move{mvLearn, k, j}, true
+			}
 		}
 	}
 	return move{}, false
@@ -1253,6 +1257,27 @@ var scenarios = []scenario{
 		},
 		states: 236,
 	},
+	{
+		// p0 and p2 admit the joiner p1, which multicasts two messages as
+		// soon as it is in view 2, and p2 asks for view 3 once it is in
+		// view 2 too. p2 learns each decision as a move of its own, so it
+		// may still await the first as p1's data arrives: it holds it, or
+		// (e) finds p2 delivering p1's stream with a gap and installing
+		// view 3 without the first message.
+		name: "data: a blocked member takes a joiner's next-view data",
+		world: func() *world {
+			ps := ident.NewPIDs
+			w := newWorldOf(ps("p0", "p1", "p2"), View{ID: 1, Members: ps("p0", "p2")}, GroupConfig{Relation: tagging})
+			w.procs[1].s.cv, w.procs[1].s.joining, w.procs[1].views = View{}, true, []ident.ViewRef{{}}
+			w.app, w.late = true, ps("p2")
+			tags := tagStreams{}
+			w.procs[1].script = []obsolete.Msg{tags.next("p1", 1), tags.next("p1", 2)}
+			w.procs[1].castIn = 2
+			w.reqs = []xreq{{by: "p0", join: ps("p1")}, {by: "p2", in: 2}}
+			return w
+		},
+		states: 69360,
+	},
 }
 
 // verify is property (e): every process's multicasts, deliveries and
@@ -1479,6 +1504,13 @@ func TestExplorerCatchesInjectedBugs(t *testing.T) {
 			file:     "protocol.go",
 			line:     "case s.terminal != nil:",
 			mutant:   "case !s.open():",
+			property: "(e)",
+		},
+		{
+			name:     "a blocked member drops a joiner's next-view data as from an unknown sender",
+			file:     "protocol.go",
+			line:     "case !later && (from == nil || !from.member):",
+			mutant:   "case later && s.chg != nil && !s.chg.audience.Contains(id), !later && (from == nil || !from.member):",
 			property: "(e)",
 		},
 	} {

@@ -202,14 +202,15 @@ func (s *viewState) onCredit(from ident.PID, m CreditMsg) {
 }
 
 // drainOutgoing flushes the pending queue towards p while credits last,
-// coalescing the whole run into one DataBatchMsg envelope. The head is
-// only popped once its send is paid for and it is copied into the run: a
+// coalescing the whole run into one DataBatchMsg envelope, whose run is
+// cut from the block flushStage's runs come from (cut). The head is only
+// popped once its send is paid for and it is copied into the run: a
 // message must never be lost between PeekHead and takeCredit.
 func (s *viewState) drainOutgoing(p *peer) {
 	if p.out == nil {
 		return
 	}
-	var run []DataMsg
+	run := s.cut(min(p.avail, p.out.Len()))
 	for {
 		it := p.out.PeekHead()
 		if it == nil {

@@ -23,8 +23,8 @@ import (
 //     one connection pair per peer across every shared group;
 //   - a single failure detector (by default a heartbeat detector beating
 //     once per peer in ident.NodeGroup, no matter how many groups share
-//     that peer), whose suspicions fan out to every hosted group through
-//     an fd.Fanout.
+//     that peer), to whose suspicions every hosted group's engine
+//     subscribes.
 //
 // Everything else stays per-group and fully isolated: each group runs its
 // own Engine (protocol loop, delivery queue, flow-control windows,
@@ -37,7 +37,6 @@ type Node struct {
 	obs *obs.Obs      // node-labelled bundle; groups derive from it
 	hb  *fd.Heartbeat // non-nil when the node owns its detector
 	det fd.Detector
-	fan *fd.Fanout
 
 	mu     sync.Mutex
 	groups map[ident.GroupID]*Group
@@ -74,7 +73,6 @@ type Group struct {
 
 	node *Node
 	id   ident.GroupID
-	tap  *fd.Tap
 }
 
 // ID returns the group's identifier.
@@ -112,7 +110,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		n.hb.Start()
 		n.det = n.hb
 	}
-	n.fan = fd.NewFanout(n.det)
 	return n, nil
 }
 
@@ -182,21 +179,19 @@ func (n *Node) host(id ident.GroupID, gc GroupConfig, join *JoinSpec) (*Group, e
 	if _, dup := n.groups[id]; dup {
 		return nil, fmt.Errorf("core: group %d already hosted", id)
 	}
-	tap := n.fan.Tap()
 	eng, err := start(config{
 		Self:        n.cfg.Self,
 		Group:       id,
 		Endpoint:    n.cfg.Endpoint,
-		Detector:    tap,
+		Detector:    n.det,
 		Join:        join,
 		Obs:         n.obs.With(obs.L("group", fmt.Sprint(id))),
 		GroupConfig: gc,
 	})
 	if err != nil {
-		tap.Stop()
 		return nil, err
 	}
-	grp := &Group{Engine: eng, node: n, id: id, tap: tap}
+	grp := &Group{Engine: eng, node: n, id: id}
 	n.groups[id] = grp
 	return grp, nil
 }
@@ -220,9 +215,9 @@ func (n *Node) JoinWith(id ident.GroupID, gc GroupConfig, spec JoinSpec) (*Group
 }
 
 // Create joins this node to group id as a founding member: it registers
-// the group's transport inboxes, taps the shared failure detector, and
-// starts a group-scoped engine. Every founding member must Create the
-// group with the same id and InitialView.
+// the group's transport inboxes and starts a group-scoped engine, which
+// subscribes to the shared failure detector. Every founding member must
+// Create the group with the same id and InitialView.
 func (n *Node) Create(id ident.GroupID, gc GroupConfig) (*Group, error) {
 	return n.host(id, gc, nil)
 }
@@ -235,10 +230,11 @@ func (g *Group) Add(ps ...ident.PID) error {
 	return g.Engine.RequestMembershipChange(ident.NewPIDs(ps...), nil)
 }
 
-// Leave detaches the group from its node: the engine stops, the detector
-// tap closes, the transport inboxes are deregistered (stray traffic for
-// the group is dropped and counted from then on), and from the next beat
-// peers no group shares anymore stop being monitored. Leave is idempotent.
+// Leave detaches the group from its node: the engine stops, which ends its
+// detector subscription, the transport inboxes are deregistered (stray
+// traffic for the group is dropped and counted from then on), and from the
+// next beat peers no group shares anymore stop being monitored. Leave is
+// idempotent.
 func (g *Group) Leave() {
 	n := g.node
 	n.mu.Lock()
@@ -250,13 +246,12 @@ func (g *Group) Leave() {
 	n.mu.Unlock()
 
 	g.stop()
-	g.tap.Stop()
 	n.cfg.Endpoint.Deregister(g.id)
 }
 
-// Close shuts the node down: every hosted group leaves, the detector
-// fan-out stops, the node-owned heartbeat (if any) stops, and the shared
-// endpoint closes. Close is idempotent.
+// Close shuts the node down: every hosted group leaves, the node-owned
+// heartbeat (if any) stops, and the shared endpoint closes. Close is
+// idempotent.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -273,7 +268,6 @@ func (n *Node) Close() error {
 	for _, g := range groups {
 		g.Leave()
 	}
-	n.fan.Stop()
 	if n.hb != nil {
 		n.hb.Stop()
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -659,4 +660,116 @@ func TestManyGroupsOverTCPSharedConnections(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
+}
+
+// manualNodes builds nodes over one MemNetwork, each with a Manual
+// detector it returns beside it.
+func manualNodes(t *testing.T, pids ...ident.PID) ([]*Node, []*fd.Manual) {
+	t.Helper()
+	net := transport.NewMemNetwork()
+	var nodes []*Node
+	var dets []*fd.Manual
+	for _, p := range pids {
+		ep, err := net.Endpoint(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det := fd.NewManual()
+		node, err := NewNode(NodeConfig{Self: p, Endpoint: ep, Detector: det})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			node.Close()
+			det.Stop()
+		})
+		nodes, dets = append(nodes, node), append(dets, det)
+	}
+	return nodes, dets
+}
+
+// withAbsent creates group id at p0 and p2 with p1, which never runs: the
+// group evicts p1 once both suspect it (AutoEvict).
+func withAbsent(t *testing.T, nodes []*Node, id ident.GroupID) []*Group {
+	t.Helper()
+	var gs []*Group
+	for _, n := range nodes {
+		g, err := n.Create(id, GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("p0", "p1", "p2")}, AutoEvict: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs = append(gs, g)
+	}
+	return gs
+}
+
+// waitEvicted waits until every group of gs has excluded p1 from its view.
+func waitEvicted(t *testing.T, gs []*Group) {
+	t.Helper()
+	for _, g := range gs {
+		waitCond(t, "p1 evicted", func() bool { return g.View().Members.Equal(ident.NewPIDs("p0", "p2")) })
+	}
+}
+
+// TestGoroutinesPerGroup: a hosted group costs its engine loop and nothing
+// more — its inboxes and its detector subscription are mailboxes that no
+// goroutine serves — and a node with a Manual detector starts none.
+func TestGoroutinesPerGroup(t *testing.T) {
+	const groups = 16
+	settled := func() int {
+		// Goroutines of earlier tests may still be on their way out.
+		n := runtime.NumGoroutine()
+		for still := 0; still < 3; {
+			time.Sleep(20 * time.Millisecond)
+			if m := runtime.NumGoroutine(); m == n {
+				still++
+			} else {
+				n, still = m, 0
+			}
+		}
+		return n
+	}
+	base := settled()
+	nodes, _ := manualNodes(t, "p0")
+	node := nodes[0]
+	if n := settled() - base; n != 0 {
+		t.Fatalf("a node started %d goroutines, want 0", n)
+	}
+	for id := ident.GroupID(1); id <= groups; id++ {
+		if _, err := node.Create(id, GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("p0")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	per := float64(settled()-base) / groups
+	t.Logf("%.2f goroutines per group", per)
+	if per != 1 {
+		t.Fatalf("%d groups cost %.2f goroutines each, want 1", groups, per)
+	}
+}
+
+// TestGroupCreatedWhileSuspectedEvicts: a group created while the
+// detectors already suspect one of its members learns the suspicion from
+// its subscription's replay and evicts the member.
+func TestGroupCreatedWhileSuspectedEvicts(t *testing.T) {
+	nodes, dets := manualNodes(t, "p0", "p2")
+	for _, d := range dets {
+		d.Suspect("p1")
+	}
+	waitEvicted(t, withAbsent(t, nodes, 1))
+}
+
+// TestLeaveKeepsOtherSubscriptions: one group's Leave ends its own
+// detector subscription only; another group on the same nodes still learns
+// a later suspicion and acts on it.
+func TestLeaveKeepsOtherSubscriptions(t *testing.T) {
+	nodes, dets := manualNodes(t, "p0", "p2")
+	left := withAbsent(t, nodes, 1)
+	stays := withAbsent(t, nodes, 2)
+	for _, g := range left {
+		g.Leave()
+	}
+	for _, d := range dets {
+		d.Suspect("p1")
+	}
+	waitEvicted(t, stays)
 }

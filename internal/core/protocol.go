@@ -257,19 +257,26 @@ func (s *viewState) flushStage() {
 const runBlock = 16
 
 // carve copies a run of more than one message into the block runs is the
-// tail of, and returns the copy, whose capacity ends with it. A shorter run
-// travels as a plain DataMsg and needs no copy. A block keeps the payloads
-// of its runs until it is replaced: at most runBlock runs' worth.
+// tail of, and returns the copy. A shorter run travels as a plain DataMsg
+// and needs no copy.
 func (s *viewState) carve(run []DataMsg) []DataMsg {
 	if len(run) < 2 {
 		return run
 	}
-	if cap(s.runs)-len(s.runs) < len(run) {
-		s.runs = make([]DataMsg, 0, runBlock*len(run))
+	return append(s.cut(len(run)), run...)
+}
+
+// cut takes room for a run of up to n messages from the block runs is the
+// unused tail of, and returns it empty, its capacity ending with the room.
+// A block keeps the payloads of its runs until it is replaced: at most
+// runBlock runs' worth.
+func (s *viewState) cut(n int) []DataMsg {
+	if cap(s.runs) < n {
+		s.runs = make([]DataMsg, 0, runBlock*n)
 	}
-	i := len(s.runs)
-	s.runs = append(s.runs, run...)
-	return s.runs[i:len(s.runs):len(s.runs)]
+	run := s.runs[:0:n]
+	s.runs = s.runs[n:n]
+	return run
 }
 
 // envelope is what a run of data messages travels in: nothing for an

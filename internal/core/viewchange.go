@@ -113,10 +113,11 @@ type viewState struct {
 	// every peer the survivors of its prefix and empties it.
 	stage []DataMsg
 
-	// runs and envs are the unused tails of the blocks flushStage cuts the
-	// runs it sends, and their envelopes, from (carve). A run is the
-	// transport's from the send on and is never written again, so a block
-	// only saves allocations: one serves runBlock flushes.
+	// runs and envs are the unused tails of the blocks flushStage and
+	// drainOutgoing cut the runs they send, and their envelopes, from
+	// (cut, envelope). A run is the transport's from the send on and is
+	// never written again, so a block only saves allocations: one serves
+	// runBlock flushes.
 	runs []DataMsg
 	envs []DataBatchMsg
 

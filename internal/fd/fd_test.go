@@ -41,23 +41,57 @@ func waitSuspected(t *testing.T, d Detector, p ident.PID, want bool) {
 	}
 }
 
-func waitEvent(t *testing.T, ch <-chan Event) Event {
+// stream reads one subscription's events one at a time.
+type stream struct {
+	c   <-chan []Event
+	buf []Event
+}
+
+// subscribe opens a subscription that lasts until d stops.
+func subscribe(d Detector) *stream {
+	c, _ := d.Events()
+	return &stream{c: c}
+}
+
+// next returns the subscription's next event, failing t with msg if none
+// comes within 5 s.
+func (s *stream) next(t *testing.T, msg string) Event {
 	t.Helper()
-	select {
-	case e, ok := <-ch:
-		if !ok {
-			t.Fatal("event channel closed")
+	for len(s.buf) == 0 {
+		select {
+		case b, ok := <-s.c:
+			if !ok {
+				t.Fatalf("%s: subscription closed", msg)
+			}
+			s.buf = append(s.buf, b...)
+		case <-time.After(5 * time.Second):
+			t.Fatal(msg)
 		}
-		return e
-	case <-time.After(3 * time.Second):
-		t.Fatal("timed out waiting for fd event")
-		return Event{}
+	}
+	e := s.buf[0]
+	s.buf = s.buf[1:]
+	return e
+}
+
+// closed reports whether the subscription's channel is closed, once what
+// it holds has been read.
+func closed(c <-chan []Event) bool {
+	for {
+		select {
+		case _, ok := <-c:
+			if !ok {
+				return true
+			}
+		case <-time.After(5 * time.Second):
+			return false
+		}
 	}
 }
 
 func TestManualSuspectRestore(t *testing.T) {
 	m := NewManual()
 	defer m.Stop()
+	evs := subscribe(m)
 
 	if m.Suspected("p") {
 		t.Fatal("fresh detector suspects p")
@@ -66,7 +100,7 @@ func TestManualSuspectRestore(t *testing.T) {
 	if !m.Suspected("p") {
 		t.Fatal("Suspect had no effect")
 	}
-	if ev := waitEvent(t, m.Events()); ev.P != "p" || !ev.Suspected {
+	if ev := evs.next(t, "no suspicion event"); ev.P != "p" || !ev.Suspected {
 		t.Fatalf("event %+v", ev)
 	}
 	// Duplicate suspicion emits nothing; restore emits.
@@ -75,7 +109,7 @@ func TestManualSuspectRestore(t *testing.T) {
 	if m.Suspected("p") {
 		t.Fatal("Restore had no effect")
 	}
-	if ev := waitEvent(t, m.Events()); ev.P != "p" || ev.Suspected {
+	if ev := evs.next(t, "no revision event"); ev.P != "p" || ev.Suspected {
 		t.Fatalf("event %+v", ev)
 	}
 	if got := m.Suspects(); len(got) != 0 {
@@ -108,6 +142,7 @@ func TestHeartbeatSuspectsSilentPeer(t *testing.T) {
 	opts := HeartbeatOptions{Interval: 5 * time.Millisecond}
 	ha := NewHeartbeat(epA, peers.get, opts)
 	hb := NewHeartbeat(epB, peers.get, opts)
+	evs := subscribe(ha)
 	ha.Start()
 	hb.Start()
 	defer ha.Stop()
@@ -123,7 +158,7 @@ func TestHeartbeatSuspectsSilentPeer(t *testing.T) {
 	// in flight when the link is cut (briefly revising the suspicion), so
 	// poll until the suspicion sticks.
 	faults.Partition([]ident.PID{"a"}, []ident.PID{"b"})
-	ev := waitEvent(t, ha.Events())
+	ev := evs.next(t, "no suspicion of b")
 	if ev.P != "b" || !ev.Suspected {
 		t.Fatalf("event %+v", ev)
 	}
@@ -165,6 +200,95 @@ func TestHeartbeatStopIsIdempotent(t *testing.T) {
 	defer ep.Close()
 	h := NewHeartbeat(ep, watching("a").get, HeartbeatOptions{})
 	h.Start()
+	evs, _ := h.Events()
 	h.Stop()
 	h.Stop()
+	if !closed(evs) {
+		t.Fatal("a subscription outlived the detector's Stop")
+	}
+}
+
+// TestEventsReachEverySubscription: every subscription sees every change,
+// in order, and queries answer what the events said.
+func TestEventsReachEverySubscription(t *testing.T) {
+	m := NewManual()
+	defer m.Stop()
+	subs := []*stream{subscribe(m), subscribe(m)}
+	m.Suspect("p3")
+	m.Restore("p3")
+	for _, s := range subs {
+		if e := s.next(t, "no suspicion"); e != (Event{P: "p3", Suspected: true}) {
+			t.Fatalf("got %+v, want suspicion of p3", e)
+		}
+		if e := s.next(t, "no revision"); e != (Event{P: "p3"}) {
+			t.Fatalf("got %+v, want revision of p3", e)
+		}
+	}
+	m.Suspect("p4")
+	for _, s := range subs {
+		if e := s.next(t, "no suspicion"); e.P != "p4" || !m.Suspected("p4") || !m.Suspects().Contains("p4") {
+			t.Fatalf("got %+v, Suspected(p4) %v", e, m.Suspected("p4"))
+		}
+	}
+}
+
+// TestEventsReplaySuspicions: a subscription made while peers are suspected
+// learns them first, once each — a group created while a shared peer is
+// down must be able to evict it — and every change after them follows.
+func TestEventsReplaySuspicions(t *testing.T) {
+	m := NewManual()
+	defer m.Stop()
+	m.Suspect("dead2")
+	m.Suspect("dead1")
+	late := subscribe(m)
+	m.Restore("dead1")
+	for _, want := range []Event{{P: "dead1", Suspected: true}, {P: "dead2", Suspected: true}, {P: "dead1"}} {
+		if e := late.next(t, "replay or revision missing"); e != want {
+			t.Fatalf("got %+v, want %+v", e, want)
+		}
+	}
+	select {
+	case b := <-late.c:
+		t.Fatalf("events beyond the replay and the revision: %+v", b)
+	default:
+	}
+}
+
+// TestEventsCancelDetachesOnly: cancelling one subscription closes it and
+// leaves the others and the detector running.
+func TestEventsCancelDetachesOnly(t *testing.T) {
+	m := NewManual()
+	defer m.Stop()
+	c1, cancel := m.Events()
+	s2 := subscribe(m)
+	cancel()
+	cancel() // idempotent
+	if !closed(c1) {
+		t.Fatal("cancelled subscription not closed")
+	}
+	m.Suspect("q")
+	if e := s2.next(t, "surviving subscription got nothing"); e.P != "q" {
+		t.Fatalf("surviving subscription got %+v", e)
+	}
+}
+
+// TestEventsAfterStopClosed: Stop closes every subscription, one made
+// afterwards is born closed, and the detector still answers queries.
+func TestEventsAfterStopClosed(t *testing.T) {
+	m := NewManual()
+	early, _ := m.Events()
+	m.Stop()
+	m.Stop() // idempotent
+	if !closed(early) {
+		t.Fatal("subscription not closed by Stop")
+	}
+	m.Suspect("r")
+	if !m.Suspected("r") {
+		t.Fatal("a stopped detector must still answer queries")
+	}
+	late, cancel := m.Events()
+	defer cancel()
+	if !closed(late) {
+		t.Fatal("subscription made after Stop must be closed")
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/transport"
-	"repro/internal/ubq"
 )
 
 // Beat is the heartbeat wire message.
@@ -42,15 +41,15 @@ func (o *HeartbeatOptions) defaults() {
 // is suspected.
 const timeoutBeats = 5
 
-// monitor is the detector's state under one lock: whom it monitors now, when
-// each was last heard, whom it suspects, and its counts since it was
-// created. It is allocated apart from the Heartbeat so that the registry
-// source reading it holds nothing else of the detector.
+// monitor is the detector's state under one lock: whom it suspects and who
+// subscribed to that, whom it monitors now, when each was last heard, and
+// its counts since it was created. It is allocated apart from the Heartbeat
+// so that the registry source reading it holds nothing else of the
+// detector.
 type monitor struct {
-	mu       sync.Mutex
+	suspectSet
 	peers    ident.PIDs
 	lastSeen map[ident.PID]time.Time
-	susp     map[ident.PID]bool
 
 	beatsSent, beatsRecv, sendErrors, suspicions, revivals uint64
 }
@@ -81,7 +80,7 @@ func (m *monitor) export(emit obs.Emit) {
 //
 // Heartbeats are node-scoped, not group-scoped: they travel in
 // ident.NodeGroup on the FailureDetector channel, so one detector serves
-// every group the node hosts (see fd.Fanout for sharing its events). The
+// every group the node hosts, each subscribed to its events. The
 // detector is that inbox's only reader: Start claims it, and until then
 // the endpoint drops and counts the beats peers send.
 type Heartbeat struct {
@@ -93,7 +92,6 @@ type Heartbeat struct {
 	ev      *obs.Events
 	*monitor
 
-	out  *ubq.Queue[Event]
 	done chan struct{}
 	wg   sync.WaitGroup
 	once sync.Once
@@ -107,10 +105,7 @@ var _ Detector = (*Heartbeat)(nil)
 func NewHeartbeat(ep transport.Endpoint, watched func() ident.PIDs, opts HeartbeatOptions) *Heartbeat {
 	opts.defaults()
 	ob := opts.Obs
-	m := &monitor{
-		lastSeen: make(map[ident.PID]time.Time),
-		susp:     make(map[ident.PID]bool),
-	}
+	m := &monitor{suspectSet: newSuspectSet(), lastSeen: make(map[ident.PID]time.Time)}
 	ob.AddSource(m.export)
 	return &Heartbeat{
 		ep:      ep,
@@ -120,7 +115,6 @@ func NewHeartbeat(ep transport.Endpoint, watched func() ident.PIDs, opts Heartbe
 		beatGap: ob.Histogram("fd_beat_gap_seconds", obs.DurationBuckets),
 		ev:      ob.Events(),
 		monitor: m,
-		out:     ubq.New[Event](),
 		done:    make(chan struct{}),
 	}
 }
@@ -128,7 +122,7 @@ func NewHeartbeat(ep transport.Endpoint, watched func() ident.PIDs, opts Heartbe
 // Start claims the endpoint's (ident.NodeGroup, FailureDetector) inbox and
 // launches the beat and monitor goroutines.
 func (h *Heartbeat) Start() {
-	inbox := h.ep.Inbox(ident.NodeGroup, transport.FailureDetector)
+	inbox := h.ep.InboxBatch(ident.NodeGroup, transport.FailureDetector)
 	h.follow()
 	h.wg.Add(2)
 	go h.beatLoop()
@@ -182,17 +176,19 @@ func (h *Heartbeat) beatLoop() {
 	}
 }
 
-func (h *Heartbeat) recvLoop(inbox <-chan transport.Envelope) {
+func (h *Heartbeat) recvLoop(inbox <-chan []transport.Envelope) {
 	defer h.wg.Done()
 	for {
 		select {
 		case <-h.done:
 			return
-		case env, ok := <-inbox:
+		case envs, ok := <-inbox:
 			if !ok {
 				return
 			}
-			h.alive(env.From)
+			for i := range envs {
+				h.alive(envs[i].From)
+			}
 		}
 	}
 }
@@ -208,8 +204,7 @@ func (h *Heartbeat) alive(p ident.PID) {
 		h.beatGap.ObserveDuration(now.Sub(last))
 	}
 	h.lastSeen[p] = now
-	revised := h.susp[p]
-	delete(h.susp, p)
+	revised := h.mark(p, false)
 	h.beatsRecv++
 	if revised {
 		h.revivals++
@@ -217,7 +212,6 @@ func (h *Heartbeat) alive(p ident.PID) {
 	h.mu.Unlock()
 	if revised {
 		h.ev.Suspicion(string(p), false)
-		h.out.Push(Event{P: p, Suspected: false})
 	}
 }
 
@@ -233,7 +227,7 @@ func (h *Heartbeat) check(now time.Time, sent, failed uint64) {
 			continue
 		}
 		if now.Sub(h.lastSeen[p]) > timeoutBeats*h.opts.Interval {
-			h.susp[p] = true
+			h.mark(p, true)
 			h.suspicions++
 			newly = append(newly, p)
 		}
@@ -241,36 +235,14 @@ func (h *Heartbeat) check(now time.Time, sent, failed uint64) {
 	h.mu.Unlock()
 	for _, p := range newly {
 		h.ev.Suspicion(string(p), true)
-		h.out.Push(Event{P: p, Suspected: true})
 	}
 }
-
-// Suspected implements Detector.
-func (h *Heartbeat) Suspected(p ident.PID) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.susp[p]
-}
-
-// Suspects implements Detector.
-func (h *Heartbeat) Suspects() ident.PIDs {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ps := make([]ident.PID, 0, len(h.susp))
-	for p := range h.susp {
-		ps = append(ps, p)
-	}
-	return ident.NewPIDs(ps...)
-}
-
-// Events implements Detector.
-func (h *Heartbeat) Events() <-chan Event { return h.out.Out() }
 
 // Stop implements Detector.
 func (h *Heartbeat) Stop() {
 	h.once.Do(func() {
 		close(h.done)
 		h.wg.Wait()
-		h.out.Close()
+		h.stop()
 	})
 }

@@ -37,6 +37,7 @@ func TestHeartbeatDeterministicUnderFakeClock(t *testing.T) {
 		Interval: 20 * time.Millisecond,
 		Obs:      obs.New(clock, reg, nil),
 	})
+	evs := subscribe(h)
 	h.Start()
 	defer h.Stop()
 	clock.BlockUntil(1) // the beat ticker is created inside beatLoop
@@ -68,13 +69,8 @@ func TestHeartbeatDeterministicUnderFakeClock(t *testing.T) {
 
 	// Tick at 120ms: 120 > 100 — the suspicion must fire, exactly now.
 	at := tick()
-	select {
-	case ev := <-h.Events():
-		if ev.P != "b" || !ev.Suspected {
-			t.Fatalf("unexpected event %+v", ev)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("suspicion never fired after the timeout tick")
+	if ev := evs.next(t, "suspicion never fired after the timeout tick"); ev.P != "b" || !ev.Suspected {
+		t.Fatalf("unexpected event %+v", ev)
 	}
 	if got := at.Sub(start); got != 120*time.Millisecond {
 		t.Fatalf("suspicion tick at virtual %v, want 120ms", got)
@@ -88,13 +84,8 @@ func TestHeartbeatDeterministicUnderFakeClock(t *testing.T) {
 	if err := epB.Send("a", ident.NodeGroup, transport.FailureDetector, Beat{}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case ev := <-h.Events():
-		if ev.P != "b" || ev.Suspected {
-			t.Fatalf("unexpected event %+v", ev)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("revival never fired after b's beat")
+	if ev := evs.next(t, "revival never fired after b's beat"); ev.P != "b" || ev.Suspected {
+		t.Fatalf("unexpected event %+v", ev)
 	}
 
 	// The metrics saw exactly one suspicion and one revival, and the
@@ -117,13 +108,8 @@ func TestHeartbeatDeterministicUnderFakeClock(t *testing.T) {
 		}
 	}
 	at = tick()
-	select {
-	case ev := <-h.Events():
-		if ev.P != "b" || !ev.Suspected {
-			t.Fatalf("unexpected event %+v", ev)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("second suspicion never fired")
+	if ev := evs.next(t, "second suspicion never fired"); ev.P != "b" || !ev.Suspected {
+		t.Fatalf("unexpected event %+v", ev)
 	}
 	if got := at.Sub(start); got != 240*time.Millisecond {
 		t.Fatalf("second suspicion tick at virtual %v, want 240ms", got)
@@ -147,6 +133,7 @@ func TestSuspectedGaugeFollowsPeers(t *testing.T) {
 		Interval: 20 * time.Millisecond,
 		Obs:      obs.New(clock, reg, nil),
 	})
+	evs := subscribe(h)
 	h.Start()
 	defer h.Stop()
 	clock.BlockUntil(1)
@@ -154,13 +141,8 @@ func TestSuspectedGaugeFollowsPeers(t *testing.T) {
 	// One tick past the timeout: b and c never beat, both are suspected.
 	clock.Advance(120 * time.Millisecond)
 	for i := 0; i < 2; i++ {
-		select {
-		case ev := <-h.Events():
-			if !ev.Suspected {
-				t.Fatalf("unexpected event %+v", ev)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("no suspicion after the timeout tick")
+		if ev := evs.next(t, "no suspicion after the timeout tick"); !ev.Suspected {
+			t.Fatalf("unexpected event %+v", ev)
 		}
 	}
 	gauges := reg.Snapshot().Gauges

@@ -113,8 +113,11 @@ func (q *Queue) idxDrop(k idxKey, seq ident.Seq, pos uint64) {
 
 // rebuildIndex reconstructs the index from the ring after compaction has
 // reassigned positions. Map entries and their backing arrays are reused
-// across rebuilds — in the steady state a rebuild allocates nothing — and
-// streams left with no live entries are dropped afterwards.
+// across rebuilds, those of streams left with no live entries included:
+// compaction runs as an entry is pushed, and most often that entry's
+// stream is one the queue just drained, so in the steady state a rebuild
+// allocates nothing. Emptied streams of other views go as idxAdd starts a
+// stream.
 func (q *Queue) rebuildIndex() {
 	for _, st := range q.idx {
 		st.ents = st.base[:0]
@@ -124,11 +127,6 @@ func (q *Queue) rebuildIndex() {
 		it := q.slot(p)
 		if it.Kind == Data {
 			q.idxAdd(idxKey{view: it.View, sender: it.Meta.Sender}, it.Meta.Seq, p)
-		}
-	}
-	for k, st := range q.idx {
-		if len(st.ents) == 0 {
-			delete(q.idx, k)
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // TestUnclaimedInboxesDropFloods: an endpoint holds only the inboxes a
 // reader claimed — none at construction, a group's Data and Ctl after
-// Register — since every inbox is a pump goroutine and a queue a peer could
-// fill. A peer sends 10,000 envelopes to each of (NodeGroup, Data),
+// Register — since every inbox is an unbounded mailbox a peer could fill.
+// A peer sends 10,000 envelopes to each of (NodeGroup, Data),
 // (NodeGroup, Ctl) and a hosted group's FailureDetector channel of a node
 // whose heartbeat and one group engine claimed their inboxes. No reader
 // claimed those three pairs, so every envelope is dropped and counted as an

@@ -75,8 +75,8 @@ func TestMemEndpointNoDeliveryAfterClose(t *testing.T) {
 	if err := rcv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// After Close returned the pump has exited: the only thing left to
-	// observe on the inbox is its closure.
+	// After Close returned the inbox's forwarding goroutine has exited: the
+	// only thing left to observe on the inbox is its closure.
 	deadline := time.After(2 * time.Second)
 	for {
 		select {

@@ -114,7 +114,7 @@ func (f *Faults) Stats() FaultStats {
 
 // Wrap returns a fault-injecting endpoint around ep.
 func (f *Faults) Wrap(ep Endpoint) *FaultEndpoint {
-	return &FaultEndpoint{f: f, under: ep, self: ep.Self(), links: make(map[ident.PID]*ubq.Queue[delayedMsg])}
+	return &FaultEndpoint{f: f, under: ep, self: ep.Self(), links: make(map[ident.PID]*ubq.Mailbox[delayedMsg])}
 }
 
 // Partition cuts every link between the sets a and b, in both directions.
@@ -250,7 +250,7 @@ type FaultEndpoint struct {
 	// links holds the per-destination delay queues, created lazily by the
 	// first delayed send and used for every later send on that link so
 	// FIFO order survives rule changes.
-	links map[ident.PID]*ubq.Queue[delayedMsg]
+	links map[ident.PID]*ubq.Mailbox[delayedMsg]
 	wg    sync.WaitGroup // the links' delay loops
 }
 
@@ -330,7 +330,7 @@ func (e *FaultEndpoint) Send(to ident.PID, g ident.GroupID, ch Channel, m any) e
 }
 
 // delayLink returns (creating if needed) the delay queue for self→to.
-func (e *FaultEndpoint) delayLink(to ident.PID) *ubq.Queue[delayedMsg] {
+func (e *FaultEndpoint) delayLink(to ident.PID) *ubq.Mailbox[delayedMsg] {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	dl, ok := e.links[to]
@@ -338,7 +338,7 @@ func (e *FaultEndpoint) delayLink(to ident.PID) *ubq.Queue[delayedMsg] {
 		e.f.mu.Lock()
 		clock := e.f.clock
 		e.f.mu.Unlock()
-		dl = ubq.New[delayedMsg]()
+		dl = ubq.NewMailbox[delayedMsg]()
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
@@ -353,7 +353,7 @@ func (e *FaultEndpoint) delayLink(to ident.PID) *ubq.Queue[delayedMsg] {
 // delay queues (in-flight delayed messages are dropped, crash-stop).
 func (e *FaultEndpoint) Close() error {
 	e.mu.Lock()
-	var links []*ubq.Queue[delayedMsg]
+	var links []*ubq.Mailbox[delayedMsg]
 	if !e.closed {
 		e.closed = true
 		for _, dl := range e.links {
@@ -379,21 +379,23 @@ type delayedMsg struct {
 
 // runDelayLink serialises the messages of one delayed link: each occupies
 // the link for its delay, measured on the controller's clock, before it
-// reaches the wrapped endpoint, so the queue's FIFO order is the link's.
-// Closing the queue drops what it holds and ends the loop.
-func runDelayLink(q *ubq.Queue[delayedMsg], clock obs.Clock, under Endpoint) {
-	for m := range q.Out() {
-		if m.delay > 0 {
-			t := clock.NewTimer(m.delay)
-			select {
-			case <-t.C():
-			case <-q.Done():
-				t.Stop()
-				return
+// reaches the wrapped endpoint, so the mailbox's FIFO order is the link's.
+// Closing the mailbox drops what it holds and ends the loop.
+func runDelayLink(mb *ubq.Mailbox[delayedMsg], clock obs.Clock, under Endpoint) {
+	for batch := range mb.Batches() {
+		for _, m := range batch {
+			if m.delay > 0 {
+				t := clock.NewTimer(m.delay)
+				select {
+				case <-t.C():
+				case <-mb.Done():
+					t.Stop()
+					return
+				}
 			}
+			// Best-effort like every transport send path: a failed send is
+			// the peer's crash, not the injector's problem.
+			_ = under.Send(m.to, m.g, m.ch, m.m)
 		}
-		// Best-effort like every transport send path: a failed send is the
-		// peer's crash, not the injector's problem.
-		_ = under.Send(m.to, m.g, m.ch, m.m)
 	}
 }

@@ -17,14 +17,14 @@ import (
 type inboxSet struct {
 	mu     sync.Mutex
 	closed bool
-	m      map[groupChan]*ubq.Queue[Envelope]
+	m      map[groupChan]*ubq.Mailbox[Envelope]
 
 	dropGroup   atomic.Uint64
 	dropChannel atomic.Uint64
 }
 
 func newInboxSet() *inboxSet {
-	return &inboxSet{m: make(map[groupChan]*ubq.Queue[Envelope])}
+	return &inboxSet{m: make(map[groupChan]*ubq.Mailbox[Envelope])}
 }
 
 // register claims g's Data and Ctl inboxes, the two a group's engine
@@ -63,7 +63,7 @@ func (s *inboxSet) dropUnknownGroup() { s.dropGroup.Add(1) }
 // g is dropped and counted.
 func (s *inboxSet) deregister(g ident.GroupID) {
 	s.mu.Lock()
-	var qs []*ubq.Queue[Envelope]
+	var qs []*ubq.Mailbox[Envelope]
 	for ch := Data; ch <= numChannels; ch++ {
 		key := groupChan{g, ch}
 		if q, ok := s.m[key]; ok {
@@ -77,42 +77,31 @@ func (s *inboxSet) deregister(g ident.GroupID) {
 	}
 }
 
-// inbox returns the receive channel for (g, ch), claiming it; after close
-// it returns an already-closed channel.
+// inbox returns the receive channel for (g, ch), claiming it for reading
+// one envelope at a time; after close the channel is already closed.
 func (s *inboxSet) inbox(g ident.GroupID, ch Channel) <-chan Envelope {
-	q := s.lookup(g, ch)
-	if q == nil {
-		dead := make(chan Envelope)
-		close(dead)
-		return dead
-	}
-	return q.Out()
+	return s.lookup(g, ch).Items()
 }
 
 // inboxBatch is the batch-mode counterpart of inbox.
 func (s *inboxSet) inboxBatch(g ident.GroupID, ch Channel) <-chan []Envelope {
-	q := s.lookup(g, ch)
-	if q == nil {
-		dead := make(chan []Envelope)
-		close(dead)
-		return dead
-	}
-	return q.Batches()
+	return s.lookup(g, ch).Batches()
 }
 
 // lookup returns the inbox for (g, ch), creating it on a reader's first
-// claim; nil after close.
-func (s *inboxSet) lookup(g ident.GroupID, ch Channel) *ubq.Queue[Envelope] {
+// claim; after close, a new one that is already closed.
+func (s *inboxSet) lookup(g ident.GroupID, ch Channel) *ubq.Mailbox[Envelope] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := groupChan{g, ch}
 	q, ok := s.m[key]
 	if !ok {
+		q = ubq.NewMailbox[Envelope]()
 		if s.closed {
-			return nil
+			q.Close()
+		} else {
+			s.m[key] = q
 		}
-		q = ubq.New[Envelope]()
-		s.m[key] = q
 	}
 	return q
 }
@@ -121,7 +110,7 @@ func (s *inboxSet) lookup(g ident.GroupID, ch Channel) *ubq.Queue[Envelope] {
 // after close. When no reader claimed the pair it counts the n as dropped
 // and returns nil: as an unknown channel when g has some other inbox here
 // or ch is outside the defined range, else as an unknown group.
-func (s *inboxSet) target(g ident.GroupID, ch Channel, n int) *ubq.Queue[Envelope] {
+func (s *inboxSet) target(g ident.GroupID, ch Channel, n int) *ubq.Mailbox[Envelope] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if q, ok := s.m[groupChan{g, ch}]; ok {
@@ -160,16 +149,16 @@ func (s *inboxSet) depositBatch(g ident.GroupID, ch Channel, envs []Envelope) {
 		return
 	}
 	if q := s.target(g, ch, len(envs)); q != nil {
-		q.PushAll(envs)
+		q.Push(envs...)
 	}
 }
 
-// close ends every inbox and blocks until their pumps have exited; no
-// envelope is delivered after close returns. Idempotent.
+// close ends every inbox; no envelope is delivered after it returns.
+// Idempotent.
 func (s *inboxSet) close() {
 	s.mu.Lock()
 	s.closed = true
-	qs := make([]*ubq.Queue[Envelope], 0, len(s.m))
+	qs := make([]*ubq.Mailbox[Envelope], 0, len(s.m))
 	for _, q := range s.m {
 		qs = append(qs, q)
 	}

@@ -6,7 +6,8 @@
 // is exactly that model (plus crash-stop), and TCPNetwork, a TCP network
 // for running groups across real processes using the hand-rolled binary
 // codec of internal/codec with per-peer frame batching. Every inbox is an
-// unbounded internal/ubq queue, so no transport exerts backpressure.
+// unbounded internal/ubq mailbox, so no transport exerts backpressure, and
+// no goroutine runs behind one that is read in batches.
 //
 // Link faults — partitions, drops, delays, duplication, crashes — are
 // injected over either implementation by wrapping endpoints in a Faults
@@ -114,8 +115,10 @@ var ErrUnknownPeer = errors.New("transport: unknown peer")
 // claims anything at construction.
 //
 // InboxBatch is the amortised form of Inbox: one receive yields every
-// envelope pending for (g, ch) at that moment (bounded per receive),
-// preserving FIFO order. The yielded slice is owned by the transport and
+// envelope deposited for (g, ch) since the previous receive, however many,
+// in FIFO order: a consumer that wants bounded turns must bound them
+// itself. Inbox forwards the same batches one envelope at a time through a
+// goroutine of its own. The yielded slice is owned by the transport and
 // is valid only until the consumer's next receive from the same channel —
 // a consumer keeping an envelope (or its payload) past that point must
 // copy it. An inbox is consumed either via Inbox or via InboxBatch, fixed

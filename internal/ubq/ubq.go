@@ -1,203 +1,147 @@
-// Package ubq is the one unbounded FIFO of the repository: a queue whose
-// pushes never block, pumped into a Go channel. The paper's model places
-// all bounded buffering (and hence flow control) in the protocol layer, so
-// the transport inboxes, the fault injector's delay links and the failure
-// detector's event streams all queue through it and exert no backpressure
-// of their own.
+// Package ubq is the one unbounded hand-off of the repository: a mailbox
+// whose pushes never block and whose single consumer receives, in one
+// channel operation, everything pushed since its last receive. No
+// goroutine runs behind a mailbox read in batches. The paper's model
+// places all bounded buffering (and hence flow control) in the protocol
+// layer, so the transport inboxes, the fault injector's delay links and
+// the failure detectors' subscriptions all hand off through it and exert
+// no backpressure of their own.
 package ubq
 
 import "sync"
 
-// BatchCap bounds one batch handed to a Batches consumer. It keeps a
-// single receive from monopolising the consumer for unbounded time while
-// still amortising the channel operation over a large run.
-const BatchCap = 1024
+// keepCap is the largest buffer a mailbox keeps for reuse. A batch that
+// grows beyond it is not kept: it is freed as soon as its consumer drops
+// it, so an idle mailbox holds at most three buffers of this size, and the
+// items of the last three batches that fit in them.
+const keepCap = 1024
 
-// Consumption modes. A queue is consumed either item-at-a-time (Out) or
-// batch-at-a-time (Batches); the first consumer call fixes the mode for
-// the queue's lifetime. Mixing the two on one queue would make the order
-// between the channels undefined, so it panics.
-const (
-	unset = iota
-	single
-	batched
-)
-
-// Queue is an unbounded FIFO of T pumped into a channel.
+// Mailbox is an unbounded FIFO hand-off of T to one consumer, in batches.
 //
-// The pump emits either single items (Out) or batches (Batches) depending
-// on which accessor was called first. Batches are double-buffered: the
-// pump alternates between two reusable slices, so a batch stays valid
-// exactly until the consumer's next receive from the same channel.
-//
-// An item is taken by advancing head and zeroing its slot, so a take is
-// O(1) and the backing array pins no delivered item. The live tail slides
-// to the front once the taken prefix is at least half the slice, so the
-// array only grows while more than half of it is live.
-type Queue[T any] struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []T
-	head   int // items[:head] are taken and zeroed
-	closed bool
-	mode   int
-
-	out  chan T
-	outB chan []T
-	done chan struct{}
-	wg   sync.WaitGroup
+// The pending batch sits in a one-slot channel. A push that finds it there
+// takes it back, appends and posts it again. A push that finds the slot
+// empty knows the consumer took the last batch, and posts a fresh batch in
+// the buffer it posted two batches before: the consumer released that one
+// by receiving the next, and that receive is ordered before this push by
+// the send that followed it (a receive from a one-slot channel happens
+// before the next send completes), so the reuse never races the consumer's
+// last read. A batch therefore stays valid until the consumer's next
+// receive, and a mailbox in steady state allocates nothing. A batch above
+// keepCap is posted but not kept, so its turn to be reused finds none.
+type Mailbox[T any] struct {
+	mu sync.Mutex
+	c  chan []T
+	// bufs are the last three batches posted, newest first, nil for one
+	// above keepCap: bufs[0] is in c or held by the consumer, and bufs[2]
+	// is the next to be reused.
+	bufs    [3][]T
+	closed  bool
+	done    chan struct{}
+	batched bool           // Batches claimed the mailbox
+	items   chan T         // Items claimed it: forward's channel
+	fwd     sync.WaitGroup // forward
 }
 
-// New returns an open queue with its pump running.
-func New[T any]() *Queue[T] {
-	q := &Queue[T]{
-		out:  make(chan T),
-		outB: make(chan []T),
-		done: make(chan struct{}),
+// NewMailbox returns an open, empty mailbox.
+func NewMailbox[T any]() *Mailbox[T] {
+	return &Mailbox[T]{c: make(chan []T, 1), done: make(chan struct{})}
+}
+
+// Batches claims the mailbox for a consumer of batches and returns its
+// channel: each receive yields every item pushed since the previous one,
+// in push order. It is closed by Close. A mailbox is consumed in batches
+// or one item at a time, fixed by the first claim; Batches panics if Items
+// claimed it.
+func (m *Mailbox[T]) Batches() <-chan []T {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.items != nil {
+		panic("ubq: Batches called on a mailbox consumed via Items")
 	}
-	q.cond = sync.NewCond(&q.mu)
-	q.wg.Add(1)
-	go q.pump()
-	return q
+	m.batched = true
+	return m.c
 }
 
-// Push enqueues v; it is a no-op after Close.
-func (q *Queue[T]) Push(v T) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return
+// Items claims the mailbox for a consumer of one item at a time: a
+// goroutine forwards each batch, item by item, to the channel it returns,
+// which closes with the mailbox. It panics if Batches claimed the mailbox.
+func (m *Mailbox[T]) Items() <-chan T {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.batched {
+		panic("ubq: Items called on a mailbox consumed via Batches")
 	}
-	q.items = append(q.items, v)
-	q.cond.Signal()
+	switch {
+	case m.items != nil:
+	case m.closed:
+		m.items = make(chan T)
+		close(m.items)
+	default:
+		m.items = make(chan T)
+		m.fwd.Add(1)
+		go m.forward(m.items)
+	}
+	return m.items
 }
 
-// PushAll enqueues a run of items under one lock acquisition; the slice
-// contents are copied, so the caller may reuse vs immediately.
-func (q *Queue[T]) PushAll(vs []T) {
+func (m *Mailbox[T]) forward(out chan<- T) {
+	defer m.fwd.Done()
+	defer close(out)
+	for batch := range m.c {
+		for _, v := range batch {
+			select {
+			case out <- v:
+			case <-m.done:
+				return
+			}
+		}
+	}
+}
+
+// Done is closed by the first Close call, for a consumer that must stop
+// while it is busy with a batch.
+func (m *Mailbox[T]) Done() <-chan struct{} { return m.done }
+
+// Push appends vs, copied, to the pending batch; it is a no-op after Close.
+func (m *Mailbox[T]) Push(vs ...T) {
 	if len(vs) == 0 {
 		return
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
 		return
 	}
-	q.items = append(q.items, vs...)
-	q.cond.Signal()
-}
-
-// Out claims the queue for item-at-a-time consumption and returns its
-// receive channel. Panics if the queue is already consumed in batches.
-func (q *Queue[T]) Out() <-chan T {
-	q.setMode(single, "ubq: Out called on a queue already consumed via Batches")
-	return q.out
-}
-
-// Batches claims the queue for batch consumption and returns its receive
-// channel. Panics if the queue is already consumed item-at-a-time.
-func (q *Queue[T]) Batches() <-chan []T {
-	q.setMode(batched, "ubq: Batches called on a queue already consumed via Out")
-	return q.outB
-}
-
-// Done is closed by the first Close call.
-func (q *Queue[T]) Done() <-chan struct{} { return q.done }
-
-func (q *Queue[T]) setMode(mode int, msg string) {
-	q.mu.Lock()
-	if q.mode == unset {
-		q.mode = mode
-		q.cond.Signal()
+	var b []T
+	select {
+	case b = <-m.c:
+	default:
+		clear(m.bufs[2])
+		b, m.bufs[1], m.bufs[2] = m.bufs[2][:0], m.bufs[0], m.bufs[1]
 	}
-	bad := q.mode != mode
-	q.mu.Unlock()
-	if bad {
-		panic(msg)
+	b = append(b, vs...)
+	if m.bufs[0] = b; cap(b) > keepCap {
+		m.bufs[0] = nil
 	}
+	m.c <- b
 }
 
-// Close stops the pump; pending items are dropped (crash-stop semantics:
-// a closed endpoint has crashed and receives nothing further). It is safe
-// to call concurrently and repeatedly; every call returns only once the
-// pump has exited, so no item is emitted after Close returns.
-func (q *Queue[T]) Close() {
-	q.mu.Lock()
-	if !q.closed {
-		q.closed = true
-		q.items, q.head = nil, 0
-		close(q.done)
-		q.cond.Signal()
-	}
-	q.mu.Unlock()
-	q.wg.Wait()
-}
-
-// pump waits for the consumption mode to be fixed, then emits until Close.
-// Both output channels close on exit, so a consumer holding either sees
-// the close however the queue was (or was never) consumed.
-func (q *Queue[T]) pump() {
-	defer q.wg.Done()
-	defer close(q.out)
-	defer close(q.outB)
-	q.mu.Lock()
-	for q.mode == unset && !q.closed {
-		q.cond.Wait()
-	}
-	mode := q.mode
-	q.mu.Unlock()
-	// The buffer handed to a batch consumer is not touched again until
-	// after the consumer's next receive: the Batches ownership contract.
-	// Only the batch the consumer holds pins its items.
-	var bufs [2][]T
-	cur := 0
-	for {
-		q.mu.Lock()
-		for q.head == len(q.items) && !q.closed {
-			q.cond.Wait()
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return
-		}
-		if mode == single {
-			v := q.items[q.head]
-			q.take(1)
-			q.mu.Unlock()
-			select {
-			case q.out <- v:
-			case <-q.done:
-				return
-			}
-			continue
-		}
-		n := min(len(q.items)-q.head, BatchCap)
-		batch := append(bufs[cur][:0], q.items[q.head:q.head+n]...)
-		bufs[cur] = batch
-		q.take(n)
-		q.mu.Unlock()
+// Close drops what is pending and closes the consumer's channel
+// (crash-stop semantics: a closed endpoint has crashed and receives
+// nothing further). Nothing is delivered after Close returns. It is safe
+// to call concurrently and repeatedly.
+func (m *Mailbox[T]) Close() {
+	m.mu.Lock()
+	if !m.closed {
+		m.closed = true
 		select {
-		case q.outB <- batch:
-			// The consumer has let go of the previous batch.
-			cur ^= 1
-			clear(bufs[cur])
-		case <-q.done:
-			return
+		case <-m.c:
+		default:
 		}
+		close(m.c)
+		close(m.done)
+		m.bufs = [3][]T{}
 	}
-}
-
-// take removes the first n live items, zeroing their slots so the backing
-// array does not pin delivered values. Once the taken prefix is at least
-// half the slice the live tail slides to the front, so each item is moved
-// O(1) times on average.
-func (q *Queue[T]) take(n int) {
-	clear(q.items[q.head : q.head+n])
-	q.head += n
-	if 2*q.head >= len(q.items) {
-		// head >= live here, so the moved tail does not overlap its copy.
-		live := copy(q.items, q.items[q.head:])
-		clear(q.items[q.head:])
-		q.items, q.head = q.items[:live], 0
-	}
+	m.mu.Unlock()
+	m.fwd.Wait()
 }
